@@ -1,4 +1,5 @@
-// Benchmarks: one testing.B entry per experiment in DESIGN.md's index.
+// Benchmarks: one testing.B entry per experiment in the index that
+// `go run ./cmd/obench -list` prints (README.md, Development).
 // They report both wall time and, via custom metrics, the block-I/O counts
 // the paper's theorems bound (io/block is the figure of merit; wall time on
 // the in-memory store is a proxy for constant factors only).
@@ -17,6 +18,7 @@ import (
 	"oblivext/internal/iblt"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 	"oblivext/internal/workload"
 )
@@ -71,7 +73,7 @@ func BenchmarkE2Consolidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mark := env.D.Mark()
-		core.Consolidate(env, a)
+		route.Consolidate(env, a, extmem.Element.Marked)
 		env.D.Release(mark)
 	}
 	reportIO(b, env, nBlocks)
@@ -120,7 +122,7 @@ func BenchmarkE4Butterfly(b *testing.B) {
 	env.D.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CompactBlocksTight(env, a, core.PredOccupied, 0)
+		route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 	}
 	reportIO(b, env, nBlocks)
 }
@@ -133,7 +135,7 @@ func BenchmarkE4ButterflyNaive(b *testing.B) {
 	env.D.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CompactBlocksTight(env, a, core.PredOccupied, 1)
+		route.CompactBlocksTight(env, a, route.PredOccupied, 1)
 	}
 	reportIO(b, env, nBlocks)
 }

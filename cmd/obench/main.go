@@ -1,6 +1,6 @@
 // Command obench runs the reproduction experiments (E1–E21 and the
-// Figure 1 rendering from DESIGN.md's index) and prints their tables as
-// markdown — the data recorded in EXPERIMENTS.md.
+// Figure 1 rendering; -list prints the index, README.md's Development
+// section describes them) and prints their tables as markdown.
 //
 // Usage:
 //

@@ -39,7 +39,6 @@ func main() {
 	encrypt := flag.Bool("encrypt", false, "seal every block client-side (AES-CTR + HMAC, fresh IV per write) before it reaches any backend; a remote obstore must run with -b = B+2")
 	seed := flag.Uint64("seed", 1, "random tape seed")
 	sorter := flag.String("sorter", "randomized", "sorter engine: auto, randomized, bitonic, bucket, or zigzag")
-	det := flag.Bool("deterministic", false, "deprecated alias for -sorter=bitonic")
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
 	rtt := flag.Duration("rtt", 0, "model each backend as remote with this round-trip delay (e.g. 20ms)")
 	perblock := flag.Duration("perblock", 0, "bandwidth component of the latency model, per block moved")
@@ -63,9 +62,6 @@ func main() {
 	auditGolden := flag.String("audit-golden", "", "golden trace-fingerprint file for -audit: loaded and enforced when it exists, recorded from this run otherwise")
 	flag.Parse()
 
-	if *det {
-		*sorter = "bitonic"
-	}
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
 		NumShards: *shards, SimulatedRTT: *rtt, SimulatedPerBlock: *perblock, Prefetch: *prefetch, Workers: *workers,
 		URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,

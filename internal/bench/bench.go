@@ -1,6 +1,7 @@
-// Package bench is the experiment harness: one generator per experiment in
-// DESIGN.md's index (E1–E23 plus the Figure 1 rendering), each producing
-// the markdown table recorded in EXPERIMENTS.md. cmd/obench runs them.
+// Package bench is the experiment harness: one generator per experiment
+// (E1–E23 plus the Figure 1 rendering; All is the index, README.md's
+// Development section describes them), each producing a markdown table.
+// cmd/obench runs them.
 package bench
 
 import (

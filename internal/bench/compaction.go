@@ -6,6 +6,7 @@ import (
 	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/iblt"
+	"oblivext/internal/route"
 	"oblivext/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func E2() *Table {
 				panic(err)
 			}
 			env.D.ResetStats()
-			core.Consolidate(env, a)
+			route.Consolidate(env, a, extmem.Element.Marked)
 			st := env.D.Stats()
 			t.Rows = append(t.Rows, []string{f("%d", n), "8", f("%d", pct),
 				f("%d", st.Reads), f("%d", st.Writes), f("%d+%d", n, n)})
@@ -133,11 +134,11 @@ func E4() *Table {
 				a := env.D.Alloc(n)
 				buildOccupiedCells(a, r.Perm(n)[:n/3])
 				env.D.ResetStats()
-				core.CompactBlocksTight(env, a, core.PredOccupied, lpp)
+				route.CompactBlocksTight(env, a, route.PredOccupied, lpp)
 				return env.D.Stats().Total()
 			}
 			naive, win := run(1), run(0)
-			pred := int64(core.ButterflyPassCount(n, 0, m)) * int64(2*n)
+			pred := int64(route.ButterflyPassCount(n, 0, m)) * int64(2*n)
 			t.Rows = append(t.Rows, []string{f("%d", n), f("%d", m), f("%d", naive), f("%d", win),
 				ratio(float64(naive), float64(win)), f("%d", pred)})
 		}
@@ -225,7 +226,7 @@ func E5() *Table {
 		a2 := env2.D.Alloc(n)
 		buildOccupiedCells(a2, occ)
 		env2.D.ResetStats()
-		core.CompactBlocksTight(env2, a2, core.PredOccupied, 0)
+		route.CompactBlocksTight(env2, a2, route.PredOccupied, 0)
 		tight := env2.D.Stats().Total()
 
 		t.Rows = append(t.Rows, []string{f("%d", n), f("%d", n/8), f("%d", loose),
@@ -287,7 +288,7 @@ func E12() *Table {
 		buf := make([]extmem.Element, 4)
 		for i := 0; i < n; i++ {
 			a.Read(i, buf)
-			if core.PredOccupied(buf) {
+			if route.PredOccupied(buf) {
 				surv++
 			}
 		}

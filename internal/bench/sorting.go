@@ -6,6 +6,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 	"oblivext/internal/workload"
 )
@@ -265,7 +266,7 @@ func E13() *Table {
 		}
 	}))})
 	t.Rows = append(t.Rows, []string{"consolidate+tight compaction (L3+Thm 6)", distros, allEqual(tr(func(env *extmem.Env, a extmem.Array) {
-		core.CompactBlocksTight(env, a, core.PredOccupied, 0)
+		route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 	}))})
 	t.Rows = append(t.Rows, []string{"NON-oblivious quickselect (baseline)", distros, allEqual(tr(func(env *extmem.Env, a extmem.Array) {
 		if _, err := emsort.QuickSelect(env, a, int64(n/2)); err != nil {

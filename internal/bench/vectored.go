@@ -6,6 +6,7 @@ import (
 	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -44,7 +45,7 @@ func E14() *Table {
 			}
 		}},
 		{"tight compaction (Thm 6)", 8192, 8, 64, func(env *extmem.Env, a extmem.Array) {
-			core.CompactBlocksTight(env, a, core.PredOccupied, 0)
+			route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 		}},
 	}
 

@@ -21,6 +21,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -230,10 +231,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case Kill:
 		return nil, fmt.Errorf("chaos: %s is dead", host)
 	case Stall:
-		select {
-		case <-time.After(e.Stall):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
+		if err := stall(req.Context(), e.Stall); err != nil {
+			return nil, err
 		}
 		return t.base.RoundTrip(req)
 	case Err503:
@@ -244,6 +243,18 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("chaos: dropped request to %s", host)
 	default:
 		return t.base.RoundTrip(req)
+	}
+}
+
+// stall waits out d, or returns ctx's error if ctx is canceled first.
+func stall(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -263,8 +274,8 @@ func synthesize(req *http.Request, status int, msg string) *http.Response {
 }
 
 // Store is a BlockStore decorator that injects scheduled faults below the
-// HTTP layer, for in-process tests. Every vectored or scalar call advances
-// the interaction counter; injected faults surface as errors (Kill, Drop,
+// HTTP layer, for in-process tests. Every call advances the interaction
+// counter; injected faults surface as errors (Kill, Drop,
 // Partition, Err500, Err503 — all indistinguishable to a BlockStore caller)
 // or added latency (Stall).
 type Store struct {
@@ -280,51 +291,36 @@ func NewStore(inner extmem.BlockStore, target string, schedule Schedule) *Store 
 }
 
 // fault applies the next scheduled event, returning a non-nil error when the
-// interaction must fail.
-func (s *Store) fault() error {
+// interaction must fail. A Stall ends early, with ctx's error, when ctx is
+// canceled: a stalled child of a doomed fan-out or a lost hedge leg is
+// abandoned like a remote one would be.
+func (s *Store) fault(ctx context.Context) error {
 	e, hit := s.next(s.target)
 	if !hit {
 		return nil
 	}
 	switch e.Kind {
 	case Stall:
-		time.Sleep(e.Stall)
-		return nil
+		return stall(ctx, e.Stall)
 	default:
 		return fmt.Errorf("chaos: injected %s on %s", e.Kind, s.target)
 	}
 }
 
-// ReadBlock implements BlockStore.
-func (s *Store) ReadBlock(addr int, dst []extmem.Element) error {
-	if err := s.fault(); err != nil {
-		return err
-	}
-	return s.inner.ReadBlock(addr, dst)
-}
-
-// WriteBlock implements BlockStore.
-func (s *Store) WriteBlock(addr int, src []extmem.Element) error {
-	if err := s.fault(); err != nil {
-		return err
-	}
-	return s.inner.WriteBlock(addr, src)
-}
-
 // ReadBlocks implements BlockStore.
-func (s *Store) ReadBlocks(addrs []int, dst []extmem.Element) error {
-	if err := s.fault(); err != nil {
+func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+	if err := s.fault(ctx); err != nil {
 		return err
 	}
-	return s.inner.ReadBlocks(addrs, dst)
+	return s.inner.ReadBlocks(ctx, addrs, dst)
 }
 
 // WriteBlocks implements BlockStore.
-func (s *Store) WriteBlocks(addrs []int, src []extmem.Element) error {
-	if err := s.fault(); err != nil {
+func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
+	if err := s.fault(ctx); err != nil {
 		return err
 	}
-	return s.inner.WriteBlocks(addrs, src)
+	return s.inner.WriteBlocks(ctx, addrs, src)
 }
 
 // NumBlocks implements BlockStore.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/route"
 )
 
 // This file implements Theorem 9 (Appendix B): loose compaction of at most
@@ -97,7 +98,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	occ := 0
 	for i := 0; i < n; i++ {
 		a.Read(i, blk)
-		if PredOccupied(blk) {
+		if route.PredOccupied(blk) {
 			occ++
 		}
 		work.Write(i, blk)
@@ -152,7 +153,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 		for lo := 0; lo < cur.Len(); lo += regionSize {
 			hi := min(lo+regionSize, cur.Len())
 			region := cur.Slice(lo, hi)
-			CompactBlocksTight(env, region, PredOccupied, 0)
+			route.CompactBlocksTight(env, region, route.PredOccupied, 0)
 			prefix := region.Slice(0, min(rCap, region.Len()))
 			for j := 0; j < t*t; j++ {
 				thinningPass(env, prefix, d4)
@@ -171,7 +172,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	blk = env.Cache.Buf(b)
 	for i := 0; i < cur.Len(); i++ {
 		cur.Read(i, blk)
-		occb := PredOccupied(blk)
+		occb := route.PredOccupied(blk)
 		for tt := range blk {
 			if occb {
 				blk[tt].Flags |= extmem.FlagMarked

@@ -6,6 +6,7 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 )
 
 // This file implements Theorem 8: loose compaction of at most R < N/4
@@ -68,7 +69,7 @@ func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int, p LooseParams
 	work := env.D.Alloc(n)
 	occ := 0
 	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		if PredOccupied(blk) {
+		if route.PredOccupied(blk) {
 			occ++
 		}
 	})
@@ -135,7 +136,7 @@ func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int, p LooseParams
 	wr := extmem.NewSeqWriter(tail, 0, wbuf)
 	survivors := 0
 	scanReadSync(env, cur.Slice(0, s), func(i int, blk []extmem.Element) {
-		if PredOccupied(blk) {
+		if route.PredOccupied(blk) {
 			survivors++
 		}
 		if i < tail.Len() {
@@ -197,7 +198,7 @@ func thinningPass(env *extmem.Env, src, dst extmem.Array) {
 		for t := 0; t < cnt; t++ {
 			sblk := sbuf[t*b : (t+1)*b]
 			dblk := dbuf[slot[js[t]]*b : (slot[js[t]]+1)*b]
-			if PredOccupied(sblk) && !PredOccupied(dblk) {
+			if route.PredOccupied(sblk) && !route.PredOccupied(dblk) {
 				copy(dblk, sblk)
 				for e := range sblk {
 					sblk[e] = extmem.Element{}
@@ -233,7 +234,7 @@ func halveRegion(env *extmem.Env, region, dst extmem.Array) error {
 		cells := make([]cell, g)
 		for i := range cells {
 			d := buf[i*b : (i+1)*b]
-			cells[i] = cell{occ: PredOccupied(d), data: d}
+			cells[i] = cell{occ: route.PredOccupied(d), data: d}
 		}
 		surv := 0
 		wbuf := env.Cache.Buf(env.ScanBatchN(1, dst.Len()) * b)
@@ -266,7 +267,7 @@ func halveRegion(env *extmem.Env, region, dst extmem.Array) error {
 	wr := extmem.NewSeqWriter(dst, 0, wbuf)
 	surv := 0
 	scanReadSync(env, region, func(i int, blk []extmem.Element) {
-		if PredOccupied(blk) {
+		if route.PredOccupied(blk) {
 			surv++
 		}
 		if i < dst.Len() {
@@ -289,7 +290,7 @@ func looseBySort(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, 
 	work := env.D.Alloc(n)
 	occ := 0
 	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		if PredOccupied(blk) {
+		if route.PredOccupied(blk) {
 			occ++
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -127,7 +128,7 @@ func TestThinningPassSurvivorRate(t *testing.T) {
 		surv := 0
 		for i := 0; i < n; i++ {
 			a.Read(i, blk)
-			if PredOccupied(blk) {
+			if route.PredOccupied(blk) {
 				surv++
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/par"
+	"oblivext/internal/route"
 )
 
 // This file implements §5 / Theorem 21: randomized data-oblivious sorting
@@ -102,8 +103,8 @@ func Sort(env *extmem.Env, a extmem.Array, p SortParams) error {
 		res.WriteRange(lo, hi, buf[:(hi-lo)*b])
 	}
 	env.Cache.Free(buf)
-	cons, _ := Consolidate(env, res)
-	CompactBlocksTight(env, cons, PredOccupied, 0)
+	cons, _ := route.Consolidate(env, res, extmem.Element.Marked)
+	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
 	k = env.ScanBatchN(1, n)
 	buf = env.Cache.Buf(k * b)
 	for lo := 0; lo < n; lo += k {
@@ -282,7 +283,8 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 	// arrays — but at small M/B the bucket count q+1 cannot outpace loose
 	// compaction's 5× padding, so without it the physical recursion sizes
 	// grow geometrically. Tightening costs a few passes per level and
-	// restores the strict n/(q+1) shrink; DESIGN.md records the deviation.
+	// restores the strict n/(q+1) shrink; docs/ARCHITECTURE.md (Sorter
+	// engines) records the deviation.
 	sub := make([]extmem.Array, q+1)
 	subOK := make([]bool, q+1)
 	outLen := 0
@@ -398,8 +400,8 @@ func tightenPadded(env *extmem.Env, a extmem.Array, capBlocks int) extmem.Array 
 		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
 	}
 	env.Cache.Free(buf)
-	cons, _ := Consolidate(env, a)
-	CompactBlocksTight(env, cons, PredOccupied, 0)
+	cons, _ := route.Consolidate(env, a, extmem.Element.Marked)
+	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
 	if capBlocks > cons.Len() {
 		capBlocks = cons.Len()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 )
 
 // ShuffleBlocksForTest exposes the block-level Fisher–Yates shuffle for the
@@ -204,7 +205,7 @@ func sweepFailures(env *extmem.Env, res extmem.Array, capD int) bool {
 		res.ReadRange(lo, hi, cbuf[:(hi-lo)*b])
 		for i := lo; i < hi; i++ {
 			blk := cbuf[(i-lo)*b : (i-lo+1)*b]
-			if !PredFailed(blk) {
+			if !route.PredFailed(blk) {
 				for t := range blk {
 					blk[t] = extmem.Element{}
 				}
@@ -218,7 +219,7 @@ func sweepFailures(env *extmem.Env, res extmem.Array, capD int) bool {
 	}
 	env.Cache.Free(cbuf)
 
-	failedCells := CompactBlocksTight(env, cpy, PredOccupied, 0)
+	failedCells := route.CompactBlocksTight(env, cpy, route.PredOccupied, 0)
 	ok := failedCells <= capD
 
 	// Record fill counts and origins of the compacted prefix.
@@ -318,7 +319,7 @@ func sweepFailures(env *extmem.Env, res extmem.Array, capD int) bool {
 		cpy.WriteRange(lo, hi, ibuf[:(hi-lo)*b])
 	}
 	env.Cache.Free(ibuf)
-	ExpandBlocks(env, cpy, PredOccupied, 0)
+	route.ExpandBlocks(env, cpy, route.PredOccupied, 0)
 
 	// Merge: failed cells take the repaired copy.
 	km := env.ScanBatchN(2, n)
@@ -330,7 +331,7 @@ func sweepFailures(env *extmem.Env, res extmem.Array, capD int) bool {
 		cpy.ReadRange(lo, hi, cb[:(hi-lo)*b])
 		for i := lo; i < hi; i++ {
 			blk := rb[(i-lo)*b : (i-lo+1)*b]
-			if PredFailed(blk) {
+			if route.PredFailed(blk) {
 				copy(blk, cb[(i-lo)*b:(i-lo+1)*b])
 			}
 			for t := range blk {

@@ -10,6 +10,7 @@ import (
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
 	"oblivext/internal/rng"
+	"oblivext/internal/route"
 )
 
 // This file implements Theorem 4: tight order-preserving compaction of a
@@ -71,7 +72,7 @@ func SparseTableFits(env *extmem.Env, rCap int, p SparseParams) bool {
 // (The fully general Theorem 4 path through the ORAM substrate remains
 // available via CompactBlocksSparse with ForceORAM.)
 func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
-	cons, marked := Consolidate(env, a)
+	cons, marked := route.Consolidate(env, a, extmem.Element.Marked)
 	need := extmem.CeilDiv(int(marked), env.B())
 	if marked > 0 && need > rCap {
 		return cons, marked, fmt.Errorf("%w: %d marked blocks exceed capacity %d", ErrCompactionFailed, need, rCap)
@@ -80,7 +81,7 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 		out, _, err := CompactBlocksSparse(env, cons, rCap, SparseParams{})
 		return out, marked, err
 	}
-	CompactBlocksTight(env, cons, PredOccupied, 0)
+	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
 	if cons.Len() < rCap {
 		// Pad: allocate the full capacity and copy the prefix, a chunked
 		// run copy with zero-fill past the prefix.
@@ -168,7 +169,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 	occCount := 0
 	for i := 0; i < n; i++ {
 		a.Read(i, ablk)
-		occ := PredOccupied(ablk)
+		occ := route.PredOccupied(ablk)
 		if occ {
 			occCount++
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -58,17 +57,6 @@ func occupiedKeys(elems []extmem.Element) []uint64 {
 	return out
 }
 
-// markedKeys extracts the keys of marked elements in order.
-func markedKeys(elems []extmem.Element) []uint64 {
-	var out []uint64
-	for _, e := range elems {
-		if e.Marked() {
-			out = append(out, e.Key)
-		}
-	}
-	return out
-}
-
 func equalU64(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -96,20 +84,6 @@ func sameMultisetU64(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// randomMarkedInput builds n*b elements where each is occupied and a random
-// subset of size exactly r is marked.
-func randomMarkedInput(r *rand.Rand, total, marked int) []extmem.Element {
-	elems := make([]extmem.Element, total)
-	for i := range elems {
-		elems[i] = extmem.Element{Key: uint64(i)*10 + 1, Val: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
-	}
-	perm := r.Perm(total)
-	for i := 0; i < marked; i++ {
-		elems[perm[i]].Flags |= extmem.FlagMarked
-	}
-	return elems
 }
 
 // traceOf runs fn against a fresh env with a recorder attached and returns

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -67,7 +68,7 @@ type CryptStore struct {
 	bytesSealed atomic.Int64
 	bytesOpened atomic.Int64
 
-	scratch []cryptScratch // one entry per worker; entry 0 serves the scalar paths
+	scratch []cryptScratch // one entry per worker; entry 0 serves small batches
 	celem   []Element      // child-geometry staging for vectored calls
 }
 
@@ -196,41 +197,29 @@ func (s *CryptStore) childElems(n int) []Element {
 	return s.celem[:n*s.cb]
 }
 
-// ReadBlock implements BlockStore: one child read, then open.
-func (s *CryptStore) ReadBlock(addr int, dst []Element) error {
-	if len(dst) != s.b {
-		return fmt.Errorf("extmem: buffer length %d != block size %d", len(dst), s.b)
-	}
-	buf := s.childElems(1)
-	if err := s.child.ReadBlock(addr, buf); err != nil {
-		return err
-	}
-	return s.open(&s.scratch[0], addr, buf, dst)
-}
-
-// WriteBlock implements BlockStore: seal under a fresh IV, one child write.
-func (s *CryptStore) WriteBlock(addr int, src []Element) error {
-	if len(src) != s.b {
-		return fmt.Errorf("extmem: buffer length %d != block size %d", len(src), s.b)
-	}
-	buf := s.childElems(1)
-	if err := s.seal(&s.scratch[0], addr, buf, src); err != nil {
-		return err
-	}
-	return s.child.WriteBlock(addr, buf)
-}
-
 // cryptParMin is the batch size below which per-block crypto stays on the
 // calling goroutine: spawning workers costs more than sealing a handful of
 // blocks. The threshold compares against a public batch length only.
 const cryptParMin = 8
 
-// forBlocks runs fn over every (block index, worker scratch) pair — fanned
-// out across s.workers goroutines for large batches, inline otherwise —
-// and returns the first error by block order. Block i's staging slices are
+// block seals (write) or opens (read) block i of a batch: plain is the
+// caller's plaintext buffer, sealed the child-geometry staging.
+func (s *CryptStore) block(sc *cryptScratch, write bool, addrs []int, i int, plain, sealed []Element) error {
+	p, c := plain[i*s.b:(i+1)*s.b], sealed[i*s.cb:(i+1)*s.cb]
+	if write {
+		return s.seal(sc, addrs[i], c, p)
+	}
+	return s.open(sc, addrs[i], c, p)
+}
+
+// forBlocks seals or opens every block of a batch — fanned out across
+// s.workers goroutines for large batches, inline (and allocation-free, so a
+// one-block batch costs no more than the crypto itself) otherwise — and
+// returns the first error by block order. Block i's staging slices are
 // disjoint for distinct i, so workers never share bytes; the choice to fan
 // out depends only on the public batch length, never on block contents.
-func (s *CryptStore) forBlocks(n int, fn func(sc *cryptScratch, i int) error) error {
+func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element) error {
+	n := len(addrs)
 	w := s.workers
 	if w > len(s.scratch) {
 		w = len(s.scratch)
@@ -238,7 +227,7 @@ func (s *CryptStore) forBlocks(n int, fn func(sc *cryptScratch, i int) error) er
 	if w <= 1 || n < cryptParMin {
 		sc := &s.scratch[0]
 		for i := 0; i < n; i++ {
-			if err := fn(sc, i); err != nil {
+			if err := s.block(sc, write, addrs, i, plain, sealed); err != nil {
 				return err
 			}
 		}
@@ -248,7 +237,7 @@ func (s *CryptStore) forBlocks(n int, fn func(sc *cryptScratch, i int) error) er
 	par.ForWorker(w, n, func(worker, lo, hi int) {
 		sc := &s.scratch[worker]
 		for i := lo; i < hi; i++ {
-			if err := fn(sc, i); err != nil {
+			if err := s.block(sc, write, addrs, i, plain, sealed); err != nil {
 				errAt[i] = err
 				return
 			}
@@ -266,34 +255,30 @@ func (s *CryptStore) forBlocks(n int, fn func(sc *cryptScratch, i int) error) er
 // single child call over the same address list (one interaction, identical
 // trace), then each block is opened individually — across the worker pool
 // for large batches.
-func (s *CryptStore) ReadBlocks(addrs []int, dst []Element) error {
+func (s *CryptStore) ReadBlocks(ctx context.Context, addrs []int, dst []Element) error {
 	if len(dst) != len(addrs)*s.b {
 		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
 	}
 	buf := s.childElems(len(addrs))
-	if err := s.child.ReadBlocks(addrs, buf); err != nil {
+	if err := s.child.ReadBlocks(ctx, addrs, buf); err != nil {
 		return err
 	}
-	return s.forBlocks(len(addrs), func(sc *cryptScratch, i int) error {
-		return s.open(sc, addrs[i], buf[i*s.cb:(i+1)*s.cb], dst[i*s.b:(i+1)*s.b])
-	})
+	return s.forBlocks(false, addrs, dst, buf)
 }
 
 // WriteBlocks implements BlockStore: every block is sealed under its own
 // fresh IV — vectoring batches the transfer, never the envelope; sealing
 // fans out across the worker pool for large batches — then the batch
 // travels as a single child call over the same address list.
-func (s *CryptStore) WriteBlocks(addrs []int, src []Element) error {
+func (s *CryptStore) WriteBlocks(ctx context.Context, addrs []int, src []Element) error {
 	if len(src) != len(addrs)*s.b {
 		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
 	}
 	buf := s.childElems(len(addrs))
-	if err := s.forBlocks(len(addrs), func(sc *cryptScratch, i int) error {
-		return s.seal(sc, addrs[i], buf[i*s.cb:(i+1)*s.cb], src[i*s.b:(i+1)*s.b])
-	}); err != nil {
+	if err := s.forBlocks(true, addrs, src, buf); err != nil {
 		return err
 	}
-	return s.child.WriteBlocks(addrs, buf)
+	return s.child.WriteBlocks(ctx, addrs, buf)
 }
 
 // NumBlocks implements BlockStore: addresses map one-to-one to the child.

@@ -50,11 +50,11 @@ func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) {
 	const b = 4
 	s := newCryptMem(t, 8, b)
 	in := mkElems(3*b, 5)
-	if err := s.WriteBlocks([]int{1, 4, 6}, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{1, 4, 6}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 3*b)
-	if err := s.ReadBlocks([]int{6, 1, 4}, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{6, 1, 4}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b; i++ {
@@ -65,7 +65,7 @@ func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) {
 	// Never-written blocks read back zeroed, not as an authentication
 	// failure.
 	zero := make([]Element, b)
-	if err := s.ReadBlock(0, zero); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, zero); err != nil {
 		t.Fatalf("never-written block: %v", err)
 	}
 	for i, e := range zero {
@@ -77,7 +77,7 @@ func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) {
 	if err := s.GrowTo(16); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReadBlock(15, zero); err != nil {
+	if err := s.ReadBlocks(bg, []int{15}, zero); err != nil {
 		t.Fatalf("grown block: %v", err)
 	}
 }
@@ -94,12 +94,12 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	}
 	sentinel := []Element{{Key: 0xfeedfacecafebeef, Val: 0x0123456789abcdef, Pos: 42, Flags: FlagOccupied},
 		{Key: 1}, {Key: 2}, {Key: 3}}
-	if err := s.WriteBlock(2, sentinel); err != nil {
+	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	childBytes := func() []byte {
 		raw := make([]Element, CryptChildBlockSize(b))
-		if err := child.ReadBlock(2, raw); err != nil {
+		if err := child.ReadBlocks(bg, []int{2}, raw); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, len(raw)*ElementBytes)
@@ -112,7 +112,7 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	if bytes.Contains(w1, plain[:ElementBytes]) {
 		t.Fatal("child store contains the plaintext element encoding")
 	}
-	if err := s.WriteBlock(2, sentinel); err != nil {
+	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	if w2 := childBytes(); bytes.Equal(w1, w2) {
@@ -134,7 +134,7 @@ func TestCryptStoreTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.WriteBlock(1, mkElems(b, 7)); err != nil {
+	if err := s.WriteBlocks(bg, []int{1}, mkElems(b, 7)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -147,7 +147,7 @@ func TestCryptStoreTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]Element, b)
-	err = s.ReadBlock(1, out)
+	err = s.ReadBlocks(bg, []int{1}, out)
 	if err == nil {
 		t.Fatal("tampered block read back without error")
 	}
@@ -156,7 +156,7 @@ func TestCryptStoreTamperDetection(t *testing.T) {
 	}
 	// The untampered block 1 is gone, but the rest of the store still
 	// serves (per-block envelopes: corruption is contained).
-	if err := s.ReadBlock(0, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
 		t.Fatalf("unrelated block after tamper: %v", err)
 	}
 }
@@ -171,26 +171,26 @@ func TestCryptStoreRelocationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{2, 5}, mkElems(2*b, 3)); err != nil {
+	if err := s.WriteBlocks(bg, []int{2, 5}, mkElems(2*b, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Bob swaps the sealed images of blocks 2 and 5.
 	cb := CryptChildBlockSize(b)
 	b2, b5 := make([]Element, cb), make([]Element, cb)
-	if err := child.ReadBlock(2, b2); err != nil {
+	if err := child.ReadBlocks(bg, []int{2}, b2); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.ReadBlock(5, b5); err != nil {
+	if err := child.ReadBlocks(bg, []int{5}, b5); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.WriteBlock(2, b5); err != nil {
+	if err := child.WriteBlocks(bg, []int{2}, b5); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.WriteBlock(5, b2); err != nil {
+	if err := child.WriteBlocks(bg, []int{5}, b2); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, b)
-	if err := s.ReadBlock(2, out); err == nil || !strings.Contains(err.Error(), "authentication failed") {
+	if err := s.ReadBlocks(bg, []int{2}, out); err == nil || !strings.Contains(err.Error(), "authentication failed") {
 		t.Fatalf("relocated block served: %v", err)
 	}
 }
@@ -234,18 +234,18 @@ func TestCryptStoreByteCounters(t *testing.T) {
 	const b = 4
 	s := newCryptMem(t, 8, b)
 	wire := int64(testEncryptor(t).WireSize(b * ElementBytes))
-	if err := s.WriteBlocks([]int{0, 1, 2}, mkElems(3*b, 2)); err != nil {
+	if err := s.WriteBlocks(bg, []int{0, 1, 2}, mkElems(3*b, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BytesSealed(); got != 3*wire {
 		t.Fatalf("BytesSealed = %d, want %d", got, 3*wire)
 	}
 	buf := make([]Element, 2*b)
-	if err := s.ReadBlocks([]int{1, 2}, buf); err != nil {
+	if err := s.ReadBlocks(bg, []int{1, 2}, buf); err != nil {
 		t.Fatal(err)
 	}
 	// A never-written block costs no crypto.
-	if err := s.ReadBlock(7, buf[:b]); err != nil {
+	if err := s.ReadBlocks(bg, []int{7}, buf[:b]); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BytesOpened(); got != 2*wire {

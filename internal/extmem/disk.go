@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"context"
 	"fmt"
 
 	"oblivext/internal/obs"
@@ -52,6 +53,11 @@ type CryptCounters interface {
 // view, and a bump allocator handing out scratch arenas. All methods panic
 // on geometry violations: in this simulator an out-of-range access is a bug
 // in the algorithm, not an environmental error.
+//
+// Store calls are issued under context.Background(): the algorithms' access
+// sequence is fixed by the public geometry, so an access once issued runs
+// to completion or panics — cancellation exists only below the Disk,
+// between the stores of one fan-out.
 type Disk struct {
 	store    BlockStore
 	b        int
@@ -59,8 +65,9 @@ type Disk struct {
 	rec      *trace.Recorder
 	obs      *obs.Collector
 	top      int
-	maxBatch int   // blocks per vectored store call; 0 = unlimited, 1 = scalar
-	addrs    []int // scratch for building vectored address lists
+	maxBatch int    // blocks per vectored store call; 0 = unlimited, 1 = scalar
+	addrs    []int  // scratch for building vectored address lists
+	one      [1]int // address list of a one-block Read/Write
 }
 
 // NewDisk wraps a block store. The allocator starts at block 0.
@@ -128,26 +135,18 @@ func (d *Disk) SetObs(c *obs.Collector) { d.obs = c }
 // Obs returns the attached span collector, if any.
 func (d *Disk) Obs() *obs.Collector { return d.obs }
 
-// Read copies block addr into dst and logs the access (one round trip).
+// Read copies block addr into dst and logs the access (one round trip): a
+// batch of one, issued through the Disk-owned address scratch so the
+// algorithms' one-block accesses allocate nothing.
 func (d *Disk) Read(addr int, dst []Element) {
-	if err := d.store.ReadBlock(addr, dst); err != nil {
-		panic(fmt.Sprintf("extmem: read: %v", err))
-	}
-	d.stats.Reads++
-	d.stats.RoundTrips++
-	d.rec.Record(trace.Read, int64(addr))
-	d.obs.Access('R', int64(addr))
+	d.one[0] = addr
+	d.ReadMany(d.one[:], dst)
 }
 
 // Write copies src into block addr and logs the access (one round trip).
 func (d *Disk) Write(addr int, src []Element) {
-	if err := d.store.WriteBlock(addr, src); err != nil {
-		panic(fmt.Sprintf("extmem: write: %v", err))
-	}
-	d.stats.Writes++
-	d.stats.RoundTrips++
-	d.rec.Record(trace.Write, int64(addr))
-	d.obs.Access('W', int64(addr))
+	d.one[0] = addr
+	d.WriteMany(d.one[:], src)
 }
 
 // ReadMany copies blocks addrs[i] into dst[i*B:(i+1)*B], issuing vectored
@@ -162,7 +161,7 @@ func (d *Disk) ReadMany(addrs []int, dst []Element) {
 	}
 	for lo := 0; lo < len(addrs); {
 		n := d.chunk(len(addrs) - lo)
-		if err := d.store.ReadBlocks(addrs[lo:lo+n], dst[lo*d.b:(lo+n)*d.b]); err != nil {
+		if err := d.store.ReadBlocks(context.Background(), addrs[lo:lo+n], dst[lo*d.b:(lo+n)*d.b]); err != nil {
 			panic(fmt.Sprintf("extmem: vectored read: %v", err))
 		}
 		d.stats.Reads += int64(n)
@@ -183,7 +182,7 @@ func (d *Disk) WriteMany(addrs []int, src []Element) {
 	}
 	for lo := 0; lo < len(addrs); {
 		n := d.chunk(len(addrs) - lo)
-		if err := d.store.WriteBlocks(addrs[lo:lo+n], src[lo*d.b:(lo+n)*d.b]); err != nil {
+		if err := d.store.WriteBlocks(context.Background(), addrs[lo:lo+n], src[lo*d.b:(lo+n)*d.b]); err != nil {
 			panic(fmt.Sprintf("extmem: vectored write: %v", err))
 		}
 		d.stats.Writes += int64(n)

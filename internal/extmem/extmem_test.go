@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,14 +11,18 @@ import (
 	"oblivext/internal/trace"
 )
 
+// bg is the context the tests drive stores under when cancellation is not
+// the subject.
+var bg = context.Background()
+
 func TestMemStoreRoundTrip(t *testing.T) {
 	s := NewMemStore(4, 3)
 	in := []Element{{Key: 1, Val: 2, Pos: 3, Flags: 4}, {Key: 5}, {Key: 6}}
-	if err := s.WriteBlock(2, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{2}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 3)
-	if err := s.ReadBlock(2, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{2}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -29,13 +34,13 @@ func TestMemStoreRoundTrip(t *testing.T) {
 
 func TestMemStoreErrors(t *testing.T) {
 	s := NewMemStore(2, 4)
-	if err := s.ReadBlock(2, make([]Element, 4)); err == nil {
+	if err := s.ReadBlocks(bg, []int{2}, make([]Element, 4)); err == nil {
 		t.Error("expected out-of-range read error")
 	}
-	if err := s.ReadBlock(-1, make([]Element, 4)); err == nil {
+	if err := s.ReadBlocks(bg, []int{-1}, make([]Element, 4)); err == nil {
 		t.Error("expected negative-address read error")
 	}
-	if err := s.WriteBlock(0, make([]Element, 3)); err == nil {
+	if err := s.WriteBlocks(bg, []int{0}, make([]Element, 3)); err == nil {
 		t.Error("expected wrong-size write error")
 	}
 }
@@ -43,7 +48,7 @@ func TestMemStoreErrors(t *testing.T) {
 func TestMemStoreGrow(t *testing.T) {
 	s := NewMemStore(1, 2)
 	in := []Element{{Key: 7}, {Key: 8}}
-	if err := s.WriteBlock(0, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	s.Grow(10)
@@ -51,7 +56,7 @@ func TestMemStoreGrow(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 10", s.NumBlocks())
 	}
 	out := make([]Element, 2)
-	if err := s.ReadBlock(0, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0].Key != 7 || out[1].Key != 8 {
@@ -204,11 +209,11 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	in := []Element{{Key: 10}, {Key: 20, Flags: FlagOccupied}, {Key: 30}, {Key: 40}}
-	if err := s.WriteBlock(5, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{5}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 4)
-	if err := s.ReadBlock(5, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{5}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -217,7 +222,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Unwritten blocks read back zeroed.
-	if err := s.ReadBlock(0, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != (Element{}) {
@@ -245,11 +250,11 @@ func TestEncryptedFileStore(t *testing.T) {
 	}
 	defer s.Close()
 	in := []Element{{Key: 77, Flags: FlagOccupied}, {Key: 88}}
-	if err := s.WriteBlock(1, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{1}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 2)
-	if err := s.ReadBlock(1, out); err != nil {
+	if err := s.ReadBlocks(bg, []int{1}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != in[0] || out[1] != in[1] {
@@ -284,11 +289,11 @@ func TestReEncryptionIndistinguishable(t *testing.T) {
 		}
 		return raw
 	}
-	if err := s.WriteBlock(0, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	w1 := read()
-	if err := s.WriteBlock(0, in); err != nil {
+	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	w2 := read()

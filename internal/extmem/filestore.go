@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"context"
 	"fmt"
 	"os"
 )
@@ -39,40 +40,12 @@ func NewFileStore(path string, n, b int) (*FileStore, error) {
 	return s, nil
 }
 
-// ReadBlock implements BlockStore.
-func (s *FileStore) ReadBlock(addr int, dst []Element) error {
-	if err := s.check(addr, len(dst)); err != nil {
-		return err
-	}
-	wire := s.vecWire(1)
-	if _, err := s.f.ReadAt(wire, int64(addr)*int64(s.slot)); err != nil {
-		return err
-	}
-	DecodeElements(dst, wire)
-	return nil
-}
-
-// WriteBlock implements BlockStore.
-func (s *FileStore) WriteBlock(addr int, src []Element) error {
-	if err := s.check(addr, len(src)); err != nil {
-		return err
-	}
-	wire := s.vecWire(1)
-	EncodeElements(wire, src)
-	_, err := s.f.WriteAt(wire, int64(addr)*int64(s.slot))
-	return err
-}
-
 // ReadBlocks implements BlockStore. A contiguous address run is served with
-// one ReadAt covering the whole byte range.
-func (s *FileStore) ReadBlocks(addrs []int, dst []Element) error {
-	if len(dst) != len(addrs)*s.b {
-		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
-	}
-	for _, addr := range addrs {
-		if addr < 0 || addr >= s.n {
-			return fmt.Errorf("extmem: block address %d out of range [0,%d)", addr, s.n)
-		}
+// one ReadAt covering the whole byte range; anything else costs one ReadAt
+// per block. Local I/O does not block on a peer, so ctx is not consulted.
+func (s *FileStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
+	if err := s.check(addrs, len(dst)); err != nil {
+		return err
 	}
 	if len(addrs) == 0 {
 		return nil
@@ -85,24 +58,21 @@ func (s *FileStore) ReadBlocks(addrs []int, dst []Element) error {
 		DecodeElements(dst, wire)
 		return nil
 	}
+	wire := s.vecWire(1)
 	for i, addr := range addrs {
-		if err := s.ReadBlock(addr, dst[i*s.b:(i+1)*s.b]); err != nil {
+		if _, err := s.f.ReadAt(wire, int64(addr)*int64(s.slot)); err != nil {
 			return err
 		}
+		DecodeElements(dst[i*s.b:(i+1)*s.b], wire)
 	}
 	return nil
 }
 
 // WriteBlocks implements BlockStore; a contiguous run goes to disk with one
-// WriteAt.
-func (s *FileStore) WriteBlocks(addrs []int, src []Element) error {
-	if len(src) != len(addrs)*s.b {
-		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
-	}
-	for _, addr := range addrs {
-		if addr < 0 || addr >= s.n {
-			return fmt.Errorf("extmem: block address %d out of range [0,%d)", addr, s.n)
-		}
+// WriteAt, anything else with one per block.
+func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
+	if err := s.check(addrs, len(src)); err != nil {
+		return err
 	}
 	if len(addrs) == 0 {
 		return nil
@@ -113,8 +83,10 @@ func (s *FileStore) WriteBlocks(addrs []int, src []Element) error {
 		_, err := s.f.WriteAt(wire, int64(addrs[0])*int64(s.slot))
 		return err
 	}
+	wire := s.vecWire(1)
 	for i, addr := range addrs {
-		if err := s.WriteBlock(addr, src[i*s.b:(i+1)*s.b]); err != nil {
+		EncodeElements(wire, src[i*s.b:(i+1)*s.b])
+		if _, err := s.f.WriteAt(wire, int64(addr)*int64(s.slot)); err != nil {
 			return err
 		}
 	}
@@ -151,12 +123,14 @@ func (s *FileStore) BlockSize() int { return s.b }
 // Close implements BlockStore.
 func (s *FileStore) Close() error { return s.f.Close() }
 
-func (s *FileStore) check(addr, l int) error {
-	if l != s.b {
-		return fmt.Errorf("extmem: buffer length %d != block size %d", l, s.b)
+func (s *FileStore) check(addrs []int, l int) error {
+	if l != len(addrs)*s.b {
+		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", l, len(addrs), s.b)
 	}
-	if addr < 0 || addr >= s.n {
-		return fmt.Errorf("extmem: block address %d out of range [0,%d)", addr, s.n)
+	for _, addr := range addrs {
+		if addr < 0 || addr >= s.n {
+			return fmt.Errorf("extmem: block address %d out of range [0,%d)", addr, s.n)
+		}
 	}
 	return nil
 }

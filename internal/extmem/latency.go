@@ -20,7 +20,7 @@ type NetModel interface {
 }
 
 // LatencyStore wraps a BlockStore with a network cost model: Bob is remote,
-// and every store interaction — scalar or vectored — costs one round trip
+// and every store interaction costs one round trip
 // plus a per-block transfer charge. It is the concrete reason the library
 // batches I/O: the paper's bounds count blocks, but in the outsourced
 // setting of §1 the wall-clock cost is dominated by interactions, and a
@@ -107,42 +107,18 @@ func (s *LatencyStore) charge(nBlocks int) {
 	}
 }
 
-// ReadBlock implements BlockStore: one round trip moving one block.
-func (s *LatencyStore) ReadBlock(addr int, dst []Element) error {
-	s.charge(1)
-	return s.inner.ReadBlock(addr, dst)
-}
-
-// WriteBlock implements BlockStore: one round trip moving one block.
-func (s *LatencyStore) WriteBlock(addr int, src []Element) error {
-	s.charge(1)
-	return s.inner.WriteBlock(addr, src)
-}
-
-// ReadBlocks implements BlockStore: one round trip moving len(addrs) blocks.
-func (s *LatencyStore) ReadBlocks(addrs []int, dst []Element) error {
+// ReadBlocks implements BlockStore: one round trip moving len(addrs)
+// blocks. The charge is taken up front (the interaction was issued), then
+// the read is forwarded under ctx.
+func (s *LatencyStore) ReadBlocks(ctx context.Context, addrs []int, dst []Element) error {
 	s.charge(len(addrs))
-	return s.inner.ReadBlocks(addrs, dst)
+	return s.inner.ReadBlocks(ctx, addrs, dst)
 }
 
-// WriteBlocks implements BlockStore: one round trip moving len(addrs) blocks.
-func (s *LatencyStore) WriteBlocks(addrs []int, src []Element) error {
+// WriteBlocks implements BlockStore, the write dual of ReadBlocks.
+func (s *LatencyStore) WriteBlocks(ctx context.Context, addrs []int, src []Element) error {
 	s.charge(len(addrs))
-	return s.inner.WriteBlocks(addrs, src)
-}
-
-// ReadBlocksCtx implements CtxStore: the charge is taken up front (the
-// interaction was issued), then the read is forwarded with ctx when the
-// inner store supports cancellation.
-func (s *LatencyStore) ReadBlocksCtx(ctx context.Context, addrs []int, dst []Element) error {
-	s.charge(len(addrs))
-	return ReadBlocksCtx(ctx, s.inner, addrs, dst)
-}
-
-// WriteBlocksCtx implements CtxStore, the write dual of ReadBlocksCtx.
-func (s *LatencyStore) WriteBlocksCtx(ctx context.Context, addrs []int, src []Element) error {
-	s.charge(len(addrs))
-	return WriteBlocksCtx(ctx, s.inner, addrs, src)
+	return s.inner.WriteBlocks(ctx, addrs, src)
 }
 
 // NumBlocks implements BlockStore.

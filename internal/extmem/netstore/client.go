@@ -217,28 +217,12 @@ func Dial(baseURL string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// ReadBlock implements BlockStore: a one-block read batch.
-func (c *Client) ReadBlock(addr int, dst []extmem.Element) error {
-	return c.ReadBlocks([]int{addr}, dst)
-}
-
-// WriteBlock implements BlockStore: a one-block write batch.
-func (c *Client) WriteBlock(addr int, src []extmem.Element) error {
-	return c.WriteBlocks([]int{addr}, src)
-}
-
 // ReadBlocks implements BlockStore: the whole batch travels as one request,
-// so the Disk's one-RoundTrip-per-vectored-call accounting matches what the
-// wire actually carries.
-func (c *Client) ReadBlocks(addrs []int, dst []extmem.Element) error {
-	return c.ReadBlocksCtx(context.Background(), addrs, dst)
-}
-
-// ReadBlocksCtx implements extmem.CtxStore: ReadBlocks bound to ctx. A
-// canceled context abandons the in-flight attempt and stops retrying — the
-// sharded fan-out cancels doomed siblings through this, and the replica
-// layer reaps the losing leg of a hedged read.
-func (c *Client) ReadBlocksCtx(ctx context.Context, addrs []int, dst []extmem.Element) error {
+// so the Disk's one-RoundTrip-per-call accounting matches what the wire
+// actually carries. A canceled ctx abandons the in-flight attempt and stops
+// retrying — the sharded fan-out cancels doomed siblings through this, and
+// the replica layer reaps the losing leg of a hedged read.
+func (c *Client) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	if len(dst) != len(addrs)*c.b {
 		return fmt.Errorf("netstore: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), c.b)
 	}
@@ -252,12 +236,7 @@ func (c *Client) ReadBlocksCtx(ctx context.Context, addrs []int, dst []extmem.El
 
 // WriteBlocks implements BlockStore: one request per batch, like ReadBlocks.
 // The elements are encoded straight into the request body.
-func (c *Client) WriteBlocks(addrs []int, src []extmem.Element) error {
-	return c.WriteBlocksCtx(context.Background(), addrs, src)
-}
-
-// WriteBlocksCtx implements extmem.CtxStore: WriteBlocks bound to ctx.
-func (c *Client) WriteBlocksCtx(ctx context.Context, addrs []int, src []extmem.Element) error {
+func (c *Client) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	if len(src) != len(addrs)*c.b {
 		return fmt.Errorf("netstore: buffer length %d != %d blocks of %d elements", len(src), len(addrs), c.b)
 	}
@@ -291,6 +270,10 @@ func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int,
 	if headerLen+1+len(c.ns)+8*len(addrs)+payloadLen > maxBatchWire {
 		return nil, fmt.Errorf("netstore: %s of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d); lower MaxBatchBlocks",
 			opName, len(addrs), maxBatchWire, c.MaxBatchBlocks(), c.b)
+	}
+	if err := ctx.Err(); err != nil {
+		// Already canceled: nothing goes on the wire, no request id is spent.
+		return nil, fmt.Errorf("netstore: %s of %d blocks: %w", opName, len(addrs), err)
 	}
 	c.mu.Lock()
 	c.seq++

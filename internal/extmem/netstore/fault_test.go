@@ -112,14 +112,14 @@ func runWorkload(t *testing.T, c *Client) []extmem.Element {
 	for i := range src {
 		src[i] = extmem.Element{Key: uint64(i), Val: uint64(i * i), Flags: extmem.FlagOccupied}
 	}
-	if err := c.WriteBlocks([]int{0, 2, 5}, src); err != nil {
+	if err := c.WriteBlocks(bg, []int{0, 2, 5}, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBlock(1, src[:b]); err != nil {
+	if err := c.WriteBlocks(bg, []int{1}, src[:b]); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, 4*b)
-	if err := c.ReadBlocks([]int{5, 1, 0, 2}, dst); err != nil {
+	if err := c.ReadBlocks(bg, []int{5, 1, 0, 2}, dst); err != nil {
 		t.Fatal(err)
 	}
 	return dst
@@ -210,7 +210,7 @@ func TestFaultTraceUnchanged(t *testing.T) {
 func TestFaultRetryBudget(t *testing.T) {
 	_, c, rt := startFlaky(t, 8, 4, Options{MaxAttempts: 3, Backoff: time.Millisecond},
 		func(int) faultAction { return serve500 })
-	err := c.ReadBlock(0, make([]extmem.Element, 4))
+	err := c.ReadBlocks(bg, []int{0}, make([]extmem.Element, 4))
 	if err == nil {
 		t.Fatal("exhausted retries did not error")
 	}
@@ -234,7 +234,7 @@ func TestFaultRetryBudget(t *testing.T) {
 func TestFaultPermanentErrorNoRetry(t *testing.T) {
 	_, c, rt := startFlaky(t, 8, 4, Options{Backoff: time.Millisecond},
 		func(int) faultAction { return pass })
-	if err := c.ReadBlock(999, make([]extmem.Element, 4)); err == nil {
+	if err := c.ReadBlocks(bg, []int{999}, make([]extmem.Element, 4)); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
 	if rt.callCount() != 1 {

@@ -59,23 +59,23 @@ func TestNamespaceIsolation(t *testing.T) {
 
 	// Each namespace is its own address space: a write in one is invisible
 	// in the others.
-	if err := ca.WriteBlock(3, blockOf(4, 7)); err != nil {
+	if err := ca.WriteBlocks(bg, []int{3}, blockOf(4, 7)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]extmem.Element, 4)
-	if err := cb.ReadBlock(3, got); err != nil {
+	if err := cb.ReadBlocks(bg, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, 4)) {
 		t.Fatalf("bob sees alice's block: %+v", got)
 	}
-	if err := cd.ReadBlock(3, got); err != nil {
+	if err := cd.ReadBlocks(bg, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, 4)) {
 		t.Fatalf("default tenant sees alice's block: %+v", got)
 	}
-	if err := ca.ReadBlock(3, got); err != nil {
+	if err := ca.ReadBlocks(bg, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 7)) {
@@ -185,10 +185,10 @@ func TestNamespaceGrowScoped(t *testing.T) {
 	}
 	// Bob's geometry is untouched — on his tenant, block 31 is still out of
 	// range.
-	if err := cb.ReadBlock(31, make([]extmem.Element, 4)); err == nil || !strings.Contains(err.Error(), "range") {
+	if err := cb.ReadBlocks(bg, []int{31}, make([]extmem.Element, 4)); err == nil || !strings.Contains(err.Error(), "range") {
 		t.Fatalf("grow leaked into bob's namespace: %v", err)
 	}
-	if err := ca.WriteBlock(31, blockOf(4, 1)); err != nil {
+	if err := ca.WriteBlocks(bg, []int{31}, blockOf(4, 1)); err != nil {
 		t.Fatalf("alice's grown region unusable: %v", err)
 	}
 }
@@ -281,21 +281,21 @@ func TestMultiplexedWire(t *testing.T) {
 	defer cb.Close()
 
 	for i := 0; i < 4; i++ {
-		if err := ca.WriteBlock(i, blockOf(4, uint64(i))); err != nil {
+		if err := ca.WriteBlocks(bg, []int{i}, blockOf(4, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := cb.WriteBlock(i, blockOf(4, uint64(100+i))); err != nil {
+		if err := cb.WriteBlocks(bg, []int{i}, blockOf(4, uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := make([]extmem.Element, 4)
-	if err := ca.ReadBlock(2, got); err != nil {
+	if err := ca.ReadBlocks(bg, []int{2}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 2)) {
 		t.Fatalf("alice read back %+v over the multiplexed wire", got)
 	}
-	if err := cb.ReadBlock(2, got); err != nil {
+	if err := cb.ReadBlocks(bg, []int{2}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 102)) {

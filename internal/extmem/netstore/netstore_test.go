@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -14,6 +15,10 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/trace"
 )
+
+// bg is the context the tests drive stores under when cancellation is not
+// the subject.
+var bg = context.Background()
 
 // start spins up an in-process obstore over a MemStore and dials it.
 func start(t *testing.T, blocks, b int, opts ServerOptions) (*Server, *httptest.Server, *Client) {
@@ -44,12 +49,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("geometry %d/%d", c.NumBlocks(), c.BlockSize())
 	}
 
-	// Scalar write/read.
-	if err := c.WriteBlock(3, blockOf(b, 42)); err != nil {
+	// A batch of one.
+	if err := c.WriteBlocks(bg, []int{3}, blockOf(b, 42)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]extmem.Element, b)
-	if err := c.ReadBlock(3, got); err != nil {
+	if err := c.ReadBlocks(bg, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if want := blockOf(b, 42); !equalElems(got, want) {
@@ -62,11 +67,11 @@ func TestRoundTrip(t *testing.T) {
 	for i := range addrs {
 		src = append(src, blockOf(b, uint64(100+i))...)
 	}
-	if err := c.WriteBlocks(addrs, src); err != nil {
+	if err := c.WriteBlocks(bg, addrs, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, len(addrs)*b)
-	if err := c.ReadBlocks(addrs, dst); err != nil {
+	if err := c.ReadBlocks(bg, addrs, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(dst[0*b:1*b], blockOf(b, 102)) { // block 7: the later slice won
@@ -77,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// An unwritten block reads back zeroed.
-	if err := c.ReadBlock(0, got); err != nil {
+	if err := c.ReadBlocks(bg, []int{0}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, b)) {
@@ -93,7 +98,7 @@ func TestGrow(t *testing.T) {
 	if c.NumBlocks() != 32 {
 		t.Fatalf("NumBlocks = %d after grow", c.NumBlocks())
 	}
-	if err := c.WriteBlock(31, blockOf(4, 9)); err != nil {
+	if err := c.WriteBlocks(bg, []int{31}, blockOf(4, 9)); err != nil {
 		t.Fatalf("write to grown region: %v", err)
 	}
 	// Shrinking is a no-op, not an error.
@@ -109,10 +114,10 @@ func TestErrors(t *testing.T) {
 	_, ts, c := start(t, 8, 4, ServerOptions{})
 
 	dst := make([]extmem.Element, 4)
-	if err := c.ReadBlock(99, dst); err == nil || !strings.Contains(err.Error(), "range") {
+	if err := c.ReadBlocks(bg, []int{99}, dst); err == nil || !strings.Contains(err.Error(), "range") {
 		t.Fatalf("out-of-range read: %v", err)
 	}
-	if err := c.ReadBlocks([]int{0}, make([]extmem.Element, 3)); err == nil {
+	if err := c.ReadBlocks(bg, []int{0}, make([]extmem.Element, 3)); err == nil {
 		t.Fatal("bad buffer length accepted")
 	}
 
@@ -143,10 +148,10 @@ func TestJournalAndTraceEndpoint(t *testing.T) {
 	var journal bytes.Buffer
 	srv, ts, c := start(t, 8, 2, ServerOptions{TraceKeep: 16, Journal: &journal})
 
-	if err := c.WriteBlocks([]int{2, 5}, make([]extmem.Element, 4)); err != nil {
+	if err := c.WriteBlocks(bg, []int{2, 5}, make([]extmem.Element, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReadBlock(2, make([]extmem.Element, 2)); err != nil {
+	if err := c.ReadBlocks(bg, []int{2}, make([]extmem.Element, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +263,7 @@ func TestReplayedWriteDoesNotClobberNewerData(t *testing.T) {
 	post(mkWrite(101, newer)) // a newer write to the same block
 	post(stale)               // the old write's late duplicate
 	got := make([]extmem.Element, 2)
-	if err := c.ReadBlock(0, got); err != nil {
+	if err := c.ReadBlocks(bg, []int{0}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, newer) {
@@ -286,7 +291,7 @@ func TestTwoClientsJournalIndependently(t *testing.T) {
 	srv, ts, c1 := start(t, 8, 2, ServerOptions{})
 	blk := make([]extmem.Element, 2)
 	for i := 0; i < 5; i++ {
-		if err := c1.WriteBlock(i, blk); err != nil {
+		if err := c1.WriteBlocks(bg, []int{i}, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +301,7 @@ func TestTwoClientsJournalIndependently(t *testing.T) {
 	}
 	defer c2.Close()
 	for i := 0; i < 5; i++ {
-		if err := c2.ReadBlock(i, blk); err != nil {
+		if err := c2.ReadBlocks(bg, []int{i}, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,10 +379,10 @@ func TestTransportTuning(t *testing.T) {
 	defer c.Close()
 	buf := make([]extmem.Element, 4)
 	for i := 0; i < 50; i++ {
-		if err := c.WriteBlock(i%64, buf); err != nil {
+		if err := c.WriteBlocks(bg, []int{i % 64}, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ReadBlock(i%64, buf); err != nil {
+		if err := c.ReadBlocks(bg, []int{i % 64}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,11 +422,11 @@ func TestBearerAuth(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 	in := blockOf(b, 9)
-	if err := c.WriteBlock(3, in); err != nil {
+	if err := c.WriteBlocks(bg, []int{3}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]extmem.Element, b)
-	if err := c.ReadBlock(3, out); err != nil {
+	if err := c.ReadBlocks(bg, []int{3}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {

@@ -1,8 +1,9 @@
 // Package netstore is a real remote Bob: an HTTP BlockStore client and the
 // matching storage server, speaking a batched binary protocol in which one
-// ReadBlocks/WriteBlocks call is exactly one request — so the round-trip
-// accounting the Disk layer keeps (one RoundTrip per vectored store call)
-// stays honest when the store is an actual process across a network.
+// ReadBlocks/WriteBlocks call — the only calls a BlockStore has — is exactly
+// one request, so the round-trip accounting the Disk layer keeps (one
+// RoundTrip per store call, a one-block Read or Write included) stays
+// honest when the store is an actual process across a network.
 //
 // The server side independently journals the per-block access sequence it
 // observes, which is precisely the adversary's view in the paper's model

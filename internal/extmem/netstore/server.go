@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
@@ -423,16 +424,20 @@ func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []
 		kind = trace.Write
 	}
 	elems := t.scratchElems(len(addrs), s.b)
+	// The store runs under context.Background(), not the request's context:
+	// a decoded request executes and is journaled to completion even if the
+	// client hangs up, so the journal never holds half an interaction.
+	ctx := context.Background()
 	if op == opRead {
 		// Replayed reads re-execute — the data is needed again and reads
 		// are pure.
-		if err := t.store.ReadBlocks(addrs, elems); err != nil {
+		if err := t.store.ReadBlocks(ctx, addrs, elems); err != nil {
 			t.mu.Unlock()
 			return nil, replay, http.StatusInternalServerError, err.Error()
 		}
 	} else if !replay {
 		extmem.DecodeElements(elems, payload)
-		if err := t.store.WriteBlocks(addrs, elems); err != nil {
+		if err := t.store.WriteBlocks(ctx, addrs, elems); err != nil {
 			t.mu.Unlock()
 			return nil, replay, http.StatusInternalServerError, err.Error()
 		}

@@ -318,7 +318,7 @@ func (s *Store) callRead(ctx context.Context, i int, addrs []int, dst []extmem.E
 	s.repMu[i].Lock()
 	defer s.repMu[i].Unlock()
 	t0 := s.modeled(i)
-	err := extmem.ReadBlocksCtx(ctx, s.children[i], addrs, dst)
+	err := s.children[i].ReadBlocks(ctx, addrs, dst)
 	return s.modeled(i) - t0, err
 }
 
@@ -327,28 +327,8 @@ func (s *Store) callWrite(ctx context.Context, i int, addrs []int, src []extmem.
 	s.repMu[i].Lock()
 	defer s.repMu[i].Unlock()
 	t0 := s.modeled(i)
-	err := extmem.WriteBlocksCtx(ctx, s.children[i], addrs, src)
+	err := s.children[i].WriteBlocks(ctx, addrs, src)
 	return s.modeled(i) - t0, err
-}
-
-// ReadBlock implements BlockStore via a one-block batch.
-func (s *Store) ReadBlock(addr int, dst []extmem.Element) error {
-	return s.ReadBlocks([]int{addr}, dst)
-}
-
-// WriteBlock implements BlockStore via a one-block batch.
-func (s *Store) WriteBlock(addr int, src []extmem.Element) error {
-	return s.WriteBlocks([]int{addr}, src)
-}
-
-// ReadBlocks implements BlockStore.
-func (s *Store) ReadBlocks(addrs []int, dst []extmem.Element) error {
-	return s.ReadBlocksCtx(context.Background(), addrs, dst)
-}
-
-// WriteBlocks implements BlockStore.
-func (s *Store) WriteBlocks(addrs []int, src []extmem.Element) error {
-	return s.WriteBlocksCtx(context.Background(), addrs, src)
 }
 
 // assignment is one failover round's routing decision: per participating
@@ -397,13 +377,13 @@ func (s *Store) assign(addrs, pos []int, excluded []bool) ([]assignment, error) 
 	return perRep, nil
 }
 
-// ReadBlocksCtx implements extmem.CtxStore. Each address is served by the
+// ReadBlocks implements BlockStore. Each address is served by the
 // healthiest replica holding current data for it; a failed sub-batch marks
 // the replica, excludes it for the rest of the interaction, and reroutes its
 // addresses to the next candidate (failover). After a successful read, any
 // live replica known dirty at the addresses just read is repaired in place
 // with the freshly-read blocks.
-func (s *Store) ReadBlocksCtx(ctx context.Context, addrs []int, dst []extmem.Element) error {
+func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	if len(dst) != len(addrs)*s.b {
 		return fmt.Errorf("replica: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
 	}
@@ -588,12 +568,12 @@ func (s *Store) repair(ctx context.Context, addrs []int, data []extmem.Element) 
 	}
 }
 
-// WriteBlocksCtx implements extmem.CtxStore. The write fans out to every
+// WriteBlocks implements BlockStore. The write fans out to every
 // replica whose breaker admits traffic; replicas skipped or failed are
 // marked dirty at the written addresses (a later read must not be served
 // stale data from them), and the write succeeds as long as at least one
 // replica took it.
-func (s *Store) WriteBlocksCtx(ctx context.Context, addrs []int, src []extmem.Element) error {
+func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	if len(src) != len(addrs)*s.b {
 		return fmt.Errorf("replica: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
 	}
@@ -670,9 +650,8 @@ func (s *Store) WriteBlocksCtx(ctx context.Context, addrs []int, src []extmem.El
 	return nil
 }
 
-// hedgeEligible reports whether a hedged read may run: hedging configured,
-// the primary has a clean, available alternative, and the children support
-// cancellation (without CtxStore the loser could not be abandoned).
+// hedgeEligible reports whether a hedged read may run: hedging configured
+// and the primary has a clean, available alternative.
 func (s *Store) hedgeEligible(primary int, excluded []bool) bool {
 	if s.hedgeAfter <= 0 {
 		return false

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,6 +12,10 @@ import (
 	"oblivext/internal/chaos"
 	"oblivext/internal/extmem"
 )
+
+// bg is the context the tests drive stores under when cancellation is not
+// the subject.
+var bg = context.Background()
 
 // flaky is a controllable child: a MemStore whose reads/writes can be made
 // to fail or dawdle, with call counters.
@@ -32,7 +37,7 @@ func (f *flaky) set(failReads, failWrites bool) {
 	f.mu.Unlock()
 }
 
-func (f *flaky) ReadBlocks(addrs []int, dst []extmem.Element) error {
+func (f *flaky) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	f.mu.Lock()
 	f.reads++
 	fail, delay := f.failReads, f.readDelay
@@ -43,10 +48,10 @@ func (f *flaky) ReadBlocks(addrs []int, dst []extmem.Element) error {
 	if fail {
 		return errors.New("flaky: read refused")
 	}
-	return f.MemStore.ReadBlocks(addrs, dst)
+	return f.MemStore.ReadBlocks(ctx, addrs, dst)
 }
 
-func (f *flaky) WriteBlocks(addrs []int, src []extmem.Element) error {
+func (f *flaky) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	f.mu.Lock()
 	f.writes++
 	fail := f.failWrites
@@ -54,7 +59,7 @@ func (f *flaky) WriteBlocks(addrs []int, src []extmem.Element) error {
 	if fail {
 		return errors.New("flaky: write refused")
 	}
-	return f.MemStore.WriteBlocks(addrs, src)
+	return f.MemStore.WriteBlocks(ctx, addrs, src)
 }
 
 func (f *flaky) counts() (reads, writes int) {
@@ -80,7 +85,7 @@ func TestWriteFansOutReadsPickOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{0, 3}, append(block(4, 10), block(4, 11)...)); err != nil {
+	if err := s.WriteBlocks(bg, []int{0, 3}, append(block(4, 10), block(4, 11)...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range []*flaky{c0, c1, c2} {
@@ -89,7 +94,7 @@ func TestWriteFansOutReadsPickOne(t *testing.T) {
 		}
 	}
 	dst := make([]extmem.Element, 2*4)
-	if err := s.ReadBlocks([]int{3, 0}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{3, 0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 11 || dst[4].Key != 10 {
@@ -112,12 +117,12 @@ func TestReadFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{2}, block(4, 42)); err != nil {
+	if err := s.WriteBlocks(bg, []int{2}, block(4, 42)); err != nil {
 		t.Fatal(err)
 	}
 	c0.set(true, false)
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks([]int{2}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{2}, dst); err != nil {
 		t.Fatalf("read should fail over, got: %v", err)
 	}
 	if dst[0].Key != 42 {
@@ -141,13 +146,13 @@ func TestAllReplicasFailedSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{1}, block(4, 9)); err != nil {
+	if err := s.WriteBlocks(bg, []int{1}, block(4, 9)); err != nil {
 		t.Fatal(err)
 	}
 	c0.set(true, true)
 	c1.set(true, true)
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks([]int{1}, dst); err == nil {
+	if err := s.ReadBlocks(bg, []int{1}, dst); err == nil {
 		t.Fatal("read with every replica failing should error")
 	}
 }
@@ -164,7 +169,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	}
 	c0.set(true, true)
 	for k := 0; k < 4; k++ {
-		if err := s.WriteBlocks([]int{k}, block(4, uint64(k))); err != nil {
+		if err := s.WriteBlocks(bg, []int{k}, block(4, uint64(k))); err != nil {
 			t.Fatalf("write %d should succeed on the survivor: %v", k, err)
 		}
 	}
@@ -195,11 +200,11 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	}
 	c0.set(false, true)
 	// ops=1: c0 write fails -> breaker opens (threshold 1), addr 0 dirty.
-	if err := s.WriteBlocks([]int{0}, block(4, 100)); err != nil {
+	if err := s.WriteBlocks(bg, []int{0}, block(4, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// ops=2: c0 skipped (open), addr 1 dirty too.
-	if err := s.WriteBlocks([]int{1}, block(4, 101)); err != nil {
+	if err := s.WriteBlocks(bg, []int{1}, block(4, 101)); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.ReplicaStats(); st[0].State != "open" || st[0].Dirty != 2 {
@@ -208,7 +213,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	c0.set(false, false) // the replica comes back
 	// ops=3 >= openUntil: the write doubles as the half-open probe; success
 	// closes the breaker and addr 1 is now current on both replicas.
-	if err := s.WriteBlocks([]int{1}, block(4, 201)); err != nil {
+	if err := s.WriteBlocks(bg, []int{1}, block(4, 201)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.ReplicaStats()
@@ -220,7 +225,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	}
 	// Reading addr 0 must avoid the dirty replica, then repair it.
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks([]int{0}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 100 {
@@ -233,7 +238,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	// The repaired replica is preferred again (lowest index, closed) and
 	// must serve the repaired content.
 	r0Before, _ := c0.counts()
-	if err := s.ReadBlocks([]int{0}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if r0After, _ := c0.counts(); r0After != r0Before+1 {
@@ -254,12 +259,12 @@ func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{5}, block(4, 77)); err != nil {
+	if err := s.WriteBlocks(bg, []int{5}, block(4, 77)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks([]int{5}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{5}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
@@ -285,13 +290,13 @@ func driveWorkload(t *testing.T, schedule chaos.Schedule) (replicaEvents, chaosD
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
-		if err := s.WriteBlocks([]int{k}, block(4, uint64(k))); err != nil {
+		if err := s.WriteBlocks(bg, []int{k}, block(4, uint64(k))); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
 	dst := make([]extmem.Element, 4)
 	for k := 0; k < 10; k++ {
-		if err := s.ReadBlocks([]int{k}, dst); err != nil {
+		if err := s.ReadBlocks(bg, []int{k}, dst); err != nil {
 			t.Fatalf("read %d: %v", k, err)
 		}
 		if dst[0].Key != uint64(k) {
@@ -335,11 +340,11 @@ func TestNetModelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks([]int{0, 1}, append(block(4, 1), block(4, 2)...)); err != nil {
+	if err := s.WriteBlocks(bg, []int{0, 1}, append(block(4, 1), block(4, 2)...)); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, 2*4)
-	if err := s.ReadBlocks([]int{0, 1}, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{0, 1}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.RoundTrips(); got != 2 {
@@ -366,21 +371,21 @@ func TestGeometryValidation(t *testing.T) {
 	}
 }
 
-// TestScalarOps smoke-tests the scalar BlockStore surface.
-func TestScalarOps(t *testing.T) {
+// TestOneBlockBatch smoke-tests a batch of one and the geometry accessors.
+func TestOneBlockBatch(t *testing.T) {
 	s, err := New([]extmem.BlockStore{newFlaky(8, 4), newFlaky(8, 4)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlock(6, block(4, 5)); err != nil {
+	if err := s.WriteBlocks(bg, []int{6}, block(4, 5)); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlock(6, dst); err != nil {
+	if err := s.ReadBlocks(bg, []int{6}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 5 {
-		t.Errorf("scalar read returned key %d, want 5", dst[0].Key)
+		t.Errorf("one-block read returned key %d, want 5", dst[0].Key)
 	}
 	if got, want := fmt.Sprint(s.NumBlocks(), s.BlockSize(), s.NumReplicas()), "8 4 2"; got != want {
 		t.Errorf("geometry %s, want %s", got, want)

@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"oblivext/internal/chaos"
 	"oblivext/internal/extmem"
 )
 
-// ctxChild is a CtxStore test double over a MemStore: it can fail
+// ctxChild is a test double over a MemStore: it can fail
 // immediately or stall until its context is canceled, recording what
 // happened — the shape of a remote shard mid-outage.
 type ctxChild struct {
@@ -40,21 +41,19 @@ func (c *ctxChild) serve(ctx context.Context) error {
 	return nil
 }
 
-func (c *ctxChild) ReadBlocksCtx(ctx context.Context, addrs []int, dst []extmem.Element) error {
+func (c *ctxChild) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	if err := c.serve(ctx); err != nil {
 		return err
 	}
-	return c.MemStore.ReadBlocks(addrs, dst)
+	return c.MemStore.ReadBlocks(ctx, addrs, dst)
 }
 
-func (c *ctxChild) WriteBlocksCtx(ctx context.Context, addrs []int, src []extmem.Element) error {
+func (c *ctxChild) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	if err := c.serve(ctx); err != nil {
 		return err
 	}
-	return c.MemStore.WriteBlocks(addrs, src)
+	return c.MemStore.WriteBlocks(ctx, addrs, src)
 }
-
-var _ extmem.CtxStore = (*ctxChild)(nil)
 
 // TestFanOutCancelsStallingSibling is the regression test for the doomed
 // fan-out: shard 0 fails instantly, shard 1 would stall for 10 seconds. With
@@ -73,7 +72,7 @@ func TestFanOutCancelsStallingSibling(t *testing.T) {
 	}
 	start := time.Now()
 	dst := make([]extmem.Element, 4*4)
-	err = s.ReadBlocks([]int{0, 1, 2, 3}, dst) // two addrs per shard
+	err = s.ReadBlocks(bg, []int{0, 1, 2, 3}, dst) // two addrs per shard
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fan-out with a failing shard should error")
@@ -98,7 +97,7 @@ func TestFanOutCancelsStallingSibling(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := make([]extmem.Element, 4*4)
-	if err := s2.WriteBlocks([]int{0, 1, 2, 3}, src); err == nil {
+	if err := s2.WriteBlocks(bg, []int{0, 1, 2, 3}, src); err == nil {
 		t.Fatal("write fan-out with a failing shard should error")
 	}
 	select {
@@ -121,7 +120,7 @@ func TestFanOutCallerContext(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		dst := make([]extmem.Element, 4*4)
-		done <- s.ReadBlocksCtx(ctx, []int{0, 1, 2, 3}, dst)
+		done <- s.ReadBlocks(ctx, []int{0, 1, 2, 3}, dst)
 	}()
 	cancel()
 	select {
@@ -134,5 +133,28 @@ func TestFanOutCallerContext(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("read did not return after its context was canceled")
+	}
+}
+
+// TestFanOutCancelsChaosStall pins that cancellation reaches through a
+// decorator: shard 0 is a chaos.Store that errors, shard 1 a chaos.Store
+// stalling for 5 s. The fan-out's cancel must cut the stall short and the
+// reported error must be shard 0's, well inside the stall.
+func TestFanOutCancelsChaosStall(t *testing.T) {
+	const stall = 5 * time.Second
+	s, err := New([]extmem.BlockStore{
+		chaos.NewStore(extmem.NewMemStore(8, 4), "bad", chaos.Schedule{{At: 0, Kind: chaos.Err500}}),
+		chaos.NewStore(extmem.NewMemStore(8, 4), "slow", chaos.Schedule{{At: 0, Kind: chaos.Stall, Stall: stall}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = s.ReadBlocks(bg, []int{0, 1, 2, 3}, make([]extmem.Element, 4*4))
+	if elapsed := time.Since(start); elapsed > stall/2 {
+		t.Errorf("fan-out took %v; shard 0's failure should have cancelled the %v stall", elapsed, stall)
+	}
+	if err == nil || !strings.Contains(err.Error(), "injected err500 on bad") {
+		t.Errorf("error %v should carry shard 0's injected failure, not the sibling's cancellation", err)
 	}
 }

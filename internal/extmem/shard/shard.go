@@ -92,95 +92,74 @@ func (s *ShardedStore) NumShards() int { return s.k }
 // shardOf maps a logical address to its owning shard and local address.
 func (s *ShardedStore) shardOf(addr int) (shard, local int) { return addr % s.k, addr / s.k }
 
-// ReadBlock implements BlockStore: a scalar access touches exactly one
-// shard, so it is routed directly with no fan-out.
-func (s *ShardedStore) ReadBlock(addr int, dst []extmem.Element) error {
-	sh, local := s.shardOf(addr)
-	t0 := modeledTime(s.shards[sh])
-	err := s.shards[sh].ReadBlock(local, dst)
-	s.account(sh, 1, modeledTime(s.shards[sh])-t0)
-	return err
-}
-
-// WriteBlock implements BlockStore: the scalar dual of ReadBlock.
-func (s *ShardedStore) WriteBlock(addr int, src []extmem.Element) error {
-	sh, local := s.shardOf(addr)
-	t0 := modeledTime(s.shards[sh])
-	err := s.shards[sh].WriteBlock(local, src)
-	s.account(sh, 1, modeledTime(s.shards[sh])-t0)
-	return err
-}
-
 // ReadBlocks implements BlockStore: the batch is split by residue class into
 // per-shard sub-batches fetched concurrently, then scattered back into dst
 // in logical order.
-func (s *ShardedStore) ReadBlocks(addrs []int, dst []extmem.Element) error {
-	return s.ReadBlocksCtx(context.Background(), addrs, dst)
-}
-
-// ReadBlocksCtx implements extmem.CtxStore: ReadBlocks bound to ctx. Beyond
-// honoring the caller's cancellation, the fan-out derives a per-interaction
-// context so that the moment one shard definitively fails, the in-flight
-// sibling sub-batches are canceled — a doomed interaction surfaces its error
-// at the speed of the failing shard, not of the slowest surviving one.
-func (s *ShardedStore) ReadBlocksCtx(ctx context.Context, addrs []int, dst []extmem.Element) error {
-	if len(dst) != len(addrs)*s.b {
-		return fmt.Errorf("shard: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
-	}
-	s.split(addrs)
-	return s.fanOut(ctx, len(addrs), func(ctx context.Context, sh int) error {
-		if len(s.subAddrs[sh]) == len(addrs) {
-			// The whole batch lives on one shard (split preserves order, so
-			// positions are 0..n-1): serve it into dst with no staging copy.
-			return extmem.ReadBlocksCtx(ctx, s.shards[sh], s.subAddrs[sh], dst)
-		}
-		buf := s.staging(sh)
-		if err := extmem.ReadBlocksCtx(ctx, s.shards[sh], s.subAddrs[sh], buf); err != nil {
-			return err
-		}
-		for j, pos := range s.subPos[sh] {
-			copy(dst[pos*s.b:(pos+1)*s.b], buf[j*s.b:(j+1)*s.b])
-		}
-		return nil
-	})
+func (s *ShardedStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+	return s.fanOut(ctx, false, addrs, dst)
 }
 
 // WriteBlocks implements BlockStore: per-shard sub-batches are gathered from
 // src and dispatched concurrently.
-func (s *ShardedStore) WriteBlocks(addrs []int, src []extmem.Element) error {
-	return s.WriteBlocksCtx(context.Background(), addrs, src)
+func (s *ShardedStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
+	return s.fanOut(ctx, true, addrs, src)
 }
 
-// WriteBlocksCtx implements extmem.CtxStore, the write dual of ReadBlocksCtx.
-func (s *ShardedStore) WriteBlocksCtx(ctx context.Context, addrs []int, src []extmem.Element) error {
-	if len(src) != len(addrs)*s.b {
-		return fmt.Errorf("shard: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
+// run transfers shard sh's sub-batch and records its error and modeled
+// delay for the join.
+func (s *ShardedStore) run(ctx context.Context, sh int, write bool, n int, data []extmem.Element) error {
+	t0 := modeledTime(s.shards[sh])
+	s.errs[sh] = s.transfer(ctx, sh, write, n, data)
+	s.deltas[sh] = modeledTime(s.shards[sh]) - t0
+	return s.errs[sh]
+}
+
+// transfer moves shard sh's sub-batch of the logical batch (n blocks in
+// data) in one child call, staging through the shard's scratch when the
+// sub-batch is a proper subset.
+func (s *ShardedStore) transfer(ctx context.Context, sh int, write bool, n int, data []extmem.Element) error {
+	child, sub := s.shards[sh], s.subAddrs[sh]
+	if len(sub) == n {
+		// The whole batch lives on one shard (split preserves order, so
+		// positions are 0..n-1): serve it from data with no staging copy.
+		if write {
+			return child.WriteBlocks(ctx, sub, data)
+		}
+		return child.ReadBlocks(ctx, sub, data)
 	}
-	s.split(addrs)
-	return s.fanOut(ctx, len(addrs), func(ctx context.Context, sh int) error {
-		if len(s.subAddrs[sh]) == len(addrs) {
-			return extmem.WriteBlocksCtx(ctx, s.shards[sh], s.subAddrs[sh], src)
-		}
-		buf := s.staging(sh)
+	buf := s.staging(sh)
+	if write {
 		for j, pos := range s.subPos[sh] {
-			copy(buf[j*s.b:(j+1)*s.b], src[pos*s.b:(pos+1)*s.b])
+			copy(buf[j*s.b:(j+1)*s.b], data[pos*s.b:(pos+1)*s.b])
 		}
-		return extmem.WriteBlocksCtx(ctx, s.shards[sh], s.subAddrs[sh], buf)
-	})
+		return child.WriteBlocks(ctx, sub, buf)
+	}
+	if err := child.ReadBlocks(ctx, sub, buf); err != nil {
+		return err
+	}
+	for j, pos := range s.subPos[sh] {
+		copy(data[pos*s.b:(pos+1)*s.b], buf[j*s.b:(j+1)*s.b])
+	}
+	return nil
 }
 
 // split partitions the logical batch into per-shard (local address,
-// batch position) lists in the reused scratch.
-func (s *ShardedStore) split(addrs []int) {
+// batch position) lists in the reused scratch. A negative address has no
+// owning shard; addresses past the end are the owning child's to reject.
+func (s *ShardedStore) split(addrs []int) error {
 	for sh := 0; sh < s.k; sh++ {
 		s.subAddrs[sh] = s.subAddrs[sh][:0]
 		s.subPos[sh] = s.subPos[sh][:0]
 	}
 	for pos, addr := range addrs {
+		if addr < 0 {
+			return fmt.Errorf("shard: block address %d out of range [0,%d)", addr, s.NumBlocks())
+		}
 		sh, local := s.shardOf(addr)
 		s.subAddrs[sh] = append(s.subAddrs[sh], local)
 		s.subPos[sh] = append(s.subPos[sh], pos)
 	}
+	return nil
 }
 
 // staging returns shard sh's transfer buffer sized for its current
@@ -193,18 +172,27 @@ func (s *ShardedStore) staging(sh int) []extmem.Element {
 	return s.subBuf[sh][:need]
 }
 
-// fanOut runs work(ctx, sh) concurrently for every shard with a non-empty
-// sub-batch, joins, and folds the per-shard deltas into the aggregate
-// accounting: total blocks, per-shard stats, and the critical-path /
-// serial modeled times for this one logical interaction.
+// fanOut splits one logical batch, runs every shard with a non-empty
+// sub-batch concurrently, joins, and folds the per-shard deltas into the
+// aggregate accounting: total blocks, per-shard stats, and the
+// critical-path / serial modeled times for this one logical interaction.
 //
 // With several participants the fan-out derives a cancelable child context
 // and cancels it as soon as any shard returns an error: the interaction
 // already cannot succeed, so the in-flight siblings — which may be remote
 // calls with generous retry budgets — are told to stop rather than run to
-// their full timeout. The reported error prefers the shard that actually
-// failed over siblings that merely observed the cancellation.
-func (s *ShardedStore) fanOut(ctx context.Context, totalBlocks int, work func(ctx context.Context, sh int) error) error {
+// their full timeout, and a doomed interaction surfaces its error at the
+// speed of the failing shard, not of the slowest surviving one. The
+// reported error prefers the shard that actually failed over siblings that
+// merely observed the cancellation.
+func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data []extmem.Element) error {
+	totalBlocks := len(addrs)
+	if len(data) != totalBlocks*s.b {
+		return fmt.Errorf("shard: buffer length %d != %d blocks of %d elements", len(data), totalBlocks, s.b)
+	}
+	if err := s.split(addrs); err != nil {
+		return err
+	}
 	only := -1 // the single participating shard, or -1 if several
 	parts := 0
 	for sh := 0; sh < s.k; sh++ {
@@ -214,15 +202,10 @@ func (s *ShardedStore) fanOut(ctx context.Context, totalBlocks int, work func(ct
 			parts++
 		}
 	}
-	run := func(ctx context.Context, sh int) error {
-		t0 := modeledTime(s.shards[sh])
-		s.errs[sh] = work(ctx, sh)
-		s.deltas[sh] = modeledTime(s.shards[sh]) - t0
-		return s.errs[sh]
-	}
 	if parts == 1 {
-		// One shard, nothing to overlap: skip the goroutine machinery.
-		run(ctx, only)
+		// One shard, nothing to overlap: skip the goroutine machinery (a
+		// one-block access always lands here and allocates nothing).
+		s.run(ctx, only, write, totalBlocks, data)
 	} else if parts > 1 {
 		fanCtx, cancel := context.WithCancel(ctx)
 		var wg sync.WaitGroup
@@ -233,7 +216,7 @@ func (s *ShardedStore) fanOut(ctx context.Context, totalBlocks int, work func(ct
 			wg.Add(1)
 			go func(sh int) {
 				defer wg.Done()
-				if run(fanCtx, sh) != nil {
+				if s.run(fanCtx, sh, write, totalBlocks, data) != nil {
 					cancel()
 				}
 			}(sh)
@@ -271,17 +254,6 @@ func (s *ShardedStore) fanOut(ctx context.Context, totalBlocks int, work func(ct
 	}
 	s.critical += worst
 	return err
-}
-
-// account folds one scalar (single-shard) interaction into the aggregates.
-func (s *ShardedStore) account(sh, blocks int, delta time.Duration) {
-	s.trips++
-	s.blocks += int64(blocks)
-	s.stats[sh].RoundTrips++
-	s.stats[sh].BlocksMoved += int64(blocks)
-	s.stats[sh].ModeledTime += delta
-	s.critical += delta
-	s.serial += delta
 }
 
 // modeledTime reads a child's cumulative modeled delay when it has a cost

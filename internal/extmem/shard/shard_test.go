@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -11,6 +12,10 @@ import (
 	"oblivext/internal/trace"
 	"oblivext/internal/workload"
 )
+
+// bg is the context the tests drive stores under when cancellation is not
+// the subject.
+var bg = context.Background()
 
 // mkSharded builds a ShardedStore of k MemStore children able to hold
 // nBlocks logical blocks of b elements.
@@ -27,7 +32,7 @@ func mkSharded(t *testing.T, k, nBlocks, b int) *ShardedStore {
 	return s
 }
 
-// TestShardedMatchesFlat drives identical random scalar and vectored
+// TestShardedMatchesFlat drives identical random one-block and multi-block
 // traffic through a ShardedStore and a flat MemStore and asserts every read
 // observes the same bytes, for shard counts that do and do not divide the
 // store size.
@@ -43,23 +48,23 @@ func TestShardedMatchesFlat(t *testing.T) {
 			want := make([]extmem.Element, b)
 			for step := 0; step < 300; step++ {
 				switch r.IntN(4) {
-				case 0: // scalar write
+				case 0: // one-block write
 					addr := r.IntN(nBlocks)
 					for t := range blk {
 						blk[t] = extmem.Element{Key: r.Uint64(), Val: uint64(step)}
 					}
-					if err := sharded.WriteBlock(addr, blk); err != nil {
+					if err := sharded.WriteBlocks(bg, []int{addr}, blk); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.WriteBlock(addr, blk); err != nil {
+					if err := flat.WriteBlocks(bg, []int{addr}, blk); err != nil {
 						t.Fatal(err)
 					}
-				case 1: // scalar read
+				case 1: // one-block read
 					addr := r.IntN(nBlocks)
-					if err := sharded.ReadBlock(addr, got); err != nil {
+					if err := sharded.ReadBlocks(bg, []int{addr}, got); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.ReadBlock(addr, want); err != nil {
+					if err := flat.ReadBlocks(bg, []int{addr}, want); err != nil {
 						t.Fatal(err)
 					}
 					for i := range got {
@@ -77,10 +82,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 							src[i*b+t] = extmem.Element{Key: r.Uint64(), Val: uint64(step*100 + i)}
 						}
 					}
-					if err := sharded.WriteBlocks(addrs, src); err != nil {
+					if err := sharded.WriteBlocks(bg, addrs, src); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.WriteBlocks(addrs, src); err != nil {
+					if err := flat.WriteBlocks(bg, addrs, src); err != nil {
 						t.Fatal(err)
 					}
 				case 3: // vectored read (duplicates allowed)
@@ -91,10 +96,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 					}
 					g := make([]extmem.Element, cnt*b)
 					w := make([]extmem.Element, cnt*b)
-					if err := sharded.ReadBlocks(addrs, g); err != nil {
+					if err := sharded.ReadBlocks(bg, addrs, g); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.ReadBlocks(addrs, w); err != nil {
+					if err := flat.ReadBlocks(bg, addrs, w); err != nil {
 						t.Fatal(err)
 					}
 					for i := range g {
@@ -142,28 +147,18 @@ type recStore struct {
 	ops []trace.Op
 }
 
-func (r *recStore) ReadBlock(addr int, dst []extmem.Element) error {
-	r.ops = append(r.ops, trace.Op{Kind: trace.Read, Addr: int64(addr)})
-	return r.BlockStore.ReadBlock(addr, dst)
-}
-
-func (r *recStore) WriteBlock(addr int, src []extmem.Element) error {
-	r.ops = append(r.ops, trace.Op{Kind: trace.Write, Addr: int64(addr)})
-	return r.BlockStore.WriteBlock(addr, src)
-}
-
-func (r *recStore) ReadBlocks(addrs []int, dst []extmem.Element) error {
+func (r *recStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	for _, a := range addrs {
 		r.ops = append(r.ops, trace.Op{Kind: trace.Read, Addr: int64(a)})
 	}
-	return r.BlockStore.ReadBlocks(addrs, dst)
+	return r.BlockStore.ReadBlocks(ctx, addrs, dst)
 }
 
-func (r *recStore) WriteBlocks(addrs []int, src []extmem.Element) error {
+func (r *recStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	for _, a := range addrs {
 		r.ops = append(r.ops, trace.Op{Kind: trace.Write, Addr: int64(a)})
 	}
-	return r.BlockStore.WriteBlocks(addrs, src)
+	return r.BlockStore.WriteBlocks(ctx, addrs, src)
 }
 
 func (r *recStore) GrowTo(n int) error { return r.BlockStore.(extmem.Growable).GrowTo(n) }

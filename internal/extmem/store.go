@@ -6,26 +6,33 @@ import (
 )
 
 // BlockStore is Bob's storage: a flat array of fixed-size blocks addressed
-// by index. Implementations must copy data on both reads and writes; callers
-// own their buffers.
+// by index. The paper's model gives Alice one primitive toward Bob — move a
+// batch of blocks at public addresses — and this interface is that
+// primitive: one call is one interaction with the store, one network round
+// trip when Bob is remote. A one-block access is a batch of one.
 //
-// The vectored calls ReadBlocks/WriteBlocks move many blocks in one
-// interaction with the store — one network round trip when Bob is remote.
-// Implementations should detect contiguous address runs and serve them with
-// a single bulk transfer.
+// Implementations must copy data on both reads and writes; callers own
+// their buffers. They should detect contiguous address runs and serve them
+// with a single bulk transfer.
+//
+// ctx affects only delivery, never semantics: a remote backend abandons the
+// in-flight request (and stops retrying) when ctx is canceled, a local store
+// may simply complete. A canceled call returns an error and the caller
+// treats the interaction as failed, exactly as if the network had dropped
+// it. Every decorator forwards ctx to its children, so the sharded fan-out
+// can cancel sibling sub-batches once one shard has definitively failed and
+// the replica layer can cancel the losing leg of a hedged read — without
+// that, a doomed fan-out runs every other request to its full timeout
+// before the error can surface.
 type BlockStore interface {
-	// ReadBlock copies block addr into dst (len(dst) == BlockSize()).
-	ReadBlock(addr int, dst []Element) error
-	// WriteBlock copies src into block addr (len(src) == BlockSize()).
-	WriteBlock(addr int, src []Element) error
 	// ReadBlocks copies blocks addrs[i] into dst[i*B:(i+1)*B] for every i
 	// (len(dst) == len(addrs)*BlockSize()) in one interaction. Duplicate
 	// addresses are allowed.
-	ReadBlocks(addrs []int, dst []Element) error
+	ReadBlocks(ctx context.Context, addrs []int, dst []Element) error
 	// WriteBlocks copies src[i*B:(i+1)*B] into blocks addrs[i] for every i
 	// (len(src) == len(addrs)*BlockSize()) in one interaction. With
 	// duplicate addresses the later slice wins.
-	WriteBlocks(addrs []int, src []Element) error
+	WriteBlocks(ctx context.Context, addrs []int, src []Element) error
 	// NumBlocks returns the store capacity in blocks.
 	NumBlocks() int
 	// BlockSize returns B, the number of elements per block.
@@ -34,42 +41,15 @@ type BlockStore interface {
 	Close() error
 }
 
-// CtxStore is implemented by stores whose vectored calls can be bound to a
-// context: a remote backend abandons the in-flight request (and stops
-// retrying) when the context is canceled. The sharded fan-out uses this to
-// cancel sibling sub-batches once one shard has definitively failed, and
-// the replica layer uses it to cancel the losing leg of a hedged read —
-// without it, a doomed fan-out runs every other request to its full
-// timeout before the error can surface.
-//
-// Cancellation affects only delivery, never semantics: a canceled call
-// returns an error and the caller treats the interaction as failed, exactly
-// as if the network had dropped it.
-type CtxStore interface {
-	BlockStore
-	// ReadBlocksCtx is ReadBlocks bound to ctx.
-	ReadBlocksCtx(ctx context.Context, addrs []int, dst []Element) error
-	// WriteBlocksCtx is WriteBlocks bound to ctx.
-	WriteBlocksCtx(ctx context.Context, addrs []int, src []Element) error
-}
-
-// ReadBlocksCtx reads through s under ctx when s supports cancellation, and
-// falls back to the plain call otherwise (a local store cannot block on the
-// network, so there is nothing to cancel).
+// ReadBlocksCtx is s.ReadBlocks(ctx, addrs, dst), kept as a function for
+// the benchmark's layer probes; in-tree code calls the method.
 func ReadBlocksCtx(ctx context.Context, s BlockStore, addrs []int, dst []Element) error {
-	if cs, ok := s.(CtxStore); ok {
-		return cs.ReadBlocksCtx(ctx, addrs, dst)
-	}
-	return s.ReadBlocks(addrs, dst)
+	return s.ReadBlocks(ctx, addrs, dst)
 }
 
-// WriteBlocksCtx writes through s under ctx when s supports cancellation,
-// falling back to the plain call otherwise.
+// WriteBlocksCtx is s.WriteBlocks(ctx, addrs, src); see ReadBlocksCtx.
 func WriteBlocksCtx(ctx context.Context, s BlockStore, addrs []int, src []Element) error {
-	if cs, ok := s.(CtxStore); ok {
-		return cs.WriteBlocksCtx(ctx, addrs, src)
-	}
-	return s.WriteBlocks(addrs, src)
+	return s.WriteBlocks(ctx, addrs, src)
 }
 
 // contiguous reports whether addrs is a run of consecutive ascending
@@ -98,26 +78,8 @@ func NewMemStore(n, b int) *MemStore {
 	return &MemStore{b: b, data: make([]Element, n*b)}
 }
 
-// ReadBlock implements BlockStore.
-func (s *MemStore) ReadBlock(addr int, dst []Element) error {
-	if err := s.check(addr, len(dst)); err != nil {
-		return err
-	}
-	copy(dst, s.data[addr*s.b:(addr+1)*s.b])
-	return nil
-}
-
-// WriteBlock implements BlockStore.
-func (s *MemStore) WriteBlock(addr int, src []Element) error {
-	if err := s.check(addr, len(src)); err != nil {
-		return err
-	}
-	copy(s.data[addr*s.b:(addr+1)*s.b], src)
-	return nil
-}
-
 // ReadBlocks implements BlockStore; a contiguous run is a single copy.
-func (s *MemStore) ReadBlocks(addrs []int, dst []Element) error {
+func (s *MemStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
 	if err := s.checkVec(addrs, len(dst)); err != nil {
 		return err
 	}
@@ -132,7 +94,7 @@ func (s *MemStore) ReadBlocks(addrs []int, dst []Element) error {
 }
 
 // WriteBlocks implements BlockStore; a contiguous run is a single copy.
-func (s *MemStore) WriteBlocks(addrs []int, src []Element) error {
+func (s *MemStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
 	if err := s.checkVec(addrs, len(src)); err != nil {
 		return err
 	}
@@ -185,15 +147,5 @@ func (s *MemStore) Grow(n int) {
 // GrowTo implements Growable.
 func (s *MemStore) GrowTo(n int) error {
 	s.Grow(n)
-	return nil
-}
-
-func (s *MemStore) check(addr, l int) error {
-	if l != s.b {
-		return fmt.Errorf("extmem: buffer length %d != block size %d", l, s.b)
-	}
-	if addr < 0 || (addr+1)*s.b > len(s.data) {
-		return fmt.Errorf("extmem: block address %d out of range [0,%d)", addr, s.NumBlocks())
-	}
 	return nil
 }

@@ -23,11 +23,11 @@ func TestMemStoreVectored(t *testing.T) {
 	data := mkElems(3*4, 1)
 
 	// Contiguous write + scattered read.
-	if err := s.WriteBlocks([]int{5, 6, 7}, data); err != nil {
+	if err := s.WriteBlocks(bg, []int{5, 6, 7}, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]Element, 3*4)
-	if err := s.ReadBlocks([]int{7, 5, 6}, got); err != nil {
+	if err := s.ReadBlocks(bg, []int{7, 5, 6}, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -37,7 +37,7 @@ func TestMemStoreVectored(t *testing.T) {
 	}
 
 	// Duplicate addresses on read are allowed.
-	if err := s.ReadBlocks([]int{5, 5}, got[:8]); err != nil {
+	if err := s.ReadBlocks(bg, []int{5, 5}, got[:8]); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != data[0] || got[4] != data[0] {
@@ -45,10 +45,10 @@ func TestMemStoreVectored(t *testing.T) {
 	}
 
 	// Geometry violations error out.
-	if err := s.ReadBlocks([]int{0}, make([]Element, 3)); err == nil {
+	if err := s.ReadBlocks(bg, []int{0}, make([]Element, 3)); err == nil {
 		t.Error("short buffer accepted")
 	}
-	if err := s.WriteBlocks([]int{16}, make([]Element, 4)); err == nil {
+	if err := s.WriteBlocks(bg, []int{16}, make([]Element, 4)); err == nil {
 		t.Error("out-of-range address accepted")
 	}
 }
@@ -79,13 +79,13 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 
 	data := mkElems(6*b, 9)
 	addrs := []int{2, 3, 4, 5, 6, 7}
-	if err := s.WriteBlocks(addrs, data); err != nil {
+	if err := s.WriteBlocks(bg, addrs, data); err != nil {
 		t.Fatal(err)
 	}
 
 	// Contents round-trip, contiguous and scattered.
 	got := make([]Element, 6*b)
-	if err := s.ReadBlocks(addrs, got); err != nil {
+	if err := s.ReadBlocks(bg, addrs, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -95,7 +95,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 	}
 	scattered := []int{7, 2, 5}
 	sg := make([]Element, 3*b)
-	if err := s.ReadBlocks(scattered, sg); err != nil {
+	if err := s.ReadBlocks(bg, scattered, sg); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b; i++ {
@@ -119,7 +119,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 	for _, a := range addrs {
 		before[a] = wireOf(a)
 	}
-	if err := s.WriteBlocks(addrs, data); err != nil {
+	if err := s.WriteBlocks(bg, addrs, data); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range addrs {
@@ -128,7 +128,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 		}
 	}
 	// And the rewritten store still decrypts to the same contents.
-	if err := s.ReadBlocks(addrs, got); err != nil {
+	if err := s.ReadBlocks(bg, addrs, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -190,10 +190,10 @@ func TestLatencyStoreAccounting(t *testing.T) {
 	inner := NewMemStore(8, 4)
 	ls := NewLatencyStore(inner, LatencyOptions{RTT: 10 * time.Millisecond, PerBlock: time.Millisecond})
 	buf := make([]Element, 3*4)
-	if err := ls.WriteBlocks([]int{1, 2, 3}, buf); err != nil {
+	if err := ls.WriteBlocks(bg, []int{1, 2, 3}, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.ReadBlock(1, buf[:4]); err != nil {
+	if err := ls.ReadBlocks(bg, []int{1}, buf[:4]); err != nil {
 		t.Fatal(err)
 	}
 	if ls.RoundTrips() != 2 || ls.BlocksMoved() != 4 {

@@ -53,11 +53,11 @@ func TestCryptStoreParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) (out []Element, sealed, opened int64) {
 		s := newCryptMem(t, n, b)
 		s.SetWorkers(workers)
-		if err := s.WriteBlocks(idx, in); err != nil {
+		if err := s.WriteBlocks(bg, idx, in); err != nil {
 			t.Fatal(err)
 		}
 		out = make([]Element, n*b)
-		if err := s.ReadBlocks(idx, out); err != nil {
+		if err := s.ReadBlocks(bg, idx, out); err != nil {
 			t.Fatal(err)
 		}
 		return out, s.BytesSealed(), s.BytesOpened()
@@ -92,24 +92,24 @@ func TestCryptStoreParallelTamperDetected(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	if err := s.WriteBlocks(idx, mkElems(n*b, 3)); err != nil {
+	if err := s.WriteBlocks(bg, idx, mkElems(n*b, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a ciphertext element of block 5 behind the decorator's back.
 	tampered := make([]Element, CryptChildBlockSize(b))
-	if err := child.ReadBlock(5, tampered); err != nil {
+	if err := child.ReadBlocks(bg, []int{5}, tampered); err != nil {
 		t.Fatal(err)
 	}
 	tampered[1].Key ^= 1
-	if err := child.WriteBlock(5, tampered); err != nil {
+	if err := child.WriteBlocks(bg, []int{5}, tampered); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, n*b)
-	if err := s.ReadBlocks(idx, out); err == nil {
+	if err := s.ReadBlocks(bg, idx, out); err == nil {
 		t.Fatal("vectored read of a tampered block succeeded")
 	}
 	intact := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	if err := s.ReadBlocks(intact, out[:len(intact)*b]); err != nil {
+	if err := s.ReadBlocks(bg, intact, out[:len(intact)*b]); err != nil {
 		t.Fatalf("intact blocks unreadable after tamper: %v", err)
 	}
 }

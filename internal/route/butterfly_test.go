@@ -1,11 +1,10 @@
-package core
+package route
 
 import (
 	"math/rand/v2"
 	"testing"
 
 	"oblivext/internal/extmem"
-	"oblivext/internal/trace"
 )
 
 // buildCells writes n block-cells: cells listed in occ hold a full block of
@@ -59,7 +58,7 @@ func TestCompactTightCorrectness(t *testing.T) {
 				if density > n {
 					continue
 				}
-				env := newTestEnv(n+8, 4, 64, 5)
+				env := newEnv(n+8, 4, 64, 5)
 				a := env.D.Alloc(n)
 				occ := occupiedSets(r, n, density)
 				buildCells(a, occ)
@@ -91,7 +90,7 @@ func TestCompactTightCorrectness(t *testing.T) {
 }
 
 func TestCompactTightPreservesBlockContents(t *testing.T) {
-	env := newTestEnv(24, 4, 64, 5)
+	env := newEnv(24, 4, 64, 5)
 	a := env.D.Alloc(16)
 	occ := map[int]bool{3: true, 9: true, 15: true}
 	buildCells(a, occ)
@@ -117,7 +116,7 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 	for _, lpp := range []int{0, 1} {
 		for _, n := range []int{5, 16, 37, 64} {
 			for trial := 0; trial < 4; trial++ {
-				env := newTestEnv(n+8, 4, 64, 5)
+				env := newEnv(n+8, 4, 64, 5)
 				a := env.D.Alloc(n)
 				cnt := r.IntN(n + 1)
 				occ := occupiedSets(r, n, cnt)
@@ -136,31 +135,11 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 	}
 }
 
-func TestButterflyOblivious(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 9))
-	run := func(count int) trace.Summary {
-		occ := occupiedSets(r, 32, count)
-		return traceOf(t, 64, 4, 48, 7, func(env *extmem.Env) {
-			a := env.D.Alloc(32)
-			buildCells(a, occ)
-			buildTrace := env.D.Recorder().Summarize()
-			_ = buildTrace
-			CompactBlocksTight(env, a, PredOccupied, 0)
-		})
-	}
-	// Different occupancy counts and layouts must give identical traces;
-	// the build phase writes the same 32 blocks each time.
-	s1, s2, s3 := run(0), run(16), run(32)
-	if !s1.Equal(s2) || !s1.Equal(s3) {
-		t.Fatalf("butterfly trace depends on data: %v %v %v", s1, s2, s3)
-	}
-}
-
 func TestButterflyIOMatchesPassCount(t *testing.T) {
 	for _, cfg := range []struct{ n, m, lpp int }{
 		{64, 48, 0}, {64, 48, 1}, {128, 24, 0}, {100, 48, 2},
 	} {
-		env := newTestEnv(cfg.n+8, 4, cfg.m, 5)
+		env := newEnv(cfg.n+8, 4, cfg.m, 5)
 		a := env.D.Alloc(cfg.n)
 		r := rand.New(rand.NewPCG(3, 3))
 		buildCells(a, occupiedSets(r, cfg.n, cfg.n/3))
@@ -179,7 +158,7 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 func TestWindowedBeatsNaive(t *testing.T) {
 	n := 256
 	run := func(lpp int) int64 {
-		env := newTestEnv(n+8, 4, 256, 5)
+		env := newEnv(n+8, 4, 256, 5)
 		a := env.D.Alloc(n)
 		r := rand.New(rand.NewPCG(4, 4))
 		buildCells(a, occupiedSets(r, n, n/4))
@@ -194,7 +173,7 @@ func TestWindowedBeatsNaive(t *testing.T) {
 }
 
 func TestCompactTightWithFailedPredicate(t *testing.T) {
-	env := newTestEnv(24, 4, 64, 5)
+	env := newEnv(24, 4, 64, 5)
 	a := env.D.Alloc(16)
 	buf := make([]extmem.Element, 4)
 	// All cells occupied; cells 2, 5, 11 additionally carry FlagFailed.
@@ -218,7 +197,7 @@ func TestCompactTightWithFailedPredicate(t *testing.T) {
 }
 
 func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
-	env := newTestEnv(16, 4, 64, 5)
+	env := newEnv(16, 4, 64, 5)
 	a := env.D.Alloc(8)
 	buf := make([]extmem.Element, 4)
 	for j := 0; j < 8; j++ {
@@ -252,7 +231,7 @@ func TestFigure1Example(t *testing.T) {
 		occ[k+d] = true // position = rank + distance
 	}
 	n := 16
-	env := newTestEnv(n+8, 2, 32, 5)
+	env := newEnv(n+8, 2, 32, 5)
 	a := env.D.Alloc(n)
 	buildCells(a, occ)
 	cnt := CompactBlocksTight(env, a, PredOccupied, 1) // level-by-level, as drawn

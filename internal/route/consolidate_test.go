@@ -1,23 +1,72 @@
-package core
+package route
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/trace"
 )
 
+// writeElems lays the given elements into the array sequentially, padding
+// with empty cells.
+func writeElems(a extmem.Array, elems []extmem.Element) {
+	b := a.B()
+	buf := make([]extmem.Element, b)
+	for blk := 0; blk < a.Len(); blk++ {
+		clear(buf)
+		if lo := blk * b; lo < len(elems) {
+			copy(buf, elems[lo:])
+		}
+		a.Write(blk, buf)
+	}
+}
+
+// readElems returns every element of the array in order.
+func readElems(a extmem.Array) []extmem.Element {
+	out := make([]extmem.Element, a.Len()*a.B())
+	for blk := 0; blk < a.Len(); blk++ {
+		a.Read(blk, out[blk*a.B():(blk+1)*a.B()])
+	}
+	return out
+}
+
+// keysOf extracts the keys of the elements satisfying keep, in order.
+func keysOf(elems []extmem.Element, keep func(extmem.Element) bool) []uint64 {
+	var out []uint64
+	for _, e := range elems {
+		if keep(e) {
+			out = append(out, e.Key)
+		}
+	}
+	return out
+}
+
+// randomMarkedInput builds total occupied elements of which a random subset
+// of exactly marked carry FlagMarked.
+func randomMarkedInput(r *rand.Rand, total, marked int) []extmem.Element {
+	elems := make([]extmem.Element, total)
+	for i := range elems {
+		elems[i] = extmem.Element{Key: uint64(i)*10 + 1, Val: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
+	}
+	perm := r.Perm(total)
+	for i := 0; i < marked; i++ {
+		elems[perm[i]].Flags |= extmem.FlagMarked
+	}
+	return elems
+}
+
 func TestConsolidateBasic(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 1))
 	for _, cfg := range []struct{ n, b, marked int }{
 		{1, 4, 0}, {1, 4, 4}, {4, 4, 7}, {10, 8, 40}, {10, 8, 80}, {16, 2, 1}, {9, 4, 36},
 	} {
-		env := newTestEnv(cfg.n*2+4, cfg.b, 4*cfg.b, 3)
+		env := newEnv(cfg.n*2+4, cfg.b, 4*cfg.b, 3)
 		a := env.D.Alloc(cfg.n)
 		in := randomMarkedInput(r, cfg.n*cfg.b, cfg.marked)
 		writeElems(a, in)
-		out, cnt := Consolidate(env, a)
+		out, cnt := Consolidate(env, a, extmem.Element.Marked)
 		if cnt != int64(cfg.marked) {
 			t.Fatalf("n=%d marked=%d: count %d", cfg.n, cfg.marked, cnt)
 		}
@@ -26,7 +75,7 @@ func TestConsolidateBasic(t *testing.T) {
 		}
 		got := readElems(out)
 		// Order preservation of marked elements.
-		if !equalU64(markedKeys(in), occupiedKeys(got)) {
+		if !slices.Equal(keysOf(in, extmem.Element.Marked), keysOf(got, extmem.Element.Occupied)) {
 			t.Fatalf("n=%d marked=%d: order not preserved", cfg.n, cfg.marked)
 		}
 		// Full-or-empty block structure (except possibly one partial).
@@ -52,12 +101,12 @@ func TestConsolidateBasic(t *testing.T) {
 
 func TestConsolidateIOExact(t *testing.T) {
 	// Lemma 3: a single scan — n reads of A and n writes of A'.
-	env := newTestEnv(64, 4, 16, 3)
+	env := newEnv(64, 4, 16, 3)
 	a := env.D.Alloc(20)
 	r := rand.New(rand.NewPCG(2, 2))
 	writeElems(a, randomMarkedInput(r, 80, 33))
 	env.D.ResetStats()
-	Consolidate(env, a)
+	Consolidate(env, a, extmem.Element.Marked)
 	st := env.D.Stats()
 	if st.Reads != 20 || st.Writes != 20 {
 		t.Fatalf("I/O = %+v, want exactly 20 reads and 20 writes", st)
@@ -67,11 +116,9 @@ func TestConsolidateIOExact(t *testing.T) {
 func TestConsolidateOblivious(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 3))
 	run := func(marked int) trace.Summary {
-		return traceOf(t, 64, 4, 16, 7, func(env *extmem.Env) {
-			a := env.D.Alloc(16)
-			writeElems(a, randomMarkedInput(r, 64, marked))
-			Consolidate(env, a)
-		})
+		return traceOf(16, 4, 16, 1,
+			func(a extmem.Array) { writeElems(a, randomMarkedInput(r, 64, marked)) },
+			func(env *extmem.Env, a extmem.Array) { Consolidate(env, a, extmem.Element.Marked) })
 	}
 	s0, s1, s2 := run(0), run(64), run(17)
 	if !s0.Equal(s1) || !s0.Equal(s2) {
@@ -80,19 +127,22 @@ func TestConsolidateOblivious(t *testing.T) {
 }
 
 func TestConsolidateCacheBound(t *testing.T) {
-	env := newTestEnv(64, 8, 32, 3) // M = 4B
+	env := newEnv(64, 8, 32, 3) // M = 4B
 	a := env.D.Alloc(16)
 	r := rand.New(rand.NewPCG(4, 4))
 	writeElems(a, randomMarkedInput(r, 128, 100))
 	env.Cache.ResetHighWater()
-	Consolidate(env, a)
+	Consolidate(env, a, extmem.Element.Marked)
 	if hw := env.Cache.HighWater(); hw > env.M {
 		t.Fatalf("consolidation used %d private elements > M=%d", hw, env.M)
+	}
+	if used := env.Cache.Used(); used != 0 {
+		t.Fatalf("cache not returned: %d used", used)
 	}
 }
 
 func TestConsolidatePreservesPayload(t *testing.T) {
-	env := newTestEnv(16, 4, 16, 3)
+	env := newEnv(16, 4, 16, 3)
 	a := env.D.Alloc(4)
 	elems := make([]extmem.Element, 16)
 	for i := range elems {
@@ -102,7 +152,7 @@ func TestConsolidatePreservesPayload(t *testing.T) {
 		}
 	}
 	writeElems(a, elems)
-	out, _ := Consolidate(env, a)
+	out, _ := Consolidate(env, a, extmem.Element.Marked)
 	var got []extmem.Element
 	for _, e := range readElems(out) {
 		if e.Occupied() {

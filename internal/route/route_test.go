@@ -12,157 +12,6 @@ func newEnv(blocks, b, m int, seed uint64) *extmem.Env {
 	return extmem.NewEnv(blocks, b, m, seed)
 }
 
-// fillBlocks writes n blocks where block i is fully occupied iff occ[i],
-// with Key = i+1 stamped through the occupied blocks' elements.
-func fillBlocks(a extmem.Array, occ []bool) {
-	b := a.B()
-	buf := make([]extmem.Element, b)
-	for i := 0; i < a.Len(); i++ {
-		for t := range buf {
-			buf[t] = extmem.Element{}
-			if occ[i] {
-				buf[t] = extmem.Element{Key: uint64(i + 1), Pos: uint64(i), Flags: extmem.FlagOccupied}
-			}
-		}
-		a.Write(i, buf)
-	}
-}
-
-// blockKeys returns, per block, the Key of its first element when occupied
-// and 0 otherwise.
-func blockKeys(a extmem.Array) []uint64 {
-	b := a.B()
-	buf := make([]extmem.Element, b)
-	out := make([]uint64, a.Len())
-	for i := 0; i < a.Len(); i++ {
-		a.Read(i, buf)
-		if buf[0].Occupied() {
-			out[i] = buf[0].Key
-		}
-	}
-	return out
-}
-
-func TestConsolidateCorrectnessAndExactIO(t *testing.T) {
-	const n, b, m = 37, 4, 64
-	r := rand.New(rand.NewPCG(7, 7))
-	env := newEnv(n, b, m, 1)
-	a := env.D.Alloc(n)
-
-	// Scatter kept elements (FlagMarked) through the blocks.
-	var want []uint64
-	buf := make([]extmem.Element, b)
-	for i := 0; i < n; i++ {
-		for t := range buf {
-			k := uint64(i*b+t) + 1
-			buf[t] = extmem.Element{Key: k, Pos: uint64(i*b + t), Flags: extmem.FlagOccupied}
-			if r.IntN(3) == 0 {
-				buf[t].Flags |= extmem.FlagMarked
-				want = append(want, k)
-			}
-		}
-		a.Write(i, buf)
-	}
-
-	before := env.D.Stats()
-	out, kept := Consolidate(env, a, extmem.Element.Marked)
-	delta := env.D.Stats().Sub(before)
-
-	if kept != int64(len(want)) {
-		t.Fatalf("kept %d elements, want %d", kept, len(want))
-	}
-	// Lemma 3: exactly n reads and n writes.
-	if delta.Reads != int64(n) || delta.Writes != int64(n) {
-		t.Fatalf("consolidate I/O reads=%d writes=%d, want %d each", delta.Reads, delta.Writes, n)
-	}
-	// Full-or-empty blocks, kept order preserved.
-	var got []uint64
-	for i := 0; i < out.Len(); i++ {
-		out.Read(i, buf)
-		occ := 0
-		for _, e := range buf {
-			if e.Marked() {
-				got = append(got, e.Key)
-				occ++
-			}
-		}
-		if occ != 0 && occ != b && len(got) != len(want) {
-			t.Fatalf("block %d holds %d kept elements: not full-or-empty", i, occ)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read back %d kept elements, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("kept order broken at %d: %d != %d", i, got[i], want[i])
-		}
-	}
-	if env.Cache.Used() != 0 {
-		t.Fatalf("cache not returned: %d used", env.Cache.Used())
-	}
-}
-
-func TestButterflyCompactExactIOAndOrder(t *testing.T) {
-	const n, b, m = 32, 4, 64
-	r := rand.New(rand.NewPCG(3, 9))
-	env := newEnv(n, b, m, 2)
-	a := env.D.Alloc(n)
-	occ := make([]bool, n)
-	var want []uint64
-	for i := range occ {
-		occ[i] = r.IntN(2) == 0
-		if occ[i] {
-			want = append(want, uint64(i+1))
-		}
-	}
-	fillBlocks(a, occ)
-
-	before := env.D.Stats()
-	rank := CompactBlocksTight(env, a, PredOccupied, 0)
-	delta := env.D.Stats().Sub(before)
-
-	if rank != len(want) {
-		t.Fatalf("rank %d, want %d occupied cells", rank, len(want))
-	}
-	wantIO := 2 * int64(n) * int64(ButterflyPassCount(n, 0, env.MBlocks()))
-	if delta.Reads+delta.Writes != wantIO {
-		t.Fatalf("butterfly I/O %d, predicted %d", delta.Reads+delta.Writes, wantIO)
-	}
-	keys := blockKeys(a)
-	for i, k := range keys {
-		if i < len(want) && k != want[i] {
-			t.Fatalf("prefix cell %d holds key %d, want %d", i, k, want[i])
-		}
-		if i >= len(want) && k != 0 {
-			t.Fatalf("cell %d past the prefix still occupied (key %d)", i, k)
-		}
-	}
-}
-
-func TestCompactExpandRoundTrip(t *testing.T) {
-	const n, b, m = 24, 4, 64
-	r := rand.New(rand.NewPCG(5, 5))
-	env := newEnv(n, b, m, 3)
-	a := env.D.Alloc(n)
-	occ := make([]bool, n)
-	for i := range occ {
-		occ[i] = r.IntN(2) == 0
-	}
-	fillBlocks(a, occ)
-	before := blockKeys(a)
-
-	CompactBlocksTight(env, a, PredOccupied, 0)
-	ExpandBlocks(env, a, PredOccupied, 0)
-
-	after := blockKeys(a)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("cell %d: key %d before compaction, %d after expansion", i, before[i], after[i])
-		}
-	}
-}
-
 // traceOf records the trace of fn against a fresh env with the given
 // worker count.
 func traceOf(n, b, m, workers int, fill func(a extmem.Array), fn func(env *extmem.Env, a extmem.Array)) trace.Summary {
@@ -177,17 +26,13 @@ func traceOf(n, b, m, workers int, fill func(a extmem.Array), fn func(env *extme
 }
 
 // The routing trace must be a function of public geometry only: invariant
-// under the data (which cells are occupied) and under the worker count.
+// under the data (how many cells are occupied, from none to all, and which)
+// and under the worker count.
 func TestRouteTraceInvariance(t *testing.T) {
 	const n, b, m = 32, 4, 64
-	mkFill := func(seed uint64) func(a extmem.Array) {
+	fill := func(count int) func(a extmem.Array) {
 		return func(a extmem.Array) {
-			r := rand.New(rand.NewPCG(seed, seed))
-			occ := make([]bool, n)
-			for i := range occ {
-				occ[i] = r.IntN(2) == 0
-			}
-			fillBlocks(a, occ)
+			buildCells(a, occupiedSets(rand.New(rand.NewPCG(uint64(count), 1)), n, count))
 		}
 	}
 	ops := map[string]func(env *extmem.Env, a extmem.Array){
@@ -199,37 +44,31 @@ func TestRouteTraceInvariance(t *testing.T) {
 		},
 	}
 	for name, op := range ops {
-		base := traceOf(n, b, m, 1, mkFill(1), op)
-		for _, seed := range []uint64{2, 3} {
-			if got := traceOf(n, b, m, 1, mkFill(seed), op); got != base {
-				t.Errorf("%s: trace depends on data (seed %d)", name, seed)
+		base := traceOf(n, b, m, 1, fill(n/2), op)
+		for _, count := range []int{0, n / 3, n} {
+			if got := traceOf(n, b, m, 1, fill(count), op); got != base {
+				t.Errorf("%s: trace depends on data (%d of %d cells occupied)", name, count, n)
 			}
 		}
 		for _, w := range []int{2, 4, 8} {
-			if got := traceOf(n, b, m, w, mkFill(1), op); got != base {
+			if got := traceOf(n, b, m, w, fill(n/2), op); got != base {
 				t.Errorf("%s: trace depends on worker count %d", name, w)
 			}
 		}
 	}
 }
 
-// Parallel and serial routing must also agree on the result, element for
-// element.
+// Parallel and serial routing must also agree on the result, cell for cell.
 func TestRouteWorkersMatchSerialResults(t *testing.T) {
 	const n, b, m = 40, 4, 128
-	run := func(workers int) []uint64 {
+	run := func(workers int) []int {
 		env := newEnv(n, b, m, 6)
 		env.Workers = workers
 		a := env.D.Alloc(n)
-		r := rand.New(rand.NewPCG(8, 8))
-		occ := make([]bool, n)
-		for i := range occ {
-			occ[i] = r.IntN(3) != 0
-		}
-		fillBlocks(a, occ)
+		buildCells(a, occupiedSets(rand.New(rand.NewPCG(8, 8)), n, 2*n/3))
 		CompactBlocksTight(env, a, PredOccupied, 0)
 		ExpandBlocks(env, a, PredOccupied, 0)
-		return blockKeys(a)
+		return cellKeys(a)
 	}
 	serial := run(1)
 	for _, w := range []int{2, 4, 8} {

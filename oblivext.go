@@ -40,6 +40,7 @@ import (
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -82,9 +83,9 @@ type Config struct {
 	// StartBlocks is the initial store capacity in blocks (file stores are
 	// fixed at this size; memory stores grow). Default 1024.
 	StartBlocks int
-	// MaxBatchBlocks caps how many blocks a single vectored store call may
-	// move. 0 (the default) leaves batches bounded only by the cache
-	// budget — up to M/B−O(1) blocks per round trip; 1 forces the scalar
+	// MaxBatchBlocks caps how many blocks a single store call may move. 0
+	// (the default) leaves batches bounded only by the cache budget — up
+	// to M/B−O(1) blocks per round trip; 1 forces every batch down to the
 	// one-block-per-round-trip baseline. The access trace Bob sees is
 	// identical for every setting; only the round-trip grouping changes.
 	MaxBatchBlocks int
@@ -604,7 +605,7 @@ type IOStats struct {
 	// advance by beta per live level while RoundTrips advances by one.
 	// Grouping and deferral never change the per-block trace — Reads,
 	// Writes, and the recorded (kind, address) sequence are identical to
-	// the scalar path's.
+	// those of one-block round trips.
 	RoundTrips int64
 	// BytesSealed and BytesOpened account the client-side crypto: total
 	// ciphertext bytes produced by writes and verified+decrypted by reads
@@ -1152,7 +1153,7 @@ func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	cons, marked := core.Consolidate(a.c.env, a.arr)
+	cons, marked := route.Consolidate(a.c.env, a.arr, extmem.Element.Marked)
 	rCap := extmem.CeilDiv(int(capacity), a.c.env.B()) + 1
 	out, _, err := core.CompactBlocksLoose(a.c.env, cons, rCap, core.LooseParams{})
 	if err != nil {

@@ -9,8 +9,13 @@ import (
 // public API level: two clients with equal seed and geometry but different
 // data — one forced to scalar I/O (MaxBatchBlocks=1), one fully vectored —
 // must present byte-identical access traces to the server for Sort, Select,
-// and CompactTight. Batching changes round trips, never the adversary's
-// view.
+// CompactTight and ORAM accesses. Batching changes round trips, never the
+// adversary's view.
+//
+// The want column pins the vectored run's trace and counters to the values
+// measured before BlockStore was collapsed to the one vectored pair: the
+// Disk's one-block Read/Write now travel as batches of one, and must cost
+// exactly the block I/Os and round trips the scalar store methods did.
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -19,22 +24,27 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		dataB[i] = Record{Key: 42, Val: uint64(i)} // constant keys: worst case for leakage
 	}
 
+	type want struct {
+		trace                     TraceSummary
+		reads, writes, roundTrips int64
+	}
 	type op struct {
 		name string
+		want want
 		run  func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", func(t *testing.T, arr *Array) {
+		{"Sort", want{TraceSummary{540030, 9200889706947310153}, 268800, 271230, 44698}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Select", func(t *testing.T, arr *Array) {
+		{"Select", want{TraceSummary{16275, 14693408756956469966}, 8136, 8139, 1295}, func(t *testing.T, arr *Array) {
 			if _, err := arr.Select(n / 2); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"CompactTight", func(t *testing.T, arr *Array) {
+		{"CompactTight", want{TraceSummary{3751, 12819130921209656877}, 1750, 2001, 355}, func(t *testing.T, arr *Array) {
 			// The predicate (and so the marked count) differs per dataset;
 			// the capacity is public and fixed, so the trace must not move.
 			if _, err := arr.Mark(func(r Record) bool { return r.Key%5 == 3 }); err != nil {
@@ -42,6 +52,26 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 			}
 			if _, err := arr.CompactTight(n); err != nil {
 				t.Fatal(err)
+			}
+		}},
+		{"ORAMAccess", want{TraceSummary{761354, 4470458410025015792}, 378672, 382682, 49603}, func(t *testing.T, arr *Array) {
+			// A fixed logical access sequence: the ORAM's probe addresses
+			// are a keyed function of the index, so its trace is oblivious
+			// in distribution, not bit-identical across sequences.
+			o, err := arr.c.NewORAM(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 48; i++ {
+				idx := i * 7 % 64
+				if i%2 == 0 {
+					err = o.Write(idx, make([]uint64, 8))
+				} else {
+					_, err = o.Read(idx)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}},
 	}
@@ -63,6 +93,9 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		}
 		scalarTrace, scalarStats := run(1, dataA)
 		vecTrace, vecStats := run(0, dataB)
+		if got := (want{vecTrace, vecStats.Reads, vecStats.Writes, vecStats.RoundTrips}); got != o.want {
+			t.Errorf("%s: vectored run %+v, want %+v", o.name, got, o.want)
+		}
 		if scalarTrace != vecTrace {
 			t.Errorf("%s: scalar trace %+v != vectored trace %+v", o.name, scalarTrace, vecTrace)
 		}
