@@ -36,7 +36,7 @@ func main() {
 	b := flag.Int("b", 16, "block size B in records (power of two)")
 	m := flag.Int("m", 4096, "private cache size M in records")
 	file := flag.String("file", "", "back the store with this file (default: in-memory)")
-	encrypt := flag.Bool("encrypt", false, "seal every block client-side (AES-CTR + HMAC, fresh IV per write) before it reaches any backend; a remote obstore must run with -b = B+2")
+	encrypt := flag.Bool("encrypt", false, "seal every block client-side (AES-256-GCM, fresh nonce per write) before it reaches any backend; a remote obstore must run with -b = B+2")
 	seed := flag.Uint64("seed", 1, "random tape seed")
 	sorter := flag.String("sorter", "randomized", "sorter engine: auto, randomized, bitonic, bucket, or zigzag")
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
@@ -188,7 +188,7 @@ func main() {
 	fmt.Printf("round trips: %d (%.1f blocks per store interaction)\n",
 		st.RoundTrips, float64(st.Total())/float64(st.RoundTrips))
 	if st.BytesSealed > 0 || st.BytesOpened > 0 {
-		fmt.Printf("client-side crypto: %d bytes sealed / %d bytes opened (every block leaves as IV‖ct‖tag)\n",
+		fmt.Printf("client-side crypto: %d bytes sealed / %d bytes opened (every block leaves as salt‖counter‖ct‖tag)\n",
 			st.BytesSealed, st.BytesOpened)
 	}
 	if client.NumShards() > 1 {

@@ -265,7 +265,7 @@ func TestPublicEncryptedTamperFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[extmem.ElementBytes+20] ^= 1 // inside block 0's ciphertext region (past the 16-byte IV)
+	raw[extmem.ElementBytes+20] ^= 1 // inside block 0's ciphertext region (past the 24-byte salt‖counter)
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ func ExampleNew() {
 }
 
 // ExampleNew_encryptedHTTPBackend points an encrypting client at a real
-// obstore server: Alice seals every block (AES-CTR + HMAC, fresh IV per
+// obstore server: Alice seals every block (AES-256-GCM, fresh nonce per
 // write) before it leaves the process, so Bob only ever stores
-// IV‖ciphertext‖tag. A sealed block occupies BlockSize+2 elements, which is
+// salt‖counter‖ciphertext‖tag. A sealed block occupies BlockSize+2 elements, which is
 // why the server is provisioned with CryptChildBlockSize(8) = 10 — a
 // standalone deployment would run `obstore -b 10` (plus -tls-cert/-tls-key
 // and -auth-token, matched by Config.TLSRootCA and Config.AuthToken).

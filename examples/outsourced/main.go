@@ -1,5 +1,5 @@
 // Outsourced: the full threat model end to end — records stored encrypted
-// in a real file (fresh IV per write, so re-encryption is invisible), all
+// in a real file (fresh nonce per write, so re-encryption is invisible), all
 // maintenance done with data-oblivious operations, and the "server's view"
 // printed to show what an honest-but-curious host actually observes.
 package main
@@ -29,7 +29,7 @@ func main() {
 		CacheWords: 512,
 		Seed:       2024,
 		Path:       filepath.Join(dir, "tenant-data.dat"),
-		// Every block write uses a fresh IV: the host cannot tell a
+		// Every block write uses a fresh nonce: the host cannot tell a
 		// re-encryption of old data from new data (the paper's semantic
 		// security assumption, implemented).
 		EncryptionKey: key,
@@ -80,6 +80,6 @@ func main() {
 	st := client.Stats()
 	fmt.Printf("\nwhat the host saw: %d block accesses (hash %016x), %d reads / %d writes\n",
 		ts.Len, ts.Hash, st.Reads, st.Writes)
-	fmt.Println("every byte on disk is AES-encrypted with per-write IVs;")
+	fmt.Println("every byte on disk is AES-GCM-sealed with per-write nonces;")
 	fmt.Println("the address sequence is a fixed function of (N, B, M, seed) — not of any salary")
 }

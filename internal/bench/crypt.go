@@ -11,7 +11,7 @@ import (
 
 // E18 measures the cost of Alice-side encryption: the same Sort, same seed,
 // same geometry, run unencrypted and with the CryptStore decorator sealing
-// every block (fresh IV per write, HMAC per read) over both the in-memory
+// every block (one AEAD call per write and per read) over both the in-memory
 // and the real HTTP backend. The crypto-overhead line the IOStats
 // BytesSealed/BytesOpened counters feed is reported alongside wall time,
 // and the trace column re-checks the decorator's security contract: the
@@ -122,7 +122,7 @@ func E18() *Table {
 	row("http (obstore -b 10)", true, encHTTP)
 
 	t.Notes = append(t.Notes,
-		"Every sealed block carries a 16-byte IV and a 32-byte HMAC tag, so the wire/stored footprint approaches (B+2)/B = 1.25x the plaintext at B=8; the wire-expansion column measures it from the BytesSealed/BytesOpened counters (reads of never-written blocks cost no crypto, which is why it lands slightly below the ceiling).",
+		"Every sealed block carries a 16-byte salt, an 8-byte counter and a 16-byte GCM tag (40 bytes, padded to two elements), so the wire/stored footprint approaches (B+2)/B = 1.25x the plaintext at B=8; the wire-expansion column measures it from the BytesSealed/BytesOpened counters (reads of never-written blocks cost no crypto, which is why it lands slightly below the ceiling).",
 		f("CPU cost of sealing: mem Sort went %v -> %v; over real HTTP the crypto hides behind the wire (%v total).",
 			plainMem.wall.Round(time.Millisecond), encMem.wall.Round(time.Millisecond), encHTTP.wall.Round(time.Millisecond)),
 		"The trace column is the security contract: the CryptStore decorator changes the bytes Bob stores, never the (kind, address) sequence he observes.")

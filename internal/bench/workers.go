@@ -143,7 +143,7 @@ func E21() *Table {
 
 	t.Notes = append(t.Notes,
 		"Workers parallelizes only Alice's private compute — block sealing/opening, in-cache sort phases, routing and stamp passes — between unchanged store round trips; the partition is a pure function of public geometry, which the trace column re-verifies (equal fingerprints at every worker count).",
-		"Encrypted runs are crypto-dominated, so the scaling mostly reflects the per-worker AES-CTR + HMAC sealing; over HTTP the wire time bounds the win (Amdahl).",
+		"Encrypted runs are crypto-dominated, so the scaling mostly reflects the per-worker AES-GCM sealing and the element codec around it; over HTTP the wire time bounds the win (Amdahl).",
 		"speedup_w4 (mem backend) is the tracked perf metric: wall(w=1)/wall(w=4) on the same machine and geometry.")
 	return t
 }

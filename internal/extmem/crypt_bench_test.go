@@ -1,0 +1,77 @@
+package extmem
+
+import (
+	"fmt"
+	"testing"
+)
+
+// The per-block constants of the sealed path, at a small and a large block:
+// every block I/O of an encrypted run pays one of these. SetBytes counts
+// plaintext, so MB/s reads as payload throughput.
+
+var benchBlockSizes = []int{8, 64}
+
+func BenchmarkSeal(b *testing.B) {
+	for _, bs := range benchBlockSizes {
+		b.Run(fmt.Sprintf("B=%d", bs), func(b *testing.B) {
+			enc := testEncryptor(b)
+			plain := make([]byte, bs*ElementBytes)
+			wire := make([]byte, 0, enc.WireSize(len(plain)))
+			b.SetBytes(int64(len(plain)))
+			b.ReportAllocs()
+			for b.Loop() {
+				wire, _ = enc.Seal(wire[:0], plain, 7)
+			}
+		})
+	}
+}
+
+func BenchmarkOpen(b *testing.B) {
+	for _, bs := range benchBlockSizes {
+		b.Run(fmt.Sprintf("B=%d", bs), func(b *testing.B) {
+			enc := testEncryptor(b)
+			plain := make([]byte, bs*ElementBytes)
+			wire, _ := enc.Seal(nil, plain, 7)
+			b.SetBytes(int64(len(plain)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if plain, err = enc.Open(plain[:0], wire, 7); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchCryptStore times one 128-block vectored call over memory.
+func benchCryptStore(b *testing.B, write bool) {
+	const n = 128
+	for _, bs := range benchBlockSizes {
+		b.Run(fmt.Sprintf("B=%d", bs), func(b *testing.B) {
+			s := newCryptMem(b, n, bs)
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			buf := mkElems(n*bs, 1)
+			call := s.ReadBlocks
+			if write {
+				call = s.WriteBlocks
+			}
+			if err := s.WriteBlocks(bg, idx, buf); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n * bs * ElementBytes))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := call(bg, idx, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCryptStoreRead(b *testing.B)  { benchCryptStore(b, false) }
+func BenchmarkCryptStoreWrite(b *testing.B) { benchCryptStore(b, true) }

@@ -3,30 +3,27 @@ package extmem
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"oblivext/internal/par"
 )
 
 // CryptOverheadElements is the per-block footprint of the encryption
-// envelope (IV + MAC tag), rounded up to whole elements: a sealed block of B
-// plaintext elements occupies B + CryptOverheadElements elements in the
-// child store.
-const CryptOverheadElements = (ivSize + tagSize + ElementBytes - 1) / ElementBytes
+// envelope (salt + counter + tag), rounded up to whole elements.
+const CryptOverheadElements = (envelopeSize + ElementBytes - 1) / ElementBytes
 
 // CryptChildBlockSize returns the block size (in elements) the child store
-// under a CryptStore must have to hold sealed blocks of b plaintext
-// elements.
+// under a CryptStore must have to hold sealed blocks of b plaintext elements.
 func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 
 // CryptStore is the client-side encryption decorator: an extmem.BlockStore
-// that seals every block written through it (AES-CTR with a fresh random IV
-// per write, plus an HMAC-SHA256 tag, encrypt-then-MAC) and opens every
-// block read back, storing only IV‖ciphertext‖tag in the child store. The
-// child may be any BlockStore — memory, file, latency-modeled, the sharded
-// fan-out, or the HTTP network client — so Bob, whatever his substrate,
-// only ever holds semantically secure ciphertext, which is exactly the
-// paper's §1 assumption ("Alice encrypts her data before outsourcing it").
+// that seals every block written through it (see Encryptor) and opens every
+// block read back, storing only salt‖counter‖ciphertext‖tag in the child.
+// The child may be any BlockStore — memory, file, latency-modeled, the
+// sharded fan-out, or the HTTP network client — so Bob, whatever his
+// substrate, only ever holds semantically secure ciphertext: the paper's
+// §1 assumption ("Alice encrypts her data before outsourcing it").
 //
 // Geometry: the store presents blocks of B plaintext elements upward while
 // the child holds blocks of CryptChildBlockSize(B) elements (the sealed
@@ -35,28 +32,24 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // list, so the decorator changes neither the access trace nor the
 // round-trip count — only the bytes Bob stores.
 //
-// Each seal is bound to its block address (the HMAC covers addr‖IV‖ct), so
-// a server that transposes two validly sealed blocks triggers an
-// authentication failure, not silently relocated data.
+// Each seal is bound to its block address and the pad is checked on every
+// read, so a server that transposes two sealed blocks, or changes any byte
+// of a written slot, triggers an authentication failure: an error, which
+// the Disk layer escalates to a panic, so integrity violations abort the
+// computation rather than feed the algorithms attacker-chosen plaintext.
 //
 // Never-written child blocks read back all-zero; CryptStore decodes an
-// all-zero wire image as a zeroed plaintext block rather than a forgery
-// (a genuine seal starts with 16 random IV bytes, so an honest all-zero
-// wire image never occurs). The flip side is that a server which *zeroes*
-// a written slot rolls it back to the never-written state undetected —
-// one instance of the freshness/rollback non-goal docs/THREAT_MODEL.md
-// declares. Any other wire image that fails authentication — a tampering
-// or corruption event — is returned as an error, which the Disk layer
-// escalates to a panic: integrity violations abort the computation loudly
-// rather than feeding the algorithms attacker-chosen plaintext.
+// all-zero wire image as a zeroed plaintext block rather than a forgery (a
+// genuine seal starts with 16 random salt bytes, so an honest all-zero wire
+// image never occurs). The flip side is that a server which *zeroes* a
+// written slot rolls it back to the never-written state undetected — one
+// instance of the rollback non-goal docs/THREAT_MODEL.md declares.
 //
 // Like every BlockStore, a CryptStore is driven by one caller at a time
 // (the Disk, including its prefetch goroutines, which synchronize before
 // handing the buffer over); the staging buffer relies on that. Within one
-// vectored call the store may fan the per-block seal/open work out across
-// SetWorkers goroutines — each worker owns its own scratch pair and the
-// byte counters are atomic, so the fan-out is invisible to the caller and
-// the child sees exactly one call over the same address list either way.
+// vectored call the per-block work may fan out across SetWorkers goroutines:
+// each worker owns its scratch, the seal and byte counters are atomic.
 type CryptStore struct {
 	child   BlockStore
 	enc     *Encryptor
@@ -72,17 +65,17 @@ type CryptStore struct {
 	celem   []Element      // child-geometry staging for vectored calls
 }
 
-// cryptScratch is one worker's private staging: an encoded plaintext block
-// and a sealed block padded to child geometry.
+// cryptScratch is one worker's private staging.
 type cryptScratch struct {
-	plain []byte
-	sbuf  []byte
+	plain []byte   // an encoded plaintext block
+	sbuf  []byte   // a sealed block padded to child geometry
+	args  sealArgs // the AEAD call's nonce and associated data
+	err   error    // first error of the worker's share of the current batch
 }
 
 // NewCryptStore wraps child with the encryption decorator, presenting
-// blocks of b plaintext elements. The child's block size must be
-// CryptChildBlockSize(b) — the caller provisions the child with the sealed
-// footprint.
+// blocks of b plaintext elements. The caller provisions the child with the
+// sealed footprint: its block size must be CryptChildBlockSize(b).
 func NewCryptStore(child BlockStore, enc *Encryptor, b int) (*CryptStore, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("extmem: CryptStore needs an encryptor")
@@ -95,35 +88,26 @@ func NewCryptStore(child BlockStore, enc *Encryptor, b int) (*CryptStore, error)
 			child.BlockSize(), want, b, CryptOverheadElements)
 	}
 	s := &CryptStore{
-		child:   child,
-		enc:     enc,
-		b:       b,
-		cb:      CryptChildBlockSize(b),
-		wire:    enc.WireSize(b * ElementBytes),
-		workers: 1,
+		child: child,
+		enc:   enc,
+		b:     b,
+		cb:    CryptChildBlockSize(b),
+		wire:  enc.WireSize(b * ElementBytes),
 	}
-	s.scratch = []cryptScratch{s.newScratch()}
+	s.SetWorkers(1)
 	return s, nil
 }
 
-func (s *CryptStore) newScratch() cryptScratch {
-	return cryptScratch{
-		plain: make([]byte, s.b*ElementBytes),
-		sbuf:  make([]byte, s.cb*ElementBytes),
-	}
-}
-
 // SetWorkers sets the fan-out for per-block sealing/opening within one
-// vectored call (0 and 1 both mean serial) and provisions one scratch pair
-// per worker. Call it during setup, before the store is driven; it is not
-// safe concurrently with I/O.
+// vectored call (0 and 1 both mean serial) and provisions one scratch per
+// worker. Call it during setup: it is not safe concurrently with I/O.
 func (s *CryptStore) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-	for len(s.scratch) < n {
-		s.scratch = append(s.scratch, s.newScratch())
+	s.workers = max(n, 1)
+	for len(s.scratch) < s.workers {
+		s.scratch = append(s.scratch, cryptScratch{
+			plain: make([]byte, s.b*ElementBytes),
+			sbuf:  make([]byte, s.cb*ElementBytes),
+		})
 	}
 }
 
@@ -134,9 +118,8 @@ func (s *CryptStore) Child() BlockStore { return s.child }
 // the wire footprint Bob stores, envelope included.
 func (s *CryptStore) BytesSealed() int64 { return s.bytesSealed.Load() }
 
-// BytesOpened returns the cumulative ciphertext bytes verified and
-// decrypted by reads (all-zero never-written blocks are not counted: no
-// crypto ran).
+// BytesOpened returns the cumulative ciphertext bytes verified and decrypted
+// by reads (all-zero never-written blocks are not counted: no crypto ran).
 func (s *CryptStore) BytesOpened() int64 { return s.bytesOpened.Load() }
 
 // ResetCryptStats zeroes the sealed/opened byte counters.
@@ -146,41 +129,32 @@ func (s *CryptStore) ResetCryptStats() {
 }
 
 // seal encodes and seals one plaintext block (bound to its address) via
-// the given worker scratch, decoding it as child-geometry elements into
-// dst. The Encryptor itself is safe for concurrent Seal calls (fresh IV,
-// fresh HMAC state per call); only the scratch is per-worker.
-func (s *CryptStore) seal(sc *cryptScratch, addr int, dst []Element, src []Element) error {
+// the given worker scratch, decoding it as child-geometry elements into dst.
+func (s *CryptStore) seal(sc *cryptScratch, addr int, dst []Element, src []Element) {
 	EncodeElements(sc.plain, src)
-	out, err := s.enc.Seal(sc.sbuf[:0], sc.plain, uint64(addr))
-	if err != nil {
-		return err
-	}
-	// Zero the padding up to a whole child block; the pad is public
-	// structure, not data.
-	for i := len(out); i < len(sc.sbuf); i++ {
-		sc.sbuf[i] = 0
-	}
+	s.enc.seal(&sc.args, sc.sbuf[:0], sc.plain, uint64(addr))
+	clear(sc.sbuf[s.wire:]) // the pad is public structure, not data
 	DecodeElements(dst, sc.sbuf)
-	s.bytesSealed.Add(int64(s.wire))
-	return nil
 }
 
 // open verifies and decodes one sealed child block into dst. An all-zero
-// wire image is a never-written block and decodes to zeroed elements.
+// wire image is a never-written block and decodes to zeroed elements. The
+// pad is outside the AEAD, so it is checked here, all its bytes folded
+// together before the one comparison.
 func (s *CryptStore) open(sc *cryptScratch, addr int, src []Element, dst []Element) error {
-	allZero := true
-	for _, e := range src {
-		if e != (Element{}) {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
+	if !slices.ContainsFunc(src, func(e Element) bool { return e != Element{} }) {
 		clear(dst)
 		return nil
 	}
 	EncodeElements(sc.sbuf, src)
-	buf, err := s.enc.Open(sc.plain[:0], sc.sbuf[:s.wire], uint64(addr))
+	var pad byte
+	for _, x := range sc.sbuf[s.wire:] {
+		pad |= x
+	}
+	buf, err := s.enc.open(&sc.args, sc.plain[:0], sc.sbuf[:s.wire], uint64(addr))
+	if err == nil && pad != 0 {
+		err = errAuth
+	}
 	if err != nil {
 		return fmt.Errorf("extmem: block %d: %w", addr, err)
 	}
@@ -198,53 +172,43 @@ func (s *CryptStore) childElems(n int) []Element {
 }
 
 // cryptParMin is the batch size below which per-block crypto stays on the
-// calling goroutine: spawning workers costs more than sealing a handful of
-// blocks. The threshold compares against a public batch length only.
+// calling goroutine: spawning workers costs more than sealing a few blocks.
 const cryptParMin = 8
 
-// block seals (write) or opens (read) block i of a batch: plain is the
-// caller's plaintext buffer, sealed the child-geometry staging.
-func (s *CryptStore) block(sc *cryptScratch, write bool, addrs []int, i int, plain, sealed []Element) error {
-	p, c := plain[i*s.b:(i+1)*s.b], sealed[i*s.cb:(i+1)*s.cb]
-	if write {
-		return s.seal(sc, addrs[i], c, p)
+// blockRange seals (write) or opens (read) blocks [lo, hi) of a batch on one
+// worker's scratch, which keeps the first error.
+func (s *CryptStore) blockRange(worker int, write bool, addrs []int, lo, hi int, plain, sealed []Element) {
+	sc := &s.scratch[worker]
+	sc.err = nil
+	for i := lo; i < hi && sc.err == nil; i++ {
+		p, c := plain[i*s.b:(i+1)*s.b], sealed[i*s.cb:(i+1)*s.cb]
+		if write {
+			s.seal(sc, addrs[i], c, p)
+		} else {
+			sc.err = s.open(sc, addrs[i], c, p)
+		}
 	}
-	return s.open(sc, addrs[i], c, p)
 }
 
 // forBlocks seals or opens every block of a batch — fanned out across
-// s.workers goroutines for large batches, inline (and allocation-free, so a
-// one-block batch costs no more than the crypto itself) otherwise — and
-// returns the first error by block order. Block i's staging slices are
-// disjoint for distinct i, so workers never share bytes; the choice to fan
-// out depends only on the public batch length, never on block contents.
+// s.workers goroutines for large batches, inline and allocation-free
+// otherwise — and returns the first error by block order: worker k owns the
+// k-th contiguous range. Block i's staging slices are disjoint for distinct
+// i, so workers never share bytes; the choice to fan out depends only on
+// the public batch length, never on block contents.
 func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element) error {
 	n := len(addrs)
-	w := s.workers
-	if w > len(s.scratch) {
-		w = len(s.scratch)
-	}
+	w := min(s.workers, n) // so that every worker up to w gets a range
 	if w <= 1 || n < cryptParMin {
-		sc := &s.scratch[0]
-		for i := 0; i < n; i++ {
-			if err := s.block(sc, write, addrs, i, plain, sealed); err != nil {
-				return err
-			}
-		}
-		return nil
+		w = 1
+		s.blockRange(0, write, addrs, 0, n, plain, sealed)
+	} else {
+		par.ForWorker(w, n, func(worker, lo, hi int) {
+			s.blockRange(worker, write, addrs, lo, hi, plain, sealed)
+		})
 	}
-	errAt := make([]error, n)
-	par.ForWorker(w, n, func(worker, lo, hi int) {
-		sc := &s.scratch[worker]
-		for i := lo; i < hi; i++ {
-			if err := s.block(sc, write, addrs, i, plain, sealed); err != nil {
-				errAt[i] = err
-				return
-			}
-		}
-	})
-	for _, err := range errAt {
-		if err != nil {
+	for k := range s.scratch[:w] {
+		if err := s.scratch[k].err; err != nil {
 			return err
 		}
 	}
@@ -253,8 +217,7 @@ func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element)
 
 // ReadBlocks implements BlockStore: the whole batch is fetched with a
 // single child call over the same address list (one interaction, identical
-// trace), then each block is opened individually — across the worker pool
-// for large batches.
+// trace), then each block is opened individually.
 func (s *CryptStore) ReadBlocks(ctx context.Context, addrs []int, dst []Element) error {
 	if len(dst) != len(addrs)*s.b {
 		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
@@ -267,9 +230,8 @@ func (s *CryptStore) ReadBlocks(ctx context.Context, addrs []int, dst []Element)
 }
 
 // WriteBlocks implements BlockStore: every block is sealed under its own
-// fresh IV — vectoring batches the transfer, never the envelope; sealing
-// fans out across the worker pool for large batches — then the batch
-// travels as a single child call over the same address list.
+// fresh nonce — vectoring batches the transfer, never the envelope — then
+// the batch travels as a single child call over the same address list.
 func (s *CryptStore) WriteBlocks(ctx context.Context, addrs []int, src []Element) error {
 	if len(src) != len(addrs)*s.b {
 		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
@@ -278,6 +240,7 @@ func (s *CryptStore) WriteBlocks(ctx context.Context, addrs []int, src []Element
 	if err := s.forBlocks(true, addrs, src, buf); err != nil {
 		return err
 	}
+	s.bytesSealed.Add(int64(len(addrs) * s.wire))
 	return s.child.WriteBlocks(ctx, addrs, buf)
 }
 

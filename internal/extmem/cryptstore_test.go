@@ -2,15 +2,14 @@ package extmem
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"oblivext/internal/trace"
 )
 
-func testEncryptor(t *testing.T) *Encryptor {
+func testEncryptor(t testing.TB) *Encryptor {
 	t.Helper()
 	key := make([]byte, 32)
 	for i := range key {
@@ -23,13 +22,35 @@ func testEncryptor(t *testing.T) *Encryptor {
 	return enc
 }
 
-func newCryptMem(t *testing.T, nBlocks, b int) *CryptStore {
+func newCryptMem(t testing.TB, nBlocks, b int) *CryptStore {
 	t.Helper()
 	s, err := NewCryptStore(NewMemStore(nBlocks, CryptChildBlockSize(b)), testEncryptor(t), b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// childSlot reads block addr of a CryptStore's child as raw bytes.
+func childSlot(t *testing.T, child BlockStore, addr int) []byte {
+	t.Helper()
+	raw := make([]Element, child.BlockSize())
+	if err := child.ReadBlocks(bg, []int{addr}, raw); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(raw)*ElementBytes)
+	EncodeElements(buf, raw)
+	return buf
+}
+
+// setChildSlot overwrites block addr of a CryptStore's child with raw bytes.
+func setChildSlot(t *testing.T, child BlockStore, addr int, buf []byte) {
+	t.Helper()
+	raw := make([]Element, child.BlockSize())
+	DecodeElements(raw, buf)
+	if err := child.WriteBlocks(bg, []int{addr}, raw); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCryptStoreGeometry(t *testing.T) {
@@ -84,7 +105,7 @@ func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) {
 
 // TestCryptStoreChildSeesOnlyCiphertext pins the decorator's reason to
 // exist: the child store never holds a recognizable plaintext encoding, and
-// rewriting identical plaintext yields different child bytes (fresh IVs).
+// rewriting identical plaintext yields different child bytes (fresh nonces).
 func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	const b = 4
 	child := NewMemStore(4, CryptChildBlockSize(b))
@@ -97,67 +118,103 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
-	childBytes := func() []byte {
-		raw := make([]Element, CryptChildBlockSize(b))
-		if err := child.ReadBlocks(bg, []int{2}, raw); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, len(raw)*ElementBytes)
-		EncodeElements(buf, raw)
-		return buf
-	}
 	plain := make([]byte, b*ElementBytes)
 	EncodeElements(plain, sentinel)
-	w1 := childBytes()
+	w1 := childSlot(t, child, 2)
 	if bytes.Contains(w1, plain[:ElementBytes]) {
 		t.Fatal("child store contains the plaintext element encoding")
 	}
 	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
-	if w2 := childBytes(); bytes.Equal(w1, w2) {
-		t.Fatal("rewriting identical plaintext produced identical child bytes (IV reuse)")
+	if w2 := childSlot(t, child, 2); bytes.Equal(w1, w2) {
+		t.Fatal("rewriting identical plaintext produced identical child bytes (nonce reuse)")
 	}
 }
 
-// TestCryptStoreTamperDetection flips one ciphertext byte in the backing
-// file and requires the read to fail loudly, not return garbage.
+// TestCryptStoreTamperDetection flips every bit of a written child slot in
+// turn — salt, counter, ciphertext, tag and the zero pad — and requires
+// each read to fail loudly, not return garbage.
 func TestCryptStoreTamperDetection(t *testing.T) {
 	const b = 4
-	path := filepath.Join(t.TempDir(), "tamper.dat")
-	fs, err := NewFileStore(path, 4, CryptChildBlockSize(b))
+	child := NewMemStore(4, CryptChildBlockSize(b))
+	s, err := NewCryptStore(child, testEncryptor(t), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCryptStore(fs, testEncryptor(t), b)
-	if err != nil {
+	in := mkElems(b, 7)
+	if err := s.WriteBlocks(bg, []int{1}, in); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.WriteBlocks(bg, []int{1}, mkElems(b, 7)); err != nil {
-		t.Fatal(err)
+	wire := s.enc.WireSize(b * ElementBytes)
+	regions := []struct {
+		name string
+		end  int
+	}{
+		{"salt", saltSize},
+		{"counter", saltSize + counterSize},
+		{"ciphertext", wire - tagSize},
+		{"tag", wire},
+		{"pad", CryptChildBlockSize(b) * ElementBytes},
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := CryptChildBlockSize(b) * ElementBytes
-	raw[slot+ivSize+3] ^= 1 // one ciphertext byte of block 1
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
+	honest := childSlot(t, child, 1)
+	if len(honest) != regions[len(regions)-1].end || wire == len(honest) {
+		t.Fatalf("slot is %d bytes, sealed image %d: the table needs a pad to cover", len(honest), wire)
 	}
 	out := make([]Element, b)
-	err = s.ReadBlocks(bg, []int{1}, out)
-	if err == nil {
-		t.Fatal("tampered block read back without error")
+	region := 0
+	for off := range honest {
+		if off == regions[region].end {
+			region++
+		}
+		for bit := 0; bit < 8; bit++ {
+			forged := bytes.Clone(honest)
+			forged[off] ^= 1 << bit
+			setChildSlot(t, child, 1, forged)
+			err := s.ReadBlocks(bg, []int{1}, out)
+			if err == nil || !strings.Contains(err.Error(), "authentication failed") {
+				t.Fatalf("%s byte %d bit %d flipped: read returned %v, want authentication failed",
+					regions[region].name, off, bit, err)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "authentication failed") {
-		t.Fatalf("tamper error does not name the cause: %v", err)
-	}
-	// The untampered block 1 is gone, but the rest of the store still
-	// serves (per-block envelopes: corruption is contained).
+	// Corruption is contained (per-block envelopes): the rest of the store
+	// still serves, and so does the slot once the honest image is back.
 	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
 		t.Fatalf("unrelated block after tamper: %v", err)
+	}
+	setChildSlot(t, child, 1, honest)
+	if err := s.ReadBlocks(bg, []int{1}, out); err != nil || !slices.Equal(out, in) {
+		t.Fatalf("honest image restored: err %v, got %+v", err, out)
+	}
+}
+
+// TestCryptStoreZeroAllocs pins the sealed path's allocation budget: a warm
+// vectored read or write at Workers=1 allocates nothing, whatever the batch.
+func TestCryptStoreZeroAllocs(t *testing.T) {
+	const b, n = 8, 128
+	s := newCryptMem(t, n, b)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	buf := mkElems(n*b, 4)
+	write := func() {
+		if err := s.WriteBlocks(bg, idx, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if err := s.ReadBlocks(bg, idx, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm: sizes the staging buffer
+	if a := testing.AllocsPerRun(10, write); a != 0 {
+		t.Errorf("WriteBlocks of %d blocks: %v allocs, want 0", n, a)
+	}
+	if a := testing.AllocsPerRun(10, read); a != 0 {
+		t.Errorf("ReadBlocks of %d blocks: %v allocs, want 0", n, a)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +321,75 @@ func TestEncryptorTamperDetection(t *testing.T) {
 	wire[len(wire)/2] ^= 1
 	if _, err := enc.Open(nil, wire, 7); err == nil {
 		t.Fatal("tampered block authenticated")
+	}
+}
+
+// TestEncryptorNonceUnique pins nonce uniqueness by construction: 10^5
+// seals from 4 goroutines carry pairwise distinct (salt, counter) pairs, and
+// two Encryptors over one key draw distinct salts yet open each other's
+// blocks.
+func TestEncryptorNonceUnique(t *testing.T) {
+	key := make([]byte, 32)
+	a, err := NewEncryptor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, each = 4, 25000
+	plain := []byte("same block every time")
+	heads := make([][][saltSize + counterSize]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := range heads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			heads[g] = make([][saltSize + counterSize]byte, each)
+			var wire []byte
+			for i := range heads[g] {
+				wire, _ = a.Seal(wire[:0], plain, uint64(i))
+				heads[g][i] = [saltSize + counterSize]byte(wire)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[[saltSize + counterSize]byte]bool, goroutines*each)
+	for _, hs := range heads {
+		for _, h := range hs {
+			if seen[h] {
+				t.Fatalf("(salt, counter) %x used twice", h)
+			}
+			seen[h] = true
+		}
+	}
+
+	b, err := NewEncryptor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromA, _ := a.Seal(nil, plain, 3)
+	fromB, _ := b.Seal(nil, plain, 3)
+	if bytes.Equal(fromA[:saltSize], fromB[:saltSize]) {
+		t.Fatal("two Encryptors over one key drew the same salt")
+	}
+	// b's one-slot foreign cache misses, hits, and is bypassed for its own.
+	for _, tc := range []struct {
+		name string
+		enc  *Encryptor
+		wire []byte
+	}{
+		{"b opens a's", b, fromA}, {"b opens a's again", b, fromA},
+		{"b opens its own", b, fromB}, {"a opens b's", a, fromB},
+	} {
+		got, err := tc.enc.Open(nil, tc.wire, 3)
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("%s: got %q, err %v", tc.name, got, err)
+		}
+	}
+	other, err := NewEncryptor(bytes.Repeat([]byte{1}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Open(nil, fromA, 3); err == nil {
+		t.Fatal("a block opened under a different master key")
 	}
 }
 

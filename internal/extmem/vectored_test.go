@@ -55,7 +55,7 @@ func TestMemStoreVectored(t *testing.T) {
 
 // TestFileStoreVectoredEncrypted round-trips a dataset through a CryptStore
 // over a file store with WriteBlocks/ReadBlocks and verifies both the
-// contents and the fresh-IV re-encryption of every block in the file.
+// contents and the fresh-nonce re-encryption of every block in the file.
 func TestFileStoreVectoredEncrypted(t *testing.T) {
 	key := make([]byte, 32)
 	for i := range key {
@@ -104,7 +104,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 		}
 	}
 
-	// Fresh-IV re-encryption per block: rewriting identical plaintext must
+	// Fresh-nonce re-encryption per block: rewriting identical plaintext must
 	// change every block's wire bytes (semantic security — Bob cannot tell
 	// a rewrite from new data).
 	slot := CryptChildBlockSize(b) * ElementBytes
@@ -124,7 +124,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 	}
 	for _, a := range addrs {
 		if bytes.Equal(before[a], wireOf(a)) {
-			t.Fatalf("block %d re-encrypted with identical wire bytes (IV reuse)", a)
+			t.Fatalf("block %d re-encrypted with identical wire bytes (nonce reuse)", a)
 		}
 	}
 	// And the rewritten store still decrypts to the same contents.

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,10 +39,12 @@ func TestScanBatchNonStrictGrace(t *testing.T) {
 	}
 }
 
-// Parallel sealing/opening must be element-identical to the serial path and
-// keep exact byte counters: the scratch is per worker and the counters are
-// atomic, so a vectored call fanned over 4 workers round-trips the same
-// plaintext and accounts the same bytes as the same call run serially.
+// Parallel sealing/opening must be element-identical to the serial path,
+// keep exact byte counters, and never repeat a nonce: the scratch is per
+// worker and the seal and byte counters are atomic, so a vectored call
+// fanned over any number of workers round-trips the same plaintext,
+// accounts the same bytes and leaves n distinct (salt, counter) pairs in
+// the child, exactly as the same call run serially.
 func TestCryptStoreParallelMatchesSerial(t *testing.T) {
 	const b, n = 4, 64
 	idx := make([]int, n)
@@ -49,31 +52,31 @@ func TestCryptStoreParallelMatchesSerial(t *testing.T) {
 		idx[i] = i
 	}
 	in := mkElems(n*b, 9)
+	wire := int64(n * testEncryptor(t).WireSize(b*ElementBytes))
 
-	run := func(workers int) (out []Element, sealed, opened int64) {
+	for _, w := range []int{1, 2, 4, 8} {
 		s := newCryptMem(t, n, b)
-		s.SetWorkers(workers)
+		s.SetWorkers(w)
 		if err := s.WriteBlocks(bg, idx, in); err != nil {
 			t.Fatal(err)
 		}
-		out = make([]Element, n*b)
+		out := make([]Element, n*b)
 		if err := s.ReadBlocks(bg, idx, out); err != nil {
 			t.Fatal(err)
 		}
-		return out, s.BytesSealed(), s.BytesOpened()
-	}
-
-	serialOut, serialSealed, serialOpened := run(1)
-	for _, w := range []int{2, 4, 8} {
-		out, sealed, opened := run(w)
-		for i := range out {
-			if out[i] != serialOut[i] {
-				t.Fatalf("workers=%d: element %d differs from serial round trip", w, i)
-			}
+		if !slices.Equal(out, in) {
+			t.Fatalf("workers=%d: round trip differs from the plaintext written", w)
 		}
-		if sealed != serialSealed || opened != serialOpened {
-			t.Fatalf("workers=%d: counters sealed=%d opened=%d, serial %d/%d",
-				w, sealed, opened, serialSealed, serialOpened)
+		if s.BytesSealed() != wire || s.BytesOpened() != wire {
+			t.Fatalf("workers=%d: counters sealed=%d opened=%d, want %d each",
+				w, s.BytesSealed(), s.BytesOpened(), wire)
+		}
+		nonces := map[string]bool{}
+		for _, addr := range idx {
+			nonces[string(childSlot(t, s.child, addr)[:saltSize+counterSize])] = true
+		}
+		if len(nonces) != n {
+			t.Fatalf("workers=%d: %d distinct (salt, counter) pairs over %d seals", w, len(nonces), n)
 		}
 	}
 }

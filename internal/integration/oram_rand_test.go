@@ -65,7 +65,7 @@ func backends() []backendCase {
 		}},
 		// The crypt leg runs the whole randomized suite through the
 		// client-side encryption decorator: every write seals under a fresh
-		// IV, every read authenticates and opens, and — via the shared
+		// nonce, every read authenticates and opens, and — via the shared
 		// trace-invariance tests — the logical trace must stay bit-identical
 		// to the plaintext backends'.
 		{"crypt-mem", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
@@ -156,9 +156,9 @@ func TestORAMRandomizedBackends(t *testing.T) {
 				}
 				// The crypt legs are here to exercise the sealing path under
 				// randomized workloads and pin its trace invariance — size
-				// coverage belongs to the plaintext backends. Per-block
-				// HMAC-SHA256 makes the randomized sorter's rebuild volume
-				// ~10× slower sealed, so cap the crypt cases.
+				// coverage belongs to the plaintext backends. Sealing
+				// multiplies the cost of every I/O of the randomized sorter's
+				// rebuild volume, so cap the crypt cases.
 				if isCrypt && (tc.n > 32 || (sc.name == "randomized" && tc.n > 16)) {
 					continue
 				}

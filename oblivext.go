@@ -72,11 +72,12 @@ type Config struct {
 	// instead of memory.
 	Path string
 	// EncryptionKey, when 32 bytes long, makes Alice encrypt client-side:
-	// every block is sealed with AES-CTR + HMAC-SHA256 under a fresh IV per
-	// write — the semantically secure re-encryption the paper assumes —
-	// before it leaves the process, for *every* backend (memory, file,
-	// sharded, and the HTTP network store alike). Bob only ever holds
-	// IV‖ciphertext‖tag; see docs/THREAT_MODEL.md. A sealed block occupies
+	// every block is sealed with AES-256-GCM under a per-session subkey and
+	// a fresh counter nonce per write — the semantically secure
+	// re-encryption the paper assumes — before it leaves the process, for
+	// *every* backend (memory, file, sharded, and the HTTP network store
+	// alike). Bob only ever holds salt‖counter‖ciphertext‖tag; see
+	// docs/THREAT_MODEL.md. A sealed block occupies
 	// BlockSize + 2 elements on the backend, so a network server must be
 	// provisioned with that block size (obstore -b BlockSize+2).
 	EncryptionKey []byte
@@ -135,8 +136,8 @@ type Config struct {
 	// obstore server (cmd/obstore) at this base URL, spoken to over the
 	// batched binary HTTP protocol — every vectored store call is exactly
 	// one request. The server's block size must equal BlockSize (or
-	// BlockSize+2 with EncryptionKey set: sealed blocks carry the IV+tag
-	// envelope). Measured (not modeled) round-trip stats are read back
+	// BlockSize+2 with EncryptionKey set: sealed blocks carry the
+	// salt+counter+tag envelope). Measured (not modeled) round-trip stats are read back
 	// with MeasuredNetworkStats; SimulatedRTT may still be set to charge
 	// an additional accounted model on top.
 	URL string
