@@ -1,0 +1,178 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"sort"
+	"testing"
+
+	"oblivext/internal/extmem"
+)
+
+// The differential oracle: Select, Quantiles and selectInCache against a
+// sort.Slice reference over one shared corpus of awkward inputs, at cache
+// sizes on both sides of every path choice the three make from public
+// geometry (in-cache, sort-and-read-ranks, sampled narrowing).
+
+// oracleCase is one input layout: a sequence of cell slots, occupied or
+// empty, laid into ceil(len/B) blocks. Pos is the slot index, so (Key, Pos)
+// is a total order and the reference answer is unique.
+type oracleCase struct {
+	name  string
+	slots []extmem.Element
+}
+
+func oracleCorpus() []oracleCase {
+	r := rand.New(rand.NewPCG(16, 61))
+	occ := func(key uint64) extmem.Element {
+		return extmem.Element{Key: key, Val: key ^ 0xabc, Flags: extmem.FlagOccupied}
+	}
+	gen := func(n int, key func(i int) uint64, empty func(i int) bool) []extmem.Element {
+		out := make([]extmem.Element, n)
+		for i := range out {
+			if empty == nil || !empty(i) {
+				out[i] = occ(key(i))
+			}
+			out[i].Pos = uint64(i)
+		}
+		return out
+	}
+	random := func(int) uint64 { return r.Uint64() % 1_000_000 }
+	return []oracleCase{
+		{"n=1", gen(1, random, nil)},
+		{"n<M", gen(100, random, nil)},
+		{"duplicates-only", gen(1000, func(int) uint64 { return 7 }, nil)},
+		{"three-distinct-keys", gen(1500, func(i int) uint64 { return uint64(i*7) % 3 }, nil)},
+		{"n-not-multiple-of-B", gen(1003, random, nil)},
+		// Every third slot empty, plus a run of wholly empty blocks inside.
+		{"interior-empties", gen(2000, random, func(i int) bool { return i%3 == 1 || (i >= 640 && i < 960) })},
+		{"sorted-descending", gen(3000, func(i int) uint64 { return uint64(3000 - i) }, nil)},
+		// Large enough that M=4096 narrows through several levels.
+		{"large-random", gen(20000, random, nil)},
+	}
+}
+
+// oracleEnv lays the case into a fresh environment and returns the array
+// and the occupied elements in reference order.
+func oracleEnv(c oracleCase, b, m int, seed uint64) (*extmem.Env, extmem.Array, []extmem.Element) {
+	nBlocks := extmem.CeilDiv(len(c.slots), b)
+	env := newTestEnv(4*nBlocks+64, b, m, seed)
+	a := env.D.Alloc(nBlocks)
+	writeElems(a, c.slots)
+	var ref []extmem.Element
+	for _, e := range c.slots {
+		if e.Occupied() {
+			ref = append(ref, e)
+		}
+	}
+	sort.Slice(ref, func(i, j int) bool {
+		if ref[i].Key != ref[j].Key {
+			return ref[i].Key < ref[j].Key
+		}
+		return ref[i].Pos < ref[j].Pos
+	})
+	return env, a, ref
+}
+
+// retryDeclared runs op on fresh tapes until it does not declare failure,
+// as Alice does in the paper's model; three declared failures in a row is a
+// bug at any failure rate the lemmas allow.
+func retryDeclared(t *testing.T, declared error, op func(seed uint64) error) {
+	t.Helper()
+	var err error
+	for seed := uint64(1); seed <= 3; seed++ {
+		if err = op(seed); err == nil {
+			return
+		}
+		if !errors.Is(err, declared) {
+			t.Fatalf("undeclared error: %v", err)
+		}
+	}
+	t.Fatalf("declared failure on three tapes in a row: %v", err)
+}
+
+func sameItem(got, want extmem.Element) bool {
+	return got.Key == want.Key && got.Pos == want.Pos && got.Val == want.Val
+}
+
+func TestDifferentialOracle(t *testing.T) {
+	const b = 8
+	for _, m := range []int{2 * b * 16, 512, 1024, 2048, 4096} {
+		for _, c := range oracleCorpus() {
+			t.Run(fmt.Sprintf("M=%d/%s", m, c.name), func(t *testing.T) {
+				_, _, ref := oracleEnv(c, b, m, 1)
+				total := int64(len(ref))
+				inCache := extmem.CeilDiv(len(c.slots), b)*b <= m/2
+
+				ranks := map[int64]bool{1: true, total: true, total/2 + 1: true}
+				for k := range ranks {
+					if k < 1 || k > total {
+						continue
+					}
+					retryDeclared(t, ErrSelectFailed, func(seed uint64) error {
+						env, a, _ := oracleEnv(c, b, m, seed)
+						got, err := Select(env, a, k)
+						if err == nil && !sameItem(got, ref[k-1]) {
+							t.Fatalf("Select(%d) = %+v, want %+v", k, got, ref[k-1])
+						}
+						if env.Cache.Used() != 0 {
+							t.Fatalf("Select(%d) left %d words checked out", k, env.Cache.Used())
+						}
+						return err
+					})
+					if inCache {
+						env, a, _ := oracleEnv(c, b, m, 1)
+						got, err := selectInCache(env, a, int(k))
+						if err != nil || !sameItem(got, ref[k-1]) {
+							t.Fatalf("selectInCache(%d) = %+v, %v, want %+v", k, got, err, ref[k-1])
+						}
+					}
+				}
+
+				// Ranks out of range are declared errors, never panics.
+				for _, k := range []int64{0, -1, total + 1} {
+					env, a, _ := oracleEnv(c, b, m, 1)
+					if _, err := Select(env, a, k); !errors.Is(err, ErrSelectFailed) {
+						t.Fatalf("Select(%d) of %d items: err = %v, want ErrSelectFailed", k, total, err)
+					}
+					if env.Cache.Used() != 0 {
+						t.Fatalf("Select(%d) left %d words checked out", k, env.Cache.Used())
+					}
+					if inCache {
+						if _, err := selectInCache(env, a, int(k)); !errors.Is(err, ErrSelectFailed) {
+							t.Fatalf("selectInCache(%d) of %d items: err = %v, want ErrSelectFailed", k, total, err)
+						}
+					}
+				}
+
+				for _, q := range []int{1, 3} {
+					if int64(q) > total {
+						env, a, _ := oracleEnv(c, b, m, 1)
+						if _, err := Quantiles(env, a, q); !errors.Is(err, ErrQuantilesFailed) {
+							t.Fatalf("Quantiles(%d) of %d items: err = %v, want ErrQuantilesFailed", q, total, err)
+						}
+						continue
+					}
+					want := quantileRanks(total, q)
+					retryDeclared(t, ErrQuantilesFailed, func(seed uint64) error {
+						env, a, _ := oracleEnv(c, b, m, seed)
+						got, err := Quantiles(env, a, q)
+						if err != nil {
+							return err
+						}
+						if len(got) != q {
+							t.Fatalf("Quantiles(%d) returned %d items", q, len(got))
+						}
+						for i, e := range got {
+							if !sameItem(e, ref[want[i]-1]) {
+								t.Fatalf("Quantiles(%d)[%d] (rank %d) = %+v, want %+v", q, i, want[i], e, ref[want[i]-1])
+							}
+						}
+						return nil
+					})
+				}
+			})
+		}
+	}
+}
