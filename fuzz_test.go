@@ -234,60 +234,82 @@ func FuzzSelect(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, nRaw, kRaw uint16, seed uint64) {
 		n := int(nRaw)%1024 + 1
-		k := int64(kRaw)%int64(n) + 1
-
-		run := func(recs []Record, rank int64, key []byte) (TraceSummary, Record, error) {
-			c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 321, EncryptionKey: key})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			arr, err := c.Store(recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.EnableTrace(0)
-			rec, err := arr.Select(rank)
-			return c.TraceSummary(), rec, err
-		}
-
-		recs := fuzzRecords(n, seed)
-		traceA, got, errA := run(recs, k, nil)
-
-		if errA == nil {
-			keys := make([]uint64, n)
-			for i, r := range recs {
-				keys[i] = r.Key
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			if got.Key != keys[k-1] {
-				t.Fatalf("n=%d k=%d: selected key %d, want %d", n, k, got.Key, keys[k-1])
-			}
-		} else if !errors.Is(errA, core.ErrSelectFailed) {
-			t.Fatalf("unexpected error: %v", errA)
-		}
-
-		// Same size, degenerate data, a *different* rank, and encryption on:
-		// neither the values, the rank, nor the sealing may show in the
-		// trace (the rank is Alice's secret; only N is public).
-		constant := make([]Record, n)
-		for i := range constant {
-			constant[i] = Record{Key: 5, Val: uint64(i)}
-		}
-		otherK := int64(n) - k + 1
-		traceB, _, errB := run(constant, otherK, fuzzKey(seed))
-		if errA == nil && errB == nil && traceA != traceB {
-			t.Fatalf("n=%d: selection trace depends on data, rank, or encryption (k=%d vs %d): %+v vs %+v",
-				n, k, otherK, traceA, traceB)
-		}
-		if errA != nil && errB == nil && traceA.Len > traceB.Len {
-			t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceA, traceB)
-		}
-		if errB != nil && errA == nil && traceB.Len > traceA.Len {
-			t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceB, traceA)
-		}
-		if traceA.Len == 0 {
-			t.Fatal("empty trace recorded")
-		}
+		checkSelectTraceShape(t, 256, n, int64(kRaw)%int64(n)+1, seed)
 	})
+}
+
+// TestSelectTraceShapeAtBenchmarkGeometry asserts FuzzSelect's property where
+// Select narrows by sampling instead of sorting (N = 2^16, M = 4096): at
+// ranks 1, N/2 and N, on random and on constant data, sealed and not, the
+// trace is one and the same.
+func TestSelectTraceShapeAtBenchmarkGeometry(t *testing.T) {
+	const n = 1 << 16
+	var want TraceSummary
+	for i, k := range []int64{1, n / 2, n} {
+		got := checkSelectTraceShape(t, 4096, n, k, uint64(i))
+		if i > 0 && got != want {
+			t.Fatalf("k=%d: trace %+v differs from rank 1's %+v", k, got, want)
+		}
+		want = got
+	}
+}
+
+// checkSelectTraceShape selects rank k of n fuzzed records and checks the
+// answer, then selects a different rank of constant records with encryption
+// on and checks that the trace did not move. It returns the first trace.
+func checkSelectTraceShape(t *testing.T, cacheWords, n int, k int64, seed uint64) TraceSummary {
+	run := func(recs []Record, rank int64, key []byte) (TraceSummary, Record, error) {
+		c, err := New(Config{BlockSize: 8, CacheWords: cacheWords, Seed: 321, EncryptionKey: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		arr, err := c.Store(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.EnableTrace(0)
+		rec, err := arr.Select(rank)
+		return c.TraceSummary(), rec, err
+	}
+
+	recs := fuzzRecords(n, seed)
+	traceA, got, errA := run(recs, k, nil)
+
+	if errA == nil {
+		keys := make([]uint64, n)
+		for i, r := range recs {
+			keys[i] = r.Key
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		if got.Key != keys[k-1] {
+			t.Fatalf("n=%d k=%d: selected key %d, want %d", n, k, got.Key, keys[k-1])
+		}
+	} else if !errors.Is(errA, core.ErrSelectFailed) {
+		t.Fatalf("unexpected error: %v", errA)
+	}
+
+	// Same size, degenerate data, a *different* rank, and encryption on:
+	// neither the values, the rank, nor the sealing may show in the
+	// trace (the rank is Alice's secret; only N is public).
+	constant := make([]Record, n)
+	for i := range constant {
+		constant[i] = Record{Key: 5, Val: uint64(i)}
+	}
+	otherK := int64(n) - k + 1
+	traceB, _, errB := run(constant, otherK, fuzzKey(seed))
+	if errA == nil && errB == nil && traceA != traceB {
+		t.Fatalf("n=%d: selection trace depends on data, rank, or encryption (k=%d vs %d): %+v vs %+v",
+			n, k, otherK, traceA, traceB)
+	}
+	if errA != nil && errB == nil && traceA.Len > traceB.Len {
+		t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceA, traceB)
+	}
+	if errB != nil && errA == nil && traceB.Len > traceA.Len {
+		t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceB, traceA)
+	}
+	if traceA.Len == 0 {
+		t.Fatal("empty trace recorded")
+	}
+	return traceA
 }

@@ -13,19 +13,19 @@ import (
 
 // E7 compares oblivious selection against sort-then-pick (the paper's
 // log-factor win) and against the non-oblivious quickselect (the price of
-// obliviousness).
+// obliviousness), at the benchmark's cache size.
 func E7() *Table {
 	t := &Table{
 		ID:    "E7",
 		Title: "Selection (Theorems 12/13: O(N/B) I/Os, beating sort-then-pick by ~log_{M/B}(N/B))",
-		Headers: []string{"N (elems)", "select I/O", "per block", "sort-then-pick I/O",
+		Headers: []string{"N (elems)", "select I/O", "predicted", "per block", "sort-then-pick I/O",
 			"win", "quickselect I/O (leaky)"},
 	}
-	for _, nBlocks := range []int{256, 1024, 4096} {
-		b, m := 8, 32
+	for _, nBlocks := range []int{1 << 10, 1 << 12, 1 << 13} {
+		b, m := 8, 512
 		n := nBlocks * b
 
-		env := newEnv(16*nBlocks, b, m*b, uint64(n))
+		env := newEnv(4*nBlocks, b, m*b, uint64(n))
 		a := fillUniform(env, nBlocks, n, uint64(n))
 		env.D.ResetStats()
 		if _, err := core.Select(env, a, int64(n/2)); err != nil {
@@ -33,13 +33,13 @@ func E7() *Table {
 		}
 		sel := env.D.Stats().Total()
 
-		env2 := newEnv(16*nBlocks, b, m*b, uint64(n))
+		env2 := newEnv(4*nBlocks, b, m*b, uint64(n))
 		a2 := fillUniform(env2, nBlocks, n, uint64(n))
 		env2.D.ResetStats()
 		obsort.Bitonic(env2, a2, obsort.ByKey)
 		stp := env2.D.Stats().Total() + int64(nBlocks) // + scan to rank
 
-		env3 := newEnv(16*nBlocks, b, m*b, uint64(n))
+		env3 := newEnv(4*nBlocks, b, m*b, uint64(n))
 		a3 := fillUniform(env3, nBlocks, n, uint64(n))
 		env3.D.ResetStats()
 		if _, err := emsort.QuickSelect(env3, a3, int64(n/2)); err != nil {
@@ -48,11 +48,13 @@ func E7() *Table {
 		qs := env3.D.Stats().Total()
 
 		t.Rows = append(t.Rows, []string{f("%d", n), f("%d", sel),
+			f("%d", core.SelectIOCount(nBlocks, b, m*b)),
 			f("%.1f", float64(sel)/float64(nBlocks)), f("%d", stp),
 			ratio(float64(stp), float64(sel)), f("%d", qs)})
 	}
 	t.Notes = append(t.Notes,
-		"The 'win' ratio (sort-then-pick / select) rises steadily with N, as linear-vs-log² predicts; at these sizes sort-then-pick is still cheaper because selection's O(N^{7/8}) candidate range is not yet far below N and the tight compactions fall back to the butterfly (adding a small log factor) at this cache size. The asymptotic claim shows as the monotone trend, not as an in-range crossover.",
+		"Select overtakes sort-then-pick between N = 2M and N = 8M (a bitonic sort of two cache loads is all but free), and the win grows with N as linear-vs-log² predicts. Each level draws a Bernoulli sample into M/2 words of private memory in one read-only scan, brackets the target between two sample ranks k·p ∓ (√(2Lμ) [+ L]) with L = ln 2^40, and moves the bracketed range into a prefix 0.51× as long with one consolidation and one butterfly compaction: 9 I/Os per block of the level, a geometric series of about 18 per input block in all (17.9 at N = 2^16, against 142 for the external-sample version this replaced). Measured equals core.SelectIOCount on every row.",
+		"The sample has to fit private memory: the shrink factor depends on M alone (0.33 at M = 8192, 0.51 at 4096) and passes 3/4 below M ≈ 2300 words, where Select sorts a copy and reads the rank off instead — still oblivious, no longer linear.",
 		"The paper notes this beats the Ω(n·log log n) compare-exchange lower bound of Leighton et al. — legitimately, because the algorithm also uses copies, sums and random hashing as primitives.")
 	return t
 }

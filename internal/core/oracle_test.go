@@ -119,6 +119,9 @@ func TestDifferentialOracle(t *testing.T) {
 						if env.Cache.Used() != 0 {
 							t.Fatalf("Select(%d) left %d words checked out", k, env.Cache.Used())
 						}
+						if env.Cache.HighWater() > m {
+							t.Fatalf("Select(%d) used %d words of private memory, M=%d", k, env.Cache.HighWater(), m)
+						}
 						return err
 					})
 					if inCache {

@@ -4,24 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 )
 
-// This file implements Theorems 12 and 13: data-oblivious selection of the
-// k-th smallest element in O(N/B) I/Os. Each element joins a random sample
-// with probability N^{-1/2}; the sample is compacted (Lemma 3 + Theorem 4)
-// and sorted, two sample ranks bracket the target in a range [x, y] that
-// w.h.p. contains O(N^{7/8}) elements; those are compacted and sorted, and
-// the answer is read off at rank k − rank(x).
-//
-// Selection is over the total order (Key, Pos) on occupied elements — ties
-// are broken by original position, so ranks are always well defined.
+// This file implements Theorems 12 and 13, data-oblivious selection of the
+// k-th smallest element, as sample, bracket, compact, finish: one read-only
+// scan draws a Bernoulli sample straight into private memory, two sample
+// ranks bracket the target in a range [x, y], one consolidation and one
+// tight compaction move the range into a prefix a fixed factor shorter, and
+// the same step narrows that prefix until it fits the cache. The paper's
+// rate N^{-1/2} and range bound N^{7/8} (which is N itself below N = 2^24)
+// state the asymptotics; selectPlan derives both from Chernoff bounds at the
+// actual (N, B, M). Selection is over the total order (Key, Pos) on occupied
+// elements: ties break by original position, so ranks are well defined.
 
-// ErrSelectFailed reports one of the algorithm's low-probability failures:
-// sample overflow (Lemma 10), bracket miss or range overflow (Lemma 11).
-// The trace is the same as on success.
+// ErrSelectFailed reports a rank out of range or one of a level's four
+// low-probability tails: sample overflow, either bracket end beyond the
+// target, range overflow. Select stops at the failed check, so the trace is
+// a prefix of the success trace.
 var ErrSelectFailed = errors.New("core: selection failed")
 
 // bound is ±infinity-capable comparison bound over (Key, Pos).
@@ -31,11 +35,8 @@ type bound struct {
 }
 
 func (bd bound) lessElem(e extmem.Element) bool { // bd < e
-	if bd.neg {
-		return true
-	}
-	if bd.pos2 {
-		return false
+	if bd.neg || bd.pos2 {
+		return bd.neg
 	}
 	if bd.key != e.Key {
 		return bd.key < e.Key
@@ -44,11 +45,8 @@ func (bd bound) lessElem(e extmem.Element) bool { // bd < e
 }
 
 func (bd bound) greaterElem(e extmem.Element) bool { // bd > e
-	if bd.neg {
-		return false
-	}
-	if bd.pos2 {
-		return true
+	if bd.neg || bd.pos2 {
+		return bd.pos2
 	}
 	if bd.key != e.Key {
 		return bd.key > e.Key
@@ -58,173 +56,144 @@ func (bd bound) greaterElem(e extmem.Element) bool { // bd > e
 
 func boundOf(e extmem.Element) bound { return bound{key: e.Key, pos: e.Pos} }
 
-// Select returns the k-th smallest occupied element of a (k is 1-based)
-// using O(n) I/Os with a data-oblivious trace. The input array is not
-// modified. Requires 1 <= k <= N where N is the occupied count.
+// selectLevel is the public shape of one narrowing level.
+type selectLevel struct {
+	p     float64 // sampling probability of every cell slot
+	slack float64 // L in the bracket ranks k·p − √(2Lkp) and k·p + √(2Lkp) + L
+	next  int     // blocks of the prefix the bracketed range is compacted into
+}
+
+// selectPlan returns the level that narrows an array of the given public
+// geometry, or false where the M/2-element sample is too small to shrink it
+// to three quarters. With μ = p·blocks·B the expected sample of a full
+// array, the Chernoff bounds P[X ≤ μ−t] ≤ exp(−t²/2μ) and P[X ≥ μ+t] ≤
+// exp(−t²/(2μ+2t/3)) give, each but for probability ε: the sample fits M/2
+// when μ + √(2Lμ) + L ≤ M/2; the bracket ranks, at most d = 2√(2Lμ) + L + 2
+// apart, enclose the target; and the range between two samples d ranks
+// apart, a sum of d geometric gaps, holds at most ν/p elements when
+// ν − √(2Lν) ≥ d. The shrink factor ν/μ depends on M alone: 0.51 at
+// M = 4096, 0.33 at 8192, above 3/4 below M ≈ 2300.
+func selectPlan(blocks, b, m int) (selectLevel, bool) {
+	const l = 40 * math.Ln2 // L = ln(1/ε) for ε = 2^-40, the bound on each tail
+	s := float64(m / 2)
+	if s <= l {
+		return selectLevel{}, false
+	}
+	r := (math.Sqrt(2*l+4*(s-l)) - math.Sqrt(2*l)) / 2
+	mu := r * r
+	d := 2*math.Sqrt(2*l*mu) + l + 2
+	r = (math.Sqrt(2*l) + math.Sqrt(2*l+4*d)) / 2
+	nu := r * r
+	p := mu / float64(blocks*b)
+	next := extmem.CeilDiv(int(math.Ceil(nu/p))+1, b)
+	return selectLevel{p: p, slack: l, next: next}, 4*next <= 3*blocks
+}
+
+// Select returns the k-th smallest of the N occupied elements of a, for
+// 1 <= k <= N, in O(n) I/Os, without modifying a. Every array length, batch
+// size and path choice is a function of (n, B, M), never of k or N, so the
+// trace is data-oblivious; l levels fail with probability at most 4·l·2^-40.
 func Select(env *extmem.Env, a extmem.Array, k int64) (extmem.Element, error) {
-	n := a.Len()
-	b := a.B()
+	return selectWith(env, a, k, selectPlan)
+}
+
+// selectWith is Select under a given plan; tests force failures with hostile ones.
+func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m int) (selectLevel, bool)) (extmem.Element, error) {
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
+	cur := a
+	for cur.Len()*a.B() > env.M/2 {
+		lv, ok := plan(cur.Len(), a.B(), env.M)
+		if !ok {
+			// The terminating path: sort (a copy of the caller's array).
+			if cur.Base() == a.Base() {
+				cur = env.D.Alloc(a.Len())
+				scanCopy(env, a, cur, func(int, []extmem.Element) {})
+			}
+			out, err := quantilesBySort(env, cur, []int64{k})
+			if err != nil {
+				return extmem.Element{}, fmt.Errorf("%w: rank %d out of range", ErrSelectFailed, k)
+			}
+			return out[0], nil
+		}
+		x, y, err := selectBracket(env, cur, k, lv)
+		if err != nil {
+			return extmem.Element{}, err
+		}
+		// One scan keeps x <= e <= y and counts rank(x) on the side; the
+		// predicate runs on Consolidate's workers, hence the atomic.
+		var below atomic.Int64
+		cons, inRange := route.Consolidate(env, cur, func(e extmem.Element) bool {
+			if !e.Occupied() {
+				return false
+			}
+			if x.greaterElem(e) {
+				below.Add(1)
+				return false
+			}
+			return !y.lessElem(e)
+		})
+		target := k - below.Load()
+		if target < 1 || target > inRange {
+			return extmem.Element{}, fmt.Errorf("%w: bracket missed the target (rank(x)=%d, in-range=%d, k=%d)", ErrSelectFailed, below.Load(), inRange, k)
+		}
+		if inRange > int64(lv.next*a.B()) {
+			return extmem.Element{}, fmt.Errorf("%w: range size %d exceeds %d", ErrSelectFailed, inRange, lv.next*a.B())
+		}
+		route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
+		cur, k = cons.Slice(0, lv.next), target
+	}
+	return selectInCache(env, cur, int(k))
+}
 
-	// Pass 1: copy the input (clearing stale marks), count N, find min/max.
-	work := env.D.Alloc(n)
-	var total int64
-	var lo, hi extmem.Element
-	first := true
-	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			blk[t].Flags &^= extmem.FlagMarked
-			if !blk[t].Occupied() {
+// selectBracket scans cur once, keeping each occupied element with
+// probability lv.p in a private buffer of M/2 elements (one coin per cell
+// slot, so the tape is consumed data-independently), and returns the sample
+// elements at the two ranks that bracket rank k, infinite where a rank is
+// off the sample.
+func selectBracket(env *extmem.Env, cur extmem.Array, k int64, lv selectLevel) (x, y bound, err error) {
+	sample := env.Cache.Buf(env.M / 2)[:0]
+	defer env.Cache.Free(sample)
+	var total, sampled int64
+	scanRead(env, cur, func(_ int, blk []extmem.Element) {
+		for _, e := range blk {
+			coin := env.Tape.CoinP(lv.p)
+			if !e.Occupied() {
 				continue
 			}
 			total++
-			if first {
-				lo, hi = blk[t], blk[t]
-				first = false
-				continue
-			}
-			if blk[t].Less(lo) {
-				lo = blk[t]
-			}
-			if hi.Less(blk[t]) {
-				hi = blk[t]
+			if coin {
+				sampled++
+				if len(sample) < cap(sample) {
+					sample = append(sample, e)
+				}
 			}
 		}
 	})
 	if k < 1 || k > total {
-		return extmem.Element{}, fmt.Errorf("%w: rank %d out of range [1,%d]", ErrSelectFailed, k, total)
+		return x, y, fmt.Errorf("%w: rank %d out of range [1,%d]", ErrSelectFailed, k, total)
 	}
-	nf := float64(total)
-
-	// Small inputs: one in-cache selection (the powers of N below are
-	// meaningless at tiny N, and the whole input fits private memory).
-	if int(total) <= env.M/2 {
-		return selectInCache(env, work, int(k))
+	if sampled > int64(cap(sample)) {
+		return x, y, fmt.Errorf("%w: sample size %d exceeds %d", ErrSelectFailed, sampled, cap(sample))
 	}
-
-	sqrtN := math.Sqrt(nf)
-	n38 := math.Pow(nf, 0.375)
-	cap1 := int64(math.Ceil(sqrtN + n38))
-	cap2 := int64(math.Ceil(8 * math.Pow(nf, 0.875)))
-	if cap2 > total {
-		cap2 = total
+	obsort.InCache(sample, obsort.ByKey)
+	mu := float64(k) * lv.p
+	dev := math.Sqrt(2 * lv.slack * mu)
+	x, y = bound{neg: true}, bound{pos2: true}
+	if rx := min(int(math.Floor(mu-dev)), len(sample)); rx >= 1 {
+		x = boundOf(sample[rx-1])
 	}
-
-	// Pass 2: Bernoulli(N^{-1/2}) sampling; one coin per cell slot so the
-	// tape consumption is data-independent.
-	var sampled int64
-	scanRMW(env, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			coin := env.Tape.CoinP(1 / sqrtN)
-			if coin && blk[t].Occupied() {
-				blk[t].Flags |= extmem.FlagMarked
-				sampled++
-			}
-		}
-	})
-
-	// Compact the sample: consolidation then tight compaction.
-	rCap1 := extmem.CeilDiv(int(cap1), b) + 1
-	sample, _, err := CompactMarkedTight(env, work, rCap1)
-	if err != nil {
-		return extmem.Element{}, err
+	if ry := int(math.Ceil(mu + dev + lv.slack)); ry <= len(sample) {
+		y = boundOf(sample[ry-1])
 	}
-	if sampled > cap1 {
-		return extmem.Element{}, fmt.Errorf("%w: sample size %d exceeds %d", ErrSelectFailed, sampled, cap1)
-	}
-	obsort.Bitonic(env, sample, obsort.ByKey)
-
-	// Bracket ranks within the sorted sample (1-based).
-	rx := int64(math.Ceil(float64(k)/sqrtN - n38))
-	ry := sampled - int64(math.Ceil(float64(total-k)/sqrtN-2*n38))
-	x := bound{neg: true}
-	y := bound{pos2: true}
-	var idx int64
-	scanRead(env, sample, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			if !blk[t].Occupied() {
-				continue
-			}
-			idx++
-			if idx == rx {
-				x = boundOf(blk[t])
-			}
-			if idx == ry {
-				y = boundOf(blk[t])
-			}
-		}
-	})
-	// x = max(x', min(A)) and y = min(y', max(A)): since min(A) is a lower
-	// bound on everything, the max only matters when x' = -inf, and
-	// symmetrically for y'.
-	if x.neg {
-		x = boundOf(lo)
-	}
-	if y.pos2 {
-		y = boundOf(hi)
-	}
-
-	// Pass 3: clear the sampling marks, mark elements in [x, y], count
-	// rank(x) and the range size.
-	var rankX, inRange int64
-	scanRMW(env, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			blk[t].Flags &^= extmem.FlagMarked
-			if !blk[t].Occupied() {
-				continue
-			}
-			e := blk[t]
-			switch {
-			case x.greaterElem(e):
-				rankX++
-			case !y.lessElem(e): // x <= e <= y
-				blk[t].Flags |= extmem.FlagMarked
-				inRange++
-			}
-		}
-	})
-	target := k - rankX
-	if target < 1 || target > inRange {
-		return extmem.Element{}, fmt.Errorf("%w: bracket missed the target (rank(x)=%d, in-range=%d, k=%d)", ErrSelectFailed, rankX, inRange, k)
-	}
-	if inRange > cap2 {
-		return extmem.Element{}, fmt.Errorf("%w: range size %d exceeds %d", ErrSelectFailed, inRange, cap2)
-	}
-
-	// Compact and sort the range, then read off the target rank.
-	rCap2 := extmem.CeilDiv(int(cap2), b) + 1
-	d, _, err := CompactMarkedTight(env, work, rCap2)
-	if err != nil {
-		return extmem.Element{}, err
-	}
-	obsort.Bitonic(env, d, obsort.ByKey)
-
-	var result extmem.Element
-	idx = 0
-	scanRead(env, d, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			if !blk[t].Occupied() {
-				continue
-			}
-			idx++
-			if idx == target {
-				result = blk[t]
-			}
-		}
-	})
-	if !result.Occupied() {
-		return extmem.Element{}, fmt.Errorf("%w: target rank never materialized", ErrSelectFailed)
-	}
-	result.Flags &^= extmem.FlagMarked
-	return result, nil
+	return x, y, nil
 }
 
-// selectInCache reads every occupied element into private memory and picks
-// the k-th there; the trace is a single scan.
+// selectInCache reads every occupied element of a, at most M/2 cells, into
+// private memory and picks the k-th there; the trace is a single scan.
 func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, error) {
-	var all []extmem.Element
-	env.Cache.Acquire(env.M / 2)
+	all := env.Cache.Buf(env.M / 2)[:0]
+	defer env.Cache.Free(all)
 	scanRead(env, a, func(_ int, blk []extmem.Element) {
 		for _, e := range blk {
 			if e.Occupied() {
@@ -233,11 +202,40 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 		}
 	})
 	obsort.InCache(all, obsort.ByKey)
-	env.Cache.Release(env.M / 2)
 	if k < 1 || k > len(all) {
 		return extmem.Element{}, fmt.Errorf("%w: rank %d of %d", ErrSelectFailed, k, len(all))
 	}
-	e := all[k-1]
-	e.Flags &^= extmem.FlagMarked
-	return e, nil
+	return all[k-1], nil
+}
+
+// SelectIOCount predicts the exact block I/Os of Select on nBlocks blocks of
+// b elements with a cache of m: per narrowing level one sample scan, one
+// consolidation and one butterfly compaction of the level's length, then the
+// in-cache scan or the sort tail.
+func SelectIOCount(nBlocks, b, m int) int64 { ios, _ := selectCost(nBlocks, b, m); return ios }
+
+// SelectRoundTrips predicts Select's vectored round trips when it is entered
+// with the whole cache free and batches are bounded by the cache alone (no
+// MaxBatch, no Prefetch); -1 where the plan ends in the sort tail, whose
+// engine has no exact round-trip predictor.
+func SelectRoundTrips(nBlocks, b, m int) int64 { _, rts := selectCost(nBlocks, b, m); return rts }
+
+func selectCost(nBlocks, b, m int) (ios, rts int64) {
+	scan := func(c int) int64 { // one scan of c blocks beside the M/2-element buffer
+		return int64(extmem.CeilDiv(c, min(max(c, 1), extmem.ScanBatchOf(m-m/2, b, 1))))
+	}
+	c := nBlocks
+	for c*b > m/2 {
+		lv, ok := selectPlan(c, b, m)
+		if !ok {
+			if c == nBlocks {
+				ios += int64(2 * c) // the copy that spares the caller's array
+			}
+			return ios + obsort.BitonicIOCount(c, b, m) + int64(c), -1
+		}
+		ios += int64(3*c) + int64(2*c)*int64(route.ButterflyPassCount(c, 0, m/b))
+		rts += scan(c) + route.ConsolidateRoundTrips(c, b, m) + route.CompactRoundTrips(c, 0, b, m)
+		c = lv.next
+	}
+	return ios + int64(c), rts + scan(c)
 }

@@ -15,6 +15,16 @@ type Cache struct {
 	used     int
 	high     int
 	strict   bool
+	slab     []Element // storage behind Buf, allocated on first use
+	top      int       // slab[top:] is free
+	carved   []carve   // the buffers carved from slab[:top], in address order
+}
+
+// carve is one buffer carved from the slab; a buffer freed out of order
+// stays in the list, marked, until everything above it is freed too.
+type carve struct {
+	off   int
+	freed bool
 }
 
 // NewCache returns an accountant for M elements of private memory. In
@@ -64,11 +74,44 @@ func (c *Cache) Release(n int) {
 	c.used -= n
 }
 
-// Buf checks out an n-element buffer.
+// Buf checks out an n-element zeroed buffer. Buffers are carved from one
+// capacity-sized slab, stack fashion: the pass-structured algorithms check
+// the same few buffers out and back in pass after pass, in LIFO order, so
+// after the first pass a checkout allocates nothing. A request the slab
+// cannot serve — an overdraft, or a hole pinned by an out-of-order Free —
+// gets ordinary heap storage.
 func (c *Cache) Buf(n int) []Element {
 	c.Acquire(n)
-	return make([]Element, n)
+	if n == 0 || c.top+n > c.capacity {
+		return make([]Element, n)
+	}
+	if c.slab == nil {
+		c.slab = make([]Element, c.capacity)
+	}
+	buf := c.slab[c.top : c.top+n : c.top+n]
+	clear(buf)
+	c.carved = append(c.carved, carve{off: c.top})
+	c.top += n
+	return buf
 }
 
-// Free returns a buffer checked out with Buf.
-func (c *Cache) Free(buf []Element) { c.Release(cap(buf)) }
+// Free returns a buffer checked out with Buf; the caller must not touch it
+// again. Like all accounting, Buf and Free belong to the coordinating
+// goroutine.
+func (c *Cache) Free(buf []Element) {
+	c.Release(cap(buf))
+	if cap(buf) == 0 {
+		return
+	}
+	first := &buf[:1][0]
+	for i := len(c.carved) - 1; i >= 0; i-- {
+		if &c.slab[c.carved[i].off] == first {
+			c.carved[i].freed = true
+			break
+		}
+	}
+	for i := len(c.carved) - 1; i >= 0 && c.carved[i].freed; i-- {
+		c.top = c.carved[i].off
+		c.carved = c.carved[:i]
+	}
+}

@@ -117,15 +117,17 @@ func (e *Env) ScanBatch(buffers int) int {
 		panic("extmem: ScanBatch needs at least one buffer")
 	}
 	free := e.M - e.Cache.Used()
-	k := free/(buffers*e.B()) - 1
-	if k < 1 {
-		if e.Cache.Strict() && free < buffers*e.B() {
-			panic(fmt.Sprintf("extmem: ScanBatch overdrawn in strict mode: %d elements free < %d buffers x %d block (M=%d, used=%d)",
-				free, buffers, e.B(), e.M, e.Cache.Used()))
-		}
-		k = 1
+	if e.Cache.Strict() && free < buffers*e.B() {
+		panic(fmt.Sprintf("extmem: ScanBatch overdrawn in strict mode: %d elements free < %d buffers x %d block (M=%d, used=%d)",
+			free, buffers, e.B(), e.M, e.Cache.Used()))
 	}
-	return k
+	return ScanBatchOf(free, e.B(), buffers)
+}
+
+// ScanBatchOf is ScanBatch as a function of the free cache alone, for the
+// round-trip predictors that replay a pass's batching without an Env.
+func ScanBatchOf(free, b, buffers int) int {
+	return max(1, free/(buffers*b)-1)
 }
 
 // ScanBatchN is ScanBatch clamped to the length of the region being

@@ -140,6 +140,55 @@ func TestCacheAccounting(t *testing.T) {
 	}
 }
 
+// Buf hands out zeroed, pairwise disjoint buffers whatever the order of the
+// frees, and a pass that checks its buffers out and back in allocates
+// nothing once the slab exists.
+func TestCacheBufReusesStorage(t *testing.T) {
+	c := NewCache(100, false)
+	fill := func(buf []Element, key uint64) {
+		for i := range buf {
+			buf[i] = Element{Key: key}
+		}
+	}
+	check := func(buf []Element, key uint64) {
+		t.Helper()
+		for i, e := range buf {
+			if e.Key != key {
+				t.Fatalf("element %d holds key %d, want %d: buffers overlap or are not zeroed", i, e.Key, key)
+			}
+		}
+	}
+	a, b, over := c.Buf(40), c.Buf(30), c.Buf(50) // the third overdraws the slab
+	fill(a, 1)
+	fill(b, 2)
+	fill(over, 3)
+	c.Free(a) // out of order: a's storage stays pinned under b
+	d := c.Buf(20)
+	check(d, 0)
+	fill(d, 4)
+	check(b, 2)
+	check(over, 3)
+	if len(append(b, Element{})) != 31 || d[0].Key != 4 {
+		t.Fatal("append to a full buffer wrote into its neighbour")
+	}
+	c.Free(over)
+	c.Free(d)
+	c.Free(b)
+	if c.Used() != 0 {
+		t.Fatalf("used = %d after frees, want 0", c.Used())
+	}
+	e := c.Buf(100) // everything popped: the whole slab is free again
+	check(e, 0)
+	c.Free(e)
+	if got := testing.AllocsPerRun(100, func() {
+		x, y := c.Buf(64), c.Buf(36)
+		c.Free(y)
+		c.Free(x)
+	}); got != 0 {
+		t.Fatalf("a balanced pass allocates %v objects, want 0", got)
+	}
+}
+
 func TestCacheStrictPanics(t *testing.T) {
 	c := NewCache(10, true)
 	defer func() {

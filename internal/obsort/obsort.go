@@ -84,6 +84,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	sp := env.Obs.Start("bitonic")
 	sp.SetAttrInt("blocks", int64(n))
 	sp.SetAttrInt("passes", int64(BitonicPassCount(n, b, env.M)))
+	sp.SetPredicted(BitonicIOCount(n, b, env.M), -1)
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
@@ -294,4 +295,19 @@ func BitonicPassCount(nBlocks, b, m int) int {
 		passes++
 	}
 	return passes
+}
+
+// BitonicIOCount predicts the exact block I/Os of one Bitonic call: 2·np per
+// pass over the padded length np, plus, when the block count is not a power
+// of two, the padding copy (n reads, np writes) and the copy back (2n).
+func BitonicIOCount(nBlocks, b, m int) int64 {
+	if nBlocks == 0 {
+		return 0
+	}
+	np := 1 << extmem.CeilLog2(nBlocks)
+	ios := int64(BitonicPassCount(nBlocks, b, m)) * int64(2*np)
+	if np != nBlocks {
+		ios += int64(3*nBlocks + np)
+	}
+	return ios
 }

@@ -46,15 +46,21 @@ func Split(n, w int) [][2]int {
 
 // For runs fn over the ranges of Split(n, w) on up to w goroutines and
 // waits for all of them. With w <= 1 (or a single range) it calls fn
-// inline — the serial path spawns nothing, so Workers=0/1 behaves exactly
-// like code written without this package. fn must not touch the extmem
-// cache accountant or perform Disk I/O; both belong to the caller, before
-// and after the fan-out.
+// inline — the serial path spawns nothing and allocates nothing, so
+// Workers=0/1 behaves exactly like code written without this package. fn
+// must not touch the extmem cache accountant or perform Disk I/O; both
+// belong to the caller, before and after the fan-out.
 //
 // A panic inside any worker is captured and re-raised on the calling
 // goroutine after every worker has finished, so buffers owned by the
 // caller are never written concurrently with the unwinding.
 func For(w, n int, fn func(lo, hi int)) {
+	if w <= 1 || n <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
 	ForWorker(w, n, func(_, lo, hi int) { fn(lo, hi) })
 }
 
@@ -63,14 +69,13 @@ func For(w, n int, fn func(lo, hi int)) {
 // pre-allocated scratch. Worker i processes exactly the i-th Split range —
 // the assignment is static, never raced for.
 func ForWorker(w, n int, fn func(worker, lo, hi int)) {
-	ranges := Split(n, w)
-	switch len(ranges) {
-	case 0:
-		return
-	case 1:
-		fn(0, ranges[0][0], ranges[0][1])
+	if w <= 1 || n <= 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
 		return
 	}
+	ranges := Split(n, w)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var failure any

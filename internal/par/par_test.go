@@ -91,3 +91,22 @@ func TestForPropagatesPanic(t *testing.T) {
 		}
 	})
 }
+
+// The serial path is what every pass runs at Workers <= 1, once per cache
+// chunk: it must cost a call, not a Split slice and a wrapper closure.
+func TestForSerialZeroAllocs(t *testing.T) {
+	sum := 0
+	fn := func(lo, hi int) { sum += hi - lo }
+	fnw := func(_, lo, hi int) { sum += hi - lo }
+	for _, tc := range []struct{ w, n int }{{0, 100}, {1, 100}, {8, 1}, {4, 0}} {
+		if got := testing.AllocsPerRun(100, func() {
+			For(tc.w, tc.n, fn)
+			ForWorker(tc.w, tc.n, fnw)
+		}); got != 0 {
+			t.Errorf("For/ForWorker(w=%d, n=%d) allocate %v objects per call, want 0", tc.w, tc.n, got)
+		}
+	}
+	if sum == 0 {
+		t.Fatal("serial path never ran fn")
+	}
+}

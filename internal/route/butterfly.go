@@ -99,35 +99,40 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	rank := 0
 	occ := make([]bool, k)
 	rk := make([]int, k)
-	for lo := 0; lo < n; lo += k {
+	// The two fan-out bodies are built once and read the chunk origin
+	// through lo, so a chunk costs no closure.
+	var lo int
+	classify := func(plo, phi int) {
+		for x := plo; x < phi; x++ {
+			occ[x] = pred(buf[x*b : (x+1)*b])
+		}
+	}
+	stamp := func(plo, phi int) {
+		for x := plo; x < phi; x++ {
+			blk := buf[x*b : (x+1)*b]
+			for t := range blk {
+				if occ[x] {
+					blk[t].SetCellDest(rk[x])
+					blk[t].SetAux(lo + x)
+				} else {
+					blk[t].SetCellDest(0)
+					blk[t].SetAux(0)
+				}
+			}
+		}
+	}
+	for lo = 0; lo < n; lo += k {
 		hi := min(lo+k, n)
 		cnt := hi - lo
 		a.ReadRange(lo, hi, buf[:cnt*b])
-		parFor(nw, cnt, func(plo, phi int) {
-			for x := plo; x < phi; x++ {
-				occ[x] = pred(buf[x*b : (x+1)*b])
-			}
-		})
+		parFor(nw, cnt, classify)
 		for x := 0; x < cnt; x++ {
 			rk[x] = rank
 			if occ[x] {
 				rank++
 			}
 		}
-		parFor(nw, cnt, func(plo, phi int) {
-			for x := plo; x < phi; x++ {
-				blk := buf[x*b : (x+1)*b]
-				for t := range blk {
-					if occ[x] {
-						blk[t].SetCellDest(rk[x])
-						blk[t].SetAux(lo + x)
-					} else {
-						blk[t].SetCellDest(0)
-						blk[t].SetAux(0)
-					}
-				}
-			}
-		})
+		parFor(nw, cnt, stamp)
 		a.WriteRange(lo, hi, buf[:cnt*b])
 	}
 	env.Cache.Free(buf)
@@ -199,21 +204,18 @@ func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass
 	routeRight(env, a, pred, levelsPerPass)
 }
 
-// groupSize resolves the number of network levels to process per pass.
-func groupSize(env *extmem.Env, levelsPerPass int) int {
+// groupSize resolves the number of network levels to process per pass
+// against a cache of mBlocks blocks.
+func groupSize(mBlocks, levelsPerPass int) int {
 	if levelsPerPass > 0 {
 		return levelsPerPass
 	}
-	m := env.MBlocks()
 	// Private window of 2w cells plus an I/O block: 2w+2 <= m.
 	g := 0
-	for w := 1; 4*w+2 <= m; w *= 2 {
+	for w := 1; 4*w+2 <= mBlocks; w *= 2 {
 		g++
 	}
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(g, 1)
 }
 
 // windowCells returns the half-window size w = 2^g, checking the cache can
@@ -231,7 +233,7 @@ func windowCells(env *extmem.Env, g int) int {
 func routeLeft(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
 	n := a.Len()
 	levels := extmem.CeilLog2(n)
-	g := groupSize(env, levelsPerPass)
+	g := groupSize(env.MBlocks(), levelsPerPass)
 
 	for i0 := 0; i0 < levels; i0 += g {
 		gg := g
@@ -268,82 +270,82 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 	// and the block copies into distinct slots fan back out.
 	slotOf := make([]int, cb)
 
-	for c := 0; c < s && c < n; c++ {
-		lv := (n - c + s - 1) / s // virtual length of this residue class
-		loaded := 0
-		load := func(hi int) {
-			for loaded < hi {
-				cnt := min(cb, hi-loaded)
-				for t := 0; t < cnt; t++ {
-					idx[t] = c + (loaded+t)*s
-				}
-				a.ReadMany(idx[:cnt], io[:cnt*b])
-				parFor(nw, cnt, func(plo, phi int) {
-					for t := plo; t < phi; t++ {
-						blk := io[t*b : (t+1)*b]
-						slotOf[t] = -1
-						if !pred(blk) {
-							continue
-						}
-						j := idx[t]
-						dist := j - blk[0].CellDest()
-						if dist < 0 || dist%s != 0 {
-							panic("route: butterfly invariant violated (distance not multiple of stride)")
-						}
-						move := dist % modulus / s
-						fin := loaded + t - move
-						slotOf[t] = ((fin % (2 * w)) + 2*w) % (2 * w)
-					}
-				})
-				for t := 0; t < cnt; t++ {
-					if slotOf[t] < 0 {
-						continue
-					}
-					if live[slotOf[t]] {
-						panic("route: butterfly collision (Lemma 5 violated)")
-					}
-					live[slotOf[t]] = true
-				}
-				parFor(nw, cnt, func(plo, phi int) {
-					for t := plo; t < phi; t++ {
-						if slotOf[t] >= 0 {
-							copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
-						}
-					}
-				})
-				loaded += cnt
+	// Every closure below is built once per group, not per residue class or
+	// per chunk: c, loaded and lo are the loop state they read.
+	var c, loaded, lo int
+	place := func(plo, phi int) {
+		for t := plo; t < phi; t++ {
+			blk := io[t*b : (t+1)*b]
+			slotOf[t] = -1
+			if !pred(blk) {
+				continue
+			}
+			j := idx[t]
+			dist := j - blk[0].CellDest()
+			if dist < 0 || dist%s != 0 {
+				panic("route: butterfly invariant violated (distance not multiple of stride)")
+			}
+			move := dist % modulus / s
+			fin := loaded + t - move
+			slotOf[t] = ((fin % (2 * w)) + 2*w) % (2 * w)
+		}
+	}
+	stow := func(plo, phi int) {
+		for t := plo; t < phi; t++ {
+			if slotOf[t] >= 0 {
+				copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
 			}
 		}
+	}
+	// Output cells in [lo, chi) span less than 2w virtual positions, so
+	// their slots are pairwise distinct — each worker touches its own stash
+	// slots and live entries.
+	emit := func(plo, phi int) {
+		for out := lo + plo; out < lo+phi; out++ {
+			slot := out % (2 * w)
+			dst := io[(out-lo)*b : (out-lo+1)*b]
+			if live[slot] {
+				copy(dst, stash[slot*b:(slot+1)*b])
+				live[slot] = false
+			} else {
+				for i := range dst {
+					dst[i] = extmem.Element{}
+				}
+			}
+			idx[out-lo] = c + out*s
+		}
+	}
+	load := func(hi int) {
+		for loaded < hi {
+			cnt := min(cb, hi-loaded)
+			for t := 0; t < cnt; t++ {
+				idx[t] = c + (loaded+t)*s
+			}
+			a.ReadMany(idx[:cnt], io[:cnt*b])
+			parFor(nw, cnt, place)
+			for t := 0; t < cnt; t++ {
+				if slotOf[t] < 0 {
+					continue
+				}
+				if live[slotOf[t]] {
+					panic("route: butterfly collision (Lemma 5 violated)")
+				}
+				live[slotOf[t]] = true
+			}
+			parFor(nw, cnt, stow)
+			loaded += cnt
+		}
+	}
+
+	for c = 0; c < s && c < n; c++ {
+		lv := (n - c + s - 1) / s // virtual length of this residue class
+		loaded = 0
 		for t := 0; t*w < lv; t++ {
-			hi := (t + 2) * w
-			if hi > lv {
-				hi = lv
-			}
-			load(hi)
-			outHi := (t + 1) * w
-			if outHi > lv {
-				outHi = lv
-			}
-			for lo := t * w; lo < outHi; lo += cb {
+			load(min((t+2)*w, lv))
+			outHi := min((t+1)*w, lv)
+			for lo = t * w; lo < outHi; lo += cb {
 				chi := min(lo+cb, outHi)
-				// Output cells in [lo, chi) span less than 2w virtual
-				// positions, so their slots are pairwise distinct — each
-				// worker touches its own stash slots and live entries.
-				parFor(nw, chi-lo, func(plo, phi int) {
-					for out := lo + plo; out < lo+phi; out++ {
-						slot := out % (2 * w)
-						dst := io[(out-lo)*b : (out-lo+1)*b]
-						if live[slot] {
-							copy(dst, stash[slot*b:(slot+1)*b])
-							live[slot] = false
-						} else {
-							for i := range dst {
-								dst[i] = extmem.Element{}
-							}
-						}
-						idx[out-lo] = c + out*s
-					}
-				})
+				parFor(nw, chi-lo, emit)
 				a.WriteMany(idx[:chi-lo], io[:(chi-lo)*b])
 			}
 		}
@@ -357,7 +359,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 func routeRight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
 	n := a.Len()
 	levels := extmem.CeilLog2(n)
-	g := groupSize(env, levelsPerPass)
+	g := groupSize(env.MBlocks(), levelsPerPass)
 
 	// Build the same group boundaries as routeLeft, then run them in
 	// reverse order.
@@ -495,16 +497,32 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 // routing makes: one labelling pass plus one per level group. E4 checks
 // measured I/O against 2n times this.
 func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
-	levels := extmem.CeilLog2(n)
-	g := levelsPerPass
-	if g <= 0 {
-		g = 0
-		for w := 1; 4*w+2 <= mBlocks; w *= 2 {
-			g++
-		}
-		if g < 1 {
-			g = 1
+	g := groupSize(mBlocks, levelsPerPass)
+	return 1 + (extmem.CeilLog2(n)+g-1)/g
+}
+
+// CompactRoundTrips predicts the vectored round trips of CompactBlocksTight
+// on n blocks of b elements, entered with all m elements of the cache free
+// and batches bounded by the cache alone: the labelling pass, then per
+// level group and residue class the chunked window loads and output writes
+// of routeGroupLeft.
+func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
+	if n == 0 {
+		return 0
+	}
+	rt := 2 * int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(m, b, 1))))
+	levels, g := extmem.CeilLog2(n), groupSize(m/b, levelsPerPass)
+	for i0 := 0; i0 < levels; i0 += g {
+		s, w := 1<<i0, 1<<min(g, levels-i0)
+		cb := min(w, extmem.ScanBatchOf(m-2*w*b, b, 1))
+		for c := 0; c < s && c < n; c++ {
+			lv := (n - c + s - 1) / s
+			for t, loaded := 0, 0; t*w < lv; t++ {
+				hi := min((t+2)*w, lv)
+				rt += int64(extmem.CeilDiv(hi-loaded, cb) + extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
+				loaded = hi
+			}
 		}
 	}
-	return 1 + (levels+g-1)/g
+	return rt
 }

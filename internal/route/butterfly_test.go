@@ -137,7 +137,7 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 
 func TestButterflyIOMatchesPassCount(t *testing.T) {
 	for _, cfg := range []struct{ n, m, lpp int }{
-		{64, 48, 0}, {64, 48, 1}, {128, 24, 0}, {100, 48, 2},
+		{64, 48, 0}, {64, 48, 1}, {128, 24, 0}, {100, 48, 2}, {1000, 512, 0}, {37, 1024, 0},
 	} {
 		env := newEnv(cfg.n+8, 4, cfg.m, 5)
 		a := env.D.Alloc(cfg.n)
@@ -149,6 +149,9 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 		want := int64(ButterflyPassCount(cfg.n, cfg.lpp, cfg.m/4)) * int64(2*cfg.n)
 		if got != want {
 			t.Errorf("n=%d m=%d lpp=%d: measured %d I/Os, predicted %d", cfg.n, cfg.m, cfg.lpp, got, want)
+		}
+		if got, want := env.D.Stats().RoundTrips, CompactRoundTrips(cfg.n, cfg.lpp, 4, cfg.m); got != want {
+			t.Errorf("n=%d m=%d lpp=%d: measured %d round trips, predicted %d", cfg.n, cfg.m, cfg.lpp, got, want)
 		}
 	}
 }
@@ -244,4 +247,42 @@ func TestFigure1Example(t *testing.T) {
 			t.Fatalf("cell %d should hold the block from position %d, got %d", k, k+d, keys[k])
 		}
 	}
+}
+
+// benchCells is the benchmark geometry's compaction input: n = 2^13 cells
+// of B = 8, every third one occupied, against M = 4096.
+func benchCells() (*extmem.Env, extmem.Array) {
+	const n, b, m = 1 << 13, 8, 4096
+	env := newEnv(n, b, m, 9)
+	a := env.D.Alloc(n)
+	buf := make([]extmem.Element, n*b)
+	for i := range buf {
+		if i/b%3 == 0 {
+			buf[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
+		}
+	}
+	a.WriteRange(0, n, buf)
+	return env, a
+}
+
+// One compaction runs thousands of cache chunks; its allocations must be
+// per call and per level group (buffers, closures), never per chunk. At
+// this geometry the per-chunk closures used to cost over 2 000 objects.
+func TestCompactBlocksTightAllocCeiling(t *testing.T) {
+	env, a := benchCells()
+	if got := testing.AllocsPerRun(3, func() {
+		CompactBlocksTight(env, a, PredOccupied, 0)
+	}); got > 40 {
+		t.Fatalf("CompactBlocksTight allocated %v objects, want <= 40", got)
+	}
+}
+
+func BenchmarkCompactBlocksTight(b *testing.B) {
+	env, a := benchCells()
+	env.D.ResetStats()
+	b.ReportAllocs()
+	for b.Loop() {
+		CompactBlocksTight(env, a, PredOccupied, 0)
+	}
+	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
 }

@@ -51,22 +51,23 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	// intra-block gather run in parallel (each block's kept elements are
 	// compacted, stably, to its front in the private buffer); the serial
 	// lag loop then absorbs the pre-gathered runs.
+	gather := func(plo, phi int) { // built once: a chunk costs no closure
+		for x := plo; x < phi; x++ {
+			blk := in[x*b : (x+1)*b]
+			w := 0
+			for t := range blk {
+				if keep(blk[t]) {
+					blk[w] = blk[t]
+					w++
+				}
+			}
+			kcnt[x] = w
+		}
+	}
 	for lo := 0; lo < n; lo += k {
 		hi := min(lo+k, n)
 		a.ReadRange(lo, hi, in[:(hi-lo)*b])
-		parFor(nw, hi-lo, func(plo, phi int) {
-			for x := plo; x < phi; x++ {
-				blk := in[x*b : (x+1)*b]
-				w := 0
-				for t := range blk {
-					if keep(blk[t]) {
-						blk[w] = blk[t]
-						w++
-					}
-				}
-				kcnt[x] = w
-			}
-		})
+		parFor(nw, hi-lo, gather)
 		for i := lo; i < hi; i++ {
 			x := i - lo
 			copy(hold[pending:pending+kcnt[x]], in[x*b:x*b+kcnt[x]])
@@ -106,4 +107,15 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	env.Cache.Free(in)
 	env.Cache.Free(hold)
 	return out, kept
+}
+
+// ConsolidateRoundTrips predicts the vectored round trips of Consolidate on
+// n blocks of b elements, entered with all m elements of the cache free and
+// batches bounded by the cache alone: one per input chunk and one per output
+// chunk, both of the size two streams share beside the 2B holding buffer.
+func ConsolidateRoundTrips(n, b, m int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return 2 * int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(m-2*b, b, 2))))
 }

@@ -100,16 +100,22 @@ func TestConsolidateBasic(t *testing.T) {
 }
 
 func TestConsolidateIOExact(t *testing.T) {
-	// Lemma 3: a single scan — n reads of A and n writes of A'.
-	env := newEnv(64, 4, 16, 3)
-	a := env.D.Alloc(20)
-	r := rand.New(rand.NewPCG(2, 2))
-	writeElems(a, randomMarkedInput(r, 80, 33))
-	env.D.ResetStats()
-	Consolidate(env, a, extmem.Element.Marked)
-	st := env.D.Stats()
-	if st.Reads != 20 || st.Writes != 20 {
-		t.Fatalf("I/O = %+v, want exactly 20 reads and 20 writes", st)
+	// Lemma 3: a single scan — n reads of A and n writes of A', in the
+	// predicted number of cache-sized batches.
+	for _, m := range []int{16, 64, 1024} {
+		env := newEnv(64, 4, m, 3)
+		a := env.D.Alloc(20)
+		r := rand.New(rand.NewPCG(2, 2))
+		writeElems(a, randomMarkedInput(r, 80, 33))
+		env.D.ResetStats()
+		Consolidate(env, a, extmem.Element.Marked)
+		st := env.D.Stats()
+		if st.Reads != 20 || st.Writes != 20 {
+			t.Fatalf("M=%d: I/O = %+v, want exactly 20 reads and 20 writes", m, st)
+		}
+		if want := ConsolidateRoundTrips(20, 4, m); st.RoundTrips != want {
+			t.Fatalf("M=%d: %d round trips, predicted %d", m, st.RoundTrips, want)
+		}
 	}
 }
 

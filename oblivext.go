@@ -1072,6 +1072,7 @@ func (a *Array) SortDeterministic() {
 func (a *Array) Select(k int64) (Record, error) {
 	sp := a.c.env.Obs.Start("select")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
+	sp.SetPredicted(core.SelectIOCount(a.arr.Len(), a.arr.B(), a.c.env.M), core.SelectRoundTrips(a.arr.Len(), a.arr.B(), a.c.env.M))
 	sp.Audit(a.c.auditKey("select", a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	e, err := core.Select(a.c.env, a.arr, k)
