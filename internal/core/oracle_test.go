@@ -7,7 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"oblivext/internal/emsort"
 	"oblivext/internal/extmem"
+	"oblivext/internal/obsort"
+	"oblivext/internal/workload"
 )
 
 // The differential oracle: Select, Quantiles and selectInCache against a
@@ -170,6 +173,61 @@ func TestDifferentialOracle(t *testing.T) {
 						for i, e := range got {
 							if !sameItem(e, ref[want[i]-1]) {
 								t.Fatalf("Quantiles(%d)[%d] (rank %d) = %+v, want %+v", q, i, want[i], e, ref[want[i]-1])
+							}
+						}
+						return nil
+					})
+				}
+			})
+		}
+	}
+}
+
+// TestSorterDifferentialOracle is the sibling of the test of the same name
+// in internal/obsort: the randomized Sort (Theorem 21) and the non-oblivious
+// emsort baseline over the same shared corpus, against the same
+// sort.SliceStable reference. Sort orders by (Key, Pos) only; emsort takes
+// every padded order.
+func TestSorterDifferentialOracle(t *testing.T) {
+	const b = 8
+	sorters := []struct {
+		name string
+		minM int // smallest M the sorter's own passes accept
+		less obsort.Less
+		sort func(env *extmem.Env, a extmem.Array) error
+	}{
+		{"randomized/ByKey", 16 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { return Sort(env, a, SortParams{}) }},
+		{"emsort/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
+		{"emsort/ByPos", 4 * b, obsort.ByPos, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByPos); return nil }},
+	}
+	corpus := workload.SortCorpus(b)
+	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
+		for _, s := range sorters {
+			if m < s.minM {
+				continue
+			}
+			t.Run(fmt.Sprintf("M=%d/%s", m, s.name), func(t *testing.T) {
+				for _, c := range corpus {
+					retryDeclared(t, ErrSortFailed, func(seed uint64) error {
+						env := newTestEnv(64, b, m, seed)
+						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
+						writeElems(a, c.Slots)
+						ref := readElems(a)
+						sort.SliceStable(ref, func(i, j int) bool { return s.less(ref[i], ref[j]) })
+						env.Cache.ResetHighWater()
+						if err := s.sort(env, a); err != nil {
+							return err
+						}
+						if used := env.Cache.Used(); used != 0 {
+							t.Fatalf("%s: %d words left checked out", c.Name, used)
+						}
+						if hw := env.Cache.HighWater(); hw > m {
+							t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
+						}
+						got := readElems(a)
+						for i := range ref {
+							if got[i].Occupied() != ref[i].Occupied() || (ref[i].Occupied() && !sameItem(got[i], ref[i])) {
+								t.Fatalf("%s: cell %d = %+v, reference %+v", c.Name, i, got[i], ref[i])
 							}
 						}
 						return nil

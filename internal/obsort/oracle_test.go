@@ -1,0 +1,114 @@
+package obsort
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"oblivext/internal/extmem"
+	"oblivext/internal/workload"
+)
+
+// The sorters' differential oracle: every engine this package owns, under
+// every exported order, against a sort.SliceStable reference over the shared
+// corpus (workload.SortCorpus), at cache sizes from M/B = 4 to 512. The
+// sibling test in internal/core runs core.Sort and emsort over the same
+// corpus.
+
+// oracleOrders are the orders under test. ByRawKey has no empties-last rule,
+// so an engine's +infinity padding is not last under it; it is exercised
+// only where no engine pads — a fully occupied power-of-two block count.
+var oracleOrders = []struct {
+	name   string
+	less   Less
+	padded bool
+}{
+	{"ByKey", ByKey, true},
+	{"ByPos", ByPos, true},
+	{"ByRawKey", ByRawKey, false},
+}
+
+// layCase writes the case into a fresh array and returns every cell of the
+// array (the slots plus the empty fill of the last block) in reference
+// order under less.
+func layCase(env *extmem.Env, c workload.SortCase, b int, less Less) (extmem.Array, []extmem.Element) {
+	a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
+	cells := make([]extmem.Element, a.Len()*b)
+	copy(cells, c.Slots)
+	for blk := 0; blk < a.Len(); blk++ {
+		a.Write(blk, cells[blk*b:(blk+1)*b])
+	}
+	sort.SliceStable(cells, func(i, j int) bool { return less(cells[i], cells[j]) })
+	return a, cells
+}
+
+// unpadded reports whether no engine pads the case: every cell occupied and
+// the block count a power of two.
+func unpadded(c workload.SortCase, b int) bool {
+	n := len(c.Slots)
+	if n == 0 || n%b != 0 || (n/b)&(n/b-1) != 0 {
+		return false
+	}
+	for _, e := range c.Slots {
+		if !e.Occupied() {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstReference compares a sorted array with the reference cell by
+// cell: occupancy everywhere, and (Key, Pos, Val) of every occupied cell —
+// the content of an empty cell is don't-care under padded semantics.
+func checkAgainstReference(t *testing.T, name string, got, ref []extmem.Element) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: array has %d cells, reference %d", name, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i].Occupied() != ref[i].Occupied() {
+			t.Fatalf("%s: cell %d: occupied = %v, reference %v", name, i, got[i].Occupied(), ref[i].Occupied())
+		}
+		if ref[i].Occupied() && (got[i].Key != ref[i].Key || got[i].Pos != ref[i].Pos || got[i].Val != ref[i].Val) {
+			t.Fatalf("%s: cell %d = %+v, reference %+v", name, i, got[i], ref[i])
+		}
+	}
+}
+
+func TestSorterDifferentialOracle(t *testing.T) {
+	const b = 8
+	engines := []struct {
+		name string
+		sort Sorter
+	}{
+		{EngineBitonic, Bitonic},
+		{EngineZigzag, Zigzag},
+		{EngineBucket, BucketSorter},
+		{EngineAuto, Auto},
+	}
+	corpus := workload.SortCorpus(b)
+	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
+		for _, eng := range engines {
+			for _, ord := range oracleOrders {
+				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, ord.name), func(t *testing.T) {
+					for _, c := range corpus {
+						if !ord.padded && !unpadded(c, b) {
+							continue
+						}
+						env := extmem.NewEnv(64, b, m, 7)
+						a, ref := layCase(env, c, b, ord.less)
+						env.Cache.ResetHighWater()
+						eng.sort(env, a, ord.less)
+						if used := env.Cache.Used(); used != 0 {
+							t.Fatalf("%s: %d words left checked out", c.Name, used)
+						}
+						if hw := env.Cache.HighWater(); hw > m {
+							t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
+						}
+						checkAgainstReference(t, c.Name, readAll(a), ref)
+					}
+				})
+			}
+		}
+	}
+}
