@@ -53,7 +53,7 @@ func E7() *Table {
 			ratio(float64(stp), float64(sel)), f("%d", qs)})
 	}
 	t.Notes = append(t.Notes,
-		"Select overtakes sort-then-pick between N = 2M and N = 8M (a bitonic sort of two cache loads is all but free), and the win grows with N as linear-vs-log² predicts. Each level draws a Bernoulli sample into M/2 words of private memory in one read-only scan, brackets the target between two sample ranks k·p ∓ (√(2Lμ) [+ L]) with L = ln 2^40, and moves the bracketed range into a prefix 0.51× as long with one consolidation and one butterfly compaction: 9 I/Os per block of the level, a geometric series of about 18 per input block in all (17.9 at N = 2^16, against 142 for the external-sample version this replaced). Measured equals core.SelectIOCount on every row.",
+		"Select is linear and sort-then-pick is not, but since bitonic packed its levels log₂(M/2B) address bits to a pass the sort costs 8 passes at N = 2^16, and the two are level there (win just under 1); the ratio grows with N as linear-vs-log²/log predicts and crosses 1 one size up. Each level draws a Bernoulli sample into M/2 words of private memory in one read-only scan, brackets the target between two sample ranks k·p ∓ (√(2Lμ) [+ L]) with L = ln 2^40, and moves the bracketed range into a prefix 0.51× as long with one consolidation and one butterfly compaction: 9 I/Os per block of the level, a geometric series of about 18 per input block in all (17.9 at N = 2^16, against 142 for the external-sample version this replaced). Measured equals core.SelectIOCount on every row.",
 		"The sample has to fit private memory: the shrink factor depends on M alone (0.33 at M = 8192, 0.51 at 4096) and passes 3/4 below M ≈ 2300 words, where Select sorts a copy and reads the rank off instead — still oblivious, no longer linear.",
 		"The paper notes this beats the Ω(n·log log n) compare-exchange lower bound of Leighton et al. — legitimately, because the algorithm also uses copies, sums and random hashing as primitives.")
 	return t
@@ -131,7 +131,7 @@ func E9() *Table {
 			col, f("%d", mrgIO), ratio(float64(bitIO), float64(randIO)), ratio(float64(randIO), float64(mrgIO))})
 	}
 	t.Notes = append(t.Notes,
-		"Measured story, honestly: at every size a laptop-scale simulation can reach, the deterministic sort's tiny constants win outright (bitonic/rand << 1) — the randomized pipeline pays for sampling, quantile sub-selections, shuffling, thinning and sweeping on every level. The paper's separation is asymptotic: the randomized sort's per-block I/O grows with the recursion depth log_{M/B}(N/B) (one extra level per (q+1)× growth in N) while the deterministic sort's grows with log²(N/M); the growth *rates* in the table reflect that, but the constants put the crossover far beyond feasible N. This matches the paper's framing — it claims asymptotic optimality, reporting no implementation.",
+		"Measured story, honestly: at every size a laptop-scale simulation can reach, the deterministic sort's tiny constants win outright (bitonic/rand << 1) — the randomized pipeline pays for sampling, quantile sub-selections, shuffling, thinning and sweeping on every level. The paper's separation is asymptotic: the randomized sort's per-block I/O grows with the recursion depth log_{M/B}(N/B) (one extra level per (q+1)× growth in N) while the deterministic sort's grows with log²(N/B)/log(M/2B); the growth *rates* in the table reflect that, but the constants put the crossover far beyond feasible N. This matches the paper's framing — it claims asymptotic optimality, reporting no implementation.",
 		"Columnsort stops being applicable beyond its r ≥ 2(s−1)² size limit, exactly the Chaudhry–Cormen limitation the paper cites; the non-oblivious mergesort shows the floor: obliviousness costs bitonic ~5-15× and the randomized sort far more at these sizes.")
 	return t
 }

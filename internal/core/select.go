@@ -217,7 +217,8 @@ func SelectIOCount(nBlocks, b, m int) int64 { ios, _ := selectCost(nBlocks, b, m
 // SelectRoundTrips predicts Select's vectored round trips when it is entered
 // with the whole cache free and batches are bounded by the cache alone (no
 // MaxBatch, no Prefetch); -1 where the plan ends in the sort tail, whose
-// engine has no exact round-trip predictor.
+// copy and rank scan this does not replay (the sort itself is
+// obsort.BitonicRoundTrips).
 func SelectRoundTrips(nBlocks, b, m int) int64 { _, rts := selectCost(nBlocks, b, m); return rts }
 
 func selectCost(nBlocks, b, m int) (ios, rts int64) {

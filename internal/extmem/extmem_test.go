@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -277,6 +278,49 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	if out[0] != (Element{}) {
 		t.Fatalf("unwritten block not zero: %+v", out[0])
+	}
+}
+
+// TestFileStoreOneCallPerRun pins the batch splitting a gather pass relies
+// on: 256 blocks in 8 consecutive runs of 32 cost 8 system calls each way,
+// in the order given, and round-trip intact.
+func TestFileStoreOneCallPerRun(t *testing.T) {
+	const b, runs, per = 2, 8, 32
+	s, err := NewFileStore(filepath.Join(t.TempDir(), "blocks.dat"), 1024, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var addrs []int
+	for r := range runs {
+		// Descending run bases: runs are split in the order given, not sorted.
+		for i := range per {
+			addrs = append(addrs, (runs-r)*100+i)
+		}
+	}
+	in := make([]Element, len(addrs)*b)
+	for i := range in {
+		in[i] = Element{Key: uint64(i), Flags: FlagOccupied}
+	}
+	if err := s.WriteBlocks(bg, addrs, in); err != nil {
+		t.Fatal(err)
+	}
+	if s.calls != runs {
+		t.Fatalf("write of %d blocks in %d runs issued %d calls", len(addrs), runs, s.calls)
+	}
+	out := make([]Element, len(in))
+	if err := s.ReadBlocks(bg, addrs, out); err != nil {
+		t.Fatal(err)
+	}
+	if s.calls != 2*runs {
+		t.Fatalf("read of %d blocks in %d runs issued %d calls", len(addrs), runs, s.calls-runs)
+	}
+	if !slices.Equal(in, out) {
+		t.Fatal("batch did not round-trip")
+	}
+	one := make([]Element, b)
+	if err := s.ReadBlocks(bg, []int{addrs[per]}, one); err != nil || one[0] != in[per*b] {
+		t.Fatalf("block %d holds %+v (err %v), want %+v", addrs[per], one[0], err, in[per*b])
 	}
 }
 

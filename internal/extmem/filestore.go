@@ -17,6 +17,7 @@ type FileStore struct {
 	n     int
 	slot  int
 	vwire []byte // scratch for transfers, grown on demand
+	calls int    // ReadAt/WriteAt calls issued, for the run-splitting test
 }
 
 // NewFileStore creates (truncating) a file-backed store of n blocks of b
@@ -40,55 +41,43 @@ func NewFileStore(path string, n, b int) (*FileStore, error) {
 	return s, nil
 }
 
-// ReadBlocks implements BlockStore. A contiguous address run is served with
-// one ReadAt covering the whole byte range; anything else costs one ReadAt
-// per block. Local I/O does not block on a peer, so ctx is not consulted.
+// ReadBlocks implements BlockStore. The address list is split, in the order
+// given, into maximal runs of consecutive addresses, and each run is served
+// with one ReadAt covering its whole byte range — a gather batch of a few
+// long runs costs a few system calls, not one per block. Local I/O does not
+// block on a peer, so ctx is not consulted.
 func (s *FileStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
 	if err := s.check(addrs, len(dst)); err != nil {
 		return err
 	}
-	if len(addrs) == 0 {
-		return nil
-	}
-	if contiguous(addrs) {
-		wire := s.vecWire(len(addrs))
-		if _, err := s.f.ReadAt(wire, int64(addrs[0])*int64(s.slot)); err != nil {
+	for i := 0; i < len(addrs); {
+		n := runLen(addrs[i:])
+		wire := s.vecWire(n)
+		s.calls++
+		if _, err := s.f.ReadAt(wire, int64(addrs[i])*int64(s.slot)); err != nil {
 			return err
 		}
-		DecodeElements(dst, wire)
-		return nil
-	}
-	wire := s.vecWire(1)
-	for i, addr := range addrs {
-		if _, err := s.f.ReadAt(wire, int64(addr)*int64(s.slot)); err != nil {
-			return err
-		}
-		DecodeElements(dst[i*s.b:(i+1)*s.b], wire)
+		DecodeElements(dst[i*s.b:(i+n)*s.b], wire)
+		i += n
 	}
 	return nil
 }
 
-// WriteBlocks implements BlockStore; a contiguous run goes to disk with one
-// WriteAt, anything else with one per block.
+// WriteBlocks implements BlockStore; each maximal consecutive run goes to
+// disk with one WriteAt.
 func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
 	if err := s.check(addrs, len(src)); err != nil {
 		return err
 	}
-	if len(addrs) == 0 {
-		return nil
-	}
-	if contiguous(addrs) {
-		wire := s.vecWire(len(addrs))
-		EncodeElements(wire, src)
-		_, err := s.f.WriteAt(wire, int64(addrs[0])*int64(s.slot))
-		return err
-	}
-	wire := s.vecWire(1)
-	for i, addr := range addrs {
-		EncodeElements(wire, src[i*s.b:(i+1)*s.b])
-		if _, err := s.f.WriteAt(wire, int64(addr)*int64(s.slot)); err != nil {
+	for i := 0; i < len(addrs); {
+		n := runLen(addrs[i:])
+		wire := s.vecWire(n)
+		EncodeElements(wire, src[i*s.b:(i+n)*s.b])
+		s.calls++
+		if _, err := s.f.WriteAt(wire, int64(addrs[i])*int64(s.slot)); err != nil {
 			return err
 		}
+		i += n
 	}
 	return nil
 }

@@ -52,15 +52,15 @@ func WriteBlocksCtx(ctx context.Context, s BlockStore, addrs []int, src []Elemen
 	return s.WriteBlocks(ctx, addrs, src)
 }
 
-// contiguous reports whether addrs is a run of consecutive ascending
-// addresses, the case bulk transfers serve with a single copy.
-func contiguous(addrs []int) bool {
-	for i := 1; i < len(addrs); i++ {
-		if addrs[i] != addrs[i-1]+1 {
-			return false
-		}
+// runLen returns the length of the maximal run of consecutive ascending
+// addresses at the head of addrs (0 only for an empty list): the unit bulk
+// transfers serve with a single copy or system call.
+func runLen(addrs []int) int {
+	n := min(1, len(addrs))
+	for n < len(addrs) && addrs[n] == addrs[n-1]+1 {
+		n++
 	}
-	return true
+	return n
 }
 
 // MemStore is an in-memory BlockStore: the default substrate for tests and
@@ -78,32 +78,28 @@ func NewMemStore(n, b int) *MemStore {
 	return &MemStore{b: b, data: make([]Element, n*b)}
 }
 
-// ReadBlocks implements BlockStore; a contiguous run is a single copy.
+// ReadBlocks implements BlockStore; each consecutive run is a single copy.
 func (s *MemStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
 	if err := s.checkVec(addrs, len(dst)); err != nil {
 		return err
 	}
-	if len(addrs) > 0 && contiguous(addrs) {
-		copy(dst, s.data[addrs[0]*s.b:(addrs[0]+len(addrs))*s.b])
-		return nil
-	}
-	for i, addr := range addrs {
-		copy(dst[i*s.b:(i+1)*s.b], s.data[addr*s.b:(addr+1)*s.b])
+	for i := 0; i < len(addrs); {
+		n := runLen(addrs[i:])
+		copy(dst[i*s.b:(i+n)*s.b], s.data[addrs[i]*s.b:(addrs[i]+n)*s.b])
+		i += n
 	}
 	return nil
 }
 
-// WriteBlocks implements BlockStore; a contiguous run is a single copy.
+// WriteBlocks implements BlockStore; each consecutive run is a single copy.
 func (s *MemStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
 	if err := s.checkVec(addrs, len(src)); err != nil {
 		return err
 	}
-	if len(addrs) > 0 && contiguous(addrs) {
-		copy(s.data[addrs[0]*s.b:(addrs[0]+len(addrs))*s.b], src)
-		return nil
-	}
-	for i, addr := range addrs {
-		copy(s.data[addr*s.b:(addr+1)*s.b], src[i*s.b:(i+1)*s.b])
+	for i := 0; i < len(addrs); {
+		n := runLen(addrs[i:])
+		copy(s.data[addrs[i]*s.b:(addrs[i]+n)*s.b], src[i*s.b:(i+n)*s.b])
+		i += n
 	}
 	return nil
 }

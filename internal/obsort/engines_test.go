@@ -338,34 +338,76 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 	}
 }
 
+// TestPickPolicy pins the pick to the predictors rather than to engine
+// names: at every geometry the pick is the argmin of the exact predictors of
+// the engines the geometry supports (block I/Os over mem, round trips over
+// net; bitonic, then zigzag, preferred on ties), and running the picked
+// engine costs exactly what its predictor said.
 func TestPickPolicy(t *testing.T) {
-	// Within-cache inputs: bitonic's single windowed pass wins everywhere.
-	if got := Pick(16, 8, 4096, "mem"); got != EngineBitonic {
-		t.Errorf("small mem pick = %s, want bitonic", got)
+	type predictor func(nBlocks, b, m int) int64
+	engines := []struct {
+		name      string
+		ios, rts  predictor
+		supported func(nBlocks, b, m int) bool
+	}{
+		{EngineBitonic, BitonicIOCount, BitonicRoundTrips, func(_, b, m int) bool { return b&(b-1) == 0 && m >= 4*b }},
+		{EngineZigzag, ZigzagIOCount, ZigzagRoundTrips, func(_, _, _ int) bool { return true }},
+		{EngineBucket, BucketIOCount, BucketRoundTrips, BucketSupported},
 	}
-	// Large over HTTP: a deterministic merge-split engine must win — the
-	// acceptance bar is beating randomized, which never wins a pick.
-	got := Pick(1<<12, 8, 4096, "net")
-	if got != EngineZigzag && got != EngineBucket {
-		t.Errorf("large net pick = %s, want a merge-split engine", got)
-	}
-	// The pick is public: same geometry, same answer.
-	for _, backend := range []string{"mem", "net"} {
-		if Pick(1<<12, 8, 4096, backend) != Pick(1<<12, 8, 4096, backend) {
-			t.Fatal("pick not deterministic")
-		}
-	}
-	// Every pick is a valid engine the registry resolves.
-	for _, n := range []int{1, 7, 64, 1 << 10, 1 << 14} {
+	picked := map[string]bool{}
+	for _, g := range []struct{ n, b, m int }{
+		{16, 8, 4096}, {1, 8, 512}, {7, 8, 512}, {64, 8, 512}, {336, 8, 512}, {672, 8, 512}, {1616, 8, 512},
+		{1 << 10, 8, 512}, {1 << 12, 8, 4096}, {1 << 13, 8, 4096}, {300, 4, 64}, {19, 6, 96}, {130, 8, 32},
+	} {
 		for _, backend := range []string{"mem", "net"} {
-			name := Pick(n, 8, 512, backend)
-			if !ValidEngine(name) {
-				t.Fatalf("pick returned unknown engine %q", name)
+			want, least := "", int64(0)
+			for _, e := range engines {
+				if !e.supported(g.n, g.b, g.m) {
+					continue
+				}
+				c := e.ios(g.n, g.b, g.m)
+				if backend == "net" {
+					c = e.rts(g.n, g.b, g.m)
+				}
+				if want == "" || c < least {
+					want, least = e.name, c
+				}
 			}
-			if PickSorter(name) == nil {
-				t.Fatalf("no sorter for picked engine %q", name)
+			got := Pick(g.n, g.b, g.m, backend)
+			if got != want {
+				t.Errorf("Pick(%d, %d, %d, %s) = %s, want the predictors' argmin %s (%d)", g.n, g.b, g.m, backend, got, want, least)
+				continue
+			}
+			picked[got] = true
+			env := extmem.NewEnv(4*g.n+64, g.b, g.m, 7)
+			a := env.D.Alloc(g.n)
+			fillArray(env, a, genKeys(rand.New(rand.NewPCG(43, 44)), g.n*g.b, "rand"))
+			env.D.ResetStats()
+			if got == EngineBucket {
+				// A declared overflow retries on a fresh tape and costs more
+				// than one run; the predictor is exact for a clean run.
+				if err := BucketSort(env, a, ByKey); err != nil {
+					continue
+				}
+			} else {
+				PickSorter(got)(env, a, ByKey)
+			}
+			st := env.D.Stats()
+			measured := st.Total()
+			if backend == "net" {
+				measured = st.RoundTrips
+			}
+			if measured != least {
+				t.Errorf("Pick(%d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, backend, got, measured, least)
 			}
 		}
+	}
+	// The table is worth its name only if the choice is exercised.
+	if !picked[EngineBitonic] || !picked[EngineZigzag] {
+		t.Errorf("table picked only %v; want bitonic and zigzag both to win somewhere", picked)
+	}
+	if got := Pick(0, 8, 512, "mem"); !ValidEngine(got) || PickSorter(got) == nil {
+		t.Errorf("empty input picked %q", got)
 	}
 }
 

@@ -3,9 +3,10 @@
 //
 // It realizes Lemma 2 of the paper (the deterministic oblivious sort of
 // Goodrich–Mitzenmacher used as a subroutine throughout) as an external
-// bitonic sort whose in-cache stages are free: every network level with
-// stride < C (the cache window) is executed privately, so the I/O cost is
-// O((N/B)·(1 + log²(N/C))) with a fixed, data-independent address trace.
+// bitonic sort that packs the network's levels into passes by the block
+// address bits they touch, log₂(C/B) bits to a pass for a cache window of
+// C = M/2 elements, so the I/O cost is O((N/B)·(1 + log²(N/B)/log(C/B)))
+// with a fixed, data-independent address trace.
 // It also provides Leighton's columnsort (the Chaudhry–Cormen baseline the
 // paper discusses, size-limited to N ≤ s·r with r ≥ 2(s−1)²) and an
 // in-memory Batcher odd-even merge network used for in-cache circuit sorts.
@@ -17,6 +18,8 @@ package obsort
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"oblivext/internal/extmem"
@@ -66,9 +69,24 @@ func InCache(buf []extmem.Element, less Less) {
 // Bitonic sorts the array element-wise with a data-oblivious external
 // bitonic network. The address trace depends only on (len, B, M).
 //
-// Requirements: B a power of two and M ≥ 4B. Arrays whose block count is
-// not a power of two are padded into a scratch arena (empty cells sort
-// last, so the copy-back keeps padded semantics).
+// The network's levels — stage s = 1..log₂ N merges runs of 2^s elements
+// with one compare-exchange level per stride bit s−1..0 — are packed into
+// passes by the address bits they touch. A level whose stride is below B
+// stays inside a block; any other joins two blocks that differ in one bit
+// of the block address. A pass takes as many consecutive levels as touch at
+// most g = log₂(C/B) distinct address bits, C = M/2 being the cache window,
+// and runs them on batches of the 2^g blocks that differ only in those
+// bits: one vectored read, every level of the pass on the private window,
+// one vectored write. The first pass (every stage up to C, on contiguous
+// windows) is a private sort of each window; the rest are gather passes, so
+// the sort makes about log²₂(N/B) / 2g passes of 2 I/Os per block, each
+// batch one round trip each way.
+//
+// Requirements: B a power of two and M ≥ 4B. An array whose block count n
+// is not a power of two is sorted as if padded with empty cells: the first
+// pass reads its n blocks and writes a padded scratch arena, and the last
+// pass writes only the first n blocks back (empty cells sort last, so
+// nothing is lost).
 func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	n := a.Len()
 	if n == 0 {
@@ -84,157 +102,167 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	sp := env.Obs.Start("bitonic")
 	sp.SetAttrInt("blocks", int64(n))
 	sp.SetAttrInt("passes", int64(BitonicPassCount(n, b, env.M)))
-	sp.SetPredicted(BitonicIOCount(n, b, env.M), -1)
+	sp.SetPredicted(BitonicIOCount(n, b, env.M), BitonicRoundTrips(n, b, env.M))
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	np := 1 << extmem.CeilLog2(n)
+	sc := newSchedule(n, b, env.M)
+	wb := 1 << (sc.lc - sc.lb) // blocks per window, and per batch
+	win := env.Cache.Buf(wb * b)
 	work := a
-	if np != n {
-		work = env.D.Alloc(np)
-		k := env.ScanBatchN(1, np)
-		buf := env.Cache.Buf(k * b)
-		for lo := 0; lo < n; lo += k {
-			hi := min(lo+k, n)
-			a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-			work.WriteRange(lo, hi, buf[:(hi-lo)*b])
-		}
-		for i := range buf {
-			buf[i] = extmem.Element{}
-		}
-		for lo := n; lo < np; lo += k {
-			hi := min(lo+k, np)
-			work.WriteRange(lo, hi, buf[:(hi-lo)*b])
-		}
-		env.Cache.Free(buf)
+	if sc.np != n && sc.np > wb {
+		work = env.D.Alloc(sc.np)
 	}
 
-	ne := np * b // element count, a power of two
-	c := 1 << extmem.FloorLog2(env.M/2)
-	if c > ne {
-		c = ne
+	// First pass: every stage up to the window size acts within aligned
+	// windows and leaves window w ascending or descending by its parity, so
+	// a private sort stands in for those levels. It is serial at every
+	// worker count: the result must not depend on Workers, and a chunked
+	// sort's would.
+	spw := env.Obs.Start("sort-windows")
+	for lo := 0; lo < sc.np; lo += wb {
+		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
+		if k > 0 {
+			a.ReadRange(lo, lo+k, win[:k*b])
+		}
+		clear(win[k*b:])
+		desc := lo/wb&1 == 1
+		slices.SortFunc(win, func(x, y extmem.Element) int {
+			if desc {
+				x, y = y, x
+			}
+			switch {
+			case less(x, y):
+				return -1
+			case less(y, x):
+				return 1
+			}
+			return 0
+		})
+		if sc.np > wb {
+			work.WriteRange(lo, lo+wb, win)
+		} else {
+			a.WriteRange(lo, lo+k, win[:k*b])
+		}
 	}
-	if c < 2*b && ne > c {
-		panic("obsort: cache window smaller than two blocks")
-	}
+	env.Obs.End(spw)
 
-	win := env.Cache.Buf(c)
-	wblocks := c / b
+	var idx []int
+	if sc.stage <= sc.top {
+		idx = make([]int, wb)
+	}
 	nw := env.WorkerCount()
-	loadWin := func(w int) {
-		work.ReadRange(w*wblocks, (w+1)*wblocks, win)
-	}
-	storeWin := func(w int) {
-		work.WriteRange(w*wblocks, (w+1)*wblocks, win)
-	}
-
-	// Stage A: all network stages with size <= c act within c-aligned
-	// windows; run them per window in one pass.
-	spa := env.Obs.Start("windowed-stages")
-	spa.SetPredicted(2*int64(np), -1)
-	for w := 0; w < ne/c; w++ {
-		loadWin(w)
-		base := w * c
-		for size := 2; size <= c; size <<= 1 {
-			for stride := size / 2; stride >= 1; stride >>= 1 {
-				levelInCachePar(win, base, size, stride, less, nw)
-			}
+	for p, ok := sc.next(); ok; p, ok = sc.next() {
+		spp := env.Obs.Start("gather-pass")
+		spp.SetAttrInt("levels", int64(p.levels))
+		dst := work
+		if sc.stage > sc.top {
+			dst = a // the last pass writes the caller's array its n blocks
 		}
-		storeWin(w)
+		sc.run(p, work, dst, win, idx, less, nw)
+		env.Obs.End(spp)
 	}
-	env.Obs.End(spa)
-
-	// Stages with size > c: strides >= c stream block pairs — pk pairs per
-	// vectored round trip (the pairs of one level are disjoint, so a batch
-	// reads 2·pk blocks, compare-exchanges privately, and writes them back);
-	// the remaining strides < c finish within windows.
-	pk := max(1, env.ScanBatch(1)/2)
-	pbuf := env.Cache.Buf(2 * pk * b)
-	pidx := make([]int, 2*pk)
-	for size := 2 * c; size <= ne; size <<= 1 {
-		sps := env.Obs.Start("merge-stage")
-		sps.SetAttrInt("size", int64(size))
-		for stride := size / 2; stride >= c; stride >>= 1 {
-			sb := stride / b
-			cnt := 0
-			flush := func() {
-				if cnt == 0 {
-					return
-				}
-				work.ReadMany(pidx[:2*cnt], pbuf[:2*cnt*b])
-				// The pairs of one level are disjoint, so the in-cache
-				// compare-exchanges fan out across the worker pool; the
-				// vectored reads/writes around them are unchanged.
-				pw := nw
-				if cnt < 4 {
-					pw = 1
-				}
-				par.For(pw, cnt, func(plo, phi int) {
-					for p := plo; p < phi; p++ {
-						bufA := pbuf[2*p*b : (2*p+1)*b]
-						bufB := pbuf[(2*p+1)*b : (2*p+2)*b]
-						for t := 0; t < b; t++ {
-							i := pidx[2*p]*b + t
-							asc := i&size == 0
-							if asc == less(bufB[t], bufA[t]) {
-								bufA[t], bufB[t] = bufB[t], bufA[t]
-							}
-						}
-					}
-				})
-				work.WriteMany(pidx[:2*cnt], pbuf[:2*cnt*b])
-				cnt = 0
-			}
-			for blk := 0; blk < np; blk++ {
-				if blk&sb != 0 {
-					continue
-				}
-				pidx[2*cnt] = blk
-				pidx[2*cnt+1] = blk + sb
-				cnt++
-				if cnt == pk {
-					flush()
-				}
-			}
-			flush()
-		}
-		for w := 0; w < ne/c; w++ {
-			loadWin(w)
-			base := w * c
-			for stride := c / 2; stride >= 1; stride >>= 1 {
-				levelInCachePar(win, base, size, stride, less, nw)
-			}
-			storeWin(w)
-		}
-		env.Obs.End(sps)
-	}
-	env.Cache.Free(pbuf)
 	env.Cache.Free(win)
-
-	if np != n {
-		k := env.ScanBatchN(1, n)
-		buf := env.Cache.Buf(k * b)
-		for lo := 0; lo < n; lo += k {
-			hi := min(lo+k, n)
-			work.ReadRange(lo, hi, buf[:(hi-lo)*b])
-			a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-		}
-		env.Cache.Free(buf)
-	}
 }
 
-// levelInCache applies one bitonic network level to a private window whose
-// first element has the given global index.
-func levelInCache(win []extmem.Element, base, size, stride int, less Less) {
-	for li := 0; li < len(win); li++ {
-		i := base + li
-		if i&stride != 0 || li+stride >= len(win) {
-			continue
+// gatherPass is one pass after the first: `levels` consecutive network
+// levels starting at (stage, bit), and gather, the mask of element-index
+// bits at or above log₂ B in which the blocks of one batch differ.
+type gatherPass struct {
+	stage, bit, levels int
+	gather             uint64
+}
+
+// schedule is the public geometry of one Bitonic call and a cursor over its
+// gather passes; the sort and its predictors walk the same one.
+type schedule struct {
+	np          int // padded block count, a power of two
+	lb, lc, top int // log₂ of B, of the window, and of the element count
+	stage, bit  int // the next level no pass has taken yet
+}
+
+func newSchedule(nBlocks, b, m int) schedule {
+	lnp, lb := extmem.CeilLog2(nBlocks), extmem.FloorLog2(b)
+	lc := min(max(extmem.FloorLog2(m/2), lb+1), lnp+lb) // at least two blocks, so a pass gathers a bit
+	return schedule{np: 1 << lnp, lb: lb, lc: lc, top: lnp + lb, stage: lc + 1, bit: lc}
+}
+
+// next packs the next pass greedily: levels join while the stride bits at
+// or above log₂ B they touch stay within log₂(C/B) distinct address bits. A
+// short set is padded with the lowest unused address bits, which keeps the
+// batch's blocks in as few consecutive runs as the schedule allows.
+func (s *schedule) next() (p gatherPass, ok bool) {
+	if s.stage > s.top {
+		return p, false
+	}
+	g := s.lc - s.lb
+	p.stage, p.bit = s.stage, s.bit
+	for s.stage <= s.top {
+		if m := uint64(1) << s.bit; s.bit >= s.lb && p.gather&m == 0 {
+			if bits.OnesCount64(p.gather) == g {
+				break
+			}
+			p.gather |= m
 		}
-		asc := i&size == 0
-		if asc == less(win[li+stride], win[li]) {
-			win[li], win[li+stride] = win[li+stride], win[li]
+		p.levels++
+		s.stage, s.bit = nextLevel(s.stage, s.bit)
+	}
+	for q := s.lb; bits.OnesCount64(p.gather) < g; q++ {
+		p.gather |= 1 << q
+	}
+	return p, true
+}
+
+func nextLevel(stage, bit int) (int, int) {
+	if bit == 0 {
+		return stage + 1, stage
+	}
+	return stage, bit - 1
+}
+
+// local maps element-index bit j to its position in a batch's window: bits
+// below log₂ B keep their place, gathered bits follow in ascending order.
+func (p gatherPass) local(j, lb int) int {
+	if j < lb {
+		return j
+	}
+	return lb + bits.OnesCount64(p.gather&(1<<j-1))
+}
+
+// run executes one gather pass: for every assignment of the address bits
+// outside the gathered set, read from src the blocks that differ only
+// inside it (in ascending address order), apply the pass's levels, and
+// write to dst those of them it holds. A level of stage s ascends where
+// bit s of the element index is clear; that bit is a window bit, a
+// constant of the batch, or — in the last stage — clear everywhere.
+func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, less Less, nw int) {
+	gb := int(p.gather >> s.lb)
+	rest := (s.np - 1) &^ gb
+	for base := 0; ; {
+		for t, sub := 0, 0; t < len(idx); t++ {
+			idx[t] = base | sub
+			sub = ((sub | ^gb) + 1) & gb
+		}
+		src.ReadMany(idx, win)
+		stage, bit := p.stage, p.bit
+		for k := 0; k < p.levels; k++ {
+			dirBit, desc := 0, false
+			if stage < s.top {
+				if p.gather>>stage&1 == 1 {
+					dirBit = 1 << p.local(stage, s.lb)
+				} else {
+					desc = base>>(stage-s.lb)&1 == 1
+				}
+			}
+			exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc, less, nw)
+			stage, bit = nextLevel(stage, bit)
+		}
+		if k, _ := slices.BinarySearch(idx, dst.Len()); k > 0 {
+			dst.WriteMany(idx[:k], win[:k*dst.B()])
+		}
+		if base = ((base | ^rest) + 1) & rest; base == 0 {
+			return
 		}
 	}
 }
@@ -244,70 +272,66 @@ func levelInCache(win []extmem.Element, base, size, stride int, less Less) {
 // threshold compares public lengths only.
 const parMinElems = 2048
 
-// levelInCachePar is levelInCache fanned out across nw workers. A level's
-// compare-exchange pairs (li, li+stride) with li&stride == 0 live entirely
-// inside 2·stride-aligned groups, and the window base is always a multiple
-// of 2·stride (windows are c-aligned, stride < c), so splitting the window
-// at group boundaries gives workers disjoint element ranges. The network —
-// and therefore the result and the trace — is identical to the serial
-// level; only which goroutine executes each exchange changes.
-func levelInCachePar(win []extmem.Element, base, size, stride int, less Less, nw int) {
+// exchangeLevel applies one network level to a private window: elements
+// stride apart compare-exchange, ascending where the window index has
+// dirBit clear (everywhere when dirBit is 0), the whole level reversed when
+// desc. A level's pairs live inside 2·stride-aligned groups, so splitting
+// the window at group boundaries gives the nw workers disjoint ranges: the
+// network — and therefore the result and the trace — is the serial level's;
+// only which goroutine executes each exchange changes.
+func exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool, less Less, nw int) {
 	group := 2 * stride
-	ngroups := (len(win) + group - 1) / group
+	ngroups := len(win) / group
 	if nw <= 1 || len(win) < parMinElems || ngroups < 2 {
-		levelInCache(win, base, size, stride, less)
+		exchangeGroups(win, 0, len(win), stride, dirBit, desc, less)
 		return
 	}
 	par.For(nw, ngroups, func(glo, ghi int) {
-		for g := glo; g < ghi; g++ {
-			lo := g * group
-			hi := min(lo+group, len(win))
-			for li := lo; li < hi; li++ {
-				i := base + li
-				if i&stride != 0 || li+stride >= len(win) {
-					continue
-				}
-				asc := i&size == 0
-				if asc == less(win[li+stride], win[li]) {
-					win[li], win[li+stride] = win[li+stride], win[li]
-				}
-			}
-		}
+		exchangeGroups(win, glo*group, ghi*group, stride, dirBit, desc, less)
 	})
 }
 
-// BitonicPassCount predicts the number of full-array passes Bitonic makes
-// (excluding the padding copies): 1 for stage A plus, per stage above the
-// window size, one streaming pass per stride >= C and one windowed pass.
-// The E9 experiment checks measured I/Os against this.
-func BitonicPassCount(nBlocks, b, m int) int {
-	np := 1 << extmem.CeilLog2(nBlocks)
-	ne := np * b
-	c := 1 << extmem.FloorLog2(m/2)
-	if c > ne {
-		c = ne
-	}
-	passes := 1
-	for size := 2 * c; size <= ne; size <<= 1 {
-		for stride := size / 2; stride >= c; stride >>= 1 {
-			passes++
+func exchangeGroups(win []extmem.Element, lo, hi, stride, dirBit int, desc bool, less Less) {
+	for g := lo; g < hi; g += 2 * stride {
+		for li := g; li < g+stride; li++ {
+			if asc := (li&dirBit == 0) != desc; asc == less(win[li+stride], win[li]) {
+				win[li], win[li+stride] = win[li+stride], win[li]
+			}
 		}
+	}
+}
+
+// BitonicPassCount predicts the number of full-array passes Bitonic makes:
+// the first, windowed pass plus the gather passes of the packed schedule.
+func BitonicPassCount(nBlocks, b, m int) int {
+	sc := newSchedule(nBlocks, b, m)
+	passes := 1
+	for _, ok := sc.next(); ok; _, ok = sc.next() {
 		passes++
 	}
 	return passes
 }
 
 // BitonicIOCount predicts the exact block I/Os of one Bitonic call: 2·np per
-// pass over the padded length np, plus, when the block count is not a power
-// of two, the padding copy (n reads, np writes) and the copy back (2n).
+// pass over the padded length np, less the padding blocks the first pass
+// does not read and the last does not write.
 func BitonicIOCount(nBlocks, b, m int) int64 {
 	if nBlocks == 0 {
 		return 0
 	}
 	np := 1 << extmem.CeilLog2(nBlocks)
-	ios := int64(BitonicPassCount(nBlocks, b, m)) * int64(2*np)
-	if np != nBlocks {
-		ios += int64(3*nBlocks + np)
+	return int64(BitonicPassCount(nBlocks, b, m))*int64(2*np) - int64(2*(np-nBlocks))
+}
+
+// BitonicRoundTrips predicts the exact vectored round trips of one Bitonic
+// call: every pass moves each batch of C/B blocks in one read and one
+// write, less the all-padding windows the first pass does not read and the
+// last — whose batches are always contiguous windows — does not write.
+func BitonicRoundTrips(nBlocks, b, m int) int64 {
+	if nBlocks == 0 {
+		return 0
 	}
-	return ios
+	sc := newSchedule(nBlocks, b, m)
+	wb := 1 << (sc.lc - sc.lb)
+	return int64(BitonicPassCount(nBlocks, b, m))*int64(2*sc.np/wb) - int64(2*(sc.np/wb-extmem.CeilDiv(nBlocks, wb)))
 }

@@ -2,6 +2,7 @@ package obsort
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -181,20 +182,168 @@ func TestBitonicSortsByPos(t *testing.T) {
 }
 
 func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
-	// The last two block counts are not powers of two: the padding copies count.
-	for _, cfg := range []struct{ n, b, m int }{{16, 4, 16}, {64, 4, 32}, {128, 8, 64}, {100, 4, 32}, {250, 8, 256}} {
+	// Block counts that are not powers of two skip the padding they would
+	// read in the first pass and write in the last; M/B runs from 4 to 512.
+	for _, cfg := range []struct{ n, b, m int }{
+		{16, 4, 16}, {64, 4, 32}, {128, 8, 64}, {100, 4, 32}, {250, 8, 256}, {1, 8, 32}, {3, 8, 4096},
+		{65, 8, 32}, {127, 2, 128}, {1000, 8, 512}, {1616, 8, 512}, {2048, 8, 4096}, {4097, 8, 4096},
+	} {
 		env := extmem.NewEnv(cfg.n*2, cfg.b, cfg.m, 1)
 		a := env.D.Alloc(cfg.n)
 		r := rand.New(rand.NewPCG(2, 2))
-		fillArray(env, a, genKeys(r, cfg.n*cfg.b, "rand"))
+		keys := genKeys(r, cfg.n*cfg.b, "rand")
+		fillArray(env, a, keys)
 		env.D.ResetStats()
 		Bitonic(env, a, ByKey)
 		st := env.D.Stats()
-		want := BitonicIOCount(cfg.n, cfg.b, cfg.m)
-		if st.Total() != want {
+		if want := BitonicIOCount(cfg.n, cfg.b, cfg.m); st.Total() != want {
 			t.Errorf("n=%d b=%d m=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, st.Total(), want)
 		}
+		if want := BitonicRoundTrips(cfg.n, cfg.b, cfg.m); st.RoundTrips != want {
+			t.Errorf("n=%d b=%d m=%d: measured %d round trips, predicted %d", cfg.n, cfg.b, cfg.m, st.RoundTrips, want)
+		}
+		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
+			t.Errorf("n=%d b=%d m=%d: multiset changed", cfg.n, cfg.b, cfg.m)
+		}
 	}
+}
+
+// benchGeometry is the benchmark's sort: N = 2^16 records in blocks of 8
+// against a cache of 4096 words. oramGeometry is the ORAM's largest rebuild.
+var (
+	benchGeometry = struct{ n, b, m int }{8192, 8, 4096}
+	oramGeometry  = struct{ n, b, m int }{1616, 8, 512}
+)
+
+// TestBitonicPackedPasses pins the schedule at the benchmark geometry: 21
+// passes of streamed block pairs became 8 gather passes.
+func TestBitonicPackedPasses(t *testing.T) {
+	g := benchGeometry
+	if got := BitonicPassCount(g.n, g.b, g.m); got != 8 {
+		t.Errorf("passes = %d, want 8", got)
+	}
+	if got := BitonicIOCount(g.n, g.b, g.m); got != 131072 {
+		t.Errorf("I/Os = %d, want 131072", got)
+	}
+	if got := BitonicRoundTrips(g.n, g.b, g.m); got != 512 {
+		t.Errorf("round trips = %d, want 512", got)
+	}
+	for _, c := range []struct{ n, b, m, want int }{{2048, 8, 4096, 5}, {1616, 8, 512, 12}, {256, 8, 4096, 1}} {
+		if got := BitonicPassCount(c.n, c.b, c.m); got != c.want {
+			t.Errorf("BitonicPassCount(%d, %d, %d) = %d, want %d", c.n, c.b, c.m, got, c.want)
+		}
+	}
+}
+
+// TestBitonicTraceProperties checks, at the benchmark and the ORAM
+// geometries, what the packed schedule must not have cost: the trace is a
+// function of (n, B, M) alone — the same across inputs, orders, worker
+// counts and with the blocks sealed — the result does not depend on
+// Workers, and every vectored call moves one batch of C/B blocks or, where
+// the padding is skipped, the part of one the array holds.
+func TestBitonicTraceProperties(t *testing.T) {
+	for _, g := range []struct{ n, b, m int }{benchGeometry, oramGeometry} {
+		type outcome struct {
+			trace trace.Summary
+			st    extmem.Stats
+			elems []extmem.Element
+		}
+		run := func(kind string, less Less, workers int, sealed bool) outcome {
+			env := extmem.NewEnv(2*g.n, g.b, g.m, 3)
+			if sealed {
+				enc, err := extmem.NewEncryptor(make([]byte, 32))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs, err := extmem.NewCryptStore(extmem.NewMemStore(2*g.n, extmem.CryptChildBlockSize(g.b)), enc, g.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env = extmem.NewEnvOn(cs, g.m, 3)
+			}
+			env.Workers = workers
+			a := env.D.Alloc(g.n)
+			fillArray(env, a, genKeys(rand.New(rand.NewPCG(9, 9)), g.n*g.b*3/4, kind))
+			rec := trace.NewRecorder(0)
+			env.D.SetRecorder(rec)
+			env.D.ResetStats()
+			Bitonic(env, a, less)
+			if hw := env.Cache.HighWater(); hw > g.m {
+				t.Fatalf("n=%d: used %d words of private memory, M=%d", g.n, hw, g.m)
+			}
+			return outcome{rec.Summarize(), env.D.Stats(), readAll(a)}
+		}
+		base := run("rand", ByKey, 1, false)
+		checkSortedPadded(t, base.elems)
+		if want := BitonicIOCount(g.n, g.b, g.m); base.st.Total() != want {
+			t.Errorf("n=%d: %d I/Os, predicted %d", g.n, base.st.Total(), want)
+		}
+		if want := BitonicRoundTrips(g.n, g.b, g.m); base.st.RoundTrips != want {
+			t.Errorf("n=%d: %d round trips, predicted %d", g.n, base.st.RoundTrips, want)
+		}
+		// With no padding to skip, every vectored call is a full batch.
+		if wb := int64(g.m / 2 / g.b); g.n&(g.n-1) == 0 && base.st.Total() != base.st.RoundTrips*wb {
+			t.Errorf("n=%d: %d I/Os in %d round trips, want %d blocks each", g.n, base.st.Total(), base.st.RoundTrips, wb)
+		}
+		for _, v := range []struct {
+			name    string
+			kind    string
+			less    Less
+			workers int
+			sealed  bool
+		}{
+			{"another input", "dup", ByKey, 1, false},
+			{"ByRawKey", "rand", ByRawKey, 1, false},
+			{"Workers=2", "rand", ByKey, 2, false},
+			{"Workers=4", "rand", ByKey, 4, false},
+			{"sealed", "rand", ByKey, 1, true},
+		} {
+			got := run(v.kind, v.less, v.workers, v.sealed)
+			if !got.trace.Equal(base.trace) {
+				t.Errorf("n=%d, %s: trace %v differs from %v", g.n, v.name, got.trace, base.trace)
+			}
+			if v.workers > 1 && !slices.Equal(got.elems, base.elems) {
+				t.Errorf("n=%d, %s: result differs from the serial run's", g.n, v.name)
+			}
+		}
+	}
+}
+
+// TestBitonicAllocCeiling pins the per-call garbage: the randomized Sort
+// calls Bitonic several hundred times per operation, mostly on arrays of one
+// window, so a single-pass call allocates nothing and a multi-pass call only
+// its batch address list.
+func TestBitonicAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		ceiling float64
+	}{{256, 0}, {8192, 1}} {
+		env := extmem.NewEnv(c.n, 8, 4096, 1)
+		a := env.D.Alloc(c.n)
+		fillArray(env, a, genKeys(rand.New(rand.NewPCG(5, 6)), c.n*8, "rand"))
+		Bitonic(env, a, ByKey) // warm the cache slab and the disk's address scratch
+		if got := testing.AllocsPerRun(3, func() { Bitonic(env, a, ByKey) }); got > c.ceiling {
+			t.Errorf("Bitonic of %d blocks: %v allocations per call, ceiling %v", c.n, got, c.ceiling)
+		}
+	}
+}
+
+// BenchmarkBitonic is the deterministic sort at the benchmark geometry.
+func BenchmarkBitonic(b *testing.B) {
+	g := benchGeometry
+	env := extmem.NewEnv(g.n, g.b, g.m, 1)
+	a := env.D.Alloc(g.n)
+	keys := genKeys(rand.New(rand.NewPCG(7, 8)), g.n*g.b, "rand")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fillArray(env, a, keys)
+		env.D.ResetStats()
+		b.StartTimer()
+		Bitonic(env, a, ByKey)
+	}
+	b.ReportMetric(float64(env.D.Stats().Total())/float64(g.n), "ios/block")
+	b.ReportMetric(float64(BitonicPassCount(g.n, g.b, g.m)), "passes")
 }
 
 func TestColumnSortCorrectness(t *testing.T) {

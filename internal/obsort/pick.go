@@ -2,7 +2,6 @@ package obsort
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"oblivext/internal/extmem"
@@ -47,69 +46,35 @@ func EngineNameError(name string) error {
 // randomized sort is never picked; its constants lose to every
 // deterministic engine at any feasible geometry (E13/E19).
 //
-// The rule, backed by E19: compare predicted block volume (mem) or
-// predicted round trips (net) across the engines the geometry supports,
-// and take the cheapest, preferring the failure-free deterministic engines
-// on ties. Bitonic wins whenever the input is within a few multiples of
-// the cache (its windowed passes are nearly free), Zigzag wins beyond that
-// on high-latency backends (2 round trips per half-cache merge-split),
-// and BucketSort's 3-pass asymptotics need log2(N/M) to clear the bar
-// first — roughly n ≥ 2^8·M over mem.
+// The rule: take the engine whose exact predictor — block I/Os over mem,
+// vectored round trips over net — is least among the engines the geometry
+// supports, preferring bitonic, then zigzag, on ties. Bitonic's packed
+// passes close over log₂(M/2B) address bits each, so it wins wherever the
+// cache holds more than a few blocks; Zigzag wins where a pass would gather
+// only a bit or two (M/B ≲ 16), and it is the only engine for a block size
+// that is not a power of two; BucketSort's 3-pass asymptotics need
+// log₂(N/M) to clear the bar first.
 func Pick(nBlocks, b, m int, backend string) string {
 	if nBlocks == 0 {
 		return EngineBitonic
 	}
-	type cand struct {
-		name string
-		cost int64
+	type predictor func(nBlocks, b, m int) int64
+	cost := func(ios, rts predictor) int64 {
+		if backend == "net" {
+			return rts(nBlocks, b, m)
+		}
+		return ios(nBlocks, b, m)
 	}
-	var cands []cand
-	if backend == "net" {
-		cands = []cand{
-			{EngineBitonic, bitonicRoundTrips(nBlocks, b, m)},
-			{EngineZigzag, ZigzagRoundTrips(nBlocks, b, m)},
-		}
-		if BucketSupported(nBlocks, b, m) {
-			cands = append(cands, cand{EngineBucket, BucketRoundTrips(nBlocks, b, m)})
-		}
-	} else {
-		np := 1 << extmem.CeilLog2(nBlocks)
-		cands = []cand{
-			{EngineBitonic, int64(BitonicPassCount(nBlocks, b, m)) * int64(2*np)},
-			{EngineZigzag, ZigzagIOCount(nBlocks, b, m)},
-		}
-		if BucketSupported(nBlocks, b, m) {
-			cands = append(cands, cand{EngineBucket, BucketIOCount(nBlocks, b, m)})
+	best, least := EngineZigzag, cost(ZigzagIOCount, ZigzagRoundTrips)
+	if b&(b-1) == 0 && m >= 4*b {
+		if c := cost(BitonicIOCount, BitonicRoundTrips); c <= least {
+			best, least = EngineBitonic, c
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-	return cands[0].name
-}
-
-// bitonicRoundTrips estimates Bitonic's vectored round trips by walking
-// its pass structure: 2 per window in windowed passes, 2 per flushed pair
-// batch in streaming levels.
-func bitonicRoundTrips(nBlocks, b, m int) int64 {
-	np := 1 << extmem.CeilLog2(nBlocks)
-	ne := np * b
-	c := 1 << extmem.FloorLog2(m/2)
-	if c > ne {
-		c = ne
+	if BucketSupported(nBlocks, b, m) && cost(BucketIOCount, BucketRoundTrips) < least {
+		best = EngineBucket
 	}
-	windows := int64(ne / c)
-	if windows < 1 {
-		windows = 1
-	}
-	pk := int64(max(1, (m/b/2)/2)) // pairs per flush, approximating ScanBatch(1)/2
-	rt := 2 * windows              // stage A
-	for size := 2 * c; size <= ne; size <<= 1 {
-		for stride := size / 2; stride >= c; stride >>= 1 {
-			batches := (int64(np/2) + pk - 1) / pk
-			rt += 2 * batches
-		}
-		rt += 2 * windows
-	}
-	return rt
+	return best
 }
 
 // PickSorter resolves an engine name to a Sorter for the engines this

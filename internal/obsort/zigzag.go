@@ -15,10 +15,10 @@ import (
 //
 // With K = ceil(N/(M/4)) runs the external cost is
 // O((N/B)·(1 + log² K)) block I/Os in exactly 2 round trips per
-// merge-split — one vectored read, one vectored write — which is what makes
-// it the round-trip winner over bitonic on high-latency backends: bitonic's
-// streaming levels pay one round trip per ScanBatch of block pairs, while a
-// merge-split moves half a cache per round trip.
+// merge-split — one vectored read, one vectored write, each moving half a
+// cache. Bitonic's packed passes close over log₂(M/2B) address bits each
+// and beat this wherever the cache holds more than a few blocks; Zigzag
+// wins when it holds few (a Bitonic pass then gathers one or two bits).
 //
 // Unlike Bitonic, Zigzag does not require the block size to be a power of
 // two, and it needs no scratch arena: runs past the end of the array are

@@ -1055,8 +1055,9 @@ func (c *Client) sortEngine(nBlocks int) string {
 }
 
 // SortDeterministic sorts with the deterministic oblivious sort (Lemma 2's
-// role, realized as external bitonic): never fails, one log factor more
-// I/Os at scale.
+// role, realized as an external bitonic network whose levels are packed
+// log₂(M/2B) address bits to a pass): never fails, exactly
+// obsort.BitonicIOCount block I/Os.
 func (a *Array) SortDeterministic() {
 	sp := a.c.env.Obs.Start("sort")
 	sp.SetAttr("engine", obsort.EngineBitonic)

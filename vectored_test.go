@@ -17,7 +17,9 @@ import (
 // Disk's one-block Read/Write now travel as batches of one, and must cost
 // exactly the block I/Os and round trips the scalar store methods did. (The
 // Select row was re-measured when Select became sample-bracket-narrow: at
-// this M = 256 it is the sort tail, core.SelectIOCount(250, 8, 256) = 9686.)
+// this M = 256 it is the sort tail, core.SelectIOCount(250, 8, 256) = 5084;
+// the Sort, Select and ORAMAccess rows were re-measured when obsort.Bitonic
+// packed its levels into gather passes — every one of them sorts with it.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -36,12 +38,12 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		run  func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", want{TraceSummary{540030, 9200889706947310153}, 268800, 271230, 44698}, func(t *testing.T, arr *Array) {
+		{"Sort", want{TraceSummary{451606, 4586588969254277668}, 226104, 225502, 38404}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Select", want{TraceSummary{9686, 14704271281478139654}, 4840, 4846, 613}, func(t *testing.T, arr *Array) {
+		{"Select", want{TraceSummary{5084, 5930445288513475159}, 2542, 2542, 292}, func(t *testing.T, arr *Array) {
 			if _, err := arr.Select(n / 2); err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +58,7 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ORAMAccess", want{TraceSummary{761354, 4470458410025015792}, 378672, 382682, 49603}, func(t *testing.T, arr *Array) {
+		{"ORAMAccess", want{TraceSummary{586442, 6159627820520920492}, 291216, 295226, 37351}, func(t *testing.T, arr *Array) {
 			// A fixed logical access sequence: the ORAM's probe addresses
 			// are a keyed function of the index, so its trace is oblivious
 			// in distribution, not bit-identical across sequences.
