@@ -198,7 +198,7 @@ func E19() *Table {
 	t.Notes = append(t.Notes,
 		f("New deterministic engines beat the randomized sort on both block volume and round trips at N = 2^15 elements over HTTP: %s.", winNote),
 		f("Auto picks: %s. The policy compares predicted round trips over network backends and predicted block volume elsewhere — all public functions of (n, B, M).", pickNotes),
-		"Both merge-split engines move half a cache of blocks in exactly 2 vectored round trips per step, and bitonic now does the same per batch of every pass — and needs fewer of them, because one pass closes over log₂(M/2B) = 8 address bits of the network here; the randomized pipeline re-reads every level of its recursion. Bucket's 3-pass asymptotics only overtake zigzag once log² (N/M) outgrows the bin+distribute constant — beyond this table's sizes for M = 4096.",
+		"Both merge-split engines move half a cache of blocks in exactly 2 vectored round trips per step, and bitonic now does the same per batch of every pass — and needs fewer of them, because one pass closes over log₂(M/2B) = 8 address bits of the network here; the randomized pipeline pays ~97 I/Os per block on each level of its recursion (three levels and a final compaction at N = 2^16: 298 per block, 18.6x bitonic's 16). Bucket's 3-pass asymptotics only overtake zigzag once log² (N/M) outgrows the bin+distribute constant — beyond this table's sizes for M = 4096.",
 		f("Every engine's output verified sorted on every backend: %s.", map[bool]string{true: "yes", false: "NO"}[allSorted]))
 	return t
 }

@@ -131,7 +131,7 @@ func E9() *Table {
 			col, f("%d", mrgIO), ratio(float64(bitIO), float64(randIO)), ratio(float64(randIO), float64(mrgIO))})
 	}
 	t.Notes = append(t.Notes,
-		"Measured story, honestly: at every size a laptop-scale simulation can reach, the deterministic sort's tiny constants win outright (bitonic/rand << 1) — the randomized pipeline pays for sampling, quantile sub-selections, shuffling, thinning and sweeping on every level. The paper's separation is asymptotic: the randomized sort's per-block I/O grows with the recursion depth log_{M/B}(N/B) (one extra level per (q+1)× growth in N) while the deterministic sort's grows with log²(N/B)/log(M/2B); the growth *rates* in the table reflect that, but the constants put the crossover far beyond feasible N. This matches the paper's framing — it claims asymptotic optimality, reporting no implementation.",
+		"Measured story, honestly: at every size a laptop-scale simulation can reach, the deterministic sort's tiny constants win outright (bitonic/rand << 1) — the randomized pipeline pays, on every level, for a deterministic sort to find the splitters (19 I/Os per block of the ~97 a level costs at M/B = 512), consolidation, shuffle and deal (14), one butterfly compaction per bucket over the deal's padded output (32) and the failure sweep (28). The paper's separation is asymptotic: the randomized sort's per-block I/O grows with the recursion depth log_{M/B}(N/B) (one extra level per (q+1)× growth in N) while the deterministic sort's grows with log²(N/B)/log(M/2B); the growth *rates* in the table reflect that, but the constants put the crossover far beyond feasible N. This matches the paper's framing — it claims asymptotic optimality, reporting no implementation.",
 		"Columnsort stops being applicable beyond its r ≥ 2(s−1)² size limit, exactly the Chaudhry–Cormen limitation the paper cites; the non-oblivious mergesort shows the floor: obliviousness costs bitonic ~5-15× and the randomized sort far more at these sizes.")
 	return t
 }

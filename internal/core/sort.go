@@ -24,14 +24,16 @@ import (
 //     dealing — read (M/B)^{3/4} blocks, then write a fixed quota of blocks
 //     per color, padding with empties (Lemma 18 / Corollary 19 bound the
 //     overflow probability).
-//  4. Each color array is loose-compacted (Theorem 8) to O(N/q) size and
-//     sorted recursively.
+//  4. Each color array is compacted in place to its first N/(q+1) blocks
+//     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
+//     and sorted recursively; the recursion's scratch is released and the
+//     sorted bucket copied down before the next bucket starts.
 //  5. Data-oblivious failure sweeping: whether or not any recursive call
 //     failed, the sweep compacts the (possibly empty) set of failed-bucket
 //     cells with the butterfly network (Theorem 6), sorts them
 //     deterministically (Lemma 2), routes them back with the expansion
-//     network, and merges — a fixed trace that repairs up to a capD-sized
-//     failure set.
+//     network, and merges — a fixed trace that repairs up to two failed
+//     buckets.
 //
 // The top-level Sort finishes with a tight order-preserving compaction
 // (Theorem 6), so the array ends with all occupied elements sorted in a
@@ -44,14 +46,14 @@ var ErrSortFailed = errors.New("core: oblivious sort failed")
 // SortParams tunes §5's constants.
 type SortParams struct {
 	// DealC is the c of Lemma 18: blocks written per color per deal batch,
-	// times ceil(sqrt(M/B)). Default 5 (which also keeps loose compaction's
-	// occupancy under 1/4).
+	// times ceil(sqrt(M/B)). Default 5. Where a level has few batches the
+	// quota is raised so a color array has room for 4·bucketCap blocks:
+	// Corollary 19's margin when the per-batch counts are too small to
+	// concentrate.
 	DealC int
 	// MaxDepth bounds the recursion as a safety net; deeper levels fall
 	// back to the deterministic sort. Default 12.
 	MaxDepth int
-	// Loose passes through Theorem 8's constants.
-	Loose LooseParams
 }
 
 func (p *SortParams) setDefaults() {
@@ -86,27 +88,10 @@ func Sort(env *extmem.Env, a extmem.Array, p SortParams) error {
 	sp := env.Obs.Start("final-compact")
 	defer env.Obs.End(sp)
 	b := a.B()
-	k := env.ScanBatchN(1, res.Len())
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < res.Len(); lo += k {
-		hi := min(lo+k, res.Len())
-		res.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		parCells(env, (hi-lo)*b, func(plo, phi int) {
-			for t := plo; t < phi; t++ {
-				if buf[t].Occupied() {
-					buf[t].Flags |= extmem.FlagMarked
-				} else {
-					buf[t].Flags &^= extmem.FlagMarked
-				}
-			}
-		})
-		res.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
-	cons, _ := route.Consolidate(env, res, extmem.Element.Marked)
+	cons, _ := route.Consolidate(env, res, extmem.Element.Occupied)
 	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
-	k = env.ScanBatchN(1, n)
-	buf = env.Cache.Buf(k * b)
+	k := env.ScanBatchN(1, n)
+	buf := env.Cache.Buf(k * b)
 	for lo := 0; lo < n; lo += k {
 		hi := min(lo+k, n)
 		cl := max(lo, min(hi, cons.Len())) // read [lo, cl) from cons, zero the rest
@@ -277,66 +262,73 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 		ok = false
 	}
 
-	// Step 6: loose-compact each color, tighten, and recurse; concatenate
-	// results. The tightening pass (consolidate + butterfly, Theorem 6) is
-	// not in the paper's description — it tolerates O(N)-sized padded
-	// arrays — but at small M/B the bucket count q+1 cannot outpace loose
-	// compaction's 5× padding, so without it the physical recursion sizes
-	// grow geometrically. Tightening costs a few passes per level and
-	// restores the strict n/(q+1) shrink; docs/ARCHITECTURE.md (Sorter
-	// engines) records the deviation.
-	sub := make([]extmem.Array, q+1)
-	subOK := make([]bool, q+1)
-	outLen := 0
-	for i := 0; i <= q; i++ {
+	// Step 6: per bucket, compact, recurse, copy down. A bucket as dealt is
+	// full blocks plus one partial flush block among empties, so Theorem 6's
+	// butterfly moves it, in place and deterministically, into a prefix of
+	// bucketCap+2 blocks; the next level's consolidation absorbs the partial
+	// block. Everything the recursion allocates is released before its
+	// result is copied down to where its scratch began, so res is the span
+	// the q+1 copies fill and a level holds O(n) blocks at any time.
+	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
+	// that output, 5·bucketCap, is as long as the deal's: see
+	// docs/ARCHITECTURE.md, Sorter engines.)
+	resMark := env.D.Mark()
+	maxSub := 0
+	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
 		spb.SetAttrInt("color", int64(i))
-		lc, _, err := CompactBlocksLoose(env, colorArrs[i], bucketCap, p.Loose)
-		if err != nil {
-			ok = false
+		capB := min(bucketCap+2, arr.Len())
+		if route.CompactBlocksTight(env, arr, route.PredOccupied, 0) > capB {
+			ok = false // an unbalanced split: never drop the excess silently
 		}
-		tight := tightenPadded(env, lc, bucketCap+2)
-		sorted, sok := sortPadded(env, tight, p, depth+1)
+		mark := env.D.Mark()
+		sorted, sok := sortPadded(env, arr.Slice(0, capB), p, depth+1)
+		env.D.Release(mark)
+		copyDown(env, sorted, env.D.Alloc(sorted.Len()), !sok)
+		maxSub = max(maxSub, sorted.Len())
 		env.Obs.End(spb)
-		sub[i], subOK[i] = sorted, sok
-		outLen += sorted.Len()
 	}
-	res := env.D.Alloc(outLen)
-	k = env.ScanBatchN(1, outLen)
-	buf = env.Cache.Buf(k * b)
-	w := 0
-	for i := 0; i <= q; i++ {
-		failed := !subOK[i]
-		for lo := 0; lo < sub[i].Len(); lo += k {
-			hi := min(lo+k, sub[i].Len())
-			sub[i].ReadRange(lo, hi, buf[:(hi-lo)*b])
-			parCells(env, (hi-lo)*b, func(plo, phi int) {
-				for t := plo; t < phi; t++ {
-					if failed && buf[t].Occupied() {
-						buf[t].Flags |= extmem.FlagFailed
-					} else {
-						buf[t].Flags &^= extmem.FlagFailed
-					}
-				}
-			})
-			res.WriteRange(w, w+hi-lo, buf[:(hi-lo)*b])
-			w += hi - lo
-		}
-	}
-	env.Cache.Free(buf)
+	res := env.D.Since(resMark)
 
 	// Step 7: data-oblivious failure sweeping — runs unconditionally.
 	spw := env.Obs.Start("sweep-failures")
-	capD := 2*5*bucketCap + 8
-	if capD > res.Len() {
-		capD = res.Len()
-	}
-	swept := sweepFailures(env, res, capD)
+	swept := sweepFailures(env, res, maxSub)
 	env.Obs.End(spw)
 	if !swept {
 		ok = false
 	}
 	return res, ok
+}
+
+// copyDown copies src onto dst — equal lengths, dst at or below src on the
+// disk, the two possibly overlapping — in scan batches, setting FlagFailed
+// on exactly the occupied elements when failed and clearing it otherwise.
+// Each batch is read whole before it is written and dst never runs ahead of
+// src, so no block is overwritten before it has been read.
+func copyDown(env *extmem.Env, src, dst extmem.Array, failed bool) {
+	n := src.Len()
+	if dst.Len() != n || dst.Base() > src.Base() {
+		panic("core: copyDown needs equal lengths and dst at or below src")
+	}
+	b := src.B()
+	k := env.ScanBatchN(1, n)
+	buf := env.Cache.Buf(k * b)
+	stamp := func(plo, phi int) { // built once: a batch costs no closure
+		for t := plo; t < phi; t++ {
+			if failed && buf[t].Occupied() {
+				buf[t].Flags |= extmem.FlagFailed
+			} else {
+				buf[t].Flags &^= extmem.FlagFailed
+			}
+		}
+	}
+	for lo := 0; lo < n; lo += k {
+		hi := min(lo+k, n)
+		src.ReadRange(lo, hi, buf[:(hi-lo)*b])
+		parCells(env, (hi-lo)*b, stamp)
+		dst.WriteRange(lo, hi, buf[:(hi-lo)*b])
+	}
+	env.Cache.Free(buf)
 }
 
 // sortPrivate reads every occupied element into the cache, sorts there, and
@@ -375,37 +367,6 @@ func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
 	env.Cache.Free(buf)
 	env.Cache.Release(env.M / 2)
 	return out
-}
-
-// tightenPadded squeezes a padded array's occupied elements into a fresh
-// array of exactly capBlocks blocks (mark-all + Lemma 3 consolidation +
-// Theorem 6 butterfly compaction). Element order is preserved, though the
-// callers run it on pre-recursion buckets where order is irrelevant.
-func tightenPadded(env *extmem.Env, a extmem.Array, capBlocks int) extmem.Array {
-	b := a.B()
-	k := env.ScanBatchN(1, a.Len())
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < a.Len(); lo += k {
-		hi := min(lo+k, a.Len())
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		parCells(env, (hi-lo)*b, func(plo, phi int) {
-			for t := plo; t < phi; t++ {
-				if buf[t].Occupied() {
-					buf[t].Flags |= extmem.FlagMarked
-				} else {
-					buf[t].Flags &^= extmem.FlagMarked
-				}
-			}
-		})
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
-	cons, _ := route.Consolidate(env, a, extmem.Element.Marked)
-	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
-	if capBlocks > cons.Len() {
-		capBlocks = cons.Len()
-	}
-	return cons.Slice(0, capBlocks)
 }
 
 // copyArray copies src into dst in batched chunks (equal lengths).

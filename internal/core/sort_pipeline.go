@@ -36,8 +36,7 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 	env.Cache.Acquire(colors * (2*b - 1))
 	hold := make([][]extmem.Element, colors+1) // 1-based colors
 	k := env.ScanBatchN(2, out.Len())
-	kg := min(k, colors)
-	in := env.Cache.Buf(kg * b)
+	in := env.Cache.Buf(k * b)
 	wbuf := env.Cache.Buf(k * b)
 	// Emitting is pure compute over the staging lists, so with Prefetch the
 	// double-buffered writer's flushes overlap it; the per-block write
@@ -61,25 +60,22 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 		}
 	}
 
-	for g := 0; g < groups; g++ {
-		lo := g * colors
-		hi := lo + colors
-		if hi > n {
-			hi = n
-		}
-		for clo := lo; clo < hi; clo += kg {
-			chi := min(clo+kg, hi)
-			wr.Join() // a flush may be in flight; the writer owns the disk until joined
-			a.ReadRange(clo, chi, in[:(chi-clo)*b])
-			for i := clo; i < chi; i++ {
-				for _, e := range in[(i-clo)*b : (i-clo+1)*b] {
-					if e.Occupied() {
-						hold[e.Color()] = append(hold[e.Color()], e)
-					}
+	// The input arrives a scan batch at a time; the group accounting runs
+	// after every colors-th block whatever the batch boundaries are.
+	for lo := 0; lo < n; lo += k {
+		hi := min(lo+k, n)
+		wr.Join() // a flush may be in flight; the writer owns the disk until joined
+		a.ReadRange(lo, hi, in[:(hi-lo)*b])
+		for i := lo; i < hi; i++ {
+			for _, e := range in[(i-lo)*b : (i-lo+1)*b] {
+				if e.Occupied() {
+					hold[e.Color()] = append(hold[e.Color()], e)
 				}
 			}
+			if (i+1)%colors == 0 || i == n-1 {
+				emit(colors)
+			}
 		}
-		emit(colors)
 	}
 	// Flush: partial blocks, padded to exactly 2·colors outputs.
 	flushed := 0
@@ -179,19 +175,26 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	return out, ok
 }
 
-// sweepFailures is the data-oblivious failure sweeping of §5. It runs the
-// same trace whether zero, one, or several buckets failed: copy the failed
-// cells (marked with FlagFailed) into a scratch array, tightly compact them
-// with the butterfly network, record each compacted cell's fill count and
-// origin, sort the prefix deterministically, repack the sorted elements
-// into cells with the original fill shape, route them back with the
-// expansion network, and merge. Returns false if the failure set exceeded
-// capD cells (irreparable; probability bounded by Lemma 20's argument).
-func sweepFailures(env *extmem.Env, res extmem.Array, capD int) bool {
+// sweepFailures is the data-oblivious failure sweeping of §5 over res, the
+// concatenation of a level's sorted buckets, each at most maxSub cells long.
+// It runs the same trace whether zero, one, or several buckets failed: copy
+// the failed cells (marked with FlagFailed) into a scratch array, tightly
+// compact them with the butterfly network, record each compacted cell's
+// fill count and origin, sort the prefix deterministically, repack the
+// sorted elements into cells with the original fill shape, route them back
+// with the expansion network, and merge. Returns false if the failure set
+// exceeded the capD cells the prefix has room for (irreparable).
+func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 	n := res.Len()
-	if n == 0 || capD == 0 {
+	if n == 0 {
 		return true
 	}
+	// Room for two failed buckets: what the sweep costs grows with capD and
+	// it is paid on every level, failures or none. A level therefore
+	// declares failure when three or more of its q+1 sub-sorts fail —
+	// probability at most C(q+1,3)·p³ for a per-bucket failure probability
+	// p <= (N/B)^-d (Lemma 20's argument with one more factor of p).
+	capD := min(2*maxSub+8, n)
 	b := res.B()
 	mark := env.D.Mark()
 	defer env.D.Release(mark)

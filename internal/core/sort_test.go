@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,6 +83,120 @@ func TestSortRecursivePipeline(t *testing.T) {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
 		checkSorted(t, a, keys)
+		// Scratch is O(n) per level and geometric over depth. The bound is
+		// looser than the 16·n of TestSortIOsAtBenchmarkGeometry because
+		// M/B <= 64 here gives q+1 = 3 buckets, so a level's ~7.4·n shrink
+		// by 1/3 per depth, not 1/5, and the additive q+2 and flush blocks
+		// per bucket weigh more (measured 13.1–17.2·n).
+		if hw := env.D.HighWater(); hw > 20*cfg.nBlocks {
+			t.Errorf("cfg %+v: disk high-water %d blocks > 20·n", cfg, hw)
+		}
+	}
+}
+
+// TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
+// where the benchmark's sort_mem workload measures them (N=2^16, B=8,
+// M=4096), and that the trace there is the same for every input and worker
+// count.
+func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
+	const nBlocks, b, m = 1 << 13, 8, 4096
+	r := rand.New(rand.NewPCG(8, 8))
+	var first trace.Summary
+	for i, workers := range []int{1, 2, 4} {
+		keys := make([]uint64, nBlocks*b)
+		for j := range keys {
+			switch i {
+			case 0:
+				keys[j] = r.Uint64()
+			case 1:
+				keys[j] = 99
+			default:
+				keys[j] = uint64(j)
+			}
+		}
+		env := newTestEnv(nBlocks, b, m, 21)
+		env.Workers = workers
+		rec := trace.NewRecorder(0)
+		env.D.SetRecorder(rec)
+		a := env.D.Alloc(nBlocks)
+		buildKeyArray(a, keys)
+		env.D.ResetStats()
+		env.Cache.ResetHighWater()
+		if err := Sort(env, a, SortParams{}); err != nil {
+			t.Fatal(err)
+		}
+		checkSorted(t, a, keys)
+		if per := float64(env.D.Stats().Total()) / nBlocks; per > 310 {
+			t.Errorf("workers=%d: %.1f I/Os per block > 310", workers, per)
+		}
+		if hw := env.Cache.HighWater(); hw > m {
+			t.Errorf("workers=%d: %d private elements > M=%d", workers, hw, m)
+		}
+		if hw := env.D.HighWater(); hw > 16*nBlocks {
+			t.Errorf("workers=%d: disk high-water %d blocks > 16·n", workers, hw)
+		}
+		if sum := rec.Summarize(); i == 0 {
+			first = sum
+		} else if !sum.Equal(first) {
+			t.Errorf("workers=%d: trace %v differs from workers=1's %v on other data", workers, sum, first)
+		}
+	}
+}
+
+// BenchmarkSortRandomized is one randomized Sort at the benchmark's sort_mem
+// geometry, reporting the two figures the theorem and the allocator are
+// held to.
+func BenchmarkSortRandomized(b *testing.B) {
+	const nBlocks, bs, m = 1 << 13, 8, 4096
+	env := newTestEnv(nBlocks, bs, m, 1)
+	a := env.D.Alloc(nBlocks)
+	r := rand.New(rand.NewPCG(1, 18))
+	keys := make([]uint64, nBlocks*bs)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	buildKeyArray(a, keys)
+	env.D.ResetStats()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := Sort(env, a, SortParams{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/nBlocks, "ios/block")
+	b.ReportMetric(float64(env.D.HighWater())/nBlocks, "disk-blocks/block")
+}
+
+// TestCopyDownOverlapping: the bucket results are copied onto the scratch
+// the recursion just released, so source and destination overlap; a forward
+// copy in whole batches must still deliver every block, across several
+// batches.
+func TestCopyDownOverlapping(t *testing.T) {
+	const n, b, m, shift = 200, 4, 128, 3 // scan batch = m/b - 1 = 31 blocks
+	for _, failed := range []bool{false, true} {
+		env := newTestEnv(n+shift, b, m, 23)
+		all := env.D.Alloc(n + shift)
+		src, dst := all.Slice(shift, n+shift), all.Slice(0, n)
+		want := make([]extmem.Element, n*b)
+		for i := range want {
+			if i%5 != 0 {
+				want[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
+			}
+		}
+		writeElems(src, want)
+		if k := env.ScanBatchN(1, n); k >= n || k <= shift {
+			t.Fatalf("scan batch %d: want several batches, each longer than the overlap shift", k)
+		}
+		copyDown(env, src, dst, failed)
+		for i, e := range readElems(dst) {
+			w := want[i]
+			if failed && w.Occupied() {
+				w.Flags |= extmem.FlagFailed
+			}
+			if e != w {
+				t.Fatalf("failed=%v: element %d = %+v, want %+v", failed, i, e, w)
+			}
+		}
 	}
 }
 
@@ -156,7 +271,8 @@ func TestSortCacheBound(t *testing.T) {
 
 // TestSweepRepairsInjectedFailure injects a deliberately scrambled, flagged
 // bucket into a concatenated result and checks the sweep restores global
-// sorted order — the §5 failure-sweeping mechanism in isolation.
+// sorted order — the §5 failure-sweeping mechanism in isolation — and that
+// its capacity is two buckets.
 func TestSweepRepairsInjectedFailure(t *testing.T) {
 	env := newTestEnv(4096, 4, 512, 9)
 	// Three "buckets" of 8 blocks each over disjoint key ranges; bucket 1
@@ -201,7 +317,7 @@ func TestSweepRepairsInjectedFailure(t *testing.T) {
 		k += 4
 	}
 
-	if !sweepFailures(env, res, 16) {
+	if !sweepFailures(env, res, 8) {
 		t.Fatal("sweep reported irreparable failure")
 	}
 	elems := readElems(res)
@@ -237,6 +353,21 @@ func TestSweepRepairsInjectedFailure(t *testing.T) {
 			t.Fatalf("FlagFailed left at element %d", i)
 		}
 	}
+
+	// The capacity edge: of a level's five buckets the sweep repairs two
+	// failed ones and declares three.
+	for _, c := range []struct {
+		failed []int
+		ok     bool
+	}{{nil, true}, {[]int{3}, true}, {[]int{1, 4}, true}, {[]int{0, 1, 3}, false}} {
+		ok, sorted := sweepLevel(newTestEnv(4096, 4, 512, 9), c.failed...)
+		if ok != c.ok {
+			t.Errorf("failed buckets %v: sweep ok = %v, want %v", c.failed, ok, c.ok)
+		}
+		if ok && !sorted {
+			t.Errorf("failed buckets %v: sweep reported success but the level is not sorted", c.failed)
+		}
+	}
 }
 
 // TestSweepNoFailuresIsIdentity: with nothing flagged the sweep must leave
@@ -251,7 +382,7 @@ func TestSweepNoFailuresIsIdentity(t *testing.T) {
 	}
 	buildKeyArray(res, keys)
 	before := readElems(res)
-	if !sweepFailures(env, res, 12) {
+	if !sweepFailures(env, res, 2) {
 		t.Fatal("sweep failed with no failures")
 	}
 	after := readElems(res)
@@ -262,27 +393,51 @@ func TestSweepNoFailuresIsIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepTraceIndependentOfFailures: the sweep's trace must not reveal
-// whether anything failed.
-func TestSweepTraceIndependentOfFailures(t *testing.T) {
-	run := func(fail bool) trace.Summary {
-		return traceOf(t, 2048, 4, 512, 13, func(env *extmem.Env) {
-			res := env.D.Alloc(16)
-			blk := make([]extmem.Element, 4)
-			for c := 0; c < 16; c++ {
-				for t := range blk {
-					blk[t] = extmem.Element{Key: uint64(100 - c*4 - t), Pos: uint64(c*4 + t), Flags: extmem.FlagOccupied}
-					if fail && c < 8 {
-						blk[t].Flags |= extmem.FlagFailed
-					}
-				}
-				res.Write(c, blk)
-			}
-			sweepFailures(env, res, 12)
-		})
+// sweepLevel builds what one level hands the sweep — five sorted buckets of
+// 16 full cells over disjoint ascending key ranges — with the buckets in
+// failed scrambled and flagged, sweeps it, and reports the sweep's verdict
+// and whether the whole array came out sorted and unflagged.
+func sweepLevel(env *extmem.Env, failed ...int) (ok, sorted bool) {
+	const buckets, cells, b = 5, 16, 4
+	res := env.D.Alloc(buckets * cells)
+	r := rand.New(rand.NewPCG(12, 12))
+	elems := make([]extmem.Element, 0, buckets*cells*b)
+	for bk := 0; bk < buckets; bk++ {
+		keys := make([]uint64, cells*b)
+		for i := range keys {
+			keys[i] = uint64(bk*1000 + i)
+		}
+		flags := uint64(extmem.FlagOccupied)
+		if slices.Contains(failed, bk) {
+			r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			flags |= extmem.FlagFailed
+		}
+		for _, k := range keys {
+			elems = append(elems, extmem.Element{Key: k, Pos: uint64(len(elems)), Flags: flags})
+		}
 	}
-	if !run(false).Equal(run(true)) {
-		t.Fatal("sweep trace depends on the failure set")
+	writeElems(res, elems)
+	ok = sweepFailures(env, res, cells)
+	sorted = true
+	for i, e := range readElems(res) {
+		if e.Key != uint64(i/(cells*b)*1000+i%(cells*b)) || !e.Occupied() || e.Flags&extmem.FlagFailed != 0 {
+			sorted = false
+		}
+	}
+	return ok, sorted
+}
+
+// TestSweepTraceIndependentOfFailures: the sweep's trace must not reveal
+// whether anything failed, how much, or whether it could be repaired.
+func TestSweepTraceIndependentOfFailures(t *testing.T) {
+	run := func(failed ...int) trace.Summary {
+		return traceOf(t, 4096, 4, 512, 13, func(env *extmem.Env) { sweepLevel(env, failed...) })
+	}
+	clean := run()
+	for _, failed := range [][]int{{2}, {0, 4}, {1, 2, 3}} {
+		if !run(failed...).Equal(clean) {
+			t.Fatalf("sweep trace with buckets %v failed differs from the fault-free trace", failed)
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ type Disk struct {
 	rec      *trace.Recorder
 	obs      *obs.Collector
 	top      int
+	topMax   int    // largest top any Alloc reached
 	maxBatch int    // blocks per vectored store call; 0 = unlimited, 1 = scalar
 	addrs    []int  // scratch for building vectored address lists
 	one      [1]int // address list of a one-block Read/Write
@@ -241,6 +242,7 @@ func (d *Disk) Alloc(n int) Array {
 	}
 	a := Array{d: d, base: d.top, n: n}
 	d.top += n
+	d.topMax = max(d.topMax, d.top)
 	return a
 }
 
@@ -257,8 +259,23 @@ func (d *Disk) Release(mark int) {
 	d.top = mark
 }
 
+// Since returns every block allocated after the given watermark as one
+// Array: the concatenation, in allocation order, of the arenas a caller
+// stacked there.
+func (d *Disk) Since(mark int) Array {
+	if mark < 0 || mark > d.top {
+		panic("extmem: bad watermark")
+	}
+	return Array{d: d, base: mark, n: d.top - mark}
+}
+
 // Allocated returns the number of blocks currently allocated.
 func (d *Disk) Allocated() int { return d.top }
+
+// HighWater returns the most blocks that were ever allocated at once: the
+// scratch footprint of everything run on this Disk. Like allocation itself
+// it is client-side bookkeeping (no I/O, no trace).
+func (d *Disk) HighWater() int { return d.topMax }
 
 // Array is a view over a contiguous run of blocks on a Disk. All the
 // paper's algorithms operate on Arrays; Slice carves subarrays without

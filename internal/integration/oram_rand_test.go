@@ -145,7 +145,7 @@ func TestORAMRandomizedBackends(t *testing.T) {
 				// on every backend, real HTTP included — no network caps.
 				// The randomized rebuild sorter keeps exactly one small HTTP
 				// case (n=16) as a regression control: its rebuilds move
-				// ~50× a deterministic engine's block volume at this tiny
+				// many times a deterministic engine's block volume at this tiny
 				// cache, which over loopback HTTP buys minutes of wall clock
 				// and no coverage beyond the small case.
 				ops := tc.ops

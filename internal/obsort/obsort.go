@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/par"
@@ -63,7 +62,18 @@ type Sorter func(env *extmem.Env, a extmem.Array, less Less)
 // invisible to the adversary, so no circuit is needed; this is the base
 // case every external algorithm bottoms out in.
 func InCache(buf []extmem.Element, less Less) {
-	sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+	slices.SortStableFunc(buf, func(x, y extmem.Element) int { return compare(less, x, y) })
+}
+
+// compare is less as the three-way comparison the slices package sorts by.
+func compare(less Less, x, y extmem.Element) int {
+	switch {
+	case less(x, y):
+		return -1
+	case less(y, x):
+		return 1
+	}
+	return 0
 }
 
 // Bitonic sorts the array element-wise with a data-oblivious external
@@ -132,13 +142,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 			if desc {
 				x, y = y, x
 			}
-			switch {
-			case less(x, y):
-				return -1
-			case less(y, x):
-				return 1
-			}
-			return 0
+			return compare(less, x, y)
 		})
 		if sc.np > wb {
 			work.WriteRange(lo, lo+wb, win)

