@@ -190,7 +190,9 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	if int(survivors) > tail.Len()*b && failed == nil {
 		failed = fmt.Errorf("%w: %d survivor elements exceed reserved tail", ErrLogStarOverflow, survivors)
 	}
-	copyArray(env, fin, tail)
+	if err == nil { // a failed compaction returns no tail-sized array; the trace stops a copy short
+		copyArray(env, fin, tail)
+	}
 
 	env.D.Release(mark + out.Len())
 	return out, occ, phases, failed

@@ -10,6 +10,7 @@ import (
 	"oblivext/internal/emsort"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 	"oblivext/internal/workload"
 )
 
@@ -234,6 +235,169 @@ func TestSorterDifferentialOracle(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// compactCase is one block-level layout for the compaction oracle: n cells,
+// the listed ones occupied. A cell's slot t holds an item when keep(j, t)
+// (nil: every slot), so ragged cells are covered too; every item is marked
+// as well as occupied, Pos is the slot index, and keys repeat.
+type compactCase struct {
+	name string
+	n    int
+	occ  []int
+	keep func(j, t int) bool
+}
+
+func compactCorpus() []compactCase {
+	r := rand.New(rand.NewPCG(19, 8))
+	span := func(lo, hi int) []int {
+		out := make([]int, 0, hi-lo)
+		for j := lo; j < hi; j++ {
+			out = append(out, j)
+		}
+		return out
+	}
+	cases := []compactCase{{name: "n=0"}}
+	// 0 / 1 / 7 / 8, n·B < M at every geometry below (16), not a power of
+	// two (100), and large enough for several halving rounds (300).
+	for _, n := range []int{1, 7, 8, 16, 100, 300} {
+		q := max(1, n/4)
+		random := r.Perm(n)[:q]
+		sort.Ints(random)
+		cases = append(cases,
+			compactCase{name: fmt.Sprintf("n=%d/none", n), n: n},
+			compactCase{name: fmt.Sprintf("n=%d/one", n), n: n, occ: []int{n / 2}},
+			compactCase{name: fmt.Sprintf("n=%d/all", n), n: n, occ: span(0, n)},
+			compactCase{name: fmt.Sprintf("n=%d/front", n), n: n, occ: span(0, q)},
+			compactCase{name: fmt.Sprintf("n=%d/back", n), n: n, occ: span(n-q, n)},
+			compactCase{name: fmt.Sprintf("n=%d/random", n), n: n, occ: random},
+		)
+	}
+	return append(cases, compactCase{name: "n=100/ragged", n: 100, occ: span(30, 55),
+		keep: func(j, t int) bool { return (j+t)%3 != 0 }})
+}
+
+// lay writes the case into a fresh array of env and returns it with the
+// items in slot order (the filter-and-compare reference).
+func (c compactCase) lay(env *extmem.Env) (extmem.Array, []extmem.Element) {
+	b := env.B()
+	a := env.D.Alloc(c.n)
+	slots := make([]extmem.Element, c.n*b)
+	var ref []extmem.Element
+	for _, j := range c.occ {
+		for t := 0; t < b; t++ {
+			if c.keep != nil && !c.keep(j, t) {
+				continue
+			}
+			e := extmem.Element{Key: uint64((j*31 + t) % 17), Val: uint64(j), Pos: uint64(j*b + t),
+				Flags: extmem.FlagOccupied | extmem.FlagMarked}
+			slots[j*b+t] = e
+			ref = append(ref, e)
+		}
+	}
+	writeElems(a, slots)
+	return a, ref
+}
+
+// TestCompactionDifferentialOracle runs the four compactions over one
+// shared corpus against a filter-and-compare reference: the items (in order
+// for the tight ones, as a multiset for the loose ones), the output-length
+// contract, a balanced cache and HighWater <= M — and, where the occupancy
+// exceeds the declared capacity, the declared failure.
+func TestCompactionDifferentialOracle(t *testing.T) {
+	type result struct {
+		out extmem.Array
+		err error
+	}
+	compactors := []struct {
+		name     string
+		ordered  bool
+		declared error
+		outLen   func(n, rCap int) int
+		run      func(env *extmem.Env, a extmem.Array, rCap int) result
+	}{
+		{"CompactMarkedTight", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
+			func(env *extmem.Env, a extmem.Array, rCap int) result {
+				out, _, err := CompactMarkedTight(env, a, rCap)
+				return result{out, err}
+			}},
+		{"route.CompactBlocksTight", true, nil, func(n, _ int) int { return n },
+			func(env *extmem.Env, a extmem.Array, _ int) result {
+				route.CompactBlocksTight(env, a, route.PredOccupied, 0)
+				return result{a, nil}
+			}},
+		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
+			func(env *extmem.Env, a extmem.Array, rCap int) result {
+				out, _, err := CompactBlocksLoose(env, a, rCap, LooseParams{})
+				return result{out, err}
+			}},
+		{"CompactBlocksLogStar", false, ErrLogStarOverflow, func(_, rCap int) int { return 4*rCap + extmem.CeilDiv(rCap, 4) },
+			func(env *extmem.Env, a extmem.Array, rCap int) result {
+				out, _, _, err := CompactBlocksLogStar(env, a, rCap, LogStarParams{})
+				return result{out, err}
+			}},
+	}
+	byPos := func(s []extmem.Element) {
+		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
+	}
+	for _, g := range []struct{ b, m int }{{4, 256}, {8, 1024}, {8, 4096}} {
+		for _, c := range compactCorpus() {
+			// rCap exactly the occupancy, rCap = 1, and the theorems' n/4.
+			rCaps := map[int]bool{max(1, len(c.occ)): true, 1: true, max(1, c.n/4): true}
+			for _, cp := range compactors {
+				for rCap := range rCaps {
+					if cp.declared == nil && rCap != 1 {
+						continue // the in-place butterfly takes no capacity
+					}
+					t.Run(fmt.Sprintf("B=%d,M=%d/%s/%s/rCap=%d", g.b, g.m, c.name, cp.name, rCap), func(t *testing.T) {
+						check := func(seed uint64) error {
+							env := newTestEnv(64, g.b, g.m, seed)
+							a, ref := c.lay(env)
+							env.Cache.ResetHighWater()
+							res := cp.run(env, a, rCap)
+							if used := env.Cache.Used(); used != 0 {
+								t.Fatalf("%d words left checked out", used)
+							}
+							if hw := env.Cache.HighWater(); hw > g.m {
+								t.Fatalf("used %d words of private memory, M=%d", hw, g.m)
+							}
+							if res.err != nil {
+								return res.err
+							}
+							if want := cp.outLen(c.n, rCap); res.out.Len() != want {
+								t.Fatalf("output of %d blocks, contract says %d", res.out.Len(), want)
+							}
+							var got []extmem.Element
+							for _, e := range readElems(res.out) {
+								if e.Occupied() {
+									got = append(got, e)
+								}
+							}
+							if !cp.ordered {
+								byPos(got)
+							}
+							if len(got) != len(ref) {
+								t.Fatalf("%d items out, %d in", len(got), len(ref))
+							}
+							for i := range ref {
+								if !sameItem(got[i], ref[i]) {
+									t.Fatalf("item %d = %+v, reference %+v", i, got[i], ref[i])
+								}
+							}
+							return nil
+						}
+						if cp.declared != nil && len(c.occ) > rCap {
+							if err := check(1); !errors.Is(err, cp.declared) {
+								t.Fatalf("%d occupied cells over capacity %d: err = %v, want %v", len(c.occ), rCap, err, cp.declared)
+							}
+							return
+						}
+						retryDeclared(t, cp.declared, check)
+					})
+				}
+			}
 		}
 	}
 }

@@ -56,11 +56,16 @@ func cellWords(b int) int { return 2 + extmem.ElementWords*b }
 // fit Alice's cache, i.e. whether CompactBlocksSparse would peel privately.
 func SparseTableFits(env *extmem.Env, rCap int, p SparseParams) bool {
 	p.setDefaults()
-	m := p.TableFactor * max(rCap, 1)
-	if m < p.K {
-		m = p.K
-	}
-	return m*(cellWords(env.B())+2) <= env.M-4*env.B()
+	rCap = max(rCap, 1)
+	return peelFitsCache(env, max(p.TableFactor*rCap, p.K), rCap)
+}
+
+// peelFitsCache reports whether everything peelPrivate checks out at once —
+// the m table cells, the rCap recovered (key, block) pairs, and a scan
+// buffer of one block with ScanBatch's block of slack — fits in M.
+func peelFitsCache(env *extmem.Env, m, rCap int) bool {
+	b := env.B()
+	return m*cellWords(b)+rCap*(cellWords(b)-1)+2*b <= env.M
 }
 
 // CompactMarkedTight consolidates the marked elements of a (Lemma 3) and
@@ -230,10 +235,9 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 
 	// Peel: private if the whole table fits comfortably in cache,
 	// otherwise through the ORAM substrate.
-	footprint := m * (cellWords(b) + 2)
 	var recovered int
 	var err error
-	if !p.ForceORAM && footprint <= env.M-4*b {
+	if !p.ForceORAM && peelFitsCache(env, m, rCap) {
 		recovered, err = peelPrivate(env, sums, hdrs, hasher, m, rCap, out)
 	} else {
 		recovered, err = peelViaORAM(env, sums, hdrs, hasher, m, rCap, out)
