@@ -159,7 +159,7 @@ func BenchmarkE5LooseCompact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mark := env.D.Mark()
-		if _, _, err := core.CompactBlocksLoose(env, a, nBlocks/4, core.LooseParams{}); err != nil {
+		if _, _, _, err := core.CompactBlocksLoose(env, a, nBlocks/4); err != nil {
 			b.Fatal(err)
 		}
 		env.D.Release(mark)

@@ -197,3 +197,24 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	env.D.Release(mark + out.Len())
 	return out, occ, phases, failed
 }
+
+// ThinningPassForTest exposes one A-to-C thinning pass for the E12
+// experiment and external tests.
+func ThinningPassForTest(env *extmem.Env, src, dst extmem.Array) { thinningPass(env, src, dst) }
+
+// thinningPass is one A-to-C pass: every cell of src probes dst once (see
+// prober), a scan batch of cells per vectored read and write of src.
+func thinningPass(env *extmem.Env, src, dst extmem.Array) {
+	b := src.B()
+	w := env.ScanBatchN(2, src.Len())
+	sbuf := env.Cache.Buf(w * b)
+	p := newProber(env, w)
+	for lo := 0; lo < src.Len(); lo += w {
+		hi := min(lo+w, src.Len())
+		src.ReadRange(lo, hi, sbuf[:(hi-lo)*b])
+		p.probe(sbuf[:(hi-lo)*b], dst)
+		src.WriteRange(lo, hi, sbuf[:(hi-lo)*b])
+	}
+	p.close()
+	env.Cache.Free(sbuf)
+}

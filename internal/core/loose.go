@@ -3,307 +3,299 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
 
-// This file implements Theorem 8: loose compaction of at most R < N/4
-// marked blocks into an array of size 5R using O(N/B) I/Os. The algorithm
-// runs c0 randomized thinning passes that scatter occupied cells into a
-// 4R-cell array C, then repeatedly sorts O(log n)-block regions and keeps
-// only their first halves (each region holds at most half its cells of
-// survivors w.h.p. — Lemma 7), until the residue is small enough that one
-// deterministic sort is linear; the residue compacts into the final R
-// cells.
+// This file implements Theorem 8: loose compaction of at most R occupied
+// blocks into an array of size 5R using O(N/B) I/Os. A round cuts its source
+// into regions that fit the cache and reads each once: every cell probes c0
+// tape-drawn slots of a 4R-cell array C, moving there if it finds one empty,
+// and the region's survivors go to the front of the buffer, whose first half
+// is all the next round reads (Lemma 7: a region holds at most half its
+// cells of survivors w.h.p.). Rounds stop when fewer than two regions
+// remain; one deterministic sort compacts that residue into the last R cells.
 
-// ErrLooseOverflow reports a low-probability failure: a region held more
-// survivors than the halving step can keep (Lemma 7's bad event), or the
-// final residue exceeded R. The trace is unchanged by the failure.
+// ErrLooseOverflow reports more occupied cells than the declared capacity,
+// or Lemma 7's low-probability bad event: a region with more survivors than
+// the half that is kept. The trace is unchanged by the failure.
 var ErrLooseOverflow = errors.New("core: loose compaction overflow")
 
-// LooseParams tunes Theorem 8's constants.
-type LooseParams struct {
-	// C0 is the number of thinning passes per round (paper: >= 3 for the
-	// Lemma 7 analysis; default 4).
-	C0 int
-	// C1 scales the region size c1·log2(n) (paper: d+2; default 4).
-	C1 int
+// looseShape is the public shape of a call: every round probes each cell c0
+// times and halves balanced regions of at least g blocks.
+type looseShape struct{ c0, g int }
+
+// loosePlan returns the shape for an array of n blocks, or false where the
+// rounds cannot run: no region size fits the cache (no wide-block
+// assumption), or n holds fewer than two regions. C has 4R cells for at most
+// R items, so a probe fails with probability at most 1/4 whatever happened
+// before it, the survivors of an r-block region are dominated by
+// Bin(r, 4^-c0), and P[more than r/2 survive] <= exp(-r·KL(1/2 ‖ 4^-c0)).
+// All rounds together cut fewer than n regions, each of at least g blocks,
+// so g = ⌈(ln 2^40 + ln n) / KL⌉ bounds a call's failure by 2^-40. The plan
+// takes the smallest c0 whose g fills at most half the cache — a round costs
+// (1.5 + 2·c0) I/Os per block — leaving the rest to the probe window.
+func loosePlan(n, b, m int) (looseShape, bool) {
+	const l = 40 * math.Ln2
+	for c0 := 1; c0 <= 8; c0++ {
+		q := math.Pow(4, -float64(c0))
+		kl := -math.Ln2 - math.Log(q*(1-q))/2
+		g := int(math.Ceil((l + math.Log(float64(max(n, 2)))) / kl))
+		if g*b <= m/2 {
+			return looseShape{c0, g}, n/g >= 2
+		}
+	}
+	return looseShape{}, false
 }
 
-func (p *LooseParams) setDefaults() {
-	if p.C0 == 0 {
-		p.C0 = 4
+// halved returns the length a round leaves of s blocks: the rounded-up half
+// of each of its s/g balanced regions.
+func halved(s, g int) int {
+	r := s / g
+	q, big := s/r, s%r
+	return (r-big)*((q+1)/2) + big*((q+2)/2)
+}
+
+// looseRounds replays the rounds over n blocks: their number, the longest
+// region any of them reads, and the residue they leave.
+func looseRounds(n, g int) (rounds, rmax, residue int) {
+	s := n
+	for ; s/g >= 2; s = halved(s, g) {
+		rounds++
+		rmax = max(rmax, extmem.CeilDiv(s, s/g))
 	}
-	if p.C1 == 0 {
-		p.C1 = 4
-	}
+	return rounds, rmax, s
 }
 
 // CompactBlocksLoose compacts the occupied block-cells of a — at most rCap
-// of them, with rCap <= len/4 — into a fresh array of exactly 5·rCap
-// blocks using O(n) I/Os. Order is not preserved (this is the paper's
-// loose compaction). Returns the output array and the occupied count.
-func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int, p LooseParams) (extmem.Array, int, error) {
-	p.setDefaults()
-	n := a.Len()
-	b := a.B()
-	if rCap < 1 {
-		rCap = 1
+// of them — into a fresh array of exactly 5·rCap blocks using O(n) I/Os,
+// without modifying a. Order is not preserved (this is the paper's loose
+// compaction). The theorem's R < N/4 is not a correctness precondition: the
+// 1/4 fill of C follows from its 4·rCap cells alone, and n only decides
+// whether the output is shorter than the input. It returns the output, the
+// occupied count, and the number of probes that repeated a slot already
+// fetched in their window — a function of the tape alone; each saves the
+// two I/Os by which the call undercuts LooseIOCount. It fails with
+// probability at most 2^-40 (see loosePlan).
+func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, int64, error) {
+	rCap = max(rCap, 1)
+	if plan, ok := loosePlan(a.Len(), a.B(), env.M); ok {
+		return looseWith(env, a, rCap, plan)
 	}
-	if n < 8 {
-		// Degenerate small case: fall back to a single sort.
-		return looseBySort(env, a, rCap)
-	}
+	out, occ, err := looseBySort(env, a, rCap)
+	return out, occ, 0, err
+}
 
+// looseWith is CompactBlocksLoose under a given shape with at least two
+// regions in a; tests force failures with hostile ones.
+func looseWith(env *extmem.Env, a extmem.Array, rCap int, plan looseShape) (extmem.Array, int, int64, error) {
+	b := a.B()
 	mark := env.D.Mark()
 	out := env.D.Alloc(5 * rCap)
-	c := out.Slice(0, 4*rCap)
-	tail := out.Slice(4*rCap, 5*rCap)
-
-	// Zero C.
+	c, tail := out.Slice(0, 4*rCap), out.Slice(4*rCap, 5*rCap)
 	zeroArray(env, c)
 
-	// Working copy of A (the halving is destructive).
-	work := env.D.Alloc(n)
-	occ := 0
-	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		if route.PredOccupied(blk) {
-			occ++
-		}
-	})
-
-	var failed error
-	if occ > rCap {
-		failed = fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
-	}
-
-	// Region size: c1·log2(n) blocks, at least 2 and even.
-	g := p.C1 * extmem.CeilLog2(max(2, n))
-	if g < 2 {
-		g = 2
-	}
-	g += g % 2
-
-	// Stop halving when one deterministic sort of the residue is linear:
-	// with the bitonic realization that is s ~ n/(1+log2^2(nB/M)).
-	l := extmem.CeilLog2(max(2, n*b/env.M))
-	stop := n / (1 + l*l)
-	if stop < g {
-		stop = g
-	}
-	if stop < 4 {
-		stop = 4
-	}
-
-	s := n
-	cur := work
-	for s > stop {
-		for pass := 0; pass < p.C0; pass++ {
-			thinningPass(env, cur.Slice(0, s), c)
-		}
-		// Region halving: sort each region occupied-first, keep the first
-		// half of each.
-		ns := 0
-		for lo := 0; lo < s; lo += g {
-			hi := lo + g
-			if hi > s {
-				hi = s
-			}
-			ns += (hi - lo + 1) / 2
-		}
-		next := env.D.Alloc(ns)
+	_, rmax, _ := looseRounds(a.Len(), plan.g)
+	rbuf := env.Cache.Buf(rmax * b)
+	p := newProber(env, env.ScanBatchN(1, rmax))
+	occ, overflowed := 0, 0
+	cur := a
+	for cur.Len()/plan.g >= 2 {
+		s := cur.Len()
+		regions := s / plan.g
+		next := env.D.Alloc(halved(s, plan.g))
 		w := 0
-		for lo := 0; lo < s; lo += g {
-			hi := lo + g
-			if hi > s {
-				hi = s
+		for i := 0; i < regions; i++ {
+			lo, hi := i*s/regions, (i+1)*s/regions
+			cells := rbuf[:(hi-lo)*b]
+			cur.ReadRange(lo, hi, cells)
+			if s == a.Len() {
+				occ += packOccupied(cells, b)
+			}
+			for j := 0; j < plan.c0; j++ {
+				p.probe(cells, c)
 			}
 			keep := (hi - lo + 1) / 2
-			if err := halveRegion(env, cur.Slice(lo, hi), next.Slice(w, w+keep)); err != nil && failed == nil {
-				failed = err
+			if packOccupied(cells, b) > keep {
+				overflowed++ // the excess is dropped; the trace goes on unchanged
 			}
+			next.WriteRange(w, w+keep, cells[:keep*b])
 			w += keep
 		}
 		cur = next
-		s = ns
 	}
+	repeats := p.repeats
+	p.close()
+	env.Cache.Free(rbuf)
 
-	// Final deterministic compression of the residue into the tail.
-	obsort.Bitonic(env, cur.Slice(0, s), blockOccLess)
-	wbuf := env.Cache.Buf(env.ScanBatchN(2, tail.Len()) * b)
-	wr := extmem.NewSeqWriter(tail, 0, wbuf)
-	survivors := 0
-	scanReadSync(env, cur.Slice(0, s), func(i int, blk []extmem.Element) {
-		if route.PredOccupied(blk) {
-			survivors++
-		}
-		if i < tail.Len() {
-			copy(wr.Next(), blk)
-		}
-	})
-	for i := s; i < tail.Len(); i++ {
-		blk := wr.Next()
-		for t := range blk {
-			blk[t] = extmem.Element{}
-		}
-	}
-	wr.Flush()
-	env.Cache.Free(wbuf)
-	if survivors > tail.Len() && failed == nil {
-		failed = fmt.Errorf("%w: %d survivors exceed tail capacity %d", ErrLooseOverflow, survivors, tail.Len())
-	}
-
+	// At most occ survivors are left, so within the declared capacity the
+	// residue's occupied cells fit the tail.
+	sortInto(env, cur, tail)
 	env.D.Release(mark + out.Len())
-	return out, occ, failed
+	var err error
+	if occ > rCap {
+		err = fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
+	} else if overflowed > 0 {
+		err = fmt.Errorf("%w: %d regions with more survivors than the half kept", ErrLooseOverflow, overflowed)
+	}
+	return out, occ, repeats, err
 }
 
-// ThinningPassForTest exposes one A-to-C thinning pass for the E12
-// experiment and external tests.
-func ThinningPassForTest(env *extmem.Env, src, dst extmem.Array) { thinningPass(env, src, dst) }
-
-// thinningPass is one A-to-C pass: for every cell of src, draw a uniform
-// slot of dst, and move the cell there if the cell is occupied and the slot
-// empty — the probe sequence is tape-driven, so the trace is
-// data-independent.
-//
-// The pass runs in windows: w source cells are fetched with one vectored
-// read, their w probe slots are drawn from the tape and fetched (distinct
-// slots only — a repeated probe reuses the cached copy, preserving the
-// scalar loop's sequential move semantics), the transfers happen privately,
-// and both sides go back with vectored writes.
-func thinningPass(env *extmem.Env, src, dst extmem.Array) {
-	b := src.B()
-	w := env.ScanBatchN(2, src.Len())
-	sbuf := env.Cache.Buf(w * b)
-	dbuf := env.Cache.Buf(w * b)
-	js := make([]int, w)
-	idx := make([]int, 0, w)
-	slot := make(map[int]int, w)
-	for i0 := 0; i0 < src.Len(); i0 += w {
-		cnt := min(w, src.Len()-i0)
-		src.ReadRange(i0, i0+cnt, sbuf[:cnt*b])
-		idx = idx[:0]
-		clear(slot)
-		for t := 0; t < cnt; t++ {
-			j := env.Tape.IntN(dst.Len())
-			js[t] = j
-			if _, seen := slot[j]; !seen {
-				slot[j] = len(idx)
-				idx = append(idx, j)
-			}
+// packOccupied moves the occupied b-element cells of the buffer to its
+// front, in order, and returns their number.
+func packOccupied(cells []extmem.Element, b int) int {
+	w := 0
+	for t := 0; t < len(cells); t += b {
+		if !route.PredOccupied(cells[t : t+b]) {
+			continue
 		}
-		dst.ReadMany(idx, dbuf[:len(idx)*b])
+		if w != t {
+			copy(cells[w:w+b], cells[t:t+b])
+			clear(cells[t : t+b])
+		}
+		w += b
+	}
+	return w / b
+}
+
+// prober is the probe kernel Theorems 8 and 9 share. A probe draws a uniform
+// slot of dst for every cell of a buffer and moves the cell there if the
+// cell is occupied and the slot empty; the slots come from the tape, so the
+// trace is data-independent. It runs in windows of w cells: the window's
+// slots are drawn and fetched with one vectored read (distinct slots only —
+// a repeated one reuses the cached copy, preserving the scalar loop's
+// sequential move semantics), the moves happen privately, and the slots go
+// back with one vectored write.
+type prober struct {
+	env     *extmem.Env
+	w       int
+	dbuf    []extmem.Element // the window's distinct slots
+	at      []int            // for each cell of the window, its slot's block in dbuf
+	idx     []int            // the distinct slots, in the order drawn
+	seen    map[int]int      // slot -> its block in dbuf
+	repeats int64            // probes whose slot was already in the window
+}
+
+func newProber(env *extmem.Env, w int) *prober {
+	return &prober{env: env, w: w, dbuf: env.Cache.Buf(w * env.B()),
+		at: make([]int, w), idx: make([]int, 0, w), seen: make(map[int]int, w)}
+}
+
+func (p *prober) close() { p.env.Cache.Free(p.dbuf) }
+
+// probe probes dst once for every b-element cell of cells, emptying the
+// cells that move.
+func (p *prober) probe(cells []extmem.Element, dst extmem.Array) {
+	b := dst.B()
+	for ; len(cells) > 0; cells = cells[min(p.w*b, len(cells)):] {
+		cnt := min(p.w, len(cells)/b)
+		p.idx = p.idx[:0]
+		clear(p.seen)
 		for t := 0; t < cnt; t++ {
-			sblk := sbuf[t*b : (t+1)*b]
-			dblk := dbuf[slot[js[t]]*b : (slot[js[t]]+1)*b]
+			j := p.env.Tape.IntN(dst.Len())
+			k, ok := p.seen[j]
+			if ok {
+				p.repeats++
+			} else {
+				k = len(p.idx)
+				p.seen[j] = k
+				p.idx = append(p.idx, j)
+			}
+			p.at[t] = k
+		}
+		dbuf := p.dbuf[:len(p.idx)*b]
+		dst.ReadMany(p.idx, dbuf)
+		for t := 0; t < cnt; t++ {
+			sblk, dblk := cells[t*b:(t+1)*b], dbuf[p.at[t]*b:(p.at[t]+1)*b]
 			if route.PredOccupied(sblk) && !route.PredOccupied(dblk) {
 				copy(dblk, sblk)
-				for e := range sblk {
-					sblk[e] = extmem.Element{}
-				}
+				clear(sblk)
 			}
 		}
-		dst.WriteMany(idx, dbuf[:len(idx)*b])
-		src.WriteRange(i0, i0+cnt, sbuf[:cnt*b])
+		dst.WriteMany(p.idx, dbuf)
 	}
-	env.Cache.Free(dbuf)
-	env.Cache.Free(sbuf)
 }
 
-// blockOccLess orders elements so that blocks of occupied cells precede
-// empty cells; within the occupied prefix the order is irrelevant for
-// loose compaction, but Key order keeps the sort total.
-func blockOccLess(a, b extmem.Element) bool { return a.Less(b) }
-
-// halveRegion sorts one region occupied-first and writes its first half to
-// dst, reporting overflow if more than half the region survived.
-func halveRegion(env *extmem.Env, region, dst extmem.Array) error {
-	b := region.B()
-	g := region.Len()
-	if g*b <= env.M-env.B() {
-		buf := env.Cache.Buf(g * b)
-		region.ReadRange(0, g, buf)
-		// Private block-level sort: occupied cells first. Order within a
-		// block must be preserved, so sort at block granularity.
-		type cell struct {
-			occ  bool
-			data []extmem.Element
-		}
-		cells := make([]cell, g)
-		for i := range cells {
-			d := buf[i*b : (i+1)*b]
-			cells[i] = cell{occ: route.PredOccupied(d), data: d}
-		}
-		surv := 0
-		wbuf := env.Cache.Buf(env.ScanBatchN(1, dst.Len()) * b)
-		wr := extmem.NewSeqWriter(dst, 0, wbuf)
-		for _, cl := range cells {
-			if cl.occ && wr.Pos() < dst.Len() {
-				copy(wr.Next(), cl.data)
-			}
-			if cl.occ {
-				surv++
-			}
-		}
-		for wr.Pos() < dst.Len() {
-			blk := wr.Next()
-			for t := range blk {
-				blk[t] = extmem.Element{}
-			}
-		}
-		wr.Flush()
-		env.Cache.Free(wbuf)
-		env.Cache.Free(buf)
-		if surv > dst.Len() {
-			return fmt.Errorf("%w: region with %d survivors > %d", ErrLooseOverflow, surv, dst.Len())
-		}
-		return nil
-	}
-	// Region exceeds cache (no wide-block assumption): sort it obliviously.
-	obsort.Bitonic(env, region, blockOccLess)
-	wbuf := env.Cache.Buf(env.ScanBatchN(2, dst.Len()) * b)
-	wr := extmem.NewSeqWriter(dst, 0, wbuf)
-	surv := 0
-	scanReadSync(env, region, func(i int, blk []extmem.Element) {
-		if route.PredOccupied(blk) {
-			surv++
-		}
-		if i < dst.Len() {
-			copy(wr.Next(), blk)
-		}
-	})
-	wr.Flush()
-	env.Cache.Free(wbuf)
-	if surv > dst.Len() {
-		return fmt.Errorf("%w: region with %d survivors > %d", ErrLooseOverflow, surv, dst.Len())
-	}
-	return nil
+// sortInto sorts work occupied-first (the order among the occupied is
+// irrelevant here; Element.Less keeps the sort total) and copies as much of
+// it as fits into dst, zero-filling what is left of dst.
+func sortInto(env *extmem.Env, work, dst extmem.Array) {
+	obsort.Bitonic(env, work, extmem.Element.Less)
+	cp := min(work.Len(), dst.Len())
+	copyArray(env, work.Slice(0, cp), dst.Slice(0, cp))
+	zeroArray(env, dst.Slice(cp, dst.Len()))
 }
 
-// looseBySort is the tiny-input fallback: one deterministic sort.
+// looseBySort is the path for inputs the rounds cannot run on: one
+// deterministic sort of a copy.
 func looseBySort(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, error) {
-	n := a.Len()
 	mark := env.D.Mark()
 	out := env.D.Alloc(5 * rCap)
-	work := env.D.Alloc(n)
+	work := env.D.Alloc(a.Len())
 	occ := 0
 	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
 		if route.PredOccupied(blk) {
 			occ++
 		}
 	})
-	obsort.Bitonic(env, work, blockOccLess)
-	cp := min(n, out.Len())
-	scanCopy(env, work.Slice(0, cp), out.Slice(0, cp), func(_ int, blk []extmem.Element) {})
-	if cp < out.Len() {
-		zeroArray(env, out.Slice(cp, out.Len()))
-	}
-	var err error
-	if occ > rCap {
-		err = fmt.Errorf("%w: %d occupied > capacity %d", ErrLooseOverflow, occ, rCap)
-	}
+	sortInto(env, work, out)
 	env.D.Release(mark + out.Len())
-	return out, occ, err
+	if occ > rCap {
+		return out, occ, fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
+	}
+	return out, occ, nil
+}
+
+// LooseIOCount predicts the block I/Os of CompactBlocksLoose on n blocks of
+// b elements with a cache of m, before the two saved by every repeated
+// probe: zeroing C, (1.5 + 2·c0)·s per round over s blocks, and the sort of
+// the residue into the tail.
+func LooseIOCount(n, rCap, b, m int) int64 { ios, _ := looseCost(n, rCap, b, m); return ios }
+
+// LooseRoundTrips predicts CompactBlocksLoose's vectored round trips when it
+// is entered with the whole cache free and batches are bounded by the cache
+// alone (no MaxBatch); repeated probes do not change it.
+func LooseRoundTrips(n, rCap, b, m int) int64 { _, rts := looseCost(n, rCap, b, m); return rts }
+
+// LoosePlan reports the public constants of a call on n blocks — probes per
+// cell, least region size, rounds — all zero where it sorts instead.
+func LoosePlan(n, b, m int) (c0, g, rounds int) {
+	plan, ok := loosePlan(n, b, m)
+	if !ok {
+		return 0, 0, 0
+	}
+	rounds, _, _ = looseRounds(n, plan.g)
+	return plan.c0, plan.g, rounds
+}
+
+func looseCost(n, rCap, b, m int) (ios, rts int64) {
+	rCap = max(rCap, 1)
+	scan := func(c, free int) int64 { // round trips of one pass over c blocks
+		return int64(extmem.CeilDiv(c, min(max(c, 1), extmem.ScanBatchOf(free, b, 1))))
+	}
+	sorted := func(s, d int) { // sortInto
+		cp := min(s, d)
+		ios += obsort.BitonicIOCount(s, b, m) + int64(cp+d)
+		rts += obsort.BitonicRoundTrips(s, b, m) + 2*scan(cp, m) + scan(d-cp, m)
+	}
+	plan, ok := loosePlan(n, b, m)
+	if !ok {
+		ios, rts = int64(2*n), 2*scan(n, m)
+		sorted(n, 5*rCap)
+		return ios, rts
+	}
+	ios, rts = int64(4*rCap), scan(4*rCap, m)
+	_, rmax, residue := looseRounds(n, plan.g)
+	for s := n; s != residue; s = halved(s, plan.g) {
+		ios += int64((1+2*plan.c0)*s + halved(s, plan.g))
+		r := s / plan.g
+		q, big := s/r, s%r
+		window := 2 * int64(plan.c0) // a window's read and write, per probe
+		rts += int64(r-big)*(2+window*scan(q, m-rmax*b)) + int64(big)*(2+window*scan(q+1, m-rmax*b))
+	}
+	sorted(residue, rCap)
+	return ios, rts
 }

@@ -330,7 +330,7 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 			}},
 		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, err := CompactBlocksLoose(env, a, rCap, LooseParams{})
+				out, _, _, err := CompactBlocksLoose(env, a, rCap)
 				return result{out, err}
 			}},
 		{"CompactBlocksLogStar", false, ErrLogStarOverflow, func(_, rCap int) int { return 4*rCap + extmem.CeilDiv(rCap, 4) },

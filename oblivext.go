@@ -1153,12 +1153,21 @@ func (a *Array) CompactTight(capacity int64) (*Array, error) {
 // not preserved.
 func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	sp := a.c.env.Obs.Start("compact-loose")
-	sp.SetAttrInt("blocks", int64(a.arr.Len()))
-	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), a.arr.Len(), a.arr.Base()))
+	n, b, m := a.arr.Len(), a.arr.B(), a.c.env.M
+	rCap := extmem.CeilDiv(int(capacity), b) + 1
+	sp.SetAttrInt("blocks", int64(n))
+	c0, g, rounds := core.LoosePlan(n, b, m)
+	sp.SetAttrInt("c0", int64(c0))
+	sp.SetAttrInt("g", int64(g))
+	sp.SetAttrInt("rounds", int64(rounds))
+	// Exact but for the two I/Os every repeated probe saves (probe-repeats).
+	sp.SetPredicted(2*int64(n)+core.LooseIOCount(n, rCap, b, m),
+		route.ConsolidateRoundTrips(n, b, m)+core.LooseRoundTrips(n, rCap, b, m))
+	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	cons, marked := route.Consolidate(a.c.env, a.arr, extmem.Element.Marked)
-	rCap := extmem.CeilDiv(int(capacity), a.c.env.B()) + 1
-	out, _, err := core.CompactBlocksLoose(a.c.env, cons, rCap, core.LooseParams{})
+	out, _, repeats, err := core.CompactBlocksLoose(a.c.env, cons, rCap)
+	sp.SetAttrInt("probe-repeats", repeats)
 	if err != nil {
 		return nil, err
 	}

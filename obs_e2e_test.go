@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -124,6 +125,47 @@ func TestSpanAttribution(t *testing.T) {
 				t.Fatalf("span sum %+v != lifetime stats %+v", got, st)
 			}
 		})
+	}
+}
+
+// TestCompactLooseSpanPrediction: the public compact-loose span carries the
+// plan's constants and an exact prediction — measured I/Os plus the two that
+// every repeated probe saved, and the round trips as they are.
+func TestCompactLooseSpanPrediction(t *testing.T) {
+	c, err := New(Config{BlockSize: 8, CacheWords: 4096, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arr, err := c.Store(mkRecords(1<<13, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked, err := arr.Mark(func(r Record) bool { return r.Key%4 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableSpans()
+	if _, err := arr.CompactLoose(marked); err != nil {
+		t.Fatal(err)
+	}
+	sp := c.Spans()[0]
+	attrs := map[string]string{}
+	for _, a := range sp.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if sp.Name != "compact-loose" || attrs["c0"] != "1" || attrs["g"] != "241" || attrs["rounds"] != "2" {
+		t.Fatalf("span %q with attributes %v, want compact-loose with c0=1, g=241, rounds=2", sp.Name, attrs)
+	}
+	repeats, err := strconv.ParseInt(attrs["probe-repeats"], 10, 64)
+	if err != nil {
+		t.Fatalf("probe-repeats attribute: %v", err)
+	}
+	if got := sp.IO.Total() + 2*repeats; got != sp.PredictedIO {
+		t.Errorf("%d I/Os + 2·%d repeated probes = %d, predicted %d", sp.IO.Total(), repeats, got, sp.PredictedIO)
+	}
+	if sp.IO.RoundTrips != sp.PredictedRT {
+		t.Errorf("%d round trips, predicted %d", sp.IO.RoundTrips, sp.PredictedRT)
 	}
 }
 
