@@ -34,7 +34,7 @@ func main() {
 	datasets := []ds{{"uniform keys", uniform}, {"identical keys", allEqual}}
 
 	obliviousSort := func(env *extmem.Env, a extmem.Array) {
-		if err := core.Sort(env, a, core.SortParams{}); err != nil {
+		if err := core.Sort(env, a); err != nil {
 			panic(err)
 		}
 	}

@@ -22,23 +22,30 @@ import (
 //
 // At any practical scale the tower collapses the loop after one or two
 // phases — exactly the log* behaviour the theorem promises. The paper's
-// proof constant c0 = 23 makes the initial passes dominate; it is
-// configurable and E6 reports both settings.
+// proof constant c0 = 23 makes the initial passes dominate; logStarC0
+// takes 8.
 
 // ErrLogStarOverflow reports the low-probability failure of Theorem 9's
 // final compaction (more survivors than the reserved 0.25R cells).
 var ErrLogStarOverflow = errors.New("core: log-star compaction overflow")
 
-// LogStarParams tunes Theorem 9's constants.
+// Theorem 9's constants.
+const (
+	// logStarC0 is the number of initial thinning passes. The paper's
+	// proof uses 23, which roughly triples the I/O; 8 leaves an expected
+	// (1/4)^8 of the occupied cells to the phases and the final compaction
+	// (Lemma 7).
+	logStarC0 = 8
+	// logStarN0 is the small-input cutoff below which one deterministic
+	// sort finishes the job.
+	logStarN0 = 16
+	// logStarMaxPhases bounds the tower loop (safety; the tower exits by
+	// itself).
+	logStarMaxPhases = 5
+)
+
+// LogStarParams holds Theorem 9's one test hook.
 type LogStarParams struct {
-	// C0 is the number of initial thinning passes (paper's proof uses 23;
-	// default 8, and E6 measures both).
-	C0 int
-	// N0 is the small-input cutoff below which one deterministic sort
-	// finishes the job. Default 16.
-	N0 int
-	// MaxPhases bounds the tower loop (safety; the tower exits by itself).
-	MaxPhases int
 	// ForcePhases overrides the survivor-threshold test for that many
 	// phases. At any practical n the tower exits immediately (r/t_1^4 is
 	// already below n/log²n), so tests use this to exercise the
@@ -46,24 +53,11 @@ type LogStarParams struct {
 	ForcePhases int
 }
 
-func (p *LogStarParams) setDefaults() {
-	if p.C0 == 0 {
-		p.C0 = 8
-	}
-	if p.N0 == 0 {
-		p.N0 = 16
-	}
-	if p.MaxPhases == 0 {
-		p.MaxPhases = 5
-	}
-}
-
 // CompactBlocksLogStar compacts the occupied block-cells of a — at most
 // rCap of them, rCap <= len/4 — into a fresh array of exactly
 // ceil(4.25·rCap) blocks. Order is not preserved. It returns the output,
 // the occupied count, and the number of tower phases executed.
 func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarParams) (extmem.Array, int, int, error) {
-	p.setDefaults()
 	n := a.Len()
 	b := a.B()
 	if rCap < 1 {
@@ -71,7 +65,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	}
 	outLen := 4*rCap + extmem.CeilDiv(rCap, 4)
 
-	if n < p.N0 {
+	if n < logStarN0 {
 		out, occ, err := looseBySort(env, a, rCap)
 		// Reshape to the 4.25R contract: looseBySort returns 5R; slice.
 		if errors.Is(err, ErrLooseOverflow) {
@@ -109,7 +103,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 		failed = fmt.Errorf("%w: %d occupied cells exceed capacity %d", ErrLogStarOverflow, occ, rCap)
 	}
 
-	for pass := 0; pass < p.C0; pass++ {
+	for pass := 0; pass < logStarC0; pass++ {
 		thinningPass(env, work, d4)
 	}
 
@@ -118,7 +112,7 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	phases := 0
 	logn := extmem.CeilLog2(max(2, n))
 	cur := work
-	for phases < p.MaxPhases {
+	for phases < logStarMaxPhases {
 		// Final-phase test: survivors <= rCap/t^4 vs n/log²n. Once t
 		// reaches 256, t^4 exceeds 2^32 and the quotient is zero for any
 		// real capacity (also guarding the tower against overflow).
@@ -197,10 +191,6 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	env.D.Release(mark + out.Len())
 	return out, occ, phases, failed
 }
-
-// ThinningPassForTest exposes one A-to-C thinning pass for the E12
-// experiment and external tests.
-func ThinningPassForTest(env *extmem.Env, src, dst extmem.Array) { thinningPass(env, src, dst) }
 
 // thinningPass is one A-to-C pass: every cell of src probes dst once (see
 // prober), a scan batch of cells per vectored read and write of src.

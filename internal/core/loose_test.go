@@ -114,7 +114,7 @@ func TestLooseCompactOverflowDetected(t *testing.T) {
 	}
 }
 
-// TestThinningPassSurvivorRate is E12's core measurement on the probe kernel
+// TestThinningPassSurvivorRate measures Lemma 7's decay on the probe kernel
 // Theorems 8 and 9 share: each probe leaves at most ~1/4 of the occupied
 // cells unmoved in expectation (C is at least 3/4 empty), so survivors decay
 // geometrically — whether the cells sit in a cache buffer, as in Theorem 8's

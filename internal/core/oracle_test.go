@@ -11,6 +11,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
+	"oblivext/internal/trace"
 	"oblivext/internal/workload"
 )
 
@@ -197,7 +198,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		less obsort.Less
 		sort func(env *extmem.Env, a extmem.Array) error
 	}{
-		{"randomized/ByKey", 16 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { return Sort(env, a, SortParams{}) }},
+		{"randomized/ByKey", 16 * b, obsort.ByKey, Sort},
 		{"emsort/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
 		{"emsort/ByPos", 4 * b, obsort.ByPos, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByPos); return nil }},
 	}
@@ -398,6 +399,83 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestTraceInvariantAcrossWorkloads is the security property over the whole
+// library at once: under a fixed tape every oblivious operation leaves a
+// bit-identical trace on all six key distributions. The compaction rows
+// keep the elements with Key%8 == 3, so the number and the positions of the
+// cells they move vary with the data (none for equal keys, a fifth for
+// fewdup) while staying under the loose capacity n/4. The last row checks
+// the method itself: the non-oblivious quickselect's traces must differ.
+func TestTraceInvariantAcrossWorkloads(t *testing.T) {
+	keep := func(e extmem.Element) bool { return e.Occupied() && e.Key%8 == 3 }
+	ops := []struct {
+		name  string
+		leaky bool
+		run   func(env *extmem.Env, a extmem.Array) error
+	}{
+		{"Sort", false, Sort},
+		{"obsort.Bitonic", false, func(env *extmem.Env, a extmem.Array) error { obsort.Bitonic(env, a, obsort.ByKey); return nil }},
+		{"obsort.Zigzag", false, func(env *extmem.Env, a extmem.Array) error { obsort.Zigzag(env, a, obsort.ByKey); return nil }},
+		{"obsort.BucketSort", false, func(env *extmem.Env, a extmem.Array) error { return obsort.BucketSort(env, a, obsort.ByKey) }},
+		{"Select", false, func(env *extmem.Env, a extmem.Array) error {
+			_, err := Select(env, a, int64(a.Len()*a.B()/2))
+			return err
+		}},
+		{"Quantiles", false, func(env *extmem.Env, a extmem.Array) error { _, err := Quantiles(env, a, 2); return err }},
+		{"route.Consolidate+CompactBlocksTight", false, func(env *extmem.Env, a extmem.Array) error {
+			cons, _ := route.Consolidate(env, a, keep)
+			route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
+			return nil
+		}},
+		{"CompactBlocksLoose", false, func(env *extmem.Env, a extmem.Array) error {
+			cons, _ := route.Consolidate(env, a, keep)
+			_, _, _, err := CompactBlocksLoose(env, cons, cons.Len()/4)
+			return err
+		}},
+		{"emsort.QuickSelect", true, func(env *extmem.Env, a extmem.Array) error {
+			_, err := emsort.QuickSelect(env, a, int64(a.Len()*a.B()/2))
+			return err
+		}},
+	}
+	// M = 256 is where Select sorts and zigzag is the engine of choice;
+	// M = 4096 is the benchmark's cache, where Select narrows and the
+	// randomized Sort runs a full level of its pipeline.
+	for _, g := range []struct{ nBlocks, b, m int }{{256, 8, 256}, {1024, 8, 4096}} {
+		for _, op := range ops {
+			t.Run(fmt.Sprintf("n=%d,M=%d/%s", g.nBlocks, g.m, op.name), func(t *testing.T) {
+				var first trace.Summary
+				differ := false
+				for i, kind := range workload.Kinds() {
+					sum := traceOf(t, 4*g.nBlocks, g.b, g.m, 999, func(env *extmem.Env) {
+						a := env.D.Alloc(g.nBlocks)
+						keys, err := workload.Keys(kind, g.nBlocks*g.b, 5)
+						if err == nil {
+							err = workload.Fill(a, keys)
+						}
+						if err == nil {
+							err = op.run(env, a)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", kind, err)
+						}
+					})
+					if i == 0 {
+						first = sum
+					} else if !sum.Equal(first) {
+						differ = true
+						if !op.leaky {
+							t.Errorf("trace on %s keys %v differs from %v on %s keys", kind, sum, first, workload.Kinds()[0])
+						}
+					}
+				}
+				if op.leaky && !differ {
+					t.Error("the non-oblivious baseline left the same trace on every distribution: the comparison cannot see a leak")
+				}
+			})
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 // The paper's probability analysis assumes q <= (M/B)^{1/4}; the
 // implementation accepts any q that fits the private-memory budget and lets
-// the failure probability degrade, which experiment E8 measures.
+// the failure probability degrade.
 
 // ErrQuantilesFailed reports a low-probability bracketing or capacity
 // failure; the trace matches the success trace.

@@ -43,35 +43,25 @@ import (
 // failure sweeping could repair (probability 1/(N/B)^d).
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
-// SortParams tunes §5's constants.
-type SortParams struct {
-	// DealC is the c of Lemma 18: blocks written per color per deal batch,
-	// times ceil(sqrt(M/B)). Default 5. Where a level has few batches the
-	// quota is raised so a color array has room for 4·bucketCap blocks:
+// §5's constants.
+const (
+	// sortDealC is the c of Lemma 18: blocks written per color per deal
+	// batch, times ceil(sqrt(M/B)). Where a level has few batches the quota
+	// is raised so a color array has room for 4·bucketCap blocks:
 	// Corollary 19's margin when the per-batch counts are too small to
 	// concentrate.
-	DealC int
-	// MaxDepth bounds the recursion as a safety net; deeper levels fall
-	// back to the deterministic sort. Default 12.
-	MaxDepth int
-}
-
-func (p *SortParams) setDefaults() {
-	if p.DealC == 0 {
-		p.DealC = 5
-	}
-	if p.MaxDepth == 0 {
-		p.MaxDepth = 12
-	}
-}
+	sortDealC = 5
+	// sortMaxDepth bounds the recursion as a safety net; deeper levels fall
+	// back to the deterministic sort.
+	sortMaxDepth = 12
+)
 
 // Sort sorts the occupied elements of a in place by (Key, Pos): after it
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
 // (give each element its original index as Pos). The trace depends only on
 // (len, B, M, N_occupied) and the tape.
-func Sort(env *extmem.Env, a extmem.Array, p SortParams) error {
-	p.setDefaults()
+func Sort(env *extmem.Env, a extmem.Array) error {
 	n := a.Len()
 	if n == 0 {
 		return nil
@@ -79,7 +69,7 @@ func Sort(env *extmem.Env, a extmem.Array, p SortParams) error {
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	res, ok := sortPadded(env, a, p, 0)
+	res, ok := sortPadded(env, a, 0)
 	if !ok {
 		return fmt.Errorf("%w: top-level pipeline failure", ErrSortFailed)
 	}
@@ -115,14 +105,14 @@ func Sort(env *extmem.Env, a extmem.Array, p SortParams) error {
 }
 
 // RandomizedSorter adapts Sort to the obsort.Sorter interface used by the
-// ORAM rebuilds (E10). The less argument must order by the canonical
+// ORAM rebuilds. The less argument must order by the canonical
 // occupied-first (Key, Pos) relation — which every rebuild sort does; the
 // randomized pipeline's samplers assume that order internally.
 func RandomizedSorter(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	// The randomized sort is padded (empties sink) and total on (Key, Pos),
 	// matching obsort.ByKey semantics.
 	_ = less
-	if err := Sort(env, a, SortParams{}); err != nil {
+	if err := Sort(env, a); err != nil {
 		panic(err)
 	}
 }
@@ -131,7 +121,7 @@ func RandomizedSorter(env *extmem.Env, a extmem.Array, less obsort.Less) {
 // (occupied ascending, empties interspersed region-wise). It returns the
 // result array and whether this level succeeded; on ok=false the contents
 // are garbage but the trace is unchanged.
-func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extmem.Array, bool) {
+func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
 	m := env.MBlocks()
@@ -177,7 +167,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 	if int(nOcc) <= env.M/2 {
 		return sortPrivate(env, a), true
 	}
-	if q < 1 || depth >= p.MaxDepth {
+	if q < 1 || depth >= sortMaxDepth {
 		// Tiny-cache or depth-limit fallback: the deterministic oblivious
 		// sort of Lemma 2.
 		out := env.D.Alloc(n)
@@ -251,7 +241,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 		batch = m / 2
 	}
 	batches := extmem.CeilDiv(ap.Len(), batch)
-	quota := p.DealC * int(math.Ceil(math.Sqrt(float64(m))))
+	quota := sortDealC * int(math.Ceil(math.Sqrt(float64(m))))
 	if batches*quota < 4*bucketCap {
 		quota = extmem.CeilDiv(4*bucketCap, batches)
 	}
@@ -282,7 +272,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 			ok = false // an unbalanced split: never drop the excess silently
 		}
 		mark := env.D.Mark()
-		sorted, sok := sortPadded(env, arr.Slice(0, capB), p, depth+1)
+		sorted, sok := sortPadded(env, arr.Slice(0, capB), depth+1)
 		env.D.Release(mark)
 		copyDown(env, sorted, env.D.Alloc(sorted.Len()), !sok)
 		maxSub = max(maxSub, sorted.Len())

@@ -6,17 +6,6 @@ import (
 	"oblivext/internal/route"
 )
 
-// ShuffleBlocksForTest exposes the block-level Fisher–Yates shuffle for the
-// E11 experiment and external tests.
-func ShuffleBlocksForTest(env *extmem.Env, a extmem.Array) { shuffleBlocks(env, a) }
-
-// DealForTest exposes the deal step for the E11 experiment; it reports
-// whether the deal completed without a Corollary 19 overflow.
-func DealForTest(env *extmem.Env, a extmem.Array, colors, batch, quota int) bool {
-	_, ok := deal(env, a, colors, batch, quota)
-	return ok
-}
-
 // consolidateColors is §5's (q+1)-way data consolidation: scan the array in
 // groups of `colors` blocks, keep per-color staging lists in the cache, and
 // emit exactly `colors` blocks per group — as many monochromatic full

@@ -43,7 +43,7 @@ func TestSortSmall(t *testing.T) {
 	a := env.D.Alloc(8)
 	keys := []uint64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
 	buildKeyArray(a, keys)
-	if err := Sort(env, a, SortParams{}); err != nil {
+	if err := Sort(env, a); err != nil {
 		t.Fatal(err)
 	}
 	checkSorted(t, a, keys)
@@ -79,7 +79,7 @@ func TestSortRecursivePipeline(t *testing.T) {
 			}
 		}
 		buildKeyArray(a, keys)
-		if err := Sort(env, a, SortParams{}); err != nil {
+		if err := Sort(env, a); err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
 		checkSorted(t, a, keys)
@@ -122,7 +122,7 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		buildKeyArray(a, keys)
 		env.D.ResetStats()
 		env.Cache.ResetHighWater()
-		if err := Sort(env, a, SortParams{}); err != nil {
+		if err := Sort(env, a); err != nil {
 			t.Fatal(err)
 		}
 		checkSorted(t, a, keys)
@@ -159,7 +159,7 @@ func BenchmarkSortRandomized(b *testing.B) {
 	env.D.ResetStats()
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := Sort(env, a, SortParams{}); err != nil {
+		if err := Sort(env, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestSortPreservesPayload(t *testing.T) {
 		elems[i] = extmem.Element{Key: uint64(1024 - i), Val: uint64(1024-i) * 31, Pos: uint64(i), Flags: extmem.FlagOccupied}
 	}
 	writeElems(a, elems)
-	if err := Sort(env, a, SortParams{}); err != nil {
+	if err := Sort(env, a); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range readElems(a) {
@@ -227,7 +227,7 @@ func TestSortOblivious(t *testing.T) {
 		return traceOf(t, 1<<15, 8, 256, 123, func(env *extmem.Env) {
 			a := env.D.Alloc(256)
 			buildKeyArray(a, keys)
-			if err := Sort(env, a, SortParams{}); err != nil {
+			if err := Sort(env, a); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -261,7 +261,7 @@ func TestSortCacheBound(t *testing.T) {
 	}
 	buildKeyArray(a, keys)
 	env.Cache.ResetHighWater()
-	if err := Sort(env, a, SortParams{}); err != nil {
+	if err := Sort(env, a); err != nil {
 		t.Fatal(err)
 	}
 	if hw := env.Cache.HighWater(); hw > env.M {

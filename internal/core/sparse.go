@@ -27,26 +27,24 @@ import (
 // the success trace — Monte-Carlo semantics, no data-dependent retry.
 var ErrCompactionFailed = errors.New("core: sparse compaction failed")
 
-// SparseParams tunes Theorem 4's table geometry.
+// Theorem 4's table geometry.
+const (
+	// sparseK is the number of hash functions.
+	sparseK = 4
+	// sparseTableFactor is m/r, the cells per unit capacity (the paper's
+	// "table of size 3r").
+	sparseTableFactor = 3
+)
+
+// SparseParams holds Theorem 4's one test hook.
 type SparseParams struct {
-	// K is the number of hash functions (default 4).
-	K int
-	// TableFactor is m/r, the cells per unit capacity (default 3, the
-	// paper's "table of size 3r").
-	TableFactor int
 	// ForceORAM forces the ORAM peeling path even when the table would fit
-	// in cache (used by tests and the E3 ablation).
+	// in cache: no feasible geometry reaches it on its own.
 	ForceORAM bool
 }
 
-func (p *SparseParams) setDefaults() {
-	if p.K == 0 {
-		p.K = 4
-	}
-	if p.TableFactor == 0 {
-		p.TableFactor = 3
-	}
-}
+// sparseTableCells is the table size m for capacity rCap.
+func sparseTableCells(rCap int) int { return max(sparseTableFactor*rCap, sparseK) }
 
 // cellWords returns the serialized width of one IBLT cell for block values:
 // count and keySum plus ElementWords words per element of the block.
@@ -54,10 +52,9 @@ func cellWords(b int) int { return 2 + extmem.ElementWords*b }
 
 // SparseTableFits reports whether Theorem 4's table for capacity rCap would
 // fit Alice's cache, i.e. whether CompactBlocksSparse would peel privately.
-func SparseTableFits(env *extmem.Env, rCap int, p SparseParams) bool {
-	p.setDefaults()
+func SparseTableFits(env *extmem.Env, rCap int) bool {
 	rCap = max(rCap, 1)
-	return peelFitsCache(env, max(p.TableFactor*rCap, p.K), rCap)
+	return peelFitsCache(env, sparseTableCells(rCap), rCap)
 }
 
 // peelFitsCache reports whether everything peelPrivate checks out at once —
@@ -82,7 +79,7 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 	if marked > 0 && need > rCap {
 		return cons, marked, fmt.Errorf("%w: %d marked blocks exceed capacity %d", ErrCompactionFailed, need, rCap)
 	}
-	if SparseTableFits(env, rCap, SparseParams{}) {
+	if SparseTableFits(env, rCap) {
 		out, _, err := CompactBlocksSparse(env, cons, rCap, SparseParams{})
 		return out, marked, err
 	}
@@ -121,18 +118,14 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 // occupied, or peeling fails (Lemma 1's low-probability event), the full
 // fixed-length trace is still produced and ErrCompactionFailed is returned.
 func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparseParams) (extmem.Array, int, error) {
-	p.setDefaults()
 	n := a.Len()
 	b := a.B()
 	if rCap < 1 {
 		rCap = 1
 	}
-	m := p.TableFactor * rCap
-	if m < p.K {
-		m = p.K
-	}
+	m := sparseTableCells(rCap)
 	seed := env.Tape.Uint64() // hash family seed: one draw, data-independent
-	hasher := rng.NewHasher(seed, p.K, m)
+	hasher := rng.NewHasher(seed, sparseK, m)
 
 	mark := env.D.Mark()
 	out := env.D.Alloc(rCap)
@@ -166,11 +159,11 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 	// the in-cache copy absorbs the multiplicity exactly as the scalar
 	// read-modify-write sequence did.
 	ablk := env.Cache.Buf(b)
-	g := env.ScanBatchN(2, p.K) // unique cells per vectored group
+	g := env.ScanBatchN(2, sparseK) // unique cells per vectored group
 	sbuf := env.Cache.Buf(g * b)
 	hbuf := env.Cache.Buf(g * b)
-	cells := make([]int, 0, p.K)
-	hblks := make([]int, 0, p.K)
+	cells := make([]int, 0, sparseK)
+	hblks := make([]int, 0, sparseK)
 	occCount := 0
 	for i := 0; i < n; i++ {
 		a.Read(i, ablk)
@@ -182,7 +175,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 		// valid key; the peeler subtracts the offset back.
 		cells = cells[:0]
 		hblks = hblks[:0]
-		for j := 0; j < p.K; j++ {
+		for j := 0; j < sparseK; j++ {
 			c := hasher.Index(j, uint64(i)+1)
 			if !slices.Contains(cells, c) {
 				cells = append(cells, c)
@@ -195,7 +188,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 			grp := cells[glo:min(glo+g, len(cells))]
 			sums.ReadMany(grp, sbuf[:len(grp)*b])
 			if occ {
-				for j := 0; j < p.K; j++ {
+				for j := 0; j < sparseK; j++ {
 					c := hasher.Index(j, uint64(i)+1)
 					gi := slices.Index(grp, c)
 					if gi < 0 {
@@ -216,7 +209,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 			grp := hblks[glo:min(glo+g, len(hblks))]
 			hdrs.ReadMany(grp, hbuf[:len(grp)*b])
 			if occ {
-				for j := 0; j < p.K; j++ {
+				for j := 0; j < sparseK; j++ {
 					c := hasher.Index(j, uint64(i)+1)
 					gi := slices.Index(grp, c/b)
 					if gi < 0 {

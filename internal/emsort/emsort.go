@@ -2,8 +2,9 @@
 // baselines: the I/O-optimal (M/B−1)-way mergesort of Aggarwal–Vitter and a
 // pivot-based external quickselect. Both leak their access patterns — their
 // traces depend on the data — which is exactly their role here: the paper's
-// algorithms are measured against them to show the price of obliviousness
-// (E9, E7) and the leak itself is demonstrated in E13.
+// algorithms are measured against them to show the price of obliviousness,
+// and the leak itself is what TestTraceInvariantAcrossWorkloads requires of
+// QuickSelect to sanity-check its method.
 package emsort
 
 import (

@@ -114,7 +114,7 @@ func TestQuickSelectRankOutOfRange(t *testing.T) {
 	}
 }
 
-// TestMergeSortLeaksNothingButQuickSelectDoes pins down the E13 contrast:
+// TestQuickSelectTraceDependsOnData pins down the non-oblivious contrast:
 // mergesort's pass structure is data-independent here (runs are fixed
 // geometry), but quickselect's trace varies with the data.
 func TestQuickSelectTraceDependsOnData(t *testing.T) {

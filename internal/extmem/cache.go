@@ -37,9 +37,6 @@ func NewCache(m int, strict bool) *Cache {
 	return &Cache{capacity: m, strict: strict}
 }
 
-// Capacity returns M in elements.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Strict reports whether exceeding the capacity panics immediately.
 func (c *Cache) Strict() bool { return c.strict }
 

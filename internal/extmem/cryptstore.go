@@ -111,9 +111,6 @@ func (s *CryptStore) SetWorkers(n int) {
 	}
 }
 
-// Child returns the wrapped store (Bob's side of the boundary).
-func (s *CryptStore) Child() BlockStore { return s.child }
-
 // BytesSealed returns the cumulative ciphertext bytes produced by writes —
 // the wire footprint Bob stores, envelope included.
 func (s *CryptStore) BytesSealed() int64 { return s.bytesSealed.Load() }

@@ -91,9 +91,6 @@ func (d *Disk) SetMaxBatch(n int) {
 	d.maxBatch = n
 }
 
-// MaxBatch returns the vectored-call cap (0 = unlimited).
-func (d *Disk) MaxBatch() int { return d.maxBatch }
-
 // chunk returns the number of blocks of a remaining request to put in the
 // next store call.
 func (d *Disk) chunk(remaining int) int {
@@ -268,9 +265,6 @@ func (d *Disk) Since(mark int) Array {
 	}
 	return Array{d: d, base: mark, n: d.top - mark}
 }
-
-// Allocated returns the number of blocks currently allocated.
-func (d *Disk) Allocated() int { return d.top }
 
 // HighWater returns the most blocks that were ever allocated at once: the
 // scratch footprint of everything run on this Disk. Like allocation itself

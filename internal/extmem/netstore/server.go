@@ -301,20 +301,6 @@ func (s *Server) TraceSummaryNS(ns string) trace.Summary {
 	return t.rec.Summarize()
 }
 
-// TraceOps returns the default tenant's retained journal prefix.
-func (s *Server) TraceOps() []trace.Op { return s.TraceOpsNS("") }
-
-// TraceOpsNS returns one namespace's retained journal prefix.
-func (s *Server) TraceOpsNS(ns string) []trace.Op {
-	t := s.lookup(ns)
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]trace.Op(nil), t.rec.Ops()...)
-}
-
 // lookup returns the tenant for ns without creating it, or nil.
 func (s *Server) lookup(ns string) *tenant {
 	s.mu.Lock()

@@ -185,7 +185,7 @@ func TestShardTracePartition(t *testing.T) {
 		if err := workload.Fill(a, keys); err != nil {
 			t.Fatal(err)
 		}
-		if err := core.Sort(env, a, core.SortParams{}); err != nil {
+		if err := core.Sort(env, a); err != nil {
 			t.Fatal(err)
 		}
 		return rec, a

@@ -85,9 +85,6 @@ func (t *Table) M() int { return len(t.cells) }
 // K returns the number of hash functions.
 func (t *Table) K() int { return t.h.K() }
 
-// ValWidth returns the value width in words.
-func (t *Table) ValWidth() int { return t.w }
-
 // Len returns the net number of items inserted (inserts minus deletes). The
 // table keeps working as a sum sketch even when Len exceeds M; only Get and
 // ListEntries need Len < M to succeed with good probability (Lemma 1).

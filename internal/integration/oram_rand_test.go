@@ -400,8 +400,8 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 	}
 }
 
-// TestORAMWithRandomizedRebuilds keeps the original E10 smoke shape: an
-// ORAM whose level rebuilds use the paper's randomized sort, driven past 2N
+// TestORAMWithRandomizedRebuilds keeps the paper's headline application as
+// a smoke test: an ORAM whose level rebuilds use the paper's randomized sort, driven past 2N
 // writes so the deeper levels rebuild at least once.
 func TestORAMWithRandomizedRebuilds(t *testing.T) {
 	for _, n := range []int{32, 64} {

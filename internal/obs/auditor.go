@@ -70,13 +70,6 @@ func NewAuditor(learn bool) *Auditor {
 	}
 }
 
-// Learning reports whether the auditor records first observations as golden.
-func (a *Auditor) Learning() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.learn
-}
-
 // SetGolden installs (or overwrites) the golden fingerprint for a key.
 func (a *Auditor) SetGolden(key string, fp Fingerprint) {
 	a.mu.Lock()

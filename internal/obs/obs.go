@@ -159,14 +159,6 @@ func (s *Span) AuditShape(key string) {
 	s.auditKey, s.auditMode = key, AuditShape
 }
 
-// AuditKey returns the span's audit key ("" when unaudited).
-func (s *Span) AuditKey() string {
-	if s == nil {
-		return ""
-	}
-	return s.auditKey
-}
-
 // Fingerprint returns the span's accumulated trace fingerprint.
 func (s *Span) Fingerprint() Fingerprint {
 	if s == nil {

@@ -2,13 +2,13 @@ package obsort
 
 import "oblivext/internal/extmem"
 
-// This file implements Batcher's odd-even merge sorting network for
-// in-memory slices. The paper's model (§1) lists "simulating a circuit with
-// its inputs taken in order from A" as the canonical data-oblivious access
-// pattern; this network is that circuit, and the example application uses
-// it to demonstrate circuit simulation. All comparators point ascending, so
-// indices beyond the slice act as virtual +infinity pads and can simply be
-// skipped — unlike bitonic, no physical padding is needed.
+// This file enumerates Batcher's odd-even merge sorting network. The
+// paper's model (§1) lists "simulating a circuit with its inputs taken in
+// order from A" as the canonical data-oblivious access pattern; this
+// network is that circuit, and Zigzag runs it at run granularity. All
+// comparators point ascending, so indices beyond n act as virtual +infinity
+// pads and can simply be skipped — unlike bitonic, no physical padding is
+// needed.
 
 // ForEachComparator enumerates the comparator pairs (i, j), i < j, of
 // Batcher's odd-even merge sorting network on n wires, in execution order.
@@ -44,21 +44,4 @@ func emit(n, i, j int, visit func(i, j int)) {
 	if j < n {
 		visit(i, j)
 	}
-}
-
-// OddEvenSort sorts a private buffer by running Batcher's network.
-func OddEvenSort(buf []extmem.Element, less Less) {
-	ForEachComparator(len(buf), func(i, j int) {
-		if less(buf[j], buf[i]) {
-			buf[i], buf[j] = buf[j], buf[i]
-		}
-	})
-}
-
-// OddEvenComparatorCount returns the number of comparators the network uses
-// on n wires (Θ(n log² n)).
-func OddEvenComparatorCount(n int) int {
-	c := 0
-	ForEachComparator(n, func(_, _ int) { c++ })
-	return c
 }

@@ -7,9 +7,8 @@
 // address bits they touch, log₂(C/B) bits to a pass for a cache window of
 // C = M/2 elements, so the I/O cost is O((N/B)·(1 + log²(N/B)/log(C/B)))
 // with a fixed, data-independent address trace.
-// It also provides Leighton's columnsort (the Chaudhry–Cormen baseline the
-// paper discusses, size-limited to N ≤ s·r with r ≥ 2(s−1)²) and an
-// in-memory Batcher odd-even merge network used for in-cache circuit sorts.
+// It also provides the zigzag and bucket engines, and Pick, the policy that
+// chooses among the three from public geometry.
 //
 // Sorting here always has padded semantics: occupied elements ascend by
 // (Key, Pos) — or a caller-supplied order — and unoccupied cells sink to
@@ -53,9 +52,8 @@ func ByRawKey(a, b extmem.Element) bool {
 }
 
 // Sorter is a pluggable oblivious external-memory sort over an array of
-// blocks. The ORAM simulation and several experiments swap Sorters to
-// compare the paper's randomized sort against this package's deterministic
-// ones.
+// blocks. The ORAM simulation and its tests swap Sorters to compare the
+// paper's randomized sort against this package's deterministic ones.
 type Sorter func(env *extmem.Env, a extmem.Array, less Less)
 
 // InCache sorts a private buffer. Computation inside Alice's cache is
@@ -169,6 +167,9 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	}
 	env.Cache.Free(win)
 }
+
+// BitonicSorter adapts Bitonic to the Sorter interface.
+func BitonicSorter(env *extmem.Env, a extmem.Array, less Less) { Bitonic(env, a, less) }
 
 // gatherPass is one pass after the first: `levels` consecutive network
 // levels starting at (stage, bit), and gather, the mask of element-index

@@ -346,96 +346,6 @@ func BenchmarkBitonic(b *testing.B) {
 	b.ReportMetric(float64(BitonicPassCount(g.n, g.b, g.m)), "passes")
 }
 
-func TestColumnSortCorrectness(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	for _, cfg := range []struct{ n, b, m int }{
-		{4, 4, 64}, {16, 4, 64}, {32, 4, 64}, {60, 4, 96}, {17, 2, 48},
-	} {
-		for _, kind := range []string{"rand", "reverse", "dup"} {
-			env := extmem.NewEnv(4*cfg.n+16, cfg.b, cfg.m, 7)
-			a := env.D.Alloc(cfg.n)
-			keys := genKeys(r, cfg.n*cfg.b, kind)
-			fillArray(env, a, keys)
-			if err := ColumnSort(env, a, ByKey); err != nil {
-				t.Fatalf("n=%d: %v", cfg.n, err)
-			}
-			got := checkSortedPadded(t, readAll(a))
-			if !sameMultiset(got, keys) {
-				t.Fatalf("n=%d b=%d kind=%s: multiset changed", cfg.n, cfg.b, kind)
-			}
-		}
-	}
-}
-
-func TestColumnSortSizeLimit(t *testing.T) {
-	// Tiny cache, big input: r >= 2(s-1)^2 must fail — the paper's point
-	// about Chaudhry–Cormen being size-limited.
-	if _, _, err := ColumnSortGeometry(1<<16, 4, 64); err == nil {
-		t.Fatal("expected ErrTooLarge for N >> M^{3/2}")
-	}
-	// Comfortable geometry succeeds.
-	if _, _, err := ColumnSortGeometry(64, 4, 1024); err != nil {
-		t.Fatalf("unexpected geometry error: %v", err)
-	}
-}
-
-func TestColumnSortOblivious(t *testing.T) {
-	r := rand.New(rand.NewPCG(11, 12))
-	run := func(keys []uint64) trace.Summary {
-		env := extmem.NewEnv(128, 4, 64, 3)
-		a := env.D.Alloc(32)
-		fillArray(env, a, keys)
-		rec := trace.NewRecorder(0)
-		env.D.SetRecorder(rec)
-		if err := ColumnSort(env, a, ByKey); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Summarize()
-	}
-	if !run(genKeys(r, 128, "rand")).Equal(run(genKeys(r, 128, "sorted"))) {
-		t.Fatal("columnsort trace depends on data")
-	}
-}
-
-// TestOddEvenNetworkZeroOne verifies the Batcher network sorts via the 0-1
-// principle: a comparator network sorts all inputs iff it sorts all 0-1
-// inputs, checked exhaustively for n <= 12.
-func TestOddEvenNetworkZeroOne(t *testing.T) {
-	for n := 1; n <= 12; n++ {
-		for mask := 0; mask < 1<<n; mask++ {
-			buf := make([]extmem.Element, n)
-			ones := 0
-			for i := range buf {
-				k := uint64(mask >> i & 1)
-				ones += int(k)
-				buf[i] = extmem.Element{Key: k, Flags: extmem.FlagOccupied}
-			}
-			OddEvenSort(buf, ByKey)
-			for i, e := range buf {
-				want := uint64(0)
-				if i >= n-ones {
-					want = 1
-				}
-				if e.Key != want {
-					t.Fatalf("n=%d mask=%b: position %d = %d, want %d", n, mask, i, e.Key, want)
-				}
-			}
-		}
-	}
-}
-
-func TestOddEvenComparatorCountGrowth(t *testing.T) {
-	// Θ(n log² n): ratios between successive powers of two stay modest.
-	c8 := OddEvenComparatorCount(8)
-	c64 := OddEvenComparatorCount(64)
-	if c8 != 19 { // known value for Batcher odd-even mergesort on 8 wires
-		t.Fatalf("comparators(8) = %d, want 19", c8)
-	}
-	if c64 <= c8*8 {
-		t.Fatalf("comparator growth too slow: %d vs %d", c64, c8)
-	}
-}
-
 func TestInCacheStability(t *testing.T) {
 	buf := []extmem.Element{
 		{Key: 2, Val: 1, Flags: extmem.FlagOccupied},

@@ -2,11 +2,11 @@
 // external-memory model, in the style of Goldreich–Ostrovsky as adapted by
 // Goodrich–Mitzenmacher [24]: a hierarchy of bucket hash tables, each
 // rebuilt on a deterministic binary-counter schedule by a data-oblivious
-// sort. The sort is pluggable — running the hierarchy with the
-// deterministic Lemma-2 sort versus the paper's randomized optimal sort is
-// experiment E10, which demonstrates the paper's headline claim that its
-// sorting result improves the amortized I/O overhead of oblivious RAM
-// simulation by a logarithmic factor.
+// sort. The sort is pluggable: the rebuild term inherits the sort's
+// complexity directly, which is the paper's headline claim that its sorting
+// result improves the amortized I/O overhead of oblivious RAM simulation by
+// a logarithmic factor (TestORAMWithRandomizedRebuilds runs the hierarchy
+// with the deterministic Lemma-2 sort and with the randomized one).
 //
 // The ORAM stores n logical blocks of B words each, addressed 0..n-1, all
 // initialized to zero. Every logical access probes one bucket per live
@@ -84,7 +84,8 @@ type level struct {
 	bucket int // number of buckets = capacity in entries
 }
 
-// RebuildStats counts rebuild work for the E10 analysis.
+// RebuildStats counts rebuild work, the term that dominates the amortized
+// cost of an access.
 type RebuildStats struct {
 	Count       int64
 	EntryBlocks int64
@@ -148,12 +149,6 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 
 // N returns the number of logical blocks.
 func (o *ORAM) N() int { return o.n }
-
-// BlockWords returns the payload width of one logical block.
-func (o *ORAM) BlockWords() int { return o.b }
-
-// Accesses returns the number of logical accesses performed.
-func (o *ORAM) Accesses() int64 { return o.t }
 
 // Rebuilds returns rebuild statistics.
 func (o *ORAM) Rebuilds() RebuildStats { return o.rebuild }

@@ -36,7 +36,7 @@ func parFor(w, n int, fn func(lo, hi int)) {
 // collision-free for valid labels. Processing the levels in groups of
 // g = Θ(log(M/B)) against a private sliding window gives the windowed
 // variant with O(n·log(n)/log(M/B)) I/Os; g = 1 recovers the naive
-// per-level variant — the two are the E4 ablation pair.
+// per-level variant — the ablation pair TestWindowedBeatsNaive compares.
 //
 // A cell here is one disk block. A cell's destination (its occupied-rank)
 // and its origin are carried inside the block's elements (CellDest/Aux flag
@@ -494,8 +494,8 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 }
 
 // ButterflyPassCount predicts the number of full read+write passes the
-// routing makes: one labelling pass plus one per level group. E4 checks
-// measured I/O against 2n times this.
+// routing makes: one labelling pass plus one per level group.
+// TestButterflyIOMatchesPassCount checks measured I/O against 2n times this.
 func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
 	g := groupSize(mBlocks, levelsPerPass)
 	return 1 + (extmem.CeilLog2(n)+g-1)/g

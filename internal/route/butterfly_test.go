@@ -156,8 +156,8 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 	}
 }
 
-// TestWindowedBeatsNaive pins the E4 ablation: grouped levels make fewer
-// passes than the naive per-level network.
+// TestWindowedBeatsNaive pins the windowing ablation: grouped levels make
+// fewer passes than the naive per-level network.
 func TestWindowedBeatsNaive(t *testing.T) {
 	n := 256
 	run := func(lpp int) int64 {

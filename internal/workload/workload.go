@@ -1,8 +1,8 @@
-// Package workload generates the key distributions the experiments run on:
+// Package workload generates the key distributions the tests run on:
 // uniform random, pre-sorted, reverse-sorted, few-distinct (heavy
 // duplicates), and Zipf-skewed. The data-oblivious algorithms must behave
-// identically on all of them — that invariance is experiment E13 — while
-// the non-oblivious baselines visibly vary.
+// identically on all of them — TestTraceInvariantAcrossWorkloads pins that
+// invariance — while the non-oblivious baselines visibly vary.
 package workload
 
 import (
@@ -90,7 +90,7 @@ func Fill(a extmem.Array, keys []uint64) error {
 
 // MarkFraction sets FlagMarked on every element whose index is in the
 // first markCount positions of a fixed pseudorandom permutation — a
-// deterministic way to mark an exact count for the compaction experiments.
+// deterministic way to mark an exact count for the compaction tests.
 func MarkFraction(a extmem.Array, markCount int, seed uint64) error {
 	b := a.B()
 	total := a.Len() * b

@@ -818,7 +818,7 @@ func (c *Client) ReplicaStats() [][]ReplicaIOStats {
 // leg's own launch-to-completion time, excluding the hedge wait), taken as
 // the worst over shard groups. Zero when unreplicated or before any read.
 // This is the healthy-path latency estimate the adaptive hedge delay
-// derives its P95 from; bench E22 reports its P99 hedged vs unhedged.
+// derives its P95 from.
 func (c *Client) ReplicaReadLatency(q float64) time.Duration {
 	var worst time.Duration
 	for _, grp := range c.replicated {
@@ -1021,7 +1021,7 @@ func (a *Array) Sort() error {
 	sp.Audit(a.c.auditKey("sort/"+engine, a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	if engine == obsort.EngineRandomized {
-		return core.Sort(a.c.env, a.arr, core.SortParams{})
+		return core.Sort(a.c.env, a.arr)
 	}
 	obsort.PickSorter(engine)(a.c.env, a.arr, obsort.ByKey)
 	return nil

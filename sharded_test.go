@@ -98,8 +98,8 @@ func TestSingleShardPathIsFileBacked(t *testing.T) {
 	}
 }
 
-// TestShardedCriticalPathSpeedup pins the E15 acceptance target's mechanism
-// at a small scale: under a latency model where bandwidth matters, K=4
+// TestShardedCriticalPathSpeedup pins the sharded fan-out's speed-up
+// mechanism at a small scale: under a latency model where bandwidth matters, K=4
 // shards answering in parallel cut the modeled network time to less than
 // half of the single-backend cost for the same Sort, with the same trace
 // (2.31x here). The cache must be large enough that a typical batch spans
