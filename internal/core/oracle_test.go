@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -251,7 +252,9 @@ type compactCase struct {
 	keep func(j, t int) bool
 }
 
-func compactCorpus() []compactCase {
+// compactCorpus is the corpus at one geometry: the fixed sizes, and the
+// sizes on either side of every choice the routing layer makes from (B, M).
+func compactCorpus(b, m int) []compactCase {
 	r := rand.New(rand.NewPCG(19, 8))
 	span := func(lo, hi int) []int {
 		out := make([]int, 0, hi-lo)
@@ -260,10 +263,23 @@ func compactCorpus() []compactCase {
 		}
 		return out
 	}
+	// 0 / 1 / 2 / 7 / 8, n·B < M at every geometry below (16), not a power
+	// of two (100), and large enough for several halving rounds (300).
+	sizes := []int{1, 2, 7, 8, 16, 100, 300}
+	// The largest array that fits the cache beside a block of slack and the
+	// first that does not; one butterfly window (two half-windows of 2^g
+	// cells, the most that leave room for an I/O block) and one cell more.
+	window := 2
+	for 2*window+2 <= m/b {
+		window *= 2
+	}
+	for _, n := range []int{m/b - 1, m / b, window, window + 1} {
+		if !slices.Contains(sizes, n) {
+			sizes = append(sizes, n)
+		}
+	}
 	cases := []compactCase{{name: "n=0"}}
-	// 0 / 1 / 7 / 8, n·B < M at every geometry below (16), not a power of
-	// two (100), and large enough for several halving rounds (300).
-	for _, n := range []int{1, 7, 8, 16, 100, 300} {
+	for _, n := range sizes {
 		q := max(1, n/4)
 		random := r.Perm(n)[:q]
 		sort.Ints(random)
@@ -329,6 +345,17 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 				return result{a, nil}
 			}},
+		// Entered with half the cache, less the block of slack, checked out
+		// by the caller: which arrays fit the cache, and how wide a routing
+		// window may be, depend on what is free, not on M.
+		{"route.CompactBlocksTight/half-cache-held", true, nil, func(n, _ int) int { return n },
+			func(env *extmem.Env, a extmem.Array, _ int) result {
+				held := env.M/2 - env.B()
+				env.Cache.Acquire(held)
+				route.CompactBlocksTight(env, a, route.PredOccupied, 0)
+				env.Cache.Release(held)
+				return result{a, nil}
+			}},
 		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
 				out, _, _, err := CompactBlocksLoose(env, a, rCap)
@@ -344,7 +371,7 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
 	}
 	for _, g := range []struct{ b, m int }{{4, 256}, {8, 1024}, {8, 4096}} {
-		for _, c := range compactCorpus() {
+		for _, c := range compactCorpus(g.b, g.m) {
 			// rCap exactly the occupancy, rCap = 1, and the theorems' n/4.
 			rCaps := map[int]bool{max(1, len(c.occ)): true, 1: true, max(1, c.n/4): true}
 			for _, cp := range compactors {

@@ -113,21 +113,33 @@ func TestCompactTightPreservesBlockContents(t *testing.T) {
 
 func TestCompactThenExpandIsIdentity(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
+	// At B = 4, M = 64 the cache holds 16 cells and the routing window is
+	// 8: 15 is the largest array that fits the cache beside a block of
+	// slack, 16 the first that does not, 8 and 9 sit on either side of one
+	// window. With held words checked out by the caller the same sizes land
+	// on the other side of every cache-dependent choice.
 	for _, lpp := range []int{0, 1} {
-		for _, n := range []int{5, 16, 37, 64} {
-			for trial := 0; trial < 4; trial++ {
-				env := newEnv(n+8, 4, 64, 5)
-				a := env.D.Alloc(n)
-				cnt := r.IntN(n + 1)
-				occ := occupiedSets(r, n, cnt)
-				buildCells(a, occ)
-				before := cellKeys(a)
-				CompactBlocksTight(env, a, PredOccupied, lpp)
-				ExpandBlocks(env, a, PredOccupied, lpp)
-				after := cellKeys(a)
-				for j := range before {
-					if before[j] != after[j] {
-						t.Fatalf("lpp=%d n=%d trial=%d: cell %d was %d now %d", lpp, n, trial, j, before[j], after[j])
+		for _, held := range []int{0, 64/2 - 4} {
+			for _, n := range []int{1, 2, 5, 8, 9, 15, 16, 37, 64} {
+				for trial := 0; trial < 4; trial++ {
+					env := newEnv(n+8, 4, 64, 5)
+					a := env.D.Alloc(n)
+					cnt := r.IntN(n + 1)
+					occ := occupiedSets(r, n, cnt)
+					buildCells(a, occ)
+					before := cellKeys(a)
+					env.Cache.Acquire(held)
+					CompactBlocksTight(env, a, PredOccupied, lpp)
+					ExpandBlocks(env, a, PredOccupied, lpp)
+					env.Cache.Release(held)
+					if hw := env.Cache.HighWater(); hw > env.M {
+						t.Fatalf("lpp=%d held=%d n=%d: used %d words of private memory, M=%d", lpp, held, n, hw, env.M)
+					}
+					after := cellKeys(a)
+					for j := range before {
+						if before[j] != after[j] {
+							t.Fatalf("lpp=%d held=%d n=%d trial=%d: cell %d was %d now %d", lpp, held, n, trial, j, before[j], after[j])
+						}
 					}
 				}
 			}
@@ -199,26 +211,48 @@ func TestCompactTightWithFailedPredicate(t *testing.T) {
 	}
 }
 
+// Expansion targets must be strictly increasing and never left of the cell:
+// every geometry — the whole array in the cache, one routing group, several
+// — rejects a violation, including an inversion between cells of different
+// residue classes, which the network would route without a collision.
 func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
-	env := newEnv(16, 4, 64, 5)
-	a := env.D.Alloc(8)
-	buf := make([]extmem.Element, 4)
-	for j := 0; j < 8; j++ {
-		for tt := range buf {
-			buf[tt] = extmem.Element{}
-			if j < 2 {
-				buf[tt] = extmem.Element{Key: uint64(j), Flags: extmem.FlagOccupied}
-				buf[tt].SetAux(5 - j*3) // targets 5, 2: decreasing — invalid
+	for _, c := range []struct {
+		name    string
+		n, lpp  int
+		targets []int // Aux of cells 0, 1, ...
+	}{
+		{"fits-cache/decreasing", 8, 0, []int{5, 2}},
+		{"fits-cache/equal", 8, 0, []int{3, 3}},
+		{"fits-cache/left-of-cell", 8, 0, []int{0, 2, 1}},
+		{"one-group/decreasing", 4, 2, []int{3, 1}},
+		{"two-groups/decreasing", 16, 0, []int{5, 2}},
+		{"two-groups/cross-class-inversion", 16, 0, []int{9, 6}},
+		{"two-groups/equal", 16, 0, []int{7, 7}},
+		{"two-groups/left-of-cell", 16, 0, []int{0, 4, 1}},
+		{"three-groups/cross-class-inversion", 32, 0, []int{9, 6}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newEnv(c.n+8, 4, 64, 5)
+			a := env.D.Alloc(c.n)
+			buf := make([]extmem.Element, 4)
+			for j := 0; j < c.n; j++ {
+				for tt := range buf {
+					buf[tt] = extmem.Element{}
+					if j < len(c.targets) {
+						buf[tt] = extmem.Element{Key: uint64(j), Flags: extmem.FlagOccupied}
+						buf[tt].SetAux(c.targets[j])
+					}
+				}
+				a.Write(j, buf)
 			}
-		}
-		a.Write(j, buf)
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic on invalid expansion targets")
+				}
+			}()
+			ExpandBlocks(env, a, PredOccupied, c.lpp)
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on non-monotone expansion targets")
-		}
-	}()
-	ExpandBlocks(env, a, PredOccupied, 0)
 }
 
 // TestFigure1Example reproduces the concrete 7-cell instance drawn in the
