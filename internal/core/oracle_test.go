@@ -356,6 +356,11 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				env.Cache.Release(held)
 				return result{a, nil}
 			}},
+		{"route.ConsolidateCompact", true, nil, func(n, _ int) int { return n },
+			func(env *extmem.Env, a extmem.Array, _ int) result {
+				out, _ := route.ConsolidateCompact(env, a, extmem.Element.Marked)
+				return result{out, nil}
+			}},
 		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
 				out, _, _, err := CompactBlocksLoose(env, a, rCap)
@@ -456,6 +461,10 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 		{"route.Consolidate+CompactBlocksTight", false, func(env *extmem.Env, a extmem.Array) error {
 			cons, _ := route.Consolidate(env, a, keep)
 			route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
+			return nil
+		}},
+		{"route.ConsolidateCompact", false, func(env *extmem.Env, a extmem.Array) error {
+			route.ConsolidateCompact(env, a, keep)
 			return nil
 		}},
 		{"CompactBlocksLoose", false, func(env *extmem.Env, a extmem.Array) error {

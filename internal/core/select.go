@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
@@ -14,8 +13,8 @@ import (
 // This file implements Theorems 12 and 13, data-oblivious selection of the
 // k-th smallest element, as sample, bracket, compact, finish: one read-only
 // scan draws a Bernoulli sample straight into private memory, two sample
-// ranks bracket the target in a range [x, y], one consolidation and one
-// tight compaction move the range into a prefix a fixed factor shorter, and
+// ranks bracket the target in a range [x, y], one consolidating tight
+// compaction moves the range into a prefix a fixed factor shorter, and
 // the same step narrows that prefix until it fits the cache. The paper's
 // rate N^{-1/2} and range bound N^{7/8} (which is N itself below N = 2^24)
 // state the asymptotics; selectPlan derives both from Chernoff bounds at the
@@ -120,27 +119,26 @@ func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m
 		if err != nil {
 			return extmem.Element{}, err
 		}
-		// One scan keeps x <= e <= y and counts rank(x) on the side; the
-		// predicate runs on Consolidate's workers, hence the atomic.
-		var below atomic.Int64
-		cons, inRange := route.Consolidate(env, cur, func(e extmem.Element) bool {
+		// The butterfly's first pass keeps x <= e <= y as it reads cur and
+		// counts rank(x) on the side.
+		var below int64
+		cons, inRange := route.ConsolidateCompact(env, cur, func(e extmem.Element) bool {
 			if !e.Occupied() {
 				return false
 			}
 			if x.greaterElem(e) {
-				below.Add(1)
+				below++
 				return false
 			}
 			return !y.lessElem(e)
 		})
-		target := k - below.Load()
+		target := k - below
 		if target < 1 || target > inRange {
-			return extmem.Element{}, fmt.Errorf("%w: bracket missed the target (rank(x)=%d, in-range=%d, k=%d)", ErrSelectFailed, below.Load(), inRange, k)
+			return extmem.Element{}, fmt.Errorf("%w: bracket missed the target (rank(x)=%d, in-range=%d, k=%d)", ErrSelectFailed, below, inRange, k)
 		}
 		if inRange > int64(lv.next*a.B()) {
 			return extmem.Element{}, fmt.Errorf("%w: range size %d exceeds %d", ErrSelectFailed, inRange, lv.next*a.B())
 		}
-		route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
 		cur, k = cons.Slice(0, lv.next), target
 	}
 	return selectInCache(env, cur, int(k))
@@ -209,8 +207,8 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 }
 
 // SelectIOCount predicts the exact block I/Os of Select on nBlocks blocks of
-// b elements with a cache of m: per narrowing level one sample scan, one
-// consolidation and one butterfly compaction of the level's length, then the
+// b elements with a cache of m: per narrowing level one sample scan and one
+// consolidating butterfly compaction of the level's length, then the
 // in-cache scan or the sort tail.
 func SelectIOCount(nBlocks, b, m int) int64 { ios, _ := selectCost(nBlocks, b, m); return ios }
 
@@ -234,8 +232,8 @@ func selectCost(nBlocks, b, m int) (ios, rts int64) {
 			}
 			return ios + obsort.BitonicIOCount(c, b, m) + int64(c), -1
 		}
-		ios += int64(3*c) + int64(2*c)*int64(route.ButterflyPassCount(c, 0, m/b))
-		rts += scan(c) + route.ConsolidateRoundTrips(c, b, m) + route.CompactRoundTrips(c, 0, b, m)
+		ios += int64(c) + route.ConsolidateCompactIOCount(c, b, m)
+		rts += scan(c) + route.ConsolidateCompactRoundTrips(c, b, m)
 		c = lv.next
 	}
 	return ios + int64(c), rts + scan(c)

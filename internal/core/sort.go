@@ -78,8 +78,7 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	sp := env.Obs.Start("final-compact")
 	defer env.Obs.End(sp)
 	b := a.B()
-	cons, _ := route.Consolidate(env, res, extmem.Element.Occupied)
-	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
+	cons, _ := route.ConsolidateCompact(env, res, extmem.Element.Occupied)
 	k := env.ScanBatchN(1, n)
 	buf := env.Cache.Buf(k * b)
 	for lo := 0; lo < n; lo += k {
@@ -327,10 +326,9 @@ func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
 	n := a.Len()
 	b := a.B()
 	out := env.D.Alloc(n)
-	env.Cache.Acquire(env.M / 2)
+	all := env.Cache.Buf(env.M / 2)[:0] // the caller counted: at most M/2 occupied
 	k := env.ScanBatchN(1, n)
 	buf := env.Cache.Buf(k * b)
-	var all []extmem.Element
 	for lo := 0; lo < n; lo += k {
 		hi := min(lo+k, n)
 		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
@@ -355,7 +353,7 @@ func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
 		out.WriteRange(lo, hi, buf[:(hi-lo)*b])
 	}
 	env.Cache.Free(buf)
-	env.Cache.Release(env.M / 2)
+	env.Cache.Free(all)
 	return out
 }
 

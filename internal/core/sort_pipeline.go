@@ -122,6 +122,7 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	// flush boundaries — and so the per-block trace — are mode-independent).
 	wr := extmem.NewSeqWriterPipelined(out[0], 0, wbuf, env.Prefetch)
 	ok := true
+	perColor := make([][]int, colors+1) // reused batch after batch
 	for g := 0; g < batches; g++ {
 		lo := g * batch
 		hi := lo + batch
@@ -132,7 +133,9 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 		wr.Join() // the previous batch's last flush may still be in flight
 		a.ReadRange(lo, hi, buf[:cnt*b])
 		// Index the batch's full blocks by color (private).
-		perColor := make([][]int, colors+1)
+		for c := range perColor {
+			perColor[c] = perColor[c][:0]
+		}
 		for i := 0; i < cnt; i++ {
 			cell := buf[i*b : (i+1)*b]
 			if cell[0].Occupied() {

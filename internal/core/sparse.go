@@ -74,16 +74,22 @@ func peelFitsCache(env *extmem.Env, m, rCap int) bool {
 // (The fully general Theorem 4 path through the ORAM substrate remains
 // available via CompactBlocksSparse with ForceORAM.)
 func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
-	cons, marked := route.Consolidate(env, a, extmem.Element.Marked)
+	// Which path is a function of (rCap, B, M); the butterfly consolidates
+	// as it reads, the table needs the consolidated array.
+	peel := SparseTableFits(env, rCap)
+	consolidate := route.ConsolidateCompact
+	if peel {
+		consolidate = route.Consolidate
+	}
+	cons, marked := consolidate(env, a, extmem.Element.Marked)
 	need := extmem.CeilDiv(int(marked), env.B())
 	if marked > 0 && need > rCap {
 		return cons, marked, fmt.Errorf("%w: %d marked blocks exceed capacity %d", ErrCompactionFailed, need, rCap)
 	}
-	if SparseTableFits(env, rCap) {
+	if peel {
 		out, _, err := CompactBlocksSparse(env, cons, rCap, SparseParams{})
 		return out, marked, err
 	}
-	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
 	if cons.Len() < rCap {
 		// Pad: allocate the full capacity and copy the prefix, a chunked
 		// run copy with zero-fill past the prefix.

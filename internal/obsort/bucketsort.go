@@ -194,8 +194,7 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	// back, clearing the scratch bits.
 	spf := env.Obs.Start("gather")
 	defer env.Obs.End(spf)
-	cons, _ := route.Consolidate(env, w, extmem.Element.Occupied)
-	route.CompactBlocksTight(env, cons, route.PredOccupied, 0)
+	cons, _ := route.ConsolidateCompact(env, w, extmem.Element.Occupied)
 	k := env.ScanBatchN(1, n)
 	buf := env.Cache.Buf(k * b)
 	for lo := 0; lo < n; lo += k {
@@ -557,9 +556,8 @@ func BucketIOCount(nBlocks, b, m int) int64 {
 		return io + int64(k2)*walk(f/k2)
 	}
 	total += walk(g.k1)
-	// Finish: consolidation, butterfly compaction, copy-back.
-	total += int64(2 * wb)
-	total += int64(route.ButterflyPassCount(wb, 0, m/b)) * int64(2*wb)
+	// Finish: consolidating butterfly compaction, copy-back.
+	total += route.ConsolidateCompactIOCount(wb, b, m)
 	total += int64(2 * nBlocks)
 	return total
 }
@@ -599,8 +597,7 @@ func BucketRoundTrips(nBlocks, b, m int) int64 {
 		return r + int64(k2)*walk(f/k2)
 	}
 	rt += walk(g.k1)
-	rt += 2 * chunk(wb, 2) // consolidate
-	rt += int64(route.ButterflyPassCount(wb, 0, m/b)) * 2 * chunk(wb, 1)
+	rt += route.ConsolidateCompactRoundTrips(wb, b, m)
 	rt += 2 * chunk(nBlocks, 1) // copy-back
 	return rt
 }

@@ -44,7 +44,7 @@ func EngineNameError(name string) error {
 // in-process stores) or "net" (HTTP backends, where round trips dominate).
 // It returns one of EngineBitonic, EngineBucket or EngineZigzag — the
 // randomized sort is never picked; its constants lose to every
-// deterministic engine at any feasible geometry (298 I/Os per block against
+// deterministic engine at any feasible geometry (225 I/Os per block against
 // bitonic's 16 at N = 2^16, B = 8, M = 4096).
 //
 // The rule: take the engine whose exact predictor — block I/Os over mem,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/par"
 )
 
@@ -38,10 +39,19 @@ func parFor(w, n int, fn func(lo, hi int)) {
 // variant with O(n·log(n)/log(M/B)) I/Os; g = 1 recovers the naive
 // per-level variant — the ablation pair TestWindowedBeatsNaive compares.
 //
+// A routing is one pass per group — each cell read once and written once —
+// and nothing else. The labels are a prefix count, and the first group of
+// a compaction loads the cells in address order, so it labels them as they
+// stream through the cache; an expansion routes on the targets its caller
+// stamped and checks their order as its last group emits. An array that
+// fits the free cache whole is one group whatever its length: one read, a
+// private stable move, one write.
+//
 // A cell here is one disk block. A cell's destination (its occupied-rank)
 // and its origin are carried inside the block's elements (CellDest/Aux flag
 // bits), so the adversary never sees them; the address trace of every pass
-// is a fixed function of (n, B, M).
+// is a fixed function of n, B and the free cache the routing is entered
+// with.
 
 // BlockPred decides whether a block-cell counts as occupied for routing.
 type BlockPred func(blk []extmem.Element) bool
@@ -67,145 +77,158 @@ func PredFailed(blk []extmem.Element) bool {
 	return false
 }
 
+// fitsCache reports whether n cells fit free elements of private memory
+// beside a block of slack — a function of the geometry and of what the
+// caller has checked out, both public.
+func fitsCache(n, b, free int) bool { return (n+1)*b <= free }
+
+// label stamps an occupied cell with its destination and its origin.
+func label(blk []extmem.Element, dest, origin int) {
+	for t := range blk {
+		blk[t].SetCellDest(dest)
+		blk[t].SetAux(origin)
+	}
+}
+
 // CompactBlocksTight performs Theorem 6's tight order-preserving compaction
 // in place at block granularity: all cells satisfying pred move to a
 // contiguous prefix, preserving order; other cells become empty. It returns
 // the number of occupied cells (private knowledge). levelsPerPass <= 0
-// chooses the largest group the cache allows; 1 gives the naive variant.
+// chooses the largest group the free cache allows — the whole array when it
+// fits; a positive value runs the network with that many levels to a group,
+// 1 giving the naive variant.
 //
 // Side effects: the CellDest and Aux (color) flag bits of every element are
 // overwritten — CellDest with the cell's final position and Aux with its
 // original position (which is exactly what ExpandBlocks needs to undo the
 // compaction).
 func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) int {
-	n := a.Len()
-	if n == 0 {
+	if a.Len() == 0 {
 		return 0
 	}
 	sp := env.Obs.Start("butterfly-compact")
-	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, env.MBlocks())), -1)
 	defer env.Obs.End(sp)
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	nw := env.WorkerCount()
+	return compact(env, sp, a, a.ReadRange, pred, levelsPerPass)
+}
 
-	// Labelling scan: occupied cell j gets dest = rank(j), origin = j. The
-	// pass splits into a parallel predicate pass, a serial rank prefix over
-	// the chunk (O(k), pure arithmetic), and a parallel stamping pass — the
-	// in-cache work fans out, the chunk I/O order is exactly the serial
-	// scan's.
+// ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
+// output, without the array between them: the kept elements of a, in order,
+// packed into the leading blocks of a fresh array of a.Len() blocks, and
+// their number. The butterfly's first pass takes its cells from Lemma 3's
+// holding buffer as that reads a, and writes them routed to the fresh
+// array; later passes run there in place. Kept elements must be occupied.
+func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool) (extmem.Array, int64) {
+	out := env.D.Alloc(a.Len())
+	if a.Len() == 0 {
+		return out, 0
+	}
+	sp := env.Obs.Start("consolidate-compact")
+	defer env.Obs.End(sp)
+	l := lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}
+	compact(env, sp, out, func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
+	env.Cache.Free(l.hold)
+	return out, l.kept
+}
+
+// compact routes the cells that feed yields — cells [lo, hi) into dst, each
+// range asked for once, in address order — to a tight prefix of a, which
+// may be where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
+	n, b := a.Len(), a.B()
+	free := env.M - env.Cache.Used()
+	sp.SetAttrInt("blocks", int64(n))
+	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, free/b)), -1)
 	rank := 0
-	occ := make([]bool, k)
-	rk := make([]int, k)
-	// The two fan-out bodies are built once and read the chunk origin
-	// through lo, so a chunk costs no closure.
-	var lo int
-	classify := func(plo, phi int) {
-		for x := plo; x < phi; x++ {
-			occ[x] = pred(buf[x*b : (x+1)*b])
-		}
-	}
-	stamp := func(plo, phi int) {
-		for x := plo; x < phi; x++ {
-			blk := buf[x*b : (x+1)*b]
-			for t := range blk {
-				if occ[x] {
-					blk[t].SetCellDest(rk[x])
-					blk[t].SetAux(lo + x)
-				} else {
-					blk[t].SetCellDest(0)
-					blk[t].SetAux(0)
-				}
-			}
-		}
-	}
-	for lo = 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		cnt := hi - lo
-		a.ReadRange(lo, hi, buf[:cnt*b])
-		parFor(nw, cnt, classify)
-		for x := 0; x < cnt; x++ {
-			rk[x] = rank
-			if occ[x] {
+	if levelsPerPass <= 0 && fitsCache(n, b, free) {
+		buf := env.Cache.Buf(n * b)
+		feed(0, n, buf)
+		for j := 0; j < n; j++ {
+			if blk := buf[j*b : (j+1)*b]; pred(blk) {
+				label(blk, rank, j)
+				copy(buf[rank*b:], blk)
 				rank++
 			}
 		}
-		parFor(nw, cnt, stamp)
-		a.WriteRange(lo, hi, buf[:cnt*b])
+		clear(buf[rank*b:])
+		a.WriteRange(0, n, buf)
+		env.Cache.Free(buf)
+		return rank
 	}
-	env.Cache.Free(buf)
-
-	routeLeft(env, a, pred, levelsPerPass)
+	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
+	for i0 := 0; i0 < levels; i0 += g {
+		rank += routeGroupLeft(env, a, feed, pred, i0, min(g, levels-i0))
+	}
 	return rank
 }
 
 // ExpandBlocks reverses a tight compaction: every cell of the compact
 // prefix satisfying pred carries a destination in its Aux bits (strictly
-// increasing across the prefix); the cells are routed right so cell i ends
-// at position Aux(i). Cells not reached stay empty. This is the paper's
-// "use this method in reverse" remark after Theorem 6.
+// increasing across the prefix, never left of the cell); the cells are
+// routed right so cell i ends at position Aux(i), its CellDest bits saying
+// the same. Cells not reached stay empty. This is the paper's "use this
+// method in reverse" remark after Theorem 6. Bad targets panic: up front
+// when the array fits the cache, and otherwise no later than the last
+// group, which emits the cells in address order and checks that their
+// origins are in order too.
 func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
-	n := a.Len()
+	n, b := a.Len(), a.B()
 	if n == 0 {
 		return
 	}
+	free := env.M - env.Cache.Used()
 	sp := env.Obs.Start("butterfly-expand")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, env.MBlocks())), -1)
+	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, free/b)), -1)
 	defer env.Obs.End(sp)
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	nw := env.WorkerCount()
-	// Copy each occupied cell's Aux (target) into CellDest, validating
-	// monotonicity as we go: a parallel predicate/target pass, the serial
-	// O(k) monotonicity check, then a parallel stamping pass.
-	prev := -1
-	occ := make([]bool, k)
-	dest := make([]int, k)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		cnt := hi - lo
-		a.ReadRange(lo, hi, buf[:cnt*b])
-		parFor(nw, cnt, func(plo, phi int) {
-			for x := plo; x < phi; x++ {
-				blk := buf[x*b : (x+1)*b]
-				occ[x] = pred(blk)
-				dest[x] = blk[0].Aux()
+	if levelsPerPass <= 0 && fitsCache(n, b, free) {
+		buf := env.Cache.Buf(n * b)
+		a.ReadRange(0, n, buf)
+		prev := -1
+		for j := 0; j < n; j++ {
+			if blk := buf[j*b : (j+1)*b]; pred(blk) {
+				d := blk[0].Aux()
+				if d < j || d <= prev {
+					panic(badTargets(j, d))
+				}
+				if d >= n {
+					panic("route: expansion routed past array end")
+				}
+				prev = d
 			}
-		})
-		for x := 0; x < cnt; x++ {
-			if !occ[x] {
+		}
+		// Right to left, so a cell never lands on one still to move.
+		for j := n - 1; j >= 0; j-- {
+			blk := buf[j*b : (j+1)*b]
+			if !pred(blk) {
+				clear(blk)
 				continue
 			}
-			if dest[x] < lo+x || dest[x] <= prev {
-				panic(fmt.Sprintf("route: expansion targets not strictly increasing at cell %d (dest %d, prev %d)", lo+x, dest[x], prev))
+			d := blk[0].Aux()
+			for t := range blk {
+				blk[t].SetCellDest(d)
 			}
-			prev = dest[x]
+			if d != j {
+				copy(buf[d*b:(d+1)*b], blk)
+				clear(blk)
+			}
 		}
-		parFor(nw, cnt, func(plo, phi int) {
-			for x := plo; x < phi; x++ {
-				blk := buf[x*b : (x+1)*b]
-				d := 0
-				if occ[x] {
-					d = dest[x]
-				}
-				for t := range blk {
-					blk[t].SetCellDest(d)
-				}
-			}
-		})
-		a.WriteRange(lo, hi, buf[:cnt*b])
+		a.WriteRange(0, n, buf)
+		env.Cache.Free(buf)
+		return
 	}
-	env.Cache.Free(buf)
+	// The same group boundaries as a compaction, in descending stride order.
+	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
+	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
+		routeGroupRight(env, a, pred, i0, min(g, levels-i0))
+	}
+}
 
-	routeRight(env, a, pred, levelsPerPass)
+func badTargets(cell, dest int) string {
+	return fmt.Sprintf("route: expansion targets not strictly increasing at cell %d (dest %d)", cell, dest)
 }
 
 // groupSize resolves the number of network levels to process per pass
-// against a cache of mBlocks blocks.
+// against mBlocks blocks of free cache.
 func groupSize(mBlocks, levelsPerPass int) int {
 	if levelsPerPass > 0 {
 		return levelsPerPass
@@ -228,29 +251,18 @@ func windowCells(env *extmem.Env, g int) int {
 	return w
 }
 
-// routeLeft runs the compaction network: occupied cells move left to their
-// CellDest. Levels are processed in ascending stride groups.
-func routeLeft(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
-	n := a.Len()
-	levels := extmem.CeilLog2(n)
-	g := groupSize(env.MBlocks(), levelsPerPass)
-
-	for i0 := 0; i0 < levels; i0 += g {
-		gg := g
-		if i0+gg > levels {
-			gg = levels - i0
-		}
-		routeGroupLeft(env, a, pred, i0, gg)
-	}
-}
-
-// routeGroupLeft routes one group of levels [i0, i0+gg): every occupied
-// cell moves left by ((j − dest) mod S·2^gg) where S = 2^i0, which Lemma 5
-// guarantees lands it on a distinct cell. Cells at distance S apart form
-// independent virtual sequences (the paper's "simple shuffle that brings
-// together cells that are m apart"); each is processed with a sliding
-// window of 2w cells, w = 2^gg.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int) {
+// routeGroupLeft routes one group of levels [i0, i0+gg) of the compaction
+// network: every occupied cell moves left by ((j − dest) mod S·2^gg) where
+// S = 2^i0, which Lemma 5 guarantees lands it on a distinct cell. Cells at
+// distance S apart form independent virtual sequences (the paper's "simple
+// shuffle that brings together cells that are m apart"); each is processed
+// with a sliding window of 2w cells, w = 2^gg.
+//
+// The first group (S = 1, one sequence) takes its cells from feed, in
+// address order, labels each occupied one with its rank and its origin as
+// it arrives, and returns the number it saw; later groups read a and
+// return 0. Every group writes a.
+func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, i0, gg int) int {
 	n := a.Len()
 	b := a.B()
 	s := 1 << i0
@@ -272,7 +284,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 
 	// Every closure below is built once per group, not per residue class or
 	// per chunk: c, loaded and lo are the loop state they read.
-	var c, loaded, lo int
+	var c, loaded, lo, rank int
 	place := func(plo, phi int) {
 		for t := plo; t < phi; t++ {
 			blk := io[t*b : (t+1)*b]
@@ -308,9 +320,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 				copy(dst, stash[slot*b:(slot+1)*b])
 				live[slot] = false
 			} else {
-				for i := range dst {
-					dst[i] = extmem.Element{}
-				}
+				clear(dst)
 			}
 			idx[out-lo] = c + out*s
 		}
@@ -321,7 +331,19 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 			for t := 0; t < cnt; t++ {
 				idx[t] = c + (loaded+t)*s
 			}
-			a.ReadMany(idx[:cnt], io[:cnt*b])
+			if i0 == 0 {
+				// The labels are a prefix count over cells arriving in
+				// address order: serial, O(cnt), private.
+				feed(loaded, loaded+cnt, io[:cnt*b])
+				for t := 0; t < cnt; t++ {
+					if blk := io[t*b : (t+1)*b]; pred(blk) {
+						label(blk, rank, loaded+t)
+						rank++
+					}
+				}
+			} else {
+				a.ReadMany(idx[:cnt], io[:cnt*b])
+			}
 			parFor(nw, cnt, place)
 			for t := 0; t < cnt; t++ {
 				if slotOf[t] < 0 {
@@ -352,40 +374,25 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int)
 	}
 	env.Cache.Free(io)
 	env.Cache.Free(stash)
+	return rank
 }
 
-// routeRight runs the expansion network: groups in descending stride order,
-// cells moving right toward CellDest.
-func routeRight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
-	n := a.Len()
-	levels := extmem.CeilLog2(n)
-	g := groupSize(env.MBlocks(), levelsPerPass)
-
-	// Build the same group boundaries as routeLeft, then run them in
-	// reverse order.
-	var starts []int
-	for i0 := 0; i0 < levels; i0 += g {
-		starts = append(starts, i0)
-	}
-	for gi := len(starts) - 1; gi >= 0; gi-- {
-		i0 := starts[gi]
-		gg := g
-		if i0+gg > levels {
-			gg = levels - i0
-		}
-		routeGroupRight(env, a, pred, i0, gg)
-	}
-}
-
-// routeGroupRight mirrors routeGroupLeft for rightward movement: cells move
-// right by ((dest − j) mod S·2^gg)·... consuming the group's distance bits;
-// output chunks are produced right-to-left.
+// routeGroupRight mirrors routeGroupLeft for rightward movement: groups run
+// in descending stride order, so a cell's remaining distance to its target
+// (its Aux bits) fits inside the group's modulus S·2^gg and the group moves
+// it by that distance's multiple of S; loads and output chunks run
+// right-to-left. The top group, the first to run, stamps every cell's
+// origin into its CellDest bits; the last (S = 1) emits the cells in
+// descending address order, checks that the origins descend with them —
+// which is the strictly-increasing-targets precondition — and leaves the
+// final position in CellDest.
 func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int) {
 	n := a.Len()
 	b := a.B()
 	s := 1 << i0
 	w := windowCells(env, gg)
 	modulus := s * w
+	top := modulus >= n
 
 	stash := env.Cache.Buf(2 * w * b)
 	live := make([]bool, 2*w)
@@ -396,96 +403,111 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 	idx := make([]int, cb)
 	nw := env.WorkerCount()
 	slotOf := make([]int, cb)
+	origin := make([]int, cb) // last group: the origins of an output chunk's cells, -1 for an empty one
+	prevOrigin := n
 
-	for c := 0; c < s && c < n; c++ {
-		lv := (n - c + s - 1) / s
-		nt := (lv + w - 1) / w // number of output chunks
-		loaded := lv           // we load right-to-left: next virtual index+1
-		load := func(lo int) {
-			for loaded > lo {
-				cnt := min(cb, loaded-lo)
-				for t := 0; t < cnt; t++ {
-					idx[t] = c + (loaded-1-t)*s // descending virtual order
+	// As in routeGroupLeft, every closure is built once per group: c, lv,
+	// loaded (the next virtual index to load, plus one) and chi (the output
+	// chunk's upper end) are the loop state they read.
+	var c, lv, loaded, chi int
+	place := func(plo, phi int) {
+		for t := plo; t < phi; t++ {
+			blk := io[t*b : (t+1)*b]
+			slotOf[t] = -1
+			if !pred(blk) {
+				continue
+			}
+			v := loaded - 1 - t
+			j := idx[t]
+			dist := blk[0].Aux() - j
+			if dist < 0 {
+				panic(badTargets(j, blk[0].Aux()))
+			}
+			if dist >= modulus {
+				panic("route: expansion invariant violated")
+			}
+			fin := v + dist/s
+			if fin >= lv {
+				panic("route: expansion routed past array end")
+			}
+			if top {
+				for e := range blk {
+					blk[e].SetCellDest(j)
 				}
-				a.ReadMany(idx[:cnt], io[:cnt*b])
-				parFor(nw, cnt, func(plo, phi int) {
-					for t := plo; t < phi; t++ {
-						blk := io[t*b : (t+1)*b]
-						slotOf[t] = -1
-						if !pred(blk) {
-							continue
-						}
-						v := loaded - 1 - t
-						j := idx[t]
-						// Groups run in descending stride order, so the bits below
-						// this group's stride are consumed later: the invariant is
-						// that all bits at or above the group have been handled,
-						// i.e. the remaining distance fits inside the modulus.
-						dist := blk[0].CellDest() - j
-						if dist < 0 || dist >= modulus {
-							panic("route: expansion invariant violated")
-						}
-						move := dist / s
-						fin := v + move
-						if fin >= lv {
-							panic("route: expansion routed past array end")
-						}
-						slotOf[t] = fin % (2 * w)
-					}
-				})
-				for t := 0; t < cnt; t++ {
-					if slotOf[t] < 0 {
-						continue
-					}
-					if live[slotOf[t]] {
-						panic("route: expansion collision")
-					}
-					live[slotOf[t]] = true
-				}
-				parFor(nw, cnt, func(plo, phi int) {
-					for t := plo; t < phi; t++ {
-						if slotOf[t] >= 0 {
-							copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
-						}
-					}
-				})
-				loaded -= cnt
+			}
+			slotOf[t] = fin % (2 * w)
+		}
+	}
+	stow := func(plo, phi int) {
+		for t := plo; t < phi; t++ {
+			if slotOf[t] >= 0 {
+				copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
 			}
 		}
-		for t := nt - 1; t >= 0; t-- {
-			lo := (t - 1) * w
-			if lo < 0 {
-				lo = 0
-			}
-			load(lo)
-			hi := (t + 1) * w
-			if hi > lv {
-				hi = lv
-			}
-			for chi := hi; chi > t*w; chi -= cb {
-				clo := chi - cb
-				if clo < t*w {
-					clo = t * w
-				}
-				// The out positions in [clo, chi) span less than 2w virtual
-				// cells, so their slots are pairwise distinct across workers.
-				parFor(nw, chi-clo, func(plo, phi int) {
-					for p := plo; p < phi; p++ {
-						out := chi - 1 - p // descending virtual order
-						slot := out % (2 * w)
-						dst := io[p*b : (p+1)*b]
-						if live[slot] {
-							copy(dst, stash[slot*b:(slot+1)*b])
-							live[slot] = false
-						} else {
-							for i := range dst {
-								dst[i] = extmem.Element{}
-							}
-						}
-						idx[p] = c + out*s
+	}
+	// The out positions of one chunk span less than 2w virtual cells, so
+	// their slots are pairwise distinct across workers.
+	emit := func(plo, phi int) {
+		for p := plo; p < phi; p++ {
+			out := chi - 1 - p // descending virtual order
+			slot := out % (2 * w)
+			dst := io[p*b : (p+1)*b]
+			origin[p] = -1
+			if live[slot] {
+				copy(dst, stash[slot*b:(slot+1)*b])
+				live[slot] = false
+				if i0 == 0 {
+					origin[p] = dst[0].CellDest()
+					for e := range dst {
+						dst[e].SetCellDest(out)
 					}
-				})
-				a.WriteMany(idx[:chi-clo], io[:(chi-clo)*b])
+				}
+			} else {
+				clear(dst)
+			}
+			idx[p] = c + out*s
+		}
+	}
+	load := func(lo int) {
+		for loaded > lo {
+			cnt := min(cb, loaded-lo)
+			for t := 0; t < cnt; t++ {
+				idx[t] = c + (loaded-1-t)*s // descending virtual order
+			}
+			a.ReadMany(idx[:cnt], io[:cnt*b])
+			parFor(nw, cnt, place)
+			for t := 0; t < cnt; t++ {
+				if slotOf[t] < 0 {
+					continue
+				}
+				if live[slotOf[t]] {
+					panic("route: expansion collision")
+				}
+				live[slotOf[t]] = true
+			}
+			parFor(nw, cnt, stow)
+			loaded -= cnt
+		}
+	}
+
+	for c = 0; c < s && c < n; c++ {
+		lv = (n - c + s - 1) / s
+		loaded = lv
+		for t := (lv+w-1)/w - 1; t >= 0; t-- {
+			load(max((t-1)*w, 0))
+			for chi = min((t+1)*w, lv); chi > t*w; chi -= cb {
+				cnt := min(cb, chi-t*w)
+				parFor(nw, cnt, emit)
+				for p := 0; p < cnt; p++ {
+					if origin[p] < 0 {
+						continue
+					}
+					if origin[p] >= prevOrigin {
+						panic(badTargets(origin[p], idx[p]))
+					}
+					prevOrigin = origin[p]
+				}
+				a.WriteMany(idx[:cnt], io[:cnt*b])
 			}
 		}
 	}
@@ -493,25 +515,52 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 	env.Cache.Free(stash)
 }
 
-// ButterflyPassCount predicts the number of full read+write passes the
-// routing makes: one labelling pass plus one per level group.
+// ButterflyPassCount predicts the number of full read+write passes a
+// routing of n cells makes when it is entered with mBlocks blocks of cache
+// free: one pass per level group, and one group when the array fits.
 // TestButterflyIOMatchesPassCount checks measured I/O against 2n times this.
 func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
+	if levelsPerPass <= 0 && n+1 <= mBlocks {
+		return 1
+	}
 	g := groupSize(mBlocks, levelsPerPass)
-	return 1 + (extmem.CeilLog2(n)+g-1)/g
+	return (max(1, extmem.CeilLog2(n)) + g - 1) / g
 }
 
 // CompactRoundTrips predicts the vectored round trips of CompactBlocksTight
-// on n blocks of b elements, entered with all m elements of the cache free
-// and batches bounded by the cache alone: the labelling pass, then per
-// level group and residue class the chunked window loads and output writes
-// of routeGroupLeft.
+// on n blocks of b elements, entered with m elements of cache free and
+// batches bounded by the cache alone: two when the array fits, and
+// otherwise, one pass per group, the chunked window loads and output writes
+// of routeGroupLeft per level group and residue class.
 func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
+	return compactRoundTrips(n, levelsPerPass, b, m, false)
+}
+
+// ConsolidateCompactIOCount predicts the block I/Os of ConsolidateCompact
+// on n blocks of b elements entered with m elements of cache free: the
+// butterfly's passes beside the 2B holding buffer, and nothing else.
+func ConsolidateCompactIOCount(n, b, m int) int64 {
+	return 2 * int64(n) * int64(ButterflyPassCount(n, 0, m/b-2))
+}
+
+// ConsolidateCompactRoundTrips is CompactRoundTrips for ConsolidateCompact.
+func ConsolidateCompactRoundTrips(n, b, m int) int64 {
+	return compactRoundTrips(n, 0, b, m-2*b, true)
+}
+
+// compactRoundTrips replays the batching of compact. The first group of a
+// fused consolidation reads each chunk's inputs one block ahead of its
+// cells: block 0 on its own before a first chunk that is not the whole
+// array, and nothing for a chunk that is the last cell alone.
+func compactRoundTrips(n, levelsPerPass, b, m int, fused bool) int64 {
 	if n == 0 {
 		return 0
 	}
-	rt := 2 * int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(m, b, 1))))
-	levels, g := extmem.CeilLog2(n), groupSize(m/b, levelsPerPass)
+	if levelsPerPass <= 0 && fitsCache(n, b, m) {
+		return 2
+	}
+	var rt int64
+	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, levelsPerPass)
 	for i0 := 0; i0 < levels; i0 += g {
 		s, w := 1<<i0, 1<<min(g, levels-i0)
 		cb := min(w, extmem.ScanBatchOf(m-2*w*b, b, 1))
@@ -520,6 +569,14 @@ func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
 			for t, loaded := 0, 0; t*w < lv; t++ {
 				hi := min((t+2)*w, lv)
 				rt += int64(extmem.CeilDiv(hi-loaded, cb) + extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
+				if fused && i0 == 0 {
+					if t == 0 && min(cb, hi) < n {
+						rt++
+					}
+					if hi == n && loaded < n && n > 1 && (n-1-loaded)%cb == 0 {
+						rt--
+					}
+				}
 				loaded = hi
 			}
 		}

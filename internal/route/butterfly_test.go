@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -148,24 +149,87 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 }
 
 func TestButterflyIOMatchesPassCount(t *testing.T) {
-	for _, cfg := range []struct{ n, m, lpp int }{
-		{64, 48, 0}, {64, 48, 1}, {128, 24, 0}, {100, 48, 2}, {1000, 512, 0}, {37, 1024, 0},
+	for _, cfg := range []struct{ n, m, lpp, held int }{
+		{64, 48, 0, 0}, {64, 48, 1, 0}, {128, 24, 0, 0}, {100, 48, 2, 0}, {1000, 512, 0, 0}, {37, 1024, 0, 0},
+		// The largest array that fits the cache and the first that does not,
+		// a single cell, and an array that would fit were the caller not
+		// holding half the cache.
+		{127, 512, 0, 0}, {128, 512, 0, 0}, {1, 48, 0, 0}, {1, 48, 1, 0}, {100, 512, 0, 256},
 	} {
-		env := newEnv(cfg.n+8, 4, cfg.m, 5)
-		a := env.D.Alloc(cfg.n)
-		r := rand.New(rand.NewPCG(3, 3))
-		buildCells(a, occupiedSets(r, cfg.n, cfg.n/3))
-		env.D.ResetStats()
-		CompactBlocksTight(env, a, PredOccupied, cfg.lpp)
-		got := env.D.Stats().Total()
-		want := int64(ButterflyPassCount(cfg.n, cfg.lpp, cfg.m/4)) * int64(2*cfg.n)
-		if got != want {
-			t.Errorf("n=%d m=%d lpp=%d: measured %d I/Os, predicted %d", cfg.n, cfg.m, cfg.lpp, got, want)
-		}
-		if got, want := env.D.Stats().RoundTrips, CompactRoundTrips(cfg.n, cfg.lpp, 4, cfg.m); got != want {
-			t.Errorf("n=%d m=%d lpp=%d: measured %d round trips, predicted %d", cfg.n, cfg.m, cfg.lpp, got, want)
+		for _, expand := range []bool{false, true} {
+			env := newEnv(cfg.n+8, 4, cfg.m, 5)
+			a := env.D.Alloc(cfg.n)
+			r := rand.New(rand.NewPCG(3, 3))
+			buildCells(a, occupiedSets(r, cfg.n, cfg.n/3))
+			env.Cache.Acquire(cfg.held)
+			if expand {
+				CompactBlocksTight(env, a, PredOccupied, cfg.lpp)
+			}
+			env.D.ResetStats()
+			if expand {
+				ExpandBlocks(env, a, PredOccupied, cfg.lpp)
+			} else {
+				CompactBlocksTight(env, a, PredOccupied, cfg.lpp)
+			}
+			got := env.D.Stats().Total()
+			want := int64(ButterflyPassCount(cfg.n, cfg.lpp, (cfg.m-cfg.held)/4)) * int64(2*cfg.n)
+			if got != want {
+				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: measured %d I/Os, predicted %d", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, got, want)
+			}
+			if got, want := env.D.Stats().RoundTrips, CompactRoundTrips(cfg.n, cfg.lpp, 4, cfg.m-cfg.held); got != want {
+				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: measured %d round trips, predicted %d", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, got, want)
+			}
+			if hw := env.Cache.HighWater(); hw > cfg.m {
+				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: used %d words of private memory", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, hw)
+			}
 		}
 	}
+}
+
+// ConsolidateCompact must leave, bit for bit, what Consolidate followed by
+// CompactBlocksTight leaves — the routing labels included — at the cost its
+// predictors state: the butterfly's passes and nothing else.
+func TestConsolidateCompactMatchesThePair(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 12))
+	for _, cfg := range []struct{ n, b, m int }{
+		{1, 4, 64}, {2, 4, 64}, {12, 4, 64}, {13, 4, 64}, {14, 4, 64}, {16, 4, 64}, {17, 4, 64}, {33, 4, 64}, {100, 4, 64},
+		{9, 4, 28}, {40, 4, 40}, {41, 4, 72}, {300, 8, 256}, {125, 4, 512}, {126, 4, 512}, {1000, 4, 512},
+	} {
+		for _, kept := range []int{0, 1, cfg.n * cfg.b / 3, cfg.n*cfg.b - 1, cfg.n * cfg.b} {
+			in := randomMarkedInput(r, cfg.n*cfg.b, min(kept, cfg.n*cfg.b))
+			pair := newEnv(3*cfg.n, cfg.b, cfg.m, 3)
+			a := pair.D.Alloc(cfg.n)
+			writeElems(a, in)
+			want, wantKept := Consolidate(pair, a, extmem.Element.Marked)
+			CompactBlocksTight(pair, want, PredOccupied, 0)
+
+			env := newEnv(3*cfg.n, cfg.b, cfg.m, 3)
+			a = env.D.Alloc(cfg.n)
+			writeElems(a, in)
+			env.D.ResetStats()
+			got, gotKept := ConsolidateCompact(env, a, extmem.Element.Marked)
+			st := env.D.Stats()
+			if gotKept != wantKept || !slices.Equal(readElems(got), readElems(want)) {
+				t.Fatalf("n=%d b=%d m=%d kept=%d: output differs from Consolidate + CompactBlocksTight (kept %d, want %d)", cfg.n, cfg.b, cfg.m, kept, gotKept, wantKept)
+			}
+			if !slices.Equal(readElems(a), padTo(in, cfg.n*cfg.b)) {
+				t.Fatalf("n=%d b=%d m=%d kept=%d: input modified", cfg.n, cfg.b, cfg.m, kept)
+			}
+			if want := ConsolidateCompactIOCount(cfg.n, cfg.b, cfg.m); st.Total() != want {
+				t.Errorf("n=%d b=%d m=%d kept=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, kept, st.Total(), want)
+			}
+			if want := ConsolidateCompactRoundTrips(cfg.n, cfg.b, cfg.m); st.RoundTrips != want {
+				t.Errorf("n=%d b=%d m=%d kept=%d: measured %d round trips, predicted %d", cfg.n, cfg.b, cfg.m, kept, st.RoundTrips, want)
+			}
+			if hw, used := env.Cache.HighWater(), env.Cache.Used(); hw > cfg.m || used != 0 {
+				t.Errorf("n=%d b=%d m=%d kept=%d: used %d words of private memory, %d left checked out", cfg.n, cfg.b, cfg.m, kept, hw, used)
+			}
+		}
+	}
+}
+
+func padTo(elems []extmem.Element, n int) []extmem.Element {
+	return append(slices.Clone(elems), make([]extmem.Element, n-len(elems))...)
 }
 
 // TestWindowedBeatsNaive pins the windowing ablation: grouped levels make
@@ -211,8 +275,8 @@ func TestCompactTightWithFailedPredicate(t *testing.T) {
 	}
 }
 
-// Expansion targets must be strictly increasing and never left of the cell:
-// every geometry — the whole array in the cache, one routing group, several
+// Expansion targets must be strictly increasing, never left of the cell and
+// inside the array: every geometry — the whole array in the cache, one routing group, several
 // — rejects a violation, including an inversion between cells of different
 // residue classes, which the network would route without a collision.
 func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
@@ -230,6 +294,9 @@ func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
 		{"two-groups/equal", 16, 0, []int{7, 7}},
 		{"two-groups/left-of-cell", 16, 0, []int{0, 4, 1}},
 		{"three-groups/cross-class-inversion", 32, 0, []int{9, 6}},
+		{"fits-cache/past-the-end", 8, 0, []int{3, 8}},
+		{"one-group/past-the-end", 4, 2, []int{1, 4}},
+		{"two-groups/past-the-end", 16, 0, []int{3, 16}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := newEnv(c.n+8, 4, 64, 5)
@@ -283,10 +350,10 @@ func TestFigure1Example(t *testing.T) {
 	}
 }
 
-// benchCells is the benchmark geometry's compaction input: n = 2^13 cells
-// of B = 8, every third one occupied, against M = 4096.
-func benchCells() (*extmem.Env, extmem.Array) {
-	const n, b, m = 1 << 13, 8, 4096
+// benchCells is a compaction input at the benchmark's block size: n cells
+// of B = 8, every third one occupied, against a cache of m.
+func benchCells(n, m int) (*extmem.Env, extmem.Array) {
+	const b = 8
 	env := newEnv(n, b, m, 9)
 	a := env.D.Alloc(n)
 	buf := make([]extmem.Element, n*b)
@@ -299,11 +366,12 @@ func benchCells() (*extmem.Env, extmem.Array) {
 	return env, a
 }
 
-// One compaction runs thousands of cache chunks; its allocations must be
-// per call and per level group (buffers, closures), never per chunk. At
-// this geometry the per-chunk closures used to cost over 2 000 objects.
+// One routing runs thousands of cache chunks; its allocations must be per
+// call and per level group (buffers, closures), never per chunk. At the
+// benchmark geometry (n = 2^13, M = 4096) the per-chunk closures used to
+// cost over 2 000 objects in either direction.
 func TestCompactBlocksTightAllocCeiling(t *testing.T) {
-	env, a := benchCells()
+	env, a := benchCells(1<<13, 4096)
 	if got := testing.AllocsPerRun(3, func() {
 		CompactBlocksTight(env, a, PredOccupied, 0)
 	}); got > 40 {
@@ -311,12 +379,33 @@ func TestCompactBlocksTightAllocCeiling(t *testing.T) {
 	}
 }
 
-func BenchmarkCompactBlocksTight(b *testing.B) {
-	env, a := benchCells()
-	env.D.ResetStats()
-	b.ReportAllocs()
-	for b.Loop() {
-		CompactBlocksTight(env, a, PredOccupied, 0)
+func TestExpandBlocksAllocCeiling(t *testing.T) {
+	env, a := benchCells(1<<13, 4096)
+	CompactBlocksTight(env, a, PredOccupied, 0)
+	// Each run expands the prefix to where it came from and leaves the
+	// targets in place; the next one finds the cells already home.
+	if got := testing.AllocsPerRun(3, func() {
+		ExpandBlocks(env, a, PredOccupied, 0)
+	}); got > 40 {
+		t.Fatalf("ExpandBlocks allocated %v objects, want <= 40", got)
 	}
-	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
+}
+
+// One sub-benchmark per arm of the dispatch: the whole array in the cache,
+// and the network at two and at four routing groups.
+func BenchmarkCompactBlocksTight(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		n, m int
+	}{{"fits-cache", 460, 4096}, {"two-groups", 1 << 13, 4096}, {"four-groups", 1 << 13, 512}} {
+		b.Run(g.name, func(b *testing.B) {
+			env, a := benchCells(g.n, g.m)
+			env.D.ResetStats()
+			b.ReportAllocs()
+			for b.Loop() {
+				CompactBlocksTight(env, a, PredOccupied, 0)
+			}
+			b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
+		})
+	}
 }

@@ -31,7 +31,7 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	sp.SetPredicted(2*int64(n), -1) // Lemma 3: exactly n reads + n writes
 	defer env.Obs.End(sp)
 
-	hold := env.Cache.Buf(2 * b) // pending kept elements, always < B live + incoming B
+	l := lag{keep: keep, hold: env.Cache.Buf(2 * b)}
 	k := env.ScanBatch(2)
 	if k > n {
 		k = n
@@ -39,8 +39,6 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	in := env.Cache.Buf(k * b)
 	wbuf := env.Cache.Buf(k * b)
 	wr := extmem.NewSeqWriter(out, 0, wbuf)
-	pending := 0
-	var kept int64
 	nw := env.WorkerCount()
 	kcnt := make([]int, k)
 
@@ -70,43 +68,93 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 		parFor(nw, hi-lo, gather)
 		for i := lo; i < hi; i++ {
 			x := i - lo
-			copy(hold[pending:pending+kcnt[x]], in[x*b:x*b+kcnt[x]])
-			pending += kcnt[x]
-			kept += int64(kcnt[x])
-			if i == 0 {
-				continue
-			}
-			slot := wr.Next()
-			if pending >= b {
-				copy(slot, hold[:b])
-				copy(hold, hold[b:pending])
-				pending -= b
-			} else {
-				for t := range slot {
-					slot[t] = extmem.Element{}
-				}
+			l.take(in[x*b : x*b+kcnt[x]])
+			if i > 0 {
+				l.emit(wr.Next(), false)
 			}
 		}
 	}
-	// Final block: whatever remains (possibly a partial block).
-	if pending > b {
-		// Cannot happen: pending < B before the last read, so pending <
-		// 2B, and pending >= B would have emitted a full block — unless
-		// the last block pushed it over; flush the full block then the
-		// remainder would be lost. Guard explicitly.
-		panic("route: consolidation invariant violated")
-	}
-	slot := wr.Next()
-	for t := range slot {
-		slot[t] = extmem.Element{}
-	}
-	copy(slot, hold[:min(pending, b)])
+	l.emit(wr.Next(), true)
 	wr.Flush()
 
 	env.Cache.Free(wbuf)
 	env.Cache.Free(in)
-	env.Cache.Free(hold)
-	return out, kept
+	env.Cache.Free(l.hold)
+	return out, l.kept
+}
+
+// lag is Lemma 3's holding buffer, 2B elements: under a block's worth of
+// kept elements waiting to fill a cell, plus the block being absorbed.
+// Output cell i is decided once input block i+1 has been absorbed — full if
+// B elements wait, empty otherwise — and the last cell takes what is left,
+// so n inputs make exactly n cells whatever the data.
+type lag struct {
+	keep    func(extmem.Element) bool
+	hold    []extmem.Element
+	pending int
+	kept    int64
+}
+
+// take appends a run of kept elements, at most one block's worth.
+func (l *lag) take(run []extmem.Element) {
+	l.pending += copy(l.hold[l.pending:], run)
+	l.kept += int64(len(run))
+}
+
+// absorb takes the kept elements of one input block.
+func (l *lag) absorb(blk []extmem.Element) {
+	for _, e := range blk {
+		if l.keep(e) {
+			l.hold[l.pending] = e
+			l.pending++
+			l.kept++
+		}
+	}
+}
+
+// emit writes the next output cell: a full block when one waits, everything
+// left when last, zeros otherwise.
+func (l *lag) emit(dst []extmem.Element, last bool) {
+	take := 0
+	if last || l.pending >= len(dst) {
+		take = min(l.pending, len(dst))
+	}
+	if last && l.pending > take {
+		panic("route: consolidation invariant violated") // one emit per input keeps pending <= B
+	}
+	copy(dst, l.hold[:take])
+	clear(dst[take:])
+	l.pending = copy(l.hold, l.hold[take:l.pending])
+}
+
+// cells fills dst with output cells [lo, hi) of the consolidation of src,
+// for the butterfly's first pass, which asks for every cell once, in order.
+// The input blocks that decide them, (lo, hi], are read into dst itself,
+// each into the slot of the cell it decides and absorbed before that cell
+// overwrites it. Block 0 decides nothing: it comes along when dst holds
+// the whole array, and ahead of the first chunk, through the hold buffer's
+// upper half, otherwise.
+func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
+	n, b := src.Len(), src.B()
+	rlo, rhi := lo+1, min(hi+1, n)
+	if lo == 0 {
+		if hi == n {
+			rlo = 0
+		} else {
+			src.Read(0, l.hold[b:])
+			l.absorb(l.hold[b:])
+		}
+	}
+	if rlo < rhi {
+		src.ReadRange(rlo, rhi, dst[:(rhi-rlo)*b])
+	}
+	next := rlo
+	for j := lo; j < hi; j++ {
+		for ; next <= j+1 && next < rhi; next++ {
+			l.absorb(dst[(next-rlo)*b : (next-rlo+1)*b])
+		}
+		l.emit(dst[(j-lo)*b:(j-lo+1)*b], j == n-1)
+	}
 }
 
 // ConsolidateRoundTrips predicts the vectored round trips of Consolidate on

@@ -72,11 +72,8 @@ func TestRouteTraceInvariance(t *testing.T) {
 	}
 }
 
-// consolidateCompact is Lemma 3 followed by Theorem 6: the occupied elements
-// of a, packed into the leading blocks of a fresh array.
 func consolidateCompact(env *extmem.Env, a extmem.Array) {
-	cons, _ := Consolidate(env, a, extmem.Element.Occupied)
-	CompactBlocksTight(env, cons, PredOccupied, 0)
+	ConsolidateCompact(env, a, extmem.Element.Occupied)
 }
 
 // Parallel and serial routing must also agree on the result, cell for cell.
