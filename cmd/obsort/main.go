@@ -10,7 +10,7 @@
 //
 //	obsort -n 100000 -b 16 -m 4096 -file /tmp/store.dat -encrypt
 //	obsort -n 100000 -sorter bucket                              # or zigzag, bitonic, auto
-//	obsort -n 100000 -shards 4 -rtt 20ms -perblock 1ms -prefetch
+//	obsort -n 100000 -shards 4 -prefetch
 //	obsort -n 100000 -sorter auto -url http://localhost:9220     # a real Bob (cmd/obstore)
 //	obsort -n 100000 -shards 2 -urls http://h1:9220,http://h2:9220
 //	obsort -n 100000 -b 16 -encrypt -url https://h:9222 -tls-ca cert.pem -auth-token s3cret
@@ -40,8 +40,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random tape seed")
 	sorter := flag.String("sorter", "randomized", "sorter engine: auto, randomized, bitonic, bucket, or zigzag")
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
-	rtt := flag.Duration("rtt", 0, "model each backend as remote with this round-trip delay (e.g. 20ms)")
-	perblock := flag.Duration("perblock", 0, "bandwidth component of the latency model, per block moved")
 	prefetch := flag.Bool("prefetch", false, "double-buffer read scans: overlap the next batch's fetch with compute")
 	workers := flag.Int("workers", 1, "goroutines for Alice-side in-cache compute and sealing (0 or 1 = serial); the access trace is identical for every setting")
 	url := flag.String("url", "", "back the store with a remote obstore server at this base URL")
@@ -63,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
-		NumShards: *shards, SimulatedRTT: *rtt, SimulatedPerBlock: *perblock, Prefetch: *prefetch, Workers: *workers,
+		NumShards: *shards, Prefetch: *prefetch, Workers: *workers,
 		URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
 		Replicas: *replicas, HedgeAfter: *hedgeAfter,
 		AuthToken: *authToken, TLSRootCA: *tlsCA, TLSInsecureSkipVerify: *tlsSkipVerify,
@@ -208,15 +206,6 @@ func main() {
 		}
 		if ev := client.ReplicaEvents(); len(ev) > 0 {
 			fmt.Printf("  %d failover/breaker decisions (first: %s)\n", len(ev), ev[0])
-		}
-	}
-	if *rtt > 0 || *perblock > 0 {
-		if client.NumShards() > 1 {
-			fmt.Printf("modeled network time: %v critical path (%v if shards were contacted serially)\n",
-				client.ModeledNetworkTime().Round(time.Millisecond),
-				client.SerialModeledNetworkTime().Round(time.Millisecond))
-		} else {
-			fmt.Printf("modeled network time: %v\n", client.ModeledNetworkTime().Round(time.Millisecond))
 		}
 	}
 	if ns := client.MeasuredNetworkStats(); ns != nil {

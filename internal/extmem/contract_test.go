@@ -17,7 +17,6 @@ var (
 	_ extmem.BlockStore = (*extmem.MemStore)(nil)
 	_ extmem.BlockStore = (*extmem.FileStore)(nil)
 	_ extmem.BlockStore = (*extmem.CryptStore)(nil)
-	_ extmem.BlockStore = (*extmem.LatencyStore)(nil)
 	_ extmem.BlockStore = (*shard.ShardedStore)(nil)
 	_ extmem.BlockStore = (*replica.Store)(nil)
 	_ extmem.BlockStore = (*netstore.Client)(nil)
@@ -48,7 +47,6 @@ func TestBlockStoreContract(t *testing.T) {
 	}
 	impls := []impl{
 		{name: "MemStore", store: mem()},
-		{name: "LatencyStore", store: extmem.NewLatencyStore(mem(), extmem.LatencyOptions{})},
 		{name: "chaos.Store", store: chaos.NewStore(mem(), "bob", nil)},
 	}
 	{

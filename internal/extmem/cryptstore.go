@@ -20,7 +20,7 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // CryptStore is the client-side encryption decorator: an extmem.BlockStore
 // that seals every block written through it (see Encryptor) and opens every
 // block read back, storing only salt‖counter‖ciphertext‖tag in the child.
-// The child may be any BlockStore — memory, file, latency-modeled, the
+// The child may be any BlockStore — memory, file, a replica group, the
 // sharded fan-out, or the HTTP network client — so Bob, whatever his
 // substrate, only ever holds semantically secure ciphertext: the paper's
 // §1 assumption ("Alice encrypts her data before outsourcing it").

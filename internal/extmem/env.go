@@ -60,12 +60,6 @@ func (e *Env) EnableObs() *obs.Collector {
 	return col
 }
 
-// DisableObs detaches the span collector.
-func (e *Env) DisableObs() {
-	e.Obs = nil
-	e.D.SetObs(nil)
-}
-
 // NewEnv builds an environment over an in-memory store.
 //
 // startBlocks is an initial capacity hint; the store grows on demand.

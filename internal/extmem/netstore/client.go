@@ -63,11 +63,9 @@ type Options struct {
 	// Namespace selects the tenant this client's traffic belongs to on a
 	// multi-tenant (service-mode) server: its own block address space, its
 	// own journal and trace fingerprint, its own replay-suppression window.
-	// Data-plane requests carry it inline (the OBS2 framing); control-plane
-	// requests pass it as the ?ns= query parameter. Empty — the default —
-	// selects the default tenant over the legacy OBS1 framing, so
-	// single-tenant deployments are byte-for-byte unaffected. Must satisfy
-	// ValidNamespace.
+	// Data-plane requests carry it inline; control-plane requests pass it as
+	// the ?ns= query parameter. Empty — the default — selects the default
+	// tenant. Must satisfy ValidNamespace.
 	Namespace string
 }
 
@@ -98,9 +96,8 @@ func NewTransport(perHost int) *http.Transport {
 	return t
 }
 
-// Stats is the measured (not modeled) network cost of the traffic a Client
-// has issued: real wall-clock waits, as opposed to the LatencyStore's
-// accounted model.
+// Stats is the measured network cost of the traffic a Client has issued:
+// real wall-clock waits.
 type Stats struct {
 	// Requests counts completed logical interactions (= round trips the Disk
 	// layer charged; retries of one request do not add to it).
@@ -143,7 +140,7 @@ type Client struct {
 	maxAttempts int
 	backoff     time.Duration
 	authToken   string
-	ns          string // tenant namespace; "" = default tenant, OBS1 framing
+	ns          string // tenant namespace; "" = default tenant
 
 	// sleep and jitter are injectable for the fake-clock backoff tests:
 	// sleep waits for d or until ctx is canceled, jitter draws uniformly
@@ -251,7 +248,7 @@ func (c *Client) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Elem
 // for size. Splitting a batch only regroups round trips — the per-block
 // trace is unchanged.
 func (c *Client) MaxBatchBlocks() int {
-	return (maxBatchWire - headerLen - 1 - MaxNamespaceLen) / (8 + c.blockBytes)
+	return (maxBatchWire - headerLen - MaxNamespaceLen) / (8 + c.blockBytes)
 }
 
 // doIO sends one data-plane request, replaying it on transient failures
@@ -265,9 +262,9 @@ func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int,
 		opName = "write"
 	}
 	// Check the wire cap before materializing the body: rejection must not
-	// cost a giant allocation. The namespaced framing's header is a few
-	// bytes longer; MaxBatchBlocks budgets for the worst case.
-	if headerLen+1+len(c.ns)+8*len(addrs)+payloadLen > maxBatchWire {
+	// cost a giant allocation. MaxBatchBlocks budgets for the longest
+	// namespace.
+	if headerLen+len(c.ns)+8*len(addrs)+payloadLen > maxBatchWire {
 		return nil, fmt.Errorf("netstore: %s of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d); lower MaxBatchBlocks",
 			opName, len(addrs), maxBatchWire, c.MaxBatchBlocks(), c.b)
 	}
@@ -583,30 +580,8 @@ func (c *Client) NetStats() Stats {
 	return c.stats
 }
 
-// RoundTrips implements extmem.NetModel.
-func (c *Client) RoundTrips() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.Requests
-}
-
-// BlocksMoved implements extmem.NetModel.
-func (c *Client) BlocksMoved() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.BlocksMoved
-}
-
-// ModeledTime implements extmem.NetModel. For a real backend the "model" is
-// measurement: the wall-clock time spent waiting on completed interactions.
-func (c *Client) ModeledTime() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.Total
-}
-
-// ResetNetStats implements extmem.NetModel.
-func (c *Client) ResetNetStats() {
+// ResetStats zeroes the measured network counters.
+func (c *Client) ResetStats() {
 	c.mu.Lock()
 	c.stats = Stats{}
 	c.mu.Unlock()

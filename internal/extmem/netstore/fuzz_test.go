@@ -3,8 +3,6 @@ package netstore
 import (
 	"bytes"
 	"testing"
-
-	"oblivext/internal/extmem"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the wire-frame parser — the one
@@ -19,9 +17,9 @@ import (
 //     since a key that mutated in flight would suppress the wrong tenant's
 //     journal entries.
 func FuzzFrameDecode(f *testing.F) {
-	const blockBytes = 4 * extmem.ElementBytes
-	// Seeds: a valid OBS1 read, a valid OBS2 write, and a few deliberate
-	// near-misses (truncations, bad magic, oversize namespace length).
+	// Seeds, on top of testdata/fuzz: a read on the default tenant (empty
+	// namespace), a namespaced write, and a few deliberate near-misses
+	// (truncations, bad magic, oversize namespace length).
 	seed1, _ := encodeRequest(opRead, 7, "", []int{0, 3}, 0)
 	seed2, p := encodeRequest(opWrite, 1<<40, "tenant-9", []int{5}, blockBytes)
 	for i := range p {

@@ -41,7 +41,7 @@ const (
 
 // nsParam is the query parameter naming the tenant on the control-plane
 // endpoints (info, grow, trace, trace reset); absent or empty selects the
-// default tenant, matching the OBS1 data-plane framing.
+// default tenant, as a zero-length namespace does on the data plane.
 const nsParam = "ns"
 
 // replayHeader is set to "1" on a data-plane response the server answered
@@ -55,51 +55,37 @@ const replayHeader = "X-Obstore-Replay"
 // Clients prefer this header when present and fall back to Retry-After.
 const retryAfterMSHeader = "X-Obstore-Retry-After-Ms"
 
-// Wire format of one ioPath request body (integers little-endian). Two
-// framings share the endpoint, distinguished by magic:
+// Wire format of one ioPath request body (integers little-endian):
 //
-// Legacy single-tenant framing (namespace = "", the default):
-//
-//	magic   4 bytes  "OBS1"
+//	magic   4 bytes  "OBS2"
 //	op      1 byte   1 = read batch, 2 = write batch
 //	seq     8 bytes  client-assigned request id, shared by every retry
+//	nsLen   1 byte   namespace length, 0..MaxNamespaceLen
+//	ns      nsLen bytes of [a-zA-Z0-9._-]
 //	count   4 bytes  blocks in the batch
 //	addrs   count × 8 bytes
 //	payload count × B × ElementBytes   (write batches only)
 //
-// Namespaced service-mode framing:
-//
-//	magic   4 bytes  "OBS2"
-//	op      1 byte
-//	seq     8 bytes
-//	nsLen   1 byte   namespace length, 1..MaxNamespaceLen
-//	ns      nsLen bytes of [a-zA-Z0-9._-]
-//	count   4 bytes
-//	addrs   count × 8 bytes
-//	payload count × B × ElementBytes   (write batches only)
-//
-// The namespace names the tenant the batch operates on: each namespace is
-// its own block address space with its own journal and its own
-// replay-suppression window, so the replay key is (namespace, seq) — request
-// ids from different sessions can never suppress each other's journal
-// entries. A client with an empty namespace always emits OBS1, so
-// single-tenant deployments and old servers are unaffected.
+// The namespace names the tenant the batch operates on — zero length is the
+// default tenant: each namespace is its own block address space with its own
+// journal and its own replay-suppression window, so the replay key is
+// (namespace, seq) — request ids from different sessions can never suppress
+// each other's journal entries.
 //
 // A read response body is the payload alone (count × B × ElementBytes); a
 // write response body is empty. Errors are non-200 statuses with a plain-text
 // message; 5xx are transient (the client retries), 4xx are permanent.
 const (
-	magic             = "OBS1"
-	magicNS           = "OBS2"
+	magic             = "OBS2"
 	opRead       byte = 1
 	opWrite      byte = 2
-	headerLen         = 4 + 1 + 8 + 4
-	maxBatchWire      = 1 << 28 // 256 MiB cap on a request body
+	nsLenOff          = 4 + 1 + 8
+	headerLen         = nsLenOff + 1 + 4 // the fixed fields; the namespace's bytes come on top
+	maxBatchWire      = 1 << 28          // 256 MiB cap on a request body
 )
 
 // MaxNamespaceLen bounds the length of a namespace name on the wire (the
-// OBS2 framing carries it in one byte, and journal-file names derive from
-// it).
+// frame carries it in one byte, and journal-file names derive from it).
 const MaxNamespaceLen = 64
 
 // ValidNamespace reports whether ns is a legal namespace name: empty (the
@@ -125,26 +111,16 @@ func ValidNamespace(ns string) bool {
 // encodeRequest builds an ioPath request body with room for payloadLen
 // payload bytes, returning the body and the payload sub-slice for the
 // caller to fill in place (write batches encode their elements directly
-// into it — no intermediate copy). An empty namespace emits the legacy OBS1
-// framing; a non-empty one emits OBS2 with the namespace inline.
+// into it — no intermediate copy).
 func encodeRequest(op byte, seq uint64, ns string, addrs []int, payloadLen int) (body, payload []byte) {
-	hdr := headerLen
-	if ns != "" {
-		hdr = headerLen + 1 + len(ns)
-	}
+	hdr := headerLen + len(ns)
 	body = make([]byte, hdr+8*len(addrs)+payloadLen)
-	off := 13
-	if ns == "" {
-		copy(body, magic)
-	} else {
-		copy(body, magicNS)
-		body[13] = byte(len(ns))
-		copy(body[14:], ns)
-		off = 14 + len(ns)
-	}
+	copy(body, magic)
 	body[4] = op
 	binary.LittleEndian.PutUint64(body[5:], seq)
-	binary.LittleEndian.PutUint32(body[off:], uint32(len(addrs)))
+	body[nsLenOff] = byte(len(ns))
+	copy(body[nsLenOff+1:], ns)
+	binary.LittleEndian.PutUint32(body[hdr-4:], uint32(len(addrs)))
 	for i, a := range addrs {
 		binary.LittleEndian.PutUint64(body[hdr+8*i:], uint64(a))
 	}
@@ -153,34 +129,27 @@ func encodeRequest(op byte, seq uint64, ns string, addrs []int, payloadLen int) 
 
 // decodeRequest parses an ioPath request body into its op, request id,
 // namespace, address list, and (for writes) payload, validating the framing
-// against blockBytes, the payload size of one block. OBS1 frames decode with
-// namespace ""; OBS2 frames carry an explicit, validated namespace.
+// against blockBytes, the payload size of one block.
 func decodeRequest(body []byte, blockBytes int) (op byte, seq uint64, ns string, addrs []int, payload []byte, err error) {
 	if len(body) < headerLen {
 		return 0, 0, "", nil, nil, fmt.Errorf("netstore: request truncated at %d bytes", len(body))
 	}
-	hdr := headerLen
-	countOff := 13
-	switch string(body[:4]) {
-	case magic:
-	case magicNS:
-		// The namespace length byte is inside the minimum header, but the
-		// name itself extends it; re-check the bound before reading the name.
-		nsLen := int(body[13])
-		if nsLen == 0 || nsLen > MaxNamespaceLen {
-			return 0, 0, "", nil, nil, fmt.Errorf("netstore: namespace length %d out of range [1,%d]", nsLen, MaxNamespaceLen)
-		}
-		if len(body) < headerLen+1+nsLen {
-			return 0, 0, "", nil, nil, fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", len(body), nsLen)
-		}
-		ns = string(body[14 : 14+nsLen])
-		if !ValidNamespace(ns) {
-			return 0, 0, "", nil, nil, fmt.Errorf("netstore: invalid namespace %q", ns)
-		}
-		hdr = headerLen + 1 + nsLen
-		countOff = 14 + nsLen
-	default:
+	if string(body[:4]) != magic {
 		return 0, 0, "", nil, nil, fmt.Errorf("netstore: bad magic %q", body[:4])
+	}
+	// The namespace length byte is inside the minimum header, but the name
+	// itself extends it; re-check the bound before reading the name.
+	nsLen := int(body[nsLenOff])
+	if nsLen > MaxNamespaceLen {
+		return 0, 0, "", nil, nil, fmt.Errorf("netstore: namespace length %d out of range [0,%d]", nsLen, MaxNamespaceLen)
+	}
+	hdr := headerLen + nsLen
+	if len(body) < hdr {
+		return 0, 0, "", nil, nil, fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", len(body), nsLen)
+	}
+	ns = string(body[nsLenOff+1 : nsLenOff+1+nsLen])
+	if !ValidNamespace(ns) {
+		return 0, 0, "", nil, nil, fmt.Errorf("netstore: invalid namespace %q", ns)
 	}
 	op = body[4]
 	seq = binary.LittleEndian.Uint64(body[5:])
@@ -188,7 +157,7 @@ func decodeRequest(body []byte, blockBytes int) (op byte, seq uint64, ns string,
 	// must not be able to wrap the length check (32-bit int overflow) or
 	// force a giant make([]int, count) for a body that cannot possibly
 	// carry that many addresses.
-	rawCount := binary.LittleEndian.Uint32(body[countOff:])
+	rawCount := binary.LittleEndian.Uint32(body[hdr-4:])
 	if rawCount > uint32((maxBatchWire-headerLen)/8) {
 		return 0, 0, "", nil, nil, fmt.Errorf("netstore: batch of %d blocks exceeds the wire cap", rawCount)
 	}

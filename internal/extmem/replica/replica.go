@@ -89,16 +89,15 @@ type Options struct {
 
 // Stats is one replica's cumulative view of the traffic and faults it saw.
 type Stats struct {
-	RoundTrips  int64         // sub-batches dispatched to this replica
-	BlocksMoved int64         // blocks those sub-batches carried
-	ModeledTime time.Duration // modeled delay charged by this replica's chain
-	Failures    int64         // failed sub-batches
-	Failovers   int64         // read sub-batches rerouted away after a failure
-	Hedges      int64         // hedged reads launched against this replica
-	HedgeWins   int64         // hedged reads this replica won as the secondary
-	Repairs     int64         // read-repair writes applied to this replica
-	Dirty       int           // addresses currently known stale on this replica
-	State       string        // breaker state at snapshot time
+	RoundTrips  int64  // sub-batches dispatched to this replica
+	BlocksMoved int64  // blocks those sub-batches carried
+	Failures    int64  // failed sub-batches
+	Failovers   int64  // read sub-batches rerouted away after a failure
+	Hedges      int64  // hedged reads launched against this replica
+	HedgeWins   int64  // hedged reads this replica won as the secondary
+	Repairs     int64  // read-repair writes applied to this replica
+	Dirty       int    // addresses currently known stale on this replica
+	State       string // breaker state at snapshot time
 }
 
 // health is one replica's breaker.
@@ -125,11 +124,8 @@ type Store struct {
 	hp     []health
 	dirty  []map[int]struct{} // per replica: addresses that missed writes
 	stats  []Stats
-	trips  int64 // logical interactions (NetModel)
-	blocks int64
-	crit   time.Duration // critical-path modeled time
-	lat    hist          // measured read latencies, feeds the hedge delay
-	events []string      // breaker/failover decision log, for replay checks
+	lat    hist     // measured read latencies, feeds the hedge delay
+	events []string // breaker/failover decision log, for replay checks
 
 	failThresh  int
 	cooldown    int64
@@ -208,17 +204,6 @@ func (s *Store) ReplicaStats() []Stats {
 		out[i].State = stateName(s.hp[i].state)
 	}
 	return out
-}
-
-// ReadLatencyQuantile returns an upper bound on the q-quantile of observed
-// read-leg flight times (for hedged reads, the winning leg's own
-// launch-to-completion time, excluding the hedge wait) — the same histogram
-// the adaptive hedge delay derives its P95 from, estimating healthy-path
-// latency. Zero until a read has completed.
-func (s *Store) ReadLatencyQuantile(q float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lat.quantile(q)
 }
 
 // available reports whether replica i may be routed traffic right now
@@ -303,32 +288,18 @@ func (s *Store) tierOf(i int) int {
 	}
 }
 
-// modeled reads child i's cumulative modeled delay when it carries a cost
-// model, 0 otherwise.
-func (s *Store) modeled(i int) time.Duration {
-	if m, ok := s.children[i].(extmem.NetModel); ok {
-		return m.ModeledTime()
-	}
-	return 0
-}
-
-// callRead performs one sub-read on replica i under its mutex, returning the
-// modeled-time delta it charged.
-func (s *Store) callRead(ctx context.Context, i int, addrs []int, dst []extmem.Element) (time.Duration, error) {
+// callRead performs one sub-read on replica i under its mutex.
+func (s *Store) callRead(ctx context.Context, i int, addrs []int, dst []extmem.Element) error {
 	s.repMu[i].Lock()
 	defer s.repMu[i].Unlock()
-	t0 := s.modeled(i)
-	err := s.children[i].ReadBlocks(ctx, addrs, dst)
-	return s.modeled(i) - t0, err
+	return s.children[i].ReadBlocks(ctx, addrs, dst)
 }
 
 // callWrite is the write dual of callRead.
-func (s *Store) callWrite(ctx context.Context, i int, addrs []int, src []extmem.Element) (time.Duration, error) {
+func (s *Store) callWrite(ctx context.Context, i int, addrs []int, src []extmem.Element) error {
 	s.repMu[i].Lock()
 	defer s.repMu[i].Unlock()
-	t0 := s.modeled(i)
-	err := s.children[i].WriteBlocks(ctx, addrs, src)
-	return s.modeled(i) - t0, err
+	return s.children[i].WriteBlocks(ctx, addrs, src)
 }
 
 // assignment is one failover round's routing decision: per participating
@@ -389,8 +360,6 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 	}
 	s.mu.Lock()
 	s.ops++
-	s.trips++
-	s.blocks += int64(len(addrs))
 	s.mu.Unlock()
 	if len(addrs) == 0 {
 		return nil
@@ -403,7 +372,6 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 	}
 	excluded := make([]bool, s.r)
 	first := true
-	var worst time.Duration
 	for len(pending) > 0 {
 		s.mu.Lock()
 		groups, err := s.assign(pending, pos, excluded)
@@ -414,23 +382,16 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 		if first && len(groups) == 1 && s.hedgeEligible(groups[0].rep, excluded) {
 			// The whole batch rides one replica and another clean candidate
 			// exists: the hedge race handles this interaction end to end.
-			if done, err := s.hedgedRead(ctx, groups[0], excluded, dst, &worst); done {
-				if err == nil {
-					s.repair(ctx, addrs, dst)
-				}
-				s.finishRead(worst)
-				return err
+			if s.hedgedRead(ctx, groups[0], excluded, dst) {
+				s.repair(ctx, addrs, dst)
+				return nil
 			}
 			// Hedge machinery declined or both legs failed over; fall through
 			// to the plain failover loop with the losers excluded.
 		}
 		first = false
 
-		type result struct {
-			delta time.Duration
-			err   error
-		}
-		results := make([]result, len(groups))
+		errs := make([]error, len(groups))
 		started := time.Now()
 		if len(groups) == 1 {
 			g := groups[0]
@@ -440,9 +401,8 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 				buf = make([]extmem.Element, len(g.addrs)*s.b)
 				scatter = true
 			}
-			d, err := s.callRead(ctx, g.rep, g.addrs, buf)
-			results[0] = result{d, err}
-			if err == nil && scatter {
+			errs[0] = s.callRead(ctx, g.rep, g.addrs, buf)
+			if errs[0] == nil && scatter {
 				s.scatterInto(dst, buf, g.pos)
 			}
 		} else {
@@ -454,13 +414,12 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 					defer wg.Done()
 					g := groups[gi]
 					bufs[gi] = make([]extmem.Element, len(g.addrs)*s.b)
-					d, err := s.callRead(ctx, g.rep, g.addrs, bufs[gi])
-					results[gi] = result{d, err}
+					errs[gi] = s.callRead(ctx, g.rep, g.addrs, bufs[gi])
 				}(gi)
 			}
 			wg.Wait()
 			for gi, g := range groups {
-				if results[gi].err == nil {
+				if errs[gi] == nil {
 					s.scatterInto(dst, bufs[gi], g.pos)
 				}
 			}
@@ -479,11 +438,7 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 				}
 				s.stats[i].RoundTrips++
 				s.stats[i].BlocksMoved += int64(len(g.addrs))
-				s.stats[i].ModeledTime += results[gi].delta
-				if results[gi].delta > worst {
-					worst = results[gi].delta
-				}
-				if results[gi].err == nil {
+				if errs[gi] == nil {
 					s.noteSuccess(i)
 					s.lat.observe(elapsed)
 				} else {
@@ -501,16 +456,7 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 	}
 
 	s.repair(ctx, addrs, dst)
-	s.finishRead(worst)
 	return nil
-}
-
-// finishRead folds the interaction's critical-path delay into the group
-// model.
-func (s *Store) finishRead(worst time.Duration) {
-	s.mu.Lock()
-	s.crit += worst
-	s.mu.Unlock()
 }
 
 // scatterInto copies sub-batch blocks back to their logical positions.
@@ -550,12 +496,11 @@ func (s *Store) repair(ctx context.Context, addrs []int, data []extmem.Element) 
 		for j, p := range rpos {
 			copy(buf[j*s.b:(j+1)*s.b], data[p*s.b:(p+1)*s.b])
 		}
-		delta, err := s.callWrite(ctx, i, raddrs, buf)
+		err := s.callWrite(ctx, i, raddrs, buf)
 
 		s.mu.Lock()
 		s.stats[i].RoundTrips++
 		s.stats[i].BlocksMoved += int64(len(raddrs))
-		s.stats[i].ModeledTime += delta
 		if err == nil {
 			s.noteSuccess(i)
 			s.clearDirty(i, raddrs)
@@ -579,8 +524,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 	}
 	s.mu.Lock()
 	s.ops++
-	s.trips++
-	s.blocks += int64(len(addrs))
 	targets := make([]bool, s.r)
 	for i := 0; i < s.r; i++ {
 		if s.available(i) {
@@ -595,7 +538,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 		return nil
 	}
 
-	deltas := make([]time.Duration, s.r)
 	errs := make([]error, s.r)
 	var wg sync.WaitGroup
 	for i := 0; i < s.r; i++ {
@@ -605,7 +547,7 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			deltas[i], errs[i] = s.callWrite(ctx, i, addrs, src)
+			errs[i] = s.callWrite(ctx, i, addrs, src)
 		}(i)
 	}
 	wg.Wait()
@@ -613,7 +555,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	okCount := 0
-	var worst time.Duration
 	var firstErr error
 	for i := 0; i < s.r; i++ {
 		if !targets[i] {
@@ -621,10 +562,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 		}
 		s.stats[i].RoundTrips++
 		s.stats[i].BlocksMoved += int64(len(addrs))
-		s.stats[i].ModeledTime += deltas[i]
-		if deltas[i] > worst {
-			worst = deltas[i]
-		}
 		if errs[i] == nil {
 			okCount++
 			s.noteSuccess(i)
@@ -640,7 +577,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 			}
 		}
 	}
-	s.crit += worst
 	if okCount == 0 {
 		if firstErr == nil {
 			firstErr = errors.New("replica: no replica admitted the write")
@@ -702,12 +638,13 @@ func (s *Store) hedgeDelay() time.Duration {
 // hedgedRead races the primary assignment against the best alternative
 // replica: the secondary launches only if the primary is still outstanding
 // after the hedge delay, and the first successful response wins while the
-// loser's context is canceled. Reports done=false when both legs failed —
-// the caller's failover loop takes over with both replicas excluded.
-func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, dst []extmem.Element, worst *time.Duration) (done bool, err error) {
+// loser's context is canceled. Reports false when it declined or both legs
+// failed — the caller's failover loop takes over with the failed replicas
+// excluded.
+func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, dst []extmem.Element) bool {
 	alt := s.hedgeAlt(g.rep, excluded, g.addrs)
 	if alt < 0 {
-		return false, nil
+		return false
 	}
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -715,17 +652,21 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 	type leg struct {
 		rep    int
 		buf    []extmem.Element
-		delta  time.Duration
 		flight time.Duration // the leg's own launch-to-completion time
 		err    error
 	}
 	results := make(chan leg, 2)
 	launch := func(rep int) {
+		if rep == alt {
+			s.mu.Lock()
+			s.stats[alt].Hedges++
+			s.mu.Unlock()
+		}
 		buf := make([]extmem.Element, len(g.addrs)*s.b)
 		go func() {
 			t0 := time.Now()
-			d, err := s.callRead(raceCtx, rep, g.addrs, buf)
-			results <- leg{rep: rep, buf: buf, delta: d, flight: time.Since(t0), err: err}
+			err := s.callRead(raceCtx, rep, g.addrs, buf)
+			results <- leg{rep: rep, buf: buf, flight: time.Since(t0), err: err}
 		}()
 	}
 	launch(g.rep)
@@ -741,9 +682,6 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 			if legs == 1 && len(fails) == 0 {
 				launch(alt)
 				legs++
-				s.mu.Lock()
-				s.stats[alt].Hedges++
-				s.mu.Unlock()
 			}
 		case l := <-results:
 			legs--
@@ -767,10 +705,6 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 	account := func(l *leg, won bool) {
 		s.stats[l.rep].RoundTrips++
 		s.stats[l.rep].BlocksMoved += int64(len(g.addrs))
-		s.stats[l.rep].ModeledTime += l.delta
-		if l.delta > *worst {
-			*worst = l.delta
-		}
 		if l.err == nil {
 			s.noteSuccess(l.rep)
 		} else {
@@ -787,7 +721,7 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 	}
 	if winner == nil {
 		// Both legs failed; the failover loop reassigns what's left.
-		return false, nil
+		return false
 	}
 	account(winner, true)
 	// Feed the histogram the winning leg's own flight time, not the race's
@@ -800,7 +734,7 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 	// The detached loser (still in flight, canceled) is ignored entirely:
 	// its result arrives on a buffered channel nobody reads and its health
 	// impact is unknowable without waiting, which would defeat the hedge.
-	return true, nil
+	return true
 }
 
 // NumBlocks implements BlockStore: the group's serving capacity is the best
@@ -864,48 +798,13 @@ func (s *Store) GrowTo(n int) error {
 	return nil
 }
 
-// RoundTrips implements extmem.NetModel: logical interactions (each one
-// fan-out or read race, however many replicas it touched).
-func (s *Store) RoundTrips() int64 {
+// ResetStats zeroes the per-replica traffic counters. Health, dirt, fault
+// counters and the decision log survive — a stats reset must not close
+// breakers or forget missed writes.
+func (s *Store) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.trips
-}
-
-// BlocksMoved implements extmem.NetModel: logical blocks moved (counted
-// once per interaction, not per replica — replication is overhead the
-// per-replica Stats expose, not extra logical traffic).
-func (s *Store) BlocksMoved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blocks
-}
-
-// ModeledTime implements extmem.NetModel: per interaction the slowest
-// participating replica's modeled delay — the parallel fan-out's critical
-// path — summed over interactions.
-func (s *Store) ModeledTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crit
-}
-
-// ResetNetStats implements extmem.NetModel: zeroes the group aggregates and
-// the children's own models. Health, dirt, and the decision log survive — a
-// stats reset must not close breakers or forget missed writes.
-func (s *Store) ResetNetStats() {
-	s.mu.Lock()
-	s.trips, s.blocks, s.crit = 0, 0, 0
 	for i := range s.stats {
-		st := &s.stats[i]
-		st.RoundTrips, st.BlocksMoved, st.ModeledTime = 0, 0, 0
-	}
-	s.mu.Unlock()
-	for i := range s.children {
-		s.repMu[i].Lock()
-		if m, ok := s.children[i].(extmem.NetModel); ok {
-			m.ResetNetStats()
-		}
-		s.repMu[i].Unlock()
+		s.stats[i].RoundTrips, s.stats[i].BlocksMoved = 0, 0
 	}
 }

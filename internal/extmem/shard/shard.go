@@ -4,8 +4,7 @@
 // sequential runs every pass-structured algorithm emits spread evenly) and
 // splits every vectored call into per-shard sub-batches dispatched
 // concurrently, one goroutine per participating shard. Wall-clock cost per
-// interaction is then the slowest shard's round trip, not the sum: the
-// critical-path accounting in Stats reflects exactly that.
+// interaction is then the slowest shard's round trip, not the sum.
 //
 // Sharding happens entirely below the Disk layer, so it only partitions the
 // per-block access sequence the algorithms emit; each shard observes the
@@ -21,41 +20,34 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"oblivext/internal/extmem"
 )
 
 // Stats is one shard's cumulative view of the traffic it served: how many
-// sub-batches it was handed (each one store interaction), how many blocks
-// they moved, and — when the child models latency — the delay it charged.
+// sub-batches it was handed (each one store interaction) and how many blocks
+// they moved.
 type Stats struct {
 	RoundTrips  int64
 	BlocksMoved int64
-	ModeledTime time.Duration
 }
 
 // ShardedStore implements extmem.BlockStore over K child stores. Like every
 // BlockStore it is driven by a single caller (the Disk); the concurrency is
 // internal, between the per-shard goroutines of one fan-out, and each child
 // is touched by at most one goroutine at a time. Children may be any mix of
-// MemStore, FileStore, and LatencyStore.
+// stores.
 type ShardedStore struct {
 	shards []extmem.BlockStore
 	k      int
 	b      int
 
-	stats    []Stats       // per shard; written only between fan-out joins
-	trips    int64         // fan-out interactions (logical round trips)
-	blocks   int64         // total blocks moved
-	critical time.Duration // sum over interactions of max-over-shards delay
-	serial   time.Duration // sum over interactions of summed delays
+	stats []Stats // per shard; written only between fan-out joins
 
 	// Per-call scratch, reused across fan-outs (single caller).
 	subAddrs [][]int            // per-shard local addresses
 	subPos   [][]int            // per-shard positions in the logical batch
 	subBuf   [][]extmem.Element // per-shard transfer staging
-	deltas   []time.Duration    // per-shard modeled delay of this fan-out
 	errs     []error            // per-shard error of this fan-out
 }
 
@@ -81,7 +73,6 @@ func New(shards []extmem.BlockStore) (*ShardedStore, error) {
 		subAddrs: make([][]int, k),
 		subPos:   make([][]int, k),
 		subBuf:   make([][]extmem.Element, k),
-		deltas:   make([]time.Duration, k),
 		errs:     make([]error, k),
 	}, nil
 }
@@ -103,15 +94,6 @@ func (s *ShardedStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem
 // src and dispatched concurrently.
 func (s *ShardedStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
 	return s.fanOut(ctx, true, addrs, src)
-}
-
-// run transfers shard sh's sub-batch and records its error and modeled
-// delay for the join.
-func (s *ShardedStore) run(ctx context.Context, sh int, write bool, n int, data []extmem.Element) error {
-	t0 := modeledTime(s.shards[sh])
-	s.errs[sh] = s.transfer(ctx, sh, write, n, data)
-	s.deltas[sh] = modeledTime(s.shards[sh]) - t0
-	return s.errs[sh]
 }
 
 // transfer moves shard sh's sub-batch of the logical batch (n blocks in
@@ -173,9 +155,8 @@ func (s *ShardedStore) staging(sh int) []extmem.Element {
 }
 
 // fanOut splits one logical batch, runs every shard with a non-empty
-// sub-batch concurrently, joins, and folds the per-shard deltas into the
-// aggregate accounting: total blocks, per-shard stats, and the
-// critical-path / serial modeled times for this one logical interaction.
+// sub-batch concurrently, joins, and counts each participant's sub-batch in
+// its per-shard stats.
 //
 // With several participants the fan-out derives a cancelable child context
 // and cancels it as soon as any shard returns an error: the interaction
@@ -196,7 +177,7 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 	only := -1 // the single participating shard, or -1 if several
 	parts := 0
 	for sh := 0; sh < s.k; sh++ {
-		s.deltas[sh], s.errs[sh] = 0, nil
+		s.errs[sh] = nil
 		if len(s.subAddrs[sh]) > 0 {
 			only = sh
 			parts++
@@ -205,7 +186,7 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 	if parts == 1 {
 		// One shard, nothing to overlap: skip the goroutine machinery (a
 		// one-block access always lands here and allocates nothing).
-		s.run(ctx, only, write, totalBlocks, data)
+		s.errs[only] = s.transfer(ctx, only, write, totalBlocks, data)
 	} else if parts > 1 {
 		fanCtx, cancel := context.WithCancel(ctx)
 		var wg sync.WaitGroup
@@ -216,7 +197,7 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 			wg.Add(1)
 			go func(sh int) {
 				defer wg.Done()
-				if s.run(fanCtx, sh, write, totalBlocks, data) != nil {
+				if s.errs[sh] = s.transfer(fanCtx, sh, write, totalBlocks, data); s.errs[sh] != nil {
 					cancel()
 				}
 			}(sh)
@@ -224,9 +205,6 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 		wg.Wait()
 		cancel()
 	}
-	s.trips++
-	s.blocks += int64(totalBlocks)
-	var worst time.Duration
 	var err error
 	canceled := false
 	for sh := 0; sh < s.k; sh++ {
@@ -235,11 +213,6 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 		}
 		s.stats[sh].RoundTrips++
 		s.stats[sh].BlocksMoved += int64(len(s.subAddrs[sh]))
-		s.stats[sh].ModeledTime += s.deltas[sh]
-		s.serial += s.deltas[sh]
-		if s.deltas[sh] > worst {
-			worst = s.deltas[sh]
-		}
 		if e := s.errs[sh]; e != nil {
 			if errors.Is(e, context.Canceled) {
 				// A sibling canceled by the fan-out is a symptom, not the
@@ -252,17 +225,7 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 			}
 		}
 	}
-	s.critical += worst
 	return err
-}
-
-// modeledTime reads a child's cumulative modeled delay when it has a cost
-// model attached, and 0 otherwise.
-func modeledTime(st extmem.BlockStore) time.Duration {
-	if m, ok := st.(extmem.NetModel); ok {
-		return m.ModeledTime()
-	}
-	return 0
 }
 
 // NumBlocks implements BlockStore: the length of the contiguous logical
@@ -309,26 +272,6 @@ func (s *ShardedStore) GrowTo(n int) error {
 	return nil
 }
 
-// RoundTrips implements extmem.NetModel: the number of logical interactions
-// (each one parallel fan-out, however many shards it touched).
-func (s *ShardedStore) RoundTrips() int64 { return s.trips }
-
-// BlocksMoved implements extmem.NetModel: total blocks across all shards.
-func (s *ShardedStore) BlocksMoved() int64 { return s.blocks }
-
-// ModeledTime implements extmem.NetModel: the critical path — for every
-// interaction the slowest shard's delay, summed over interactions. This is
-// the wall-clock a client waiting on all K parallel responses experiences.
-func (s *ShardedStore) ModeledTime() time.Duration { return s.critical }
-
-// SerialModeledTime returns what the same traffic would have cost had the
-// per-shard sub-batches been issued one after another: the sum of every
-// shard's delay, still paying one RTT per participating shard. (It is not
-// the K=1 cost, which pays a single RTT per interaction; compare against a
-// K=1 run for that.) ModeledTime/SerialModeledTime isolates the win from
-// the fan-out being parallel rather than sequential.
-func (s *ShardedStore) SerialModeledTime() time.Duration { return s.serial }
-
 // ShardStats returns a copy of the per-shard counters.
 func (s *ShardedStore) ShardStats() []Stats {
 	out := make([]Stats, s.k)
@@ -336,16 +279,7 @@ func (s *ShardedStore) ShardStats() []Stats {
 	return out
 }
 
-// ResetNetStats implements extmem.NetModel: zeroes the aggregate and
-// per-shard counters, and the children's own models where present.
-func (s *ShardedStore) ResetNetStats() {
-	s.trips, s.blocks, s.critical, s.serial = 0, 0, 0, 0
-	for sh := range s.stats {
-		s.stats[sh] = Stats{}
-	}
-	for _, st := range s.shards {
-		if m, ok := st.(extmem.NetModel); ok {
-			m.ResetNetStats()
-		}
-	}
+// ResetStats zeroes the per-shard counters.
+func (s *ShardedStore) ResetStats() {
+	clear(s.stats)
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
-	"time"
 
 	"oblivext/internal/core"
 	"oblivext/internal/extmem"
@@ -141,13 +141,16 @@ func TestShardedGeometry(t *testing.T) {
 }
 
 // recStore wraps a child store and records the per-block access sequence it
-// serves — the view the individual server at that shard observes.
+// serves — the view the individual server at that shard observes — and the
+// size of every call it was handed.
 type recStore struct {
 	extmem.BlockStore
-	ops []trace.Op
+	ops   []trace.Op
+	calls []int
 }
 
 func (r *recStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+	r.calls = append(r.calls, len(addrs))
 	for _, a := range addrs {
 		r.ops = append(r.ops, trace.Op{Kind: trace.Read, Addr: int64(a)})
 	}
@@ -155,6 +158,7 @@ func (r *recStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Ele
 }
 
 func (r *recStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
+	r.calls = append(r.calls, len(addrs))
 	for _, a := range addrs {
 		r.ops = append(r.ops, trace.Op{Kind: trace.Write, Addr: int64(a)})
 	}
@@ -234,19 +238,19 @@ func TestShardTracePartition(t *testing.T) {
 	}
 }
 
-// TestShardedStatsAggregation pins the accounting contract: per-shard blocks
-// sum to the flat total, the fan-out count matches the Disk's round trips,
-// and with per-shard latency models the critical path is the
-// max-over-shards per interaction — strictly cheaper than the serial sum
-// whenever a batch spans shards, and exactly recomputable from the
-// sub-batch sizes.
+// TestShardedStatsAggregation pins the accounting contract and the striping
+// that makes the fan-out worth having: every participating shard is handed
+// its sub-batch in exactly one call, a contiguous n-block batch gives each
+// shard ⌈n/K⌉ or ⌊n/K⌋ blocks — so the slowest shard moves 1/K of the batch,
+// not all of it — per-shard counters equal what each child saw and sum to
+// the flat total, and one fan-out is one Disk round trip.
 func TestShardedStatsAggregation(t *testing.T) {
 	const k, b = 4, 4
-	const rtt, perBlock = 10 * time.Millisecond, time.Millisecond
+	recs := make([]*recStore, k)
 	children := make([]extmem.BlockStore, k)
 	for i := range children {
-		children[i] = extmem.NewLatencyStore(extmem.NewMemStore(16, b),
-			extmem.LatencyOptions{RTT: rtt, PerBlock: perBlock})
+		recs[i] = &recStore{BlockStore: extmem.NewMemStore(16, b)}
+		children[i] = recs[i]
 	}
 	s, err := New(children)
 	if err != nil {
@@ -254,72 +258,61 @@ func TestShardedStatsAggregation(t *testing.T) {
 	}
 	d := extmem.NewDisk(s)
 
-	batches := [][]int{
-		{0, 1, 2, 3, 4, 5, 6, 7}, // 2 blocks per shard
-		{0, 4, 8, 12},            // all on shard 0
-		{1, 2},                   // shards 1 and 2
-		{5},                      // one block
+	var batches [][]int // contiguous runs of every length, starting off a stripe boundary
+	for n := 1; n <= 4*k+1; n++ {
+		run := make([]int, n)
+		for i := range run {
+			run[i] = 3 + i
+		}
+		batches = append(batches, run)
 	}
-	var wantCritical, wantSerial time.Duration
 	var wantBlocks int64
-	buf := make([]extmem.Element, 16*b)
+	wantTrips := make([]int64, k)
+	buf := make([]extmem.Element, 64*b)
 	for _, addrs := range batches {
-		d.ReadMany(addrs, buf[:len(addrs)*b])
-		perShard := map[int]int{}
+		n := len(addrs)
+		for _, r := range recs {
+			r.calls = nil
+		}
+		d.ReadMany(addrs, buf[:n*b])
+		perShard := make([]int, k)
 		for _, a := range addrs {
 			perShard[a%k]++
 		}
-		var worst time.Duration
-		for _, cnt := range perShard {
-			dt := rtt + time.Duration(cnt)*perBlock
-			wantSerial += dt
-			if dt > worst {
-				worst = dt
+		for sh, cnt := range perShard {
+			var want []int // the sizes of the calls the shard should see
+			if cnt > 0 {
+				want = []int{cnt}
+				wantTrips[sh]++
+			}
+			if !slices.Equal(recs[sh].calls, want) {
+				t.Fatalf("batch %v: shard %d saw calls %v, want %v", addrs, sh, recs[sh].calls, want)
+			}
+			if cnt != n/k && cnt != extmem.CeilDiv(n, k) {
+				t.Fatalf("batch of %d: shard %d got %d blocks, want %d or %d", n, sh, cnt, n/k, extmem.CeilDiv(n, k))
 			}
 		}
-		wantCritical += worst
-		wantBlocks += int64(len(addrs))
+		wantBlocks += int64(n)
 	}
 
-	if got := s.ModeledTime(); got != wantCritical {
-		t.Fatalf("critical path %v, want %v", got, wantCritical)
-	}
-	if got := s.SerialModeledTime(); got != wantSerial {
-		t.Fatalf("serial time %v, want %v", got, wantSerial)
-	}
-	if s.ModeledTime() >= s.SerialModeledTime() {
-		t.Fatal("critical path should beat the serial sum for multi-shard batches")
-	}
-	if got := s.RoundTrips(); got != int64(len(batches)) {
-		t.Fatalf("fan-out count %d, want %d", got, len(batches))
-	}
 	if got := d.Stats().RoundTrips; got != int64(len(batches)) {
 		t.Fatalf("disk round trips %d, want %d", got, len(batches))
 	}
-	var sumBlocks, sumTime = int64(0), time.Duration(0)
-	for _, st := range s.ShardStats() {
+	var sumBlocks int64
+	for sh, st := range s.ShardStats() {
+		if st.BlocksMoved != int64(len(recs[sh].ops)) || st.RoundTrips != wantTrips[sh] {
+			t.Fatalf("shard %d stats %+v, child served %d calls moving %d blocks", sh, st, wantTrips[sh], len(recs[sh].ops))
+		}
 		sumBlocks += st.BlocksMoved
-		sumTime += st.ModeledTime
 	}
-	if sumBlocks != wantBlocks || s.BlocksMoved() != wantBlocks {
-		t.Fatalf("per-shard blocks sum %d (aggregate %d), want %d", sumBlocks, s.BlocksMoved(), wantBlocks)
-	}
-	if sumTime != wantSerial {
-		t.Fatalf("per-shard modeled times sum %v, want serial %v", sumTime, wantSerial)
+	if sumBlocks != wantBlocks {
+		t.Fatalf("per-shard blocks sum %d, want %d", sumBlocks, wantBlocks)
 	}
 
-	s.ResetNetStats()
-	if s.ModeledTime() != 0 || s.RoundTrips() != 0 || s.BlocksMoved() != 0 {
-		t.Fatal("ResetNetStats left counters non-zero")
-	}
+	s.ResetStats()
 	for i, st := range s.ShardStats() {
 		if st != (Stats{}) {
 			t.Fatalf("shard %d stats not reset: %+v", i, st)
-		}
-	}
-	for _, ch := range children {
-		if ch.(extmem.NetModel).ModeledTime() != 0 {
-			t.Fatal("child latency model not reset")
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"oblivext/internal/trace"
 )
@@ -183,29 +182,6 @@ func TestDiskVectoredTraceAndStats(t *testing.T) {
 		if st.RoundTrips != wantTrips {
 			t.Fatalf("maxBatch=%d: %d round trips, want %d", maxBatch, st.RoundTrips, wantTrips)
 		}
-	}
-}
-
-func TestLatencyStoreAccounting(t *testing.T) {
-	inner := NewMemStore(8, 4)
-	ls := NewLatencyStore(inner, LatencyOptions{RTT: 10 * time.Millisecond, PerBlock: time.Millisecond})
-	buf := make([]Element, 3*4)
-	if err := ls.WriteBlocks(bg, []int{1, 2, 3}, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.ReadBlocks(bg, []int{1}, buf[:4]); err != nil {
-		t.Fatal(err)
-	}
-	if ls.RoundTrips() != 2 || ls.BlocksMoved() != 4 {
-		t.Fatalf("trips=%d blocks=%d, want 2/4", ls.RoundTrips(), ls.BlocksMoved())
-	}
-	// (10ms + 3·1ms) + (10ms + 1·1ms) = 24ms, accounted without sleeping.
-	if ls.ModeledTime() != 24*time.Millisecond {
-		t.Fatalf("modeled time %v, want 24ms", ls.ModeledTime())
-	}
-	ls.ResetNetStats()
-	if ls.RoundTrips() != 0 || ls.ModeledTime() != 0 {
-		t.Fatal("reset did not clear counters")
 	}
 }
 

@@ -90,23 +90,12 @@ type Config struct {
 	// one-block-per-round-trip baseline. The access trace Bob sees is
 	// identical for every setting; only the round-trip grouping changes.
 	MaxBatchBlocks int
-	// SimulatedRTT, when positive, models Bob as remote: every store
-	// interaction is charged this round-trip delay (plus
-	// SimulatedPerBlock per block moved). By default the delay is only
-	// accounted — read it back with ModeledNetworkTime; set SimulatedSleep
-	// to make calls really block.
-	SimulatedRTT time.Duration
-	// SimulatedPerBlock is the bandwidth component of the latency model.
-	SimulatedPerBlock time.Duration
-	// SimulatedSleep makes the latency model sleep for each modeled delay.
-	SimulatedSleep bool
 	// NumShards, when > 1, stripes the store across that many child
 	// backends (logical block a lives on shard a mod NumShards) and fans
 	// every vectored call out to the shards in parallel. The per-block
 	// trace is unchanged — each shard sees the residue-class projection of
-	// the same sequence — and with a latency model configured each shard
-	// gets its own, so ModeledNetworkTime becomes the max-over-shards
-	// critical path per interaction instead of the serial sum.
+	// the same sequence — and a client waiting on K parallel responses
+	// waits for the slowest shard, not for their sum.
 	NumShards int
 	// ShardPaths, when non-empty, backs each shard with a file at the
 	// given path (length must equal NumShards); otherwise shards are
@@ -137,9 +126,8 @@ type Config struct {
 	// batched binary HTTP protocol — every vectored store call is exactly
 	// one request. The server's block size must equal BlockSize (or
 	// BlockSize+2 with EncryptionKey set: sealed blocks carry the
-	// salt+counter+tag envelope). Measured (not modeled) round-trip stats are read back
-	// with MeasuredNetworkStats; SimulatedRTT may still be set to charge
-	// an additional accounted model on top.
+	// salt+counter+tag envelope). Measured round-trip stats are read back
+	// with MeasuredNetworkStats.
 	URL string
 	// ShardURLs backs individual shards with remote obstore servers; when
 	// non-empty its length must equal NumShards. Entries may be empty to
@@ -210,8 +198,8 @@ type Config struct {
 	// fingerprint, and replay-suppression window, so N concurrent Clients
 	// in different namespaces share servers without sharing any observable
 	// state. Carried inline on data-plane requests and as ?ns= on control
-	// requests; empty (the default) selects the default tenant over the
-	// legacy framing. Must be 1..64 characters of [a-zA-Z0-9._-].
+	// requests; empty (the default) selects the default tenant. Otherwise
+	// 1..64 characters of [a-zA-Z0-9._-].
 	Namespace string
 	// Multiplex hands every network backend the process-wide multiplexed
 	// transport (netstore.SharedTransport): HTTP/2 streams over a handful
@@ -232,13 +220,10 @@ type Config struct {
 type Client struct {
 	env        *extmem.Env
 	store      extmem.BlockStore
-	net        extmem.NetModel     // non-nil when SimulatedRTT/PerBlock is configured
-	sharded    *shard.ShardedStore // non-nil when NumShards > 1
+	sharded    *shard.ShardedStore // non-nil when NumShards > 1 or ShardPaths/ShardURLs is set
 	replicated []*replica.Store    // per-shard replica groups; nil without Replicas > 1
-	netClients []*netstore.Client  // remote backends in shard order; nil without URL/ShardURLs
-	crypt      *extmem.CryptStore  // non-nil when EncryptionKey is set
+	netClients []*netstore.Client  // remote backends, shard-major; nil when none is an HTTP store
 	sorter     string              // validated Config.Sorter ("" = randomized)
-	netBacked  bool                // true when any backend is an HTTP store ("net" cost model for auto)
 }
 
 // New creates a client.
@@ -264,9 +249,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.MaxBatchBlocks < 0 {
 		return nil, fmt.Errorf("oblivext: MaxBatchBlocks must be >= 0, got %d", cfg.MaxBatchBlocks)
-	}
-	if cfg.SimulatedRTT < 0 || cfg.SimulatedPerBlock < 0 {
-		return nil, errors.New("oblivext: simulated latencies must be non-negative")
 	}
 	if cfg.NumShards < 0 {
 		return nil, fmt.Errorf("oblivext: NumShards must be >= 0, got %d", cfg.NumShards)
@@ -333,15 +315,6 @@ func New(cfg Config) (*Client, error) {
 	if enc != nil {
 		innerB = extmem.CryptChildBlockSize(cfg.BlockSize)
 	}
-	latency := cfg.SimulatedRTT > 0 || cfg.SimulatedPerBlock > 0
-	wrapNet := func(s extmem.BlockStore) extmem.BlockStore {
-		if !latency {
-			return s
-		}
-		return extmem.NewLatencyStore(s, extmem.LatencyOptions{
-			RTT: cfg.SimulatedRTT, PerBlock: cfg.SimulatedPerBlock, Sleep: cfg.SimulatedSleep,
-		})
-	}
 
 	netOpts := netstore.Options{Timeout: cfg.NetTimeout, AuthToken: cfg.AuthToken, Namespace: cfg.Namespace}
 	switch {
@@ -365,22 +338,6 @@ func New(cfg Config) (*Client, error) {
 		}
 		netOpts.TLS = tc
 	}
-	// All network clients share one keep-alive transport whose idle pool is
-	// sized to the fan-out: one vectored call puts NumShards requests in
-	// flight at once, and when shard URLs point at the same host they all
-	// draw on the same per-host pool. Sized right, the steady drumbeat of
-	// batched ORAM accesses reuses warm connections instead of re-dialing.
-	hasNet := cfg.URL != ""
-	for _, u := range cfg.ShardURLs {
-		if u != "" {
-			hasNet = true
-		}
-	}
-	for _, u := range cfg.ReplicaURLs {
-		if u != "" {
-			hasNet = true
-		}
-	}
 	switch {
 	case cfg.Multiplex:
 		// All sessions in the process interleave their requests as HTTP/2
@@ -388,179 +345,130 @@ func New(cfg Config) (*Client, error) {
 		netOpts.Transport = netstore.SharedTransport()
 	case cfg.HTTPTransport != nil:
 		netOpts.Transport = cfg.HTTPTransport
-	case hasNet:
-		tr := netstore.NewTransport(max(cfg.NumShards, 1)*max(cfg.Replicas, 1) + 2)
-		// The shared transport carries the TLS settings itself: Dial's own
-		// TLS wiring only applies when it builds the transport.
-		tr.TLSClientConfig = netOpts.TLS
-		netOpts.Transport = tr
 	}
 
-	c := &Client{sorter: cfg.Sorter, netBacked: hasNet}
-	var store extmem.BlockStore
-	// ShardPaths/ShardURLs with NumShards == 1 still go through the sharded
-	// constructor so the named backend serves the store (a silent
-	// fall-through to memory would lose the data on Close).
-	if cfg.Replicas > 1 {
-		// Each logical shard becomes an R-way replica group; the sharded
-		// fan-out (when sharding is on) sits above the groups, so a shard's
-		// sub-batch fans out again across its replicas. Every physical
-		// replica carries its own latency model, making the group's modeled
-		// time the critical path over the replicas it touched.
-		shards := max(cfg.NumShards, 1)
-		perShard := extmem.CeilDiv(cfg.StartBlocks, shards)
-		groups := make([]extmem.BlockStore, shards)
-		closeBuilt := func(built []extmem.BlockStore) {
-			for _, ch := range built {
-				if ch != nil {
-					ch.Close()
-				}
-			}
+	// The sharded constructor takes a one-entry ShardPaths/ShardURLs too, so
+	// the named backend serves the store through the same code as K > 1.
+	sharded := cfg.NumShards > 1 || len(cfg.ShardPaths) > 0 || len(cfg.ShardURLs) > 0
+	if sharded && cfg.Path != "" {
+		return nil, errors.New("oblivext: with NumShards > 1 use ShardPaths, not Path")
+	}
+
+	// The fleet is a grid of leaves, one row per shard and one column per
+	// replica: a row of several becomes a replica group, and the rows are
+	// striped by the sharded fan-out, so a shard's sub-batch fans out again
+	// across its replicas.
+	c := &Client{sorter: cfg.Sorter}
+	shards, reps := max(cfg.NumShards, 1), max(cfg.Replicas, 1)
+	perShard := extmem.CeilDiv(cfg.StartBlocks, shards)
+	var opened []extmem.BlockStore // every leaf so far, for the error paths
+	fail := func(err error) (*Client, error) {
+		for _, s := range opened {
+			s.Close()
 		}
-		for i := range groups {
-			children := make([]extmem.BlockStore, cfg.Replicas)
-			for j := range children {
-				if idx := i*cfg.Replicas + j; len(cfg.ReplicaURLs) > 0 && cfg.ReplicaURLs[idx] != "" {
-					nc, err := netstore.Dial(cfg.ReplicaURLs[idx], netOpts)
-					if err != nil {
-						closeBuilt(children)
-						closeBuilt(groups[:i])
-						return nil, fmt.Errorf("oblivext: shard %d replica %d: %w", i, j, err)
-					}
-					if nc.BlockSize() != innerB {
-						nc.Close()
-						closeBuilt(children)
-						closeBuilt(groups[:i])
-						return nil, fmt.Errorf("oblivext: shard %d replica %d server block size %d != %s",
-							i, j, nc.BlockSize(), wantB(cfg.BlockSize, innerB))
-					}
-					c.netClients = append(c.netClients, nc)
-					children[j] = wrapNet(nc)
-				} else {
-					children[j] = wrapNet(extmem.NewMemStore(perShard, innerB))
-				}
+		return nil, err
+	}
+	// openLeaf opens replica j of shard i: the obstore at url, else the file
+	// at path, else memory.
+	openLeaf := func(i, j int, url, path string) (extmem.BlockStore, error) {
+		switch {
+		case url != "":
+			if netOpts.Transport == nil {
+				// All network clients share one keep-alive transport whose
+				// idle pool is sized to the fan-out: one vectored call puts
+				// a request per leaf in flight at once, and when URLs point
+				// at the same host they all draw on the same per-host pool.
+				// Sized right, the steady drumbeat of batched ORAM accesses
+				// reuses warm connections instead of re-dialing. It carries
+				// the TLS settings itself: Dial's own TLS wiring only
+				// applies when Dial builds the transport.
+				tr := netstore.NewTransport(shards*reps + 2)
+				tr.TLSClientConfig = netOpts.TLS
+				netOpts.Transport = tr
 			}
-			grp, err := replica.New(children, replica.Options{HedgeAfter: cfg.HedgeAfter})
+			nc, err := netstore.Dial(url, netOpts)
 			if err != nil {
-				closeBuilt(children)
-				closeBuilt(groups[:i])
 				return nil, err
+			}
+			if nc.BlockSize() != innerB {
+				nc.Close()
+				where := ""
+				switch {
+				case reps > 1:
+					where = fmt.Sprintf("shard %d replica %d ", i, j)
+				case sharded:
+					where = fmt.Sprintf("shard %d ", i)
+				}
+				return nil, fmt.Errorf("oblivext: %sserver block size %d != %s", where, nc.BlockSize(), wantB(cfg.BlockSize, innerB))
+			}
+			c.netClients = append(c.netClients, nc)
+			return nc, nil
+		case path != "":
+			return extmem.NewFileStore(path, perShard, innerB)
+		}
+		return extmem.NewMemStore(perShard, innerB), nil
+	}
+	rows := make([]extmem.BlockStore, shards)
+	for i := range rows {
+		row := make([]extmem.BlockStore, reps)
+		for j := range row {
+			url, path := cfg.URL, cfg.Path
+			switch {
+			case len(cfg.ReplicaURLs) > 0:
+				url = cfg.ReplicaURLs[i*reps+j]
+			case len(cfg.ShardURLs) > 0:
+				url = cfg.ShardURLs[i]
+			}
+			if len(cfg.ShardPaths) > 0 {
+				path = cfg.ShardPaths[i]
+			}
+			leaf, err := openLeaf(i, j, url, path)
+			if err != nil {
+				return fail(err)
+			}
+			opened = append(opened, leaf)
+			row[j] = leaf
+		}
+		rows[i] = row[0]
+		if reps > 1 {
+			grp, err := replica.New(row, replica.Options{HedgeAfter: cfg.HedgeAfter})
+			if err != nil {
+				return fail(err)
 			}
 			c.replicated = append(c.replicated, grp)
-			groups[i] = grp
+			rows[i] = grp
 		}
-		if shards > 1 {
-			sh, err := shard.New(groups)
-			if err != nil {
-				closeBuilt(groups)
-				return nil, err
-			}
-			c.sharded = sh
-			store = sh
-			if latency {
-				c.net = sh
-			}
-		} else {
-			store = groups[0]
-		}
-	} else if cfg.NumShards > 1 || len(cfg.ShardPaths) > 0 || len(cfg.ShardURLs) > 0 {
-		if cfg.Path != "" {
-			return nil, errors.New("oblivext: with NumShards > 1 use ShardPaths, not Path")
-		}
-		perShard := extmem.CeilDiv(cfg.StartBlocks, cfg.NumShards)
-		children := make([]extmem.BlockStore, cfg.NumShards)
-		closeBuilt := func(n int) {
-			for _, ch := range children[:n] {
-				ch.Close()
-			}
-		}
-		for i := range children {
-			switch {
-			case len(cfg.ShardURLs) > 0 && cfg.ShardURLs[i] != "":
-				nc, err := netstore.Dial(cfg.ShardURLs[i], netOpts)
-				if err != nil {
-					closeBuilt(i)
-					return nil, err
-				}
-				if nc.BlockSize() != innerB {
-					nc.Close()
-					closeBuilt(i)
-					return nil, fmt.Errorf("oblivext: shard %d server block size %d != %s", i, nc.BlockSize(), wantB(cfg.BlockSize, innerB))
-				}
-				c.netClients = append(c.netClients, nc)
-				children[i] = wrapNet(nc)
-			case len(cfg.ShardPaths) > 0 && cfg.ShardPaths[i] != "":
-				fs, err := extmem.NewFileStore(cfg.ShardPaths[i], perShard, innerB)
-				if err != nil {
-					closeBuilt(i)
-					return nil, err
-				}
-				children[i] = wrapNet(fs)
-			default:
-				children[i] = wrapNet(extmem.NewMemStore(perShard, innerB))
-			}
-		}
-		sh, err := shard.New(children)
+	}
+	store := rows[0]
+	if sharded {
+		sh, err := shard.New(rows)
 		if err != nil {
-			closeBuilt(len(children))
-			return nil, err
+			return fail(err)
 		}
 		c.sharded = sh
 		store = sh
-		if latency {
-			c.net = sh // critical-path model over the per-shard latencies
-		}
-	} else if cfg.URL != "" {
-		nc, err := netstore.Dial(cfg.URL, netOpts)
-		if err != nil {
-			return nil, err
-		}
-		if nc.BlockSize() != innerB {
-			nc.Close()
-			return nil, fmt.Errorf("oblivext: server block size %d != %s", nc.BlockSize(), wantB(cfg.BlockSize, innerB))
-		}
-		c.netClients = []*netstore.Client{nc}
-		store = wrapNet(nc)
-	} else if cfg.Path != "" {
-		fs, err := extmem.NewFileStore(cfg.Path, cfg.StartBlocks, innerB)
-		if err != nil {
-			return nil, err
-		}
-		store = wrapNet(fs)
-	} else {
-		store = wrapNet(extmem.NewMemStore(cfg.StartBlocks, innerB))
-	}
-	if latency && c.net == nil {
-		c.net = store.(extmem.NetModel)
 	}
 	// Alice-side encryption is the top of the store stack, directly under
-	// the Disk: everything below — latency models, the sharded fan-out, the
-	// wire — only ever handles sealed blocks.
+	// the Disk: everything below — the sharded fan-out, the replica groups,
+	// the wire — only ever handles sealed blocks.
 	if enc != nil {
 		cs, err := extmem.NewCryptStore(store, enc, cfg.BlockSize)
 		if err != nil {
-			store.Close()
-			return nil, err
+			return fail(err)
 		}
 		cs.SetWorkers(cfg.Workers)
-		c.crypt = cs
 		store = cs
 	}
 	env := extmem.NewEnvOn(store, cfg.CacheWords, cfg.Seed)
 	env.Workers = cfg.Workers
 	env.D.SetMaxBatch(cfg.MaxBatchBlocks)
 	// A network backend bounds how many blocks one request may carry; cap
-	// the Disk's vectored batches to the tightest wire limit so a batch can
-	// never be rejected for size. Splitting only regroups round trips — the
-	// per-block trace Bob sees is unchanged.
+	// the Disk's vectored batches to the wire limit (one limit: every server
+	// passed the same block-size check) so a batch can never be rejected for
+	// size. Splitting only regroups round trips — the per-block trace Bob
+	// sees is unchanged.
 	if len(c.netClients) > 0 {
-		wireCap := c.netClients[0].MaxBatchBlocks()
-		for _, nc := range c.netClients[1:] {
-			if m := nc.MaxBatchBlocks(); m < wireCap {
-				wireCap = m
-			}
-		}
-		if cfg.MaxBatchBlocks == 0 || cfg.MaxBatchBlocks > wireCap {
+		if wireCap := c.netClients[0].MaxBatchBlocks(); cfg.MaxBatchBlocks == 0 || cfg.MaxBatchBlocks > wireCap {
 			env.D.SetMaxBatch(wireCap)
 		}
 	}
@@ -588,12 +496,12 @@ func (c *Client) Close() error { return c.store.Close() }
 //
 // Memory model: the counters are maintained by the single-goroutine Disk
 // layer, so IOStats snapshots are only meaningful from the goroutine
-// driving the Client. Store-level counters (the latency model, per-shard
-// stats) are updated concurrently by the fan-out and prefetch goroutines
-// under the stores' internal locks; every Client method that reads them
-// (Stats, ModeledNetworkTime, ShardStats) is called after those goroutines
-// have been joined, so the values it returns are settled totals, not
-// in-flight snapshots.
+// driving the Client. Store-level counters (per-shard, per-replica and
+// measured network stats) are updated concurrently by the fan-out and
+// prefetch goroutines under the stores' internal locks; every Client method
+// that reads them (ShardStats, ReplicaStats, MeasuredNetworkStats) is called
+// after those goroutines have been joined, so the values it returns are
+// settled totals, not in-flight snapshots.
 type IOStats struct {
 	Reads  int64
 	Writes int64
@@ -635,45 +543,19 @@ func (c *Client) Stats() IOStats {
 }
 
 // ResetStats zeroes the I/O counters, including the crypto byte counters,
-// the latency model's round-trip and modeled-time counters, the per-shard
-// counters, and the measured network counters when configured.
+// the per-shard and per-replica traffic counters, and the measured network
+// counters when configured.
 func (c *Client) ResetStats() {
 	c.env.D.ResetStats() // resets the sealing store's byte counters too
 	if c.sharded != nil {
-		c.sharded.ResetNetStats() // resets the per-shard latency models too
-	} else if len(c.replicated) > 0 {
-		c.replicated[0].ResetNetStats() // the single replica group and its children
-	} else if c.net != nil {
-		c.net.ResetNetStats()
+		c.sharded.ResetStats()
+	}
+	for _, grp := range c.replicated {
+		grp.ResetStats()
 	}
 	for _, nc := range c.netClients {
-		nc.ResetNetStats()
+		nc.ResetStats()
 	}
-}
-
-// ModeledNetworkTime returns the total network delay the latency model has
-// charged (zero when SimulatedRTT/SimulatedPerBlock are unset). With
-// NumShards > 1 this is the critical path: per interaction, the slowest
-// shard's delay — the wall-clock a client waiting on K parallel responses
-// experiences — rather than the sum over shards.
-func (c *Client) ModeledNetworkTime() time.Duration {
-	if c.net == nil {
-		return 0
-	}
-	return c.net.ModeledTime()
-}
-
-// SerialModeledNetworkTime returns what the same traffic would have cost
-// with the shards contacted one after another — each participating shard
-// still charges its own RTT, so this isolates the parallel-fan-out win;
-// for a single-server baseline compare against a NumShards=1 run, which
-// pays one RTT per interaction. Without sharding it equals
-// ModeledNetworkTime.
-func (c *Client) SerialModeledNetworkTime() time.Duration {
-	if c.sharded != nil {
-		return c.sharded.SerialModeledTime()
-	}
-	return c.ModeledNetworkTime()
 }
 
 // NumShards returns how many backends the store is striped across (1 when
@@ -692,14 +574,10 @@ type ShardIOStats struct {
 	RoundTrips int64
 	// BlocksMoved counts blocks transferred to or from this shard.
 	BlocksMoved int64
-	// ModeledTime is the delay this shard's latency model charged (zero
-	// without SimulatedRTT/SimulatedPerBlock).
-	ModeledTime time.Duration
 }
 
-// NetIOStats is the measured — not modeled — cost of one network backend's
-// traffic: real wall-clock waits on actual HTTP requests, retries and
-// backoff included.
+// NetIOStats is the measured cost of one network backend's traffic: real
+// wall-clock waits on actual HTTP requests, retries and backoff included.
 type NetIOStats struct {
 	// Requests counts completed store interactions (retries of one request
 	// do not add to it).
@@ -727,10 +605,9 @@ type NetIOStats struct {
 }
 
 // MeasuredNetworkStats returns per-server measured network counters — one
-// entry per network-backed shard in shard order, a single entry with URL —
-// or nil when no network backend is configured. They sit alongside the
-// modeled figures: ModeledNetworkTime is what the latency model charged,
-// MeasuredTime is what the wire actually took.
+// entry per network-backed leaf, shard-major (per shard with ShardURLs, per
+// replica within each shard with ReplicaURLs), a single entry with URL — or
+// nil when no network backend is configured.
 func (c *Client) MeasuredNetworkStats() []NetIOStats {
 	if len(c.netClients) == 0 {
 		return nil
@@ -766,8 +643,6 @@ type ReplicaIOStats struct {
 	// because writes fan out to every live replica.
 	RoundTrips  int64
 	BlocksMoved int64
-	// ModeledTime is the delay this replica's latency model charged.
-	ModeledTime time.Duration
 	// Failures counts failed sub-batches; Failovers counts read sub-batches
 	// rerouted away from this replica after a failure.
 	Failures  int64
@@ -804,29 +679,10 @@ func (c *Client) ReplicaStats() [][]ReplicaIOStats {
 		ss := grp.ReplicaStats()
 		out[i] = make([]ReplicaIOStats, len(ss))
 		for j, s := range ss {
-			out[i][j] = ReplicaIOStats{RoundTrips: s.RoundTrips, BlocksMoved: s.BlocksMoved,
-				ModeledTime: s.ModeledTime, Failures: s.Failures, Failovers: s.Failovers,
-				Hedges: s.Hedges, HedgeWins: s.HedgeWins, Repairs: s.Repairs,
-				Dirty: s.Dirty, State: s.State}
+			out[i][j] = ReplicaIOStats(s)
 		}
 	}
 	return out
-}
-
-// ReplicaReadLatency returns an upper bound on the q-quantile of read-leg
-// flight times observed at the replica layer (for hedged reads, the winning
-// leg's own launch-to-completion time, excluding the hedge wait), taken as
-// the worst over shard groups. Zero when unreplicated or before any read.
-// This is the healthy-path latency estimate the adaptive hedge delay
-// derives its P95 from.
-func (c *Client) ReplicaReadLatency(q float64) time.Duration {
-	var worst time.Duration
-	for _, grp := range c.replicated {
-		if d := grp.ReadLatencyQuantile(q); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // ReplicaEvents returns the replica layer's decision log — breaker
@@ -855,7 +711,7 @@ func (c *Client) ShardStats() []ShardIOStats {
 	ss := c.sharded.ShardStats()
 	out := make([]ShardIOStats, len(ss))
 	for i, s := range ss {
-		out[i] = ShardIOStats{RoundTrips: s.RoundTrips, BlocksMoved: s.BlocksMoved, ModeledTime: s.ModeledTime}
+		out[i] = ShardIOStats(s)
 	}
 	return out
 }
@@ -895,14 +751,6 @@ func (c *Client) EnableSpans() {
 		c.env.EnableObs()
 	}
 }
-
-// DisableSpans turns phase spans off and drops the collected tree.
-func (c *Client) DisableSpans() { c.env.DisableObs() }
-
-// ResetSpans drops the collected span tree (counters untouched). Pair it
-// with ResetStats when measuring a window: spans collected across a stats
-// reset would carry deltas from two different epochs.
-func (c *Client) ResetSpans() { c.env.Obs.Reset() }
 
 // Spans returns the collected root spans (nil with spans disabled).
 func (c *Client) Spans() []*obs.Span { return c.env.Obs.Roots() }
@@ -1046,7 +894,7 @@ func (c *Client) sortEngine(nBlocks int) string {
 		return obsort.EngineRandomized
 	case obsort.EngineAuto:
 		backend := "mem"
-		if c.netBacked {
+		if len(c.netClients) > 0 {
 			backend = "net"
 		}
 		return obsort.Pick(nBlocks, c.env.B(), c.env.M, backend)

@@ -1,9 +1,6 @@
 package oblivext
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestScalarVectoredTraceInvariance is the refactor's safety contract at the
 // public API level: two clients with equal seed and geometry but different
@@ -119,40 +116,5 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 			t.Errorf("%s: vectored mode made %d round trips, scalar %d — expected at least 2x reduction",
 				o.name, vecStats.RoundTrips, scalarStats.RoundTrips)
 		}
-	}
-}
-
-// TestSimulatedRemoteStore exercises the latency-modeled backend end to end:
-// a client over a simulated WAN accumulates modeled network time
-// proportional to round trips, and batching shrinks it.
-func TestSimulatedRemoteStore(t *testing.T) {
-	run := func(maxBatch int) (time.Duration, IOStats) {
-		c, err := New(Config{
-			BlockSize: 8, CacheWords: 256, Seed: 5,
-			MaxBatchBlocks: maxBatch, SimulatedRTT: 10 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		arr, err := c.Store(mkRecords(1000, 11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := arr.Sort(); err != nil {
-			t.Fatal(err)
-		}
-		return c.ModeledNetworkTime(), c.Stats()
-	}
-	scalarTime, scalarStats := run(1)
-	vecTime, vecStats := run(0)
-	if scalarTime != time.Duration(scalarStats.RoundTrips)*10*time.Millisecond {
-		t.Fatalf("scalar modeled time %v inconsistent with %d round trips", scalarTime, scalarStats.RoundTrips)
-	}
-	if vecTime != time.Duration(vecStats.RoundTrips)*10*time.Millisecond {
-		t.Fatalf("vectored modeled time %v inconsistent with %d round trips", vecTime, vecStats.RoundTrips)
-	}
-	if vecTime*2 > scalarTime {
-		t.Fatalf("batching did not shrink modeled network time: %v vs %v", vecTime, scalarTime)
 	}
 }
