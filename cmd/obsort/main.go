@@ -10,7 +10,7 @@
 //
 //	obsort -n 100000 -b 16 -m 4096 -file /tmp/store.dat -encrypt
 //	obsort -n 100000 -sorter bucket                              # or zigzag, bitonic, auto
-//	obsort -n 100000 -shards 4 -prefetch
+//	obsort -n 100000 -shards 4
 //	obsort -n 100000 -sorter auto -url http://localhost:9220     # a real Bob (cmd/obstore)
 //	obsort -n 100000 -shards 2 -urls http://h1:9220,http://h2:9220
 //	obsort -n 100000 -b 16 -encrypt -url https://h:9222 -tls-ca cert.pem -auth-token s3cret
@@ -40,7 +40,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random tape seed")
 	sorter := flag.String("sorter", "randomized", "sorter engine: auto, randomized, bitonic, bucket, or zigzag")
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
-	prefetch := flag.Bool("prefetch", false, "double-buffer read scans: overlap the next batch's fetch with compute")
 	workers := flag.Int("workers", 1, "goroutines for Alice-side in-cache compute and sealing (0 or 1 = serial); the access trace is identical for every setting")
 	url := flag.String("url", "", "back the store with a remote obstore server at this base URL")
 	urls := flag.String("urls", "", "comma-separated obstore base URLs, one per shard (implies -shards)")
@@ -61,7 +60,7 @@ func main() {
 	flag.Parse()
 
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
-		NumShards: *shards, Prefetch: *prefetch, Workers: *workers,
+		NumShards: *shards, Workers: *workers,
 		URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
 		Replicas: *replicas, HedgeAfter: *hedgeAfter,
 		AuthToken: *authToken, TLSRootCA: *tlsCA, TLSInsecureSkipVerify: *tlsSkipVerify,

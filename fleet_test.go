@@ -137,7 +137,6 @@ func fleetRejections(t *testing.T) {
 		{"block size not a power of two", Config{BlockSize: 3}, "BlockSize"},
 		{"cache below 4B", Config{BlockSize: 8, CacheWords: 8}, "CacheWords"},
 		{"unknown sorter", Config{Sorter: "quick"}, "Sorter"},
-		{"negative batch cap", Config{MaxBatchBlocks: -1}, "MaxBatchBlocks"},
 		{"negative shards", Config{NumShards: -1}, "NumShards"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"ShardPaths length", Config{NumShards: 2, ShardPaths: []string{"a"}}, "ShardPaths"},

@@ -195,16 +195,8 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 // thinningPass is one A-to-C pass: every cell of src probes dst once (see
 // prober), a scan batch of cells per vectored read and write of src.
 func thinningPass(env *extmem.Env, src, dst extmem.Array) {
-	b := src.B()
 	w := env.ScanBatchN(2, src.Len())
-	sbuf := env.Cache.Buf(w * b)
 	p := newProber(env, w)
-	for lo := 0; lo < src.Len(); lo += w {
-		hi := min(lo+w, src.Len())
-		src.ReadRange(lo, hi, sbuf[:(hi-lo)*b])
-		p.probe(sbuf[:(hi-lo)*b], dst)
-		src.WriteRange(lo, hi, sbuf[:(hi-lo)*b])
-	}
+	env.Scan(src, src, w, func(_ int, cells []extmem.Element) { p.probe(cells, dst) })
 	p.close()
-	env.Cache.Free(sbuf)
 }

@@ -235,10 +235,12 @@ func looseBySort(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, 
 	mark := env.D.Mark()
 	out := env.D.Alloc(5 * rCap)
 	work := env.D.Alloc(a.Len())
-	occ := 0
-	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		if route.PredOccupied(blk) {
-			occ++
+	occ, b := 0, a.B()
+	env.Scan(a, work, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
+		for i := 0; i < len(chunk); i += b {
+			if route.PredOccupied(chunk[i : i+b]) {
+				occ++
+			}
 		}
 	})
 	sortInto(env, work, out)

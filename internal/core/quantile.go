@@ -45,23 +45,23 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	var total int64
 	var lo, hi extmem.Element
 	first := true
-	scanCopy(env, a, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			blk[t].Flags &^= extmem.FlagMarked
-			if !blk[t].Occupied() {
+	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			chunk[t].Flags &^= extmem.FlagMarked
+			if !chunk[t].Occupied() {
 				continue
 			}
 			total++
 			if first {
-				lo, hi = blk[t], blk[t]
+				lo, hi = chunk[t], chunk[t]
 				first = false
 				continue
 			}
-			if blk[t].Less(lo) {
-				lo = blk[t]
+			if chunk[t].Less(lo) {
+				lo = chunk[t]
 			}
-			if hi.Less(blk[t]) {
-				hi = blk[t]
+			if hi.Less(chunk[t]) {
+				hi = chunk[t]
 			}
 		}
 	})
@@ -96,11 +96,11 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	// Pass 2: Bernoulli(N^{-1/4}) sampling, one coin per slot.
 	p := 1 / math.Pow(nf, 0.25)
 	var sampled int64
-	scanRMW(env, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
+	env.Scan(work, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
 			coin := env.Tape.CoinP(p)
-			if coin && blk[t].Occupied() {
-				blk[t].Flags |= extmem.FlagMarked
+			if coin && chunk[t].Occupied() {
+				chunk[t].Flags |= extmem.FlagMarked
 				sampled++
 			}
 		}
@@ -144,14 +144,14 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	// One scan of the sorted sample resolving every needed rank.
 	rankVal := map[int64]bound{}
 	var idx int64
-	scanRead(env, sample, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			if !blk[t].Occupied() {
+	env.Scan(sample, extmem.Array{}, env.ScanBatchN(1, sample.Len()), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			if !chunk[t].Occupied() {
 				continue
 			}
 			idx++
 			if _, want := sampleAt[idx]; want {
-				rankVal[idx] = boundOf(blk[t])
+				rankVal[idx] = boundOf(chunk[t])
 			}
 		}
 	})
@@ -182,13 +182,13 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	// Pass 3: assign elements to intervals; count below_i and cnt_i.
 	below := make([]int64, q)
 	cnt := make([]int64, q)
-	scanRMW(env, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			blk[t].Flags &^= extmem.FlagMarked
-			if !blk[t].Occupied() {
+	env.Scan(work, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			chunk[t].Flags &^= extmem.FlagMarked
+			if !chunk[t].Occupied() {
 				continue
 			}
-			e := blk[t]
+			e := chunk[t]
 			assigned := false
 			for j := 0; j < q; j++ {
 				if xs[j].greaterElem(e) {
@@ -198,7 +198,7 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 					continue
 				}
 				if !assigned && !ys[j].lessElem(e) {
-					blk[t].Flags |= extmem.FlagMarked
+					chunk[t].Flags |= extmem.FlagMarked
 					cnt[j]++
 					assigned = true
 				}
@@ -224,44 +224,43 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	// Color pass: re-derive each element's interval from the private
 	// bounds (tight compaction may clobber color bits, so assign after).
 	// Pure per-block compute against read-only bounds, so it fans out.
-	scanRMWPar(env, d, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			if !blk[t].Occupied() {
+	var cells []extmem.Element
+	color := func(plo, phi int) { // built once: a chunk costs no closure
+		for t := plo; t < phi; t++ {
+			if !cells[t].Occupied() {
 				continue
 			}
-			e := blk[t]
+			e := cells[t]
 			for j := 0; j < q; j++ {
 				if !xs[j].greaterElem(e) && !ys[j].lessElem(e) {
-					blk[t].SetColor(j + 1)
+					cells[t].SetColor(j + 1)
 					break
 				}
 			}
 		}
+	}
+	env.Scan(d, d, env.ScanBatchN(1, d.Len()), func(_ int, chunk []extmem.Element) {
+		cells = chunk
+		env.ParCells(len(chunk), color)
 	})
 
 	// Padding region: exactly capI - cnt_j dummies per interval.
 	padBlocks := q * capIBlocks
 	padded := env.D.Alloc(d.Len() + padBlocks)
-	scanCopy(env, d, padded, func(_ int, blk []extmem.Element) {})
-	wbuf := env.Cache.Buf(env.ScanBatchN(1, padBlocks) * b)
-	wr := extmem.NewSeqWriter(padded, d.Len(), wbuf)
+	copyArray(env, d, padded.Slice(0, d.Len()))
 	j, emitted := 0, int64(0)
-	for i := 0; i < padBlocks; i++ {
-		blk := wr.Next()
-		for t := range blk {
-			blk[t] = extmem.Element{}
+	env.Scan(extmem.Array{}, padded.Slice(d.Len(), padded.Len()), env.ScanBatchN(1, padBlocks), func(_ int, pad []extmem.Element) {
+		for t := range pad {
 			for j < q && emitted >= capI-cnt[j] {
 				j, emitted = j+1, 0
 			}
 			if j < q {
-				blk[t] = extmem.Element{Key: math.MaxUint64, Pos: math.MaxUint64, Flags: extmem.FlagOccupied}
-				blk[t].SetColor(j + 1)
+				pad[t] = extmem.Element{Key: math.MaxUint64, Pos: math.MaxUint64, Flags: extmem.FlagOccupied}
+				pad[t].SetColor(j + 1)
 				emitted++
 			}
 		}
-	}
-	wr.Flush()
-	env.Cache.Free(wbuf)
+	})
 
 	// Sort by (interval, key, pos): interval i now occupies blocks
 	// [i·capIBlocks, (i+1)·capIBlocks).
@@ -317,14 +316,14 @@ func quantilesBySort(env *extmem.Env, work extmem.Array, ranks []int64) ([]extme
 	out := make([]extmem.Element, len(ranks))
 	var idx int64
 	ri := 0
-	scanRead(env, work, func(_ int, blk []extmem.Element) {
-		for t := range blk {
-			if !blk[t].Occupied() {
+	env.Scan(work, extmem.Array{}, env.ScanBatchN(1, work.Len()), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			if !chunk[t].Occupied() {
 				continue
 			}
 			idx++
 			for ri < len(ranks) && ranks[ri] == idx {
-				out[ri] = blk[t]
+				out[ri] = chunk[t]
 				ri++
 			}
 		}

@@ -1,172 +1,13 @@
 package core
 
-import (
-	"oblivext/internal/extmem"
-	"oblivext/internal/par"
-)
+import "oblivext/internal/extmem"
 
-// This file provides the batched scan skeletons the pass-structured
-// algorithms share. Each streams blocks in order through a callback while
-// moving up to M/B−O(1) blocks per vectored round trip; the callback sees
-// exactly the per-block view the scalar loops used, so converting a pass is
-// a mechanical rewrite that cannot change its element-level semantics.
-
-// scanRead streams a's blocks in order through fn (read-only). With
-// env.Prefetch set the scan is double-buffered: the cache window is split in
-// two halves and the next half's fetch runs concurrently with fn over the
-// current one. fn must stay pure compute (no disk I/O) — true of every
-// read-scan callback in this package — so the prefetch goroutine is the only
-// I/O issuer while the scan runs.
-func scanRead(env *extmem.Env, a extmem.Array, fn func(i int, blk []extmem.Element)) {
-	n := a.Len()
-	if n == 0 {
-		return
-	}
-	b := a.B()
-	if env.Prefetch {
-		// Each half holds at most ceil(n/2) blocks, so even a scan shorter
-		// than the cache window splits into two chunks and gets overlap.
-		k := env.ScanBatchN(2, extmem.CeilDiv(n, 2))
-		buf := env.Cache.Buf(2 * k * b)
-		// Both teardown steps are deferred so that a panic in fn (or a
-		// future early return) still joins the in-flight prefetch before the
-		// buffer is released — Close must run first (LIFO), otherwise the
-		// prefetch goroutine keeps writing into a buffer the accountant has
-		// already reclaimed.
-		defer env.Cache.Free(buf)
-		r := extmem.NewSeqReader(a, 0, n, buf, true)
-		defer r.Close()
-		for {
-			i, blk, ok := r.Next()
-			if !ok {
-				break
-			}
-			fn(i, blk)
-		}
-		return
-	}
-	scanReadSync(env, a, fn)
-}
-
-// scanReadSync is scanRead without the prefetch option: for read scans whose
-// callback itself issues I/O (e.g. feeding a SeqWriter that flushes
-// mid-scan), where a concurrent prefetch would interleave two I/O streams
-// and make the trace order scheduling-dependent.
-func scanReadSync(env *extmem.Env, a extmem.Array, fn func(i int, blk []extmem.Element)) {
-	n := a.Len()
-	if n == 0 {
-		return
-	}
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			fn(i, buf[(i-lo)*b:(i-lo+1)*b])
-		}
-	}
-	env.Cache.Free(buf)
-}
-
-// scanRMW streams a's blocks through fn, which may modify them in place;
-// every chunk is written back where it came from.
-func scanRMW(env *extmem.Env, a extmem.Array, fn func(i int, blk []extmem.Element)) {
-	n := a.Len()
-	if n == 0 {
-		return
-	}
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			fn(i, buf[(i-lo)*b:(i-lo+1)*b])
-		}
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
-}
-
-// parMinCells is the per-chunk element count below which the parallel
-// helpers stay serial; it compares public lengths only.
-const parMinCells = 2048
-
-// parCells fans fn out over [0, n) across the environment's worker pool
-// when n is large enough to amortize the spawns. fn must be pure in-cache
-// compute over disjoint index ranges — no I/O, no tape, no shared state.
-func parCells(env *extmem.Env, n int, fn func(lo, hi int)) {
-	w := env.WorkerCount()
-	if n < parMinCells {
-		w = 1
-	}
-	par.For(w, n, fn)
-}
-
-// scanRMWPar is scanRMW with the per-block callback fanned out across
-// env.Workers goroutines within each in-cache chunk (I/O and chunk order
-// are untouched, so the trace is identical to scanRMW's). fn must be pure
-// per-block compute — no shared mutable state, no tape draws, no I/O —
-// which holds for the stamp/colorize passes that use this variant.
-func scanRMWPar(env *extmem.Env, a extmem.Array, fn func(i int, blk []extmem.Element)) {
-	n := a.Len()
-	if n == 0 {
-		return
-	}
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	w := env.WorkerCount()
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		par.For(w, hi-lo, func(plo, phi int) {
-			for i := lo + plo; i < lo+phi; i++ {
-				fn(i, buf[(i-lo)*b:(i-lo+1)*b])
-			}
-		})
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
-}
-
-// scanCopy streams src's blocks through fn (which may modify them) and
-// writes the results to the same positions of dst (dst.Len() >= src.Len(),
-// dst distinct from src).
-func scanCopy(env *extmem.Env, src, dst extmem.Array, fn func(i int, blk []extmem.Element)) {
-	n := src.Len()
-	if n == 0 {
-		return
-	}
-	b := src.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		src.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			fn(i, buf[(i-lo)*b:(i-lo+1)*b])
-		}
-		dst.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
-}
-
-// zeroArray overwrites every block of a with empty elements, batched.
+// zeroArray overwrites every block of a with empty elements.
 func zeroArray(env *extmem.Env, a extmem.Array) {
-	n := a.Len()
-	if n == 0 {
-		return
-	}
-	b := a.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b) // Buf returns zeroed storage
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
+	env.Scan(extmem.Array{}, a, env.ScanBatchN(1, a.Len()), nil)
+}
+
+// copyArray copies src onto dst (equal lengths).
+func copyArray(env *extmem.Env, src, dst extmem.Array) {
+	env.Scan(src, dst, env.ScanBatchN(1, dst.Len()), nil)
 }

@@ -107,7 +107,7 @@ func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m
 			// The terminating path: sort (a copy of the caller's array).
 			if cur.Base() == a.Base() {
 				cur = env.D.Alloc(a.Len())
-				scanCopy(env, a, cur, func(int, []extmem.Element) {})
+				copyArray(env, a, cur)
 			}
 			out, err := quantilesBySort(env, cur, []int64{k})
 			if err != nil {
@@ -153,8 +153,8 @@ func selectBracket(env *extmem.Env, cur extmem.Array, k int64, lv selectLevel) (
 	sample := env.Cache.Buf(env.M / 2)[:0]
 	defer env.Cache.Free(sample)
 	var total, sampled int64
-	scanRead(env, cur, func(_ int, blk []extmem.Element) {
-		for _, e := range blk {
+	env.Scan(cur, extmem.Array{}, env.ScanBatchN(1, cur.Len()), func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			coin := env.Tape.CoinP(lv.p)
 			if !e.Occupied() {
 				continue
@@ -192,8 +192,8 @@ func selectBracket(env *extmem.Env, cur extmem.Array, k int64, lv selectLevel) (
 func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, error) {
 	all := env.Cache.Buf(env.M / 2)[:0]
 	defer env.Cache.Free(all)
-	scanRead(env, a, func(_ int, blk []extmem.Element) {
-		for _, e := range blk {
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			if e.Occupied() {
 				all = append(all, e)
 			}
@@ -214,7 +214,7 @@ func SelectIOCount(nBlocks, b, m int) int64 { ios, _ := selectCost(nBlocks, b, m
 
 // SelectRoundTrips predicts Select's vectored round trips when it is entered
 // with the whole cache free and batches are bounded by the cache alone (no
-// MaxBatch, no Prefetch); -1 where the plan ends in the sort tail, whose
+// MaxBatch); -1 where the plan ends in the sort tail, whose
 // copy and rank scan this does not replay (the sort itself is
 // obsort.BitonicRoundTrips).
 func SelectRoundTrips(nBlocks, b, m int) int64 { _, rts := selectCost(nBlocks, b, m); return rts }

@@ -77,29 +77,19 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	// Tight order-preserving compaction (Theorem 6) back into a.
 	sp := env.Obs.Start("final-compact")
 	defer env.Obs.End(sp)
-	b := a.B()
 	cons, _ := route.ConsolidateCompact(env, res, extmem.Element.Occupied)
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		cl := max(lo, min(hi, cons.Len())) // read [lo, cl) from cons, zero the rest
-		if lo < cl {
-			cons.ReadRange(lo, cl, buf[:(cl-lo)*b])
+	var buf []extmem.Element
+	unstamp := func(plo, phi int) { // built once: a chunk costs no closure
+		for t := plo; t < phi; t++ {
+			buf[t].Flags &^= extmem.FlagMarked
+			buf[t].SetCellDest(0)
+			buf[t].SetColor(0)
 		}
-		for t := (cl - lo) * b; t < (hi-lo)*b; t++ {
-			buf[t] = extmem.Element{}
-		}
-		parCells(env, (hi-lo)*b, func(plo, phi int) {
-			for t := plo; t < phi; t++ {
-				buf[t].Flags &^= extmem.FlagMarked
-				buf[t].SetCellDest(0)
-				buf[t].SetColor(0)
-			}
-		})
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
 	}
-	env.Cache.Free(buf)
+	env.Scan(cons, a, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		buf = chunk
+		env.ParCells(len(chunk), unstamp)
+	})
 	return nil
 }
 
@@ -134,32 +124,25 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	// worker counts a disjoint range into its own slot; the serial sum is
 	// order-independent, so the total matches the scalar loop exactly.
 	count := env.Obs.Start("count-occupied")
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
 	var nOcc int64
 	partial := make([]int64, env.WorkerCount())
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		ne := (hi - lo) * b
-		pw := env.WorkerCount()
-		if ne < parMinCells {
-			pw = 1
-		}
-		par.ForWorker(pw, ne, func(wk, plo, phi int) {
-			var c int64
-			for _, e := range buf[plo:phi] {
-				if e.Occupied() {
-					c++
-				}
+	var buf []extmem.Element
+	tally := func(wk, plo, phi int) { // built once: a chunk costs no closure
+		var c int64
+		for _, e := range buf[plo:phi] {
+			if e.Occupied() {
+				c++
 			}
-			partial[wk] += c
-		})
+		}
+		partial[wk] += c
 	}
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		buf = chunk
+		par.ForWorker(env.ParWorkers(len(chunk)), len(chunk), tally)
+	})
 	for _, c := range partial {
 		nOcc += c
 	}
-	env.Cache.Free(buf)
 	env.Obs.End(count)
 
 	q := int(math.Floor(math.Pow(float64(m), 0.25)))
@@ -193,31 +176,27 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	// Step 2: color by bucket = 1 + #splitters strictly below the element.
 	spc := env.Obs.Start("colorize")
 	work := env.D.Alloc(n)
-	k = env.ScanBatchN(1, n)
-	buf = env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		// Each element's color is a pure function of the element and the
-		// private splitter bounds, so the coloring pass fans out freely.
-		parCells(env, (hi-lo)*b, func(plo, phi int) {
-			for t := plo; t < phi; t++ {
-				buf[t].SetColor(0)
-				if !buf[t].Occupied() {
-					continue
-				}
-				c := 1
-				for j := 0; j < q; j++ {
-					if bounds[j].lessElem(buf[t]) {
-						c = j + 2
-					}
-				}
-				buf[t].SetColor(c)
+	// Each element's color is a pure function of the element and the
+	// private splitter bounds, so the coloring pass fans out freely.
+	colorize := func(plo, phi int) {
+		for t := plo; t < phi; t++ {
+			buf[t].SetColor(0)
+			if !buf[t].Occupied() {
+				continue
 			}
-		})
-		work.WriteRange(lo, hi, buf[:(hi-lo)*b])
+			c := 1
+			for j := 0; j < q; j++ {
+				if bounds[j].lessElem(buf[t]) {
+					c = j + 2
+				}
+			}
+			buf[t].SetColor(c)
+		}
 	}
-	env.Cache.Free(buf)
+	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		buf = chunk
+		env.ParCells(len(chunk), colorize)
+	})
 	env.Obs.End(spc)
 
 	// Step 3: multi-way consolidation into monochromatic blocks.
@@ -299,9 +278,7 @@ func copyDown(env *extmem.Env, src, dst extmem.Array, failed bool) {
 	if dst.Len() != n || dst.Base() > src.Base() {
 		panic("core: copyDown needs equal lengths and dst at or below src")
 	}
-	b := src.B()
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
+	var buf []extmem.Element
 	stamp := func(plo, phi int) { // built once: a batch costs no closure
 		for t := plo; t < phi; t++ {
 			if failed && buf[t].Occupied() {
@@ -311,63 +288,33 @@ func copyDown(env *extmem.Env, src, dst extmem.Array, failed bool) {
 			}
 		}
 	}
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		src.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		parCells(env, (hi-lo)*b, stamp)
-		dst.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
+	env.Scan(src, dst, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		buf = chunk
+		env.ParCells(len(chunk), stamp)
+	})
 }
 
 // sortPrivate reads every occupied element into the cache, sorts there, and
 // writes a tight result of the same geometry.
 func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
 	n := a.Len()
-	b := a.B()
 	out := env.D.Alloc(n)
 	all := env.Cache.Buf(env.M / 2)[:0] // the caller counted: at most M/2 occupied
 	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for _, e := range buf[:(hi-lo)*b] {
+	env.Scan(a, extmem.Array{}, k, func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			if e.Occupied() {
 				all = append(all, e)
 			}
 		}
-	}
+	})
 	obsort.InCachePar(env, all, obsort.ByKey)
-	idx := 0
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		for t := 0; t < (hi-lo)*b; t++ {
-			if idx < len(all) {
-				buf[t] = all[idx]
-				idx++
-			} else {
-				buf[t] = extmem.Element{}
-			}
-		}
-		out.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
+	rest := all
+	env.Scan(extmem.Array{}, out, k, func(_ int, chunk []extmem.Element) {
+		rest = rest[copy(chunk, rest):]
+	})
 	env.Cache.Free(all)
 	return out
-}
-
-// copyArray copies src into dst in batched chunks (equal lengths).
-func copyArray(env *extmem.Env, src, dst extmem.Array) {
-	b := src.B()
-	k := env.ScanBatchN(1, src.Len())
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < src.Len(); lo += k {
-		hi := min(lo+k, src.Len())
-		src.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		dst.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
 }
 
 // shuffleBlocks applies the block-level Fisher–Yates shuffle of §5: the

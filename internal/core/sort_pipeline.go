@@ -25,12 +25,8 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 	env.Cache.Acquire(colors * (2*b - 1))
 	hold := make([][]extmem.Element, colors+1) // 1-based colors
 	k := env.ScanBatchN(2, out.Len())
-	in := env.Cache.Buf(k * b)
 	wbuf := env.Cache.Buf(k * b)
-	// Emitting is pure compute over the staging lists, so with Prefetch the
-	// double-buffered writer's flushes overlap it; the per-block write
-	// sequence is identical either way.
-	wr := extmem.NewSeqWriterPipelined(out, 0, wbuf, env.Prefetch)
+	wr := extmem.NewSeqWriter(out, 0, wbuf)
 
 	emit := func(quota int) {
 		emitted := 0
@@ -51,11 +47,8 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 
 	// The input arrives a scan batch at a time; the group accounting runs
 	// after every colors-th block whatever the batch boundaries are.
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		wr.Join() // a flush may be in flight; the writer owns the disk until joined
-		a.ReadRange(lo, hi, in[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
+	env.Scan(a, extmem.Array{}, k, func(lo int, in []extmem.Element) {
+		for i := lo; i < lo+len(in)/b; i++ {
 			for _, e := range in[(i-lo)*b : (i-lo+1)*b] {
 				if e.Occupied() {
 					hold[e.Color()] = append(hold[e.Color()], e)
@@ -65,7 +58,7 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 				emit(colors)
 			}
 		}
-	}
+	})
 	// Flush: partial blocks, padded to exactly 2·colors outputs.
 	flushed := 0
 	for c := 1; c <= colors; c++ {
@@ -94,7 +87,6 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 	}
 	wr.Flush()
 	env.Cache.Free(wbuf)
-	env.Cache.Free(in)
 	env.Cache.Release(colors * (2*b - 1))
 	return out
 }
@@ -117,10 +109,8 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	buf := env.Cache.Buf(batch * b)
 	wbuf := env.Cache.Buf(env.ScanBatchN(1, quota) * b)
 	// The color arrays are independent targets fed from the in-cache batch
-	// buffer, so one pipelined writer retargeted color by color overlaps
-	// color c's flush with color c+1's compute (async when Prefetch; the
-	// flush boundaries — and so the per-block trace — are mode-independent).
-	wr := extmem.NewSeqWriterPipelined(out[0], 0, wbuf, env.Prefetch)
+	// buffer: one writer, retargeted color by color.
+	wr := extmem.NewSeqWriter(out[0], 0, wbuf)
 	ok := true
 	perColor := make([][]int, colors+1) // reused batch after batch
 	for g := 0; g < batches; g++ {
@@ -130,7 +120,6 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 			hi = n
 		}
 		cnt := hi - lo
-		wr.Join() // the previous batch's last flush may still be in flight
 		a.ReadRange(lo, hi, buf[:cnt*b])
 		// Index the batch's full blocks by color (private).
 		for c := range perColor {
@@ -158,10 +147,9 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 					}
 				}
 			}
-			wr.FlushAsync()
+			wr.Flush()
 		}
 	}
-	wr.Join()
 	env.Cache.Free(wbuf)
 	env.Cache.Free(buf)
 	return out, ok
@@ -193,26 +181,18 @@ func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 
 	// Copy failed cells; everything else becomes empty.
 	cpy := env.D.Alloc(n)
-	kc := env.ScanBatchN(1, n)
-	cbuf := env.Cache.Buf(kc * b)
-	for lo := 0; lo < n; lo += kc {
-		hi := min(lo+kc, n)
-		res.ReadRange(lo, hi, cbuf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			blk := cbuf[(i-lo)*b : (i-lo+1)*b]
+	env.Scan(res, cpy, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for off := 0; off < len(chunk); off += b {
+			blk := chunk[off : off+b]
 			if !route.PredFailed(blk) {
-				for t := range blk {
-					blk[t] = extmem.Element{}
-				}
+				clear(blk)
 			} else {
 				for t := range blk {
 					blk[t].Flags &^= extmem.FlagFailed
 				}
 			}
 		}
-		cpy.WriteRange(lo, hi, cbuf[:(hi-lo)*b])
-	}
-	env.Cache.Free(cbuf)
+	})
 
 	failedCells := route.CompactBlocksTight(env, cpy, route.PredOccupied, 0)
 	ok := failedCells <= capD
@@ -223,13 +203,9 @@ func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 	for i := range ent {
 		ent[i] = extmem.Element{}
 	}
-	kf := env.ScanBatchN(1, capD)
-	fbuf := env.Cache.Buf(kf * b)
-	for lo := 0; lo < capD; lo += kf {
-		hi := min(lo+kf, capD)
-		cpy.ReadRange(lo, hi, fbuf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			blk := fbuf[(i-lo)*b : (i-lo+1)*b]
+	env.Scan(cpy.Slice(0, capD), extmem.Array{}, env.ScanBatchN(1, capD), func(lo int, chunk []extmem.Element) {
+		for i := lo; i < lo+len(chunk)/b; i++ {
+			blk := chunk[(i-lo)*b : (i-lo+1)*b]
 			cnt := 0
 			for _, e := range blk {
 				if e.Occupied() {
@@ -239,13 +215,10 @@ func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 			ent[i%b] = extmem.Element{Val: uint64(cnt), Pos: uint64(blk[0].Aux())}
 			if (i+1)%b == 0 || i == capD-1 {
 				fo.Write(i/b, ent)
-				for t := range ent {
-					ent[t] = extmem.Element{}
-				}
+				clear(ent)
 			}
 		}
-	}
-	env.Cache.Free(fbuf)
+	})
 
 	// Deterministic sort of the prefix (Lemma 2).
 	obsort.Bitonic(env, cpy.Slice(0, capD), obsort.ByKey)
@@ -258,6 +231,7 @@ func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 	// s+1 blocks hold at least that many when they exist. The private
 	// queue absorbs the lag, which stays small because almost every failed
 	// cell is full (only consolidation flush blocks are partial).
+	// Not an env.Scan: a second stream, the cell buffer, fills in lock step.
 	d2 := env.D.Alloc(capD)
 	queueCap := env.M / 4
 	queue := env.Cache.Buf(queueCap)
@@ -306,17 +280,11 @@ func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
 	env.Cache.Free(ent)
 
 	// Install the repacked prefix and route everything home.
-	ki := env.ScanBatchN(1, capD)
-	ibuf := env.Cache.Buf(ki * b)
-	for lo := 0; lo < capD; lo += ki {
-		hi := min(lo+ki, capD)
-		d2.ReadRange(lo, hi, ibuf[:(hi-lo)*b])
-		cpy.WriteRange(lo, hi, ibuf[:(hi-lo)*b])
-	}
-	env.Cache.Free(ibuf)
+	copyArray(env, d2, cpy.Slice(0, capD))
 	route.ExpandBlocks(env, cpy, route.PredOccupied, 0)
 
-	// Merge: failed cells take the repaired copy.
+	// Merge: failed cells take the repaired copy. Not an env.Scan: two
+	// sources, read chunk for chunk.
 	km := env.ScanBatchN(2, n)
 	rb := env.Cache.Buf(km * b)
 	cb := env.Cache.Buf(km * b)

@@ -91,24 +91,10 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 		return out, marked, err
 	}
 	if cons.Len() < rCap {
-		// Pad: allocate the full capacity and copy the prefix, a chunked
-		// run copy with zero-fill past the prefix.
+		// Pad: allocate the full capacity and copy the prefix; the scan
+		// zero-fills past the shorter source.
 		out := env.D.Alloc(rCap)
-		b := env.B()
-		k := env.ScanBatchN(1, rCap)
-		buf := env.Cache.Buf(k * b)
-		for lo := 0; lo < rCap; lo += k {
-			hi := min(lo+k, rCap)
-			rh := min(hi, cons.Len())
-			if rh > lo {
-				cons.ReadRange(lo, rh, buf[:(rh-lo)*b])
-			}
-			for t := max(rh, lo) * b; t < hi*b; t++ {
-				buf[t-lo*b] = extmem.Element{}
-			}
-			out.WriteRange(lo, hi, buf[:(hi-lo)*b])
-		}
-		env.Cache.Free(buf)
+		env.Scan(cons, out, env.ScanBatchN(1, rCap), nil)
 		return out, marked, nil
 	}
 	return cons.Slice(0, rCap), marked, nil
@@ -140,20 +126,8 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 	// headers, B per block. Zeroing is a chunked run write.
 	sums := env.D.Alloc(m)
 	hdrs := env.D.Alloc(extmem.CeilDiv(m, b))
-	zk := env.ScanBatchN(1, sums.Len())
-	zero := env.Cache.Buf(zk * b)
-	for i := range zero {
-		zero[i] = extmem.Element{}
-	}
-	for lo := 0; lo < sums.Len(); lo += zk {
-		hi := min(lo+zk, sums.Len())
-		sums.WriteRange(lo, hi, zero[:(hi-lo)*b])
-	}
-	for lo := 0; lo < hdrs.Len(); lo += zk {
-		hi := min(lo+zk, hdrs.Len())
-		hdrs.WriteRange(lo, hi, zero[:(hi-lo)*b])
-	}
-	env.Cache.Free(zero)
+	zeroArray(env, sums)
+	zeroArray(env, hdrs)
 
 	// Insertion pass: each position touches its k cells; unoccupied
 	// positions write the cells back unchanged (re-encrypted in the real
@@ -268,29 +242,17 @@ func peelPrivate(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCa
 	}
 
 	kc := env.ScanBatchN(1, m)
-	cbuf := env.Cache.Buf(kc * b)
-	for lo := 0; lo < m; lo += kc {
-		hi := min(lo+kc, m)
-		sums.ReadRange(lo, hi, cbuf[:(hi-lo)*b])
-		for c := lo; c < hi; c++ {
-			encodeBlockWords(cells[c].ValSum, cbuf[(c-lo)*b:(c-lo+1)*b])
+	env.Scan(sums, extmem.Array{}, kc, func(lo int, chunk []extmem.Element) {
+		for c := lo; c < lo+len(chunk)/b; c++ {
+			encodeBlockWords(cells[c].ValSum, chunk[(c-lo)*b:(c-lo+1)*b])
 		}
-	}
-	for lo := 0; lo < hdrs.Len(); lo += kc {
-		hi := min(lo+kc, hdrs.Len())
-		hdrs.ReadRange(lo, hi, cbuf[:(hi-lo)*b])
-		for hb := lo; hb < hi; hb++ {
-			for t := 0; t < b; t++ {
-				c := hb*b + t
-				if c >= m {
-					break
-				}
-				cells[c].Count = int64(cbuf[(hb-lo)*b+t].Val)
-				cells[c].KeySum = cbuf[(hb-lo)*b+t].Key
-			}
+	})
+	env.Scan(hdrs, extmem.Array{}, kc, func(lo int, chunk []extmem.Element) {
+		for t, e := range chunk[:min(len(chunk), m-lo*b)] { // the last header block is part padding
+			cells[lo*b+t].Count = int64(e.Val)
+			cells[lo*b+t].KeySum = e.Key
 		}
-	}
-	env.Cache.Free(cbuf)
+	})
 
 	type rec struct {
 		key   uint64
@@ -306,23 +268,12 @@ func peelPrivate(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCa
 		}
 	}, nil)
 
-	// Emit exactly rCap blocks: recovered cells then empties, streamed
-	// through a vectored sequential writer.
-	kw := env.ScanBatchN(1, rCap)
-	wbuf := env.Cache.Buf(kw * b)
-	wr := extmem.NewSeqWriter(out, 0, wbuf)
-	for i := 0; i < rCap; i++ {
-		blk := wr.Next()
-		if i < len(recs) {
-			decodeBlockWords(blk, recs[i].words)
-		} else {
-			for t := range blk {
-				blk[t] = extmem.Element{}
-			}
+	// Emit exactly rCap blocks: recovered cells then empties.
+	env.Scan(extmem.Array{}, out, env.ScanBatchN(1, rCap), func(lo int, chunk []extmem.Element) {
+		for i := lo; i < min(lo+len(chunk)/b, len(recs)); i++ {
+			decodeBlockWords(chunk[(i-lo)*b:(i-lo+1)*b], recs[i].words)
 		}
-	}
-	wr.Flush()
-	env.Cache.Free(wbuf)
+	})
 	env.Cache.Release(rCap * (w + 1))
 	env.Cache.Release(m * (w + 2))
 	return len(recs), nil
@@ -349,7 +300,8 @@ func peelViaORAM(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCa
 
 	// Load the table into the cell ORAM. The direct sums/hdrs reads are
 	// chunked run reads (a chunk's cells span at most kc/b+1 header
-	// blocks); the ORAM writes dominate the cost regardless.
+	// blocks); the ORAM writes dominate the cost regardless. Not an
+	// env.Scan: two sources, sums and the header blocks its cells span.
 	words := make([]uint64, cb*b)
 	env.Cache.Acquire(cb * b)
 	kc := env.ScanBatchN(2, m)

@@ -22,7 +22,6 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	if n == 0 {
 		return
 	}
-	b := a.B()
 	m := env.MBlocks()
 	if m < 3 {
 		panic("emsort: MergeSort requires M >= 3B")
@@ -39,17 +38,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	// sort, and one vectored write.
 	spr := env.Obs.Start("run-formation")
 	spr.SetPredicted(2*int64(n), -1)
-	chunk := env.Cache.Buf(runBlocks * b)
-	for start := 0; start < n; start += runBlocks {
-		cnt := runBlocks
-		if start+cnt > n {
-			cnt = n - start
-		}
-		a.ReadRange(start, start+cnt, chunk[:cnt*b])
-		obsort.InCache(chunk[:cnt*b], less)
-		a.WriteRange(start, start+cnt, chunk[:cnt*b])
-	}
-	env.Cache.Free(chunk)
+	env.Scan(a, a, runBlocks, func(_ int, run []extmem.Element) { obsort.InCache(run, less) })
 	env.Obs.End(spr)
 
 	fan := m - 1
@@ -69,14 +58,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	if src.Base() != a.Base() {
 		// Copy-back: a streaming vectored scan instead of block-at-a-time.
 		spc := env.Obs.Start("copy-back")
-		k := env.ScanBatchN(1, n)
-		buf := env.Cache.Buf(k * b)
-		for lo := 0; lo < n; lo += k {
-			hi := min(lo+k, n)
-			src.ReadRange(lo, hi, buf[:(hi-lo)*b])
-			a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-		}
-		env.Cache.Free(buf)
+		env.Scan(src, a, env.ScanBatchN(1, n), nil)
 		env.Obs.End(spc)
 	}
 }
@@ -157,28 +139,6 @@ func mergePass(env *extmem.Env, src, dst extmem.Array, runLen, fan int, less obs
 // elements.
 var ErrNotFound = errors.New("emsort: selection rank out of range")
 
-// scanPrefix streams the blocks [0, blocks) of a through fn, batching reads
-// into vectored calls sized by the free cache budget.
-func scanPrefix(env *extmem.Env, a extmem.Array, blocks int, fn func(blk []extmem.Element)) {
-	if blocks == 0 {
-		return
-	}
-	b := a.B()
-	k := env.ScanBatchN(1, blocks)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < blocks; lo += k {
-		hi := lo + k
-		if hi > blocks {
-			hi = blocks
-		}
-		a.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			fn(buf[(i-lo)*b : (i-lo+1)*b])
-		}
-	}
-	env.Cache.Free(buf)
-}
-
 // denseWriter streams occupied elements into dst as densely packed blocks
 // through a SeqWriter, padding the final partial block with empties.
 type denseWriter struct {
@@ -233,8 +193,8 @@ func QuickSelect(env *extmem.Env, a extmem.Array, k int64) (extmem.Element, erro
 	wbuf := env.Cache.Buf(env.ScanBatchN(2, n) * b)
 	dw := newDenseWriter(cur, wbuf)
 	cnt := int64(0)
-	scanPrefix(env, a, n, func(blk []extmem.Element) {
-		for _, e := range blk {
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			if e.Occupied() {
 				dw.put(e)
 				cnt++
@@ -290,8 +250,8 @@ func QuickSelect(env *extmem.Env, a extmem.Array, k int64) (extmem.Element, erro
 		}
 		// Partition pass (vectored read scan): count the sides.
 		var below, equal int64
-		scanPrefix(env, cur, blocks, func(blk []extmem.Element) {
-			for _, e := range blk {
+		env.Scan(cur.Slice(0, blocks), extmem.Array{}, env.ScanBatchN(1, blocks), func(_ int, chunk []extmem.Element) {
+			for _, e := range chunk {
 				if !e.Occupied() {
 					continue
 				}
@@ -323,8 +283,8 @@ func keepSide(env *extmem.Env, src, dst extmem.Array, blocks, b int, pred func(e
 	wbuf := env.Cache.Buf(env.ScanBatchN(2, blocks) * b)
 	dw := newDenseWriter(dst, wbuf)
 	kept := int64(0)
-	scanPrefix(env, src, blocks, func(blk []extmem.Element) {
-		for _, e := range blk {
+	env.Scan(src.Slice(0, blocks), extmem.Array{}, env.ScanBatchN(1, blocks), func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			if e.Occupied() && pred(e) {
 				dw.put(e)
 				kept++

@@ -46,8 +46,7 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // instance of the rollback non-goal docs/THREAT_MODEL.md declares.
 //
 // Like every BlockStore, a CryptStore is driven by one caller at a time
-// (the Disk, including its prefetch goroutines, which synchronize before
-// handing the buffer over); the staging buffer relies on that. Within one
+// (the Disk); the staging buffer relies on that. Within one
 // vectored call the per-block work may fan out across SetWorkers goroutines:
 // each worker owns its scratch, the seal and byte counters are atomic.
 type CryptStore struct {

@@ -18,15 +18,6 @@ type Env struct {
 	Cache *Cache
 	Tape  *rng.Tape
 	M     int
-	// Prefetch makes pass-structured I/O double-buffered: read scans use
-	// the SeqReader (the next chunk's fetch overlaps the current chunk's
-	// in-cache compute) and sequential writers use the pipelined SeqWriter
-	// (one half-buffer flushes in the background while the caller fills
-	// the other). The per-block access sequence is unchanged (the chunks
-	// are half the cache window instead of the whole, so round-trip counts
-	// differ, but the trace Bob sees block by block is identical in either
-	// mode).
-	Prefetch bool
 	// Obs, when non-nil, collects hierarchical phase spans: every
 	// instrumented pass opens a span around itself and the Disk folds each
 	// block access into the open spans' audit fingerprints. Nil (the

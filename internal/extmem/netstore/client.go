@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 )
 
 // Options configures a Client.
@@ -124,7 +125,7 @@ type Stats struct {
 	Min, Max time.Duration
 	// Hist buckets every completed interaction's wall-clock wait, for
 	// percentile summaries (Hist.P50/P95/P99).
-	Hist LatencyHistogram
+	Hist obs.LatencyHistogram
 }
 
 // Client is an extmem.BlockStore served by a remote obstore server over
@@ -265,7 +266,7 @@ func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int,
 	// cost a giant allocation. MaxBatchBlocks budgets for the longest
 	// namespace.
 	if headerLen+len(c.ns)+8*len(addrs)+payloadLen > maxBatchWire {
-		return nil, fmt.Errorf("netstore: %s of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d); lower MaxBatchBlocks",
+		return nil, fmt.Errorf("netstore: %s of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d)",
 			opName, len(addrs), maxBatchWire, c.MaxBatchBlocks(), c.b)
 	}
 	if err := ctx.Err(); err != nil {

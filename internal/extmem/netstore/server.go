@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -119,7 +120,7 @@ type Server struct {
 	bytesIn     int64
 	bytesOut    int64
 	authFails   int64
-	hist        LatencyHistogram
+	hist        obs.LatencyHistogram
 	// Readiness state: draining refuses new data-plane work with 503 +
 	// Retry-After so clients absorb a graceful restart through their retry
 	// path; journalErr latches a journal write failure on any tenant (the
@@ -657,7 +658,7 @@ type Metrics struct {
 	AuthFailures            int64
 	JournalLen              int64
 	Namespaces              int
-	Latency                 LatencyHistogram
+	Latency                 obs.LatencyHistogram
 }
 
 // MetricsSnapshot returns the current lifetime telemetry. JournalLen sums

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 )
 
 // Breaker states.
@@ -124,8 +125,8 @@ type Store struct {
 	hp     []health
 	dirty  []map[int]struct{} // per replica: addresses that missed writes
 	stats  []Stats
-	lat    hist     // measured read latencies, feeds the hedge delay
-	events []string // breaker/failover decision log, for replay checks
+	lat    obs.LatencyHistogram // measured read latencies, feeds the hedge delay
+	events []string             // breaker/failover decision log, for replay checks
 
 	failThresh  int
 	cooldown    int64
@@ -440,7 +441,7 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 				s.stats[i].BlocksMoved += int64(len(g.addrs))
 				if errs[gi] == nil {
 					s.noteSuccess(i)
-					s.lat.observe(elapsed)
+					s.lat.Observe(elapsed)
 				} else {
 					s.noteFailure(i)
 					s.stats[i].Failovers++
@@ -627,8 +628,8 @@ func (s *Store) hedgeAlt(primary int, excluded []bool, addrs []int) int {
 func (s *Store) hedgeDelay() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lat.total >= s.hedgeMinObs {
-		if p := s.lat.quantile(0.95); p > 0 {
+	if s.lat.Count() >= s.hedgeMinObs {
+		if p := s.lat.P95(); p > 0 {
 			return p
 		}
 	}
@@ -729,7 +730,7 @@ func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, d
 	// adaptive delay hedges the tail above it. Observing delay+flight for
 	// every rescue would ratchet the P95 up one bucket per win until hedging
 	// disabled itself.
-	s.lat.observe(winner.flight)
+	s.lat.Observe(winner.flight)
 	s.scatterInto(dst, winner.buf, g.pos)
 	// The detached loser (still in flight, canceled) is ignored entirely:
 	// its result arrives on a buffered channel nobody reads and its health

@@ -2,180 +2,26 @@ package extmem
 
 import "fmt"
 
-// SeqReader streams the blocks [lo, hi) of an Array in order through a
-// double-buffered cache window: while the caller consumes the blocks of one
-// half, the other half's chunk is already in flight on a background
-// goroutine, so a remote Bob's round trip overlaps Alice's in-cache compute
-// instead of serializing with it.
-//
-// The access pattern is untouched — the same sequential block reads, in the
-// same order, grouped into the same vectored calls a synchronous
-// half-buffer scan would make; only the issue time moves earlier. At most
-// one prefetch is ever outstanding, and the reader must be the only source
-// of disk I/O between Next calls (true of the read-only scans it serves:
-// their callbacks are pure compute). Call Close before freeing the buffer —
-// it joins any in-flight fetch.
-//
-// The buffer must be checked out of the Cache by the caller and hold an
-// even number of blocks (the two halves); with async=false the reader
-// degrades to a synchronous half-buffer scan, which is the apples-to-apples
-// baseline for measuring overlap.
-type SeqReader struct {
-	a    Array
-	b    int
-	k    int // blocks per half
-	hi   int
-	next int // array index the caller will see on the next Next
-
-	cur     []Element // half currently being consumed
-	curLo   int       // array index of cur[0]
-	curFill int       // blocks loaded in cur
-
-	async   bool
-	pending bool // a prefetch is in flight into the other half
-	pendLo  int
-	pendN   int
-	other   []Element
-	done    chan any // carries the prefetch goroutine's recover()
-}
-
-// NewSeqReader returns a reader over the blocks [lo, hi) of a. The first
-// chunk is fetched synchronously and the second is immediately prefetched;
-// every later chunk is requested as soon as its half frees up.
-func NewSeqReader(a Array, lo, hi int, buf []Element, async bool) *SeqReader {
-	b := a.B()
-	if lo < 0 || hi < lo || hi > a.Len() {
-		panic(fmt.Sprintf("extmem: SeqReader range [%d,%d) of %d", lo, hi, a.Len()))
-	}
-	if len(buf) == 0 || len(buf)%(2*b) != 0 {
-		panic(fmt.Sprintf("extmem: SeqReader buffer %d not a positive multiple of two %d-element blocks", len(buf), b))
-	}
-	k := len(buf) / (2 * b)
-	r := &SeqReader{a: a, b: b, k: k, hi: hi, next: lo, async: async, done: make(chan any, 1)}
-	r.cur, r.other = buf[:k*b], buf[k*b:]
-	r.curLo = lo
-	r.curFill = r.clamp(lo)
-	if r.curFill > 0 {
-		a.ReadRange(lo, lo+r.curFill, r.cur[:r.curFill*b])
-		r.prefetch(lo + r.curFill)
-	}
-	return r
-}
-
-// clamp returns how many blocks of a chunk starting at lo exist.
-func (r *SeqReader) clamp(lo int) int {
-	n := r.hi - lo
-	if n > r.k {
-		n = r.k
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// prefetch starts fetching the chunk at lo into the idle half. In sync mode
-// the fetch is deferred until the half is actually needed.
-func (r *SeqReader) prefetch(lo int) {
-	n := r.clamp(lo)
-	if n == 0 {
-		return
-	}
-	r.pendLo, r.pendN, r.pending = lo, n, true
-	if !r.async {
-		return
-	}
-	dst := r.other[:n*r.b]
-	go func() {
-		defer func() { r.done <- recover() }()
-		r.a.ReadRange(lo, lo+n, dst)
-	}()
-}
-
-// swap makes the pending half current, joining its fetch (or performing it,
-// in sync mode), and starts prefetching the chunk after it.
-func (r *SeqReader) swap() {
-	if r.async {
-		if p := <-r.done; p != nil {
-			panic(p)
-		}
-	} else {
-		r.a.ReadRange(r.pendLo, r.pendLo+r.pendN, r.other[:r.pendN*r.b])
-	}
-	r.cur, r.other = r.other, r.cur
-	r.curLo, r.curFill = r.pendLo, r.pendN
-	r.pending = false
-	r.prefetch(r.curLo + r.curFill)
-}
-
-// Next returns the index and contents of the next block, or ok=false when
-// the range is exhausted. The returned slice is valid until the next Next or
-// Close call.
-func (r *SeqReader) Next() (i int, blk []Element, ok bool) {
-	if r.next >= r.hi {
-		return 0, nil, false
-	}
-	if r.next >= r.curLo+r.curFill {
-		if !r.pending {
-			return 0, nil, false
-		}
-		r.swap()
-	}
-	off := r.next - r.curLo
-	i = r.next
-	r.next++
-	return i, r.cur[off*r.b : (off+1)*r.b], true
-}
-
-// Close joins any in-flight prefetch so the caller may free the buffer. It
-// re-raises a panic the prefetch goroutine hit, and is idempotent.
-func (r *SeqReader) Close() {
-	if r.async && r.pending {
-		p := <-r.done
-		r.pending = false
-		if p != nil {
-			panic(p)
-		}
-	}
-	r.pending = false
-}
-
 // SeqWriter streams sequentially produced blocks to an Array through a
-// caller-provided cache buffer, flushing full buffers as vectored writes.
-// It exists for producer loops whose output positions advance one block at
-// a time but whose natural structure (multi-phase emit logic, interleaved
-// sources) makes manual chunk bookkeeping noisy.
+// caller-provided cache buffer, flushing each full buffer as one vectored
+// write on the calling goroutine. It exists for producer loops whose output
+// positions advance one block at a time but whose natural structure
+// (multi-phase emit logic, interleaved sources, several destinations) does
+// not line up with the chunks of a write-only Scan.
 //
 // The buffer must be a positive multiple of the array's block size and must
 // be checked out of the Cache by the caller (SeqWriter does no accounting of
 // its own). Call Flush before freeing the buffer.
-//
-// A writer built with NewSeqWriterPipelined is the write-side dual of
-// SeqReader: the buffer is split into two halves, and when one half fills
-// its flush can run on a background goroutine while the caller fills the
-// other half — a remote Bob's write round trip overlaps Alice's in-cache
-// compute. The per-block write sequence is identical in all modes (the
-// flush boundaries are fixed at half-buffer granularity whether or not the
-// flush is asynchronous; only issue timing moves). At most one flush is
-// ever in flight, and the writer must be the only source of disk I/O while
-// one is pending: callers that interleave their own reads or writes must
-// call Join first.
 type SeqWriter struct {
 	a    Array
-	buf  []Element // fill half (sync mode: the whole buffer)
+	buf  []Element
 	b    int
 	next int // array index the first buffered block will be written to
 	fill int // blocks currently buffered
-
-	duplex  bool // two halves with half-granularity flush boundaries
-	async   bool // flushes run on a background goroutine
-	other   []Element
-	pending bool
-	done    chan any // carries the flush goroutine's recover()
 }
 
 // NewSeqWriter returns a writer that will write its first block at index
-// start of a, flushing whole buffers synchronously.
+// start of a.
 func NewSeqWriter(a Array, start int, buf []Element) *SeqWriter {
 	b := a.B()
 	if len(buf) == 0 || len(buf)%b != 0 {
@@ -184,39 +30,12 @@ func NewSeqWriter(a Array, start int, buf []Element) *SeqWriter {
 	return &SeqWriter{a: a, buf: buf, b: b, next: start}
 }
 
-// NewSeqWriterPipelined returns a double-buffered writer over the two
-// halves of buf: flush boundaries sit at half-buffer granularity, and with
-// async set each half's flush overlaps the caller's in-cache compute on the
-// other half. async=false keeps the flushes synchronous at the identical
-// boundaries — the apples-to-apples baseline, with a per-block trace
-// bit-identical to the async run. A buffer too small to split (one block)
-// degrades to the synchronous whole-buffer writer.
-func NewSeqWriterPipelined(a Array, start int, buf []Element, async bool) *SeqWriter {
-	b := a.B()
-	if len(buf) == 0 || len(buf)%b != 0 {
-		panic(fmt.Sprintf("extmem: SeqWriter buffer %d not a positive multiple of block size %d", len(buf), b))
-	}
-	half := len(buf) / (2 * b) * b // blocks per half, floored to block multiple
-	if half == 0 {
-		return &SeqWriter{a: a, buf: buf, b: b, next: start}
-	}
-	return &SeqWriter{
-		a: a, buf: buf[:half], other: buf[half : 2*half], b: b, next: start,
-		duplex: true, async: async, done: make(chan any, 1),
-	}
-}
-
 // Next returns the slot for the next output block; the caller fills it with
-// exactly B elements. A full buffer (half, for a pipelined writer) is
-// flushed before the slot is handed out, so the returned slice is always
-// valid until the following Next, Flush, or FlushAsync call.
+// exactly B elements. A full buffer is flushed before the slot is handed
+// out, so the returned slice is valid until the following Next or Flush.
 func (w *SeqWriter) Next() []Element {
 	if (w.fill+1)*w.b > len(w.buf) {
-		if w.duplex {
-			w.flushHalf()
-		} else {
-			w.Flush()
-		}
+		w.Flush()
 	}
 	s := w.buf[w.fill*w.b : (w.fill+1)*w.b]
 	w.fill++
@@ -226,57 +45,8 @@ func (w *SeqWriter) Next() []Element {
 // Pos returns the array index the next Next() slot will be written to.
 func (w *SeqWriter) Pos() int { return w.next + w.fill }
 
-// flushHalf hands the filled half to the flusher (joining any flush already
-// in flight first) and makes the idle half current.
-func (w *SeqWriter) flushHalf() {
-	if w.fill == 0 {
-		return
-	}
-	w.Join()
-	a, lo, n, src := w.a, w.next, w.fill, w.buf
-	w.next += w.fill
-	w.fill = 0
-	w.buf, w.other = w.other, w.buf
-	if !w.async {
-		a.WriteRange(lo, lo+n, src[:n*w.b])
-		return
-	}
-	w.pending = true
-	go func() {
-		defer func() { w.done <- recover() }()
-		a.WriteRange(lo, lo+n, src[:n*w.b])
-	}()
-}
-
-// FlushAsync pushes the buffered blocks toward the store without waiting
-// for the write to land: on a pipelined writer the partially filled half is
-// flushed exactly like a full one (in the background when async), so the
-// write overlaps whatever the caller computes next. On a plain writer it is
-// Flush. Call Join (or Flush) before performing other disk I/O.
-func (w *SeqWriter) FlushAsync() {
-	if w.duplex {
-		w.flushHalf()
-		return
-	}
-	w.Flush()
-}
-
-// Join waits for an in-flight background flush, re-raising a panic it hit.
-// After Join the caller may safely issue its own disk I/O. It is idempotent
-// and a no-op for synchronous writers.
-func (w *SeqWriter) Join() {
-	if !w.pending {
-		return
-	}
-	w.pending = false
-	if p := <-w.done; p != nil {
-		panic(p)
-	}
-}
-
 // Retarget points the writer at a new destination: subsequent blocks go to
-// index start of a. Buffered blocks must have been flushed first (Flush or
-// FlushAsync); a background flush of the old target may still be in flight.
+// index start of a. Buffered blocks must have been flushed first.
 func (w *SeqWriter) Retarget(a Array, start int) {
 	if w.fill != 0 {
 		panic("extmem: SeqWriter retarget with unflushed blocks")
@@ -285,10 +55,8 @@ func (w *SeqWriter) Retarget(a Array, start int) {
 	w.next = start
 }
 
-// Flush writes the buffered blocks with one vectored call and joins any
-// background flush, so the caller may free the buffer or issue its own I/O.
+// Flush writes the buffered blocks with one vectored call.
 func (w *SeqWriter) Flush() {
-	w.Join()
 	if w.fill == 0 {
 		return
 	}

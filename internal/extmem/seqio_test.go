@@ -1,165 +1,9 @@
 package extmem
 
-import (
-	"fmt"
-	"testing"
+import "testing"
 
-	"oblivext/internal/trace"
-)
-
-// TestSeqReaderMatchesSyncScan pins the prefetcher's contract: for every
-// range shape (empty, sub-chunk, chunk-aligned, ragged tail), the async
-// double-buffered reader yields exactly the blocks a synchronous scan
-// yields, in order, and issues the identical per-block read trace.
-func TestSeqReaderMatchesSyncScan(t *testing.T) {
-	const b = 4
-	for _, tc := range []struct{ nBlocks, lo, hi, half int }{
-		{0, 0, 0, 2}, {1, 0, 1, 2}, {7, 0, 7, 2}, {8, 0, 8, 2},
-		{9, 0, 9, 2}, {20, 3, 17, 3}, {16, 8, 16, 4}, {5, 2, 2, 1},
-	} {
-		t.Run(fmt.Sprintf("n=%d[%d,%d)k=%d", tc.nBlocks, tc.lo, tc.hi, tc.half), func(t *testing.T) {
-			mk := func() (*Disk, Array, *trace.Recorder) {
-				d := NewDisk(NewMemStore(tc.nBlocks+1, b))
-				a := d.Alloc(max(tc.nBlocks, 1))
-				buf := make([]Element, b)
-				for i := 0; i < tc.nBlocks; i++ {
-					for t := range buf {
-						buf[t] = Element{Key: uint64(i*100 + t), Flags: FlagOccupied}
-					}
-					a.Write(i, buf)
-				}
-				rec := trace.NewRecorder(1 << 16)
-				d.SetRecorder(rec)
-				return d, a, rec
-			}
-
-			read := func(async bool) ([]Element, trace.Summary) {
-				_, a, rec := mk()
-				buf := make([]Element, 2*tc.half*b)
-				r := NewSeqReader(a, tc.lo, tc.hi, buf, async)
-				var got []Element
-				wantIdx := tc.lo
-				for {
-					i, blk, ok := r.Next()
-					if !ok {
-						break
-					}
-					if i != wantIdx {
-						t.Fatalf("async=%v: got index %d, want %d", async, i, wantIdx)
-					}
-					wantIdx++
-					got = append(got, blk...)
-				}
-				r.Close()
-				r.Close() // idempotent
-				return got, rec.Summarize()
-			}
-
-			syncData, syncTrace := read(false)
-			asyncData, asyncTrace := read(true)
-			if len(syncData) != (tc.hi-tc.lo)*b || len(asyncData) != len(syncData) {
-				t.Fatalf("lengths: sync %d async %d, want %d", len(syncData), len(asyncData), (tc.hi-tc.lo)*b)
-			}
-			for i := range syncData {
-				if syncData[i] != asyncData[i] {
-					t.Fatalf("element %d: sync %+v != async %+v", i, syncData[i], asyncData[i])
-				}
-			}
-			if !syncTrace.Equal(asyncTrace) {
-				t.Fatalf("traces differ: sync %v async %v", syncTrace, asyncTrace)
-			}
-		})
-	}
-}
-
-// TestSeqReaderPrefetchesAhead checks the overlap actually happens: with an
-// async reader over a two-chunk range, the second chunk's read must already
-// be recorded by the time the caller has consumed the first block — the
-// fetch was issued eagerly, not on demand. (Close joins the in-flight fetch,
-// which establishes the happens-before needed to inspect the recorder.)
-func TestSeqReaderPrefetchesAhead(t *testing.T) {
-	const b, nBlocks, half = 4, 8, 2
-	d := NewDisk(NewMemStore(nBlocks, b))
-	a := d.Alloc(nBlocks)
-	buf := make([]Element, b)
-	for i := 0; i < nBlocks; i++ {
-		a.Write(i, buf)
-	}
-	rec := trace.NewRecorder(1 << 10)
-	d.SetRecorder(rec)
-	rbuf := make([]Element, 2*half*b)
-	r := NewSeqReader(a, 0, nBlocks, rbuf, true)
-	if _, _, ok := r.Next(); !ok {
-		t.Fatal("no first block")
-	}
-	r.Close() // joins the outstanding prefetch of chunk 2
-	if got := rec.Len(); got < 2*half {
-		t.Fatalf("after one Next + Close, %d block reads recorded — the second chunk was never prefetched", got)
-	}
-}
-
-// TestSeqWriterPipelinedMatchesPlain pins the pipelined writer's contract:
-// for every output shape (sub-half, half-aligned, ragged tail) and every
-// mode — plain whole-buffer writer, pipelined sync, pipelined async — the
-// array contents are identical, and the two pipelined modes issue the
-// identical per-block write trace (their flush boundaries sit at the same
-// half-buffer marks whether or not the flush runs in the background).
-func TestSeqWriterPipelinedMatchesPlain(t *testing.T) {
-	const b = 4
-	for _, tc := range []struct{ nBlocks, half int }{
-		{1, 2}, {3, 2}, {4, 2}, {5, 2}, {16, 3}, {17, 4}, {2, 1},
-	} {
-		t.Run(fmt.Sprintf("n=%d_half=%d", tc.nBlocks, tc.half), func(t *testing.T) {
-			write := func(mode int) ([]Element, trace.Summary) {
-				d := NewDisk(NewMemStore(tc.nBlocks, b))
-				a := d.Alloc(tc.nBlocks)
-				rec := trace.NewRecorder(1 << 16)
-				d.SetRecorder(rec)
-				buf := make([]Element, 2*tc.half*b)
-				var w *SeqWriter
-				switch mode {
-				case 0:
-					w = NewSeqWriter(a, 0, buf)
-				case 1:
-					w = NewSeqWriterPipelined(a, 0, buf, false)
-				default:
-					w = NewSeqWriterPipelined(a, 0, buf, true)
-				}
-				for i := 0; i < tc.nBlocks; i++ {
-					if got := w.Pos(); got != i {
-						t.Fatalf("mode %d: Pos() = %d before block %d", mode, got, i)
-					}
-					blk := w.Next()
-					for t := range blk {
-						blk[t] = Element{Key: uint64(i*100 + t), Flags: FlagOccupied}
-					}
-				}
-				w.Flush()
-				w.Flush() // idempotent
-				got := make([]Element, tc.nBlocks*b)
-				a.ReadRange(0, tc.nBlocks, got)
-				return got, rec.Summarize()
-			}
-			plainData, _ := write(0)
-			syncData, syncTrace := write(1)
-			asyncData, asyncTrace := write(2)
-			for i := range plainData {
-				if plainData[i] != syncData[i] || plainData[i] != asyncData[i] {
-					t.Fatalf("element %d differs: plain %+v sync %+v async %+v",
-						i, plainData[i], syncData[i], asyncData[i])
-				}
-			}
-			if !syncTrace.Equal(asyncTrace) {
-				t.Fatalf("pipelined traces differ: sync %v async %v", syncTrace, asyncTrace)
-			}
-		})
-	}
-}
-
-// TestSeqWriterRetarget pins the deal-step usage: one pipelined writer
-// retargeted across independent destination arrays, FlushAsync between
-// retargets, with the background flush of the previous target still in
-// flight while the next target's blocks are produced.
+// TestSeqWriterRetarget pins the deal-step usage: one writer retargeted
+// across independent destination arrays, flushed between retargets.
 func TestSeqWriterRetarget(t *testing.T) {
 	const b, n, targets = 4, 6, 3
 	d := NewDisk(NewMemStore(targets*n, b))
@@ -167,19 +11,21 @@ func TestSeqWriterRetarget(t *testing.T) {
 	for c := range arrs {
 		arrs[c] = d.Alloc(n)
 	}
-	buf := make([]Element, 2*2*b)
-	w := NewSeqWriterPipelined(arrs[0], 0, buf, true)
+	w := NewSeqWriter(arrs[0], 0, make([]Element, 4*b))
 	for c := 0; c < targets; c++ {
 		w.Retarget(arrs[c], 0)
 		for i := 0; i < n; i++ {
+			if got := w.Pos(); got != i {
+				t.Fatalf("target %d: Pos() = %d before block %d", c, got, i)
+			}
 			blk := w.Next()
 			for t := range blk {
 				blk[t] = Element{Key: uint64(c*1000 + i)}
 			}
 		}
-		w.FlushAsync()
+		w.Flush()
+		w.Flush() // idempotent
 	}
-	w.Join()
 	got := make([]Element, n*b)
 	for c := 0; c < targets; c++ {
 		arrs[c].ReadRange(0, n, got)
@@ -195,7 +41,7 @@ func TestSeqWriterRetarget(t *testing.T) {
 func TestSeqWriterRetargetUnflushedPanics(t *testing.T) {
 	d := NewDisk(NewMemStore(8, 4))
 	a := d.Alloc(8)
-	w := NewSeqWriterPipelined(a, 0, make([]Element, 4*4), true)
+	w := NewSeqWriter(a, 0, make([]Element, 4*4))
 	w.Next()
 	defer func() {
 		if recover() == nil {

@@ -16,6 +16,7 @@ package kvservice
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -84,8 +85,8 @@ type Service struct {
 	// Fleet-wide telemetry: request latency (wall clock, queueing on the
 	// session mutex included — that wait is what a loaded tenant's callers
 	// actually experience) and lifetime counters.
-	getHist  netstore.LatencyHistogram
-	putHist  netstore.LatencyHistogram
+	getHist  obs.LatencyHistogram
+	putHist  obs.LatencyHistogram
 	gets     int64
 	puts     int64
 	errs     int64
@@ -127,19 +128,25 @@ func New(opts Options) (*Service, error) {
 // BlockSize-word block carries the value length, the rest carry its bytes.
 func (s *Service) ValueBytes() int { return s.valueBytes }
 
+// The caller's mistakes, as statusOf tells them from a backend's faults:
+// each is wrapped into the message it words.
+var (
+	errNamespace    = errors.New("invalid namespace")
+	errSessionLimit = errors.New("session limit")
+	errSlotRange    = errors.New("out of range")
+	errValueSize    = errors.New("slot capacity")
+)
+
 // session returns the namespace's session with its mutex HELD — the caller
-// owns the session until it calls unlock. Status conveys the HTTP class of
-// a failure (400 for a bad or excess namespace, 500 for a session whose
-// construction failed).
-func (s *Service) session(ns string) (se *session, status int, err error) {
+// owns the session until it calls unlock.
+func (s *Service) session(ns string) (*session, error) {
 	// Failures in here do their own accounting: a request refused before a
 	// session exists counts as rejected (fleet-level only — there is no row
 	// to charge), while an init failure charges the session's row AND the
 	// fleet total, keeping rows-sum-to-Errors exact.
 	if ns == "" || !netstore.ValidNamespace(ns) {
 		s.countRejected()
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("kvservice: invalid namespace %q (want 1..%d chars of [a-zA-Z0-9._-])", ns, netstore.MaxNamespaceLen)
+		return nil, fmt.Errorf("kvservice: %w %q (want 1..%d chars of [a-zA-Z0-9._-])", errNamespace, ns, netstore.MaxNamespaceLen)
 	}
 	s.mu.Lock()
 	se, ok := s.sessions[ns]
@@ -147,7 +154,7 @@ func (s *Service) session(ns string) (se *session, status int, err error) {
 		if len(s.sessions) >= s.opts.MaxSessions {
 			s.rejected++
 			s.mu.Unlock()
-			return nil, http.StatusBadRequest, fmt.Errorf("kvservice: session limit %d reached", s.opts.MaxSessions)
+			return nil, fmt.Errorf("kvservice: %w %d reached", errSessionLimit, s.opts.MaxSessions)
 		}
 		se = &session{ns: ns}
 		s.sessions[ns] = se
@@ -163,7 +170,7 @@ func (s *Service) session(ns string) (se *session, status int, err error) {
 		se.errs++
 		se.mu.Unlock()
 		s.countErr()
-		return nil, http.StatusInternalServerError, se.initErr
+		return nil, se.initErr
 	}
 	if se.client == nil {
 		cfg := s.opts.Base
@@ -175,7 +182,7 @@ func (s *Service) session(ns string) (se *session, status int, err error) {
 			se.errs++
 			se.mu.Unlock()
 			s.countErr()
-			return nil, http.StatusInternalServerError, se.initErr
+			return nil, se.initErr
 		}
 		var auditor *obs.Auditor
 		if s.opts.Audit {
@@ -188,11 +195,11 @@ func (s *Service) session(ns string) (se *session, status int, err error) {
 			se.errs++
 			se.mu.Unlock()
 			s.countErr()
-			return nil, http.StatusInternalServerError, se.initErr
+			return nil, se.initErr
 		}
 		se.client, se.kv, se.auditor = client, kv, auditor
 	}
-	return se, http.StatusOK, nil
+	return se, nil
 }
 
 // sessionSeed derives a namespace's PRF seed from the base seed: a
@@ -215,7 +222,7 @@ func sessionSeed(base uint64, ns string) uint64 {
 // directly so -race watches the service's own locking, not the HTTP stack.
 func (s *Service) Get(ns string, slot int) (string, error) {
 	start := time.Now()
-	se, _, err := s.session(ns)
+	se, err := s.session(ns)
 	if err != nil {
 		return "", err
 	}
@@ -223,7 +230,7 @@ func (s *Service) Get(ns string, slot int) (string, error) {
 	if slot < 0 || slot >= s.opts.Slots {
 		se.errs++
 		s.countErr()
-		return "", fmt.Errorf("kvservice: slot %d out of range [0,%d)", slot, s.opts.Slots)
+		return "", fmt.Errorf("kvservice: slot %d %w [0,%d)", slot, errSlotRange, s.opts.Slots)
 	}
 	words, err := se.kv.Read(slot)
 	if err != nil {
@@ -243,7 +250,7 @@ func (s *Service) Get(ns string, slot int) (string, error) {
 // programmatic twin of PUT /v1/kv/{ns}/{slot}.
 func (s *Service) Put(ns string, slot int, value string) error {
 	start := time.Now()
-	se, _, err := s.session(ns)
+	se, err := s.session(ns)
 	if err != nil {
 		return err
 	}
@@ -251,12 +258,12 @@ func (s *Service) Put(ns string, slot int, value string) error {
 	if slot < 0 || slot >= s.opts.Slots {
 		se.errs++
 		s.countErr()
-		return fmt.Errorf("kvservice: slot %d out of range [0,%d)", slot, s.opts.Slots)
+		return fmt.Errorf("kvservice: slot %d %w [0,%d)", slot, errSlotRange, s.opts.Slots)
 	}
 	if len(value) > s.valueBytes {
 		se.errs++
 		s.countErr()
-		return fmt.Errorf("kvservice: value of %d bytes exceeds the %d-byte slot capacity", len(value), s.valueBytes)
+		return fmt.Errorf("kvservice: value of %d bytes exceeds the %d-byte %w", len(value), s.valueBytes, errValueSize)
 	}
 	b := s.valueBytes/8 + 1
 	if err := se.kv.Write(slot, PackValue(value, b)); err != nil {
@@ -519,32 +526,23 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// statusOf maps a Get/Put error to its HTTP status: caller mistakes (bad
-// namespace, bad slot, oversized value) are 400/413, backend failures 500.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.StatsSnapshot())
 }
 
+// statusOf maps a Get/Put error to its HTTP status: caller mistakes (bad
+// or excess namespace, bad slot, oversized value) are 400/413, anything
+// else — whatever its text — is the backend's and a 500.
 func statusOf(err error) int {
-	msg := err.Error()
 	switch {
-	case contains(msg, "out of range"), contains(msg, "invalid namespace"), contains(msg, "session limit"):
+	case errors.Is(err, errNamespace), errors.Is(err, errSessionLimit), errors.Is(err, errSlotRange):
 		return http.StatusBadRequest
-	case contains(msg, "slot capacity"):
+	case errors.Is(err, errValueSize):
 		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // handleMetrics exports the fleet counters in Prometheus text format.

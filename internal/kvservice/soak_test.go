@@ -226,6 +226,35 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
+// TestStatusOf: an HTTP status follows what an error is, not what it says —
+// the caller's four mistakes are 400s and a 413, and a backend fault is a
+// 500 even when its text reads like one of them.
+func TestStatusOf(t *testing.T) {
+	svc, err := New(Options{Base: oblivext.Config{BlockSize: 8, CacheWords: 512, Seed: 1}, MaxSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	get := func(ns string, slot int) error { _, err := svc.Get(ns, slot); return err }
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"invalid namespace", get("bad/ns", 0), http.StatusBadRequest},
+		{"slot out of range", get("ok", 99), http.StatusBadRequest},
+		{"session limit", get("second", 0), http.StatusBadRequest},
+		{"oversized value", svc.Put("ok", 0, strings.Repeat("x", svc.ValueBytes()+1)), http.StatusRequestEntityTooLarge},
+		{"backend fault", fmt.Errorf("extmem: array read index 9 out of range [0,8)"), http.StatusInternalServerError},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: no error", tc.name)
+		} else if got := statusOf(tc.err); got != tc.want {
+			t.Errorf("%s: %q is a %d, want %d", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
+
 func TestServiceInitFailureAccounting(t *testing.T) {
 	// A session whose construction fails (unreachable backend) must charge
 	// its own row, not just the fleet total — found live when a block-size

@@ -1,4 +1,4 @@
-package netstore
+package obs
 
 import (
 	"fmt"
@@ -6,12 +6,13 @@ import (
 	"time"
 )
 
-// Latency histogram bucket geometry, shared by the client's per-shard
-// measurements and the server's /metrics export so the two views are
-// directly comparable. Buckets are exponential: bound i covers latencies
-// up to 50µs·2^i, from 50µs through ~3.3s, with one overflow bucket above
-// the last bound. Fixed buckets keep Observe allocation-free and make the
-// histogram a value type (copying Stats copies the histogram).
+// Latency histogram bucket geometry, shared by the network client's
+// per-shard measurements, the servers' /metrics exports and the replica
+// layer's hedge delay, so the views are directly comparable. Buckets are
+// exponential: bound i covers latencies up to 50µs·2^i, from 50µs through
+// ~3.3s, with one overflow bucket above the last bound. Fixed buckets keep
+// Observe allocation-free and make the histogram a value type (copying
+// Stats copies the histogram).
 const (
 	latencyBuckets = 18 // 17 bounded + overflow
 	latencyBase    = 50 * time.Microsecond

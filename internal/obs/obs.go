@@ -11,10 +11,8 @@
 // pays one pointer check when observability is off.
 //
 // Concurrency: a Collector is not internally synchronized. It relies on the
-// same discipline as the Disk's I/O counters — spans are started and ended
-// by the single goroutine driving the algorithms, and the prefetch/flush
-// goroutines (which do call Access via the Disk) never overlap any other
-// disk I/O or a span boundary; callers join them before a pass ends.
+// same discipline as the Disk's I/O counters — spans are started and ended,
+// and every Access is made, by the single goroutine driving the algorithms.
 package obs
 
 import (

@@ -195,18 +195,12 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	spf := env.Obs.Start("gather")
 	defer env.Obs.End(spf)
 	cons, _ := route.ConsolidateCompact(env, w, extmem.Element.Occupied)
-	k := env.ScanBatchN(1, n)
-	buf := env.Cache.Buf(k * b)
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		cons.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for t := range buf[:(hi-lo)*b] {
-			buf[t].SetCellDest(0)
-			buf[t].SetColor(0)
+	env.Scan(cons, a, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			chunk[t].SetCellDest(0)
+			chunk[t].SetColor(0)
 		}
-		a.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	env.Cache.Free(buf)
+	})
 	return nil
 }
 
@@ -278,7 +272,7 @@ func bucketMergeSplit(env *extmem.Env, w extmem.Array, g bucketGeom, i, j int, s
 	pad := extmem.Element{}
 	pad.SetColor(padColor)
 
-	if nw := env.WorkerCount(); nw > 1 && 2*z >= parMinElems {
+	if nw := env.ParWorkers(2 * z); nw > 1 {
 		// Parallel binning: count each worker range's cargo per side, take
 		// the serial prefix (which also detects overflow, before any write
 		// goes back — the same externally visible failure point as the
@@ -450,36 +444,28 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	// splitters strictly below it. With no splitters every cell lands in
 	// range 0 and the routing either converges or overflows — declared
 	// either way.
-	k := env.ScanBatchN(1, f*g.zb)
-	abuf := env.Cache.Buf(k * b)
-	nw := env.WorkerCount()
-	for alo := lo * g.zb; alo < (lo+f)*g.zb; alo += k {
-		ahi := min(alo+k, (lo+f)*g.zb)
-		w.ReadRange(alo, ahi, abuf[:(ahi-alo)*b])
-		// Per-cell range tagging is pure in-cache compute against the
-		// private splitter table; fan it out across the worker pool.
-		ne := (ahi - alo) * b
-		pw := nw
-		if ne < parMinElems {
-			pw = 1
-		}
-		par.For(pw, ne, func(plo, phi int) {
-			for t := plo; t < phi; t++ {
-				if abuf[t].Color() == padColor {
-					continue
-				}
-				bin := 0
-				for s := 0; s < nSpl; s++ {
-					if ltCargo(spl[s], abuf[t]) {
-						bin = s + 1
-					}
-				}
-				abuf[t].SetColor(bin)
+	// Per-cell range tagging is pure in-cache compute against the private
+	// splitter table; fan it out across the worker pool.
+	var abuf []extmem.Element
+	tag := func(plo, phi int) { // built once: a chunk costs no closure
+		for t := plo; t < phi; t++ {
+			if abuf[t].Color() == padColor {
+				continue
 			}
-		})
-		w.WriteRange(alo, ahi, abuf[:(ahi-alo)*b])
+			bin := 0
+			for s := 0; s < nSpl; s++ {
+				if ltCargo(spl[s], abuf[t]) {
+					bin = s + 1
+				}
+			}
+			abuf[t].SetColor(bin)
+		}
 	}
-	env.Cache.Free(abuf)
+	region := w.Slice(lo*g.zb, (lo+f)*g.zb)
+	env.Scan(region, region, env.ScanBatchN(1, f*g.zb), func(_ int, chunk []extmem.Element) {
+		abuf = chunk
+		env.ParCells(len(chunk), tag)
+	})
 	env.Cache.Free(spl)
 
 	// Distribution butterfly, mirror image of the bin phase: level l works

@@ -127,7 +127,8 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	// windows and leaves window w ascending or descending by its parity, so
 	// a private sort stands in for those levels. It is serial at every
 	// worker count: the result must not depend on Workers, and a chunked
-	// sort's would.
+	// sort's would. Not an env.Scan: the window is the buffer the gather
+	// passes keep, sorted whole, padding included, past the array's end.
 	spw := env.Obs.Start("sort-windows")
 	for lo := 0; lo < sc.np; lo += wb {
 		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
@@ -272,11 +273,6 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 	}
 }
 
-// parMinElems is the private-buffer length below which element-wise
-// parallel helpers stay serial — the fan-out must earn its spawns. The
-// threshold compares public lengths only.
-const parMinElems = 2048
-
 // exchangeLevel applies one network level to a private window: elements
 // stride apart compare-exchange, ascending where the window index has
 // dirBit clear (everywhere when dirBit is 0), the whole level reversed when
@@ -287,7 +283,7 @@ const parMinElems = 2048
 func exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool, less Less, nw int) {
 	group := 2 * stride
 	ngroups := len(win) / group
-	if nw <= 1 || len(win) < parMinElems || ngroups < 2 {
+	if nw <= 1 || len(win) < extmem.ParMinCells || ngroups < 2 {
 		exchangeGroups(win, 0, len(win), stride, dirBit, desc, less)
 		return
 	}

@@ -20,8 +20,8 @@ import (
 // checkout, len(buf), Workers — never on element values, so the trace and
 // the result are identical for every worker count.
 func InCachePar(env *extmem.Env, buf []extmem.Element, less Less) {
-	w := env.WorkerCount()
-	if w <= 1 || len(buf) < parMinElems {
+	w := env.ParWorkers(len(buf))
+	if w <= 1 {
 		InCache(buf, less)
 		return
 	}

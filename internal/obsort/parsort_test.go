@@ -12,7 +12,7 @@ import (
 // its starting balance — for every worker count, including ones that
 // don't divide the buffer length.
 func TestInCacheParWorkersMatchSerial(t *testing.T) {
-	const n = 3 * parMinElems
+	const n = 3 * extmem.ParMinCells
 	r := rand.New(rand.NewPCG(11, 11))
 	base := make([]extmem.Element, n)
 	for i := range base {
@@ -43,7 +43,7 @@ func TestInCacheParWorkersMatchSerial(t *testing.T) {
 // When the accountant can't cover the merge scratch, InCachePar must fall
 // back to the serial path rather than overdraw the cache — and still sort.
 func TestInCacheParFallsBackUnderCachePressure(t *testing.T) {
-	const n = parMinElems
+	const n = extmem.ParMinCells
 	env := extmem.NewEnv(8, 4, n+n/2, 1)
 	env.Workers = 4
 	// Check out enough that free < n.

@@ -41,24 +41,18 @@ func (o *ORAM) rebuildOnSchedule() error {
 }
 
 // initialBuild loads the n zeroed logical blocks into the largest level.
-// The entries are produced in cache, so the pipelined writer's flushes
-// overlap the production of the next chunk.
 func (o *ORAM) initialBuild() error {
 	mark := o.env.D.Mark()
 	defer o.env.D.Release(mark)
 	src := o.env.D.Alloc(o.n)
-	wbuf := o.env.Cache.Buf(o.env.ScanBatchN(1, o.n) * o.b)
-	wr := extmem.NewSeqWriterPipelined(src, 0, wbuf, o.env.Prefetch)
-	for i := 0; i < o.n; i++ {
-		blk := wr.Next()
-		for t := range blk {
-			blk[t] = extmem.Element{Flags: extmem.FlagOccupied}
-			blk[t].SetColor(i)
-			blk[t].SetCellDest(i & 0x7fffffff)
+	o.env.Scan(extmem.Array{}, src, o.env.ScanBatchN(1, o.n), func(lo int, chunk []extmem.Element) {
+		for t := range chunk {
+			i := lo + t/o.b
+			chunk[t] = extmem.Element{Flags: extmem.FlagOccupied}
+			chunk[t].SetColor(i)
+			chunk[t].SetCellDest(i & 0x7fffffff)
 		}
-	}
-	wr.Flush()
-	o.env.Cache.Free(wbuf)
+	})
 	o.ts = uint64(o.n)
 	o.t = 0
 	return o.rebuildInto(o.lmax, []extmem.Array{src}, false)
@@ -141,8 +135,7 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	// Copy sources and the buffer, converting each live entry from table
 	// form (metadata in color/dest bits) to in-flight form (metadata in
 	// Key/Pos); then append the fillers. Sources are read a vectored chunk
-	// at a time and the conversion is pure compute, so the pipelined
-	// writer's flushes overlap it.
+	// at a time.
 	toFlight := func(blk []extmem.Element) {
 		if !blk[0].Occupied() {
 			return
@@ -158,32 +151,24 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	spf := o.env.Obs.Start("flight-copy")
 	spf.SetPredicted(int64(srcBlocks)+int64(total), -1)
 	kc := o.env.ScanBatchN(2, total)
-	rbuf := o.env.Cache.Buf(kc * b)
 	wbuf := o.env.Cache.Buf(kc * b)
-	wr := extmem.NewSeqWriterPipelined(work, 0, wbuf, o.env.Prefetch)
-	nw := o.env.WorkerCount()
-	for _, s := range sources {
-		for lo := 0; lo < s.Len(); lo += kc {
-			hi := min(lo+kc, s.Len())
-			wr.Join()
-			s.ReadRange(lo, hi, rbuf[:(hi-lo)*b])
-			// Convert the chunk's blocks to in-flight form in parallel
-			// (toFlight is pure per-block compute), then hand them to the
-			// pipelined writer serially so its flush order is unchanged.
-			pw := nw
-			if (hi-lo)*b < 2048 {
-				pw = 1
-			}
-			par.For(pw, hi-lo, func(plo, phi int) {
-				for i := plo; i < phi; i++ {
-					toFlight(rbuf[i*b : (i+1)*b])
-				}
-			})
-			for i := lo; i < hi; i++ {
-				blk := wr.Next()
-				copy(blk, rbuf[(i-lo)*b:(i-lo+1)*b])
-			}
+	wr := extmem.NewSeqWriter(work, 0, wbuf)
+	// Convert a chunk's blocks to in-flight form in parallel (toFlight is
+	// pure per-block compute), then hand them to the writer serially.
+	var rbuf []extmem.Element
+	convert := func(plo, phi int) { // built once: a chunk costs no closure
+		for i := plo; i < phi; i++ {
+			toFlight(rbuf[i*b : (i+1)*b])
 		}
+	}
+	for _, s := range sources {
+		o.env.Scan(s, extmem.Array{}, kc, func(_ int, chunk []extmem.Element) {
+			rbuf = chunk
+			par.For(o.env.ParWorkers(len(chunk)), len(chunk)/b, convert)
+			for off := 0; off < len(chunk); off += b {
+				copy(wr.Next(), chunk[off:off+b])
+			}
+		})
 	}
 	if withBuf {
 		for i := 0; i < o.bufCap; i++ {
@@ -204,7 +189,6 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	}
 	wr.Flush()
 	o.env.Cache.Free(wbuf)
-	o.env.Cache.Free(rbuf)
 	o.env.Obs.End(spf)
 	o.sorter(o.env, work, obsort.ByKey)
 
@@ -215,16 +199,12 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	// block is written whether kept or discarded, keeping the trace fixed.
 	sp1 := o.env.Obs.Start("assign-buckets")
 	sp1.SetPredicted(2*int64(total), -1)
-	kp := o.env.ScanBatchN(1, total)
-	pbuf := o.env.Cache.Buf(kp * b)
 	prevKey := int64(-1)
 	fillerIdx := 0
 	overflow := false
-	for lo := 0; lo < total; lo += kp {
-		hi := min(lo+kp, total)
-		work.ReadRange(lo, hi, pbuf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			blk := pbuf[(i-lo)*b : (i-lo+1)*b]
+	o.env.Scan(work, work, o.env.ScanBatchN(1, total), func(_ int, chunk []extmem.Element) {
+		for off := 0; off < len(chunk); off += b {
+			blk := chunk[off : off+b]
 			if !blk[0].Occupied() {
 				continue // discarded; still written back below
 			}
@@ -253,9 +233,7 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 				}
 			}
 		}
-		work.WriteRange(lo, hi, pbuf[:(hi-lo)*b])
-	}
-	o.env.Cache.Free(pbuf)
+	})
 	o.env.Obs.End(sp1)
 	o.sorter(o.env, work, obsort.ByKey)
 
@@ -264,15 +242,11 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	// vectored read-rewrite-write chunking as pass 1.
 	sp2 := o.env.Obs.Start("cap-buckets")
 	sp2.SetPredicted(2*int64(total), -1)
-	kp = o.env.ScanBatchN(1, total)
-	pbuf = o.env.Cache.Buf(kp * b)
 	curBucket := int64(-1)
 	kept := 0
-	for lo := 0; lo < total; lo += kp {
-		hi := min(lo+kp, total)
-		work.ReadRange(lo, hi, pbuf[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			blk := pbuf[(i-lo)*b : (i-lo+1)*b]
+	o.env.Scan(work, work, o.env.ScanBatchN(1, total), func(_ int, chunk []extmem.Element) {
+		for off := 0; off < len(chunk); off += b {
+			blk := chunk[off : off+b]
 			if blk[0].Occupied() {
 				bkt := int64(blk[0].Key >> 33)
 				real := blk[0].Key&fillerBit == 0
@@ -291,9 +265,7 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 				}
 			}
 		}
-		work.WriteRange(lo, hi, pbuf[:(hi-lo)*b])
-	}
-	o.env.Cache.Free(pbuf)
+	})
 	o.env.Obs.End(sp2)
 	o.sorter(o.env, work, obsort.ByKey)
 
@@ -303,46 +275,39 @@ func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) err
 	// prefix, chunked run writes into the table.
 	sp3 := o.env.Obs.Start("install")
 	sp3.SetPredicted(2*int64(fill), -1)
-	ki := o.env.ScanBatchN(1, fill)
-	ibuf := o.env.Cache.Buf(ki * b)
-	for lo := 0; lo < fill; lo += ki {
-		hi := min(lo+ki, fill)
-		work.ReadRange(lo, hi, ibuf[:(hi-lo)*b])
+	var ibuf []extmem.Element
+	install := func(plo, phi int) { // built once: a chunk costs no closure
+		for i := plo; i < phi; i++ {
+			blk := ibuf[i*b : (i+1)*b]
+			if blk[0].Key&fillerBit != 0 {
+				for t := range blk {
+					blk[t] = extmem.Element{}
+				}
+			} else {
+				key := int(blk[0].Key & keyLowMask)
+				ts := int(blk[0].Pos >> 8)
+				for t := range blk {
+					blk[t].Key = 0
+					blk[t].Pos = 0
+					blk[t].Flags = extmem.FlagOccupied
+					blk[t].SetColor(key)
+					blk[t].SetCellDest(ts & 0x7fffffff)
+				}
+			}
+		}
+	}
+	o.env.Scan(work, tl.table, o.env.ScanBatchN(1, fill), func(_ int, chunk []extmem.Element) {
 		// Serial invariant check first (deterministic panic point), then the
 		// per-block table-form conversion fans out — each block is rewritten
 		// independently from its own header.
-		for i := 0; i < hi-lo; i++ {
-			if !ibuf[i*b].Occupied() {
+		for off := 0; off < len(chunk); off += b {
+			if !chunk[off].Occupied() {
 				panic("oram: rebuild prefix not fully occupied")
 			}
 		}
-		pw := nw
-		if (hi-lo)*b < 2048 {
-			pw = 1
-		}
-		par.For(pw, hi-lo, func(plo, phi int) {
-			for i := plo; i < phi; i++ {
-				blk := ibuf[i*b : (i+1)*b]
-				if blk[0].Key&fillerBit != 0 {
-					for t := range blk {
-						blk[t] = extmem.Element{}
-					}
-				} else {
-					key := int(blk[0].Key & keyLowMask)
-					ts := int(blk[0].Pos >> 8)
-					for t := range blk {
-						blk[t].Key = 0
-						blk[t].Pos = 0
-						blk[t].Flags = extmem.FlagOccupied
-						blk[t].SetColor(key)
-						blk[t].SetCellDest(ts & 0x7fffffff)
-					}
-				}
-			}
-		})
-		tl.table.WriteRange(lo, hi, ibuf[:(hi-lo)*b])
-	}
-	o.env.Cache.Free(ibuf)
+		ibuf = chunk
+		par.For(o.env.ParWorkers(len(chunk)), len(chunk)/b, install)
+	})
 	o.env.Obs.End(sp3)
 
 	tl.live = true

@@ -32,11 +32,7 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	defer env.Obs.End(sp)
 
 	l := lag{keep: keep, hold: env.Cache.Buf(2 * b)}
-	k := env.ScanBatch(2)
-	if k > n {
-		k = n
-	}
-	in := env.Cache.Buf(k * b)
+	k := env.ScanBatchN(2, n)
 	wbuf := env.Cache.Buf(k * b)
 	wr := extmem.NewSeqWriter(out, 0, wbuf)
 	nw := env.WorkerCount()
@@ -49,6 +45,7 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	// intra-block gather run in parallel (each block's kept elements are
 	// compacted, stably, to its front in the private buffer); the serial
 	// lag loop then absorbs the pre-gathered runs.
+	var in []extmem.Element
 	gather := func(plo, phi int) { // built once: a chunk costs no closure
 		for x := plo; x < phi; x++ {
 			blk := in[x*b : (x+1)*b]
@@ -62,23 +59,20 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 			kcnt[x] = w
 		}
 	}
-	for lo := 0; lo < n; lo += k {
-		hi := min(lo+k, n)
-		a.ReadRange(lo, hi, in[:(hi-lo)*b])
-		parFor(nw, hi-lo, gather)
-		for i := lo; i < hi; i++ {
-			x := i - lo
+	env.Scan(a, extmem.Array{}, k, func(lo int, chunk []extmem.Element) {
+		in = chunk
+		parFor(nw, len(in)/b, gather)
+		for x := 0; x < len(in)/b; x++ {
 			l.take(in[x*b : x*b+kcnt[x]])
-			if i > 0 {
+			if lo+x > 0 {
 				l.emit(wr.Next(), false)
 			}
 		}
-	}
+	})
 	l.emit(wr.Next(), true)
 	wr.Flush()
 
 	env.Cache.Free(wbuf)
-	env.Cache.Free(in)
 	env.Cache.Free(l.hold)
 	return out, l.kept
 }

@@ -84,12 +84,6 @@ type Config struct {
 	// StartBlocks is the initial store capacity in blocks (file stores are
 	// fixed at this size; memory stores grow). Default 1024.
 	StartBlocks int
-	// MaxBatchBlocks caps how many blocks a single store call may move. 0
-	// (the default) leaves batches bounded only by the cache budget — up
-	// to M/B−O(1) blocks per round trip; 1 forces every batch down to the
-	// one-block-per-round-trip baseline. The access trace Bob sees is
-	// identical for every setting; only the round-trip grouping changes.
-	MaxBatchBlocks int
 	// NumShards, when > 1, stripes the store across that many child
 	// backends (logical block a lives on shard a mod NumShards) and fans
 	// every vectored call out to the shards in parallel. The per-block
@@ -113,14 +107,6 @@ type Config struct {
 	// per-block trace Bob observes is bit-identical for every Workers
 	// setting; see docs/ARCHITECTURE.md, "Parallel compute".
 	Workers int
-	// Prefetch double-buffers the pass-structured I/O: read scans fetch
-	// the next half-window while the client computes over the current one,
-	// and write-heavy passes (the sort pipeline's deal step, the ORAM
-	// rebuild streams) flush one half-buffer in the background while the
-	// client fills the other. The per-block access sequence Bob observes
-	// is identical; only issue timing (and round-trip grouping, since
-	// chunks are half-window) changes.
-	Prefetch bool
 	// URL, when non-empty, backs the store with a real remote Bob: an
 	// obstore server (cmd/obstore) at this base URL, spoken to over the
 	// batched binary HTTP protocol — every vectored store call is exactly
@@ -215,8 +201,8 @@ type Config struct {
 }
 
 // Client is Alice: a private cache plus a connection to the block store.
-// Not safe for concurrent use (any internal concurrency — the sharded
-// fan-out, the prefetching scans — stays behind the single-caller API).
+// Not safe for concurrent use (the internal concurrency — the sharded
+// fan-out, the compute workers — stays behind the single-caller API).
 type Client struct {
 	env        *extmem.Env
 	store      extmem.BlockStore
@@ -246,9 +232,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.StartBlocks == 0 {
 		cfg.StartBlocks = 1024
-	}
-	if cfg.MaxBatchBlocks < 0 {
-		return nil, fmt.Errorf("oblivext: MaxBatchBlocks must be >= 0, got %d", cfg.MaxBatchBlocks)
 	}
 	if cfg.NumShards < 0 {
 		return nil, fmt.Errorf("oblivext: NumShards must be >= 0, got %d", cfg.NumShards)
@@ -461,18 +444,15 @@ func New(cfg Config) (*Client, error) {
 	}
 	env := extmem.NewEnvOn(store, cfg.CacheWords, cfg.Seed)
 	env.Workers = cfg.Workers
-	env.D.SetMaxBatch(cfg.MaxBatchBlocks)
 	// A network backend bounds how many blocks one request may carry; cap
 	// the Disk's vectored batches to the wire limit (one limit: every server
 	// passed the same block-size check) so a batch can never be rejected for
 	// size. Splitting only regroups round trips — the per-block trace Bob
-	// sees is unchanged.
+	// sees is unchanged. Other backends leave batches bounded by the cache
+	// budget alone: up to M/B−O(1) blocks per round trip.
 	if len(c.netClients) > 0 {
-		if wireCap := c.netClients[0].MaxBatchBlocks(); cfg.MaxBatchBlocks == 0 || cfg.MaxBatchBlocks > wireCap {
-			env.D.SetMaxBatch(wireCap)
-		}
+		env.D.SetMaxBatch(c.netClients[0].MaxBatchBlocks())
 	}
-	env.Prefetch = cfg.Prefetch
 	c.env, c.store = env, store
 	return c, nil
 }
@@ -497,16 +477,16 @@ func (c *Client) Close() error { return c.store.Close() }
 // Memory model: the counters are maintained by the single-goroutine Disk
 // layer, so IOStats snapshots are only meaningful from the goroutine
 // driving the Client. Store-level counters (per-shard, per-replica and
-// measured network stats) are updated concurrently by the fan-out and
-// prefetch goroutines under the stores' internal locks; every Client method
+// measured network stats) are updated concurrently by the fan-out
+// goroutines under the stores' internal locks; every Client method
 // that reads them (ShardStats, ReplicaStats, MeasuredNetworkStats) is called
 // after those goroutines have been joined, so the values it returns are
 // settled totals, not in-flight snapshots.
 type IOStats struct {
 	Reads  int64
 	Writes int64
-	// RoundTrips counts store interactions. With vectored I/O
-	// (MaxBatchBlocks != 1) one round trip moves many blocks, so
+	// RoundTrips counts store interactions. With vectored I/O one round
+	// trip moves many blocks, so
 	// RoundTrips can be far below Reads+Writes. Write-backs may also be
 	// deferred and grouped: an ORAM access reads each probed bucket as one
 	// interaction but buffers every write-back and flushes them as a
@@ -803,23 +783,11 @@ func (c *Client) Store(recs []Record) (*Array, error) {
 	sp.SetAttrInt("blocks", int64(nBlocks))
 	sp.Audit(c.auditKey("store", nBlocks, arr.Base()))
 	defer c.env.Obs.End(sp)
-	k := c.env.ScanBatchN(1, nBlocks)
-	buf := c.env.Cache.Buf(k * b)
-	idx := 0
-	for lo := 0; lo < nBlocks; lo += k {
-		hi := min(lo+k, nBlocks)
-		for t := 0; t < (hi-lo)*b; t++ {
-			if idx < len(recs) {
-				buf[t] = extmem.Element{Key: recs[idx].Key, Val: recs[idx].Val,
-					Pos: uint64(idx), Flags: extmem.FlagOccupied}
-				idx++
-			} else {
-				buf[t] = extmem.Element{}
-			}
+	c.env.Scan(extmem.Array{}, arr, c.env.ScanBatchN(1, nBlocks), func(lo int, chunk []extmem.Element) {
+		for t, r := range recs[lo*b : min(lo*b+len(chunk), len(recs))] { // the padding stays empty
+			chunk[t] = extmem.Element{Key: r.Key, Val: r.Val, Pos: uint64(lo*b + t), Flags: extmem.FlagOccupied}
 		}
-		arr.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	c.env.Cache.Free(buf)
+	})
 	return &Array{c: c, arr: arr, n: int64(len(recs))}, nil
 }
 
@@ -836,20 +804,15 @@ func (a *Array) Records() ([]Record, error) {
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.Audit(a.c.auditKey("records", a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	b := a.c.env.B()
-	k := a.c.env.ScanBatchN(1, a.arr.Len())
-	buf := a.c.env.Cache.Buf(k * b)
+	env := a.c.env
 	out := make([]Record, 0, a.n)
-	for lo := 0; lo < a.arr.Len(); lo += k {
-		hi := min(lo+k, a.arr.Len())
-		a.arr.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for _, e := range buf[:(hi-lo)*b] {
+	env.Scan(a.arr, extmem.Array{}, env.ScanBatchN(1, a.arr.Len()), func(_ int, chunk []extmem.Element) {
+		for _, e := range chunk {
 			if e.Occupied() {
 				out = append(out, Record{Key: e.Key, Val: e.Val})
 			}
 		}
-	}
-	a.c.env.Cache.Free(buf)
+	})
 	return out, nil
 }
 
@@ -958,23 +921,17 @@ func (a *Array) Mark(pred func(Record) bool) (int64, error) {
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.Audit(a.c.auditKey("mark", a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	b := a.c.env.B()
-	k := a.c.env.ScanBatchN(1, a.arr.Len())
-	buf := a.c.env.Cache.Buf(k * b)
+	env := a.c.env
 	var marked int64
-	for lo := 0; lo < a.arr.Len(); lo += k {
-		hi := min(lo+k, a.arr.Len())
-		a.arr.ReadRange(lo, hi, buf[:(hi-lo)*b])
-		for t := range buf[:(hi-lo)*b] {
-			buf[t].Flags &^= extmem.FlagMarked
-			if buf[t].Occupied() && pred(Record{Key: buf[t].Key, Val: buf[t].Val}) {
-				buf[t].Flags |= extmem.FlagMarked
+	env.Scan(a.arr, a.arr, env.ScanBatchN(1, a.arr.Len()), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			chunk[t].Flags &^= extmem.FlagMarked
+			if chunk[t].Occupied() && pred(Record{Key: chunk[t].Key, Val: chunk[t].Val}) {
+				chunk[t].Flags |= extmem.FlagMarked
 				marked++
 			}
 		}
-		a.arr.WriteRange(lo, hi, buf[:(hi-lo)*b])
-	}
-	a.c.env.Cache.Free(buf)
+	})
 	return marked, nil
 }
 

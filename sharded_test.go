@@ -135,44 +135,3 @@ func TestShardedCriticalPathSpeedup(t *testing.T) {
 		t.Fatalf("busiest of 4 shards moved %d of %d blocks: the striping is uneven", busiest, stats4.Total())
 	}
 }
-
-// TestPrefetchTraceInvariance: the double-buffered prefetching scans change
-// when reads are issued, never which reads — results and block-level traces
-// match the non-prefetching client exactly.
-func TestPrefetchTraceInvariance(t *testing.T) {
-	const n = 3000
-	run := func(prefetch bool, shards int) (TraceSummary, []Record) {
-		c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 23, Prefetch: prefetch, NumShards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.EnableTrace(0)
-		arr, err := c.Store(mkRecords(n, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := arr.Select(n / 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := arr.Sort(); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := arr.Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.TraceSummary(), recs
-	}
-	offTrace, offRecs := run(false, 1)
-	onTrace, onRecs := run(true, 1)
-	onShardedTrace, onShardedRecs := run(true, 4)
-	if offTrace != onTrace || offTrace != onShardedTrace {
-		t.Fatalf("prefetch changed the trace: off=%+v on=%+v on+sharded=%+v", offTrace, onTrace, onShardedTrace)
-	}
-	for i := range offRecs {
-		if offRecs[i] != onRecs[i] || offRecs[i] != onShardedRecs[i] {
-			t.Fatalf("record %d differs across prefetch/sharding modes", i)
-		}
-	}
-}
