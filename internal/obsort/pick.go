@@ -78,6 +78,24 @@ func Pick(nBlocks, b, m int, backend string) string {
 	return best
 }
 
+// Cost returns the exact block I/Os and vectored round trips the named
+// engine spends sorting nBlocks blocks of b elements against a cache of m,
+// and whether it has such a predictor: Bitonic and Zigzag, whose traces are
+// functions of (nBlocks, B, M) however much of the cache the caller holds,
+// and auto, which resolves as Auto does.
+func Cost(name string, nBlocks, b, m int) (ios, roundTrips int64, ok bool) {
+	if name == EngineAuto {
+		name = Pick(nBlocks, b, m, "mem")
+	}
+	switch name {
+	case EngineBitonic:
+		return BitonicIOCount(nBlocks, b, m), BitonicRoundTrips(nBlocks, b, m), true
+	case EngineZigzag:
+		return ZigzagIOCount(nBlocks, b, m), ZigzagRoundTrips(nBlocks, b, m), true
+	}
+	return 0, 0, false
+}
+
 // PickSorter resolves an engine name to a Sorter for the engines this
 // package owns; EngineRandomized and EngineAuto must be resolved by the
 // caller (internal/core owns the randomized pipeline, and auto needs the

@@ -63,3 +63,14 @@ func (o *ORAM) DumpLevel(l int) []Entry {
 	}
 	return out
 }
+
+// NextRebuild is the geometry of the rebuild the access that fills the top
+// buffer will run, as rebuildInto will see it: a function of the access
+// count and of which levels are live, both fixed by the schedule.
+func (o *ORAM) NextRebuild() (target int, g RebuildGeometry) {
+	target, sources := o.scheduled(o.t/int64(o.bufCap) + 1)
+	return target, o.geometry(target, sources, true)
+}
+
+// LevelBound is the public bound on the live entries of level l.
+func (o *ORAM) LevelBound(l int) int { return o.levelBound(l) }

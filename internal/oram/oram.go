@@ -1,11 +1,15 @@
 // Package oram implements a hierarchical oblivious RAM simulation in the
 // external-memory model, in the style of Goldreich–Ostrovsky as adapted by
 // Goodrich–Mitzenmacher [24]: a hierarchy of bucket hash tables, each
-// rebuilt on a deterministic binary-counter schedule by a data-oblivious
-// sort. The sort is pluggable: the rebuild term inherits the sort's
-// complexity directly, which is the paper's headline claim that its sorting
-// result improves the amortized I/O overhead of oblivious RAM simulation by
-// a logarithmic factor (TestORAMWithRandomizedRebuilds runs the hierarchy
+// rebuilt on a deterministic binary-counter schedule. A rebuild is the
+// paper's own toolkit end to end: Theorem 6's routing network compacts the
+// live entries out of the sparse tables being merged, a data-oblivious sort
+// orders those — only those — by key and then by hash bucket, and the
+// network in reverse expands them into the new table. The sort is
+// pluggable: its term of the rebuild inherits the sort's complexity
+// directly, which is the paper's headline claim that its sorting result
+// improves the amortized I/O overhead of oblivious RAM simulation by a
+// logarithmic factor (TestORAMWithRandomizedRebuilds runs the hierarchy
 // with the deterministic Lemma-2 sort and with the randomized one).
 //
 // The ORAM stores n logical blocks of B words each, addressed 0..n-1, all
@@ -39,7 +43,7 @@ type Options struct {
 	// auto-selecting default.
 	SorterName string
 	// BucketSize is the number of entry blocks per hash bucket; 0 chooses
-	// max(3, ceil(log2 n)).
+	// max(4, 2·ceil(log2 n)).
 	BucketSize int
 	// TopLevel is l0: the private buffer holds 2^l0 entries; 0 chooses a
 	// cache-appropriate default.
@@ -51,9 +55,9 @@ type Options struct {
 // reports failure afterwards.
 var ErrOverflow = errors.New("oram: bucket overflow during rebuild")
 
-// entry flag layout: the color bits carry the logical key, the dest bits
-// carry the freshness timestamp, FlagOccupied marks live entries, and
-// FlagMarked marks entries dropped during a rebuild.
+// entry flag layout in a table and in the buffer: the color bits carry the
+// logical key, the dest bits carry the freshness timestamp, and
+// FlagOccupied marks live entries (rebuild.go has the in-flight layout).
 
 // ORAM is a hierarchical oblivious RAM. Not safe for concurrent use.
 type ORAM struct {
@@ -85,7 +89,8 @@ type level struct {
 }
 
 // RebuildStats counts rebuild work, the term that dominates the amortized
-// cost of an access.
+// cost of an access: the rebuilds run, and the entry blocks — of the source
+// tables and the buffer — they merged.
 type RebuildStats struct {
 	Count       int64
 	EntryBlocks int64
@@ -100,7 +105,10 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 	o.sorter = opts.Sorter
 	o.sorterName = opts.SorterName
 	if o.sorterName == "" {
-		o.sorterName = "auto"
+		o.sorterName = obsort.EngineAuto
+		if o.sorter != nil {
+			o.sorterName = "custom" // not the engine auto would pick: no prediction
+		}
 	}
 	if o.sorter == nil {
 		// Auto-select per rebuild geometry. The pick is a public function
@@ -132,6 +140,11 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 	if o.lmax <= o.l0 {
 		o.lmax = o.l0 + 1
 	}
+	// A rebuild routes entries to their slots on targets kept in the Aux
+	// bits, which are 24 wide.
+	if (1<<o.lmax)*o.beta > 1<<24 {
+		return nil, fmt.Errorf("oram: largest table, 2^%d buckets of %d, exceeds 2^24 blocks", o.lmax, o.beta)
+	}
 	o.buf = env.Cache.Buf(o.bufCap * o.b)
 	for l := o.l0 + 1; l <= o.lmax; l++ {
 		buckets := 1 << l
@@ -142,6 +155,7 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 	}
 	// Initial build: load all n zeroed entries into the top level.
 	if err := o.initialBuild(); err != nil {
+		env.Cache.Free(o.buf)
 		return nil, err
 	}
 	return o, nil

@@ -6,32 +6,43 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
-	"oblivext/internal/par"
+	"oblivext/internal/route"
 )
 
-// rebuildOnSchedule flushes the full top buffer down the hierarchy using
-// the classic binary-counter schedule: after the j-th flush, the target
-// level is l0 + trailingZeros(j) + 1 (capped at the largest level), and all
-// levels below it are merged in. The schedule — and therefore the entire
-// rebuild trace — depends only on the access count.
-func (o *ORAM) rebuildOnSchedule() error {
-	j := o.t / int64(o.bufCap)
-	k := bits.TrailingZeros64(uint64(j)) + 1
-	target := o.l0 + k
-	if target > o.lmax {
-		target = o.lmax
-	}
-	var sources []extmem.Array
-	for l := o.l0 + 1; l < target; l++ {
-		lv := o.lvl(l)
-		if lv.live {
-			sources = append(sources, lv.table)
+// source is one array a rebuild merges, with the public bound on the live
+// entries it can hold.
+type source struct {
+	arr   extmem.Array
+	bound int
+}
+
+// scheduled returns what the j-th flush of the top buffer rebuilds, by the
+// classic binary-counter schedule: the target level is l0 + trailingZeros(j)
+// + 1 (capped at the largest level), and all live levels below it — and the
+// largest level itself, when it is the target — are merged in. The schedule,
+// and therefore the entire rebuild trace, depends only on the access count.
+func (o *ORAM) scheduled(j int64) (target int, sources []source) {
+	target = min(o.l0+bits.TrailingZeros64(uint64(j))+1, o.lmax)
+	for l := o.l0 + 1; l <= target; l++ {
+		if lv := o.lvl(l); lv.live && (l < target || target == o.lmax) {
+			sources = append(sources, source{lv.table, o.levelBound(l)})
 		}
 	}
-	tl := o.lvl(target)
-	if target == o.lmax && tl.live {
-		sources = append(sources, tl.table)
-	}
+	return target, sources
+}
+
+// levelBound is the most live entries level l ever holds: its keys are
+// distinct, so no more than n, and it is built from one buffer and one
+// filling of every level below it, so no more than bufCap·2^(l-l0-1) — a
+// function of the geometry alone, which TestLevelOccupancyBound checks
+// against the tables.
+func (o *ORAM) levelBound(l int) int {
+	return min(o.lvl(l).table.Len(), o.n, o.bufCap<<(l-o.l0-1))
+}
+
+// rebuildOnSchedule flushes the full top buffer down the hierarchy.
+func (o *ORAM) rebuildOnSchedule() error {
+	target, sources := o.scheduled(o.t / int64(o.bufCap))
 	err := o.rebuildInto(target, sources, true)
 	for l := o.l0 + 1; l < target; l++ {
 		o.lvl(l).live = false
@@ -55,265 +66,337 @@ func (o *ORAM) initialBuild() error {
 	})
 	o.ts = uint64(o.n)
 	o.t = 0
-	return o.rebuildInto(o.lmax, []extmem.Array{src}, false)
+	return o.rebuildInto(o.lmax, []source{{src, o.n}}, false)
 }
 
-// In-flight entry representation during a rebuild. Rebuild sorts may be
-// performed by any padded oblivious Sorter — including the randomized sort,
-// which clobbers the color/dest flag bits it uses as routing scratch — so
-// between sorts an entry's metadata lives only in fields every sorter
-// preserves: the Key and Pos of its elements (plus FlagOccupied).
+// In-flight entry representation during a rebuild. The routing network
+// keeps its labels in the color/dest flag bits, and the rebuild sorts may
+// be performed by any padded oblivious Sorter — including the randomized
+// sort, which uses the same bits as scratch — so from the moment an entry
+// leaves its table until the moment it enters the new one its metadata
+// lives only in fields every one of them preserves: the Key and Pos of its
+// elements (plus FlagOccupied).
 //
-//	sort 1 (dedupe):   Key = logicalKey (fillerKey sentinel for fillers)
-//	                   Pos = (maxTS − ts)<<8 | elementIndex  (freshest first)
-//	sorts 2–3 (bucket): Key = bucket<<33 | fillerBit<<32 | logicalKey
-//	                   Pos = ts<<8 | elementIndex
+//	Pos             = (maxTS − ts)<<8 | elementIndex  (freshest first)
+//	sort 1 (dedupe):  Key = logicalKey
+//	sort 2 (bucket):  Key = bucket<<32 | logicalKey
 //
-// Discarded entries are simply unoccupied: padded sorts treat their content
-// as don't-care, which is exactly right.
+// Discarded entries are simply unoccupied: the routing and the padded sorts
+// treat their content as don't-care, which is exactly right.
 const (
-	fillerKey  = uint64(1) << 40
-	fillerBit  = uint64(1) << 32
 	keyLowMask = (uint64(1) << 32) - 1
 	maxTS      = uint64(0x7fffffff)
 )
 
+// toFlight converts an entry from table form (metadata in color/dest bits)
+// to in-flight form.
+func toFlight(blk []extmem.Element) {
+	if !blk[0].Occupied() {
+		clear(blk)
+		return
+	}
+	key := uint64(blk[0].Color())
+	ts := uint64(blk[0].CellDest())
+	for t := range blk {
+		blk[t].Key = key
+		blk[t].Pos = (maxTS-ts)<<8 | uint64(t)
+		blk[t].Flags = extmem.FlagOccupied
+	}
+}
+
+// toTable converts an entry back from in-flight form to table form.
+func toTable(blk []extmem.Element) {
+	key := int(blk[0].Key & keyLowMask)
+	ts := int(maxTS - blk[0].Pos>>8)
+	for t := range blk {
+		blk[t].Key = 0
+		blk[t].Pos = 0
+		blk[t].Flags = extmem.FlagOccupied
+		blk[t].SetColor(key)
+		blk[t].SetCellDest(ts)
+	}
+}
+
+// slots hands the entries of a rebuild, arriving in (bucket, key) order,
+// their table slots: bucket·beta + rank within the bucket, stamped into the
+// Aux bits as the routing target. The targets are strictly increasing and
+// none is left of its entry's position among the entries — what an
+// expansion asks of them. An entry of rank beta or more is the overflow the
+// structure declares; it and every entry after it are emptied, so that the
+// targets stay valid and the trace is the one of a rebuild that succeeds.
+type slots struct {
+	beta, bucket, rank int
+	overflow           bool
+}
+
+func (s *slots) stamp(blk []extmem.Element) {
+	if !blk[0].Occupied() {
+		clear(blk)
+		return
+	}
+	if bkt := int(blk[0].Key >> 32); bkt != s.bucket {
+		s.bucket, s.rank = bkt, 0
+	}
+	if s.rank >= s.beta {
+		s.overflow = true
+	}
+	if s.overflow {
+		clear(blk)
+		return
+	}
+	for t := range blk {
+		blk[t].Flags = extmem.FlagOccupied
+		blk[t].SetAux(s.bucket*s.beta + s.rank)
+	}
+	s.rank++
+}
+
+// RebuildGeometry is everything the I/O of one rebuild depends on, all of
+// it public: the lengths of the tables merged, how many entries come from
+// the private buffer, the bound on the live entries among them, the size of
+// the table built, and the cache.
+type RebuildGeometry struct {
+	Sources []int  // blocks of each source table, in merge order
+	Buffer  int    // entries taken from the private top buffer
+	CapE    int    // public bound on the live entries: what is sorted
+	Table   int    // blocks of the table built: buckets·beta
+	B, M    int    // block and cache size, in elements
+	Free    int    // elements of the cache free when the rebuild starts
+	Sorter  string // engine name, as in Options.SorterName
+}
+
+// in is the number of cells the compaction routes.
+func (g RebuildGeometry) in() int {
+	in := g.Buffer
+	for _, s := range g.Sources {
+		in += s
+	}
+	return in
+}
+
+// inCache reports whether the live entries fit the free cache beside the
+// chunk of a scan, in which case the table is written straight from them.
+func (g RebuildGeometry) inCache() bool { return (g.CapE+2)*g.B <= g.Free }
+
+// scanRT is the round trips of one side of a scan of n blocks.
+func (g RebuildGeometry) scanRT(n, held int) int64 {
+	return int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(g.Free-held, g.B, 1))))
+}
+
+// RebuildIOCount predicts the exact block I/Os of one rebuild, or -1 under
+// a sorter with no exact predictor: the compaction of the sources into the
+// live prefix (their one read, and Theorem 6's passes less the first read),
+// two sorts of the live entries with the scan between them, and then either
+// one read of the entries and one write of the table, or the scan that
+// stamps the slots and Theorem 6's expansion into the table.
+func RebuildIOCount(g RebuildGeometry) int64 {
+	sortIO, _, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
+	if !ok {
+		return -1
+	}
+	e, t := int64(g.CapE), int64(g.Table)
+	ios := route.CompactIntoIOCount(g.in()-g.Buffer, g.in(), g.B, g.Free) + 2*sortIO + 2*e
+	if g.inCache() {
+		return ios + e + t
+	}
+	return ios + 2*e + route.ExpandIntoIOCount(g.CapE, g.Table, g.B, g.Free)
+}
+
+// RebuildRoundTrips is RebuildIOCount for vectored round trips, batches
+// bounded by the cache alone.
+func RebuildRoundTrips(g RebuildGeometry) int64 {
+	_, sortRT, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
+	if !ok {
+		return -1
+	}
+	// The compaction's feed reads each source a chunk overlaps.
+	feedRT := func(lo, hi int) (rt int64) {
+		base := 0
+		for _, s := range g.Sources {
+			if max(lo, base) < min(hi, base+s) {
+				rt++
+			}
+			base += s
+		}
+		return rt
+	}
+	rts := route.CompactIntoRoundTrips(g.in(), g.B, g.Free, feedRT) + 2*sortRT + 2*g.scanRT(g.CapE, 0)
+	if g.inCache() {
+		return rts + 1 + g.scanRT(g.Table, g.CapE*g.B)
+	}
+	return rts + 2*g.scanRT(g.CapE, 0) + route.ExpandIntoRoundTrips(g.CapE, g.Table, g.B, g.Free)
+}
+
+// geometry collects the public shape of a rebuild of target from sources.
+func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeometry {
+	g := RebuildGeometry{
+		Table:  o.lvl(target).table.Len(),
+		B:      o.b,
+		M:      o.env.M,
+		Free:   o.env.M - o.env.Cache.Used(),
+		Sorter: o.sorterName,
+	}
+	if withBuf {
+		g.Buffer, g.CapE = o.bufCap, o.bufCap
+	}
+	for _, s := range sources {
+		g.Sources = append(g.Sources, s.arr.Len())
+		g.CapE += s.bound
+	}
+	return g
+}
+
 // rebuildInto rebuilds the target level's bucket table from the given
 // source arrays (tables of lower levels and/or scratch) plus, when withBuf
-// is set, the private top buffer. The pipeline is three oblivious sorts
-// with interleaved scans:
+// is set, the private top buffer. Only the live entries are ever sorted;
+// the paper's routing network (Theorem 6) carries them out of the sparse
+// source tables and into the sparse new one:
 //
-//  1. sort by logical key with freshest-first tiebreak, then a scan that
-//     drops stale duplicates and assigns PRF buckets under the new epoch;
-//  2. sort by (bucket, real-before-filler), then a scan that keeps exactly
-//     beta entries per bucket (a real entry beyond beta is an overflow);
-//  3. sort survivors to the front and copy the exactly buckets*beta-block
-//     prefix into the level table.
+//  1. tight compaction of the sources and the buffer, converted to
+//     in-flight form as the network's first pass reads them, and a slice to
+//     the public bound on the live entries among them;
+//  2. sort by logical key with freshest-first tiebreak, a scan that drops
+//     stale duplicates and assigns PRF buckets under the new epoch, and a
+//     sort by bucket;
+//  3. a scan that hands each entry its slot (an entry beyond beta in its
+//     bucket is an overflow), and the network in reverse, expanding the
+//     entries to their slots in the table, back in table form as its last
+//     pass writes them. When the entries fit the free cache they are read
+//     once instead and the table is written from them in one scan.
 //
-// Every pass touches every block, so the trace depends only on the source
-// sizes, which the schedule fixes.
-func (o *ORAM) rebuildInto(target int, sources []extmem.Array, withBuf bool) error {
+// Every pass touches every block of what it scans and every length is a
+// bound, not a count, so the trace depends only on the source sizes, which
+// the schedule fixes.
+func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	tl := o.lvl(target)
 	tl.epoch++
-	buckets := tl.bucket
 	b := o.b
-
-	srcBlocks := 0
-	for _, s := range sources {
-		srcBlocks += s.Len()
+	g := o.geometry(target, sources, withBuf)
+	in := g.in()
+	if g.CapE > g.Table {
+		panic(fmt.Sprintf("oram: rebuild of level %d bounds its live entries by %d, over its table's %d slots", target, g.CapE, g.Table))
 	}
-	bufBlocks := 0
-	if withBuf {
-		bufBlocks = o.bufCap
-	}
-	fill := buckets * o.beta
-	total := srcBlocks + bufBlocks + fill
 
 	mark := o.env.D.Mark()
 	defer o.env.D.Release(mark)
-	work := o.env.D.Alloc(total)
+	work := o.env.D.Alloc(in)
 
 	sp := o.env.Obs.Start("oram-rebuild")
-	sp.SetAttrInt("target-level", int64(target))
-	sp.SetAttrInt("blocks", int64(total))
-	sp.SetAttr("sorter", o.sorterName)
-	if o.sorterName != "randomized" {
+	defer o.env.Obs.End(sp)
+	if sp != nil { // the prediction replays the rebuild's batching: not for nobody
+		sp.SetAttrInt("target-level", int64(target))
+		sp.SetAttrInt("blocks", int64(in))
+		sp.SetAttrInt("live-bound", int64(g.CapE))
+		sp.SetAttr("sorter", o.sorterName)
+		sp.SetPredicted(RebuildIOCount(g), RebuildRoundTrips(g))
+	}
+	if sp != nil && o.sorterName != obsort.EngineRandomized {
 		// The rebuild trace is a deterministic function of the geometry and
-		// the array layout (every scan pass touches every block; the sorter's
-		// trace depends only on size) — except under the randomized sorter,
-		// which consumes tape. The key pins every address-determining input
-		// so equal keys really do promise equal traces.
+		// the array layout (every scan pass touches every block; the routing
+		// and the sorter's trace depend only on sizes and the free cache) —
+		// except under the randomized sorter, which consumes tape. The key
+		// pins every address-determining input so equal keys really do
+		// promise equal traces.
 		srcSig := ""
 		for _, s := range sources {
-			srcSig += fmt.Sprintf("+%d:%d", s.Base(), s.Len())
+			srcSig += fmt.Sprintf("+%d:%d", s.arr.Base(), s.arr.Len())
 		}
-		sp.Audit(fmt.Sprintf("oram/rebuild/target=%d/total=%d/beta=%d/B=%d/M=%d/work=%d/table=%d/src=%s",
-			target, total, o.beta, b, o.env.M, work.Base(), tl.table.Base(), srcSig))
+		sp.Audit(fmt.Sprintf("oram/rebuild/target=%d/in=%d/capE=%d/fill=%d/beta=%d/B=%d/M=%d/free=%d/work=%d/table=%d/src=%s",
+			target, in, g.CapE, g.Table, o.beta, b, g.M, g.Free, work.Base(), tl.table.Base(), srcSig))
 	}
-	defer o.env.Obs.End(sp)
 
-	// Copy sources and the buffer, converting each live entry from table
-	// form (metadata in color/dest bits) to in-flight form (metadata in
-	// Key/Pos); then append the fillers. Sources are read a vectored chunk
-	// at a time.
-	toFlight := func(blk []extmem.Element) {
-		if !blk[0].Occupied() {
-			return
-		}
-		key := uint64(blk[0].Color())
-		ts := uint64(blk[0].CellDest())
-		for t := range blk {
-			blk[t].Key = key
-			blk[t].Pos = (maxTS-ts)<<8 | uint64(t)
-			blk[t].Flags = extmem.FlagOccupied
-		}
-	}
-	spf := o.env.Obs.Start("flight-copy")
-	spf.SetPredicted(int64(srcBlocks)+int64(total), -1)
-	kc := o.env.ScanBatchN(2, total)
-	wbuf := o.env.Cache.Buf(kc * b)
-	wr := extmem.NewSeqWriter(work, 0, wbuf)
-	// Convert a chunk's blocks to in-flight form in parallel (toFlight is
-	// pure per-block compute), then hand them to the writer serially.
-	var rbuf []extmem.Element
-	convert := func(plo, phi int) { // built once: a chunk costs no closure
-		for i := plo; i < phi; i++ {
-			toFlight(rbuf[i*b : (i+1)*b])
-		}
-	}
-	for _, s := range sources {
-		o.env.Scan(s, extmem.Array{}, kc, func(_ int, chunk []extmem.Element) {
-			rbuf = chunk
-			par.For(o.env.ParWorkers(len(chunk)), len(chunk)/b, convert)
-			for off := 0; off < len(chunk); off += b {
-				copy(wr.Next(), chunk[off:off+b])
+	// Step 1. The network's first pass asks for the cells of the sources,
+	// then the buffer's, a chunk at a time.
+	feed := func(lo, hi int, dst []extmem.Element) {
+		base := 0
+		for _, s := range sources {
+			if plo, phi := max(lo, base), min(hi, base+s.arr.Len()); plo < phi {
+				s.arr.ReadRange(plo-base, phi-base, dst[(plo-lo)*b:(phi-lo)*b])
 			}
-		})
-	}
-	if withBuf {
-		for i := 0; i < o.bufCap; i++ {
-			blk := wr.Next()
-			copy(blk, o.buf[i*b:(i+1)*b])
-			toFlight(blk)
+			base += s.arr.Len()
+		}
+		if plo := max(lo, base); plo < hi {
+			copy(dst[(plo-lo)*b:], o.buf[(plo-base)*b:(hi-base)*b])
+		}
+		for off := 0; off < len(dst); off += b {
+			toFlight(dst[off : off+b])
 		}
 	}
-	for i := 0; i < fill; i++ {
-		blk := wr.Next()
-		for t := range blk {
-			blk[t] = extmem.Element{
-				Key:   fillerKey,
-				Pos:   uint64(i)<<8 | uint64(t),
-				Flags: extmem.FlagOccupied,
-			}
-		}
+	if count := route.CompactInto(o.env, work, in-g.Buffer, feed, route.PredOccupied); count > g.CapE {
+		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", count, target, g.CapE))
 	}
-	wr.Flush()
-	o.env.Cache.Free(wbuf)
-	o.env.Obs.End(spf)
-	o.sorter(o.env, work, obsort.ByKey)
+	live := work.Slice(0, g.CapE)
 
-	// Pass 1: drop stale duplicates (the freshest copy of each key sorts
-	// first), assign buckets under the new epoch, and give fillers their
-	// deterministic buckets. Each chunk is read with one vectored call,
-	// rewritten in cache, and written back with one vectored call; every
-	// block is written whether kept or discarded, keeping the trace fixed.
+	// Step 2. Every block is written back whether kept or discarded,
+	// keeping the trace fixed.
+	o.sorter(o.env, live, obsort.ByKey)
 	sp1 := o.env.Obs.Start("assign-buckets")
-	sp1.SetPredicted(2*int64(total), -1)
+	sp1.SetPredicted(2*int64(g.CapE), -1)
 	prevKey := int64(-1)
-	fillerIdx := 0
-	overflow := false
-	o.env.Scan(work, work, o.env.ScanBatchN(1, total), func(_ int, chunk []extmem.Element) {
+	o.env.Scan(live, live, o.env.ScanBatchN(1, g.CapE), func(_ int, chunk []extmem.Element) {
 		for off := 0; off < len(chunk); off += b {
 			blk := chunk[off : off+b]
 			if !blk[0].Occupied() {
-				continue // discarded; still written back below
+				continue
 			}
-			if blk[0].Key == fillerKey {
-				bkt := uint64(fillerIdx / o.beta)
-				ts := uint64(fillerIdx)
-				fillerIdx++
-				for t := range blk {
-					blk[t].Key = bkt<<33 | fillerBit
-					blk[t].Pos = ts<<8 | uint64(t)
-				}
-			} else {
-				key := blk[0].Key
-				ts := maxTS - blk[0].Pos>>8
-				if int64(key) == prevKey {
-					for t := range blk {
-						blk[t].Flags &^= extmem.FlagOccupied
-					}
-				} else {
-					prevKey = int64(key)
-					bkt := uint64(o.bucketOf(tl, target, key))
-					for t := range blk {
-						blk[t].Key = bkt<<33 | key
-						blk[t].Pos = ts<<8 | uint64(t)
-					}
-				}
+			key := blk[0].Key
+			if int64(key) == prevKey {
+				clear(blk) // a stale copy: the freshest sorted first
+				continue
+			}
+			prevKey = int64(key)
+			bkt := uint64(o.bucketOf(tl, target, key))
+			for t := range blk {
+				blk[t].Key = bkt<<32 | key
 			}
 		}
 	})
 	o.env.Obs.End(sp1)
-	o.sorter(o.env, work, obsort.ByKey)
+	o.sorter(o.env, live, obsort.ByKey)
 
-	// Pass 2: keep exactly beta entries per bucket (reals sort before
-	// fillers within a bucket, so only real overflow is a failure). Same
-	// vectored read-rewrite-write chunking as pass 1.
-	sp2 := o.env.Obs.Start("cap-buckets")
-	sp2.SetPredicted(2*int64(total), -1)
-	curBucket := int64(-1)
-	kept := 0
-	o.env.Scan(work, work, o.env.ScanBatchN(1, total), func(_ int, chunk []extmem.Element) {
-		for off := 0; off < len(chunk); off += b {
-			blk := chunk[off : off+b]
-			if blk[0].Occupied() {
-				bkt := int64(blk[0].Key >> 33)
-				real := blk[0].Key&fillerBit == 0
-				if bkt != curBucket {
-					curBucket = bkt
-					kept = 0
-				}
-				kept++
-				if kept > o.beta {
-					if real {
-						overflow = true
-					}
-					for t := range blk {
-						blk[t].Flags &^= extmem.FlagOccupied
-					}
-				}
-			}
+	// Step 3.
+	place := slots{beta: o.beta, bucket: -1}
+	if g.inCache() {
+		sp2 := o.env.Obs.Start("install")
+		sp2.SetPredicted(int64(g.CapE)+int64(g.Table), -1)
+		ents := o.env.Cache.Buf(g.CapE * b)
+		live.ReadRange(0, g.CapE, ents)
+		for off := 0; off < len(ents); off += b {
+			place.stamp(ents[off : off+b])
 		}
-	})
-	o.env.Obs.End(sp2)
-	o.sorter(o.env, work, obsort.ByKey)
-
-	// Pass 3: the survivors are exactly buckets*beta blocks in bucket
-	// order; install them as the new table, converting back to table form
-	// and demoting fillers to empty slots — chunked run reads from the work
-	// prefix, chunked run writes into the table.
-	sp3 := o.env.Obs.Start("install")
-	sp3.SetPredicted(2*int64(fill), -1)
-	var ibuf []extmem.Element
-	install := func(plo, phi int) { // built once: a chunk costs no closure
-		for i := plo; i < phi; i++ {
-			blk := ibuf[i*b : (i+1)*b]
-			if blk[0].Key&fillerBit != 0 {
-				for t := range blk {
-					blk[t] = extmem.Element{}
+		next := 0 // the first entry not yet in the table
+		o.env.Scan(extmem.Array{}, tl.table, o.env.ScanBatchN(1, g.Table), func(lo int, chunk []extmem.Element) {
+			for ; next < g.CapE; next++ {
+				blk := ents[next*b : (next+1)*b]
+				if !blk[0].Occupied() {
+					continue
 				}
-			} else {
-				key := int(blk[0].Key & keyLowMask)
-				ts := int(blk[0].Pos >> 8)
-				for t := range blk {
-					blk[t].Key = 0
-					blk[t].Pos = 0
-					blk[t].Flags = extmem.FlagOccupied
-					blk[t].SetColor(key)
-					blk[t].SetCellDest(ts & 0x7fffffff)
+				off := (blk[0].Aux() - lo) * b
+				if off >= len(chunk) {
+					break
 				}
+				toTable(blk)
+				copy(chunk[off:off+b], blk)
 			}
-		}
+		})
+		o.env.Cache.Free(ents)
+		o.env.Obs.End(sp2)
+	} else {
+		sp2 := o.env.Obs.Start("assign-slots")
+		sp2.SetPredicted(2*int64(g.CapE), -1)
+		o.env.Scan(live, live, o.env.ScanBatchN(1, g.CapE), func(_ int, chunk []extmem.Element) {
+			for off := 0; off < len(chunk); off += b {
+				place.stamp(chunk[off : off+b])
+			}
+		})
+		o.env.Obs.End(sp2)
+		route.ExpandInto(o.env, live, tl.table, route.PredOccupied, toTable)
 	}
-	o.env.Scan(work, tl.table, o.env.ScanBatchN(1, fill), func(_ int, chunk []extmem.Element) {
-		// Serial invariant check first (deterministic panic point), then the
-		// per-block table-form conversion fans out — each block is rewritten
-		// independently from its own header.
-		for off := 0; off < len(chunk); off += b {
-			if !chunk[off].Occupied() {
-				panic("oram: rebuild prefix not fully occupied")
-			}
-		}
-		ibuf = chunk
-		par.For(o.env.ParWorkers(len(chunk)), len(chunk)/b, install)
-	})
-	o.env.Obs.End(sp3)
 
 	tl.live = true
 	o.rebuild.Count++
-	o.rebuild.EntryBlocks += int64(total)
-	if overflow {
+	o.rebuild.EntryBlocks += int64(in)
+	if place.overflow {
 		o.failed = true
 		return ErrOverflow
 	}

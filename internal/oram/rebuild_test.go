@@ -1,0 +1,261 @@
+package oram_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
+	"oblivext/internal/obsort"
+	"oblivext/internal/oram"
+)
+
+// rebuildSpans returns every oram-rebuild span under roots, in order.
+func rebuildSpans(roots []*obs.Span) (out []*obs.Span) {
+	for _, s := range roots {
+		if s.Name == "oram-rebuild" {
+			out = append(out, s)
+		}
+		out = append(out, rebuildSpans(s.Children)...)
+	}
+	return out
+}
+
+// TestRebuildIOExact: every rebuild — the initial build included — costs
+// exactly the block I/Os and round trips its span predicts, and for the
+// scheduled ones that prediction is RebuildIOCount / RebuildRoundTrips of
+// the geometry the schedule announces beforehand. The grid takes both arms
+// of the table write: live entries that fit the free cache and are written
+// out in one scan, and live entries that are expanded by the network.
+func TestRebuildIOExact(t *testing.T) {
+	arms := map[bool]int{}
+	for _, geo := range oracleGeometries {
+		for _, n := range oracleSizes {
+			for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineZigzag} {
+				b, mWords := geo[0], geo[1]
+				env := extmem.NewEnv(256, b, mWords, 9)
+				col := env.EnableObs()
+				opts := oram.Options{SorterName: sorter}
+				if sorter != obsort.EngineAuto {
+					opts.Sorter = obsort.PickSorter(sorter)
+				}
+				o, err := oram.New(env, n, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("B=%d M=%d n=%d %s", b, mWords, n, sorter)
+				check := func(want *oram.RebuildGeometry) {
+					t.Helper()
+					spans := rebuildSpans(col.Roots())
+					if len(spans) != 1 {
+						t.Fatalf("%s: %d rebuild spans, want 1", name, len(spans))
+					}
+					sp := spans[0]
+					if sp.IO.Total() != sp.PredictedIO || sp.IO.RoundTrips != sp.PredictedRT {
+						t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, its span predicts %d in %d",
+							name, sp.IO.Total(), sp.IO.RoundTrips, sp.PredictedIO, sp.PredictedRT)
+					}
+					if want != nil {
+						if ios, rts := oram.RebuildIOCount(*want), oram.RebuildRoundTrips(*want); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
+							t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, %+v predicts %d in %d",
+								name, sp.IO.Total(), sp.IO.RoundTrips, *want, ios, rts)
+						}
+						arms[(want.CapE+2)*want.B <= want.Free]++
+					}
+					col.Reset()
+				}
+				check(nil) // the initial build
+				g := o.Geometry()
+				for step := 0; step < 4*max(n, g.BufCap); step++ {
+					var next *oram.RebuildGeometry
+					if o.Buffered() == g.BufCap-1 {
+						_, ng := o.NextRebuild()
+						next = &ng
+					}
+					if _, err := o.Read(step * 7 % n); err != nil {
+						t.Fatalf("%s: step %d: %v", name, step, err)
+					}
+					if next != nil {
+						check(next)
+					} else {
+						col.Reset()
+					}
+				}
+			}
+		}
+	}
+	if arms[true] == 0 || arms[false] == 0 {
+		t.Fatalf("the grid took the in-cache table write %d times and the expansion %d times; it must take both", arms[true], arms[false])
+	}
+}
+
+// TestRebuildGeometryAtBenchmarkShape pins the two rebuilds of the
+// kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bound
+// they sort, and that the smaller one writes its table from the cache while
+// the larger one expands.
+func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
+	env := extmem.NewEnv(256, 8, 512, 1)
+	o, err := oram.New(env, 32, oram.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]oram.RebuildGeometry{
+		5: {Buffer: 16, CapE: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
+		6: {Sources: []int{320, 640}, Buffer: 16, CapE: 64, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
+	}
+	seen := map[int]bool{}
+	for step := 0; step < 64; step++ {
+		if o.Buffered() == 15 {
+			target, g := o.NextRebuild()
+			// The first flush finds only the largest level live.
+			if step > 16 && !reflect.DeepEqual(g, want[target]) {
+				t.Fatalf("rebuild of level %d: geometry %+v, want %+v", target, g, want[target])
+			}
+			seen[target] = true
+		}
+		if err := o.Dummy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !seen[5] || !seen[6] {
+		t.Fatalf("levels rebuilt: %v, want 5 and 6", seen)
+	}
+}
+
+// TestLevelOccupancyBound checks, against the tables themselves, the public
+// bound a rebuild slices its compacted sources to: before every rebuild no
+// live level holds more live entries than min(n, bufCap·2^(k−1)), k its
+// index above the buffer.
+func TestLevelOccupancyBound(t *testing.T) {
+	for _, geo := range oracleGeometries {
+		for _, n := range oracleSizes {
+			b, mWords := geo[0], geo[1]
+			env := extmem.NewEnv(256, b, mWords, uint64(n))
+			o, err := oram.New(env, n, oram.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := o.Geometry()
+			r := rand.New(rand.NewPCG(uint64(n), uint64(mWords)))
+			checked := 0
+			for step := 0; step < 4*max(n, g.BufCap); step++ {
+				if o.Buffered() == g.BufCap-1 {
+					for l := g.L0 + 1; l <= g.LMax; l++ {
+						if !o.LevelLive(l) {
+							continue
+						}
+						bound := min(n, g.BufCap<<(l-g.L0-1))
+						if got := o.LevelBound(l); got != bound {
+							t.Fatalf("B=%d M=%d n=%d: level %d is bounded by %d, want min(n, bufCap·2^(k-1)) = %d", b, mWords, n, l, got, bound)
+						}
+						if live := len(o.DumpLevel(l)); live > bound {
+							t.Fatalf("B=%d M=%d n=%d step %d: level %d holds %d live entries, over the bound %d", b, mWords, n, step, l, live, bound)
+						}
+						checked++
+					}
+				}
+				switch key := r.IntN(n); r.IntN(3) {
+				case 0:
+					err = o.Dummy()
+				case 1:
+					_, err = o.Read(key)
+				default:
+					err = o.Write(key, make([]uint64, b))
+				}
+				if err != nil {
+					t.Fatalf("B=%d M=%d n=%d step %d: %v", b, mWords, n, step, err)
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("B=%d M=%d n=%d: no level was checked", b, mWords, n)
+			}
+		}
+	}
+}
+
+// TestRebuildOverflowDeclared makes the Monte-Carlo failure happen: buckets
+// of one slot overflow as soon as two keys share one. The rebuild that
+// overflows must run the trace of one that does not — the same I/Os and
+// round trips, the cache balanced — and say so afterwards, and the
+// structure must keep saying so.
+func TestRebuildOverflowDeclared(t *testing.T) {
+	// 64 keys into 128 one-slot buckets: the initial build itself overflows.
+	t.Run("New", func(t *testing.T) {
+		const n, b, mWords = 64, 8, 512
+		env := extmem.NewEnv(256, b, mWords, 3)
+		col := env.EnableObs()
+		o, err := oram.New(env, n, oram.Options{BucketSize: 1})
+		if !errors.Is(err, oram.ErrOverflow) || o != nil {
+			t.Fatalf("New with one-slot buckets: (%v, %v), want ErrOverflow", o, err)
+		}
+		if env.Cache.Used() != 0 || env.Cache.HighWater() > mWords {
+			t.Fatalf("cache after a failed build: %d in use, high-water %d of %d", env.Cache.Used(), env.Cache.HighWater(), mWords)
+		}
+		sp := rebuildSpans(col.Roots())[0]
+		// l0 = 4 as at n = 32, so 16 blocks of buffer are held; 2^7 buckets.
+		g := oram.RebuildGeometry{Sources: []int{n}, CapE: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
+		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
+			t.Fatalf("overflowing build measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
+		}
+	})
+
+	// Two keys in eight one-slot buckets: most rebuilds succeed, and one
+	// before long does not.
+	t.Run("access", func(t *testing.T) {
+		const n, b, mWords = 2, 4, 128
+		for seed := uint64(1); ; seed++ {
+			env := extmem.NewEnv(256, b, mWords, seed)
+			o, err := oram.New(env, n, oram.Options{BucketSize: 1})
+			if errors.Is(err, oram.ErrOverflow) {
+				continue // this seed's initial build collides; the case above
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := env.EnableObs()
+			g := o.Geometry()
+			for step := 0; ; step++ {
+				if step == 4000 {
+					t.Fatal("no rebuild overflowed in 4000 accesses of one-slot buckets")
+				}
+				_, next := o.NextRebuild()
+				col.Reset()
+				err := o.Write(step%n, make([]uint64, b))
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, oram.ErrOverflow) || !o.Failed() {
+					t.Fatalf("step %d: %v (failed = %v), want a declared overflow", step, err, o.Failed())
+				}
+				if o.Buffered() != 0 {
+					t.Fatalf("step %d: the overflow was declared with %d entries buffered, not by a rebuild", step, o.Buffered())
+				}
+				sp := rebuildSpans(col.Roots())[0]
+				if ios, rts := oram.RebuildIOCount(next), oram.RebuildRoundTrips(next); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
+					t.Fatalf("overflowing rebuild measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
+				}
+				break
+			}
+			before := env.D.Stats()
+			if _, err := o.Read(0); !errors.Is(err, oram.ErrOverflow) {
+				t.Fatalf("read after the overflow: %v", err)
+			}
+			if err := o.Write(1, make([]uint64, b)); !errors.Is(err, oram.ErrOverflow) {
+				t.Fatalf("write after the overflow: %v", err)
+			}
+			if err := o.Dummy(); !errors.Is(err, oram.ErrOverflow) {
+				t.Fatalf("dummy after the overflow: %v", err)
+			}
+			if env.D.Stats() != before {
+				t.Fatal("a failed structure still touched the disk")
+			}
+			if used, share := env.Cache.Used(), g.BufCap*g.B; used != share || env.Cache.HighWater() > mWords {
+				t.Fatalf("cache after the overflow: %d in use (the buffer's share is %d), high-water %d of %d", used, share, env.Cache.HighWater(), mWords)
+			}
+			return
+		}
+	})
+}

@@ -108,7 +108,22 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	}
 	sp := env.Obs.Start("butterfly-compact")
 	defer env.Obs.End(sp)
-	return compact(env, sp, a, a.ReadRange, pred, levelsPerPass)
+	return compact(env, sp, a, a.Len(), a.ReadRange, pred, levelsPerPass)
+}
+
+// CompactInto is CompactBlocksTight of cells that are not in a yet: feed
+// yields cells [lo, hi) into dst — every range once, in address order — as
+// the first pass loads them, so the cells of several arrays, or cells
+// converted on the way, are compacted without first being copied together.
+// fed is the number of blocks feed reads in all, for the span's prediction.
+// The passes after the first run in a, in place.
+func CompactInto(env *extmem.Env, a extmem.Array, fed int, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
+	if a.Len() == 0 {
+		return 0
+	}
+	sp := env.Obs.Start("butterfly-compact")
+	defer env.Obs.End(sp)
+	return compact(env, sp, a, fed, feed, pred, 0)
 }
 
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
@@ -125,19 +140,19 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 	sp := env.Obs.Start("consolidate-compact")
 	defer env.Obs.End(sp)
 	l := lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}
-	compact(env, sp, out, func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
+	compact(env, sp, out, a.Len(), func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
 	env.Cache.Free(l.hold)
 	return out, l.kept
 }
 
 // compact routes the cells that feed yields — cells [lo, hi) into dst, each
-// range asked for once, in address order — to a tight prefix of a, which
-// may be where they come from.
-func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
+// range asked for once, in address order, fed block reads in all — to a
+// tight prefix of a, which may be where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, fed int, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
 	n, b := a.Len(), a.B()
 	free := env.M - env.Cache.Used()
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, free/b)), -1)
+	sp.SetPredicted(routingIOs(fed, n, ButterflyPassCount(n, levelsPerPass, free/b)), -1)
 	rank := 0
 	if levelsPerPass <= 0 && fitsCache(n, b, free) {
 		buf := env.Cache.Buf(n * b)
@@ -171,20 +186,39 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int
 // group, which emits the cells in address order and checks that their
 // origins are in order too.
 func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
-	n, b := a.Len(), a.B()
+	expand(env, a, a, pred, levelsPerPass, nil)
+}
+
+// ExpandInto is ExpandBlocks of a tight prefix held apart from where it
+// expands to: the cells of src, at most dst.Len() of them, are routed to
+// their targets in dst without first being copied there — the first group
+// reads src where ExpandBlocks reads the array, every cell past src's end
+// counting as empty, and the groups after it run in dst, in place. finish,
+// when it is not nil, rewrites each routed cell as the last group emits it
+// (from the form it travelled in to the form dst keeps); it must be pure
+// per-cell compute, as it runs on the workers.
+func ExpandInto(env *extmem.Env, src, dst extmem.Array, pred BlockPred, finish func(blk []extmem.Element)) {
+	if src.Len() > dst.Len() {
+		panic(fmt.Sprintf("route: expansion of %d cells into %d", src.Len(), dst.Len()))
+	}
+	expand(env, src, dst, pred, 0, finish)
+}
+
+func expand(env *extmem.Env, src, dst extmem.Array, pred BlockPred, levelsPerPass int, finish func(blk []extmem.Element)) {
+	n, ns, b := dst.Len(), src.Len(), dst.B()
 	if n == 0 {
 		return
 	}
 	free := env.M - env.Cache.Used()
 	sp := env.Obs.Start("butterfly-expand")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(2*int64(n)*int64(ButterflyPassCount(n, levelsPerPass, free/b)), -1)
+	sp.SetPredicted(routingIOs(ns, n, ButterflyPassCount(n, levelsPerPass, free/b)), -1)
 	defer env.Obs.End(sp)
 	if levelsPerPass <= 0 && fitsCache(n, b, free) {
 		buf := env.Cache.Buf(n * b)
-		a.ReadRange(0, n, buf)
+		src.ReadRange(0, ns, buf[:ns*b])
 		prev := -1
-		for j := 0; j < n; j++ {
+		for j := 0; j < ns; j++ {
 			if blk := buf[j*b : (j+1)*b]; pred(blk) {
 				d := blk[0].Aux()
 				if d < j || d <= prev {
@@ -197,7 +231,7 @@ func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass
 			}
 		}
 		// Right to left, so a cell never lands on one still to move.
-		for j := n - 1; j >= 0; j-- {
+		for j := ns - 1; j >= 0; j-- {
 			blk := buf[j*b : (j+1)*b]
 			if !pred(blk) {
 				clear(blk)
@@ -207,19 +241,22 @@ func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass
 			for t := range blk {
 				blk[t].SetCellDest(d)
 			}
+			if finish != nil {
+				finish(blk)
+			}
 			if d != j {
 				copy(buf[d*b:(d+1)*b], blk)
 				clear(blk)
 			}
 		}
-		a.WriteRange(0, n, buf)
+		dst.WriteRange(0, n, buf)
 		env.Cache.Free(buf)
 		return
 	}
 	// The same group boundaries as a compaction, in descending stride order.
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
 	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
-		routeGroupRight(env, a, pred, i0, min(g, levels-i0))
+		routeGroupRight(env, src, dst, pred, i0, min(g, levels-i0), finish)
 	}
 }
 
@@ -385,14 +422,19 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 // origin into its CellDest bits; the last (S = 1) emits the cells in
 // descending address order, checks that the origins descend with them —
 // which is the strictly-increasing-targets precondition — and leaves the
-// final position in CellDest.
-func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int) {
+// final position in CellDest, and the cell to finish. The top group reads
+// src, which may be a's own prefix held elsewhere; every group writes a.
+func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, gg int, finish func(blk []extmem.Element)) {
 	n := a.Len()
 	b := a.B()
 	s := 1 << i0
 	w := windowCells(env, gg)
 	modulus := s * w
 	top := modulus >= n
+	from := a
+	if top {
+		from = src
+	}
 
 	stash := env.Cache.Buf(2 * w * b)
 	live := make([]bool, 2*w)
@@ -461,6 +503,9 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 					for e := range dst {
 						dst[e].SetCellDest(out)
 					}
+					if finish != nil {
+						finish(dst)
+					}
 				}
 			} else {
 				clear(dst)
@@ -474,7 +519,15 @@ func routeGroupRight(env *extmem.Env, a extmem.Array, pred BlockPred, i0, gg int
 			for t := 0; t < cnt; t++ {
 				idx[t] = c + (loaded-1-t)*s // descending virtual order
 			}
-			a.ReadMany(idx[:cnt], io[:cnt*b])
+			// Cells past the source's end are empty, and come first.
+			past := 0
+			for past < cnt && idx[past] >= from.Len() {
+				past++
+			}
+			clear(io[:past*b])
+			if past < cnt {
+				from.ReadMany(idx[past:cnt], io[past*b:cnt*b])
+			}
 			parFor(nw, cnt, place)
 			for t := 0; t < cnt; t++ {
 				if slotOf[t] < 0 {
@@ -533,31 +586,65 @@ func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
 // otherwise, one pass per group, the chunked window loads and output writes
 // of routeGroupLeft per level group and residue class.
 func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
-	return compactRoundTrips(n, levelsPerPass, b, m, false)
+	return compactRoundTrips(n, levelsPerPass, b, m, func(lo, hi int) int64 { return 1 })
+}
+
+// CompactIntoIOCount predicts the block I/Os of CompactInto of n cells whose
+// feed reads fed blocks in all: those, the first pass's writes, and a read
+// and a write of every cell for each pass after it.
+func CompactIntoIOCount(fed, n, b, m int) int64 {
+	return routingIOs(fed, n, ButterflyPassCount(n, 0, m/b))
+}
+
+// routingIOs is the block I/Os of a routing of n cells in the given number
+// of passes whose first pass reads fed blocks: every pass reads and writes
+// all n but for that.
+func routingIOs(fed, n, passes int) int64 {
+	return int64(fed) + int64(n)*int64(2*passes-1)
+}
+
+// CompactIntoRoundTrips is CompactRoundTrips for CompactInto: feedRT is the
+// round trips the feed makes when asked for cells [lo, hi).
+func CompactIntoRoundTrips(n, b, m int, feedRT func(lo, hi int) int64) int64 {
+	return compactRoundTrips(n, 0, b, m, feedRT)
 }
 
 // ConsolidateCompactIOCount predicts the block I/Os of ConsolidateCompact
 // on n blocks of b elements entered with m elements of cache free: the
 // butterfly's passes beside the 2B holding buffer, and nothing else.
 func ConsolidateCompactIOCount(n, b, m int) int64 {
-	return 2 * int64(n) * int64(ButterflyPassCount(n, 0, m/b-2))
+	return CompactIntoIOCount(n, n, b, m-2*b)
 }
 
-// ConsolidateCompactRoundTrips is CompactRoundTrips for ConsolidateCompact.
-func ConsolidateCompactRoundTrips(n, b, m int) int64 {
-	return compactRoundTrips(n, 0, b, m-2*b, true)
-}
-
-// compactRoundTrips replays the batching of compact. The first group of a
-// fused consolidation reads each chunk's inputs one block ahead of its
+// ConsolidateCompactRoundTrips is CompactRoundTrips for ConsolidateCompact,
+// whose feed, lag.cells, reads each chunk's inputs one block ahead of its
 // cells: block 0 on its own before a first chunk that is not the whole
 // array, and nothing for a chunk that is the last cell alone.
-func compactRoundTrips(n, levelsPerPass, b, m int, fused bool) int64 {
+func ConsolidateCompactRoundTrips(n, b, m int) int64 {
+	return compactRoundTrips(n, 0, b, m-2*b, func(lo, hi int) int64 {
+		var rt int64
+		rlo, rhi := lo+1, min(hi+1, n)
+		if lo == 0 && hi == n {
+			rlo = 0
+		} else if lo == 0 {
+			rt++
+		}
+		if rlo < rhi {
+			rt++
+		}
+		return rt
+	})
+}
+
+// compactRoundTrips replays the batching of compact: the first group's
+// loads are calls of the feed, priced by feedRT; everything else is one
+// round trip a chunk.
+func compactRoundTrips(n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64) int64 {
 	if n == 0 {
 		return 0
 	}
 	if levelsPerPass <= 0 && fitsCache(n, b, m) {
-		return 2
+		return feedRT(0, n) + 1
 	}
 	var rt int64
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, levelsPerPass)
@@ -567,17 +654,58 @@ func compactRoundTrips(n, levelsPerPass, b, m int, fused bool) int64 {
 		for c := 0; c < s && c < n; c++ {
 			lv := (n - c + s - 1) / s
 			for t, loaded := 0, 0; t*w < lv; t++ {
-				hi := min((t+2)*w, lv)
-				rt += int64(extmem.CeilDiv(hi-loaded, cb) + extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
-				if fused && i0 == 0 {
-					if t == 0 && min(cb, hi) < n {
+				for hi := min((t+2)*w, lv); loaded < hi; loaded += min(cb, hi-loaded) {
+					if i0 == 0 {
+						rt += feedRT(loaded, loaded+min(cb, hi-loaded))
+					} else {
 						rt++
 					}
-					if hi == n && loaded < n && n > 1 && (n-1-loaded)%cb == 0 {
-						rt--
+				}
+				rt += int64(extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
+			}
+		}
+	}
+	return rt
+}
+
+// ExpandIntoIOCount predicts the block I/Os of ExpandInto of ns cells into
+// n (of ExpandBlocks when ns = n): the first pass reads the ns cells there
+// are and writes all n, every pass after it reads and writes all n.
+func ExpandIntoIOCount(ns, n, b, m int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return routingIOs(ns, n, ButterflyPassCount(n, 0, m/b))
+}
+
+// ExpandIntoRoundTrips replays the batching of expand as compactRoundTrips
+// does compact's: the chunked window loads and output writes of
+// routeGroupRight, less the loads of the top group that lie wholly past the
+// ns cells of the source.
+func ExpandIntoRoundTrips(ns, n, b, m int) int64 {
+	if n == 0 {
+		return 0
+	}
+	if fitsCache(n, b, m) {
+		return int64(min(ns, 1)) + 1
+	}
+	var rt int64
+	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, 0)
+	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
+		s, w := 1<<i0, 1<<min(g, levels-i0)
+		cb := min(w, extmem.ScanBatchOf(m-2*w*b, b, 1))
+		top := s*w >= n
+		for c := 0; c < s && c < n; c++ {
+			lv := (n - c + s - 1) / s
+			loaded := lv
+			for t := (lv+w-1)/w - 1; t >= 0; t-- {
+				for lo := max((t-1)*w, 0); loaded > lo; loaded -= min(cb, loaded-lo) {
+					// A chunk is read unless its lowest cell is past the source.
+					if !top || c+(loaded-min(cb, loaded-lo))*s < ns {
+						rt++
 					}
 				}
-				loaded = hi
+				rt += int64(extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
 			}
 		}
 	}

@@ -28,7 +28,12 @@ import "testing"
 // 19 792 → 19 240 and 37 351 → 36 837 round trips and — reads and writes
 // interleaving at the new boundaries — under a new hash, still a function
 // of geometry and tape alone. Select and CompactTight use no such writer
-// and did not move.)
+// and did not move. The ORAMAccess row alone moved when a rebuild stopped
+// sorting its tables with fillers three times over and began to route: the
+// network compacts the live entries out of the tables, they alone are
+// sorted, and the network in reverse — or one scan, when they fit the
+// cache — writes the new table: 586 442 → 29 890 accesses, 36 837 → 7 595
+// round trips.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -67,7 +72,7 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ORAMAccess", want{TraceSummary{586442, 2945238888025830214}, 291216, 295226, 36837}, func(t *testing.T, arr *Array) {
+		{"ORAMAccess", want{TraceSummary{29890, 13245366449379289496}, 13016, 16874, 7595}, func(t *testing.T, arr *Array) {
 			// A fixed logical access sequence: the ORAM's probe addresses
 			// are a keyed function of the index, so its trace is oblivious
 			// in distribution, not bit-identical across sequences.
