@@ -2,10 +2,12 @@
 // external-memory model, in the style of Goldreich–Ostrovsky as adapted by
 // Goodrich–Mitzenmacher [24]: a hierarchy of bucket hash tables, each
 // rebuilt on a deterministic binary-counter schedule. A rebuild is the
-// paper's own toolkit end to end: Theorem 6's routing network compacts the
-// live entries out of the sparse tables being merged, a data-oblivious sort
-// orders those — only those — by key and then by hash bucket, and the
-// network in reverse expands them into the new table. The sort is
+// paper's own toolkit end to end: the live entries come out of the sparse
+// tables being merged — in one scan and a private collect from a table whose
+// public bound on them fits the cache, through Theorem 6's routing network
+// (tight compaction) from the others — a data-oblivious sort orders those —
+// only those — by key and then by hash bucket, and the network in reverse
+// expands them into the new table. The sort is
 // pluggable: its term of the rebuild inherits the sort's complexity
 // directly, which is the paper's headline claim that its sorting result
 // improves the amortized I/O overhead of oblivious RAM simulation by a

@@ -152,11 +152,12 @@ func (s *slots) stamp(blk []extmem.Element) {
 }
 
 // RebuildGeometry is everything the I/O of one rebuild depends on, all of
-// it public: the lengths of the tables merged, how many entries come from
-// the private buffer, the bound on the live entries among them, the size of
-// the table built, and the cache.
+// it public: the lengths of the tables merged and the bounds on their live
+// entries, how many entries come from the private buffer, the bound on the
+// live entries among them all, the size of the table built, and the cache.
 type RebuildGeometry struct {
 	Sources []int  // blocks of each source table, in merge order
+	Bounds  []int  // public bound on the live entries of each source
 	Buffer  int    // entries taken from the private top buffer
 	CapE    int    // public bound on the live entries: what is sorted
 	Table   int    // blocks of the table built: buckets·beta
@@ -165,7 +166,7 @@ type RebuildGeometry struct {
 	Sorter  string // engine name, as in Options.SorterName
 }
 
-// in is the number of cells the compaction routes.
+// in is the number of blocks the rebuild merges.
 func (g RebuildGeometry) in() int {
 	in := g.Buffer
 	for _, s := range g.Sources {
@@ -174,28 +175,59 @@ func (g RebuildGeometry) in() int {
 	return in
 }
 
+// collects reports whether source i's bound fits the free cache beside the
+// chunk of a scan, in which case its live entries are collected privately
+// rather than routed.
+func (g RebuildGeometry) collects(i int) bool { return (g.Bounds[i]+2)*g.B <= g.Free }
+
+// collectCost is the block I/Os and round trips of collecting source i: a
+// read-only scan of its table beside the bound-block buffer, and one write.
+func (g RebuildGeometry) collectCost(i int) (int64, int64) {
+	return int64(g.Sources[i] + g.Bounds[i]), g.scanRT(g.Sources[i], g.Bounds[i]*g.B) + 1
+}
+
+// routed is the number of source blocks the network compacts.
+func (g RebuildGeometry) routed() (n int) {
+	for i, s := range g.Sources {
+		if !g.collects(i) {
+			n += s
+		}
+	}
+	return n
+}
+
 // inCache reports whether the live entries fit the free cache beside the
 // chunk of a scan, in which case the table is written straight from them.
 func (g RebuildGeometry) inCache() bool { return (g.CapE+2)*g.B <= g.Free }
 
 // scanRT is the round trips of one side of a scan of n blocks.
 func (g RebuildGeometry) scanRT(n, held int) int64 {
+	if n == 0 {
+		return 0
+	}
 	return int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(g.Free-held, g.B, 1))))
 }
 
 // RebuildIOCount predicts the exact block I/Os of one rebuild, or -1 under
-// a sorter with no exact predictor: the compaction of the sources into the
-// live prefix (their one read, and Theorem 6's passes less the first read),
-// two sorts of the live entries with the scan between them, and then either
-// one read of the entries and one write of the table, or the scan that
-// stamps the slots and Theorem 6's expansion into the table.
+// a sorter with no exact predictor: the live prefix — each collected
+// source's read and its bound's write, the buffer's write, and the routed
+// sources' compaction (their one read, and Theorem 6's passes less the
+// first read) — two sorts of the live entries with the scan between them,
+// and then either one read of the entries and one write of the table, or
+// the scan that stamps the slots and Theorem 6's expansion into the table.
 func RebuildIOCount(g RebuildGeometry) int64 {
 	sortIO, _, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
 	if !ok {
 		return -1
 	}
 	e, t := int64(g.CapE), int64(g.Table)
-	ios := route.CompactIntoIOCount(g.in()-g.Buffer, g.in(), g.B, g.Free) + 2*sortIO + 2*e
+	ios := int64(g.Buffer) + route.CompactIntoIOCount(g.routed(), g.routed(), g.B, g.Free) + 2*sortIO + 2*e
+	for i := range g.Sources {
+		if g.collects(i) {
+			c, _ := g.collectCost(i)
+			ios += c
+		}
+	}
 	if g.inCache() {
 		return ios + e + t
 	}
@@ -209,10 +241,13 @@ func RebuildRoundTrips(g RebuildGeometry) int64 {
 	if !ok {
 		return -1
 	}
-	// The compaction's feed reads each source a chunk overlaps.
+	// The compaction's feed reads each routed source a chunk overlaps.
 	feedRT := func(lo, hi int) (rt int64) {
 		base := 0
-		for _, s := range g.Sources {
+		for i, s := range g.Sources {
+			if g.collects(i) {
+				continue
+			}
 			if max(lo, base) < min(hi, base+s) {
 				rt++
 			}
@@ -220,7 +255,13 @@ func RebuildRoundTrips(g RebuildGeometry) int64 {
 		}
 		return rt
 	}
-	rts := route.CompactIntoRoundTrips(g.in(), g.B, g.Free, feedRT) + 2*sortRT + 2*g.scanRT(g.CapE, 0)
+	rts := g.scanRT(g.Buffer, 0) + route.CompactIntoRoundTrips(g.routed(), g.B, g.Free, feedRT) + 2*sortRT + 2*g.scanRT(g.CapE, 0)
+	for i := range g.Sources {
+		if g.collects(i) {
+			_, c := g.collectCost(i)
+			rts += c
+		}
+	}
 	if g.inCache() {
 		return rts + 1 + g.scanRT(g.Table, g.CapE*g.B)
 	}
@@ -241,6 +282,7 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 	}
 	for _, s := range sources {
 		g.Sources = append(g.Sources, s.arr.Len())
+		g.Bounds = append(g.Bounds, s.bound)
 		g.CapE += s.bound
 	}
 	return g
@@ -249,12 +291,16 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 // rebuildInto rebuilds the target level's bucket table from the given
 // source arrays (tables of lower levels and/or scratch) plus, when withBuf
 // is set, the private top buffer. Only the live entries are ever sorted;
-// the paper's routing network (Theorem 6) carries them out of the sparse
-// source tables and into the sparse new one:
+// one private scan or the paper's routing network (Theorem 6) carries them
+// out of the sparse source tables, and the network into the sparse new one:
 //
-//  1. tight compaction of the sources and the buffer, converted to
-//     in-flight form as the network's first pass reads them, and a slice to
-//     the public bound on the live entries among them;
+//  1. the live prefix, in in-flight form, laid out as [the bound of each
+//     collected source | the buffer | the routed sources]: a source whose
+//     bound fits the free cache is read in one scan and its live entries
+//     written from private memory, padded to the bound; the buffer is
+//     written out; the other sources go through the network's tight
+//     compaction, converted as its first pass reads them. The prefix is
+//     sliced to the public bound on the live entries among them all;
 //  2. sort by logical key with freshest-first tiebreak, a scan that drops
 //     stale duplicates and assigns PRF buckets under the new epoch, and a
 //     sort by bucket;
@@ -277,9 +323,22 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		panic(fmt.Sprintf("oram: rebuild of level %d bounds its live entries by %d, over its table's %d slots", target, g.CapE, g.Table))
 	}
 
+	// The collected bounds and the buffer lie ahead of the routed region,
+	// whose live entries are bounded by routedBound.
+	var routed []source
+	prefix, routedBound := g.Buffer, 0
+	for i, s := range sources {
+		if g.collects(i) {
+			prefix += s.bound
+		} else {
+			routed = append(routed, s)
+			routedBound += s.bound
+		}
+	}
+
 	mark := o.env.D.Mark()
 	defer o.env.D.Release(mark)
-	work := o.env.D.Alloc(in)
+	work := o.env.D.Alloc(prefix + g.routed())
 
 	sp := o.env.Obs.Start("oram-rebuild")
 	defer o.env.Obs.End(sp)
@@ -295,35 +354,55 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		// the array layout (every scan pass touches every block; the routing
 		// and the sorter's trace depend only on sizes and the free cache) —
 		// except under the randomized sorter, which consumes tape. The key
-		// pins every address-determining input so equal keys really do
-		// promise equal traces.
+		// pins every address-determining input — each source's bound and
+		// the arm it takes among them — so equal keys really do promise
+		// equal traces.
 		srcSig := ""
-		for _, s := range sources {
-			srcSig += fmt.Sprintf("+%d:%d", s.arr.Base(), s.arr.Len())
+		for i, s := range sources {
+			arm := "r"
+			if g.collects(i) {
+				arm = "c"
+			}
+			srcSig += fmt.Sprintf("+%d:%d:%d:%s", s.arr.Base(), s.arr.Len(), s.bound, arm)
 		}
 		sp.Audit(fmt.Sprintf("oram/rebuild/target=%d/in=%d/capE=%d/fill=%d/beta=%d/B=%d/M=%d/free=%d/work=%d/table=%d/src=%s",
 			target, in, g.CapE, g.Table, o.beta, b, g.M, g.Free, work.Base(), tl.table.Base(), srcSig))
 	}
 
-	// Step 1. The network's first pass asks for the cells of the sources,
-	// then the buffer's, a chunk at a time.
+	// Step 1. The collected sources and the buffer first; the network last,
+	// since it writes the whole of its region.
+	at := 0
+	for i, s := range sources {
+		if g.collects(i) {
+			spc := o.env.Obs.Start("collect")
+			spc.SetPredicted(g.collectCost(i))
+			o.collect(s, work.Slice(at, at+s.bound), target)
+			o.env.Obs.End(spc)
+			at += s.bound
+		}
+	}
+	o.env.Scan(extmem.Array{}, work.Slice(at, prefix), o.env.ScanBatchN(1, g.Buffer), func(lo int, chunk []extmem.Element) {
+		copy(chunk, o.buf[lo*b:])
+		for off := 0; off < len(chunk); off += b {
+			toFlight(chunk[off : off+b])
+		}
+	})
+	// The network's first pass asks for the cells of the routed sources a
+	// chunk at a time.
 	feed := func(lo, hi int, dst []extmem.Element) {
 		base := 0
-		for _, s := range sources {
+		for _, s := range routed {
 			if plo, phi := max(lo, base), min(hi, base+s.arr.Len()); plo < phi {
 				s.arr.ReadRange(plo-base, phi-base, dst[(plo-lo)*b:(phi-lo)*b])
 			}
 			base += s.arr.Len()
 		}
-		if plo := max(lo, base); plo < hi {
-			copy(dst[(plo-lo)*b:], o.buf[(plo-base)*b:(hi-base)*b])
-		}
 		for off := 0; off < len(dst); off += b {
 			toFlight(dst[off : off+b])
 		}
 	}
-	if count := route.CompactInto(o.env, work, in-g.Buffer, feed, route.PredOccupied); count > g.CapE {
-		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", count, target, g.CapE))
+	if count := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), feed, route.PredOccupied); count > routedBound {
+		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", count, target, routedBound))
 	}
 	live := work.Slice(0, g.CapE)
 
@@ -401,4 +480,32 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		return ErrOverflow
 	}
 	return nil
+}
+
+// collect copies the live entries of a source whose bound fits the free
+// cache into dst, its bound's worth of blocks, in flight form and padded with
+// empties: one read-only scan of the table beside a private buffer of that
+// many blocks, and one write. A count above the bound is a broken invariant.
+func (o *ORAM) collect(s source, dst extmem.Array, target int) {
+	b := o.b
+	ents := o.env.Cache.Buf(s.bound * b)
+	count := 0
+	o.env.Scan(s.arr, extmem.Array{}, o.env.ScanBatchN(1, s.arr.Len()), func(_ int, chunk []extmem.Element) {
+		for off := 0; off < len(chunk); off += b {
+			if blk := chunk[off : off+b]; blk[0].Occupied() {
+				if count < s.bound {
+					copy(ents[count*b:], blk)
+					toFlight(ents[count*b : (count+1)*b])
+				}
+				count++
+			}
+		}
+	})
+	if count > s.bound {
+		o.env.Cache.Free(ents)
+		panic(fmt.Sprintf("oram: %d live entries in a level-%d rebuild's source, over its bound %d", count, target, s.bound))
+	}
+	clear(ents[count*b:])
+	dst.WriteRange(0, s.bound, ents)
+	o.env.Cache.Free(ents)
 }

@@ -24,14 +24,28 @@ func rebuildSpans(roots []*obs.Span) (out []*obs.Span) {
 	return out
 }
 
+// children counts the spans directly under sp with the given name.
+func children(sp *obs.Span, name string) (n int) {
+	for _, c := range sp.Children {
+		if c.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRebuildIOExact: every rebuild — the initial build included — costs
 // exactly the block I/Os and round trips its span predicts, and for the
 // scheduled ones that prediction is RebuildIOCount / RebuildRoundTrips of
-// the geometry the schedule announces beforehand. The grid takes both arms
-// of the table write: live entries that fit the free cache and are written
-// out in one scan, and live entries that are expanded by the network.
+// the geometry the schedule announces beforehand, with the cache never over
+// M. The grid takes both arms of the live prefix — a source collected in one
+// private scan, a source routed by the network, and rebuilds that do both —
+// and both arms of the table write: live entries that fit the free cache
+// and are written out in one scan, and live entries that are expanded by
+// the network.
 func TestRebuildIOExact(t *testing.T) {
 	arms := map[bool]int{}
+	var collected, routed, mixed int
 	for _, geo := range oracleGeometries {
 		for _, n := range oracleSizes {
 			for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineZigzag} {
@@ -49,6 +63,9 @@ func TestRebuildIOExact(t *testing.T) {
 				name := fmt.Sprintf("B=%d M=%d n=%d %s", b, mWords, n, sorter)
 				check := func(want *oram.RebuildGeometry) {
 					t.Helper()
+					if hw := env.Cache.HighWater(); hw > mWords {
+						t.Fatalf("%s: cache high-water %d > M = %d", name, hw, mWords)
+					}
 					spans := rebuildSpans(col.Roots())
 					if len(spans) != 1 {
 						t.Fatalf("%s: %d rebuild spans, want 1", name, len(spans))
@@ -58,12 +75,37 @@ func TestRebuildIOExact(t *testing.T) {
 						t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, its span predicts %d in %d",
 							name, sp.IO.Total(), sp.IO.RoundTrips, sp.PredictedIO, sp.PredictedRT)
 					}
+					for _, c := range sp.Children {
+						if c.Name == "collect" && (c.IO.Total() != c.PredictedIO || c.IO.RoundTrips != c.PredictedRT) {
+							t.Fatalf("%s: a collect measured %d I/Os in %d round trips, its span predicts %d in %d",
+								name, c.IO.Total(), c.IO.RoundTrips, c.PredictedIO, c.PredictedRT)
+						}
+					}
 					if want != nil {
 						if ios, rts := oram.RebuildIOCount(*want), oram.RebuildRoundTrips(*want); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
 							t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, %+v predicts %d in %d",
 								name, sp.IO.Total(), sp.IO.RoundTrips, *want, ios, rts)
 						}
 						arms[(want.CapE+2)*want.B <= want.Free]++
+						c, r := 0, 0
+						for _, bound := range want.Bounds {
+							if (bound+2)*want.B <= want.Free {
+								c++
+							} else {
+								r++
+							}
+						}
+						if got := children(sp, "collect"); got != c {
+							t.Fatalf("%s: %d collect spans under a rebuild of %+v, want %d", name, got, *want, c)
+						}
+						if got := children(sp, "butterfly-compact"); got != min(r, 1) {
+							t.Fatalf("%s: %d butterfly-compact spans under a rebuild of %+v, want %d", name, got, *want, min(r, 1))
+						}
+						collected += c
+						routed += r
+						if c > 0 && r > 0 {
+							mixed++
+						}
 					}
 					col.Reset()
 				}
@@ -90,34 +132,48 @@ func TestRebuildIOExact(t *testing.T) {
 	if arms[true] == 0 || arms[false] == 0 {
 		t.Fatalf("the grid took the in-cache table write %d times and the expansion %d times; it must take both", arms[true], arms[false])
 	}
+	if collected == 0 || routed == 0 || mixed == 0 {
+		t.Fatalf("the grid collected %d sources and routed %d, in %d rebuilds doing both; it must take each", collected, routed, mixed)
+	}
 }
 
 // TestRebuildGeometryAtBenchmarkShape pins the two rebuilds of the
-// kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bound
-// they sort, and that the smaller one writes its table from the cache while
-// the larger one expands.
+// kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bounds
+// they sort, that the smaller one writes its table from the cache while the
+// larger one expands, and that the larger one collects both its sources in
+// private scans, routing none of them.
 func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 	env := extmem.NewEnv(256, 8, 512, 1)
 	o, err := oram.New(env, 32, oram.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := env.EnableObs()
 	want := map[int]oram.RebuildGeometry{
 		5: {Buffer: 16, CapE: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
-		6: {Sources: []int{320, 640}, Buffer: 16, CapE: 64, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
+		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
 	}
 	seen := map[int]bool{}
 	for step := 0; step < 64; step++ {
+		target := 0
 		if o.Buffered() == 15 {
-			target, g := o.NextRebuild()
+			var g oram.RebuildGeometry
+			target, g = o.NextRebuild()
 			// The first flush finds only the largest level live.
 			if step > 16 && !reflect.DeepEqual(g, want[target]) {
 				t.Fatalf("rebuild of level %d: geometry %+v, want %+v", target, g, want[target])
 			}
 			seen[target] = true
 		}
+		col.Reset()
 		if err := o.Dummy(); err != nil {
 			t.Fatal(err)
+		}
+		if target == 6 && step > 16 {
+			sp := rebuildSpans(col.Roots())[0]
+			if c, r := children(sp, "collect"), children(sp, "butterfly-compact"); c != 2 || r != 0 {
+				t.Fatalf("level-6 rebuild: %d collect and %d butterfly-compact spans, want 2 and 0", c, r)
+			}
 		}
 	}
 	if !seen[5] || !seen[6] {
@@ -196,7 +252,7 @@ func TestRebuildOverflowDeclared(t *testing.T) {
 		}
 		sp := rebuildSpans(col.Roots())[0]
 		// l0 = 4 as at n = 32, so 16 blocks of buffer are held; 2^7 buckets.
-		g := oram.RebuildGeometry{Sources: []int{n}, CapE: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
+		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
 		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
 			t.Fatalf("overflowing build measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
 		}
