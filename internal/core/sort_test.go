@@ -130,8 +130,8 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		if per := float64(st.Total()) / nBlocks; per > 235 {
 			t.Errorf("workers=%d: %.1f I/Os per block > 235", workers, per)
 		}
-		if st.RoundTrips > 26000 {
-			t.Errorf("workers=%d: %d round trips > 26 000", workers, st.RoundTrips)
+		if st.RoundTrips > 12000 {
+			t.Errorf("workers=%d: %d round trips > 12 000", workers, st.RoundTrips)
 		}
 		if hw := env.Cache.HighWater(); hw > m {
 			t.Errorf("workers=%d: %d private elements > M=%d", workers, hw, m)

@@ -13,8 +13,8 @@ import (
 // table from the cache (448 and 19), level 6 collects both tables' live
 // entries in one private scan each — their bounds, 16 and 32 blocks, fit
 // the cache — and expands them and the buffer's through the routing network
-// (5 312 and 712, 1 024 and 57 of them the collects and the buffer's
-// write, 3 264 and 623 the expansion). The accesses that
+// (5 312 and 238, 1 024 and 57 of them the collects and the buffer's
+// write, 3 264 and 149 the expansion). The accesses that
 // fill the buffer run off the clock, and the last of them without its
 // probe, so an iteration is the rebuild and nothing else.
 func BenchmarkRebuild(b *testing.B) {

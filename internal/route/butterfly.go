@@ -10,24 +10,7 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
-	"oblivext/internal/par"
 )
-
-// parMinCells is the chunk length below which per-cell compute stays on
-// the calling goroutine — spawning workers costs more than processing a
-// handful of cells. It compares public chunk lengths only, so the fan-out
-// decision never depends on data.
-const parMinCells = 32
-
-// parFor fans fn out over [0, n) across w workers when the range is large
-// enough to amortize the spawns, inline otherwise. All I/O and all cache
-// accounting stay with the caller.
-func parFor(w, n int, fn func(lo, hi int)) {
-	if n < parMinCells {
-		w = 1
-	}
-	par.For(w, n, fn)
-}
 
 // This file implements Theorem 6: deterministic tight order-preserving
 // compaction through the butterfly-like routing network of Figure 1, and
@@ -39,8 +22,8 @@ func parFor(w, n int, fn func(lo, hi int)) {
 // variant with O(n·log(n)/log(M/B)) I/Os; g = 1 recovers the naive
 // per-level variant — the ablation pair TestWindowedBeatsNaive compares.
 //
-// A routing is one pass per group — each cell read once and written once —
-// and nothing else. The labels are a prefix count, and the first group of
+// A routing is one pass per group — each cell read once and written once,
+// up to half the free cache of cells a round trip — and nothing else. The labels are a prefix count, and the first group of
 // a compaction loads the cells in address order, so it labels them as they
 // stream through the cache; an expansion routes on the targets its caller
 // stamped and checks their order as its last group emits. An array that
@@ -170,8 +153,9 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, fed int, feed func(l
 		return rank
 	}
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
+	ws := newWindows(n, b, free, min(g, levels))
 	for i0 := 0; i0 < levels; i0 += g {
-		rank += routeGroupLeft(env, a, feed, pred, i0, min(g, levels-i0))
+		rank += routeGroupLeft(env, a, feed, pred, i0, min(g, levels-i0), free, ws)
 	}
 	return rank
 }
@@ -195,8 +179,7 @@ func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass
 // reads src where ExpandBlocks reads the array, every cell past src's end
 // counting as empty, and the groups after it run in dst, in place. finish,
 // when it is not nil, rewrites each routed cell as the last group emits it
-// (from the form it travelled in to the form dst keeps); it must be pure
-// per-cell compute, as it runs on the workers.
+// (from the form it travelled in to the form dst keeps).
 func ExpandInto(env *extmem.Env, src, dst extmem.Array, pred BlockPred, finish func(blk []extmem.Element)) {
 	if src.Len() > dst.Len() {
 		panic(fmt.Sprintf("route: expansion of %d cells into %d", src.Len(), dst.Len()))
@@ -255,8 +238,9 @@ func expand(env *extmem.Env, src, dst extmem.Array, pred BlockPred, levelsPerPas
 	}
 	// The same group boundaries as a compaction, in descending stride order.
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
+	ws := newWindows(n, b, free, min(g, levels))
 	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
-		routeGroupRight(env, src, dst, pred, i0, min(g, levels-i0), finish)
+		routeGroupRight(env, src, dst, pred, i0, min(g, levels-i0), free, ws, finish)
 	}
 }
 
@@ -270,7 +254,7 @@ func groupSize(mBlocks, levelsPerPass int) int {
 	if levelsPerPass > 0 {
 		return levelsPerPass
 	}
-	// Private window of 2w cells plus an I/O block: 2w+2 <= m.
+	// The largest g with 2·2^g + 2 <= m.
 	g := 0
 	for w := 1; 4*w+2 <= mBlocks; w *= 2 {
 		g++
@@ -278,198 +262,257 @@ func groupSize(mBlocks, levelsPerPass int) int {
 	return max(g, 1)
 }
 
-// windowCells returns the half-window size w = 2^g, checking the cache can
-// hold 2w cells plus an I/O buffer.
-func windowCells(env *extmem.Env, g int) int {
-	w := 1 << g
-	if (2*w+1)*env.B() > env.M {
-		panic(fmt.Sprintf("route: butterfly window 2^%d cells exceeds cache (m=%d blocks)", g, env.MBlocks()))
+// windowCells returns w = 2^gg, a group of gg levels moving each cell fewer
+// than w places along its class, and hw, the cells it loads at a time: as
+// many as half the free cache holds beside a block of slack, at least w and
+// at most n. The stash of 2hw cells is all the cache a group checks out; it
+// panics when the free cache cannot hold the smallest, 2w.
+func windowCells(n, b, free, gg int) (w, hw int) {
+	w = 1 << gg
+	if 2*w*b > free {
+		panic(fmt.Sprintf("route: butterfly window 2^%d cells exceeds the free cache (%d blocks)", gg, free/b))
 	}
-	return w
+	return w, max(w, min(n, (free/b-1)/2))
+}
+
+// classes lays the residue classes mod s of n cells end to end, the paper's
+// virtual sequences of cells s apart: class c's cells c, c+s, c+2s, … take
+// consecutive positions, class after class. The first r classes hold q+1
+// cells and the rest q.
+type classes struct{ n, s, q, r int }
+
+func classesOf(n, s int) classes { return classes{n, s, n / s, n % s} }
+
+// at returns the class of position p and p's index within it.
+func (k classes) at(p int) (c, v int) {
+	if long := k.r * (k.q + 1); p >= long {
+		return k.r + (p-long)/k.q, (p - long) % k.q
+	}
+	return p / (k.q + 1), p % (k.q + 1)
+}
+
+// fill walks the classes from position p, writing the cells at positions
+// p, p+1, … into dst — or, reversed, those at positions n−1−p, n−2−p, … .
+func (k classes) fill(p int, dst []int, reversed bool) {
+	if reversed {
+		p = k.n - p - len(dst)
+	}
+	c, v := k.at(p)
+	for i := range dst {
+		if reversed {
+			dst[len(dst)-1-i] = c + v*k.s
+		} else {
+			dst[i] = c + v*k.s
+		}
+		if v++; c+v*k.s >= k.n {
+			c, v = c+1, 0
+		}
+	}
+}
+
+// lowest returns the smallest cell at positions [p, hi).
+func (k classes) lowest(p, hi int) int {
+	c, v := k.at(p)
+	if v > 0 && c+(v+hi-p-1)*k.s >= k.n { // the run reaches class c+1, whose first cell is c+1
+		return c + 1
+	}
+	return c + v*k.s
+}
+
+// windows is the bookkeeping the groups of one routing call share, allocated
+// once a call: a live mark for each slot of the stash, and the cells of one
+// half-window in load order.
+type windows struct {
+	live []bool
+	addr []int
+}
+
+func newWindows(n, b, free, gg int) windows {
+	_, hw := windowCells(n, b, free, gg)
+	return windows{make([]bool, 2*hw), make([]int, hw)}
+}
+
+// group is one level group's sweep over its classes laid end to end. Window
+// t, positions [t·hw, (t+1)·hw) — counted from the far end when reversed —
+// is read in one call straight into half t mod 2 of the stash, a position's
+// slot being its value mod 2hw. Its cells then move in place, in load order:
+// no target lies past its cell, so a move never lands on a cell still to
+// move, and none lies more than w ≤ hw back, so it lands in this window or
+// the last. Once window t+1 has moved, window t is final and goes out of
+// its half in one write.
+type group struct {
+	windows
+	k        classes
+	reversed bool
+	b, hw    int
+	stash    []extmem.Element
+}
+
+func newGroup(env *extmem.Env, n, s, hw int, reversed bool, ws windows) group {
+	b := env.B()
+	return group{ws, classesOf(n, s), reversed, b, hw, env.Cache.Buf(2 * hw * b)}
+}
+
+// window returns window t's cells, in load order, and its half's first slot.
+func (g *group) window(t int) (addr []int, half int) {
+	p := t * g.hw
+	addr = g.addr[:min(g.hw, g.k.n-p)]
+	g.k.fill(p, addr, g.reversed)
+	return addr, t % 2 * g.hw
+}
+
+func (g *group) slots(first, cnt int) []extmem.Element {
+	return g.stash[first*g.b : (first+cnt)*g.b]
+}
+
+func (g *group) cell(slot int) []extmem.Element { return g.slots(slot, 1) }
+
+// land moves the cell in slot from to slot to, where no cell may have landed.
+func (g *group) land(from, to int, collision string) {
+	if g.live[to] {
+		panic(collision)
+	}
+	g.live[to] = true
+	if to != from {
+		copy(g.cell(to), g.cell(from))
+	}
+}
+
+// flush writes window t to a, clearing every slot no cell landed on and
+// handing each cell that did to visit, when it is not nil, with its address.
+func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j int)) {
+	addr, half := g.window(t)
+	for i, j := range addr {
+		if !g.live[half+i] {
+			clear(g.cell(half + i))
+		} else if visit != nil {
+			visit(g.cell(half+i), j)
+		}
+	}
+	a.WriteMany(addr, g.slots(half, len(addr)))
 }
 
 // routeGroupLeft routes one group of levels [i0, i0+gg) of the compaction
 // network: every occupied cell moves left by ((j − dest) mod S·2^gg) where
-// S = 2^i0, which Lemma 5 guarantees lands it on a distinct cell. Cells at
-// distance S apart form independent virtual sequences (the paper's "simple
-// shuffle that brings together cells that are m apart"); each is processed
-// with a sliding window of 2w cells, w = 2^gg.
+// S = 2^i0, which Lemma 5 guarantees lands it on a distinct cell of its own
+// class mod S — dist is a multiple of S and dest ≥ 0 — under w = 2^gg of
+// that class's cells back. The group sweeps every class at once, a window
+// at a time (see group).
 //
-// The first group (S = 1, one sequence) takes its cells from feed, in
-// address order, labels each occupied one with its rank and its origin as
-// it arrives, and returns the number it saw; later groups read a and
-// return 0. Every group writes a.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, i0, gg int) int {
-	n := a.Len()
-	b := a.B()
-	s := 1 << i0
-	w := windowCells(env, gg)
-	modulus := s * w
-
-	stash := env.Cache.Buf(2 * w * b)
-	live := make([]bool, 2*w)
-	// Strided chunk buffer, shared between loads and write gathering (the
-	// two are never in flight at once): cb cells per vectored round trip.
-	cb := min(w, env.ScanBatch(1))
-	io := env.Cache.Buf(cb * b)
-	idx := make([]int, cb)
-	nw := env.WorkerCount()
-	// Per-cell stash slots are computed in parallel, the Lemma 5 collision
-	// check runs serially over the O(cb) slot list (deterministic panic),
-	// and the block copies into distinct slots fan back out.
-	slotOf := make([]int, cb)
-
-	// Every closure below is built once per group, not per residue class or
-	// per chunk: c, loaded and lo are the loop state they read.
-	var c, loaded, lo, rank int
-	place := func(plo, phi int) {
-		for t := plo; t < phi; t++ {
-			blk := io[t*b : (t+1)*b]
-			slotOf[t] = -1
+// The first group (S = 1, one class) takes its cells from feed, one call a
+// window, labels each occupied one with its rank and its origin as it
+// arrives, and returns the number it saw; later groups read a and return 0.
+// Every group writes a.
+func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, i0, gg, free int, ws windows) int {
+	n, s := a.Len(), 1<<i0
+	w, hw := windowCells(n, a.B(), free, gg)
+	g := newGroup(env, n, s, hw, false, ws)
+	rank := 0
+	for t := 0; t*hw < n; t++ {
+		addr, half := g.window(t)
+		if i0 == 0 {
+			feed(t*hw, t*hw+len(addr), g.slots(half, len(addr)))
+		} else {
+			a.ReadMany(addr, g.slots(half, len(addr)))
+		}
+		for i, j := range addr {
+			blk := g.cell(half + i)
+			g.live[half+i] = false
 			if !pred(blk) {
 				continue
 			}
-			j := idx[t]
+			if i0 == 0 {
+				label(blk, rank, j)
+				rank++
+			}
 			dist := j - blk[0].CellDest()
 			if dist < 0 || dist%s != 0 {
 				panic("route: butterfly invariant violated (distance not multiple of stride)")
 			}
-			move := dist % modulus / s
-			fin := loaded + t - move
-			slotOf[t] = ((fin % (2 * w)) + 2*w) % (2 * w)
+			g.land(half+i, (t*hw+i-dist%(s*w)/s)%(2*hw), "route: butterfly collision (Lemma 5 violated)")
+		}
+		if t > 0 {
+			g.flush(a, t-1, nil)
 		}
 	}
-	stow := func(plo, phi int) {
-		for t := plo; t < phi; t++ {
-			if slotOf[t] >= 0 {
-				copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
-			}
-		}
-	}
-	// Output cells in [lo, chi) span less than 2w virtual positions, so
-	// their slots are pairwise distinct — each worker touches its own stash
-	// slots and live entries.
-	emit := func(plo, phi int) {
-		for out := lo + plo; out < lo+phi; out++ {
-			slot := out % (2 * w)
-			dst := io[(out-lo)*b : (out-lo+1)*b]
-			if live[slot] {
-				copy(dst, stash[slot*b:(slot+1)*b])
-				live[slot] = false
-			} else {
-				clear(dst)
-			}
-			idx[out-lo] = c + out*s
-		}
-	}
-	load := func(hi int) {
-		for loaded < hi {
-			cnt := min(cb, hi-loaded)
-			for t := 0; t < cnt; t++ {
-				idx[t] = c + (loaded+t)*s
-			}
-			if i0 == 0 {
-				// The labels are a prefix count over cells arriving in
-				// address order: serial, O(cnt), private.
-				feed(loaded, loaded+cnt, io[:cnt*b])
-				for t := 0; t < cnt; t++ {
-					if blk := io[t*b : (t+1)*b]; pred(blk) {
-						label(blk, rank, loaded+t)
-						rank++
-					}
-				}
-			} else {
-				a.ReadMany(idx[:cnt], io[:cnt*b])
-			}
-			parFor(nw, cnt, place)
-			for t := 0; t < cnt; t++ {
-				if slotOf[t] < 0 {
-					continue
-				}
-				if live[slotOf[t]] {
-					panic("route: butterfly collision (Lemma 5 violated)")
-				}
-				live[slotOf[t]] = true
-			}
-			parFor(nw, cnt, stow)
-			loaded += cnt
-		}
-	}
-
-	for c = 0; c < s && c < n; c++ {
-		lv := (n - c + s - 1) / s // virtual length of this residue class
-		loaded = 0
-		for t := 0; t*w < lv; t++ {
-			load(min((t+2)*w, lv))
-			outHi := min((t+1)*w, lv)
-			for lo = t * w; lo < outHi; lo += cb {
-				chi := min(lo+cb, outHi)
-				parFor(nw, chi-lo, emit)
-				a.WriteMany(idx[:chi-lo], io[:(chi-lo)*b])
-			}
-		}
-	}
-	env.Cache.Free(io)
-	env.Cache.Free(stash)
+	g.flush(a, (n-1)/hw, nil)
+	env.Cache.Free(g.stash)
 	return rank
 }
 
-// routeGroupRight mirrors routeGroupLeft for rightward movement: groups run
-// in descending stride order, so a cell's remaining distance to its target
-// (its Aux bits) fits inside the group's modulus S·2^gg and the group moves
-// it by that distance's multiple of S; loads and output chunks run
-// right-to-left. The top group, the first to run, stamps every cell's
-// origin into its CellDest bits; the last (S = 1) emits the cells in
-// descending address order, checks that the origins descend with them —
-// which is the strictly-increasing-targets precondition — and leaves the
-// final position in CellDest, and the cell to finish. The top group reads
-// src, which may be a's own prefix held elsewhere; every group writes a.
-func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, gg int, finish func(blk []extmem.Element)) {
-	n := a.Len()
-	b := a.B()
-	s := 1 << i0
-	w := windowCells(env, gg)
-	modulus := s * w
-	top := modulus >= n
-	from := a
-	if top {
-		from = src
-	}
-
-	stash := env.Cache.Buf(2 * w * b)
-	live := make([]bool, 2*w)
-	// Strided chunk buffer shared between loads and write gathering, as in
-	// routeGroupLeft; cells stream right-to-left here.
-	cb := min(w, env.ScanBatch(1))
-	io := env.Cache.Buf(cb * b)
-	idx := make([]int, cb)
-	nw := env.WorkerCount()
-	slotOf := make([]int, cb)
-	origin := make([]int, cb) // last group: the origins of an output chunk's cells, -1 for an empty one
+// routeGroupRight mirrors routeGroupLeft for rightward movement on reversed
+// positions: groups run in descending stride order, so a cell's remaining
+// distance to its target (its Aux bits) fits inside the group's modulus
+// S·2^gg and the group moves it by that distance's multiple of S. The top
+// group, the first to run, reads src, which may be a's own prefix held
+// elsewhere — only its cells, in one call a window, every cell past its end
+// empty — and stamps every cell's origin into its CellDest bits. The last
+// (S = 1) emits the cells in descending address order, checks that the
+// origins descend with them — which is the strictly-increasing-targets
+// precondition — and leaves the final position in CellDest, and the cell to
+// finish. Every group writes a.
+func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, gg, free int, ws windows, finish func(blk []extmem.Element)) {
+	n, ns, s := a.Len(), src.Len(), 1<<i0
+	w, hw := windowCells(n, a.B(), free, gg)
+	top := s*w >= n
+	g := newGroup(env, n, s, hw, true, ws)
 	prevOrigin := n
-
-	// As in routeGroupLeft, every closure is built once per group: c, lv,
-	// loaded (the next virtual index to load, plus one) and chi (the output
-	// chunk's upper end) are the loop state they read.
-	var c, lv, loaded, chi int
-	place := func(plo, phi int) {
-		for t := plo; t < phi; t++ {
-			blk := io[t*b : (t+1)*b]
-			slotOf[t] = -1
+	emit := func(blk []extmem.Element, j int) {
+		if o := blk[0].CellDest(); o >= prevOrigin {
+			panic(badTargets(o, j))
+		} else {
+			prevOrigin = o
+		}
+		for e := range blk {
+			blk[e].SetCellDest(j)
+		}
+		if finish != nil {
+			finish(blk)
+		}
+	}
+	if i0 > 0 {
+		emit = nil
+	}
+	for t := 0; t*hw < n; t++ {
+		addr, half := g.window(t)
+		if !top {
+			a.ReadMany(addr, g.slots(half, len(addr)))
+		} else {
+			// Read the window's cells below ns packed, then spread them to
+			// their slots back to front, clearing the rest.
+			k := 0
+			for _, j := range addr {
+				if j < ns {
+					addr[k] = j
+					k++
+				}
+			}
+			if k > 0 {
+				src.ReadMany(addr[:k], g.slots(half, k))
+			}
+			addr, _ = g.window(t)
+			for i := len(addr) - 1; i >= 0; i-- {
+				if addr[i] >= ns {
+					clear(g.cell(half + i))
+				} else if k--; k != i {
+					copy(g.cell(half+i), g.cell(half+k))
+				}
+			}
+		}
+		for i, j := range addr {
+			blk := g.cell(half + i)
+			g.live[half+i] = false
 			if !pred(blk) {
 				continue
 			}
-			v := loaded - 1 - t
-			j := idx[t]
 			dist := blk[0].Aux() - j
 			if dist < 0 {
 				panic(badTargets(j, blk[0].Aux()))
 			}
-			if dist >= modulus {
+			if dist >= s*w {
 				panic("route: expansion invariant violated")
 			}
-			fin := v + dist/s
-			if fin >= lv {
+			if j+dist/s*s >= n {
 				panic("route: expansion routed past array end")
 			}
 			if top {
@@ -477,95 +520,14 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, g
 					blk[e].SetCellDest(j)
 				}
 			}
-			slotOf[t] = fin % (2 * w)
+			g.land(half+i, (t*hw+i-dist/s)%(2*hw), "route: expansion collision")
+		}
+		if t > 0 {
+			g.flush(a, t-1, emit)
 		}
 	}
-	stow := func(plo, phi int) {
-		for t := plo; t < phi; t++ {
-			if slotOf[t] >= 0 {
-				copy(stash[slotOf[t]*b:(slotOf[t]+1)*b], io[t*b:(t+1)*b])
-			}
-		}
-	}
-	// The out positions of one chunk span less than 2w virtual cells, so
-	// their slots are pairwise distinct across workers.
-	emit := func(plo, phi int) {
-		for p := plo; p < phi; p++ {
-			out := chi - 1 - p // descending virtual order
-			slot := out % (2 * w)
-			dst := io[p*b : (p+1)*b]
-			origin[p] = -1
-			if live[slot] {
-				copy(dst, stash[slot*b:(slot+1)*b])
-				live[slot] = false
-				if i0 == 0 {
-					origin[p] = dst[0].CellDest()
-					for e := range dst {
-						dst[e].SetCellDest(out)
-					}
-					if finish != nil {
-						finish(dst)
-					}
-				}
-			} else {
-				clear(dst)
-			}
-			idx[p] = c + out*s
-		}
-	}
-	load := func(lo int) {
-		for loaded > lo {
-			cnt := min(cb, loaded-lo)
-			for t := 0; t < cnt; t++ {
-				idx[t] = c + (loaded-1-t)*s // descending virtual order
-			}
-			// Cells past the source's end are empty, and come first.
-			past := 0
-			for past < cnt && idx[past] >= from.Len() {
-				past++
-			}
-			clear(io[:past*b])
-			if past < cnt {
-				from.ReadMany(idx[past:cnt], io[past*b:cnt*b])
-			}
-			parFor(nw, cnt, place)
-			for t := 0; t < cnt; t++ {
-				if slotOf[t] < 0 {
-					continue
-				}
-				if live[slotOf[t]] {
-					panic("route: expansion collision")
-				}
-				live[slotOf[t]] = true
-			}
-			parFor(nw, cnt, stow)
-			loaded -= cnt
-		}
-	}
-
-	for c = 0; c < s && c < n; c++ {
-		lv = (n - c + s - 1) / s
-		loaded = lv
-		for t := (lv+w-1)/w - 1; t >= 0; t-- {
-			load(max((t-1)*w, 0))
-			for chi = min((t+1)*w, lv); chi > t*w; chi -= cb {
-				cnt := min(cb, chi-t*w)
-				parFor(nw, cnt, emit)
-				for p := 0; p < cnt; p++ {
-					if origin[p] < 0 {
-						continue
-					}
-					if origin[p] >= prevOrigin {
-						panic(badTargets(origin[p], idx[p]))
-					}
-					prevOrigin = origin[p]
-				}
-				a.WriteMany(idx[:cnt], io[:cnt*b])
-			}
-		}
-	}
-	env.Cache.Free(io)
-	env.Cache.Free(stash)
+	g.flush(a, (n-1)/hw, emit)
+	env.Cache.Free(g.stash)
 }
 
 // ButterflyPassCount predicts the number of full read+write passes a
@@ -583,8 +545,7 @@ func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
 // CompactRoundTrips predicts the vectored round trips of CompactBlocksTight
 // on n blocks of b elements, entered with m elements of cache free and
 // batches bounded by the cache alone: two when the array fits, and
-// otherwise, one pass per group, the chunked window loads and output writes
-// of routeGroupLeft per level group and residue class.
+// otherwise a load and a write per window of each level group.
 func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
 	return compactRoundTrips(n, levelsPerPass, b, m, func(lo, hi int) int64 { return 1 })
 }
@@ -617,9 +578,9 @@ func ConsolidateCompactIOCount(n, b, m int) int64 {
 }
 
 // ConsolidateCompactRoundTrips is CompactRoundTrips for ConsolidateCompact,
-// whose feed, lag.cells, reads each chunk's inputs one block ahead of its
-// cells: block 0 on its own before a first chunk that is not the whole
-// array, and nothing for a chunk that is the last cell alone.
+// whose feed, lag.cells, reads each window's inputs one block ahead of its
+// cells: block 0 on its own before a first window that is not the whole
+// array, and nothing for a window that is the last cell alone.
 func ConsolidateCompactRoundTrips(n, b, m int) int64 {
 	return compactRoundTrips(n, 0, b, m-2*b, func(lo, hi int) int64 {
 		var rt int64
@@ -636,9 +597,9 @@ func ConsolidateCompactRoundTrips(n, b, m int) int64 {
 	})
 }
 
-// compactRoundTrips replays the batching of compact: the first group's
-// loads are calls of the feed, priced by feedRT; everything else is one
-// round trip a chunk.
+// compactRoundTrips replays the batching of compact: a load and a write per
+// window of every group, the first group's loads calls of the feed, priced
+// by feedRT.
 func compactRoundTrips(n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64) int64 {
 	if n == 0 {
 		return 0
@@ -649,20 +610,14 @@ func compactRoundTrips(n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64
 	var rt int64
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, levelsPerPass)
 	for i0 := 0; i0 < levels; i0 += g {
-		s, w := 1<<i0, 1<<min(g, levels-i0)
-		cb := min(w, extmem.ScanBatchOf(m-2*w*b, b, 1))
-		for c := 0; c < s && c < n; c++ {
-			lv := (n - c + s - 1) / s
-			for t, loaded := 0, 0; t*w < lv; t++ {
-				for hi := min((t+2)*w, lv); loaded < hi; loaded += min(cb, hi-loaded) {
-					if i0 == 0 {
-						rt += feedRT(loaded, loaded+min(cb, hi-loaded))
-					} else {
-						rt++
-					}
-				}
-				rt += int64(extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
+		_, hw := windowCells(n, b, m, min(g, levels-i0))
+		for lo := 0; lo < n; lo += hw {
+			if i0 == 0 {
+				rt += feedRT(lo, min(lo+hw, n))
+			} else {
+				rt++
 			}
+			rt++
 		}
 	}
 	return rt
@@ -679,9 +634,9 @@ func ExpandIntoIOCount(ns, n, b, m int) int64 {
 }
 
 // ExpandIntoRoundTrips replays the batching of expand as compactRoundTrips
-// does compact's: the chunked window loads and output writes of
-// routeGroupRight, less the loads of the top group that lie wholly past the
-// ns cells of the source.
+// does compact's: a load and a write per window of every group, less the
+// loads of the top group whose windows lie wholly past the ns cells of the
+// source.
 func ExpandIntoRoundTrips(ns, n, b, m int) int64 {
 	if n == 0 {
 		return 0
@@ -692,21 +647,14 @@ func ExpandIntoRoundTrips(ns, n, b, m int) int64 {
 	var rt int64
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, 0)
 	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
-		s, w := 1<<i0, 1<<min(g, levels-i0)
-		cb := min(w, extmem.ScanBatchOf(m-2*w*b, b, 1))
-		top := s*w >= n
-		for c := 0; c < s && c < n; c++ {
-			lv := (n - c + s - 1) / s
-			loaded := lv
-			for t := (lv+w-1)/w - 1; t >= 0; t-- {
-				for lo := max((t-1)*w, 0); loaded > lo; loaded -= min(cb, loaded-lo) {
-					// A chunk is read unless its lowest cell is past the source.
-					if !top || c+(loaded-min(cb, loaded-lo))*s < ns {
-						rt++
-					}
-				}
-				rt += int64(extmem.CeilDiv(min((t+1)*w, lv)-t*w, cb))
+		w, hw := windowCells(n, b, m, min(g, levels-i0))
+		top, k := 1<<i0*w >= n, classesOf(n, 1<<i0)
+		for lo := 0; lo < n; lo += hw {
+			// Window [lo, lo+hw) counts from the far end.
+			if !top || k.lowest(max(n-lo-hw, 0), n-lo) < ns {
+				rt++
 			}
+			rt++
 		}
 	}
 	return rt

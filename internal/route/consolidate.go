@@ -2,7 +2,24 @@ package route
 
 import (
 	"oblivext/internal/extmem"
+	"oblivext/internal/par"
 )
+
+// parMinCells is the chunk length below which per-cell compute stays on
+// the calling goroutine — spawning workers costs more than processing a
+// handful of cells. It compares public chunk lengths only, so the fan-out
+// decision never depends on data.
+const parMinCells = 32
+
+// parFor fans fn out over [0, n) across w workers when the range is large
+// enough to amortize the spawns, inline otherwise. All I/O and all cache
+// accounting stay with the caller.
+func parFor(w, n int, fn func(lo, hi int)) {
+	if n < parMinCells {
+		w = 1
+	}
+	par.For(w, n, fn)
+}
 
 // Consolidate is the data consolidation of Lemma 3: given an array A of
 // blocks, produce a new array A' of exactly ceil(N/B) blocks in which every

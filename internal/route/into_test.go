@@ -9,9 +9,11 @@ import (
 )
 
 // intoGeometries cover each arm of the routing dispatch at B = 4: an array
-// that fits the cache, one routing group, two, and three.
+// that fits the cache, one routing group, two, and three — the last also at
+// the shape of the benchmark ORAM's level-6 table, 640 cells whose top group
+// strides 256 classes of two and three cells.
 var intoGeometries = []struct{ n, m int }{
-	{1, 64}, {12, 64}, {15, 64}, {16, 64}, {33, 64}, {100, 64}, {125, 512}, {300, 128}, {1000, 64},
+	{1, 64}, {12, 64}, {15, 64}, {16, 64}, {33, 64}, {100, 64}, {125, 512}, {300, 128}, {1000, 64}, {640, 192},
 }
 
 // CompactInto must leave, bit for bit, what CompactBlocksTight leaves on the

@@ -98,14 +98,15 @@ type Config struct {
 	ShardPaths []string
 	// Workers sizes the pool of goroutines used for Alice-side in-cache
 	// compute: the private phases between store round trips (bitonic
-	// compare-exchange levels, butterfly routing, colorize/stamp passes,
-	// bucket binning, in-cache sorts) and the sealing/opening of blocks when
-	// EncryptionKey is set. 0 or 1 runs everything serially; N > 1 fans the
-	// compute out over N goroutines. The partitioning is a pure function of
-	// public geometry (lengths, B, M, N) — never of element values — and all
-	// store I/O stays on the calling goroutine in unchanged order, so the
-	// per-block trace Bob observes is bit-identical for every Workers
-	// setting; see docs/ARCHITECTURE.md, "Parallel compute".
+	// compare-exchange levels, consolidation, colorize/stamp passes, bucket
+	// binning, in-cache sorts) and the sealing/opening of blocks when
+	// EncryptionKey is set; the butterfly's in-place moves depend on their
+	// order and always run serially. 0 or 1 runs everything serially; N > 1
+	// fans the compute out over N goroutines. The partitioning is a pure
+	// function of public geometry (lengths, B, M, N) — never of element
+	// values — and all store I/O stays on the calling goroutine in unchanged
+	// order, so the per-block trace Bob observes is bit-identical for every
+	// Workers setting; see docs/ARCHITECTURE.md, "Parallel compute".
 	Workers int
 	// URL, when non-empty, backs the store with a real remote Bob: an
 	// obstore server (cmd/obstore) at this base URL, spoken to over the
