@@ -10,13 +10,14 @@ import (
 // BenchmarkRebuild times the two rebuilds of the benchmark's kv_mix_http
 // workload (n = 32, B = 8, M = 512) and reports what each costs in block
 // I/Os and round trips: level 5 merges the buffer alone and writes its
-// table from the cache (448 and 19), level 6 collects both tables' live
+// table from the cache (384 and 15), level 6 collects both tables' live
 // entries in one private scan each — their bounds, 16 and 32 blocks, fit
-// the cache — and expands them and the buffer's through the routing network
-// (5 312 and 238, 1 024 and 57 of them the collects and the buffer's
-// write, 3 264 and 149 the expansion). The accesses that
-// fill the buffer run off the clock, and the last of them without its
-// probe, so an iteration is the rebuild and nothing else.
+// the cache — sorts them and the buffer's once, compacts the 64 to the 32
+// distinct keys it keeps, and writes its table from the cache too (2 336
+// and 125: 1 024 and 57 the collects and the buffer's write, 384 and 12
+// the sort, 256 and 12 the compaction, 672 and 44 the install). The
+// accesses that fill the buffer run off the clock, and the last of them
+// without its probe, so an iteration is the rebuild and nothing else.
 func BenchmarkRebuild(b *testing.B) {
 	for _, target := range []int{5, 6} {
 		b.Run(fmt.Sprintf("level=%d", target), func(b *testing.B) {

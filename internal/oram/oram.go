@@ -5,13 +5,16 @@
 // paper's own toolkit end to end: the live entries come out of the sparse
 // tables being merged — in one scan and a private collect from a table whose
 // public bound on them fits the cache, through Theorem 6's routing network
-// (tight compaction) from the others — a data-oblivious sort orders those —
-// only those — by key and then by hash bucket, and the network in reverse
-// expands them into the new table. The sort is
-// pluggable: its term of the rebuild inherits the sort's complexity
-// directly, which is the paper's headline claim that its sorting result
-// improves the amortized I/O overhead of oblivious RAM simulation by a
-// logarithmic factor (TestORAMWithRandomizedRebuilds runs the hierarchy
+// (tight compaction) from the others — tagged with their hash bucket on the
+// way, one data-oblivious sort orders those — only those — by bucket and
+// then key, the network compacts them again where they do not fit the cache,
+// emptying stale copies, down to the public bound on the keys the level
+// keeps, and those are written into the new table from the cache or, when
+// they do not fit it either, expanded into it by the network in reverse.
+// The sort is pluggable: its term of the rebuild inherits the sort's
+// complexity directly, which is the paper's headline claim that its sorting
+// result improves the amortized I/O overhead of oblivious RAM simulation by
+// a logarithmic factor (TestORAMWithRandomizedRebuilds runs the hierarchy
 // with the deterministic Lemma-2 sort and with the randomized one).
 //
 // The ORAM stores n logical blocks of B words each, addressed 0..n-1, all

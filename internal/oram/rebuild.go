@@ -70,35 +70,38 @@ func (o *ORAM) initialBuild() error {
 }
 
 // In-flight entry representation during a rebuild. The routing network
-// keeps its labels in the color/dest flag bits, and the rebuild sorts may
+// keeps its labels in the color/dest flag bits, and the rebuild sort may
 // be performed by any padded oblivious Sorter — including the randomized
 // sort, which uses the same bits as scratch — so from the moment an entry
 // leaves its table until the moment it enters the new one its metadata
 // lives only in fields every one of them preserves: the Key and Pos of its
 // elements (plus FlagOccupied).
 //
-//	Pos             = (maxTS − ts)<<8 | elementIndex  (freshest first)
-//	sort 1 (dedupe):  Key = logicalKey
-//	sort 2 (bucket):  Key = bucket<<32 | logicalKey
+//	Key = bucket<<32 | logicalKey            (the target's bucket, new epoch)
+//	Pos = (maxTS − ts)<<8 | elementIndex     (freshest first)
 //
-// Discarded entries are simply unoccupied: the routing and the padded sorts
-// treat their content as don't-care, which is exactly right.
+// One sort by (Key, Pos) therefore orders the entries by bucket, then key,
+// then freshness; every copy of a key hashes to the same bucket, so its
+// stale copies sit right after its freshest one. Discarded entries are
+// simply unoccupied: the routing and the padded sort treat their content as
+// don't-care, which is exactly right.
 const (
 	keyLowMask = (uint64(1) << 32) - 1
 	maxTS      = uint64(0x7fffffff)
 )
 
 // toFlight converts an entry from table form (metadata in color/dest bits)
-// to in-flight form.
-func toFlight(blk []extmem.Element) {
+// to in-flight form, bucketed for the target level under its new epoch.
+func (o *ORAM) toFlight(blk []extmem.Element, target int) {
 	if !blk[0].Occupied() {
 		clear(blk)
 		return
 	}
 	key := uint64(blk[0].Color())
 	ts := uint64(blk[0].CellDest())
+	bkt := uint64(o.bucketOf(o.lvl(target), target, key))
 	for t := range blk {
-		blk[t].Key = key
+		blk[t].Key = bkt<<32 | key
 		blk[t].Pos = (maxTS-ts)<<8 | uint64(t)
 		blk[t].Flags = extmem.FlagOccupied
 	}
@@ -115,6 +118,33 @@ func toTable(blk []extmem.Element) {
 		blk[t].SetColor(key)
 		blk[t].SetCellDest(ts)
 	}
+}
+
+// latest empties the stale copies among entries arriving sorted, freshest
+// first — every copy of a key after its first — and counts those it keeps.
+type latest struct {
+	prev int64
+	kept int
+}
+
+func newLatest() latest { return latest{prev: -1} }
+
+func (d *latest) keep(blk []extmem.Element) {
+	if !blk[0].Occupied() {
+		return
+	}
+	if key := int64(blk[0].Key); key != d.prev {
+		d.prev = key
+		d.kept++
+		return
+	}
+	clear(blk)
+}
+
+// overKept is the broken invariant of more distinct keys than the target
+// can hold.
+func overKept(count, target, kept int) string {
+	return fmt.Sprintf("oram: %d distinct keys in a rebuild of level %d, over the %d it keeps", count, target, kept)
 }
 
 // slots hands the entries of a rebuild, arriving in (bucket, key) order,
@@ -154,12 +184,14 @@ func (s *slots) stamp(blk []extmem.Element) {
 // RebuildGeometry is everything the I/O of one rebuild depends on, all of
 // it public: the lengths of the tables merged and the bounds on their live
 // entries, how many entries come from the private buffer, the bound on the
-// live entries among them all, the size of the table built, and the cache.
+// live entries among them all and on those the target keeps, the size of
+// the table built, and the cache.
 type RebuildGeometry struct {
 	Sources []int  // blocks of each source table, in merge order
 	Bounds  []int  // public bound on the live entries of each source
 	Buffer  int    // entries taken from the private top buffer
 	CapE    int    // public bound on the live entries: what is sorted
+	Kept    int    // public bound on the distinct keys: what enters the table
 	Table   int    // blocks of the table built: buckets·beta
 	B, M    int    // block and cache size, in elements
 	Free    int    // elements of the cache free when the rebuild starts
@@ -175,10 +207,25 @@ func (g RebuildGeometry) in() int {
 	return in
 }
 
-// collects reports whether source i's bound fits the free cache beside the
-// chunk of a scan, in which case its live entries are collected privately
-// rather than routed.
-func (g RebuildGeometry) collects(i int) bool { return (g.Bounds[i]+2)*g.B <= g.Free }
+// fits reports whether n entries fit the free cache beside the chunk of a
+// scan, in which case they are handled privately rather than routed.
+func (g RebuildGeometry) fits(n int) bool { return (n+2)*g.B <= g.Free }
+
+// collects reports whether source i's live entries are collected privately.
+func (g RebuildGeometry) collects(i int) bool { return g.fits(g.Bounds[i]) }
+
+// compacts reports whether the sorted entries go through the network's
+// compaction, which empties their stale copies: when they do not fit.
+func (g RebuildGeometry) compacts() bool { return !g.fits(g.CapE) }
+
+// installed is the number of sorted entries the install reads: the kept
+// prefix of that compaction, or all capE.
+func (g RebuildGeometry) installed() int {
+	if g.compacts() {
+		return g.Kept
+	}
+	return g.CapE
+}
 
 // collectCost is the block I/Os and round trips of collecting source i: a
 // read-only scan of its table beside the bound-block buffer, and one write.
@@ -196,10 +243,6 @@ func (g RebuildGeometry) routed() (n int) {
 	return n
 }
 
-// inCache reports whether the live entries fit the free cache beside the
-// chunk of a scan, in which case the table is written straight from them.
-func (g RebuildGeometry) inCache() bool { return (g.CapE+2)*g.B <= g.Free }
-
 // scanRT is the round trips of one side of a scan of n blocks.
 func (g RebuildGeometry) scanRT(n, held int) int64 {
 	if n == 0 {
@@ -212,26 +255,30 @@ func (g RebuildGeometry) scanRT(n, held int) int64 {
 // a sorter with no exact predictor: the live prefix — each collected
 // source's read and its bound's write, the buffer's write, and the routed
 // sources' compaction (their one read, and Theorem 6's passes less the
-// first read) — two sorts of the live entries with the scan between them,
-// and then either one read of the entries and one write of the table, or
-// the scan that stamps the slots and Theorem 6's expansion into the table.
+// first read) — one sort of the live entries, Theorem 6's compaction of
+// them when they do not fit the free cache, and then either one read of the
+// installed entries and one write of the table, or the scan that stamps the
+// slots and Theorem 6's expansion into the table.
 func RebuildIOCount(g RebuildGeometry) int64 {
 	sortIO, _, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
 	if !ok {
 		return -1
 	}
-	e, t := int64(g.CapE), int64(g.Table)
-	ios := int64(g.Buffer) + route.CompactIntoIOCount(g.routed(), g.routed(), g.B, g.Free) + 2*sortIO + 2*e
+	ios := int64(g.Buffer) + route.CompactIntoIOCount(g.routed(), g.routed(), g.B, g.Free) + sortIO
 	for i := range g.Sources {
 		if g.collects(i) {
 			c, _ := g.collectCost(i)
 			ios += c
 		}
 	}
-	if g.inCache() {
-		return ios + e + t
+	if g.compacts() {
+		ios += route.CompactIntoIOCount(g.CapE, g.CapE, g.B, g.Free)
 	}
-	return ios + 2*e + route.ExpandIntoIOCount(g.CapE, g.Table, g.B, g.Free)
+	k := g.installed()
+	if g.fits(k) {
+		return ios + int64(k) + int64(g.Table)
+	}
+	return ios + 2*int64(k) + route.ExpandIntoIOCount(k, g.Table, g.B, g.Free)
 }
 
 // RebuildRoundTrips is RebuildIOCount for vectored round trips, batches
@@ -255,17 +302,21 @@ func RebuildRoundTrips(g RebuildGeometry) int64 {
 		}
 		return rt
 	}
-	rts := g.scanRT(g.Buffer, 0) + route.CompactIntoRoundTrips(g.routed(), g.B, g.Free, feedRT) + 2*sortRT + 2*g.scanRT(g.CapE, 0)
+	rts := g.scanRT(g.Buffer, 0) + route.CompactIntoRoundTrips(g.routed(), g.B, g.Free, feedRT) + sortRT
 	for i := range g.Sources {
 		if g.collects(i) {
 			_, c := g.collectCost(i)
 			rts += c
 		}
 	}
-	if g.inCache() {
-		return rts + 1 + g.scanRT(g.Table, g.CapE*g.B)
+	if g.compacts() { // its feed reads the sorted entries a range a call
+		rts += route.CompactIntoRoundTrips(g.CapE, g.B, g.Free, func(lo, hi int) int64 { return 1 })
 	}
-	return rts + 2*g.scanRT(g.CapE, 0) + route.ExpandIntoRoundTrips(g.CapE, g.Table, g.B, g.Free)
+	k := g.installed()
+	if g.fits(k) {
+		return rts + 1 + g.scanRT(g.Table, k*g.B)
+	}
+	return rts + 2*g.scanRT(k, 0) + route.ExpandIntoRoundTrips(k, g.Table, g.B, g.Free)
 }
 
 // geometry collects the public shape of a rebuild of target from sources.
@@ -285,6 +336,7 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 		g.Bounds = append(g.Bounds, s.bound)
 		g.CapE += s.bound
 	}
+	g.Kept = min(g.CapE, o.levelBound(target))
 	return g
 }
 
@@ -299,16 +351,20 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 //     bound fits the free cache is read in one scan and its live entries
 //     written from private memory, padded to the bound; the buffer is
 //     written out; the other sources go through the network's tight
-//     compaction, converted as its first pass reads them. The prefix is
+//     compaction, converted as its first pass reads them. Conversion puts
+//     each entry in the PRF bucket of the target's new epoch. The prefix is
 //     sliced to the public bound on the live entries among them all;
-//  2. sort by logical key with freshest-first tiebreak, a scan that drops
-//     stale duplicates and assigns PRF buckets under the new epoch, and a
-//     sort by bucket;
-//  3. a scan that hands each entry its slot (an entry beyond beta in its
-//     bucket is an overflow), and the network in reverse, expanding the
-//     entries to their slots in the table, back in table form as its last
-//     pass writes them. When the entries fit the free cache they are read
-//     once instead and the table is written from them in one scan.
+//  2. one sort by (bucket, key), freshest copy first;
+//  3. the install of the kept entries, the stale copies emptied where the
+//     entries are next read. When all the entries fit the free cache they
+//     are read once, and deduped and handed their slots privately (an entry
+//     beyond beta in its bucket is an overflow); the table is written from
+//     them in one scan. Otherwise the network compacts them in place, its
+//     first pass emptying the stale copies as it reads them, and the public
+//     bound on the distinct keys is all that is kept: installed from the
+//     cache as above when it fits, and otherwise stamped with its slots in a
+//     scan and expanded by the network in reverse into the table, back in
+//     table form as its last pass writes them.
 //
 // Every pass touches every block of what it scans and every length is a
 // bound, not a count, so the trace depends only on the source sizes, which
@@ -319,8 +375,8 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	b := o.b
 	g := o.geometry(target, sources, withBuf)
 	in := g.in()
-	if g.CapE > g.Table {
-		panic(fmt.Sprintf("oram: rebuild of level %d bounds its live entries by %d, over its table's %d slots", target, g.CapE, g.Table))
+	if g.Kept > g.Table {
+		panic(fmt.Sprintf("oram: rebuild of level %d keeps up to %d entries, over its table's %d slots", target, g.Kept, g.Table))
 	}
 
 	// The collected bounds and the buffer lie ahead of the routed region,
@@ -355,8 +411,9 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		// and the sorter's trace depend only on sizes and the free cache) —
 		// except under the randomized sorter, which consumes tape. The key
 		// pins every address-determining input — each source's bound and
-		// the arm it takes among them — so equal keys really do promise
-		// equal traces.
+		// the arm it takes among them, and the bound the target keeps, which
+		// picks the install's arm and the prefix it reads — so equal keys
+		// really do promise equal traces.
 		srcSig := ""
 		for i, s := range sources {
 			arm := "r"
@@ -365,8 +422,8 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 			}
 			srcSig += fmt.Sprintf("+%d:%d:%d:%s", s.arr.Base(), s.arr.Len(), s.bound, arm)
 		}
-		sp.Audit(fmt.Sprintf("oram/rebuild/target=%d/in=%d/capE=%d/fill=%d/beta=%d/B=%d/M=%d/free=%d/work=%d/table=%d/src=%s",
-			target, in, g.CapE, g.Table, o.beta, b, g.M, g.Free, work.Base(), tl.table.Base(), srcSig))
+		sp.Audit(fmt.Sprintf("oram/rebuild/target=%d/in=%d/capE=%d/kept=%d/fill=%d/beta=%d/B=%d/M=%d/free=%d/work=%d/table=%d/src=%s",
+			target, in, g.CapE, g.Kept, g.Table, o.beta, b, g.M, g.Free, work.Base(), tl.table.Base(), srcSig))
 	}
 
 	// Step 1. The collected sources and the buffer first; the network last,
@@ -384,7 +441,7 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	o.env.Scan(extmem.Array{}, work.Slice(at, prefix), o.env.ScanBatchN(1, g.Buffer), func(lo int, chunk []extmem.Element) {
 		copy(chunk, o.buf[lo*b:])
 		for off := 0; off < len(chunk); off += b {
-			toFlight(chunk[off : off+b])
+			o.toFlight(chunk[off:off+b], target)
 		}
 	})
 	// The network's first pass asks for the cells of the routed sources a
@@ -398,7 +455,7 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 			base += s.arr.Len()
 		}
 		for off := 0; off < len(dst); off += b {
-			toFlight(dst[off : off+b])
+			o.toFlight(dst[off:off+b], target)
 		}
 	}
 	if count := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), feed, route.PredOccupied); count > routedBound {
@@ -406,64 +463,35 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	}
 	live := work.Slice(0, g.CapE)
 
-	// Step 2. Every block is written back whether kept or discarded,
-	// keeping the trace fixed.
-	o.sorter(o.env, live, obsort.ByKey)
-	sp1 := o.env.Obs.Start("assign-buckets")
-	sp1.SetPredicted(2*int64(g.CapE), -1)
-	prevKey := int64(-1)
-	o.env.Scan(live, live, o.env.ScanBatchN(1, g.CapE), func(_ int, chunk []extmem.Element) {
-		for off := 0; off < len(chunk); off += b {
-			blk := chunk[off : off+b]
-			if !blk[0].Occupied() {
-				continue
-			}
-			key := blk[0].Key
-			if int64(key) == prevKey {
-				clear(blk) // a stale copy: the freshest sorted first
-				continue
-			}
-			prevKey = int64(key)
-			bkt := uint64(o.bucketOf(tl, target, key))
-			for t := range blk {
-				blk[t].Key = bkt<<32 | key
-			}
-		}
-	})
-	o.env.Obs.End(sp1)
+	// Step 2.
 	o.sorter(o.env, live, obsort.ByKey)
 
-	// Step 3.
-	place := slots{beta: o.beta, bucket: -1}
-	if g.inCache() {
-		sp2 := o.env.Obs.Start("install")
-		sp2.SetPredicted(int64(g.CapE)+int64(g.Table), -1)
-		ents := o.env.Cache.Buf(g.CapE * b)
-		live.ReadRange(0, g.CapE, ents)
-		for off := 0; off < len(ents); off += b {
-			place.stamp(ents[off : off+b])
-		}
-		next := 0 // the first entry not yet in the table
-		o.env.Scan(extmem.Array{}, tl.table, o.env.ScanBatchN(1, g.Table), func(lo int, chunk []extmem.Element) {
-			for ; next < g.CapE; next++ {
-				blk := ents[next*b : (next+1)*b]
-				if !blk[0].Occupied() {
-					continue
-				}
-				off := (blk[0].Aux() - lo) * b
-				if off >= len(chunk) {
-					break
-				}
-				toTable(blk)
-				copy(chunk[off:off+b], blk)
+	// Step 3. The compaction asks for each range once, in address order, so
+	// the stale copies are emptied as its first pass reads them.
+	if g.compacts() {
+		fresh := newLatest()
+		dedupe := func(lo, hi int, dst []extmem.Element) {
+			live.ReadRange(lo, hi, dst)
+			for off := 0; off < len(dst); off += b {
+				fresh.keep(dst[off : off+b])
 			}
-		})
-		o.env.Cache.Free(ents)
+		}
+		if count := route.CompactInto(o.env, live, g.CapE, dedupe, route.PredOccupied); count > g.Kept {
+			panic(overKept(count, target, g.Kept))
+		}
+		live = live.Slice(0, g.Kept)
+	}
+	place := slots{beta: o.beta, bucket: -1}
+	if g.fits(live.Len()) {
+		sp2 := o.env.Obs.Start("install")
+		sp2.SetPredicted(int64(live.Len())+int64(g.Table), -1)
+		o.install(tl.table, live, &place, g.Kept, target)
 		o.env.Obs.End(sp2)
 	} else {
+		// Only after the compaction: its labels overwrite the Aux bits.
 		sp2 := o.env.Obs.Start("assign-slots")
-		sp2.SetPredicted(2*int64(g.CapE), -1)
-		o.env.Scan(live, live, o.env.ScanBatchN(1, g.CapE), func(_ int, chunk []extmem.Element) {
+		sp2.SetPredicted(2*int64(live.Len()), -1)
+		o.env.Scan(live, live, o.env.ScanBatchN(1, live.Len()), func(_ int, chunk []extmem.Element) {
 			for off := 0; off < len(chunk); off += b {
 				place.stamp(chunk[off : off+b])
 			}
@@ -482,6 +510,41 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	return nil
 }
 
+// install writes table from private memory: the sorted entries of src,
+// read in one call, are deduped and handed their slots, and the table goes
+// out in one write-only scan. More than kept distinct keys is a broken
+// invariant.
+func (o *ORAM) install(table, src extmem.Array, place *slots, kept, target int) {
+	b, n := o.b, src.Len()
+	ents := o.env.Cache.Buf(n * b)
+	src.ReadRange(0, n, ents)
+	fresh := newLatest()
+	for off := 0; off < len(ents); off += b {
+		fresh.keep(ents[off : off+b])
+		place.stamp(ents[off : off+b])
+	}
+	if fresh.kept > kept {
+		o.env.Cache.Free(ents)
+		panic(overKept(fresh.kept, target, kept))
+	}
+	next := 0 // the first entry not yet in the table
+	o.env.Scan(extmem.Array{}, table, o.env.ScanBatchN(1, table.Len()), func(lo int, chunk []extmem.Element) {
+		for ; next < n; next++ {
+			blk := ents[next*b : (next+1)*b]
+			if !blk[0].Occupied() {
+				continue
+			}
+			off := (blk[0].Aux() - lo) * b
+			if off >= len(chunk) {
+				break
+			}
+			toTable(blk)
+			copy(chunk[off:off+b], blk)
+		}
+	})
+	o.env.Cache.Free(ents)
+}
+
 // collect copies the live entries of a source whose bound fits the free
 // cache into dst, its bound's worth of blocks, in flight form and padded with
 // empties: one read-only scan of the table beside a private buffer of that
@@ -495,7 +558,7 @@ func (o *ORAM) collect(s source, dst extmem.Array, target int) {
 			if blk := chunk[off : off+b]; blk[0].Occupied() {
 				if count < s.bound {
 					copy(ents[count*b:], blk)
-					toFlight(ents[count*b : (count+1)*b])
+					o.toFlight(ents[count*b:(count+1)*b], target)
 				}
 				count++
 			}

@@ -34,17 +34,35 @@ func children(sp *obs.Span, name string) (n int) {
 	return n
 }
 
+// fits reports whether n entries of a rebuild of g fit its free cache beside
+// the chunk of a scan.
+func fits(g oram.RebuildGeometry, n int) bool { return (n+2)*g.B <= g.Free }
+
+// installArm is the arm of the install a rebuild of g takes: 1 reads all
+// its live entries from the cache, 2 compacts them to the kept bound and
+// reads those from the cache, 3 compacts them and expands the kept ones.
+func installArm(g oram.RebuildGeometry) int {
+	switch {
+	case fits(g, g.CapE):
+		return 1
+	case fits(g, g.Kept):
+		return 2
+	}
+	return 3
+}
+
 // TestRebuildIOExact: every rebuild — the initial build included — costs
 // exactly the block I/Os and round trips its span predicts, and for the
 // scheduled ones that prediction is RebuildIOCount / RebuildRoundTrips of
 // the geometry the schedule announces beforehand, with the cache never over
 // M. The grid takes both arms of the live prefix — a source collected in one
 // private scan, a source routed by the network, and rebuilds that do both —
-// and both arms of the table write: live entries that fit the free cache
-// and are written out in one scan, and live entries that are expanded by
-// the network.
+// and all three arms of the install: live entries that fit the free cache
+// and are written out in one scan; live entries that do not, compacted by
+// the network to the kept bound, which does and is written out in one scan;
+// and kept entries that do not fit either, expanded by the network.
 func TestRebuildIOExact(t *testing.T) {
-	arms := map[bool]int{}
+	arms := map[int]int{}
 	var collected, routed, mixed int
 	for _, geo := range oracleGeometries {
 		for _, n := range oracleSizes {
@@ -86,20 +104,27 @@ func TestRebuildIOExact(t *testing.T) {
 							t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, %+v predicts %d in %d",
 								name, sp.IO.Total(), sp.IO.RoundTrips, *want, ios, rts)
 						}
-						arms[(want.CapE+2)*want.B <= want.Free]++
+						arm := installArm(*want)
+						arms[arm]++
 						c, r := 0, 0
 						for _, bound := range want.Bounds {
-							if (bound+2)*want.B <= want.Free {
+							if fits(*want, bound) {
 								c++
 							} else {
 								r++
 							}
 						}
-						if got := children(sp, "collect"); got != c {
-							t.Fatalf("%s: %d collect spans under a rebuild of %+v, want %d", name, got, *want, c)
+						kids := map[string]int{"collect": c, "butterfly-compact": min(r, 1), "install": 1, "butterfly-expand": 0}
+						if arm > 1 { // the compaction that empties the stale copies
+							kids["butterfly-compact"]++
 						}
-						if got := children(sp, "butterfly-compact"); got != min(r, 1) {
-							t.Fatalf("%s: %d butterfly-compact spans under a rebuild of %+v, want %d", name, got, *want, min(r, 1))
+						if arm == 3 {
+							kids["install"], kids["butterfly-expand"] = 0, 1
+						}
+						for span, n := range kids {
+							if got := children(sp, span); got != n {
+								t.Fatalf("%s: %d %s spans under a rebuild of %+v, want %d", name, got, span, *want, n)
+							}
 						}
 						collected += c
 						routed += r
@@ -129,8 +154,8 @@ func TestRebuildIOExact(t *testing.T) {
 			}
 		}
 	}
-	if arms[true] == 0 || arms[false] == 0 {
-		t.Fatalf("the grid took the in-cache table write %d times and the expansion %d times; it must take both", arms[true], arms[false])
+	if arms[1] == 0 || arms[2] == 0 || arms[3] == 0 {
+		t.Fatalf("the grid installed from the cache %d times, compacted then installed %d times and expanded %d times; it must take each", arms[1], arms[2], arms[3])
 	}
 	if collected == 0 || routed == 0 || mixed == 0 {
 		t.Fatalf("the grid collected %d sources and routed %d, in %d rebuilds doing both; it must take each", collected, routed, mixed)
@@ -139,9 +164,10 @@ func TestRebuildIOExact(t *testing.T) {
 
 // TestRebuildGeometryAtBenchmarkShape pins the two rebuilds of the
 // kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bounds
-// they sort, that the smaller one writes its table from the cache while the
-// larger one expands, and that the larger one collects both its sources in
-// private scans, routing none of them.
+// they sort and keep, what they cost, that the smaller one writes its table
+// from the cache, and that the larger one collects both its sources in
+// private scans, routing none of them, then compacts its 64 sorted entries
+// to the 32 it keeps and writes its table from the cache too.
 func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 	env := extmem.NewEnv(256, 8, 512, 1)
 	o, err := oram.New(env, 32, oram.Options{})
@@ -150,8 +176,14 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 	}
 	col := env.EnableObs()
 	want := map[int]oram.RebuildGeometry{
-		5: {Buffer: 16, CapE: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
-		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
+		5: {Buffer: 16, CapE: 16, Kept: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
+		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Kept: 32, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
+	}
+	cost := map[int][2]int64{5: {384, 15}, 6: {2336, 125}}
+	for target, g := range want {
+		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); ios != cost[target][0] || rts != cost[target][1] {
+			t.Fatalf("rebuild of level %d: predicted %d I/Os in %d round trips, want %d in %d", target, ios, rts, cost[target][0], cost[target][1])
+		}
 	}
 	seen := map[int]bool{}
 	for step := 0; step < 64; step++ {
@@ -171,8 +203,10 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 		}
 		if target == 6 && step > 16 {
 			sp := rebuildSpans(col.Roots())[0]
-			if c, r := children(sp, "collect"), children(sp, "butterfly-compact"); c != 2 || r != 0 {
-				t.Fatalf("level-6 rebuild: %d collect and %d butterfly-compact spans, want 2 and 0", c, r)
+			for span, n := range map[string]int{"collect": 2, "butterfly-compact": 1, "install": 1, "butterfly-expand": 0} {
+				if got := children(sp, span); got != n {
+					t.Fatalf("level-6 rebuild: %d %s spans, want %d", got, span, n)
+				}
 			}
 		}
 	}
@@ -182,9 +216,10 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 }
 
 // TestLevelOccupancyBound checks, against the tables themselves, the public
-// bound a rebuild slices its compacted sources to: before every rebuild no
-// live level holds more live entries than min(n, bufCap·2^(k−1)), k its
-// index above the buffer.
+// bound a rebuild slices its compacted sources to, and the one it caps the
+// entries of the level it builds at, Kept: before every rebuild no live
+// level holds more live entries than min(n, bufCap·2^(k−1)), k its index
+// above the buffer.
 func TestLevelOccupancyBound(t *testing.T) {
 	for _, geo := range oracleGeometries {
 		for _, n := range oracleSizes {
@@ -252,66 +287,97 @@ func TestRebuildOverflowDeclared(t *testing.T) {
 		}
 		sp := rebuildSpans(col.Roots())[0]
 		// l0 = 4 as at n = 32, so 16 blocks of buffer are held; 2^7 buckets.
-		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
+		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Kept: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
 		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
 			t.Fatalf("overflowing build measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
 		}
 	})
 
 	// Two keys in eight one-slot buckets: most rebuilds succeed, and one
-	// before long does not.
-	t.Run("access", func(t *testing.T) {
-		const n, b, mWords = 2, 4, 128
-		for seed := uint64(1); ; seed++ {
-			env := extmem.NewEnv(256, b, mWords, seed)
-			o, err := oram.New(env, n, oram.Options{BucketSize: 1})
-			if errors.Is(err, oram.ErrOverflow) {
-				continue // this seed's initial build collides; the case above
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			col := env.EnableObs()
-			g := o.Geometry()
-			for step := 0; ; step++ {
-				if step == 4000 {
-					t.Fatal("no rebuild overflowed in 4000 accesses of one-slot buckets")
-				}
-				_, next := o.NextRebuild()
-				col.Reset()
-				err := o.Write(step%n, make([]uint64, b))
-				if err == nil {
-					continue
-				}
-				if !errors.Is(err, oram.ErrOverflow) || !o.Failed() {
-					t.Fatalf("step %d: %v (failed = %v), want a declared overflow", step, err, o.Failed())
-				}
-				if o.Buffered() != 0 {
-					t.Fatalf("step %d: the overflow was declared with %d entries buffered, not by a rebuild", step, o.Buffered())
-				}
-				sp := rebuildSpans(col.Roots())[0]
-				if ios, rts := oram.RebuildIOCount(next), oram.RebuildRoundTrips(next); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
-					t.Fatalf("overflowing rebuild measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
-				}
-				break
-			}
-			before := env.D.Stats()
-			if _, err := o.Read(0); !errors.Is(err, oram.ErrOverflow) {
-				t.Fatalf("read after the overflow: %v", err)
-			}
-			if err := o.Write(1, make([]uint64, b)); !errors.Is(err, oram.ErrOverflow) {
-				t.Fatalf("write after the overflow: %v", err)
-			}
-			if err := o.Dummy(); !errors.Is(err, oram.ErrOverflow) {
-				t.Fatalf("dummy after the overflow: %v", err)
-			}
-			if env.D.Stats() != before {
-				t.Fatal("a failed structure still touched the disk")
-			}
-			if used, share := env.Cache.Used(), g.BufCap*g.B; used != share || env.Cache.HighWater() > mWords {
-				t.Fatalf("cache after the overflow: %d in use (the buffer's share is %d), high-water %d of %d", used, share, env.Cache.HighWater(), mWords)
-			}
-			return
+	// before long does not. Every rebuild merges the buffer's four entries
+	// and the largest level's two into the largest level, which keeps two:
+	// at M = 128 all six fit the free cache, and at M = 40 only the two kept
+	// do, so the rebuild compacts, then installs.
+	for _, tc := range []struct {
+		name        string
+		mWords, arm int
+	}{{"access", 128, 1}, {"compacted", 40, 2}} {
+		t.Run(tc.name, func(t *testing.T) { overflowOnAccess(t, tc.mWords, tc.arm) })
+	}
+}
+
+// overflowOnAccess drives one-slot buckets at M = mWords until a scheduled
+// rebuild, which takes the given arm of the install, overflows.
+func overflowOnAccess(t *testing.T, mWords, arm int) {
+	const n, b = 2, 4
+	for seed := uint64(1); ; seed++ {
+		env := extmem.NewEnv(256, b, mWords, seed)
+		o, err := oram.New(env, n, oram.Options{BucketSize: 1})
+		if errors.Is(err, oram.ErrOverflow) {
+			continue // this seed's initial build collides; the case above
 		}
-	})
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := env.EnableObs()
+		g := o.Geometry()
+		var succeeded *oram.RebuildGeometry // the geometry of the last rebuild that did not overflow
+		var okIO, okRT int64                // and what it measured
+		for step := 0; ; step++ {
+			if step == 4000 {
+				t.Fatal("no rebuild overflowed in 4000 accesses of one-slot buckets")
+			}
+			_, next := o.NextRebuild()
+			col.Reset()
+			err := o.Write(step%n, make([]uint64, b))
+			spans := rebuildSpans(col.Roots())
+			if len(spans) == 0 {
+				if err != nil {
+					t.Fatalf("step %d: %v without a rebuild", step, err)
+				}
+				continue
+			}
+			sp := spans[0]
+			if ios, rts := oram.RebuildIOCount(next), oram.RebuildRoundTrips(next); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
+				t.Fatalf("step %d: rebuild measured %d I/Os in %d round trips, predicted %d in %d", step, sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
+			}
+			if got := installArm(next); got != arm {
+				t.Fatalf("step %d: a rebuild of %+v takes arm %d of the install, want %d", step, next, got, arm)
+			}
+			if err == nil {
+				succeeded, okIO, okRT = &next, sp.IO.Total(), sp.IO.RoundTrips
+				continue
+			}
+			if !errors.Is(err, oram.ErrOverflow) || !o.Failed() {
+				t.Fatalf("step %d: %v (failed = %v), want a declared overflow", step, err, o.Failed())
+			}
+			if o.Buffered() != 0 {
+				t.Fatalf("step %d: the overflow was declared with %d entries buffered, not by a rebuild", step, o.Buffered())
+			}
+			if succeeded == nil || !reflect.DeepEqual(*succeeded, next) {
+				t.Fatalf("step %d: no successful rebuild of %+v before the one that overflowed", step, next)
+			}
+			if sp.IO.Total() != okIO || sp.IO.RoundTrips != okRT {
+				t.Fatalf("overflowing rebuild measured %d I/Os in %d round trips, a successful one %d in %d", sp.IO.Total(), sp.IO.RoundTrips, okIO, okRT)
+			}
+			break
+		}
+		before := env.D.Stats()
+		if _, err := o.Read(0); !errors.Is(err, oram.ErrOverflow) {
+			t.Fatalf("read after the overflow: %v", err)
+		}
+		if err := o.Write(1, make([]uint64, b)); !errors.Is(err, oram.ErrOverflow) {
+			t.Fatalf("write after the overflow: %v", err)
+		}
+		if err := o.Dummy(); !errors.Is(err, oram.ErrOverflow) {
+			t.Fatalf("dummy after the overflow: %v", err)
+		}
+		if env.D.Stats() != before {
+			t.Fatal("a failed structure still touched the disk")
+		}
+		if used, share := env.Cache.Used(), g.BufCap*g.B; used != share || env.Cache.HighWater() > mWords {
+			t.Fatalf("cache after the overflow: %d in use (the buffer's share is %d), high-water %d of %d", used, share, env.Cache.HighWater(), mWords)
+		}
+		return
+	}
 }

@@ -40,7 +40,10 @@ import "testing"
 // began to sweep its residue classes laid end to end with one window sized
 // from the free cache: the same blocks, in 19 240 → 8 554, 302 → 154 and
 // 5 109 → 2 134 round trips, under new hashes as the per-group access order
-// changed.)
+// changed. The ORAMAccess row alone moved when a rebuild began to bucket its
+// entries as it takes them out, sort them once, and install only the public
+// bound on the distinct keys: 23 866 → 23 130 accesses, 2 134 → 2 096
+// round trips.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -79,7 +82,7 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ORAMAccess", want{TraceSummary{23866, 16819847175370117344}, 10464, 13402, 2134}, func(t *testing.T, arr *Array) {
+		{"ORAMAccess", want{TraceSummary{23130, 9021188813566994574}, 10096, 13034, 2096}, func(t *testing.T, arr *Array) {
 			// A fixed logical access sequence: the ORAM's probe addresses
 			// are a keyed function of the index, so its trace is oblivious
 			// in distribution, not bit-identical across sequences.
