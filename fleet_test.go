@@ -74,7 +74,7 @@ func TestFleetTopologies(t *testing.T) {
 		}
 		cfg.URL, cfg.Path = fill([]string{cfg.URL})[0], fill([]string{cfg.Path})[0]
 		cfg.ShardURLs, cfg.ShardPaths, cfg.ReplicaURLs = fill(cfg.ShardURLs), fill(cfg.ShardPaths), fill(cfg.ReplicaURLs)
-		cfg.BlockSize, cfg.CacheWords, cfg.Seed, cfg.EncryptionKey = b, m, 29, key
+		cfg.BlockSize, cfg.CacheWords, cfg.Seed, cfg.EncryptionKey, cfg.Sorter = b, m, 29, key, "bitonic"
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +85,9 @@ func TestFleetTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arr.SortDeterministic()
+		if err := arr.Sort(); err != nil {
+			t.Fatal(err)
+		}
 		got, err := arr.Records()
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
@@ -78,7 +79,7 @@ func looseRounds(n, g int) (rounds, rmax, residue int) {
 // whether the output is shorter than the input. It returns the output, the
 // occupied count, and the number of probes that repeated a slot already
 // fetched in their window — a function of the tape alone; each saves the
-// two I/Os by which the call undercuts LooseIOCount. It fails with
+// two I/Os by which the call undercuts LooseCost. It fails with
 // probability at most 2^-40 (see loosePlan).
 func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, int64, error) {
 	rCap = max(rCap, 1)
@@ -251,16 +252,36 @@ func looseBySort(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, 
 	return out, occ, nil
 }
 
-// LooseIOCount predicts the block I/Os of CompactBlocksLoose on n blocks of
-// b elements with a cache of m, before the two saved by every repeated
-// probe: zeroing C, (1.5 + 2·c0)·s per round over s blocks, and the sort of
-// the residue into the tail.
-func LooseIOCount(n, rCap, b, m int) int64 { ios, _ := looseCost(n, rCap, b, m); return ios }
-
-// LooseRoundTrips predicts CompactBlocksLoose's vectored round trips when it
-// is entered with the whole cache free and batches are bounded by the cache
-// alone (no MaxBatch); repeated probes do not change it.
-func LooseRoundTrips(n, rCap, b, m int) int64 { _, rts := looseCost(n, rCap, b, m); return rts }
+// LooseCost predicts CompactBlocksLoose on n blocks of b elements with a
+// cache of m, entered with the whole cache free and batches bounded by the
+// cache alone (no MaxBatch): zeroing C, (1.5 + 2·c0)·s block I/Os per round
+// over s blocks, and the sort of the residue into the tail. The block I/Os
+// are before the two saved by every repeated probe; the round trips do not
+// depend on the repeats.
+func LooseCost(n, rCap, b, m int) obs.Cost {
+	rCap = max(rCap, 1)
+	scan := func(c, free int) int64 { return extmem.ScanRoundTrips(c, b, free, 1) }
+	sorted := func(s, d int) obs.Cost { // sortInto
+		cp := min(s, d)
+		return obsort.BitonicCost(s, b, m).Add(obs.Cost{IOs: int64(cp + d), RoundTrips: 2*scan(cp, m) + scan(d-cp, m)})
+	}
+	plan, ok := loosePlan(n, b, m)
+	if !ok {
+		return obs.Cost{IOs: int64(2 * n), RoundTrips: 2 * scan(n, m)}.Add(sorted(n, 5*rCap))
+	}
+	c := obs.Cost{IOs: int64(4 * rCap), RoundTrips: scan(4*rCap, m)}
+	_, rmax, residue := looseRounds(n, plan.g)
+	for s := n; s != residue; s = halved(s, plan.g) {
+		r := s / plan.g
+		q, big := s/r, s%r
+		window := 2 * int64(plan.c0) // a window's read and write, per probe
+		c = c.Add(obs.Cost{
+			IOs:        int64((1+2*plan.c0)*s + halved(s, plan.g)),
+			RoundTrips: int64(r-big)*(2+window*scan(q, m-rmax*b)) + int64(big)*(2+window*scan(q+1, m-rmax*b)),
+		})
+	}
+	return c.Add(sorted(residue, rCap))
+}
 
 // LoosePlan reports the public constants of a call on n blocks — probes per
 // cell, least region size, rounds — all zero where it sorts instead.
@@ -271,33 +292,4 @@ func LoosePlan(n, b, m int) (c0, g, rounds int) {
 	}
 	rounds, _, _ = looseRounds(n, plan.g)
 	return plan.c0, plan.g, rounds
-}
-
-func looseCost(n, rCap, b, m int) (ios, rts int64) {
-	rCap = max(rCap, 1)
-	scan := func(c, free int) int64 { // round trips of one pass over c blocks
-		return int64(extmem.CeilDiv(c, min(max(c, 1), extmem.ScanBatchOf(free, b, 1))))
-	}
-	sorted := func(s, d int) { // sortInto
-		cp := min(s, d)
-		ios += obsort.BitonicIOCount(s, b, m) + int64(cp+d)
-		rts += obsort.BitonicRoundTrips(s, b, m) + 2*scan(cp, m) + scan(d-cp, m)
-	}
-	plan, ok := loosePlan(n, b, m)
-	if !ok {
-		ios, rts = int64(2*n), 2*scan(n, m)
-		sorted(n, 5*rCap)
-		return ios, rts
-	}
-	ios, rts = int64(4*rCap), scan(4*rCap, m)
-	_, rmax, residue := looseRounds(n, plan.g)
-	for s := n; s != residue; s = halved(s, plan.g) {
-		ios += int64((1+2*plan.c0)*s + halved(s, plan.g))
-		r := s / plan.g
-		q, big := s/r, s%r
-		window := 2 * int64(plan.c0) // a window's read and write, per probe
-		rts += int64(r-big)*(2+window*scan(q, m-rmax*b)) + int64(big)*(2+window*scan(q+1, m-rmax*b))
-	}
-	sorted(residue, rCap)
-	return ios, rts
 }

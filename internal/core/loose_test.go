@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/rng"
 	"oblivext/internal/route"
 	"oblivext/internal/trace"
@@ -226,11 +227,8 @@ func TestLooseCostMatchesPrediction(t *testing.T) {
 			t.Fatalf("%+v: %v", c, err)
 		}
 		st := env.D.Stats()
-		if want := LooseIOCount(c.n, c.rCap, c.b, c.m); st.Total()+2*repeats != want {
-			t.Errorf("%+v: %d I/Os + 2·%d repeated probes, predicted %d", c, st.Total(), repeats, want)
-		}
-		if want := LooseRoundTrips(c.n, c.rCap, c.b, c.m); st.RoundTrips != want {
-			t.Errorf("%+v: %d round trips, predicted %d", c, st.RoundTrips, want)
+		if got, want := st.Cost().Add(obs.Cost{IOs: 2 * repeats}), LooseCost(c.n, c.rCap, c.b, c.m); got != want {
+			t.Errorf("%+v: measured %+v with 2·%d repeated probes added back, predicted %+v", c, got, repeats, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
@@ -206,35 +207,29 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 	return all[k-1], nil
 }
 
-// SelectIOCount predicts the exact block I/Os of Select on nBlocks blocks of
-// b elements with a cache of m: per narrowing level one sample scan and one
-// consolidating butterfly compaction of the level's length, then the
-// in-cache scan or the sort tail.
-func SelectIOCount(nBlocks, b, m int) int64 { ios, _ := selectCost(nBlocks, b, m); return ios }
-
-// SelectRoundTrips predicts Select's vectored round trips when it is entered
-// with the whole cache free and batches are bounded by the cache alone (no
-// MaxBatch); -1 where the plan ends in the sort tail, whose
-// copy and rank scan this does not replay (the sort itself is
-// obsort.BitonicRoundTrips).
-func SelectRoundTrips(nBlocks, b, m int) int64 { _, rts := selectCost(nBlocks, b, m); return rts }
-
-func selectCost(nBlocks, b, m int) (ios, rts int64) {
-	scan := func(c int) int64 { // one scan of c blocks beside the M/2-element buffer
-		return int64(extmem.CeilDiv(c, min(max(c, 1), extmem.ScanBatchOf(m-m/2, b, 1))))
-	}
-	c := nBlocks
-	for c*b > m/2 {
-		lv, ok := selectPlan(c, b, m)
+// SelectCost predicts the exact block I/Os and vectored round trips of
+// Select on nBlocks blocks of b elements with a cache of m, entered with the
+// whole cache free and batches bounded by the cache alone (no MaxBatch): per
+// narrowing level one sample scan and one consolidating butterfly compaction
+// of the level's length, then the in-cache scan, or the sort tail — the copy
+// that spares the caller's array, the sort and the rank scan, each with the
+// whole cache free.
+func SelectCost(nBlocks, b, m int) obs.Cost {
+	var c obs.Cost
+	n := nBlocks
+	for n*b > m/2 {
+		lv, ok := selectPlan(n, b, m)
 		if !ok {
-			if c == nBlocks {
-				ios += int64(2 * c) // the copy that spares the caller's array
+			if n == nBlocks {
+				c = c.Add(obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * extmem.ScanRoundTrips(n, b, m, 1)})
 			}
-			return ios + obsort.BitonicIOCount(c, b, m) + int64(c), -1
+			c = c.Add(obsort.BitonicCost(n, b, m))
+			return c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m, 1)})
 		}
-		ios += int64(c) + route.ConsolidateCompactIOCount(c, b, m)
-		rts += scan(c) + route.ConsolidateCompactRoundTrips(c, b, m)
-		c = lv.next
+		c = c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)})
+		c = c.Add(route.ConsolidateCompactCost(n, b, m))
+		n = lv.next
 	}
-	return ios + int64(c), rts + scan(c)
+	// One scan of the rest beside the M/2-element buffer.
+	return c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)})
 }

@@ -182,21 +182,15 @@ func TestSelectCostMatchesPrediction(t *testing.T) {
 			t.Fatalf("%+v: Select = %+v, %v, want key %d", g, e, err, sorted[k-1])
 		}
 		st := env.D.Stats()
-		if want := SelectIOCount(g.nBlocks, g.b, g.m); st.Total() != want {
-			t.Errorf("%+v: measured %d I/Os, predicted %d", g, st.Total(), want)
-		}
-		if want := SelectRoundTrips(g.nBlocks, g.b, g.m); want >= 0 && st.RoundTrips != want {
-			t.Errorf("%+v: measured %d round trips, predicted %d", g, st.RoundTrips, want)
+		if want := SelectCost(g.nBlocks, g.b, g.m); st.Cost() != want {
+			t.Errorf("%+v: measured %+v, predicted %+v", g, st.Cost(), want)
 		}
 		if hw := env.Cache.HighWater(); hw > g.m {
 			t.Errorf("%+v: %d words of private memory used, M=%d", g, hw, g.m)
 		}
 	}
-	if got := float64(SelectIOCount(1<<13, 8, 4096)) / (1 << 13); got > 12 {
+	if got := float64(SelectCost(1<<13, 8, 4096).IOs) / (1 << 13); got > 12 {
 		t.Errorf("Select at N=2^16, B=8, M=4096 costs %.1f I/Os per block, want <= 12", got)
-	}
-	if SelectRoundTrips(1<<13, 8, 4096) < 0 {
-		t.Error("the benchmark geometry has no round-trip prediction")
 	}
 }
 
@@ -207,7 +201,7 @@ func TestSelectCostMatchesPrediction(t *testing.T) {
 // 1 + 2·2 I/Os per block becoming 1 + 2·3.
 func TestSelectLinearIO(t *testing.T) {
 	perBlock := func(nBlocks int) float64 {
-		return float64(SelectIOCount(nBlocks, 8, 4096)) / float64(nBlocks)
+		return float64(SelectCost(nBlocks, 8, 4096).IOs) / float64(nBlocks)
 	}
 	if small, large := perBlock(1<<15), perBlock(1<<20); large > small*1.1 {
 		t.Fatalf("selection I/O per block grew from %.1f to %.1f at one pass count — superlinear", small, large)

@@ -11,6 +11,7 @@ import (
 	"errors"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 )
 
@@ -37,7 +38,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	// Run formation: each cache-sized run is one vectored read, an in-cache
 	// sort, and one vectored write.
 	spr := env.Obs.Start("run-formation")
-	spr.SetPredicted(2*int64(n), -1)
+	spr.SetPredicted(obs.Cost{IOs: 2 * int64(n), RoundTrips: -1})
 	env.Scan(a, a, runBlocks, func(_ int, run []extmem.Element) { obsort.InCache(run, less) })
 	env.Obs.End(spr)
 

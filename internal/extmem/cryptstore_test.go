@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -258,7 +259,7 @@ func TestCryptStoreRelocationDetected(t *testing.T) {
 // without encryption.
 func TestCryptStoreTraceAndRoundTripNeutral(t *testing.T) {
 	const b = 4
-	workload := func(store BlockStore) (trace.Summary, Stats) {
+	workload := func(store BlockStore) (trace.Summary, obs.Counters) {
 		d := NewDisk(store)
 		rec := trace.NewRecorder(0)
 		d.SetRecorder(rec)

@@ -8,37 +8,6 @@ import (
 	"oblivext/internal/trace"
 )
 
-// Stats counts the block I/Os an algorithm performed — the quantity every
-// theorem in the paper bounds — and the store interactions (round trips)
-// those I/Os were batched into, the quantity that dominates wall-clock time
-// when Bob is remote. When the store seals blocks client-side, BytesSealed
-// and BytesOpened carry the crypto byte counters, folded in by Stats().
-//
-// The field set and order deliberately mirror obs.Counters and
-// oblivext.IOStats, which convert from Stats as whole structs — adding a
-// counter here without updating them is a compile error, not a silent drop.
-type Stats struct {
-	Reads       int64
-	Writes      int64
-	RoundTrips  int64
-	BytesSealed int64
-	BytesOpened int64
-}
-
-// Total returns reads plus writes.
-func (s Stats) Total() int64 { return s.Reads + s.Writes }
-
-// Sub returns the difference s - o, for measuring a phase.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Reads:       s.Reads - o.Reads,
-		Writes:      s.Writes - o.Writes,
-		RoundTrips:  s.RoundTrips - o.RoundTrips,
-		BytesSealed: s.BytesSealed - o.BytesSealed,
-		BytesOpened: s.BytesOpened - o.BytesOpened,
-	}
-}
-
 // CryptCounters is implemented by stores that seal blocks client-side (the
 // CryptStore); a Disk over such a store folds the byte counters into its
 // Stats so one snapshot carries the whole client-side picture.
@@ -61,7 +30,7 @@ type CryptCounters interface {
 type Disk struct {
 	store    BlockStore
 	b        int
-	stats    Stats
+	stats    obs.Counters
 	rec      *trace.Recorder
 	obs      *obs.Collector
 	top      int
@@ -100,9 +69,12 @@ func (d *Disk) chunk(remaining int) int {
 	return remaining
 }
 
-// Stats returns the cumulative I/O counters, with the crypto byte counters
-// folded in when the store seals blocks client-side.
-func (d *Disk) Stats() Stats {
+// Stats returns the cumulative I/O counters: the block I/Os an algorithm
+// performed — the quantity every theorem in the paper bounds — and the store
+// interactions (round trips) they were batched into, the quantity that
+// dominates wall-clock time when Bob is remote, with the crypto byte
+// counters folded in when the store seals blocks client-side.
+func (d *Disk) Stats() obs.Counters {
 	st := d.stats
 	if cc, ok := d.store.(CryptCounters); ok {
 		st.BytesSealed = cc.BytesSealed()
@@ -114,7 +86,7 @@ func (d *Disk) Stats() Stats {
 // ResetStats zeroes the I/O counters, including a sealing store's byte
 // counters so a Stats snapshot stays internally consistent.
 func (d *Disk) ResetStats() {
-	d.stats = Stats{}
+	d.stats = obs.Counters{}
 	if cc, ok := d.store.(CryptCounters); ok {
 		cc.ResetCryptStats()
 	}

@@ -45,7 +45,7 @@ func (e *Env) WorkerCount() int {
 // disk, snapshotting the disk's counters (crypto bytes folded in) at every
 // span boundary, and returns it.
 func (e *Env) EnableObs() *obs.Collector {
-	col := obs.NewCollector(func() obs.Counters { return obs.Counters(e.D.Stats()) })
+	col := obs.NewCollector(e.D.Stats)
 	e.Obs = col
 	e.D.SetObs(col)
 	return col
@@ -106,13 +106,22 @@ func (e *Env) ScanBatch(buffers int) int {
 		panic(fmt.Sprintf("extmem: ScanBatch overdrawn in strict mode: %d elements free < %d buffers x %d block (M=%d, used=%d)",
 			free, buffers, e.B(), e.M, e.Cache.Used()))
 	}
-	return ScanBatchOf(free, e.B(), buffers)
+	return scanBatchOf(free, e.B(), buffers)
 }
 
-// ScanBatchOf is ScanBatch as a function of the free cache alone, for the
-// round-trip predictors that replay a pass's batching without an Env.
-func ScanBatchOf(free, b, buffers int) int {
+// scanBatchOf is ScanBatch as a function of the free cache alone.
+func scanBatchOf(free, b, buffers int) int {
 	return max(1, free/(buffers*b)-1)
+}
+
+// ScanRoundTrips is the round trips one side of a scan of n blocks makes
+// when ScanBatchN(buffers, n) sizes its chunks against free elements of the
+// cache: the one scan formula every round-trip predictor prices a pass by.
+func ScanRoundTrips(n, b, free, buffers int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return int64(CeilDiv(n, scanBatchOf(free, b, buffers)))
 }
 
 // ScanBatchN is ScanBatch clamped to the length of the region being

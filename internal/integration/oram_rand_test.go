@@ -118,7 +118,7 @@ var sorters = []struct {
 	s    obsort.Sorter
 }{
 	{"auto", nil},
-	{"bitonic", obsort.BitonicSorter},
+	{"bitonic", obsort.Bitonic},
 	{"randomized", core.RandomizedSorter},
 }
 
@@ -405,7 +405,7 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 // writes so the deeper levels rebuild at least once.
 func TestORAMWithRandomizedRebuilds(t *testing.T) {
 	for _, n := range []int{32, 64} {
-		for si, s := range []obsort.Sorter{obsort.BitonicSorter, core.RandomizedSorter} {
+		for si, s := range []obsort.Sorter{obsort.Bitonic, core.RandomizedSorter} {
 			env := extmem.NewEnv(64, 8, 512, uint64(n))
 			o, err := oram.New(env, n, oram.Options{Sorter: s})
 			if err != nil {

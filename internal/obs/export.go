@@ -61,11 +61,11 @@ func appendChrome(out *[]chromeEvent, s *Span, t0 time.Time, tid int) {
 		args["bytes_sealed"] = s.IO.BytesSealed
 		args["bytes_opened"] = s.IO.BytesOpened
 	}
-	if s.PredictedIO >= 0 {
-		args["predicted_io"] = s.PredictedIO
+	if s.Predicted.IOs >= 0 {
+		args["predicted_io"] = s.Predicted.IOs
 	}
-	if s.PredictedRT >= 0 {
-		args["predicted_round_trips"] = s.PredictedRT
+	if s.Predicted.RoundTrips >= 0 {
+		args["predicted_round_trips"] = s.Predicted.RoundTrips
 	}
 	for _, a := range s.Attrs {
 		args[a.Key] = a.Value
@@ -110,11 +110,11 @@ func renderSpan(b *strings.Builder, s *Span, depth int) {
 	if s.IO.BytesSealed > 0 || s.IO.BytesOpened > 0 {
 		fmt.Fprintf(b, ", %d B sealed / %d B opened", s.IO.BytesSealed, s.IO.BytesOpened)
 	}
-	if s.PredictedIO >= 0 {
-		fmt.Fprintf(b, " [predicted %d I/O, measured %d]", s.PredictedIO, s.IO.Total())
+	if s.Predicted.IOs >= 0 {
+		fmt.Fprintf(b, " [predicted %d I/O, measured %d]", s.Predicted.IOs, s.IO.Total())
 	}
-	if s.PredictedRT >= 0 {
-		fmt.Fprintf(b, " [predicted %d rt]", s.PredictedRT)
+	if s.Predicted.RoundTrips >= 0 {
+		fmt.Fprintf(b, " [predicted %d rt]", s.Predicted.RoundTrips)
 	}
 	if s.auditKey != "" {
 		fmt.Fprintf(b, " {audit %016x/%d}", s.fpHash, s.fpLen)

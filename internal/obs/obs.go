@@ -20,10 +20,11 @@ import (
 	"time"
 )
 
-// Counters is a snapshot of the I/O counters a Collector diffs around each
-// span. Field-for-field it mirrors extmem.Stats (the Disk's counters with
-// the crypto byte counters folded in), so the two convert as whole structs
-// and a counter added to one cannot be silently dropped from the other.
+// Counters is the one definition of measured I/O: the Disk's counters, with
+// the crypto byte counters folded in, and what a Collector diffs around each
+// span. Field-for-field the public oblivext.IOStats mirrors it, so the two
+// convert as whole structs and a counter added here cannot be silently
+// dropped there (TestIOStatsFullCopy pins the mirror).
 type Counters struct {
 	Reads       int64
 	Writes      int64
@@ -57,6 +58,21 @@ func (c Counters) Add(o Counters) Counters {
 // Total returns reads plus writes — the block-I/O quantity the paper's
 // bounds are stated in.
 func (c Counters) Total() int64 { return c.Reads + c.Writes }
+
+// Cost returns what the counters measured in the terms a predictor prices:
+// block I/Os and round trips.
+func (c Counters) Cost() Cost { return Cost{IOs: c.Total(), RoundTrips: c.RoundTrips} }
+
+// Cost is the predicted price of an operation: the block I/Os the paper's
+// bounds count and the round trips they are batched into. A field of -1 is
+// no prediction.
+type Cost struct {
+	IOs        int64
+	RoundTrips int64
+}
+
+// Add returns the field-wise sum c + o.
+func (c Cost) Add(o Cost) Cost { return Cost{c.IOs + o.IOs, c.RoundTrips + o.RoundTrips} }
 
 // Attr is one key=value annotation on a span (engine name, problem size,
 // pass index — public quantities only; attrs end up in exported traces).
@@ -98,11 +114,10 @@ type Span struct {
 	Dur   time.Duration
 	// IO is the total counter delta over the span — self plus children.
 	IO Counters
-	// PredictedIO and PredictedRT carry an engine predictor's expected
-	// block I/Os / round trips for the span; -1 means no prediction.
-	PredictedIO int64
-	PredictedRT int64
-	Children    []*Span
+	// Predicted carries a predictor's price of the span; -1 in a field
+	// means no prediction.
+	Predicted Cost
+	Children  []*Span
 
 	startIO   Counters
 	auditKey  string
@@ -127,13 +142,13 @@ func (s *Span) SetAttrInt(key string, value int64) {
 	s.Attrs = append(s.Attrs, Attr{key, fmt.Sprintf("%d", value)})
 }
 
-// SetPredicted attaches an engine predictor's expected block-I/O and
-// round-trip counts (pass a negative value to leave one unset).
-func (s *Span) SetPredicted(ios, roundTrips int64) {
+// SetPredicted attaches a predictor's price of the span (a field of -1
+// leaves that quantity unpredicted).
+func (s *Span) SetPredicted(c Cost) {
 	if s == nil {
 		return
 	}
-	s.PredictedIO, s.PredictedRT = ios, roundTrips
+	s.Predicted = c
 }
 
 // Audit marks the span for exact-trace auditing under the given key: at
@@ -228,12 +243,11 @@ func (c *Collector) Start(name string) *Span {
 		return nil
 	}
 	s := &Span{
-		Name:        name,
-		Start:       time.Now(),
-		PredictedIO: -1,
-		PredictedRT: -1,
-		startIO:     c.snapshot(),
-		fpHash:      fnvOffset,
+		Name:      name,
+		Start:     time.Now(),
+		Predicted: Cost{-1, -1},
+		startIO:   c.snapshot(),
+		fpHash:    fnvOffset,
 	}
 	if n := len(c.stack); n > 0 {
 		c.stack[n-1].Children = append(c.stack[n-1].Children, s)

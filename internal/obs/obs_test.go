@@ -89,7 +89,7 @@ func TestNilCollectorIsFree(t *testing.T) {
 	sp := col.Start("anything") // must not panic, must return nil
 	sp.SetAttr("k", "v")
 	sp.SetAttrInt("n", 7)
-	sp.SetPredicted(1, 2)
+	sp.SetPredicted(Cost{1, 2})
 	sp.Audit("key")
 	sp.AuditShape("key")
 	col.Access('R', 42)
@@ -199,7 +199,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	root.Audit("sort/zigzag/test")
 	fc.read('R', 4)
 	child := col.Start("pass")
-	child.SetPredicted(8, 2)
+	child.SetPredicted(Cost{8, 2})
 	fc.read('W', 4)
 	col.End(child)
 	col.End(root)
@@ -259,7 +259,7 @@ func TestRenderTree(t *testing.T) {
 	root := col.Start("emsort")
 	fc.read('R', 2)
 	child := col.Start("run-formation")
-	child.SetPredicted(4, -1)
+	child.SetPredicted(Cost{4, -1})
 	fc.read('W', 2)
 	col.End(child)
 	col.End(root)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/par"
 	"oblivext/internal/route"
 )
@@ -148,7 +149,7 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	}
 	sp := env.Obs.Start("bucket")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(BucketIOCount(n, b, env.M), BucketRoundTrips(n, b, env.M))
+	sp.SetPredicted(BucketCost(n, b, env.M))
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
@@ -514,38 +515,45 @@ func BucketSorter(env *extmem.Env, a extmem.Array, less Less) {
 	Zigzag(env, a, less)
 }
 
-// BucketIOCount predicts the exact number of block I/Os a successful
-// BucketSort run performs — every pass is geometry-addressed, so the count
-// is a function of (nBlocks, B, M) alone. Returns 0 when the geometry is
-// unsupported (the call would fall back to Bitonic).
-func BucketIOCount(nBlocks, b, m int) int64 {
+// BucketCost predicts a successful BucketSort run. Every pass is
+// geometry-addressed, so its block I/Os are a function of (nBlocks, B, M)
+// alone and exact; its round trips are an estimate, 2 per merge-split and
+// leaf plus the linear passes chunked as if the whole cache were free. It is
+// zero where the geometry is unsupported (the call would fall back to
+// Bitonic).
+func BucketCost(nBlocks, b, m int) obs.Cost {
 	g, ok := bucketGeometry(nBlocks, b, m)
 	if !ok {
-		return 0
+		return obs.Cost{}
 	}
 	wb := g.k1 * g.zb
-	// Seed: read the input once, write the arena once.
-	total := int64(nBlocks + wb)
-	// Bin phase: g1 levels of k1/2 merge-splits moving 4zb blocks each.
-	total += int64(g.g1) * int64(g.k1/2) * int64(4*g.zb)
+	scan := func(blocks, buffers int) int64 { return extmem.ScanRoundTrips(blocks, b, m, buffers) }
+	butterfly := func(levels, f int) obs.Cost { // levels of f/2 merge-splits of 4zb blocks
+		splits := int64(levels) * int64(f/2)
+		return obs.Cost{IOs: splits * int64(4*g.zb), RoundTrips: 2 * splits}
+	}
+	// Seed: read the input once, write the arena once; then the bin phase.
+	c := obs.Cost{IOs: int64(nBlocks + wb), RoundTrips: scan(nBlocks, 3) + scan(wb, 3)}.Add(butterfly(g.g1, g.k1))
 	// Distribution recursion.
-	var walk func(f int) int64
-	walk = func(f int) int64 {
+	var walk func(f int) obs.Cost
+	walk = func(f int) obs.Cost {
 		if f <= g.fLeaf {
-			return int64(2 * f * g.zb)
+			return obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2}
 		}
 		k2 := g.regionFanout(f, m)
-		g2 := extmem.CeilLog2(k2)
-		io := int64(g.sampleBlocks(f, m))            // splitter sample
-		io += int64(2 * f * g.zb)                    // range tagging pass
-		io += int64(g2) * int64(f/2) * int64(4*g.zb) // distribution butterfly
-		return io + int64(k2)*walk(f/k2)
+		r := obs.Cost{IOs: int64(g.sampleBlocks(f, m)), RoundTrips: 1}                 // splitter sample
+		r = r.Add(obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2 * scan(f*g.zb, 2)}) // range tagging
+		r = r.Add(butterfly(extmem.CeilLog2(k2), f))
+		sub := walk(f / k2)
+		for range k2 {
+			r = r.Add(sub)
+		}
+		return r
 	}
-	total += walk(g.k1)
+	c = c.Add(walk(g.k1))
 	// Finish: consolidating butterfly compaction, copy-back.
-	total += route.ConsolidateCompactIOCount(wb, b, m)
-	total += int64(2 * nBlocks)
-	return total
+	c = c.Add(route.ConsolidateCompactCost(wb, b, m))
+	return c.Add(obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * scan(nBlocks, 2)})
 }
 
 // BucketSupported reports whether the geometry lets BucketSort run its own
@@ -553,37 +561,4 @@ func BucketIOCount(nBlocks, b, m int) int64 {
 func BucketSupported(nBlocks, b, m int) bool {
 	_, ok := bucketGeometry(nBlocks, b, m)
 	return ok
-}
-
-// BucketRoundTrips estimates the vectored round trips of a successful run:
-// 2 per merge-split and leaf, plus the chunked linear passes. Returns 0
-// when unsupported.
-func BucketRoundTrips(nBlocks, b, m int) int64 {
-	g, ok := bucketGeometry(nBlocks, b, m)
-	if !ok {
-		return 0
-	}
-	wb := g.k1 * g.zb
-	chunk := func(blocks, streams int) int64 {
-		k := max(1, (m/b)/(streams+1)-1)
-		return int64(extmem.CeilDiv(blocks, k))
-	}
-	rt := chunk(nBlocks, 2) + chunk(wb, 2) // seed read + write
-	rt += int64(g.g1) * int64(g.k1/2) * 2  // bin phase
-	var walk func(f int) int64
-	walk = func(f int) int64 {
-		if f <= g.fLeaf {
-			return 2
-		}
-		k2 := g.regionFanout(f, m)
-		g2 := extmem.CeilLog2(k2)
-		r := int64(1)                   // sample
-		r += 2 * chunk(f*g.zb, 1)       // tagging
-		r += int64(g2) * int64(f/2) * 2 // butterfly
-		return r + int64(k2)*walk(f/k2)
-	}
-	rt += walk(g.k1)
-	rt += route.ConsolidateCompactRoundTrips(wb, b, m)
-	rt += 2 * chunk(nBlocks, 1) // copy-back
-	return rt
 }

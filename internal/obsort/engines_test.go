@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -75,22 +76,6 @@ func TestZigzagOblivious(t *testing.T) {
 	s3 := run(genKeys(r, 96, "reverse"))
 	if !s1.Equal(s2) || !s1.Equal(s3) {
 		t.Fatalf("zigzag trace depends on data: %v %v %v", s1, s2, s3)
-	}
-}
-
-func TestZigzagIOCountMatchesMeasuredIO(t *testing.T) {
-	for _, cfg := range []struct{ n, b, m int }{{16, 4, 16}, {64, 4, 32}, {128, 8, 64}, {17, 4, 32}} {
-		env := extmem.NewEnv(cfg.n*2, cfg.b, cfg.m, 1)
-		a := env.D.Alloc(cfg.n)
-		r := rand.New(rand.NewPCG(4, 4))
-		fillArray(env, a, genKeys(r, cfg.n*cfg.b, "rand"))
-		env.D.ResetStats()
-		Zigzag(env, a, ByKey)
-		st := env.D.Stats()
-		want := ZigzagIOCount(cfg.n, cfg.b, cfg.m)
-		if st.Total() != want {
-			t.Errorf("n=%d b=%d m=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, st.Total(), want)
-		}
 	}
 }
 
@@ -199,25 +184,6 @@ func TestBucketSortOblivious(t *testing.T) {
 	s3 := run(genKeys(r, 512, "reverse"))
 	if !s1.Equal(s2) || !s1.Equal(s3) {
 		t.Fatalf("bucket sort trace depends on data: %v %v %v", s1, s2, s3)
-	}
-}
-
-func TestBucketIOCountMatchesMeasuredIO(t *testing.T) {
-	// Every pass of a successful run is geometry-addressed, so the I/O
-	// count prediction is exact, not a bound.
-	for _, cfg := range []struct{ n, b, m int }{{64, 8, 512}, {128, 8, 512}, {256, 4, 512}} {
-		env, a := bucketEnv(cfg.n, cfg.b, cfg.m, 7)
-		r := rand.New(rand.NewPCG(6, 6))
-		fillArray(env, a, genKeys(r, cfg.n*cfg.b, "rand"))
-		env.D.ResetStats()
-		if err := BucketSort(env, a, ByKey); err != nil {
-			t.Fatal(err)
-		}
-		st := env.D.Stats()
-		want := BucketIOCount(cfg.n, cfg.b, cfg.m)
-		if st.Total() != want {
-			t.Errorf("n=%d b=%d m=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, st.Total(), want)
-		}
 	}
 }
 
@@ -344,15 +310,14 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // net; bitonic, then zigzag, preferred on ties), and running the picked
 // engine costs exactly what its predictor said.
 func TestPickPolicy(t *testing.T) {
-	type predictor func(nBlocks, b, m int) int64
 	engines := []struct {
 		name      string
-		ios, rts  predictor
+		cost      func(nBlocks, b, m int) obs.Cost
 		supported func(nBlocks, b, m int) bool
 	}{
-		{EngineBitonic, BitonicIOCount, BitonicRoundTrips, func(_, b, m int) bool { return b&(b-1) == 0 && m >= 4*b }},
-		{EngineZigzag, ZigzagIOCount, ZigzagRoundTrips, func(_, _, _ int) bool { return true }},
-		{EngineBucket, BucketIOCount, BucketRoundTrips, BucketSupported},
+		{EngineBitonic, BitonicCost, func(_, b, m int) bool { return b&(b-1) == 0 && m >= 4*b }},
+		{EngineZigzag, ZigzagCost, func(_, _, _ int) bool { return true }},
+		{EngineBucket, BucketCost, BucketSupported},
 	}
 	picked := map[string]bool{}
 	for _, g := range []struct{ n, b, m int }{
@@ -365,11 +330,7 @@ func TestPickPolicy(t *testing.T) {
 				if !e.supported(g.n, g.b, g.m) {
 					continue
 				}
-				c := e.ios(g.n, g.b, g.m)
-				if backend == "net" {
-					c = e.rts(g.n, g.b, g.m)
-				}
-				if want == "" || c < least {
+				if c := price(e.cost(g.n, g.b, g.m), backend); want == "" || c < least {
 					want, least = e.name, c
 				}
 			}
@@ -392,12 +353,7 @@ func TestPickPolicy(t *testing.T) {
 			} else {
 				PickSorter(got)(env, a, ByKey)
 			}
-			st := env.D.Stats()
-			measured := st.Total()
-			if backend == "net" {
-				measured = st.RoundTrips
-			}
-			if measured != least {
+			if measured := price(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, backend, got, measured, least)
 			}
 		}

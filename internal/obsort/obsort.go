@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/par"
 )
 
@@ -109,8 +110,8 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	}
 	sp := env.Obs.Start("bitonic")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetAttrInt("passes", int64(BitonicPassCount(n, b, env.M)))
-	sp.SetPredicted(BitonicIOCount(n, b, env.M), BitonicRoundTrips(n, b, env.M))
+	sp.SetAttrInt("passes", int64(bitonicPassCount(n, b, env.M)))
+	sp.SetPredicted(BitonicCost(n, b, env.M))
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
@@ -168,9 +169,6 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	}
 	env.Cache.Free(win)
 }
-
-// BitonicSorter adapts Bitonic to the Sorter interface.
-func BitonicSorter(env *extmem.Env, a extmem.Array, less Less) { Bitonic(env, a, less) }
 
 // gatherPass is one pass after the first: `levels` consecutive network
 // levels starting at (stage, bit), and gather, the mask of element-index
@@ -302,9 +300,9 @@ func exchangeGroups(win []extmem.Element, lo, hi, stride, dirBit int, desc bool,
 	}
 }
 
-// BitonicPassCount predicts the number of full-array passes Bitonic makes:
-// the first, windowed pass plus the gather passes of the packed schedule.
-func BitonicPassCount(nBlocks, b, m int) int {
+// bitonicPassCount is the number of full-array passes Bitonic makes: the
+// first, windowed pass plus the gather passes of the packed schedule.
+func bitonicPassCount(nBlocks, b, m int) int {
 	sc := newSchedule(nBlocks, b, m)
 	passes := 1
 	for _, ok := sc.next(); ok; _, ok = sc.next() {
@@ -313,26 +311,20 @@ func BitonicPassCount(nBlocks, b, m int) int {
 	return passes
 }
 
-// BitonicIOCount predicts the exact block I/Os of one Bitonic call: 2·np per
-// pass over the padded length np, less the padding blocks the first pass
-// does not read and the last does not write.
-func BitonicIOCount(nBlocks, b, m int) int64 {
+// BitonicCost predicts the exact block I/Os and vectored round trips of one
+// Bitonic call: every pass moves each batch of C/B blocks of the padded
+// length np in one read and one write, less the padding blocks — and the
+// all-padding windows — that the first pass does not read and the last,
+// whose batches are always contiguous windows, does not write.
+func BitonicCost(nBlocks, b, m int) obs.Cost {
 	if nBlocks == 0 {
-		return 0
-	}
-	np := 1 << extmem.CeilLog2(nBlocks)
-	return int64(BitonicPassCount(nBlocks, b, m))*int64(2*np) - int64(2*(np-nBlocks))
-}
-
-// BitonicRoundTrips predicts the exact vectored round trips of one Bitonic
-// call: every pass moves each batch of C/B blocks in one read and one
-// write, less the all-padding windows the first pass does not read and the
-// last — whose batches are always contiguous windows — does not write.
-func BitonicRoundTrips(nBlocks, b, m int) int64 {
-	if nBlocks == 0 {
-		return 0
+		return obs.Cost{}
 	}
 	sc := newSchedule(nBlocks, b, m)
 	wb := 1 << (sc.lc - sc.lb)
-	return int64(BitonicPassCount(nBlocks, b, m))*int64(2*sc.np/wb) - int64(2*(sc.np/wb-extmem.CeilDiv(nBlocks, wb)))
+	passes := int64(bitonicPassCount(nBlocks, b, m))
+	return obs.Cost{
+		IOs:        passes*int64(2*sc.np) - int64(2*(sc.np-nBlocks)),
+		RoundTrips: passes*int64(2*sc.np/wb) - int64(2*(sc.np/wb-extmem.CeilDiv(nBlocks, wb))),
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -196,11 +197,8 @@ func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
 		env.D.ResetStats()
 		Bitonic(env, a, ByKey)
 		st := env.D.Stats()
-		if want := BitonicIOCount(cfg.n, cfg.b, cfg.m); st.Total() != want {
-			t.Errorf("n=%d b=%d m=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, st.Total(), want)
-		}
-		if want := BitonicRoundTrips(cfg.n, cfg.b, cfg.m); st.RoundTrips != want {
-			t.Errorf("n=%d b=%d m=%d: measured %d round trips, predicted %d", cfg.n, cfg.b, cfg.m, st.RoundTrips, want)
+		if want := BitonicCost(cfg.n, cfg.b, cfg.m); st.Cost() != want {
+			t.Errorf("n=%d b=%d m=%d: measured %+v, predicted %+v", cfg.n, cfg.b, cfg.m, st.Cost(), want)
 		}
 		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
 			t.Errorf("n=%d b=%d m=%d: multiset changed", cfg.n, cfg.b, cfg.m)
@@ -219,18 +217,15 @@ var (
 // passes of streamed block pairs became 8 gather passes.
 func TestBitonicPackedPasses(t *testing.T) {
 	g := benchGeometry
-	if got := BitonicPassCount(g.n, g.b, g.m); got != 8 {
+	if got := bitonicPassCount(g.n, g.b, g.m); got != 8 {
 		t.Errorf("passes = %d, want 8", got)
 	}
-	if got := BitonicIOCount(g.n, g.b, g.m); got != 131072 {
-		t.Errorf("I/Os = %d, want 131072", got)
-	}
-	if got := BitonicRoundTrips(g.n, g.b, g.m); got != 512 {
-		t.Errorf("round trips = %d, want 512", got)
+	if got := BitonicCost(g.n, g.b, g.m); got != (obs.Cost{IOs: 131072, RoundTrips: 512}) {
+		t.Errorf("cost = %+v, want 131072 I/Os in 512 round trips", got)
 	}
 	for _, c := range []struct{ n, b, m, want int }{{2048, 8, 4096, 5}, {1616, 8, 512, 12}, {256, 8, 4096, 1}} {
-		if got := BitonicPassCount(c.n, c.b, c.m); got != c.want {
-			t.Errorf("BitonicPassCount(%d, %d, %d) = %d, want %d", c.n, c.b, c.m, got, c.want)
+		if got := bitonicPassCount(c.n, c.b, c.m); got != c.want {
+			t.Errorf("bitonicPassCount(%d, %d, %d) = %d, want %d", c.n, c.b, c.m, got, c.want)
 		}
 	}
 }
@@ -245,7 +240,7 @@ func TestBitonicTraceProperties(t *testing.T) {
 	for _, g := range []struct{ n, b, m int }{benchGeometry, oramGeometry} {
 		type outcome struct {
 			trace trace.Summary
-			st    extmem.Stats
+			st    obs.Counters
 			elems []extmem.Element
 		}
 		run := func(kind string, less Less, workers int, sealed bool) outcome {
@@ -275,11 +270,8 @@ func TestBitonicTraceProperties(t *testing.T) {
 		}
 		base := run("rand", ByKey, 1, false)
 		checkSortedPadded(t, base.elems)
-		if want := BitonicIOCount(g.n, g.b, g.m); base.st.Total() != want {
-			t.Errorf("n=%d: %d I/Os, predicted %d", g.n, base.st.Total(), want)
-		}
-		if want := BitonicRoundTrips(g.n, g.b, g.m); base.st.RoundTrips != want {
-			t.Errorf("n=%d: %d round trips, predicted %d", g.n, base.st.RoundTrips, want)
+		if want := BitonicCost(g.n, g.b, g.m); base.st.Cost() != want {
+			t.Errorf("n=%d: measured %+v, predicted %+v", g.n, base.st.Cost(), want)
 		}
 		// With no padding to skip, every vectored call is a full batch.
 		if wb := int64(g.m / 2 / g.b); g.n&(g.n-1) == 0 && base.st.Total() != base.st.RoundTrips*wb {
@@ -343,7 +335,7 @@ func BenchmarkBitonic(b *testing.B) {
 		Bitonic(env, a, ByKey)
 	}
 	b.ReportMetric(float64(env.D.Stats().Total())/float64(g.n), "ios/block")
-	b.ReportMetric(float64(BitonicPassCount(g.n, g.b, g.m)), "passes")
+	b.ReportMetric(float64(bitonicPassCount(g.n, g.b, g.m)), "passes")
 }
 
 func TestInCacheStability(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 )
 
 // Engine names accepted by Pick, Engine and the -sorter flags. The
@@ -59,23 +60,25 @@ func Pick(nBlocks, b, m int, backend string) string {
 	if nBlocks == 0 {
 		return EngineBitonic
 	}
-	type predictor func(nBlocks, b, m int) int64
-	cost := func(ios, rts predictor) int64 {
-		if backend == "net" {
-			return rts(nBlocks, b, m)
-		}
-		return ios(nBlocks, b, m)
-	}
-	best, least := EngineZigzag, cost(ZigzagIOCount, ZigzagRoundTrips)
+	best, least := EngineZigzag, price(ZigzagCost(nBlocks, b, m), backend)
 	if b&(b-1) == 0 && m >= 4*b {
-		if c := cost(BitonicIOCount, BitonicRoundTrips); c <= least {
+		if c := price(BitonicCost(nBlocks, b, m), backend); c <= least {
 			best, least = EngineBitonic, c
 		}
 	}
-	if BucketSupported(nBlocks, b, m) && cost(BucketIOCount, BucketRoundTrips) < least {
+	if BucketSupported(nBlocks, b, m) && price(BucketCost(nBlocks, b, m), backend) < least {
 		best = EngineBucket
 	}
 	return best
+}
+
+// price is the quantity Pick minimises over a backend: round trips over
+// "net", block I/Os otherwise.
+func price(c obs.Cost, backend string) int64 {
+	if backend == "net" {
+		return c.RoundTrips
+	}
+	return c.IOs
 }
 
 // Cost returns the exact block I/Os and vectored round trips the named
@@ -83,17 +86,17 @@ func Pick(nBlocks, b, m int, backend string) string {
 // and whether it has such a predictor: Bitonic and Zigzag, whose traces are
 // functions of (nBlocks, B, M) however much of the cache the caller holds,
 // and auto, which resolves as Auto does.
-func Cost(name string, nBlocks, b, m int) (ios, roundTrips int64, ok bool) {
+func Cost(name string, nBlocks, b, m int) (obs.Cost, bool) {
 	if name == EngineAuto {
 		name = Pick(nBlocks, b, m, "mem")
 	}
 	switch name {
 	case EngineBitonic:
-		return BitonicIOCount(nBlocks, b, m), BitonicRoundTrips(nBlocks, b, m), true
+		return BitonicCost(nBlocks, b, m), true
 	case EngineZigzag:
-		return ZigzagIOCount(nBlocks, b, m), ZigzagRoundTrips(nBlocks, b, m), true
+		return ZigzagCost(nBlocks, b, m), true
 	}
-	return 0, 0, false
+	return obs.Cost{}, false
 }
 
 // PickSorter resolves an engine name to a Sorter for the engines this
@@ -103,11 +106,11 @@ func Cost(name string, nBlocks, b, m int) (ios, roundTrips int64, ok bool) {
 func PickSorter(name string) Sorter {
 	switch name {
 	case EngineBitonic:
-		return BitonicSorter
+		return Bitonic
 	case EngineBucket:
 		return BucketSorter
 	case EngineZigzag:
-		return ZigzagSorter
+		return Zigzag
 	}
 	panic(fmt.Sprintf("obsort: no Sorter for engine %q", name))
 }

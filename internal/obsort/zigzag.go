@@ -2,6 +2,7 @@ package obsort
 
 import (
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 )
 
 // This file implements the deterministic merge-round sorter in the family
@@ -38,16 +39,11 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	}
 	sp := env.Obs.Start("zigzag")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(ZigzagIOCount(n, b, env.M), ZigzagRoundTrips(n, b, env.M))
+	sp.SetPredicted(ZigzagCost(n, b, env.M))
 	defer env.Obs.End(sp)
 	cb := zigzagRunBlocks(b, env.M)
 	k := extmem.CeilDiv(n, cb)
-	runLen := func(r int) int {
-		if (r+1)*cb <= n {
-			return cb
-		}
-		return n - r*cb
-	}
+	runLen := func(r int) int { return min(cb, n-r*cb) }
 
 	buf := env.Cache.Buf(2 * cb * b)
 	idx := make([]int, 2*cb)
@@ -56,7 +52,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	// write per run.
 	sp0 := env.Obs.Start("run-formation")
 	sp0.SetAttrInt("runs", int64(k))
-	sp0.SetPredicted(2*int64(n), 2*int64(k))
+	sp0.SetPredicted(obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * int64(k)})
 	for r := 0; r < k; r++ {
 		lo, l := r*cb, runLen(r)
 		a.ReadRange(lo, lo+l, buf[:l*b])
@@ -71,7 +67,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	// merge), and write the low part back to run i and the high part to
 	// run j.
 	spm := env.Obs.Start("merge-rounds")
-	spm.SetAttrInt("merge-splits", int64(ZigzagMergeSplits(n, b, env.M)))
+	spm.SetAttrInt("merge-splits", int64(zigzagMergeSplits(n, b, env.M)))
 	ForEachComparator(k, func(i, j int) {
 		li, lj := runLen(i), runLen(j)
 		for t := 0; t < li; t++ {
@@ -95,49 +91,26 @@ func zigzagRunBlocks(b, m int) int {
 	return max(1, m/(4*b))
 }
 
-// ZigzagSorter adapts Zigzag to the Sorter interface.
-func ZigzagSorter(env *extmem.Env, a extmem.Array, less Less) { Zigzag(env, a, less) }
-
-// ZigzagMergeSplits predicts the number of merge-splits Zigzag performs:
-// the comparators of Batcher's network on ceil(n/runBlocks) run-wires,
-// minus the ones ForEachComparator skips as virtual pads.
-func ZigzagMergeSplits(nBlocks, b, m int) int {
-	cb := zigzagRunBlocks(b, m)
-	k := extmem.CeilDiv(nBlocks, cb)
+// zigzagMergeSplits is the number of merge-splits Zigzag performs: the
+// comparators of Batcher's network on ceil(n/runBlocks) run-wires, minus the
+// ones ForEachComparator skips as virtual pads.
+func zigzagMergeSplits(nBlocks, b, m int) int {
 	c := 0
-	ForEachComparator(k, func(_, _ int) { c++ })
+	ForEachComparator(extmem.CeilDiv(nBlocks, zigzagRunBlocks(b, m)), func(_, _ int) { c++ })
 	return c
 }
 
-// ZigzagIOCount predicts the exact number of block I/Os Zigzag performs:
-// one read+write of every block for round 0, plus one read+write of both
-// runs per merge-split. The sorter tests check measured I/O against this.
-func ZigzagIOCount(nBlocks, b, m int) int64 {
-	if nBlocks == 0 {
-		return 0
-	}
+// ZigzagCost predicts the exact block I/Os and vectored round trips of one
+// Zigzag call: a read and a write of every block, in two round trips a run,
+// for round 0, and a read and a write of both runs, in two round trips, per
+// merge-split.
+func ZigzagCost(nBlocks, b, m int) obs.Cost {
 	cb := zigzagRunBlocks(b, m)
 	k := extmem.CeilDiv(nBlocks, cb)
-	runLen := func(r int) int {
-		if (r+1)*cb <= nBlocks {
-			return cb
-		}
-		return nBlocks - r*cb
-	}
-	total := int64(2 * nBlocks)
+	c := obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * int64(k)}
 	ForEachComparator(k, func(i, j int) {
-		total += int64(2 * (runLen(i) + runLen(j)))
+		c.IOs += 2 * int64(min(cb, nBlocks-i*cb)+min(cb, nBlocks-j*cb))
+		c.RoundTrips += 2
 	})
-	return total
-}
-
-// ZigzagRoundTrips predicts the number of vectored round trips: two per run
-// in round 0 and two per merge-split.
-func ZigzagRoundTrips(nBlocks, b, m int) int64 {
-	if nBlocks == 0 {
-		return 0
-	}
-	cb := zigzagRunBlocks(b, m)
-	k := extmem.CeilDiv(nBlocks, cb)
-	return int64(2*k) + 2*int64(ZigzagMergeSplits(nBlocks, b, m))
+	return c
 }

@@ -34,7 +34,7 @@ type sorterCase struct {
 }
 
 var oracleSorters = []sorterCase{
-	{obsort.EngineBitonic, obsort.BitonicSorter},
+	{obsort.EngineBitonic, obsort.Bitonic},
 	{obsort.EngineAuto, nil},
 	{obsort.EngineRandomized, core.RandomizedSorter},
 }

@@ -32,13 +32,14 @@ import (
 	"fmt"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/rng"
 )
 
 // Options configures the hierarchy.
 type Options struct {
-	// Sorter rebuilds levels; nil defaults to obsort.Bitonic.
+	// Sorter rebuilds levels; nil picks an engine per rebuild (obsort.Auto).
 	Sorter obsort.Sorter
 	// SorterName names the configured Sorter for observability: it is
 	// attached to rebuild spans, and rebuild spans are exact-audited only
@@ -281,9 +282,9 @@ func (o *ORAM) access(i int, newData []uint64) ([]uint64, error) {
 	// the geometry-determined invariant, so probe spans audit in shape mode.
 	spp.AuditShape(fmt.Sprintf("oram/probe/live=%d/beta=%d", live, o.beta))
 	if live > 0 {
-		spp.SetPredicted(2*int64(o.beta)*int64(live), int64(live)+1)
+		spp.SetPredicted(obs.Cost{IOs: 2 * int64(o.beta) * int64(live), RoundTrips: int64(live) + 1})
 	} else {
-		spp.SetPredicted(0, 0)
+		spp.SetPredicted(obs.Cost{})
 	}
 	wcap := (o.env.M-o.env.Cache.Used())/o.b - 1 // write-back buffer budget, in blocks
 	if wcap < 1 {

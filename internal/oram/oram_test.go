@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -347,7 +348,7 @@ func TestAccessSequenceIndistinguishability(t *testing.T) {
 	type fingerprint struct {
 		norm  uint64 // FNV-1a over (kind, level, slot) triples
 		len   int
-		stats extmem.Stats
+		stats obs.Counters
 	}
 	run := func(name string, op func(o *ORAM, step int) error) fingerprint {
 		env := newEnv(4, 256, 77)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
@@ -227,10 +228,13 @@ func (g RebuildGeometry) installed() int {
 	return g.CapE
 }
 
-// collectCost is the block I/Os and round trips of collecting source i: a
-// read-only scan of its table beside the bound-block buffer, and one write.
-func (g RebuildGeometry) collectCost(i int) (int64, int64) {
-	return int64(g.Sources[i] + g.Bounds[i]), g.scanRT(g.Sources[i], g.Bounds[i]*g.B) + 1
+// collectCost is the cost of collecting source i: a read-only scan of its
+// table beside the bound-block buffer, and one write.
+func (g RebuildGeometry) collectCost(i int) obs.Cost {
+	return obs.Cost{
+		IOs:        int64(g.Sources[i] + g.Bounds[i]),
+		RoundTrips: extmem.ScanRoundTrips(g.Sources[i], g.B, g.Free-g.Bounds[i]*g.B, 1) + 1,
+	}
 }
 
 // routed is the number of source blocks the network compacts.
@@ -243,51 +247,21 @@ func (g RebuildGeometry) routed() (n int) {
 	return n
 }
 
-// scanRT is the round trips of one side of a scan of n blocks.
-func (g RebuildGeometry) scanRT(n, held int) int64 {
-	if n == 0 {
-		return 0
-	}
-	return int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(g.Free-held, g.B, 1))))
-}
-
-// RebuildIOCount predicts the exact block I/Os of one rebuild, or -1 under
-// a sorter with no exact predictor: the live prefix — each collected
-// source's read and its bound's write, the buffer's write, and the routed
-// sources' compaction (their one read, and Theorem 6's passes less the
-// first read) — one sort of the live entries, Theorem 6's compaction of
-// them when they do not fit the free cache, and then either one read of the
-// installed entries and one write of the table, or the scan that stamps the
-// slots and Theorem 6's expansion into the table.
-func RebuildIOCount(g RebuildGeometry) int64 {
-	sortIO, _, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
+// RebuildCost predicts the exact block I/Os and vectored round trips of one
+// rebuild, batches bounded by the cache alone, or -1 for both under a sorter
+// with no exact predictor: the live prefix — each collected source's read
+// and its bound's write, the buffer's write, and the routed sources'
+// compaction (their one read, and Theorem 6's passes less the first read) —
+// one sort of the live entries, Theorem 6's compaction of them when they do
+// not fit the free cache, and then either one read of the installed entries
+// and one write of the table, or the scan that stamps the slots and Theorem
+// 6's expansion into the table.
+func RebuildCost(g RebuildGeometry) obs.Cost {
+	sort, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
 	if !ok {
-		return -1
+		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}
-	ios := int64(g.Buffer) + route.CompactIntoIOCount(g.routed(), g.routed(), g.B, g.Free) + sortIO
-	for i := range g.Sources {
-		if g.collects(i) {
-			c, _ := g.collectCost(i)
-			ios += c
-		}
-	}
-	if g.compacts() {
-		ios += route.CompactIntoIOCount(g.CapE, g.CapE, g.B, g.Free)
-	}
-	k := g.installed()
-	if g.fits(k) {
-		return ios + int64(k) + int64(g.Table)
-	}
-	return ios + 2*int64(k) + route.ExpandIntoIOCount(k, g.Table, g.B, g.Free)
-}
-
-// RebuildRoundTrips is RebuildIOCount for vectored round trips, batches
-// bounded by the cache alone.
-func RebuildRoundTrips(g RebuildGeometry) int64 {
-	_, sortRT, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
-	if !ok {
-		return -1
-	}
+	scan := func(n, held int) int64 { return extmem.ScanRoundTrips(n, g.B, g.Free-held, 1) }
 	// The compaction's feed reads each routed source a chunk overlaps.
 	feedRT := func(lo, hi int) (rt int64) {
 		base := 0
@@ -302,21 +276,22 @@ func RebuildRoundTrips(g RebuildGeometry) int64 {
 		}
 		return rt
 	}
-	rts := g.scanRT(g.Buffer, 0) + route.CompactIntoRoundTrips(g.routed(), g.B, g.Free, feedRT) + sortRT
+	c := obs.Cost{IOs: int64(g.Buffer), RoundTrips: scan(g.Buffer, 0)}.Add(sort)
+	c = c.Add(route.CompactIntoCost(g.routed(), g.routed(), g.B, g.Free, feedRT))
 	for i := range g.Sources {
 		if g.collects(i) {
-			_, c := g.collectCost(i)
-			rts += c
+			c = c.Add(g.collectCost(i))
 		}
 	}
 	if g.compacts() { // its feed reads the sorted entries a range a call
-		rts += route.CompactIntoRoundTrips(g.CapE, g.B, g.Free, func(lo, hi int) int64 { return 1 })
+		c = c.Add(route.CompactIntoCost(g.CapE, g.CapE, g.B, g.Free, func(lo, hi int) int64 { return 1 }))
 	}
 	k := g.installed()
 	if g.fits(k) {
-		return rts + 1 + g.scanRT(g.Table, k*g.B)
+		return c.Add(obs.Cost{IOs: int64(k + g.Table), RoundTrips: 1 + scan(g.Table, k*g.B)})
 	}
-	return rts + 2*g.scanRT(k, 0) + route.ExpandIntoRoundTrips(k, g.Table, g.B, g.Free)
+	c = c.Add(obs.Cost{IOs: 2 * int64(k), RoundTrips: 2 * scan(k, 0)})
+	return c.Add(route.ExpandIntoCost(k, g.Table, g.B, g.Free))
 }
 
 // geometry collects the public shape of a rebuild of target from sources.
@@ -403,7 +378,7 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		sp.SetAttrInt("blocks", int64(in))
 		sp.SetAttrInt("live-bound", int64(g.CapE))
 		sp.SetAttr("sorter", o.sorterName)
-		sp.SetPredicted(RebuildIOCount(g), RebuildRoundTrips(g))
+		sp.SetPredicted(RebuildCost(g))
 	}
 	if sp != nil && o.sorterName != obsort.EngineRandomized {
 		// The rebuild trace is a deterministic function of the geometry and
@@ -484,13 +459,13 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	place := slots{beta: o.beta, bucket: -1}
 	if g.fits(live.Len()) {
 		sp2 := o.env.Obs.Start("install")
-		sp2.SetPredicted(int64(live.Len())+int64(g.Table), -1)
+		sp2.SetPredicted(obs.Cost{IOs: int64(live.Len() + g.Table), RoundTrips: -1})
 		o.install(tl.table, live, &place, g.Kept, target)
 		o.env.Obs.End(sp2)
 	} else {
 		// Only after the compaction: its labels overwrite the Aux bits.
 		sp2 := o.env.Obs.Start("assign-slots")
-		sp2.SetPredicted(2*int64(live.Len()), -1)
+		sp2.SetPredicted(obs.Cost{IOs: 2 * int64(live.Len()), RoundTrips: -1})
 		o.env.Scan(live, live, o.env.ScanBatchN(1, live.Len()), func(_ int, chunk []extmem.Element) {
 			for off := 0; off < len(chunk); off += b {
 				place.stamp(chunk[off : off+b])

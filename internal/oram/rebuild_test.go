@@ -53,7 +53,7 @@ func installArm(g oram.RebuildGeometry) int {
 
 // TestRebuildIOExact: every rebuild — the initial build included — costs
 // exactly the block I/Os and round trips its span predicts, and for the
-// scheduled ones that prediction is RebuildIOCount / RebuildRoundTrips of
+// scheduled ones that prediction is RebuildCost of
 // the geometry the schedule announces beforehand, with the cache never over
 // M. The grid takes both arms of the live prefix — a source collected in one
 // private scan, a source routed by the network, and rebuilds that do both —
@@ -89,20 +89,17 @@ func TestRebuildIOExact(t *testing.T) {
 						t.Fatalf("%s: %d rebuild spans, want 1", name, len(spans))
 					}
 					sp := spans[0]
-					if sp.IO.Total() != sp.PredictedIO || sp.IO.RoundTrips != sp.PredictedRT {
-						t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, its span predicts %d in %d",
-							name, sp.IO.Total(), sp.IO.RoundTrips, sp.PredictedIO, sp.PredictedRT)
+					if sp.IO.Cost() != sp.Predicted {
+						t.Fatalf("%s: rebuild measured %+v, its span predicts %+v", name, sp.IO.Cost(), sp.Predicted)
 					}
 					for _, c := range sp.Children {
-						if c.Name == "collect" && (c.IO.Total() != c.PredictedIO || c.IO.RoundTrips != c.PredictedRT) {
-							t.Fatalf("%s: a collect measured %d I/Os in %d round trips, its span predicts %d in %d",
-								name, c.IO.Total(), c.IO.RoundTrips, c.PredictedIO, c.PredictedRT)
+						if c.Name == "collect" && c.IO.Cost() != c.Predicted {
+							t.Fatalf("%s: a collect measured %+v, its span predicts %+v", name, c.IO.Cost(), c.Predicted)
 						}
 					}
 					if want != nil {
-						if ios, rts := oram.RebuildIOCount(*want), oram.RebuildRoundTrips(*want); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
-							t.Fatalf("%s: rebuild measured %d I/Os in %d round trips, %+v predicts %d in %d",
-								name, sp.IO.Total(), sp.IO.RoundTrips, *want, ios, rts)
+						if c := oram.RebuildCost(*want); sp.IO.Cost() != c {
+							t.Fatalf("%s: rebuild measured %+v, %+v predicts %+v", name, sp.IO.Cost(), *want, c)
 						}
 						arm := installArm(*want)
 						arms[arm]++
@@ -179,10 +176,10 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 		5: {Buffer: 16, CapE: 16, Kept: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
 		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Kept: 32, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
 	}
-	cost := map[int][2]int64{5: {384, 15}, 6: {2336, 125}}
+	cost := map[int]obs.Cost{5: {IOs: 384, RoundTrips: 15}, 6: {IOs: 2336, RoundTrips: 125}}
 	for target, g := range want {
-		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); ios != cost[target][0] || rts != cost[target][1] {
-			t.Fatalf("rebuild of level %d: predicted %d I/Os in %d round trips, want %d in %d", target, ios, rts, cost[target][0], cost[target][1])
+		if c := oram.RebuildCost(g); c != cost[target] {
+			t.Fatalf("rebuild of level %d: predicted %+v, want %+v", target, c, cost[target])
 		}
 	}
 	seen := map[int]bool{}
@@ -288,8 +285,8 @@ func TestRebuildOverflowDeclared(t *testing.T) {
 		sp := rebuildSpans(col.Roots())[0]
 		// l0 = 4 as at n = 32, so 16 blocks of buffer are held; 2^7 buckets.
 		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Kept: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
-		if ios, rts := oram.RebuildIOCount(g), oram.RebuildRoundTrips(g); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
-			t.Fatalf("overflowing build measured %d I/Os in %d round trips, predicted %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
+		if c := oram.RebuildCost(g); sp.IO.Cost() != c {
+			t.Fatalf("overflowing build measured %+v, predicted %+v", sp.IO.Cost(), c)
 		}
 	})
 
@@ -338,8 +335,8 @@ func overflowOnAccess(t *testing.T, mWords, arm int) {
 				continue
 			}
 			sp := spans[0]
-			if ios, rts := oram.RebuildIOCount(next), oram.RebuildRoundTrips(next); sp.IO.Total() != ios || sp.IO.RoundTrips != rts {
-				t.Fatalf("step %d: rebuild measured %d I/Os in %d round trips, predicted %d in %d", step, sp.IO.Total(), sp.IO.RoundTrips, ios, rts)
+			if c := oram.RebuildCost(next); sp.IO.Cost() != c {
+				t.Fatalf("step %d: rebuild measured %+v, predicted %+v", step, sp.IO.Cost(), c)
 			}
 			if got := installArm(next); got != arm {
 				t.Fatalf("step %d: a rebuild of %+v takes arm %d of the install, want %d", step, next, got, arm)

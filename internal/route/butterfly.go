@@ -135,7 +135,7 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, fed int, feed func(l
 	n, b := a.Len(), a.B()
 	free := env.M - env.Cache.Used()
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(routingIOs(fed, n, ButterflyPassCount(n, levelsPerPass, free/b)), -1)
+	sp.SetPredicted(obs.Cost{IOs: routingIOs(fed, n, passCount(n, levelsPerPass, free/b)), RoundTrips: -1})
 	rank := 0
 	if levelsPerPass <= 0 && fitsCache(n, b, free) {
 		buf := env.Cache.Buf(n * b)
@@ -195,7 +195,7 @@ func expand(env *extmem.Env, src, dst extmem.Array, pred BlockPred, levelsPerPas
 	free := env.M - env.Cache.Used()
 	sp := env.Obs.Start("butterfly-expand")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(routingIOs(ns, n, ButterflyPassCount(n, levelsPerPass, free/b)), -1)
+	sp.SetPredicted(obs.Cost{IOs: routingIOs(ns, n, passCount(n, levelsPerPass, free/b)), RoundTrips: -1})
 	defer env.Obs.End(sp)
 	if levelsPerPass <= 0 && fitsCache(n, b, free) {
 		buf := env.Cache.Buf(n * b)
@@ -530,31 +530,15 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, g
 	env.Cache.Free(g.stash)
 }
 
-// ButterflyPassCount predicts the number of full read+write passes a
-// routing of n cells makes when it is entered with mBlocks blocks of cache
-// free: one pass per level group, and one group when the array fits.
-// TestButterflyIOMatchesPassCount checks measured I/O against 2n times this.
-func ButterflyPassCount(n, levelsPerPass, mBlocks int) int {
+// passCount is the number of full read+write passes a routing of n cells
+// makes when it is entered with mBlocks blocks of cache free: one pass per
+// level group, and one group when the array fits.
+func passCount(n, levelsPerPass, mBlocks int) int {
 	if levelsPerPass <= 0 && n+1 <= mBlocks {
 		return 1
 	}
 	g := groupSize(mBlocks, levelsPerPass)
 	return (max(1, extmem.CeilLog2(n)) + g - 1) / g
-}
-
-// CompactRoundTrips predicts the vectored round trips of CompactBlocksTight
-// on n blocks of b elements, entered with m elements of cache free and
-// batches bounded by the cache alone: two when the array fits, and
-// otherwise a load and a write per window of each level group.
-func CompactRoundTrips(n, levelsPerPass, b, m int) int64 {
-	return compactRoundTrips(n, levelsPerPass, b, m, func(lo, hi int) int64 { return 1 })
-}
-
-// CompactIntoIOCount predicts the block I/Os of CompactInto of n cells whose
-// feed reads fed blocks in all: those, the first pass's writes, and a read
-// and a write of every cell for each pass after it.
-func CompactIntoIOCount(fed, n, b, m int) int64 {
-	return routingIOs(fed, n, ButterflyPassCount(n, 0, m/b))
 }
 
 // routingIOs is the block I/Os of a routing of n cells in the given number
@@ -564,25 +548,29 @@ func routingIOs(fed, n, passes int) int64 {
 	return int64(fed) + int64(n)*int64(2*passes-1)
 }
 
-// CompactIntoRoundTrips is CompactRoundTrips for CompactInto: feedRT is the
-// round trips the feed makes when asked for cells [lo, hi).
-func CompactIntoRoundTrips(n, b, m int, feedRT func(lo, hi int) int64) int64 {
-	return compactRoundTrips(n, 0, b, m, feedRT)
+// CompactCost predicts CompactBlocksTight on n blocks of b elements — and
+// ExpandBlocks, whose passes and batches are the same — entered with m
+// elements of cache free and batches bounded by the cache alone: a read and
+// a write of every cell per pass, in two round trips when the array fits and
+// otherwise a load and a write per window of each level group.
+func CompactCost(n, levelsPerPass, b, m int) obs.Cost {
+	return compactCost(n, n, levelsPerPass, b, m, func(lo, hi int) int64 { return 1 })
 }
 
-// ConsolidateCompactIOCount predicts the block I/Os of ConsolidateCompact
-// on n blocks of b elements entered with m elements of cache free: the
-// butterfly's passes beside the 2B holding buffer, and nothing else.
-func ConsolidateCompactIOCount(n, b, m int) int64 {
-	return CompactIntoIOCount(n, n, b, m-2*b)
+// CompactIntoCost predicts CompactInto of n cells whose feed reads fed
+// blocks in all, in feedRT(lo, hi) round trips when asked for cells [lo, hi).
+func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
+	return compactCost(fed, n, 0, b, m, feedRT)
 }
 
-// ConsolidateCompactRoundTrips is CompactRoundTrips for ConsolidateCompact,
-// whose feed, lag.cells, reads each window's inputs one block ahead of its
-// cells: block 0 on its own before a first window that is not the whole
-// array, and nothing for a window that is the last cell alone.
-func ConsolidateCompactRoundTrips(n, b, m int) int64 {
-	return compactRoundTrips(n, 0, b, m-2*b, func(lo, hi int) int64 {
+// ConsolidateCompactCost predicts ConsolidateCompact on n blocks of b
+// elements entered with m elements of cache free: the butterfly's passes
+// beside the 2B holding buffer, and nothing else. Its feed, lag.cells, reads
+// each window's inputs one block ahead of its cells: block 0 on its own
+// before a first window that is not the whole array, and nothing for a
+// window that is the last cell alone.
+func ConsolidateCompactCost(n, b, m int) obs.Cost {
+	return compactCost(n, n, 0, b, m-2*b, func(lo, hi int) int64 {
 		var rt int64
 		rlo, rhi := lo+1, min(hi+1, n)
 		if lo == 0 && hi == n {
@@ -597,54 +585,47 @@ func ConsolidateCompactRoundTrips(n, b, m int) int64 {
 	})
 }
 
-// compactRoundTrips replays the batching of compact: a load and a write per
-// window of every group, the first group's loads calls of the feed, priced
-// by feedRT.
-func compactRoundTrips(n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64) int64 {
+// compactCost replays compact: the feed's fed block reads, Theorem 6's
+// passes less the first read, and a load and a write per window of every
+// group, the first group's loads calls of the feed, priced by feedRT.
+func compactCost(fed, n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
 	if n == 0 {
-		return 0
+		return obs.Cost{}
 	}
+	c := obs.Cost{IOs: routingIOs(fed, n, passCount(n, levelsPerPass, m/b))}
 	if levelsPerPass <= 0 && fitsCache(n, b, m) {
-		return feedRT(0, n) + 1
+		c.RoundTrips = feedRT(0, n) + 1
+		return c
 	}
-	var rt int64
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, levelsPerPass)
 	for i0 := 0; i0 < levels; i0 += g {
 		_, hw := windowCells(n, b, m, min(g, levels-i0))
 		for lo := 0; lo < n; lo += hw {
 			if i0 == 0 {
-				rt += feedRT(lo, min(lo+hw, n))
+				c.RoundTrips += feedRT(lo, min(lo+hw, n))
 			} else {
-				rt++
+				c.RoundTrips++
 			}
-			rt++
+			c.RoundTrips++
 		}
 	}
-	return rt
+	return c
 }
 
-// ExpandIntoIOCount predicts the block I/Os of ExpandInto of ns cells into
-// n (of ExpandBlocks when ns = n): the first pass reads the ns cells there
-// are and writes all n, every pass after it reads and writes all n.
-func ExpandIntoIOCount(ns, n, b, m int) int64 {
+// ExpandIntoCost predicts ExpandInto of ns cells into n (ExpandBlocks when
+// ns = n) entered with m elements of cache free: the first pass reads the ns
+// cells there are and writes all n, every pass after it reads and writes all
+// n; a load and a write per window of every group, less the loads of the top
+// group whose windows lie wholly past the ns cells of the source.
+func ExpandIntoCost(ns, n, b, m int) obs.Cost {
 	if n == 0 {
-		return 0
+		return obs.Cost{}
 	}
-	return routingIOs(ns, n, ButterflyPassCount(n, 0, m/b))
-}
-
-// ExpandIntoRoundTrips replays the batching of expand as compactRoundTrips
-// does compact's: a load and a write per window of every group, less the
-// loads of the top group whose windows lie wholly past the ns cells of the
-// source.
-func ExpandIntoRoundTrips(ns, n, b, m int) int64 {
-	if n == 0 {
-		return 0
-	}
+	c := obs.Cost{IOs: routingIOs(ns, n, passCount(n, 0, m/b))}
 	if fitsCache(n, b, m) {
-		return int64(min(ns, 1)) + 1
+		c.RoundTrips = int64(min(ns, 1)) + 1
+		return c
 	}
-	var rt int64
 	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, 0)
 	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
 		w, hw := windowCells(n, b, m, min(g, levels-i0))
@@ -652,10 +633,10 @@ func ExpandIntoRoundTrips(ns, n, b, m int) int64 {
 		for lo := 0; lo < n; lo += hw {
 			// Window [lo, lo+hw) counts from the far end.
 			if !top || k.lowest(max(n-lo-hw, 0), n-lo) < ns {
-				rt++
+				c.RoundTrips++
 			}
-			rt++
+			c.RoundTrips++
 		}
 	}
-	return rt
+	return c
 }

@@ -174,13 +174,8 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 			} else {
 				CompactBlocksTight(env, a, PredOccupied, cfg.lpp)
 			}
-			got := env.D.Stats().Total()
-			want := int64(ButterflyPassCount(cfg.n, cfg.lpp, (cfg.m-cfg.held)/4)) * int64(2*cfg.n)
-			if got != want {
-				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: measured %d I/Os, predicted %d", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, got, want)
-			}
-			if got, want := env.D.Stats().RoundTrips, CompactRoundTrips(cfg.n, cfg.lpp, 4, cfg.m-cfg.held); got != want {
-				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: measured %d round trips, predicted %d", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, got, want)
+			if got, want := env.D.Stats().Cost(), CompactCost(cfg.n, cfg.lpp, 4, cfg.m-cfg.held); got != want {
+				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: measured %+v, predicted %+v", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, got, want)
 			}
 			if hw := env.Cache.HighWater(); hw > cfg.m {
 				t.Errorf("n=%d m=%d lpp=%d held=%d expand=%v: used %d words of private memory", cfg.n, cfg.m, cfg.lpp, cfg.held, expand, hw)
@@ -218,11 +213,8 @@ func TestConsolidateCompactMatchesThePair(t *testing.T) {
 			if !slices.Equal(readElems(a), padTo(in, cfg.n*cfg.b)) {
 				t.Fatalf("n=%d b=%d m=%d kept=%d: input modified", cfg.n, cfg.b, cfg.m, kept)
 			}
-			if want := ConsolidateCompactIOCount(cfg.n, cfg.b, cfg.m); st.Total() != want {
-				t.Errorf("n=%d b=%d m=%d kept=%d: measured %d I/Os, predicted %d", cfg.n, cfg.b, cfg.m, kept, st.Total(), want)
-			}
-			if want := ConsolidateCompactRoundTrips(cfg.n, cfg.b, cfg.m); st.RoundTrips != want {
-				t.Errorf("n=%d b=%d m=%d kept=%d: measured %d round trips, predicted %d", cfg.n, cfg.b, cfg.m, kept, st.RoundTrips, want)
+			if want := ConsolidateCompactCost(cfg.n, cfg.b, cfg.m); st.Cost() != want {
+				t.Errorf("n=%d b=%d m=%d kept=%d: measured %+v, predicted %+v", cfg.n, cfg.b, cfg.m, kept, st.Cost(), want)
 			}
 			if hw, used := env.Cache.HighWater(), env.Cache.Used(); hw > cfg.m || used != 0 {
 				t.Errorf("n=%d b=%d m=%d kept=%d: used %d words of private memory, %d left checked out", cfg.n, cfg.b, cfg.m, kept, hw, used)

@@ -2,6 +2,7 @@ package route
 
 import (
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/par"
 )
 
@@ -45,7 +46,7 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	}
 	sp := env.Obs.Start("consolidate")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(2*int64(n), -1) // Lemma 3: exactly n reads + n writes
+	sp.SetPredicted(obs.Cost{IOs: 2 * int64(n), RoundTrips: -1}) // Lemma 3: exactly n reads + n writes
 	defer env.Obs.End(sp)
 
 	l := lag{keep: keep, hold: env.Cache.Buf(2 * b)}
@@ -168,13 +169,10 @@ func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
 	}
 }
 
-// ConsolidateRoundTrips predicts the vectored round trips of Consolidate on
-// n blocks of b elements, entered with all m elements of the cache free and
-// batches bounded by the cache alone: one per input chunk and one per output
-// chunk, both of the size two streams share beside the 2B holding buffer.
-func ConsolidateRoundTrips(n, b, m int) int64 {
-	if n == 0 {
-		return 0
-	}
-	return 2 * int64(extmem.CeilDiv(n, min(n, extmem.ScanBatchOf(m-2*b, b, 2))))
+// ConsolidateCost predicts Consolidate on n blocks of b elements, entered
+// with m elements of the cache free and batches bounded by the cache alone: n reads and n writes (Lemma 3), in one round trip per input chunk
+// and one per output chunk, both of the size two streams share beside the
+// 2B holding buffer.
+func ConsolidateCost(n, b, m int) obs.Cost {
+	return obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * extmem.ScanRoundTrips(n, b, m-2*b, 2)}
 }

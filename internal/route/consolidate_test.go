@@ -110,11 +110,8 @@ func TestConsolidateIOExact(t *testing.T) {
 		env.D.ResetStats()
 		Consolidate(env, a, extmem.Element.Marked)
 		st := env.D.Stats()
-		if st.Reads != 20 || st.Writes != 20 {
-			t.Fatalf("M=%d: I/O = %+v, want exactly 20 reads and 20 writes", m, st)
-		}
-		if want := ConsolidateRoundTrips(20, 4, m); st.RoundTrips != want {
-			t.Fatalf("M=%d: %d round trips, predicted %d", m, st.RoundTrips, want)
+		if want := ConsolidateCost(20, 4, m); st.Reads != 20 || st.Cost() != want {
+			t.Fatalf("M=%d: I/O = %+v, want exactly 20 reads and 20 writes in %d round trips", m, st, want.RoundTrips)
 		}
 	}
 }

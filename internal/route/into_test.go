@@ -78,11 +78,8 @@ func TestCompactIntoMatchesCopyThenCompact(t *testing.T) {
 			t.Fatalf("n=%d m=%d (%d+%d+%d): output differs from copy + CompactBlocksTight (count %d, want %d)",
 				cfg.n, cfg.m, n1, n2, cfg.n-n1-n2, gotCount, wantCount)
 		}
-		if want := CompactIntoIOCount(n1+n2, cfg.n, b, cfg.m); st.Total() != want {
-			t.Errorf("n=%d m=%d (%d+%d): measured %d I/Os, predicted %d", cfg.n, cfg.m, n1, n2, st.Total(), want)
-		}
-		if want := CompactIntoRoundTrips(cfg.n, b, cfg.m, feedRT); st.RoundTrips != want {
-			t.Errorf("n=%d m=%d (%d+%d): measured %d round trips, predicted %d", cfg.n, cfg.m, n1, n2, st.RoundTrips, want)
+		if want := CompactIntoCost(n1+n2, cfg.n, b, cfg.m, feedRT); st.Cost() != want {
+			t.Errorf("n=%d m=%d (%d+%d): measured %+v, predicted %+v", cfg.n, cfg.m, n1, n2, st.Cost(), want)
 		}
 		if hw, used := env.Cache.HighWater(), env.Cache.Used(); hw > cfg.m || used != 0 {
 			t.Errorf("n=%d m=%d: used %d words of private memory, %d left checked out", cfg.n, cfg.m, hw, used)
@@ -158,11 +155,8 @@ func TestExpandIntoMatchesCopyThenExpand(t *testing.T) {
 			if !slices.Equal(readElems(src), before) {
 				t.Fatalf("n=%d ns=%d m=%d: source modified", cfg.n, ns, cfg.m)
 			}
-			if want := ExpandIntoIOCount(ns, cfg.n, b, cfg.m); st.Total() != want {
-				t.Errorf("n=%d ns=%d m=%d: measured %d I/Os, predicted %d", cfg.n, ns, cfg.m, st.Total(), want)
-			}
-			if want := ExpandIntoRoundTrips(ns, cfg.n, b, cfg.m); st.RoundTrips != want {
-				t.Errorf("n=%d ns=%d m=%d: measured %d round trips, predicted %d", cfg.n, ns, cfg.m, st.RoundTrips, want)
+			if want := ExpandIntoCost(ns, cfg.n, b, cfg.m); st.Cost() != want {
+				t.Errorf("n=%d ns=%d m=%d: measured %+v, predicted %+v", cfg.n, ns, cfg.m, st.Cost(), want)
 			}
 			if hw, used := env.Cache.HighWater(), env.Cache.Used(); hw > cfg.m || used != 0 {
 				t.Errorf("n=%d ns=%d m=%d: used %d words of private memory, %d left checked out", cfg.n, ns, cfg.m, hw, used)

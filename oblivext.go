@@ -59,9 +59,9 @@ type Config struct {
 	// Seed seeds the random tape; runs with equal seeds are reproducible.
 	Seed uint64
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
-	// rebuilds: "randomized" (the paper's randomized sort — the default,
-	// also selected by ""), "bitonic", "zigzag", "bucket", or "auto".
-	// "auto" picks per call from the workload geometry (array size, B, M)
+	// rebuilds: "randomized" (the paper's randomized sort), "bitonic",
+	// "zigzag", "bucket", or "auto". "" means "randomized" for Array.Sort
+	// and "auto" for the ORAM's rebuilds. "auto" picks per call from the workload geometry (array size, B, M)
 	// and the backend kind — round-trip cost over network stores, block
 	// volume otherwise; the pick is a public function of the geometry, so
 	// traces stay data-independent. The deterministic engines never fail;
@@ -81,8 +81,8 @@ type Config struct {
 	// BlockSize + 2 elements on the backend, so a network server must be
 	// provisioned with that block size (obstore -b BlockSize+2).
 	EncryptionKey []byte
-	// StartBlocks is the initial store capacity in blocks (file stores are
-	// fixed at this size; memory stores grow). Default 1024.
+	// StartBlocks is the initial store capacity in blocks; every store grows
+	// on demand (a file store extends its file). Default 1024.
 	StartBlocks int
 	// NumShards, when > 1, stripes the store across that many child
 	// backends (logical block a lives on shard a mod NumShards) and fans
@@ -506,19 +506,19 @@ type IOStats struct {
 }
 
 // Total returns reads plus writes.
-func (s IOStats) Total() int64 { return s.Reads + s.Writes }
+func (s IOStats) Total() int64 { return obs.Counters(s).Total() }
 
 // Sub returns s - o, field by field: the delta between two snapshots, for
 // attributing I/O to a phase without resetting the lifetime counters.
 func (s IOStats) Sub(o IOStats) IOStats {
-	return IOStats(extmem.Stats(s).Sub(extmem.Stats(o)))
+	return IOStats(obs.Counters(s).Sub(obs.Counters(o)))
 }
 
 // Stats returns cumulative I/O counters. The Disk's Stats already folds in
-// the crypto byte counters, so this is a whole-struct conversion: the two
-// types are field-for-field identical by construction, and a counter added
-// to one without the other is a compile error — the snapshot can never
-// silently drop a field again (TestIOStatsFullCopy pins the mirror).
+// the crypto byte counters, so this is a whole-struct conversion: IOStats
+// mirrors obs.Counters field for field, and a counter added to one without
+// the other is a compile error — the snapshot can never silently drop a
+// field again (TestIOStatsFullCopy pins the mirror).
 func (c *Client) Stats() IOStats {
 	return IOStats(c.env.D.Stats())
 }
@@ -866,26 +866,13 @@ func (c *Client) sortEngine(nBlocks int) string {
 	return c.sorter
 }
 
-// SortDeterministic sorts with the deterministic oblivious sort (Lemma 2's
-// role, realized as an external bitonic network whose levels are packed
-// log₂(M/2B) address bits to a pass): never fails, exactly
-// obsort.BitonicIOCount block I/Os.
-func (a *Array) SortDeterministic() {
-	sp := a.c.env.Obs.Start("sort")
-	sp.SetAttr("engine", obsort.EngineBitonic)
-	sp.SetAttrInt("blocks", int64(a.arr.Len()))
-	sp.Audit(a.c.auditKey("sort/"+obsort.EngineBitonic, a.arr.Len(), a.arr.Base()))
-	defer a.c.env.Obs.End(sp)
-	obsort.Bitonic(a.c.env, a.arr, obsort.ByKey)
-}
-
 // Select returns the k-th smallest record (1-based, by key with insertion-
 // order ties) in O(N/B) I/Os without modifying or revealing anything about
 // the data (Theorem 13).
 func (a *Array) Select(k int64) (Record, error) {
 	sp := a.c.env.Obs.Start("select")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
-	sp.SetPredicted(core.SelectIOCount(a.arr.Len(), a.arr.B(), a.c.env.M), core.SelectRoundTrips(a.arr.Len(), a.arr.B(), a.c.env.M))
+	sp.SetPredicted(core.SelectCost(a.arr.Len(), a.arr.B(), a.c.env.M))
 	sp.Audit(a.c.auditKey("select", a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	e, err := core.Select(a.c.env, a.arr, k)
@@ -967,8 +954,7 @@ func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	sp.SetAttrInt("g", int64(g))
 	sp.SetAttrInt("rounds", int64(rounds))
 	// Exact but for the two I/Os every repeated probe saves (probe-repeats).
-	sp.SetPredicted(2*int64(n)+core.LooseIOCount(n, rCap, b, m),
-		route.ConsolidateRoundTrips(n, b, m)+core.LooseRoundTrips(n, rCap, b, m))
+	sp.SetPredicted(route.ConsolidateCost(n, b, m).Add(core.LooseCost(n, rCap, b, m)))
 	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	cons, marked := route.Consolidate(a.c.env, a.arr, extmem.Element.Marked)
@@ -1005,18 +991,6 @@ func (c *Client) NewORAM(n int) (*ORAM, error) {
 		opts.SorterName = c.sorter
 	}
 	o, err := oram.New(c.env, n, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ORAM{o: o}, nil
-}
-
-// NewORAMWithRandomizedSort creates an ORAM whose level rebuilds use the
-// paper's randomized optimal sort instead of the deterministic one — the
-// configuration whose amortized overhead improvement is the paper's
-// headline ORAM claim.
-func (c *Client) NewORAMWithRandomizedSort(n int) (*ORAM, error) {
-	o, err := oram.New(c.env, n, oram.Options{Sorter: core.RandomizedSorter, SorterName: obsort.EngineRandomized})
 	if err != nil {
 		return nil, err
 	}

@@ -67,11 +67,13 @@ func TestPublicSortSelectQuantiles(t *testing.T) {
 }
 
 func TestPublicSortDeterministic(t *testing.T) {
-	c, _ := New(Config{BlockSize: 4, CacheWords: 64, Seed: 1})
+	c, _ := New(Config{BlockSize: 4, CacheWords: 64, Seed: 1, Sorter: "bitonic"})
 	defer c.Close()
 	recs := mkRecords(100, 3)
 	arr, _ := c.Store(recs)
-	arr.SortDeterministic()
+	if err := arr.Sort(); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := arr.Records()
 	for i := 1; i < len(got); i++ {
 		if got[i-1].Key > got[i].Key {
@@ -210,11 +212,13 @@ func TestPublicConfigValidation(t *testing.T) {
 }
 
 func TestPublicStatsAndCache(t *testing.T) {
-	c, _ := New(Config{BlockSize: 8, CacheWords: 256, Seed: 2})
+	c, _ := New(Config{BlockSize: 8, CacheWords: 256, Seed: 2, Sorter: "bitonic"})
 	defer c.Close()
 	arr, _ := c.Store(mkRecords(400, 5))
 	c.ResetStats()
-	arr.SortDeterministic()
+	if err := arr.Sort(); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Stats()
 	if st.Reads == 0 || st.Writes == 0 || st.Total() != st.Reads+st.Writes {
 		t.Fatalf("stats %+v", st)

@@ -11,11 +11,11 @@ import (
 	"oblivext/internal/obs"
 )
 
-// TestIOStatsFullCopy pins the three counter structs — extmem.Stats,
-// obs.Counters, and the public IOStats — to an identical field set, and
-// checks the Stats() conversion carries every field. A field added to
-// extmem.Stats but forgotten here (the bug this regresses: Stats() used to
-// hand-copy fields and silently drop new ones) fails loudly.
+// TestIOStatsFullCopy pins the public IOStats to the one internal counter
+// struct, obs.Counters — an identical field set — and checks the Stats()
+// conversion carries every field. A field added to obs.Counters but
+// forgotten here (the bug this regresses: Stats() used to hand-copy fields
+// and silently drop new ones) fails loudly.
 func TestIOStatsFullCopy(t *testing.T) {
 	shape := func(v any) map[string]string {
 		m := map[string]string{}
@@ -26,16 +26,12 @@ func TestIOStatsFullCopy(t *testing.T) {
 		}
 		return m
 	}
-	want := shape(extmem.Stats{})
-	if got := shape(IOStats{}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("IOStats fields %v diverge from extmem.Stats %v", got, want)
-	}
-	if got := shape(obs.Counters{}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("obs.Counters fields %v diverge from extmem.Stats %v", got, want)
+	if got, want := shape(IOStats{}), shape(obs.Counters{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IOStats fields %v diverge from obs.Counters %v", got, want)
 	}
 
 	// The conversion must copy every field, whatever its value.
-	var src extmem.Stats
+	var src obs.Counters
 	sv := reflect.ValueOf(&src).Elem()
 	for i := 0; i < sv.NumField(); i++ {
 		sv.Field(i).SetInt(int64(100 + i))
@@ -161,11 +157,8 @@ func TestCompactLooseSpanPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe-repeats attribute: %v", err)
 	}
-	if got := sp.IO.Total() + 2*repeats; got != sp.PredictedIO {
-		t.Errorf("%d I/Os + 2·%d repeated probes = %d, predicted %d", sp.IO.Total(), repeats, got, sp.PredictedIO)
-	}
-	if sp.IO.RoundTrips != sp.PredictedRT {
-		t.Errorf("%d round trips, predicted %d", sp.IO.RoundTrips, sp.PredictedRT)
+	if got := sp.IO.Cost().Add(obs.Cost{IOs: 2 * repeats}); got != sp.Predicted {
+		t.Errorf("measured %+v with 2·%d repeated probes added back, predicted %+v", got, repeats, sp.Predicted)
 	}
 }
 

@@ -14,7 +14,8 @@ import "testing"
 // Disk's one-block Read/Write now travel as batches of one, and must cost
 // exactly the block I/Os and round trips the scalar store methods did. (The
 // Select row was re-measured when Select became sample-bracket-narrow: at
-// this M = 256 it is the sort tail, core.SelectIOCount(250, 8, 256) = 5084;
+// this M = 256 it is the sort tail, core.SelectCost(250, 8, 256) = 4 834
+// I/Os in 283 round trips after the store's 250 writes in 9;
 // the Sort, Select and ORAMAccess rows were re-measured when obsort.Bitonic
 // packed its levels into gather passes — every one of them sorts with it;
 // the Sort row again when a level of the randomized Sort went to one
