@@ -10,7 +10,6 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
-	"oblivext/internal/oram"
 	"oblivext/internal/route"
 )
 
@@ -64,8 +63,10 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // trips the Disk measured must be the predictor's, to the access. A row
 // runs on the array fillCells writes, with held elements of the cache
 // checked out; the predictors that assume the whole cache free (the sorts,
-// Select, loose compaction) run where nothing is held, and the rebuild
-// holds its own top buffer.
+// Select, loose compaction) run where nothing is held. oram.RebuildCost is
+// not a row: a rebuild's geometry comes from the ORAM's level state, not
+// from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
+// of its oracle geometries against it.
 func TestPredictorsExact(t *testing.T) {
 	whole := func(g geometry) bool { return g.held == 0 }
 	routes := func(g geometry) bool { return g.free() >= 6*g.b }
@@ -153,40 +154,6 @@ func TestPredictorsExact(t *testing.T) {
 			}
 			// Every repeated probe saves the two I/Os the predictor counts.
 			return got.Add(obs.Cost{IOs: 2 * repeats}), core.LooseCost(g.n, occupied, g.b, g.m)
-		}},
-		{"oram.Rebuild", func(g geometry) bool { return whole(g) && g.n <= 256 && g.m >= 32*g.b }, func(t *testing.T, env *extmem.Env, _ extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
-			// An ORAM of n blocks, its initial build and the rebuilds of 64
-			// accesses: each rebuild span's prediction is RebuildCost of the
-			// geometry that rebuild ran, its top buffer held. The first
-			// rebuild that misses its prediction is the row's result.
-			col := env.EnableObs()
-			o, err := oram.New(env, g.n, oram.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				if _, err := o.Read(i * 7 % g.n); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var rebuilds []*obs.Span
-			for _, sp := range col.Roots() {
-				for _, c := range append([]*obs.Span{sp}, sp.Children...) {
-					if c.Name == "oram-rebuild" {
-						rebuilds = append(rebuilds, c)
-					}
-				}
-			}
-			if len(rebuilds) < 2 {
-				t.Fatalf("%d rebuilds, want the initial build and a scheduled one", len(rebuilds))
-			}
-			for _, sp := range rebuilds[:len(rebuilds)-1] {
-				if sp.IO.Cost() != sp.Predicted {
-					return sp.IO.Cost(), sp.Predicted
-				}
-			}
-			last := rebuilds[len(rebuilds)-1]
-			return last.IO.Cost(), last.Predicted
 		}},
 	}
 	for _, c := range cases {

@@ -310,6 +310,14 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // net; bitonic, then zigzag, preferred on ties), and running the picked
 // engine costs exactly what its predictor said.
 func TestPickPolicy(t *testing.T) {
+	// metric is the test's own statement of what Pick minimises, kept
+	// independent of pick.go so a wrong backend rule there fails here.
+	metric := func(c obs.Cost, backend string) int64 {
+		if backend == "net" {
+			return c.RoundTrips
+		}
+		return c.IOs
+	}
 	engines := []struct {
 		name      string
 		cost      func(nBlocks, b, m int) obs.Cost
@@ -319,18 +327,20 @@ func TestPickPolicy(t *testing.T) {
 		{EngineZigzag, ZigzagCost, func(_, _, _ int) bool { return true }},
 		{EngineBucket, BucketCost, BucketSupported},
 	}
-	picked := map[string]bool{}
+	picked, backendSplits := map[string]bool{}, false
 	for _, g := range []struct{ n, b, m int }{
 		{16, 8, 4096}, {1, 8, 512}, {7, 8, 512}, {64, 8, 512}, {336, 8, 512}, {672, 8, 512}, {1616, 8, 512},
 		{1 << 10, 8, 512}, {1 << 12, 8, 4096}, {1 << 13, 8, 4096}, {300, 4, 64}, {19, 6, 96}, {130, 8, 32},
+		{23, 8, 64}, {362, 4, 32},
 	} {
+		backendSplits = backendSplits || Pick(g.n, g.b, g.m, "mem") != Pick(g.n, g.b, g.m, "net")
 		for _, backend := range []string{"mem", "net"} {
 			want, least := "", int64(0)
 			for _, e := range engines {
 				if !e.supported(g.n, g.b, g.m) {
 					continue
 				}
-				if c := price(e.cost(g.n, g.b, g.m), backend); want == "" || c < least {
+				if c := metric(e.cost(g.n, g.b, g.m), backend); want == "" || c < least {
 					want, least = e.name, c
 				}
 			}
@@ -353,7 +363,7 @@ func TestPickPolicy(t *testing.T) {
 			} else {
 				PickSorter(got)(env, a, ByKey)
 			}
-			if measured := price(env.D.Stats().Cost(), backend); measured != least {
+			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, backend, got, measured, least)
 			}
 		}
@@ -361,6 +371,9 @@ func TestPickPolicy(t *testing.T) {
 	// The table is worth its name only if the choice is exercised.
 	if !picked[EngineBitonic] || !picked[EngineZigzag] {
 		t.Errorf("table picked only %v; want bitonic and zigzag both to win somewhere", picked)
+	}
+	if !backendSplits {
+		t.Error("no geometry picks differently over mem and net; the backend rule is unchecked")
 	}
 	if got := Pick(0, 8, 512, "mem"); !ValidEngine(got) || PickSorter(got) == nil {
 		t.Errorf("empty input picked %q", got)

@@ -170,9 +170,10 @@ func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
 }
 
 // ConsolidateCost predicts Consolidate on n blocks of b elements, entered
-// with m elements of the cache free and batches bounded by the cache alone: n reads and n writes (Lemma 3), in one round trip per input chunk
-// and one per output chunk, both of the size two streams share beside the
-// 2B holding buffer.
+// with m elements of the cache free and batches bounded by the cache alone:
+// n reads and n writes (Lemma 3), in one round trip per input chunk and one
+// per output chunk, both of the size two streams share beside the 2B
+// holding buffer.
 func ConsolidateCost(n, b, m int) obs.Cost {
 	return obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * extmem.ScanRoundTrips(n, b, m-2*b, 2)}
 }

@@ -61,10 +61,11 @@ type Config struct {
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
 	// rebuilds: "randomized" (the paper's randomized sort), "bitonic",
 	// "zigzag", "bucket", or "auto". "" means "randomized" for Array.Sort
-	// and "auto" for the ORAM's rebuilds. "auto" picks per call from the workload geometry (array size, B, M)
-	// and the backend kind — round-trip cost over network stores, block
-	// volume otherwise; the pick is a public function of the geometry, so
-	// traces stay data-independent. The deterministic engines never fail;
+	// and "auto" for the ORAM's rebuilds. "auto" picks per call from the
+	// workload geometry (array size, B, M) and the backend kind — round-trip
+	// cost over network stores, block volume otherwise; the pick is a public
+	// function of the geometry, so traces stay data-independent. The
+	// deterministic engines never fail;
 	// "bucket" retries declared overflows on fresh randomness and falls
 	// back to zigzag. See docs/ARCHITECTURE.md, "Sorter engines".
 	Sorter string
