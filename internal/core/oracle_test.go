@@ -155,11 +155,11 @@ func TestDifferentialOracle(t *testing.T) {
 					}
 				}
 
-				for _, q := range []int{1, 3} {
-					if int64(q) > total {
+				for _, q := range []int{1, 3, 4, 8} {
+					if int64(q) > total || 8*q*b > m {
 						env, a, _ := oracleEnv(c, b, m, 1)
 						if _, err := Quantiles(env, a, q); !errors.Is(err, ErrQuantilesFailed) {
-							t.Fatalf("Quantiles(%d) of %d items: err = %v, want ErrQuantilesFailed", q, total, err)
+							t.Fatalf("Quantiles(%d) of %d items at M=%d: err = %v, want ErrQuantilesFailed", q, total, m, err)
 						}
 						continue
 					}
