@@ -1,7 +1,8 @@
 // Package core implements the paper's algorithms: tight order-preserving
 // compaction via an invertible Bloom lookup table (Theorem 4), loose
 // compaction (Theorem 8) and its log*-round variant (Theorem 9, Appendix
-// B), selection (Theorems 12 and 13), quantiles (Theorem 17), and the
+// B), selection (Theorems 12 and 13), quantiles (Theorem 17's problem, by
+// a sort or q selections), and the
 // randomized I/O-optimal data-oblivious sort (Theorem 21, §5). The two
 // building blocks they share with the sorter engines — data-oblivious
 // consolidation (Lemma 3) and the butterfly-like routing network (Theorem

@@ -19,7 +19,8 @@ import (
 // The differential oracle: Select, Quantiles and selectInCache against a
 // sort.Slice reference over one shared corpus of awkward inputs, at cache
 // sizes on both sides of every path choice the three make from public
-// geometry (in-cache, sort-and-read-ranks, sampled narrowing).
+// geometry (in-cache, sort-and-read-ranks, sampled narrowing, and
+// Quantiles' sort arm against its q Selects).
 
 // oracleCase is one input layout: a sequence of cell slots, occupied or
 // empty, laid into ceil(len/B) blocks. Pos is the slot index, so (Key, Pos)
@@ -104,6 +105,7 @@ func sameItem(got, want extmem.Element) bool {
 
 func TestDifferentialOracle(t *testing.T) {
 	const b = 8
+	quantileArms := map[bool]bool{} // which arms of Quantiles ran, keyed by bySelect
 	for _, m := range []int{2 * b * 16, 512, 1024, 2048, 4096} {
 		for _, c := range oracleCorpus() {
 			t.Run(fmt.Sprintf("M=%d/%s", m, c.name), func(t *testing.T) {
@@ -163,6 +165,8 @@ func TestDifferentialOracle(t *testing.T) {
 						}
 						continue
 					}
+					_, bySelect := quantilesPlan(extmem.CeilDiv(len(c.slots), b), b, m, q)
+					quantileArms[bySelect] = true
 					want := quantileRanks(total, q)
 					retryDeclared(t, ErrQuantilesFailed, func(seed uint64) error {
 						env, a, _ := oracleEnv(c, b, m, seed)
@@ -183,6 +187,10 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+	// The grid is worth its name only if both arms of Quantiles run.
+	if !quantileArms[true] || !quantileArms[false] {
+		t.Errorf("Quantiles ran the Select arm %v and the sort arm %v over the grid; both must run", quantileArms[true], quantileArms[false])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -21,7 +22,19 @@ func quantileRanks(total int64, q int) []int64 {
 	return out
 }
 
-func TestQuantilesSmallSortPath(t *testing.T) {
+// wantArm fails the test unless Quantiles takes the named arm at the
+// given geometry.
+func wantArm(t *testing.T, nBlocks, b, m, q int, bySelect bool) {
+	t.Helper()
+	if _, got := quantilesPlan(nBlocks, b, m, q); got != bySelect {
+		t.Fatalf("n=%d B=%d M=%d q=%d: Select arm %v, want %v", nBlocks, b, m, q, got, bySelect)
+	}
+}
+
+// TestQuantilesSelectArm: an array that fits the cache is one count scan
+// and q in-cache Selects, four scans against the sort arm's five.
+func TestQuantilesSelectArm(t *testing.T) {
+	wantArm(t, 8, 4, 512, 3, true)
 	env := newTestEnv(64, 4, 512, 3)
 	a := env.D.Alloc(8)
 	keys := []uint64{9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 12, 11}
@@ -38,10 +51,12 @@ func TestQuantilesSmallSortPath(t *testing.T) {
 	}
 }
 
-func TestQuantilesSamplingPath(t *testing.T) {
+// TestQuantilesSortArm: at M = 256 Select itself sorts, so one sort of a
+// copy is the cheaper arm for every q.
+func TestQuantilesSortArm(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	env := newTestEnv(1<<15, 8, 256, 5)
-	nBlocks := 1024 // N = 8192 >> M
+	nBlocks := 1024
 	a := env.D.Alloc(nBlocks)
 	keys := make([]uint64, nBlocks*8)
 	for i := range keys {
@@ -49,6 +64,7 @@ func TestQuantilesSamplingPath(t *testing.T) {
 	}
 	sorted := buildKeyArray(a, keys)
 	for _, q := range []int{1, 2, 4} {
+		wantArm(t, nBlocks, 8, 256, q, false)
 		got, err := Quantiles(env, a, q)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
@@ -105,48 +121,93 @@ func TestQuantilesValidation(t *testing.T) {
 	}
 }
 
+// TestQuantilesOblivious runs Quantiles on pairs of inputs of one length
+// under one tape: the traces must match whatever the keys and however many
+// cells are occupied.
 func TestQuantilesOblivious(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 9))
-	run := func(keys []uint64) trace.Summary {
-		return traceOf(t, 1<<14, 8, 256, 77, func(env *extmem.Env) {
-			a := env.D.Alloc(512)
-			buildKeyArray(a, keys)
-			Quantiles(env, a, 3)
+	keys := func(n int, key func(i int) uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = key(i)
+		}
+		return out
+	}
+	uniform := keys(4096, func(int) uint64 { return r.Uint64() })
+	constant := keys(4096, func(int) uint64 { return 5 })
+	twelve := keys(12, func(i int) uint64 { return uint64(i) })
+	for _, c := range []struct {
+		name             string
+		nBlocks, b, m, q int
+		first, second    []uint64
+	}{
+		{"sort/uniform-vs-constant", 512, 8, 256, 3, uniform, constant},
+		{"select/uniform-vs-constant", 512, 8, 4096, 1, uniform, constant},
+		// The same length, full against nearly empty: the occupied count
+		// must not pick the arm.
+		{"sort/full-vs-12-records", 8192, 4, 32, 1, keys(8192*4, func(i int) uint64 { return uint64(i * 7 % 1000) }), twelve},
+		{"select/full-vs-12-records", 512, 8, 4096, 1, uniform, twelve},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			wantArm(t, c.nBlocks, c.b, c.m, c.q, strings.HasPrefix(c.name, "select/"))
+			run := func(keys []uint64) (sum trace.Summary, err error) {
+				sum = traceOf(t, 4*c.nBlocks, c.b, c.m, 77, func(env *extmem.Env) {
+					a := env.D.Alloc(c.nBlocks)
+					buildKeyArray(a, keys)
+					_, err = Quantiles(env, a, c.q)
+				})
+				return sum, err
+			}
+			s1, err1 := run(c.first)
+			s2, err2 := run(c.second)
+			if !s1.Equal(s2) {
+				t.Errorf("quantile trace depends on data: %v vs %v", s1, s2)
+			}
+			if err1 != nil || err2 != nil {
+				t.Errorf("declared failure: %v, %v", err1, err2)
+			}
 		})
-	}
-	uniform := make([]uint64, 4096)
-	for i := range uniform {
-		uniform[i] = r.Uint64()
-	}
-	constant := make([]uint64, 4096)
-	for i := range constant {
-		constant[i] = 5
-	}
-	s1, s2 := run(uniform), run(constant)
-	if !s1.Equal(s2) {
-		t.Fatalf("quantile trace depends on data: %v vs %v", s1, s2)
 	}
 }
 
+// TestQuantilesLinearIO pins the Select arm's I/Os per block flat as n
+// quadruples at fixed M/B and q. Power-of-two block counts up to 2^13 sort
+// (the bitonic network needs no padding there), so the rows sit just above.
 func TestQuantilesLinearIO(t *testing.T) {
+	const b, m, q = 8, 4096, 2
 	io := func(nBlocks int) float64 {
-		env := newTestEnv(16*nBlocks, 8, 256, 13)
+		wantArm(t, nBlocks, b, m, q, true)
+		env := newTestEnv(2*nBlocks+64, b, m, 13)
 		a := env.D.Alloc(nBlocks)
 		r := rand.New(rand.NewPCG(uint64(nBlocks), 3))
-		keys := make([]uint64, nBlocks*8)
+		keys := make([]uint64, nBlocks*b)
 		for i := range keys {
 			keys[i] = r.Uint64()
 		}
 		buildKeyArray(a, keys)
 		env.D.ResetStats()
-		if _, err := Quantiles(env, a, 2); err != nil {
+		if _, err := Quantiles(env, a, q); err != nil {
 			t.Fatal(err)
 		}
 		return float64(env.D.Stats().Total()) / float64(nBlocks)
 	}
-	small, large := io(512), io(4096)
-	if large > small*2.1 {
-		t.Fatalf("quantiles I/O per block grew from %.1f to %.1f", small, large)
+	small, large := io(1<<12+1), io(1<<14)
+	if large > small*1.1 {
+		t.Fatalf("quantiles I/O per block grew from %.2f to %.2f", small, large)
+	}
+}
+
+// TestQuantilesArmAtBenchmarkCallSites pins the sort arm where the
+// benchmark calls Quantiles: q = 8 on scan_enc_file's array, and q = 4 in
+// the randomized Sort's levels of sort_mem.
+func TestQuantilesArmAtBenchmarkCallSites(t *testing.T) {
+	for _, g := range []struct{ nBlocks, b, m, q int }{
+		{8192, 8, 4096, 8}, {8192, 8, 4096, 4}, {1647, 8, 4096, 4}, {336, 8, 4096, 4},
+	} {
+		wantArm(t, g.nBlocks, g.b, g.m, g.q, false)
+	}
+	if c := QuantilesCost(8192, 8, 4096, 8); c.IOs != 19*8192 {
+		t.Errorf("scan_enc_file's Quantiles costs %d I/Os, want 19 per block", c.IOs)
 	}
 }
 

@@ -220,11 +220,7 @@ func SelectCost(nBlocks, b, m int) obs.Cost {
 	for n*b > m/2 {
 		lv, ok := selectPlan(n, b, m)
 		if !ok {
-			if n == nBlocks {
-				c = c.Add(obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * extmem.ScanRoundTrips(n, b, m, 1)})
-			}
-			c = c.Add(obsort.BitonicCost(n, b, m))
-			return c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m, 1)})
+			return c.Add(sortTailCost(n, b, m, n == nBlocks))
 		}
 		c = c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)})
 		c = c.Add(route.ConsolidateCompactCost(n, b, m))

@@ -15,8 +15,9 @@ import (
 // with O((N/B)·log_{M/B}(N/B)) I/Os. One level of the recursion:
 //
 //  1. q = (M/B)^{1/4} quantiles split the input into q+1 balanced buckets
-//     (Theorem 17); balance is exact because the splitters carry position
-//     tie-breaks, so duplicate keys never skew a bucket.
+//     (Quantiles: a sort or q Selects, whichever is cheaper); balance is
+//     exact because the splitters carry position tie-breaks, so duplicate
+//     keys never skew a bucket.
 //  2. A multi-way consolidation pass (§5) rewrites the array into
 //     monochromatic full-or-empty blocks.
 //  3. Shuffle-and-deal: a block-level Fisher–Yates shuffle (the "shuffle",

@@ -68,6 +68,8 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
 // of its oracle geometries against it.
 func TestPredictorsExact(t *testing.T) {
+	const quantilesQ = 2
+	quantilesArms := map[bool]bool{} // which arms of core.Quantiles ran, keyed by bySort
 	whole := func(g geometry) bool { return g.held == 0 }
 	routes := func(g geometry) bool { return g.free() >= 6*g.b }
 	cases := []struct {
@@ -145,6 +147,19 @@ func TestPredictorsExact(t *testing.T) {
 			}
 			return got, core.SelectCost(g.n, g.b, g.m)
 		}},
+		{"core.Quantiles", func(g geometry) bool { return whole(g) && 8*quantilesQ*g.b <= g.m },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				var err error
+				got := measure(env, func() { _, err = core.Quantiles(env, a, quantilesQ) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := core.QuantilesCost(g.n, g.b, g.m, quantilesQ)
+				// The sort arm's cost is the copy, the sort and the rank scan.
+				bySort := obsort.BitonicCost(g.n, g.b, g.m).IOs+3*int64(g.n) == want.IOs
+				quantilesArms[bySort] = true
+				return got, want
+			}},
 		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 			var repeats int64
 			var err error
@@ -156,6 +171,11 @@ func TestPredictorsExact(t *testing.T) {
 			return got.Add(obs.Cost{IOs: 2 * repeats}), core.LooseCost(g.n, occupied, g.b, g.m)
 		}},
 	}
+	defer func() {
+		if !quantilesArms[true] || !quantilesArms[false] {
+			t.Errorf("core.Quantiles ran the sort arm %v and the Select arm %v over the grid; both must run", quantilesArms[true], quantilesArms[false])
+		}
+	}()
 	for _, c := range cases {
 		ran := 0
 		for _, g := range predictorGrid {

@@ -883,12 +883,15 @@ func (a *Array) Select(k int64) (Record, error) {
 	return Record{Key: e.Key, Val: e.Val}, nil
 }
 
-// Quantiles returns the q quantile records (ranks round(i·N/(q+1))) in
-// O(N/B) I/Os (Theorem 17).
+// Quantiles returns the q quantile records (ranks round(i·N/(q+1))), the
+// problem of Theorem 17, by whichever costs fewer block I/Os at the array's
+// geometry: one oblivious sort of a copy, or q Selects (Theorem 13), linear
+// in N/B at fixed M/B and q.
 func (a *Array) Quantiles(q int) ([]Record, error) {
 	sp := a.c.env.Obs.Start("quantiles")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.SetAttrInt("q", int64(q))
+	sp.SetPredicted(core.QuantilesCost(a.arr.Len(), a.arr.B(), a.c.env.M, q))
 	sp.Audit(a.c.auditKey(fmt.Sprintf("quantiles/q=%d", q), a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	es, err := core.Quantiles(a.c.env, a.arr, q)
