@@ -29,6 +29,10 @@ const (
 	serve500
 	// stall sleeps past the client's per-attempt deadline.
 	stall
+	// abandon fails the attempt without contacting the server but keeps
+	// its request body open, as a transport that is still reading a body
+	// after RoundTrip returned; the test reads and closes it (held).
+	abandon
 )
 
 // flakyRT injects faults into the data plane. plan decides per attempt;
@@ -39,6 +43,7 @@ type flakyRT struct {
 	mu    sync.Mutex
 	calls int
 	plan  func(call int) faultAction
+	held  []io.ReadCloser // abandoned attempts' request bodies, in order
 }
 
 func (f *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -68,6 +73,11 @@ func (f *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
 			Header:     make(http.Header),
 			Request:    req,
 		}, nil
+	case abandon:
+		f.mu.Lock()
+		f.held = append(f.held, req.Body)
+		f.mu.Unlock()
+		return nil, errors.New("flaky: attempt abandoned")
 	case stall:
 		select {
 		case <-req.Context().Done():
@@ -78,6 +88,12 @@ func (f *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	default:
 		return f.inner.RoundTrip(req)
 	}
+}
+
+func (f *flakyRT) heldBody(i int) io.ReadCloser {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.held[i]
 }
 
 func (f *flakyRT) callCount() int {

@@ -11,6 +11,8 @@ import (
 //
 //   - decodeRequest never panics, never allocates past the frame's own
 //     claims, and only ever returns namespaces ValidNamespace accepts;
+//   - readFrame, the server's read of a body into reused storage, returns a
+//     frame's bytes verbatim and accepts every frame decodeRequest does;
 //   - every frame encodeRequest can produce round-trips through
 //     decodeRequest bit-exactly (op, seq, namespace, addresses, payload) —
 //     the replay-dedup key (namespace, seq) in particular survives the trip,
@@ -20,12 +22,12 @@ func FuzzFrameDecode(f *testing.F) {
 	// Seeds, on top of testdata/fuzz: a read on the default tenant (empty
 	// namespace), a namespaced write, and a few deliberate near-misses
 	// (truncations, bad magic, oversize namespace length).
-	seed1, _ := encodeRequest(opRead, 7, "", []int{0, 3}, 0)
-	seed2, p := encodeRequest(opWrite, 1<<40, "tenant-9", []int{5}, blockBytes)
+	seed1, _ := encodeRequest(nil, opRead, 7, "", []int{0, 3}, 0)
+	seed2, p := encodeRequest(nil, opWrite, 1<<40, "tenant-9", []int{5}, blockBytes)
 	for i := range p {
 		p[i] = byte(i)
 	}
-	seed3, _ := encodeRequest(opRead, 2, "a", []int{}, 0)
+	seed3, _ := encodeRequest(nil, opRead, 2, "a", []int{}, 0)
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
@@ -35,7 +37,19 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		op, seq, ns, addrs, payload, err := decodeRequest(body, blockBytes)
+		op, seq, ns, addrs, payload, err := decodeRequest(body, blockBytes, nil)
+		// The server's read path takes exactly the frame's bytes off
+		// the wire, its length declared or not, and refuses no frame
+		// decodeRequest accepts.
+		for _, declared := range []int64{int64(len(body)), -1} {
+			got, rerr := readFrame(bytes.NewReader(body), declared, blockBytes, nil)
+			if rerr == nil && !bytes.Equal(got, body) {
+				t.Fatalf("readFrame (declared %d) returned %x for %x", declared, got, body)
+			}
+			if rerr != nil && err == nil {
+				t.Fatalf("readFrame (declared %d) refused a frame decodeRequest accepts: %v", declared, rerr)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -61,7 +75,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if op == opWrite {
 			payloadLen = len(payload)
 		}
-		re, rp := encodeRequest(op, seq, ns, addrs, payloadLen)
+		re, rp := encodeRequest(nil, op, seq, ns, addrs, payloadLen)
 		copy(rp, payload)
 		if !bytes.Equal(re, body) {
 			t.Fatalf("round trip diverged:\n in  %x\n out %x", body, re)

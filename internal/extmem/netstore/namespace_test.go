@@ -147,7 +147,7 @@ func TestNamespaceReplayWindowScoped(t *testing.T) {
 	_, ts, journals := startNS(t, 8, 2)
 	post := func(ns string, seq uint64) (replay bool) {
 		t.Helper()
-		body, payload := encodeRequest(opWrite, seq, ns, []int{1}, 2*extmem.ElementBytes)
+		body, payload := encodeRequest(nil, opWrite, seq, ns, []int{1}, 2*extmem.ElementBytes)
 		extmem.EncodeElements(payload, blockOf(2, seq))
 		resp, err := http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -213,7 +213,7 @@ func TestNamespaceRejection(t *testing.T) {
 	_ = c
 
 	// A malformed OBS2 frame (bad namespace bytes) is a 400.
-	body, _ := encodeRequest(opRead, 1, "ok", []int{0}, 0)
+	body, _ := encodeRequest(nil, opRead, 1, "ok", []int{0}, 0)
 	body[14], body[15] = '/', '/' // corrupt the namespace in place
 	resp, err := http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {

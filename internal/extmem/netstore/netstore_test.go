@@ -133,7 +133,7 @@ func TestErrors(t *testing.T) {
 
 	// Block-size mismatch at dial time is refused by the caller's check;
 	// here the protocol-level mismatch: a write framed for the wrong B.
-	body, _ := encodeRequest(opWrite, 1, "", []int{0}, 8) // payload too short for B=4
+	body, _ := encodeRequest(nil, opWrite, 1, "", []int{0}, 8) // payload too short for B=4
 	resp, err = http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestReplayedWriteDoesNotClobberNewerData(t *testing.T) {
 	// payload.
 	srv, ts, c := start(t, 4, 2, ServerOptions{})
 	mkWrite := func(seq uint64, blk []extmem.Element) []byte {
-		body, payload := encodeRequest(opWrite, seq, "", []int{0}, 2*extmem.ElementBytes)
+		body, payload := encodeRequest(nil, opWrite, seq, "", []int{0}, 2*extmem.ElementBytes)
 		extmem.EncodeElements(payload, blk)
 		return body
 	}

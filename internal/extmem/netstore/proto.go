@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Endpoint paths. The data plane is a single endpoint taking the binary
@@ -109,12 +110,15 @@ func ValidNamespace(ns string) bool {
 }
 
 // encodeRequest builds an ioPath request body with room for payloadLen
-// payload bytes, returning the body and the payload sub-slice for the
-// caller to fill in place (write batches encode their elements directly
-// into it — no intermediate copy).
-func encodeRequest(op byte, seq uint64, ns string, addrs []int, payloadLen int) (body, payload []byte) {
+// payload bytes in buf's storage (a fresh array only when buf is too short),
+// returning the body and the payload sub-slice for the caller to fill in
+// place: write batches encode their elements directly into it, with no
+// intermediate copy. The payload still holds whatever buf held; the caller
+// overwrites all of it.
+func encodeRequest(buf []byte, op byte, seq uint64, ns string, addrs []int, payloadLen int) (body, payload []byte) {
 	hdr := headerLen + len(ns)
-	body = make([]byte, hdr+8*len(addrs)+payloadLen)
+	n := hdr + 8*len(addrs) + payloadLen
+	body = slices.Grow(buf[:0], n)[:n]
 	copy(body, magic)
 	body[4] = op
 	binary.LittleEndian.PutUint64(body[5:], seq)
@@ -127,53 +131,71 @@ func encodeRequest(op byte, seq uint64, ns string, addrs []int, payloadLen int) 
 	return body, body[hdr+8*len(addrs):]
 }
 
-// decodeRequest parses an ioPath request body into its op, request id,
-// namespace, address list, and (for writes) payload, validating the framing
-// against blockBytes, the payload size of one block.
-func decodeRequest(body []byte, blockBytes int) (op byte, seq uint64, ns string, addrs []int, payload []byte, err error) {
-	if len(body) < headerLen {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: request truncated at %d bytes", len(body))
+// frameLen validates the fields in front of a frame's address list —
+// magic, namespace, op and count — and returns the header's length (where
+// the addresses start), the count, and the length of the whole frame those
+// fields announce. head is the frame's start: at least the header, or the
+// error says where it was truncated. The server reads this much of a body
+// before it sizes a buffer for the rest.
+func frameLen(head []byte, blockBytes int) (hdr, count int, want int64, err error) {
+	if len(head) < headerLen {
+		return 0, 0, 0, fmt.Errorf("netstore: request truncated at %d bytes", len(head))
 	}
-	if string(body[:4]) != magic {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: bad magic %q", body[:4])
+	if string(head[:4]) != magic {
+		return 0, 0, 0, fmt.Errorf("netstore: bad magic %q", head[:4])
 	}
 	// The namespace length byte is inside the minimum header, but the name
 	// itself extends it; re-check the bound before reading the name.
-	nsLen := int(body[nsLenOff])
+	nsLen := int(head[nsLenOff])
 	if nsLen > MaxNamespaceLen {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: namespace length %d out of range [0,%d]", nsLen, MaxNamespaceLen)
+		return 0, 0, 0, fmt.Errorf("netstore: namespace length %d out of range [0,%d]", nsLen, MaxNamespaceLen)
 	}
-	hdr := headerLen + nsLen
-	if len(body) < hdr {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", len(body), nsLen)
+	hdr = headerLen + nsLen
+	if len(head) < hdr {
+		return 0, 0, 0, fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", len(head), nsLen)
 	}
-	ns = string(body[nsLenOff+1 : nsLenOff+1+nsLen])
-	if !ValidNamespace(ns) {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: invalid namespace %q", ns)
+	if ns := string(head[nsLenOff+1 : hdr-4]); !ValidNamespace(ns) {
+		return 0, 0, 0, fmt.Errorf("netstore: invalid namespace %q", ns)
 	}
-	op = body[4]
-	seq = binary.LittleEndian.Uint64(body[5:])
 	// Bound count before any arithmetic or allocation: a crafted header
 	// must not be able to wrap the length check (32-bit int overflow) or
 	// force a giant make([]int, count) for a body that cannot possibly
 	// carry that many addresses.
-	rawCount := binary.LittleEndian.Uint32(body[hdr-4:])
+	rawCount := binary.LittleEndian.Uint32(head[hdr-4:])
 	if rawCount > uint32((maxBatchWire-headerLen)/8) {
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: batch of %d blocks exceeds the wire cap", rawCount)
+		return 0, 0, 0, fmt.Errorf("netstore: batch of %d blocks exceeds the wire cap", rawCount)
 	}
-	count := int(rawCount)
-	want := int64(hdr) + 8*int64(count)
-	switch op {
+	count = int(rawCount)
+	want = int64(hdr) + 8*int64(count)
+	switch op := head[4]; op {
 	case opRead:
 	case opWrite:
 		want += int64(count) * int64(blockBytes)
 	default:
-		return 0, 0, "", nil, nil, fmt.Errorf("netstore: unknown op %d", op)
+		return 0, 0, 0, fmt.Errorf("netstore: unknown op %d", op)
 	}
+	if want > maxBatchWire {
+		return 0, 0, 0, fmt.Errorf("netstore: %d-byte frame exceeds the %d-byte wire cap", want, maxBatchWire)
+	}
+	return hdr, count, want, nil
+}
+
+// decodeRequest parses an ioPath request body into its op, request id,
+// namespace, address list, and (for writes) payload, validating the framing
+// against blockBytes, the payload size of one block. The addresses land in
+// addrs' storage when it is long enough.
+func decodeRequest(body []byte, blockBytes int, addrs []int) (op byte, seq uint64, ns string, _ []int, payload []byte, err error) {
+	hdr, count, want, err := frameLen(body, blockBytes)
+	if err != nil {
+		return 0, 0, "", nil, nil, err
+	}
+	op = body[4]
 	if int64(len(body)) != want {
 		return 0, 0, "", nil, nil, fmt.Errorf("netstore: op %d with %d blocks wants %d bytes, got %d", op, count, want, len(body))
 	}
-	addrs = make([]int, count)
+	seq = binary.LittleEndian.Uint64(body[5:])
+	ns = string(body[nsLenOff+1 : hdr-4])
+	addrs = slices.Grow(addrs[:0], count)[:count]
 	for i := range addrs {
 		a := binary.LittleEndian.Uint64(body[hdr+8*i:])
 		// Bound by the platform int so the conversion below cannot truncate

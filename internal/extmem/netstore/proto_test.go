@@ -27,11 +27,11 @@ func TestFrameRoundTrip(t *testing.T) {
 					payloadLen = len(addrs) * blockBytes
 				}
 				seq := uint64(1)<<63 + uint64(len(addrs))
-				body, payload := encodeRequest(op, seq, ns, addrs, payloadLen)
+				body, payload := encodeRequest(nil, op, seq, ns, addrs, payloadLen)
 				for i := range payload {
 					payload[i] = byte(i)
 				}
-				gotOp, gotSeq, gotNS, gotAddrs, gotPayload, err := decodeRequest(body, blockBytes)
+				gotOp, gotSeq, gotNS, gotAddrs, gotPayload, err := decodeRequest(body, blockBytes, nil)
 				if err != nil {
 					t.Fatalf("ns=%q op=%d addrs=%v: %v", ns, op, addrs, err)
 				}
@@ -55,10 +55,10 @@ func TestFrameRoundTrip(t *testing.T) {
 // frame; each is a valid frame with one field broken.
 func TestFrameRejects(t *testing.T) {
 	read := func(ns string, count int) []byte {
-		body, _ := encodeRequest(opRead, 9, ns, make([]int, count), 0)
+		body, _ := encodeRequest(nil, opRead, 9, ns, make([]int, count), 0)
 		return body
 	}
-	write2, _ := encodeRequest(opWrite, 9, "", []int{0, 1}, 2*blockBytes)
+	write2, _ := encodeRequest(nil, opWrite, 9, "", []int{0, 1}, 2*blockBytes)
 	set := func(body []byte, off int, v byte) []byte { body[off] = v; return body }
 	for _, r := range []struct {
 		name string
@@ -79,7 +79,7 @@ func TestFrameRejects(t *testing.T) {
 		{"write with a short payload", write2[:len(write2)-1], "wants"},
 		{"address beyond the platform int", set(read("", 2), headerLen+15, 0x80), "out of range"},
 	} {
-		if _, _, _, _, _, err := decodeRequest(r.body, blockBytes); err == nil || !strings.Contains(err.Error(), r.want) {
+		if _, _, _, _, _, err := decodeRequest(r.body, blockBytes, nil); err == nil || !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", r.name, err, r.want)
 		}
 	}

@@ -228,7 +228,7 @@ func TestReadyzJournalFailureLatches(t *testing.T) {
 
 // writeVia performs one write batch directly against a handler.
 func writeVia(h http.Handler, addr int, src []extmem.Element) error {
-	body, payload := encodeRequest(opWrite, uint64(1000+addr), "", []int{addr}, len(src)*extmem.ElementBytes)
+	body, payload := encodeRequest(nil, opWrite, uint64(1000+addr), "", []int{addr}, len(src)*extmem.ElementBytes)
 	extmem.EncodeElements(payload, src)
 	req, _ := http.NewRequest(http.MethodPost, ioPath, strings.NewReader(string(body)))
 	rec := newRecorder()

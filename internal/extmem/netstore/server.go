@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -104,6 +106,12 @@ type Server struct {
 	maxNS       int
 	authDigest  [32]byte // sha256 of the bearer token; zero when auth is off
 	authOn      bool
+
+	// Idle data-plane request storage, most recently returned last, at most
+	// maxIdleFrames of it: a server under steady load reuses its buffers,
+	// and one that served a burst keeps no more than that many.
+	framesMu sync.Mutex
+	frames   []*frameBuf
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -352,16 +360,24 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchWire))
+	// The frame's storage is reused and goes back once the response is
+	// written: a write's payload has been decoded into the tenant's scratch
+	// by then, and a read's response is encoded over the frame after its
+	// addresses are decoded.
+	f := s.getFrame()
+	defer s.putFrame(f)
+	body, err := readFrame(r.Body, r.ContentLength, s.blockBytes, f.buf)
+	f.buf = body
 	if err != nil {
 		http.Error(w, fmt.Sprintf("read request: %v", err), http.StatusBadRequest)
 		return
 	}
-	op, seq, ns, addrs, payload, err := decodeRequest(body, s.blockBytes)
+	op, seq, ns, addrs, payload, err := decodeRequest(body, s.blockBytes, f.addrs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	f.addrs = addrs
 	t, status, err := s.tenantFor(ns)
 	if err != nil {
 		http.Error(w, err.Error(), status)
@@ -370,7 +386,7 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	// All shared state is touched inside serveIO's locks; the socket writes
 	// below happen after they are released, so one stalled client connection
 	// cannot wedge the whole server behind a mutex.
-	wire, replay, status, msg := s.serveIO(t, op, seq, addrs, payload, int64(len(body)), started)
+	wire, replay, status, msg := s.serveIO(t, op, seq, addrs, payload, int64(len(body)), started, f.buf)
 	if status != http.StatusOK {
 		http.Error(w, msg, status)
 		return
@@ -379,18 +395,107 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(replayHeader, "1")
 	}
 	if op == opRead {
+		f.buf = wire
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
 		w.Write(wire)
 	} else {
 		w.WriteHeader(http.StatusOK)
 	}
 }
 
+// frameBuf is one data-plane request's wire storage, reused across
+// requests: the frame lands in buf, its addresses in addrs, and a read's
+// response is encoded over buf.
+type frameBuf struct {
+	buf   []byte
+	addrs []int
+}
+
+// maxIdleFrames bounds how many idle frameBufs a Server keeps, each as
+// large as the largest frame it carried (as a tenant's scratch keeps its
+// largest batch). A Client has one request in flight, so this many serve
+// eight clients sending at once without allocating; beyond that, requests
+// take fresh storage.
+const maxIdleFrames = 8
+
+func (s *Server) getFrame() *frameBuf {
+	s.framesMu.Lock()
+	defer s.framesMu.Unlock()
+	n := len(s.frames)
+	if n == 0 {
+		return new(frameBuf)
+	}
+	f := s.frames[n-1]
+	s.frames = s.frames[:n-1]
+	return f
+}
+
+func (s *Server) putFrame(f *frameBuf) {
+	s.framesMu.Lock()
+	defer s.framesMu.Unlock()
+	if len(s.frames) < maxIdleFrames {
+		s.frames = append(s.frames, f)
+	}
+}
+
+// readFrame reads one ioPath request body into buf's storage and returns
+// it, grown as needed, with any error. The frame announces its own length,
+// so readFrame reads the header first, rejects a declared Content-Length
+// (declared >= 0) that disagrees with it before taking any room for the
+// rest, and then grows buf only as bytes arrive: neither a declared length
+// nor a forged count makes it allocate much more than has arrived. A body
+// of unknown length (declared < 0: chunked, or HTTP/2 without a length) is
+// read the same way and must end where its frame does.
+func readFrame(r io.Reader, declared int64, blockBytes int, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], headerLen+MaxNamespaceLen)[:headerLen]
+	if n, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], fmt.Errorf("netstore: request truncated at %d bytes", n)
+	}
+	if nsLen := int(buf[nsLenOff]); nsLen <= MaxNamespaceLen {
+		buf = buf[:headerLen+nsLen]
+		if n, err := io.ReadFull(r, buf[headerLen:]); err != nil {
+			return buf[:0], fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", headerLen+n, nsLen)
+		}
+	}
+	_, _, want, err := frameLen(buf, blockBytes)
+	if err != nil {
+		return buf[:0], err
+	}
+	if declared >= 0 && declared != want {
+		return buf[:0], fmt.Errorf("netstore: Content-Length %d, but the frame's header announces %d bytes", declared, want)
+	}
+	for int64(len(buf)) < want {
+		if len(buf) == cap(buf) {
+			// Room for at most as much again as has arrived (and at least
+			// 4 KiB, so a fresh buffer does not crawl up from the header's
+			// size): what the frame costs stays within 4× what arrived.
+			grown := make([]byte, len(buf), min(int(want), len(buf)+max(len(buf), 4<<10)))
+			buf = grown[:copy(grown, buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), int(want))])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF && int64(len(buf)) < want {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return buf[:0], fmt.Errorf("netstore: request truncated at %d of %d bytes: %w", len(buf), want, err)
+		}
+	}
+	if declared < 0 {
+		var probe [1]byte
+		if n, _ := io.ReadFull(r, probe[:]); n > 0 {
+			return buf[:0], fmt.Errorf("netstore: request longer than its frame's %d bytes", want)
+		}
+	}
+	return buf, nil
+}
+
 // serveIO executes one decoded data-plane request under its tenant's mutex
-// and returns the read payload (reads only), whether the request was
-// answered from the replay window, and an error status + message. bodyBytes
-// and started feed the telemetry counters.
-func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []byte, bodyBytes int64, started time.Time) (wire []byte, replay bool, status int, msg string) {
+// and returns the read payload (reads only, encoded into out's storage),
+// whether the request was answered from the replay window, and an error
+// status + message. bodyBytes and started feed the telemetry counters.
+func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []byte, bodyBytes int64, started time.Time, out []byte) (wire []byte, replay bool, status int, msg string) {
 	t.mu.Lock()
 	replay = t.isReplay(seq)
 
@@ -455,9 +560,12 @@ func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []
 		t.replays++
 	}
 	if op == opRead {
-		// A fresh buffer per request: the response outlives the lock (it is
-		// written to the socket after release), so it cannot share scratch.
-		wire = make([]byte, len(addrs)*s.blockBytes)
+		// The request's own reused buffer, not the tenant's scratch: the
+		// response outlives the lock (it is written to the socket after
+		// release). A read frame holds no payload, and its addresses are
+		// decoded already, so nothing still reads what this overwrites.
+		n := len(addrs) * s.blockBytes
+		wire = slices.Grow(out[:0], n)[:n]
 		extmem.EncodeElements(wire, elems)
 	}
 	t.mu.Unlock()
