@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oblivext/internal/extmem"
@@ -107,11 +108,9 @@ type Server struct {
 	authDigest  [32]byte // sha256 of the bearer token; zero when auth is off
 	authOn      bool
 
-	// Idle data-plane request storage, most recently returned last, at most
-	// maxIdleFrames of it: a server under steady load reuses its buffers,
-	// and one that served a burst keeps no more than that many.
-	framesMu sync.Mutex
-	frames   []*frameBuf
+	// idle is the data-plane frame storage the last served request left
+	// behind, or nil; see takeFrame.
+	idle atomic.Pointer[frameBuf]
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -360,12 +359,12 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	// The frame's storage is reused and goes back once the response is
-	// written: a write's payload has been decoded into the tenant's scratch
-	// by then, and a read's response is encoded over the frame after its
-	// addresses are decoded.
-	f := s.getFrame()
-	defer s.putFrame(f)
+	// The frame's storage is reused, and goes back only once a served
+	// request's response is written: a write's payload has been decoded
+	// into the tenant's scratch by then, and a read's response is encoded
+	// over the frame after its addresses are decoded. A rejected request's
+	// storage, whatever a forged header grew it to, goes to the GC.
+	f := s.takeFrame()
 	body, err := readFrame(r.Body, r.ContentLength, s.blockBytes, f.buf)
 	f.buf = body
 	if err != nil {
@@ -402,6 +401,7 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.WriteHeader(http.StatusOK)
 	}
+	s.idle.Store(f)
 }
 
 // frameBuf is one data-plane request's wire storage, reused across
@@ -412,31 +412,19 @@ type frameBuf struct {
 	addrs []int
 }
 
-// maxIdleFrames bounds how many idle frameBufs a Server keeps, each as
-// large as the largest frame it carried (as a tenant's scratch keeps its
-// largest batch). A Client has one request in flight, so this many serve
-// eight clients sending at once without allocating; beyond that, requests
-// take fresh storage.
-const maxIdleFrames = 8
-
-func (s *Server) getFrame() *frameBuf {
-	s.framesMu.Lock()
-	defer s.framesMu.Unlock()
-	n := len(s.frames)
-	if n == 0 {
-		return new(frameBuf)
+// takeFrame returns the idle frame storage, or fresh storage when another
+// request holds it. A Server keeps one idle frame: on the benchmark's
+// sort_enc_http (a client per loopback shard) and kv_mix_http (two KV
+// sessions over two replicas) no server ever had a second data-plane
+// request in flight, so a second slot would never be taken. A concurrent
+// request allocates as every request did before frames were reused. The
+// idle frame carried a request the server served, so it is no larger than
+// a batch some tenant's scratch already holds.
+func (s *Server) takeFrame() *frameBuf {
+	if f := s.idle.Swap(nil); f != nil {
+		return f
 	}
-	f := s.frames[n-1]
-	s.frames = s.frames[:n-1]
-	return f
-}
-
-func (s *Server) putFrame(f *frameBuf) {
-	s.framesMu.Lock()
-	defer s.framesMu.Unlock()
-	if len(s.frames) < maxIdleFrames {
-		s.frames = append(s.frames, f)
-	}
+	return new(frameBuf)
 }
 
 // readFrame reads one ioPath request body into buf's storage and returns

@@ -51,7 +51,7 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocBytes(3, call) // warm the Client's buffers and the server's idle frames
+		allocBytes(3, call) // warm the Client's buffers and the server's idle frame
 		return allocBytes(20, call)
 	}
 	const slack = 32<<10 + 4<<10
@@ -137,12 +137,27 @@ func serveFrame(h http.Handler, body io.Reader, declared int64) (status int, all
 // the frame's own header, never from a Content-Length alone. A declared
 // length that disagrees with the op and count is a 400 before any room for
 // the payload is taken, and a header announcing a frame at the wire cap
-// over a short body costs no more than what arrived.
+// over a short body costs no more than what arrived. A rejected request's
+// storage is not kept: the server's idle frame never holds more than a
+// served request used.
 func TestServerFrameLength(t *testing.T) {
 	srv := NewServer(extmem.NewMemStore(8, 4), ServerOptions{})
 	h := srv.Handler()
 	read1, _ := encodeRequest(nil, opRead, 1, "", []int{0}, 0)
 	write1, _ := encodeRequest(nil, opWrite, 2, "", []int{0}, blockBytes)
+	idleCap := func() int {
+		if f := srv.idle.Load(); f != nil {
+			return cap(f.buf)
+		}
+		return 0
+	}
+	if status, _ := serveFrame(h, bytes.NewReader(write1), int64(len(write1))); status != http.StatusOK {
+		t.Fatalf("valid one-block write: status %d", status)
+	}
+	served := idleCap()
+	if served == 0 {
+		t.Fatal("a served request left no idle frame")
+	}
 
 	for _, r := range []struct {
 		name     string
@@ -174,6 +189,9 @@ func TestServerFrameLength(t *testing.T) {
 	if status != http.StatusBadRequest || alloc > 4*float64(len(arrived))+64<<10 {
 		t.Errorf("%d of %d declared bytes: status %d after allocating %.0f bytes, want 400 and at most 4× what arrived",
 			len(arrived), want, status, alloc)
+	}
+	if got := idleCap(); got > served {
+		t.Errorf("after the rejected requests the idle frame holds %d bytes, more than the %d a served request used", got, served)
 	}
 }
 
