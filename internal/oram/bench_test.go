@@ -12,10 +12,10 @@ import (
 // I/Os and round trips: level 5 merges the buffer alone and writes its
 // table from the cache (384 and 15), level 6 collects both tables' live
 // entries in one private scan each — their bounds, 16 and 32 blocks, fit
-// the cache — sorts them and the buffer's once, compacts the 64 to the 32
-// distinct keys it keeps, and writes its table from the cache too (2 336
-// and 125: 1 024 and 57 the collects and the buffer's write, 384 and 12
-// the sort, 256 and 12 the compaction, 672 and 44 the install). The
+// the cache — sorts them and the buffer's once, and writes its table from
+// the cache too, from the first 32 of the 64 sorted entries (2 080 and 113:
+// 1 024 and 57 the collects and the buffer's write, 384 and 12 the sort,
+// 672 and 44 the install). The
 // accesses that fill the buffer run off the clock, and the last of them
 // without its probe, so an iteration is the rebuild and nothing else.
 func BenchmarkRebuild(b *testing.B) {

@@ -7,10 +7,11 @@
 // public bound on them fits the cache, through Theorem 6's routing network
 // (tight compaction) from the others — tagged with their hash bucket on the
 // way, one data-oblivious sort orders those — only those — by bucket and
-// then key, the network compacts them again where they do not fit the cache,
-// emptying stale copies, down to the public bound on the keys the level
-// keeps, and those are written into the new table from the cache or, when
-// they do not fit it either, expanded into it by the network in reverse.
+// then key and sinks the empties, and the prefix the level keeps is written
+// into the new table from the cache or, when it does not fit the cache,
+// expanded into it by the network in reverse. A key has at most one live
+// copy in the hierarchy, since an access erases the copy it finds, so no
+// rebuild has a stale copy to drop.
 // The sort is pluggable: its term of the rebuild inherits the sort's
 // complexity directly, which is the paper's headline claim that its sorting
 // result improves the amortized I/O overhead of oblivious RAM simulation by

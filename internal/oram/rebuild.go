@@ -79,13 +79,14 @@ func (o *ORAM) initialBuild() error {
 // elements (plus FlagOccupied).
 //
 //	Key = bucket<<32 | logicalKey            (the target's bucket, new epoch)
-//	Pos = (maxTS − ts)<<8 | elementIndex     (freshest first)
+//	Pos = (maxTS − ts)<<8 | elementIndex     (the timestamp, carried through)
 //
 // One sort by (Key, Pos) therefore orders the entries by bucket, then key,
-// then freshness; every copy of a key hashes to the same bucket, so its
-// stale copies sit right after its freshest one. Discarded entries are
-// simply unoccupied: the routing and the padded sort treat their content as
-// don't-care, which is exactly right.
+// and sinks the empties. A key has at most one live copy in the whole
+// hierarchy — an access erases the copy it finds, wherever it finds it — so
+// no key meets another copy of itself; the install checks that. Discarded
+// entries are simply unoccupied: the routing and the padded sort treat
+// their content as don't-care, which is exactly right.
 const (
 	keyLowMask = (uint64(1) << 32) - 1
 	maxTS      = uint64(0x7fffffff)
@@ -121,31 +122,15 @@ func toTable(blk []extmem.Element) {
 	}
 }
 
-// latest empties the stale copies among entries arriving sorted, freshest
-// first — every copy of a key after its first — and counts those it keeps.
-type latest struct {
-	prev int64
-	kept int
-}
-
-func newLatest() latest { return latest{prev: -1} }
-
-func (d *latest) keep(blk []extmem.Element) {
-	if !blk[0].Occupied() {
-		return
-	}
-	if key := int64(blk[0].Key); key != d.prev {
-		d.prev = key
-		d.kept++
-		return
-	}
-	clear(blk)
-}
-
-// overKept is the broken invariant of more distinct keys than the target
-// can hold.
+// overKept is the broken invariant of more live entries than the target
+// keeps: some key has two live copies among them.
 func overKept(count, target, kept int) string {
-	return fmt.Sprintf("oram: %d distinct keys in a rebuild of level %d, over the %d it keeps", count, target, kept)
+	return fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the %d it keeps", count, target, kept)
+}
+
+// twoCopies is the broken invariant of a key live twice in a rebuild.
+func twoCopies(target int) string {
+	return fmt.Sprintf("oram: a key has two live copies in a rebuild of level %d", target)
 }
 
 // slots hands the entries of a rebuild, arriving in (bucket, key) order,
@@ -155,17 +140,25 @@ func overKept(count, target, kept int) string {
 // expansion asks of them. An entry of rank beta or more is the overflow the
 // structure declares; it and every entry after it are emptied, so that the
 // targets stay valid and the trace is the one of a rebuild that succeeds.
+// Two copies of a key would arrive side by side; twice records that some
+// did.
 type slots struct {
 	beta, bucket, rank int
-	overflow           bool
+	prev               int64 // the in-flight Key of the last live entry
+	overflow, twice    bool
 }
+
+func newSlots(beta int) slots { return slots{beta: beta, bucket: -1, prev: -1} }
 
 func (s *slots) stamp(blk []extmem.Element) {
 	if !blk[0].Occupied() {
 		clear(blk)
 		return
 	}
-	if bkt := int(blk[0].Key >> 32); bkt != s.bucket {
+	key := int64(blk[0].Key)
+	s.twice = s.twice || key == s.prev
+	s.prev = key
+	if bkt := int(key >> 32); bkt != s.bucket {
 		s.bucket, s.rank = bkt, 0
 	}
 	if s.rank >= s.beta {
@@ -191,8 +184,8 @@ type RebuildGeometry struct {
 	Sources []int  // blocks of each source table, in merge order
 	Bounds  []int  // public bound on the live entries of each source
 	Buffer  int    // entries taken from the private top buffer
-	CapE    int    // public bound on the live entries: what is sorted
-	Kept    int    // public bound on the distinct keys: what enters the table
+	CapE    int    // sum of the sources' bounds and the buffer: what is sorted
+	Kept    int    // public bound on the live entries: the sorted prefix installed
 	Table   int    // blocks of the table built: buckets·beta
 	B, M    int    // block and cache size, in elements
 	Free    int    // elements of the cache free when the rebuild starts
@@ -214,19 +207,6 @@ func (g RebuildGeometry) fits(n int) bool { return (n+2)*g.B <= g.Free }
 
 // collects reports whether source i's live entries are collected privately.
 func (g RebuildGeometry) collects(i int) bool { return g.fits(g.Bounds[i]) }
-
-// compacts reports whether the sorted entries go through the network's
-// compaction, which empties their stale copies: when they do not fit.
-func (g RebuildGeometry) compacts() bool { return !g.fits(g.CapE) }
-
-// installed is the number of sorted entries the install reads: the kept
-// prefix of that compaction, or all capE.
-func (g RebuildGeometry) installed() int {
-	if g.compacts() {
-		return g.Kept
-	}
-	return g.CapE
-}
 
 // collectCost is the cost of collecting source i: a read-only scan of its
 // table beside the bound-block buffer, and one write.
@@ -252,10 +232,9 @@ func (g RebuildGeometry) routed() (n int) {
 // with no exact predictor: the live prefix — each collected source's read
 // and its bound's write, the buffer's write, and the routed sources'
 // compaction (their one read, and Theorem 6's passes less the first read) —
-// one sort of the live entries, Theorem 6's compaction of them when they do
-// not fit the free cache, and then either one read of the installed entries
-// and one write of the table, or the scan that stamps the slots and Theorem
-// 6's expansion into the table.
+// one sort of the live entries, and then, for the kept prefix of the sorted
+// entries, either one read of it and one write of the table, or the scan
+// that stamps the slots and Theorem 6's expansion into the table.
 func RebuildCost(g RebuildGeometry) obs.Cost {
 	sort, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M)
 	if !ok {
@@ -283,10 +262,7 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 			c = c.Add(g.collectCost(i))
 		}
 	}
-	if g.compacts() { // its feed reads the sorted entries a range a call
-		c = c.Add(route.CompactIntoCost(g.CapE, g.CapE, g.B, g.Free, func(lo, hi int) int64 { return 1 }))
-	}
-	k := g.installed()
+	k := g.Kept
 	if g.fits(k) {
 		return c.Add(obs.Cost{IOs: int64(k + g.Table), RoundTrips: 1 + scan(g.Table, k*g.B)})
 	}
@@ -328,18 +304,19 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 //     written out; the other sources go through the network's tight
 //     compaction, converted as its first pass reads them. Conversion puts
 //     each entry in the PRF bucket of the target's new epoch. The prefix is
-//     sliced to the public bound on the live entries among them all;
-//  2. one sort by (bucket, key), freshest copy first;
-//  3. the install of the kept entries, the stale copies emptied where the
-//     entries are next read. When all the entries fit the free cache they
-//     are read once, and deduped and handed their slots privately (an entry
-//     beyond beta in its bucket is an overflow); the table is written from
-//     them in one scan. Otherwise the network compacts them in place, its
-//     first pass emptying the stale copies as it reads them, and the public
-//     bound on the distinct keys is all that is kept: installed from the
-//     cache as above when it fits, and otherwise stamped with its slots in a
-//     scan and expanded by the network in reverse into the table, back in
-//     table form as its last pass writes them.
+//     sliced to the sum of the sources' bounds and the buffer;
+//  2. one sort by (bucket, key), which sinks the empties: the live entries,
+//     one per key and no more than the target keeps, fill a prefix of the
+//     public bound on those;
+//  3. the install of that kept prefix. When it fits the free cache it is
+//     read once and handed its slots privately (an entry beyond beta in its
+//     bucket is an overflow), and the table is written from it in one scan;
+//     otherwise it is stamped with its slots in a scan and expanded by the
+//     network in reverse into the table, back in table form as its last
+//     pass writes them.
+//
+// A key live twice is a broken invariant, and so is a count of live entries
+// over the kept bound: both are checked privately, and panic.
 //
 // Every pass touches every block of what it scans and every length is a
 // bound, not a count, so the trace depends only on the source sizes, which
@@ -402,13 +379,13 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	}
 
 	// Step 1. The collected sources and the buffer first; the network last,
-	// since it writes the whole of its region.
-	at := 0
+	// since it writes the whole of its region. count is the live entries.
+	at, count := 0, 0
 	for i, s := range sources {
 		if g.collects(i) {
 			spc := o.env.Obs.Start("collect")
 			spc.SetPredicted(g.collectCost(i))
-			o.collect(s, work.Slice(at, at+s.bound), target)
+			count += o.collect(s, work.Slice(at, at+s.bound), target)
 			o.env.Obs.End(spc)
 			at += s.bound
 		}
@@ -416,6 +393,9 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 	o.env.Scan(extmem.Array{}, work.Slice(at, prefix), o.env.ScanBatchN(1, g.Buffer), func(lo int, chunk []extmem.Element) {
 		copy(chunk, o.buf[lo*b:])
 		for off := 0; off < len(chunk); off += b {
+			if chunk[off].Occupied() {
+				count++
+			}
 			o.toFlight(chunk[off:off+b], target)
 		}
 	})
@@ -433,45 +413,37 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 			o.toFlight(dst[off:off+b], target)
 		}
 	}
-	if count := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), feed, route.PredOccupied); count > routedBound {
-		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", count, target, routedBound))
+	routedCount := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), feed, route.PredOccupied)
+	if routedCount > routedBound {
+		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", routedCount, target, routedBound))
 	}
-	live := work.Slice(0, g.CapE)
+	if count += routedCount; count > g.Kept {
+		panic(overKept(count, target, g.Kept))
+	}
 
 	// Step 2.
-	o.sorter(o.env, live, obsort.ByKey)
+	o.sorter(o.env, work.Slice(0, g.CapE), obsort.ByKey)
+	live := work.Slice(0, g.Kept)
 
-	// Step 3. The compaction asks for each range once, in address order, so
-	// the stale copies are emptied as its first pass reads them.
-	if g.compacts() {
-		fresh := newLatest()
-		dedupe := func(lo, hi int, dst []extmem.Element) {
-			live.ReadRange(lo, hi, dst)
-			for off := 0; off < len(dst); off += b {
-				fresh.keep(dst[off : off+b])
-			}
-		}
-		if count := route.CompactInto(o.env, live, g.CapE, dedupe, route.PredOccupied); count > g.Kept {
-			panic(overKept(count, target, g.Kept))
-		}
-		live = live.Slice(0, g.Kept)
-	}
-	place := slots{beta: o.beta, bucket: -1}
-	if g.fits(live.Len()) {
+	// Step 3.
+	place := newSlots(o.beta)
+	if g.fits(g.Kept) {
 		sp2 := o.env.Obs.Start("install")
-		sp2.SetPredicted(obs.Cost{IOs: int64(live.Len() + g.Table), RoundTrips: -1})
-		o.install(tl.table, live, &place, g.Kept, target)
+		sp2.SetPredicted(obs.Cost{IOs: int64(g.Kept + g.Table), RoundTrips: -1})
+		o.install(tl.table, live, &place, target)
 		o.env.Obs.End(sp2)
 	} else {
-		// Only after the compaction: its labels overwrite the Aux bits.
 		sp2 := o.env.Obs.Start("assign-slots")
-		sp2.SetPredicted(obs.Cost{IOs: 2 * int64(live.Len()), RoundTrips: -1})
-		o.env.Scan(live, live, o.env.ScanBatchN(1, live.Len()), func(_ int, chunk []extmem.Element) {
+		sp2.SetPredicted(obs.Cost{IOs: 2 * int64(g.Kept), RoundTrips: -1})
+		o.env.Scan(live, live, o.env.ScanBatchN(1, g.Kept), func(_ int, chunk []extmem.Element) {
 			for off := 0; off < len(chunk); off += b {
 				place.stamp(chunk[off : off+b])
 			}
 		})
 		o.env.Obs.End(sp2)
+		if place.twice {
+			panic(twoCopies(target))
+		}
 		route.ExpandInto(o.env, live, tl.table, route.PredOccupied, toTable)
 	}
 
@@ -486,21 +458,18 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 }
 
 // install writes table from private memory: the sorted entries of src,
-// read in one call, are deduped and handed their slots, and the table goes
-// out in one write-only scan. More than kept distinct keys is a broken
-// invariant.
-func (o *ORAM) install(table, src extmem.Array, place *slots, kept, target int) {
+// read in one call, are handed their slots, and the table goes out in one
+// write-only scan. A key live twice is a broken invariant.
+func (o *ORAM) install(table, src extmem.Array, place *slots, target int) {
 	b, n := o.b, src.Len()
 	ents := o.env.Cache.Buf(n * b)
 	src.ReadRange(0, n, ents)
-	fresh := newLatest()
 	for off := 0; off < len(ents); off += b {
-		fresh.keep(ents[off : off+b])
 		place.stamp(ents[off : off+b])
 	}
-	if fresh.kept > kept {
+	if place.twice {
 		o.env.Cache.Free(ents)
-		panic(overKept(fresh.kept, target, kept))
+		panic(twoCopies(target))
 	}
 	next := 0 // the first entry not yet in the table
 	o.env.Scan(extmem.Array{}, table, o.env.ScanBatchN(1, table.Len()), func(lo int, chunk []extmem.Element) {
@@ -523,8 +492,9 @@ func (o *ORAM) install(table, src extmem.Array, place *slots, kept, target int) 
 // collect copies the live entries of a source whose bound fits the free
 // cache into dst, its bound's worth of blocks, in flight form and padded with
 // empties: one read-only scan of the table beside a private buffer of that
-// many blocks, and one write. A count above the bound is a broken invariant.
-func (o *ORAM) collect(s source, dst extmem.Array, target int) {
+// many blocks, and one write. It returns how many it copied; a count above
+// the bound is a broken invariant.
+func (o *ORAM) collect(s source, dst extmem.Array, target int) int {
 	b := o.b
 	ents := o.env.Cache.Buf(s.bound * b)
 	count := 0
@@ -546,4 +516,5 @@ func (o *ORAM) collect(s source, dst extmem.Array, target int) {
 	clear(ents[count*b:])
 	dst.WriteRange(0, s.bound, ents)
 	o.env.Cache.Free(ents)
+	return count
 }

@@ -38,18 +38,9 @@ func children(sp *obs.Span, name string) (n int) {
 // the chunk of a scan.
 func fits(g oram.RebuildGeometry, n int) bool { return (n+2)*g.B <= g.Free }
 
-// installArm is the arm of the install a rebuild of g takes: 1 reads all
-// its live entries from the cache, 2 compacts them to the kept bound and
-// reads those from the cache, 3 compacts them and expands the kept ones.
-func installArm(g oram.RebuildGeometry) int {
-	switch {
-	case fits(g, g.CapE):
-		return 1
-	case fits(g, g.Kept):
-		return 2
-	}
-	return 3
-}
+// installs reports whether a rebuild of g installs its kept prefix from the
+// cache, rather than expanding it into the table.
+func installs(g oram.RebuildGeometry) bool { return fits(g, g.Kept) }
 
 // TestRebuildIOExact: every rebuild — the initial build included — costs
 // exactly the block I/Os and round trips its span predicts, and for the
@@ -57,13 +48,12 @@ func installArm(g oram.RebuildGeometry) int {
 // the geometry the schedule announces beforehand, with the cache never over
 // M. The grid takes both arms of the live prefix — a source collected in one
 // private scan, a source routed by the network, and rebuilds that do both —
-// and all three arms of the install: live entries that fit the free cache
-// and are written out in one scan; live entries that do not, compacted by
-// the network to the kept bound, which does and is written out in one scan;
-// and kept entries that do not fit either, expanded by the network.
+// and both arms of the install: a kept prefix that fits the free cache and
+// is written out in one scan, and one that does not and is expanded by the
+// network; and it keeps a prefix shorter than what it sorted.
 func TestRebuildIOExact(t *testing.T) {
-	arms := map[int]int{}
-	var collected, routed, mixed int
+	arms := map[bool]int{}
+	var collected, routed, mixed, sliced int
 	for _, geo := range oracleGeometries {
 		for _, n := range oracleSizes {
 			for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineZigzag} {
@@ -101,8 +91,11 @@ func TestRebuildIOExact(t *testing.T) {
 						if c := oram.RebuildCost(*want); sp.IO.Cost() != c {
 							t.Fatalf("%s: rebuild measured %+v, %+v predicts %+v", name, sp.IO.Cost(), *want, c)
 						}
-						arm := installArm(*want)
+						arm := installs(*want)
 						arms[arm]++
+						if want.Kept < want.CapE {
+							sliced++
+						}
 						c, r := 0, 0
 						for _, bound := range want.Bounds {
 							if fits(*want, bound) {
@@ -112,10 +105,7 @@ func TestRebuildIOExact(t *testing.T) {
 							}
 						}
 						kids := map[string]int{"collect": c, "butterfly-compact": min(r, 1), "install": 1, "butterfly-expand": 0}
-						if arm > 1 { // the compaction that empties the stale copies
-							kids["butterfly-compact"]++
-						}
-						if arm == 3 {
+						if !arm {
 							kids["install"], kids["butterfly-expand"] = 0, 1
 						}
 						for span, n := range kids {
@@ -151,8 +141,8 @@ func TestRebuildIOExact(t *testing.T) {
 			}
 		}
 	}
-	if arms[1] == 0 || arms[2] == 0 || arms[3] == 0 {
-		t.Fatalf("the grid installed from the cache %d times, compacted then installed %d times and expanded %d times; it must take each", arms[1], arms[2], arms[3])
+	if arms[true] == 0 || arms[false] == 0 || sliced == 0 {
+		t.Fatalf("the grid installed from the cache %d times and expanded %d times, and kept less than it sorted %d times; it must do each", arms[true], arms[false], sliced)
 	}
 	if collected == 0 || routed == 0 || mixed == 0 {
 		t.Fatalf("the grid collected %d sources and routed %d, in %d rebuilds doing both; it must take each", collected, routed, mixed)
@@ -163,8 +153,8 @@ func TestRebuildIOExact(t *testing.T) {
 // kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bounds
 // they sort and keep, what they cost, that the smaller one writes its table
 // from the cache, and that the larger one collects both its sources in
-// private scans, routing none of them, then compacts its 64 sorted entries
-// to the 32 it keeps and writes its table from the cache too.
+// private scans, routing none of them, sorts its 64 entries and writes its
+// table from the cache too, from the first 32 of them alone.
 func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 	env := extmem.NewEnv(256, 8, 512, 1)
 	o, err := oram.New(env, 32, oram.Options{})
@@ -176,7 +166,7 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 		5: {Buffer: 16, CapE: 16, Kept: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
 		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Kept: 32, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
 	}
-	cost := map[int]obs.Cost{5: {IOs: 384, RoundTrips: 15}, 6: {IOs: 2336, RoundTrips: 125}}
+	cost := map[int]obs.Cost{5: {IOs: 384, RoundTrips: 15}, 6: {IOs: 2080, RoundTrips: 113}}
 	for target, g := range want {
 		if c := oram.RebuildCost(g); c != cost[target] {
 			t.Fatalf("rebuild of level %d: predicted %+v, want %+v", target, c, cost[target])
@@ -200,7 +190,7 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 		}
 		if target == 6 && step > 16 {
 			sp := rebuildSpans(col.Roots())[0]
-			for span, n := range map[string]int{"collect": 2, "butterfly-compact": 1, "install": 1, "butterfly-expand": 0} {
+			for span, n := range map[string]int{"collect": 2, "butterfly-compact": 0, "install": 1, "butterfly-expand": 0} {
 				if got := children(sp, span); got != n {
 					t.Fatalf("level-6 rebuild: %d %s spans, want %d", got, span, n)
 				}
@@ -292,20 +282,20 @@ func TestRebuildOverflowDeclared(t *testing.T) {
 
 	// Two keys in eight one-slot buckets: most rebuilds succeed, and one
 	// before long does not. Every rebuild merges the buffer's four entries
-	// and the largest level's two into the largest level, which keeps two:
-	// at M = 128 all six fit the free cache, and at M = 40 only the two kept
-	// do, so the rebuild compacts, then installs.
+	// and the largest level's two into the largest level, sorts the six and
+	// installs the two it keeps from the cache: at M = 128 all six fit the
+	// free cache, and at M = 40 only the two kept do.
 	for _, tc := range []struct {
-		name        string
-		mWords, arm int
-	}{{"access", 128, 1}, {"compacted", 40, 2}} {
-		t.Run(tc.name, func(t *testing.T) { overflowOnAccess(t, tc.mWords, tc.arm) })
+		name   string
+		mWords int
+	}{{"access", 128}, {"small cache", 40}} {
+		t.Run(tc.name, func(t *testing.T) { overflowOnAccess(t, tc.mWords) })
 	}
 }
 
 // overflowOnAccess drives one-slot buckets at M = mWords until a scheduled
-// rebuild, which takes the given arm of the install, overflows.
-func overflowOnAccess(t *testing.T, mWords, arm int) {
+// rebuild, which installs from the cache, overflows.
+func overflowOnAccess(t *testing.T, mWords int) {
 	const n, b = 2, 4
 	for seed := uint64(1); ; seed++ {
 		env := extmem.NewEnv(256, b, mWords, seed)
@@ -338,8 +328,8 @@ func overflowOnAccess(t *testing.T, mWords, arm int) {
 			if c := oram.RebuildCost(next); sp.IO.Cost() != c {
 				t.Fatalf("step %d: rebuild measured %+v, predicted %+v", step, sp.IO.Cost(), c)
 			}
-			if got := installArm(next); got != arm {
-				t.Fatalf("step %d: a rebuild of %+v takes arm %d of the install, want %d", step, next, got, arm)
+			if !installs(next) {
+				t.Fatalf("step %d: a rebuild of %+v expands its kept prefix, want it installed from the cache", step, next)
 			}
 			if err == nil {
 				succeeded, okIO, okRT = &next, sp.IO.Total(), sp.IO.RoundTrips

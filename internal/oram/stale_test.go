@@ -1,80 +1,81 @@
 package oram
 
 import (
-	"slices"
+	"fmt"
+	"strings"
 	"testing"
 
 	"oblivext/internal/extmem"
 )
 
-// TestRebuildKeepsFreshestCopy hands rebuilds what the access path never
+// TestRebuildRejectsTwoLiveCopies hands rebuilds what the access path never
 // does — it erases a key's old copy wherever it finds it — namely two live
-// copies of a key: the flushing access appends its key to the buffer
-// without probing, so the key's copy in the tables stays live. Whichever
-// arm of the install a rebuild takes, only the freshest copy may reach the
-// new table, once, and every key must read back its latest words.
-func TestRebuildKeepsFreshestCopy(t *testing.T) {
-	arms := map[int]int{}
+// copies of a key: the flushing access appends a key the buffer already
+// holds without probing for it. The rebuild has no stale copy to drop, so it
+// must not build a table from them: it panics, with the cache balanced,
+// because it counts more live entries than the level keeps (where the
+// largest level merges everything) or because the two copies sit side by
+// side in the sorted prefix (everywhere else), on either arm of the install.
+func TestRebuildRejectsTwoLiveCopies(t *testing.T) {
+	seen := map[string]int{}
 	for _, geo := range [][2]int{{4, 128}, {8, 512}, {8, 4096}} {
 		for _, n := range []int{5, 32, 100} {
 			b, mWords := geo[0], geo[1]
-			env := extmem.NewEnv(256, b, mWords, uint64(n))
-			o, err := New(env, n, Options{})
+			probe, err := New(extmem.NewEnv(256, b, mWords, 1), n, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := make([][]uint64, n)
-			for k := range data {
-				data[k] = make([]uint64, b)
-			}
-			for step := 0; step < 4*max(n, o.bufCap); step++ {
-				key, words := step*7%n, make([]uint64, b)
-				words[0] = uint64(step) + 1
-				data[key] = words
-				if o.bufLen < o.bufCap-1 {
-					if err := o.Write(key, words); err != nil {
+			// The first flush, the first into the level below the largest,
+			// and the first into the largest.
+			depth := probe.lmax - probe.l0 - 1
+			flushes := map[int64]bool{1: true, 1 << max(depth-1, 0): true, 1 << depth: true}
+			for j := range flushes {
+				env := extmem.NewEnv(256, b, mWords, uint64(n))
+				o, err := New(env, n, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := 0
+				for step := 0; o.t < j*int64(o.bufCap)-1; step++ {
+					key = step * 7 % n
+					if err := o.Write(key, make([]uint64, b)); err != nil {
 						t.Fatal(err)
 					}
-					continue
 				}
 				o.ts++
-				o.appendBuf(uint64(key), words)
+				o.appendBuf(uint64(key), make([]uint64, b))
 				o.t++
 				target, sources := o.scheduled(o.t / int64(o.bufCap))
 				g := o.geometry(target, sources, true)
-				arm := 1
-				if g.compacts() {
-					arm = 2
-					if !g.fits(g.Kept) {
-						arm = 3
-					}
+				route, want := "side by side", twoCopies(target)
+				if target == o.lmax {
+					route, want = "over kept", overKept(g.Kept+1, target, g.Kept)
 				}
-				arms[arm]++
-				if err := o.rebuildOnSchedule(); err != nil {
-					t.Fatalf("B=%d M=%d n=%d step %d: %v", b, mWords, n, step, err)
+				arm := "install"
+				if !g.fits(g.Kept) {
+					arm = "expand"
 				}
-				copies := 0
-				for _, e := range o.DumpLevel(target) {
-					if e.Key == key {
-						copies++
-						if !slices.Equal(e.Words, words) {
-							t.Fatalf("B=%d M=%d n=%d step %d (arm %d): key %d reached level %d with %v, want the freshest %v",
-								b, mWords, n, step, arm, key, target, e.Words, words)
-						}
-					}
+				name := fmt.Sprintf("B=%d M=%d n=%d flush %d (level %d, %s)", b, mWords, n, j, target, arm)
+				if got := rejected(o); !strings.Contains(got, want) {
+					t.Fatalf("%s: rebuild of two live copies panicked with %q, want %q", name, got, want)
 				}
-				if copies != 1 {
-					t.Fatalf("B=%d M=%d n=%d step %d (arm %d): key %d is in level %d %d times, want once", b, mWords, n, step, arm, key, target, copies)
+				if used := env.Cache.Used(); used != o.bufCap*b {
+					t.Fatalf("%s: %d cache elements in use after the panic, want the buffer's %d", name, used, o.bufCap*b)
 				}
-			}
-			for k := range n {
-				if got, err := o.Read(k); err != nil || !slices.Equal(got, data[k]) {
-					t.Fatalf("B=%d M=%d n=%d: read %d = (%v, %v), want %v", b, mWords, n, k, got, err, data[k])
-				}
+				seen[route+", "+arm]++
 			}
 		}
 	}
-	if arms[1] == 0 || arms[2] == 0 || arms[3] == 0 {
-		t.Fatalf("stale copies met the install's arms %v times; each must be taken", arms)
+	for _, c := range []string{"side by side, install", "side by side, expand", "over kept, install", "over kept, expand"} {
+		if seen[c] == 0 {
+			t.Fatalf("no rebuild met two live copies %s; met %v", c, seen)
+		}
 	}
+}
+
+// rejected runs the scheduled rebuild and returns what it panicked with.
+func rejected(o *ORAM) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	_ = o.rebuildOnSchedule()
+	return ""
 }

@@ -44,6 +44,9 @@ import "testing"
 // changed. The ORAMAccess row alone moved when a rebuild began to bucket its
 // entries as it takes them out, sort them once, and install only the public
 // bound on the distinct keys: 23 866 → 23 130 accesses, 2 134 → 2 096
+// round trips; and again when a rebuild stopped compacting its sorted
+// entries to empty stale copies a key never has, and installs the sorted
+// prefix of that bound as it is: 23 130 → 22 746 accesses, 2 096 → 2 060
 // round trips.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
@@ -83,7 +86,7 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ORAMAccess", want{TraceSummary{23130, 9021188813566994574}, 10096, 13034, 2096}, func(t *testing.T, arr *Array) {
+		{"ORAMAccess", want{TraceSummary{22746, 6725856156196815930}, 9904, 12842, 2060}, func(t *testing.T, arr *Array) {
 			// A fixed logical access sequence: the ORAM's probe addresses
 			// are a keyed function of the index, so its trace is oblivious
 			// in distribution, not bit-identical across sequences.
