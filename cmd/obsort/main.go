@@ -171,12 +171,13 @@ func main() {
 	engine := *sorter
 	if engine == obsort.EngineAuto {
 		// The pick is a public function of the geometry and backend kind;
-		// recompute it here so the report names the engine that actually ran.
+		// recompute it here, with the whole cache free as Sort has it, so the
+		// report names the engine that actually ran.
 		backend := "mem"
 		if *url != "" || *urls != "" {
 			backend = "net"
 		}
-		engine = fmt.Sprintf("auto (picked %s)", obsort.Pick(arr.Blocks(), *b, *m, backend))
+		engine = fmt.Sprintf("auto (picked %s)", obsort.Pick(arr.Blocks(), *b, *m, *m, backend))
 	}
 	fmt.Printf("sorted %d records (B=%d, M=%d) with the %s engine in %v\n",
 		*n, *b, *m, engine, elapsed.Round(time.Millisecond))

@@ -81,23 +81,35 @@ func TestLooseCompactOblivious(t *testing.T) {
 }
 
 // At B = 8, M = 512 the plan probes three times a round (c0 = 3, g = 24 to
-// 26): zeroing C costs 1 I/O per block, the rounds (1.5 + 2·3)·Σs < 15, the
-// residue's sort and the tail well under 1.
+// 26): zeroing C costs 1 I/O per block, the rounds (1.5 + 2·3)·Σs < 15 per
+// block (Σs < 2n), the residue's sort and the tail at most 1. Each call costs
+// exactly LooseCost less its repeated probes, so LooseCost under that
+// constant at every n is the linearity claim. The ratio between two lengths
+// is not: the residue's sort is a larger share of a short array's cost, and
+// it shrinks with the sort's window.
 func TestLooseCompactLinearIO(t *testing.T) {
-	io := func(n int) float64 {
-		env := newTestEnv(8*n, 8, 512, 13)
+	const b, m = 8, 512
+	for _, n := range []int{128, 512, 2048} {
+		plan, ok := loosePlan(n, b, m)
+		if !ok || plan.c0 != 3 {
+			t.Fatalf("n=%d: plan %+v, %v; want the rounds at c0 = 3", n, plan, ok)
+		}
+		env := newTestEnv(8*n, b, m, 13)
 		a := env.D.Alloc(n)
 		r := rand.New(rand.NewPCG(uint64(n), 2))
 		buildSparseCells(a, r.Perm(n)[:n/8])
 		env.D.ResetStats()
-		if _, _, _, err := CompactBlocksLoose(env, a, n/4); err != nil {
+		_, _, repeats, err := CompactBlocksLoose(env, a, n/4)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(env.D.Stats().Total()) / float64(n)
-	}
-	small, large := io(128), io(2048)
-	if large > small*1.2 || large > 17 {
-		t.Fatalf("loose compaction I/O per block went from %.1f at n=128 to %.1f at n=2048 — not linear at the plan's constant", small, large)
+		want := LooseCost(n, n/4, b, m)
+		if got := env.D.Stats().Cost().Add(obs.Cost{IOs: 2 * repeats}); got != want {
+			t.Errorf("n=%d: measured %+v with 2·%d repeated probes added back, predicted %+v", n, got, repeats, want)
+		}
+		if perBlock := float64(want.IOs) / float64(n); perBlock > 1+2*(1.5+2*float64(plan.c0))+1 {
+			t.Errorf("n=%d: LooseCost is %.1f I/Os per block, over the plan's constant", n, perBlock)
+		}
 	}
 }
 

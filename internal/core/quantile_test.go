@@ -142,11 +142,11 @@ func TestQuantilesOblivious(t *testing.T) {
 		first, second    []uint64
 	}{
 		{"sort/uniform-vs-constant", 512, 8, 256, 3, uniform, constant},
-		{"select/uniform-vs-constant", 512, 8, 4096, 1, uniform, constant},
+		{"select/uniform-vs-constant", 520, 8, 4096, 1, uniform, constant},
 		// The same length, full against nearly empty: the occupied count
 		// must not pick the arm.
 		{"sort/full-vs-12-records", 8192, 4, 32, 1, keys(8192*4, func(i int) uint64 { return uint64(i * 7 % 1000) }), twelve},
-		{"select/full-vs-12-records", 512, 8, 4096, 1, uniform, twelve},
+		{"select/full-vs-12-records", 520, 8, 4096, 1, uniform, twelve},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			wantArm(t, c.nBlocks, c.b, c.m, c.q, strings.HasPrefix(c.name, "select/"))
@@ -171,7 +171,7 @@ func TestQuantilesOblivious(t *testing.T) {
 }
 
 // TestQuantilesLinearIO pins the Select arm's I/Os per block flat as n
-// quadruples at fixed M/B and q. Power-of-two block counts up to 2^13 sort
+// quadruples at fixed M/B and q. Power-of-two block counts up to 2^14 sort
 // (the bitonic network needs no padding there), so the rows sit just above.
 func TestQuantilesLinearIO(t *testing.T) {
 	const b, m, q = 8, 4096, 2
@@ -191,7 +191,7 @@ func TestQuantilesLinearIO(t *testing.T) {
 		}
 		return float64(env.D.Stats().Total()) / float64(nBlocks)
 	}
-	small, large := io(1<<12+1), io(1<<14)
+	small, large := io(1<<11+1), io(1<<13+1)
 	if large > small*1.1 {
 		t.Fatalf("quantiles I/O per block grew from %.2f to %.2f", small, large)
 	}
@@ -206,8 +206,8 @@ func TestQuantilesArmAtBenchmarkCallSites(t *testing.T) {
 	} {
 		wantArm(t, g.nBlocks, g.b, g.m, g.q, false)
 	}
-	if c := QuantilesCost(8192, 8, 4096, 8); c.IOs != 19*8192 {
-		t.Errorf("scan_enc_file's Quantiles costs %d I/Os, want 19 per block", c.IOs)
+	if c := QuantilesCost(8192, 8, 4096, 8); c.IOs != 17*8192 {
+		t.Errorf("scan_enc_file's Quantiles costs %d I/Os, want 17 per block", c.IOs)
 	}
 }
 

@@ -159,10 +159,12 @@ func (s *CryptStore) open(sc *cryptScratch, addr int, src []Element, dst []Eleme
 	return nil
 }
 
-// childElems returns the child-geometry staging buffer for n blocks.
+// childElems returns the child-geometry staging buffer for n blocks, grown
+// to a power of two of blocks so a batch one block wider than the last does
+// not regrow it.
 func (s *CryptStore) childElems(n int) []Element {
-	if need := n * s.cb; cap(s.celem) < need {
-		s.celem = make([]Element, need)
+	if cap(s.celem) < n*s.cb {
+		s.celem = make([]Element, (1<<CeilLog2(n))*s.cb)
 	}
 	return s.celem[:n*s.cb]
 }

@@ -2,6 +2,8 @@ package extmem
 
 import (
 	"bytes"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -312,5 +314,42 @@ func TestCryptStoreByteCounters(t *testing.T) {
 	s.ResetCryptStats()
 	if s.BytesSealed() != 0 || s.BytesOpened() != 0 {
 		t.Fatal("ResetCryptStats left counters non-zero")
+	}
+}
+
+// TestWiderBatchReusesScratch pins the growth rule of the sealed file path's
+// per-batch scratch — the Disk's address and index lists, the CryptStore's
+// staging and the FileStore's wire buffer — at a power of two of blocks: a
+// 512-block batch, a cache-wide bitonic gather at B = 8, M = 4096, after the
+// 511-block batches a scan of that cache makes, allocates nothing.
+func TestWiderBatchReusesScratch(t *testing.T) {
+	const b = 8
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "blocks"), 1024, CryptChildBlockSize(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	cs, err := NewCryptStore(fs, testEncryptor(t), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDisk(cs)
+	buf := mkElems(512*b, 5)
+	d.WriteRun(0, 511, buf[:511*b])
+	d.ReadRun(0, 511, buf[:511*b])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	idx := d.IndexScratch(512)
+	for i := range idx {
+		idx[i] = 2 * i
+	}
+	d.WriteMany(idx, buf)
+	d.ReadMany(idx, buf)
+	d.WriteRun(512, 512, buf)
+	d.ReadRun(512, 512, buf)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("512-block batches after 511-block ones: %d allocations, want 0", n)
 	}
 }

@@ -37,6 +37,7 @@ type Disk struct {
 	topMax   int    // largest top any Alloc reached
 	maxBatch int    // blocks per vectored store call; 0 = unlimited, 1 = scalar
 	addrs    []int  // scratch for building vectored address lists
+	idx      []int  // caller-filled block-index scratch, as long as addrs
 	one      [1]int // address list of a one-block Read/Write
 }
 
@@ -165,11 +166,30 @@ func (d *Disk) WriteMany(addrs []int, src []Element) {
 	}
 }
 
+// grow sizes the address and index scratch for batches of n blocks. Both
+// grow together, to a power of two of blocks, so a batch one block wider
+// than the scans before it — a 512-block gather after 511-block scans —
+// reuses what they grew, and a caller's index list is as long as any batch
+// the Disk has moved.
+func (d *Disk) grow(n int) {
+	if cap(d.addrs) < n {
+		c := 1 << CeilLog2(n)
+		d.addrs, d.idx = make([]int, c), make([]int, c)
+	}
+}
+
+// IndexScratch returns a Disk-owned list of n array block indices for the
+// caller to fill and pass to Array.ReadMany and WriteMany, which build
+// their address lists in other scratch. It stays the caller's until the
+// next IndexScratch call.
+func (d *Disk) IndexScratch(n int) []int {
+	d.grow(n)
+	return d.idx[:n]
+}
+
 // runAddrs fills the scratch address list with the run [base, base+n).
 func (d *Disk) runAddrs(base, n int) []int {
-	if cap(d.addrs) < n {
-		d.addrs = make([]int, n)
-	}
+	d.grow(n)
 	as := d.addrs[:n]
 	for i := range as {
 		as[i] = base + i
@@ -312,9 +332,7 @@ func (a Array) WriteRange(lo, hi int, src []Element) {
 // absAddrs maps array-relative block indices to absolute disk addresses in
 // the disk's scratch list.
 func (a Array) absAddrs(is []int) []int {
-	if cap(a.d.addrs) < len(is) {
-		a.d.addrs = make([]int, len(is))
-	}
+	a.d.grow(len(is))
 	as := a.d.addrs[:len(is)]
 	for i, idx := range is {
 		if idx < 0 || idx >= a.n {

@@ -82,10 +82,12 @@ func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) e
 	return nil
 }
 
-// vecWire returns a scratch wire buffer for n slots, growing it on demand.
+// vecWire returns a scratch wire buffer for n slots, growing it on demand
+// to a power of two of slots so a run one slot longer than the last does not
+// regrow it.
 func (s *FileStore) vecWire(n int) []byte {
-	if need := n * s.slot; cap(s.vwire) < need {
-		s.vwire = make([]byte, need)
+	if cap(s.vwire) < n*s.slot {
+		s.vwire = make([]byte, (1<<CeilLog2(n))*s.slot)
 	}
 	return s.vwire[:n*s.slot]
 }

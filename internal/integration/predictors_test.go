@@ -25,7 +25,7 @@ var predictorGrid = []geometry{
 	{16, 4, 16, 0}, {17, 4, 32, 0}, {64, 4, 32, 0}, {100, 4, 32, 0}, {20, 4, 64, 0}, {128, 8, 64, 0},
 	{1000, 4, 128, 0}, {250, 8, 256, 0}, {64, 8, 512, 0}, {128, 8, 512, 0}, {256, 4, 512, 0},
 	{1000, 8, 512, 0}, {1616, 8, 512, 0}, {20, 4, 1024, 0}, {4097, 8, 4096, 0},
-	{300, 8, 512, 128}, {1000, 4, 512, 192}, {37, 4, 1024, 768},
+	{300, 8, 512, 128}, {1000, 4, 512, 192}, {37, 4, 1024, 768}, {4097, 8, 4096, 2056},
 }
 
 // fillCells writes the array's blocks two in three occupied, every element
@@ -62,8 +62,9 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // row of the grid whose geometry it supports, and the block I/Os and round
 // trips the Disk measured must be the predictor's, to the access. A row
 // runs on the array fillCells writes, with held elements of the cache
-// checked out; the predictors that assume the whole cache free (the sorts,
-// Select, loose compaction) run where nothing is held. oram.RebuildCost is
+// checked out; the predictors that assume the whole cache free (zigzag and
+// bucket sort, Select, Quantiles, loose compaction) run where nothing is
+// held, and bitonic's, priced at the free cache, runs on every row. oram.RebuildCost is
 // not a row: a rebuild's geometry comes from the ORAM's level state, not
 // from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
 // of its oracle geometries against it.
@@ -79,9 +80,10 @@ func TestPredictorsExact(t *testing.T) {
 		// what its predictor says.
 		run func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (got, want obs.Cost)
 	}{
-		{"obsort.Bitonic", whole, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
-			return measure(env, func() { obsort.Bitonic(env, a, obsort.ByKey) }), obsort.BitonicCost(g.n, g.b, g.m)
-		}},
+		{"obsort.Bitonic", func(g geometry) bool { return g.m >= 4*g.b && g.free() >= 2*g.b },
+			func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				return measure(env, func() { obsort.Bitonic(env, a, obsort.ByKey) }), obsort.BitonicCost(g.n, g.b, g.free())
+			}},
 		{"obsort.Zigzag", whole, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 			return measure(env, func() { obsort.Zigzag(env, a, obsort.ByKey) }), obsort.ZigzagCost(g.n, g.b, g.m)
 		}},

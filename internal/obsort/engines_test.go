@@ -308,7 +308,8 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // names: at every geometry the pick is the argmin of the exact predictors of
 // the engines the geometry supports (block I/Os over mem, round trips over
 // net; bitonic, then zigzag, preferred on ties), and running the picked
-// engine costs exactly what its predictor said.
+// engine costs exactly what its predictor said. Bitonic is priced at the
+// cache the caller leaves free, the others at M; some rows hold part of it.
 func TestPickPolicy(t *testing.T) {
 	// metric is the test's own statement of what Pick minimises, kept
 	// independent of pick.go so a wrong backend rule there fails here.
@@ -320,37 +321,43 @@ func TestPickPolicy(t *testing.T) {
 	}
 	engines := []struct {
 		name      string
-		cost      func(nBlocks, b, m int) obs.Cost
-		supported func(nBlocks, b, m int) bool
+		cost      func(nBlocks, b, m, free int) obs.Cost
+		supported func(nBlocks, b, m, free int) bool
 	}{
-		{EngineBitonic, BitonicCost, func(_, b, m int) bool { return b&(b-1) == 0 && m >= 4*b }},
-		{EngineZigzag, ZigzagCost, func(_, _, _ int) bool { return true }},
-		{EngineBucket, BucketCost, BucketSupported},
+		{EngineBitonic, func(n, b, _, free int) obs.Cost { return BitonicCost(n, b, free) },
+			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b }},
+		{EngineZigzag, func(n, b, m, _ int) obs.Cost { return ZigzagCost(n, b, m) },
+			func(_, _, _, _ int) bool { return true }},
+		{EngineBucket, func(n, b, m, _ int) obs.Cost { return BucketCost(n, b, m) },
+			func(n, b, m, _ int) bool { return BucketSupported(n, b, m) }},
 	}
 	picked, backendSplits := map[string]bool{}, false
-	for _, g := range []struct{ n, b, m int }{
-		{16, 8, 4096}, {1, 8, 512}, {7, 8, 512}, {64, 8, 512}, {336, 8, 512}, {672, 8, 512}, {1616, 8, 512},
-		{1 << 10, 8, 512}, {1 << 12, 8, 4096}, {1 << 13, 8, 4096}, {300, 4, 64}, {19, 6, 96}, {130, 8, 32},
-		{23, 8, 64}, {362, 4, 32},
+	for _, g := range []struct{ n, b, m, held int }{
+		{16, 8, 4096, 0}, {1, 8, 512, 0}, {7, 8, 512, 0}, {64, 8, 512, 0}, {336, 8, 512, 0}, {672, 8, 512, 0},
+		{1616, 8, 512, 0}, {1616, 8, 512, 128}, {1 << 10, 8, 512, 0}, {1 << 12, 8, 4096, 0}, {1 << 13, 8, 4096, 0},
+		{1 << 13, 8, 4096, 2056}, {300, 4, 64, 0}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
+		{23, 8, 64, 0}, {362, 4, 32, 0},
 	} {
-		backendSplits = backendSplits || Pick(g.n, g.b, g.m, "mem") != Pick(g.n, g.b, g.m, "net")
+		free := g.m - g.held
+		backendSplits = backendSplits || Pick(g.n, g.b, g.m, free, "mem") != Pick(g.n, g.b, g.m, free, "net")
 		for _, backend := range []string{"mem", "net"} {
 			want, least := "", int64(0)
 			for _, e := range engines {
-				if !e.supported(g.n, g.b, g.m) {
+				if !e.supported(g.n, g.b, g.m, free) {
 					continue
 				}
-				if c := metric(e.cost(g.n, g.b, g.m), backend); want == "" || c < least {
+				if c := metric(e.cost(g.n, g.b, g.m, free), backend); want == "" || c < least {
 					want, least = e.name, c
 				}
 			}
-			got := Pick(g.n, g.b, g.m, backend)
+			got := Pick(g.n, g.b, g.m, free, backend)
 			if got != want {
-				t.Errorf("Pick(%d, %d, %d, %s) = %s, want the predictors' argmin %s (%d)", g.n, g.b, g.m, backend, got, want, least)
+				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s, want the predictors' argmin %s (%d)", g.n, g.b, g.m, free, backend, got, want, least)
 				continue
 			}
 			picked[got] = true
 			env := extmem.NewEnv(4*g.n+64, g.b, g.m, 7)
+			env.Cache.Acquire(g.held)
 			a := env.D.Alloc(g.n)
 			fillArray(env, a, genKeys(rand.New(rand.NewPCG(43, 44)), g.n*g.b, "rand"))
 			env.D.ResetStats()
@@ -364,7 +371,12 @@ func TestPickPolicy(t *testing.T) {
 				PickSorter(got)(env, a, ByKey)
 			}
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
-				t.Errorf("Pick(%d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, backend, got, measured, least)
+				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
+			}
+			// Zigzag's runs are sized by M whatever the caller holds; only
+			// bitonic's window answers to the free cache.
+			if hw := env.Cache.HighWater(); got == EngineBitonic && hw > g.m {
+				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: cache high-water %d > M", g.n, g.b, g.m, free, backend, got, hw)
 			}
 		}
 	}
@@ -375,7 +387,7 @@ func TestPickPolicy(t *testing.T) {
 	if !backendSplits {
 		t.Error("no geometry picks differently over mem and net; the backend rule is unchecked")
 	}
-	if got := Pick(0, 8, 512, "mem"); !ValidEngine(got) || PickSorter(got) == nil {
+	if got := Pick(0, 8, 512, 512, "mem"); !ValidEngine(got) || PickSorter(got) == nil {
 		t.Errorf("empty input picked %q", got)
 	}
 }

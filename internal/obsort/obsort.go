@@ -4,9 +4,11 @@
 // It realizes Lemma 2 of the paper (the deterministic oblivious sort of
 // Goodrich–Mitzenmacher used as a subroutine throughout) as an external
 // bitonic sort that packs the network's levels into passes by the block
-// address bits they touch, log₂(C/B) bits to a pass for a cache window of
-// C = M/2 elements, so the I/O cost is O((N/B)·(1 + log²(N/B)/log(C/B)))
-// with a fixed, data-independent address trace.
+// address bits they touch, log₂(C/B) bits to a pass for a cache window of C
+// elements — the largest power of two of blocks the cache has free when the
+// sort starts, all of M when the caller holds nothing — so the I/O cost is
+// O((N/B)·(1 + log²(N/B)/log(C/B))) with a fixed, data-independent address
+// trace.
 // It also provides the zigzag and bucket engines, and Pick, the policy that
 // chooses among the three from public geometry.
 //
@@ -76,23 +78,32 @@ func compare(less Less, x, y extmem.Element) int {
 }
 
 // Bitonic sorts the array element-wise with a data-oblivious external
-// bitonic network. The address trace depends only on (len, B, M).
+// bitonic network. The address trace depends only on (len, B, free), free
+// being the elements of the cache not checked out when the call starts.
 //
 // The network's levels — stage s = 1..log₂ N merges runs of 2^s elements
 // with one compare-exchange level per stride bit s−1..0 — are packed into
 // passes by the address bits they touch. A level whose stride is below B
 // stays inside a block; any other joins two blocks that differ in one bit
 // of the block address. A pass takes as many consecutive levels as touch at
-// most g = log₂(C/B) distinct address bits, C = M/2 being the cache window,
-// and runs them on batches of the 2^g blocks that differ only in those
-// bits: one vectored read, every level of the pass on the private window,
-// one vectored write. The first pass (every stage up to C, on contiguous
-// windows) is a private sort of each window; the rest are gather passes, so
-// the sort makes about log²₂(N/B) / 2g passes of 2 I/Os per block, each
-// batch one round trip each way.
+// most g = log₂(C/B) distinct address bits, the window C being the largest
+// power of two of blocks that fits free, and runs them on batches of the
+// 2^g blocks that differ only in those bits: one vectored read, every level
+// of the pass on the private window, one vectored write. The first pass
+// (every stage up to C, on contiguous windows) is a private sort of each
+// window; the rest are gather passes, so the sort makes about
+// log²₂(N/B) / 2g passes of 2 I/Os per block, each batch one round trip
+// each way.
 //
-// Requirements: B a power of two and M ≥ 4B. An array whose block count n
-// is not a power of two is sorted as if padded with empty cells: the first
+// The window may be all of M: besides it the sort keeps only the batch's
+// block indices — public addresses, like the ORAM's probe addresses, which
+// need no private memory — and O(1) loop counters. Sizing it by the free
+// cache keeps the trace oblivious: every buffer a caller holds is checked
+// out at a size fixed by public geometry, so free is public too.
+//
+// Requirements: B a power of two, M ≥ 4B and at least two blocks free; with
+// fewer free, Bitonic panics naming both. An array whose block count n is
+// not a power of two is sorted as if padded with empty cells: the first
 // pass reads its n blocks and writes a padded scratch arena, and the last
 // pass writes only the first n blocks back (empty cells sort last, so
 // nothing is lost).
@@ -108,15 +119,20 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	if env.M < 4*b {
 		panic("obsort: Bitonic requires M >= 4B")
 	}
+	free := env.M - env.Cache.Used()
+	if free < 2*b {
+		panic(fmt.Sprintf("obsort: Bitonic needs a window of 2 blocks, %d elements, but the cache has %d free (M=%d, used=%d)",
+			2*b, free, env.M, env.Cache.Used()))
+	}
 	sp := env.Obs.Start("bitonic")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetAttrInt("passes", int64(bitonicPassCount(n, b, env.M)))
-	sp.SetPredicted(BitonicCost(n, b, env.M))
+	sp.SetAttrInt("passes", int64(bitonicPassCount(n, b, free)))
+	sp.SetPredicted(BitonicCost(n, b, free))
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	sc := newSchedule(n, b, env.M)
+	sc := newSchedule(n, b, free)
 	wb := 1 << (sc.lc - sc.lb) // blocks per window, and per batch
 	win := env.Cache.Buf(wb * b)
 	work := a
@@ -152,10 +168,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	}
 	env.Obs.End(spw)
 
-	var idx []int
-	if sc.stage <= sc.top {
-		idx = make([]int, wb)
-	}
+	idx := env.D.IndexScratch(wb)
 	nw := env.WorkerCount()
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
@@ -186,9 +199,12 @@ type schedule struct {
 	stage, bit  int // the next level no pass has taken yet
 }
 
-func newSchedule(nBlocks, b, m int) schedule {
+// newSchedule sizes the window to the largest power of two of blocks that
+// fits free elements of cache, but at least two blocks, so a pass gathers a
+// bit, and at most the padded array.
+func newSchedule(nBlocks, b, free int) schedule {
 	lnp, lb := extmem.CeilLog2(nBlocks), extmem.FloorLog2(b)
-	lc := min(max(extmem.FloorLog2(m/2), lb+1), lnp+lb) // at least two blocks, so a pass gathers a bit
+	lc := min(max(extmem.FloorLog2(free), lb+1), lnp+lb)
 	return schedule{np: 1 << lnp, lb: lb, lc: lc, top: lnp + lb, stage: lc + 1, bit: lc}
 }
 
@@ -302,8 +318,8 @@ func exchangeGroups(win []extmem.Element, lo, hi, stride, dirBit int, desc bool,
 
 // bitonicPassCount is the number of full-array passes Bitonic makes: the
 // first, windowed pass plus the gather passes of the packed schedule.
-func bitonicPassCount(nBlocks, b, m int) int {
-	sc := newSchedule(nBlocks, b, m)
+func bitonicPassCount(nBlocks, b, free int) int {
+	sc := newSchedule(nBlocks, b, free)
 	passes := 1
 	for _, ok := sc.next(); ok; _, ok = sc.next() {
 		passes++
@@ -312,17 +328,18 @@ func bitonicPassCount(nBlocks, b, m int) int {
 }
 
 // BitonicCost predicts the exact block I/Os and vectored round trips of one
-// Bitonic call: every pass moves each batch of C/B blocks of the padded
-// length np in one read and one write, less the padding blocks — and the
-// all-padding windows — that the first pass does not read and the last,
-// whose batches are always contiguous windows, does not write.
-func BitonicCost(nBlocks, b, m int) obs.Cost {
+// Bitonic call entered with free elements of the cache not checked out:
+// every pass moves each batch of C/B blocks of the padded length np in one
+// read and one write, less the padding blocks — and the all-padding
+// windows — that the first pass does not read and the last, whose batches
+// are always contiguous windows, does not write.
+func BitonicCost(nBlocks, b, free int) obs.Cost {
 	if nBlocks == 0 {
 		return obs.Cost{}
 	}
-	sc := newSchedule(nBlocks, b, m)
+	sc := newSchedule(nBlocks, b, free)
 	wb := 1 << (sc.lc - sc.lb)
-	passes := int64(bitonicPassCount(nBlocks, b, m))
+	passes := int64(bitonicPassCount(nBlocks, b, free))
 	return obs.Cost{
 		IOs:        passes*int64(2*sc.np) - int64(2*(sc.np-nBlocks)),
 		RoundTrips: passes*int64(2*sc.np/wb) - int64(2*(sc.np/wb-extmem.CeilDiv(nBlocks, wb))),

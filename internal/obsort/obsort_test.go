@@ -3,6 +3,7 @@ package obsort
 import (
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -206,6 +207,87 @@ func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
 	}
 }
 
+// heldRun sorts keys in n blocks of b on a strict cache of m with held
+// elements checked out first, and returns the trace, the counters, the cache
+// high-water and the result.
+func heldRun(t *testing.T, n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
+	t.Helper()
+	env := extmem.NewEnv(2*n, b, m, 3)
+	env.Cache = extmem.NewCache(m, true)
+	env.Cache.Acquire(held)
+	a := env.D.Alloc(n)
+	fillArray(env, a, keys)
+	rec := trace.NewRecorder(0)
+	env.D.SetRecorder(rec)
+	env.D.ResetStats()
+	Bitonic(env, a, ByKey)
+	return rec.Summarize(), env.D.Stats(), env.Cache.HighWater(), readAll(a)
+}
+
+// TestBitonicRespectsHeldCache sorts with part of a strict cache held by
+// the caller: the window shrinks to what is free, so the high-water stays
+// within M and the cost is BitonicCost at the free cache. With less than two
+// blocks free there is no window, and Bitonic says so.
+func TestBitonicRespectsHeldCache(t *testing.T) {
+	const n, b, m = 1024, 8, 4096
+	keys := genKeys(rand.New(rand.NewPCG(4, 4)), n*b, "rand")
+	for _, held := range []int{0, m / 4, m/2 + b, 3 * m / 4, m - 2*b} {
+		_, st, hw, elems := heldRun(t, n, b, m, held, keys)
+		if got := checkSortedPadded(t, elems); !sameMultiset(got, keys) {
+			t.Errorf("held=%d: multiset changed", held)
+		}
+		if hw > m {
+			t.Errorf("held=%d: cache high-water %d > M=%d", held, hw, m)
+		}
+		if want := BitonicCost(n, b, m-held); st.Cost() != want {
+			t.Errorf("held=%d: measured %+v, predicted %+v at %d free", held, st.Cost(), want, m-held)
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "16 elements, but the cache has 15 free") {
+			t.Errorf("with 2B-1 free: panic %q, want one naming the 16 elements needed and the 15 free", msg)
+		}
+	}()
+	heldRun(t, n, b, m, m-2*b+1, keys)
+}
+
+// FuzzBitonic sorts two inputs of one (n, held) — fuzzed keys and a
+// constant — on a strict cache with held elements checked out: both must
+// sort, stay within M, cost BitonicCost at the free cache and leave the
+// same trace.
+func FuzzBitonic(f *testing.F) {
+	const b, m = 8, 4096
+	f.Add(uint16(8191), uint16(0), uint64(1)) // n = 8192: the benchmark geometry
+	f.Add(uint16(8191), uint16(m/2+b), uint64(2))
+	f.Add(uint16(1615), uint16(128), uint64(3))
+	f.Add(uint16(0), uint16(m-2*b), uint64(4))
+	f.Add(uint16(512), uint16(1000), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw, heldRaw uint16, seed uint64) {
+		n := int(nRaw)%8192 + 1
+		held := int(heldRaw) % (m - 2*b + 1)
+		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
+		var first trace.Summary
+		for i, in := range [][]uint64{keys, genKeys(nil, n*b, "equal")} {
+			sum, st, hw, elems := heldRun(t, n, b, m, held, in)
+			if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
+				t.Fatalf("n=%d held=%d: multiset changed", n, held)
+			}
+			if hw > m {
+				t.Fatalf("n=%d held=%d: cache high-water %d > M=%d", n, held, hw, m)
+			}
+			if want := BitonicCost(n, b, m-held); st.Cost() != want {
+				t.Fatalf("n=%d held=%d: measured %+v, predicted %+v", n, held, st.Cost(), want)
+			}
+			if i == 0 {
+				first = sum
+			} else if !sum.Equal(first) {
+				t.Fatalf("n=%d held=%d: trace %v depends on the data, first input's %v", n, held, sum, first)
+			}
+		}
+	})
+}
+
 // benchGeometry is the benchmark's sort: N = 2^16 records in blocks of 8
 // against a cache of 4096 words. oramGeometry is the ORAM's largest rebuild.
 var (
@@ -213,19 +295,26 @@ var (
 	oramGeometry  = struct{ n, b, m int }{1616, 8, 512}
 )
 
-// TestBitonicPackedPasses pins the schedule at the benchmark geometry: 21
-// passes of streamed block pairs became 8 gather passes.
+// TestBitonicPackedPasses pins the schedule at the benchmark geometry with
+// the whole cache free — 7 passes over a window of all of M, where streamed
+// block pairs would take 21 — and at held caches.
 func TestBitonicPackedPasses(t *testing.T) {
 	g := benchGeometry
-	if got := bitonicPassCount(g.n, g.b, g.m); got != 8 {
-		t.Errorf("passes = %d, want 8", got)
+	if got := bitonicPassCount(g.n, g.b, g.m); got != 7 {
+		t.Errorf("passes = %d, want 7", got)
 	}
-	if got := BitonicCost(g.n, g.b, g.m); got != (obs.Cost{IOs: 131072, RoundTrips: 512}) {
-		t.Errorf("cost = %+v, want 131072 I/Os in 512 round trips", got)
+	if got := BitonicCost(g.n, g.b, g.m); got != (obs.Cost{IOs: 114688, RoundTrips: 224}) {
+		t.Errorf("cost = %+v, want 114688 I/Os in 224 round trips", got)
 	}
-	for _, c := range []struct{ n, b, m, want int }{{2048, 8, 4096, 5}, {1616, 8, 512, 12}, {256, 8, 4096, 1}} {
-		if got := bitonicPassCount(c.n, c.b, c.m); got != c.want {
-			t.Errorf("bitonicPassCount(%d, %d, %d) = %d, want %d", c.n, c.b, c.m, got, c.want)
+	// The third argument is the free cache: 2 056 of 4 096 held leaves
+	// 2 040, a window of 128 blocks; the ORAM's 128-element buffer held of
+	// 512 leaves a window of 32.
+	for _, c := range []struct{ n, b, free, want int }{
+		{2048, 8, 4096, 4}, {1616, 8, 512, 9}, {256, 8, 4096, 1}, {512, 8, 4096, 1},
+		{8192, 8, 4096 - 2056, 10}, {1616, 8, 512 - 128, 12},
+	} {
+		if got := bitonicPassCount(c.n, c.b, c.free); got != c.want {
+			t.Errorf("bitonicPassCount(%d, %d, %d) = %d, want %d", c.n, c.b, c.free, got, c.want)
 		}
 	}
 }
@@ -234,8 +323,9 @@ func TestBitonicPackedPasses(t *testing.T) {
 // geometries, what the packed schedule must not have cost: the trace is a
 // function of (n, B, M) alone — the same across inputs, orders, worker
 // counts and with the blocks sealed — the result does not depend on
-// Workers, and every vectored call moves one batch of C/B blocks or, where
-// the padding is skipped, the part of one the array holds.
+// Workers, and every vectored call moves one batch of M/B blocks (the whole
+// cache is free) or, where the padding is skipped, the part of one the
+// array holds.
 func TestBitonicTraceProperties(t *testing.T) {
 	for _, g := range []struct{ n, b, m int }{benchGeometry, oramGeometry} {
 		type outcome struct {
@@ -274,7 +364,7 @@ func TestBitonicTraceProperties(t *testing.T) {
 			t.Errorf("n=%d: measured %+v, predicted %+v", g.n, base.st.Cost(), want)
 		}
 		// With no padding to skip, every vectored call is a full batch.
-		if wb := int64(g.m / 2 / g.b); g.n&(g.n-1) == 0 && base.st.Total() != base.st.RoundTrips*wb {
+		if wb := int64(g.m / g.b); g.n&(g.n-1) == 0 && base.st.Total() != base.st.RoundTrips*wb {
 			t.Errorf("n=%d: %d I/Os in %d round trips, want %d blocks each", g.n, base.st.Total(), base.st.RoundTrips, wb)
 		}
 		for _, v := range []struct {
@@ -303,13 +393,14 @@ func TestBitonicTraceProperties(t *testing.T) {
 
 // TestBitonicAllocCeiling pins the per-call garbage: the randomized Sort
 // calls Bitonic several hundred times per operation, mostly on arrays of one
-// window, so a single-pass call allocates nothing and a multi-pass call only
-// its batch address list.
+// window, and Quantiles sorts at the benchmark geometry, so once the cache
+// slab and the Disk's scratch are warm no call allocates: the batch index
+// list is Disk scratch too.
 func TestBitonicAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		n       int
 		ceiling float64
-	}{{256, 0}, {8192, 1}} {
+	}{{256, 0}, {8192, 0}} {
 		env := extmem.NewEnv(c.n, 8, 4096, 1)
 		a := env.D.Alloc(c.n)
 		fillArray(env, a, genKeys(rand.New(rand.NewPCG(5, 6)), c.n*8, "rand"))

@@ -41,28 +41,30 @@ func EngineNameError(name string) error {
 }
 
 // Pick chooses a sorter engine for a workload: nBlocks blocks of b
-// elements against a cache of m elements, over backend "mem" (local or
-// in-process stores) or "net" (HTTP backends, where round trips dominate).
+// elements against a cache of m elements, free of them not checked out by
+// the caller, over backend "mem" (local or in-process stores) or "net"
+// (HTTP backends, where round trips dominate).
 // It returns one of EngineBitonic, EngineBucket or EngineZigzag — the
 // randomized sort is never picked; its constants lose to every
-// deterministic engine at any feasible geometry (225 I/Os per block against
-// bitonic's 16 at N = 2^16, B = 8, M = 4096).
+// deterministic engine at any feasible geometry (215 I/Os per block against
+// bitonic's 14 at N = 2^16, B = 8, M = 4096).
 //
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is least among the engines the geometry
-// supports, preferring bitonic, then zigzag, on ties. Bitonic's packed
-// passes close over log₂(M/2B) address bits each, so it wins wherever the
-// cache holds more than a few blocks; Zigzag wins where a pass would gather
-// only a bit or two (M/B ≲ 16), and it is the only engine for a block size
-// that is not a power of two; BucketSort's 3-pass asymptotics need
-// log₂(N/M) to clear the bar first.
-func Pick(nBlocks, b, m int, backend string) string {
+// supports, preferring bitonic, then zigzag, on ties. Bitonic is priced at
+// the free cache, which sizes its window; zigzag and bucket at M, which
+// sizes their runs. Bitonic's packed passes close over ⌊log₂(free/B)⌋
+// address bits each, so it wins wherever more than a few blocks are free;
+// Zigzag wins where a pass would gather only a bit or two (M/B ≲ 16), and
+// it is the only engine for a block size that is not a power of two;
+// BucketSort's 3-pass asymptotics need log₂(N/M) to clear the bar first.
+func Pick(nBlocks, b, m, free int, backend string) string {
 	if nBlocks == 0 {
 		return EngineBitonic
 	}
 	best, least := EngineZigzag, price(ZigzagCost(nBlocks, b, m), backend)
-	if b&(b-1) == 0 && m >= 4*b {
-		if c := price(BitonicCost(nBlocks, b, m), backend); c <= least {
+	if b&(b-1) == 0 && m >= 4*b && free >= 2*b {
+		if c := price(BitonicCost(nBlocks, b, free), backend); c <= least {
 			best, least = EngineBitonic, c
 		}
 	}
@@ -82,17 +84,18 @@ func price(c obs.Cost, backend string) int64 {
 }
 
 // Cost returns the exact block I/Os and vectored round trips the named
-// engine spends sorting nBlocks blocks of b elements against a cache of m,
-// and whether it has such a predictor: Bitonic and Zigzag, whose traces are
-// functions of (nBlocks, B, M) however much of the cache the caller holds,
-// and auto, which resolves as Auto does.
-func Cost(name string, nBlocks, b, m int) (obs.Cost, bool) {
+// engine spends sorting nBlocks blocks of b elements against a cache of m
+// with free of it not checked out, and whether it has such a predictor:
+// Bitonic, whose trace is a function of (nBlocks, B, free); Zigzag, whose
+// trace is a function of (nBlocks, B, M) however much of the cache the
+// caller holds; and auto, which resolves as Auto does.
+func Cost(name string, nBlocks, b, m, free int) (obs.Cost, bool) {
 	if name == EngineAuto {
-		name = Pick(nBlocks, b, m, "mem")
+		name = Pick(nBlocks, b, m, free, "mem")
 	}
 	switch name {
 	case EngineBitonic:
-		return BitonicCost(nBlocks, b, m), true
+		return BitonicCost(nBlocks, b, free), true
 	case EngineZigzag:
 		return ZigzagCost(nBlocks, b, m), true
 	}
@@ -116,9 +119,10 @@ func PickSorter(name string) Sorter {
 }
 
 // Auto is the self-selecting Sorter: each call runs Pick for the array's
-// geometry over the "mem" cost model and dispatches. It is the default
-// engine for ORAM rebuilds — the pick is public (geometry only), so the
-// rebuild trace stays a deterministic function of (n, B, t, seed).
+// geometry and the cache free at the call over the "mem" cost model and
+// dispatches. It is the default engine for ORAM rebuilds — the pick is
+// public (geometry only), so the rebuild trace stays a deterministic
+// function of (n, B, t, seed).
 func Auto(env *extmem.Env, a extmem.Array, less Less) {
-	PickSorter(Pick(a.Len(), a.B(), env.M, "mem"))(env, a, less)
+	PickSorter(Pick(a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem"))(env, a, less)
 }

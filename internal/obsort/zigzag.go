@@ -17,9 +17,10 @@ import (
 // With K = ceil(N/(M/4)) runs the external cost is
 // O((N/B)·(1 + log² K)) block I/Os in exactly 2 round trips per
 // merge-split — one vectored read, one vectored write, each moving half a
-// cache. Bitonic's packed passes close over log₂(M/2B) address bits each
-// and beat this wherever the cache holds more than a few blocks; Zigzag
-// wins when it holds few (a Bitonic pass then gathers one or two bits).
+// cache. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
+// each, free being the cache the caller leaves it, and beat this wherever
+// more than a few blocks are free; Zigzag wins when few are (a Bitonic pass
+// then gathers one or two bits).
 //
 // Unlike Bitonic, Zigzag does not require the block size to be a power of
 // two, and it needs no scratch arena: runs past the end of the array are

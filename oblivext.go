@@ -850,9 +850,9 @@ func (c *Client) auditKey(op string, nBlocks, base int) string {
 // sortEngine resolves the configured Sorter name to a concrete engine for
 // an array of nBlocks blocks. "auto" runs the public selection policy with
 // the round-trip cost model when the store is network-backed and the block-
-// volume model otherwise; the inputs are all public (geometry and backend
-// kind), so the resolved engine — and with it the trace — is independent of
-// the data.
+// volume model otherwise; the inputs are all public (geometry, the cache
+// free at the call, and backend kind), so the resolved engine — and with it
+// the trace — is independent of the data.
 func (c *Client) sortEngine(nBlocks int) string {
 	switch c.sorter {
 	case "", obsort.EngineRandomized:
@@ -862,7 +862,7 @@ func (c *Client) sortEngine(nBlocks int) string {
 		if len(c.netClients) > 0 {
 			backend = "net"
 		}
-		return obsort.Pick(nBlocks, c.env.B(), c.env.M, backend)
+		return obsort.Pick(nBlocks, c.env.B(), c.env.M, c.env.M-c.env.Cache.Used(), backend)
 	}
 	return c.sorter
 }

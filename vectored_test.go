@@ -66,12 +66,12 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		run  func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", want{TraceSummary{128090, 11851179791089115672}, 62907, 65183, 8554}, func(t *testing.T, arr *Array) {
+		{"Sort", want{TraceSummary{124378, 13886689123033688832}, 61051, 63327, 8046}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Select", want{TraceSummary{5084, 5930445288513475159}, 2542, 2542, 292}, func(t *testing.T, arr *Array) {
+		{"Select", want{TraceSummary{4060, 14076084638012288999}, 2030, 2030, 132}, func(t *testing.T, arr *Array) {
 			if _, err := arr.Select(n / 2); err != nil {
 				t.Fatal(err)
 			}
