@@ -75,3 +75,31 @@ func benchCryptStore(b *testing.B, write bool) {
 
 func BenchmarkCryptStoreRead(b *testing.B)  { benchCryptStore(b, false) }
 func BenchmarkCryptStoreWrite(b *testing.B) { benchCryptStore(b, true) }
+
+// BenchmarkCodec times the element codec over a 128-block batch, on the
+// host's arm (one copy on a little-endian host) and on the field-by-field
+// arm a big-endian host runs.
+func BenchmarkCodec(b *testing.B) {
+	const n = 128
+	for _, bs := range benchBlockSizes {
+		elems := mkElems(n*bs, 1)
+		wire := make([]byte, len(elems)*ElementBytes)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"Encode", func() { EncodeElements(wire, elems) }},
+			{"Decode", func() { DecodeElements(elems, wire) }},
+			{"EncodePortable", func() { encodePortable(wire, elems) }},
+			{"DecodePortable", func() { decodePortable(elems, wire) }},
+		} {
+			b.Run(fmt.Sprintf("%s/B=%d", c.name, bs), func(b *testing.B) {
+				b.SetBytes(int64(len(wire)))
+				b.ReportAllocs()
+				for b.Loop() {
+					c.run()
+				}
+			})
+		}
+	}
+}

@@ -32,6 +32,13 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // list, so the decorator changes neither the access trace nor the
 // round-trip count — only the bytes Bob stores.
 //
+// Copies: a block crosses this layer as its one AEAD pass. On a
+// little-endian host an element's memory is its wire image (codec.go), so
+// the AEAD reads the caller's elements and writes the sealed image straight
+// into the child-geometry staging, and opens from that staging straight into
+// the caller's elements. A big-endian host stages both images in the
+// worker's scratch through the field-by-field codec; the bytes are the same.
+//
 // Each seal is bound to its block address and the pad is checked on every
 // read, so a server that transposes two sealed blocks, or changes any byte
 // of a written slot, triggers an authentication failure: an error, which
@@ -64,7 +71,9 @@ type CryptStore struct {
 	celem   []Element      // child-geometry staging for vectored calls
 }
 
-// cryptScratch is one worker's private staging.
+// cryptScratch is one worker's private state. plain and sbuf stage a block's
+// wire image only on a big-endian host; a little-endian one seals and opens
+// in place.
 type cryptScratch struct {
 	plain []byte   // an encoded plaintext block
 	sbuf  []byte   // a sealed block padded to child geometry
@@ -124,37 +133,44 @@ func (s *CryptStore) ResetCryptStats() {
 	s.bytesOpened.Store(0)
 }
 
-// seal encodes and seals one plaintext block (bound to its address) via
-// the given worker scratch, decoding it as child-geometry elements into dst.
+// seal seals one plaintext block (bound to its address) straight into dst,
+// its child-geometry block: the AEAD reads src's wire image and writes
+// salt‖counter‖ciphertext‖tag over dst's, and the pad there is zeroed. On a
+// little-endian host both images are the elements' own memory; otherwise
+// the worker's scratch stages them.
 func (s *CryptStore) seal(sc *cryptScratch, addr int, dst []Element, src []Element) {
-	EncodeElements(sc.plain, src)
-	s.enc.seal(&sc.args, sc.sbuf[:0], sc.plain, uint64(addr))
-	clear(sc.sbuf[s.wire:]) // the pad is public structure, not data
-	DecodeElements(dst, sc.sbuf)
+	out := wireInto(dst, sc.sbuf)
+	s.enc.seal(&sc.args, out[:0], wireOf(src, sc.plain), uint64(addr))
+	clear(out[s.wire:]) // the pad is public structure, not data
+	settleWire(dst, out)
 }
 
-// open verifies and decodes one sealed child block into dst. An all-zero
+// open verifies one sealed child block and decrypts it into dst. An all-zero
 // wire image is a never-written block and decodes to zeroed elements. The
-// pad is outside the AEAD, so it is checked here, all its bytes folded
-// together before the one comparison.
+// pad is outside the AEAD, so it is checked first, all its bytes folded
+// together before the one comparison: a forged pad never lets authentic
+// plaintext reach dst. A block that fails leaves dst zeroed.
 func (s *CryptStore) open(sc *cryptScratch, addr int, src []Element, dst []Element) error {
 	if !slices.ContainsFunc(src, func(e Element) bool { return e != Element{} }) {
 		clear(dst)
 		return nil
 	}
-	EncodeElements(sc.sbuf, src)
+	wire := wireOf(src, sc.sbuf)
 	var pad byte
-	for _, x := range sc.sbuf[s.wire:] {
+	for _, x := range wire[s.wire:] {
 		pad |= x
 	}
-	buf, err := s.enc.open(&sc.args, sc.plain[:0], sc.sbuf[:s.wire], uint64(addr))
-	if err == nil && pad != 0 {
-		err = errAuth
+	err := errAuth
+	if pad == 0 {
+		out := wireInto(dst, sc.plain)
+		if _, err = s.enc.open(&sc.args, out[:0], wire[:s.wire], uint64(addr)); err == nil {
+			settleWire(dst, out)
+		}
 	}
 	if err != nil {
+		clear(dst)
 		return fmt.Errorf("extmem: block %d: %w", addr, err)
 	}
-	DecodeElements(dst, buf)
 	s.bytesOpened.Add(int64(s.wire))
 	return nil
 }

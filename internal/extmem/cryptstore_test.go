@@ -70,7 +70,9 @@ func TestCryptStoreGeometry(t *testing.T) {
 	}
 }
 
-func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) {
+func TestCryptStoreRoundTripAndZeroConvention(t *testing.T) { cryptRoundTrip(t) }
+
+func cryptRoundTrip(t *testing.T) {
 	const b = 4
 	s := newCryptMem(t, 8, b)
 	in := mkElems(3*b, 5)
@@ -137,8 +139,12 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 
 // TestCryptStoreTamperDetection flips every bit of a written child slot in
 // turn — salt, counter, ciphertext, tag and the zero pad — and requires
-// each read to fail loudly, not return garbage.
-func TestCryptStoreTamperDetection(t *testing.T) {
+// each read to fail loudly, not return garbage, and to leave the caller's
+// block zeroed: no decrypted byte of a forged block reaches it, not even
+// when the forgery is in the pad, outside the AEAD.
+func TestCryptStoreTamperDetection(t *testing.T) { cryptTamperTable(t) }
+
+func cryptTamperTable(t *testing.T) {
 	const b = 4
 	child := NewMemStore(4, CryptChildBlockSize(b))
 	s, err := NewCryptStore(child, testEncryptor(t), b)
@@ -174,10 +180,17 @@ func TestCryptStoreTamperDetection(t *testing.T) {
 			forged := bytes.Clone(honest)
 			forged[off] ^= 1 << bit
 			setChildSlot(t, child, 1, forged)
+			for i := range out {
+				out[i] = Element{Key: 0x5e, Val: 0x5e, Pos: 0x5e, Flags: 0x5e}
+			}
 			err := s.ReadBlocks(bg, []int{1}, out)
 			if err == nil || !strings.Contains(err.Error(), "authentication failed") {
 				t.Fatalf("%s byte %d bit %d flipped: read returned %v, want authentication failed",
 					regions[region].name, off, bit, err)
+			}
+			if slices.ContainsFunc(out, func(e Element) bool { return e != Element{} }) {
+				t.Fatalf("%s byte %d bit %d flipped: failed read left %+v in the caller's block, want it zeroed",
+					regions[region].name, off, bit, out)
 			}
 		}
 	}
@@ -189,6 +202,45 @@ func TestCryptStoreTamperDetection(t *testing.T) {
 	setChildSlot(t, child, 1, honest)
 	if err := s.ReadBlocks(bg, []int{1}, out); err != nil || !slices.Equal(out, in) {
 		t.Fatalf("honest image restored: err %v, got %+v", err, out)
+	}
+}
+
+// TestPortableArm runs the codec's field-by-field arm — the one a
+// big-endian host takes, and the one that stages sealed blocks in the
+// worker scratch — on whatever host the tests run: the CryptStore round
+// trip and tamper table, the FileStore round trip, and blocks written under
+// one arm read back under the other, sealed and plain. It flips a package
+// variable, so it must not run in parallel.
+func TestPortableArm(t *testing.T) {
+	defer func(le bool) { hostLE = le }(hostLE)
+	hostLE = false
+	t.Run("CryptRoundTrip", cryptRoundTrip)
+	t.Run("CryptTamperTable", cryptTamperTable)
+	t.Run("FileStoreRoundTrip", fileStoreRoundTrip)
+
+	const b = 4
+	sealed := newCryptMem(t, 4, b)
+	file, err := NewFileStore(filepath.Join(t.TempDir(), "blocks"), 4, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, arm := range []struct {
+		name        string
+		write, read bool // hostLE when writing, when reading
+	}{{"portable to native", false, true}, {"native to portable", true, false}} {
+		for _, s := range []BlockStore{sealed, file} {
+			in, out := mkElems(2*b, 9), make([]Element, 2*b)
+			hostLE = arm.write
+			err := s.WriteBlocks(bg, []int{3, 1}, in)
+			hostLE = arm.read
+			if err == nil {
+				err = s.ReadBlocks(bg, []int{3, 1}, out)
+			}
+			if err != nil || !slices.Equal(out, in) {
+				t.Fatalf("%T, %s: err %v, read %+v, wrote %+v", s, arm.name, err, out, in)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"oblivext/internal/trace"
 )
@@ -252,7 +253,60 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFileStoreRoundTrip(t *testing.T) {
+// TestCodecWireFormat pins the bytes, not only the round trip: a golden
+// element maps to its exact little-endian fields, the one-copy path equals
+// the field-by-field reference at any byte offset, and Element's memory is
+// exactly its four fields in wire order (what the one-copy path relies on).
+func TestCodecWireFormat(t *testing.T) {
+	golden := Element{Key: 0x0102030405060708, Val: 0x1112131415161718, Pos: 0x2122232425262728, Flags: 0x3132333435363738}
+	want := []byte{
+		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+		0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,
+		0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31,
+	}
+	got := make([]byte, ElementBytes)
+	EncodeElements(got, []Element{golden})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("golden element encodes to % x, want % x", got, want)
+	}
+	var back [1]Element
+	DecodeElements(back[:], want)
+	if back[0] != golden {
+		t.Fatalf("golden bytes decode to %+v, want %+v", back[0], golden)
+	}
+
+	// codec.go pins unsafe.Sizeof(Element{}) == ElementBytes at compile time.
+	var e Element
+	for i, off := range []uintptr{unsafe.Offsetof(e.Key), unsafe.Offsetof(e.Val), unsafe.Offsetof(e.Pos), unsafe.Offsetof(e.Flags)} {
+		if off != uintptr(8*i) {
+			t.Fatalf("field %d of Element at offset %d, want %d", i, off, 8*i)
+		}
+	}
+
+	// Odd offsets: the byte side is never assumed aligned.
+	f := func(es []Element, o uint8) bool {
+		off := 2*int(o%8) + 1
+		n := len(es) * ElementBytes
+		fast, ref := make([]byte, off+n), make([]byte, off+n)
+		EncodeElements(fast[off:], es)
+		encodePortable(ref[off:], es)
+		if !bytes.Equal(fast, ref) {
+			return false
+		}
+		dFast, dRef := make([]Element, len(es)), make([]Element, len(es))
+		DecodeElements(dFast, ref[off:])
+		decodePortable(dRef, ref[off:])
+		return slices.Equal(dFast, dRef) && slices.Equal(dFast, es)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestFileStoreRoundTrip(t *testing.T) { fileStoreRoundTrip(t) }
+
+func fileStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
 	s, err := NewFileStore(path, 6, 4)
 	if err != nil {

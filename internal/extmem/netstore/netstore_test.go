@@ -358,6 +358,13 @@ func TestTransportTuning(t *testing.T) {
 	if low := NewTransport(1); low.MaxIdleConnsPerHost < 4 {
 		t.Fatalf("per-host pool %d below the default floor", low.MaxIdleConnsPerHost)
 	}
+	// The benchmark's largest frame — a cache-wide batch of M/B = 4096/8
+	// sealed blocks, under the longest namespace, with room for the HTTP
+	// headers — leaves in one flush of the write buffer.
+	const blocks, sealedB = 4096 / 8, 8 + extmem.CryptOverheadElements
+	if frame := headerLen + MaxNamespaceLen + blocks*(8+sealedB*extmem.ElementBytes) + 1<<10; tr.WriteBufferSize < frame {
+		t.Fatalf("WriteBufferSize = %d, below the benchmark's largest request (%d bytes)", tr.WriteBufferSize, frame)
+	}
 
 	srv := NewServer(extmem.NewMemStore(64, 4), ServerOptions{})
 	ts := httptest.NewUnstartedServer(srv.Handler())

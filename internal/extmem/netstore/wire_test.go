@@ -28,9 +28,11 @@ func allocBytes(runs int, f func()) float64 {
 // TestNetstoreAllocsFlat pins what one data-plane round trip allocates on
 // both ends of the wire together (the server runs in-process): the bytes
 // per ReadBlocks or WriteBlocks call may not grow with the batch beyond
-// net/http's copy buffer for a request body (up to 32 KiB) plus a few KiB.
-// The frame, the server's copy of it and the read response all live in
-// reused buffers. The wire's counterpart to TestCryptStoreZeroAllocs.
+// net/http's copy buffer for a request body (up to 32 KiB) plus a few KiB,
+// and a call whose frame fits the transport's write buffer pays no copy
+// buffer at all. The frame, the server's copy of it and the read response
+// all live in reused buffers. The wire's counterpart to
+// TestCryptStoreZeroAllocs.
 func TestNetstoreAllocsFlat(t *testing.T) {
 	const b = 16
 	_, _, c := start(t, 1024, b, ServerOptions{})
@@ -55,6 +57,13 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 		return allocBytes(20, call)
 	}
 	const slack = 32<<10 + 4<<10
+	// Measured at 128 blocks: about 7–8 KB a call either way; 40 KB a write
+	// when the body went through net/http's copy buffer. Not checked under
+	// the race detector, whose own bookkeeping adds about 13 KB a call.
+	const fitsCeiling = 12 << 10
+	if 128*(8+b*extmem.ElementBytes)+headerLen > writeBufferSize {
+		t.Fatal("a 128-block frame no longer fits the write buffer: the ceiling below does not apply")
+	}
 	for _, op := range []struct {
 		name  string
 		write bool
@@ -62,6 +71,10 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 		small, large := perCall(128, op.write), perCall(1024, op.write)
 		payload := (1024 - 128) * b * extmem.ElementBytes
 		t.Logf("%s: %.0f B/call at 128 blocks, %.0f at 1024 (%d more payload bytes)", op.name, small, large, payload)
+		if small > fitsCeiling && !raceEnabled {
+			t.Errorf("%s allocates %.0f B/call at 128 blocks, over the %d-byte ceiling for a frame that fits the write buffer",
+				op.name, small, fitsCeiling)
+		}
 		if large-small > slack {
 			t.Errorf("%s allocates %.0f B/call at 1024 blocks, %.0f at 128: %.0f more, over the %d-byte allowance",
 				op.name, large, small, large-small, slack)
