@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/trace"
 )
@@ -145,6 +146,77 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 			t.Errorf("workers=%d: trace %v differs from workers=1's %v on other data", workers, sum, first)
 		}
 	}
+}
+
+// TestSortRecursionReachable keeps Theorem 21's recursion and its failure
+// sweep under test. At B = 64, M = 4 096 the top level's buckets (540 and
+// 1 106 blocks at these sizes) are lengths where Quantiles takes its Select
+// arm, so the level below the top distributes again and the top level
+// sweeps. Each row sorts random keys with one worker and duplicate keys
+// with four, checks both against a sort.SliceStable reference, and requires
+// the two traces equal.
+func TestSortRecursionReachable(t *testing.T) {
+	const b, m = 64, 4096
+	for _, nBlocks := range []int{1600, 3300} {
+		var first trace.Summary
+		for i, kind := range []string{"rand", "dup"} {
+			r := rand.New(rand.NewPCG(uint64(nBlocks), 35))
+			elems := make([]extmem.Element, nBlocks*b)
+			for j := range elems {
+				key := r.Uint64() % (1 << 40)
+				if kind == "dup" {
+					key = uint64(j % 5)
+				}
+				elems[j] = extmem.Element{Key: key, Val: key ^ 0x5a5a, Pos: uint64(j), Flags: extmem.FlagOccupied}
+			}
+			env := newTestEnv(nBlocks, b, m, 35)
+			env.Workers = 1 + 3*i
+			col := env.EnableObs()
+			rec := trace.NewRecorder(0)
+			env.D.SetRecorder(rec)
+			a := env.D.Alloc(nBlocks)
+			writeElems(a, elems)
+			if err := Sort(env, a); err != nil {
+				t.Fatalf("n=%d %s: %v", nBlocks, kind, err)
+			}
+			sum := rec.Summarize()
+			ref := slices.Clone(elems)
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Key < ref[j].Key })
+			for j, e := range readElems(a) {
+				if !e.Occupied() || e.Key != ref[j].Key || e.Pos != ref[j].Pos || e.Val != ref[j].Val {
+					t.Fatalf("n=%d %s: cell %d = %+v, reference %+v", nBlocks, kind, j, e, ref[j])
+				}
+			}
+			deeper, sweeps := recursionSpans(col.Roots())
+			if deeper == 0 || sweeps == 0 {
+				t.Errorf("n=%d %s: %d randomized levels at depth 1 and %d sweeps, want both > 0", nBlocks, kind, deeper, sweeps)
+			}
+			if i == 0 {
+				first = sum
+			} else if !sum.Equal(first) {
+				t.Errorf("n=%d: trace %v on duplicate keys with 4 workers differs from %v", nBlocks, sum, first)
+			}
+		}
+	}
+}
+
+// recursionSpans counts, in a span tree, the randomized levels that ran at
+// depth 1 and the failure sweeps.
+func recursionSpans(spans []*obs.Span) (deeper, sweeps int) {
+	for _, s := range spans {
+		switch s.Name {
+		case "randomized-level":
+			if slices.Contains(s.Attrs, obs.Attr{Key: "depth", Value: "1"}) {
+				deeper++
+			}
+		case "sweep-failures":
+			sweeps++
+		}
+		d, w := recursionSpans(s.Children)
+		deeper += d
+		sweeps += w
+	}
+	return deeper, sweeps
 }
 
 // BenchmarkSortRandomized is one randomized Sort at the benchmark's sort_mem
