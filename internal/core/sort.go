@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
@@ -27,18 +28,25 @@ import (
 //     overflow probability).
 //  4. Each color array is compacted in place to its first N/(q+1) blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
-//     and sorted recursively; the recursion's scratch is released and the
-//     sorted bucket copied down before the next bucket starts.
-//  5. Data-oblivious failure sweeping: whether or not any recursive call
-//     failed, the sweep compacts the (possibly empty) set of failed-bucket
-//     cells with the butterfly network (Theorem 6), sorts them
-//     deterministically (Lemma 2), routes them back with the expansion
-//     network, and merges — a fixed trace that repairs up to two failed
-//     buckets.
+//     and sorted at the next level; that level's scratch is released and
+//     the sorted bucket copied down before the next bucket starts. A level
+//     below the top whose own Quantiles would sort the bucket anyway sorts
+//     it with Lemma 2's deterministic sort at once (sortsDirectly), as does
+//     one that fits the cache privately; only the remaining buckets recurse.
+//  5. Data-oblivious failure sweeping, wherever a bucket's sort can fail:
+//     the sweep compacts the (possibly empty) set of failed-bucket cells
+//     with the butterfly network (Theorem 6), sorts them deterministically
+//     (Lemma 2), routes them back with the expansion network, and merges —
+//     a fixed trace that repairs up to two failed buckets. A level whose
+//     buckets all sort deterministically skips it: the choice is one of
+//     public geometry, and a level's own overflows drop elements no sweep
+//     restores.
 //
-// The top-level Sort finishes with a tight order-preserving compaction
-// (Theorem 6), so the array ends with all occupied elements sorted in a
-// tight prefix.
+// At the benchmark geometry every bucket sorts directly, so Sort is one
+// distributing level and a bitonic sort per bucket — the shape of bucket
+// oblivious sort (arXiv:2008.01765). The top-level Sort finishes with a
+// tight order-preserving compaction (Theorem 6), so the array ends with all
+// occupied elements sorted in a tight prefix.
 
 // ErrSortFailed reports that the top-level pipeline failed beyond what
 // failure sweeping could repair (probability 1/(N/B)^d).
@@ -52,8 +60,8 @@ const (
 	// Corollary 19's margin when the per-batch counts are too small to
 	// concentrate.
 	sortDealC = 5
-	// sortMaxDepth bounds the recursion as a safety net; deeper levels fall
-	// back to the deterministic sort.
+	// sortMaxDepth bounds the recursion as a safety net; deeper levels sort
+	// directly (sortsDirectly).
 	sortMaxDepth = 12
 )
 
@@ -110,55 +118,35 @@ func RandomizedSorter(env *extmem.Env, a extmem.Array, less obsort.Less) {
 // sortPadded sorts the occupied elements of a into a padded result array
 // (occupied ascending, empties interspersed region-wise). It returns the
 // result array and whether this level succeeded; on ok=false the contents
-// are garbage but the trace is unchanged.
+// are garbage but the trace is unchanged. A level that fits the cache sorts
+// privately and one that sortsDirectly sorts a copy with bitonic; only the
+// rest distribute, and only they can fail.
 func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
 	m := env.MBlocks()
+
+	nOcc := countOccupied(env, a)
+	if int(nOcc) <= env.M/2 {
+		return sortPrivate(env, a), true
+	}
+	if sortsDirectly(n, b, env.M, depth) {
+		sp := env.Obs.Start("direct-sort")
+		sp.SetAttrInt("depth", int64(depth))
+		sp.SetAttrInt("blocks", int64(n))
+		out := env.D.Alloc(n)
+		copyArray(env, a, out)
+		obsort.Bitonic(env, out, obsort.ByKey)
+		env.Obs.End(sp)
+		return out, true
+	}
 
 	lvl := env.Obs.Start("randomized-level")
 	lvl.SetAttrInt("depth", int64(depth))
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	// Count occupied elements (public: part of the problem size). Each
-	// worker counts a disjoint range into its own slot; the serial sum is
-	// order-independent, so the total matches the scalar loop exactly.
-	count := env.Obs.Start("count-occupied")
-	var nOcc int64
-	partial := make([]int64, env.WorkerCount())
-	var buf []extmem.Element
-	tally := func(wk, plo, phi int) { // built once: a chunk costs no closure
-		var c int64
-		for _, e := range buf[plo:phi] {
-			if e.Occupied() {
-				c++
-			}
-		}
-		partial[wk] += c
-	}
-	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		buf = chunk
-		par.ForWorker(env.ParWorkers(len(chunk)), len(chunk), tally)
-	})
-	for _, c := range partial {
-		nOcc += c
-	}
-	env.Obs.End(count)
-
-	q := int(math.Floor(math.Pow(float64(m), 0.25)))
-	if int(nOcc) <= env.M/2 {
-		return sortPrivate(env, a), true
-	}
-	if q < 1 || depth >= sortMaxDepth {
-		// Tiny-cache or depth-limit fallback: the deterministic oblivious
-		// sort of Lemma 2.
-		out := env.D.Alloc(n)
-		copyArray(env, a, out)
-		obsort.Bitonic(env, out, obsort.ByKey)
-		return out, true
-	}
-
+	q := splitterCount(m)
 	ok := true
 
 	// Step 1: quantile splitters.
@@ -179,6 +167,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	work := env.D.Alloc(n)
 	// Each element's color is a pure function of the element and the
 	// private splitter bounds, so the coloring pass fans out freely.
+	var buf []extmem.Element
 	colorize := func(plo, phi int) {
 		for t := plo; t < phi; t++ {
 			buf[t].SetColor(0)
@@ -212,13 +201,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 
 	// Step 5: deal into per-color arrays with fixed per-batch quotas.
 	bucketCap := extmem.CeilDiv(int(extmem.CeilDiv64(nOcc, int64(q+1))), b) + q + 2
-	batch := int(math.Floor(math.Pow(float64(m), 0.75)))
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > m/2 {
-		batch = m / 2
-	}
+	batch := min(max(dealBatch(m), 1), m/2)
 	batches := extmem.CeilDiv(ap.Len(), batch)
 	quota := sortDealC * int(math.Ceil(math.Sqrt(float64(m))))
 	if batches*quota < 4*bucketCap {
@@ -234,19 +217,20 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	// Step 6: per bucket, compact, recurse, copy down. A bucket as dealt is
 	// full blocks plus one partial flush block among empties, so Theorem 6's
 	// butterfly moves it, in place and deterministically, into a prefix of
-	// bucketCap+2 blocks; the next level's consolidation absorbs the partial
-	// block. Everything the recursion allocates is released before its
-	// result is copied down to where its scratch began, so res is the span
-	// the q+1 copies fill and a level holds O(n) blocks at any time.
+	// capB = bucketCap+2 blocks; the next level's consolidation absorbs the
+	// partial block. Everything the recursion allocates is released before
+	// its result is copied down to where its scratch began, so res is the
+	// span the q+1 copies fill and a level holds O(n) blocks at any time.
 	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
 	// that output, 5·bucketCap, is as long as the deal's: see
-	// docs/ARCHITECTURE.md, Sorter engines.)
+	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
+	// public length, so capB is one figure for the level.
+	capB := min(bucketCap+2, colorArrs[0].Len())
 	resMark := env.D.Mark()
 	maxSub := 0
 	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
 		spb.SetAttrInt("color", int64(i))
-		capB := min(bucketCap+2, arr.Len())
 		if route.CompactBlocksTight(env, arr, route.PredOccupied, 0) > capB {
 			ok = false // an unbalanced split: never drop the excess silently
 		}
@@ -259,14 +243,93 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	}
 	res := env.D.Since(resMark)
 
-	// Step 7: data-oblivious failure sweeping — runs unconditionally.
-	spw := env.Obs.Start("sweep-failures")
-	swept := sweepFailures(env, res, maxSub)
-	env.Obs.End(spw)
-	if !swept {
-		ok = false
+	// Step 7: data-oblivious failure sweeping, wherever a bucket's sort can
+	// fail. A bucket that sorts privately or directly never does, and the
+	// level's own failures — deal and bucket-compaction overflow — drop
+	// elements the sweep could not restore; so a level whose buckets all
+	// sort deterministically skips it. capB is public, so the choice is.
+	if capB*b > env.M/2 && !sortsDirectly(capB, b, env.M, depth+1) {
+		spw := env.Obs.Start("sweep-failures")
+		swept := sweepFailures(env, res, maxSub)
+		env.Obs.End(spw)
+		if !swept {
+			ok = false
+		}
 	}
 	return res, ok
+}
+
+// sortsDirectly reports whether a level at depth over nBlocks blocks, not
+// sorted privately, sorts a copy with Lemma 2's bitonic instead of
+// distributing: where the cache leaves no splitter (q < 1), past the depth
+// limit, and below the top wherever the level's own Quantiles would take
+// its sort arm — that sort alone orders the bucket, so the rest of the
+// level would be overhead. The top level always distributes: it is the
+// paper's Theorem 21. A function of public geometry alone.
+func sortsDirectly(nBlocks, b, m, depth int) bool {
+	q := splitterCount(m / b)
+	if q < 1 || depth >= sortMaxDepth {
+		return true
+	}
+	if depth == 0 {
+		return false
+	}
+	_, bySelect := quantilesPlan(nBlocks, b, m, q)
+	return !bySelect
+}
+
+// splitterCount is §5's q = ⌊(M/B)^{1/4}⌋ for m = M/B blocks of cache, and
+// dealBatch its deal batch ⌊(M/B)^{3/4}⌋, both as exact integer roots: a
+// float math.Pow is one short where the root is exact (7 at m = 4 096,
+// 999 at m^{3/4} for m = 10 000). m must be below 2^32.
+func splitterCount(m int) int { return int(root4(0, uint64(m))) }
+
+func dealBatch(m int) int {
+	hi, lo := bits.Mul64(uint64(m)*uint64(m), uint64(m))
+	return int(root4(hi, lo))
+}
+
+// root4 returns the largest r with r⁴ ≤ hi·2^64 + lo, one bit at a time
+// from the top; r < 2^32, so r² never overflows.
+func root4(hi, lo uint64) uint64 {
+	var r uint64
+	for bit := uint64(1) << 31; bit > 0; bit >>= 1 {
+		c := r | bit
+		h, l := bits.Mul64(c*c, c*c)
+		if h < hi || h == hi && l <= lo {
+			r = c
+		}
+	}
+	return r
+}
+
+// countOccupied counts a's occupied elements in one scan (public: part of
+// the problem size). Each worker counts a disjoint range into its own slot;
+// the serial sum is order-independent, so the total matches the scalar loop
+// exactly.
+func countOccupied(env *extmem.Env, a extmem.Array) int64 {
+	sp := env.Obs.Start("count-occupied")
+	defer env.Obs.End(sp)
+	partial := make([]int64, env.WorkerCount())
+	var buf []extmem.Element
+	tally := func(wk, plo, phi int) { // built once: a chunk costs no closure
+		var c int64
+		for _, e := range buf[plo:phi] {
+			if e.Occupied() {
+				c++
+			}
+		}
+		partial[wk] += c
+	}
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
+		buf = chunk
+		par.ForWorker(env.ParWorkers(len(chunk)), len(chunk), tally)
+	})
+	var nOcc int64
+	for _, c := range partial {
+		nOcc += c
+	}
+	return nOcc
 }
 
 // copyDown copies src onto dst — equal lengths, dst at or below src on the
