@@ -163,9 +163,9 @@ func TestSortRecursionReachable(t *testing.T) {
 		nBlocks, b int
 		recurses   bool
 	}{{1600, 64, true}, {3300, 64, true}, {1 << 13, 8, false}} {
+		nBlocks, b := row.nBlocks, row.b
 		var first trace.Summary
 		for i, kind := range []string{"rand", "dup"} {
-			nBlocks, b := row.nBlocks, row.b
 			r := rand.New(rand.NewPCG(uint64(nBlocks), 35))
 			elems := make([]extmem.Element, nBlocks*b)
 			for j := range elems {
