@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"oblivext"
+	"oblivext/internal/core"
 	"oblivext/internal/obs"
-	"oblivext/internal/obsort"
 )
 
 func main() {
@@ -168,16 +168,16 @@ func main() {
 	lifetime := client.Stats()
 	st := lifetime.Sub(base)
 	ts := client.TraceSummary()
+	// The engine is a public function of the geometry and backend kind:
+	// resolve it as Sort did, with the whole cache free, so the report
+	// names the engine that actually ran.
+	backend := "mem"
+	if client.MeasuredNetworkStats() != nil {
+		backend = "net"
+	}
 	engine := *sorter
-	if engine == obsort.EngineAuto {
-		// The pick is a public function of the geometry and backend kind;
-		// recompute it here, with the whole cache free as Sort has it, so the
-		// report names the engine that actually ran.
-		backend := "mem"
-		if *url != "" || *urls != "" {
-			backend = "net"
-		}
-		engine = fmt.Sprintf("auto (picked %s)", obsort.Pick(arr.Blocks(), *b, *m, *m, backend))
+	if picked := core.Engine(engine, arr.Blocks(), *b, *m, *m, backend); picked != engine {
+		engine = fmt.Sprintf("%s (picked %s)", engine, picked)
 	}
 	fmt.Printf("sorted %d records (B=%d, M=%d) with the %s engine in %v\n",
 		*n, *b, *m, engine, elapsed.Round(time.Millisecond))

@@ -1,0 +1,79 @@
+package core
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"oblivext/internal/obsort"
+)
+
+// TestEngineResolves: over a grid of geometries, held caches and both
+// backends, "auto" resolves to obsort.Pick's choice and every other name to
+// itself — the one place an engine name is resolved.
+func TestEngineResolves(t *testing.T) {
+	picked := map[string]bool{}
+	for _, g := range []struct{ n, b, m, held int }{
+		{0, 8, 512, 0}, {1, 8, 512, 0}, {64, 8, 512, 0}, {336, 8, 512, 128}, {1616, 8, 512, 0},
+		{1 << 13, 8, 4096, 0}, {1 << 13, 8, 4096, 2056}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
+	} {
+		free := g.m - g.held
+		for _, backend := range []string{"mem", "net"} {
+			for _, name := range obsort.EngineNames() {
+				want := name
+				if name == obsort.EngineAuto {
+					want = obsort.Pick(g.n, g.b, g.m, free, backend)
+					picked[want] = true
+				}
+				if got := Engine(name, g.n, g.b, g.m, free, backend); got != want {
+					t.Errorf("Engine(%q, %d, %d, %d, %d, %s) = %q, want %q", name, g.n, g.b, g.m, free, backend, got, want)
+				}
+			}
+		}
+	}
+	if !picked[obsort.EngineBitonic] || !picked[obsort.EngineZigzag] {
+		t.Errorf("auto resolved only to %v over the grid; want bitonic and zigzag both", picked)
+	}
+}
+
+// TestSortWithSorts: every engine name, auto resolved at the call as the
+// ORAM's rebuild resolves it, sorts by key with the cache balanced and
+// within M; an unresolved or unknown name panics.
+func TestSortWithSorts(t *testing.T) {
+	const b, m = 8, 512
+	r := rand.New(rand.NewPCG(51, 52))
+	for _, name := range obsort.EngineNames() {
+		for _, nBlocks := range []int{4, 64, 256} {
+			env := newTestEnv(4*nBlocks+16, b, m, 7)
+			a := env.D.Alloc(nBlocks)
+			keys := make([]uint64, nBlocks*b-3) // a ragged last block
+			for i := range keys {
+				keys[i] = r.Uint64() % 1_000_000
+			}
+			buildKeyArray(a, keys)
+			engine := Engine(name, a.Len(), b, env.M, env.M-env.Cache.Used(), "mem")
+			if err := SortWith(env, a, engine); err != nil {
+				t.Fatalf("%s (%s), n=%d: %v", name, engine, nBlocks, err)
+			}
+			if used := env.Cache.Used(); used != 0 {
+				t.Fatalf("%s (%s), n=%d: %d words left checked out", name, engine, nBlocks, used)
+			}
+			if hw := env.Cache.HighWater(); hw > m {
+				t.Fatalf("%s (%s), n=%d: cache high-water %d > M = %d", name, engine, nBlocks, hw, m)
+			}
+			checkSorted(t, a, keys)
+		}
+	}
+	for _, name := range []string{obsort.EngineAuto, "", "quicksort"} {
+		t.Run(fmt.Sprintf("panics/%q", name), func(t *testing.T) {
+			env := newTestEnv(16, b, m, 7)
+			a := env.D.Alloc(4)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SortWith(%q) did not panic", name)
+				}
+			}()
+			SortWith(env, a, name)
+		})
+	}
+}

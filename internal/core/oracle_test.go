@@ -195,10 +195,11 @@ func TestDifferentialOracle(t *testing.T) {
 }
 
 // TestSorterDifferentialOracle is the sibling of the test of the same name
-// in internal/obsort: the randomized Sort (Theorem 21) and the non-oblivious
+// in internal/obsort: the randomized Sort (Theorem 21), the auto engine as
+// SortWith runs it (resolved by Engine at the call), and the non-oblivious
 // emsort baseline over the same shared corpus, against the same
-// sort.SliceStable reference. Sort orders by (Key, Pos) only; emsort takes
-// every padded order.
+// sort.SliceStable reference. Sort and SortWith order by (Key, Pos) only;
+// emsort takes every padded order.
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
 	sorters := []struct {
@@ -208,6 +209,9 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		sort func(env *extmem.Env, a extmem.Array) error
 	}{
 		{"randomized/ByKey", 16 * b, obsort.ByKey, Sort},
+		{"auto/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error {
+			return SortWith(env, a, Engine(obsort.EngineAuto, a.Len(), b, env.M, env.M-env.Cache.Used(), "mem"))
+		}},
 		{"emsort/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
 		{"emsort/ByPos", 4 * b, obsort.ByPos, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByPos); return nil }},
 	}

@@ -102,17 +102,37 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	return nil
 }
 
-// RandomizedSorter adapts Sort to the obsort.Sorter interface used by the
-// ORAM rebuilds. The less argument must order by the canonical
-// occupied-first (Key, Pos) relation — which every rebuild sort does; the
-// randomized pipeline's samplers assume that order internally.
-func RandomizedSorter(env *extmem.Env, a extmem.Array, less obsort.Less) {
-	// The randomized sort is padded (empties sink) and total on (Key, Pos),
-	// matching obsort.ByKey semantics.
-	_ = less
-	if err := Sort(env, a); err != nil {
-		panic(err)
+// Engine resolves a sort engine name (obsort.EngineNames) to the engine
+// that sorts an array of nBlocks blocks of b elements against a cache of m
+// elements, free of them not checked out at the call, over backend "mem" or
+// "net": "auto" becomes obsort.Pick's choice and any other name stays as it
+// is. Every input is public geometry, so the engine, and with it the trace,
+// is independent of the data. Array.Sort and the ORAM's rebuilds both
+// resolve here; each maps "" to its own default first.
+func Engine(name string, nBlocks, b, m, free int, backend string) string {
+	if name == obsort.EngineAuto {
+		return obsort.Pick(nBlocks, b, m, free, backend)
 	}
+	return name
+}
+
+// SortWith sorts a by obsort.ByKey with the named engine, which Engine has
+// resolved. Only "randomized" can fail, with ErrSortFailed; bucket retries
+// its declared overflows and falls back to zigzag. Any other name panics.
+func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
+	switch engine {
+	case obsort.EngineRandomized:
+		return Sort(env, a)
+	case obsort.EngineBitonic:
+		obsort.Bitonic(env, a, obsort.ByKey)
+	case obsort.EngineBucket:
+		obsort.BucketSorter(env, a, obsort.ByKey)
+	case obsort.EngineZigzag:
+		obsort.Zigzag(env, a, obsort.ByKey)
+	default:
+		panic(fmt.Sprintf("core: no sort engine %q", engine))
+	}
+	return nil
 }
 
 // sortPadded sorts the occupied elements of a into a padded result array

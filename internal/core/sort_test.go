@@ -660,16 +660,3 @@ func TestDealQuotasAndOverflow(t *testing.T) {
 		t.Fatalf("color 1 received %d blocks, want 32", occ)
 	}
 }
-
-func TestRandomizedSorterInterface(t *testing.T) {
-	env := newTestEnv(1<<14, 8, 256, 19)
-	a := env.D.Alloc(64)
-	r := rand.New(rand.NewPCG(7, 7))
-	keys := make([]uint64, 512)
-	for i := range keys {
-		keys[i] = r.Uint64()
-	}
-	buildKeyArray(a, keys)
-	RandomizedSorter(env, a, obsort.ByKey)
-	checkSorted(t, a, keys)
-}

@@ -8,7 +8,6 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/iblt"
 	"oblivext/internal/obsort"
-	"oblivext/internal/oram"
 	"oblivext/internal/rng"
 	"oblivext/internal/route"
 )
@@ -17,9 +16,10 @@ import (
 // sparse array through an invertible Bloom lookup table. Every position i
 // of the input touches the same k table cells whether or not cell i is
 // occupied — the semi-oblivious property of IBLT insertion (§2) — after
-// which the table is peeled: privately when it fits Alice's cache, or
-// through the ORAM substrate with a fully padded schedule (the paper's
-// "RAM simulation of the listEntries method").
+// which the table is peeled privately, in Alice's cache. The paper peels a
+// table larger than the cache by a RAM simulation of the listEntries
+// method; here such a table never arises, because CompactMarkedTight takes
+// Theorem 6's butterfly wherever the table would not fit.
 
 // ErrCompactionFailed reports that IBLT peeling did not recover every
 // occupied cell (probability bounded by Lemma 1) or that the occupied count
@@ -36,13 +36,6 @@ const (
 	sparseTableFactor = 3
 )
 
-// SparseParams holds Theorem 4's one test hook.
-type SparseParams struct {
-	// ForceORAM forces the ORAM peeling path even when the table would fit
-	// in cache: no feasible geometry reaches it on its own.
-	ForceORAM bool
-}
-
 // sparseTableCells is the table size m for capacity rCap.
 func sparseTableCells(rCap int) int { return max(sparseTableFactor*rCap, sparseK) }
 
@@ -51,7 +44,7 @@ func sparseTableCells(rCap int) int { return max(sparseTableFactor*rCap, sparseK
 func cellWords(b int) int { return 2 + extmem.ElementWords*b }
 
 // SparseTableFits reports whether Theorem 4's table for capacity rCap would
-// fit Alice's cache, i.e. whether CompactBlocksSparse would peel privately.
+// fit Alice's cache, i.e. whether CompactBlocksSparse accepts it.
 func SparseTableFits(env *extmem.Env, rCap int) bool {
 	rCap = max(rCap, 1)
 	return peelFitsCache(env, sparseTableCells(rCap), rCap)
@@ -71,8 +64,6 @@ func peelFitsCache(env *extmem.Env, m, rCap int) bool {
 // when the table fits in cache — the regime where Theorem 13's strictly
 // linear I/O bound is realized — and otherwise falls back to Theorem 6's
 // butterfly network, paying a log_{M/B}(n) factor but no ORAM overhead.
-// (The fully general Theorem 4 path through the ORAM substrate remains
-// available via CompactBlocksSparse with ForceORAM.)
 func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
 	// Which path is a function of (rCap, B, M); the butterfly consolidates
 	// as it reads, the table needs the consolidated array.
@@ -87,7 +78,7 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 		return cons, marked, fmt.Errorf("%w: %d marked blocks exceed capacity %d", ErrCompactionFailed, need, rCap)
 	}
 	if peel {
-		out, _, err := CompactBlocksSparse(env, cons, rCap, SparseParams{})
+		out, _, err := CompactBlocksSparse(env, cons, rCap)
 		return out, marked, err
 	}
 	if cons.Len() < rCap {
@@ -109,13 +100,20 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 // The occupied count is returned privately. If more than rCap cells are
 // occupied, or peeling fails (Lemma 1's low-probability event), the full
 // fixed-length trace is still produced and ErrCompactionFailed is returned.
-func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparseParams) (extmem.Array, int, error) {
+//
+// The table must fit the cache (SparseTableFits); CompactBlocksSparse
+// panics otherwise, before any I/O.
+func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, error) {
 	n := a.Len()
 	b := a.B()
 	if rCap < 1 {
 		rCap = 1
 	}
 	m := sparseTableCells(rCap)
+	if !peelFitsCache(env, m, rCap) {
+		panic(fmt.Sprintf("core: sparse compaction's table of m = %d cells for rCap = %d blocks does not fit the cache: M = %d, B = %d",
+			m, rCap, env.M, b))
+	}
 	seed := env.Tape.Uint64() // hash family seed: one draw, data-independent
 	hasher := rng.NewHasher(seed, sparseK, m)
 
@@ -206,16 +204,8 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 	env.Cache.Free(sbuf)
 	env.Cache.Free(ablk)
 
-	// Peel: private if the whole table fits comfortably in cache,
-	// otherwise through the ORAM substrate.
-	var recovered int
 	var err error
-	if !p.ForceORAM && peelFitsCache(env, m, rCap) {
-		recovered, err = peelPrivate(env, sums, hdrs, hasher, m, rCap, out)
-	} else {
-		recovered, err = peelViaORAM(env, sums, hdrs, hasher, m, rCap, out)
-	}
-	if err == nil && (recovered != occCount || occCount > rCap) {
+	if recovered := peelPrivate(env, sums, hdrs, hasher, m, rCap, out); recovered != occCount || occCount > rCap {
 		err = fmt.Errorf("%w: recovered %d of %d occupied cells (capacity %d)",
 			ErrCompactionFailed, recovered, occCount, rCap)
 	}
@@ -231,7 +221,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int, p SparsePara
 
 // peelPrivate loads the table into Alice's memory, peels it there (no trace
 // at all), and writes exactly rCap output blocks.
-func peelPrivate(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCap int, out extmem.Array) (int, error) {
+func peelPrivate(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCap int, out extmem.Array) int {
 	b := sums.B()
 	w := cellWords(b) - 2
 	env.Cache.Acquire(m * (w + 2))
@@ -254,197 +244,25 @@ func peelPrivate(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCa
 		}
 	})
 
-	type rec struct {
-		key   uint64
-		words []uint64
-	}
-	var recs []rec
+	// The recovered keys are positions, which the values' Pos fields
+	// repeat: only the values are kept.
+	var recs [][]uint64
 	env.Cache.Acquire(rCap * (w + 1))
-	iblt.Peel(iblt.SliceStore(cells), h, 0, false, func(key uint64, val []uint64) {
-		v := make([]uint64, len(val))
-		copy(v, val)
+	iblt.Peel(cells, h, func(_ uint64, val []uint64) {
 		if len(recs) < rCap {
-			recs = append(recs, rec{key: key - 1, words: v})
+			recs = append(recs, val)
 		}
-	}, nil)
+	})
 
 	// Emit exactly rCap blocks: recovered cells then empties.
 	env.Scan(extmem.Array{}, out, env.ScanBatchN(1, rCap), func(lo int, chunk []extmem.Element) {
 		for i := lo; i < min(lo+len(chunk)/b, len(recs)); i++ {
-			decodeBlockWords(chunk[(i-lo)*b:(i-lo+1)*b], recs[i].words)
+			decodeBlockWords(chunk[(i-lo)*b:(i-lo+1)*b], recs[i])
 		}
 	})
 	env.Cache.Release(rCap * (w + 1))
 	env.Cache.Release(m * (w + 2))
-	return len(recs), nil
-}
-
-// peelViaORAM is Theorem 4's general case: the table cells live behind an
-// ORAM, the peeling schedule is fully padded (every pass visits every cell
-// with identical operation counts), and recovered pairs go into a second
-// ORAM so emission times stay hidden.
-func peelViaORAM(env *extmem.Env, sums, hdrs extmem.Array, h *rng.Hasher, m, rCap int, out extmem.Array) (int, error) {
-	b := sums.B()
-	cw := cellWords(b)
-	cb := extmem.CeilDiv(cw, b) // ORAM blocks per cell
-	ob := extmem.ElementWords   // ORAM blocks per output block value
-
-	cellRAM, err := oram.New(env, m*cb, oram.Options{})
-	if err != nil {
-		return 0, err
-	}
-	outRAM, err := oram.New(env, rCap*ob, oram.Options{})
-	if err != nil {
-		return 0, err
-	}
-
-	// Load the table into the cell ORAM. The direct sums/hdrs reads are
-	// chunked run reads (a chunk's cells span at most kc/b+1 header
-	// blocks); the ORAM writes dominate the cost regardless. Not an
-	// env.Scan: two sources, sums and the header blocks its cells span.
-	words := make([]uint64, cb*b)
-	env.Cache.Acquire(cb * b)
-	kc := env.ScanBatchN(2, m)
-	sb := env.Cache.Buf(kc * b)
-	hb := env.Cache.Buf((kc/b + 1) * b)
-	for lo := 0; lo < m; lo += kc {
-		hi := min(lo+kc, m)
-		sums.ReadRange(lo, hi, sb[:(hi-lo)*b])
-		h0, h1 := lo/b, (hi-1)/b+1
-		hdrs.ReadRange(h0, h1, hb[:(h1-h0)*b])
-		for c := lo; c < hi; c++ {
-			hdr := hb[(c/b-h0)*b : (c/b-h0+1)*b]
-			words[0] = uint64(hdr[c%b].Val)
-			words[1] = hdr[c%b].Key
-			encodeBlockWords(words[2:2+extmem.ElementWords*b], sb[(c-lo)*b:(c-lo+1)*b])
-			for j := 0; j < cb; j++ {
-				if err := cellRAM.Write(c*cb+j, words[j*b:(j+1)*b]); err != nil {
-					env.Cache.Free(hb)
-					env.Cache.Free(sb)
-					env.Cache.Release(cb * b)
-					return 0, err
-				}
-			}
-		}
-	}
-	env.Cache.Free(hb)
-	env.Cache.Free(sb)
-
-	cs := &oramCells{ram: cellRAM, m: m, cb: cb, b: b, cw: cw}
-	emitted := 0
-	var oramErr error
-	outWords := make([]uint64, ob*b)
-	env.Cache.Acquire(ob * b)
-	iblt.Peel(cs, h, 0, true, func(key uint64, val []uint64) {
-		copy(outWords, val)
-		for j := 0; j < ob; j++ {
-			var e error
-			if emitted < rCap {
-				e = outRAM.Write(emitted*ob+j, outWords[j*b:(j+1)*b])
-			} else {
-				e = outRAM.Dummy()
-			}
-			if e != nil && oramErr == nil {
-				oramErr = e
-			}
-		}
-		emitted++
-	}, func() {
-		for j := 0; j < ob; j++ {
-			if e := outRAM.Dummy(); e != nil && oramErr == nil {
-				oramErr = e
-			}
-		}
-	})
-	if cs.err != nil && oramErr == nil {
-		oramErr = cs.err
-	}
-
-	// Dump the output ORAM into the result array, streaming the result
-	// blocks through a vectored sequential writer (the ORAM reads keep
-	// their own fixed trace).
-	kw := env.ScanBatchN(1, rCap)
-	wbuf := env.Cache.Buf(kw * b)
-	wr := extmem.NewSeqWriter(out, 0, wbuf)
-	for i := 0; i < rCap; i++ {
-		for j := 0; j < ob; j++ {
-			v, e := outRAM.Read(i*ob + j)
-			if e != nil && oramErr == nil {
-				oramErr = e
-			}
-			if e == nil {
-				copy(outWords[j*b:(j+1)*b], v)
-			}
-		}
-		blk := wr.Next()
-		if i < emitted {
-			decodeBlockWords(blk, outWords)
-		} else {
-			for t := range blk {
-				blk[t] = extmem.Element{}
-			}
-		}
-	}
-	wr.Flush()
-	env.Cache.Free(wbuf)
-	env.Cache.Release(cb * b)
-	env.Cache.Release(ob * b)
-	if emitted > rCap {
-		emitted = rCap
-	}
-	return emitted, oramErr
-}
-
-// oramCells adapts the cell ORAM to the peeler's CellStore interface with
-// fixed per-operation costs.
-type oramCells struct {
-	ram *oram.ORAM
-	m   int
-	cb  int
-	b   int
-	cw  int
-	err error
-}
-
-func (o *oramCells) Len() int { return o.m }
-
-func (o *oramCells) Load(i int) iblt.Cell {
-	words := make([]uint64, o.cb*o.b)
-	for j := 0; j < o.cb; j++ {
-		v, err := o.ram.Read(i*o.cb + j)
-		if err != nil {
-			if o.err == nil {
-				o.err = err
-			}
-			return iblt.Cell{ValSum: make([]uint64, o.cw-2)}
-		}
-		copy(words[j*o.b:(j+1)*o.b], v)
-	}
-	return iblt.Cell{
-		Count:  int64(words[0]),
-		KeySum: words[1],
-		ValSum: words[2:o.cw],
-	}
-}
-
-func (o *oramCells) Store(i int, c iblt.Cell) {
-	words := make([]uint64, o.cb*o.b)
-	words[0] = uint64(c.Count)
-	words[1] = c.KeySum
-	copy(words[2:o.cw], c.ValSum)
-	for j := 0; j < o.cb; j++ {
-		if err := o.ram.Write(i*o.cb+j, words[j*o.b:(j+1)*o.b]); err != nil && o.err == nil {
-			o.err = err
-		}
-	}
-}
-
-func (o *oramCells) Dummy() {
-	for j := 0; j < 2*o.cb; j++ {
-		if err := o.ram.Dummy(); err != nil && o.err == nil {
-			o.err = err
-		}
-	}
+	return len(recs)
 }
 
 // encodeBlockWords flattens a block's elements into words.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -40,7 +41,7 @@ func TestSparseCompactPrivatePath(t *testing.T) {
 		perm := r.Perm(cfg.n)
 		occ := append([]int(nil), perm[:cfg.occ]...)
 		buildSparseCells(a, occ)
-		out, got, err := CompactBlocksSparse(env, a, cfg.rCap, SparseParams{})
+		out, got, err := CompactBlocksSparse(env, a, cfg.rCap)
 		if err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
@@ -72,33 +73,39 @@ func TestSparseCompactPrivatePath(t *testing.T) {
 	}
 }
 
-func TestSparseCompactORAMPath(t *testing.T) {
+// TestSparseCompactTableOverCachePanics: a table too large for the cache
+// is a caller's error (CompactMarkedTight takes the butterfly there), and
+// CompactBlocksSparse names the table size and the cache before any I/O.
+func TestSparseCompactTableOverCachePanics(t *testing.T) {
 	env := newTestEnv(512, 4, 96, 3)
 	a := env.D.Alloc(12)
 	buildSparseCells(a, []int{2, 7, 11})
-	out, got, err := CompactBlocksSparse(env, a, 3, SparseParams{ForceORAM: true})
-	if err != nil {
-		t.Fatal(err)
+	if SparseTableFits(env, 3) {
+		t.Fatal("the table for rCap = 3 fits M = 96; the geometry no longer tests the precondition")
 	}
-	if got != 3 {
-		t.Fatalf("occupied = %d", got)
-	}
-	elems := readElems(out)
-	keys := occupiedKeys(elems)
-	if len(keys) != 12 {
-		t.Fatalf("%d occupied elements, want 12", len(keys))
-	}
-	want := []uint64{2000, 2001, 2002, 2003, 7000, 7001, 7002, 7003, 11000, 11001, 11002, 11003}
-	if !equalU64(keys, want) {
-		t.Fatalf("keys = %v", keys)
-	}
+	env.D.ResetStats()
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"m = 9 cells", "rCap = 3", "M = 96", "B = 4"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}
+		if io := env.D.Stats().Total(); io != 0 {
+			t.Fatalf("%d block I/Os before the panic, want 0", io)
+		}
+		if used := env.Cache.Used(); used != 0 {
+			t.Fatalf("%d words left checked out", used)
+		}
+	}()
+	CompactBlocksSparse(env, a, 3)
 }
 
 func TestSparseCompactOverCapacityFails(t *testing.T) {
 	env := newTestEnv(256, 4, 4096, 9)
 	a := env.D.Alloc(16)
 	buildSparseCells(a, []int{0, 1, 2, 3, 4})
-	_, _, err := CompactBlocksSparse(env, a, 3, SparseParams{})
+	_, _, err := CompactBlocksSparse(env, a, 3)
 	if !errors.Is(err, ErrCompactionFailed) {
 		t.Fatalf("err = %v, want ErrCompactionFailed", err)
 	}
@@ -110,7 +117,7 @@ func TestSparseCompactOblivious(t *testing.T) {
 		return traceOf(t, 256, 4, 4096, 42, func(env *extmem.Env) {
 			a := env.D.Alloc(24)
 			buildSparseCells(a, occ)
-			CompactBlocksSparse(env, a, 6, SparseParams{})
+			CompactBlocksSparse(env, a, 6)
 		})
 	}
 	s1 := run([]int{1, 5, 9})
@@ -130,7 +137,7 @@ func TestSparseCompactInsertionIOLinear(t *testing.T) {
 		a := env.D.Alloc(n)
 		buildSparseCells(a, []int{0, 1})
 		env.D.ResetStats()
-		if _, _, err := CompactBlocksSparse(env, a, 4, SparseParams{}); err != nil {
+		if _, _, err := CompactBlocksSparse(env, a, 4); err != nil {
 			t.Fatal(err)
 		}
 		return env.D.Stats().Total()
@@ -152,7 +159,7 @@ func TestSparseFailureRateLemma1(t *testing.T) {
 		a := env.D.Alloc(48)
 		occ := r.Perm(48)[:12]
 		buildSparseCells(a, occ)
-		if _, _, err := CompactBlocksSparse(env, a, 12, SparseParams{}); err != nil {
+		if _, _, err := CompactBlocksSparse(env, a, 12); err != nil {
 			fails++
 		}
 	}

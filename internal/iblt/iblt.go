@@ -144,12 +144,10 @@ func (t *Table) Get(key uint64) (val []uint64, found, ok bool) {
 // copy the table first for a non-destructive listing.
 func (t *Table) ListEntries() ([]Entry, bool) {
 	var out []Entry
-	ok := Peel(memCells{t}, t.h, 0, false, func(key uint64, val []uint64) {
-		v := make([]uint64, len(val))
-		copy(v, val)
-		out = append(out, Entry{Key: key, Val: v})
+	ok := Peel(t.cells, t.h, func(key uint64, val []uint64) {
+		out = append(out, Entry{Key: key, Val: val})
 		t.n--
-	}, nil)
+	})
 	return out, ok
 }
 
@@ -171,11 +169,3 @@ func (t *Table) checkVal(val []uint64) {
 		panic("iblt: value width mismatch")
 	}
 }
-
-// memCells adapts Table to the CellStore interface used by the peeler.
-type memCells struct{ t *Table }
-
-func (m memCells) Len() int            { return len(m.t.cells) }
-func (m memCells) Load(i int) Cell     { return m.t.cells[i] }
-func (m memCells) Store(i int, c Cell) { m.t.cells[i] = c }
-func (m memCells) Dummy()              {}

@@ -2,18 +2,6 @@ package iblt
 
 import "oblivext/internal/rng"
 
-// CellStore abstracts where the table's cells live during peeling: in
-// private memory (fast path), or behind an ORAM so that the whole
-// listEntries computation is data-oblivious (Theorem 4's "RAM simulation").
-// Dummy performs an access indistinguishable from a real Load+Store pair,
-// letting the padded schedule hide which cells were extractable.
-type CellStore interface {
-	Len() int
-	Load(i int) Cell
-	Store(i int, c Cell)
-	Dummy()
-}
-
 // DefaultPasses returns the pass budget used when peeling m cells: the
 // peeling depth of a sparse random k-uniform hypergraph is O(log m) with
 // high probability, so a small multiple of log2(m) suffices.
@@ -25,65 +13,42 @@ func DefaultPasses(m int) int {
 	return 2*l + 8
 }
 
-// Peel runs pass-based peeling over the cells: each pass scans every cell
-// in index order and, when a cell is pure (count 1, key hashes back),
-// extracts its pair and deletes it from the key's k cells. emit is called
-// once per recovered pair; skip (if non-nil) is called once per visited
-// cell that was not pure, so callers can mirror emit's work with dummy
-// operations. Peel returns true if the table emptied.
+// Peel runs pass-based peeling over cells, which live in private memory:
+// each pass scans every cell in index order and, when a cell is pure
+// (count 1, key hashes back), extracts its pair and deletes it from the
+// key's k cells. emit is called once per recovered pair, with a value
+// slice of its own that it may keep. Peel stops after a pass that finds the
+// table empty or extracts nothing, or after a DefaultPasses budget, and
+// returns true if the table emptied.
 //
-// The schedule is deliberately rigid — passes × cells iterations, each
-// doing one Load plus exactly k Load/Store pairs (real or Dummy) — so that
-// when cells live behind an ORAM the access pattern reveals nothing about
-// which cells were pure. With maxPasses <= 0 a DefaultPasses budget is
-// used. In padded mode every pass runs to the full budget with no
-// early exit, making even the pass count data-independent — the mode
-// Theorem 4's oblivious listEntries simulation requires.
-//
-// Unlike the classic queue-driven peeler this costs O(passes·m·k) cell
-// accesses rather than O(m + n·k); the queue version is what Table.Get
-// users want in RAM, but the paper's oblivious setting needs the fixed
-// schedule. Both recover exactly the same set (peeling is confluent).
-func Peel(cs CellStore, h *rng.Hasher, maxPasses int, padded bool, emit func(key uint64, val []uint64), skip func()) bool {
-	m := cs.Len()
-	if maxPasses <= 0 {
-		maxPasses = DefaultPasses(m)
-	}
-	k := h.K()
-	idx := make([]int, 0, k)
-	for pass := 0; pass < maxPasses; pass++ {
+// Peeling is confluent: whatever the order, it recovers exactly the pairs
+// outside the table's 2-core, so this recovers the same set as the classic
+// queue-driven peeler.
+func Peel(cells []Cell, h *rng.Hasher, emit func(key uint64, val []uint64)) bool {
+	m := len(cells)
+	idx := make([]int, 0, h.K())
+	for pass := 0; pass < DefaultPasses(m); pass++ {
 		extracted := false
 		remaining := false
-		for i := 0; i < m; i++ {
-			c := cs.Load(i)
+		for i := range cells {
+			c := &cells[i]
 			if c.Count != 0 {
 				remaining = true
 			}
-			if c.pure(h, i) {
-				key := c.KeySum
-				// c.ValSum aliases cell storage for in-memory stores and the
-				// deletion below mutates it, so snapshot before emitting.
-				snap := make([]uint64, len(c.ValSum))
-				copy(snap, c.ValSum)
-				emit(key, snap)
-				idx = h.Indices(idx[:0], key)
-				for _, j := range idx {
-					cj := cs.Load(j)
-					cj.add(key, snap, -1)
-					cs.Store(j, cj)
-				}
-				extracted = true
-			} else {
-				for j := 0; j < k; j++ {
-					cs.Dummy()
-				}
-				if skip != nil {
-					skip()
-				}
+			if !c.pure(h, i) {
+				continue
 			}
-		}
-		if padded {
-			continue
+			key := c.KeySum
+			// The deletion below subtracts the pair from c's own ValSum,
+			// so snapshot it before emitting.
+			snap := make([]uint64, len(c.ValSum))
+			copy(snap, c.ValSum)
+			emit(key, snap)
+			idx = h.Indices(idx[:0], key)
+			for _, j := range idx {
+				cells[j].add(key, snap, -1)
+			}
+			extracted = true
 		}
 		if !remaining {
 			return true
@@ -93,26 +58,10 @@ func Peel(cs CellStore, h *rng.Hasher, maxPasses int, padded bool, emit func(key
 		}
 	}
 	// Budget exhausted; check emptiness.
-	for i := 0; i < m; i++ {
-		if cs.Load(i).Count != 0 {
+	for i := range cells {
+		if cells[i].Count != 0 {
 			return false
 		}
 	}
 	return true
 }
-
-// SliceStore is a CellStore over a private slice of cells; Dummy is a no-op
-// since private memory is invisible to the adversary.
-type SliceStore []Cell
-
-// Len implements CellStore.
-func (s SliceStore) Len() int { return len(s) }
-
-// Load implements CellStore.
-func (s SliceStore) Load(i int) Cell { return s[i] }
-
-// Store implements CellStore.
-func (s SliceStore) Store(i int, c Cell) { s[i] = c }
-
-// Dummy implements CellStore.
-func (s SliceStore) Dummy() {}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/extmem/netstore"
 	"oblivext/internal/extmem/shard"
@@ -109,18 +108,11 @@ func testEncryptor(t *testing.T) *extmem.Encryptor {
 	return enc
 }
 
-// sorters are the rebuild strategies under test: the auto-selecting default
-// (nil Sorter — every rebuild picks an engine from its own public geometry),
+// sorters are the rebuild engines under test, by name: the auto-selecting
+// default (every rebuild picks an engine from its own public geometry),
 // deterministic bitonic (Lemma 2's role), and the paper's randomized sort
 // (the §1 headline configuration).
-var sorters = []struct {
-	name string
-	s    obsort.Sorter
-}{
-	{"auto", nil},
-	{"bitonic", obsort.Bitonic},
-	{"randomized", core.RandomizedSorter},
-}
+var sorters = []string{obsort.EngineAuto, obsort.EngineBitonic, obsort.EngineRandomized}
 
 // TestORAMRandomizedBackends is the deterministic-seed randomized suite:
 // for every backend × ORAM size × rebuild sorter, a seeded stream of mixed
@@ -137,7 +129,7 @@ func TestORAMRandomizedBackends(t *testing.T) {
 		{n: 64, ops: 128, seed: 3},
 	}
 	for _, be := range backends() {
-		for _, sc := range sorters {
+		for _, sorter := range sorters {
 			for _, tc := range cases {
 				// ORAM accesses are batched (≤ LiveLevels+1 round trips per
 				// access instead of 2·beta·L scalar ones), so the default
@@ -151,7 +143,7 @@ func TestORAMRandomizedBackends(t *testing.T) {
 				ops := tc.ops
 				overHTTP := be.name == "network" || be.name == "crypt-network"
 				isCrypt := strings.HasPrefix(be.name, "crypt-")
-				if overHTTP && sc.name == "randomized" && tc.n > 16 {
+				if overHTTP && sorter == obsort.EngineRandomized && tc.n > 16 {
 					continue
 				}
 				// The crypt legs are here to exercise the sealing path under
@@ -159,24 +151,24 @@ func TestORAMRandomizedBackends(t *testing.T) {
 				// coverage belongs to the plaintext backends. Sealing
 				// multiplies the cost of every I/O of the randomized sorter's
 				// rebuild volume, so cap the crypt cases.
-				if isCrypt && (tc.n > 32 || (sc.name == "randomized" && tc.n > 16)) {
+				if isCrypt && (tc.n > 32 || (sorter == obsort.EngineRandomized && tc.n > 16)) {
 					continue
 				}
 				// Under the race detector every interaction is ~10× slower;
 				// keep one representative per backend and drop the heavy
 				// duplicates (they add size, not interleaving coverage).
 				if raceEnabled {
-					if (overHTTP || isCrypt) && (tc.n > 16 || sc.name == "randomized") {
+					if (overHTTP || isCrypt) && (tc.n > 16 || sorter == obsort.EngineRandomized) {
 						continue
 					}
-					if be.name == "sharded-4" && sc.name == "randomized" && tc.n > 32 {
+					if be.name == "sharded-4" && sorter == obsort.EngineRandomized && tc.n > 32 {
 						continue
 					}
 				}
-				name := fmt.Sprintf("%s/%s/n=%d/seed=%d", be.name, sc.name, tc.n, tc.seed)
+				name := fmt.Sprintf("%s/%s/n=%d/seed=%d", be.name, sorter, tc.n, tc.seed)
 				t.Run(name, func(t *testing.T) {
 					env := be.make(t, 64, tc.seed)
-					o, err := oram.New(env, tc.n, oram.Options{Sorter: sc.s})
+					o, err := oram.New(env, tc.n, oram.Options{Sorter: sorter})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -405,15 +397,15 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 // writes so the deeper levels rebuild at least once.
 func TestORAMWithRandomizedRebuilds(t *testing.T) {
 	for _, n := range []int{32, 64} {
-		for si, s := range []obsort.Sorter{obsort.Bitonic, core.RandomizedSorter} {
+		for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineRandomized} {
 			env := extmem.NewEnv(64, 8, 512, uint64(n))
-			o, err := oram.New(env, n, oram.Options{Sorter: s})
+			o, err := oram.New(env, n, oram.Options{Sorter: sorter})
 			if err != nil {
-				t.Fatalf("n=%d sorter=%d: %v", n, si, err)
+				t.Fatalf("n=%d sorter=%s: %v", n, sorter, err)
 			}
 			for i := 0; i < 2*n; i++ {
 				if err := o.Write(i%n, make([]uint64, 8)); err != nil {
-					t.Fatalf("n=%d sorter=%d write %d: %v", n, si, i, err)
+					t.Fatalf("n=%d sorter=%s write %d: %v", n, sorter, i, err)
 				}
 			}
 		}

@@ -497,10 +497,9 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	return nil
 }
 
-// BucketSorter adapts BucketSort to the Sorter interface: a declared
-// overflow retries with the tape's next labels (three attempts), then
-// falls back to the deterministic Zigzag engine. The fallback keeps the
-// adapter total — exactly the Monte-Carlo-to-Las-Vegas conversion the
+// BucketSorter runs BucketSort to completion: a declared overflow retries
+// with the tape's next labels (three attempts), then falls back to the
+// deterministic Zigzag engine. The fallback keeps the engine total — exactly the Monte-Carlo-to-Las-Vegas conversion the
 // paper's Theorem 21 pipeline uses for its own failures.
 func BucketSorter(env *extmem.Env, a extmem.Array, less Less) {
 	for attempt := 0; attempt < 3; attempt++ {

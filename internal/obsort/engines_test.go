@@ -367,8 +367,10 @@ func TestPickPolicy(t *testing.T) {
 				if err := BucketSort(env, a, ByKey); err != nil {
 					continue
 				}
+			} else if got == EngineBitonic {
+				Bitonic(env, a, ByKey)
 			} else {
-				PickSorter(got)(env, a, ByKey)
+				Zigzag(env, a, ByKey)
 			}
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
@@ -387,7 +389,7 @@ func TestPickPolicy(t *testing.T) {
 	if !backendSplits {
 		t.Error("no geometry picks differently over mem and net; the backend rule is unchecked")
 	}
-	if got := Pick(0, 8, 512, 512, "mem"); !ValidEngine(got) || PickSorter(got) == nil {
+	if got := Pick(0, 8, 512, 512, "mem"); got != EngineBitonic {
 		t.Errorf("empty input picked %q", got)
 	}
 }
@@ -400,22 +402,5 @@ func TestEngineNameValidation(t *testing.T) {
 	}
 	if ValidEngine("quicksort") {
 		t.Error("invalid name accepted")
-	}
-	if err := EngineNameError("quicksort"); err == nil {
-		t.Error("no rejection error")
-	}
-}
-
-func TestAutoSorterSorts(t *testing.T) {
-	r := rand.New(rand.NewPCG(51, 52))
-	for _, nBlocks := range []int{4, 64, 256} {
-		env := extmem.NewEnv(4*nBlocks+16, 8, 512, 7)
-		a := env.D.Alloc(nBlocks)
-		keys := genKeys(r, nBlocks*8, "rand")
-		fillArray(env, a, keys)
-		Auto(env, a, ByKey)
-		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
-			t.Fatalf("n=%d: multiset changed", nBlocks)
-		}
 	}
 }

@@ -54,11 +54,6 @@ func ByRawKey(a, b extmem.Element) bool {
 	return a.Pos < b.Pos
 }
 
-// Sorter is a pluggable oblivious external-memory sort over an array of
-// blocks. The ORAM simulation and its tests swap Sorters to compare the
-// paper's randomized sort against this package's deterministic ones.
-type Sorter func(env *extmem.Env, a extmem.Array, less Less)
-
 // InCache sorts a private buffer. Computation inside Alice's cache is
 // invisible to the adversary, so no circuit is needed; this is the base
 // case every external algorithm bottoms out in.

@@ -9,11 +9,11 @@ import (
 	"oblivext/internal/workload"
 )
 
-// The sorters' differential oracle: every engine this package owns, under
-// every exported order, against a sort.SliceStable reference over the shared
+// The sorters' differential oracle: every engine this package owns, and the
+// one Pick names for the call (auto), under every exported order, against a sort.SliceStable reference over the shared
 // corpus (workload.SortCorpus), at cache sizes from M/B = 4 to 512. The
-// sibling test in internal/core runs core.Sort and emsort over the same
-// corpus.
+// sibling test in internal/core runs core.Sort, the auto engine through
+// core.SortWith, and emsort over the same corpus.
 
 // oracleOrders are the orders under test. ByRawKey has no empties-last rule,
 // so an engine's +infinity padding is not last under it; it is exercised
@@ -77,14 +77,29 @@ func checkAgainstReference(t *testing.T, name string, got, ref []extmem.Element)
 
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
+	byName := map[string]func(*extmem.Env, extmem.Array, Less){
+		EngineBitonic: Bitonic,
+		EngineZigzag:  Zigzag,
+		EngineBucket:  BucketSorter,
+	}
+	// auto runs the engine Pick names with the cache free at the call and
+	// the "mem" price, as core.Engine resolves it for an ORAM rebuild.
+	auto := func(env *extmem.Env, a extmem.Array, less Less) {
+		name := Pick(a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem")
+		run, ok := byName[name]
+		if !ok {
+			panic(fmt.Sprintf("Pick named %q, not an engine of this package", name))
+		}
+		run(env, a, less)
+	}
 	engines := []struct {
 		name string
-		sort Sorter
+		sort func(*extmem.Env, extmem.Array, Less)
 	}{
 		{EngineBitonic, Bitonic},
 		{EngineZigzag, Zigzag},
 		{EngineBucket, BucketSorter},
-		{EngineAuto, Auto},
+		{EngineAuto, auto},
 	}
 	corpus := workload.SortCorpus(b)
 	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {

@@ -1,17 +1,11 @@
 package obsort
 
-import (
-	"fmt"
-	"strings"
+import "oblivext/internal/obs"
 
-	"oblivext/internal/extmem"
-	"oblivext/internal/obs"
-)
-
-// Engine names accepted by Pick, Engine and the -sorter flags. The
-// "randomized" engine lives in internal/core (it needs the §5 pipeline);
-// callers that accept engine names resolve it themselves — Engine here
-// covers the deterministic and bucket engines this package owns.
+// Engine names, as Config.Sorter and the -sorter flags take them. They are
+// resolved in one place, core.Engine ("auto" becomes Pick's choice), and
+// run by core.SortWith: the "randomized" engine lives in internal/core (it
+// needs the §5 pipeline), the others in this package.
 const (
 	EngineAuto       = "auto"
 	EngineRandomized = "randomized"
@@ -35,19 +29,14 @@ func ValidEngine(name string) bool {
 	return false
 }
 
-// EngineNameError builds the rejection message for an unknown engine name.
-func EngineNameError(name string) error {
-	return fmt.Errorf("obsort: unknown sorter %q (valid: %s)", name, strings.Join(EngineNames(), ", "))
-}
-
 // Pick chooses a sorter engine for a workload: nBlocks blocks of b
 // elements against a cache of m elements, free of them not checked out by
 // the caller, over backend "mem" (local or in-process stores) or "net"
 // (HTTP backends, where round trips dominate).
 // It returns one of EngineBitonic, EngineBucket or EngineZigzag — the
 // randomized sort is never picked; its constants lose to every
-// deterministic engine at any feasible geometry (215 I/Os per block against
-// bitonic's 14 at N = 2^16, B = 8, M = 4096).
+// deterministic engine at any feasible geometry (74.3 I/Os per block
+// against bitonic's 14 at N = 2^16, B = 8, M = 4096).
 //
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is least among the engines the geometry
@@ -88,11 +77,8 @@ func price(c obs.Cost, backend string) int64 {
 // with free of it not checked out, and whether it has such a predictor:
 // Bitonic, whose trace is a function of (nBlocks, B, free); Zigzag, whose
 // trace is a function of (nBlocks, B, M) however much of the cache the
-// caller holds; and auto, which resolves as Auto does.
+// caller holds. name is a resolved engine (core.Engine).
 func Cost(name string, nBlocks, b, m, free int) (obs.Cost, bool) {
-	if name == EngineAuto {
-		name = Pick(nBlocks, b, m, free, "mem")
-	}
 	switch name {
 	case EngineBitonic:
 		return BitonicCost(nBlocks, b, free), true
@@ -100,29 +86,4 @@ func Cost(name string, nBlocks, b, m, free int) (obs.Cost, bool) {
 		return ZigzagCost(nBlocks, b, m), true
 	}
 	return obs.Cost{}, false
-}
-
-// PickSorter resolves an engine name to a Sorter for the engines this
-// package owns; EngineRandomized and EngineAuto must be resolved by the
-// caller (internal/core owns the randomized pipeline, and auto needs the
-// backend kind). Unknown names panic — validate with ValidEngine first.
-func PickSorter(name string) Sorter {
-	switch name {
-	case EngineBitonic:
-		return Bitonic
-	case EngineBucket:
-		return BucketSorter
-	case EngineZigzag:
-		return Zigzag
-	}
-	panic(fmt.Sprintf("obsort: no Sorter for engine %q", name))
-}
-
-// Auto is the self-selecting Sorter: each call runs Pick for the array's
-// geometry and the cache free at the call over the "mem" cost model and
-// dispatches. It is the default engine for ORAM rebuilds — the pick is
-// public (geometry only), so the rebuild trace stays a deterministic
-// function of (n, B, t, seed).
-func Auto(env *extmem.Env, a extmem.Array, less Less) {
-	PickSorter(Pick(a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem"))(env, a, less)
 }

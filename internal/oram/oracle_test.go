@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
@@ -28,16 +27,8 @@ var oracleGeometries = [][2]int{{4, 128}, {8, 512}, {8, 4096}}
 // that is not a power of two.
 var oracleSizes = []int{1, 5, 32, 100}
 
-type sorterCase struct {
-	name string
-	s    obsort.Sorter
-}
-
-var oracleSorters = []sorterCase{
-	{obsort.EngineBitonic, obsort.Bitonic},
-	{obsort.EngineAuto, nil},
-	{obsort.EngineRandomized, core.RandomizedSorter},
-}
+// oracleSorters are the rebuild engines under test, by name.
+var oracleSorters = []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineRandomized}
 
 // model is the reference: for every key its freshest (ts, payload) and the
 // place it lives — a level, or -1 for the private buffer.
@@ -183,11 +174,11 @@ func (m *model) check() {
 func TestRebuildDifferentialOracle(t *testing.T) {
 	for _, geo := range oracleGeometries {
 		for _, n := range oracleSizes {
-			for _, sc := range oracleSorters {
+			for _, sorter := range oracleSorters {
 				b, mWords := geo[0], geo[1]
-				t.Run(fmt.Sprintf("B=%d/M=%d/n=%d/%s", b, mWords, n, sc.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("B=%d/M=%d/n=%d/%s", b, mWords, n, sorter), func(t *testing.T) {
 					env := extmem.NewEnv(256, b, mWords, uint64(n)*31+uint64(mWords))
-					m := newModel(t, env, n, oram.Options{Sorter: sc.s, SorterName: sc.name})
+					m := newModel(t, env, n, oram.Options{Sorter: sorter})
 					m.check()
 					r := rand.New(rand.NewPCG(uint64(n), uint64(b*mWords)))
 					rebuilds := 0

@@ -40,21 +40,17 @@ import (
 
 // Options configures the hierarchy.
 type Options struct {
-	// Sorter rebuilds levels; nil picks an engine per rebuild (obsort.Auto).
-	Sorter obsort.Sorter
-	// SorterName names the configured Sorter for observability: it is
+	// Sorter names the engine that sorts each rebuild (obsort.EngineNames);
+	// "" means "auto", which core.Engine resolves per rebuild from the
+	// rebuild's public geometry and the cache free at the sort. It is
 	// attached to rebuild spans, and rebuild spans are exact-audited only
 	// when it is not "randomized" (the randomized pipeline consumes tape,
-	// so its trace differs per rebuild; the deterministic engines replay
-	// bit-identical rebuild traces for equal geometry). Empty means the
-	// auto-selecting default.
-	SorterName string
+	// so its trace differs per rebuild; the other engines replay
+	// bit-identical rebuild traces for equal geometry).
+	Sorter string
 	// BucketSize is the number of entry blocks per hash bucket; 0 chooses
 	// max(4, 2·ceil(log2 n)).
 	BucketSize int
-	// TopLevel is l0: the private buffer holds 2^l0 entries; 0 chooses a
-	// cache-appropriate default.
-	TopLevel int
 }
 
 // ErrOverflow reports a hash-bucket overflow during a rebuild; per the
@@ -68,24 +64,23 @@ var ErrOverflow = errors.New("oram: bucket overflow during rebuild")
 
 // ORAM is a hierarchical oblivious RAM. Not safe for concurrent use.
 type ORAM struct {
-	env        *extmem.Env
-	n          int
-	b          int
-	sorter     obsort.Sorter
-	sorterName string
-	beta       int
-	l0         int
-	lmax       int
-	levels     []level
-	buf        []extmem.Element // private top buffer, bufCap entry blocks
-	bufLen     int
-	bufCap     int
-	t          int64 // accesses since creation
-	ts         uint64
-	seed       uint64
-	failed     bool
-	rebuild    RebuildStats
-	addrs      []int // probe address scratch (addresses are public, not cache-accounted)
+	env     *extmem.Env
+	n       int
+	b       int
+	sorter  string // engine name, "auto" resolved per rebuild
+	beta    int
+	l0      int
+	lmax    int
+	levels  []level
+	buf     []extmem.Element // private top buffer, bufCap entry blocks
+	bufLen  int
+	bufCap  int
+	t       int64 // accesses since creation
+	ts      uint64
+	seed    uint64
+	failed  bool
+	rebuild RebuildStats
+	addrs   []int // probe address scratch (addresses are public, not cache-accounted)
 }
 
 type level struct {
@@ -110,18 +105,11 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 	}
 	o := &ORAM{env: env, n: n, b: env.B(), seed: env.Tape.Uint64()}
 	o.sorter = opts.Sorter
-	o.sorterName = opts.SorterName
-	if o.sorterName == "" {
-		o.sorterName = obsort.EngineAuto
-		if o.sorter != nil {
-			o.sorterName = "custom" // not the engine auto would pick: no prediction
-		}
+	if o.sorter == "" {
+		o.sorter = obsort.EngineAuto
 	}
-	if o.sorter == nil {
-		// Auto-select per rebuild geometry. The pick is a public function
-		// of (table size, B, M), so the rebuild trace stays deterministic
-		// in (n, B, t, seed).
-		o.sorter = obsort.Auto
+	if !obsort.ValidEngine(o.sorter) {
+		return nil, fmt.Errorf("oram: unknown sorter %q", o.sorter)
 	}
 	o.beta = opts.BucketSize
 	if o.beta <= 0 {
@@ -130,19 +118,14 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 		// negligible (balls-in-bins tail), matching the w.h.p. claims.
 		o.beta = max(4, 2*extmem.CeilLog2(n))
 	}
-	o.l0 = opts.TopLevel
-	if o.l0 <= 0 {
-		o.l0 = 2
-		for (1<<(o.l0+1))*o.b*4 <= env.M && 1<<(o.l0+1) <= n {
-			o.l0++
-		}
+	// The private buffer holds 2^l0 entry blocks: the largest power of two
+	// that is at most n and whose blocks fit a quarter of the cache (the
+	// rest is the rebuild sorter's window), but no fewer than 4.
+	o.l0 = 2
+	for (1<<(o.l0+1))*o.b*4 <= env.M && 1<<(o.l0+1) <= n {
+		o.l0++
 	}
 	o.bufCap = 1 << o.l0
-	// The buffer shares the cache with the rebuild sorter's window, so it
-	// may claim at most a quarter of M.
-	if o.bufCap*o.b > env.M/4 && o.bufCap > 4 {
-		return nil, fmt.Errorf("oram: top buffer 2^%d blocks exceeds a quarter of the cache", o.l0)
-	}
 	o.lmax = extmem.CeilLog2(n) + 1
 	if o.lmax <= o.l0 {
 		o.lmax = o.l0 + 1
@@ -225,8 +208,8 @@ func (o *ORAM) Write(i int, words []uint64) error {
 }
 
 // Dummy performs an access indistinguishable from a real one without
-// touching any logical block — the padding operation data-oblivious
-// callers (Theorem 4's padded peeling schedule) rely on.
+// touching any logical block — the padding operation a data-oblivious
+// caller uses to hide whether it had an access to make.
 func (o *ORAM) Dummy() error {
 	_, err := o.access(-1, nil)
 	return err

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"oblivext/internal/extmem"
@@ -29,6 +30,14 @@ func TestReadAfterInitIsZero(t *testing.T) {
 				t.Fatalf("block %d not zero-initialized: %v", i, v)
 			}
 		}
+	}
+}
+
+// TestNewRejectsUnknownSorter: an engine name is checked when the ORAM is
+// made, not at its first rebuild's sort.
+func TestNewRejectsUnknownSorter(t *testing.T) {
+	if _, err := New(newEnv(4, 64, 1), 10, Options{Sorter: "quicksort"}); err == nil || !strings.Contains(err.Error(), "quicksort") {
+		t.Fatalf("err = %v, want one naming the unknown sorter", err)
 	}
 }
 

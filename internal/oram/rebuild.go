@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
@@ -72,7 +73,7 @@ func (o *ORAM) initialBuild() error {
 
 // In-flight entry representation during a rebuild. The routing network
 // keeps its labels in the color/dest flag bits, and the rebuild sort may
-// be performed by any padded oblivious Sorter — including the randomized
+// be performed by any engine core.SortWith runs — including the randomized
 // sort, which uses the same bits as scratch — so from the moment an entry
 // leaves its table until the moment it enters the new one its metadata
 // lives only in fields every one of them preserves: the Key and Pos of its
@@ -189,7 +190,7 @@ type RebuildGeometry struct {
 	Table   int    // blocks of the table built: buckets·beta
 	B, M    int    // block and cache size, in elements
 	Free    int    // elements of the cache free when the rebuild starts
-	Sorter  string // engine name, as in Options.SorterName
+	Sorter  string // engine name, "auto" where Options.Sorter is ""
 }
 
 // in is the number of blocks the rebuild merges.
@@ -236,7 +237,7 @@ func (g RebuildGeometry) routed() (n int) {
 // entries, either one read of it and one write of the table, or the scan
 // that stamps the slots and Theorem 6's expansion into the table.
 func RebuildCost(g RebuildGeometry) obs.Cost {
-	sort, ok := obsort.Cost(g.Sorter, g.CapE, g.B, g.M, g.Free)
+	sort, ok := obsort.Cost(core.Engine(g.Sorter, g.CapE, g.B, g.M, g.Free, "mem"), g.CapE, g.B, g.M, g.Free)
 	if !ok {
 		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}
@@ -277,7 +278,7 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 		B:      o.b,
 		M:      o.env.M,
 		Free:   o.env.M - o.env.Cache.Used(),
-		Sorter: o.sorterName,
+		Sorter: o.sorter,
 	}
 	if withBuf {
 		g.Buffer, g.CapE = o.bufCap, o.bufCap
@@ -354,10 +355,10 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		sp.SetAttrInt("target-level", int64(target))
 		sp.SetAttrInt("blocks", int64(in))
 		sp.SetAttrInt("live-bound", int64(g.CapE))
-		sp.SetAttr("sorter", o.sorterName)
+		sp.SetAttr("sorter", o.sorter)
 		sp.SetPredicted(RebuildCost(g))
 	}
-	if sp != nil && o.sorterName != obsort.EngineRandomized {
+	if sp != nil && o.sorter != obsort.EngineRandomized {
 		// The rebuild trace is a deterministic function of the geometry and
 		// the array layout (every scan pass touches every block; the routing
 		// and the sorter's trace depend only on sizes and the free cache) —
@@ -421,8 +422,13 @@ func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
 		panic(overKept(count, target, g.Kept))
 	}
 
-	// Step 2.
-	o.sorter(o.env, work.Slice(0, g.CapE), obsort.ByKey)
+	// Step 2. The engine is resolved here, with the cache free at the sort;
+	// only a randomized sort can fail, and a rebuild cannot recover from
+	// that: it panics.
+	engine := core.Engine(o.sorter, g.CapE, o.b, o.env.M, o.env.M-o.env.Cache.Used(), "mem")
+	if err := core.SortWith(o.env, work.Slice(0, g.CapE), engine); err != nil {
+		panic(err)
+	}
 	live := work.Slice(0, g.Kept)
 
 	// Step 3.

@@ -60,11 +60,7 @@ func TestRebuildIOExact(t *testing.T) {
 				b, mWords := geo[0], geo[1]
 				env := extmem.NewEnv(256, b, mWords, 9)
 				col := env.EnableObs()
-				opts := oram.Options{SorterName: sorter}
-				if sorter != obsort.EngineAuto {
-					opts.Sorter = obsort.PickSorter(sorter)
-				}
-				o, err := oram.New(env, n, opts)
+				o, err := oram.New(env, n, oram.Options{Sorter: sorter})
 				if err != nil {
 					t.Fatal(err)
 				}

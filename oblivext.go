@@ -60,14 +60,16 @@ type Config struct {
 	Seed uint64
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
 	// rebuilds: "randomized" (the paper's randomized sort), "bitonic",
-	// "zigzag", "bucket", or "auto". "" means "randomized" for Array.Sort
-	// and "auto" for the ORAM's rebuilds. "auto" picks per call from the
-	// workload geometry (array size, B, M) and the backend kind — round-trip
-	// cost over network stores, block volume otherwise; the pick is a public
-	// function of the geometry, so traces stay data-independent. The
-	// deterministic engines never fail;
-	// "bucket" retries declared overflows on fresh randomness and falls
-	// back to zigzag. See docs/ARCHITECTURE.md, "Sorter engines".
+	// "zigzag", "bucket", or "auto". The two defaults differ: "" means
+	// "randomized" for Array.Sort and "auto" for the ORAM's rebuilds. Both
+	// resolve the name in one place, core.Engine, at each sort: "auto" picks
+	// from the sort's geometry (array size, B, M, the cache free at the
+	// call) and the backend kind — round-trip cost for Array.Sort over
+	// network stores, block volume otherwise and for every rebuild; the pick
+	// is a public function of the geometry, so traces stay data-independent.
+	// The deterministic engines never fail; "bucket" retries declared
+	// overflows on fresh randomness and falls back to zigzag. See
+	// docs/ARCHITECTURE.md, "Sorter engines".
 	Sorter string
 	// Path, when non-empty, backs the store with a real file at that path
 	// instead of memory.
@@ -833,11 +835,7 @@ func (a *Array) Sort() error {
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.Audit(a.c.auditKey("sort/"+engine, a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	if engine == obsort.EngineRandomized {
-		return core.Sort(a.c.env, a.arr)
-	}
-	obsort.PickSorter(engine)(a.c.env, a.arr, obsort.ByKey)
-	return nil
+	return core.SortWith(a.c.env, a.arr, engine)
 }
 
 // auditKey names an operation together with every public input that
@@ -847,24 +845,21 @@ func (c *Client) auditKey(op string, nBlocks, base int) string {
 	return fmt.Sprintf("%s/n=%d/B=%d/M=%d/base=%d", op, nBlocks, c.env.B(), c.env.M, base)
 }
 
-// sortEngine resolves the configured Sorter name to a concrete engine for
-// an array of nBlocks blocks. "auto" runs the public selection policy with
-// the round-trip cost model when the store is network-backed and the block-
-// volume model otherwise; the inputs are all public (geometry, the cache
-// free at the call, and backend kind), so the resolved engine — and with it
-// the trace — is independent of the data.
+// sortEngine resolves the configured Sorter name, "" meaning "randomized",
+// to a concrete engine for an array of nBlocks blocks (core.Engine). "auto"
+// prices round trips when the store is network-backed and block volume
+// otherwise; the inputs are all public (geometry, the cache free at the
+// call, and backend kind), so the resolved engine — and with it the trace —
+// is independent of the data.
 func (c *Client) sortEngine(nBlocks int) string {
-	switch c.sorter {
-	case "", obsort.EngineRandomized:
-		return obsort.EngineRandomized
-	case obsort.EngineAuto:
-		backend := "mem"
-		if len(c.netClients) > 0 {
-			backend = "net"
-		}
-		return obsort.Pick(nBlocks, c.env.B(), c.env.M, c.env.M-c.env.Cache.Used(), backend)
+	name, backend := c.sorter, "mem"
+	if name == "" {
+		name = obsort.EngineRandomized
 	}
-	return c.sorter
+	if len(c.netClients) > 0 {
+		backend = "net"
+	}
+	return core.Engine(name, nBlocks, c.env.B(), c.env.M, c.env.M-c.env.Cache.Used(), backend)
 }
 
 // Select returns the k-th smallest record (1-based, by key with insertion-
@@ -978,23 +973,11 @@ type ORAM struct {
 
 // NewORAM creates an oblivious RAM of n logical blocks of BlockSize words
 // each, zero-initialized. Level rebuilds sort with the engine named by
-// Config.Sorter; with "" or "auto" each rebuild auto-selects from its own
-// geometry (a public function of n, B, and M, so the trace stays
-// deterministic in (n, B, t, seed)).
+// Config.Sorter; with "" or "auto" each rebuild picks one from its own
+// geometry and the cache free at its sort (a public function of n, B, M
+// and the schedule, so the trace stays deterministic in (n, B, t, seed)).
 func (c *Client) NewORAM(n int) (*ORAM, error) {
-	opts := oram.Options{}
-	switch c.sorter {
-	case "", obsort.EngineAuto:
-		// nil Sorter: the oram package's per-rebuild auto-selection.
-		opts.SorterName = obsort.EngineAuto
-	case obsort.EngineRandomized:
-		opts.Sorter = core.RandomizedSorter
-		opts.SorterName = obsort.EngineRandomized
-	default:
-		opts.Sorter = obsort.PickSorter(c.sorter)
-		opts.SorterName = c.sorter
-	}
-	o, err := oram.New(c.env, n, opts)
+	o, err := oram.New(c.env, n, oram.Options{Sorter: c.sorter})
 	if err != nil {
 		return nil, err
 	}

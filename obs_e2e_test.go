@@ -124,6 +124,73 @@ func TestSpanAttribution(t *testing.T) {
 	}
 }
 
+// TestSorterDefaults pins the two defaults of Config.Sorter: with "" the
+// sort span names the randomized engine, and the ORAM's rebuild spans name
+// auto and carry an exact prediction, as a named deterministic engine's do.
+func TestSorterDefaults(t *testing.T) {
+	attr := func(sp *obs.Span, key string) string {
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	var rebuilds func(spans []*obs.Span) []*obs.Span
+	rebuilds = func(spans []*obs.Span) (out []*obs.Span) {
+		for _, sp := range spans {
+			if sp.Name == "oram-rebuild" {
+				out = append(out, sp)
+			}
+			out = append(out, rebuilds(sp.Children)...)
+		}
+		return out
+	}
+	for _, tc := range []struct{ sorter, sortEngine, rebuildSorter string }{
+		{"", "randomized", "auto"},
+		{"bitonic", "bitonic", "bitonic"},
+	} {
+		c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 3, Sorter: tc.sorter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.EnableSpans()
+		arr, err := c.Store(mkRecords(300, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.Sort(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.NewORAM(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := r.Write(i%16, make([]uint64, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roots := c.Spans()
+		if roots[1].Name != "sort" || attr(roots[1], "engine") != tc.sortEngine {
+			t.Errorf("Sorter %q: span %q has engine=%q, want sort with engine=%s", tc.sorter, roots[1].Name, attr(roots[1], "engine"), tc.sortEngine)
+		}
+		rs := rebuilds(roots)
+		if len(rs) < 4 {
+			t.Fatalf("Sorter %q: %d rebuild spans, want at least 4", tc.sorter, len(rs))
+		}
+		for _, sp := range rs {
+			if got := attr(sp, "sorter"); got != tc.rebuildSorter {
+				t.Fatalf("Sorter %q: a rebuild span has sorter=%q, want %s", tc.sorter, got, tc.rebuildSorter)
+			}
+			if sp.IO.Cost() != sp.Predicted {
+				t.Fatalf("Sorter %q: a rebuild measured %+v, its span predicts %+v", tc.sorter, sp.IO.Cost(), sp.Predicted)
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestCompactLooseSpanPrediction: the public compact-loose span carries the
 // plan's constants and an exact prediction — measured I/Os plus the two that
 // every repeated probe saved, and the round trips as they are.
