@@ -15,14 +15,17 @@ import (
 // sibling test in internal/core runs core.Sort, the auto engine through
 // core.SortWith, and emsort over the same corpus.
 
-// oracleOrders are the orders under test. ByRawKey has no empties-last rule,
+// oracleOrder is one order under test. ByRawKey has no empties-last rule,
 // so an engine's +infinity padding is not last under it; it is exercised
 // only where no engine pads — a fully occupied power-of-two block count.
-var oracleOrders = []struct {
+type oracleOrder struct {
 	name   string
 	less   Less
 	padded bool
-}{
+}
+
+// oracleOrders are the orders under test.
+var oracleOrders = []oracleOrder{
 	{"ByKey", ByKey, true},
 	{"ByPos", ByPos, true},
 	{"ByRawKey", ByRawKey, false},
@@ -101,29 +104,42 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		{EngineBucket, BucketSorter},
 		{EngineAuto, auto},
 	}
+	run := func(t *testing.T, corpus []workload.SortCase, m int, sort func(*extmem.Env, extmem.Array, Less), ord oracleOrder) {
+		for _, c := range corpus {
+			if !ord.padded && !unpadded(c, b) {
+				continue
+			}
+			env := extmem.NewEnv(64, b, m, 7)
+			a, ref := layCase(env, c, b, ord.less)
+			env.Cache.ResetHighWater()
+			sort(env, a, ord.less)
+			if used := env.Cache.Used(); used != 0 {
+				t.Fatalf("%s: %d words left checked out", c.Name, used)
+			}
+			if hw := env.Cache.HighWater(); hw > m {
+				t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
+			}
+			checkAgainstReference(t, c.Name, readAll(a), ref)
+		}
+	}
 	corpus := workload.SortCorpus(b)
 	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
 		for _, eng := range engines {
 			for _, ord := range oracleOrders {
 				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, ord.name), func(t *testing.T) {
-					for _, c := range corpus {
-						if !ord.padded && !unpadded(c, b) {
-							continue
-						}
-						env := extmem.NewEnv(64, b, m, 7)
-						a, ref := layCase(env, c, b, ord.less)
-						env.Cache.ResetHighWater()
-						eng.sort(env, a, ord.less)
-						if used := env.Cache.Used(); used != 0 {
-							t.Fatalf("%s: %d words left checked out", c.Name, used)
-						}
-						if hw := env.Cache.HighWater(); hw > m {
-							t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
-						}
-						checkAgainstReference(t, c.Name, readAll(a), ref)
-					}
+					run(t, corpus, m, eng.sort, ord)
 				})
 			}
+		}
+	}
+	// auto at the benchmark's geometry and at an eighth of its size: the
+	// corpus is too small for the engines' prices to part there.
+	for _, g := range []struct{ n, m int }{{8192, 512 * b}, {1024, 512 * b}} {
+		at := workload.SortCasesAt(g.n, b)
+		for _, ord := range oracleOrders {
+			t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, EngineAuto, ord.name), func(t *testing.T) {
+				run(t, at, g.m, auto, ord)
+			})
 		}
 	}
 }

@@ -58,3 +58,31 @@ func SortCorpus(b int) []SortCase {
 	}
 	return cases
 }
+
+// SortCasesAt returns inputs of exactly nBlocks blocks of b cells, for the
+// oracles' rows at one fixed geometry, where the engine an order picks
+// depends on the size: random keys, three distinct keys, descending keys
+// (all fully occupied, so every order applies), and random keys with every
+// third slot empty plus a run of wholly empty blocks.
+func SortCasesAt(nBlocks, b int) []SortCase {
+	r := rand.New(rand.NewSource(int64(nBlocks)*31 + int64(b)))
+	n := nBlocks * b
+	gen := func(key func(i int) uint64, empty func(i int) bool) []extmem.Element {
+		out := make([]extmem.Element, n)
+		for i := range out {
+			if empty == nil || !empty(i) {
+				k := key(i)
+				out[i] = extmem.Element{Key: k, Val: k ^ 0xabc, Flags: extmem.FlagOccupied}
+			}
+			out[i].Pos = uint64(i)
+		}
+		return out
+	}
+	random := func(int) uint64 { return uint64(r.Int63n(1_000_000)) }
+	return []SortCase{
+		{"random", gen(random, nil)},
+		{"three-distinct-keys", gen(func(i int) uint64 { return uint64(i*7) % 3 }, nil)},
+		{"descending", gen(func(i int) uint64 { return uint64(n - i) }, nil)},
+		{"interior-empties", gen(random, func(i int) bool { return i%3 == 1 || (i >= n/4 && i < n/4+16*b) })},
+	}
+}
