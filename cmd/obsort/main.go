@@ -9,7 +9,7 @@
 // Usage:
 //
 //	obsort -n 100000 -b 16 -m 4096 -file /tmp/store.dat -encrypt
-//	obsort -n 100000 -sorter bucket                              # or zigzag, bitonic, auto
+//	obsort -n 65536 -b 8 -sorter columnsort                      # any engine obsort -h lists
 //	obsort -n 100000 -shards 4
 //	obsort -n 100000 -sorter auto -url http://localhost:9220     # a real Bob (cmd/obstore)
 //	obsort -n 100000 -shards 2 -urls http://h1:9220,http://h2:9220
@@ -29,6 +29,7 @@ import (
 	"oblivext"
 	"oblivext/internal/core"
 	"oblivext/internal/obs"
+	"oblivext/internal/obsort"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 	file := flag.String("file", "", "back the store with this file (default: in-memory)")
 	encrypt := flag.Bool("encrypt", false, "seal every block client-side (AES-256-GCM, fresh nonce per write) before it reaches any backend; a remote obstore must run with -b = B+2")
 	seed := flag.Uint64("seed", 1, "random tape seed")
-	sorter := flag.String("sorter", "randomized", "sorter engine: auto, randomized, bitonic, bucket, or zigzag")
+	sorter := flag.String("sorter", "randomized", "sorter engine: "+strings.Join(obsort.EngineNames(), ", "))
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
 	workers := flag.Int("workers", 1, "goroutines for Alice-side in-cache compute and sealing (0 or 1 = serial); the access trace is identical for every setting")
 	url := flag.String("url", "", "back the store with a remote obstore server at this base URL")

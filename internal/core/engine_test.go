@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"oblivext/internal/obsort"
@@ -31,8 +33,8 @@ func TestEngineResolves(t *testing.T) {
 			}
 		}
 	}
-	if !picked[obsort.EngineBitonic] || !picked[obsort.EngineZigzag] {
-		t.Errorf("auto resolved only to %v over the grid; want bitonic and zigzag both", picked)
+	if !picked[obsort.EngineBitonic] || !picked[obsort.EngineColumnsort] || !picked[obsort.EngineZigzag] {
+		t.Errorf("auto resolved only to %v over the grid; want bitonic, columnsort and zigzag each", picked)
 	}
 }
 
@@ -75,5 +77,27 @@ func TestSortWithSorts(t *testing.T) {
 			}()
 			SortWith(env, a, name)
 		})
+	}
+}
+
+// TestSortWithDeclaresColumnGeometry: columnsort named for an array past its
+// size limit in the cache free at the call returns obsort.ErrColumnGeometry
+// naming n, B and the free cache, before any I/O.
+func TestSortWithDeclaresColumnGeometry(t *testing.T) {
+	const b, m, held = 8, 4096, 2048
+	env := newTestEnv(8192+16, b, m, 7)
+	a := env.D.Alloc(8192) // takes columnsort with all of M free, not with half
+	env.Cache.Acquire(held)
+	env.D.ResetStats()
+	err := SortWith(env, a, obsort.EngineColumnsort)
+	if !errors.Is(err, obsort.ErrColumnGeometry) || !strings.Contains(err.Error(), "n=8192 blocks of B=8 with 2048 elements of cache free") {
+		t.Fatalf("SortWith(columnsort) with %d held: err = %v, want ErrColumnGeometry naming the geometry", held, err)
+	}
+	if st := env.D.Stats(); st.Reads+st.Writes != 0 {
+		t.Fatalf("the declared error cost %d reads and %d writes", st.Reads, st.Writes)
+	}
+	env.Cache.Release(held)
+	if err := SortWith(env, a, obsort.EngineColumnsort); err != nil {
+		t.Fatalf("with M free: %v", err)
 	}
 }

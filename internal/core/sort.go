@@ -117,14 +117,22 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 }
 
 // SortWith sorts a by obsort.ByKey with the named engine, which Engine has
-// resolved. Only "randomized" can fail, with ErrSortFailed; bucket retries
-// its declared overflows and falls back to zigzag. Any other name panics.
+// resolved. Only "randomized" can fail, with ErrSortFailed, and
+// "columnsort", with obsort.ErrColumnGeometry before any I/O where the
+// array does not fit its size limit in the cache free at the call; bucket
+// retries its declared overflows and falls back to zigzag. Any other name
+// panics.
 func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	switch engine {
 	case obsort.EngineRandomized:
 		return Sort(env, a)
 	case obsort.EngineBitonic:
 		obsort.Bitonic(env, a, obsort.ByKey)
+	case obsort.EngineColumnsort:
+		if _, _, err := obsort.ColumnGeometry(a.Len(), a.B(), env.M-env.Cache.Used()); err != nil {
+			return err
+		}
+		obsort.Columnsort(env, a, obsort.ByKey)
 	case obsort.EngineBucket:
 		obsort.BucketSorter(env, a, obsort.ByKey)
 	case obsort.EngineZigzag:

@@ -25,7 +25,7 @@ var predictorGrid = []geometry{
 	{16, 4, 16, 0}, {17, 4, 32, 0}, {64, 4, 32, 0}, {100, 4, 32, 0}, {20, 4, 64, 0}, {128, 8, 64, 0},
 	{1000, 4, 128, 0}, {250, 8, 256, 0}, {64, 8, 512, 0}, {128, 8, 512, 0}, {256, 4, 512, 0},
 	{1000, 8, 512, 0}, {1616, 8, 512, 0}, {20, 4, 1024, 0}, {4097, 8, 4096, 0},
-	{300, 8, 512, 128}, {1000, 4, 512, 192}, {37, 4, 1024, 768}, {4097, 8, 4096, 2056},
+	{300, 8, 512, 128}, {1000, 4, 512, 192}, {37, 4, 1024, 768}, {4097, 8, 4096, 2056}, {1024, 8, 4096, 2048},
 }
 
 // fillCells writes the array's blocks two in three occupied, every element
@@ -64,7 +64,9 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // runs on the array fillCells writes, with held elements of the cache
 // checked out; the predictors that assume the whole cache free (zigzag and
 // bucket sort, Select, Quantiles, loose compaction) run where nothing is
-// held, and bitonic's, priced at the free cache, runs on every row. oram.RebuildCost is
+// held, bitonic's, priced at the free cache, runs on every row, and
+// columnsort's, priced the same way, on every row whose geometry
+// ColumnGeometry admits. oram.RebuildCost is
 // not a row: a rebuild's geometry comes from the ORAM's level state, not
 // from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
 // of its oracle geometries against it.
@@ -83,6 +85,20 @@ func TestPredictorsExact(t *testing.T) {
 		{"obsort.Bitonic", func(g geometry) bool { return g.m >= 4*g.b && g.free() >= 2*g.b },
 			func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				return measure(env, func() { obsort.Bitonic(env, a, obsort.ByKey) }), obsort.BitonicCost(g.n, g.b, g.free())
+			}},
+		{"obsort.Columnsort", func(g geometry) bool { _, _, err := obsort.ColumnGeometry(g.n, g.b, g.free()); return err == nil },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				// In place: no disk scratch, and the cache within M.
+				mark, dhw := env.D.Mark(), env.D.HighWater()
+				env.Cache.ResetHighWater()
+				got := measure(env, func() { obsort.Columnsort(env, a, obsort.ByKey) })
+				if env.D.Mark() != mark || env.D.HighWater() != dhw {
+					t.Errorf("disk mark %d → %d, high-water %d → %d: columnsort allocated scratch", mark, env.D.Mark(), dhw, env.D.HighWater())
+				}
+				if hw := env.Cache.HighWater(); hw > g.m {
+					t.Errorf("cache high-water %d > M=%d", hw, g.m)
+				}
+				return got, obsort.ColumnCost(g.n, g.b, g.free())
 			}},
 		{"obsort.Zigzag", whole, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 			return measure(env, func() { obsort.Zigzag(env, a, obsort.ByKey) }), obsort.ZigzagCost(g.n, g.b, g.m)

@@ -1,0 +1,199 @@
+package obsort
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
+)
+
+// This file implements Leighton's columnsort, the deterministic sort behind
+// the Chaudhry–Cormen approach whose size limit the paper cites: an r × s
+// column-major matrix with r ≥ 2(s−1)² is sorted by four column sorts and
+// fixed permutations, so its trace is a function of (n, B, free) alone.
+//
+// Its eight steps run here as three read-once, write-once passes over the
+// array, in place. Column j is blocks [j·r/B, (j+1)·r/B), and slot k of
+// column j — r/s elements, whole blocks — stands for chunk j of column k of
+// the transposed matrix, so the transposes cost no pass and no scratch:
+//
+//   - A (steps 1–2): read column j, sort it, deal element t into slot
+//     t mod s, write the column back.
+//   - B (steps 3–4): gather slot k of every column — transposed column k —
+//     in one vectored read, sort it and write it back where it was read.
+//     Column m now holds, slot by slot, untransposed column m.
+//   - C (steps 5–8): read column m, sort it, merge its top half with the
+//     bottom half of column m−1 held in the cache, and write that window,
+//     [m·r − r/2, m·r + r/2), to its final place. Sorting the windows is
+//     the shift / sort / unshift triple; the two outer half columns are
+//     final as soon as they are sorted.
+//
+// That is 6 block I/Os per block in 6s+1 round trips: s reads and s writes
+// in each of A and B, s reads and s+1 writes in C. Only A sorts from
+// scratch: what B and C read is s sorted runs (the slots), which they merge.
+
+// ErrColumnGeometry reports an array Columnsort cannot sort in the cache
+// free at the call: no column count s meets the size limit and the block
+// alignment of its passes.
+var ErrColumnGeometry = errors.New("obsort: no columnsort matrix fits")
+
+// ColumnGeometry returns the r × s matrix Columnsort lays nBlocks blocks of
+// b elements on, given free elements of the cache not checked out: the
+// smallest s ≥ 2 with r = nBlocks·b/s, slots of whole blocks (s·B | r),
+// half columns of whole blocks (B | r/2), Leighton's limit r ≥ 2(s−1)², and
+// a column plus its deal buffer in the cache (2r ≤ free). The smallest s is
+// the widest column and the fewest round trips. An empty array needs no
+// matrix. Otherwise, where no s qualifies, it returns ErrColumnGeometry
+// naming the geometry.
+func ColumnGeometry(nBlocks, b, free int) (r, s int, err error) {
+	ne := nBlocks * b
+	if ne == 0 {
+		return 0, 0, nil
+	}
+	// r = ne/s falls and 2(s−1)² rises with s: past the first s over the
+	// limit, every larger one is over it too.
+	for s = 2; ne >= 2*s*(s-1)*(s-1); s++ {
+		if r = ne / s; ne%s == 0 && r%(s*b) == 0 && r%(2*b) == 0 && 2*r <= free {
+			return r, s, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free (want r = nB/s, s ≥ 2, s·B | r, B | r/2, r ≥ 2(s−1)², 2r ≤ free)",
+		ErrColumnGeometry, nBlocks, b, free)
+}
+
+// ColumnCost predicts the exact block I/Os and vectored round trips of one
+// Columnsort call entered with free elements of the cache not checked out,
+// for a geometry ColumnGeometry admits: three passes of 2 I/Os per block,
+// and 6s+1 round trips.
+func ColumnCost(nBlocks, b, free int) obs.Cost {
+	_, s, err := ColumnGeometry(nBlocks, b, free)
+	if err != nil || nBlocks == 0 {
+		return obs.Cost{}
+	}
+	return obs.Cost{IOs: 6 * int64(nBlocks), RoundTrips: 6*int64(s) + 1}
+}
+
+// Columnsort sorts the array in place with the fused three-pass columnsort
+// above, on ColumnGeometry's matrix for the cache free at the call. The
+// address trace depends only on (len, B, free); it allocates no disk
+// scratch and checks out 2r elements of the cache. It panics with
+// ErrColumnGeometry where ColumnGeometry does.
+func Columnsort(env *extmem.Env, a extmem.Array, less Less) {
+	n := a.Len()
+	b := a.B()
+	free := env.M - env.Cache.Used()
+	r, s, err := ColumnGeometry(n, b, free)
+	if err != nil {
+		panic(err)
+	}
+	if n == 0 {
+		return
+	}
+	sp := env.Obs.Start("columnsort")
+	sp.SetAttrInt("blocks", int64(n))
+	sp.SetAttrInt("columns", int64(s))
+	sp.SetPredicted(ColumnCost(n, b, free))
+	defer env.Obs.End(sp)
+
+	rb, sb, per := r/b, r/(s*b), r/s // blocks per column, per slot; elements per slot
+	buf := env.Cache.Buf(2 * r)
+	col, aux := buf[:r], buf[r:]
+	cmp := func(x, y extmem.Element) int { return compare(less, x, y) }
+
+	spa := env.Obs.Start("sort-deal")
+	for j := 0; j < s; j++ {
+		a.ReadRange(j*rb, (j+1)*rb, col)
+		slices.SortFunc(col, cmp)
+		for t, e := range col {
+			aux[t%s*per+t/s] = e
+		}
+		a.WriteRange(j*rb, (j+1)*rb, aux)
+	}
+	env.Obs.End(spa)
+
+	spb := env.Obs.Start("sort-slots")
+	idx := env.D.IndexScratch(rb)
+	for k := 0; k < s; k++ {
+		for j := 0; j < s; j++ {
+			for q := 0; q < sb; q++ {
+				idx[j*sb+q] = j*rb + k*sb + q
+			}
+		}
+		a.ReadMany(idx, col)
+		mergeRuns(col, per, aux, less)
+		a.WriteMany(idx, col)
+	}
+	env.Obs.End(spb)
+
+	// aux[r/2:] carries the bottom half of the previous column; the window
+	// is merged into aux in front of it.
+	spc := env.Obs.Start("sort-merge")
+	half, hb := r/2, rb/2
+	for m := 0; m < s; m++ {
+		a.ReadRange(m*rb, (m+1)*rb, col)
+		mergeRuns(col, per, aux[:half], less)
+		if m == 0 {
+			a.WriteRange(0, hb, col[:half])
+		} else {
+			mergeBehind(aux, col[:half], less)
+			a.WriteRange(m*rb-hb, m*rb+hb, aux)
+		}
+		copy(aux[half:], col[half:])
+	}
+	a.WriteRange(n-hb, n, aux[half:])
+	env.Obs.End(spc)
+	env.Cache.Free(buf)
+}
+
+// mergeRuns sorts buf, sorted runs of per elements each, by merging
+// neighbouring runs bottom up, each merge through scratch of the shorter
+// run's length: at most len(buf)/2.
+func mergeRuns(buf []extmem.Element, per int, scratch []extmem.Element, less Less) {
+	for w := per; w < len(buf); w *= 2 {
+		for lo := 0; lo+w < len(buf); lo += 2 * w {
+			run := buf[lo:min(lo+2*w, len(buf))]
+			if w <= len(run)-w {
+				x := scratch[:w]
+				copy(x, run[:w])
+				mergeBehind(run, x, less)
+				continue
+			}
+			// The second run is the shorter: merge from the back, the
+			// larger of the two heads to slot i+j+1, never below run[i].
+			y := scratch[:len(run)-w]
+			copy(y, run[w:])
+			i, j := w-1, len(y)-1
+			for i >= 0 && j >= 0 {
+				if less(y[j], run[i]) {
+					run[i+j+1] = run[i]
+					i--
+				} else {
+					run[i+j+1] = y[j]
+					j--
+				}
+			}
+			copy(run, y[:j+1])
+		}
+	}
+}
+
+// mergeBehind merges the sorted y into dst, whose last len(dst)−len(y)
+// elements are the other sorted input, x. Output slot i+j is written only
+// once x[i], at len(y)+i, has been read, so the merge needs no second
+// buffer, and once y runs out the rest of x is already in place.
+func mergeBehind(dst, y []extmem.Element, less Less) {
+	x := dst[len(y):]
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		if less(y[j], x[i]) {
+			dst[i+j] = y[j]
+			j++
+		} else {
+			dst[i+j] = x[i]
+			i++
+		}
+	}
+	copy(dst[i+j:], y[j:])
+}

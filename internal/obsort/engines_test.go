@@ -307,9 +307,10 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // TestPickPolicy pins the pick to the predictors rather than to engine
 // names: at every geometry the pick is the argmin of the exact predictors of
 // the engines the geometry supports (block I/Os over mem, round trips over
-// net; bitonic, then zigzag, preferred on ties), and running the picked
-// engine costs exactly what its predictor said. Bitonic is priced at the
-// cache the caller leaves free, the others at M; some rows hold part of it.
+// net; on ties bitonic, then columnsort, then zigzag), and running the
+// picked engine costs exactly what its predictor said. Bitonic and
+// columnsort are priced at the cache the caller leaves free, the others at
+// M; some rows hold part of it.
 func TestPickPolicy(t *testing.T) {
 	// metric is the test's own statement of what Pick minimises, kept
 	// independent of pick.go so a wrong backend rule there fails here.
@@ -319,35 +320,48 @@ func TestPickPolicy(t *testing.T) {
 		}
 		return c.IOs
 	}
+	columns := func(n, b, free int) bool { _, _, err := ColumnGeometry(n, b, free); return err == nil }
+	// engines in tie order; run sorts with the engine and reports whether
+	// the run was the clean one its predictor prices.
 	engines := []struct {
 		name      string
 		cost      func(nBlocks, b, m, free int) obs.Cost
 		supported func(nBlocks, b, m, free int) bool
+		run       func(env *extmem.Env, a extmem.Array) bool
 	}{
 		{EngineBitonic, func(n, b, _, free int) obs.Cost { return BitonicCost(n, b, free) },
-			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b }},
+			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b },
+			func(env *extmem.Env, a extmem.Array) bool { Bitonic(env, a, ByKey); return true }},
+		{EngineColumnsort, func(n, b, _, free int) obs.Cost { return ColumnCost(n, b, free) },
+			func(n, b, _, free int) bool { return columns(n, b, free) },
+			func(env *extmem.Env, a extmem.Array) bool { Columnsort(env, a, ByKey); return true }},
 		{EngineZigzag, func(n, b, m, _ int) obs.Cost { return ZigzagCost(n, b, m) },
-			func(_, _, _, _ int) bool { return true }},
+			func(_, _, _, _ int) bool { return true },
+			func(env *extmem.Env, a extmem.Array) bool { Zigzag(env, a, ByKey); return true }},
+		// A declared overflow retries on a fresh tape and costs more than
+		// one run; the predictor is exact for a clean run.
 		{EngineBucket, func(n, b, m, _ int) obs.Cost { return BucketCost(n, b, m) },
-			func(n, b, m, _ int) bool { return BucketSupported(n, b, m) }},
+			func(n, b, m, _ int) bool { return BucketSupported(n, b, m) },
+			func(env *extmem.Env, a extmem.Array) bool { return BucketSort(env, a, ByKey) == nil }},
 	}
 	picked, backendSplits := map[string]bool{}, false
 	for _, g := range []struct{ n, b, m, held int }{
 		{16, 8, 4096, 0}, {1, 8, 512, 0}, {7, 8, 512, 0}, {64, 8, 512, 0}, {336, 8, 512, 0}, {672, 8, 512, 0},
 		{1616, 8, 512, 0}, {1616, 8, 512, 128}, {1 << 10, 8, 512, 0}, {1 << 12, 8, 4096, 0}, {1 << 13, 8, 4096, 0},
 		{1 << 13, 8, 4096, 2056}, {300, 4, 64, 0}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
-		{23, 8, 64, 0}, {362, 4, 32, 0},
+		{23, 8, 64, 0}, {362, 4, 32, 0}, {1 << 10, 8, 4096, 0}, {1 << 10, 8, 4096, 2048}, {16, 8, 512, 128},
+		{32, 8, 512, 128}, {64, 8, 512, 128}, {72, 6, 1024, 0},
 	} {
 		free := g.m - g.held
 		backendSplits = backendSplits || Pick(g.n, g.b, g.m, free, "mem") != Pick(g.n, g.b, g.m, free, "net")
 		for _, backend := range []string{"mem", "net"} {
-			want, least := "", int64(0)
-			for _, e := range engines {
+			want, least, wi := "", int64(0), -1
+			for i, e := range engines {
 				if !e.supported(g.n, g.b, g.m, free) {
 					continue
 				}
 				if c := metric(e.cost(g.n, g.b, g.m, free), backend); want == "" || c < least {
-					want, least = e.name, c
+					want, least, wi = e.name, c, i
 				}
 			}
 			got := Pick(g.n, g.b, g.m, free, backend)
@@ -361,36 +375,43 @@ func TestPickPolicy(t *testing.T) {
 			a := env.D.Alloc(g.n)
 			fillArray(env, a, genKeys(rand.New(rand.NewPCG(43, 44)), g.n*g.b, "rand"))
 			env.D.ResetStats()
-			if got == EngineBucket {
-				// A declared overflow retries on a fresh tape and costs more
-				// than one run; the predictor is exact for a clean run.
-				if err := BucketSort(env, a, ByKey); err != nil {
-					continue
-				}
-			} else if got == EngineBitonic {
-				Bitonic(env, a, ByKey)
-			} else {
-				Zigzag(env, a, ByKey)
+			if !engines[wi].run(env, a) {
+				continue
 			}
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
 			}
 			// Zigzag's runs are sized by M whatever the caller holds; only
-			// bitonic's window answers to the free cache.
-			if hw := env.Cache.HighWater(); got == EngineBitonic && hw > g.m {
+			// bitonic's window and columnsort's columns answer to the free
+			// cache.
+			if hw := env.Cache.HighWater(); (got == EngineBitonic || got == EngineColumnsort) && hw > g.m {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: cache high-water %d > M", g.n, g.b, g.m, free, backend, got, hw)
 			}
 		}
 	}
 	// The table is worth its name only if the choice is exercised.
-	if !picked[EngineBitonic] || !picked[EngineZigzag] {
-		t.Errorf("table picked only %v; want bitonic and zigzag both to win somewhere", picked)
+	if !picked[EngineBitonic] || !picked[EngineColumnsort] || !picked[EngineZigzag] {
+		t.Errorf("table picked only %v; want bitonic, columnsort and zigzag each to win somewhere", picked)
 	}
 	if !backendSplits {
 		t.Error("no geometry picks differently over mem and net; the backend rule is unchecked")
 	}
 	if got := Pick(0, 8, 512, 512, "mem"); got != EngineBitonic {
 		t.Errorf("empty input picked %q", got)
+	}
+	// The benchmark's sort takes columnsort over either backend; the ORAM's
+	// rebuilds at kv_mix_http's geometry (M = 512, its buffer held) keep
+	// bitonic, which at 64 blocks ties columnsort's I/Os in fewer round
+	// trips.
+	for _, backend := range []string{"mem", "net"} {
+		if got := Pick(8192, 8, 4096, 4096, backend); got != EngineColumnsort {
+			t.Errorf("Pick(8192, 8, 4096, 4096, %s) = %s, want columnsort", backend, got)
+		}
+	}
+	for _, n := range []int{16, 32, 64} {
+		if got := Pick(n, 8, 512, 384, "mem"); got != EngineBitonic {
+			t.Errorf("Pick(%d, 8, 512, 384, mem) = %s, want bitonic", n, got)
+		}
 	}
 }
 

@@ -9,8 +9,11 @@
 // sort starts, all of M when the caller holds nothing — so the I/O cost is
 // O((N/B)·(1 + log²(N/B)/log(C/B))) with a fixed, data-independent address
 // trace.
-// It also provides the zigzag and bucket engines, and Pick, the policy that
-// chooses among the three from public geometry.
+// It also provides Leighton's columnsort, fused into three passes for arrays
+// within its size limit (columnsort.go), the zigzag and bucket engines, and
+// Pick, the policy that chooses among the four from public geometry: the
+// strictly cheapest by its exact predictor, ties kept by bitonic, then
+// columnsort, then zigzag.
 //
 // Sorting here always has padded semantics: occupied elements ascend by
 // (Key, Pos) — or a caller-supplied order — and unoccupied cells sink to

@@ -207,10 +207,11 @@ func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
 	}
 }
 
-// heldRun sorts keys in n blocks of b on a strict cache of m with held
-// elements checked out first, and returns the trace, the counters, the cache
-// high-water and the result.
-func heldRun(t *testing.T, n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
+// heldRun sorts keys in n blocks of b with the given engine on a strict
+// cache of m with held elements checked out first, and returns the trace,
+// the counters, the cache high-water and the result. It fails the test if
+// the sort leaves the cache unbalanced.
+func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
 	t.Helper()
 	env := extmem.NewEnv(2*n, b, m, 3)
 	env.Cache = extmem.NewCache(m, true)
@@ -220,7 +221,10 @@ func heldRun(t *testing.T, n, b, m, held int, keys []uint64) (trace.Summary, obs
 	rec := trace.NewRecorder(0)
 	env.D.SetRecorder(rec)
 	env.D.ResetStats()
-	Bitonic(env, a, ByKey)
+	sort(env, a, ByKey)
+	if used := env.Cache.Used(); used != held {
+		t.Fatalf("n=%d held=%d: %d elements checked out after the sort", n, held, used)
+	}
 	return rec.Summarize(), env.D.Stats(), env.Cache.HighWater(), readAll(a)
 }
 
@@ -232,7 +236,7 @@ func TestBitonicRespectsHeldCache(t *testing.T) {
 	const n, b, m = 1024, 8, 4096
 	keys := genKeys(rand.New(rand.NewPCG(4, 4)), n*b, "rand")
 	for _, held := range []int{0, m / 4, m/2 + b, 3 * m / 4, m - 2*b} {
-		_, st, hw, elems := heldRun(t, n, b, m, held, keys)
+		_, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, keys)
 		if got := checkSortedPadded(t, elems); !sameMultiset(got, keys) {
 			t.Errorf("held=%d: multiset changed", held)
 		}
@@ -249,7 +253,7 @@ func TestBitonicRespectsHeldCache(t *testing.T) {
 			t.Errorf("with 2B-1 free: panic %q, want one naming the 16 elements needed and the 15 free", msg)
 		}
 	}()
-	heldRun(t, n, b, m, m-2*b+1, keys)
+	heldRun(t, Bitonic, n, b, m, m-2*b+1, keys)
 }
 
 // FuzzBitonic sorts two inputs of one (n, held) — fuzzed keys and a
@@ -269,7 +273,7 @@ func FuzzBitonic(f *testing.F) {
 		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
 		var first trace.Summary
 		for i, in := range [][]uint64{keys, genKeys(nil, n*b, "equal")} {
-			sum, st, hw, elems := heldRun(t, n, b, m, held, in)
+			sum, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, in)
 			if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
 				t.Fatalf("n=%d held=%d: multiset changed", n, held)
 			}

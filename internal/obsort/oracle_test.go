@@ -81,9 +81,10 @@ func checkAgainstReference(t *testing.T, name string, got, ref []extmem.Element)
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
 	byName := map[string]func(*extmem.Env, extmem.Array, Less){
-		EngineBitonic: Bitonic,
-		EngineZigzag:  Zigzag,
-		EngineBucket:  BucketSorter,
+		EngineBitonic:    Bitonic,
+		EngineColumnsort: Columnsort,
+		EngineZigzag:     Zigzag,
+		EngineBucket:     BucketSorter,
 	}
 	// auto runs the engine Pick names with the cache free at the call and
 	// the "mem" price, as core.Engine resolves it for an ORAM rebuild.
@@ -95,24 +96,32 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		}
 		run(env, a, less)
 	}
-	engines := []struct {
-		name string
-		sort func(*extmem.Env, extmem.Array, Less)
-	}{
-		{EngineBitonic, Bitonic},
-		{EngineZigzag, Zigzag},
-		{EngineBucket, BucketSorter},
-		{EngineAuto, auto},
+	// Columnsort takes only the arrays ColumnGeometry admits; every other
+	// engine takes any array.
+	any := func(int, int) bool { return true }
+	columns := func(n, m int) bool { _, _, err := ColumnGeometry(n, b, m); return err == nil }
+	type engine struct {
+		name   string
+		sort   func(*extmem.Env, extmem.Array, Less)
+		admits func(nBlocks, m int) bool
 	}
-	run := func(t *testing.T, corpus []workload.SortCase, m int, sort func(*extmem.Env, extmem.Array, Less), ord oracleOrder) {
+	engines := []engine{
+		{EngineBitonic, Bitonic, any},
+		{EngineColumnsort, Columnsort, columns},
+		{EngineZigzag, Zigzag, any},
+		{EngineBucket, BucketSorter, any},
+		{EngineAuto, auto, any},
+	}
+	ran := map[string]int{} // cases each engine sorted
+	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, ord oracleOrder) {
 		for _, c := range corpus {
-			if !ord.padded && !unpadded(c, b) {
+			if (!ord.padded && !unpadded(c, b)) || !eng.admits(extmem.CeilDiv(len(c.Slots), b), m) {
 				continue
 			}
 			env := extmem.NewEnv(64, b, m, 7)
 			a, ref := layCase(env, c, b, ord.less)
 			env.Cache.ResetHighWater()
-			sort(env, a, ord.less)
+			eng.sort(env, a, ord.less)
 			if used := env.Cache.Used(); used != 0 {
 				t.Fatalf("%s: %d words left checked out", c.Name, used)
 			}
@@ -120,6 +129,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 				t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
 			}
 			checkAgainstReference(t, c.Name, readAll(a), ref)
+			ran[eng.name]++
 		}
 	}
 	corpus := workload.SortCorpus(b)
@@ -127,19 +137,29 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		for _, eng := range engines {
 			for _, ord := range oracleOrders {
 				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, ord.name), func(t *testing.T) {
-					run(t, corpus, m, eng.sort, ord)
+					run(t, corpus, m, eng, ord)
 				})
 			}
 		}
 	}
-	// auto at the benchmark's geometry and at an eighth of its size: the
-	// corpus is too small for the engines' prices to part there.
+	// auto and columnsort at the benchmark's geometry and at an eighth of
+	// its size: the corpus is too small for the engines' prices to part.
 	for _, g := range []struct{ n, m int }{{8192, 512 * b}, {1024, 512 * b}} {
 		at := workload.SortCasesAt(g.n, b)
-		for _, ord := range oracleOrders {
-			t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, EngineAuto, ord.name), func(t *testing.T) {
-				run(t, at, g.m, auto, ord)
-			})
+		for _, eng := range engines {
+			if eng.name != EngineAuto && eng.name != EngineColumnsort {
+				continue
+			}
+			for _, ord := range oracleOrders {
+				t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, eng.name, ord.name), func(t *testing.T) {
+					run(t, at, g.m, eng, ord)
+				})
+			}
+		}
+	}
+	for _, eng := range engines {
+		if ran[eng.name] == 0 {
+			t.Errorf("%s sorted no case", eng.name)
 		}
 	}
 }

@@ -40,9 +40,10 @@ import (
 
 // Options configures the hierarchy.
 type Options struct {
-	// Sorter names the engine that sorts each rebuild (obsort.EngineNames);
-	// "" means "auto", which core.Engine resolves per rebuild from the
-	// rebuild's public geometry and the cache free at the sort. It is
+	// Sorter names the engine that sorts each rebuild (obsort.EngineNames,
+	// but not "columnsort", whose size limit not every level's rebuild
+	// meets); "" means "auto", which core.Engine resolves per rebuild from
+	// the rebuild's public geometry and the cache free at the sort. It is
 	// attached to rebuild spans, and rebuild spans are exact-audited only
 	// when it is not "randomized" (the randomized pipeline consumes tape,
 	// so its trace differs per rebuild; the other engines replay
@@ -110,6 +111,11 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 	}
 	if !obsort.ValidEngine(o.sorter) {
 		return nil, fmt.Errorf("oram: unknown sorter %q", o.sorter)
+	}
+	if o.sorter == obsort.EngineColumnsort {
+		// Its size limit is a property of each sort's geometry, and capE
+		// varies by level; "auto" takes it wherever a level's admits it.
+		return nil, fmt.Errorf("oram: sorter %q cannot sort every level's rebuild; use \"auto\"", o.sorter)
 	}
 	o.beta = opts.BucketSize
 	if o.beta <= 0 {

@@ -41,6 +41,15 @@ func TestNewRejectsUnknownSorter(t *testing.T) {
 	}
 }
 
+// TestNewRejectsColumnsort: columnsort's size limit is a property of each
+// sort's geometry and capE varies by level, so it is not a fixed rebuild
+// sorter; "auto" takes it where a level's geometry admits it.
+func TestNewRejectsColumnsort(t *testing.T) {
+	if _, err := New(newEnv(4, 64, 1), 10, Options{Sorter: "columnsort"}); err == nil || !strings.Contains(err.Error(), `"columnsort"`) {
+		t.Fatalf("err = %v, want one naming columnsort", err)
+	}
+}
+
 func TestReadYourWrites(t *testing.T) {
 	env := newEnv(4, 64, 2)
 	o, err := New(env, 16, Options{})

@@ -61,9 +61,9 @@ func SortCorpus(b int) []SortCase {
 
 // SortCasesAt returns inputs of exactly nBlocks blocks of b cells, for the
 // oracles' rows at one fixed geometry, where the engine an order picks
-// depends on the size: random keys, three distinct keys, descending keys
-// (all fully occupied, so every order applies), and random keys with every
-// third slot empty plus a run of wholly empty blocks.
+// depends on the size: random keys, three distinct keys, one key, ascending
+// and descending keys (all fully occupied, so every order applies), and
+// random keys with every third slot empty plus a run of wholly empty blocks.
 func SortCasesAt(nBlocks, b int) []SortCase {
 	r := rand.New(rand.NewSource(int64(nBlocks)*31 + int64(b)))
 	n := nBlocks * b
@@ -82,6 +82,8 @@ func SortCasesAt(nBlocks, b int) []SortCase {
 	return []SortCase{
 		{"random", gen(random, nil)},
 		{"three-distinct-keys", gen(func(i int) uint64 { return uint64(i*7) % 3 }, nil)},
+		{"all-equal", gen(func(int) uint64 { return 7 }, nil)},
+		{"ascending", gen(func(i int) uint64 { return uint64(i) }, nil)},
 		{"descending", gen(func(i int) uint64 { return uint64(n - i) }, nil)},
 		{"interior-empties", gen(random, func(i int) bool { return i%3 == 1 || (i >= n/4 && i < n/4+16*b) })},
 	}

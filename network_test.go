@@ -183,7 +183,8 @@ func sorterMemTrace(t *testing.T, engine string, recs []Record) TraceSummary {
 
 // TestSorterEnginesNetworkAdversaryView pins the obliviousness of every
 // sorter engine where it matters — over the wire, at the acceptance size
-// N = 2^12: the trace Bob himself journals is bit-identical across distinct
+// N = 2^12, which M = 1024 admits to columnsort (8 columns of 512): the
+// trace Bob himself journals is bit-identical across distinct
 // same-size inputs (bucket's overflow declarations included: at this seed
 // and geometry every attempt succeeds, and the success-path trace is
 // input-independent — the declared-failure prefix contract is pinned in the
@@ -199,7 +200,7 @@ func TestSorterEnginesNetworkAdversaryView(t *testing.T) {
 	for i := range constant {
 		constant[i] = Record{Key: 5, Val: uint64(i)}
 	}
-	for _, engine := range []string{"bitonic", "zigzag", "bucket", "auto"} {
+	for _, engine := range []string{"bitonic", "columnsort", "zigzag", "bucket", "auto"} {
 		t.Run(engine, func(t *testing.T) {
 			clientA, serverA := sorterNetTrace(t, engine, varied)
 			clientB, serverB := sorterNetTrace(t, engine, constant)

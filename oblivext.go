@@ -60,7 +60,7 @@ type Config struct {
 	Seed uint64
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
 	// rebuilds: "randomized" (the paper's randomized sort), "bitonic",
-	// "zigzag", "bucket", or "auto". The two defaults differ: "" means
+	// "columnsort", "zigzag", "bucket", or "auto". The two defaults differ: "" means
 	// "randomized" for Array.Sort and "auto" for the ORAM's rebuilds. Both
 	// resolve the name in one place, core.Engine, at each sort: "auto" picks
 	// from the sort's geometry (array size, B, M, the cache free at the
@@ -68,7 +68,10 @@ type Config struct {
 	// network stores, block volume otherwise and for every rebuild; the pick
 	// is a public function of the geometry, so traces stay data-independent.
 	// The deterministic engines never fail; "bucket" retries declared
-	// overflows on fresh randomness and falls back to zigzag. See
+	// overflows on fresh randomness and falls back to zigzag. "columnsort"
+	// takes only arrays within its size limit: named for any other,
+	// Array.Sort returns an error before any I/O, and NewORAM rejects it
+	// ("auto" takes it wherever it fits and is cheapest). See
 	// docs/ARCHITECTURE.md, "Sorter engines".
 	Sorter string
 	// Path, when non-empty, backs the store with a real file at that path
@@ -828,6 +831,10 @@ func (a *Array) Records() ([]Record, error) {
 // possibly permuted). The deterministic engines (bitonic, zigzag) never
 // return an error; bucket declares and retries internal overflows on fresh
 // randomness, falling back to zigzag, so it never returns an error either.
+// Columnsort returns one, naming the array's blocks, B and the free cache,
+// before any I/O on an array past its size limit (r ≥ 2(s−1)² with a
+// column and its deal buffer in the free cache); "auto" never picks it
+// there.
 func (a *Array) Sort() error {
 	engine := a.c.sortEngine(a.arr.Len())
 	sp := a.c.env.Obs.Start("sort")

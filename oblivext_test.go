@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -193,6 +194,50 @@ func TestPublicORAM(t *testing.T) {
 	}
 	if v[0] != 1 || v[3] != 4 {
 		t.Fatalf("read back %v", v)
+	}
+}
+
+// TestPublicSortColumnsortDeclaresGeometry: an explicit columnsort on an
+// array past its size limit is a declared error naming the geometry, given
+// before any I/O, and leaves the records as they were.
+func TestPublicSortColumnsortDeclaresGeometry(t *testing.T) {
+	c, err := New(Config{BlockSize: 8, CacheWords: 512, Seed: 1, Sorter: "columnsort"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	recs := mkRecords(1616*8, 3)
+	arr, err := c.Store(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ResetStats()
+	err = arr.Sort()
+	if want := "n=1616 blocks of B=8 with 512 elements of cache free"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Sort() = %v, want an error naming %q", err, want)
+	}
+	if st := c.Stats(); st.Reads+st.Writes != 0 {
+		t.Fatalf("the declared error cost %d reads and %d writes", st.Reads, st.Writes)
+	}
+	got, _ := arr.Records()
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("record %d = %+v after the declared error, was %+v", i, got[i], recs[i])
+		}
+	}
+	// The same engine sorts an array its geometry admits: 64 blocks.
+	small, err := c.Store(mkRecords(64*8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Sort(); err != nil {
+		t.Fatal(err)
+	}
+	sorted, _ := small.Records()
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1].Key > sorted[i].Key {
+			t.Fatalf("not sorted at %d", i)
+		}
 	}
 }
 
