@@ -98,7 +98,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	}
 	// Columnsort takes only the arrays ColumnGeometry admits; every other
 	// engine takes any array.
-	any := func(int, int) bool { return true }
+	always := func(int, int) bool { return true }
 	columns := func(n, m int) bool { _, _, err := ColumnGeometry(n, b, m); return err == nil }
 	type engine struct {
 		name   string
@@ -106,11 +106,11 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		admits func(nBlocks, m int) bool
 	}
 	engines := []engine{
-		{EngineBitonic, Bitonic, any},
+		{EngineBitonic, Bitonic, always},
 		{EngineColumnsort, Columnsort, columns},
-		{EngineZigzag, Zigzag, any},
-		{EngineBucket, BucketSorter, any},
-		{EngineAuto, auto, any},
+		{EngineZigzag, Zigzag, always},
+		{EngineBucket, BucketSorter, always},
+		{EngineAuto, auto, always},
 	}
 	ran := map[string]int{} // cases each engine sorted
 	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, ord oracleOrder) {

@@ -45,18 +45,17 @@ func ValidEngine(name string) bool {
 // and bucket keeps it. Bitonic and columnsort are priced at the free cache,
 // which sizes bitonic's window and columnsort's columns; zigzag and bucket
 // at M, which sizes their runs. Columnsort costs 6 I/Os per block wherever
-// ColumnGeometry admits the array, so over mem it wins wherever bitonic
-// needs more than three passes (6 against 14 at the benchmark's N = 2^16,
-// B = 8, M = 4096, in 193 round trips against 224); at three passes the two
-// tie and bitonic keeps the sort, as at the ORAM's 64-block rebuild with
-// M = 512, where its 12 round trips beat columnsort's 25. Over net its 6s+1
-// round trips beat bitonic's only where its columns are wide next to the
-// array. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
-// each, so it wins wherever more than a few blocks are free and columnsort
-// cannot take the array or ties it; Zigzag wins where a pass would gather
-// only a bit or two (M/B ≲ 16), and it is the only engine for a block size
-// that is not a power of two where columnsort's alignment fails;
-// BucketSort's 3-pass asymptotics need log₂(N/M) to clear the bar first.
+// ColumnGeometry admits the array and bitonic 2 per pass plus its padding,
+// so over mem columnsort wins where bitonic needs more than three passes
+// or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 193 round trips
+// against 224); at three passes over a power of two they tie and bitonic's
+// fewer batches keep the sort, as at the ORAM's 64-block rebuild with
+// M = 512. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
+// each, so it wins elsewhere wherever more than a few blocks are free;
+// Zigzag wins where a pass would gather only a bit or two (M/B ≲ 16), and
+// it is the only engine for a block size that is not a power of two where
+// columnsort's alignment fails; BucketSort's 3-pass asymptotics need
+// log₂(N/M) to clear the bar first.
 func Pick(nBlocks, b, m, free int, backend string) string {
 	if nBlocks == 0 {
 		return EngineBitonic
