@@ -227,7 +227,13 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	}
 	// auto at the benchmark's geometry, where the engines' prices part as
 	// they cannot over the corpus's small sizes.
-	rows = append(rows, row{"n=8192,M=4096", 4096, workload.SortCasesAt(8192, b), "auto/ByKey"})
+	atBench := workload.SortCasesAt(8192, b)
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "auto/ByKey"})
+	// Theorem 21 at the benchmark's geometry and at the benchmark's -quick
+	// one (N = 2^10, M = 512), where a level's buckets part as the small
+	// corpus never makes them.
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "randomized/ByKey"},
+		row{"n=128,M=512", 512, workload.SortCasesAt(128, b), "randomized/ByKey"})
 	for _, rw := range rows {
 		for _, s := range sorters {
 			m := rw.m

@@ -65,6 +65,11 @@ const (
 	sortMaxDepth = 12
 )
 
+// dealQuotaSeam, nil outside tests, replaces the deal quota of a level at
+// the given depth: the in-package seam that forces Corollary 19's overflow,
+// an event chance would not produce in a test's lifetime.
+var dealQuotaSeam func(depth, quota int) int
+
 // Sort sorts the occupied elements of a in place by (Key, Pos): after it
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
@@ -235,6 +240,9 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	if batches*quota < 4*bucketCap {
 		quota = extmem.CeilDiv(4*bucketCap, batches)
 	}
+	if dealQuotaSeam != nil {
+		quota = dealQuotaSeam(depth, quota)
+	}
 	spd := env.Obs.Start("deal")
 	colorArrs, dealOK := deal(env, ap, q+1, batch, quota)
 	env.Obs.End(spd)
@@ -265,6 +273,12 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 		mark := env.D.Mark()
 		sorted, sok := sortPadded(env, arr.Slice(0, capB), depth+1)
 		env.D.Release(mark)
+		if !sok {
+			// Every failure a level reports has dropped elements — its deal,
+			// its bucket compaction or a level below it overflowed — and the
+			// sweep restores order, not lost elements: the failure is ours.
+			ok = false
+		}
 		copyDown(env, sorted, env.D.Alloc(sorted.Len()), !sok)
 		maxSub = max(maxSub, sorted.Len())
 		env.Obs.End(spb)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -206,6 +207,43 @@ func TestSortRecursionReachable(t *testing.T) {
 				t.Errorf("n=%d B=%d: trace %v on duplicate keys with 4 workers differs from %v", nBlocks, b, sum, first)
 			}
 		}
+	}
+}
+
+// TestSortDealOverflowFailsTop: a level below the top whose deal overflows
+// has dropped blocks that no sweep can restore, so the top-level Sort must
+// return ErrSortFailed, never an array the sweep "repaired" with elements
+// missing. The seam shrinks the quota of the first depth-1 level alone to
+// one block per colour per batch, at a geometry where depth 1 distributes
+// and the top level sweeps.
+func TestSortDealOverflowFailsTop(t *testing.T) {
+	const nBlocks, b, m = 3300, 64, 4096
+	forced := 0
+	dealQuotaSeam = func(depth, quota int) int {
+		if depth == 1 && forced == 0 {
+			forced++
+			return 1
+		}
+		return quota
+	}
+	defer func() { dealQuotaSeam = nil }()
+	r := rand.New(rand.NewPCG(nBlocks, 38))
+	keys := make([]uint64, nBlocks*b)
+	for i := range keys {
+		keys[i] = r.Uint64() % (1 << 40)
+	}
+	env := newTestEnv(nBlocks, b, m, 38)
+	a := env.D.Alloc(nBlocks)
+	buildKeyArray(a, keys)
+	err := Sort(env, a)
+	if forced != 1 {
+		t.Fatal("no level at depth 1 dealt: the row no longer recurses")
+	}
+	if !errors.Is(err, ErrSortFailed) {
+		t.Fatalf("Sort returned %v with %d of %d keys, want ErrSortFailed", err, len(occupiedKeys(readElems(a))), len(keys))
+	}
+	if used := env.Cache.Used(); used != 0 {
+		t.Fatalf("%d words left checked out", used)
 	}
 }
 
