@@ -148,6 +148,10 @@ func FuzzSort(f *testing.F) {
 	f.Add(uint16(513), uint64(7), uint8(3))
 	f.Add(uint16(64), uint64(11), uint8(4))
 	f.Add(uint16(257), uint64(42), uint8(8))
+	// randomized where its top level distributes (n = 1000 and 1024; n = 100
+	// sorts privately), so bucket capacities, not occupancies, steer it.
+	f.Add(uint16(999), uint64(5), uint8(0))
+	f.Add(uint16(1023), uint64(6), uint8(0))
 
 	engines := []string{"randomized", "bitonic", "zigzag", "bucket", "auto"}
 	f.Fuzz(func(t *testing.T, nRaw uint16, seed uint64, engineRaw uint8) {

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
-	"oblivext/internal/par"
 	"oblivext/internal/route"
 )
 
@@ -52,18 +50,9 @@ import (
 // failure sweeping could repair (probability 1/(N/B)^d).
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
-// §5's constants.
-const (
-	// sortDealC is the c of Lemma 18: blocks written per color per deal
-	// batch, times ceil(sqrt(M/B)). Where a level has few batches the quota
-	// is raised so a color array has room for 4·bucketCap blocks:
-	// Corollary 19's margin when the per-batch counts are too small to
-	// concentrate.
-	sortDealC = 5
-	// sortMaxDepth bounds the recursion as a safety net; deeper levels sort
-	// directly (sortsDirectly).
-	sortMaxDepth = 12
-)
+// sortMaxDepth bounds the recursion as a safety net; deeper levels sort
+// directly (sortsDirectly).
+const sortMaxDepth = 12
 
 // dealQuotaSeam, nil outside tests, replaces the deal quota of a level at
 // the given depth: the in-package seam that forces Corollary 19's overflow,
@@ -151,19 +140,35 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 // sortPadded sorts the occupied elements of a into a padded result array
 // (occupied ascending, empties interspersed region-wise). It returns the
 // result array and whether this level succeeded; on ok=false the contents
-// are garbage but the trace is unchanged. A level that fits the cache sorts
-// privately and one that sortsDirectly sorts a copy with bitonic; only the
-// rest distribute, and only they can fail.
+// are garbage but the trace is unchanged. A level whose occupancy fits half
+// the cache sorts privately and one that sortsDirectly sorts a copy with
+// bitonic; only the rest distribute, and only they can fail.
+//
+// Only the top level's occupancy is public. Below it a bucket holds a
+// private number of elements, so every decision there — private sort, the
+// level's shape, the sweep — takes the bucket's public capacity, n·B.
 func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
-	m := env.MBlocks()
 
-	nOcc := countOccupied(env, a)
-	if int(nOcc) <= env.M/2 {
+	occ := int64(n * b)
+	distributes := n*b > env.M/2 && !sortsDirectly(n, b, env.M, depth)
+	var sample extmem.Array
+	if distributes {
+		sample = env.D.Alloc(extmem.CeilDiv(n, b))
+	}
+	var sOcc int64
+	if depth == 0 || distributes {
+		cnt, s := countAndSample(env, a, sample)
+		if depth == 0 {
+			occ = cnt
+		}
+		sOcc = s
+	}
+	if occ <= int64(env.M/2) {
 		return sortPrivate(env, a), true
 	}
-	if sortsDirectly(n, b, env.M, depth) {
+	if !distributes {
 		sp := env.Obs.Start("direct-sort")
 		sp.SetAttrInt("depth", int64(depth))
 		sp.SetAttrInt("blocks", int64(n))
@@ -179,21 +184,15 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	q := splitterCount(m)
+	pl := sortPlan(n, b, env.M, occ, sortTail)
+	q := pl.q
 	ok := true
 
-	// Step 1: quantile splitters.
-	spq := env.Obs.Start("quantile-splitters")
-	splitters, err := Quantiles(env, a, q)
+	// Step 1: splitters from the sorted sample.
+	spq := env.Obs.Start("sample-splitters")
+	obsort.Bitonic(env, sample, obsort.ByKey)
+	bounds := splittersOf(env, sample, sOcc, q)
 	env.Obs.End(spq)
-	if err != nil {
-		ok = false
-		splitters = make([]extmem.Element, q) // zero splitters; trace goes on
-	}
-	bounds := make([]bound, q)
-	for i, s := range splitters {
-		bounds[i] = boundOf(s)
-	}
 
 	// Step 2: color by bucket = 1 + #splitters strictly below the element.
 	spc := env.Obs.Start("colorize")
@@ -232,19 +231,13 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	shuffleBlocks(env, ap)
 	env.Obs.End(sps)
 
-	// Step 5: deal into per-color arrays with fixed per-batch quotas.
-	bucketCap := extmem.CeilDiv(int(extmem.CeilDiv64(nOcc, int64(q+1))), b) + q + 2
-	batch := min(max(dealBatch(m), 1), m/2)
-	batches := extmem.CeilDiv(ap.Len(), batch)
-	quota := sortDealC * int(math.Ceil(math.Sqrt(float64(m))))
-	if batches*quota < 4*bucketCap {
-		quota = extmem.CeilDiv(4*bucketCap, batches)
-	}
+	// Step 5: deal into per-color arrays with the plan's per-batch quota.
+	quota := pl.quota
 	if dealQuotaSeam != nil {
 		quota = dealQuotaSeam(depth, quota)
 	}
 	spd := env.Obs.Start("deal")
-	colorArrs, dealOK := deal(env, ap, q+1, batch, quota)
+	colorArrs, dealOK := deal(env, ap, q+1, pl.batch, quota)
 	env.Obs.End(spd)
 	if !dealOK {
 		ok = false
@@ -253,15 +246,15 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	// Step 6: per bucket, compact, recurse, copy down. A bucket as dealt is
 	// full blocks plus one partial flush block among empties, so Theorem 6's
 	// butterfly moves it, in place and deterministically, into a prefix of
-	// capB = bucketCap+2 blocks; the next level's consolidation absorbs the
-	// partial block. Everything the recursion allocates is released before
-	// its result is copied down to where its scratch began, so res is the
-	// span the q+1 copies fill and a level holds O(n) blocks at any time.
-	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
-	// that output, 5·bucketCap, is as long as the deal's: see
-	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
-	// public length, so capB is one figure for the level.
-	capB := min(bucketCap+2, colorArrs[0].Len())
+	// capB blocks; the next level's consolidation absorbs the partial block.
+	// Everything the recursion allocates is released before its result is
+	// copied down to where its scratch began, so res is the span the q+1
+	// copies fill and a level holds O(n) blocks at any time. (The paper
+	// compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets that
+	// output, 5·capB, is as long as the deal's: see docs/ARCHITECTURE.md,
+	// Sorter engines.) Every color array has the same public length, so
+	// capB is one figure for the level.
+	capB := min(pl.capB, colorArrs[0].Len())
 	resMark := env.D.Mark()
 	maxSub := 0
 	for i, arr := range colorArrs {
@@ -345,33 +338,83 @@ func root4(hi, lo uint64) uint64 {
 	return r
 }
 
-// countOccupied counts a's occupied elements in one scan (public: part of
-// the problem size). Each worker counts a disjoint range into its own slot;
-// the serial sum is order-independent, so the total matches the scalar loop
-// exactly.
-func countOccupied(env *extmem.Env, a extmem.Array) int64 {
-	sp := env.Obs.Start("count-occupied")
+// countAndSample counts a's occupied elements in one read pass and, where
+// sample has blocks, writes one element of every block of a into it, at an
+// offset the tape draws: sample slot i is input block i's, so the sample's
+// writes are sequential and every address the pass touches is public. It
+// returns the count and how many of the drawn elements are occupied.
+func countAndSample(env *extmem.Env, a, sample extmem.Array) (nOcc, sOcc int64) {
+	n, b := a.Len(), a.B()
+	if sample.Len() == 0 {
+		sp := env.Obs.Start("count-occupied")
+		defer env.Obs.End(sp)
+		env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+			for _, e := range chunk {
+				if e.Occupied() {
+					nOcc++
+				}
+			}
+		})
+		return nOcc, 0
+	}
+	sp := env.Obs.Start("sample")
 	defer env.Obs.End(sp)
-	partial := make([]int64, env.WorkerCount())
-	var buf []extmem.Element
-	tally := func(wk, plo, phi int) { // built once: a chunk costs no closure
-		var c int64
-		for _, e := range buf[plo:phi] {
-			if e.Occupied() {
-				c++
+	k, kw := env.ScanBatchN(2, n), env.ScanBatchN(2, sample.Len())
+	wbuf := env.Cache.Buf(kw * b)
+	wr := extmem.NewSeqWriter(sample, 0, wbuf)
+	var slot []extmem.Element
+	env.Scan(a, extmem.Array{}, k, func(lo int, chunk []extmem.Element) {
+		for i := 0; i < len(chunk)/b; i++ {
+			blk := chunk[i*b : (i+1)*b]
+			for _, e := range blk {
+				if e.Occupied() {
+					nOcc++
+				}
+			}
+			t := (lo + i) % b
+			if t == 0 {
+				slot = wr.Next()
+				clear(slot)
+			}
+			if e := blk[env.Tape.IntN(b)]; e.Occupied() {
+				slot[t] = e
+				sOcc++
 			}
 		}
-		partial[wk] += c
-	}
-	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
-		buf = chunk
-		par.ForWorker(env.ParWorkers(len(chunk)), len(chunk), tally)
 	})
-	var nOcc int64
-	for _, c := range partial {
-		nOcc += c
+	wr.Flush()
+	env.Cache.Free(wbuf)
+	return nOcc, sOcc
+}
+
+// splittersOf reads the level's q splitters off the sorted sample in one
+// scan: the samples of ranks round(i·s/(q+1)), i = 1..q, among its s
+// occupied ones, rank 0 standing for −∞.
+func splittersOf(env *extmem.Env, sample extmem.Array, sOcc int64, q int) []bound {
+	bounds := make([]bound, q)
+	ranks := make([]int64, q)
+	ri := 0
+	for i := range ranks {
+		ranks[i] = (2*int64(i+1)*sOcc + int64(q+1)) / int64(2*(q+1))
+		if ranks[i] == 0 {
+			bounds[i] = bound{neg: true}
+			ri++
+		}
 	}
-	return nOcc
+	var idx int64
+	env.Scan(sample, extmem.Array{}, env.ScanBatchN(1, sample.Len()), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			if !chunk[t].Occupied() {
+				continue
+			}
+			idx++
+			for ri < q && ranks[ri] == idx {
+				bounds[ri] = boundOf(chunk[t])
+				ri++
+			}
+		}
+	})
+	return bounds
 }
 
 // copyDown copies src onto dst — equal lengths, dst at or below src on the
@@ -431,9 +474,10 @@ func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
 // Swaps are processed in windows: the window's swap targets are drawn from
 // the tape up front, the distinct blocks they touch are fetched with one
 // vectored read, the swaps are replayed in order inside the cache, and the
-// final contents go back with one vectored write. The permutation is
-// identical to the scalar loop's for the same tape, and the addresses
-// revealed are a deterministic function of the tape alone.
+// final contents go back with one vectored write, padded with untouched
+// blocks to a fixed count per window. The permutation is identical to the
+// scalar loop's for the same tape, and the addresses revealed are a
+// deterministic function of the tape alone.
 func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 	n := a.Len()
 	if n < 2 {
@@ -449,18 +493,25 @@ func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 		cnt := min(w, n-1-i0)
 		idx = idx[:0]
 		clear(slot)
-		for t := 0; t < cnt; t++ {
-			i := i0 + t
-			j := i + env.Tape.IntN(n-i)
-			js[t] = j
+		touch := func(i int) {
 			if _, seen := slot[i]; !seen {
 				slot[i] = len(idx)
 				idx = append(idx, i)
 			}
-			if _, seen := slot[j]; !seen {
-				slot[j] = len(idx)
-				idx = append(idx, j)
-			}
+		}
+		for t := 0; t < cnt; t++ {
+			i := i0 + t
+			j := i + env.Tape.IntN(n-i)
+			js[t] = j
+			touch(i)
+			touch(j)
+		}
+		// Every touched block lies at or after i0, so padding with the
+		// lowest untouched ones makes every window move exactly
+		// min(2·cnt, n−i0) blocks, whatever the tape drew: the pass's
+		// block I/Os are a function of n and w alone.
+		for p := i0 + cnt; len(idx) < min(2*cnt, n-i0); p++ {
+			touch(p)
 		}
 		a.ReadMany(idx, buf[:len(idx)*b])
 		for t := 0; t < cnt; t++ {

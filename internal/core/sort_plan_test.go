@@ -1,0 +1,137 @@
+package core
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"oblivext/internal/extmem"
+	"oblivext/internal/obsort"
+)
+
+// TestSortPlanRows pins a distributing level's shape where the benchmark
+// measures it — sort_mem at full size (N = 2^16, B = 8, M = 4 096) and at
+// -quick (N = 2^10, M = 512) — and at a recursing B = 64 row: the bucket
+// capacity and the deal quota the two 2^-40 tails give, and the level's
+// stated failure bound, at most 2·2^-40.
+func TestSortPlanRows(t *testing.T) {
+	for _, c := range []struct {
+		n, b, m int
+		want    sortLevel
+	}{
+		{8192, 8, 4096, sortLevel{q: 4, batch: 107, quota: 65, capE: 15912, capB: 1989, apLen: 8205}},
+		{128, 8, 512, sortLevel{q: 2, batch: 22, quota: 22, capE: 937, capB: 118, apLen: 135}},
+		{1100, 64, 4096, sortLevel{q: 2, batch: 22, quota: 22, capE: 35288, capB: 552, apLen: 1107}},
+	} {
+		occ := int64(c.n * c.b)
+		if got := sortPlan(c.n, c.b, c.m, occ, sortTail); got != c.want {
+			t.Errorf("(%d, %d, %d): plan %+v, want %+v", c.n, c.b, c.m, got, c.want)
+		}
+		if p := sortFailureBound(c.n, c.b, c.m, occ); p > 2*math.Exp(-sortTail) {
+			t.Errorf("(%d, %d, %d): failure bound %.3g > 2·2^-40", c.n, c.b, c.m, p)
+		}
+		// Each is the least that meets its tail: one element or one block
+		// fewer does not.
+		pl := c.want
+		events := extmem.CeilDiv(pl.apLen, pl.batch) * (pl.q + 1)
+		if bucketTail(pl.capE-1, c.n, c.b, pl.q, occ) <= -sortTail {
+			t.Errorf("(%d, %d, %d): capacity %d is not the least", c.n, c.b, c.m, pl.capE)
+		}
+		if pl.quota < pl.batch && dealTail(pl.quota-1, pl.apLen, pl.batch, pl.capB, events) <= -sortTail {
+			t.Errorf("(%d, %d, %d): quota %d is not the least", c.n, c.b, c.m, pl.quota)
+		}
+	}
+}
+
+// TestSortTailsMonteCarlo checks the shape of both tails by running the
+// level's own code at a loosened target, ε = 2^-4, where the plan's
+// capacity and quota are small enough for overflows to be counted: the
+// sample scan, its sort and the splitter read-off against the bucket
+// capacity, and the shuffle and deal, with every colour owning its full
+// capacity, against the quota. Each observed rate must stay under its
+// stated bound; at the mean instead of the plan's figure both overflow
+// often, so the harness can see an overflow at all.
+func TestSortTailsMonteCarlo(t *testing.T) {
+	const n, b, m, trials = 256, 8, 512, 400
+	occ := int64(n * b)
+	l := 4 * math.Ln2
+	pl := sortPlan(n, b, m, occ, l)
+	events := extmem.CeilDiv(pl.apLen, pl.batch) * (pl.q + 1)
+	r := rand.New(rand.NewPCG(21, 38))
+
+	bucketOver := func(capE int, seed uint64) bool {
+		env := newTestEnv(2*n, b, m, seed)
+		a := env.D.Alloc(n)
+		keys := make([]uint64, n*b)
+		for i := range keys {
+			keys[i] = r.Uint64()
+		}
+		buildKeyArray(a, keys)
+		sample := env.D.Alloc(extmem.CeilDiv(n, b))
+		_, sOcc := countAndSample(env, a, sample)
+		obsort.Bitonic(env, sample, obsort.ByKey)
+		bounds := splittersOf(env, sample, sOcc, pl.q)
+		size := make([]int, pl.q+1)
+		for _, e := range readElems(a) {
+			c := 0
+			for _, bd := range bounds {
+				if bd.lessElem(e) {
+					c++
+				}
+			}
+			size[c]++
+		}
+		return slices.Max(size) > capE
+	}
+	dealOver := func(quota int, seed uint64) bool {
+		env := newTestEnv(8*n, b, m, seed)
+		ap := env.D.Alloc(pl.apLen)
+		blk := make([]extmem.Element, b)
+		for i := 0; i < pl.apLen; i++ {
+			clear(blk)
+			if c := i / pl.capB; c <= pl.q {
+				for j := range blk {
+					blk[j] = extmem.Element{Key: uint64(i), Pos: uint64(i*b + j), Flags: extmem.FlagOccupied}
+					blk[j].SetColor(c + 1)
+				}
+			}
+			ap.Write(i, blk)
+		}
+		shuffleBlocks(env, ap)
+		_, ok := deal(env, ap, pl.q+1, pl.batch, quota)
+		return !ok
+	}
+
+	mean := int(occ) / (pl.q + 1)
+	meanQuota := pl.batch * pl.capB / pl.apLen
+	var overCap, overMean, overQuota, overMeanQuota int
+	for i := range trials {
+		seed := uint64(1000 + i)
+		if bucketOver(pl.capE, seed) {
+			overCap++
+		}
+		if bucketOver(mean, seed) {
+			overMean++
+		}
+		if dealOver(pl.quota, seed) {
+			overQuota++
+		}
+		if dealOver(meanQuota, seed) {
+			overMeanQuota++
+		}
+	}
+	bucketBound := math.Exp(bucketTail(pl.capE, n, b, pl.q, occ))
+	dealBound := math.Exp(dealTail(pl.quota, pl.apLen, pl.batch, pl.capB, events))
+	t.Logf("ε = 2^-4: capacity %d (mean %d), quota %d (mean %d); overflow rates %d/%d (bound %.3f), %d/%d (bound %.3f); at the means %d and %d",
+		pl.capE, mean, pl.quota, meanQuota, overCap, trials, bucketBound, overQuota, trials, dealBound, overMean, overMeanQuota)
+	if bucketBound > 1.0/16 || dealBound > 1.0/16 {
+		t.Fatalf("plan misses its own target: bounds %.3f and %.3f > 2^-4", bucketBound, dealBound)
+	}
+	if float64(overCap)/trials > bucketBound || float64(overQuota)/trials > dealBound {
+		t.Errorf("observed overflow rates %d/%d and %d/%d exceed the stated bounds %.3f and %.3f", overCap, trials, overQuota, trials, bucketBound, dealBound)
+	}
+	if overMean < trials/4 || overMeanQuota < trials/4 {
+		t.Errorf("at the means only %d and %d of %d trials overflowed: the harness cannot see an overflow", overMean, overMeanQuota, trials)
+	}
+}

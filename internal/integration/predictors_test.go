@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"oblivext/internal/core"
@@ -178,6 +179,15 @@ func TestPredictorsExact(t *testing.T) {
 				quantilesArms[bySort] = true
 				return got, want
 			}},
+		{"core.Sort", func(g geometry) bool { return whole(g) && g.m >= 16*g.b },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
+				var err error
+				got := measure(env, func() { err = core.Sort(env, a) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, core.SortCost(g.n, g.b, g.m, occupied*g.b)
+			}},
 		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 			var repeats int64
 			var err error
@@ -189,6 +199,11 @@ func TestPredictorsExact(t *testing.T) {
 			return got.Add(obs.Cost{IOs: 2 * repeats}), core.LooseCost(g.n, occupied, g.b, g.m)
 		}},
 	}
+	// Rows beyond the grid that one primitive alone runs: for Sort, the
+	// benchmark's sort_mem (one distributing level, a direct sort per
+	// bucket) and a B = 64 row whose buckets distribute again and whose top
+	// level sweeps.
+	more := map[string][]geometry{"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}}}
 	defer func() {
 		if !quantilesArms[true] || !quantilesArms[false] {
 			t.Errorf("core.Quantiles ran the sort arm %v and the Select arm %v over the grid; both must run", quantilesArms[true], quantilesArms[false])
@@ -196,7 +211,7 @@ func TestPredictorsExact(t *testing.T) {
 	}()
 	for _, c := range cases {
 		ran := 0
-		for _, g := range predictorGrid {
+		for _, g := range slices.Concat(predictorGrid, more[c.name]) {
 			if !c.ok(g) {
 				continue
 			}
