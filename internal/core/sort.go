@@ -13,24 +13,29 @@ import (
 // This file implements §5 / Theorem 21: randomized data-oblivious sorting
 // with O((N/B)·log_{M/B}(N/B)) I/Os. One level of the recursion:
 //
-//  1. q = (M/B)^{1/4} quantiles split the input into q+1 balanced buckets
-//     (Quantiles: a sort or q Selects, whichever is cheaper); balance is
-//     exact because the splitters carry position tie-breaks, so duplicate
-//     keys never skew a bucket.
+//  1. q = (M/B)^{1/4} splitters split the input into q+1 buckets. The scan
+//     that counts the input also copies one element of every block, at an
+//     offset the tape draws, into a sample of ⌈n/B⌉ blocks; bitonic sorts
+//     the sample and one scan reads the splitters off at ranks
+//     round(i·s/(q+1)) of its s occupied elements. A bucket then holds at
+//     most sortPlan's capE elements but for probability 2^-40, and the
+//     splitters carry position tie-breaks, so duplicate keys never skew it.
 //  2. A multi-way consolidation pass (§5) rewrites the array into
 //     monochromatic full-or-empty blocks.
 //  3. Shuffle-and-deal: a block-level Fisher–Yates shuffle (the "shuffle",
 //     whose swaps come from the tape, not the data) followed by batched
 //     dealing — read (M/B)^{3/4} blocks, then write a fixed quota of blocks
-//     per color, padding with empties (Lemma 18 / Corollary 19 bound the
-//     overflow probability).
-//  4. Each color array is compacted in place to its first N/(q+1) blocks
-//     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
-//     and sorted at the next level; that level's scratch is released and
-//     the sorted bucket copied down before the next bucket starts. A level
-//     below the top whose own Quantiles would sort the bucket anyway sorts
-//     it with Lemma 2's deterministic sort at once (sortsDirectly), as does
-//     one that fits the cache privately; only the remaining buckets recurse.
+//     per color, padding with empties; the quota is the least whose
+//     overflow tail (Lemma 18 / Corollary 19) is at most 2^-40.
+//  4. Each color array is compacted in place to its first capB = ⌈capE/B⌉
+//     blocks (Theorem 6's butterfly: the dealt blocks are already
+//     full-or-empty) and sorted at the next level; that level's scratch is
+//     released and the sorted bucket copied down before the next bucket
+//     starts. A level below the top whose own Quantiles would sort the
+//     bucket anyway sorts it with Lemma 2's deterministic sort at once
+//     (sortsDirectly), as does one whose capacity fits the cache privately;
+//     only the remaining buckets recurse. A bucket's occupancy is private,
+//     so below the top every choice is made on its capacity.
 //  5. Data-oblivious failure sweeping, wherever a bucket's sort can fail:
 //     the sweep compacts the (possibly empty) set of failed-bucket cells
 //     with the butterfly network (Theorem 6), sorts them deterministically
@@ -46,8 +51,10 @@ import (
 // tight order-preserving compaction (Theorem 6), so the array ends with all
 // occupied elements sorted in a tight prefix.
 
-// ErrSortFailed reports that the top-level pipeline failed beyond what
-// failure sweeping could repair (probability 1/(N/B)^d).
+// ErrSortFailed reports a declared failure: at some level a bucket over its
+// capacity or a deal batch over its quota (each at most 2^-40 a level,
+// sortFailureBound), or a sweep over its capacity. The trace is a prefix of
+// the success trace.
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
@@ -345,45 +352,38 @@ func root4(hi, lo uint64) uint64 {
 // returns the count and how many of the drawn elements are occupied.
 func countAndSample(env *extmem.Env, a, sample extmem.Array) (nOcc, sOcc int64) {
 	n, b := a.Len(), a.B()
-	if sample.Len() == 0 {
-		sp := env.Obs.Start("count-occupied")
-		defer env.Obs.End(sp)
-		env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-			for _, e := range chunk {
-				if e.Occupied() {
-					nOcc++
-				}
-			}
-		})
-		return nOcc, 0
+	name, k := "count-occupied", env.ScanBatchN(1, n)
+	var wr *extmem.SeqWriter
+	if sample.Len() > 0 {
+		name, k = "sample", env.ScanBatchN(2, n)
+		wbuf := env.Cache.Buf(env.ScanBatchN(2, sample.Len()) * b)
+		defer env.Cache.Free(wbuf)
+		wr = extmem.NewSeqWriter(sample, 0, wbuf)
 	}
-	sp := env.Obs.Start("sample")
+	sp := env.Obs.Start(name)
 	defer env.Obs.End(sp)
-	k, kw := env.ScanBatchN(2, n), env.ScanBatchN(2, sample.Len())
-	wbuf := env.Cache.Buf(kw * b)
-	wr := extmem.NewSeqWriter(sample, 0, wbuf)
 	var slot []extmem.Element
 	env.Scan(a, extmem.Array{}, k, func(lo int, chunk []extmem.Element) {
-		for i := 0; i < len(chunk)/b; i++ {
-			blk := chunk[i*b : (i+1)*b]
-			for _, e := range blk {
-				if e.Occupied() {
-					nOcc++
-				}
+		for _, e := range chunk {
+			if e.Occupied() {
+				nOcc++
 			}
+		}
+		for i := 0; wr != nil && i < len(chunk)/b; i++ {
 			t := (lo + i) % b
 			if t == 0 {
 				slot = wr.Next()
 				clear(slot)
 			}
-			if e := blk[env.Tape.IntN(b)]; e.Occupied() {
+			if e := chunk[i*b+env.Tape.IntN(b)]; e.Occupied() {
 				slot[t] = e
 				sOcc++
 			}
 		}
 	})
-	wr.Flush()
-	env.Cache.Free(wbuf)
+	if wr != nil {
+		wr.Flush()
+	}
 	return nOcc, sOcc
 }
 

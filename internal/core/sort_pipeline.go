@@ -95,8 +95,9 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 // color: each batch of `batch` blocks is read into the cache and exactly
 // `quota` blocks are written to every color array (full blocks first,
 // empties after). A batch holding more than quota full blocks of one color
-// is the Corollary 19 overflow event: the excess is dropped and dealOK
-// returns false, with the trace unchanged.
+// is the Corollary 19 overflow event, at most 2^-40 at sortPlan's quota
+// (dealTail): the excess is dropped and dealOK returns false, with the
+// trace unchanged.
 func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
