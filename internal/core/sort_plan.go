@@ -65,9 +65,7 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 // sortLevelCost prices sortPadded at the given depth, the cache free, and
 // returns the length of the result it leaves.
 func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
-	scan := func(blocks, free, buffers int) obs.Cost {
-		return obs.Cost{IOs: int64(blocks), RoundTrips: extmem.ScanRoundTrips(blocks, b, free, buffers)}
-	}
+	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
 	var c obs.Cost
 	distributes := n*b > m/2 && !sortsDirectly(n, b, m, depth)
 	ns := extmem.CeilDiv(n, b)
@@ -127,9 +125,7 @@ func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 func sweepCost(n, maxSub, b, m int) obs.Cost {
 	capD := min(2*maxSub+8, n)
 	perB := int64(extmem.CeilDiv(capD, b))
-	scan := func(blocks, free, buffers int) obs.Cost {
-		return obs.Cost{IOs: int64(blocks), RoundTrips: extmem.ScanRoundTrips(blocks, b, free, buffers)}
-	}
+	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
 	c := scan(n, m, 1).Add(scan(n, m, 1)).Add(route.CompactCost(n, 0, b, m))
 	c = c.Add(scan(capD, m-b, 1)).Add(obs.Cost{IOs: perB, RoundTrips: perB})
 	c = c.Add(obsort.BitonicCost(capD, b, m-b))
@@ -138,6 +134,12 @@ func sweepCost(n, maxSub, b, m int) obs.Cost {
 	c = c.Add(scan(capD, m, 1)).Add(scan(capD, m, 1)).Add(route.CompactCost(n, 0, b, m))
 	merge := scan(n, m, 2)
 	return c.Add(merge).Add(merge).Add(merge)
+}
+
+// scanCost prices one side of a scan of n blocks of b elements whose chunks
+// ScanBatchN(buffers, n) sizes against free elements of the cache.
+func scanCost(n, b, free, buffers int) obs.Cost {
+	return obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, free, buffers)}
 }
 
 // sortFailureBound is the probability that one distributing level over
