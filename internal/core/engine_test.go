@@ -4,21 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
 	"oblivext/internal/obsort"
 )
 
+// engineGrid is the geometries, with what the caller holds of the cache,
+// that the engine tests resolve and price over.
+var engineGrid = []struct{ n, b, m, held int }{
+	{0, 8, 512, 0}, {1, 8, 512, 0}, {64, 8, 512, 0}, {336, 8, 512, 128}, {1616, 8, 512, 0},
+	{1 << 13, 8, 4096, 0}, {1 << 13, 8, 4096, 2056}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
+}
+
 // TestEngineResolves: over a grid of geometries, held caches and both
 // backends, "auto" resolves to obsort.Pick's choice and every other name to
 // itself — the one place an engine name is resolved.
 func TestEngineResolves(t *testing.T) {
 	picked := map[string]bool{}
-	for _, g := range []struct{ n, b, m, held int }{
-		{0, 8, 512, 0}, {1, 8, 512, 0}, {64, 8, 512, 0}, {336, 8, 512, 128}, {1616, 8, 512, 0},
-		{1 << 13, 8, 4096, 0}, {1 << 13, 8, 4096, 2056}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
-	} {
+	for _, g := range engineGrid {
 		free := g.m - g.held
 		for _, backend := range []string{"mem", "net"} {
 			for _, name := range obsort.EngineNames() {
@@ -35,6 +40,37 @@ func TestEngineResolves(t *testing.T) {
 	}
 	if !picked[obsort.EngineBitonic] || !picked[obsort.EngineColumnsort] || !picked[obsort.EngineZigzag] {
 		t.Errorf("auto resolved only to %v over the grid; want bitonic, columnsort and zigzag each", picked)
+	}
+}
+
+// TestRandomizedNeverCheapest is why obsort.Pick never picks the randomized
+// sort: over engineGrid, SortCost of a full array is nowhere strictly below
+// the cheapest exact deterministic predictor the geometry admits — bitonic,
+// columnsort or zigzag, priced as Pick prices them — in block I/Os or in
+// round trips. SortCost is priced with the whole cache free, the
+// deterministic engines at the cache the caller leaves, so a held cache
+// only favours the randomized sort. The M = 4B row is left out: the
+// randomized sort does not run there (its final compaction's butterfly
+// window does not fit the cache).
+func TestRandomizedNeverCheapest(t *testing.T) {
+	for _, g := range engineGrid {
+		if g.m <= 4*g.b {
+			continue
+		}
+		free := g.m - g.held
+		var ios, trips []int64
+		for _, name := range []string{obsort.EngineBitonic, obsort.EngineColumnsort, obsort.EngineZigzag} {
+			if name == obsort.EngineBitonic && (g.b&(g.b-1) != 0 || g.m < 4*g.b || free < 2*g.b) {
+				continue
+			}
+			if c, ok := obsort.Cost(name, g.n, g.b, g.m, free); ok {
+				ios, trips = append(ios, c.IOs), append(trips, c.RoundTrips)
+			}
+		}
+		r := SortCost(g.n, g.b, g.m, g.n*g.b)
+		if r.IOs < slices.Min(ios) || r.RoundTrips < slices.Min(trips) {
+			t.Errorf("%+v: SortCost %+v undercuts the cheapest deterministic engine (%d I/Os, %d round trips)", g, r, slices.Min(ios), slices.Min(trips))
+		}
 	}
 }
 

@@ -36,14 +36,13 @@ import (
 //     (sortsDirectly), as does one whose capacity fits the cache privately;
 //     only the remaining buckets recurse. A bucket's occupancy is private,
 //     so below the top every choice is made on its capacity.
-//  5. Data-oblivious failure sweeping, wherever a bucket's sort can fail:
-//     the sweep compacts the (possibly empty) set of failed-bucket cells
-//     with the butterfly network (Theorem 6), sorts them deterministically
-//     (Lemma 2), routes them back with the expansion network, and merges —
-//     a fixed trace that repairs up to two failed buckets. A level whose
-//     buckets all sort deterministically skips it: the choice is one of
-//     public geometry, and a level's own overflows drop elements no sweep
-//     restores.
+//  5. No repair pass. A level fails only by dropping elements — a deal
+//     batch over its quota, a bucket over its capacity, or a level below
+//     that did either — so a failure anywhere fails the whole Sort, each
+//     level's chance of it held to 2^-40 by sortPlan. The paper's failure
+//     sweep re-sorts failed buckets from their own output, which cannot
+//     restore what was dropped; bucket oblivious sort (arXiv:2008.01765)
+//     likewise declares failure at a stated tail instead of repairing.
 //
 // At the benchmark geometry every bucket sorts directly, so Sort is one
 // distributing level and a bitonic sort per bucket — the shape of bucket
@@ -52,9 +51,8 @@ import (
 // occupied elements sorted in a tight prefix.
 
 // ErrSortFailed reports a declared failure: at some level a bucket over its
-// capacity or a deal batch over its quota (each at most 2^-40 a level,
-// sortFailureBound), or a sweep over its capacity. The trace is a prefix of
-// the success trace.
+// capacity or a deal batch over its quota, each at most 2^-40 a level
+// (sortFailureBound). The trace is a prefix of the success trace.
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
@@ -152,8 +150,8 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 // bitonic; only the rest distribute, and only they can fail.
 //
 // Only the top level's occupancy is public. Below it a bucket holds a
-// private number of elements, so every decision there — private sort, the
-// level's shape, the sweep — takes the bucket's public capacity, n·B.
+// private number of elements, so every decision there — private sort or
+// the level's shape — takes the bucket's public capacity, n·B.
 func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
@@ -255,15 +253,14 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	// butterfly moves it, in place and deterministically, into a prefix of
 	// capB blocks; the next level's consolidation absorbs the partial block.
 	// Everything the recursion allocates is released before its result is
-	// copied down to where its scratch began, so res is the span the q+1
-	// copies fill and a level holds O(n) blocks at any time. (The paper
-	// compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets that
-	// output, 5·capB, is as long as the deal's: see docs/ARCHITECTURE.md,
-	// Sorter engines.) Every color array has the same public length, so
-	// capB is one figure for the level.
+	// copied down to where its scratch began, so the level's result is the
+	// span the q+1 copies fill and a level holds O(n) blocks at any time.
+	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5
+	// buckets that output, 5·capB, is as long as the deal's: see
+	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
+	// public length, so capB is one figure for the level.
 	capB := min(pl.capB, colorArrs[0].Len())
 	resMark := env.D.Mark()
-	maxSub := 0
 	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
 		spb.SetAttrInt("color", int64(i))
@@ -274,31 +271,12 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 		sorted, sok := sortPadded(env, arr.Slice(0, capB), depth+1)
 		env.D.Release(mark)
 		if !sok {
-			// Every failure a level reports has dropped elements — its deal,
-			// its bucket compaction or a level below it overflowed — and the
-			// sweep restores order, not lost elements: the failure is ours.
-			ok = false
+			ok = false // a level below dropped elements: the failure is ours
 		}
-		copyDown(env, sorted, env.D.Alloc(sorted.Len()), !sok)
-		maxSub = max(maxSub, sorted.Len())
+		copyArray(env, sorted, env.D.Alloc(sorted.Len()))
 		env.Obs.End(spb)
 	}
-	res := env.D.Since(resMark)
-
-	// Step 7: data-oblivious failure sweeping, wherever a bucket's sort can
-	// fail. A bucket that sorts privately or directly never does, and the
-	// level's own failures — deal and bucket-compaction overflow — drop
-	// elements the sweep could not restore; so a level whose buckets all
-	// sort deterministically skips it. capB is public, so the choice is.
-	if capB*b > env.M/2 && !sortsDirectly(capB, b, env.M, depth+1) {
-		spw := env.Obs.Start("sweep-failures")
-		swept := sweepFailures(env, res, maxSub)
-		env.Obs.End(spw)
-		if !swept {
-			ok = false
-		}
-	}
-	return res, ok
+	return env.D.Since(resMark), ok
 }
 
 // sortsDirectly reports whether a level at depth over nBlocks blocks, not
@@ -415,32 +393,6 @@ func splittersOf(env *extmem.Env, sample extmem.Array, sOcc int64, q int) []boun
 		}
 	})
 	return bounds
-}
-
-// copyDown copies src onto dst — equal lengths, dst at or below src on the
-// disk, the two possibly overlapping — in scan batches, setting FlagFailed
-// on exactly the occupied elements when failed and clearing it otherwise.
-// Each batch is read whole before it is written and dst never runs ahead of
-// src, so no block is overwritten before it has been read.
-func copyDown(env *extmem.Env, src, dst extmem.Array, failed bool) {
-	n := src.Len()
-	if dst.Len() != n || dst.Base() > src.Base() {
-		panic("core: copyDown needs equal lengths and dst at or below src")
-	}
-	var buf []extmem.Element
-	stamp := func(plo, phi int) { // built once: a batch costs no closure
-		for t := plo; t < phi; t++ {
-			if failed && buf[t].Occupied() {
-				buf[t].Flags |= extmem.FlagFailed
-			} else {
-				buf[t].Flags &^= extmem.FlagFailed
-			}
-		}
-	}
-	env.Scan(src, dst, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		buf = chunk
-		env.ParCells(len(chunk), stamp)
-	})
 }
 
 // sortPrivate reads every occupied element into the cache, sorts there, and

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"oblivext/internal/extmem"
-	"oblivext/internal/obsort"
-	"oblivext/internal/route"
-)
+import "oblivext/internal/extmem"
 
 // consolidateColors is §5's (q+1)-way data consolidation: scan the array in
 // groups of `colors` blocks, keep per-color staging lists in the cache, and
@@ -154,157 +150,4 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	env.Cache.Free(wbuf)
 	env.Cache.Free(buf)
 	return out, ok
-}
-
-// sweepFailures is the data-oblivious failure sweeping of §5 over res, the
-// concatenation of a level's sorted buckets, each at most maxSub cells long.
-// It runs the same trace whether zero, one, or several buckets failed: copy
-// the failed cells (marked with FlagFailed) into a scratch array, tightly
-// compact them with the butterfly network, record each compacted cell's
-// fill count and origin, sort the prefix deterministically, repack the
-// sorted elements into cells with the original fill shape, route them back
-// with the expansion network, and merge. Returns false if the failure set
-// exceeded the capD cells the prefix has room for (irreparable).
-func sweepFailures(env *extmem.Env, res extmem.Array, maxSub int) bool {
-	n := res.Len()
-	if n == 0 {
-		return true
-	}
-	// Room for two failed buckets: what the sweep costs grows with capD and
-	// it is paid on every level, failures or none. A level therefore
-	// declares failure when three or more of its q+1 sub-sorts fail —
-	// probability at most C(q+1,3)·p³ for a per-bucket failure probability
-	// p <= (N/B)^-d (Lemma 20's argument with one more factor of p).
-	capD := min(2*maxSub+8, n)
-	b := res.B()
-	mark := env.D.Mark()
-	defer env.D.Release(mark)
-
-	// Copy failed cells; everything else becomes empty.
-	cpy := env.D.Alloc(n)
-	env.Scan(res, cpy, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		for off := 0; off < len(chunk); off += b {
-			blk := chunk[off : off+b]
-			if !route.PredFailed(blk) {
-				clear(blk)
-			} else {
-				for t := range blk {
-					blk[t].Flags &^= extmem.FlagFailed
-				}
-			}
-		}
-	})
-
-	failedCells := route.CompactBlocksTight(env, cpy, route.PredOccupied, 0)
-	ok := failedCells <= capD
-
-	// Record fill counts and origins of the compacted prefix.
-	fo := env.D.Alloc(extmem.CeilDiv(capD, b))
-	ent := env.Cache.Buf(b)
-	for i := range ent {
-		ent[i] = extmem.Element{}
-	}
-	env.Scan(cpy.Slice(0, capD), extmem.Array{}, env.ScanBatchN(1, capD), func(lo int, chunk []extmem.Element) {
-		for i := lo; i < lo+len(chunk)/b; i++ {
-			blk := chunk[(i-lo)*b : (i-lo+1)*b]
-			cnt := 0
-			for _, e := range blk {
-				if e.Occupied() {
-					cnt++
-				}
-			}
-			ent[i%b] = extmem.Element{Val: uint64(cnt), Pos: uint64(blk[0].Aux())}
-			if (i+1)%b == 0 || i == capD-1 {
-				fo.Write(i/b, ent)
-				clear(ent)
-			}
-		}
-	})
-
-	// Deterministic sort of the prefix (Lemma 2).
-	obsort.Bitonic(env, cpy.Slice(0, capD), obsort.ByKey)
-
-	// Repack the dense sorted stream into cells with the recorded fill
-	// shape, stamping each cell's expansion target. The schedule is
-	// lockstep — at step s read stream block s and write output cell s —
-	// so the trace never depends on the fill pattern. Feasibility: output
-	// cell s needs at most (s+1)·B elements, and the dense stream's first
-	// s+1 blocks hold at least that many when they exist. The private
-	// queue absorbs the lag, which stays small because almost every failed
-	// cell is full (only consolidation flush blocks are partial).
-	// Not an env.Scan: a second stream, the cell buffer, fills in lock step.
-	d2 := env.D.Alloc(capD)
-	queueCap := env.M / 4
-	queue := env.Cache.Buf(queueCap)
-	qh, qt := 0, 0 // ring indices: head (consume), tail (produce)
-	qlen := 0
-	kd := env.ScanBatchN(2, capD)
-	sbuf := env.Cache.Buf(kd * b)
-	dbuf := env.Cache.Buf(kd * b)
-	for lo := 0; lo < capD; lo += kd {
-		hi := min(lo+kd, capD)
-		cpy.ReadRange(lo, hi, sbuf[:(hi-lo)*b])
-		for s := lo; s < hi; s++ {
-			for _, e := range sbuf[(s-lo)*b : (s-lo+1)*b] {
-				if !e.Occupied() {
-					continue
-				}
-				if qlen == queueCap {
-					ok = false // queue overflow: drop, keep the trace fixed
-					continue
-				}
-				queue[qt] = e
-				qt = (qt + 1) % queueCap
-				qlen++
-			}
-			if s%b == 0 {
-				fo.Read(s/b, ent)
-			}
-			fill := int(ent[s%b].Val)
-			origin := int(ent[s%b].Pos)
-			blk := dbuf[(s-lo)*b : (s-lo+1)*b]
-			for t := 0; t < b; t++ {
-				blk[t] = extmem.Element{}
-				if t < fill && qlen > 0 {
-					blk[t] = queue[qh]
-					qh = (qh + 1) % queueCap
-					qlen--
-				}
-				blk[t].SetAux(origin)
-			}
-		}
-		d2.WriteRange(lo, hi, dbuf[:(hi-lo)*b])
-	}
-	env.Cache.Free(dbuf)
-	env.Cache.Free(sbuf)
-	env.Cache.Free(queue)
-	env.Cache.Free(ent)
-
-	// Install the repacked prefix and route everything home.
-	copyArray(env, d2, cpy.Slice(0, capD))
-	route.ExpandBlocks(env, cpy, route.PredOccupied, 0)
-
-	// Merge: failed cells take the repaired copy. Not an env.Scan: two
-	// sources, read chunk for chunk.
-	km := env.ScanBatchN(2, n)
-	rb := env.Cache.Buf(km * b)
-	cb := env.Cache.Buf(km * b)
-	for lo := 0; lo < n; lo += km {
-		hi := min(lo+km, n)
-		res.ReadRange(lo, hi, rb[:(hi-lo)*b])
-		cpy.ReadRange(lo, hi, cb[:(hi-lo)*b])
-		for i := lo; i < hi; i++ {
-			blk := rb[(i-lo)*b : (i-lo+1)*b]
-			if route.PredFailed(blk) {
-				copy(blk, cb[(i-lo)*b:(i-lo+1)*b])
-			}
-			for t := range blk {
-				blk[t].Flags &^= extmem.FlagFailed
-			}
-		}
-		res.WriteRange(lo, hi, rb[:(hi-lo)*b])
-	}
-	env.Cache.Free(cb)
-	env.Cache.Free(rb)
-	return ok
 }

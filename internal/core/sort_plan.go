@@ -110,30 +110,7 @@ func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 	for range colours {
 		c = c.Add(bucket)
 	}
-	resLen := colours * subLen
-	if pl.capB*b > m/2 && !sortsDirectly(pl.capB, b, m, depth+1) {
-		c = c.Add(sweepCost(resLen, subLen, b, m))
-	}
-	return c, resLen
-}
-
-// sweepCost prices sweepFailures over n blocks of buckets at most maxSub
-// long, the cache free: the copy, the compaction, the fill-and-origin scan
-// (one write per B cells) and the sort beside its one-block entry buffer,
-// the repack beside the queue (one read per B cells), the install, the
-// expansion and the merge.
-func sweepCost(n, maxSub, b, m int) obs.Cost {
-	capD := min(2*maxSub+8, n)
-	perB := int64(extmem.CeilDiv(capD, b))
-	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
-	c := scan(n, m, 1).Add(scan(n, m, 1)).Add(route.CompactCost(n, 0, b, m))
-	c = c.Add(scan(capD, m-b, 1)).Add(obs.Cost{IOs: perB, RoundTrips: perB})
-	c = c.Add(obsort.BitonicCost(capD, b, m-b))
-	repack := scan(capD, m-b-m/4, 2)
-	c = c.Add(repack).Add(repack).Add(obs.Cost{IOs: perB, RoundTrips: perB})
-	c = c.Add(scan(capD, m, 1)).Add(scan(capD, m, 1)).Add(route.CompactCost(n, 0, b, m))
-	merge := scan(n, m, 2)
-	return c.Add(merge).Add(merge).Add(merge)
+	return c, colours * subLen
 }
 
 // scanCost prices one side of a scan of n blocks of b elements whose chunks

@@ -99,10 +99,14 @@ func TestSortRecursivePipeline(t *testing.T) {
 
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
-// M=4096), and that the trace there is the same for every input and worker
-// count.
+// M=4096): exactly SortCost's 392 079 block I/Os (47.86 a block) in 1 516
+// round trips for every input and worker count, under one trace.
 func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
+	want := SortCost(nBlocks, b, m, nBlocks*b)
+	if want != (obs.Cost{IOs: 392079, RoundTrips: 1516}) {
+		t.Fatalf("SortCost = %+v, want 392 079 I/Os in 1 516 round trips", want)
+	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary
 	for i, workers := range []int{1, 2, 4} {
@@ -130,11 +134,8 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		}
 		st := env.D.Stats() // before checkSorted reads the result back, a block a round trip
 		checkSorted(t, a, keys)
-		if per := float64(st.Total()) / nBlocks; per > 48 {
-			t.Errorf("workers=%d: %.2f I/Os per block > 48", workers, per)
-		}
-		if st.RoundTrips > 1530 {
-			t.Errorf("workers=%d: %d round trips > 1 530", workers, st.RoundTrips)
+		if got := st.Cost(); got != want {
+			t.Errorf("workers=%d: measured %+v, want SortCost's %+v", workers, got, want)
 		}
 		if hw := env.Cache.HighWater(); hw > m {
 			t.Errorf("workers=%d: %d private elements > M=%d", workers, hw, m)
@@ -150,14 +151,13 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	}
 }
 
-// TestSortRecursionReachable keeps Theorem 21's recursion and its failure
-// sweep under test. At B = 64, M = 4 096 the top level's bucket capacities
-// (552 and 1 405 blocks at these sizes) are lengths where Quantiles takes
-// its Select arm, so the level below the top distributes again and the top
-// level sweeps; at the benchmark geometry (B = 8) every bucket sorts
-// directly and neither runs. Each row sorts random keys with one worker and duplicate
-// keys with four, checks both against a sort.SliceStable reference, and
-// requires the two traces equal.
+// TestSortRecursionReachable keeps Theorem 21's recursion under test. At
+// B = 64, M = 4 096 the top level's bucket capacities (552 and 1 405 blocks
+// at these sizes) are lengths where Quantiles takes its Select arm, so the
+// level below the top distributes again; at the benchmark geometry (B = 8)
+// every bucket sorts directly. Each row sorts random keys with one worker
+// and duplicate keys with four, checks both against a sort.SliceStable
+// reference, and requires the two traces equal.
 func TestSortRecursionReachable(t *testing.T) {
 	const m = 4096
 	for _, row := range []struct {
@@ -194,12 +194,8 @@ func TestSortRecursionReachable(t *testing.T) {
 					t.Fatalf("n=%d B=%d %s: cell %d = %+v, reference %+v", nBlocks, b, kind, j, e, ref[j])
 				}
 			}
-			deeper, sweeps := recursionSpans(col.Roots())
-			if row.recurses && (deeper == 0 || sweeps == 0) {
-				t.Errorf("n=%d B=%d %s: %d randomized levels at depth 1 and %d sweeps, want both > 0", nBlocks, b, kind, deeper, sweeps)
-			}
-			if !row.recurses && (deeper != 0 || sweeps != 0) {
-				t.Errorf("n=%d B=%d %s: %d randomized levels at depth 1 and %d sweeps, want none", nBlocks, b, kind, deeper, sweeps)
+			if deeper := deeperLevels(col.Roots()); row.recurses != (deeper > 0) {
+				t.Errorf("n=%d B=%d %s: %d randomized levels at depth 1, want recursion %v", nBlocks, b, kind, deeper, row.recurses)
 			}
 			if i == 0 {
 				first = sum
@@ -252,11 +248,10 @@ func TestSortTraceIndependentOfBucketSizes(t *testing.T) {
 }
 
 // TestSortDealOverflowFailsTop: a level below the top whose deal overflows
-// has dropped blocks that no sweep can restore, so the top-level Sort must
-// return ErrSortFailed, never an array the sweep "repaired" with elements
-// missing. The seam shrinks the quota of the first depth-1 level alone to
-// one block per colour per batch, at a geometry where depth 1 distributes
-// and the top level sweeps.
+// has dropped blocks, so the top-level Sort must return ErrSortFailed,
+// never an array with elements missing. The seam shrinks the quota of the
+// first depth-1 level alone to one block per colour per batch, at a
+// geometry where depth 1 distributes.
 func TestSortDealOverflowFailsTop(t *testing.T) {
 	const nBlocks, b, m = 1100, 64, 4096
 	forced := 0
@@ -348,23 +343,17 @@ func TestSplitterCountAndDealBatchExact(t *testing.T) {
 	}
 }
 
-// recursionSpans counts, in a span tree, the randomized levels that ran at
-// depth 1 and the failure sweeps.
-func recursionSpans(spans []*obs.Span) (deeper, sweeps int) {
+// deeperLevels counts, in a span tree, the randomized levels that ran at
+// depth 1.
+func deeperLevels(spans []*obs.Span) int {
+	n := 0
 	for _, s := range spans {
-		switch s.Name {
-		case "randomized-level":
-			if slices.Contains(s.Attrs, obs.Attr{Key: "depth", Value: "1"}) {
-				deeper++
-			}
-		case "sweep-failures":
-			sweeps++
+		if s.Name == "randomized-level" && slices.Contains(s.Attrs, obs.Attr{Key: "depth", Value: "1"}) {
+			n++
 		}
-		d, w := recursionSpans(s.Children)
-		deeper += d
-		sweeps += w
+		n += deeperLevels(s.Children)
 	}
-	return deeper, sweeps
+	return n
 }
 
 // BenchmarkSortRandomized is one randomized Sort at the benchmark's sort_mem
@@ -392,34 +381,28 @@ func BenchmarkSortRandomized(b *testing.B) {
 }
 
 // TestCopyDownOverlapping: the bucket results are copied onto the scratch
-// the recursion just released, so source and destination overlap; a forward
-// copy in whole batches must still deliver every block, across several
-// batches.
+// the recursion just released, so source and destination overlap; copyArray
+// copies forward in whole batches and must still deliver every block,
+// across several batches.
 func TestCopyDownOverlapping(t *testing.T) {
 	const n, b, m, shift = 200, 4, 128, 3 // scan batch = m/b - 1 = 31 blocks
-	for _, failed := range []bool{false, true} {
-		env := newTestEnv(n+shift, b, m, 23)
-		all := env.D.Alloc(n + shift)
-		src, dst := all.Slice(shift, n+shift), all.Slice(0, n)
-		want := make([]extmem.Element, n*b)
-		for i := range want {
-			if i%5 != 0 {
-				want[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
-			}
+	env := newTestEnv(n+shift, b, m, 23)
+	all := env.D.Alloc(n + shift)
+	src, dst := all.Slice(shift, n+shift), all.Slice(0, n)
+	want := make([]extmem.Element, n*b)
+	for i := range want {
+		if i%5 != 0 {
+			want[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
 		}
-		writeElems(src, want)
-		if k := env.ScanBatchN(1, n); k >= n || k <= shift {
-			t.Fatalf("scan batch %d: want several batches, each longer than the overlap shift", k)
-		}
-		copyDown(env, src, dst, failed)
-		for i, e := range readElems(dst) {
-			w := want[i]
-			if failed && w.Occupied() {
-				w.Flags |= extmem.FlagFailed
-			}
-			if e != w {
-				t.Fatalf("failed=%v: element %d = %+v, want %+v", failed, i, e, w)
-			}
+	}
+	writeElems(src, want)
+	if k := env.ScanBatchN(1, n); k >= n || k <= shift {
+		t.Fatalf("scan batch %d: want several batches, each longer than the overlap shift", k)
+	}
+	copyArray(env, src, dst)
+	for i, e := range readElems(dst) {
+		if e != want[i] {
+			t.Fatalf("element %d = %+v, want %+v", i, e, want[i])
 		}
 	}
 }
@@ -490,178 +473,6 @@ func TestSortCacheBound(t *testing.T) {
 	}
 	if hw := env.Cache.HighWater(); hw > env.M {
 		t.Fatalf("sort used %d private elements > M=%d", hw, env.M)
-	}
-}
-
-// TestSweepRepairsInjectedFailure injects a deliberately scrambled, flagged
-// bucket into a concatenated result and checks the sweep restores global
-// sorted order — the §5 failure-sweeping mechanism in isolation — and that
-// its capacity is two buckets.
-func TestSweepRepairsInjectedFailure(t *testing.T) {
-	env := newTestEnv(4096, 4, 512, 9)
-	// Three "buckets" of 8 blocks each over disjoint key ranges; bucket 1
-	// is unsorted and failed.
-	res := env.D.Alloc(24)
-	blk := make([]extmem.Element, 4)
-	write := func(cell int, keys [4]uint64, failed, occupied bool) {
-		for t := range blk {
-			blk[t] = extmem.Element{}
-			if occupied {
-				blk[t] = extmem.Element{Key: keys[t], Pos: uint64(cell*4 + t), Flags: extmem.FlagOccupied}
-				if failed {
-					blk[t].Flags |= extmem.FlagFailed
-				}
-			}
-		}
-		res.Write(cell, blk)
-	}
-	// Bucket 0 (cells 0-7): sorted keys 0..27, some cells empty.
-	k := uint64(0)
-	for c := 0; c < 8; c++ {
-		if c == 7 {
-			write(c, [4]uint64{}, false, false)
-			continue
-		}
-		write(c, [4]uint64{k, k + 1, k + 2, k + 3}, false, true)
-		k += 4
-	}
-	// Bucket 1 (cells 8-15): keys 100..131 scrambled, failed.
-	scr := []uint64{117, 103, 128, 111, 131, 100, 124, 107, 119, 102, 126, 113, 105, 121, 109, 130, 101, 122, 115, 127, 108, 104, 129, 110, 118, 106, 123, 112, 120, 114, 125, 116}
-	for c := 0; c < 8; c++ {
-		write(c+8, [4]uint64{scr[c*4], scr[c*4+1], scr[c*4+2], scr[c*4+3]}, true, true)
-	}
-	// Bucket 2 (cells 16-23): sorted keys 200..219, trailing empties.
-	k = 200
-	for c := 0; c < 8; c++ {
-		if c >= 5 {
-			write(c+16, [4]uint64{}, false, false)
-			continue
-		}
-		write(c+16, [4]uint64{k, k + 1, k + 2, k + 3}, false, true)
-		k += 4
-	}
-
-	if !sweepFailures(env, res, 8) {
-		t.Fatal("sweep reported irreparable failure")
-	}
-	elems := readElems(res)
-	// Bucket 1's region (cells 8-15) must now be sorted 100..131.
-	var got []uint64
-	for _, e := range elems[32:64] {
-		if e.Occupied() {
-			got = append(got, e.Key)
-		}
-	}
-	if len(got) != 32 {
-		t.Fatalf("bucket 1 has %d elements after sweep, want 32", len(got))
-	}
-	for i := range got {
-		if got[i] != uint64(100+i) {
-			t.Fatalf("bucket 1 position %d = %d, want %d", i, got[i], 100+i)
-		}
-	}
-	// Buckets 0 and 2 untouched.
-	for i, e := range elems[:28] {
-		if !e.Occupied() || e.Key != uint64(i) {
-			t.Fatalf("bucket 0 damaged at %d: %+v", i, e)
-		}
-	}
-	for i, e := range elems[64:84] {
-		if !e.Occupied() || e.Key != uint64(200+i) {
-			t.Fatalf("bucket 2 damaged at %d: %+v", i, e)
-		}
-	}
-	// No FlagFailed bits remain.
-	for i, e := range elems {
-		if e.Flags&extmem.FlagFailed != 0 {
-			t.Fatalf("FlagFailed left at element %d", i)
-		}
-	}
-
-	// The capacity edge: of a level's five buckets the sweep repairs two
-	// failed ones and declares three.
-	for _, c := range []struct {
-		failed []int
-		ok     bool
-	}{{nil, true}, {[]int{3}, true}, {[]int{1, 4}, true}, {[]int{0, 1, 3}, false}} {
-		ok, sorted := sweepLevel(newTestEnv(4096, 4, 512, 9), c.failed...)
-		if ok != c.ok {
-			t.Errorf("failed buckets %v: sweep ok = %v, want %v", c.failed, ok, c.ok)
-		}
-		if ok && !sorted {
-			t.Errorf("failed buckets %v: sweep reported success but the level is not sorted", c.failed)
-		}
-	}
-}
-
-// TestSweepNoFailuresIsIdentity: with nothing flagged the sweep must leave
-// the array bit-identical (after FlagFailed clearing, which is a no-op).
-func TestSweepNoFailuresIsIdentity(t *testing.T) {
-	env := newTestEnv(2048, 4, 512, 11)
-	res := env.D.Alloc(16)
-	r := rand.New(rand.NewPCG(3, 3))
-	keys := make([]uint64, 48)
-	for i := range keys {
-		keys[i] = r.Uint64()
-	}
-	buildKeyArray(res, keys)
-	before := readElems(res)
-	if !sweepFailures(env, res, 2) {
-		t.Fatal("sweep failed with no failures")
-	}
-	after := readElems(res)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("sweep modified healthy element %d: %+v -> %+v", i, before[i], after[i])
-		}
-	}
-}
-
-// sweepLevel builds what one level hands the sweep — five sorted buckets of
-// 16 full cells over disjoint ascending key ranges — with the buckets in
-// failed scrambled and flagged, sweeps it, and reports the sweep's verdict
-// and whether the whole array came out sorted and unflagged.
-func sweepLevel(env *extmem.Env, failed ...int) (ok, sorted bool) {
-	const buckets, cells, b = 5, 16, 4
-	res := env.D.Alloc(buckets * cells)
-	r := rand.New(rand.NewPCG(12, 12))
-	elems := make([]extmem.Element, 0, buckets*cells*b)
-	for bk := 0; bk < buckets; bk++ {
-		keys := make([]uint64, cells*b)
-		for i := range keys {
-			keys[i] = uint64(bk*1000 + i)
-		}
-		flags := uint64(extmem.FlagOccupied)
-		if slices.Contains(failed, bk) {
-			r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-			flags |= extmem.FlagFailed
-		}
-		for _, k := range keys {
-			elems = append(elems, extmem.Element{Key: k, Pos: uint64(len(elems)), Flags: flags})
-		}
-	}
-	writeElems(res, elems)
-	ok = sweepFailures(env, res, cells)
-	sorted = true
-	for i, e := range readElems(res) {
-		if e.Key != uint64(i/(cells*b)*1000+i%(cells*b)) || !e.Occupied() || e.Flags&extmem.FlagFailed != 0 {
-			sorted = false
-		}
-	}
-	return ok, sorted
-}
-
-// TestSweepTraceIndependentOfFailures: the sweep's trace must not reveal
-// whether anything failed, how much, or whether it could be repaired.
-func TestSweepTraceIndependentOfFailures(t *testing.T) {
-	run := func(failed ...int) trace.Summary {
-		return traceOf(t, 4096, 4, 512, 13, func(env *extmem.Env) { sweepLevel(env, failed...) })
-	}
-	clean := run()
-	for _, failed := range [][]int{{2}, {0, 4}, {1, 2, 3}} {
-		if !run(failed...).Equal(clean) {
-			t.Fatalf("sweep trace with buckets %v failed differs from the fault-free trace", failed)
-		}
 	}
 }
 

@@ -19,9 +19,6 @@ const (
 	FlagOccupied uint64 = 1 << 0
 	// FlagMarked marks an item as "distinguished" for compaction/selection.
 	FlagMarked uint64 = 1 << 1
-	// FlagFailed marks a region whose randomized subcomputation failed and
-	// must be repaired by failure sweeping (§5).
-	FlagFailed uint64 = 1 << 2
 
 	// colorShift is where the bucket color of §5's sorting algorithm lives.
 	// The same bits double as the Aux field (a cell's origin during

@@ -201,8 +201,7 @@ func TestPredictorsExact(t *testing.T) {
 	}
 	// Rows beyond the grid that one primitive alone runs: for Sort, the
 	// benchmark's sort_mem (one distributing level, a direct sort per
-	// bucket) and a B = 64 row whose buckets distribute again and whose top
-	// level sweeps.
+	// bucket) and a B = 64 row whose buckets distribute again.
 	more := map[string][]geometry{"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}}}
 	defer func() {
 		if !quantilesArms[true] || !quantilesArms[false] {

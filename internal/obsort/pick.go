@@ -35,9 +35,10 @@ func ValidEngine(name string) bool {
 // the caller, over backend "mem" (local or in-process stores) or "net"
 // (HTTP backends, where round trips dominate).
 // It returns one of EngineBitonic, EngineColumnsort, EngineBucket or
-// EngineZigzag — the randomized sort is never picked; its constants lose to
-// every deterministic engine at any feasible geometry (47.9 I/Os per block
-// against bitonic's 14 and columnsort's 6 at N = 2^16, B = 8, M = 4096).
+// EngineZigzag — the randomized sort is never picked: its exact predictor,
+// core.SortCost, is nowhere below the cheapest of bitonic, columnsort and
+// zigzag in block I/Os or in round trips (core's
+// TestRandomizedNeverCheapest, over the geometries Pick is tested on).
 //
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is strictly least among the engines the

@@ -49,17 +49,6 @@ func PredOccupied(blk []extmem.Element) bool {
 	return false
 }
 
-// PredFailed treats a cell as occupied if any element carries FlagFailed —
-// the predicate used by the failure-sweeping step of Theorem 21.
-func PredFailed(blk []extmem.Element) bool {
-	for _, e := range blk {
-		if e.Flags&extmem.FlagFailed != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // fitsCache reports whether n cells fit free elements of private memory
 // beside a block of slack — a function of the geometry and of what the
 // caller has checked out, both public.

@@ -246,30 +246,6 @@ func TestWindowedBeatsNaive(t *testing.T) {
 	}
 }
 
-func TestCompactTightWithFailedPredicate(t *testing.T) {
-	env := newEnv(24, 4, 64, 5)
-	a := env.D.Alloc(16)
-	buf := make([]extmem.Element, 4)
-	// All cells occupied; cells 2, 5, 11 additionally carry FlagFailed.
-	for j := 0; j < 16; j++ {
-		for tt := range buf {
-			buf[tt] = extmem.Element{Key: uint64(j), Flags: extmem.FlagOccupied}
-			if j == 2 || j == 5 || j == 11 {
-				buf[tt].Flags |= extmem.FlagFailed
-			}
-		}
-		a.Write(j, buf)
-	}
-	cnt := CompactBlocksTight(env, a, PredFailed, 0)
-	if cnt != 3 {
-		t.Fatalf("failed-cell count = %d, want 3", cnt)
-	}
-	keys := cellKeys(a)
-	if keys[0] != 2 || keys[1] != 5 || keys[2] != 11 {
-		t.Fatalf("failed cells not compacted in order: %v", keys[:4])
-	}
-}
-
 // Expansion targets must be strictly increasing, never left of the cell and
 // inside the array: every geometry — the whole array in the cache, one routing group, several
 // — rejects a violation, including an inversion between cells of different
