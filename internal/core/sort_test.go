@@ -283,6 +283,62 @@ func TestSortDealOverflowFailsTop(t *testing.T) {
 	}
 }
 
+// TestSortFailureTraceIndependentOfInput: a failed Sort's trace must not
+// reveal what failed or how much was dropped. The seam overflows the deal
+// of the first depth-1 level, as in TestSortDealOverflowFailsTop; over
+// inputs that spread their blocks over that level's buckets differently,
+// so that it drops different blocks, Sort returns ErrSortFailed with the
+// cache balanced and one trace under one tape.
+func TestSortFailureTraceIndependentOfInput(t *testing.T) {
+	const nBlocks, b, m = 1100, 64, 4096
+	var first trace.Summary
+	for i, in := range []struct {
+		name string
+		key  func(r *rand.Rand, i int) uint64
+	}{
+		{"random", func(r *rand.Rand, _ int) uint64 { return r.Uint64() % (1 << 40) }},
+		{"ascending", func(_ *rand.Rand, i int) uint64 { return uint64(i) }},
+		{"duplicates", func(_ *rand.Rand, i int) uint64 { return uint64(i % 3) }},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			forced := 0
+			dealQuotaSeam = func(depth, quota int) int {
+				if depth == 1 && forced == 0 {
+					forced++
+					return 1
+				}
+				return quota
+			}
+			defer func() { dealQuotaSeam = nil }()
+			r := rand.New(rand.NewPCG(uint64(i), 39))
+			keys := make([]uint64, nBlocks*b)
+			for j := range keys {
+				keys[j] = in.key(r, j)
+			}
+			var err error
+			sum := traceOf(t, nBlocks, b, m, 39, func(env *extmem.Env) {
+				a := env.D.Alloc(nBlocks)
+				buildKeyArray(a, keys)
+				err = Sort(env, a)
+				if used := env.Cache.Used(); used != 0 {
+					t.Errorf("%d words left checked out", used)
+				}
+			})
+			if forced != 1 {
+				t.Fatal("no level at depth 1 dealt: the row no longer recurses")
+			}
+			if !errors.Is(err, ErrSortFailed) {
+				t.Fatalf("Sort returned %v, want ErrSortFailed", err)
+			}
+			if i == 0 {
+				first = sum
+			} else if !sum.Equal(first) {
+				t.Fatalf("failure trace %v differs from the random input's %v", sum, first)
+			}
+		})
+	}
+}
+
 // TestDirectLevelCost pins what a level below the top costs when it sorts
 // directly: exactly the copy and obsort.BitonicCost at the free cache, in
 // block I/Os and in round trips — no count scan, since a bucket's occupancy

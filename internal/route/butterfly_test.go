@@ -246,6 +246,26 @@ func TestWindowedBeatsNaive(t *testing.T) {
 	}
 }
 
+// TestCompactTightWithCallerPredicate: the cells that count are the ones
+// the caller's predicate picks, not the occupied ones — here three of
+// sixteen full cells, which come out counted and in their original order.
+func TestCompactTightWithCallerPredicate(t *testing.T) {
+	env := newEnv(24, 4, 64, 5)
+	a := env.D.Alloc(16)
+	all := map[int]bool{}
+	for j := 0; j < 16; j++ {
+		all[j] = true
+	}
+	buildCells(a, all)
+	picked := func(blk []extmem.Element) bool { k := blk[0].Key; return k == 2 || k == 5 || k == 11 }
+	if cnt := CompactBlocksTight(env, a, picked, 0); cnt != 3 {
+		t.Fatalf("picked-cell count = %d, want 3", cnt)
+	}
+	if keys := cellKeys(a); !slices.Equal(keys[:3], []int{2, 5, 11}) {
+		t.Fatalf("picked cells not compacted in order: %v", keys[:4])
+	}
+}
+
 // Expansion targets must be strictly increasing, never left of the cell and
 // inside the array: every geometry — the whole array in the cache, one routing group, several
 // — rejects a violation, including an inversion between cells of different
