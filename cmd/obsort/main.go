@@ -46,7 +46,6 @@ func main() {
 	urls := flag.String("urls", "", "comma-separated obstore base URLs, one per shard (implies -shards)")
 	replicas := flag.Int("replicas", 1, "replicate every shard across this many backends: writes fan out to all live replicas, reads fail over on error")
 	replicaURLs := flag.String("replica-urls", "", "comma-separated obstore base URLs in shard-major order (shards x replicas entries; an empty entry is an in-memory replica); requires -replicas > 1")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge slow reads: launch a second replica's read after this delay (P95-adaptive once warmed up) and take the first response; requires -replicas > 1")
 	netTimeout := flag.Duration("net-timeout", 0, "per-request timeout against a network backend (0 = default 10s)")
 	netRetries := flag.Int("net-retries", 0, "replays of a failed network request before giving up (0 = default 3, -1 = fail fast)")
 	authToken := flag.String("auth-token", "", "bearer token presented to network backends (must match obstore -auth-token)")
@@ -63,7 +62,7 @@ func main() {
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
 		NumShards: *shards, Workers: *workers,
 		URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
-		Replicas: *replicas, HedgeAfter: *hedgeAfter,
+		Replicas:  *replicas,
 		AuthToken: *authToken, TLSRootCA: *tlsCA, TLSInsecureSkipVerify: *tlsSkipVerify,
 		Namespace: *namespace, Multiplex: *multiplex}
 	if *urls != "" && *file != "" {
@@ -201,8 +200,8 @@ func main() {
 		fmt.Printf("replicas: %d per shard —\n", client.NumReplicas())
 		for sh, group := range client.ReplicaStats() {
 			for r, s := range group {
-				fmt.Printf("  shard[%d] replica[%d] (%s): %d blocks, %d failures, %d failovers, %d hedges (%d won), %d repairs, %d dirty\n",
-					sh, r, s.State, s.BlocksMoved, s.Failures, s.Failovers, s.Hedges, s.HedgeWins, s.Repairs, s.Dirty)
+				fmt.Printf("  shard[%d] replica[%d] (%s): %d blocks, %d failures, %d failovers, %d repairs, %d dirty\n",
+					sh, r, s.State, s.BlocksMoved, s.Failures, s.Failovers, s.Repairs, s.Dirty)
 			}
 		}
 		if ev := client.ReplicaEvents(); len(ev) > 0 {

@@ -149,8 +149,6 @@ func fleetRejections(t *testing.T) {
 		{"namespace alphabet", Config{Namespace: "no/slashes"}, "Namespace"},
 		{"multiplex with transport", Config{Multiplex: true, HTTPTransport: http.DefaultTransport}, "Multiplex"},
 		{"negative replicas", Config{Replicas: -1}, "Replicas"},
-		{"negative hedge", Config{Replicas: 2, HedgeAfter: -time.Millisecond}, "HedgeAfter"},
-		{"hedge without replicas", Config{HedgeAfter: time.Millisecond}, "require Replicas > 1"},
 		{"ReplicaURLs without replicas", Config{ReplicaURLs: []string{ts8.URL}}, "require Replicas > 1"},
 		{"replicas with URL", Config{Replicas: 2, URL: ts8.URL}, "ReplicaURLs, not URL/ShardURLs"},
 		{"replicas with ShardURLs", Config{Replicas: 2, NumShards: 1, ShardURLs: []string{ts8.URL}}, "ReplicaURLs, not URL/ShardURLs"},

@@ -292,8 +292,8 @@ func NewStore(inner extmem.BlockStore, target string, schedule Schedule) *Store 
 
 // fault applies the next scheduled event, returning a non-nil error when the
 // interaction must fail. A Stall ends early, with ctx's error, when ctx is
-// canceled: a stalled child of a doomed fan-out or a lost hedge leg is
-// abandoned like a remote one would be.
+// canceled: a stalled child of a doomed fan-out is abandoned like a remote
+// one would be.
 func (s *Store) fault(ctx context.Context) error {
 	e, hit := s.next(s.target)
 	if !hit {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"oblivext/internal/obsort"
+	"oblivext/internal/trace"
 )
 
 // engineGrid is the geometries, with what the caller holds of the cache,
@@ -49,12 +50,11 @@ func TestEngineResolves(t *testing.T) {
 // columnsort or zigzag, priced as Pick prices them — in block I/Os or in
 // round trips. SortCost is priced with the whole cache free, the
 // deterministic engines at the cache the caller leaves, so a held cache
-// only favours the randomized sort. The M = 4B row is left out: the
-// randomized sort does not run there (its final compaction's butterfly
-// window does not fit the cache).
+// only favours the randomized sort. Rows below SortFree are left out: the
+// randomized sort declares ErrSortCache there.
 func TestRandomizedNeverCheapest(t *testing.T) {
 	for _, g := range engineGrid {
-		if g.m <= 4*g.b {
+		if g.m < SortFree(g.n, g.b) {
 			continue
 		}
 		free := g.m - g.held
@@ -135,5 +135,46 @@ func TestSortWithDeclaresColumnGeometry(t *testing.T) {
 	env.Cache.Release(held)
 	if err := SortWith(env, a, obsort.EngineColumnsort); err != nil {
 		t.Fatalf("with M free: %v", err)
+	}
+}
+
+// TestSortDeclaresCacheFloor: the randomized sort below SortFree — M = 4B
+// and 5B, where its closing compaction's narrowest butterfly window does
+// not fit beside the holding buffer — returns ErrSortCache with an empty
+// trace and the cache balanced; at M = 6B it sorts.
+func TestSortDeclaresCacheFloor(t *testing.T) {
+	const b = 8
+	r := rand.New(rand.NewPCG(53, 54))
+	for _, mb := range []int{4, 5, 6} {
+		for _, nBlocks := range []int{3, 20, 130} {
+			t.Run(fmt.Sprintf("M=%dB/n=%d", mb, nBlocks), func(t *testing.T) {
+				env := newTestEnv(40*nBlocks+16, b, mb*b, 7)
+				a := env.D.Alloc(nBlocks)
+				keys := make([]uint64, nBlocks*b)
+				for i := range keys {
+					keys[i] = r.Uint64() % 1_000
+				}
+				buildKeyArray(a, keys)
+				rec := trace.NewRecorder(0)
+				env.D.SetRecorder(rec)
+				err := SortWith(env, a, obsort.EngineRandomized)
+				if used := env.Cache.Used(); used != 0 {
+					t.Fatalf("%d words left checked out", used)
+				}
+				if mb < 6 {
+					if !errors.Is(err, ErrSortCache) {
+						t.Fatalf("err = %v, want ErrSortCache", err)
+					}
+					if n := rec.Len(); n != 0 {
+						t.Fatalf("the declared error left a trace of %d accesses", n)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSorted(t, a, keys)
+			})
+		}
 	}
 }

@@ -55,6 +55,10 @@ import (
 // (sortFailureBound). The trace is a prefix of the success trace.
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
+// ErrSortCache reports an array Sort cannot sort in the cache free at the
+// call (SortFree), declared before any I/O.
+var ErrSortCache = errors.New("core: too little cache free for the randomized sort")
+
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
 // directly (sortsDirectly).
 const sortMaxDepth = 12
@@ -68,11 +72,16 @@ var dealQuotaSeam func(depth, quota int) int
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
 // (give each element its original index as Pos). The trace depends only on
-// (len, B, M, N_occupied) and the tape.
+// (len, B, M, N_occupied) and the tape. Below SortFree it returns
+// ErrSortCache with an empty trace.
 func Sort(env *extmem.Env, a extmem.Array) error {
 	n := a.Len()
 	if n == 0 {
 		return nil
+	}
+	if free, need := env.M-env.Cache.Used(), SortFree(n, a.B()); free < need {
+		return fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free, want %d",
+			ErrSortCache, n, a.B(), free, need)
 	}
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
@@ -101,6 +110,12 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	return nil
 }
 
+// SortFree is the least free cache, in elements, Sort of nBlocks blocks of
+// b elements runs in: that of its closing compaction, which holds the most
+// cache beside the narrowest window of any routing Sort runs — 6B once the
+// array is 3 blocks or more.
+func SortFree(nBlocks, b int) int { return route.ConsolidateCompactFree(nBlocks, b) }
+
 // Engine resolves a sort engine name (obsort.EngineNames) to the engine
 // that sorts an array of nBlocks blocks of b elements against a cache of m
 // elements, free of them not checked out at the call, over backend "mem" or
@@ -116,11 +131,11 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 }
 
 // SortWith sorts a by obsort.ByKey with the named engine, which Engine has
-// resolved. Only "randomized" can fail, with ErrSortFailed, and
-// "columnsort", with obsort.ErrColumnGeometry before any I/O where the
-// array does not fit its size limit in the cache free at the call; bucket
-// retries its declared overflows and falls back to zigzag. Any other name
-// panics.
+// resolved. Only "randomized" can fail, with ErrSortFailed, or with
+// ErrSortCache before any I/O below SortFree, and "columnsort", with
+// obsort.ErrColumnGeometry before any I/O where the array does not fit its
+// size limit in the cache free at the call; bucket retries its declared
+// overflows and falls back to zigzag. Any other name panics.
 func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	switch engine {
 	case obsort.EngineRandomized:

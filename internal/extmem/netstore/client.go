@@ -95,6 +95,8 @@ const writeBufferSize = 256 << 10
 // on and an explicit idle pool, so steady request streams (the batched
 // ORAM access pattern above all) reuse connections instead of re-dialing,
 // and a send buffer that holds a whole request (writeBufferSize).
+// A request over that 256 KiB still works, but its body past the buffer
+// goes through net/http's generic copy and pays its 32 KiB buffer.
 // perHost sizes the per-host idle pool; values below the default of 4 are
 // raised to it.
 func NewTransport(perHost int) *http.Transport {
@@ -257,8 +259,7 @@ func Dial(baseURL string, opts Options) (*Client, error) {
 // ReadBlocks implements BlockStore: the whole batch travels as one request,
 // so the Disk's one-RoundTrip-per-call accounting matches what the wire
 // actually carries. A canceled ctx abandons the in-flight attempt and stops
-// retrying — the sharded fan-out cancels doomed siblings through this, and
-// the replica layer reaps the losing leg of a hedged read.
+// retrying — the sharded fan-out cancels doomed siblings through this.
 func (c *Client) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
 	if len(dst) != len(addrs)*c.b {
 		return fmt.Errorf("netstore: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), c.b)
@@ -387,8 +388,8 @@ func (c *Client) withRetry(ctx context.Context, onRetry func(), f func() (retrya
 			return err
 		}
 		if ctx.Err() != nil {
-			// The caller canceled (fan-out sibling failed, hedge lost):
-			// don't burn the remaining budget on a request nobody wants.
+			// The caller canceled (a fan-out sibling failed): don't
+			// burn the remaining budget on a request nobody wants.
 			return fmt.Errorf("canceled after %d attempts: %w", attempt+1, lastErr)
 		}
 	}

@@ -31,11 +31,6 @@
 // the sealing MAC binds ciphertext to an address but carries no freshness
 // counter, so an old sealed block at the right address authenticates — see
 // THREAT_MODEL.md.
-//
-// Hedged reads are the one wall-clock feature: when enabled, a read still
-// outstanding after a delay derived from the observed P95 is raced against a
-// second replica and the first response wins. Hedging trades determinism for
-// tail latency and stays off in the deterministic chaos harness.
 package replica
 
 import (
@@ -43,10 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"oblivext/internal/extmem"
-	"oblivext/internal/obs"
 )
 
 // Breaker states.
@@ -77,15 +70,6 @@ type Options struct {
 	// Interactions, not wall time: replayed fault schedules must drive the
 	// breaker deterministically.
 	Cooldown int
-	// HedgeAfter enables hedged reads when positive: a read outstanding for
-	// longer than the hedge delay is raced against a second replica. The
-	// delay starts at HedgeAfter and switches to the observed P95 read
-	// latency once HedgeMinSamples reads have been measured. Zero disables
-	// hedging (the deterministic configuration).
-	HedgeAfter time.Duration
-	// HedgeMinSamples is how many measured reads the P95 estimate needs
-	// before it replaces HedgeAfter as the hedge delay (default 32).
-	HedgeMinSamples int
 }
 
 // Stats is one replica's cumulative view of the traffic and faults it saw.
@@ -94,8 +78,6 @@ type Stats struct {
 	BlocksMoved int64  // blocks those sub-batches carried
 	Failures    int64  // failed sub-batches
 	Failovers   int64  // read sub-batches rerouted away after a failure
-	Hedges      int64  // hedged reads launched against this replica
-	HedgeWins   int64  // hedged reads this replica won as the secondary
 	Repairs     int64  // read-repair writes applied to this replica
 	Dirty       int    // addresses currently known stale on this replica
 	State       string // breaker state at snapshot time
@@ -110,9 +92,9 @@ type health struct {
 
 // Store implements extmem.BlockStore over R replica children. Like every
 // BlockStore it is driven by a single caller (the Disk); the concurrency is
-// internal — write fan-outs, failover retries, and hedge races. Because a
-// hedge loser may still be touching its child after the interaction that
-// launched it has returned, every child is guarded by its own mutex.
+// internal — write fan-outs and multi-replica read rounds, one goroutine per
+// child. Every child is guarded by its own mutex, so a child never sees two
+// calls at once, Close and GrowTo included.
 type Store struct {
 	children []extmem.BlockStore
 	r        int
@@ -125,13 +107,10 @@ type Store struct {
 	hp     []health
 	dirty  []map[int]struct{} // per replica: addresses that missed writes
 	stats  []Stats
-	lat    obs.LatencyHistogram // measured read latencies, feeds the hedge delay
-	events []string             // breaker/failover decision log, for replay checks
+	events []string // breaker/failover decision log, for replay checks
 
-	failThresh  int
-	cooldown    int64
-	hedgeAfter  time.Duration
-	hedgeMinObs int64
+	failThresh int
+	cooldown   int64
 }
 
 // New builds a replicated store over the given children, which must all
@@ -153,22 +132,17 @@ func New(children []extmem.BlockStore, opts Options) (*Store, error) {
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 16
 	}
-	if opts.HedgeMinSamples <= 0 {
-		opts.HedgeMinSamples = 32
-	}
 	r := len(children)
 	s := &Store{
-		children:    children,
-		r:           r,
-		b:           b,
-		repMu:       make([]sync.Mutex, r),
-		hp:          make([]health, r),
-		dirty:       make([]map[int]struct{}, r),
-		stats:       make([]Stats, r),
-		failThresh:  opts.FailureThreshold,
-		cooldown:    int64(opts.Cooldown),
-		hedgeAfter:  opts.HedgeAfter,
-		hedgeMinObs: int64(opts.HedgeMinSamples),
+		children:   children,
+		r:          r,
+		b:          b,
+		repMu:      make([]sync.Mutex, r),
+		hp:         make([]health, r),
+		dirty:      make([]map[int]struct{}, r),
+		stats:      make([]Stats, r),
+		failThresh: opts.FailureThreshold,
+		cooldown:   int64(opts.Cooldown),
 	}
 	for i := range s.dirty {
 		s.dirty[i] = make(map[int]struct{})
@@ -372,7 +346,6 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 		pos[i] = i
 	}
 	excluded := make([]bool, s.r)
-	first := true
 	for len(pending) > 0 {
 		s.mu.Lock()
 		groups, err := s.assign(pending, pos, excluded)
@@ -380,20 +353,8 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 		if err != nil {
 			return err
 		}
-		if first && len(groups) == 1 && s.hedgeEligible(groups[0].rep, excluded) {
-			// The whole batch rides one replica and another clean candidate
-			// exists: the hedge race handles this interaction end to end.
-			if s.hedgedRead(ctx, groups[0], excluded, dst) {
-				s.repair(ctx, addrs, dst)
-				return nil
-			}
-			// Hedge machinery declined or both legs failed over; fall through
-			// to the plain failover loop with the losers excluded.
-		}
-		first = false
 
 		errs := make([]error, len(groups))
-		started := time.Now()
 		if len(groups) == 1 {
 			g := groups[0]
 			buf := dst
@@ -425,7 +386,6 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 				}
 			}
 		}
-		elapsed := time.Since(started)
 
 		// Fold outcomes in replica-index order (groups are built in
 		// first-use order, but health updates must not depend on goroutine
@@ -441,7 +401,6 @@ func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Elemen
 				s.stats[i].BlocksMoved += int64(len(g.addrs))
 				if errs[gi] == nil {
 					s.noteSuccess(i)
-					s.lat.Observe(elapsed)
 				} else {
 					s.noteFailure(i)
 					s.stats[i].Failovers++
@@ -585,157 +544,6 @@ func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Eleme
 		return firstErr
 	}
 	return nil
-}
-
-// hedgeEligible reports whether a hedged read may run: hedging configured
-// and the primary has a clean, available alternative.
-func (s *Store) hedgeEligible(primary int, excluded []bool) bool {
-	if s.hedgeAfter <= 0 {
-		return false
-	}
-	return s.hedgeAlt(primary, excluded, nil) >= 0
-}
-
-// hedgeAlt picks the best clean available alternative to primary for the
-// given addresses (nil = any), or -1.
-func (s *Store) hedgeAlt(primary int, excluded []bool, addrs []int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best, bestTier := -1, 2 // desperation-tier replicas are not hedge targets
-	for i := 0; i < s.r; i++ {
-		if i == primary || excluded[i] || !s.available(i) {
-			continue
-		}
-		clean := true
-		for _, a := range addrs {
-			if !s.cleanAt(i, a) {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		if t := s.tierOf(i); t < bestTier {
-			best, bestTier = i, t
-		}
-	}
-	return best
-}
-
-// hedgeDelay returns the current hedge trigger: the observed P95 read
-// latency once enough samples exist, the configured bootstrap before that.
-func (s *Store) hedgeDelay() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lat.Count() >= s.hedgeMinObs {
-		if p := s.lat.P95(); p > 0 {
-			return p
-		}
-	}
-	return s.hedgeAfter
-}
-
-// hedgedRead races the primary assignment against the best alternative
-// replica: the secondary launches only if the primary is still outstanding
-// after the hedge delay, and the first successful response wins while the
-// loser's context is canceled. Reports false when it declined or both legs
-// failed — the caller's failover loop takes over with the failed replicas
-// excluded.
-func (s *Store) hedgedRead(ctx context.Context, g assignment, excluded []bool, dst []extmem.Element) bool {
-	alt := s.hedgeAlt(g.rep, excluded, g.addrs)
-	if alt < 0 {
-		return false
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type leg struct {
-		rep    int
-		buf    []extmem.Element
-		flight time.Duration // the leg's own launch-to-completion time
-		err    error
-	}
-	results := make(chan leg, 2)
-	launch := func(rep int) {
-		if rep == alt {
-			s.mu.Lock()
-			s.stats[alt].Hedges++
-			s.mu.Unlock()
-		}
-		buf := make([]extmem.Element, len(g.addrs)*s.b)
-		go func() {
-			t0 := time.Now()
-			err := s.callRead(raceCtx, rep, g.addrs, buf)
-			results <- leg{rep: rep, buf: buf, flight: time.Since(t0), err: err}
-		}()
-	}
-	launch(g.rep)
-	legs := 1
-	timer := time.NewTimer(s.hedgeDelay())
-	defer timer.Stop()
-
-	var winner *leg
-	var fails []leg
-	for winner == nil && legs > 0 {
-		select {
-		case <-timer.C:
-			if legs == 1 && len(fails) == 0 {
-				launch(alt)
-				legs++
-			}
-		case l := <-results:
-			legs--
-			if l.err == nil {
-				winner = &l
-			} else {
-				fails = append(fails, l)
-				if legs == 0 && l.rep == g.rep && len(fails) == 1 {
-					// Primary failed before the hedge fired: give the
-					// alternative its chance immediately.
-					launch(alt)
-					legs++
-				}
-			}
-		}
-	}
-	cancel() // the loser, if any, stops retrying now
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	account := func(l *leg, won bool) {
-		s.stats[l.rep].RoundTrips++
-		s.stats[l.rep].BlocksMoved += int64(len(g.addrs))
-		if l.err == nil {
-			s.noteSuccess(l.rep)
-		} else {
-			s.noteFailure(l.rep)
-			s.stats[l.rep].Failovers++
-			excluded[l.rep] = true
-		}
-		if won && l.rep == alt {
-			s.stats[alt].HedgeWins++
-		}
-	}
-	for i := range fails {
-		account(&fails[i], false)
-	}
-	if winner == nil {
-		// Both legs failed; the failover loop reassigns what's left.
-		return false
-	}
-	account(winner, true)
-	// Feed the histogram the winning leg's own flight time, not the race's
-	// total elapsed: the histogram estimates *healthy* read latency so the
-	// adaptive delay hedges the tail above it. Observing delay+flight for
-	// every rescue would ratchet the P95 up one bucket per win until hedging
-	// disabled itself.
-	s.lat.Observe(winner.flight)
-	s.scatterInto(dst, winner.buf, g.pos)
-	// The detached loser (still in flight, canceled) is ignored entirely:
-	// its result arrives on a buffered channel nobody reads and its health
-	// impact is unknowable without waiting, which would defeat the hedge.
-	return true
 }
 
 // NumBlocks implements BlockStore: the group's serving capacity is the best

@@ -249,50 +249,48 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	}
 }
 
-// TestHedgedReadWinsOnSlowPrimary pins hedging: with the preferred replica
-// slow, the hedge fires after the configured delay and the fast secondary's
-// response wins, returning correct data well before the primary finishes;
-// with the preferred replica failing before the timer fires, the secondary
-// is launched at once, and that launch is a hedge like any other — a
-// replica can only win hedges that were counted against it.
-func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		hedgeAfter time.Duration
-		primary    func(c0 *flaky)
-	}{
-		{"slow primary", 10 * time.Millisecond, func(c0 *flaky) { c0.readDelay = 300 * time.Millisecond }},
-		{"primary fails before the timer", time.Hour, func(c0 *flaky) { c0.set(true, false) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+// TestSlowReplicaKeepsItsReads pins that latency never moves a read: the
+// preferred replica stalls on every read and still serves each one in full.
+// The other replica sees no read, nothing fails over, and the decision log
+// stays empty — routing reads fault history and public geometry, not time.
+func TestSlowReplicaKeepsItsReads(t *testing.T) {
+	for _, addrs := range [][]int{{5}, {1, 2, 5, 7}} {
+		t.Run(fmt.Sprintf("%d blocks", len(addrs)), func(t *testing.T) {
 			c0, c1 := newFlaky(8, 4), newFlaky(8, 4)
-			s, err := New([]extmem.BlockStore{c0, c1}, Options{HedgeAfter: tc.hedgeAfter})
+			s, err := New([]extmem.BlockStore{c0, c1}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteBlocks(bg, []int{5}, block(4, 77)); err != nil {
-				t.Fatal(err)
-			}
-			tc.primary(c0)
-			start := time.Now()
-			dst := make([]extmem.Element, 4)
-			if err := s.ReadBlocks(bg, []int{5}, dst); err != nil {
-				t.Fatal(err)
-			}
-			if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-				t.Errorf("hedged read took %v; the secondary should have won long before the 300ms primary", elapsed)
-			}
-			if dst[0].Key != 77 {
-				t.Errorf("hedged read returned key %d, want 77", dst[0].Key)
-			}
-			st := s.ReplicaStats()
-			if st[1].Hedges != 1 || st[1].HedgeWins != 1 {
-				t.Errorf("replica 1: Hedges=%d HedgeWins=%d, want 1,1", st[1].Hedges, st[1].HedgeWins)
-			}
-			for i, r := range st {
-				if r.HedgeWins > r.Hedges {
-					t.Errorf("replica %d won %d hedges of %d launched", i, r.HedgeWins, r.Hedges)
+			for _, a := range addrs {
+				if err := s.WriteBlocks(bg, []int{a}, block(4, uint64(70+a))); err != nil {
+					t.Fatal(err)
 				}
+			}
+			c0.readDelay = 20 * time.Millisecond
+			dst := make([]extmem.Element, len(addrs)*4)
+			for round := 0; round < 3; round++ {
+				if err := s.ReadBlocks(bg, addrs, dst); err != nil {
+					t.Fatal(err)
+				}
+				for j, a := range addrs {
+					if got := dst[j*4].Key; got != uint64(70+a) {
+						t.Errorf("round %d: block %d returned key %d, want %d", round, a, got, 70+a)
+					}
+				}
+			}
+			if r0, _ := c0.counts(); r0 != 3 {
+				t.Errorf("slow replica 0 served %d reads, want 3", r0)
+			}
+			if r1, _ := c1.counts(); r1 != 0 {
+				t.Errorf("replica 1 got %d reads, want 0: latency moved a read", r1)
+			}
+			for i, r := range s.ReplicaStats() {
+				if r.Failovers != 0 || r.Failures != 0 {
+					t.Errorf("replica %d: Failovers=%d Failures=%d, want 0,0", i, r.Failovers, r.Failures)
+				}
+			}
+			if ev := s.Events(); len(ev) != 0 {
+				t.Errorf("decision log %q, want empty", ev)
 			}
 		})
 	}

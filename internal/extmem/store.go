@@ -20,10 +20,9 @@ import (
 // may simply complete. A canceled call returns an error and the caller
 // treats the interaction as failed, exactly as if the network had dropped
 // it. Every decorator forwards ctx to its children, so the sharded fan-out
-// can cancel sibling sub-batches once one shard has definitively failed and
-// the replica layer can cancel the losing leg of a hedged read — without
-// that, a doomed fan-out runs every other request to its full timeout
-// before the error can surface.
+// can cancel sibling sub-batches once one shard has definitively failed —
+// without that, a doomed fan-out runs every other request to its full
+// timeout before the error can surface.
 type BlockStore interface {
 	// ReadBlocks copies blocks addrs[i] into dst[i*B:(i+1)*B] for every i
 	// (len(dst) == len(addrs)*BlockSize()) in one interaction. Duplicate

@@ -7,8 +7,8 @@ import (
 )
 
 // Latency histogram bucket geometry, shared by the network client's
-// per-shard measurements, the servers' /metrics exports and the replica
-// layer's hedge delay, so the views are directly comparable. Buckets are
+// per-shard measurements and the servers' /metrics exports, so the views are
+// directly comparable. Buckets are
 // exponential: bound i covers latencies up to 50µs·2^i, from 50µs through
 // ~3.3s, with one overflow bucket above the last bound. Fixed buckets keep
 // Observe allocation-free and make the histogram a value type (copying

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
@@ -132,6 +133,15 @@ func New(env *extmem.Env, n int, opts Options) (*ORAM, error) {
 		o.l0++
 	}
 	o.bufCap = 1 << o.l0
+	if o.sorter == obsort.EngineRandomized {
+		// Every rebuild sorts beside the buffer, the largest at least the
+		// initial build's n entries and a full buffer's.
+		free, need := env.M-env.Cache.Used()-o.bufCap*o.b, core.SortFree(max(n, o.bufCap), o.b)
+		if free < need {
+			return nil, fmt.Errorf("oram: sorter %q needs %d elements of cache free beside the %d-entry buffer, not %d; use \"auto\": %w",
+				o.sorter, need, o.bufCap, free, core.ErrSortCache)
+		}
+	}
 	o.lmax = extmem.CeilLog2(n) + 1
 	if o.lmax <= o.l0 {
 		o.lmax = o.l0 + 1

@@ -1,10 +1,12 @@
 package oram
 
 import (
+	"errors"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"oblivext/internal/core"
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/trace"
@@ -47,6 +49,29 @@ func TestNewRejectsUnknownSorter(t *testing.T) {
 func TestNewRejectsColumnsort(t *testing.T) {
 	if _, err := New(newEnv(4, 64, 1), 10, Options{Sorter: "columnsort"}); err == nil || !strings.Contains(err.Error(), `"columnsort"`) {
 		t.Fatalf("err = %v, want one naming columnsort", err)
+	}
+}
+
+// TestNewRejectsRandomizedBelowItsCache: the randomized sort declares
+// core.ErrSortCache below core.SortFree, so an ORAM whose rebuilds would
+// sort with it beside a smaller free cache is refused when it is made; one
+// with the cache to spare builds and rebuilds.
+func TestNewRejectsRandomizedBelowItsCache(t *testing.T) {
+	const b = 8
+	for _, mb := range []int{8, 9} { // the 4-block buffer leaves 4B and 5B
+		_, err := New(newEnv(b, mb*b, 1), 32, Options{Sorter: "randomized"})
+		if !errors.Is(err, core.ErrSortCache) || !strings.Contains(err.Error(), `"randomized"`) {
+			t.Fatalf("M = %dB: err = %v, want core.ErrSortCache naming the sorter", mb, err)
+		}
+	}
+	o, err := New(newEnv(b, 10*b, 1), 32, Options{Sorter: "randomized"})
+	if err != nil {
+		t.Fatalf("M = 10B: %v", err)
+	}
+	for i := 0; i < 64; i++ { // enough writes to rebuild every level
+		if err := o.Write(i%32, make([]uint64, b)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
 	}
 }
 

@@ -117,6 +117,14 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 	return out, l.kept
 }
 
+// ConsolidateCompactFree is the least free cache, in elements, that
+// ConsolidateCompact of n blocks of b elements runs in: the 2B holding
+// buffer beside either the whole array and a block of slack (fitsCache) or
+// the narrowest window, a group of one level (windowCells).
+func ConsolidateCompactFree(n, b int) int {
+	return 2*b + min((n+1)*b, windowFree(b, 1))
+}
+
 // compact routes the cells that feed yields — cells [lo, hi) into dst, each
 // range asked for once, in address order, fed block reads in all — to a
 // tight prefix of a, which may be where they come from.
@@ -255,14 +263,18 @@ func groupSize(mBlocks, levelsPerPass int) int {
 // than w places along its class, and hw, the cells it loads at a time: as
 // many as half the free cache holds beside a block of slack, at least w and
 // at most n. The stash of 2hw cells is all the cache a group checks out; it
-// panics when the free cache cannot hold the smallest, 2w.
+// panics when the free cache cannot hold the smallest, 2w (windowFree).
 func windowCells(n, b, free, gg int) (w, hw int) {
 	w = 1 << gg
-	if 2*w*b > free {
+	if windowFree(b, gg) > free {
 		panic(fmt.Sprintf("route: butterfly window 2^%d cells exceeds the free cache (%d blocks)", gg, free/b))
 	}
 	return w, max(w, min(n, (free/b-1)/2))
 }
+
+// windowFree is the least free cache, in elements, a group of gg levels
+// runs in: the stash of its smallest window, 2w cells of b elements.
+func windowFree(b, gg int) int { return 2 * (1 << gg) * b }
 
 // classes lays the residue classes mod s of n cells end to end, the paper's
 // virtual sequences of cells s apart: class c's cells c, c+s, c+2s, … take

@@ -6,22 +6,6 @@ import (
 	"oblivext/internal/par"
 )
 
-// parMinCells is the chunk length below which per-cell compute stays on
-// the calling goroutine — spawning workers costs more than processing a
-// handful of cells. It compares public chunk lengths only, so the fan-out
-// decision never depends on data.
-const parMinCells = 32
-
-// parFor fans fn out over [0, n) across w workers when the range is large
-// enough to amortize the spawns, inline otherwise. All I/O and all cache
-// accounting stay with the caller.
-func parFor(w, n int, fn func(lo, hi int)) {
-	if n < parMinCells {
-		w = 1
-	}
-	par.For(w, n, fn)
-}
-
 // Consolidate is the data consolidation of Lemma 3: given an array A of
 // blocks, produce a new array A' of exactly ceil(N/B) blocks in which every
 // block is either completely full of kept elements or completely empty of
@@ -53,7 +37,6 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	k := env.ScanBatchN(2, n)
 	wbuf := env.Cache.Buf(k * b)
 	wr := extmem.NewSeqWriter(out, 0, wbuf)
-	nw := env.WorkerCount()
 	kcnt := make([]int, k)
 
 	// The scan keeps the scalar lag structure — output block i-1 is decided
@@ -79,7 +62,7 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	}
 	env.Scan(a, extmem.Array{}, k, func(lo int, chunk []extmem.Element) {
 		in = chunk
-		parFor(nw, len(in)/b, gather)
+		par.For(env.ParWorkers(len(in)), len(in)/b, gather)
 		for x := 0; x < len(in)/b; x++ {
 			l.take(in[x*b : x*b+kcnt[x]])
 			if lo+x > 0 {

@@ -67,12 +67,14 @@ type Config struct {
 	// call) and the backend kind — round-trip cost for Array.Sort over
 	// network stores, block volume otherwise and for every rebuild; the pick
 	// is a public function of the geometry, so traces stay data-independent.
-	// The deterministic engines never fail; "bucket" retries declared
-	// overflows on fresh randomness and falls back to zigzag. "columnsort"
-	// takes only arrays within its size limit: named for any other,
-	// Array.Sort returns an error before any I/O, and NewORAM rejects it
-	// ("auto" takes it wherever it fits and is cheapest). See
-	// docs/ARCHITECTURE.md, "Sorter engines".
+	// "randomized" needs 6·B elements of cache free for arrays of 3 blocks
+	// or more: below that, Array.Sort returns an error before any I/O and
+	// NewORAM rejects it. The deterministic engines never fail; "bucket"
+	// retries declared overflows on fresh randomness and falls back to
+	// zigzag. "columnsort" takes only arrays within its size limit: named
+	// for any other, Array.Sort returns an error before any I/O, and
+	// NewORAM rejects it ("auto" takes it wherever it fits and is
+	// cheapest). See docs/ARCHITECTURE.md, "Sorter engines".
 	Sorter string
 	// Path, when non-empty, backs the store with a real file at that path
 	// instead of memory.
@@ -144,16 +146,6 @@ type Config struct {
 	// empty to mix backends (an empty entry is an in-memory replica).
 	// Requires Replicas > 1; mutually exclusive with URL and ShardURLs.
 	ReplicaURLs []string
-	// HedgeAfter, when positive, enables hedged reads inside each replica
-	// group: a read still outstanding after this long is raced against a
-	// second replica and the first response wins. The delay self-tunes to
-	// the observed P95 read latency once enough samples exist; HedgeAfter
-	// is the bootstrap value. Requires Replicas > 1. Hedging trades the
-	// client's timing determinism for tail latency — the per-block trace
-	// each server journals is still input-independent, but which replica
-	// served a given read becomes timing-dependent, so deterministic
-	// replay tests leave it off.
-	HedgeAfter time.Duration
 	// HTTPTransport, when non-nil, replaces the shared HTTP transport used
 	// for every network backend. This is the fault-injection seam: the
 	// chaos harness (internal/chaos) wraps a real transport with a
@@ -271,11 +263,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Replicas < 0 {
 		return nil, fmt.Errorf("oblivext: Replicas must be >= 0, got %d", cfg.Replicas)
 	}
-	if cfg.HedgeAfter < 0 {
-		return nil, errors.New("oblivext: HedgeAfter must be non-negative")
-	}
-	if cfg.Replicas <= 1 && (cfg.HedgeAfter > 0 || len(cfg.ReplicaURLs) > 0) {
-		return nil, errors.New("oblivext: HedgeAfter and ReplicaURLs require Replicas > 1")
+	if cfg.Replicas <= 1 && len(cfg.ReplicaURLs) > 0 {
+		return nil, errors.New("oblivext: ReplicaURLs require Replicas > 1")
 	}
 	if cfg.Replicas > 1 {
 		if cfg.URL != "" || len(cfg.ShardURLs) > 0 {
@@ -421,7 +410,7 @@ func New(cfg Config) (*Client, error) {
 		}
 		rows[i] = row[0]
 		if reps > 1 {
-			grp, err := replica.New(row, replica.Options{HedgeAfter: cfg.HedgeAfter})
+			grp, err := replica.New(row, replica.Options{})
 			if err != nil {
 				return fail(err)
 			}
@@ -634,10 +623,6 @@ type ReplicaIOStats struct {
 	// rerouted away from this replica after a failure.
 	Failures  int64
 	Failovers int64
-	// Hedges counts hedged reads launched against this replica as the
-	// secondary; HedgeWins counts the ones it won.
-	Hedges    int64
-	HedgeWins int64
 	// Repairs counts read-repair writes applied to this replica; Dirty is
 	// how many addresses are currently known stale on it.
 	Repairs int64
