@@ -14,32 +14,69 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/extmem/netstore"
+	"oblivext/internal/extmem/replica"
 	"oblivext/internal/extmem/shard"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
 	"oblivext/internal/trace"
 )
 
-const (
-	blockB = 8
-	cacheM = 512
-)
+// blockB is the block size every backend runs at.
+const blockB = 8
 
-// backendCase builds an Env over one of the storage backends. Every backend
-// must be indistinguishable above the BlockStore interface, so the same
-// deterministic workload must pass — and produce the same contents — on all
-// of them.
+// backendCase builds an Env over one of the storage backends with a cache
+// of cacheM elements. Every backend must be indistinguishable above the
+// BlockStore interface, so the same deterministic workload must pass — and
+// produce the same contents — on all of them.
 type backendCase struct {
 	name string
-	make func(t *testing.T, startBlocks int, seed uint64) *extmem.Env
+	make func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env
+}
+
+// httpStore serves a fresh MemStore of blocks of b elements over a loopback
+// obstore and returns a client of it and the server.
+func httpStore(t *testing.T, startBlocks, b int) (*netstore.Client, *netstore.Server) {
+	t.Helper()
+	srv := netstore.NewServer(extmem.NewMemStore(startBlocks, b), netstore.ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	c, err := netstore.Dial(ts.URL, netstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, srv
+}
+
+// cryptReplicaPair builds an Env over a replica pair of loopback obstores
+// behind client-side encryption, and returns the two servers, whose
+// journals are what the adversary sees.
+func cryptReplicaPair(t *testing.T, startBlocks, cacheM int, seed uint64) (*extmem.Env, []*netstore.Server) {
+	t.Helper()
+	var children []extmem.BlockStore
+	var servers []*netstore.Server
+	for range 2 {
+		c, srv := httpStore(t, startBlocks, extmem.CryptChildBlockSize(blockB))
+		children, servers = append(children, c), append(servers, srv)
+	}
+	pair, err := replica.New(children, replica.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := extmem.NewCryptStore(pair, testEncryptor(t), blockB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return extmem.NewEnvOn(cs, cacheM, seed), servers
 }
 
 func backends() []backendCase {
 	return []backendCase{
-		{"mem", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
+		{"mem", func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env {
 			return extmem.NewEnv(startBlocks, blockB, cacheM, seed)
 		}},
-		{"sharded-4", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
+		{"sharded-4", func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env {
 			const k = 4
 			children := make([]extmem.BlockStore, k)
 			for i := range children {
@@ -51,15 +88,8 @@ func backends() []backendCase {
 			}
 			return extmem.NewEnvOn(sh, cacheM, seed)
 		}},
-		{"network", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
-			srv := netstore.NewServer(extmem.NewMemStore(startBlocks, blockB), netstore.ServerOptions{})
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
-			c, err := netstore.Dial(ts.URL, netstore.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
+		{"network", func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env {
+			c, _ := httpStore(t, startBlocks, blockB)
 			return extmem.NewEnvOn(c, cacheM, seed)
 		}},
 		// The crypt leg runs the whole randomized suite through the
@@ -67,7 +97,7 @@ func backends() []backendCase {
 		// nonce, every read authenticates and opens, and — via the shared
 		// trace-invariance tests — the logical trace must stay bit-identical
 		// to the plaintext backends'.
-		{"crypt-mem", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
+		{"crypt-mem", func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env {
 			cs, err := extmem.NewCryptStore(
 				extmem.NewMemStore(startBlocks, extmem.CryptChildBlockSize(blockB)), testEncryptor(t), blockB)
 			if err != nil {
@@ -75,16 +105,8 @@ func backends() []backendCase {
 			}
 			return extmem.NewEnvOn(cs, cacheM, seed)
 		}},
-		{"crypt-network", func(t *testing.T, startBlocks int, seed uint64) *extmem.Env {
-			srv := netstore.NewServer(
-				extmem.NewMemStore(startBlocks, extmem.CryptChildBlockSize(blockB)), netstore.ServerOptions{})
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
-			c, err := netstore.Dial(ts.URL, netstore.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
+		{"crypt-network", func(t *testing.T, startBlocks, cacheM int, seed uint64) *extmem.Env {
+			c, _ := httpStore(t, startBlocks, extmem.CryptChildBlockSize(blockB))
 			cs, err := extmem.NewCryptStore(c, testEncryptor(t), blockB)
 			if err != nil {
 				t.Fatal(err)
@@ -115,35 +137,39 @@ func testEncryptor(t *testing.T) *extmem.Encryptor {
 var sorters = []string{obsort.EngineAuto, obsort.EngineBitonic, obsort.EngineRandomized}
 
 // TestORAMRandomizedBackends is the deterministic-seed randomized suite:
-// for every backend × ORAM size × rebuild sorter, a seeded stream of mixed
+// for every backend × ORAM shape × rebuild sorter, a seeded stream of mixed
 // reads and writes is checked against an in-memory mirror, then the full
 // address space is swept. Equal seeds make failures reproducible — rerun
-// with the printed case name.
+// with the printed case name. The first two shapes take the scan arm (the
+// second is the benchmark's), the other two the hierarchy, which a cache
+// of 512 blocks makes the arm from n = 64.
 func TestORAMRandomizedBackends(t *testing.T) {
 	cases := []struct {
-		n, ops int
-		seed   uint64
+		n, m, ops int
+		seed      uint64
+		arm       string
 	}{
-		{n: 16, ops: 64, seed: 1},
-		{n: 32, ops: 96, seed: 2},
-		{n: 64, ops: 128, seed: 3},
+		{n: 16, m: 512, ops: 64, seed: 1, arm: oram.ArmScan},
+		{n: 32, m: 512, ops: 96, seed: 2, arm: oram.ArmScan},
+		{n: 64, m: 4096, ops: 128, seed: 3, arm: oram.ArmHierarchy},
+		{n: 100, m: 4096, ops: 160, seed: 4, arm: oram.ArmHierarchy},
 	}
 	for _, be := range backends() {
 		for _, sorter := range sorters {
 			for _, tc := range cases {
 				// ORAM accesses are batched (≤ LiveLevels+1 round trips per
-				// access instead of 2·beta·L scalar ones), so the default
-				// auto-selected engine and bitonic run the full size matrix
-				// on every backend, real HTTP included — no network caps.
-				// The randomized rebuild sorter keeps exactly one small HTTP
-				// case (n=16) as a regression control: its rebuilds move
-				// many times a deterministic engine's block volume at this tiny
-				// cache, which over loopback HTTP buys minutes of wall clock
-				// and no coverage beyond the small case.
+				// access instead of 2·beta·L scalar ones, two a scan), so the
+				// default auto-selected engine and bitonic run the full
+				// matrix on every backend, real HTTP included — no network
+				// caps. The rebuild sorter does nothing on the scan arm, and
+				// the randomized one keeps exactly one hierarchy over HTTP
+				// (n=64) as a regression control: its rebuilds move many
+				// times a deterministic engine's block volume, which over
+				// loopback HTTP buys wall clock and no coverage beyond it.
 				ops := tc.ops
 				overHTTP := be.name == "network" || be.name == "crypt-network"
 				isCrypt := strings.HasPrefix(be.name, "crypt-")
-				if overHTTP && sorter == obsort.EngineRandomized && tc.n > 16 {
+				if overHTTP && sorter == obsort.EngineRandomized && tc.n != 64 {
 					continue
 				}
 				// The crypt legs are here to exercise the sealing path under
@@ -151,7 +177,7 @@ func TestORAMRandomizedBackends(t *testing.T) {
 				// coverage belongs to the plaintext backends. Sealing
 				// multiplies the cost of every I/O of the randomized sorter's
 				// rebuild volume, so cap the crypt cases.
-				if isCrypt && (tc.n > 32 || (sorter == obsort.EngineRandomized && tc.n > 16)) {
+				if isCrypt && tc.n > 64 {
 					continue
 				}
 				// Under the race detector every interaction is ~10× slower;
@@ -161,16 +187,19 @@ func TestORAMRandomizedBackends(t *testing.T) {
 					if (overHTTP || isCrypt) && (tc.n > 16 || sorter == obsort.EngineRandomized) {
 						continue
 					}
-					if be.name == "sharded-4" && sorter == obsort.EngineRandomized && tc.n > 32 {
+					if be.name == "sharded-4" && sorter == obsort.EngineRandomized && tc.n > 64 {
 						continue
 					}
 				}
-				name := fmt.Sprintf("%s/%s/n=%d/seed=%d", be.name, sorter, tc.n, tc.seed)
+				name := fmt.Sprintf("%s/%s/n=%d/M=%d/seed=%d", be.name, sorter, tc.n, tc.m, tc.seed)
 				t.Run(name, func(t *testing.T) {
-					env := be.make(t, 64, tc.seed)
+					env := be.make(t, 64, tc.m, tc.seed)
 					o, err := oram.New(env, tc.n, oram.Options{Sorter: sorter})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if o.Arm() != tc.arm {
+						t.Fatalf("the arm is the %s, want the %s", o.Arm(), tc.arm)
 					}
 					r := rand.New(rand.NewPCG(tc.seed, 0x6f72616d)) // "oram"
 					mirror := make([][]uint64, tc.n)
@@ -229,12 +258,21 @@ func checkPayload(t *testing.T, op, j int, got, want []uint64) {
 // what the algorithms do: the Disk-level logical trace of the same seeded
 // workload is bit-identical on MemStore, the sharded store, and the network
 // store (each backend only changes who serves the sequence, never the
-// sequence).
+// sequence), on either arm.
 func TestORAMTraceInvarianceAcrossBackends(t *testing.T) {
+	for _, tc := range []struct {
+		arm     string
+		n, m, k int // k: accesses, two flushes of the hierarchy's 64-entry buffer
+	}{{oram.ArmScan, 16, 512, 32}, {oram.ArmHierarchy, 64, 4096, 128}} {
+		t.Run(tc.arm, func(t *testing.T) { traceInvarianceAcrossBackends(t, tc.n, tc.m, tc.k, tc.arm) })
+	}
+}
+
+func traceInvarianceAcrossBackends(t *testing.T, n, m, ops int, arm string) {
 	// Rebuilds run the default auto-selected engine: the pick is a public
 	// function of each rebuild's geometry, so it resolves identically on
 	// every backend and the claim covers the default configuration.
-	const n, ops, seed = 16, 32, 7
+	const seed = 7
 	type result struct {
 		name string
 		len  int64
@@ -242,11 +280,14 @@ func TestORAMTraceInvarianceAcrossBackends(t *testing.T) {
 	}
 	var results []result
 	for _, be := range backends() {
-		env := be.make(t, 64, seed)
+		env := be.make(t, 64, m, seed)
 		env.D.SetRecorder(trace.NewRecorder(0))
 		o, err := oram.New(env, n, oram.Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if o.Arm() != arm {
+			t.Fatalf("%s: the arm is the %s, want the %s", be.name, o.Arm(), arm)
 		}
 		r := rand.New(rand.NewPCG(seed, 99))
 		for i := 0; i < ops; i++ {
@@ -288,9 +329,11 @@ func TestORAMTraceInvarianceAcrossBackends(t *testing.T) {
 // bucket index that carries the construction's distributional randomness —
 // are bit-identical, as are their exact round-trip counts. Everything the
 // adversary sees except the fresh bucket draws is a deterministic function
-// of (n, B, t, seed).
+// of (n, B, t, seed). It runs on the hierarchy, whose arm a cache of 512
+// blocks makes at n = 64, through one flush of its buffer;
+// TestORAMScanArmOblivious holds the scan arm to the stronger claim.
 func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
-	const n, steps, seed = 16, 48, 23
+	const n, m, steps, seed = 64, 4096, 96, 23
 	type stream struct {
 		name string
 		op   func(o *oram.ORAM, step int) error
@@ -326,12 +369,12 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 	results := make(map[string][]result) // stream name -> per-backend results
 	for _, be := range backends() {
 		for _, st := range streams {
-			env := be.make(t, 64, seed)
+			env := be.make(t, 64, m, seed)
 			rec := trace.NewRecorder(1 << 22)
 			env.D.SetRecorder(rec)
 			o, err := oram.New(env, n, oram.Options{})
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || o.Arm() != oram.ArmHierarchy {
+				t.Fatalf("(%v, %v), want the hierarchy", o, err)
 			}
 			rec.Enable(1 << 22)
 			env.D.ResetStats()
@@ -393,21 +436,115 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 }
 
 // TestORAMWithRandomizedRebuilds keeps the paper's headline application as
-// a smoke test: an ORAM whose level rebuilds use the paper's randomized sort, driven past 2N
-// writes so the deeper levels rebuild at least once.
+// a smoke test: an ORAM whose level rebuilds use the paper's randomized
+// sort, at sizes where the hierarchy is the arm, driven past 2N writes so
+// the deeper levels rebuild at least once.
 func TestORAMWithRandomizedRebuilds(t *testing.T) {
-	for _, n := range []int{32, 64} {
+	for _, n := range []int{64, 100} {
 		for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineRandomized} {
-			env := extmem.NewEnv(64, 8, 512, uint64(n))
+			env := extmem.NewEnv(64, 8, 4096, uint64(n))
 			o, err := oram.New(env, n, oram.Options{Sorter: sorter})
-			if err != nil {
-				t.Fatalf("n=%d sorter=%s: %v", n, sorter, err)
+			if err != nil || o.Arm() != oram.ArmHierarchy {
+				t.Fatalf("n=%d sorter=%s: (%v, %v), want the hierarchy", n, sorter, o, err)
 			}
 			for i := 0; i < 2*n; i++ {
 				if err := o.Write(i%n, make([]uint64, 8)); err != nil {
 					t.Fatalf("n=%d sorter=%s write %d: %v", n, sorter, i, err)
 				}
 			}
+			if got := o.Rebuilds().Count; got < 3 {
+				t.Fatalf("n=%d sorter=%s: %d rebuilds, want the build and two flushes", n, sorter, got)
+			}
+		}
+	}
+}
+
+// TestORAMScanArmOblivious holds the scan arm to its claim: at a fixed
+// (n, B, free cache) every access is the same in-place scan of the n
+// blocks, so reads, writes and dummies of any index and value leave
+// bit-identical traces — the logical one at the Disk, on MemStore and on an
+// encrypted HTTP replica pair, and each server's journal of the pair, where
+// sealing every rewritten block under a fresh nonce hides which one changed
+// — and identical I/O counts. This is the benchmark's shape (n = 32, B = 8,
+// M = 512).
+func TestORAMScanArmOblivious(t *testing.T) {
+	const n, m, steps, seed = 32, 512, 24, 11
+	streams := []struct {
+		name string
+		op   func(o *oram.ORAM, r *rand.Rand, step int) error
+	}{
+		{"read-one-block", func(o *oram.ORAM, _ *rand.Rand, _ int) error { _, err := o.Read(0); return err }},
+		{"write-random", func(o *oram.ORAM, r *rand.Rand, _ int) error {
+			words := make([]uint64, blockB)
+			for w := range words {
+				words[w] = r.Uint64()
+			}
+			return o.Write(r.IntN(n), words)
+		}},
+		{"dummies", func(o *oram.ORAM, _ *rand.Rand, _ int) error { return o.Dummy() }},
+		{"mixed", func(o *oram.ORAM, r *rand.Rand, step int) error {
+			switch step % 3 {
+			case 0:
+				_, err := o.Read(n - 1)
+				return err
+			case 1:
+				return o.Write(step%n, make([]uint64, blockB))
+			}
+			return o.Dummy()
+		}},
+	}
+	type fingerprint struct {
+		disk    trace.Summary
+		servers [2]trace.Summary
+		stats   obs.Counters
+	}
+	var logical *trace.Summary // the Disk's trace, the same on every backend
+	for _, be := range []struct {
+		name string
+		make func(t *testing.T) (*extmem.Env, []*netstore.Server)
+	}{
+		{"mem", func(*testing.T) (*extmem.Env, []*netstore.Server) { return extmem.NewEnv(64, blockB, m, seed), nil }},
+		{"crypt-replica-pair", func(t *testing.T) (*extmem.Env, []*netstore.Server) { return cryptReplicaPair(t, 64, m, seed) }},
+	} {
+		var first *fingerprint
+		for _, st := range streams {
+			env, servers := be.make(t)
+			rec := trace.NewRecorder(0)
+			env.D.SetRecorder(rec)
+			o, err := oram.New(env, n, oram.Options{})
+			if err != nil || o.Arm() != oram.ArmScan {
+				t.Fatalf("%s: (%v, %v), want the scan arm", be.name, o, err)
+			}
+			rec.Enable(0) // drop the build, keep the accesses
+			env.D.ResetStats()
+			for _, srv := range servers {
+				srv.ResetTrace()
+			}
+			r := rand.New(rand.NewPCG(seed, 1))
+			for step := 0; step < steps; step++ {
+				if err := st.op(o, r, step); err != nil {
+					t.Fatalf("%s/%s step %d: %v", be.name, st.name, step, err)
+				}
+			}
+			got := fingerprint{disk: rec.Summarize(), stats: env.D.Stats()}
+			for i, srv := range servers {
+				if got.servers[i] = srv.TraceSummary(); got.servers[i].Len == 0 {
+					t.Fatalf("%s/%s: server %d saw no access", be.name, st.name, i)
+				}
+			}
+			if want := int64(steps * 2 * n); got.disk.Len != want {
+				t.Fatalf("%s/%s: %d accesses in the trace, want %d", be.name, st.name, got.disk.Len, want)
+			}
+			if first == nil {
+				first = &got
+			} else if got != *first {
+				t.Fatalf("%s: stream %s left %+v, stream %s %+v", be.name, st.name, got, streams[0].name, *first)
+			}
+		}
+		if logical == nil {
+			logical = &first.disk
+		} else if first.disk != *logical {
+			t.Fatalf("%s: logical trace %+v, MemStore's %+v", be.name, first.disk, *logical)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
+	"oblivext/internal/oram"
 	"oblivext/internal/route"
 )
 
@@ -70,8 +71,10 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // ColumnGeometry admits. oram.RebuildCost is
 // not a row: a rebuild's geometry comes from the ORAM's level state, not
 // from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
-// of its oracle geometries against it.
+// of its oracle geometries against it. The ORAM's two prices are rows of
+// their own (oramRows).
 func TestPredictorsExact(t *testing.T) {
+	t.Run("oram", oramRows)
 	const quantilesQ = 2
 	quantilesArms := map[bool]bool{} // which arms of core.Quantiles ran, keyed by bySort
 	whole := func(g geometry) bool { return g.held == 0 }
@@ -228,5 +231,56 @@ func TestPredictorsExact(t *testing.T) {
 		if ran == 0 {
 			t.Errorf("%s: no row of the grid supports it", c.name)
 		}
+	}
+}
+
+// oramRows are TestPredictorsExact's rows for the ORAM's two prices, at the
+// crossover rows of the hierarchy against the scan: the ORAM New makes at
+// each (n, B, M) takes the arm the prices pick, and over one full rebuild
+// period of the hierarchy, AccessCost's length, it measures its arm's price
+// — AccessCost on the hierarchy, that many times ScanCost on the scan. Both
+// prices are pinned too. Where the scan is the arm, oram's
+// TestAccessCostExact measures the hierarchy's price at the same rows.
+func oramRows(t *testing.T) {
+	for _, r := range []struct {
+		n, b, m int
+		hier    obs.Cost // over the period
+		period  int64
+		scan    obs.Cost // an access
+		arm     string
+	}{
+		// The benchmark's kv_mix_http ORAM: 107 I/Os and 6.5 round trips an
+		// access on the hierarchy, 64 and 2 on the scan.
+		{32, 8, 512, obs.Cost{IOs: 3424, RoundTrips: 208}, 32, obs.Cost{IOs: 64, RoundTrips: 2}, oram.ArmScan},
+		{1024, 8, 512, obs.Cost{IOs: 2269184, RoundTrips: 98511}, 1024, obs.Cost{IOs: 2048, RoundTrips: 34}, oram.ArmScan},
+		{4096, 8, 512, obs.Cost{IOs: 14950400, RoundTrips: 648712}, 4096, obs.Cost{IOs: 8192, RoundTrips: 132}, oram.ArmHierarchy},
+		{64, 8, 4096, obs.Cost{IOs: 5056, RoundTrips: 143}, 64, obs.Cost{IOs: 128, RoundTrips: 2}, oram.ArmHierarchy},
+	} {
+		t.Run(fmt.Sprintf("oram.AccessCost/n=%d/B=%d/M=%d", r.n, r.b, r.m), func(t *testing.T) {
+			hier, period := oram.AccessCost(r.n, r.b, r.m, r.m)
+			scan := oram.ScanCost(r.n, r.b, r.m)
+			if hier != r.hier || period != r.period || scan != r.scan {
+				t.Fatalf("AccessCost %+v over %d accesses and ScanCost %+v, want %+v over %d and %+v", hier, period, scan, r.hier, r.period, r.scan)
+			}
+			env := extmem.NewEnv(256, r.b, r.m, 5)
+			o, err := oram.New(env, r.n, oram.Options{})
+			if err != nil || o.Arm() != r.arm {
+				t.Fatalf("(%v, %v), want the %s", o, err, r.arm)
+			}
+			want := hier
+			if r.arm == oram.ArmScan {
+				want = obs.Cost{IOs: period * scan.IOs, RoundTrips: period * scan.RoundTrips}
+			}
+			got := measure(env, func() {
+				for i := int64(0); i < period; i++ {
+					if _, err := o.Read(int(i) % r.n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if got != want {
+				t.Errorf("%d accesses on the %s measured %+v, predicted %+v", period, r.arm, got, want)
+			}
+		})
 	}
 }

@@ -163,7 +163,7 @@ func (s *Service) session(ns string) (*session, error) {
 	s.mu.Unlock()
 
 	// Initialization happens under the session's own mutex, not the
-	// service's: building an ORAM uploads and rebuilds levels (real I/O),
+	// service's: building an ORAM writes its blocks (real I/O),
 	// and other namespaces must not stall behind it.
 	se.mu.Lock()
 	if se.initErr != nil {

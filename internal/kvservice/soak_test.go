@@ -1,6 +1,8 @@
 package kvservice
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,14 +46,26 @@ func nsFleet(t *testing.T, k int) []string {
 // fixed op budget. Run under -race in CI (service-soak job, GOMAXPROCS 1
 // and 4). Asserts: zero errors, read-your-writes per client, per-session
 // stats summing exactly to fleet totals, and audit-clean traces in every
-// namespace.
+// namespace. It runs once on each arm of the 64-slot ORAM: the scan at a
+// cache of 64 blocks, and the hierarchy at one of 512, with enough ops that
+// each namespace flushes its 64-entry buffer.
 func TestServiceSoak(t *testing.T) {
+	for _, tc := range []struct {
+		arm        string
+		cacheWords int
+		ops        int // each client's default op budget
+	}{{"scan", 512, 6}, {"hierarchy", 4096, 17}} {
+		t.Run(tc.arm, func(t *testing.T) { serviceSoak(t, tc.arm, tc.cacheWords, tc.ops) })
+	}
+}
+
+func serviceSoak(t *testing.T, arm string, cacheWords, opsPerClient int) {
 	const (
 		clients     = 32
 		namespaces  = 8                           // 4 clients share each namespace
 		slotsPerCli = 64 / (clients / namespaces) // exclusive slots per client
 	)
-	opsPerClient := 6 // op budget; the CI soak job raises it via SOAK_OPS
+	// The CI soak job raises the op budget via SOAK_OPS.
 	if s := os.Getenv("SOAK_OPS"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 2 {
@@ -62,7 +76,7 @@ func TestServiceSoak(t *testing.T) {
 	urls := nsFleet(t, 2)
 	svc, err := New(Options{
 		Base: oblivext.Config{
-			BlockSize: 8, CacheWords: 512, Seed: 5,
+			BlockSize: 8, CacheWords: cacheWords, Seed: 5,
 			NumShards: len(urls), ShardURLs: urls, Multiplex: true,
 		},
 		Slots: 64,
@@ -162,6 +176,27 @@ func TestServiceSoak(t *testing.T) {
 		t.Errorf("%d audit violations across sessions", violations)
 	}
 
+	// Each session's ORAM is the arm the subtest names: the scan audits its
+	// access scans alone; the hierarchy never scans, and once a namespace has
+	// made a buffer's 64 accesses it has audited a flush beside its build.
+	flushed := clients/namespaces*opsPerClient >= 64
+	for _, row := range st.Sessions {
+		var scans, rebuilds int
+		for _, key := range auditKeys(t, svc, row.Namespace) {
+			switch {
+			case strings.HasPrefix(key, "oram/scan/"):
+				scans++
+			case strings.HasPrefix(key, "oram/rebuild/"):
+				rebuilds++
+			}
+		}
+		switch {
+		case arm == "scan" && (scans == 0 || rebuilds != 0),
+			arm == "hierarchy" && (scans != 0 || rebuilds == 0 || flushed && rebuilds < 2):
+			t.Errorf("session %q audited %d scan and %d rebuild shapes: not the %s", row.Namespace, scans, rebuilds, arm)
+		}
+	}
+
 	// The metrics endpoint agrees on the session count.
 	resp, err := http.Get(front.URL + "/metrics")
 	if err != nil {
@@ -172,6 +207,32 @@ func TestServiceSoak(t *testing.T) {
 	if want := fmt.Sprintf("oramkv_sessions %d", namespaces); !strings.Contains(string(metrics), want) {
 		t.Errorf("/metrics missing %q", want)
 	}
+}
+
+// auditKeys returns the keys a session's learning auditor holds a golden
+// fingerprint for: one per shape of audited span its ORAM has run.
+func auditKeys(t *testing.T, svc *Service, ns string) []string {
+	t.Helper()
+	svc.mu.Lock()
+	se := svc.sessions[ns]
+	svc.mu.Unlock()
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	var buf bytes.Buffer
+	if err := se.auditor.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Golden map[string]json.RawMessage `json:"golden"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(f.Golden))
+	for k := range f.Golden {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 func TestPackValueRoundTrip(t *testing.T) {

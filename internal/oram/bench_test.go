@@ -7,24 +7,25 @@ import (
 	"oblivext/internal/extmem"
 )
 
-// BenchmarkRebuild times the two rebuilds of the benchmark's kv_mix_http
-// workload (n = 32, B = 8, M = 512) and reports what each costs in block
-// I/Os and round trips: level 5 merges the buffer alone and writes its
-// table from the cache (384 and 15), level 6 collects both tables' live
-// entries in one private scan each — their bounds, 16 and 32 blocks, fit
+// BenchmarkRebuild times the two rebuilds of the hierarchy at n = 256,
+// B = 8, M = 4096, where it is the arm (the benchmark's kv_mix_http ORAM,
+// n = 32 at M = 512, is a scan and rebuilds nothing), and reports what each
+// costs in block I/Os and round trips (TestRebuildGeometryAtHierarchyShape
+// pins both): level 8 merges the 128-entry buffer alone and writes its
+// table from the cache (4 608 and 21), level 9 collects both tables' live
+// entries in one private scan each — their bounds, 128 and 256 blocks, fit
 // the cache — sorts them and the buffer's once, and writes its table from
-// the cache too, from the first 32 of the 64 sorted entries (2 080 and 113:
-// 1 024 and 57 the collects and the buffer's write, 384 and 12 the sort,
-// 672 and 44 the install). The
-// accesses that fill the buffer run off the clock, and the last of them
-// without its probe, so an iteration is the rebuild and nothing else.
+// the cache too, from the first 256 of the 512 sorted entries (24 320 and
+// 163). The accesses that fill the buffer run off the clock, and the last
+// of them without its probe, so an iteration is the rebuild and nothing
+// else.
 func BenchmarkRebuild(b *testing.B) {
-	for _, target := range []int{5, 6} {
+	for _, target := range []int{8, 9} {
 		b.Run(fmt.Sprintf("level=%d", target), func(b *testing.B) {
-			env := extmem.NewEnv(4096, 8, 512, 1)
-			o, err := New(env, 32, Options{})
-			if err != nil {
-				b.Fatal(err)
+			env := extmem.NewEnv(4096, 8, 4096, 1)
+			o, err := New(env, 256, Options{})
+			if err != nil || o.Arm() != ArmHierarchy {
+				b.Fatalf("(%v, %v), want the hierarchy", o, err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

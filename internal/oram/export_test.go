@@ -68,9 +68,33 @@ func (o *ORAM) DumpLevel(l int) []Entry {
 // buffer will run, as rebuildInto will see it: a function of the access
 // count and of which levels are live, both fixed by the schedule.
 func (o *ORAM) NextRebuild() (target int, g RebuildGeometry) {
-	target, sources := o.scheduled(o.t/int64(o.bufCap) + 1)
-	return target, o.geometry(target, sources, true)
+	target, levels := o.scheduled(o.t/int64(o.bufCap) + 1)
+	return target, o.geometry(target, levels)
 }
 
 // LevelBound is the public bound on the live entries of level l.
-func (o *ORAM) LevelBound(l int) int { return o.levelBound(l) }
+func (o *ORAM) LevelBound(l int) int { return o.bound(l) }
+
+// DumpFlat reads the scan arm's n blocks and returns each one's words, in
+// index order, through the Disk like DumpLevel.
+func (o *ORAM) DumpFlat() [][]uint64 {
+	buf := make([]extmem.Element, o.n*o.b)
+	o.flat.ReadRange(0, o.n, buf)
+	out := make([][]uint64, o.n)
+	for i := range out {
+		out[i] = extractPayload(buf[i*o.b : (i+1)*o.b])
+	}
+	return out
+}
+
+// NewHierarchy makes the hierarchy whatever Arm prices cheapest, so that a
+// test can measure what AccessCost prices where the scan is the arm. It
+// takes the sorters New does, and "" as "auto".
+func NewHierarchy(env *extmem.Env, n int, opts Options) (*ORAM, error) {
+	sorter, err := rebuildSorter(opts.Sorter)
+	if err != nil {
+		return nil, err
+	}
+	o := &ORAM{env: env, plan: plan{n: n, b: env.B()}, sorter: sorter}
+	return o.build(opts.BucketSize)
+}

@@ -12,20 +12,25 @@ import (
 	"oblivext/internal/oram"
 )
 
-// The differential oracle for the rebuild: a plain map of where every key
+// The differential oracle for both arms: a plain map of where every key
 // lives and what it holds, advanced by the public schedule alone, against
-// what the tables on the disk hold after every rebuild. It asks nothing of
-// how a rebuild gets there, so it pins a rewrite of the pipeline from the
-// outside.
+// what the disk holds — on the hierarchy, the tables after every rebuild;
+// on the scan arm, the n blocks after every access. It asks nothing of how
+// the ORAM gets there, so it pins a rewrite of either from the outside.
 
-// oracleGeometries are the (B, M) pairs the rebuild tests run over: a cache
-// of 32 blocks, the benchmark's 64, and one that holds most tables whole.
-var oracleGeometries = [][2]int{{4, 128}, {8, 512}, {8, 4096}}
-
-// oracleSizes are the logical sizes: a single block (the hierarchy's
-// degenerate shape), a size below the buffer's, the benchmark's, and one
-// that is not a power of two.
-var oracleSizes = []int{1, 5, 32, 100}
+// oracleCases are the (B, M, n) the oracle and the rebuild tests run over.
+// The scan is the arm at the first six: a single block, a size below the
+// hierarchy's buffer, the benchmark's n = 32 at its cache of 64 blocks and
+// at others, and one that is not a power of two. The hierarchy is the arm
+// at the rest: at n = 64 first, at caches of 128 and 512 blocks; at a size
+// that is not a power of two; at n = 256, whose largest rebuild sorts more
+// than its cache holds and keeps what it does; and at n = 1 024, whose
+// larger levels the network routes out of their tables and expands into
+// them.
+var oracleCases = [][3]int{
+	{4, 128, 1}, {4, 128, 5}, {4, 128, 32}, {8, 512, 32}, {8, 512, 100}, {8, 4096, 32},
+	{4, 512, 64}, {8, 1024, 64}, {8, 4096, 64}, {8, 4096, 100}, {8, 4096, 256}, {4, 2048, 1024},
+}
 
 // oracleSorters are the rebuild engines under test, by name.
 var oracleSorters = []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineRandomized}
@@ -70,7 +75,8 @@ func (m *model) scheduledTarget() int {
 }
 
 // step makes one access — a write of fresh words, a read, or a dummy — and
-// advances the model; it reports whether the access ended in a rebuild.
+// advances the model; it reports whether the disk is due a check: on the
+// scan arm after every access, on the hierarchy after a rebuild.
 func (m *model) step(r *rand.Rand) bool {
 	m.t.Helper()
 	switch key := r.IntN(m.n); r.IntN(4) {
@@ -103,6 +109,9 @@ func (m *model) step(r *rand.Rand) bool {
 	if hw := m.env.Cache.HighWater(); hw > m.env.M {
 		m.t.Fatalf("cache high-water %d > M = %d", hw, m.env.M)
 	}
+	if m.o.Arm() == oram.ArmScan {
+		return true
+	}
 	if m.o.Rebuilds().Count == m.seen {
 		return false
 	}
@@ -120,11 +129,20 @@ func (m *model) step(r *rand.Rand) bool {
 	return true
 }
 
-// check compares the disk with the model: every key once, in the level the
-// model has it in, with its freshest timestamp and payload, in the bucket
-// the level's PRF assigns it, at most beta to a bucket.
+// check compares the disk with the model. On the scan arm block i holds
+// key i's payload. On the hierarchy every key is live once, in the level
+// the model has it in, with its freshest timestamp and payload, in the
+// bucket the level's PRF assigns it, at most beta to a bucket.
 func (m *model) check() {
 	m.t.Helper()
+	if m.o.Arm() == oram.ArmScan {
+		for key, words := range m.o.DumpFlat() {
+			if !slices.Equal(words, m.data[key]) {
+				m.t.Fatalf("block %d holds %v, want %v", key, words, m.data[key])
+			}
+		}
+		return
+	}
 	if m.o.Buffered() != 0 {
 		m.t.Fatalf("%d entries left in the buffer after a rebuild", m.o.Buffered())
 	}
@@ -169,33 +187,39 @@ func (m *model) check() {
 }
 
 // TestRebuildDifferentialOracle drives seeded access sequences — writes,
-// reads and dummies interleaved — and after the initial build and after
-// every rebuild holds the whole hierarchy against the reference map.
+// reads and dummies interleaved — and after the build and after every
+// rebuild (every access, on the scan arm) holds the whole ORAM against the
+// reference map. The grid takes both arms.
 func TestRebuildDifferentialOracle(t *testing.T) {
-	for _, geo := range oracleGeometries {
-		for _, n := range oracleSizes {
-			for _, sorter := range oracleSorters {
-				b, mWords := geo[0], geo[1]
-				t.Run(fmt.Sprintf("B=%d/M=%d/n=%d/%s", b, mWords, n, sorter), func(t *testing.T) {
-					env := extmem.NewEnv(256, b, mWords, uint64(n)*31+uint64(mWords))
-					m := newModel(t, env, n, oram.Options{Sorter: sorter})
-					m.check()
-					r := rand.New(rand.NewPCG(uint64(n), uint64(b*mWords)))
-					rebuilds := 0
-					for step := 0; step < max(3*n, 6*m.g.BufCap); step++ {
-						if m.step(r) {
-							m.check()
-							rebuilds++
-						}
+	arms := map[string]int{}
+	defer func() {
+		if arms[oram.ArmScan] == 0 || arms[oram.ArmHierarchy] == 0 {
+			t.Errorf("the grid made %d scans and %d hierarchies; it must make each", arms[oram.ArmScan], arms[oram.ArmHierarchy])
+		}
+	}()
+	for _, c := range oracleCases {
+		for _, sorter := range oracleSorters {
+			b, mWords, n := c[0], c[1], c[2]
+			t.Run(fmt.Sprintf("B=%d/M=%d/n=%d/%s", b, mWords, n, sorter), func(t *testing.T) {
+				env := extmem.NewEnv(256, b, mWords, uint64(n)*31+uint64(mWords))
+				m := newModel(t, env, n, oram.Options{Sorter: sorter})
+				arms[m.o.Arm()]++
+				m.check()
+				r := rand.New(rand.NewPCG(uint64(n), uint64(b*mWords)))
+				checks := 0
+				for step := 0; step < max(3*n, 6*m.g.BufCap, 12); step++ {
+					if m.step(r) {
+						m.check()
+						checks++
 					}
-					if rebuilds < 6 {
-						t.Fatalf("only %d rebuilds checked", rebuilds)
-					}
-					if m.o.Failed() {
-						t.Fatal("declared an overflow at the default bucket size")
-					}
-				})
-			}
+				}
+				if checks < 6 {
+					t.Fatalf("only %d checks of the %s", checks, m.o.Arm())
+				}
+				if m.o.Failed() {
+					t.Fatal("declared an overflow at the default bucket size")
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package oram
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,13 +17,44 @@ func newEnv(b, m int, seed uint64) *extmem.Env {
 	return extmem.NewEnv(256, b, m, seed)
 }
 
-func TestReadAfterInitIsZero(t *testing.T) {
-	env := newEnv(4, 64, 1)
-	o, err := New(env, 10, Options{})
+// armGeometries are one (B, M, n) of each arm, as Arm prices them: the
+// scan's 2n block I/Os per access undercut the hierarchy's 328 at n = 16
+// with a 16-block cache, and the hierarchy's undercut the scan's 128 at
+// n = 64 with a 128-block one. The tests of the hierarchy's probes run at
+// the second.
+var armGeometries = map[string][3]int{ArmScan: {4, 64, 16}, ArmHierarchy: {4, 512, 64}}
+
+// newArm makes an ORAM at arm's geometry and checks New chose that arm.
+func newArm(t *testing.T, arm string, seed uint64) (*extmem.Env, *ORAM) {
+	t.Helper()
+	g := armGeometries[arm]
+	env := newEnv(g[0], g[1], seed)
+	o, err := New(env, g[2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	if o.Arm() != arm {
+		t.Fatalf("B=%d M=%d n=%d: New made the %s, want the %s", g[0], g[1], g[2], o.Arm(), arm)
+	}
+	return env, o
+}
+
+// forEachArm runs test as a subtest on an ORAM of each arm.
+func forEachArm(t *testing.T, seed uint64, test func(t *testing.T, env *extmem.Env, o *ORAM)) {
+	for _, arm := range []string{ArmScan, ArmHierarchy} {
+		t.Run(arm, func(t *testing.T) {
+			env, o := newArm(t, arm, seed)
+			test(t, env, o)
+		})
+	}
+}
+
+func TestReadAfterInitIsZero(t *testing.T) {
+	forEachArm(t, 1, readAfterInitIsZero)
+}
+
+func readAfterInitIsZero(t *testing.T, _ *extmem.Env, o *ORAM) {
+	for i := 0; i < o.N(); i++ {
 		v, err := o.Read(i)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
@@ -54,42 +86,94 @@ func TestNewRejectsColumnsort(t *testing.T) {
 
 // TestNewRejectsRandomizedBelowItsCache: the randomized sort declares
 // core.ErrSortCache below core.SortFree, so an ORAM whose rebuilds would
-// sort with it beside a smaller free cache is refused when it is made; one
-// with the cache to spare builds and rebuilds.
+// sort with it beside a smaller free cache is refused when it is made,
+// before any I/O; one with the cache to spare builds and rebuilds. Beside a
+// buffer of 4 blocks that is M = 8B or 9B, where the hierarchy is the arm
+// only from n ≈ 12 000: below that the scan is, and sorts nothing.
 func TestNewRejectsRandomizedBelowItsCache(t *testing.T) {
-	const b = 8
+	const b, n = 8, 1 << 14
 	for _, mb := range []int{8, 9} { // the 4-block buffer leaves 4B and 5B
-		_, err := New(newEnv(b, mb*b, 1), 32, Options{Sorter: "randomized"})
+		if arm := Arm(n, b, mb*b, mb*b); arm != ArmHierarchy {
+			t.Fatalf("M = %dB, n = %d: the arm is the %s, want the hierarchy", mb, n, arm)
+		}
+		env := newEnv(b, mb*b, 1)
+		_, err := New(env, n, Options{Sorter: "randomized"})
 		if !errors.Is(err, core.ErrSortCache) || !strings.Contains(err.Error(), `"randomized"`) {
 			t.Fatalf("M = %dB: err = %v, want core.ErrSortCache naming the sorter", mb, err)
 		}
+		if st := env.D.Stats(); st.Total() != 0 || env.Cache.Used() != 0 {
+			t.Fatalf("M = %dB: the rejection moved %d block I/Os and left %d cache elements held", mb, st.Total(), env.Cache.Used())
+		}
 	}
-	o, err := New(newEnv(b, 10*b, 1), 32, Options{Sorter: "randomized"})
-	if err != nil {
-		t.Fatalf("M = 10B: %v", err)
+	if _, err := New(newEnv(b, 8*b, 1), 32, Options{Sorter: "randomized"}); err != nil {
+		t.Fatalf("M = 8B, n = 32, the scan arm: %v", err)
 	}
-	for i := 0; i < 64; i++ { // enough writes to rebuild every level
-		if err := o.Write(i%32, make([]uint64, b)); err != nil {
+	o, err := New(newEnv(b, 4096, 1), 64, Options{Sorter: "randomized"})
+	if err != nil || o.Arm() != ArmHierarchy {
+		t.Fatalf("M = 4096, n = 64: (%v, %v), want the hierarchy", o, err)
+	}
+	for i := 0; i < 128; i++ { // two flushes of the 64-entry buffer into the one level
+		if err := o.Write(i%64, make([]uint64, b)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if o.Rebuilds().Count != 3 {
+		t.Fatalf("%d rebuilds, want the build and two flushes", o.Rebuilds().Count)
+	}
+}
+
+// TestNewBelowHierarchyFloor: at M = 4B to 7B the hierarchy's buffer and
+// the narrowest routing window beside it do not fit (plan.free), so the
+// scan is the only arm, and New never panics there: it builds, every write
+// reads back, and the cache is balanced after each access.
+func TestNewBelowHierarchyFloor(t *testing.T) {
+	const n = 32
+	for _, b := range []int{4, 8} {
+		for mb := 4; mb <= 7; mb++ {
+			m := mb * b
+			if floor := planOf(n, b, m, 0).free(); floor <= m {
+				t.Fatalf("B=%d M=%dB: the hierarchy's floor is %d, within the cache", b, mb, floor)
+			}
+			if _, period := AccessCost(n, b, m, m); period != 0 || Arm(n, b, m, m) != ArmScan {
+				t.Fatalf("B=%d M=%dB: the hierarchy priced below its floor", b, mb)
+			}
+			env := newEnv(b, m, 1)
+			o, err := New(env, n, Options{})
+			if err != nil || o.Arm() != ArmScan {
+				t.Fatalf("B=%d M=%dB: (%v, %v), want the scan arm", b, mb, o, err)
+			}
+			for i := 0; i < 2*n; i++ {
+				words := make([]uint64, b)
+				words[0], words[b-1] = uint64(i), uint64(i*i)
+				if err := o.Write(i*7%n, words); err != nil {
+					t.Fatalf("B=%d M=%dB: write %d: %v", b, mb, i, err)
+				}
+				got, err := o.Read(i * 7 % n)
+				if err != nil || !slices.Equal(got, words) {
+					t.Fatalf("B=%d M=%dB: read %d = (%v, %v), want %v", b, mb, i*7%n, got, err, words)
+				}
+				if env.Cache.Used() != 0 || env.Cache.HighWater() > m {
+					t.Fatalf("B=%d M=%dB: %d cache elements held after an access, high-water %d", b, mb, env.Cache.Used(), env.Cache.HighWater())
+				}
+			}
 		}
 	}
 }
 
 func TestReadYourWrites(t *testing.T) {
-	env := newEnv(4, 64, 2)
-	o, err := New(env, 16, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachArm(t, 2, readYourWrites)
+}
+
+func readYourWrites(t *testing.T, _ *extmem.Env, o *ORAM) {
 	payload := func(i int) []uint64 {
 		return []uint64{uint64(i) * 7, uint64(i) + 1, uint64(i) * uint64(i), 42}
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < o.N(); i++ {
 		if err := o.Write(i, payload(i)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	for i := 15; i >= 0; i-- {
+	for i := o.N() - 1; i >= 0; i-- {
 		v, err := o.Read(i)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
@@ -106,12 +190,11 @@ func TestReadYourWrites(t *testing.T) {
 // TestAgainstReferenceModel drives the ORAM with a long random workload and
 // checks every read against a plain map.
 func TestAgainstReferenceModel(t *testing.T) {
-	env := newEnv(4, 64, 3)
-	const n = 24
-	o, err := New(env, n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachArm(t, 3, againstReferenceModel)
+}
+
+func againstReferenceModel(t *testing.T, _ *extmem.Env, o *ORAM) {
+	n := o.N()
 	ref := make(map[int][]uint64)
 	r := rand.New(rand.NewPCG(7, 7))
 	for step := 0; step < 600; step++ {
@@ -154,17 +237,26 @@ func TestAgainstReferenceModel(t *testing.T) {
 // choices are fresh PRF outputs. We therefore check (a) trace length is a
 // function of the access count alone, and (b) even the most revealing
 // workload — hammering one logical block — produces well-spread bucket
-// probes rather than repeated addresses.
+// probes rather than repeated addresses. The scan arm passes both a
+// fortiori: every access is the same scan of every block.
 func TestObliviousness(t *testing.T) {
+	for _, arm := range []string{ArmScan, ArmHierarchy} {
+		t.Run(arm, func(t *testing.T) { obliviousness(t, arm) })
+	}
+}
+
+func obliviousness(t *testing.T, arm string) {
+	const n = 16
 	run := func(pattern func(step int) int) (trace.Summary, []trace.Op) {
-		env := newEnv(4, 64, 99)
-		rec := trace.NewRecorder(1 << 20)
+		g := armGeometries[arm]
+		env := newEnv(g[0], g[1], 99)
+		rec := trace.NewRecorder(1 << 22)
 		env.D.SetRecorder(rec)
-		o, err := New(env, 16, Options{})
+		o, err := New(env, g[2], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.Enable(1 << 20) // drop the build trace, keep the access trace
+		rec.Enable(1 << 22) // drop the build trace, keep the access trace
 		for step := 0; step < 200; step++ {
 			i := pattern(step)
 			if step%2 == 0 {
@@ -180,8 +272,8 @@ func TestObliviousness(t *testing.T) {
 		return rec.Summarize(), rec.Ops()
 	}
 	sameBlock, opsSame := run(func(int) int { return 3 })
-	scan, _ := run(func(s int) int { return s % 16 })
-	random, _ := run(func(s int) int { return (s*7 + 3) % 16 })
+	scan, _ := run(func(s int) int { return s % n })
+	random, _ := run(func(s int) int { return (s*7 + 3) % n })
 	if sameBlock.Len != scan.Len || sameBlock.Len != random.Len {
 		t.Fatalf("ORAM trace length depends on the access pattern: %d %d %d",
 			sameBlock.Len, scan.Len, random.Len)
@@ -209,14 +301,10 @@ func TestObliviousness(t *testing.T) {
 // within each level differs.
 func TestDummyIndistinguishable(t *testing.T) {
 	shape := func(dummy bool) []string {
-		env := newEnv(4, 64, 42)
-		rec := trace.NewRecorder(1 << 20)
+		env, o := newArm(t, ArmHierarchy, 42)
+		rec := trace.NewRecorder(1 << 22)
 		env.D.SetRecorder(rec)
-		o, err := New(env, 8, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Enable(1 << 20)
+		var err error
 		for step := 0; step < 100; step++ {
 			if dummy {
 				err = o.Dummy()
@@ -261,12 +349,9 @@ func rune2s(l int) string { return string(rune('a' + l + 1)) }
 // live level). Accesses that trigger a rebuild are excluded; that work is
 // amortized and measured separately.
 func TestAccessRoundTripBudget(t *testing.T) {
-	env := newEnv(4, 256, 11)
-	const n = 32
-	o, err := New(env, n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, o := newArm(t, ArmHierarchy, 11)
+	n := o.N()
+	var err error
 	beta := int64(o.BucketSize())
 	budgeted := 0
 	for step := 0; step < 200; step++ {
@@ -309,17 +394,14 @@ func TestAccessRoundTripBudget(t *testing.T) {
 // grouped flush that replaces the scalar path's interleaved per-slot
 // read/write pairs.
 func TestAccessReadThenGroupedWriteBack(t *testing.T) {
-	env := newEnv(4, 256, 13)
-	o, err := New(env, 16, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder(1 << 16)
+	env, o := newArm(t, ArmHierarchy, 13)
+	var err error
+	rec := trace.NewRecorder(1 << 22)
 	env.D.SetRecorder(rec)
 	beta := o.BucketSize()
 	for step := 0; step < 48; step++ {
 		rebuilds := o.Rebuilds().Count
-		rec.Enable(1 << 16)
+		rec.Enable(1 << 22)
 		if step%2 == 0 {
 			_, err = o.Read(step % 16)
 		} else {
@@ -387,21 +469,17 @@ func levelBase(t *testing.T, o *ORAM, addr int64) int64 {
 // disjoint key sets, different read/write mixes, a Dummy-heavy mix — must
 // produce bit-identical normalized traces and identical I/O stats.
 func TestAccessSequenceIndistinguishability(t *testing.T) {
-	const n, steps = 16, 240
+	const steps = 240
+	n := armGeometries[ArmHierarchy][2]
 	type fingerprint struct {
 		norm  uint64 // FNV-1a over (kind, level, slot) triples
 		len   int
 		stats obs.Counters
 	}
 	run := func(name string, op func(o *ORAM, step int) error) fingerprint {
-		env := newEnv(4, 256, 77)
-		rec := trace.NewRecorder(1 << 22)
+		env, o := newArm(t, ArmHierarchy, 77)
+		rec := trace.NewRecorder(1 << 24)
 		env.D.SetRecorder(rec)
-		o, err := New(env, n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Enable(1 << 22)
 		env.D.ResetStats()
 		for step := 0; step < steps; step++ {
 			if err := op(o, step); err != nil {
@@ -473,14 +551,13 @@ func TestAccessSequenceIndistinguishability(t *testing.T) {
 }
 
 func TestCacheBudgetRespected(t *testing.T) {
-	env := newEnv(4, 64, 5)
-	o, err := New(env, 32, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachArm(t, 5, cacheBudgetRespected)
+}
+
+func cacheBudgetRespected(t *testing.T, env *extmem.Env, o *ORAM) {
 	env.Cache.ResetHighWater()
 	for step := 0; step < 300; step++ {
-		if err := o.Write(step%32, []uint64{1, 2, 3, 4}); err != nil {
+		if err := o.Write(step%o.N(), []uint64{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,12 +589,11 @@ func TestAmortizedCostGrowsWithN(t *testing.T) {
 }
 
 func TestIndexOutOfRange(t *testing.T) {
-	env := newEnv(4, 64, 6)
-	o, err := New(env, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Read(4); err == nil {
+	forEachArm(t, 6, indexOutOfRange)
+}
+
+func indexOutOfRange(t *testing.T, _ *extmem.Env, o *ORAM) {
+	if _, err := o.Read(o.N()); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if err := o.Write(99, []uint64{0, 0, 0, 0}); err == nil {
@@ -525,5 +601,65 @@ func TestIndexOutOfRange(t *testing.T) {
 	}
 	if err := o.Write(0, []uint64{1}); err == nil {
 		t.Fatal("expected width error")
+	}
+}
+
+// TestScanArmSpan: on the scan arm an access is one oram-access span with
+// no probe or rebuild under it, measuring exactly ScanCost at the free
+// cache, and exact-audited: a learning auditor finds every read, write and
+// dummy of any block the trace of the first.
+func TestScanArmSpan(t *testing.T) {
+	env, o := newArm(t, ArmScan, 21)
+	col := env.EnableObs()
+	a := obs.NewAuditor(true)
+	col.SetAuditor(a)
+	const steps = 30
+	for step := 0; step < steps; step++ {
+		var err error
+		switch step % 3 {
+		case 0:
+			_, err = o.Read(step * 5 % o.N())
+		case 1:
+			err = o.Write(step*3%o.N(), []uint64{uint64(step), 1, 2, 3})
+		default:
+			err = o.Dummy()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := col.Roots()
+	if len(roots) != steps {
+		t.Fatalf("%d root spans, want one per access", len(roots))
+	}
+	want := ScanCost(o.N(), env.B(), env.M)
+	for _, sp := range roots {
+		if sp.Name != "oram-access" || len(sp.Children) != 0 {
+			t.Fatalf("span %q with %d children, want oram-access alone", sp.Name, len(sp.Children))
+		}
+		if sp.IO.Cost() != want || sp.Predicted != want {
+			t.Fatalf("an access measured %+v and predicted %+v, want %+v", sp.IO.Cost(), sp.Predicted, want)
+		}
+	}
+	if observed, matched, violated := a.Stats(); observed != steps || matched != steps || violated != 0 {
+		t.Fatalf("auditor observed %d accesses, matched %d, violated %d keys; want %d, %d, 0", observed, matched, violated, steps, steps)
+	}
+}
+
+// TestArmAtBenchmarkShape pins the arm of the kv_mix_http ORAM (n = 32,
+// B = 8, M = 512) and both prices that choose it: the hierarchy's 3 424
+// block I/Os in 208 round trips over its 32-access period (107 and 6.5 an
+// access) against the scan's 64 in 2.
+func TestArmAtBenchmarkShape(t *testing.T) {
+	const n, b, m = 32, 8, 512
+	c, accesses := AccessCost(n, b, m, m)
+	if c != (obs.Cost{IOs: 3424, RoundTrips: 208}) || accesses != 32 {
+		t.Fatalf("AccessCost = %+v over %d accesses, want {3424 208} over 32", c, accesses)
+	}
+	if s := ScanCost(n, b, m); s != (obs.Cost{IOs: 64, RoundTrips: 2}) {
+		t.Fatalf("ScanCost = %+v, want {64 2}", s)
+	}
+	if arm := Arm(n, b, m, m); arm != ArmScan {
+		t.Fatalf("the arm is the %s, want the scan", arm)
 	}
 }

@@ -2,7 +2,6 @@ package oram
 
 import (
 	"fmt"
-	"math/bits"
 
 	"oblivext/internal/core"
 	"oblivext/internal/extmem"
@@ -18,34 +17,35 @@ type source struct {
 	bound int
 }
 
-// scheduled returns what the j-th flush of the top buffer rebuilds, by the
-// classic binary-counter schedule: the target level is l0 + trailingZeros(j)
-// + 1 (capped at the largest level), and all live levels below it — and the
-// largest level itself, when it is the target — are merged in. The schedule,
-// and therefore the entire rebuild trace, depends only on the access count.
-func (o *ORAM) scheduled(j int64) (target int, sources []source) {
-	target = min(o.l0+bits.TrailingZeros64(uint64(j))+1, o.lmax)
+// scheduled returns what the j-th flush of the top buffer rebuilds: the
+// target level of the binary-counter schedule (plan.target), and the live
+// levels below it — and the largest level itself, when it is the target —
+// that it merges. The schedule, and therefore the entire rebuild trace,
+// depends only on the access count.
+func (o *ORAM) scheduled(j int64) (target int, levels []int) {
+	target = o.target(j)
 	for l := o.l0 + 1; l <= target; l++ {
-		if lv := o.lvl(l); lv.live && (l < target || target == o.lmax) {
-			sources = append(sources, source{lv.table, o.levelBound(l)})
+		if o.lvl(l).live && (l < target || target == o.lmax) {
+			levels = append(levels, l)
 		}
 	}
-	return target, sources
+	return target, levels
 }
 
-// levelBound is the most live entries level l ever holds: its keys are
-// distinct, so no more than n, and it is built from one buffer and one
-// filling of every level below it, so no more than bufCap·2^(l-l0-1) — a
-// function of the geometry alone, which TestLevelOccupancyBound checks
-// against the tables.
-func (o *ORAM) levelBound(l int) int {
-	return min(o.lvl(l).table.Len(), o.n, o.bufCap<<(l-o.l0-1))
+// geometry is the public shape of the flush into target merging levels,
+// with the cache free now.
+func (o *ORAM) geometry(target int, levels []int) RebuildGeometry {
+	return o.plan.geometry(target, levels, o.env.M, o.env.M-o.env.Cache.Used(), o.sorter)
 }
 
 // rebuildOnSchedule flushes the full top buffer down the hierarchy.
 func (o *ORAM) rebuildOnSchedule() error {
-	target, sources := o.scheduled(o.t / int64(o.bufCap))
-	err := o.rebuildInto(target, sources, true)
+	target, levels := o.scheduled(o.t / int64(o.bufCap))
+	var sources []source
+	for _, l := range levels {
+		sources = append(sources, source{o.lvl(l).table, o.bound(l)})
+	}
+	err := o.rebuildInto(target, sources, o.geometry(target, levels))
 	for l := o.l0 + 1; l < target; l++ {
 		o.lvl(l).live = false
 	}
@@ -68,7 +68,10 @@ func (o *ORAM) initialBuild() error {
 	})
 	o.ts = uint64(o.n)
 	o.t = 0
-	return o.rebuildInto(o.lmax, []source{{src, o.n}}, false)
+	return o.rebuildInto(o.lmax, []source{{src, o.n}}, RebuildGeometry{
+		Sources: []int{o.n}, Bounds: []int{o.n}, CapE: o.n, Kept: o.n, Table: o.table(o.lmax),
+		B: o.b, M: o.env.M, Free: o.env.M - o.env.Cache.Used(), Sorter: o.sorter,
+	})
 }
 
 // In-flight entry representation during a rebuild. The routing network
@@ -271,32 +274,12 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 	return c.Add(route.ExpandIntoCost(k, g.Table, g.B, g.Free))
 }
 
-// geometry collects the public shape of a rebuild of target from sources.
-func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeometry {
-	g := RebuildGeometry{
-		Table:  o.lvl(target).table.Len(),
-		B:      o.b,
-		M:      o.env.M,
-		Free:   o.env.M - o.env.Cache.Used(),
-		Sorter: o.sorter,
-	}
-	if withBuf {
-		g.Buffer, g.CapE = o.bufCap, o.bufCap
-	}
-	for _, s := range sources {
-		g.Sources = append(g.Sources, s.arr.Len())
-		g.Bounds = append(g.Bounds, s.bound)
-		g.CapE += s.bound
-	}
-	g.Kept = min(g.CapE, o.levelBound(target))
-	return g
-}
-
 // rebuildInto rebuilds the target level's bucket table from the given
-// source arrays (tables of lower levels and/or scratch) plus, when withBuf
-// is set, the private top buffer. Only the live entries are ever sorted;
-// one private scan or the paper's routing network (Theorem 6) carries them
-// out of the sparse source tables, and the network into the sparse new one:
+// source arrays (tables of lower levels and/or scratch) plus, when its
+// geometry g takes a buffer's entries, the private top buffer. Only the
+// live entries are ever sorted; one private scan or the paper's routing
+// network (Theorem 6) carries them out of the sparse source tables, and the
+// network into the sparse new one:
 //
 //  1. the live prefix, in in-flight form, laid out as [the bound of each
 //     collected source | the buffer | the routed sources]: a source whose
@@ -322,11 +305,10 @@ func (o *ORAM) geometry(target int, sources []source, withBuf bool) RebuildGeome
 // Every pass touches every block of what it scans and every length is a
 // bound, not a count, so the trace depends only on the source sizes, which
 // the schedule fixes.
-func (o *ORAM) rebuildInto(target int, sources []source, withBuf bool) error {
+func (o *ORAM) rebuildInto(target int, sources []source, g RebuildGeometry) error {
 	tl := o.lvl(target)
 	tl.epoch++
 	b := o.b
-	g := o.geometry(target, sources, withBuf)
 	in := g.in()
 	if g.Kept > g.Table {
 		panic(fmt.Sprintf("oram: rebuild of level %d keeps up to %d entries, over its table's %d slots", target, g.Kept, g.Table))

@@ -50,89 +50,91 @@ func installs(g oram.RebuildGeometry) bool { return fits(g, g.Kept) }
 // private scan, a source routed by the network, and rebuilds that do both —
 // and both arms of the install: a kept prefix that fits the free cache and
 // is written out in one scan, and one that does not and is expanded by the
-// network; and it keeps a prefix shorter than what it sorted.
+// network; and it keeps a prefix shorter than what it sorted. It runs over
+// the oracle's cases whose arm is the hierarchy.
 func TestRebuildIOExact(t *testing.T) {
 	arms := map[bool]int{}
 	var collected, routed, mixed, sliced int
-	for _, geo := range oracleGeometries {
-		for _, n := range oracleSizes {
-			for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineZigzag} {
-				b, mWords := geo[0], geo[1]
-				env := extmem.NewEnv(256, b, mWords, 9)
-				col := env.EnableObs()
-				o, err := oram.New(env, n, oram.Options{Sorter: sorter})
-				if err != nil {
-					t.Fatal(err)
+	for _, c := range oracleCases {
+		for _, sorter := range []string{obsort.EngineBitonic, obsort.EngineAuto, obsort.EngineZigzag} {
+			b, mWords, n := c[0], c[1], c[2]
+			if oram.Arm(n, b, mWords, mWords) == oram.ArmScan {
+				continue
+			}
+			env := extmem.NewEnv(256, b, mWords, 9)
+			col := env.EnableObs()
+			o, err := oram.New(env, n, oram.Options{Sorter: sorter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("B=%d M=%d n=%d %s", b, mWords, n, sorter)
+			check := func(want *oram.RebuildGeometry) {
+				t.Helper()
+				if hw := env.Cache.HighWater(); hw > mWords {
+					t.Fatalf("%s: cache high-water %d > M = %d", name, hw, mWords)
 				}
-				name := fmt.Sprintf("B=%d M=%d n=%d %s", b, mWords, n, sorter)
-				check := func(want *oram.RebuildGeometry) {
-					t.Helper()
-					if hw := env.Cache.HighWater(); hw > mWords {
-						t.Fatalf("%s: cache high-water %d > M = %d", name, hw, mWords)
+				spans := rebuildSpans(col.Roots())
+				if len(spans) != 1 {
+					t.Fatalf("%s: %d rebuild spans, want 1", name, len(spans))
+				}
+				sp := spans[0]
+				if sp.IO.Cost() != sp.Predicted {
+					t.Fatalf("%s: rebuild measured %+v, its span predicts %+v", name, sp.IO.Cost(), sp.Predicted)
+				}
+				for _, c := range sp.Children {
+					if c.Name == "collect" && c.IO.Cost() != c.Predicted {
+						t.Fatalf("%s: a collect measured %+v, its span predicts %+v", name, c.IO.Cost(), c.Predicted)
 					}
-					spans := rebuildSpans(col.Roots())
-					if len(spans) != 1 {
-						t.Fatalf("%s: %d rebuild spans, want 1", name, len(spans))
+				}
+				if want != nil {
+					if c := oram.RebuildCost(*want); sp.IO.Cost() != c {
+						t.Fatalf("%s: rebuild measured %+v, %+v predicts %+v", name, sp.IO.Cost(), *want, c)
 					}
-					sp := spans[0]
-					if sp.IO.Cost() != sp.Predicted {
-						t.Fatalf("%s: rebuild measured %+v, its span predicts %+v", name, sp.IO.Cost(), sp.Predicted)
+					arm := installs(*want)
+					arms[arm]++
+					if want.Kept < want.CapE {
+						sliced++
 					}
-					for _, c := range sp.Children {
-						if c.Name == "collect" && c.IO.Cost() != c.Predicted {
-							t.Fatalf("%s: a collect measured %+v, its span predicts %+v", name, c.IO.Cost(), c.Predicted)
-						}
-					}
-					if want != nil {
-						if c := oram.RebuildCost(*want); sp.IO.Cost() != c {
-							t.Fatalf("%s: rebuild measured %+v, %+v predicts %+v", name, sp.IO.Cost(), *want, c)
-						}
-						arm := installs(*want)
-						arms[arm]++
-						if want.Kept < want.CapE {
-							sliced++
-						}
-						c, r := 0, 0
-						for _, bound := range want.Bounds {
-							if fits(*want, bound) {
-								c++
-							} else {
-								r++
-							}
-						}
-						kids := map[string]int{"collect": c, "butterfly-compact": min(r, 1), "install": 1, "butterfly-expand": 0}
-						if !arm {
-							kids["install"], kids["butterfly-expand"] = 0, 1
-						}
-						for span, n := range kids {
-							if got := children(sp, span); got != n {
-								t.Fatalf("%s: %d %s spans under a rebuild of %+v, want %d", name, got, span, *want, n)
-							}
-						}
-						collected += c
-						routed += r
-						if c > 0 && r > 0 {
-							mixed++
+					c, r := 0, 0
+					for _, bound := range want.Bounds {
+						if fits(*want, bound) {
+							c++
+						} else {
+							r++
 						}
 					}
+					kids := map[string]int{"collect": c, "butterfly-compact": min(r, 1), "install": 1, "butterfly-expand": 0}
+					if !arm {
+						kids["install"], kids["butterfly-expand"] = 0, 1
+					}
+					for span, n := range kids {
+						if got := children(sp, span); got != n {
+							t.Fatalf("%s: %d %s spans under a rebuild of %+v, want %d", name, got, span, *want, n)
+						}
+					}
+					collected += c
+					routed += r
+					if c > 0 && r > 0 {
+						mixed++
+					}
+				}
+				col.Reset()
+			}
+			check(nil) // the initial build
+			g := o.Geometry()
+			for step := 0; step < 4*max(n, g.BufCap); step++ {
+				var next *oram.RebuildGeometry
+				if o.Buffered() == g.BufCap-1 {
+					_, ng := o.NextRebuild()
+					next = &ng
+				}
+				if _, err := o.Read(step * 7 % n); err != nil {
+					t.Fatalf("%s: step %d: %v", name, step, err)
+				}
+				if next != nil {
+					check(next)
+				} else {
 					col.Reset()
-				}
-				check(nil) // the initial build
-				g := o.Geometry()
-				for step := 0; step < 4*max(n, g.BufCap); step++ {
-					var next *oram.RebuildGeometry
-					if o.Buffered() == g.BufCap-1 {
-						_, ng := o.NextRebuild()
-						next = &ng
-					}
-					if _, err := o.Read(step * 7 % n); err != nil {
-						t.Fatalf("%s: step %d: %v", name, step, err)
-					}
-					if next != nil {
-						check(next)
-					} else {
-						col.Reset()
-					}
 				}
 			}
 		}
@@ -145,37 +147,38 @@ func TestRebuildIOExact(t *testing.T) {
 	}
 }
 
-// TestRebuildGeometryAtBenchmarkShape pins the two rebuilds of the
-// kv_mix_http workload (n = 32, B = 8, M = 512): what they merge, the bounds
-// they sort and keep, what they cost, that the smaller one writes its table
-// from the cache, and that the larger one collects both its sources in
-// private scans, routing none of them, sorts its 64 entries and writes its
-// table from the cache too, from the first 32 of them alone.
-func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
-	env := extmem.NewEnv(256, 8, 512, 1)
-	o, err := oram.New(env, 32, oram.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestRebuildGeometryAtHierarchyShape pins the two rebuilds of the
+// hierarchy at n = 256, B = 8, M = 4096, where it is the arm (161 block I/Os
+// an access against the scan's 512): what they merge, the bounds they sort
+// and keep, what they cost, that the smaller one writes its table from the
+// cache, and that the larger one collects both its sources in private
+// scans, routing neither, sorts its 512 entries — more than the cache
+// holds — and writes its table from the cache too, from the first 256 of
+// them alone.
+func TestRebuildGeometryAtHierarchyShape(t *testing.T) {
+	env := extmem.NewEnv(256, 8, 4096, 1)
+	o, err := oram.New(env, 256, oram.Options{})
+	if err != nil || o.Arm() != oram.ArmHierarchy {
+		t.Fatalf("(%v, %v), want the hierarchy", o, err)
 	}
 	col := env.EnableObs()
 	want := map[int]oram.RebuildGeometry{
-		5: {Buffer: 16, CapE: 16, Kept: 16, Table: 320, B: 8, M: 512, Free: 384, Sorter: "auto"},
-		6: {Sources: []int{320, 640}, Bounds: []int{16, 32}, Buffer: 16, CapE: 64, Kept: 32, Table: 640, B: 8, M: 512, Free: 384, Sorter: "auto"},
+		8: {Buffer: 128, CapE: 128, Kept: 128, Table: 4096, B: 8, M: 4096, Free: 3072, Sorter: "auto"},
+		9: {Sources: []int{4096, 8192}, Bounds: []int{128, 256}, Buffer: 128, CapE: 512, Kept: 256, Table: 8192, B: 8, M: 4096, Free: 3072, Sorter: "auto"},
 	}
-	cost := map[int]obs.Cost{5: {IOs: 384, RoundTrips: 15}, 6: {IOs: 2080, RoundTrips: 113}}
+	cost := map[int]obs.Cost{8: {IOs: 4608, RoundTrips: 21}, 9: {IOs: 24320, RoundTrips: 163}}
 	for target, g := range want {
 		if c := oram.RebuildCost(g); c != cost[target] {
-			t.Fatalf("rebuild of level %d: predicted %+v, want %+v", target, c, cost[target])
+			t.Errorf("rebuild of level %d: predicted %+v, want %+v", target, c, cost[target])
 		}
 	}
 	seen := map[int]bool{}
-	for step := 0; step < 64; step++ {
+	for step := 0; step < 2*256; step++ {
 		target := 0
-		if o.Buffered() == 15 {
+		if o.Buffered() == 127 {
 			var g oram.RebuildGeometry
 			target, g = o.NextRebuild()
-			// The first flush finds only the largest level live.
-			if step > 16 && !reflect.DeepEqual(g, want[target]) {
+			if !reflect.DeepEqual(g, want[target]) {
 				t.Fatalf("rebuild of level %d: geometry %+v, want %+v", target, g, want[target])
 			}
 			seen[target] = true
@@ -184,17 +187,17 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 		if err := o.Dummy(); err != nil {
 			t.Fatal(err)
 		}
-		if target == 6 && step > 16 {
+		if target == 9 {
 			sp := rebuildSpans(col.Roots())[0]
 			for span, n := range map[string]int{"collect": 2, "butterfly-compact": 0, "install": 1, "butterfly-expand": 0} {
 				if got := children(sp, span); got != n {
-					t.Fatalf("level-6 rebuild: %d %s spans, want %d", got, span, n)
+					t.Fatalf("level-9 rebuild: %d %s spans, want %d", got, span, n)
 				}
 			}
 		}
 	}
-	if !seen[5] || !seen[6] {
-		t.Fatalf("levels rebuilt: %v, want 5 and 6", seen)
+	if !seen[8] || !seen[9] {
+		t.Fatalf("levels rebuilt: %v, want 8 and 9", seen)
 	}
 }
 
@@ -204,48 +207,49 @@ func TestRebuildGeometryAtBenchmarkShape(t *testing.T) {
 // level holds more live entries than min(n, bufCap·2^(k−1)), k its index
 // above the buffer.
 func TestLevelOccupancyBound(t *testing.T) {
-	for _, geo := range oracleGeometries {
-		for _, n := range oracleSizes {
-			b, mWords := geo[0], geo[1]
-			env := extmem.NewEnv(256, b, mWords, uint64(n))
-			o, err := oram.New(env, n, oram.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := o.Geometry()
-			r := rand.New(rand.NewPCG(uint64(n), uint64(mWords)))
-			checked := 0
-			for step := 0; step < 4*max(n, g.BufCap); step++ {
-				if o.Buffered() == g.BufCap-1 {
-					for l := g.L0 + 1; l <= g.LMax; l++ {
-						if !o.LevelLive(l) {
-							continue
-						}
-						bound := min(n, g.BufCap<<(l-g.L0-1))
-						if got := o.LevelBound(l); got != bound {
-							t.Fatalf("B=%d M=%d n=%d: level %d is bounded by %d, want min(n, bufCap·2^(k-1)) = %d", b, mWords, n, l, got, bound)
-						}
-						if live := len(o.DumpLevel(l)); live > bound {
-							t.Fatalf("B=%d M=%d n=%d step %d: level %d holds %d live entries, over the bound %d", b, mWords, n, step, l, live, bound)
-						}
-						checked++
+	for _, c := range oracleCases {
+		b, mWords, n := c[0], c[1], c[2]
+		if oram.Arm(n, b, mWords, mWords) == oram.ArmScan {
+			continue
+		}
+		env := extmem.NewEnv(256, b, mWords, uint64(n))
+		o, err := oram.New(env, n, oram.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := o.Geometry()
+		r := rand.New(rand.NewPCG(uint64(n), uint64(mWords)))
+		checked := 0
+		for step := 0; step < 4*max(n, g.BufCap); step++ {
+			if o.Buffered() == g.BufCap-1 {
+				for l := g.L0 + 1; l <= g.LMax; l++ {
+					if !o.LevelLive(l) {
+						continue
 					}
-				}
-				switch key := r.IntN(n); r.IntN(3) {
-				case 0:
-					err = o.Dummy()
-				case 1:
-					_, err = o.Read(key)
-				default:
-					err = o.Write(key, make([]uint64, b))
-				}
-				if err != nil {
-					t.Fatalf("B=%d M=%d n=%d step %d: %v", b, mWords, n, step, err)
+					bound := min(n, g.BufCap<<(l-g.L0-1))
+					if got := o.LevelBound(l); got != bound {
+						t.Fatalf("B=%d M=%d n=%d: level %d is bounded by %d, want min(n, bufCap·2^(k-1)) = %d", b, mWords, n, l, got, bound)
+					}
+					if live := len(o.DumpLevel(l)); live > bound {
+						t.Fatalf("B=%d M=%d n=%d step %d: level %d holds %d live entries, over the bound %d", b, mWords, n, step, l, live, bound)
+					}
+					checked++
 				}
 			}
-			if checked == 0 {
-				t.Fatalf("B=%d M=%d n=%d: no level was checked", b, mWords, n)
+			switch key := r.IntN(n); r.IntN(3) {
+			case 0:
+				err = o.Dummy()
+			case 1:
+				_, err = o.Read(key)
+			default:
+				err = o.Write(key, make([]uint64, b))
 			}
+			if err != nil {
+				t.Fatalf("B=%d M=%d n=%d step %d: %v", b, mWords, n, step, err)
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("B=%d M=%d n=%d: no level was checked", b, mWords, n)
 		}
 	}
 }
@@ -257,8 +261,10 @@ func TestLevelOccupancyBound(t *testing.T) {
 // structure must keep saying so.
 func TestRebuildOverflowDeclared(t *testing.T) {
 	// 64 keys into 128 one-slot buckets: the initial build itself overflows.
+	// The bucket size does not change the arm, the hierarchy's at this
+	// geometry.
 	t.Run("New", func(t *testing.T) {
-		const n, b, mWords = 64, 8, 512
+		const n, b, mWords = 64, 8, 4096
 		env := extmem.NewEnv(256, b, mWords, 3)
 		col := env.EnableObs()
 		o, err := oram.New(env, n, oram.Options{BucketSize: 1})
@@ -269,48 +275,59 @@ func TestRebuildOverflowDeclared(t *testing.T) {
 			t.Fatalf("cache after a failed build: %d in use, high-water %d of %d", env.Cache.Used(), env.Cache.HighWater(), mWords)
 		}
 		sp := rebuildSpans(col.Roots())[0]
-		// l0 = 4 as at n = 32, so 16 blocks of buffer are held; 2^7 buckets.
-		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Kept: n, Table: 128, B: b, M: mWords, Free: mWords - 16*b, Sorter: "auto"}
+		// l0 = 6, so 64 blocks of buffer are held; 2^7 buckets.
+		g := oram.RebuildGeometry{Sources: []int{n}, Bounds: []int{n}, CapE: n, Kept: n, Table: 128, B: b, M: mWords, Free: mWords - 64*b, Sorter: "auto"}
 		if c := oram.RebuildCost(g); sp.IO.Cost() != c {
 			t.Fatalf("overflowing build measured %+v, predicted %+v", sp.IO.Cost(), c)
 		}
 	})
 
-	// Two keys in eight one-slot buckets: most rebuilds succeed, and one
-	// before long does not. Every rebuild merges the buffer's four entries
-	// and the largest level's two into the largest level, sorts the six and
-	// installs the two it keeps from the cache: at M = 128 all six fit the
-	// free cache, and at M = 40 only the two kept do.
+	// Small buckets: most rebuilds succeed, and one before long does not.
+	// At n = 64 every rebuild merges the buffer's 64 entries and the one
+	// level's 64 into that level, sorts the 128 and installs the 64 it keeps,
+	// all of them within the free cache. At n = 256 the rebuild of the
+	// largest level sorts 512 entries, more than the free cache holds, and
+	// installs the 256 it keeps from the cache. A seed whose first overflow
+	// falls in another rebuild, or in one no rebuild of its geometry
+	// succeeded before, is passed over.
 	for _, tc := range []struct {
-		name   string
-		mWords int
-	}{{"access", 128}, {"small cache", 40}} {
-		t.Run(tc.name, func(t *testing.T) { overflowOnAccess(t, tc.mWords) })
+		name       string
+		n, beta    int
+		sortedFits bool
+	}{{"access", 64, 3, true}, {"small cache", 256, 4, false}} {
+		t.Run(tc.name, func(t *testing.T) { overflowOnAccess(t, tc.n, tc.beta, tc.sortedFits) })
 	}
 }
 
-// overflowOnAccess drives one-slot buckets at M = mWords until a scheduled
-// rebuild, which installs from the cache, overflows.
-func overflowOnAccess(t *testing.T, mWords int) {
-	const n, b = 2, 4
+// overflowOnAccess drives buckets of beta slots in an ORAM of n blocks at
+// B = 8, M = 4096, until a scheduled rebuild, which installs from the
+// cache, overflows: one whose sorted entries fit the free cache, or do not.
+func overflowOnAccess(t *testing.T, n, beta int, sortedFits bool) {
+	const b, mWords = 8, 4096
+seeds:
 	for seed := uint64(1); ; seed++ {
 		env := extmem.NewEnv(256, b, mWords, seed)
-		o, err := oram.New(env, n, oram.Options{BucketSize: 1})
+		o, err := oram.New(env, n, oram.Options{BucketSize: beta})
 		if errors.Is(err, oram.ErrOverflow) {
-			continue // this seed's initial build collides; the case above
+			continue // this seed's initial build overflows; the case above
 		}
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || o.Arm() != oram.ArmHierarchy {
+			t.Fatalf("(%v, %v), want the hierarchy", o, err)
 		}
 		col := env.EnableObs()
 		g := o.Geometry()
-		var succeeded *oram.RebuildGeometry // the geometry of the last rebuild that did not overflow
-		var okIO, okRT int64                // and what it measured
+		// The geometry of the last rebuild of each level that did not
+		// overflow, and what it measured.
+		type success struct {
+			g       oram.RebuildGeometry
+			io, rts int64
+		}
+		succeeded := map[int]success{}
 		for step := 0; ; step++ {
 			if step == 4000 {
-				t.Fatal("no rebuild overflowed in 4000 accesses of one-slot buckets")
+				t.Fatalf("no rebuild overflowed in 4000 accesses of %d-slot buckets", beta)
 			}
-			_, next := o.NextRebuild()
+			target, next := o.NextRebuild()
 			col.Reset()
 			err := o.Write(step%n, make([]uint64, b))
 			spans := rebuildSpans(col.Roots())
@@ -328,7 +345,7 @@ func overflowOnAccess(t *testing.T, mWords int) {
 				t.Fatalf("step %d: a rebuild of %+v expands its kept prefix, want it installed from the cache", step, next)
 			}
 			if err == nil {
-				succeeded, okIO, okRT = &next, sp.IO.Total(), sp.IO.RoundTrips
+				succeeded[target] = success{next, sp.IO.Total(), sp.IO.RoundTrips}
 				continue
 			}
 			if !errors.Is(err, oram.ErrOverflow) || !o.Failed() {
@@ -337,11 +354,15 @@ func overflowOnAccess(t *testing.T, mWords int) {
 			if o.Buffered() != 0 {
 				t.Fatalf("step %d: the overflow was declared with %d entries buffered, not by a rebuild", step, o.Buffered())
 			}
-			if succeeded == nil || !reflect.DeepEqual(*succeeded, next) {
-				t.Fatalf("step %d: no successful rebuild of %+v before the one that overflowed", step, next)
+			ok, seen := succeeded[target]
+			if !seen || fits(next, next.CapE) != sortedFits {
+				continue seeds
 			}
-			if sp.IO.Total() != okIO || sp.IO.RoundTrips != okRT {
-				t.Fatalf("overflowing rebuild measured %d I/Os in %d round trips, a successful one %d in %d", sp.IO.Total(), sp.IO.RoundTrips, okIO, okRT)
+			if !reflect.DeepEqual(ok.g, next) {
+				t.Fatalf("step %d: a rebuild of level %d overflowed with geometry %+v, a successful one had %+v", step, target, next, ok.g)
+			}
+			if sp.IO.Total() != ok.io || sp.IO.RoundTrips != ok.rts {
+				t.Fatalf("overflowing rebuild measured %d I/Os in %d round trips, a successful one %d in %d", sp.IO.Total(), sp.IO.RoundTrips, ok.io, ok.rts)
 			}
 			break
 		}
@@ -362,5 +383,37 @@ func overflowOnAccess(t *testing.T, mWords int) {
 			t.Fatalf("cache after the overflow: %d in use (the buffer's share is %d), high-water %d of %d", used, share, env.Cache.HighWater(), mWords)
 		}
 		return
+	}
+}
+
+// TestAccessCostExact: over one full rebuild period after the build, the
+// hierarchy's accesses, rebuilds included, cost exactly the block I/Os and
+// round trips AccessCost prices, and the period is the schedule's: the
+// largest level is the one live level at its end, as at its start. The
+// rows (n, B, M) are TestPredictorsExact's crossover rows where the scan is
+// the arm — the benchmark's ORAM and a larger one — which New never makes a
+// hierarchy, and a larger cache where the hierarchy is; TestPredictorsExact
+// measures the hierarchy's other row, (4 096, 8, 512), through New.
+func TestAccessCostExact(t *testing.T) {
+	for _, row := range [][3]int{{32, 8, 512}, {1024, 8, 512}, {64, 8, 4096}} {
+		n, b, m := row[0], row[1], row[2]
+		env := extmem.NewEnv(256, b, m, 1)
+		o, err := oram.NewHierarchy(env, n, oram.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, accesses := oram.AccessCost(n, b, m, m)
+		before := env.D.Stats()
+		for i := int64(0); i < accesses; i++ {
+			if _, err := o.Read(int(i) % n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := env.D.Stats().Sub(before).Cost(); got != want {
+			t.Errorf("n=%d B=%d M=%d: %d accesses measured %+v, AccessCost %+v", n, b, m, accesses, got, want)
+		}
+		if g := o.Geometry(); o.LiveLevels() != 1 || !o.LevelLive(g.LMax) {
+			t.Errorf("n=%d B=%d M=%d: %d levels live after the period, want the largest alone", n, b, m, o.LiveLevels())
+		}
 	}
 }

@@ -119,11 +119,14 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 
 // ConsolidateCompactFree is the least free cache, in elements, that
 // ConsolidateCompact of n blocks of b elements runs in: the 2B holding
-// buffer beside either the whole array and a block of slack (fitsCache) or
-// the narrowest window, a group of one level (windowCells).
-func ConsolidateCompactFree(n, b int) int {
-	return 2*b + min((n+1)*b, windowFree(b, 1))
-}
+// buffer beside the routing's (RouteFree).
+func ConsolidateCompactFree(n, b int) int { return 2*b + RouteFree(n, b) }
+
+// RouteFree is the least free cache, in elements, that a compaction or an
+// expansion over n blocks of b elements runs in: either the whole array and
+// a block of slack (fitsCache) or the narrowest window, a group of one
+// level (windowCells).
+func RouteFree(n, b int) int { return min((n+1)*b, windowFree(b, 1)) }
 
 // compact routes the cells that feed yields — cells [lo, hi) into dst, each
 // range asked for once, in address order, fed block reads in all — to a

@@ -17,8 +17,8 @@
 //	median, _ := arr.Select(arr.Len()/2 + 1)
 //
 // The ORAM type provides general-purpose oblivious reads and writes on top
-// of the same machinery, with the paper's sorting algorithm accelerating
-// its rebuilds.
+// of the same machinery: a full scan where that is cheapest, and otherwise
+// a hierarchy whose rebuilds the paper's sorting algorithm accelerates.
 package oblivext
 
 import (
@@ -59,7 +59,9 @@ type Config struct {
 	// Seed seeds the random tape; runs with equal seeds are reproducible.
 	Seed uint64
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
-	// rebuilds: "randomized" (the paper's randomized sort), "bitonic",
+	// rebuilds, which an ORAM has only where its arm is the hierarchy (see
+	// NewORAM); on the scan arm it sorts nothing and rejects nothing but an
+	// unknown name or "columnsort": "randomized" (the paper's randomized sort), "bitonic",
 	// "columnsort", "zigzag", "bucket", or "auto". The two defaults differ: "" means
 	// "randomized" for Array.Sort and "auto" for the ORAM's rebuilds. Both
 	// resolve the name in one place, core.Engine, at each sort: "auto" picks
@@ -69,7 +71,7 @@ type Config struct {
 	// is a public function of the geometry, so traces stay data-independent.
 	// "randomized" needs 6·B elements of cache free for arrays of 3 blocks
 	// or more: below that, Array.Sort returns an error before any I/O and
-	// NewORAM rejects it. The deterministic engines never fail; "bucket"
+	// NewORAM rejects it for a hierarchy. The deterministic engines never fail; "bucket"
 	// retries declared overflows on fresh randomness and falls back to
 	// zigzag. "columnsort" takes only arrays within its size limit: named
 	// for any other, Array.Sort returns an error before any I/O, and
@@ -964,10 +966,24 @@ type ORAM struct {
 }
 
 // NewORAM creates an oblivious RAM of n logical blocks of BlockSize words
-// each, zero-initialized. Level rebuilds sort with the engine named by
-// Config.Sorter; with "" or "auto" each rebuild picks one from its own
-// geometry and the cache free at its sort (a public function of n, B, M
-// and the schedule, so the trace stays deterministic in (n, B, t, seed)).
+// each, zero-initialized, in the shape its exact block-I/O price picks
+// from n, B, M and the cache free at the call, with no knob:
+//
+//   - the scan, where its price is no more than the hierarchy's: every
+//     access reads and rewrites all n blocks in one in-place scan, 2n block
+//     I/Os in two round trips per batch of the free cache, with no hashing,
+//     rebuild or overflow. A 32-block ORAM at M = 64 blocks pays 64 I/Os an
+//     access this way against the hierarchy's 107, and the scan stays the
+//     arm at that cache up to n ≈ 1 500;
+//   - the hierarchy of hash tables otherwise (n = 4 096 at M = 64 blocks,
+//     n = 64 at M = 512): an access probes one bucket per live level, and
+//     level rebuilds sort with the engine named by Config.Sorter; with ""
+//     or "auto" each rebuild picks one from its own geometry and the cache
+//     free at its sort (a public function of n, B, M and the schedule, so
+//     the trace stays deterministic in (n, B, t, seed)).
+//
+// The scan's trace is a function of (n, B, the free cache) alone; the
+// hierarchy's is, all but its PRF-fresh bucket indices.
 func (c *Client) NewORAM(n int) (*ORAM, error) {
 	o, err := oram.New(c.env, n, oram.Options{Sorter: c.sorter})
 	if err != nil {

@@ -127,6 +127,8 @@ func TestSpanAttribution(t *testing.T) {
 // TestSorterDefaults pins the two defaults of Config.Sorter: with "" the
 // sort span names the randomized engine, and the ORAM's rebuild spans name
 // auto and carry an exact prediction, as a named deterministic engine's do.
+// The ORAM is 64 blocks against a cache of 512 blocks, where its arm is the
+// hierarchy, and three flushes of its 64-entry buffer follow its build.
 func TestSorterDefaults(t *testing.T) {
 	attr := func(sp *obs.Span, key string) string {
 		for _, a := range sp.Attrs {
@@ -150,7 +152,7 @@ func TestSorterDefaults(t *testing.T) {
 		{"", "randomized", "auto"},
 		{"bitonic", "bitonic", "bitonic"},
 	} {
-		c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 3, Sorter: tc.sorter})
+		c, err := New(Config{BlockSize: 8, CacheWords: 4096, Seed: 3, Sorter: tc.sorter})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,12 +164,12 @@ func TestSorterDefaults(t *testing.T) {
 		if err := arr.Sort(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.NewORAM(16)
+		r, err := c.NewORAM(64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 40; i++ {
-			if err := r.Write(i%16, make([]uint64, 8)); err != nil {
+		for i := 0; i < 192; i++ {
+			if err := r.Write(i%64, make([]uint64, 8)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,10 @@
 package oblivext
 
-import "testing"
+import (
+	"testing"
+
+	"oblivext/internal/oram"
+)
 
 // TestScalarVectoredTraceInvariance is the refactor's safety contract at the
 // public API level: two clients with equal seed and geometry but different
@@ -54,7 +58,13 @@ import "testing"
 // level took its splitters from a one-per-block sample instead of
 // Quantiles, sized its buckets and deal quota from their tails, and stopped
 // counting a bucket's occupancy: 29 012 → 24 054 accesses, 1 612 → 1 213
-// round trips.)
+// round trips. The ORAMAccess row moved when the ORAM began to take its
+// shape by price: at n = 64 and M = 256 the scan is the arm, each access
+// one in-place scan of the 64 blocks, 22 746 → 6 458 accesses and 2 060 →
+// 300 round trips; the ORAMHierarchy row keeps the hierarchy, the arm at
+// M = 4 096, through two full rebuild periods of its 64-entry buffer:
+// 12 282 accesses in 298 round trips, the store's 250 writes, the build,
+// and twice oram.AccessCost(64, 8, 4096, 4096)'s 5 056 I/Os in 143.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -68,22 +78,23 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		reads, writes, roundTrips int64
 	}
 	type op struct {
-		name string
-		want want
-		run  func(t *testing.T, arr *Array)
+		name  string
+		cache int // CacheWords; 0 means 256
+		want  want
+		run   func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", want{TraceSummary{24054, 2361650172920968031}, 11762, 12292, 1213}, func(t *testing.T, arr *Array) {
+		{"Sort", 0, want{TraceSummary{24054, 2361650172920968031}, 11762, 12292, 1213}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Select", want{TraceSummary{4060, 14076084638012288999}, 2030, 2030, 132}, func(t *testing.T, arr *Array) {
+		{"Select", 0, want{TraceSummary{4060, 14076084638012288999}, 2030, 2030, 132}, func(t *testing.T, arr *Array) {
 			if _, err := arr.Select(n / 2); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"CompactTight", want{TraceSummary{2751, 12564846821438592653}, 1250, 1501, 154}, func(t *testing.T, arr *Array) {
+		{"CompactTight", 0, want{TraceSummary{2751, 12564846821438592653}, 1250, 1501, 154}, func(t *testing.T, arr *Array) {
 			// The predicate (and so the marked count) differs per dataset;
 			// the capacity is public and fixed, so the trace must not move.
 			if _, err := arr.Mark(func(r Record) bool { return r.Key%5 == 3 }); err != nil {
@@ -93,31 +104,21 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ORAMAccess", want{TraceSummary{22746, 6725856156196815930}, 9904, 12842, 2060}, func(t *testing.T, arr *Array) {
-			// A fixed logical access sequence: the ORAM's probe addresses
-			// are a keyed function of the index, so its trace is oblivious
-			// in distribution, not bit-identical across sequences.
-			o, err := arr.c.NewORAM(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 48; i++ {
-				idx := i * 7 % 64
-				if i%2 == 0 {
-					err = o.Write(idx, make([]uint64, 8))
-				} else {
-					_, err = o.Read(idx)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+		{"ORAMAccess", 0, want{TraceSummary{6458, 15531404096673417224}, 3072, 3386, 300}, func(t *testing.T, arr *Array) {
+			oramAccesses(t, arr, 48, oram.ArmScan)
+		}},
+		{"ORAMHierarchy", 4096, want{TraceSummary{12282, 14957217671241149270}, 5184, 7098, 298}, func(t *testing.T, arr *Array) {
+			oramAccesses(t, arr, 128, oram.ArmHierarchy)
 		}},
 	}
 
 	for _, o := range ops {
 		run := func(maxBatch int, recs []Record) (TraceSummary, IOStats) {
-			c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 77})
+			cache := o.cache
+			if cache == 0 {
+				cache = 256
+			}
+			c, err := New(Config{BlockSize: 8, CacheWords: cache, Seed: 77})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,5 +151,35 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 			t.Errorf("%s: vectored mode made %d round trips, scalar %d — expected at least 2x reduction",
 				o.name, vecStats.RoundTrips, scalarStats.RoundTrips)
 		}
+	}
+}
+
+// oramAccesses makes a 64-block ORAM, checks that its shape is arm, and
+// makes a fixed logical sequence of k accesses to it, writes and reads
+// alternating: on the hierarchy the probe addresses are a keyed function of
+// the index, so its trace is oblivious in distribution, not bit-identical
+// across sequences. On the hierarchy the k accesses must flush its buffer
+// at least once, or the row would pin no rebuild.
+func oramAccesses(t *testing.T, arr *Array, k int, arm string) {
+	o, err := arr.c.NewORAM(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.o.Arm(); got != arm {
+		t.Fatalf("the 64-block ORAM is a %s, want a %s", got, arm)
+	}
+	for i := 0; i < k; i++ {
+		idx := i * 7 % 64
+		if i%2 == 0 {
+			err = o.Write(idx, make([]uint64, 8))
+		} else {
+			_, err = o.Read(idx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if arm == oram.ArmHierarchy && o.o.Rebuilds().Count < 2 { // the build is one
+		t.Fatalf("%d accesses ran no rebuild", k)
 	}
 }

@@ -3,6 +3,8 @@ package oblivext
 import (
 	"fmt"
 	"testing"
+
+	"oblivext/internal/oram"
 )
 
 // The Config.Workers contract, end to end through the public API: for every
@@ -129,11 +131,13 @@ func TestWorkersTraceInvariantEncrypted(t *testing.T) {
 }
 
 // ORAM accesses and rebuilds run the same parallel in-cache passes; the
-// access trace must stay a function of (n, B, t, seed) alone.
+// access trace must stay a function of (n, B, t, seed) alone. 64 blocks
+// against a cache of 512 blocks make the hierarchy the arm, and the writes
+// and reads below flush its 64-entry buffer twice.
 func TestWorkersTraceInvariantORAM(t *testing.T) {
-	const logical = 32
+	const logical = 64
 	run := func(w int) (TraceSummary, []uint64) {
-		c, err := New(Config{BlockSize: 4, CacheWords: 512, Seed: 3, Workers: w})
+		c, err := New(Config{BlockSize: 4, CacheWords: 2048, Seed: 3, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,6 +146,9 @@ func TestWorkersTraceInvariantORAM(t *testing.T) {
 		r, err := c.NewORAM(logical)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if arm := r.o.Arm(); arm != oram.ArmHierarchy {
+			t.Fatalf("the ORAM is a %s, want the hierarchy", arm)
 		}
 		for i := 0; i < logical; i++ {
 			if err := r.Write(i, []uint64{uint64(i * 7), uint64(i), 0, 0}); err != nil {
@@ -155,6 +162,9 @@ func TestWorkersTraceInvariantORAM(t *testing.T) {
 				t.Fatal(err)
 			}
 			vals = append(vals, words[0])
+		}
+		if got := r.o.Rebuilds().Count; got != 3 {
+			t.Fatalf("%d rebuilds, want 3: the build and the buffer's 2 flushes", got)
 		}
 		return c.TraceSummary(), vals
 	}
