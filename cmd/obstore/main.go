@@ -73,7 +73,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9220", "listen address")
-	blocks := flag.Int("blocks", 4096, "initial store capacity in blocks (grows on client request)")
+	blocks := flag.Int("blocks", 4096, "initial store capacity in blocks (grows on client request; in memory, not preallocated: memory is committed 1 MiB at a time as blocks are first written)")
 	b := flag.Int("b", 8, "block size B in elements")
 	file := flag.String("file", "", "back the store with this file (default: in-memory)")
 	journal := flag.String("journal", "", "write one line per observed block access to this file (truncated at startup, so the file always matches this run's /v1/trace fingerprint)")

@@ -55,9 +55,10 @@ import (
 // (sortFailureBound). The trace is a prefix of the success trace.
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
-// ErrSortCache reports an array Sort cannot sort in the cache free at the
-// call (SortFree), declared before any I/O.
-var ErrSortCache = errors.New("core: too little cache free for the randomized sort")
+// ErrSortCache reports an array an engine cannot sort in the cache free at
+// the call, declared before any I/O: below SortFree for Sort, below two
+// blocks for every engine (SortWith).
+var ErrSortCache = errors.New("core: too little cache free for the sort")
 
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
 // directly (sortsDirectly).
@@ -131,12 +132,18 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 }
 
 // SortWith sorts a by obsort.ByKey with the named engine, which Engine has
-// resolved. Only "randomized" can fail, with ErrSortFailed, or with
-// ErrSortCache before any I/O below SortFree, and "columnsort", with
-// obsort.ErrColumnGeometry before any I/O where the array does not fit its
-// size limit in the cache free at the call; bucket retries its declared
-// overflows and falls back to zigzag. Any other name panics.
+// resolved. Every engine fails with ErrSortCache before any I/O where fewer
+// than two blocks of cache are free at the call. Beyond that only
+// "randomized" can fail, with ErrSortFailed, or with ErrSortCache before
+// any I/O below SortFree, and "columnsort", with obsort.ErrColumnGeometry
+// before any I/O where the array does not fit its size limit in the free
+// cache; bucket retries its declared overflows and falls back to zigzag.
+// Any other name panics.
 func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
+	if free := env.M - env.Cache.Used(); a.Len() > 0 && free < 2*a.B() {
+		return fmt.Errorf("%w: %s of n=%d blocks of B=%d needs %d elements of cache free, not %d",
+			ErrSortCache, engine, a.Len(), a.B(), 2*a.B(), free)
+	}
 	switch engine {
 	case obsort.EngineRandomized:
 		return Sort(env, a)

@@ -47,6 +47,9 @@ func TestBlockStoreContract(t *testing.T) {
 	}
 	impls := []impl{
 		{name: "MemStore", store: mem()},
+		// Three blocks a segment: runs straddle segments and the last
+		// segment is partly past the capacity.
+		{name: "MemStoreSegmented", store: extmem.NewMemStorePer(n, b, 3)},
 		{name: "chaos.Store", store: chaos.NewStore(mem(), "bob", nil)},
 	}
 	{
@@ -122,6 +125,15 @@ func TestBlockStoreContract(t *testing.T) {
 			equal("permuted read", read(7, 5, 0), blocks(12, 10, 11))
 			equal("batch of one", read(0), blocks(11))
 			equal("never-written block", read(3), make([]extmem.Element, b))
+
+			// A run of consecutive addresses, which a store may serve as
+			// one transfer (across a segment boundary, in the segmented
+			// MemStore).
+			if err := s.WriteBlocks(bg, []int{2, 3, 4}, blocks(13, 14, 15)); err != nil {
+				t.Fatal(err)
+			}
+			equal("run", read(2, 3, 4), blocks(13, 14, 15))
+			equal("run's neighbours", read(1, 5), append(make([]extmem.Element, b), blocks(10)...))
 
 			// Duplicate addresses: the later slice wins a write, a read
 			// returns the block once per mention.

@@ -210,7 +210,9 @@ func (d *Disk) WriteRun(base, n int, src []Element) {
 // Alloc reserves n fresh blocks and returns them as an Array. Allocation is
 // a client-side bookkeeping operation (no I/O, no trace): the request
 // pattern of every algorithm here depends only on N, M and B, so allocation
-// reveals nothing. In-memory stores grow on demand.
+// reveals nothing. Growable stores grow on demand, by doubling; an
+// in-memory store grows without copying and commits memory one segment at
+// a time, on the first write into it.
 func (d *Disk) Alloc(n int) Array {
 	if n < 0 {
 		panic("extmem: negative allocation")

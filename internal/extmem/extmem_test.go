@@ -3,9 +3,12 @@ package extmem
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -54,7 +57,9 @@ func TestMemStoreGrow(t *testing.T) {
 	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
-	s.Grow(10)
+	if err := s.GrowTo(10); err != nil {
+		t.Fatal(err)
+	}
 	if s.NumBlocks() != 10 {
 		t.Fatalf("NumBlocks = %d, want 10", s.NumBlocks())
 	}
@@ -65,6 +70,263 @@ func TestMemStoreGrow(t *testing.T) {
 	if out[0].Key != 7 || out[1].Key != 8 {
 		t.Fatalf("grow lost data: %+v", out)
 	}
+}
+
+// TestMemStoreSegments drives MemStore across its segment boundaries at
+// block sizes that fill a segment exactly, leave a remainder, and exceed it
+// (one block a segment): runs that straddle a boundary, duplicates across
+// segments, never-written blocks before and after growth, the bounds
+// errors, and a growth that allocates only the segment table.
+func TestMemStoreSegments(t *testing.T) {
+	for _, b := range []int{1, 3, 8, 64, 1 << 16} {
+		per := max(1, memSegElems/b)
+		blocks := func(keys ...int) []Element {
+			out := make([]Element, 0, len(keys)*b)
+			for _, k := range keys {
+				for i := 0; i < b; i++ {
+					out = append(out, Element{Key: uint64(k), Val: uint64(i), Flags: FlagOccupied})
+				}
+			}
+			return out
+		}
+		equal := func(what string, got, want []Element) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Fatalf("B=%d %s: got keys %v, want %v", b, what, keysOf(got, b), keysOf(want, b))
+			}
+		}
+		n := 3*per + 8
+		s := NewMemStore(n, b)
+		read := func(addrs ...int) []Element {
+			t.Helper()
+			dst := make([]Element, len(addrs)*b)
+			for i := range dst {
+				dst[i].Key = 99 // a read must overwrite the buffer, zeros included
+			}
+			if err := s.ReadBlocks(bg, addrs, dst); err != nil {
+				t.Fatalf("B=%d read %v: %v", b, addrs, err)
+			}
+			return dst
+		}
+		write := func(addrs []int, src []Element) {
+			t.Helper()
+			if err := s.WriteBlocks(bg, addrs, src); err != nil {
+				t.Fatalf("B=%d write %v: %v", b, addrs, err)
+			}
+		}
+		// A run from two blocks before the first boundary to two past it
+		// (for one block a segment, across four boundaries).
+		lo := max(0, per-2)
+		run := []int{lo, lo + 1, lo + 2, lo + 3, lo + 4}
+		equal("never-written run", read(run...), make([]Element, len(run)*b))
+
+		// Write only the run's tail, past the boundary: the head still
+		// reads as zeros from a segment never allocated.
+		write(run[2:], blocks(3, 4, 5))
+		equal("half-written run", read(run...), append(make([]Element, 2*b), blocks(3, 4, 5)...))
+		write(run, blocks(1, 2, 3, 4, 5))
+		equal("straddling run", read(run...), blocks(1, 2, 3, 4, 5))
+		equal("reversed run", read(lo+4, lo+3, lo+2, lo+1, lo), blocks(5, 4, 3, 2, 1))
+
+		// Duplicates across segments: the later write wins.
+		write([]int{per - 1, 2 * per, per - 1}, blocks(6, 7, 8))
+		equal("duplicates", read(per-1, 2*per, per-1), blocks(8, 7, 8))
+
+		// The last segment holds only the capacity's blocks (8 of them, or
+		// one at one block a segment). Its last block reads as zeros before
+		// a growth and after it; growth keeps every block written, and a
+		// write past the short segment extends it, keeping its blocks.
+		equal("last block", read(n-1), make([]Element, b))
+		write([]int{n - 2}, blocks(9))
+		before := read(run...)
+		if err := s.GrowTo(2 * n); err != nil {
+			t.Fatal(err)
+		}
+		if s.NumBlocks() != 2*n {
+			t.Fatalf("B=%d: NumBlocks = %d after GrowTo(%d)", b, s.NumBlocks(), 2*n)
+		}
+		equal("contents across growth", read(run...), before)
+		equal("grown blocks", read(n-2, n-1, n, 2*n-1), append(blocks(9), make([]Element, 3*b)...))
+		write([]int{n - 1, n, 2*n - 1}, blocks(10, 11, 12))
+		equal("grown blocks written", read(n-2, n-1, n, 2*n-1), blocks(9, 10, 11, 12))
+		if err := s.GrowTo(n); err != nil || s.NumBlocks() != 2*n {
+			t.Fatalf("B=%d: GrowTo below the capacity: err %v, NumBlocks %d", b, err, s.NumBlocks())
+		}
+
+		// The bounds errors name the address and the capacity, as before.
+		kept := read(lo)
+		for _, addr := range []int{2 * n, -1} {
+			want := fmt.Sprintf("block address %d out of range [0,%d)", addr, 2*n)
+			if err := s.ReadBlocks(bg, []int{lo, addr}, make([]Element, 2*b)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("B=%d: read of block %d: %v, want %q", b, addr, err, want)
+			}
+			if err := s.WriteBlocks(bg, []int{lo, addr}, blocks(12, 13)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("B=%d: write of block %d: %v, want %q", b, addr, err, want)
+			}
+		}
+		equal("a rejected write moves nothing", read(lo), kept)
+		want := fmt.Sprintf("buffer length %d != 2 blocks of %d elements", b, b)
+		if err := s.ReadBlocks(bg, []int{0, 1}, make([]Element, b)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("B=%d: short read buffer: %v, want %q", b, err, want)
+		}
+
+		// Reads and writes into allocated segments allocate nothing.
+		buf := make([]Element, len(run)*b)
+		if a := testing.AllocsPerRun(5, func() {
+			_ = s.ReadBlocks(bg, run, buf)
+			_ = s.WriteBlocks(bg, run, buf)
+		}); a != 0 {
+			t.Errorf("B=%d: %v allocations a read and write of written blocks, want 0", b, a)
+		}
+
+		// Growth from 1 024 blocks to 2^20 allocates the segment table and
+		// nothing else: no copy, no zeroed capacity.
+		g := NewMemStore(1024, b)
+		write = func(addrs []int, src []Element) {
+			if err := g.WriteBlocks(bg, addrs, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write([]int{0, 1023}, blocks(14, 15))
+		table := int(unsafe.Sizeof([]Element{})) * CeilDiv(1<<20, per)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := g.GrowTo(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > uint64(table)+8<<10 {
+			t.Errorf("B=%d: GrowTo(2^20) allocated %d bytes, want at most the %d-byte segment table", b, got, table)
+		}
+		dst := make([]Element, 3*b)
+		if err := g.ReadBlocks(bg, []int{0, 1023, 1<<20 - 1}, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dst, append(blocks(14, 15), make([]Element, b)...)) {
+			t.Errorf("B=%d: after GrowTo(2^20) blocks 0, 1023, 2^20-1 hold keys %v", b, keysOf(dst, b))
+		}
+	}
+}
+
+// TestMemStoreCloseRecycles closes a store of one full segment, every block
+// written, and writes one block of a new one: the rest of the new store
+// reads as zeros whether or not it got the closed store's segment, and the
+// closed store refuses every access.
+func TestMemStoreCloseRecycles(t *testing.T) {
+	for _, b := range []int{3, 8} {
+		per := memSegElems / b
+		old := NewMemStore(per, b)
+		full := make([]Element, per*b)
+		for i := range full {
+			full[i] = Element{Key: 77, Flags: FlagOccupied}
+		}
+		addrs := make([]int, per)
+		for i := range addrs {
+			addrs[i] = i
+		}
+		if err := old.WriteBlocks(bg, addrs, full); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if old.NumBlocks() != 0 {
+			t.Errorf("B=%d: a closed store has %d blocks, want 0", b, old.NumBlocks())
+		}
+		if err := old.ReadBlocks(bg, []int{0}, make([]Element, b)); err == nil {
+			t.Errorf("B=%d: read after Close accepted", b)
+		}
+		s := NewMemStore(per, b)
+		if err := s.WriteBlocks(bg, []int{1}, full[:b]); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Element, 2*b)
+		if err := s.ReadBlocks(bg, []int{0, 1}, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, append(make([]Element, b), full[:b]...)) {
+			t.Errorf("B=%d: a new store reads keys %v, want [0 77]", b, keysOf(got, b))
+		}
+	}
+}
+
+// BenchmarkMemStoreGrowth grows a MemStore the way Disk.Alloc does, by
+// doubling from 1 024 blocks to 2^17 at B = 8, and writes each allocated
+// block once. B/op is what the growth commits: the written segments and
+// the segment table, with no copy of the blocks already there.
+func BenchmarkMemStoreGrowth(b *testing.B) {
+	const bs, chunk = 8, 1024
+	src := make([]Element, chunk*bs)
+	b.ReportAllocs()
+	for b.Loop() {
+		d := NewDisk(NewMemStore(chunk, bs))
+		for d.Mark() < 1<<17 {
+			d.Alloc(chunk).WriteRange(0, chunk, src)
+		}
+	}
+}
+
+// TestMemStoreConcurrent reads one store from several goroutines while
+// others open, write and close stores of their own, so that segments pass
+// between stores through the pool: every read sees its own store's blocks.
+func TestMemStoreConcurrent(t *testing.T) {
+	const b, per = 8, memSegElems / 8
+	shared := NewMemStore(2*per, b)
+	want := make([]Element, b)
+	for i := range want {
+		want[i] = Element{Key: 5, Flags: FlagOccupied}
+	}
+	if err := shared.WriteBlocks(bg, []int{per - 1, per}, append(want, want...)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			dst := make([]Element, 2*b)
+			for range 50 {
+				if err := shared.ReadBlocks(bg, []int{per - 1, per}, dst); err != nil || !slices.Equal(dst, append(want, want...)) {
+					t.Errorf("shared read: err %v, keys %v", err, keysOf(dst, b))
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			mine := make([]Element, b)
+			for i := range mine {
+				mine[i] = Element{Key: uint64(10 + g), Flags: FlagOccupied}
+			}
+			dst := make([]Element, 2*b)
+			for range 20 {
+				s := NewMemStore(per, b)
+				if err := s.WriteBlocks(bg, []int{1}, mine); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.ReadBlocks(bg, []int{0, 1}, dst); err != nil || !slices.Equal(dst, append(make([]Element, b), mine...)) {
+					t.Errorf("goroutine %d: err %v, keys %v", g, err, keysOf(dst, b))
+					return
+				}
+				if err := s.WriteBlocks(bg, []int{0}, mine); err != nil { // the next store must not see it
+					t.Error(err)
+					return
+				}
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// keysOf lists the key of each block's first element.
+func keysOf(es []Element, b int) []uint64 {
+	var ks []uint64
+	for i := 0; i < len(es); i += b {
+		ks = append(ks, es[i].Key)
+	}
+	return ks
 }
 
 func TestDiskCountsAndTrace(t *testing.T) {

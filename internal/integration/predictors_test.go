@@ -64,9 +64,9 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // row of the grid whose geometry it supports, and the block I/Os and round
 // trips the Disk measured must be the predictor's, to the access. A row
 // runs on the array fillCells writes, with held elements of the cache
-// checked out; the predictors that assume the whole cache free (zigzag and
-// bucket sort, Select, Quantiles, loose compaction) run where nothing is
-// held, bitonic's, priced at the free cache, runs on every row, and
+// checked out; the predictors that assume the whole cache free (bucket
+// sort, Select, Quantiles, loose compaction) run where nothing is held,
+// bitonic's and zigzag's, priced at the free cache, run on every row, and
 // columnsort's, priced the same way, on every row whose geometry
 // ColumnGeometry admits. oram.RebuildCost is
 // not a row: a rebuild's geometry comes from the ORAM's level state, not
@@ -104,9 +104,15 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				return got, obsort.ColumnCost(g.n, g.b, g.free())
 			}},
-		{"obsort.Zigzag", whole, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
-			return measure(env, func() { obsort.Zigzag(env, a, obsort.ByKey) }), obsort.ZigzagCost(g.n, g.b, g.m)
-		}},
+		{"obsort.Zigzag", func(g geometry) bool { return g.free() >= 2*g.b },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				env.Cache.ResetHighWater()
+				got := measure(env, func() { obsort.Zigzag(env, a, obsort.ByKey) })
+				if hw := env.Cache.HighWater(); hw > g.m {
+					t.Errorf("cache high-water %d > M=%d", hw, g.m)
+				}
+				return got, obsort.ZigzagCost(g.n, g.b, g.free())
+			}},
 		{"obsort.BucketSort", func(g geometry) bool { return whole(g) && obsort.BucketSupported(g.n, g.b, g.m) },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				// The predictor prices a clean run: a declared overflow leaves

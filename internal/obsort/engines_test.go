@@ -308,9 +308,9 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // names: at every geometry the pick is the argmin of the exact predictors of
 // the engines the geometry supports (block I/Os over mem, round trips over
 // net; on ties bitonic, then columnsort, then zigzag), and running the
-// picked engine costs exactly what its predictor said. Bitonic and
-// columnsort are priced at the cache the caller leaves free, the others at
-// M; some rows hold part of it.
+// picked engine costs exactly what its predictor said. Bitonic, columnsort
+// and zigzag are priced at the cache the caller leaves free, bucket at M;
+// some rows hold part of it, and there the pick stays within M.
 func TestPickPolicy(t *testing.T) {
 	// metric is the test's own statement of what Pick minimises, kept
 	// independent of pick.go so a wrong backend rule there fails here.
@@ -335,8 +335,8 @@ func TestPickPolicy(t *testing.T) {
 		{EngineColumnsort, func(n, b, _, free int) obs.Cost { return ColumnCost(n, b, free) },
 			func(n, b, _, free int) bool { return columns(n, b, free) },
 			func(env *extmem.Env, a extmem.Array) bool { Columnsort(env, a, ByKey); return true }},
-		{EngineZigzag, func(n, b, m, _ int) obs.Cost { return ZigzagCost(n, b, m) },
-			func(_, _, _, _ int) bool { return true },
+		{EngineZigzag, func(n, b, _, free int) obs.Cost { return ZigzagCost(n, b, free) },
+			func(_, b, _, free int) bool { return free >= 2*b },
 			func(env *extmem.Env, a extmem.Array) bool { Zigzag(env, a, ByKey); return true }},
 		// A declared overflow retries on a fresh tape and costs more than
 		// one run; the predictor is exact for a clean run.
@@ -350,7 +350,7 @@ func TestPickPolicy(t *testing.T) {
 		{1616, 8, 512, 0}, {1616, 8, 512, 128}, {1 << 10, 8, 512, 0}, {1 << 12, 8, 4096, 0}, {1 << 13, 8, 4096, 0},
 		{1 << 13, 8, 4096, 2056}, {300, 4, 64, 0}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
 		{23, 8, 64, 0}, {362, 4, 32, 0}, {1 << 10, 8, 4096, 0}, {1 << 10, 8, 4096, 2048}, {16, 8, 512, 128},
-		{32, 8, 512, 128}, {64, 8, 512, 128}, {72, 6, 1024, 0},
+		{32, 8, 512, 128}, {64, 8, 512, 128}, {72, 6, 1024, 0}, {100, 8, 512, 384},
 	} {
 		free := g.m - g.held
 		backendSplits = backendSplits || Pick(g.n, g.b, g.m, free, "mem") != Pick(g.n, g.b, g.m, free, "net")
@@ -381,10 +381,9 @@ func TestPickPolicy(t *testing.T) {
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
 			}
-			// Zigzag's runs are sized by M whatever the caller holds; only
-			// bitonic's window and columnsort's columns answer to the free
-			// cache.
-			if hw := env.Cache.HighWater(); (got == EngineBitonic || got == EngineColumnsort) && hw > g.m {
+			// Bitonic's window, columnsort's columns and zigzag's runs
+			// answer to the free cache; bucket's runs are sized by M.
+			if hw := env.Cache.HighWater(); got != EngineBucket && hw > g.m {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: cache high-water %d > M", g.n, g.b, g.m, free, backend, got, hw)
 			}
 		}
@@ -398,6 +397,11 @@ func TestPickPolicy(t *testing.T) {
 	}
 	if got := Pick(0, 8, 512, 512, "mem"); got != EngineBitonic {
 		t.Errorf("empty input picked %q", got)
+	}
+	// With fewer than two blocks free no engine fits: Pick names bitonic
+	// and core.SortWith declines.
+	if got := Pick(100, 8, 512, 15, "mem"); got != EngineBitonic {
+		t.Errorf("Pick with 15 elements free = %q, want bitonic", got)
 	}
 	// The benchmark's sort takes columnsort over either backend; the ORAM's
 	// rebuilds at kv_mix_http's geometry (M = 512, its buffer held) keep

@@ -256,6 +256,34 @@ func TestBitonicRespectsHeldCache(t *testing.T) {
 	heldRun(t, Bitonic, n, b, m, m-2*b+1, keys)
 }
 
+// TestZigzagRespectsHeldCache is TestBitonicRespectsHeldCache for Zigzag:
+// its runs are a quarter of the cache the caller leaves free, so the
+// high-water stays within M and the cost is ZigzagCost at the free cache.
+// With less than two blocks free there is no run pair, and Zigzag says so.
+func TestZigzagRespectsHeldCache(t *testing.T) {
+	const n, b, m = 100, 8, 512
+	keys := genKeys(rand.New(rand.NewPCG(5, 5)), n*b, "rand")
+	for _, held := range []int{0, m / 4, 3 * m / 4, m - 4*b, m - 2*b} {
+		_, st, hw, elems := heldRun(t, Zigzag, n, b, m, held, keys)
+		if got := checkSortedPadded(t, elems); !sameMultiset(got, keys) {
+			t.Errorf("held=%d: multiset changed", held)
+		}
+		if hw > m {
+			t.Errorf("held=%d: cache high-water %d > M=%d", held, hw, m)
+		}
+		if want := ZigzagCost(n, b, m-held); st.Cost() != want {
+			t.Errorf("held=%d: measured %+v, predicted %+v at %d free", held, st.Cost(), want, m-held)
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "16 elements, but the cache has 15 free") {
+			t.Errorf("with 2B-1 free: panic %q, want one naming the 16 elements needed and the 15 free", msg)
+		}
+	}()
+	heldRun(t, Zigzag, n, b, m, m-2*b+1, keys)
+}
+
 // FuzzBitonic sorts two inputs of one (n, held) — fuzzed keys and a
 // constant — on a strict cache with held elements checked out: both must
 // sort, stay within M, cost BitonicCost at the free cache and leave the

@@ -43,12 +43,14 @@ func ValidEngine(name string) bool {
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is strictly least among the engines the
 // geometry supports; on a tie the earliest of bitonic, columnsort, zigzag
-// and bucket keeps it. Bitonic and columnsort are priced at the free cache,
-// which sizes bitonic's window and columnsort's columns; zigzag and bucket
-// at M, which sizes their runs. Columnsort costs 6 I/Os per block wherever
-// ColumnGeometry admits the array and bitonic 2 per pass plus its padding,
-// so over mem columnsort wins where bitonic needs more than three passes
-// or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 193 round trips
+// and bucket keeps it. Bitonic, columnsort and zigzag are priced at the
+// free cache, which sizes bitonic's window, columnsort's columns and
+// zigzag's runs; bucket at M, which sizes its runs. With fewer than two
+// blocks free no engine fits, Pick returns bitonic, and core.SortWith
+// declines the sort before any I/O. Columnsort costs 6 I/Os per block
+// wherever ColumnGeometry admits the array and bitonic 2 per pass plus its
+// padding, so over mem columnsort wins where bitonic needs more than three
+// passes or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 193 round trips
 // against 224); at three passes over a power of two they tie and bitonic's
 // fewer batches keep the sort, as at the ORAM's 64-block rebuild with
 // M = 512. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
@@ -58,7 +60,7 @@ func ValidEngine(name string) bool {
 // columnsort's alignment fails; BucketSort's 3-pass asymptotics need
 // log₂(N/M) to clear the bar first.
 func Pick(nBlocks, b, m, free int, backend string) string {
-	if nBlocks == 0 {
+	if nBlocks == 0 || free < 2*b {
 		return EngineBitonic
 	}
 	best, least := "", int64(0)
@@ -67,13 +69,13 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 			best, least = name, p
 		}
 	}
-	if b&(b-1) == 0 && m >= 4*b && free >= 2*b {
+	if b&(b-1) == 0 && m >= 4*b {
 		consider(EngineBitonic, BitonicCost(nBlocks, b, free))
 	}
 	if _, _, err := ColumnGeometry(nBlocks, b, free); err == nil {
 		consider(EngineColumnsort, ColumnCost(nBlocks, b, free))
 	}
-	consider(EngineZigzag, ZigzagCost(nBlocks, b, m))
+	consider(EngineZigzag, ZigzagCost(nBlocks, b, free))
 	if BucketSupported(nBlocks, b, m) {
 		consider(EngineBucket, BucketCost(nBlocks, b, m))
 	}
@@ -90,13 +92,12 @@ func price(c obs.Cost, backend string) int64 {
 }
 
 // Cost returns the exact block I/Os and vectored round trips the named
-// engine spends sorting nBlocks blocks of b elements against a cache of m
-// with free of it not checked out, and whether it has such a predictor:
-// Bitonic, whose trace is a function of (nBlocks, B, free); Columnsort, the
-// same, where ColumnGeometry admits the array; Zigzag, whose trace is a
-// function of (nBlocks, B, M) however much of the cache the caller holds.
+// engine spends sorting nBlocks blocks of b elements with free elements of
+// cache not checked out, and whether it has such a predictor:
+// Bitonic and Zigzag, whose traces are functions of (nBlocks, B, free);
+// Columnsort, the same, where ColumnGeometry admits the array.
 // name is a resolved engine (core.Engine).
-func Cost(name string, nBlocks, b, m, free int) (obs.Cost, bool) {
+func Cost(name string, nBlocks, b, free int) (obs.Cost, bool) {
 	switch name {
 	case EngineBitonic:
 		return BitonicCost(nBlocks, b, free), true
@@ -104,7 +105,7 @@ func Cost(name string, nBlocks, b, m, free int) (obs.Cost, bool) {
 		_, _, err := ColumnGeometry(nBlocks, b, free)
 		return ColumnCost(nBlocks, b, free), err == nil
 	case EngineZigzag:
-		return ZigzagCost(nBlocks, b, m), true
+		return ZigzagCost(nBlocks, b, free), true
 	}
 	return obs.Cost{}, false
 }

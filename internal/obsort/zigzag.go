@@ -1,6 +1,8 @@
 package obsort
 
 import (
+	"fmt"
+
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 )
@@ -14,35 +16,38 @@ import (
 // comparator with a merge-split, and the network sorts the blocked input),
 // the result is a correct sort with a fixed, data-independent trace.
 //
-// With K = ceil(N/(M/4)) runs the external cost is
-// O((N/B)·(1 + log² K)) block I/Os in exactly 2 round trips per
-// merge-split — one vectored read, one vectored write, each moving half a
-// cache. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
-// each, free being the cache the caller leaves it, and beat this wherever
-// more than a few blocks are free; Zigzag wins when few are (a Bitonic pass
-// then gathers one or two bits).
+// With free the cache the caller leaves it and K = ceil(N/(free/4)) runs
+// the external cost is O((N/B)·(1 + log² K)) block I/Os in exactly 2 round
+// trips per merge-split — one vectored read, one vectored write, each
+// moving half the free cache. Bitonic's packed passes close over
+// ⌊log₂(free/B)⌋ address bits each, at the same free cache, and beat this
+// wherever more than a few blocks are free; Zigzag wins when few are (a
+// Bitonic pass then gathers one or two bits).
 //
 // Unlike Bitonic, Zigzag does not require the block size to be a power of
 // two, and it needs no scratch arena: runs past the end of the array are
 // virtual +infinity pads, skipped by ForEachComparator.
 
 // Zigzag sorts the array with deterministic data-oblivious merge-split
-// rounds. Requirements: M >= 4B. The address trace depends only on
-// (len, B, M).
+// rounds, its runs sized from the cache free at the call: it needs two
+// blocks of it, and panics with fewer. The address trace depends only on
+// (len, B, free).
 func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	n := a.Len()
 	if n == 0 {
 		return
 	}
 	b := a.B()
-	if env.M < 4*b {
-		panic("obsort: Zigzag requires M >= 4B")
+	free := env.M - env.Cache.Used()
+	if free < 2*b {
+		panic(fmt.Sprintf("obsort: Zigzag needs 2 blocks, %d elements, but the cache has %d free (M=%d, used=%d)",
+			2*b, free, env.M, env.Cache.Used()))
 	}
 	sp := env.Obs.Start("zigzag")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(ZigzagCost(n, b, env.M))
+	sp.SetPredicted(ZigzagCost(n, b, free))
 	defer env.Obs.End(sp)
-	cb := zigzagRunBlocks(b, env.M)
+	cb := zigzagRunBlocks(b, free)
 	k := extmem.CeilDiv(n, cb)
 	runLen := func(r int) int { return min(cb, n-r*cb) }
 
@@ -68,7 +73,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	// merge), and write the low part back to run i and the high part to
 	// run j.
 	spm := env.Obs.Start("merge-rounds")
-	spm.SetAttrInt("merge-splits", int64(zigzagMergeSplits(n, b, env.M)))
+	spm.SetAttrInt("merge-splits", int64(zigzagMergeSplits(n, b, free)))
 	ForEachComparator(k, func(i, j int) {
 		li, lj := runLen(i), runLen(j)
 		for t := 0; t < li; t++ {
@@ -86,27 +91,28 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	env.Cache.Free(buf)
 }
 
-// zigzagRunBlocks returns the run size in blocks: two runs plus slack must
-// fit in cache, so a run is a quarter of the cache, at least one block.
-func zigzagRunBlocks(b, m int) int {
-	return max(1, m/(4*b))
+// zigzagRunBlocks returns the run size in blocks: two runs plus slack (the
+// parallel merge's scratch) must fit in the free cache, so a run is a
+// quarter of it, at least one block.
+func zigzagRunBlocks(b, free int) int {
+	return max(1, free/(4*b))
 }
 
 // zigzagMergeSplits is the number of merge-splits Zigzag performs: the
 // comparators of Batcher's network on ceil(n/runBlocks) run-wires, minus the
 // ones ForEachComparator skips as virtual pads.
-func zigzagMergeSplits(nBlocks, b, m int) int {
+func zigzagMergeSplits(nBlocks, b, free int) int {
 	c := 0
-	ForEachComparator(extmem.CeilDiv(nBlocks, zigzagRunBlocks(b, m)), func(_, _ int) { c++ })
+	ForEachComparator(extmem.CeilDiv(nBlocks, zigzagRunBlocks(b, free)), func(_, _ int) { c++ })
 	return c
 }
 
 // ZigzagCost predicts the exact block I/Os and vectored round trips of one
-// Zigzag call: a read and a write of every block, in two round trips a run,
-// for round 0, and a read and a write of both runs, in two round trips, per
-// merge-split.
-func ZigzagCost(nBlocks, b, m int) obs.Cost {
-	cb := zigzagRunBlocks(b, m)
+// Zigzag call with free elements of cache free: a read and a write of every
+// block, in two round trips a run, for round 0, and a read and a write of
+// both runs, in two round trips, per merge-split.
+func ZigzagCost(nBlocks, b, free int) obs.Cost {
+	cb := zigzagRunBlocks(b, free)
 	k := extmem.CeilDiv(nBlocks, cb)
 	c := obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * int64(k)}
 	ForEachComparator(k, func(i, j int) {

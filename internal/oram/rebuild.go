@@ -240,7 +240,7 @@ func (g RebuildGeometry) routed() (n int) {
 // entries, either one read of it and one write of the table, or the scan
 // that stamps the slots and Theorem 6's expansion into the table.
 func RebuildCost(g RebuildGeometry) obs.Cost {
-	sort, ok := obsort.Cost(core.Engine(g.Sorter, g.CapE, g.B, g.M, g.Free, "mem"), g.CapE, g.B, g.M, g.Free)
+	sort, ok := obsort.Cost(core.Engine(g.Sorter, g.CapE, g.B, g.M, g.Free, "mem"), g.CapE, g.B, g.Free)
 	if !ok {
 		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}

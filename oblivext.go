@@ -71,7 +71,9 @@ type Config struct {
 	// is a public function of the geometry, so traces stay data-independent.
 	// "randomized" needs 6·B elements of cache free for arrays of 3 blocks
 	// or more: below that, Array.Sort returns an error before any I/O and
-	// NewORAM rejects it for a hierarchy. The deterministic engines never fail; "bucket"
+	// NewORAM rejects it for a hierarchy. Every engine needs 2·B elements
+	// of cache free, or Array.Sort returns an error before any I/O. Beyond
+	// that the deterministic engines never fail; "bucket"
 	// retries declared overflows on fresh randomness and falls back to
 	// zigzag. "columnsort" takes only arrays within its size limit: named
 	// for any other, Array.Sort returns an error before any I/O, and
@@ -815,10 +817,11 @@ func (a *Array) Records() ([]Record, error) {
 // oblivious sort: O((N/B)·log_{M/B}(N/B)) I/Os and a data-independent
 // trace, succeeding with high probability (a rare internal failure returns
 // an error with the array unchanged in distribution-visible ways but
-// possibly permuted). The deterministic engines (bitonic, zigzag) never
-// return an error; bucket declares and retries internal overflows on fresh
-// randomness, falling back to zigzag, so it never returns an error either.
-// Columnsort returns one, naming the array's blocks, B and the free cache,
+// possibly permuted). Every engine returns an error before any I/O when
+// fewer than two blocks of cache are free at the call. Beyond that the
+// deterministic engines (bitonic, zigzag) never return an error; bucket
+// declares and retries internal overflows on fresh randomness, falling back
+// to zigzag, so it never returns an error either. Columnsort returns one, naming the array's blocks, B and the free cache,
 // before any I/O on an array past its size limit (r ≥ 2(s−1)² with a
 // column and its deal buffer in the free cache); "auto" never picks it
 // there.
