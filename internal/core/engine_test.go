@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"oblivext/internal/extmem"
 	"oblivext/internal/obsort"
 	"oblivext/internal/trace"
 )
@@ -49,11 +50,8 @@ func TestEngineResolves(t *testing.T) {
 // strictly less than the cheapest exact deterministic predictor the
 // geometry admits — bitonic, columnsort or zigzag, priced as Pick prices
 // them, at the cache the caller leaves — in block I/Os or in round trips.
-// With the whole cache free its cost is SortCost. SortCost has no free
-// cache argument, and under a held cache the randomized sort's batches
-// shrink and it costs more (66 288 I/Os in 24 735 round trips against
-// SortCost's 35 562 in 3 969 at n = 300, B = 4, M = 64 with 40 held), so
-// those rows measure it. Rows below SortFree are left out: the randomized
+// Its cost is SortCost at the same free cache (TestSortRespectsHeldCache
+// measures it there). Rows below SortFree are left out: the randomized
 // sort declares ErrSortCache there.
 func TestRandomizedNeverCheapest(t *testing.T) {
 	for _, g := range engineGrid {
@@ -70,20 +68,60 @@ func TestRandomizedNeverCheapest(t *testing.T) {
 				ios, trips = append(ios, c.IOs), append(trips, c.RoundTrips)
 			}
 		}
-		r := SortCost(g.n, g.b, g.m, g.n*g.b)
-		if g.held > 0 {
-			env := newTestEnv(40*g.n+16, g.b, g.m, 7)
-			env.Cache.Acquire(g.held)
-			a := env.D.Alloc(g.n)
-			buildKeyArray(a, make([]uint64, g.n*g.b))
-			env.D.ResetStats()
-			if err := Sort(env, a); err != nil {
-				t.Fatalf("%+v: %v", g, err)
-			}
-			r = env.D.Stats().Cost()
-		}
+		r := SortCost(g.n, g.b, free, g.n*g.b)
 		if r.IOs < slices.Min(ios) || r.RoundTrips < slices.Min(trips) {
 			t.Errorf("%+v: SortCost %+v undercuts the cheapest deterministic engine (%d I/Os, %d round trips)", g, r, slices.Min(ios), slices.Min(trips))
+		}
+	}
+}
+
+// TestSortRespectsHeldCache: the randomized Sort sizes every level from the
+// cache free at its entry, not from M. Under a strict cache with part of it
+// held — at n = 300, B = 4, M = 64 with 40 held, 6B free, the floor
+// SortFree, where a Sort sized from M reached a high-water of 76 — it
+// sorts, its high-water stays within M, and it costs exactly SortCost at
+// the free cache, with one trace for every input.
+func TestSortRespectsHeldCache(t *testing.T) {
+	r := rand.New(rand.NewPCG(57, 58))
+	for _, g := range []struct{ n, b, m, held int }{
+		{300, 4, 64, 40}, {20, 8, 96, 48}, {336, 8, 512, 128}, {1 << 13, 8, 4096, 2056},
+	} {
+		free := g.m - g.held
+		var first trace.Summary
+		for i, kind := range []string{"rand", "equal"} {
+			keys := make([]uint64, g.n*g.b)
+			for j := range keys {
+				if kind == "rand" {
+					keys[j] = r.Uint64() % 1_000
+				}
+			}
+			env := newTestEnv(40*g.n+16, g.b, g.m, 7)
+			env.Cache = extmem.NewCache(g.m, true)
+			env.Cache.Acquire(g.held)
+			a := env.D.Alloc(g.n)
+			buildKeyArray(a, keys)
+			rec := trace.NewRecorder(0)
+			env.D.SetRecorder(rec)
+			env.D.ResetStats()
+			if err := Sort(env, a); err != nil {
+				t.Fatalf("%+v %s: %v", g, kind, err)
+			}
+			got := env.D.Stats().Cost()
+			if want := SortCost(g.n, g.b, free, g.n*g.b); got != want {
+				t.Errorf("%+v %s: measured %+v, SortCost at %d free %+v", g, kind, got, free, want)
+			}
+			if hw := env.Cache.HighWater(); hw > g.m {
+				t.Errorf("%+v %s: cache high-water %d > M = %d", g, kind, hw, g.m)
+			}
+			if used := env.Cache.Used(); used != g.held {
+				t.Errorf("%+v %s: %d elements checked out after the Sort, %d held", g, kind, used, g.held)
+			}
+			checkSorted(t, a, keys)
+			if sum := rec.Summarize(); i == 0 {
+				first = sum
+			} else if !sum.Equal(first) {
+				t.Errorf("%+v: trace %v on equal keys differs from %v", g, sum, first)
+			}
 		}
 	}
 }

@@ -220,11 +220,12 @@ func (p *prober) probe(cells []extmem.Element, dst extmem.Array) {
 	}
 }
 
-// sortInto sorts work occupied-first (the order among the occupied is
-// irrelevant here; Element.Less keeps the sort total) and copies as much of
-// it as fits into dst, zero-filling what is left of dst.
+// sortInto sorts work occupied-first with obsort.Deterministic (the order
+// among the occupied is irrelevant here; Element.Less keeps the sort total)
+// and copies as much of it as fits into dst, zero-filling what is left of
+// dst.
 func sortInto(env *extmem.Env, work, dst extmem.Array) {
-	obsort.Bitonic(env, work, extmem.Element.Less)
+	obsort.Deterministic(env, work, extmem.Element.Less)
 	cp := min(work.Len(), dst.Len())
 	copyArray(env, work.Slice(0, cp), dst.Slice(0, cp))
 	zeroArray(env, dst.Slice(cp, dst.Len()))
@@ -263,7 +264,7 @@ func LooseCost(n, rCap, b, m int) obs.Cost {
 	scan := func(c, free int) int64 { return extmem.ScanRoundTrips(c, b, free, 1) }
 	sorted := func(s, d int) obs.Cost { // sortInto
 		cp := min(s, d)
-		return obsort.BitonicCost(s, b, m).Add(obs.Cost{IOs: int64(cp + d), RoundTrips: 2*scan(cp, m) + scan(d-cp, m)})
+		return obsort.DeterministicCost(s, b, m).Add(obs.Cost{IOs: int64(cp + d), RoundTrips: 2*scan(cp, m) + scan(d-cp, m)})
 	}
 	plan, ok := loosePlan(n, b, m)
 	if !ok {

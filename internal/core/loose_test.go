@@ -229,6 +229,7 @@ func TestLooseCostMatchesPrediction(t *testing.T) {
 		{128, 32, 4, 256},
 		{1000, 10, 4, 128},
 		{40, 10, 4, 256}, // one region: the sort path
+		{18, 4, 4, 48},   // no room for the rounds: the sort path, by columnsort
 	} {
 		env := newTestEnv(c.n, c.b, c.m, 3)
 		a := env.D.Alloc(c.n)

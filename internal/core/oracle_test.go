@@ -20,7 +20,8 @@ import (
 // sort.Slice reference over one shared corpus of awkward inputs, at cache
 // sizes on both sides of every path choice the three make from public
 // geometry (in-cache, sort-and-read-ranks, sampled narrowing, and
-// Quantiles' sort arm against its q Selects).
+// Quantiles' sort arm against its q Selects), the sort in Select's tail and
+// in Quantiles' sort arm on both arms of obsort.Deterministic.
 
 // oracleCase is one input layout: a sequence of cell slots, occupied or
 // empty, laid into ceil(len/B) blocks. Pos is the slot index, so (Key, Pos)
@@ -55,6 +56,9 @@ func oracleCorpus() []oracleCase {
 		// Every third slot empty, plus a run of wholly empty blocks inside.
 		{"interior-empties", gen(2000, random, func(i int) bool { return i%3 == 1 || (i >= 640 && i < 960) })},
 		{"sorted-descending", gen(3000, func(i int) uint64 { return uint64(3000 - i) }, nil)},
+		// 300 blocks: at M = 512 Select's tail sorts with columnsort, 6 I/Os
+		// a block against bitonic's padded 15.7.
+		{"columnsort-tail", gen(2400, random, nil)},
 		// Large enough that M=4096 narrows through several levels.
 		{"large-random", gen(20000, random, nil)},
 	}
@@ -106,6 +110,7 @@ func sameItem(got, want extmem.Element) bool {
 func TestDifferentialOracle(t *testing.T) {
 	const b = 8
 	quantileArms := map[bool]bool{} // which arms of Quantiles ran, keyed by bySelect
+	columns := map[string]bool{}    // which of Select and Quantiles' sort arm ran columnsort
 	for _, m := range []int{2 * b * 16, 512, 1024, 2048, 4096} {
 		for _, c := range oracleCorpus() {
 			t.Run(fmt.Sprintf("M=%d/%s", m, c.name), func(t *testing.T) {
@@ -120,7 +125,9 @@ func TestDifferentialOracle(t *testing.T) {
 					}
 					retryDeclared(t, ErrSelectFailed, func(seed uint64) error {
 						env, a, _ := oracleEnv(c, b, m, seed)
+						col := env.EnableObs()
 						got, err := Select(env, a, k)
+						columns["Select"] = columns["Select"] || ranUnder(col.Roots(), "", "columnsort")
 						if err == nil && !sameItem(got, ref[k-1]) {
 							t.Fatalf("Select(%d) = %+v, want %+v", k, got, ref[k-1])
 						}
@@ -170,10 +177,12 @@ func TestDifferentialOracle(t *testing.T) {
 					want := quantileRanks(total, q)
 					retryDeclared(t, ErrQuantilesFailed, func(seed uint64) error {
 						env, a, _ := oracleEnv(c, b, m, seed)
+						col := env.EnableObs()
 						got, err := Quantiles(env, a, q)
 						if err != nil {
 							return err
 						}
+						columns["Quantiles"] = columns["Quantiles"] || !bySelect && ranUnder(col.Roots(), "", "columnsort")
 						if len(got) != q {
 							t.Fatalf("Quantiles(%d) returned %d items", q, len(got))
 						}
@@ -191,6 +200,9 @@ func TestDifferentialOracle(t *testing.T) {
 	// The grid is worth its name only if both arms of Quantiles run.
 	if !quantileArms[true] || !quantileArms[false] {
 		t.Errorf("Quantiles ran the Select arm %v and the sort arm %v over the grid; both must run", quantileArms[true], quantileArms[false])
+	}
+	if !columns["Select"] || !columns["Quantiles"] {
+		t.Errorf("columnsort ran in Select's tail %v and in Quantiles' sort arm %v over the grid; both must", columns["Select"], columns["Quantiles"])
 	}
 }
 
@@ -220,20 +232,28 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		m      int
 		corpus []workload.SortCase
 		only   string // the one sorter the row runs, or "" for all
+		// A span that columnsort must run below on some case of the row,
+		// or "" for none.
+		columnsUnder string
 	}
 	var rows []row
 	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
-		rows = append(rows, row{fmt.Sprintf("M=%d", m), m, workload.SortCorpus(b), ""})
+		rows = append(rows, row{fmt.Sprintf("M=%d", m), m, workload.SortCorpus(b), "", ""})
 	}
 	// auto at the benchmark's geometry, where the engines' prices part as
 	// they cannot over the corpus's small sizes.
 	atBench := workload.SortCasesAt(8192, b)
-	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "auto/ByKey"})
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "auto/ByKey", ""})
 	// Theorem 21 at the benchmark's geometry and at the benchmark's -quick
 	// one (N = 2^10, M = 512), where a level's buckets part as the small
 	// corpus never makes them.
-	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "randomized/ByKey"},
-		row{"n=128,M=512", 512, workload.SortCasesAt(128, b), "randomized/ByKey"})
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "randomized/ByKey", ""},
+		row{"n=128,M=512", 512, workload.SortCasesAt(128, b), "randomized/ByKey", ""})
+	// Theorem 21 where obsort.Deterministic takes columnsort: for the
+	// direct sort of a full array's 576-block buckets, and for the sort of a
+	// 300-block sample.
+	rows = append(rows, row{"n=1577,M=1024", 1024, workload.SortCasesAt(1577, b), "randomized/ByKey", "direct-sort"},
+		row{"n=2393,M=512", 512, workload.SortCasesAt(2393, b), "randomized/ByKey", "sample-splitters"})
 	for _, rw := range rows {
 		for _, s := range sorters {
 			m := rw.m
@@ -241,9 +261,11 @@ func TestSorterDifferentialOracle(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%s", rw.name, s.name), func(t *testing.T) {
+				columns := false
 				for _, c := range rw.corpus {
 					retryDeclared(t, ErrSortFailed, func(seed uint64) error {
 						env := newTestEnv(64, b, m, seed)
+						col := env.EnableObs()
 						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
 						writeElems(a, c.Slots)
 						ref := readElems(a)
@@ -252,6 +274,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 						if err := s.sort(env, a); err != nil {
 							return err
 						}
+						columns = columns || rw.columnsUnder != "" && ranUnder(col.Roots(), rw.columnsUnder, "columnsort")
 						if used := env.Cache.Used(); used != 0 {
 							t.Fatalf("%s: %d words left checked out", c.Name, used)
 						}
@@ -266,6 +289,9 @@ func TestSorterDifferentialOracle(t *testing.T) {
 						}
 						return nil
 					})
+				}
+				if rw.columnsUnder != "" && !columns {
+					t.Errorf("columnsort never ran below %q", rw.columnsUnder)
 				}
 			})
 		}
@@ -294,9 +320,11 @@ func compactCorpus(b, m int) []compactCase {
 		}
 		return out
 	}
-	// 0 / 1 / 2 / 7 / 8, n·B < M at every geometry below (16), not a power
-	// of two (100), and large enough for several halving rounds (300).
-	sizes := []int{1, 2, 7, 8, 16, 100, 300}
+	// 0 / 1 / 2 / 7 / 8, n·B < M at every geometry below but M = 12B (16),
+	// not a power of two (100), large enough for several halving rounds
+	// (300), and one that a cache of 12 blocks leaves loose compaction no
+	// rounds for, so that it sorts the whole array with columnsort (18).
+	sizes := []int{1, 2, 7, 8, 16, 18, 100, 300}
 	// The largest array that fits the cache beside a block of slack and the
 	// first that does not; one butterfly window (two half-windows of 2^g
 	// cells, the most that leave room for an I/O block) and one cell more.
@@ -353,7 +381,10 @@ func (c compactCase) lay(env *extmem.Env) (extmem.Array, []extmem.Element) {
 // shared corpus against a filter-and-compare reference: the items (in order
 // for the tight ones, as a multiset for the loose ones), the output-length
 // contract, a balanced cache and HighWater <= M — and, where the occupancy
-// exceeds the declared capacity, the declared failure.
+// exceeds the declared capacity, the declared failure. Loose compaction
+// must sort with columnsort somewhere over the corpus (at M = 12B); Theorem
+// 4's order restoration never does (obsort's
+// TestDeterministicBitonicWithinTwoWindows).
 func TestCompactionDifferentialOracle(t *testing.T) {
 	type result struct {
 		out extmem.Array
@@ -406,7 +437,8 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 	byPos := func(s []extmem.Element) {
 		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
 	}
-	for _, g := range []struct{ b, m int }{{4, 256}, {8, 1024}, {8, 4096}} {
+	looseColumns := false // whether loose compaction's sort ran columnsort
+	for _, g := range []struct{ b, m int }{{4, 48}, {4, 256}, {8, 1024}, {8, 4096}} {
 		for _, c := range compactCorpus(g.b, g.m) {
 			// rCap exactly the occupancy, rCap = 1, and the theorems' n/4.
 			rCaps := map[int]bool{max(1, len(c.occ)): true, 1: true, max(1, c.n/4): true}
@@ -419,8 +451,12 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 						check := func(seed uint64) error {
 							env := newTestEnv(64, g.b, g.m, seed)
 							a, ref := c.lay(env)
+							col := env.EnableObs()
 							env.Cache.ResetHighWater()
 							res := cp.run(env, a, rCap)
+							if cp.name == "CompactBlocksLoose" && ranUnder(col.Roots(), "", "columnsort") {
+								looseColumns = true
+							}
 							if used := env.Cache.Used(); used != 0 {
 								t.Fatalf("%d words left checked out", used)
 							}
@@ -463,6 +499,9 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !looseColumns {
+		t.Error("CompactBlocksLoose never sorted with columnsort over the corpus")
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 
 // This file computes the q quantiles of an array (the paper's Theorem 17
 // problem) as the cheaper, by exact block I/Os, of two arms built from
-// primitives with exact predictors: sort a copy and read the ranks off in
-// one scan, or count N in one scan and run Select (Theorem 13) once per
+// primitives with exact predictors: sort a copy with Lemma 2's
+// deterministic sort (obsort.Deterministic) and read the ranks off in one
+// scan, or count N in one scan and run Select (Theorem 13) once per
 // rank. The choice is a function of (n, B, M, q) alone, ties go to the
 // sort. The Select arm is linear in n at fixed M/B and q, so it keeps the
 // theorem's O(N/B) once the sort's log² term outgrows q Selects; below
@@ -98,10 +99,11 @@ func quantilesPlan(nBlocks, b, m, q int) (obs.Cost, bool) {
 	return bySort, false
 }
 
-// quantilesBySort sorts work in place and reads the ranks off in one scan:
-// the sort arm of Quantiles and the terminating path of Select.
+// quantilesBySort sorts work in place with obsort.Deterministic and reads
+// the ranks off in one scan: the sort arm of Quantiles and the terminating
+// path of Select.
 func quantilesBySort(env *extmem.Env, work extmem.Array, ranks []int64) ([]extmem.Element, error) {
-	obsort.Bitonic(env, work, obsort.ByKey)
+	obsort.Deterministic(env, work, obsort.ByKey)
 	out := make([]extmem.Element, len(ranks))
 	var idx int64
 	ri := 0
@@ -124,11 +126,11 @@ func quantilesBySort(env *extmem.Env, work extmem.Array, ranks []int64) ([]extme
 }
 
 // sortTailCost prices quantilesBySort on n blocks with the whole cache
-// free — the sort and the rank scan — plus, when copied, the scan that
-// first copies the caller's array into the work array.
+// free — obsort.DeterministicCost and the rank scan — plus, when copied,
+// the scan that first copies the caller's array into the work array.
 func sortTailCost(n, b, m int, copied bool) obs.Cost {
 	scan := obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m, 1)}
-	c := obsort.BitonicCost(n, b, m).Add(scan)
+	c := obsort.DeterministicCost(n, b, m).Add(scan)
 	if copied {
 		c = c.Add(scan).Add(scan)
 	}

@@ -155,12 +155,12 @@ func TestSelectOblivious(t *testing.T) {
 }
 
 // Measured == predicted, I/Os and round trips, on every path: the in-cache
-// scan, the sort tail (from the input and from a narrowed prefix) and one to
-// six narrowing levels; and the constant the PR claims at the benchmark
-// geometry.
+// scan, the sort tail (from the input and from a narrowed prefix, sorted by
+// bitonic or, at 300 blocks with M = 512, by columnsort) and one to six
+// narrowing levels; and Select's constant at the benchmark geometry.
 func TestSelectCostMatchesPrediction(t *testing.T) {
 	for _, g := range []struct{ nBlocks, b, m int }{
-		{16, 8, 256}, {250, 8, 256}, {1000, 4, 128}, {300, 8, 4096}, {600, 8, 2400},
+		{16, 8, 256}, {250, 8, 256}, {300, 8, 512}, {1000, 4, 128}, {300, 8, 4096}, {600, 8, 2400},
 		{2500, 8, 4096}, {1 << 13, 8, 4096}, {1 << 13, 8, 8192}, {3000, 16, 1 << 14},
 		// The longest level whose compaction runs in the cache, beside the
 		// 2B holding buffer and a block of slack, and the shortest that

@@ -15,9 +15,10 @@ import (
 //
 //  1. q = (M/B)^{1/4} splitters split the input into q+1 buckets. The scan
 //     that counts the input also copies one element of every block, at an
-//     offset the tape draws, into a sample of ⌈n/B⌉ blocks; bitonic sorts
-//     the sample and one scan reads the splitters off at ranks
-//     round(i·s/(q+1)) of its s occupied elements. A bucket then holds at
+//     offset the tape draws, into a sample of ⌈n/B⌉ blocks; Lemma 2's
+//     deterministic sort (obsort.Deterministic) orders the sample and one
+//     scan reads the splitters off at ranks round(i·s/(q+1)) of its s
+//     occupied elements. A bucket then holds at
 //     most sortPlan's capE elements but for probability 2^-40, and the
 //     splitters carry position tie-breaks, so duplicate keys never skew it.
 //  2. A multi-way consolidation pass (§5) rewrites the array into
@@ -45,7 +46,8 @@ import (
 //     likewise declares failure at a stated tail instead of repairing.
 //
 // At the benchmark geometry every bucket sorts directly, so Sort is one
-// distributing level and a bitonic sort per bucket — the shape of bucket
+// distributing level and a deterministic sort per bucket (bitonic: no
+// columnsort matrix fits a bucket) — the shape of bucket
 // oblivious sort (arXiv:2008.01765). The top-level Sort finishes with a
 // tight order-preserving compaction (Theorem 6), so the array ends with all
 // occupied elements sorted in a tight prefix.
@@ -73,21 +75,23 @@ var dealQuotaSeam func(depth, quota int) int
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
 // (give each element its original index as Pos). The trace depends only on
-// (len, B, M, N_occupied) and the tape. Below SortFree it returns
-// ErrSortCache with an empty trace.
+// (len, B, free, N_occupied) and the tape, free being the elements of the
+// cache not checked out at the call: every level is sized from it, not from
+// M. Below SortFree it returns ErrSortCache with an empty trace.
 func Sort(env *extmem.Env, a extmem.Array) error {
 	n := a.Len()
 	if n == 0 {
 		return nil
 	}
-	if free, need := env.M-env.Cache.Used(), SortFree(n, a.B()); free < need {
+	free := env.M - env.Cache.Used()
+	if need := SortFree(n, a.B()); free < need {
 		return fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free, want %d",
 			ErrSortCache, n, a.B(), free, need)
 	}
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	res, ok := sortPadded(env, a, 0)
+	res, ok := sortPadded(env, a, free, 0)
 	if !ok {
 		return fmt.Errorf("%w: top-level pipeline failure", ErrSortFailed)
 	}
@@ -167,19 +171,20 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 // sortPadded sorts the occupied elements of a into a padded result array
 // (occupied ascending, empties interspersed region-wise). It returns the
 // result array and whether this level succeeded; on ok=false the contents
-// are garbage but the trace is unchanged. A level whose occupancy fits half
-// the cache sorts privately and one that sortsDirectly sorts a copy with
-// bitonic; only the rest distribute, and only they can fail.
+// are garbage but the trace is unchanged. m is the cache free at Sort's
+// entry, which sizes every level. A level whose occupancy fits half of it
+// sorts privately and one that sortsDirectly sorts a copy with Lemma 2's
+// deterministic sort; only the rest distribute, and only they can fail.
 //
 // Only the top level's occupancy is public. Below it a bucket holds a
 // private number of elements, so every decision there — private sort or
 // the level's shape — takes the bucket's public capacity, n·B.
-func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool) {
+func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
 
 	occ := int64(n * b)
-	distributes := n*b > env.M/2 && !sortsDirectly(n, b, env.M, depth)
+	distributes := n*b > m/2 && !sortsDirectly(n, b, m, depth)
 	var sample extmem.Array
 	if distributes {
 		sample = env.D.Alloc(extmem.CeilDiv(n, b))
@@ -192,8 +197,8 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 		}
 		sOcc = s
 	}
-	if occ <= int64(env.M/2) {
-		return sortPrivate(env, a), true
+	if occ <= int64(m/2) {
+		return sortPrivate(env, a, m), true
 	}
 	if !distributes {
 		sp := env.Obs.Start("direct-sort")
@@ -201,7 +206,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 		sp.SetAttrInt("blocks", int64(n))
 		out := env.D.Alloc(n)
 		copyArray(env, a, out)
-		obsort.Bitonic(env, out, obsort.ByKey)
+		obsort.Deterministic(env, out, obsort.ByKey)
 		env.Obs.End(sp)
 		return out, true
 	}
@@ -211,13 +216,13 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	pl := sortPlan(n, b, env.M, occ, sortTail)
+	pl := sortPlan(n, b, m, occ, sortTail)
 	q := pl.q
 	ok := true
 
 	// Step 1: splitters from the sorted sample.
 	spq := env.Obs.Start("sample-splitters")
-	obsort.Bitonic(env, sample, obsort.ByKey)
+	obsort.Deterministic(env, sample, obsort.ByKey)
 	bounds := splittersOf(env, sample, sOcc, q)
 	env.Obs.End(spq)
 
@@ -290,7 +295,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 			ok = false // an unbalanced split: never drop the excess silently
 		}
 		mark := env.D.Mark()
-		sorted, sok := sortPadded(env, arr.Slice(0, capB), depth+1)
+		sorted, sok := sortPadded(env, arr.Slice(0, capB), m, depth+1)
 		env.D.Release(mark)
 		if !sok {
 			ok = false // a level below dropped elements: the failure is ours
@@ -302,8 +307,8 @@ func sortPadded(env *extmem.Env, a extmem.Array, depth int) (extmem.Array, bool)
 }
 
 // sortsDirectly reports whether a level at depth over nBlocks blocks, not
-// sorted privately, sorts a copy with Lemma 2's bitonic instead of
-// distributing: where the cache leaves no splitter (q < 1), past the depth
+// sorted privately, sorts a copy with Lemma 2's deterministic sort instead
+// of distributing: where the cache leaves no splitter (q < 1), past the depth
 // limit, and below the top wherever the level's own Quantiles would take
 // its sort arm — that sort alone orders the bucket, so the rest of the
 // level would be overhead. The top level always distributes: it is the
@@ -418,11 +423,11 @@ func splittersOf(env *extmem.Env, sample extmem.Array, sOcc int64, q int) []boun
 }
 
 // sortPrivate reads every occupied element into the cache, sorts there, and
-// writes a tight result of the same geometry.
-func sortPrivate(env *extmem.Env, a extmem.Array) extmem.Array {
+// writes a tight result of the same geometry, m elements of cache free.
+func sortPrivate(env *extmem.Env, a extmem.Array, m int) extmem.Array {
 	n := a.Len()
 	out := env.D.Alloc(n)
-	all := env.Cache.Buf(env.M / 2)[:0] // the caller counted: at most M/2 occupied
+	all := env.Cache.Buf(m / 2)[:0] // the caller counted: at most m/2 occupied
 	k := env.ScanBatchN(1, n)
 	env.Scan(a, extmem.Array{}, k, func(_ int, chunk []extmem.Element) {
 		for _, e := range chunk {

@@ -44,13 +44,14 @@ func sortPlan(nBlocks, b, m int, occ int64, l float64) sortLevel {
 }
 
 // SortCost predicts the exact block I/Os and vectored round trips of a Sort
-// that succeeds on nBlocks blocks of b elements, nOcc of them occupied, with
-// a cache of m elements, entered with the whole cache free and batches
-// bounded by the cache alone (no MaxBatch). Every level's shape is public
-// geometry — the top level's from nOcc, every level below from its bucket's
-// capacity — and every pass moves a fixed number of blocks, the shuffle
-// included, so the price is exact. A failed Sort stops before the final
-// compaction: its trace is a prefix of this one.
+// that succeeds on nBlocks blocks of b elements, nOcc of them occupied,
+// entered with m elements of the cache free — all of M, or what a caller
+// leaves of it — and batches bounded by the cache alone (no MaxBatch).
+// Every level's shape is public geometry — the top level's from nOcc, every
+// level below from its bucket's capacity — and every pass moves a fixed
+// number of blocks, the shuffle included, so the price is exact. A failed
+// Sort stops before the final compaction: its trace is a prefix of this
+// one.
 func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 	if nBlocks == 0 {
 		return obs.Cost{}
@@ -62,8 +63,9 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 	return c.Add(obs.Cost{IOs: int64(read + nBlocks), RoundTrips: extmem.ScanRoundTrips(read, b, m, 1) + extmem.ScanRoundTrips(nBlocks, b, m, 1)})
 }
 
-// sortLevelCost prices sortPadded at the given depth, the cache free, and
-// returns the length of the result it leaves.
+// sortLevelCost prices sortPadded at the given depth with m elements of
+// cache free at Sort's entry, and returns the length of the result it
+// leaves.
 func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
 	var c obs.Cost
@@ -79,12 +81,12 @@ func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 		return c.Add(private).Add(private), n
 	}
 	if !distributes {
-		return c.Add(scan(n, m, 1)).Add(scan(n, m, 1)).Add(obsort.BitonicCost(n, b, m)), n
+		return c.Add(scan(n, m, 1)).Add(scan(n, m, 1)).Add(obsort.DeterministicCost(n, b, m)), n
 	}
 	pl := sortPlan(n, b, m, occ, sortTail)
 	colours := pl.q + 1
 	// The sample's sort and the splitter read-off, then colorize.
-	c = c.Add(obsort.BitonicCost(ns, b, m)).Add(scan(ns, m, 1)).Add(scan(n, m, 1)).Add(scan(n, m, 1))
+	c = c.Add(obsort.DeterministicCost(ns, b, m)).Add(scan(ns, m, 1)).Add(scan(n, m, 1)).Add(scan(n, m, 1))
 	// Consolidation, beside its staging.
 	held := colours * (2*b - 1)
 	c = c.Add(scan(n, m-held, 2)).Add(scan(pl.apLen, m-held, 2))

@@ -344,12 +344,17 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 }
 
 // TestDirectLevelCost pins what a level below the top costs when it sorts
-// directly: exactly the copy and obsort.BitonicCost at the free cache, in
-// block I/Os and in round trips — no count scan, since a bucket's occupancy
-// is private and nothing below the top reads it. The rows are a benchmark
-// bucket and a length that is not a power of two at a small M/B.
+// directly: exactly the copy and obsort.DeterministicCost at the free cache,
+// in block I/Os and in round trips — no count scan, since a bucket's
+// occupancy is private and nothing below the top reads it. The rows are a
+// benchmark bucket, which no columnsort matrix fits, and a length that is
+// not a power of two at a small M/B, which columnsort sorts for 6 I/Os per
+// block against bitonic's padded 15.7.
 func TestDirectLevelCost(t *testing.T) {
-	for _, g := range []struct{ n, b, m int }{{1989, 8, 4096}, {300, 8, 512}} {
+	for _, g := range []struct {
+		n, b, m int
+		engine  string
+	}{{1989, 8, 4096, "bitonic"}, {300, 8, 512, "columnsort"}} {
 		if !sortsDirectly(g.n, g.b, g.m, 1) {
 			t.Fatalf("%+v: the level does not sort directly", g)
 		}
@@ -361,13 +366,17 @@ func TestDirectLevelCost(t *testing.T) {
 		env := newTestEnv(g.n, g.b, g.m, 9)
 		a := env.D.Alloc(g.n)
 		buildKeyArray(a, keys)
+		col := env.EnableObs()
 		env.D.ResetStats()
-		out, ok := sortPadded(env, a, 1)
+		out, ok := sortPadded(env, a, g.m, 1)
 		got := env.D.Stats().Cost()
 		scan := obs.Cost{IOs: int64(g.n), RoundTrips: extmem.ScanRoundTrips(g.n, g.b, g.m, 1)}
-		want := scan.Add(scan).Add(obsort.BitonicCost(g.n, g.b, g.m))
+		want := scan.Add(scan).Add(obsort.DeterministicCost(g.n, g.b, g.m))
 		if !ok || got != want {
-			t.Errorf("%+v: ok=%v, measured %+v, want copy + bitonic = %+v", g, ok, got, want)
+			t.Errorf("%+v: ok=%v, measured %+v, want copy + %s = %+v", g, ok, got, g.engine, want)
+		}
+		if !ranUnder(col.Roots(), "direct-sort", g.engine) {
+			t.Errorf("%+v: the direct sort did not run %s:\n%s", g, g.engine, obs.RenderTree(col.Roots()))
 		}
 		slices.Sort(keys)
 		if occ := occupiedKeys(readElems(out)); !equalU64(occ, keys) {
@@ -401,6 +410,17 @@ func TestSplitterCountAndDealBatchExact(t *testing.T) {
 			t.Fatalf("M/B=%d: batch=%d is not the floor of (M/B)^(3/4)", m, batch)
 		}
 	}
+}
+
+// ranUnder reports whether a span named child ran below one named parent,
+// or anywhere for parent "".
+func ranUnder(spans []*obs.Span, parent, child string) bool {
+	for _, s := range spans {
+		if parent == "" && s.Name == child || s.Name == parent && ranUnder(s.Children, "", child) || ranUnder(s.Children, parent, child) {
+			return true
+		}
+	}
+	return false
 }
 
 // deeperLevels counts, in a span tree, the randomized levels that ran at

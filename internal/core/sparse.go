@@ -211,7 +211,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int) (extmem.Arra
 	}
 
 	// Order restoration: sort the fixed-size output by original position.
-	obsort.Bitonic(env, out, obsort.ByPos)
+	obsort.Deterministic(env, out, obsort.ByPos)
 
 	// Reclaim the table arenas but keep out: it was allocated first, so
 	// releasing to its end preserves it.

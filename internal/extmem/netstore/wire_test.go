@@ -56,10 +56,22 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 		allocBytes(3, call) // warm the Client's buffers and the server's idle frame
 		return allocBytes(20, call)
 	}
-	const slack = 32<<10 + 4<<10
+	// The allowance: net/http's 32 KiB body copy plus 4 KiB. Without the
+	// race detector, 30 runs of each call measured a 1 024-block write
+	// 32.5–34.6 KB over a 128-block one, and a read −2.6 to +1.6 KB.
+	slack := 32<<10 + 4<<10
+	if raceEnabled {
+		// The race detector's own bookkeeping adds 11–29 KB to a call, a
+		// different amount each run: over 60 runs under -race a 128-block
+		// write allocated 18.1–35.8 KB, and a 1 024-block write 19.2–47.1
+		// KB more than it (median 34 KB, the same as without -race), so the
+		// allowance above failed 22 of the 60. Under -race it takes 20 KiB
+		// more, the range of that bookkeeping rounded up.
+		slack += 20 << 10
+	}
 	// Measured at 128 blocks: about 7–8 KB a call either way; 40 KB a write
 	// when the body went through net/http's copy buffer. Not checked under
-	// the race detector, whose own bookkeeping adds about 13 KB a call.
+	// the race detector.
 	const fitsCeiling = 12 << 10
 	if 128*(8+b*extmem.ElementBytes)+headerLen > writeBufferSize {
 		t.Fatal("a 128-block frame no longer fits the write buffer: the ceiling below does not apply")
@@ -75,7 +87,7 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 			t.Errorf("%s allocates %.0f B/call at 128 blocks, over the %d-byte ceiling for a frame that fits the write buffer",
 				op.name, small, fitsCeiling)
 		}
-		if large-small > slack {
+		if large-small > float64(slack) {
 			t.Errorf("%s allocates %.0f B/call at 1024 blocks, %.0f at 128: %.0f more, over the %d-byte allowance",
 				op.name, large, small, large-small, slack)
 		}

@@ -26,7 +26,7 @@ func (g geometry) free() int { return g.m - g.held }
 var predictorGrid = []geometry{
 	{16, 4, 16, 0}, {17, 4, 32, 0}, {64, 4, 32, 0}, {100, 4, 32, 0}, {20, 4, 64, 0}, {128, 8, 64, 0},
 	{1000, 4, 128, 0}, {250, 8, 256, 0}, {64, 8, 512, 0}, {128, 8, 512, 0}, {256, 4, 512, 0},
-	{1000, 8, 512, 0}, {1616, 8, 512, 0}, {20, 4, 1024, 0}, {4097, 8, 4096, 0},
+	{300, 8, 512, 0}, {1000, 8, 512, 0}, {1616, 8, 512, 0}, {20, 4, 1024, 0}, {4097, 8, 4096, 0},
 	{300, 8, 512, 128}, {1000, 4, 512, 192}, {37, 4, 1024, 768}, {4097, 8, 4096, 2056}, {1024, 8, 4096, 2048},
 }
 
@@ -66,9 +66,14 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // runs on the array fillCells writes, with held elements of the cache
 // checked out; the predictors that assume the whole cache free (bucket
 // sort, Select, Quantiles, loose compaction) run where nothing is held,
-// bitonic's and zigzag's, priced at the free cache, run on every row, and
+// bitonic's and zigzag's, priced at the free cache, run on every row,
 // columnsort's, priced the same way, on every row whose geometry
-// ColumnGeometry admits. oram.RebuildCost is
+// ColumnGeometry admits, and the randomized Sort's, priced at the free
+// cache too, wherever 16 blocks are free. Lemma 2's deterministic sort
+// (obsort.Deterministic) runs inside Select, Quantiles, Sort and loose
+// compaction; each must run its columnsort arm on some row, Sort both in a
+// direct bucket sort and in a sample sort, so that every caller's predictor
+// is measured on both arms. oram.RebuildCost is
 // not a row: a rebuild's geometry comes from the ORAM's level state, not
 // from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
 // of its oracle geometries against it. The ORAM's two prices are rows of
@@ -77,6 +82,13 @@ func TestPredictorsExact(t *testing.T) {
 	t.Run("oram", oramRows)
 	const quantilesQ = 2
 	quantilesArms := map[bool]bool{} // which arms of core.Quantiles ran, keyed by bySort
+	// Where each caller must run obsort.Deterministic's columnsort arm: under
+	// a span of the given name, or anywhere in the call for "".
+	columnsWanted := map[string][]string{
+		"core.Select": {""}, "core.Quantiles": {""}, "core.CompactBlocksLoose": {""},
+		"core.Sort": {"direct-sort", "sample-splitters"},
+	}
+	columnsRan := map[string]bool{} // caller/parent
 	whole := func(g geometry) bool { return g.held == 0 }
 	routes := func(g geometry) bool { return g.free() >= 6*g.b }
 	cases := []struct {
@@ -184,18 +196,18 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				want := core.QuantilesCost(g.n, g.b, g.m, quantilesQ)
 				// The sort arm's cost is the copy, the sort and the rank scan.
-				bySort := obsort.BitonicCost(g.n, g.b, g.m).IOs+3*int64(g.n) == want.IOs
+				bySort := obsort.DeterministicCost(g.n, g.b, g.m).IOs+3*int64(g.n) == want.IOs
 				quantilesArms[bySort] = true
 				return got, want
 			}},
-		{"core.Sort", func(g geometry) bool { return whole(g) && g.m >= 16*g.b },
+		{"core.Sort", func(g geometry) bool { return g.free() >= 16*g.b },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 				var err error
 				got := measure(env, func() { err = core.Sort(env, a) })
 				if err != nil {
 					t.Fatal(err)
 				}
-				return got, core.SortCost(g.n, g.b, g.m, occupied*g.b)
+				return got, core.SortCost(g.n, g.b, g.free(), occupied*g.b)
 			}},
 		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 			var repeats int64
@@ -210,11 +222,24 @@ func TestPredictorsExact(t *testing.T) {
 	}
 	// Rows beyond the grid that one primitive alone runs: for Sort, the
 	// benchmark's sort_mem (one distributing level, a direct sort per
-	// bucket) and a B = 64 row whose buckets distribute again.
-	more := map[string][]geometry{"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}}}
+	// bucket), a B = 64 row whose buckets distribute again, and two rows at
+	// M = 512 where columnsort sorts 300 blocks: each bucket of 520 blocks,
+	// and the sample of 2 393; for loose compaction, a cache too small for
+	// its rounds, where it sorts the whole array with columnsort.
+	more := map[string][]geometry{
+		"core.Sort":               {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0}},
+		"core.CompactBlocksLoose": {{18, 4, 48, 0}},
+	}
 	defer func() {
 		if !quantilesArms[true] || !quantilesArms[false] {
 			t.Errorf("core.Quantiles ran the sort arm %v and the Select arm %v over the grid; both must run", quantilesArms[true], quantilesArms[false])
+		}
+		for name, parents := range columnsWanted {
+			for _, p := range parents {
+				if !columnsRan[name+"/"+p] {
+					t.Errorf("%s never sorted with columnsort under %q over its rows", name, p)
+				}
+			}
 		}
 	}()
 	for _, c := range cases {
@@ -228,8 +253,14 @@ func TestPredictorsExact(t *testing.T) {
 				a := env.D.Alloc(g.n)
 				occupied := fillCells(a, rand.New(rand.NewPCG(uint64(g.n), uint64(g.m))))
 				env.Cache.Acquire(g.held)
+				col := env.EnableObs()
 				if got, want := c.run(t, env, a, occupied, g); got != want {
 					t.Errorf("measured %+v, predicted %+v", got, want)
+				}
+				for _, p := range columnsWanted[c.name] {
+					if ranUnder(col.Roots(), p, "columnsort") {
+						columnsRan[c.name+"/"+p] = true
+					}
 				}
 			})
 			ran++
@@ -238,6 +269,17 @@ func TestPredictorsExact(t *testing.T) {
 			t.Errorf("%s: no row of the grid supports it", c.name)
 		}
 	}
+}
+
+// ranUnder reports whether a span named child ran below one named parent,
+// or anywhere for parent "".
+func ranUnder(spans []*obs.Span, parent, child string) bool {
+	for _, s := range spans {
+		if parent == "" && s.Name == child || s.Name == parent && ranUnder(s.Children, "", child) || ranUnder(s.Children, parent, child) {
+			return true
+		}
+	}
+	return false
 }
 
 // oramRows are TestPredictorsExact's rows for the ORAM's two prices, at the

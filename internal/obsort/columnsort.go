@@ -48,19 +48,28 @@ var ErrColumnGeometry = errors.New("obsort: no columnsort matrix fits")
 // matrix. Otherwise, where no s qualifies, it returns ErrColumnGeometry
 // naming the geometry.
 func ColumnGeometry(nBlocks, b, free int) (r, s int, err error) {
+	if r, s, ok := columnShape(nBlocks, b, free); ok {
+		return r, s, nil
+	}
+	return 0, 0, fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free (want r = nB/s, s ≥ 2, s·B | r, B | r/2, r ≥ 2(s−1)², 2r ≤ free)",
+		ErrColumnGeometry, nBlocks, b, free)
+}
+
+// columnShape is ColumnGeometry without the error value, which the callers
+// that only price the engine do not allocate.
+func columnShape(nBlocks, b, free int) (r, s int, ok bool) {
 	ne := nBlocks * b
 	if ne == 0 {
-		return 0, 0, nil
+		return 0, 0, true
 	}
 	// r = ne/s falls and 2(s−1)² rises with s: past the first s over the
 	// limit, every larger one is over it too.
 	for s = 2; ne >= 2*s*(s-1)*(s-1); s++ {
 		if r = ne / s; ne%s == 0 && r%(s*b) == 0 && r%(2*b) == 0 && 2*r <= free {
-			return r, s, nil
+			return r, s, true
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free (want r = nB/s, s ≥ 2, s·B | r, B | r/2, r ≥ 2(s−1)², 2r ≤ free)",
-		ErrColumnGeometry, nBlocks, b, free)
+	return 0, 0, false
 }
 
 // ColumnCost predicts the exact block I/Os and vectored round trips of one
@@ -68,8 +77,8 @@ func ColumnGeometry(nBlocks, b, free int) (r, s int, err error) {
 // for a geometry ColumnGeometry admits: three passes of 2 I/Os per block,
 // and 6s+1 round trips.
 func ColumnCost(nBlocks, b, free int) obs.Cost {
-	_, s, err := ColumnGeometry(nBlocks, b, free)
-	if err != nil || nBlocks == 0 {
+	_, s, ok := columnShape(nBlocks, b, free)
+	if !ok || nBlocks == 0 {
 		return obs.Cost{}
 	}
 	return obs.Cost{IOs: 6 * int64(nBlocks), RoundTrips: 6*int64(s) + 1}

@@ -59,6 +59,89 @@ func TestColumnGeometry(t *testing.T) {
 	}
 }
 
+// TestDeterministicRule pins which engine Deterministic runs at the
+// geometries internal/core's callers meet at B = 8, M = 4 096: columnsort
+// only where it is no dearer than bitonic in block I/Os and in round trips.
+// Each row sorts random keys through Deterministic on a strict cache and
+// requires the named engine's span, a sorted result, and the cost
+// DeterministicCost predicts. Choosing allocates nothing, where no matrix
+// fits too: Theorem 21 chooses once per bucket.
+func TestDeterministicRule(t *testing.T) {
+	const b, m = 8, 4096
+	for _, r := range []struct {
+		n               int
+		engine          string
+		bitonic, column obs.Cost
+	}{
+		// scan_enc_file's Quantiles(8): cheaper on both counts.
+		{8192, "columnsort", obs.Cost{IOs: 114688, RoundTrips: 224}, obs.Cost{IOs: 49152, RoundTrips: 193}},
+		// sort_mem's sample: a tie on I/Os, and fewer round trips.
+		{1024, "bitonic", obs.Cost{IOs: 6144, RoundTrips: 12}, obs.Cost{IOs: 6144, RoundTrips: 25}},
+		// Fewer I/Os, more round trips: neither dominates.
+		{2048, "bitonic", obs.Cost{IOs: 16384, RoundTrips: 32}, obs.Cost{IOs: 12288, RoundTrips: 49}},
+		// A sort_mem bucket: no matrix fits.
+		{1989, "bitonic", obs.Cost{IOs: 16266, RoundTrips: 32}, obs.Cost{}},
+		// scan_enc_file's loose residue: one bitonic window.
+		{256, "bitonic", obs.Cost{IOs: 512, RoundTrips: 2}, obs.Cost{IOs: 1536, RoundTrips: 13}},
+	} {
+		if bt, c := BitonicCost(r.n, b, m), ColumnCost(r.n, b, m); bt != r.bitonic || c != r.column {
+			t.Errorf("n=%d: bitonic %+v and columnsort %+v, want %+v and %+v", r.n, bt, c, r.bitonic, r.column)
+		}
+		want := r.bitonic
+		if r.engine == "columnsort" {
+			want = r.column
+		}
+		if c := DeterministicCost(r.n, b, m); c != want {
+			t.Errorf("n=%d: DeterministicCost %+v, want %s's %+v", r.n, c, r.engine, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { columnsDominate(r.n, b, m) }); allocs != 0 {
+			t.Errorf("n=%d: choosing the engine allocates %.0f objects", r.n, allocs)
+		}
+		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 43)), r.n*b-5, "rand")
+		env := extmem.NewEnv(2*r.n, b, m, 3)
+		env.Cache = extmem.NewCache(m, true)
+		a := env.D.Alloc(r.n)
+		fillArray(env, a, keys)
+		col := env.EnableObs()
+		env.D.ResetStats()
+		Deterministic(env, a, ByKey)
+		got := env.D.Stats().Cost()
+		if roots := col.Roots(); len(roots) != 1 || roots[0].Name != r.engine {
+			t.Errorf("n=%d: spans %s, want one %s", r.n, obs.RenderTree(roots), r.engine)
+		}
+		if sorted := checkSortedPadded(t, readAll(a)); !sameMultiset(sorted, keys) {
+			t.Errorf("n=%d: multiset changed", r.n)
+		}
+		if got != want {
+			t.Errorf("n=%d: measured %+v, DeterministicCost %+v", r.n, got, want)
+		}
+	}
+}
+
+// TestDeterministicBitonicWithinTwoWindows: an array of at most two of
+// bitonic's windows (the largest power of two of blocks that fits the free
+// cache) always keeps bitonic, whose passes over it make at most 12 round
+// trips against columnsort's 6s+1 ≥ 13. That is why two of core's callers
+// never take columnsort: loose compaction's residue, under 2g blocks with
+// g·B ≤ M/2, and Theorem 4's order restoration, whose rCap blocks are under
+// a sixteenth of a cache that holds the IBLT beside them.
+func TestDeterministicBitonicWithinTwoWindows(t *testing.T) {
+	for _, b := range []int{1, 2, 4, 8, 64} {
+		for fb := 2; fb <= 300; fb++ {
+			w := 1
+			for 2*w <= fb {
+				w *= 2
+			}
+			for n := 1; n <= 2*w; n++ {
+				if columnsDominate(n, b, fb*b) {
+					t.Fatalf("n=%d blocks of B=%d with %d blocks free: columnsort %+v dominates bitonic %+v within two windows of %d",
+						n, b, fb, ColumnCost(n, b, fb*b), BitonicCost(n, b, fb*b), w)
+				}
+			}
+		}
+	}
+}
+
 // columnsortNoScratch runs Columnsort and fails the test if the Disk's
 // high-water moved: the engine sorts in place.
 func columnsortNoScratch(t *testing.T) func(*extmem.Env, extmem.Array, Less) {

@@ -1,6 +1,9 @@
 package obsort
 
-import "oblivext/internal/obs"
+import (
+	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
+)
 
 // Engine names, as Config.Sorter and the -sorter flags take them. They are
 // resolved in one place, core.Engine ("auto" becomes Pick's choice), and
@@ -80,6 +83,47 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 		consider(EngineBucket, BucketCost(nBlocks, b, m))
 	}
 	return best
+}
+
+// Deterministic sorts a in place by less with Lemma 2's deterministic sort,
+// the one every algorithm that needs it as a subroutine calls: Columnsort
+// where columnsDominate holds at the cache free at the call, Bitonic
+// everywhere else, with Bitonic's requirements. Its trace, like either
+// engine's, is a function of (len, B, free), and DeterministicCost is its
+// exact price.
+func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
+	if columnsDominate(a.Len(), a.B(), env.M-env.Cache.Used()) {
+		Columnsort(env, a, less)
+		return
+	}
+	Bitonic(env, a, less)
+}
+
+// columnsDominate reports whether Deterministic sorts nBlocks blocks of
+// b elements, free elements of the cache not checked out, with Columnsort:
+// where ColumnGeometry admits the array and ColumnCost is no dearer than
+// BitonicCost both in block I/Os and in round trips. Neither price alone
+// decides, so no caller trades round trips for I/Os or the reverse: at
+// B = 8, free = 4 096, columnsort takes 8 192 blocks (49 152 I/Os in 193
+// round trips against 114 688 in 224), and bitonic keeps 1 024 (6 144 I/Os
+// either way, 25 round trips against 12) and 2 048 (12 288 I/Os in 49
+// against 16 384 in 32: neither dominates).
+func columnsDominate(nBlocks, b, free int) bool {
+	if _, _, ok := columnShape(nBlocks, b, free); !ok || nBlocks == 0 {
+		return false
+	}
+	c, bt := ColumnCost(nBlocks, b, free), BitonicCost(nBlocks, b, free)
+	return c.IOs <= bt.IOs && c.RoundTrips <= bt.RoundTrips
+}
+
+// DeterministicCost predicts the exact block I/Os and vectored round trips
+// of one Deterministic call entered with free elements of the cache not
+// checked out: the price of the engine columnsDominate picks.
+func DeterministicCost(nBlocks, b, free int) obs.Cost {
+	if columnsDominate(nBlocks, b, free) {
+		return ColumnCost(nBlocks, b, free)
+	}
+	return BitonicCost(nBlocks, b, free)
 }
 
 // price is the quantity Pick minimises over a backend: round trips over
