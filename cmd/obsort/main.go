@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random tape seed")
 	sorter := flag.String("sorter", "randomized", "sorter engine: "+strings.Join(obsort.EngineNames(), ", "))
 	shards := flag.Int("shards", 1, "stripe the store across this many backends, fanned out in parallel (with -file, shard i is backed by <file>.<i>)")
-	workers := flag.Int("workers", 1, "goroutines for Alice-side in-cache compute and sealing (0 or 1 = serial); the access trace is identical for every setting")
 	url := flag.String("url", "", "back the store with a remote obstore server at this base URL")
 	urls := flag.String("urls", "", "comma-separated obstore base URLs, one per shard (implies -shards)")
 	replicas := flag.Int("replicas", 1, "replicate every shard across this many backends: writes fan out to all live replicas, reads fail over on error")
@@ -60,8 +59,8 @@ func main() {
 	flag.Parse()
 
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
-		NumShards: *shards, Workers: *workers,
-		URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
+		NumShards: *shards,
+		URL:       *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
 		Replicas:  *replicas,
 		AuthToken: *authToken, TLSRootCA: *tlsCA, TLSInsecureSkipVerify: *tlsSkipVerify,
 		Namespace: *namespace, Multiplex: *multiplex}

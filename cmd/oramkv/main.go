@@ -53,7 +53,6 @@ func main() {
 	cache := flag.Int("cache", 0, "client cache size per session in words (0: oblivext's default)")
 	slots := flag.Int("slots", 64, "ORAM capacity per namespace in logical slots")
 	sorter := flag.String("sorter", "", "sorter engine for ORAM rebuilds, where the ORAM is a hierarchy (empty: auto)")
-	workers := flag.Int("workers", 0, "parallel in-cache compute workers per session (0: serial)")
 	seed := flag.Uint64("seed", 1, "PRF seed base; each namespace derives its own seed from it deterministically")
 	url := flag.String("url", "", "back every session on this obstore server (requires -namespaces on it)")
 	shardURLs := flag.String("shard-urls", "", "comma-separated obstore URLs to stripe each session's blocks across")
@@ -68,7 +67,6 @@ func main() {
 		BlockSize:  *b,
 		CacheWords: *cache,
 		Sorter:     *sorter,
-		Workers:    *workers,
 		Seed:       *seed,
 		URL:        *url,
 		AuthToken:  *authToken,

@@ -140,7 +140,6 @@ func fleetRejections(t *testing.T) {
 		{"cache below 4B", Config{BlockSize: 8, CacheWords: 8}, "CacheWords"},
 		{"unknown sorter", Config{Sorter: "quick"}, "Sorter"},
 		{"negative shards", Config{NumShards: -1}, "NumShards"},
-		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"ShardPaths length", Config{NumShards: 2, ShardPaths: []string{"a"}}, "ShardPaths"},
 		{"ShardURLs length", Config{NumShards: 2, ShardURLs: []string{ts8.URL}}, "ShardURLs"},
 		{"URL with Path", Config{URL: ts8.URL, Path: filepath.Join(dir, "x.dat")}, "URL and Path"},

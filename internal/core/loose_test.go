@@ -321,33 +321,30 @@ func looseBenchInput(env *extmem.Env, placement string) (extmem.Array, int) {
 
 // The public CompactLoose — Lemma 3's consolidation, then Theorem 8 — at the
 // benchmark's geometry: at most 11 I/Os per block, the cache within M, and
-// one trace whatever the data and the worker count.
+// one trace whatever the data.
 func TestLooseTraceAtBenchmarkGeometry(t *testing.T) {
 	const b, m = 8, 4096
 	var want trace.Summary
 	for _, placement := range []string{"random", "front", "back"} {
-		for _, workers := range []int{1, 2, 4} {
-			sum := traceOf(t, 1<<15, b, m, 12, func(env *extmem.Env) {
-				env.Workers = workers
-				a, rCap := looseBenchInput(env, placement)
-				env.D.ResetStats()
-				env.Cache.ResetHighWater()
-				cons, _ := route.Consolidate(env, a, extmem.Element.Occupied)
-				if _, occ, _, err := CompactBlocksLoose(env, cons, rCap); err != nil || occ != a.Len()/4 {
-					t.Fatalf("%s, %d workers: %d occupied, %v", placement, workers, occ, err)
-				}
-				if per := float64(env.D.Stats().Total()) / float64(a.Len()); per > 11 {
-					t.Errorf("%s, %d workers: %.2f I/Os per block, want at most 11", placement, workers, per)
-				}
-				if hw := env.Cache.HighWater(); hw > m || env.Cache.Used() != 0 {
-					t.Errorf("%s, %d workers: cache high-water %d of %d, %d left checked out", placement, workers, hw, m, env.Cache.Used())
-				}
-			})
-			if want.Len == 0 {
-				want = sum
-			} else if !sum.Equal(want) {
-				t.Errorf("%s, %d workers: trace %v, want %v", placement, workers, sum, want)
+		sum := traceOf(t, 1<<15, b, m, 12, func(env *extmem.Env) {
+			a, rCap := looseBenchInput(env, placement)
+			env.D.ResetStats()
+			env.Cache.ResetHighWater()
+			cons, _ := route.Consolidate(env, a, extmem.Element.Occupied)
+			if _, occ, _, err := CompactBlocksLoose(env, cons, rCap); err != nil || occ != a.Len()/4 {
+				t.Fatalf("%s: %d occupied, %v", placement, occ, err)
 			}
+			if per := float64(env.D.Stats().Total()) / float64(a.Len()); per > 11 {
+				t.Errorf("%s: %.2f I/Os per block, want at most 11", placement, per)
+			}
+			if hw := env.Cache.HighWater(); hw > m || env.Cache.Used() != 0 {
+				t.Errorf("%s: cache high-water %d of %d, %d left checked out", placement, hw, m, env.Cache.Used())
+			}
+		})
+		if want.Len == 0 {
+			want = sum
+		} else if !sum.Equal(want) {
+			t.Errorf("%s: trace %v, want %v", placement, sum, want)
 		}
 	}
 }

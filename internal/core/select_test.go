@@ -324,33 +324,3 @@ func BenchmarkSelect(b *testing.B) {
 	}
 	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
 }
-
-// Select's range predicate runs on Consolidate's workers and counts rank(x)
-// through an atomic: the answer and the trace must not depend on the worker
-// count. (The workers-race CI job runs this under the race detector.)
-func TestSelectWorkersMatchSerial(t *testing.T) {
-	const nBlocks, b, m = 1 << 11, 8, 4096
-	run := func(workers int) (extmem.Element, trace.Summary) {
-		var got extmem.Element
-		sum := traceOf(t, 4*nBlocks, b, m, 5, func(env *extmem.Env) {
-			env.Workers = workers
-			a := env.D.Alloc(nBlocks)
-			keys := make([]uint64, nBlocks*b)
-			for i := range keys {
-				keys[i] = uint64(i*2654435761) % 9973
-			}
-			buildKeyArray(a, keys)
-			var err error
-			if got, err = Select(env, a, nBlocks*b/3); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return got, sum
-	}
-	want, wantTrace := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if got, sum := run(w); got.Key != want.Key || got.Pos != want.Pos || !sum.Equal(wantTrace) {
-			t.Fatalf("workers=%d: selected %+v with trace %v, serial run %+v with %v", w, got, sum, want, wantTrace)
-		}
-	}
-}

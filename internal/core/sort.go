@@ -100,17 +100,12 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	sp := env.Obs.Start("final-compact")
 	defer env.Obs.End(sp)
 	cons, _ := route.ConsolidateCompact(env, res, extmem.Element.Occupied)
-	var buf []extmem.Element
-	unstamp := func(plo, phi int) { // built once: a chunk costs no closure
-		for t := plo; t < phi; t++ {
-			buf[t].Flags &^= extmem.FlagMarked
-			buf[t].SetCellDest(0)
-			buf[t].SetColor(0)
-		}
-	}
 	env.Scan(cons, a, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		buf = chunk
-		env.ParCells(len(chunk), unstamp)
+		for t := range chunk {
+			chunk[t].Flags &^= extmem.FlagMarked
+			chunk[t].SetCellDest(0)
+			chunk[t].SetColor(0)
+		}
 	})
 	return nil
 }
@@ -229,27 +224,20 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	// Step 2: color by bucket = 1 + #splitters strictly below the element.
 	spc := env.Obs.Start("colorize")
 	work := env.D.Alloc(n)
-	// Each element's color is a pure function of the element and the
-	// private splitter bounds, so the coloring pass fans out freely.
-	var buf []extmem.Element
-	colorize := func(plo, phi int) {
-		for t := plo; t < phi; t++ {
-			buf[t].SetColor(0)
-			if !buf[t].Occupied() {
+	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			chunk[t].SetColor(0)
+			if !chunk[t].Occupied() {
 				continue
 			}
 			c := 1
 			for j := 0; j < q; j++ {
-				if bounds[j].lessElem(buf[t]) {
+				if bounds[j].lessElem(chunk[t]) {
 					c = j + 2
 				}
 			}
-			buf[t].SetColor(c)
+			chunk[t].SetColor(c)
 		}
-	}
-	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		buf = chunk
-		env.ParCells(len(chunk), colorize)
 	})
 	env.Obs.End(spc)
 
@@ -436,7 +424,7 @@ func sortPrivate(env *extmem.Env, a extmem.Array, m int) extmem.Array {
 			}
 		}
 	})
-	obsort.InCachePar(env, all, obsort.ByKey)
+	obsort.InCache(all, obsort.ByKey)
 	rest := all
 	env.Scan(extmem.Array{}, out, k, func(_ int, chunk []extmem.Element) {
 		rest = rest[copy(chunk, rest):]

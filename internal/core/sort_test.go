@@ -100,7 +100,7 @@ func TestSortRecursivePipeline(t *testing.T) {
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
 // M=4096): exactly SortCost's 392 079 block I/Os (47.86 a block) in 1 516
-// round trips for every input and worker count, under one trace, and a
+// round trips for every input, under one trace, and a
 // Disk high water of exactly 70 528 blocks, the input's 8 192 included.
 // An in-memory store commits memory as the Sort first writes it, so the
 // high water sets, to within a segment, what sort_mem allocates: more
@@ -113,7 +113,7 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary
-	for i, workers := range []int{1, 2, 4} {
+	for i, kind := range []string{"random", "equal", "ascending"} {
 		keys := make([]uint64, nBlocks*b)
 		for j := range keys {
 			switch i {
@@ -126,7 +126,6 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 			}
 		}
 		env := newTestEnv(nBlocks, b, m, 21)
-		env.Workers = workers
 		rec := trace.NewRecorder(0)
 		env.D.SetRecorder(rec)
 		a := env.D.Alloc(nBlocks)
@@ -139,18 +138,18 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		st := env.D.Stats() // before checkSorted reads the result back, a block a round trip
 		checkSorted(t, a, keys)
 		if got := st.Cost(); got != want {
-			t.Errorf("workers=%d: measured %+v, want SortCost's %+v", workers, got, want)
+			t.Errorf("%s keys: measured %+v, want SortCost's %+v", kind, got, want)
 		}
 		if hw := env.Cache.HighWater(); hw > m {
-			t.Errorf("workers=%d: %d private elements > M=%d", workers, hw, m)
+			t.Errorf("%s keys: %d private elements > M=%d", kind, hw, m)
 		}
 		if hw := env.D.HighWater(); hw != 70528 {
-			t.Errorf("workers=%d: disk high-water %d blocks, want 70 528 (8.609·n)", workers, hw)
+			t.Errorf("%s keys: disk high-water %d blocks, want 70 528 (8.609·n)", kind, hw)
 		}
 		if sum := rec.Summarize(); i == 0 {
 			first = sum
 		} else if !sum.Equal(first) {
-			t.Errorf("workers=%d: trace %v differs from workers=1's %v on other data", workers, sum, first)
+			t.Errorf("%s keys: trace %v differs from random keys' %v", kind, sum, first)
 		}
 	}
 }
@@ -159,9 +158,9 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 // B = 64, M = 4 096 the top level's bucket capacities (552 and 1 405 blocks
 // at these sizes) are lengths where Quantiles takes its Select arm, so the
 // level below the top distributes again; at the benchmark geometry (B = 8)
-// every bucket sorts directly. Each row sorts random keys with one worker
-// and duplicate keys with four, checks both against a sort.SliceStable
-// reference, and requires the two traces equal.
+// every bucket sorts directly. Each row sorts random keys and duplicate
+// keys, checks both against a sort.SliceStable reference, and requires the
+// two traces equal.
 func TestSortRecursionReachable(t *testing.T) {
 	const m = 4096
 	for _, row := range []struct {
@@ -181,7 +180,6 @@ func TestSortRecursionReachable(t *testing.T) {
 				elems[j] = extmem.Element{Key: key, Val: key ^ 0x5a5a, Pos: uint64(j), Flags: extmem.FlagOccupied}
 			}
 			env := newTestEnv(nBlocks, b, m, 35)
-			env.Workers = 1 + 3*i
 			col := env.EnableObs()
 			rec := trace.NewRecorder(0)
 			env.D.SetRecorder(rec)
@@ -204,7 +202,7 @@ func TestSortRecursionReachable(t *testing.T) {
 			if i == 0 {
 				first = sum
 			} else if !sum.Equal(first) {
-				t.Errorf("n=%d B=%d: trace %v on duplicate keys with 4 workers differs from %v", nBlocks, b, sum, first)
+				t.Errorf("n=%d B=%d: trace %v on duplicate keys differs from %v", nBlocks, b, sum, first)
 			}
 		}
 	}

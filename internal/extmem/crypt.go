@@ -37,7 +37,7 @@ type subkey struct {
 
 // sealArgs holds the nonce and associated data of one AEAD call. They pass
 // through the cipher.AEAD interface, so locals would escape to the heap on
-// every call; the CryptStore keeps one per worker instead.
+// every call; the CryptStore keeps one instead.
 type sealArgs struct {
 	nonce [nonceSize]byte // 4 zero bytes ‖ big-endian seal count
 	addr  [8]byte

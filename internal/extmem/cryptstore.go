@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-
-	"oblivext/internal/par"
 )
 
 // CryptOverheadElements is the per-block footprint of the encryption
@@ -37,7 +35,7 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // the AEAD reads the caller's elements and writes the sealed image straight
 // into the child-geometry staging, and opens from that staging straight into
 // the caller's elements. A big-endian host stages both images in the
-// worker's scratch through the field-by-field codec; the bytes are the same.
+// store's scratch through the field-by-field codec; the bytes are the same.
 //
 // Each seal is bound to its block address and the pad is checked on every
 // read, so a server that transposes two sealed blocks, or changes any byte
@@ -53,32 +51,29 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // instance of the rollback non-goal docs/THREAT_MODEL.md declares.
 //
 // Like every BlockStore, a CryptStore is driven by one caller at a time
-// (the Disk); the staging buffer relies on that. Within one
-// vectored call the per-block work may fan out across SetWorkers goroutines:
-// each worker owns its scratch, the seal and byte counters are atomic.
+// (the Disk); the staging buffers rely on that. The byte counters are
+// atomic, so they may be read while a call runs.
 type CryptStore struct {
-	child   BlockStore
-	enc     *Encryptor
-	b       int // plaintext block size exposed upward
-	cb      int // child (sealed) block size in elements
-	wire    int // sealed image length in bytes, <= cb*ElementBytes
-	workers int // fan-out for per-block seal/open inside one batch
+	child BlockStore
+	enc   *Encryptor
+	b     int // plaintext block size exposed upward
+	cb    int // child (sealed) block size in elements
+	wire  int // sealed image length in bytes, <= cb*ElementBytes
 
 	bytesSealed atomic.Int64
 	bytesOpened atomic.Int64
 
-	scratch []cryptScratch // one entry per worker; entry 0 serves small batches
-	celem   []Element      // child-geometry staging for vectored calls
+	scratch cryptScratch
+	celem   []Element // child-geometry staging for vectored calls
 }
 
-// cryptScratch is one worker's private state. plain and sbuf stage a block's
-// wire image only on a big-endian host; a little-endian one seals and opens
-// in place.
+// cryptScratch is the per-block state of a seal or an open. plain and sbuf
+// stage a block's wire image only on a big-endian host; a little-endian one
+// seals and opens in place.
 type cryptScratch struct {
 	plain []byte   // an encoded plaintext block
 	sbuf  []byte   // a sealed block padded to child geometry
 	args  sealArgs // the AEAD call's nonce and associated data
-	err   error    // first error of the worker's share of the current batch
 }
 
 // NewCryptStore wraps child with the encryption decorator, presenting
@@ -95,28 +90,18 @@ func NewCryptStore(child BlockStore, enc *Encryptor, b int) (*CryptStore, error)
 		return nil, fmt.Errorf("extmem: child block size %d != sealed block size %d (B=%d + %d overhead elements)",
 			child.BlockSize(), want, b, CryptOverheadElements)
 	}
-	s := &CryptStore{
+	cb := CryptChildBlockSize(b)
+	return &CryptStore{
 		child: child,
 		enc:   enc,
 		b:     b,
-		cb:    CryptChildBlockSize(b),
+		cb:    cb,
 		wire:  enc.WireSize(b * ElementBytes),
-	}
-	s.SetWorkers(1)
-	return s, nil
-}
-
-// SetWorkers sets the fan-out for per-block sealing/opening within one
-// vectored call (0 and 1 both mean serial) and provisions one scratch per
-// worker. Call it during setup: it is not safe concurrently with I/O.
-func (s *CryptStore) SetWorkers(n int) {
-	s.workers = max(n, 1)
-	for len(s.scratch) < s.workers {
-		s.scratch = append(s.scratch, cryptScratch{
-			plain: make([]byte, s.b*ElementBytes),
-			sbuf:  make([]byte, s.cb*ElementBytes),
-		})
-	}
+		scratch: cryptScratch{
+			plain: make([]byte, b*ElementBytes),
+			sbuf:  make([]byte, cb*ElementBytes),
+		},
+	}, nil
 }
 
 // BytesSealed returns the cumulative ciphertext bytes produced by writes —
@@ -137,8 +122,9 @@ func (s *CryptStore) ResetCryptStats() {
 // its child-geometry block: the AEAD reads src's wire image and writes
 // salt‖counter‖ciphertext‖tag over dst's, and the pad there is zeroed. On a
 // little-endian host both images are the elements' own memory; otherwise
-// the worker's scratch stages them.
-func (s *CryptStore) seal(sc *cryptScratch, addr int, dst []Element, src []Element) {
+// the scratch stages them.
+func (s *CryptStore) seal(addr int, dst []Element, src []Element) {
+	sc := &s.scratch
 	out := wireInto(dst, sc.sbuf)
 	s.enc.seal(&sc.args, out[:0], wireOf(src, sc.plain), uint64(addr))
 	clear(out[s.wire:]) // the pad is public structure, not data
@@ -150,11 +136,12 @@ func (s *CryptStore) seal(sc *cryptScratch, addr int, dst []Element, src []Eleme
 // pad is outside the AEAD, so it is checked first, all its bytes folded
 // together before the one comparison: a forged pad never lets authentic
 // plaintext reach dst. A block that fails leaves dst zeroed.
-func (s *CryptStore) open(sc *cryptScratch, addr int, src []Element, dst []Element) error {
+func (s *CryptStore) open(addr int, src []Element, dst []Element) error {
 	if !slices.ContainsFunc(src, func(e Element) bool { return e != Element{} }) {
 		clear(dst)
 		return nil
 	}
+	sc := &s.scratch
 	wire := wireOf(src, sc.sbuf)
 	var pad byte
 	for _, x := range wire[s.wire:] {
@@ -185,44 +172,14 @@ func (s *CryptStore) childElems(n int) []Element {
 	return s.celem[:n*s.cb]
 }
 
-// cryptParMin is the batch size below which per-block crypto stays on the
-// calling goroutine: spawning workers costs more than sealing a few blocks.
-const cryptParMin = 8
-
-// blockRange seals (write) or opens (read) blocks [lo, hi) of a batch on one
-// worker's scratch, which keeps the first error.
-func (s *CryptStore) blockRange(worker int, write bool, addrs []int, lo, hi int, plain, sealed []Element) {
-	sc := &s.scratch[worker]
-	sc.err = nil
-	for i := lo; i < hi && sc.err == nil; i++ {
+// forBlocks seals (write) or opens (read) every block of a batch in order
+// and returns the first error, leaving the blocks after it untouched.
+func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element) error {
+	for i, addr := range addrs {
 		p, c := plain[i*s.b:(i+1)*s.b], sealed[i*s.cb:(i+1)*s.cb]
 		if write {
-			s.seal(sc, addrs[i], c, p)
-		} else {
-			sc.err = s.open(sc, addrs[i], c, p)
-		}
-	}
-}
-
-// forBlocks seals or opens every block of a batch — fanned out across
-// s.workers goroutines for large batches, inline and allocation-free
-// otherwise — and returns the first error by block order: worker k owns the
-// k-th contiguous range. Block i's staging slices are disjoint for distinct
-// i, so workers never share bytes; the choice to fan out depends only on
-// the public batch length, never on block contents.
-func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element) error {
-	n := len(addrs)
-	w := min(s.workers, n) // so that every worker up to w gets a range
-	if w <= 1 || n < cryptParMin {
-		w = 1
-		s.blockRange(0, write, addrs, 0, n, plain, sealed)
-	} else {
-		par.ForWorker(w, n, func(worker, lo, hi int) {
-			s.blockRange(worker, write, addrs, lo, hi, plain, sealed)
-		})
-	}
-	for k := range s.scratch[:w] {
-		if err := s.scratch[k].err; err != nil {
+			s.seal(addr, c, p)
+		} else if err := s.open(addr, c, p); err != nil {
 			return err
 		}
 	}

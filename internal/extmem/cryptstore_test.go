@@ -207,7 +207,7 @@ func cryptTamperTable(t *testing.T) {
 
 // TestPortableArm runs the codec's field-by-field arm — the one a
 // big-endian host takes, and the one that stages sealed blocks in the
-// worker scratch — on whatever host the tests run: the CryptStore round
+// store's scratch — on whatever host the tests run: the CryptStore round
 // trip and tamper table, the FileStore round trip, and blocks written under
 // one arm read back under the other, sealed and plain. It flips a package
 // variable, so it must not run in parallel.
@@ -245,7 +245,7 @@ func TestPortableArm(t *testing.T) {
 }
 
 // TestCryptStoreZeroAllocs pins the sealed path's allocation budget: a warm
-// vectored read or write at Workers=1 allocates nothing, whatever the batch.
+// vectored read or write allocates nothing, whatever the batch.
 func TestCryptStoreZeroAllocs(t *testing.T) {
 	const b, n = 8, 128
 	s := newCryptMem(t, n, b)
@@ -366,6 +366,50 @@ func TestCryptStoreByteCounters(t *testing.T) {
 	s.ResetCryptStats()
 	if s.BytesSealed() != 0 || s.BytesOpened() != 0 {
 		t.Fatal("ResetCryptStats left counters non-zero")
+	}
+}
+
+// TestCryptStoreBatchTamperDetected seals a batch in one vectored call —
+// one distinct (salt, counter) pair per block — then tampers with one block
+// of it: reading the batch fails with an authentication error, and reading
+// the intact blocks keeps succeeding.
+func TestCryptStoreBatchTamperDetected(t *testing.T) {
+	const b, n = 4, 16
+	child := NewMemStore(n, CryptChildBlockSize(b))
+	s, err := NewCryptStore(child, testEncryptor(t), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	if err := s.WriteBlocks(bg, idx, mkElems(n*b, 3)); err != nil {
+		t.Fatal(err)
+	}
+	nonces := map[string]bool{}
+	for _, addr := range idx {
+		nonces[string(childSlot(t, child, addr)[:saltSize+counterSize])] = true
+	}
+	if len(nonces) != n {
+		t.Fatalf("%d distinct (salt, counter) pairs over %d seals", len(nonces), n)
+	}
+	// Flip a ciphertext element of block 5 behind the decorator's back.
+	tampered := make([]Element, CryptChildBlockSize(b))
+	if err := child.ReadBlocks(bg, []int{5}, tampered); err != nil {
+		t.Fatal(err)
+	}
+	tampered[1].Key ^= 1
+	if err := child.WriteBlocks(bg, []int{5}, tampered); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Element, n*b)
+	if err := s.ReadBlocks(bg, idx, out); err == nil {
+		t.Fatal("vectored read of a tampered block succeeded")
+	}
+	intact := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	if err := s.ReadBlocks(bg, intact, out[:len(intact)*b]); err != nil {
+		t.Fatalf("intact blocks unreadable after tamper: %v", err)
 	}
 }
 

@@ -24,21 +24,6 @@ type Env struct {
 	// default) disables observability at the cost of one pointer check per
 	// span site. Attach via EnableObs so the Disk hook stays in step.
 	Obs *obs.Collector
-	// Workers is the fan-out for parallel in-cache compute (internal/par).
-	// 0 and 1 both mean the serial path. Worker count is public — the
-	// partition of every parallel region is a function of geometry only —
-	// so the per-block trace Bob observes is identical for every value.
-	// All Disk I/O and Cache accounting stay on the coordinating
-	// goroutine; workers only touch private buffers already checked out.
-	Workers int
-}
-
-// WorkerCount returns the effective fan-out: Workers clamped to at least 1.
-func (e *Env) WorkerCount() int {
-	if e.Workers < 1 {
-		return 1
-	}
-	return e.Workers
 }
 
 // EnableObs attaches a fresh span collector to the environment and its

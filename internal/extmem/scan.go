@@ -1,7 +1,5 @@
 package extmem
 
-import "oblivext/internal/par"
-
 // Scan is the one way to stream an array: blocks [0, n) move through fn in
 // order, a chunk of at most k blocks at a time, each chunk read from src
 // with one vectored call, handed to fn in a private buffer, and written to
@@ -55,26 +53,4 @@ func (e *Env) Scan(src, dst Array, k int, fn func(lo int, chunk []Element)) {
 			dst.WriteRange(lo, hi, chunk)
 		}
 	}
-}
-
-// ParMinCells is the element count below which in-cache compute stays on
-// the calling goroutine: the fan-out must earn its spawns. It is compared
-// with public lengths only.
-const ParMinCells = 2048
-
-// ParWorkers returns the fan-out for in-cache compute over n elements: the
-// environment's workers, or 1 where n is too small to amortize the spawns.
-func (e *Env) ParWorkers(n int) int {
-	if n < ParMinCells {
-		return 1
-	}
-	return e.WorkerCount()
-}
-
-// ParCells fans fn out over [0, n) across ParWorkers(n) workers. fn must be
-// pure in-cache compute over disjoint index ranges — no I/O, no tape, no
-// shared state. fn escapes to the workers, so a scan that fans out every
-// chunk builds it once, outside its Scan callback.
-func (e *Env) ParCells(n int, fn func(lo, hi int)) {
-	par.For(e.ParWorkers(n), n, fn)
 }

@@ -3,6 +3,7 @@ package extmem
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"oblivext/internal/trace"
@@ -172,5 +173,38 @@ func TestScanShortSource(t *testing.T) {
 				t.Fatalf("source of %d: element %d landed as %+v, want %+v", n, i, e, w)
 			}
 		}
+	}
+}
+
+// S3: in strict mode, a scan started against an overdrawn cache must panic
+// up front with the overdraft spelled out, not hand out memory the
+// accountant doesn't have.
+func TestScanBatchStrictOverdrawPanics(t *testing.T) {
+	env := &Env{D: NewDisk(NewMemStore(16, 4)), Cache: NewCache(32, true), M: 32}
+	env.Cache.Acquire(30) // 2 elements free < one 4-element block
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("strict-mode ScanBatch on an overdrawn cache did not panic")
+		}
+		if s, ok := r.(string); !ok || !strings.Contains(s, "overdrawn") {
+			t.Fatalf("unexpected panic payload: %v", r)
+		}
+	}()
+	env.ScanBatch(1)
+}
+
+// The non-strict counterpart: the documented one-block grace. The scan
+// proceeds at scalar granularity and the overdraft lands in HighWater.
+func TestScanBatchNonStrictGrace(t *testing.T) {
+	env := &Env{D: NewDisk(NewMemStore(16, 4)), Cache: NewCache(32, false), M: 32}
+	env.Cache.Acquire(30)
+	if k := env.ScanBatch(1); k != 1 {
+		t.Fatalf("overdrawn non-strict ScanBatch = %d, want the one-block grace", k)
+	}
+	// A healthy cache in strict mode stays panic-free.
+	env2 := &Env{D: NewDisk(NewMemStore(16, 4)), Cache: NewCache(32, true), M: 32}
+	if k := env2.ScanBatch(1); k < 1 {
+		t.Fatalf("healthy strict ScanBatch = %d", k)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
-	"oblivext/internal/par"
 	"oblivext/internal/route"
 )
 
@@ -273,68 +272,6 @@ func bucketMergeSplit(env *extmem.Env, w extmem.Array, g bucketGeom, i, j int, s
 	pad := extmem.Element{}
 	pad.SetColor(padColor)
 
-	if nw := env.ParWorkers(2 * z); nw > 1 {
-		// Parallel binning: count each worker range's cargo per side, take
-		// the serial prefix (which also detects overflow, before any write
-		// goes back — the same externally visible failure point as the
-		// serial path), then scatter each range into its disjoint slice of
-		// obuf. The output is element-identical to the serial partition:
-		// prefix offsets preserve the rbuf scan order on both sides.
-		ranges := par.Split(2*z, nw)
-		c0 := make([]int, len(ranges))
-		c1 := make([]int, len(ranges))
-		par.ForWorker(nw, len(ranges), func(_, rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				for _, e := range rbuf[ranges[r][0]:ranges[r][1]] {
-					if e.Color() == padColor {
-						continue
-					}
-					if side(e) == 0 {
-						c0[r]++
-					} else {
-						c1[r]++
-					}
-				}
-			}
-		})
-		n0, n1 := 0, 0
-		off0 := make([]int, len(ranges))
-		off1 := make([]int, len(ranges))
-		for r := range ranges {
-			off0[r], off1[r] = n0, n1
-			n0 += c0[r]
-			n1 += c1[r]
-		}
-		if n0 > z || n1 > z {
-			return ErrBucketOverflow
-		}
-		par.ForWorker(nw, len(ranges), func(_, rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				p0, p1 := off0[r], z+off1[r]
-				for _, e := range rbuf[ranges[r][0]:ranges[r][1]] {
-					if e.Color() == padColor {
-						continue
-					}
-					if side(e) == 0 {
-						obuf[p0] = e
-						p0++
-					} else {
-						obuf[p1] = e
-						p1++
-					}
-				}
-			}
-		})
-		for t := n0; t < z; t++ {
-			obuf[t] = pad
-		}
-		for t := z + n1; t < 2*z; t++ {
-			obuf[t] = pad
-		}
-		w.WriteMany(idx, obuf)
-		return nil
-	}
-
 	n0, n1 := 0, z
 	for _, e := range rbuf {
 		if e.Color() == padColor {
@@ -396,7 +333,7 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 		buf := env.Cache.Buf(f * g.z)
 		defer env.Cache.Free(buf)
 		w.ReadRange(lo*g.zb, (lo+f)*g.zb, buf)
-		InCachePar(env, buf, func(x, y extmem.Element) bool {
+		InCache(buf, func(x, y extmem.Element) bool {
 			if xp, yp := x.Color() == padColor, y.Color() == padColor; xp || yp {
 				return !xp && yp
 			}
@@ -419,7 +356,7 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 		sidx[t] = lo*g.zb + env.Tape.IntN(f*g.zb)
 	}
 	w.ReadMany(sidx, sbuf)
-	InCachePar(env, sbuf, func(x, y extmem.Element) bool {
+	InCache(sbuf, func(x, y extmem.Element) bool {
 		if xp, yp := x.Color() == padColor, y.Color() == padColor; xp || yp {
 			return !xp && yp
 		}
@@ -445,27 +382,20 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	// splitters strictly below it. With no splitters every cell lands in
 	// range 0 and the routing either converges or overflows — declared
 	// either way.
-	// Per-cell range tagging is pure in-cache compute against the private
-	// splitter table; fan it out across the worker pool.
-	var abuf []extmem.Element
-	tag := func(plo, phi int) { // built once: a chunk costs no closure
-		for t := plo; t < phi; t++ {
-			if abuf[t].Color() == padColor {
+	region := w.Slice(lo*g.zb, (lo+f)*g.zb)
+	env.Scan(region, region, env.ScanBatchN(1, f*g.zb), func(_ int, chunk []extmem.Element) {
+		for t := range chunk {
+			if chunk[t].Color() == padColor {
 				continue
 			}
 			bin := 0
 			for s := 0; s < nSpl; s++ {
-				if ltCargo(spl[s], abuf[t]) {
+				if ltCargo(spl[s], chunk[t]) {
 					bin = s + 1
 				}
 			}
-			abuf[t].SetColor(bin)
+			chunk[t].SetColor(bin)
 		}
-	}
-	region := w.Slice(lo*g.zb, (lo+f)*g.zb)
-	env.Scan(region, region, env.ScanBatchN(1, f*g.zb), func(_ int, chunk []extmem.Element) {
-		abuf = chunk
-		env.ParCells(len(chunk), tag)
 	})
 	env.Cache.Free(spl)
 

@@ -27,7 +27,6 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
-	"oblivext/internal/par"
 )
 
 // Less orders elements. Implementations must be strict weak orderings and
@@ -140,9 +139,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 
 	// First pass: every stage up to the window size acts within aligned
 	// windows and leaves window w ascending or descending by its parity, so
-	// a private sort stands in for those levels. It is serial at every
-	// worker count: the result must not depend on Workers, and a chunked
-	// sort's would. Not an env.Scan: the window is the buffer the gather
+	// a private sort stands in for those levels. Not an env.Scan: the window is the buffer the gather
 	// passes keep, sorted whole, padding included, past the array's end.
 	spw := env.Obs.Start("sort-windows")
 	for lo := 0; lo < sc.np; lo += wb {
@@ -167,7 +164,6 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	env.Obs.End(spw)
 
 	idx := env.D.IndexScratch(wb)
-	nw := env.WorkerCount()
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
 		spp.SetAttrInt("levels", int64(p.levels))
@@ -175,7 +171,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 		if sc.stage > sc.top {
 			dst = a // the last pass writes the caller's array its n blocks
 		}
-		sc.run(p, work, dst, win, idx, less, nw)
+		sc.run(p, work, dst, win, idx, less)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -254,7 +250,7 @@ func (p gatherPass) local(j, lb int) int {
 // write to dst those of them it holds. A level of stage s ascends where
 // bit s of the element index is clear; that bit is a window bit, a
 // constant of the batch, or — in the last stage — clear everywhere.
-func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, less Less, nw int) {
+func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, less Less) {
 	gb := int(p.gather >> s.lb)
 	rest := (s.np - 1) &^ gb
 	for base := 0; ; {
@@ -273,7 +269,7 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 					desc = base>>(stage-s.lb)&1 == 1
 				}
 			}
-			exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc, less, nw)
+			exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc, less)
 			stage, bit = nextLevel(stage, bit)
 		}
 		if k, _ := slices.BinarySearch(idx, dst.Len()); k > 0 {
@@ -288,24 +284,9 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 // exchangeLevel applies one network level to a private window: elements
 // stride apart compare-exchange, ascending where the window index has
 // dirBit clear (everywhere when dirBit is 0), the whole level reversed when
-// desc. A level's pairs live inside 2·stride-aligned groups, so splitting
-// the window at group boundaries gives the nw workers disjoint ranges: the
-// network — and therefore the result and the trace — is the serial level's;
-// only which goroutine executes each exchange changes.
-func exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool, less Less, nw int) {
-	group := 2 * stride
-	ngroups := len(win) / group
-	if nw <= 1 || len(win) < extmem.ParMinCells || ngroups < 2 {
-		exchangeGroups(win, 0, len(win), stride, dirBit, desc, less)
-		return
-	}
-	par.For(nw, ngroups, func(glo, ghi int) {
-		exchangeGroups(win, glo*group, ghi*group, stride, dirBit, desc, less)
-	})
-}
-
-func exchangeGroups(win []extmem.Element, lo, hi, stride, dirBit int, desc bool, less Less) {
-	for g := lo; g < hi; g += 2 * stride {
+// desc.
+func exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool, less Less) {
+	for g := 0; g < len(win); g += 2 * stride {
 		for li := g; li < g+stride; li++ {
 			if asc := (li&dirBit == 0) != desc; asc == less(win[li+stride], win[li]) {
 				win[li], win[li+stride] = win[li+stride], win[li]

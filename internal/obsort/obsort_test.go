@@ -353,9 +353,8 @@ func TestBitonicPackedPasses(t *testing.T) {
 
 // TestBitonicTraceProperties checks, at the benchmark and the ORAM
 // geometries, what the packed schedule must not have cost: the trace is a
-// function of (n, B, M) alone — the same across inputs, orders, worker
-// counts and with the blocks sealed — the result does not depend on
-// Workers, and every vectored call moves one batch of M/B blocks (the whole
+// function of (n, B, M) alone — the same across inputs, orders and with
+// the blocks sealed — and every vectored call moves one batch of M/B blocks (the whole
 // cache is free) or, where the padding is skipped, the part of one the
 // array holds.
 func TestBitonicTraceProperties(t *testing.T) {
@@ -365,7 +364,7 @@ func TestBitonicTraceProperties(t *testing.T) {
 			st    obs.Counters
 			elems []extmem.Element
 		}
-		run := func(kind string, less Less, workers int, sealed bool) outcome {
+		run := func(kind string, less Less, sealed bool) outcome {
 			env := extmem.NewEnv(2*g.n, g.b, g.m, 3)
 			if sealed {
 				enc, err := extmem.NewEncryptor(make([]byte, 32))
@@ -378,7 +377,6 @@ func TestBitonicTraceProperties(t *testing.T) {
 				}
 				env = extmem.NewEnvOn(cs, g.m, 3)
 			}
-			env.Workers = workers
 			a := env.D.Alloc(g.n)
 			fillArray(env, a, genKeys(rand.New(rand.NewPCG(9, 9)), g.n*g.b*3/4, kind))
 			rec := trace.NewRecorder(0)
@@ -390,7 +388,7 @@ func TestBitonicTraceProperties(t *testing.T) {
 			}
 			return outcome{rec.Summarize(), env.D.Stats(), readAll(a)}
 		}
-		base := run("rand", ByKey, 1, false)
+		base := run("rand", ByKey, false)
 		checkSortedPadded(t, base.elems)
 		if want := BitonicCost(g.n, g.b, g.m); base.st.Cost() != want {
 			t.Errorf("n=%d: measured %+v, predicted %+v", g.n, base.st.Cost(), want)
@@ -400,24 +398,21 @@ func TestBitonicTraceProperties(t *testing.T) {
 			t.Errorf("n=%d: %d I/Os in %d round trips, want %d blocks each", g.n, base.st.Total(), base.st.RoundTrips, wb)
 		}
 		for _, v := range []struct {
-			name    string
-			kind    string
-			less    Less
-			workers int
-			sealed  bool
+			name   string
+			kind   string
+			less   Less
+			sealed bool
 		}{
-			{"another input", "dup", ByKey, 1, false},
-			{"ByRawKey", "rand", ByRawKey, 1, false},
-			{"Workers=2", "rand", ByKey, 2, false},
-			{"Workers=4", "rand", ByKey, 4, false},
-			{"sealed", "rand", ByKey, 1, true},
+			{"another input", "dup", ByKey, false},
+			{"ByRawKey", "rand", ByRawKey, false},
+			{"sealed", "rand", ByKey, true},
 		} {
-			got := run(v.kind, v.less, v.workers, v.sealed)
+			got := run(v.kind, v.less, v.sealed)
 			if !got.trace.Equal(base.trace) {
 				t.Errorf("n=%d, %s: trace %v differs from %v", g.n, v.name, got.trace, base.trace)
 			}
-			if v.workers > 1 && !slices.Equal(got.elems, base.elems) {
-				t.Errorf("n=%d, %s: result differs from the serial run's", g.n, v.name)
+			if v.sealed && !slices.Equal(got.elems, base.elems) {
+				t.Errorf("n=%d, %s: result differs from the plaintext run's", g.n, v.name)
 			}
 		}
 	}

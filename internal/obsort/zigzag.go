@@ -62,7 +62,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	for r := 0; r < k; r++ {
 		lo, l := r*cb, runLen(r)
 		a.ReadRange(lo, lo+l, buf[:l*b])
-		InCachePar(env, buf[:l*b], less)
+		InCache(buf[:l*b], less)
 		a.WriteRange(lo, lo+l, buf[:l*b])
 	}
 	env.Obs.End(sp0)
@@ -83,7 +83,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 			idx[li+t] = j*cb + t
 		}
 		a.ReadMany(idx[:li+lj], buf[:(li+lj)*b])
-		InCachePar(env, buf[:(li+lj)*b], less)
+		InCache(buf[:(li+lj)*b], less)
 		a.WriteMany(idx[:li+lj], buf[:(li+lj)*b])
 	})
 	env.Obs.End(spm)
@@ -91,9 +91,9 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	env.Cache.Free(buf)
 }
 
-// zigzagRunBlocks returns the run size in blocks: two runs plus slack (the
-// parallel merge's scratch) must fit in the free cache, so a run is a
-// quarter of it, at least one block.
+// zigzagRunBlocks returns the run size in blocks: a quarter of the free
+// cache, at least one block, so the two runs of a merge-split fill half of
+// it.
 func zigzagRunBlocks(b, free int) int {
 	return max(1, free/(4*b))
 }

@@ -3,7 +3,6 @@ package route
 import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
-	"oblivext/internal/par"
 )
 
 // Consolidate is the data consolidation of Lemma 3: given an array A of
@@ -37,34 +36,14 @@ func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 	k := env.ScanBatchN(2, n)
 	wbuf := env.Cache.Buf(k * b)
 	wr := extmem.NewSeqWriter(out, 0, wbuf)
-	kcnt := make([]int, k)
 
 	// The scan keeps the scalar lag structure — output block i-1 is decided
 	// only after input block i has been absorbed — but moves up to k blocks
 	// per round trip in each direction. The still-exact total is n reads
-	// and n writes (Lemma 3). Per chunk, the keep predicate and the
-	// intra-block gather run in parallel (each block's kept elements are
-	// compacted, stably, to its front in the private buffer); the serial
-	// lag loop then absorbs the pre-gathered runs.
-	var in []extmem.Element
-	gather := func(plo, phi int) { // built once: a chunk costs no closure
-		for x := plo; x < phi; x++ {
-			blk := in[x*b : (x+1)*b]
-			w := 0
-			for t := range blk {
-				if keep(blk[t]) {
-					blk[w] = blk[t]
-					w++
-				}
-			}
-			kcnt[x] = w
-		}
-	}
+	// and n writes (Lemma 3).
 	env.Scan(a, extmem.Array{}, k, func(lo int, chunk []extmem.Element) {
-		in = chunk
-		par.For(env.ParWorkers(len(in)), len(in)/b, gather)
-		for x := 0; x < len(in)/b; x++ {
-			l.take(in[x*b : x*b+kcnt[x]])
+		for x := 0; x < len(chunk)/b; x++ {
+			l.absorb(chunk[x*b : (x+1)*b])
 			if lo+x > 0 {
 				l.emit(wr.Next(), false)
 			}
@@ -88,12 +67,6 @@ type lag struct {
 	hold    []extmem.Element
 	pending int
 	kept    int64
-}
-
-// take appends a run of kept elements, at most one block's worth.
-func (l *lag) take(run []extmem.Element) {
-	l.pending += copy(l.hold[l.pending:], run)
-	l.kept += int64(len(run))
 }
 
 // absorb takes the kept elements of one input block.

@@ -119,7 +119,7 @@ func TestConsolidateIOExact(t *testing.T) {
 func TestConsolidateOblivious(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 3))
 	run := func(marked int) trace.Summary {
-		return traceOf(16, 4, 16, 1,
+		return traceOf(16, 4, 16,
 			func(a extmem.Array) { writeElems(a, randomMarkedInput(r, 64, marked)) },
 			func(env *extmem.Env, a extmem.Array) { Consolidate(env, a, extmem.Element.Marked) })
 	}

@@ -108,17 +108,7 @@ type Config struct {
 	// in-memory. With EncryptionKey set the shard files hold ciphertext
 	// only (blocks are sealed above the fan-out).
 	ShardPaths []string
-	// Workers sizes the pool of goroutines used for Alice-side in-cache
-	// compute: the private phases between store round trips (bitonic
-	// compare-exchange levels, consolidation, colorize/stamp passes, bucket
-	// binning, in-cache sorts) and the sealing/opening of blocks when
-	// EncryptionKey is set; the butterfly's in-place moves depend on their
-	// order and always run serially. 0 or 1 runs everything serially; N > 1
-	// fans the compute out over N goroutines. The partitioning is a pure
-	// function of public geometry (lengths, B, M, N) — never of element
-	// values — and all store I/O stays on the calling goroutine in unchanged
-	// order, so the per-block trace Bob observes is bit-identical for every
-	// Workers setting; see docs/ARCHITECTURE.md, "Parallel compute".
+	// Deprecated: no effect; Alice's compute is serial.
 	Workers int
 	// URL, when non-empty, backs the store with a real remote Bob: an
 	// obstore server (cmd/obstore) at this base URL, spoken to over the
@@ -204,8 +194,8 @@ type Config struct {
 }
 
 // Client is Alice: a private cache plus a connection to the block store.
-// Not safe for concurrent use (the internal concurrency — the sharded
-// fan-out, the compute workers — stays behind the single-caller API).
+// Not safe for concurrent use (the internal concurrency — the shard and
+// replica fan-outs — stays behind the single-caller API).
 type Client struct {
 	env        *extmem.Env
 	store      extmem.BlockStore
@@ -238,9 +228,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.NumShards < 0 {
 		return nil, fmt.Errorf("oblivext: NumShards must be >= 0, got %d", cfg.NumShards)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("oblivext: Workers must be >= 0, got %d", cfg.Workers)
 	}
 	if len(cfg.ShardPaths) > 0 && len(cfg.ShardPaths) != cfg.NumShards {
 		return nil, fmt.Errorf("oblivext: got %d ShardPaths for %d shards", len(cfg.ShardPaths), cfg.NumShards)
@@ -439,11 +426,9 @@ func New(cfg Config) (*Client, error) {
 		if err != nil {
 			return fail(err)
 		}
-		cs.SetWorkers(cfg.Workers)
 		store = cs
 	}
 	env := extmem.NewEnvOn(store, cfg.CacheWords, cfg.Seed)
-	env.Workers = cfg.Workers
 	// A network backend bounds how many blocks one request may carry; cap
 	// the Disk's vectored batches to the wire limit (one limit: every server
 	// passed the same block-size check) so a batch can never be rejected for

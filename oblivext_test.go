@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"oblivext/internal/oram"
 )
 
 func mkRecords(n int, seed uint64) []Record {
@@ -194,6 +196,106 @@ func TestPublicORAM(t *testing.T) {
 	}
 	if v[0] != 1 || v[3] != 4 {
 		t.Fatalf("read back %v", v)
+	}
+}
+
+// TestPublicSortEngines: every named engine sorts through the public API,
+// keeps the private cache within M, and leaves one trace whatever the
+// input.
+func TestPublicSortEngines(t *testing.T) {
+	const n, b, cache = 1 << 10, 8, 1024
+	spread := make([]Record, n)
+	for i := range spread {
+		spread[i] = Record{Key: uint64(i*2654435761) % (1 << 20), Val: uint64(i)}
+	}
+	equal := make([]Record, n)
+	for i := range equal {
+		equal[i] = Record{Key: 7, Val: uint64(i)}
+	}
+	for _, engine := range []string{"randomized", "bitonic", "zigzag", "bucket"} {
+		t.Run(engine, func(t *testing.T) {
+			var first TraceSummary
+			for i, recs := range [][]Record{spread, equal} {
+				c, err := New(Config{BlockSize: b, CacheWords: cache, Seed: 42, Sorter: engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				arr, err := c.Store(recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.EnableTrace(0)
+				if err := arr.Sort(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := arr.Records()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != n {
+					t.Fatalf("lost records: %d of %d", len(got), n)
+				}
+				for j := 1; j < len(got); j++ {
+					if got[j-1].Key > got[j].Key {
+						t.Fatalf("not sorted at %d", j)
+					}
+				}
+				if hw := c.CacheHighWater(); hw > cache {
+					t.Fatalf("cache high water %d exceeds M=%d", hw, cache)
+				}
+				if sum := c.TraceSummary(); i == 0 {
+					first = sum
+				} else if sum != first {
+					t.Fatalf("trace on equal keys %+v differs from %+v", sum, first)
+				}
+			}
+		})
+	}
+}
+
+// TestPublicORAMHierarchy: 64 blocks against a cache of 512 blocks make
+// the hierarchy the arm; writing every block and reading it back flushes
+// its 64-entry buffer twice, 3 rebuilds with the build. The payloads read
+// back are the ones written, and the trace is a function of (n, B, t,
+// seed) alone: other payloads leave the same one.
+func TestPublicORAMHierarchy(t *testing.T) {
+	const logical = 64
+	run := func(mul uint64) TraceSummary {
+		c, err := New(Config{BlockSize: 4, CacheWords: 2048, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.EnableTrace(0)
+		r, err := c.NewORAM(logical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm := r.o.Arm(); arm != oram.ArmHierarchy {
+			t.Fatalf("the ORAM is a %s, want the hierarchy", arm)
+		}
+		for i := range uint64(logical) {
+			if err := r.Write(int(i), []uint64{i * mul, i, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range uint64(logical) {
+			words, err := r.Read(int(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if words[0] != i*mul {
+				t.Fatalf("ORAM read back %d at %d, want %d", words[0], i, i*mul)
+			}
+		}
+		if got := r.o.Rebuilds().Count; got != 3 {
+			t.Fatalf("%d rebuilds, want 3: the build and the buffer's 2 flushes", got)
+		}
+		return c.TraceSummary()
+	}
+	if a, b := run(7), run(1<<40+3); a != b {
+		t.Fatalf("ORAM trace depends on the payloads: %+v vs %+v", a, b)
 	}
 }
 
