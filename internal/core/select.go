@@ -16,7 +16,8 @@ import (
 // scan draws a Bernoulli sample straight into private memory, two sample
 // ranks bracket the target in a range [x, y], one consolidating tight
 // compaction moves the range into a prefix a fixed factor shorter, and
-// the same step narrows that prefix until it fits the cache. The paper's
+// the same step narrows that prefix until it fits the cache, or until
+// sorting what is left is no dearer than narrowing it (selectCost). The paper's
 // rate N^{-1/2} and range bound N^{7/8} (which is N itself below N = 2^24)
 // state the asymptotics; selectPlan derives both from Chernoff bounds at the
 // actual (N, B, M). Selection is over the total order (Key, Pos) on occupied
@@ -103,8 +104,9 @@ func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m
 	defer env.D.Release(mark)
 	cur := a
 	for cur.Len()*a.B() > env.M/2 {
+		_, tail := selectCost(cur.Len(), a.B(), env.M, cur.Base() == a.Base())
 		lv, ok := plan(cur.Len(), a.B(), env.M)
-		if !ok {
+		if tail || !ok {
 			// The terminating path: sort (a copy of the caller's array).
 			if cur.Base() == a.Base() {
 				cur = env.D.Alloc(a.Len())
@@ -209,23 +211,34 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 
 // SelectCost predicts the exact block I/Os and vectored round trips of
 // Select on nBlocks blocks of b elements with a cache of m, entered with the
-// whole cache free and batches bounded by the cache alone (no MaxBatch): per
-// narrowing level one sample scan and one consolidating butterfly compaction
-// of the level's length, then the in-cache scan, or the sort tail — the copy
-// that spares the caller's array, the sort and the rank scan, each with the
-// whole cache free.
+// whole cache free and batches bounded by the cache alone (no MaxBatch).
 func SelectCost(nBlocks, b, m int) obs.Cost {
-	var c obs.Cost
-	n := nBlocks
-	for n*b > m/2 {
-		lv, ok := selectPlan(n, b, m)
-		if !ok {
-			return c.Add(sortTailCost(n, b, m, n == nBlocks))
-		}
-		c = c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)})
-		c = c.Add(route.ConsolidateCompactCost(n, b, m))
-		n = lv.next
+	c, _ := selectCost(nBlocks, b, m, true)
+	return c
+}
+
+// selectCost prices Select from a level of n blocks (copied: the caller's
+// array, which the sort tail copies first) and reports whether the level
+// takes the sort tail — the copy, the sort and the rank scan, each with the
+// whole cache free. It does wherever selectPlan cannot narrow, and wherever
+// the tail is no dearer, in block I/Os and in round trips, than narrowing:
+// the level's sample scan and consolidating butterfly compaction, then
+// Select of the prefix left. A level that fits M/2 is one scan beside the
+// M/2-element buffer.
+func selectCost(n, b, m int, copied bool) (obs.Cost, bool) {
+	scan := obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}
+	if n*b <= m/2 {
+		return scan, false
 	}
-	// One scan of the rest beside the M/2-element buffer.
-	return c.Add(obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)})
+	tail := sortTailCost(n, b, m, copied)
+	lv, ok := selectPlan(n, b, m)
+	if !ok {
+		return tail, true
+	}
+	rest, _ := selectCost(lv.next, b, m, false)
+	narrow := scan.Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
+	if tail.IOs <= narrow.IOs && tail.RoundTrips <= narrow.RoundTrips {
+		return tail, true
+	}
+	return narrow, false
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/rng"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -156,15 +158,18 @@ func TestSelectOblivious(t *testing.T) {
 
 // Measured == predicted, I/Os and round trips, on every path: the in-cache
 // scan, the sort tail (from the input and from a narrowed prefix, sorted by
-// bitonic or, at 300 blocks with M = 512, by columnsort) and one to six
+// bitonic or, at 300 blocks with M = 512, by columnsort) and one to four
 // narrowing levels; and Select's constant at the benchmark geometry.
 func TestSelectCostMatchesPrediction(t *testing.T) {
 	for _, g := range []struct{ nBlocks, b, m int }{
 		{16, 8, 256}, {250, 8, 256}, {300, 8, 512}, {1000, 4, 128}, {300, 8, 4096}, {600, 8, 2400},
 		{2500, 8, 4096}, {1 << 13, 8, 4096}, {1 << 13, 8, 8192}, {3000, 16, 1 << 14},
+		// Four levels, each compaction routed through the network, then the
+		// sort tail from a 268-block prefix.
+		{1 << 12, 8, 4096},
 		// The longest level whose compaction runs in the cache, beside the
-		// 2B holding buffer and a block of slack, and the shortest that
-		// routes through the network.
+		// 2B holding buffer and a block of slack; the shortest that routes
+		// through the network takes the sort tail.
 		{509, 8, 4096}, {510, 8, 4096},
 	} {
 		env := newTestEnv(4*g.nBlocks, g.b, g.m, 17)
@@ -191,6 +196,60 @@ func TestSelectCostMatchesPrediction(t *testing.T) {
 	}
 	if got := float64(SelectCost(1<<13, 8, 4096).IOs) / (1 << 13); got > 12 {
 		t.Errorf("Select at N=2^16, B=8, M=4096 costs %.1f I/Os per block, want <= 12", got)
+	}
+}
+
+// TestSelectTailByDominance pins the rule by which a level takes the sort
+// tail: wherever it is no dearer than narrowing, in block I/Os and in round
+// trips. At the benchmark geometry (2^13 blocks, B = 8, M = 4096) the tail
+// — the copy, columnsort and the rank scan, 9 I/Os per block — beats
+// narrowing on both counts, 73 728 I/Os in 244 round trips against 80 893
+// in 343, and runs from the input in one allocation. At 2^12 blocks
+// neither dominates — the tail's 53 248 I/Os in 107 round trips against
+// narrowing's 39 509 in 177 — so Select narrows there.
+func TestSelectTailByDominance(t *testing.T) {
+	const b, m = 8, 4096
+	narrow := func(n int) obs.Cost {
+		lv, ok := selectPlan(n, b, m)
+		if !ok {
+			t.Fatalf("n=%d: selectPlan cannot narrow", n)
+		}
+		rest, _ := selectCost(lv.next, b, m, false)
+		return obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}.
+			Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
+	}
+	for _, row := range []struct {
+		n            int
+		tail, narrow obs.Cost
+		takesTail    bool
+	}{
+		{1 << 13, obs.Cost{IOs: 73728, RoundTrips: 244}, obs.Cost{IOs: 80893, RoundTrips: 343}, true},
+		{1 << 12, obs.Cost{IOs: 53248, RoundTrips: 107}, obs.Cost{IOs: 39509, RoundTrips: 177}, false},
+	} {
+		if got := sortTailCost(row.n, b, m, true); got != row.tail {
+			t.Errorf("n=%d: sort tail %+v, want %+v", row.n, got, row.tail)
+		}
+		if got := narrow(row.n); got != row.narrow {
+			t.Errorf("n=%d: narrowing %+v, want %+v", row.n, got, row.narrow)
+		}
+		want := row.narrow
+		if row.takesTail {
+			want = row.tail
+		}
+		if got, tail := selectCost(row.n, b, m, true); got != want || tail != row.takesTail {
+			t.Errorf("n=%d: selectCost = %+v, sort tail %v; want %+v, %v", row.n, got, tail, want, row.takesTail)
+		}
+	}
+
+	env, a, sorted := selectBenchInput(1)
+	k := int64(len(sorted) / 2)
+	allocs := testing.AllocsPerRun(3, func() {
+		if e, err := Select(env, a, k); err != nil || e.Key != sorted[k-1] {
+			t.Fatalf("Select = %+v, %v, want key %d", e, err, sorted[k-1])
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Select at the benchmark geometry allocates %.0f objects a call, want 1", allocs)
 	}
 }
 
