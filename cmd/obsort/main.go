@@ -59,8 +59,7 @@ func main() {
 	flag.Parse()
 
 	cfg := oblivext.Config{BlockSize: *b, CacheWords: *m, Seed: *seed, Path: *file, Sorter: *sorter,
-		NumShards: *shards,
-		URL:       *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
+		NumShards: *shards, URL: *url, NetTimeout: *netTimeout, NetRetries: *netRetries,
 		Replicas:  *replicas,
 		AuthToken: *authToken, TLSRootCA: *tlsCA, TLSInsecureSkipVerify: *tlsSkipVerify,
 		Namespace: *namespace, Multiplex: *multiplex}

@@ -63,17 +63,12 @@ type CryptStore struct {
 	bytesSealed atomic.Int64
 	bytesOpened atomic.Int64
 
-	scratch cryptScratch
-	celem   []Element // child-geometry staging for vectored calls
-}
-
-// cryptScratch is the per-block state of a seal or an open. plain and sbuf
-// stage a block's wire image only on a big-endian host; a little-endian one
-// seals and opens in place.
-type cryptScratch struct {
-	plain []byte   // an encoded plaintext block
-	sbuf  []byte   // a sealed block padded to child geometry
-	args  sealArgs // the AEAD call's nonce and associated data
+	// plain and sbuf stage a block's wire image only on a big-endian host;
+	// a little-endian one seals and opens in place.
+	plain []byte    // an encoded plaintext block
+	sbuf  []byte    // a sealed block padded to child geometry
+	args  sealArgs  // the AEAD call's nonce and associated data
+	celem []Element // child-geometry staging for vectored calls
 }
 
 // NewCryptStore wraps child with the encryption decorator, presenting
@@ -97,10 +92,8 @@ func NewCryptStore(child BlockStore, enc *Encryptor, b int) (*CryptStore, error)
 		b:     b,
 		cb:    cb,
 		wire:  enc.WireSize(b * ElementBytes),
-		scratch: cryptScratch{
-			plain: make([]byte, b*ElementBytes),
-			sbuf:  make([]byte, cb*ElementBytes),
-		},
+		plain: make([]byte, b*ElementBytes),
+		sbuf:  make([]byte, cb*ElementBytes),
 	}, nil
 }
 
@@ -122,11 +115,10 @@ func (s *CryptStore) ResetCryptStats() {
 // its child-geometry block: the AEAD reads src's wire image and writes
 // salt‖counter‖ciphertext‖tag over dst's, and the pad there is zeroed. On a
 // little-endian host both images are the elements' own memory; otherwise
-// the scratch stages them.
+// plain and sbuf stage them.
 func (s *CryptStore) seal(addr int, dst []Element, src []Element) {
-	sc := &s.scratch
-	out := wireInto(dst, sc.sbuf)
-	s.enc.seal(&sc.args, out[:0], wireOf(src, sc.plain), uint64(addr))
+	out := wireInto(dst, s.sbuf)
+	s.enc.seal(&s.args, out[:0], wireOf(src, s.plain), uint64(addr))
 	clear(out[s.wire:]) // the pad is public structure, not data
 	settleWire(dst, out)
 }
@@ -141,16 +133,15 @@ func (s *CryptStore) open(addr int, src []Element, dst []Element) error {
 		clear(dst)
 		return nil
 	}
-	sc := &s.scratch
-	wire := wireOf(src, sc.sbuf)
+	wire := wireOf(src, s.sbuf)
 	var pad byte
 	for _, x := range wire[s.wire:] {
 		pad |= x
 	}
 	err := errAuth
 	if pad == 0 {
-		out := wireInto(dst, sc.plain)
-		if _, err = s.enc.open(&sc.args, out[:0], wire[:s.wire], uint64(addr)); err == nil {
+		out := wireInto(dst, s.plain)
+		if _, err = s.enc.open(&s.args, out[:0], wire[:s.wire], uint64(addr)); err == nil {
 			settleWire(dst, out)
 		}
 	}

@@ -139,8 +139,9 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 
 	// First pass: every stage up to the window size acts within aligned
 	// windows and leaves window w ascending or descending by its parity, so
-	// a private sort stands in for those levels. Not an env.Scan: the window is the buffer the gather
-	// passes keep, sorted whole, padding included, past the array's end.
+	// a private sort stands in for those levels. Not an env.Scan: the window
+	// is the buffer the gather passes keep, sorted whole, padding included,
+	// past the array's end.
 	spw := env.Obs.Start("sort-windows")
 	for lo := 0; lo < sc.np; lo += wb {
 		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
