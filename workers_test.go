@@ -2,70 +2,79 @@ package oblivext
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
-
-	"oblivext/internal/oram"
 )
 
-// The Config.Workers contract, end to end through the public API: for every
-// sorter engine and every worker count, the sort must produce the same
-// sorted output, the per-block trace Bob observes must be bit-identical to
-// the serial run's, and the private cache must stay within budget.
+// Config.Workers is deprecated and New ignores it: Alice's compute is
+// serial. The field stays only because callers outside this module still
+// set it, so these tests pin that it is inert: whatever value it holds, an
+// operation leaves the output, the trace Bob observes and the crypto byte
+// count of a Config that leaves it unset.
+
+// sortOnce stores recs under cfg, sorts them with the trace on, and returns
+// the trace summary and the sorted records, failing if the order or the
+// cache budget is broken.
+func sortOnce(t *testing.T, cfg Config, recs []Record) (TraceSummary, []Record, IOStats) {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arr, err := c.Store(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTrace(0)
+	c.ResetStats()
+	if err := arr.Sort(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := arr.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("lost records: %d of %d", len(got), len(recs))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Key > got[i].Key {
+			t.Fatalf("not sorted at %d", i)
+		}
+	}
+	if hw := c.CacheHighWater(); hw > cfg.CacheWords {
+		t.Fatalf("cache high water %d exceeds M=%d", hw, cfg.CacheWords)
+	}
+	return c.TraceSummary(), got, c.Stats()
+}
+
 func TestWorkersTraceInvariantAcrossEngines(t *testing.T) {
 	const n, b, cache = 1 << 10, 8, 1024
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Key: uint64(i*2654435761) % (1 << 20), Val: uint64(i)}
 	}
-
 	for _, engine := range []string{"randomized", "bitonic", "zigzag", "bucket"} {
-		type outcome struct {
-			sum  TraceSummary
-			recs []Record
-		}
-		var serial outcome
+		cfg := Config{BlockSize: b, CacheWords: cache, Seed: 42, Sorter: engine}
+		wantSum, wantRecs, _ := sortOnce(t, cfg, recs)
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", engine, w), func(t *testing.T) {
-				c, err := New(Config{BlockSize: b, CacheWords: cache, Seed: 42,
-					Sorter: engine, Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				arr, err := c.Store(recs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.EnableTrace(0)
-				if err := arr.Sort(); err != nil {
-					t.Fatal(err)
-				}
-				got, err := arr.Records()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != n {
-					t.Fatalf("lost records: %d of %d", len(got), n)
-				}
-				for i := 1; i < len(got); i++ {
-					if got[i-1].Key > got[i].Key {
-						t.Fatalf("not sorted at %d", i)
-					}
-				}
-				if hw := c.CacheHighWater(); hw > cache {
-					t.Fatalf("cache high water %d exceeds M=%d at workers=%d", hw, cache, w)
-				}
-				sum := c.TraceSummary()
-				if w == 1 {
-					serial = outcome{sum: sum, recs: got}
-					return
-				}
-				if sum != serial.sum {
-					t.Fatalf("trace fingerprint differs from serial run: %+v vs %+v", sum, serial.sum)
+				cfg := cfg
+				cfg.Workers = w
+				sum, got, _ := sortOnce(t, cfg, recs)
+				if sum != wantSum {
+					t.Fatalf("trace %+v, without Workers %+v", sum, wantSum)
 				}
 				for i := range got {
-					if got[i] != serial.recs[i] {
-						t.Fatalf("record %d differs from serial run", i)
+					if got[i] != wantRecs[i] {
+						t.Fatalf("record %d is %+v, without Workers %+v", i, got[i], wantRecs[i])
 					}
 				}
 			})
@@ -73,8 +82,6 @@ func TestWorkersTraceInvariantAcrossEngines(t *testing.T) {
 	}
 }
 
-// Same contract with the CryptStore in the stack: parallel sealing/opening
-// must not perturb the trace, the results, or the crypto byte accounting.
 func TestWorkersTraceInvariantEncrypted(t *testing.T) {
 	const n, b, cache = 1 << 9, 8, 1024
 	recs := make([]Record, n)
@@ -85,55 +92,23 @@ func TestWorkersTraceInvariantEncrypted(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i + 1)
 	}
-
-	type outcome struct {
-		sum    TraceSummary
-		sealed int64
+	cfg := Config{BlockSize: b, CacheWords: cache, Seed: 7, EncryptionKey: key}
+	wantSum, _, wantStats := sortOnce(t, cfg, recs)
+	if wantStats.BytesSealed == 0 {
+		t.Fatal("an encrypted sort sealed no bytes")
 	}
-	var serial outcome
 	for _, w := range []int{1, 4} {
-		c, err := New(Config{BlockSize: b, CacheWords: cache, Seed: 7,
-			EncryptionKey: key, Workers: w})
-		if err != nil {
-			t.Fatal(err)
+		cfg.Workers = w
+		sum, _, st := sortOnce(t, cfg, recs)
+		if sum != wantSum {
+			t.Fatalf("encrypted trace at Workers=%d: %+v, without Workers %+v", w, sum, wantSum)
 		}
-		arr, err := c.Store(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.EnableTrace(0)
-		c.ResetStats()
-		if err := arr.Sort(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := arr.Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1].Key > got[i].Key {
-				t.Fatalf("workers=%d: not sorted at %d", w, i)
-			}
-		}
-		cur := outcome{sum: c.TraceSummary(), sealed: c.Stats().BytesSealed}
-		c.Close()
-		if w == 1 {
-			serial = cur
-			continue
-		}
-		if cur.sum != serial.sum {
-			t.Fatalf("encrypted trace differs at workers=%d: %+v vs %+v", w, cur.sum, serial.sum)
-		}
-		if cur.sealed != serial.sealed {
-			t.Fatalf("BytesSealed %d at workers=%d, serial %d", cur.sealed, w, serial.sealed)
+		if st.BytesSealed != wantStats.BytesSealed {
+			t.Fatalf("BytesSealed %d at Workers=%d, without Workers %d", st.BytesSealed, w, wantStats.BytesSealed)
 		}
 	}
 }
 
-// ORAM accesses and rebuilds run the same parallel in-cache passes; the
-// access trace must stay a function of (n, B, t, seed) alone. 64 blocks
-// against a cache of 512 blocks make the hierarchy the arm, and the writes
-// and reads below flush its 64-entry buffer twice.
 func TestWorkersTraceInvariantORAM(t *testing.T) {
 	const logical = 64
 	run := func(w int) (TraceSummary, []uint64) {
@@ -147,53 +122,86 @@ func TestWorkersTraceInvariantORAM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if arm := r.o.Arm(); arm != oram.ArmHierarchy {
-			t.Fatalf("the ORAM is a %s, want the hierarchy", arm)
-		}
-		for i := 0; i < logical; i++ {
-			if err := r.Write(i, []uint64{uint64(i * 7), uint64(i), 0, 0}); err != nil {
+		for i := range uint64(logical) {
+			if err := r.Write(int(i), []uint64{i * 7, i, 0, 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var vals []uint64
-		for i := 0; i < logical; i++ {
+		vals := make([]uint64, logical)
+		for i := range vals {
 			words, err := r.Read(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals = append(vals, words[0])
-		}
-		if got := r.o.Rebuilds().Count; got != 3 {
-			t.Fatalf("%d rebuilds, want 3: the build and the buffer's 2 flushes", got)
+			vals[i] = words[0]
 		}
 		return c.TraceSummary(), vals
 	}
-	sum1, vals1 := run(1)
+	wantSum, wantVals := run(0)
 	for _, w := range []int{2, 4} {
 		sum, vals := run(w)
-		if sum != sum1 {
-			t.Fatalf("ORAM trace differs at workers=%d", w)
+		if sum != wantSum {
+			t.Fatalf("ORAM trace at Workers=%d: %+v, without Workers %+v", w, sum, wantSum)
 		}
 		for i := range vals {
-			if vals[i] != vals1[i] {
-				t.Fatalf("ORAM payload %d differs at workers=%d", i, w)
+			if vals[i] != wantVals[i] {
+				t.Fatalf("ORAM payload %d at Workers=%d: %d, without Workers %d", i, w, vals[i], wantVals[i])
 			}
-		}
-	}
-	for i, v := range vals1 {
-		if v != uint64(i*7) {
-			t.Fatalf("ORAM read back %d at %d, want %d", v, i, i*7)
 		}
 	}
 }
 
+// TestWorkersConfigValidation: New uses no Workers value, so it rejects
+// none.
 func TestWorkersConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workers: -1}); err == nil {
-		t.Fatal("negative Workers accepted")
+	for _, w := range []int{-1, 0, 8} {
+		c, err := New(Config{Workers: w})
+		if err != nil {
+			t.Fatalf("Workers=%d rejected: %v", w, err)
+		}
+		c.Close()
 	}
-	c, err := New(Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAliceComputeIsSerial: no non-test file of the algorithm packages
+// imports sync or starts a goroutine, so their in-cache work runs on the
+// caller's goroutine alone. CI's "serial algorithms" step checks the same
+// with a grep; this check reads the syntax tree.
+func TestAliceComputeIsSerial(t *testing.T) {
+	for _, pkg := range []string{"core", "obsort", "route", "oram", "iblt"} {
+		t.Run(pkg, func(t *testing.T) {
+			dir := filepath.Join("internal", pkg)
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fset := token.NewFileSet()
+			files := 0
+			for _, e := range entries {
+				name := e.Name()
+				if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files++
+				for _, imp := range f.Imports {
+					if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || strings.HasPrefix(p, "sync/") {
+						t.Errorf("%s imports %q", fset.Position(imp.Pos()), p)
+					}
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						t.Errorf("%s starts a goroutine", fset.Position(g.Pos()))
+					}
+					return true
+				})
+			}
+			if files == 0 {
+				t.Fatalf("no Go files in %s", dir)
+			}
+		})
 	}
-	c.Close()
 }
