@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -211,7 +212,8 @@ func TestDifferentialOracle(t *testing.T) {
 // SortWith runs it (resolved by Engine at the call), and the non-oblivious
 // emsort baseline over the same shared corpus, against the same
 // sort.SliceStable reference. Sort and SortWith order by (Key, Pos) only;
-// emsort takes every padded order.
+// emsort takes every padded order. A row may set its own block size and
+// check part of the cache out before the sort, under a strict cache.
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
 	sorters := []struct {
@@ -222,7 +224,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	}{
 		{"randomized/ByKey", 16 * b, obsort.ByKey, Sort},
 		{"auto/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error {
-			return SortWith(env, a, Engine(obsort.EngineAuto, a.Len(), b, env.M, env.M-env.Cache.Used(), "mem"))
+			return SortWith(env, a, Engine(obsort.EngineAuto, a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem"))
 		}},
 		{"emsort/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
 		{"emsort/ByPos", 4 * b, obsort.ByPos, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByPos); return nil }},
@@ -235,38 +237,51 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		// A span that columnsort must run below on some case of the row,
 		// or "" for none.
 		columnsUnder string
+		b, held      int // the row's block size (0: 8) and held cache
 	}
 	var rows []row
 	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
-		rows = append(rows, row{fmt.Sprintf("M=%d", m), m, workload.SortCorpus(b), "", ""})
+		rows = append(rows, row{fmt.Sprintf("M=%d", m), m, workload.SortCorpus(b), "", "", 0, 0})
 	}
 	// auto at the benchmark's geometry, where the engines' prices part as
 	// they cannot over the corpus's small sizes.
 	atBench := workload.SortCasesAt(8192, b)
-	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "auto/ByKey", ""})
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "auto/ByKey", "", 0, 0})
 	// Theorem 21 at the benchmark's geometry and at the benchmark's -quick
 	// one (N = 2^10, M = 512), where a level's buckets part as the small
 	// corpus never makes them.
-	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "randomized/ByKey", ""},
-		row{"n=128,M=512", 512, workload.SortCasesAt(128, b), "randomized/ByKey", ""})
+	rows = append(rows, row{"n=8192,M=4096", 4096, atBench, "randomized/ByKey", "", 0, 0},
+		row{"n=128,M=512", 512, workload.SortCasesAt(128, b), "randomized/ByKey", "", 0, 0})
 	// Theorem 21 where obsort.Deterministic takes columnsort: for the
 	// direct sort of a full array's 576-block buckets, and for the sort of a
 	// 300-block sample.
-	rows = append(rows, row{"n=1577,M=1024", 1024, workload.SortCasesAt(1577, b), "randomized/ByKey", "direct-sort"},
-		row{"n=2393,M=512", 512, workload.SortCasesAt(2393, b), "randomized/ByKey", "sample-splitters"})
+	rows = append(rows, row{"n=1577,M=1024", 1024, workload.SortCasesAt(1577, b), "randomized/ByKey", "direct-sort", 0, 0},
+		row{"n=2393,M=512", 512, workload.SortCasesAt(2393, b), "randomized/ByKey", "sample-splitters", 0, 0})
+	// Theorem 21 where a level's buckets take each of the paths below the
+	// top: 600 blocks, whose 230-block buckets sort privately; the
+	// benchmark geometry with half the cache held; and B = 64, where the
+	// level below the top distributes again.
+	rows = append(rows, row{"n=600,M=4096", 4096, workload.SortCasesAt(600, b), "randomized/ByKey", "", 0, 0},
+		row{"n=8192,M=4096,held=2056", 4096, atBench, "randomized/ByKey", "", 0, 2056},
+		row{"n=1100,B=64,M=4096", 4096, workload.SortCasesAt(1100, 64), "randomized/ByKey", "", 64, 0})
 	for _, rw := range rows {
 		for _, s := range sorters {
 			m := rw.m
 			if m < s.minM || (rw.only != "" && s.name != rw.only) {
 				continue
 			}
+			bs := cmp.Or(rw.b, b)
 			t.Run(fmt.Sprintf("%s/%s", rw.name, s.name), func(t *testing.T) {
 				columns := false
 				for _, c := range rw.corpus {
 					retryDeclared(t, ErrSortFailed, func(seed uint64) error {
-						env := newTestEnv(64, b, m, seed)
+						env := newTestEnv(64, bs, m, seed)
+						if rw.held > 0 {
+							env.Cache = extmem.NewCache(m, true)
+							env.Cache.Acquire(rw.held)
+						}
 						col := env.EnableObs()
-						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
+						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), bs))
 						writeElems(a, c.Slots)
 						ref := readElems(a)
 						sort.SliceStable(ref, func(i, j int) bool { return s.less(ref[i], ref[j]) })
@@ -275,8 +290,8 @@ func TestSorterDifferentialOracle(t *testing.T) {
 							return err
 						}
 						columns = columns || rw.columnsUnder != "" && ranUnder(col.Roots(), rw.columnsUnder, "columnsort")
-						if used := env.Cache.Used(); used != 0 {
-							t.Fatalf("%s: %d words left checked out", c.Name, used)
+						if used := env.Cache.Used(); used != rw.held {
+							t.Fatalf("%s: %d words left checked out, %d held", c.Name, used, rw.held)
 						}
 						if hw := env.Cache.HighWater(); hw > m {
 							t.Fatalf("%s: used %d words of private memory, M=%d", c.Name, hw, m)
