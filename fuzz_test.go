@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"oblivext/internal/core"
+	"oblivext/internal/obsort"
 )
 
 // The fuzz targets pin two invariant families at once, over randomized
@@ -152,8 +153,12 @@ func FuzzSort(f *testing.F) {
 	// sorts privately), so bucket capacities, not occupancies, steer it.
 	f.Add(uint16(999), uint64(5), uint8(0))
 	f.Add(uint16(1023), uint64(6), uint8(0))
+	// columnsort where a matrix fits the cache (800 records, 100 blocks)
+	// and where none does (513 records, 65 blocks: a declared rejection).
+	f.Add(uint16(799), uint64(13), uint8(5))
+	f.Add(uint16(512), uint64(14), uint8(5))
 
-	engines := []string{"randomized", "bitonic", "zigzag", "bucket", "auto"}
+	engines := []string{"randomized", "bitonic", "zigzag", "bucket", "auto", "columnsort"}
 	f.Fuzz(func(t *testing.T, nRaw uint16, seed uint64, engineRaw uint8) {
 		n := int(nRaw)%1024 + 1
 		engine := engines[int(engineRaw)%len(engines)]
@@ -185,6 +190,16 @@ func FuzzSort(f *testing.F) {
 		recs := fuzzRecords(n, seed)
 		traceA, got, errA := run(recs, nil)
 
+		// Columnsort declares an array no matrix fits before any I/O; the
+		// geometry alone decides, so the constant input is declined too.
+		if errors.Is(errA, obsort.ErrColumnGeometry) {
+			traceB, _, errB := run(make([]Record, n), fuzzKey(seed))
+			if engine != "columnsort" || !errors.Is(errB, obsort.ErrColumnGeometry) || traceA.Len != 0 || traceB.Len != 0 {
+				t.Fatalf("engine=%s n=%d: %v after %d accesses, %v after %d: want columnsort's declared rejection before any I/O, both times",
+					engine, n, errA, traceA.Len, errB, traceB.Len)
+			}
+			return
+		}
 		if errA == nil {
 			want := append([]Record(nil), recs...)
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })

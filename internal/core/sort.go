@@ -25,18 +25,23 @@ import (
 //     monochromatic full-or-empty blocks.
 //  3. Shuffle-and-deal: a block-level Fisher–Yates shuffle (the "shuffle",
 //     whose swaps come from the tape, not the data) followed by batched
-//     dealing — read (M/B)^{3/4} blocks, then write a fixed quota of blocks
-//     per color, padding with empties; the quota is the least whose
-//     overflow tail (Lemma 18 / Corollary 19) is at most 2^-40.
-//  4. Each color array is compacted in place to its first capB = ⌈capE/B⌉
-//     blocks (Theorem 6's butterfly: the dealt blocks are already
-//     full-or-empty) and sorted at the next level; that level's scratch is
-//     released and the sorted bucket copied down before the next bucket
-//     starts. A level below the top whose own Quantiles would sort the
-//     bucket anyway sorts it with Lemma 2's deterministic sort at once
-//     (sortsDirectly), as does one whose capacity fits the cache privately;
-//     only the remaining buckets recurse. A bucket's occupancy is private,
-//     so below the top every choice is made on its capacity.
+//     dealing — read a batch of blocks, then write a fixed quota of blocks
+//     per color, padding with empties, every color's quota in one vectored
+//     write; the quota is the least whose overflow tail (Lemma 18 /
+//     Corollary 19) is at most 2^-40, and the batch is §5's (M/B)^{3/4} or
+//     the larger one, up to M/(2B), with the fewest block I/Os among those
+//     no dearer in block I/Os or round trips (sortPlan).
+//  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
+//     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
+//     and sorted. A bucket that does not distribute — its capacity fits
+//     half the cache, or its own Quantiles would sort it anyway
+//     (sortsDirectly) — is compacted straight into its slot of the level's
+//     result and sorted there, privately or with Lemma 2's deterministic
+//     sort: no copy in or out (sortInSlot). Only the remaining
+//     buckets recurse; each is compacted in place, sorted at the next level,
+//     that level's scratch released and its result copied down. A bucket's
+//     occupancy is private, so below the top every choice is made on its
+//     capacity.
 //  5. No repair pass. A level fails only by dropping elements — a deal
 //     batch over its quota, a bucket over its capacity, or a level below
 //     that did either — so a failure anywhere fails the whole Sort, each
@@ -45,11 +50,13 @@ import (
 //     restore what was dropped; bucket oblivious sort (arXiv:2008.01765)
 //     likewise declares failure at a stated tail instead of repairing.
 //
-// At the benchmark geometry every bucket sorts directly, so Sort is one
-// distributing level and a deterministic sort per bucket (bitonic: no
-// columnsort matrix fits a bucket) — the shape of bucket
-// oblivious sort (arXiv:2008.01765). The top-level Sort finishes with a
-// tight order-preserving compaction (Theorem 6), so the array ends with all
+// At the benchmark geometry (N = 2^16, B = 8, M = 4 096) every bucket sorts
+// directly, so Sort is one distributing level and a deterministic sort per
+// bucket where it lands (bitonic: no columnsort matrix fits a bucket) — the
+// shape of bucket oblivious sort (arXiv:2008.01765). The deal reads 249
+// blocks a batch and writes 119 of each color: 325 349 block I/Os in 1 026
+// round trips, SortCost's figure. The top-level Sort finishes with a tight
+// order-preserving compaction (Theorem 6), so the array ends with all
 // occupied elements sorted in a tight prefix.
 
 // ErrSortFailed reports a declared failure: at some level a bucket over its
@@ -59,7 +66,7 @@ var ErrSortFailed = errors.New("core: oblivious sort failed")
 
 // ErrSortCache reports an array an engine cannot sort in the cache free at
 // the call, declared before any I/O: below SortFree for Sort, below two
-// blocks for every engine (SortWith).
+// blocks for every engine, and where bucket sort has no layout (SortWith).
 var ErrSortCache = errors.New("core: too little cache free for the sort")
 
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
@@ -134,10 +141,11 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 // resolved. Every engine fails with ErrSortCache before any I/O where fewer
 // than two blocks of cache are free at the call. Beyond that only
 // "randomized" can fail, with ErrSortFailed, or with ErrSortCache before
-// any I/O below SortFree, and "columnsort", with obsort.ErrColumnGeometry
+// any I/O below SortFree; "columnsort", with obsort.ErrColumnGeometry
 // before any I/O where the array does not fit its size limit in the free
-// cache; bucket retries its declared overflows and falls back to zigzag.
-// Any other name panics.
+// cache; and "bucket", with ErrSortCache before any I/O where the free
+// cache holds no bucket layout (obsort.BucketSupported). Bucket retries its
+// declared overflows and falls back to zigzag. Any other name panics.
 func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	if free := env.M - env.Cache.Used(); a.Len() > 0 && free < 2*a.B() {
 		return fmt.Errorf("%w: %s of n=%d blocks of B=%d needs %d elements of cache free, not %d",
@@ -154,6 +162,10 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 		}
 		obsort.Columnsort(env, a, obsort.ByKey)
 	case obsort.EngineBucket:
+		if free := env.M - env.Cache.Used(); !obsort.BucketSupported(a.Len(), a.B(), free) {
+			return fmt.Errorf("%w: bucket of n=%d blocks of B=%d has no bucket layout in %d elements of cache free",
+				ErrSortCache, a.Len(), a.B(), free)
+		}
 		obsort.BucketSorter(env, a, obsort.ByKey)
 	case obsort.EngineZigzag:
 		obsort.Zigzag(env, a, obsort.ByKey)
@@ -168,42 +180,28 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 // result array and whether this level succeeded; on ok=false the contents
 // are garbage but the trace is unchanged. m is the cache free at Sort's
 // entry, which sizes every level. A level whose occupancy fits half of it
-// sorts privately and one that sortsDirectly sorts a copy with Lemma 2's
-// deterministic sort; only the rest distribute, and only they can fail.
+// sorts privately; every other level distributes, and only those can fail.
 //
 // Only the top level's occupancy is public. Below it a bucket holds a
-// private number of elements, so every decision there — private sort or
-// the level's shape — takes the bucket's public capacity, n·B.
+// private number of elements, so every decision there — whether the bucket
+// distributes again, and the level's shape — takes the bucket's public
+// capacity, n·B; the level above calls this only for a bucket that
+// distributes.
 func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
 
 	occ := int64(n * b)
-	distributes := n*b > m/2 && !sortsDirectly(n, b, m, depth)
 	var sample extmem.Array
-	if distributes {
+	if distributes(n, b, m, depth) {
 		sample = env.D.Alloc(extmem.CeilDiv(n, b))
 	}
-	var sOcc int64
-	if depth == 0 || distributes {
-		cnt, s := countAndSample(env, a, sample)
-		if depth == 0 {
-			occ = cnt
-		}
-		sOcc = s
+	cnt, sOcc := countAndSample(env, a, sample)
+	if depth == 0 {
+		occ = cnt
 	}
 	if occ <= int64(m/2) {
-		return sortPrivate(env, a, m), true
-	}
-	if !distributes {
-		sp := env.Obs.Start("direct-sort")
-		sp.SetAttrInt("depth", int64(depth))
-		sp.SetAttrInt("blocks", int64(n))
-		out := env.D.Alloc(n)
-		copyArray(env, a, out)
-		obsort.Deterministic(env, out, obsort.ByKey)
-		env.Obs.End(sp)
-		return out, true
+		return sortPrivate(env, a, env.D.Alloc(n), m), true
 	}
 
 	lvl := env.Obs.Start("randomized-level")
@@ -211,7 +209,7 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	pl := sortPlan(n, b, m, occ, sortTail)
+	pl := sortPlan(n, b, m, occ, sortTail, depth)
 	q := pl.q
 	ok := true
 
@@ -263,18 +261,38 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 		ok = false
 	}
 
-	// Step 6: per bucket, compact, recurse, copy down. A bucket as dealt is
-	// full blocks plus one partial flush block among empties, so Theorem 6's
-	// butterfly moves it, in place and deterministically, into a prefix of
-	// capB blocks; the next level's consolidation absorbs the partial block.
-	// Everything the recursion allocates is released before its result is
-	// copied down to where its scratch began, so the level's result is the
-	// span the q+1 copies fill and a level holds O(n) blocks at any time.
-	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5
-	// buckets that output, 5·capB, is as long as the deal's: see
+	// Step 6: per bucket, compact and sort. A bucket as dealt is full
+	// blocks plus one partial flush block among empties, so Theorem 6's
+	// butterfly moves it, deterministically, into a prefix of capB blocks;
+	// a level below absorbs the partial block in its consolidation. (The
+	// paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
+	// that output, 5·capB, is as long as the deal's: see
 	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
-	// public length, so capB is one figure for the level.
+	// public length, so capB, and whether a bucket distributes again, is
+	// one figure for the level.
 	capB := min(pl.capB, colorArrs[0].Len())
+	if !distributes(capB, b, m, depth+1) {
+		// Bucket i is compacted straight into slot i of the level's result,
+		// blocks [i·capB, i·capB + len), and sorted in its first capB
+		// blocks; the next bucket's compaction overwrites the empties past
+		// them. The result is the q+1 slots end to end.
+		l := colorArrs[0].Len()
+		res := env.D.Alloc(q*capB + l)
+		for i, arr := range colorArrs {
+			spb := env.Obs.Start("bucket")
+			spb.SetAttrInt("color", int64(i))
+			if !sortInSlot(env, arr, res.Slice(i*capB, i*capB+l), capB, m) {
+				ok = false // an unbalanced split: never drop the excess silently
+			}
+			env.Obs.End(spb)
+		}
+		return res.Slice(0, (q+1)*capB), ok
+	}
+	// Buckets that distribute again: compact each in place, sort it a level
+	// down, and copy that level's result down to where its scratch began,
+	// once everything it allocated is released, so the level's result is
+	// the span the q+1 copies fill and a level holds O(n) blocks at any
+	// time.
 	resMark := env.D.Mark()
 	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
@@ -294,13 +312,34 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	return env.D.Since(resMark), ok
 }
 
+// sortInSlot sorts one bucket that does not distribute again where the
+// level's result keeps it: the dealt color array arr is compacted straight
+// into slot, as long as arr, and the slot's first capB blocks are sorted
+// in place — privately where they fit half the cache, with Lemma 2's
+// deterministic sort otherwise. It reports whether the bucket fit its
+// capacity.
+func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB, m int) bool {
+	fits := route.CompactInto(env, slot, arr.Len(), arr.ReadRange, route.PredOccupied) <= capB
+	bucket := slot.Slice(0, capB)
+	if capB*bucket.B() <= m/2 {
+		sortPrivate(env, bucket, bucket, m)
+		return fits
+	}
+	sp := env.Obs.Start("direct-sort")
+	sp.SetAttrInt("blocks", int64(capB))
+	obsort.Deterministic(env, bucket, obsort.ByKey)
+	env.Obs.End(sp)
+	return fits
+}
+
 // sortsDirectly reports whether a level at depth over nBlocks blocks, not
-// sorted privately, sorts a copy with Lemma 2's deterministic sort instead
-// of distributing: where the cache leaves no splitter (q < 1), past the depth
-// limit, and below the top wherever the level's own Quantiles would take
-// its sort arm — that sort alone orders the bucket, so the rest of the
-// level would be overhead. The top level always distributes: it is the
-// paper's Theorem 21. A function of public geometry alone.
+// sorted privately, sorts with Lemma 2's deterministic sort (in its slot:
+// sortInSlot) instead of distributing: where the cache leaves no splitter
+// (q < 1), past the depth limit, and below the top wherever the level's own
+// Quantiles would take its sort arm — that sort alone orders the bucket, so
+// the rest of the level would be overhead. The top level always distributes
+// above SortFree, which leaves a splitter: it is the paper's Theorem 21. A
+// function of public geometry alone.
 func sortsDirectly(nBlocks, b, m, depth int) bool {
 	q := splitterCount(m / b)
 	if q < 1 || depth >= sortMaxDepth {
@@ -410,11 +449,11 @@ func splittersOf(env *extmem.Env, sample extmem.Array, sOcc int64, q int) []boun
 	return bounds
 }
 
-// sortPrivate reads every occupied element into the cache, sorts there, and
-// writes a tight result of the same geometry, m elements of cache free.
-func sortPrivate(env *extmem.Env, a extmem.Array, m int) extmem.Array {
+// sortPrivate reads every occupied element of a into the cache, sorts
+// there, and writes a tight result to out, of a's length, which may be a
+// itself; m elements of cache are free.
+func sortPrivate(env *extmem.Env, a, out extmem.Array, m int) extmem.Array {
 	n := a.Len()
-	out := env.D.Alloc(n)
 	all := env.Cache.Buf(m / 2)[:0] // the caller counted: at most m/2 occupied
 	k := env.ScanBatchN(1, n)
 	env.Scan(a, extmem.Array{}, k, func(_ int, chunk []extmem.Element) {

@@ -15,29 +15,46 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 	groups := extmem.CeilDiv(n, colors)
 	out := env.D.Alloc(groups*colors + 2*colors)
 
-	// Staging: held elements never exceed colors*(2B-1) by the group
-	// accounting invariant (see package tests), plus the vectored chunk
-	// buffers sized from what cache remains.
-	env.Cache.Acquire(colors * (2*b - 1))
-	hold := make([][]extmem.Element, colors+1) // 1-based colors
+	// Staging: the held elements, in arrival order, in one buffer of
+	// colors·(2B−1), which they never exceed by the group accounting
+	// invariant (see package tests), plus the vectored chunk buffers sized
+	// from what cache remains. held[c] of them have color c.
+	stage := env.Cache.Buf(colors * (2*b - 1))
+	hold := stage[:0]
+	held := make([]int, colors+1) // 1-based colors
 	k := env.ScanBatchN(2, out.Len())
 	wbuf := env.Cache.Buf(k * b)
 	wr := extmem.NewSeqWriter(out, 0, wbuf)
 
+	// take moves the first B held elements of color c, or all there are,
+	// into the next output block, empties after them, and closes the gaps
+	// they leave: each color leaves in the order it arrived.
+	take := func(c int) {
+		blk := wr.Next()
+		got, kept := 0, 0
+		for _, e := range hold {
+			if got < b && e.Color() == c {
+				blk[got] = e
+				got++
+			} else {
+				hold[kept] = e
+				kept++
+			}
+		}
+		clear(blk[got:])
+		hold = hold[:kept]
+		held[c] -= got
+	}
 	emit := func(quota int) {
 		emitted := 0
 		for c := 1; c <= colors && emitted < quota; c++ {
-			for len(hold[c]) >= b && emitted < quota {
-				copy(wr.Next(), hold[c][:b])
-				hold[c] = hold[c][b:]
+			for held[c] >= b && emitted < quota {
+				take(c)
 				emitted++
 			}
 		}
 		for ; emitted < quota; emitted++ {
-			blk := wr.Next()
-			for t := range blk {
-				blk[t] = extmem.Element{}
-			}
+			clear(wr.Next())
 		}
 	}
 
@@ -47,7 +64,11 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 		for i := lo; i < lo+len(in)/b; i++ {
 			for _, e := range in[(i-lo)*b : (i-lo+1)*b] {
 				if e.Occupied() {
-					hold[e.Color()] = append(hold[e.Color()], e)
+					if len(hold) == cap(hold) {
+						panic("core: color consolidation holds more than colors·(2B−1) elements")
+					}
+					hold = append(hold, e)
+					held[e.Color()]++
 				}
 			}
 			if (i+1)%colors == 0 || i == n-1 {
@@ -58,64 +79,55 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 	// Flush: partial blocks, padded to exactly 2·colors outputs.
 	flushed := 0
 	for c := 1; c <= colors; c++ {
-		for len(hold[c]) > 0 && flushed < 2*colors {
-			take := len(hold[c])
-			if take > b {
-				take = b
-			}
-			blk := wr.Next()
-			for t := 0; t < b; t++ {
-				if t < take {
-					blk[t] = hold[c][t]
-				} else {
-					blk[t] = extmem.Element{}
-				}
-			}
-			hold[c] = hold[c][take:]
+		for held[c] > 0 && flushed < 2*colors {
+			take(c)
 			flushed++
 		}
 	}
 	for ; flushed < 2*colors; flushed++ {
-		blk := wr.Next()
-		for t := range blk {
-			blk[t] = extmem.Element{}
-		}
+		clear(wr.Next())
 	}
 	wr.Flush()
 	env.Cache.Free(wbuf)
-	env.Cache.Release(colors * (2*b - 1))
+	env.Cache.Free(stage)
 	return out
 }
 
 // deal distributes the shuffled monochromatic blocks into one array per
 // color: each batch of `batch` blocks is read into the cache and exactly
 // `quota` blocks are written to every color array (full blocks first,
-// empties after). A batch holding more than quota full blocks of one color
-// is the Corollary 19 overflow event, at most 2^-40 at sortPlan's quota
+// empties after), every color's quota in one vectored write across the
+// color arrays, split only where the cache beside the batch cannot hold
+// it. A batch holding more than quota full blocks of one color is the
+// Corollary 19 overflow event, at most 2^-40 at sortPlan's quota
 // (dealTail): the excess is dropped and dealOK returns false, with the
 // trace unchanged.
 func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
 	batches := extmem.CeilDiv(n, batch)
+	l := batches * quota
+	// The color arrays lie end to end, so one write reaches all of them.
+	all := env.D.Alloc(colors * l)
 	out := make([]extmem.Array, colors)
 	for c := range out {
-		out[c] = env.D.Alloc(batches * quota)
+		out[c] = all.Slice(c*l, (c+1)*l)
 	}
 
 	buf := env.Cache.Buf(batch * b)
-	wbuf := env.Cache.Buf(env.ScanBatchN(1, quota) * b)
-	// The color arrays are independent targets fed from the in-cache batch
-	// buffer: one writer, retargeted color by color.
-	wr := extmem.NewSeqWriter(out[0], 0, wbuf)
+	k := env.ScanBatchN(1, colors*quota)
+	wbuf := env.Cache.Buf(k * b)
 	ok := true
-	perColor := make([][]int, colors+1) // reused batch after batch
+	// The batch's blocks of each color, batch after batch in the same
+	// storage: a color holds at most the batch.
+	perColor := make([][]int, colors+1)
+	backing := make([]int, (colors+1)*batch)
+	for c := range perColor {
+		perColor[c] = backing[c*batch : c*batch : (c+1)*batch]
+	}
 	for g := 0; g < batches; g++ {
 		lo := g * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		cnt := hi - lo
 		a.ReadRange(lo, hi, buf[:cnt*b])
 		// Index the batch's full blocks by color (private).
@@ -129,22 +141,25 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 				perColor[c] = append(perColor[c], i)
 			}
 		}
+		idx := env.D.IndexScratch(k)
+		fill := 0
 		for c := 1; c <= colors; c++ {
 			if len(perColor[c]) > quota {
 				ok = false // Corollary 19 overflow; excess blocks dropped
 			}
-			wr.Retarget(out[c-1], g*quota)
 			for s := 0; s < quota; s++ {
-				blk := wr.Next()
+				blk := wbuf[fill*b : (fill+1)*b]
 				if s < len(perColor[c]) {
 					copy(blk, buf[perColor[c][s]*b:(perColor[c][s]+1)*b])
 				} else {
-					for t := range blk {
-						blk[t] = extmem.Element{}
-					}
+					clear(blk)
+				}
+				idx[fill] = (c-1)*l + g*quota + s
+				if fill++; fill == k || c == colors && s == quota-1 {
+					all.WriteMany(idx[:fill], wbuf[:fill*b])
+					fill = 0
 				}
 			}
-			wr.Flush()
 		}
 	}
 	env.Cache.Free(wbuf)

@@ -28,19 +28,59 @@ type sortLevel struct {
 	apLen int // blocks of the consolidated array the shuffle and deal move
 }
 
-// sortPlan returns the shape of a distributing level over nBlocks blocks of
-// b elements, at most occ of them occupied, with a cache of m elements and
-// each tail at most e^-l. A function of public geometry alone.
-func sortPlan(nBlocks, b, m int, occ int64, l float64) sortLevel {
-	mb := m / b
-	q := splitterCount(mb)
-	batch := min(max(dealBatch(mb), 1), mb/2)
+// sortPlan returns the shape of a distributing level at depth over nBlocks
+// blocks of b elements, at most occ of them occupied, with a cache of m
+// elements and each tail at most e^-l. The deal batch is priced, not fixed:
+// of the batches from §5's ⌊(M/B)^{3/4}⌋ (the paper's) up to M/(2B), the
+// level takes the one with the fewest block I/Os among those no dearer
+// than the paper's in block I/Os and in round trips, the paper's on a tie.
+// A larger batch lowers the quota relative to the batch, so the colour
+// arrays every bucket compacts get shorter, but it leaves less cache to
+// write the deal from, so it is not always cheaper. A function of public
+// geometry alone.
+func sortPlan(nBlocks, b, m int, occ int64, l float64, depth int) sortLevel {
+	paper := min(max(dealBatch(m/b), 1), m/b/2)
+	best := planAt(nBlocks, b, m, occ, l, paper)
+	// The batch moves only the deal and the buckets; every bucket sorts
+	// at the same capacity, which few batches change, so its price is
+	// kept from one batch to the next.
+	subCap, subCost := -1, obs.Cost{}
+	price := func(pl sortLevel) obs.Cost {
+		if subCap != pl.capB {
+			subCap = pl.capB
+			subCost, _ = bucketSortCost(pl.capB, b, m, depth+1)
+		}
+		return dealAndBucketsCost(pl, b, m, subCost)
+	}
+	bound := price(best)
+	least := bound.IOs
+	for batch := paper + 1; batch <= min(m/b/2, best.apLen); batch++ {
+		pl := planAt(nBlocks, b, m, occ, l, batch)
+		if c := price(pl); c.IOs < least && c.IOs <= bound.IOs && c.RoundTrips <= bound.RoundTrips {
+			best, least = pl, c.IOs
+		}
+	}
+	return best
+}
+
+// planAt is the level's shape with the deal batch fixed: q splitters, the
+// bucket capacity and the deal quota from their tails.
+func planAt(nBlocks, b, m int, occ int64, l float64, batch int) sortLevel {
+	q := splitterCount(m / b)
 	apLen := extmem.CeilDiv(nBlocks, q+1)*(q+1) + 2*(q+1)
 	batches := extmem.CeilDiv(apLen, batch)
 	capE := bucketCap(nBlocks, b, q, occ, l)
 	capB := extmem.CeilDiv(capE, b)
 	quota := dealQuota(apLen, batch, capB, batches*(q+1), l)
 	return sortLevel{q: q, batch: batch, quota: quota, capE: capE, capB: min(capB, batches*quota), apLen: apLen}
+}
+
+// distributes reports whether sortPadded distributes a level at depth over
+// nBlocks blocks of b elements with m elements of cache free: one that
+// fits half the cache sorts privately, and one that sortsDirectly sorts
+// with Lemma 2's deterministic sort. A function of public geometry alone.
+func distributes(nBlocks, b, m, depth int) bool {
+	return nBlocks*b > m/2 && !sortsDirectly(nBlocks, b, m, depth)
 }
 
 // SortCost predicts the exact block I/Os and vectored round trips of a Sort
@@ -69,9 +109,8 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
 	var c obs.Cost
-	distributes := n*b > m/2 && !sortsDirectly(n, b, m, depth)
 	ns := extmem.CeilDiv(n, b)
-	if distributes {
+	if distributes(n, b, m, depth) {
 		c = scan(n, m, 2).Add(scan(ns, m, 2))
 	} else if depth == 0 {
 		c = scan(n, m, 1)
@@ -80,10 +119,7 @@ func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 		private := scan(n, m-m/2, 1)
 		return c.Add(private).Add(private), n
 	}
-	if !distributes {
-		return c.Add(scan(n, m, 1)).Add(scan(n, m, 1)).Add(obsort.DeterministicCost(n, b, m)), n
-	}
-	pl := sortPlan(n, b, m, occ, sortTail)
+	pl := sortPlan(n, b, m, occ, sortTail, depth)
 	colours := pl.q + 1
 	// The sample's sort and the splitter read-off, then colorize.
 	c = c.Add(obsort.DeterministicCost(ns, b, m)).Add(scan(ns, m, 1)).Add(scan(n, m, 1)).Add(scan(n, m, 1))
@@ -97,22 +133,47 @@ func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
 			c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 2})
 		}
 	}
-	// The deal: a read per batch, then quota blocks per colour, flushed
-	// beside the batch.
+	sortOne, resLen := bucketSortCost(pl.capB, b, m, depth+1)
+	return c.Add(dealAndBucketsCost(pl, b, m, sortOne)), colours * resLen
+}
+
+// dealAndBucketsCost prices the part of a level its deal batch moves, given
+// what sorting one bucket costs (bucketSortCost): the deal — a read per
+// batch, then every colour's quota in one vectored write, split only where
+// the cache beside the batch cannot hold it — and per bucket the
+// compaction of its colour array and the sort.
+func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
+	colours := pl.q + 1
 	batches := extmem.CeilDiv(pl.apLen, pl.batch)
-	kq := min(max(1, (m-pl.batch*b)/b-1), pl.quota)
-	c = c.Add(obs.Cost{
-		IOs:        int64(pl.apLen + batches*colours*pl.quota),
-		RoundTrips: int64(batches + batches*colours*extmem.CeilDiv(pl.quota, kq)),
-	})
-	// Per bucket: compact its colour array, sort the capB prefix a level
-	// down, copy the result down.
-	sub, subLen := sortLevelCost(pl.capB, b, m, int64(pl.capB*b), depth+1)
-	bucket := route.CompactCost(batches*pl.quota, 0, b, m).Add(sub).Add(scan(subLen, m, 1)).Add(scan(subLen, m, 1))
+	per := colours * pl.quota
+	kw := min(max(1, (m-pl.batch*b)/b-1), per)
+	c := obs.Cost{
+		IOs:        int64(pl.apLen + batches*per),
+		RoundTrips: int64(batches + batches*extmem.CeilDiv(per, kw)),
+	}
+	bucket := route.CompactCost(batches*pl.quota, 0, b, m).Add(sortOne)
 	for range colours {
 		c = c.Add(bucket)
 	}
-	return c, colours * subLen
+	return c
+}
+
+// bucketSortCost prices sorting one compacted bucket of capB blocks at
+// depth and returns the length of its sorted result: where the bucket does
+// not distribute, it sorts in its slot (sortInSlot), privately or with
+// Lemma 2's deterministic sort, and the result is the slot's capB blocks;
+// where it does, a level down sorts it and its result is copied back.
+func bucketSortCost(capB, b, m, depth int) (obs.Cost, int) {
+	if !distributes(capB, b, m, depth) {
+		if capB*b <= m/2 {
+			private := scanCost(capB, b, m-m/2, 1)
+			return private.Add(private), capB
+		}
+		return obsort.DeterministicCost(capB, b, m), capB
+	}
+	c, n := sortLevelCost(capB, b, m, int64(capB*b), depth)
+	copyDown := scanCost(n, b, m, 1)
+	return c.Add(copyDown).Add(copyDown), n
 }
 
 // scanCost prices one side of a scan of n blocks of b elements whose chunks
@@ -126,7 +187,7 @@ func scanCost(n, b, free, buffers int) obs.Cost {
 // elements, fails on its own: a bucket over its capacity or a deal batch
 // over its quota. Sized from sortTail, each term is at most 2^-40.
 func sortFailureBound(nBlocks, b, m int, occ int64) float64 {
-	pl := sortPlan(nBlocks, b, m, occ, sortTail)
+	pl := sortPlan(nBlocks, b, m, occ, sortTail, 0)
 	return math.Exp(bucketTail(pl.capE, nBlocks, b, pl.q, occ)) +
 		math.Exp(dealTail(pl.quota, pl.apLen, pl.batch, pl.capB, extmem.CeilDiv(pl.apLen, pl.batch)*(pl.q+1)))
 }
@@ -172,15 +233,18 @@ func bucketTail(c, nBlocks, b, q int, occ int64) float64 {
 
 // dealQuota returns the smallest quota whose dealTail is at most e^-l:
 // at most the batch, and at most capB, which no colour exceeds while its
-// bucket is within its capacity.
+// bucket is within its capacity. dealTail falls as the quota rises, and
+// is −∞ at that top, so a bisection finds it.
 func dealQuota(apLen, batch, capB, events int, l float64) int {
-	top := min(batch, apLen, capB)
-	for k := 0; k < top; k++ {
-		if dealTail(k, apLen, batch, capB, events) <= -l {
-			return k
+	lo, hi := -1, min(batch, apLen, capB) // dealTail(lo) > -l ≥ dealTail(hi)
+	for hi-lo > 1 {
+		if k := lo + (hi-lo)/2; dealTail(k, apLen, batch, capB, events) <= -l {
+			hi = k
+		} else {
+			lo = k
 		}
 	}
-	return top
+	return hi
 }
 
 // dealTail is the log of the union bound on one of events (batch, colour)

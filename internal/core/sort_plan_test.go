@@ -12,20 +12,21 @@ import (
 
 // TestSortPlanRows pins a distributing level's shape where the benchmark
 // measures it — sort_mem at full size (N = 2^16, B = 8, M = 4 096) and at
-// -quick (N = 2^10, M = 512) — and at a recursing B = 64 row: the bucket
-// capacity and the deal quota the two 2^-40 tails give, and the level's
-// stated failure bound, at most 2·2^-40.
+// -quick (N = 2^10, M = 512) — and at a recursing B = 64 row: the deal
+// batch its price picks (249, 27 and 27 blocks, against the paper's 107, 22
+// and 22), the bucket capacity and the deal quota the two 2^-40 tails give
+// at that batch, and the level's stated failure bound, at most 2·2^-40.
 func TestSortPlanRows(t *testing.T) {
 	for _, c := range []struct {
 		n, b, m int
 		want    sortLevel
 	}{
-		{8192, 8, 4096, sortLevel{q: 4, batch: 107, quota: 65, capE: 15912, capB: 1989, apLen: 8205}},
-		{128, 8, 512, sortLevel{q: 2, batch: 22, quota: 22, capE: 937, capB: 118, apLen: 135}},
-		{1100, 64, 4096, sortLevel{q: 2, batch: 22, quota: 22, capE: 35288, capB: 552, apLen: 1107}},
+		{8192, 8, 4096, sortLevel{q: 4, batch: 249, quota: 119, capE: 15912, capB: 1989, apLen: 8205}},
+		{128, 8, 512, sortLevel{q: 2, batch: 27, quota: 27, capE: 937, capB: 118, apLen: 135}},
+		{1100, 64, 4096, sortLevel{q: 2, batch: 27, quota: 27, capE: 35288, capB: 552, apLen: 1107}},
 	} {
 		occ := int64(c.n * c.b)
-		if got := sortPlan(c.n, c.b, c.m, occ, sortTail); got != c.want {
+		if got := sortPlan(c.n, c.b, c.m, occ, sortTail, 0); got != c.want {
 			t.Errorf("(%d, %d, %d): plan %+v, want %+v", c.n, c.b, c.m, got, c.want)
 		}
 		if p := sortFailureBound(c.n, c.b, c.m, occ); p > 2*math.Exp(-sortTail) {
@@ -44,6 +45,46 @@ func TestSortPlanRows(t *testing.T) {
 	}
 }
 
+// TestDealBatchNoDearerThanPaper: over a grid of geometries whose top
+// level distributes, the deal batch sortPlan prices is never dearer than
+// §5's ⌊(M/B)^{3/4}⌋ in block I/Os or in round trips. The batch moves only
+// the deal and the buckets' compactions (dealAndBucketsCost, with each
+// bucket's sort, which TestPredictorsExact measures as part of SortCost);
+// everything else a level does is the same at every batch. The grid must
+// hold rows where a larger batch is cheaper and rows where the paper's
+// stays: M/(2B) is not always the better end.
+func TestDealBatchNoDearerThanPaper(t *testing.T) {
+	moved, kept := 0, 0
+	for _, b := range []int{4, 8, 64} {
+		for _, mb := range []int{8, 16, 32, 64, 128, 512, 1024, 4096} {
+			m := mb * b
+			for _, n := range []int{mb, 3 * mb, 1000, 8192, 1 << 16} {
+				occ := int64(n * b)
+				if !distributes(n, b, m, 0) || occ <= int64(m/2) || n > 64*mb {
+					continue
+				}
+				pl := sortPlan(n, b, m, occ, sortTail, 0)
+				paper := planAt(n, b, m, occ, sortTail, min(max(dealBatch(mb), 1), mb/2))
+				subPl, _ := bucketSortCost(pl.capB, b, m, 1)
+				subPaper, _ := bucketSortCost(paper.capB, b, m, 1)
+				got, ref := dealAndBucketsCost(pl, b, m, subPl), dealAndBucketsCost(paper, b, m, subPaper)
+				if got.IOs > ref.IOs || got.RoundTrips > ref.RoundTrips {
+					t.Errorf("n=%d B=%d M=%d: batch %d costs %+v, the paper's %d %+v", n, b, m, pl.batch, got, paper.batch, ref)
+				}
+				if pl.batch == paper.batch {
+					kept++
+				} else {
+					moved++
+				}
+			}
+		}
+	}
+	t.Logf("%d rows took a larger batch, %d kept the paper's", moved, kept)
+	if moved == 0 || kept == 0 {
+		t.Errorf("%d rows took a larger batch and %d kept the paper's: the grid must show both", moved, kept)
+	}
+}
+
 // TestSortTailsMonteCarlo checks the shape of both tails by running the
 // level's own code at a loosened target, ε = 2^-4, where the plan's
 // capacity and quota are small enough for overflows to be counted: the
@@ -56,7 +97,7 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 	const n, b, m, trials = 256, 8, 512, 400
 	occ := int64(n * b)
 	l := 4 * math.Ln2
-	pl := sortPlan(n, b, m, occ, l)
+	pl := sortPlan(n, b, m, occ, l, 0)
 	events := extmem.CeilDiv(pl.apLen, pl.batch) * (pl.q + 1)
 	r := rand.New(rand.NewPCG(21, 38))
 

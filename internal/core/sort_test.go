@@ -10,6 +10,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -99,17 +100,18 @@ func TestSortRecursivePipeline(t *testing.T) {
 
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
-// M=4096): exactly SortCost's 392 079 block I/Os (47.86 a block) in 1 516
-// round trips for every input, under one trace, and a
-// Disk high water of exactly 70 528 blocks, the input's 8 192 included.
+// M=4096): exactly SortCost's 325 349 block I/Os (39.72 a block) in 1 026
+// round trips for every input, under one trace, and a Disk high water of
+// exactly 67 076 blocks, the input's 8 192 included (70 528 while every
+// bucket was copied out, sorted and copied down, and dealt 5 005 blocks).
 // An in-memory store commits memory as the Sort first writes it, so the
 // high water sets, to within a segment, what sort_mem allocates: more
 // scratch fails here.
 func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
 	want := SortCost(nBlocks, b, m, nBlocks*b)
-	if want != (obs.Cost{IOs: 392079, RoundTrips: 1516}) {
-		t.Fatalf("SortCost = %+v, want 392 079 I/Os in 1 516 round trips", want)
+	if want != (obs.Cost{IOs: 325349, RoundTrips: 1026}) {
+		t.Fatalf("SortCost = %+v, want 325 349 I/Os in 1 026 round trips", want)
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary
@@ -143,8 +145,8 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		if hw := env.Cache.HighWater(); hw > m {
 			t.Errorf("%s keys: %d private elements > M=%d", kind, hw, m)
 		}
-		if hw := env.D.HighWater(); hw != 70528 {
-			t.Errorf("%s keys: disk high-water %d blocks, want 70 528 (8.609·n)", kind, hw)
+		if hw := env.D.HighWater(); hw != 67076 {
+			t.Errorf("%s keys: disk high-water %d blocks, want 67 076 (8.188·n)", kind, hw)
 		}
 		if sum := rec.Summarize(); i == 0 {
 			first = sum
@@ -341,44 +343,72 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 	}
 }
 
-// TestDirectLevelCost pins what a level below the top costs when it sorts
-// directly: exactly the copy and obsort.DeterministicCost at the free cache,
-// in block I/Os and in round trips — no count scan, since a bucket's
-// occupancy is private and nothing below the top reads it. The rows are a
-// benchmark bucket, which no columnsort matrix fits, and a length that is
-// not a power of two at a small M/B, which columnsort sorts for 6 I/Os per
-// block against bitonic's padded 15.7.
+// TestDirectLevelCost pins what a bucket costs when it sorts directly:
+// exactly the compaction of its dealt color array into its slot and
+// obsort.DeterministicCost at the free cache, in block I/Os and in round
+// trips — no count scan, since a bucket's occupancy is private and nothing
+// below the top reads it, and no copy either way, since it is sorted where
+// the level's result keeps it. The rows are a benchmark bucket, which no
+// columnsort matrix fits, and a length that is not a power of two at a
+// small M/B, which columnsort sorts for 6 I/Os per block against bitonic's
+// padded 15.7. The color array is a quarter longer than the bucket, every
+// fifth block empty, and the slot is as long as the color array, with a
+// sentinel past it that must survive.
 func TestDirectLevelCost(t *testing.T) {
 	for _, g := range []struct {
 		n, b, m int
 		engine  string
 	}{{1989, 8, 4096, "bitonic"}, {300, 8, 512, "columnsort"}} {
-		if !sortsDirectly(g.n, g.b, g.m, 1) {
-			t.Fatalf("%+v: the level does not sort directly", g)
+		if distributes(g.n, g.b, g.m, 1) || g.n*g.b <= g.m/2 {
+			t.Fatalf("%+v: the bucket does not sort directly", g)
 		}
 		r := rand.New(rand.NewPCG(uint64(g.n), 9))
 		keys := make([]uint64, g.n*g.b-3)
 		for i := range keys {
 			keys[i] = r.Uint64()
 		}
-		env := newTestEnv(g.n, g.b, g.m, 9)
-		a := env.D.Alloc(g.n)
-		buildKeyArray(a, keys)
+		l := g.n + g.n/4
+		env := newTestEnv(3*l, g.b, g.m, 9)
+		arr := env.D.Alloc(l)
+		cells := make([]extmem.Element, l*g.b)
+		for i, j := 0, 0; i < l && j < len(keys); i++ {
+			if i%5 == 4 {
+				continue
+			}
+			for t := i * g.b; t < (i+1)*g.b && j < len(keys); t++ {
+				cells[t] = extmem.Element{Key: keys[j], Pos: uint64(j), Flags: extmem.FlagOccupied}
+				j++
+			}
+		}
+		writeElems(arr, cells)
+		region := env.D.Alloc(l + 1)
+		sentinel := make([]extmem.Element, g.b)
+		sentinel[0] = extmem.Element{Key: 7, Flags: extmem.FlagOccupied}
+		region.Write(l, sentinel)
 		col := env.EnableObs()
 		env.D.ResetStats()
-		out, ok := sortPadded(env, a, g.m, 1)
+		mark := env.D.Mark()
+		ok := sortInSlot(env, arr, region.Slice(0, l), g.n, g.m)
 		got := env.D.Stats().Cost()
-		scan := obs.Cost{IOs: int64(g.n), RoundTrips: extmem.ScanRoundTrips(g.n, g.b, g.m, 1)}
-		want := scan.Add(scan).Add(obsort.DeterministicCost(g.n, g.b, g.m))
+		want := route.CompactCost(l, 0, g.b, g.m).Add(obsort.DeterministicCost(g.n, g.b, g.m))
 		if !ok || got != want {
-			t.Errorf("%+v: ok=%v, measured %+v, want copy + %s = %+v", g, ok, got, g.engine, want)
+			t.Errorf("%+v: ok=%v, measured %+v, want compaction + %s = %+v", g, ok, got, g.engine, want)
+		}
+		if env.D.Mark() != mark {
+			t.Errorf("%+v: the bucket left %d blocks allocated", g, env.D.Mark()-mark)
 		}
 		if !ranUnder(col.Roots(), "direct-sort", g.engine) {
 			t.Errorf("%+v: the direct sort did not run %s:\n%s", g, g.engine, obs.RenderTree(col.Roots()))
 		}
 		slices.Sort(keys)
-		if occ := occupiedKeys(readElems(out)); !equalU64(occ, keys) {
-			t.Errorf("%+v: the level's output is not the sorted input", g)
+		if occ := occupiedKeys(readElems(region.Slice(0, g.n))); !equalU64(occ, keys) {
+			t.Errorf("%+v: the slot's first %d blocks are not the sorted bucket", g, g.n)
+		}
+		if occ := occupiedKeys(readElems(region.Slice(g.n, l))); len(occ) != 0 {
+			t.Errorf("%+v: %d elements past the bucket's capacity", g, len(occ))
+		}
+		if occ := occupiedKeys(readElems(region.Slice(l, l+1))); !equalU64(occ, []uint64{7}) {
+			t.Errorf("%+v: the block past the slot was overwritten", g)
 		}
 	}
 }
@@ -455,7 +485,34 @@ func BenchmarkSortRandomized(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/nBlocks, "ios/block")
+	b.ReportMetric(float64(env.D.Stats().RoundTrips)/float64(b.N), "rt/op")
 	b.ReportMetric(float64(env.D.HighWater())/nBlocks, "disk-blocks/block")
+}
+
+// TestSortAllocs: one randomized Sort at the benchmark's sort_mem geometry
+// allocates a few dozen heap objects, a level's bookkeeping, and none per
+// block or per element: the color consolidation stages its elements in
+// one buffer checked out of the cache and the deal indexes a batch in
+// storage it reuses (3 640 objects a Sort while the consolidation's
+// per-color slices grew and were cut from the front).
+func TestSortAllocs(t *testing.T) {
+	const nBlocks, b, m = 1 << 13, 8, 4096
+	env := newTestEnv(nBlocks, b, m, 1)
+	a := env.D.Alloc(nBlocks)
+	r := rand.New(rand.NewPCG(1, 18))
+	keys := make([]uint64, nBlocks*b)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	buildKeyArray(a, keys)
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := Sort(env, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 48 {
+		t.Errorf("a Sort allocates %.0f objects, want at most 48", allocs)
+	}
 }
 
 // TestCopyDownOverlapping: the bucket results are copied onto the scratch

@@ -64,9 +64,10 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // row of the grid whose geometry it supports, and the block I/Os and round
 // trips the Disk measured must be the predictor's, to the access. A row
 // runs on the array fillCells writes, with held elements of the cache
-// checked out; the predictors that assume the whole cache free (bucket
-// sort, Select, Quantiles, loose compaction) run where nothing is held,
-// bitonic's and zigzag's, priced at the free cache, run on every row,
+// checked out; the predictors that assume the whole cache free (Select,
+// Quantiles, loose compaction) run where nothing is held, bitonic's,
+// zigzag's and bucket sort's, priced at the free cache, run on every row
+// whose free cache they fit,
 // columnsort's, priced the same way, on every row whose geometry
 // ColumnGeometry admits, and the randomized Sort's, priced at the free
 // cache too, wherever 16 blocks are free. Lemma 2's deterministic sort
@@ -125,7 +126,7 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				return got, obsort.ZigzagCost(g.n, g.b, g.free())
 			}},
-		{"obsort.BucketSort", func(g geometry) bool { return whole(g) && obsort.BucketSupported(g.n, g.b, g.m) },
+		{"obsort.BucketSort", func(g geometry) bool { return obsort.BucketSupported(g.n, g.b, g.free()) },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				// The predictor prices a clean run: a declared overflow leaves
 				// a as it was, and the next run draws fresh labels.
@@ -137,7 +138,7 @@ func TestPredictorsExact(t *testing.T) {
 					got = measure(env, func() { err = obsort.BucketSort(env, a, obsort.ByKey) })
 				}
 				// Its round trips are an estimate; its block I/Os are exact.
-				want := obsort.BucketCost(g.n, g.b, g.m)
+				want := obsort.BucketCost(g.n, g.b, g.free())
 				got.RoundTrips, want.RoundTrips = -1, -1
 				return got, want
 			}},
@@ -222,12 +223,15 @@ func TestPredictorsExact(t *testing.T) {
 	}
 	// Rows beyond the grid that one primitive alone runs: for Sort, the
 	// benchmark's sort_mem (one distributing level, a direct sort per
-	// bucket), a B = 64 row whose buckets distribute again, and two rows at
-	// M = 512 where columnsort sorts 300 blocks: each bucket of 520 blocks,
-	// and the sample of 2 393; for loose compaction, a cache too small for
-	// its rounds, where it sorts the whole array with columnsort.
+	// bucket in its slot), the same with half the cache held, B = 64 rows
+	// whose buckets distribute again, one of them with a quarter of the
+	// cache held, a row whose buckets sort privately in their slots, and
+	// two rows at M = 512 where columnsort sorts 300 blocks: each bucket of
+	// 520 blocks, and the sample of 2 393; for loose compaction, a cache too
+	// small for its rounds, where it sorts the whole array with columnsort.
 	more := map[string][]geometry{
-		"core.Sort":               {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0}},
+		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
+			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
 		"core.CompactBlocksLoose": {{18, 4, 48, 0}},
 	}
 	defer func() {

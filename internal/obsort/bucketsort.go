@@ -62,13 +62,14 @@ type bucketGeom struct {
 	k1    int // number of buckets, a power of two
 	g1    int // log2(k1)
 	fLeaf int // max buckets per leaf region (fLeaf·z <= m/2)
+	m     int // elements of cache free at the call: every field above is sized from it
 }
 
-// bucketGeometry derives the public geometry, reporting ok=false when the
-// cache is too small for the bucket layout (callers fall back to a
-// deterministic engine, mirroring the randomized sort's tiny-cache
-// fallback). A merge-split holds two buckets in and two out (4Z cells)
-// plus slack.
+// bucketGeometry derives the public geometry from the m elements of cache
+// free at the call, reporting ok=false when they are too few for the
+// bucket layout (BucketSort then falls back to Bitonic, and core.SortWith
+// declines before any I/O). A merge-split holds two buckets in and two out
+// (4Z cells) plus slack.
 func bucketGeometry(nBlocks, b, m int) (bucketGeom, bool) {
 	if nBlocks == 0 || (m-64)/(4*b) < 2 {
 		return bucketGeom{}, false
@@ -95,13 +96,14 @@ func bucketGeometry(nBlocks, b, m int) (bucketGeom, bool) {
 	if fLeaf < 1 {
 		return bucketGeom{}, false
 	}
-	return bucketGeom{b: b, zb: zb, z: z, k1: k1, g1: extmem.CeilLog2(k1), fLeaf: fLeaf}, true
+	return bucketGeom{b: b, zb: zb, z: z, k1: k1, g1: extmem.CeilLog2(k1), fLeaf: fLeaf, m: m}, true
 }
 
 // regionFanout returns the split factor for a region of f > fLeaf buckets:
 // a power of two dividing f, capped by the splitter budget the cache
 // affords.
-func (g bucketGeom) regionFanout(f, m int) int {
+func (g bucketGeom) regionFanout(f int) int {
+	m := g.m
 	k2 := f / g.fLeaf
 	if k2 > 64 {
 		k2 = 64
@@ -112,7 +114,7 @@ func (g bucketGeom) regionFanout(f, m int) int {
 	// Splitter quality: demand at least 64 sample cells per range, so the
 	// range loads concentrate well inside the Z-cell bucket capacity. A
 	// thinner sample would make phase-3 overflows routine instead of rare.
-	cells := g.sampleBlocks(f, m) * g.b
+	cells := g.sampleBlocks(f) * g.b
 	if lim := 1 << extmem.FloorLog2(max(2, cells/64)); k2 > lim {
 		k2 = lim
 	}
@@ -122,15 +124,16 @@ func (g bucketGeom) regionFanout(f, m int) int {
 // sampleBlocks returns the number of tape-chosen blocks a region of f
 // buckets samples for splitters — capped so the sample fits in half the
 // cache.
-func (g bucketGeom) sampleBlocks(f, m int) int {
-	return max(1, min(f*g.zb, m/(2*g.b)))
+func (g bucketGeom) sampleBlocks(f int) int {
+	return max(1, min(f*g.zb, g.m/(2*g.b)))
 }
 
 // BucketSort sorts the occupied elements of a in place with padded
 // semantics (occupied ascend by less with scan-index tie-breaks, empties
 // sink). It may fail with ErrBucketOverflow — a declared, public failure
-// that leaves a unchanged. Geometry the cache cannot support falls back to
-// the deterministic Bitonic engine and never fails.
+// that leaves a unchanged. It is sized from the cache free at the call, not
+// from M; where that cannot support the geometry it falls back to the
+// deterministic Bitonic engine and never fails.
 //
 // Side effects on success: the Color and CellDest scratch bits of every
 // element are cleared; Key, Pos, Val and the occupied/marked/failed flags
@@ -141,14 +144,15 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 		return nil
 	}
 	b := a.B()
-	g, ok := bucketGeometry(n, b, env.M)
+	free := env.M - env.Cache.Used()
+	g, ok := bucketGeometry(n, b, free)
 	if !ok {
 		Bitonic(env, a, less)
 		return nil
 	}
 	sp := env.Obs.Start("bucket")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(BucketCost(n, b, env.M))
+	sp.SetPredicted(BucketCost(n, b, free))
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
@@ -343,13 +347,13 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 		return nil
 	}
 
-	k2 := g.regionFanout(f, env.M)
+	k2 := g.regionFanout(f)
 	g2 := extmem.CeilLog2(k2)
 
 	// Splitters: sort a tape-chosen block sample privately (padding last)
 	// and take the k2−1 even quantiles of its cargo prefix. The bin phase
 	// shuffled the cells, so the sample is an unbiased view of the region.
-	sb := g.sampleBlocks(f, env.M)
+	sb := g.sampleBlocks(f)
 	sbuf := env.Cache.Buf(sb * b)
 	sidx := make([]int, sb)
 	for t := range sidx {
@@ -444,12 +448,12 @@ func BucketSorter(env *extmem.Env, a extmem.Array, less Less) {
 	Zigzag(env, a, less)
 }
 
-// BucketCost predicts a successful BucketSort run. Every pass is
-// geometry-addressed, so its block I/Os are a function of (nBlocks, B, M)
-// alone and exact; its round trips are an estimate, 2 per merge-split and
-// leaf plus the linear passes chunked as if the whole cache were free. It is
-// zero where the geometry is unsupported (the call would fall back to
-// Bitonic).
+// BucketCost predicts a successful BucketSort run entered with m elements
+// of cache free. Every pass is geometry-addressed, so its block I/Os are a
+// function of (nBlocks, B, m) alone and exact; its round trips are an
+// estimate, 2 per merge-split and leaf plus the linear passes chunked as if
+// all m were free throughout. It is zero where the geometry is unsupported
+// (the call would fall back to Bitonic).
 func BucketCost(nBlocks, b, m int) obs.Cost {
 	g, ok := bucketGeometry(nBlocks, b, m)
 	if !ok {
@@ -469,8 +473,8 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 		if f <= g.fLeaf {
 			return obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2}
 		}
-		k2 := g.regionFanout(f, m)
-		r := obs.Cost{IOs: int64(g.sampleBlocks(f, m)), RoundTrips: 1}                 // splitter sample
+		k2 := g.regionFanout(f)
+		r := obs.Cost{IOs: int64(g.sampleBlocks(f)), RoundTrips: 1}                    // splitter sample
 		r = r.Add(obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2 * scan(f*g.zb, 2)}) // range tagging
 		r = r.Add(butterfly(extmem.CeilLog2(k2), f))
 		sub := walk(f / k2)
@@ -485,8 +489,9 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 	return c.Add(obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * scan(nBlocks, 2)})
 }
 
-// BucketSupported reports whether the geometry lets BucketSort run its own
-// pipeline rather than falling back to Bitonic.
+// BucketSupported reports whether the geometry, with m elements of cache
+// free, lets BucketSort run its own pipeline rather than falling back to
+// Bitonic.
 func BucketSupported(nBlocks, b, m int) bool {
 	_, ok := bucketGeometry(nBlocks, b, m)
 	return ok

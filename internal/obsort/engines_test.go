@@ -308,9 +308,9 @@ func TestBucketSorterRetriesThenSorts(t *testing.T) {
 // names: at every geometry the pick is the argmin of the exact predictors of
 // the engines the geometry supports (block I/Os over mem, round trips over
 // net; on ties bitonic, then columnsort, then zigzag), and running the
-// picked engine costs exactly what its predictor said. Bitonic, columnsort
-// and zigzag are priced at the cache the caller leaves free, bucket at M;
-// some rows hold part of it, and there the pick stays within M.
+// picked engine costs exactly what its predictor said. Every engine is
+// priced at the cache the caller leaves free; some rows hold part of it,
+// and there the pick stays within M.
 func TestPickPolicy(t *testing.T) {
 	// metric is the test's own statement of what Pick minimises, kept
 	// independent of pick.go so a wrong backend rule there fails here.
@@ -340,8 +340,8 @@ func TestPickPolicy(t *testing.T) {
 			func(env *extmem.Env, a extmem.Array) bool { Zigzag(env, a, ByKey); return true }},
 		// A declared overflow retries on a fresh tape and costs more than
 		// one run; the predictor is exact for a clean run.
-		{EngineBucket, func(n, b, m, _ int) obs.Cost { return BucketCost(n, b, m) },
-			func(n, b, m, _ int) bool { return BucketSupported(n, b, m) },
+		{EngineBucket, func(n, b, _, free int) obs.Cost { return BucketCost(n, b, free) },
+			func(n, b, _, free int) bool { return BucketSupported(n, b, free) },
 			func(env *extmem.Env, a extmem.Array) bool { return BucketSort(env, a, ByKey) == nil }},
 	}
 	picked, backendSplits := map[string]bool{}, false
@@ -381,9 +381,8 @@ func TestPickPolicy(t *testing.T) {
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
 			}
-			// Bitonic's window, columnsort's columns and zigzag's runs
-			// answer to the free cache; bucket's runs are sized by M.
-			if hw := env.Cache.HighWater(); got != EngineBucket && hw > g.m {
+			// Every engine's passes answer to the free cache.
+			if hw := env.Cache.HighWater(); hw > g.m {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: cache high-water %d > M", g.n, g.b, g.m, free, backend, got, hw)
 			}
 		}

@@ -438,6 +438,22 @@ func TestBitonicAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestZigzagAllocCeiling: once the cache slab and the Disk's scratch are
+// warm, a Zigzag call allocates nothing, whatever the array's length: the
+// merge-splits' index list is Disk scratch, as Bitonic's and Columnsort's
+// are (it was one allocation of 2·runs blocks a call).
+func TestZigzagAllocCeiling(t *testing.T) {
+	for _, n := range []int{100, 2048} {
+		env := extmem.NewEnv(n, 8, 512, 1)
+		a := env.D.Alloc(n)
+		fillArray(env, a, genKeys(rand.New(rand.NewPCG(5, 7)), n*8, "rand"))
+		Zigzag(env, a, ByKey) // warm the cache slab and the disk's scratch
+		if got := testing.AllocsPerRun(3, func() { Zigzag(env, a, ByKey) }); got != 0 {
+			t.Errorf("Zigzag of %d blocks: %v allocations per call, want 0", n, got)
+		}
+	}
+}
+
 // BenchmarkBitonic is the deterministic sort at the benchmark geometry.
 func BenchmarkBitonic(b *testing.B) {
 	g := benchGeometry

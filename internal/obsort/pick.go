@@ -46,9 +46,9 @@ func ValidEngine(name string) bool {
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is strictly least among the engines the
 // geometry supports; on a tie the earliest of bitonic, columnsort, zigzag
-// and bucket keeps it. Bitonic, columnsort and zigzag are priced at the
-// free cache, which sizes bitonic's window, columnsort's columns and
-// zigzag's runs; bucket at M, which sizes its runs. With fewer than two
+// and bucket keeps it. Every engine is priced at the free cache, which
+// sizes bitonic's window, columnsort's columns, zigzag's runs and bucket
+// sort's buckets. With fewer than two
 // blocks free no engine fits, Pick returns bitonic, and core.SortWith
 // declines the sort before any I/O. Columnsort costs 6 I/Os per block
 // wherever ColumnGeometry admits the array and bitonic 2 per pass plus its
@@ -79,8 +79,8 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 		consider(EngineColumnsort, ColumnCost(nBlocks, b, free))
 	}
 	consider(EngineZigzag, ZigzagCost(nBlocks, b, free))
-	if BucketSupported(nBlocks, b, m) {
-		consider(EngineBucket, BucketCost(nBlocks, b, m))
+	if BucketSupported(nBlocks, b, free) {
+		consider(EngineBucket, BucketCost(nBlocks, b, free))
 	}
 	return best
 }

@@ -52,7 +52,9 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	runLen := func(r int) int { return min(cb, n-r*cb) }
 
 	buf := env.Cache.Buf(2 * cb * b)
-	idx := make([]int, 2*cb)
+	// The merge-splits' index list is Disk scratch, grown before round 0's
+	// range reads so that none of them outgrows it.
+	idx := env.D.IndexScratch(2 * cb)
 
 	// Round 0: sort each run privately — one vectored read and one vectored
 	// write per run.

@@ -64,7 +64,11 @@ import (
 // 300 round trips; the ORAMHierarchy row keeps the hierarchy, the arm at
 // M = 4 096, through two full rebuild periods of its 64-entry buffer:
 // 12 282 accesses in 298 round trips, the store's 250 writes, the build,
-// and twice oram.AccessCost(64, 8, 4096, 4096)'s 5 056 I/Os in 143.)
+// and twice oram.AccessCost(64, 8, 4096, 4096)'s 5 056 I/Os in 143. The
+// Sort row alone moved when a bucket that sorts directly began to be
+// compacted into its slot of the level's result and sorted there, the deal
+// to write every colour's quota of a batch in one request, and the deal
+// batch to be priced: 24 054 → 21 906 accesses, 1 213 → 1 141 round trips.)
 func TestScalarVectoredTraceInvariance(t *testing.T) {
 	const n = 2000
 	dataA := mkRecords(n, 3)
@@ -84,7 +88,7 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		run   func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", 0, want{TraceSummary{24054, 2361650172920968031}, 11762, 12292, 1213}, func(t *testing.T, arr *Array) {
+		{"Sort", 0, want{TraceSummary{21906, 16638315788553275371}, 10688, 11218, 1141}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
