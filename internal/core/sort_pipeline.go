@@ -155,11 +155,14 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 					clear(blk)
 				}
 				idx[fill] = (c-1)*l + g*quota + s
-				if fill++; fill == k || c == colors && s == quota-1 {
-					all.WriteMany(idx[:fill], wbuf[:fill*b])
+				if fill++; fill == k {
+					all.WriteMany(idx, wbuf)
 					fill = 0
 				}
 			}
+		}
+		if fill > 0 {
+			all.WriteMany(idx[:fill], wbuf[:fill*b])
 		}
 	}
 	env.Cache.Free(wbuf)
