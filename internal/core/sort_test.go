@@ -489,6 +489,16 @@ func BenchmarkSortRandomized(b *testing.B) {
 	b.ReportMetric(float64(env.D.HighWater())/nBlocks, "disk-blocks/block")
 }
 
+// BenchmarkSortCost prices one randomized Sort of 2^28 blocks at (8, 4 096).
+// Its predictor sums each routing's plan in closed form and takes
+// milliseconds; a per-window replay of the routings would take a second.
+func BenchmarkSortCost(b *testing.B) {
+	const nBlocks, bs, m = 1 << 28, 8, 4096
+	for b.Loop() {
+		SortCost(nBlocks, bs, m, nBlocks*bs)
+	}
+}
+
 // TestSortAllocs: one randomized Sort at the benchmark's sort_mem geometry
 // allocates a few dozen heap objects, a level's bookkeeping, and none per
 // block or per element: the color consolidation stages its elements in

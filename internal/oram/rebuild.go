@@ -244,7 +244,6 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 	if !ok {
 		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}
-	scan := func(n, held int) int64 { return extmem.ScanRoundTrips(n, g.B, g.Free-held, 1) }
 	// The compaction's feed reads each routed source a chunk overlaps.
 	feedRT := func(lo, hi int) (rt int64) {
 		base := 0
@@ -259,19 +258,29 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 		}
 		return rt
 	}
-	c := obs.Cost{IOs: int64(g.Buffer), RoundTrips: scan(g.Buffer, 0)}.Add(sort)
+	c := obs.Cost{IOs: int64(g.Buffer), RoundTrips: extmem.ScanRoundTrips(g.Buffer, g.B, g.Free, 1)}.Add(sort)
 	c = c.Add(route.CompactIntoCost(g.routed(), g.routed(), g.B, g.Free, feedRT))
 	for i := range g.Sources {
 		if g.collects(i) {
 			c = c.Add(g.collectCost(i))
 		}
 	}
-	k := g.Kept
-	if g.fits(k) {
-		return c.Add(obs.Cost{IOs: int64(k + g.Table), RoundTrips: 1 + scan(g.Table, k*g.B)})
+	if g.fits(g.Kept) {
+		return c.Add(g.installCost())
 	}
-	c = c.Add(obs.Cost{IOs: 2 * int64(k), RoundTrips: 2 * scan(k, 0)})
-	return c.Add(route.ExpandIntoCost(k, g.Table, g.B, g.Free))
+	return c.Add(g.assignCost()).Add(route.ExpandIntoCost(g.Kept, g.Table, g.B, g.Free))
+}
+
+// installCost is the cost of the install from private memory: one read of
+// the kept prefix, and a write-only scan of the table beside it.
+func (g RebuildGeometry) installCost() obs.Cost {
+	return obs.Cost{IOs: int64(g.Kept + g.Table), RoundTrips: 1 + extmem.ScanRoundTrips(g.Table, g.B, g.Free-g.Kept*g.B, 1)}
+}
+
+// assignCost is the cost of the scan that stamps the kept prefix with its
+// slots in place, ahead of the expansion.
+func (g RebuildGeometry) assignCost() obs.Cost {
+	return obs.Cost{IOs: 2 * int64(g.Kept), RoundTrips: 2 * extmem.ScanRoundTrips(g.Kept, g.B, g.Free, 1)}
 }
 
 // rebuildInto rebuilds the target level's bucket table from the given
@@ -417,12 +426,12 @@ func (o *ORAM) rebuildInto(target int, sources []source, g RebuildGeometry) erro
 	place := newSlots(o.beta)
 	if g.fits(g.Kept) {
 		sp2 := o.env.Obs.Start("install")
-		sp2.SetPredicted(obs.Cost{IOs: int64(g.Kept + g.Table), RoundTrips: -1})
+		sp2.SetPredicted(g.installCost())
 		o.install(tl.table, live, &place, target)
 		o.env.Obs.End(sp2)
 	} else {
 		sp2 := o.env.Obs.Start("assign-slots")
-		sp2.SetPredicted(obs.Cost{IOs: 2 * int64(g.Kept), RoundTrips: -1})
+		sp2.SetPredicted(g.assignCost())
 		o.env.Scan(live, live, o.env.ScanBatchN(1, g.Kept), func(_ int, chunk []extmem.Element) {
 			for off := 0; off < len(chunk); off += b {
 				place.stamp(chunk[off : off+b])

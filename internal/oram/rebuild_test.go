@@ -43,10 +43,10 @@ func fits(g oram.RebuildGeometry, n int) bool { return (n+2)*g.B <= g.Free }
 func installs(g oram.RebuildGeometry) bool { return fits(g, g.Kept) }
 
 // TestRebuildIOExact: every rebuild — the initial build included — costs
-// exactly the block I/Os and round trips its span predicts, and for the
-// scheduled ones that prediction is RebuildCost of
-// the geometry the schedule announces beforehand, with the cache never over
-// M. The grid takes both arms of the live prefix — a source collected in one
+// exactly the block I/Os and round trips its span predicts, as do its
+// collect, install and assign-slots children, and for the scheduled ones
+// that prediction is RebuildCost of the geometry the schedule announces
+// beforehand, with the cache never over M. The grid takes both arms of the live prefix — a source collected in one
 // private scan, a source routed by the network, and rebuilds that do both —
 // and both arms of the install: a kept prefix that fits the free cache and
 // is written out in one scan, and one that does not and is expanded by the
@@ -82,8 +82,8 @@ func TestRebuildIOExact(t *testing.T) {
 					t.Fatalf("%s: rebuild measured %+v, its span predicts %+v", name, sp.IO.Cost(), sp.Predicted)
 				}
 				for _, c := range sp.Children {
-					if c.Name == "collect" && c.IO.Cost() != c.Predicted {
-						t.Fatalf("%s: a collect measured %+v, its span predicts %+v", name, c.IO.Cost(), c.Predicted)
+					if (c.Name == "collect" || c.Name == "install" || c.Name == "assign-slots") && c.IO.Cost() != c.Predicted {
+						t.Fatalf("%s: a %s measured %+v, its span predicts %+v", name, c.Name, c.IO.Cost(), c.Predicted)
 					}
 				}
 				if want != nil {

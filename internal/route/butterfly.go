@@ -22,13 +22,15 @@ import (
 // variant with O(n·log(n)/log(M/B)) I/Os; g = 1 recovers the naive
 // per-level variant — the ablation pair TestWindowedBeatsNaive compares.
 //
-// A routing is one pass per group — each cell read once and written once,
-// up to half the free cache of cells a round trip — and nothing else. The labels are a prefix count, and the first group of
-// a compaction loads the cells in address order, so it labels them as they
-// stream through the cache; an expansion routes on the targets its caller
-// stamped and checks their order as its last group emits. An array that
-// fits the free cache whole is one group whatever its length: one read, a
-// private stable move, one write.
+// A routing is a plan worked out once from n, B and the free cache
+// (planOf): an array that fits the cache is one pass — one read, a private
+// stable move, one write — and otherwise each level group is one, reading
+// and writing every cell a window of up to half the free cache at a time.
+// The executors run the plan and the predictors sum it in closed form: 2n
+// I/Os and two round trips a window a pass, but for the pass that runs
+// first, whose loads are the feed's in a compaction (which labels the cells
+// as they stream in, a prefix count) and skip the windows past the source
+// in an expansion (whose last pass checks its caller's targets).
 //
 // A cell here is one disk block. A cell's destination (its occupied-rank)
 // and its origin are carried inside the block's elements (CellDest/Aux flag
@@ -49,11 +51,6 @@ func PredOccupied(blk []extmem.Element) bool {
 	return false
 }
 
-// fitsCache reports whether n cells fit free elements of private memory
-// beside a block of slack — a function of the geometry and of what the
-// caller has checked out, both public.
-func fitsCache(n, b, free int) bool { return (n+1)*b <= free }
-
 // label stamps an occupied cell with its destination and its origin.
 func label(blk []extmem.Element, dest, origin int) {
 	for t := range blk {
@@ -72,7 +69,7 @@ func label(blk []extmem.Element, dest, origin int) {
 //
 // Side effects: the CellDest and Aux (color) flag bits of every element are
 // overwritten — CellDest with the cell's final position and Aux with its
-// original position (which is exactly what ExpandBlocks needs to undo the
+// original position (which is exactly what ExpandInto needs to undo the
 // compaction).
 func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) int {
 	if a.Len() == 0 {
@@ -80,22 +77,29 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	}
 	sp := env.Obs.Start("butterfly-compact")
 	defer env.Obs.End(sp)
-	return compact(env, sp, a, a.Len(), a.ReadRange, pred, levelsPerPass)
+	if sp != nil {
+		sp.SetPredicted(CompactCost(a.Len(), levelsPerPass, a.B(), env.M-env.Cache.Used()))
+	}
+	return compact(env, sp, a, a.ReadRange, pred, levelsPerPass)
 }
 
 // CompactInto is CompactBlocksTight of cells that are not in a yet: feed
 // yields cells [lo, hi) into dst — every range once, in address order — as
 // the first pass loads them, so the cells of several arrays, or cells
 // converted on the way, are compacted without first being copied together.
-// fed is the number of blocks feed reads in all, for the span's prediction.
-// The passes after the first run in a, in place.
+// fed is the number of blocks feed reads in all, for the span's prediction,
+// whose round trips are the feed's and go unpredicted. The passes after the
+// first run in a, in place.
 func CompactInto(env *extmem.Env, a extmem.Array, fed int, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
 	if a.Len() == 0 {
 		return 0
 	}
 	sp := env.Obs.Start("butterfly-compact")
 	defer env.Obs.End(sp)
-	return compact(env, sp, a, fed, feed, pred, 0)
+	if sp != nil {
+		sp.SetPredicted(obs.Cost{IOs: planOf(a.Len(), a.B(), env.M-env.Cache.Used(), 0).cost(fed, 0).IOs, RoundTrips: -1})
+	}
+	return compact(env, sp, a, feed, pred, 0)
 }
 
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
@@ -111,8 +115,11 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 	}
 	sp := env.Obs.Start("consolidate-compact")
 	defer env.Obs.End(sp)
+	if sp != nil {
+		sp.SetPredicted(ConsolidateCompactCost(a.Len(), a.B(), env.M-env.Cache.Used()))
+	}
 	l := lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}
-	compact(env, sp, out, a.Len(), func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
+	compact(env, sp, out, func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
 	env.Cache.Free(l.hold)
 	return out, l.kept
 }
@@ -124,20 +131,74 @@ func ConsolidateCompactFree(n, b int) int { return 2*b + RouteFree(n, b) }
 
 // RouteFree is the least free cache, in elements, that a compaction or an
 // expansion over n blocks of b elements runs in: either the whole array and
-// a block of slack (fitsCache) or the narrowest window, a group of one
-// level (windowCells).
+// a block of slack (plan's whole) or the narrowest window, a group of one
+// level (windowFree).
 func RouteFree(n, b int) int { return min((n+1)*b, windowFree(b, 1)) }
 
+// plan is the shape of one routing of n cells of b elements entered with
+// free elements of the cache free, worked out once from those three alone —
+// all public — for the executors to run and the predictors to sum. Either
+// the whole array fits the cache beside a block of slack and the routing is
+// one pass, or the network's levels go in groups of g, one pass a group.
+type plan struct {
+	n, b, free int
+	whole      bool
+	levels, g  int
+}
+
+// planOf lays out a routing; levelsPerPass > 0 forces the group size and
+// the network. It panics when the free cache cannot hold the first group's
+// smallest window (windowFree).
+func planOf(n, b, free, levelsPerPass int) plan {
+	p := plan{n: n, b: b, free: free, levels: max(1, extmem.CeilLog2(n))}
+	if levelsPerPass <= 0 && (n+1)*b <= free {
+		p.whole, p.g = true, p.levels
+		return p
+	}
+	p.g = groupSize(free/b, levelsPerPass)
+	if gg := min(p.g, p.levels); windowFree(b, gg) > free {
+		panic(fmt.Sprintf("route: butterfly window 2^%d cells exceeds the free cache (%d blocks)", gg, free/b))
+	}
+	return p
+}
+
+// passes is the number of passes: one per level group.
+func (p plan) passes() int { return (p.levels + p.g - 1) / p.g }
+
+// pass is level group k of a plan: levels [i0, i0+gg), moving each cell
+// fewer than w = 2^gg places along its class, loaded hw cells at a time —
+// as many as half the free cache holds beside a block of slack, at least w
+// and at most n unless w is more — in windows windows. The whole array,
+// with 2^levels ≥ n, is one window.
+type pass struct{ i0, gg, w, hw, windows int }
+
+func (p plan) pass(k int) pass {
+	i0 := k * p.g
+	gg := min(p.g, p.levels-i0)
+	hw := max(1<<gg, min(p.n, (p.free/p.b-1)/2))
+	return pass{i0, gg, 1 << gg, hw, extmem.CeilDiv(p.n, hw)}
+}
+
+// cost sums the plan: every pass reads and writes all n cells, a load and a
+// write a window, but that the pass that runs first reads fed blocks, its
+// loads extra round trips more than one a window.
+func (p plan) cost(fed int, extra int64) obs.Cost {
+	c := obs.Cost{IOs: int64(fed) + int64(p.n)*int64(2*p.passes()-1), RoundTrips: extra}
+	for k := range p.passes() {
+		c.RoundTrips += 2 * int64(p.pass(k).windows)
+	}
+	return c
+}
+
 // compact routes the cells that feed yields — cells [lo, hi) into dst, each
-// range asked for once, in address order, fed block reads in all — to a
-// tight prefix of a, which may be where they come from.
-func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, fed int, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
+// range asked for once, in address order — to a tight prefix of a, which
+// may be where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
 	n, b := a.Len(), a.B()
-	free := env.M - env.Cache.Used()
+	p := planOf(n, b, env.M-env.Cache.Used(), levelsPerPass)
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(obs.Cost{IOs: routingIOs(fed, n, passCount(n, levelsPerPass, free/b)), RoundTrips: -1})
 	rank := 0
-	if levelsPerPass <= 0 && fitsCache(n, b, free) {
+	if p.whole {
 		buf := env.Cache.Buf(n * b)
 		feed(0, n, buf)
 		for j := 0; j < n; j++ {
@@ -152,52 +213,43 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, fed int, feed func(l
 		env.Cache.Free(buf)
 		return rank
 	}
-	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
-	ws := newWindows(n, b, free, min(g, levels))
-	for i0 := 0; i0 < levels; i0 += g {
-		rank += routeGroupLeft(env, a, feed, pred, i0, min(g, levels-i0), free, ws)
+	ws := newWindows(p.pass(0).hw)
+	for k := range p.passes() {
+		rank += routeGroupLeft(env, a, feed, pred, p.pass(k), ws)
 	}
 	return rank
 }
 
-// ExpandBlocks reverses a tight compaction: every cell of the compact
-// prefix satisfying pred carries a destination in its Aux bits (strictly
-// increasing across the prefix, never left of the cell); the cells are
-// routed right so cell i ends at position Aux(i), its CellDest bits saying
-// the same. Cells not reached stay empty. This is the paper's "use this
-// method in reverse" remark after Theorem 6. Bad targets panic: up front
-// when the array fits the cache, and otherwise no later than the last
-// group, which emits the cells in address order and checks that their
-// origins are in order too.
-func ExpandBlocks(env *extmem.Env, a extmem.Array, pred BlockPred, levelsPerPass int) {
-	expand(env, a, a, pred, levelsPerPass, nil)
-}
-
-// ExpandInto is ExpandBlocks of a tight prefix held apart from where it
-// expands to: the cells of src, at most dst.Len() of them, are routed to
-// their targets in dst without first being copied there — the first group
-// reads src where ExpandBlocks reads the array, every cell past src's end
-// counting as empty, and the groups after it run in dst, in place. finish,
-// when it is not nil, rewrites each routed cell as the last group emits it
-// (from the form it travelled in to the form dst keeps).
+// ExpandInto reverses a tight compaction of dst, whose prefix is held apart
+// in src: every cell of src satisfying pred carries a destination in its
+// Aux bits (strictly increasing across src, never left of the cell, inside
+// dst); the cells are routed right so cell i ends at position Aux(i) of dst,
+// its CellDest bits saying the same, without first being copied there —
+// the first group reads src, every cell past its end counting as empty, and
+// the groups after it run in dst, in place. Cells not reached stay empty.
+// src may be dst itself. This is the paper's "use this method in reverse"
+// remark after Theorem 6. finish, when it is not nil, rewrites each routed
+// cell as the last group emits it (from the form it travelled in to the
+// form dst keeps). Bad targets panic: up front when the array fits the
+// cache, and otherwise no later than the last group, which emits the cells
+// in address order and checks that their origins are in order too.
 func ExpandInto(env *extmem.Env, src, dst extmem.Array, pred BlockPred, finish func(blk []extmem.Element)) {
-	if src.Len() > dst.Len() {
-		panic(fmt.Sprintf("route: expansion of %d cells into %d", src.Len(), dst.Len()))
-	}
-	expand(env, src, dst, pred, 0, finish)
-}
-
-func expand(env *extmem.Env, src, dst extmem.Array, pred BlockPred, levelsPerPass int, finish func(blk []extmem.Element)) {
 	n, ns, b := dst.Len(), src.Len(), dst.B()
+	if ns > n {
+		panic(fmt.Sprintf("route: expansion of %d cells into %d", ns, n))
+	}
 	if n == 0 {
 		return
 	}
 	free := env.M - env.Cache.Used()
 	sp := env.Obs.Start("butterfly-expand")
-	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(obs.Cost{IOs: routingIOs(ns, n, passCount(n, levelsPerPass, free/b)), RoundTrips: -1})
 	defer env.Obs.End(sp)
-	if levelsPerPass <= 0 && fitsCache(n, b, free) {
+	if sp != nil {
+		sp.SetAttrInt("blocks", int64(n))
+		sp.SetPredicted(ExpandIntoCost(ns, n, b, free))
+	}
+	p := planOf(n, b, free, 0)
+	if p.whole {
 		buf := env.Cache.Buf(n * b)
 		src.ReadRange(0, ns, buf[:ns*b])
 		prev := -1
@@ -236,11 +288,10 @@ func expand(env *extmem.Env, src, dst extmem.Array, pred BlockPred, levelsPerPas
 		env.Cache.Free(buf)
 		return
 	}
-	// The same group boundaries as a compaction, in descending stride order.
-	levels, g := max(1, extmem.CeilLog2(n)), groupSize(free/b, levelsPerPass)
-	ws := newWindows(n, b, free, min(g, levels))
-	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
-		routeGroupRight(env, src, dst, pred, i0, min(g, levels-i0), free, ws, finish)
+	// The compaction's groups, in descending stride order.
+	ws := newWindows(p.pass(0).hw)
+	for k := p.passes() - 1; k >= 0; k-- {
+		routeGroupRight(env, src, dst, pred, p.pass(k), ws, finish)
 	}
 }
 
@@ -262,21 +313,9 @@ func groupSize(mBlocks, levelsPerPass int) int {
 	return max(g, 1)
 }
 
-// windowCells returns w = 2^gg, a group of gg levels moving each cell fewer
-// than w places along its class, and hw, the cells it loads at a time: as
-// many as half the free cache holds beside a block of slack, at least w and
-// at most n. The stash of 2hw cells is all the cache a group checks out; it
-// panics when the free cache cannot hold the smallest, 2w (windowFree).
-func windowCells(n, b, free, gg int) (w, hw int) {
-	w = 1 << gg
-	if windowFree(b, gg) > free {
-		panic(fmt.Sprintf("route: butterfly window 2^%d cells exceeds the free cache (%d blocks)", gg, free/b))
-	}
-	return w, max(w, min(n, (free/b-1)/2))
-}
-
 // windowFree is the least free cache, in elements, a group of gg levels
-// runs in: the stash of its smallest window, 2w cells of b elements.
+// runs in: the stash of its smallest window, 2w cells of b elements — all
+// the cache a group checks out is the stash of its 2hw.
 func windowFree(b, gg int) int { return 2 * (1 << gg) * b }
 
 // classes lays the residue classes mod s of n cells end to end, the paper's
@@ -331,10 +370,7 @@ type windows struct {
 	addr []int
 }
 
-func newWindows(n, b, free, gg int) windows {
-	_, hw := windowCells(n, b, free, gg)
-	return windows{make([]bool, 2*hw), make([]int, hw)}
-}
+func newWindows(hw int) windows { return windows{make([]bool, 2*hw), make([]int, hw)} }
 
 // group is one level group's sweep over its classes laid end to end. Window
 // t, positions [t·hw, (t+1)·hw) — counted from the far end when reversed —
@@ -407,14 +443,13 @@ func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j 
 // window, labels each occupied one with its rank and its origin as it
 // arrives, and returns the number it saw; later groups read a and return 0.
 // Every group writes a.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, i0, gg, free int, ws windows) int {
-	n, s := a.Len(), 1<<i0
-	w, hw := windowCells(n, a.B(), free, gg)
+func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, ps pass, ws windows) int {
+	n, s, w, hw := a.Len(), 1<<ps.i0, ps.w, ps.hw
 	g := newGroup(env, n, s, hw, false, ws)
 	rank := 0
-	for t := 0; t*hw < n; t++ {
+	for t := range ps.windows {
 		addr, half := g.window(t)
-		if i0 == 0 {
+		if ps.i0 == 0 {
 			feed(t*hw, t*hw+len(addr), g.slots(half, len(addr)))
 		} else {
 			a.ReadMany(addr, g.slots(half, len(addr)))
@@ -425,7 +460,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 			if !pred(blk) {
 				continue
 			}
-			if i0 == 0 {
+			if ps.i0 == 0 {
 				label(blk, rank, j)
 				rank++
 			}
@@ -439,7 +474,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 			g.flush(a, t-1, nil)
 		}
 	}
-	g.flush(a, (n-1)/hw, nil)
+	g.flush(a, ps.windows-1, nil)
 	env.Cache.Free(g.stash)
 	return rank
 }
@@ -455,9 +490,8 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 // origins descend with them — which is the strictly-increasing-targets
 // precondition — and leaves the final position in CellDest, and the cell to
 // finish. Every group writes a.
-func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, gg, free int, ws windows, finish func(blk []extmem.Element)) {
-	n, ns, s := a.Len(), src.Len(), 1<<i0
-	w, hw := windowCells(n, a.B(), free, gg)
+func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pass, ws windows, finish func(blk []extmem.Element)) {
+	n, ns, s, w, hw := a.Len(), src.Len(), 1<<ps.i0, ps.w, ps.hw
 	top := s*w >= n
 	g := newGroup(env, n, s, hw, true, ws)
 	prevOrigin := n
@@ -474,10 +508,10 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, g
 			finish(blk)
 		}
 	}
-	if i0 > 0 {
+	if ps.i0 > 0 {
 		emit = nil
 	}
-	for t := 0; t*hw < n; t++ {
+	for t := range ps.windows {
 		addr, half := g.window(t)
 		if !top {
 			a.ReadMany(addr, g.slots(half, len(addr)))
@@ -530,41 +564,33 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, i0, g
 			g.flush(a, t-1, emit)
 		}
 	}
-	g.flush(a, (n-1)/hw, emit)
+	g.flush(a, ps.windows-1, emit)
 	env.Cache.Free(g.stash)
 }
 
-// passCount is the number of full read+write passes a routing of n cells
-// makes when it is entered with mBlocks blocks of cache free: one pass per
-// level group, and one group when the array fits.
-func passCount(n, levelsPerPass, mBlocks int) int {
-	if levelsPerPass <= 0 && n+1 <= mBlocks {
-		return 1
-	}
-	g := groupSize(mBlocks, levelsPerPass)
-	return (max(1, extmem.CeilLog2(n)) + g - 1) / g
-}
-
-// routingIOs is the block I/Os of a routing of n cells in the given number
-// of passes whose first pass reads fed blocks: every pass reads and writes
-// all n but for that.
-func routingIOs(fed, n, passes int) int64 {
-	return int64(fed) + int64(n)*int64(2*passes-1)
-}
-
-// CompactCost predicts CompactBlocksTight on n blocks of b elements — and
-// ExpandBlocks, whose passes and batches are the same — entered with m
-// elements of cache free and batches bounded by the cache alone: a read and
-// a write of every cell per pass, in two round trips when the array fits and
-// otherwise a load and a write per window of each level group.
+// CompactCost predicts CompactBlocksTight on n blocks of b elements entered
+// with m elements of cache free and batches bounded by the cache alone: a
+// read and a write of every cell a pass, a load and a write a window.
 func CompactCost(n, levelsPerPass, b, m int) obs.Cost {
-	return compactCost(n, n, levelsPerPass, b, m, func(lo, hi int) int64 { return 1 })
+	if n == 0 {
+		return obs.Cost{}
+	}
+	return planOf(n, b, m, levelsPerPass).cost(n, 0)
 }
 
 // CompactIntoCost predicts CompactInto of n cells whose feed reads fed
 // blocks in all, in feedRT(lo, hi) round trips when asked for cells [lo, hi).
 func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
-	return compactCost(fed, n, 0, b, m, feedRT)
+	if n == 0 {
+		return obs.Cost{}
+	}
+	p := planOf(n, b, m, 0)
+	hw := p.pass(0).hw
+	var extra int64
+	for lo := 0; lo < n; lo += hw {
+		extra += feedRT(lo, min(lo+hw, n)) - 1
+	}
+	return p.cost(fed, extra)
 }
 
 // ConsolidateCompactCost predicts ConsolidateCompact on n blocks of b
@@ -572,75 +598,40 @@ func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
 // beside the 2B holding buffer, and nothing else. Its feed, lag.cells, reads
 // each window's inputs one block ahead of its cells: block 0 on its own
 // before a first window that is not the whole array, and nothing for a
-// window that is the last cell alone.
+// window that is cell n−1 alone.
 func ConsolidateCompactCost(n, b, m int) obs.Cost {
-	return compactCost(n, n, 0, b, m-2*b, func(lo, hi int) int64 {
-		var rt int64
-		rlo, rhi := lo+1, min(hi+1, n)
-		if lo == 0 && hi == n {
-			rlo = 0
-		} else if lo == 0 {
-			rt++
-		}
-		if rlo < rhi {
-			rt++
-		}
-		return rt
-	})
-}
-
-// compactCost replays compact: the feed's fed block reads, Theorem 6's
-// passes less the first read, and a load and a write per window of every
-// group, the first group's loads calls of the feed, priced by feedRT.
-func compactCost(fed, n, levelsPerPass, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
 	}
-	c := obs.Cost{IOs: routingIOs(fed, n, passCount(n, levelsPerPass, m/b))}
-	if levelsPerPass <= 0 && fitsCache(n, b, m) {
-		c.RoundTrips = feedRT(0, n) + 1
-		return c
+	p := planOf(n, b, m-2*b, 0)
+	hw, extra := p.pass(0).hw, int64(0)
+	if hw < n {
+		extra++
 	}
-	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, levelsPerPass)
-	for i0 := 0; i0 < levels; i0 += g {
-		_, hw := windowCells(n, b, m, min(g, levels-i0))
-		for lo := 0; lo < n; lo += hw {
-			if i0 == 0 {
-				c.RoundTrips += feedRT(lo, min(lo+hw, n))
-			} else {
-				c.RoundTrips++
-			}
-			c.RoundTrips++
-		}
+	if n > 1 && (n-1)%hw == 0 {
+		extra--
 	}
-	return c
+	return p.cost(n, extra)
 }
 
-// ExpandIntoCost predicts ExpandInto of ns cells into n (ExpandBlocks when
-// ns = n) entered with m elements of cache free: the first pass reads the ns
-// cells there are and writes all n, every pass after it reads and writes all
-// n; a load and a write per window of every group, less the loads of the top
-// group whose windows lie wholly past the ns cells of the source.
+// ExpandIntoCost predicts ExpandInto of ns cells into n entered with m
+// elements of cache free: the top group, which runs first, reads the ns
+// cells there are and loads only the windows that reach below ns; every
+// other pass is a compaction's.
 func ExpandIntoCost(ns, n, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
 	}
-	c := obs.Cost{IOs: routingIOs(ns, n, passCount(n, 0, m/b))}
-	if fitsCache(n, b, m) {
-		c.RoundTrips = int64(min(ns, 1)) + 1
-		return c
-	}
-	levels, g := max(1, extmem.CeilLog2(n)), groupSize(m/b, 0)
-	for i0 := (levels - 1) / g * g; i0 >= 0; i0 -= g {
-		w, hw := windowCells(n, b, m, min(g, levels-i0))
-		top, k := 1<<i0*w >= n, classesOf(n, 1<<i0)
-		for lo := 0; lo < n; lo += hw {
-			// Window [lo, lo+hw) counts from the far end.
-			if !top || k.lowest(max(n-lo-hw, 0), n-lo) < ns {
-				c.RoundTrips++
-			}
-			c.RoundTrips++
+	p := planOf(n, b, m, 0)
+	top := p.pass(p.passes() - 1)
+	k := classesOf(n, 1<<top.i0)
+	var extra int64
+	for lo := 0; lo < n; lo += top.hw {
+		// Window [lo, lo+hw) counts from the far end; one whose cells all
+		// lie at or past ns is not loaded.
+		if k.lowest(max(n-lo-top.hw, 0), n-lo) >= ns {
+			extra--
 		}
 	}
-	return c
+	return p.cost(ns, extra)
 }

@@ -118,7 +118,9 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 	// 8: 15 is the largest array that fits the cache beside a block of
 	// slack, 16 the first that does not, 8 and 9 sit on either side of one
 	// window. With held words checked out by the caller the same sizes land
-	// on the other side of every cache-dependent choice.
+	// on the other side of every cache-dependent choice, and the expansion
+	// runs one level a group: 36 words free at B = 4 is a group size of 1.
+	// The compaction also runs the naive network, one level a group forced.
 	for _, lpp := range []int{0, 1} {
 		for _, held := range []int{0, 64/2 - 4} {
 			for _, n := range []int{1, 2, 5, 8, 9, 15, 16, 37, 64} {
@@ -131,7 +133,7 @@ func TestCompactThenExpandIsIdentity(t *testing.T) {
 					before := cellKeys(a)
 					env.Cache.Acquire(held)
 					CompactBlocksTight(env, a, PredOccupied, lpp)
-					ExpandBlocks(env, a, PredOccupied, lpp)
+					ExpandInto(env, a, a, PredOccupied, nil)
 					env.Cache.Release(held)
 					if hw := env.Cache.HighWater(); hw > env.M {
 						t.Fatalf("lpp=%d held=%d n=%d: used %d words of private memory, M=%d", lpp, held, n, hw, env.M)
@@ -158,8 +160,14 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 		// Two levels a group under a held cache: each window loads the 47
 		// cells half the free cache holds, not the w = 4 a group moves a cell.
 		{1000, 512, 2, 128},
+		// A whole number of windows and one cell more, at two window sizes:
+		// hw = 5 at m = 48, 63 at m = 512.
+		{20, 48, 0, 0}, {21, 48, 0, 0}, {189, 512, 0, 0}, {190, 512, 0, 0},
 	} {
 		for _, expand := range []bool{false, true} {
+			if expand && cfg.lpp > 0 { // an expansion takes its group size from the cache
+				continue
+			}
 			env := newEnv(cfg.n+8, 4, cfg.m, 5)
 			a := env.D.Alloc(cfg.n)
 			r := rand.New(rand.NewPCG(3, 3))
@@ -170,7 +178,7 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 			}
 			env.D.ResetStats()
 			if expand {
-				ExpandBlocks(env, a, PredOccupied, cfg.lpp)
+				ExpandInto(env, a, a, PredOccupied, nil)
 			} else {
 				CompactBlocksTight(env, a, PredOccupied, cfg.lpp)
 			}
@@ -192,6 +200,9 @@ func TestConsolidateCompactMatchesThePair(t *testing.T) {
 	for _, cfg := range []struct{ n, b, m int }{
 		{1, 4, 64}, {2, 4, 64}, {12, 4, 64}, {13, 4, 64}, {14, 4, 64}, {16, 4, 64}, {17, 4, 64}, {33, 4, 64}, {100, 4, 64},
 		{9, 4, 28}, {40, 4, 40}, {41, 4, 72}, {300, 8, 256}, {125, 4, 512}, {126, 4, 512}, {1000, 4, 512},
+		// A whole number of windows and one cell more, whose last window is
+		// cell n−1 alone, at two window sizes: hw = 6 at m = 64, 62 at 512.
+		{18, 4, 64}, {19, 4, 64}, {24, 4, 64}, {25, 4, 64}, {186, 4, 512}, {187, 4, 512},
 	} {
 		for _, kept := range []int{0, 1, cfg.n * cfg.b / 3, cfg.n*cfg.b - 1, cfg.n * cfg.b} {
 			in := randomMarkedInput(r, cfg.n*cfg.b, min(kept, cfg.n*cfg.b))
@@ -273,23 +284,21 @@ func TestCompactTightWithCallerPredicate(t *testing.T) {
 func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		n, lpp  int
+		n       int
 		targets []int // Aux of cells 0, 1, ...
 	}{
-		{"fits-cache/decreasing", 8, 0, []int{5, 2}},
-		{"fits-cache/equal", 8, 0, []int{3, 3}},
-		{"fits-cache/left-of-cell", 8, 0, []int{0, 2, 1}},
-		{"one-group/decreasing", 4, 2, []int{3, 1}},
-		{"two-groups/decreasing", 16, 0, []int{5, 2}},
-		{"two-groups/cross-class-inversion", 16, 0, []int{9, 6}},
-		{"two-groups/equal", 16, 0, []int{7, 7}},
-		{"two-groups/left-of-cell", 16, 0, []int{0, 4, 1}},
-		{"three-groups/cross-class-inversion", 32, 0, []int{9, 6}},
-		{"fits-cache/past-the-end", 8, 0, []int{3, 8}},
-		{"one-group/past-the-end", 4, 2, []int{1, 4}},
-		{"two-groups/past-the-end", 16, 0, []int{3, 16}},
-		{"three-groups/past-the-end", 32, 0, []int{3, 32}},
-		{"five-groups/cross-class-inversion", 640, 0, []int{600, 300}},
+		{"fits-cache/decreasing", 8, []int{5, 2}},
+		{"fits-cache/equal", 8, []int{3, 3}},
+		{"fits-cache/left-of-cell", 8, []int{0, 2, 1}},
+		{"two-groups/decreasing", 16, []int{5, 2}},
+		{"two-groups/cross-class-inversion", 16, []int{9, 6}},
+		{"two-groups/equal", 16, []int{7, 7}},
+		{"two-groups/left-of-cell", 16, []int{0, 4, 1}},
+		{"three-groups/cross-class-inversion", 32, []int{9, 6}},
+		{"fits-cache/past-the-end", 8, []int{3, 8}},
+		{"two-groups/past-the-end", 16, []int{3, 16}},
+		{"three-groups/past-the-end", 32, []int{3, 32}},
+		{"five-groups/cross-class-inversion", 640, []int{600, 300}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := newEnv(c.n+8, 4, 64, 5)
@@ -310,7 +319,7 @@ func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
 					t.Error("expected panic on invalid expansion targets")
 				}
 			}()
-			ExpandBlocks(env, a, PredOccupied, c.lpp)
+			ExpandInto(env, a, a, PredOccupied, nil)
 		})
 	}
 }
@@ -319,22 +328,15 @@ func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
 // is: at B = 4, M = 64, two levels a group need a stash of 8 cells, which
 // fits M but not the 24 words a caller holding 40 leaves.
 func TestWindowBeyondFreeCachePanics(t *testing.T) {
-	for name, op := range map[string]func(env *extmem.Env, a extmem.Array){
-		"compact": func(env *extmem.Env, a extmem.Array) { CompactBlocksTight(env, a, PredOccupied, 2) },
-		"expand":  func(env *extmem.Env, a extmem.Array) { ExpandBlocks(env, a, PredOccupied, 2) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			env := newEnv(72, 4, 64, 5)
-			a := env.D.Alloc(64)
-			env.Cache.Acquire(40)
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic; used %d words of private memory, M=%d", env.Cache.HighWater(), env.M)
-				}
-			}()
-			op(env, a)
-		})
-	}
+	env := newEnv(72, 4, 64, 5)
+	a := env.D.Alloc(64)
+	env.Cache.Acquire(40)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("no panic; used %d words of private memory, M=%d", env.Cache.HighWater(), env.M)
+		}
+	}()
+	CompactBlocksTight(env, a, PredOccupied, 2)
 }
 
 // TestFigure1Example reproduces the concrete 7-cell instance drawn in the
@@ -394,15 +396,15 @@ func TestCompactBlocksTightAllocCeiling(t *testing.T) {
 	}
 }
 
-func TestExpandBlocksAllocCeiling(t *testing.T) {
+func TestExpandIntoAllocCeiling(t *testing.T) {
 	env, a := benchCells(1<<13, 4096)
 	CompactBlocksTight(env, a, PredOccupied, 0)
 	// Each run expands the prefix to where it came from and leaves the
 	// targets in place; the next one finds the cells already home.
 	if got := testing.AllocsPerRun(3, func() {
-		ExpandBlocks(env, a, PredOccupied, 0)
+		ExpandInto(env, a, a, PredOccupied, nil)
 	}); got > 4 {
-		t.Fatalf("ExpandBlocks allocated %v objects, want <= 4", got)
+		t.Fatalf("ExpandInto allocated %v objects, want <= 4", got)
 	}
 }
 

@@ -21,15 +21,14 @@ import (
 // Kept elements are copied verbatim (all flag bits preserved); filler cells
 // are zero elements.
 func Consolidate(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool) (extmem.Array, int64) {
-	n := a.Len()
-	b := a.B()
+	n, b := a.Len(), a.B()
 	out := env.D.Alloc(n)
 	if n == 0 {
 		return out, 0
 	}
 	sp := env.Obs.Start("consolidate")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(obs.Cost{IOs: 2 * int64(n), RoundTrips: -1}) // Lemma 3: exactly n reads + n writes
+	sp.SetPredicted(ConsolidateCost(n, b, env.M-env.Cache.Used()))
 	defer env.Obs.End(sp)
 
 	l := lag{keep: keep, hold: env.Cache.Buf(2 * b)}

@@ -87,8 +87,8 @@ func TestCompactIntoMatchesCopyThenCompact(t *testing.T) {
 	}
 }
 
-// ExpandInto must leave what ExpandBlocks leaves on the source copied to the
-// destination's prefix first, each routed cell finished, for one read of
+// ExpandInto must leave what an in-place expansion leaves on the source
+// copied to the destination's prefix first, each routed cell finished, for one read of
 // every source cell, one write of every destination cell, and the later
 // passes; and it must leave the source alone.
 func TestExpandIntoMatchesCopyThenExpand(t *testing.T) {
@@ -128,7 +128,7 @@ func TestExpandIntoMatchesCopyThenExpand(t *testing.T) {
 			whole := ref.D.Alloc(cfg.n)
 			prefix := whole.Slice(0, ns)
 			fill(prefix)
-			ExpandBlocks(ref, whole, PredOccupied, 0)
+			ExpandInto(ref, whole, whole, PredOccupied, nil)
 			want := readElems(whole)
 			for j := 0; j < cfg.n; j++ {
 				if blk := want[j*b : (j+1)*b]; PredOccupied(blk) {
@@ -150,7 +150,7 @@ func TestExpandIntoMatchesCopyThenExpand(t *testing.T) {
 			ExpandInto(env, src, dst, PredOccupied, finish)
 			st := env.D.Stats()
 			if !slices.Equal(readElems(dst), want) {
-				t.Fatalf("n=%d ns=%d m=%d: output differs from copy + ExpandBlocks + finish", cfg.n, ns, cfg.m)
+				t.Fatalf("n=%d ns=%d m=%d: output differs from copy + in-place expansion + finish", cfg.n, ns, cfg.m)
 			}
 			if !slices.Equal(readElems(src), before) {
 				t.Fatalf("n=%d ns=%d m=%d: source modified", cfg.n, ns, cfg.m)

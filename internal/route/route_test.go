@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func TestRouteTraceInvariance(t *testing.T) {
 		},
 		"compact+expand": func(env *extmem.Env, a extmem.Array) {
 			CompactBlocksTight(env, a, PredOccupied, 0)
-			ExpandBlocks(env, a, PredOccupied, 0)
+			ExpandInto(env, a, a, PredOccupied, nil)
 		},
 		"consolidate": func(env *extmem.Env, a extmem.Array) {
 			Consolidate(env, a, extmem.Element.Occupied)
@@ -67,4 +68,65 @@ func TestRouteTraceInvariance(t *testing.T) {
 
 func consolidateCompact(env *extmem.Env, a extmem.Array) {
 	ConsolidateCompact(env, a, extmem.Element.Occupied)
+}
+
+// Every routing span measures exactly what it predicts, round trips
+// included, on each arm of the dispatch — the whole array in the cache, two
+// routing groups, three — and under a held cache. CompactInto's round trips
+// are its caller's feed's and go unpredicted; its I/Os do not.
+func TestSpansMeasureTheirPrediction(t *testing.T) {
+	const b = 4
+	ops := map[string]func(env *extmem.Env, a extmem.Array){
+		"compact": func(env *extmem.Env, a extmem.Array) {
+			CompactBlocksTight(env, a, PredOccupied, 0)
+		},
+		"compact, one level a group": func(env *extmem.Env, a extmem.Array) {
+			CompactBlocksTight(env, a, PredOccupied, 1)
+		},
+		"compact+expand from half the array": func(env *extmem.Env, a extmem.Array) {
+			CompactBlocksTight(env, a, PredOccupied, 0) // a third of the cells are occupied
+			ExpandInto(env, a.Slice(0, a.Len()/2), a, PredOccupied, nil)
+		},
+		"compact into": func(env *extmem.Env, a extmem.Array) {
+			CompactInto(env, env.D.Alloc(a.Len()), a.Len(), a.ReadRange, PredOccupied)
+		},
+		"consolidate": func(env *extmem.Env, a extmem.Array) {
+			Consolidate(env, a, extmem.Element.Occupied)
+		},
+		"consolidate+compact": consolidateCompact,
+	}
+	seen := map[string]int{}
+	for _, g := range []struct{ n, m, held int }{
+		{1, 64, 0}, {12, 64, 0}, {16, 64, 0}, {100, 64, 0}, {100, 64, 24}, {640, 192, 0}, {1000, 512, 128},
+	} {
+		for name, op := range ops {
+			env := newEnv(4*g.n, b, g.m, 5)
+			col := env.EnableObs()
+			a := env.D.Alloc(g.n)
+			buildCells(a, occupiedSets(rand.New(rand.NewPCG(uint64(g.n), 2)), g.n, g.n/3))
+			env.Cache.Acquire(g.held)
+			op(env, a)
+			env.Cache.Release(g.held)
+			var walk func(spans []*obs.Span)
+			walk = func(spans []*obs.Span) {
+				for _, sp := range spans {
+					got, want := sp.IO.Cost(), sp.Predicted
+					if want.RoundTrips == -1 && sp.Name == "butterfly-compact" {
+						got.RoundTrips = -1
+					}
+					if got != want {
+						t.Errorf("%s, n=%d m=%d held=%d: a %s span measured %+v, predicted %+v", name, g.n, g.m, g.held, sp.Name, got, want)
+					}
+					seen[sp.Name]++
+					walk(sp.Children)
+				}
+			}
+			walk(col.Roots())
+		}
+	}
+	for _, name := range []string{"butterfly-compact", "butterfly-expand", "consolidate-compact", "consolidate"} {
+		if seen[name] == 0 {
+			t.Errorf("no %s span seen", name)
+		}
+	}
 }
