@@ -326,17 +326,48 @@ func TestExpandRejectsNonMonotoneTargets(t *testing.T) {
 
 // A group size the free cache cannot hold the window of panics, whatever M
 // is: at B = 4, M = 64, two levels a group need a stash of 8 cells, which
-// fits M but not the 24 words a caller holding 40 leaves.
+// fits M but not the 24 words a caller holding 40 leaves. An expansion takes
+// its group size from the cache, so it panics below RouteFree: one level a
+// group needs a stash of 4 cells, more than the 12 words a caller holding 52
+// leaves.
 func TestWindowBeyondFreeCachePanics(t *testing.T) {
-	env := newEnv(72, 4, 64, 5)
-	a := env.D.Alloc(64)
-	env.Cache.Acquire(40)
+	for _, c := range []struct {
+		name string
+		held int
+		op   func(env *extmem.Env, a extmem.Array)
+	}{
+		{"compact", 40, func(env *extmem.Env, a extmem.Array) { CompactBlocksTight(env, a, PredOccupied, 2) }},
+		{"expand", 52, func(env *extmem.Env, a extmem.Array) { ExpandInto(env, a, a, PredOccupied, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newEnv(72, 4, 64, 5)
+			a := env.D.Alloc(64)
+			env.Cache.Acquire(c.held)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic; used %d words of private memory, M=%d", env.Cache.HighWater(), env.M)
+				}
+			}()
+			c.op(env, a)
+		})
+	}
+}
+
+// An expansion of more cells than its destination holds panics before it
+// reads or writes a block.
+func TestExpandIntoRejectsLongerSource(t *testing.T) {
+	env := newEnv(16, 4, 64, 5)
+	src, dst := env.D.Alloc(9), env.D.Alloc(7)
+	env.D.ResetStats()
 	defer func() {
 		if recover() == nil {
-			t.Errorf("no panic; used %d words of private memory, M=%d", env.Cache.HighWater(), env.M)
+			t.Error("no panic on a source longer than its destination")
+		}
+		if st := env.D.Stats(); st.Reads+st.Writes != 0 {
+			t.Errorf("%d reads and %d writes before the panic", st.Reads, st.Writes)
 		}
 	}()
-	CompactBlocksTight(env, a, PredOccupied, 2)
+	ExpandInto(env, src, dst, PredOccupied, nil)
 }
 
 // TestFigure1Example reproduces the concrete 7-cell instance drawn in the
