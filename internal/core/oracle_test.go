@@ -600,3 +600,133 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// compactLoose is the public CompactLoose over a: Lemma 3's consolidation
+// of the kept elements, then Theorem 8's loose compaction of its cells.
+func compactLoose(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int, int64, error) {
+	cons, _ := route.Consolidate(env, a, keep)
+	return CompactBlocksLoose(env, cons, rCap)
+}
+
+// TestScanCallsOracle runs the three calls of the benchmark's scan_enc_file
+// that read the caller's array to sort it or compact it — Select,
+// Quantiles and loose compaction of the marked elements — against a
+// sort.Slice and filter reference at that geometry (8 192 blocks, B = 8,
+// M = 4 096: Select's tail and Quantiles' sort arm run columnsort) and
+// beside it: 2 048 blocks, where both sort with bitonic, Select after
+// narrowing three times; 4 155 blocks, where Select narrows once and sorts
+// the consolidated prefix; and 18 blocks at M = 12B, where loose compaction
+// has no rounds and sorts with columnsort. Every call must leave the
+// caller's array as it was and never write an address of it, and over the
+// rows each call must run both arms of obsort.Deterministic.
+func TestScanCallsOracle(t *testing.T) {
+	type arms struct{ columns, bitonic bool }
+	ran := map[string]*arms{"Select": {}, "Quantiles": {}, "CompactLoose": {}}
+	for _, g := range []struct{ nBlocks, b, m int }{{8192, 8, 4096}, {2048, 8, 4096}, {4155, 8, 4096}, {18, 4, 48}} {
+		t.Run(fmt.Sprintf("n=%d,B=%d,M=%d", g.nBlocks, g.b, g.m), func(t *testing.T) {
+			r := rand.New(rand.NewPCG(uint64(g.nBlocks), 47))
+			slots := make([]extmem.Element, g.nBlocks*g.b)
+			var ref, marked []extmem.Element
+			for i := range slots {
+				slots[i].Pos = uint64(i)
+				if r.IntN(7) == 0 {
+					continue // an empty slot
+				}
+				slots[i].Key, slots[i].Val, slots[i].Flags = r.Uint64N(uint64(len(slots)/3)), uint64(i)^0x5a, extmem.FlagOccupied
+				if r.IntN(5) == 0 {
+					slots[i].Flags |= extmem.FlagMarked
+					marked = append(marked, slots[i])
+				}
+				ref = append(ref, slots[i])
+			}
+			sort.Slice(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
+			total := int64(len(ref))
+			q := min(8, g.m/(8*g.b))
+			rCap := extmem.CeilDiv(len(slots)/3, g.b) + 1
+			calls := []struct {
+				name     string
+				declared error
+				run      func(env *extmem.Env, a extmem.Array) error
+			}{
+				{"Select", ErrSelectFailed, func(env *extmem.Env, a extmem.Array) error {
+					for _, k := range []int64{1, total / 2, total} {
+						got, err := Select(env, a, k)
+						if err != nil {
+							return err
+						}
+						if !sameItem(got, ref[k-1]) {
+							t.Fatalf("Select(%d) = %+v, want %+v", k, got, ref[k-1])
+						}
+					}
+					return nil
+				}},
+				{"Quantiles", ErrQuantilesFailed, func(env *extmem.Env, a extmem.Array) error {
+					got, err := Quantiles(env, a, q)
+					if err != nil {
+						return err
+					}
+					for i, k := range quantileRanks(total, q) {
+						if !sameItem(got[i], ref[k-1]) {
+							t.Fatalf("Quantiles(%d)[%d] (rank %d) = %+v, want %+v", q, i, k, got[i], ref[k-1])
+						}
+					}
+					return nil
+				}},
+				{"CompactLoose", ErrLooseOverflow, func(env *extmem.Env, a extmem.Array) error {
+					out, _, _, err := compactLoose(env, a, extmem.Element.Marked, rCap)
+					if err != nil {
+						return err
+					}
+					var got []extmem.Element
+					for _, e := range readElems(out) {
+						if e.Occupied() {
+							got = append(got, e)
+						}
+					}
+					sort.Slice(got, func(i, j int) bool { return got[i].Pos < got[j].Pos })
+					if len(got) != len(marked) || out.Len() != 5*rCap {
+						t.Fatalf("%d items out of %d marked, in %d blocks (want %d)", len(got), len(marked), out.Len(), 5*rCap)
+					}
+					for i := range marked {
+						if !sameItem(got[i], marked[i]) {
+							t.Fatalf("item %d = %+v, reference %+v", i, got[i], marked[i])
+						}
+					}
+					return nil
+				}},
+			}
+			for _, c := range calls {
+				retryDeclared(t, c.declared, func(seed uint64) error {
+					env := newTestEnv(8*g.nBlocks+64, g.b, g.m, seed)
+					a := env.D.Alloc(g.nBlocks)
+					writeElems(a, slots)
+					rec := trace.NewRecorder(1 << 30)
+					env.D.SetRecorder(rec)
+					col := env.EnableObs()
+					if err := c.run(env, a); err != nil {
+						return err
+					}
+					ran[c.name].columns = ran[c.name].columns || ranUnder(col.Roots(), "", "columnsort")
+					ran[c.name].bitonic = ran[c.name].bitonic || ranUnder(col.Roots(), "", "bitonic")
+					for _, op := range rec.Ops() {
+						if op.Kind == trace.Write && op.Addr >= int64(a.Base()) && op.Addr < int64(a.Base()+a.Len()) {
+							t.Fatalf("%s wrote block %d of the caller's array", c.name, op.Addr-int64(a.Base()))
+						}
+					}
+					if got := readElems(a); !slices.Equal(got, slots) {
+						t.Fatalf("%s changed the caller's array", c.name)
+					}
+					if env.Cache.Used() != 0 || env.Cache.HighWater() > g.m {
+						t.Fatalf("%s: %d words left checked out, high-water %d of M=%d", c.name, env.Cache.Used(), env.Cache.HighWater(), g.m)
+					}
+					return nil
+				})
+			}
+		})
+	}
+	for name, a := range ran {
+		if !a.columns || !a.bitonic {
+			t.Errorf("%s ran columnsort %v and bitonic %v over the rows; both must run", name, a.columns, a.bitonic)
+		}
+	}
+}

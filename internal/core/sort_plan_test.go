@@ -176,3 +176,58 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 		t.Errorf("at the means only %d and %d of %d trials overflowed: the harness cannot see an overflow", overMean, overMeanQuota, trials)
 	}
 }
+
+// TestSortsDirectlyGrid pins which levels below the top sort with Lemma 2's
+// deterministic sort instead of distributing, over B ∈ {4, 8, 16, 64}, M/B
+// from 16 to 1 024 and every n up to 2^15 blocks: per (B, M/B), the number
+// of direct levels and an FNV-1a hash of the decision at every n, at depth
+// 1, and at depth 2 the same decision every 16th n. The decisions are
+// irregular in n — 55 runs at B = 64, M/B = 512 — so a count alone would
+// miss a moved boundary.
+func TestSortsDirectlyGrid(t *testing.T) {
+	type pin struct {
+		direct int
+		hash   uint64
+	}
+	all := pin{32768, 0xaaa4542bbbca325}
+	want := map[[2]int]pin{
+		{4, 16}: {32760, 0x771b45398727f69d}, {4, 32}: {32752, 0x36accccd0dde0b15},
+		{4, 64}: {32736, 0xe901f3492135f705}, {4, 128}: {32704, 0x3722daa82cc55ae5},
+		{4, 256}: all, {4, 512}: all, {4, 1024}: all,
+		{8, 16}: {32760, 0x771b45398727f69d}, {8, 32}: {32752, 0x36accccd0dde0b15},
+		{8, 64}: {32736, 0xe901f3492135f705}, {8, 128}: {32704, 0x3722daa82cc55ae5},
+		{8, 256}: all, {8, 512}: all, {8, 1024}: all,
+		{16, 16}: {32760, 0x771b45398727f69d}, {16, 32}: {32752, 0x36accccd0dde0b15},
+		{16, 64}: {32736, 0xe901f3492135f705}, {16, 128}: {32704, 0x3722daa82cc55ae5},
+		{16, 256}: all, {16, 512}: {30515, 0x12ed15c6e3b9dff4}, {16, 1024}: {32222, 0x224009fe0f2e4d7f},
+		{64, 16}: {32760, 0x771b45398727f69d}, {64, 32}: {32752, 0x36accccd0dde0b15},
+		{64, 64}: {4455, 0xd4a360f90f158d48}, {64, 128}: {8742, 0xf85cf867790fce0f},
+		{64, 256}: {23740, 0xc2889a1b817770f1}, {64, 512}: {22496, 0xd81315feef31f167},
+		{64, 1024}: {29667, 0xe199e2fc3b59e552},
+	}
+	for _, b := range []int{4, 8, 16, 64} {
+		for mb := 16; mb <= 1024; mb *= 2 {
+			got := pin{hash: 14695981039346656037}
+			for n := 1; n <= 1<<15; n++ {
+				d := sortsDirectly(n, b, mb*b, 1)
+				if d {
+					got.direct++
+				}
+				got.hash = (got.hash ^ uint64(boolByte(d))) * 1099511628211
+				if n%16 == 0 && sortsDirectly(n, b, mb*b, 2) != d {
+					t.Errorf("B=%d, M/B=%d, n=%d: depth 2 decides %v, depth 1 %v", b, mb, n, !d, d)
+				}
+			}
+			if w := want[[2]int{b, mb}]; got != w {
+				t.Errorf("B=%d, M/B=%d: %d direct levels, hash %#x; want %d, %#x", b, mb, got.direct, got.hash, w.direct, w.hash)
+			}
+		}
+	}
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
