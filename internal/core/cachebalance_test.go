@@ -96,7 +96,7 @@ func TestErrorPathsRestoreCacheCheckout(t *testing.T) {
 		}
 		writeElems(a, elems)
 		assertCacheBalanced(t, env, "CompactBlocksLoose(cap too small)", ErrLooseOverflow, func() error {
-			_, _, _, err := CompactBlocksLoose(env, a, 2)
+			_, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Occupied, 2)
 			return err
 		})
 	}

@@ -66,7 +66,8 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	outLen := 4*rCap + extmem.CeilDiv(rCap, 4)
 
 	if n < logStarN0 {
-		out, occ, err := looseBySort(env, a, rCap)
+		out, kept, err := looseBySort(env, a, extmem.Element.Occupied, rCap)
+		occ := int(extmem.CeilDiv64(kept, int64(b)))
 		// Reshape to the 4.25R contract: looseBySort returns 5R; slice.
 		if errors.Is(err, ErrLooseOverflow) {
 			err = fmt.Errorf("%w: %v", ErrLogStarOverflow, err)

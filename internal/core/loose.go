@@ -12,13 +12,17 @@ import (
 )
 
 // This file implements Theorem 8: loose compaction of at most R occupied
-// blocks into an array of size 5R using O(N/B) I/Os. A round cuts its source
-// into regions that fit the cache and reads each once: every cell probes c0
-// tape-drawn slots of a 4R-cell array C, moving there if it finds one empty,
-// and the region's survivors go to the front of the buffer, whose first half
-// is all the next round reads (Lemma 7: a region holds at most half its
-// cells of survivors w.h.p.). Rounds stop when fewer than two regions
-// remain; one deterministic sort compacts that residue into the last R cells.
+// blocks into an array of size 5R using O(N/B) I/Os, on the cells of Lemma
+// 3's consolidation of the kept elements. A round cuts its source into
+// regions that fit the cache and reads each once — the first round takes
+// its cells from the consolidation as that reads the caller's array
+// (route.Consolidation), so the consolidated array is never written: every
+// cell probes c0 tape-drawn slots of a 4R-cell array C, moving there if it
+// finds one empty, and the region's survivors go to the front of the
+// buffer, whose first half is all the next round reads (Lemma 7: a region
+// holds at most half its cells of survivors w.h.p.). Rounds stop when fewer
+// than two regions remain; one deterministic sort compacts that residue
+// into the last R cells.
 
 // ErrLooseOverflow reports more occupied cells than the declared capacity,
 // or Lemma 7's low-probability bad event: a region with more survivors than
@@ -71,28 +75,29 @@ func looseRounds(n, g int) (rounds, rmax, residue int) {
 	return rounds, rmax, s
 }
 
-// CompactBlocksLoose compacts the occupied block-cells of a — at most rCap
-// of them — into a fresh array of exactly 5·rCap blocks using O(n) I/Os,
-// without modifying a. Order is not preserved (this is the paper's loose
+// CompactBlocksLoose compacts the elements of a that keep selects, packed
+// by Lemma 3's consolidation into whole cells — at most rCap of them —
+// into a fresh array of exactly 5·rCap blocks using O(n) I/Os, without
+// modifying a. Order is not preserved (this is the paper's loose
 // compaction). The theorem's R < N/4 is not a correctness precondition: the
 // 1/4 fill of C follows from its 4·rCap cells alone, and n only decides
 // whether the output is shorter than the input. It returns the output, the
-// occupied count, and the number of probes that repeated a slot already
-// fetched in their window — a function of the tape alone; each saves the
-// two I/Os by which the call undercuts LooseCost. It fails with
+// number of kept elements, and the number of probes that repeated a slot
+// already fetched in their window — a function of the tape alone; each
+// saves the two I/Os by which the call undercuts LooseCost. It fails with
 // probability at most 2^-40 (see loosePlan).
-func CompactBlocksLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, int64, error) {
+func CompactBlocksLoose(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int64, int64, error) {
 	rCap = max(rCap, 1)
 	if plan, ok := loosePlan(a.Len(), a.B(), env.M); ok {
-		return looseWith(env, a, rCap, plan)
+		return looseWith(env, a, keep, rCap, plan)
 	}
-	out, occ, err := looseBySort(env, a, rCap)
-	return out, occ, 0, err
+	out, kept, err := looseBySort(env, a, keep, rCap)
+	return out, kept, 0, err
 }
 
 // looseWith is CompactBlocksLoose under a given shape with at least two
 // regions in a; tests force failures with hostile ones.
-func looseWith(env *extmem.Env, a extmem.Array, rCap int, plan looseShape) (extmem.Array, int, int64, error) {
+func looseWith(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int, plan looseShape) (extmem.Array, int64, int64, error) {
 	b := a.B()
 	mark := env.D.Mark()
 	out := env.D.Alloc(5 * rCap)
@@ -101,10 +106,11 @@ func looseWith(env *extmem.Env, a extmem.Array, rCap int, plan looseShape) (extm
 
 	_, rmax, _ := looseRounds(a.Len(), plan.g)
 	rbuf := env.Cache.Buf(rmax * b)
+	cons := route.NewConsolidation(env, a, keep)
 	p := newProber(env, env.ScanBatchN(1, rmax))
 	occ, overflowed := 0, 0
 	cur := a
-	for cur.Len()/plan.g >= 2 {
+	for first := true; cur.Len()/plan.g >= 2; first = false {
 		s := cur.Len()
 		regions := s / plan.g
 		next := env.D.Alloc(halved(s, plan.g))
@@ -112,24 +118,27 @@ func looseWith(env *extmem.Env, a extmem.Array, rCap int, plan looseShape) (extm
 		for i := 0; i < regions; i++ {
 			lo, hi := i*s/regions, (i+1)*s/regions
 			cells := rbuf[:(hi-lo)*b]
-			cur.ReadRange(lo, hi, cells)
-			if s == a.Len() {
+			if first {
+				cons.Cells(lo, hi, cells)
 				occ += packOccupied(cells, b)
+			} else {
+				cur.ReadRange(lo, hi, cells)
 			}
 			for j := 0; j < plan.c0; j++ {
 				p.probe(cells, c)
 			}
-			keep := (hi - lo + 1) / 2
-			if packOccupied(cells, b) > keep {
+			half := (hi - lo + 1) / 2
+			if packOccupied(cells, b) > half {
 				overflowed++ // the excess is dropped; the trace goes on unchanged
 			}
-			next.WriteRange(w, w+keep, cells[:keep*b])
-			w += keep
+			next.WriteRange(w, w+half, cells[:half*b])
+			w += half
 		}
 		cur = next
 	}
 	repeats := p.repeats
 	p.close()
+	cons.Close(env)
 	env.Cache.Free(rbuf)
 
 	// At most occ survivors are left, so within the declared capacity the
@@ -142,7 +151,7 @@ func looseWith(env *extmem.Env, a extmem.Array, rCap int, plan looseShape) (extm
 	} else if overflowed > 0 {
 		err = fmt.Errorf("%w: %d regions with more survivors than the half kept", ErrLooseOverflow, overflowed)
 	}
-	return out, occ, repeats, err
+	return out, cons.Kept(), repeats, err
 }
 
 // packOccupied moves the occupied b-element cells of the buffer to its
@@ -231,34 +240,30 @@ func sortInto(env *extmem.Env, work, dst extmem.Array) {
 	zeroArray(env, dst.Slice(cp, dst.Len()))
 }
 
-// looseBySort is the path for inputs the rounds cannot run on: one
-// deterministic sort of a copy.
-func looseBySort(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int, error) {
+// looseBySort is the path for inputs the rounds cannot run on: Lemma 3's
+// consolidation of the kept elements, then one deterministic sort of it.
+func looseBySort(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int64, error) {
 	mark := env.D.Mark()
 	out := env.D.Alloc(5 * rCap)
-	work := env.D.Alloc(a.Len())
-	occ, b := 0, a.B()
-	env.Scan(a, work, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
-		for i := 0; i < len(chunk); i += b {
-			if route.PredOccupied(chunk[i : i+b]) {
-				occ++
-			}
-		}
-	})
+	work, kept := route.Consolidate(env, a, keep)
 	sortInto(env, work, out)
 	env.D.Release(mark + out.Len())
-	if occ > rCap {
-		return out, occ, fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
+	if occ := extmem.CeilDiv64(kept, int64(a.B())); occ > int64(rCap) {
+		return out, kept, fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
 	}
-	return out, occ, nil
+	return out, kept, nil
 }
 
 // LooseCost predicts CompactBlocksLoose on n blocks of b elements with a
 // cache of m, entered with the whole cache free and batches bounded by the
 // cache alone (no MaxBatch): zeroing C, (1.5 + 2·c0)·s block I/Os per round
-// over s blocks, and the sort of the residue into the tail. The block I/Os
-// are before the two saved by every repeated probe; the round trips do not
-// depend on the repeats.
+// over s blocks — the first round's reads being the consolidation's, one a
+// region and block 0 on its own — and the sort of the residue into the
+// tail; or, where the rounds cannot run, the consolidation and its sort.
+// The probe window is what the cache leaves beside the region buffer and
+// the consolidation's 2B holding buffer. The block I/Os are before the two
+// saved by every repeated probe; the round trips do not depend on the
+// repeats.
 func LooseCost(n, rCap, b, m int) obs.Cost {
 	rCap = max(rCap, 1)
 	scan := func(c, free int) int64 { return extmem.ScanRoundTrips(c, b, free, 1) }
@@ -268,18 +273,22 @@ func LooseCost(n, rCap, b, m int) obs.Cost {
 	}
 	plan, ok := loosePlan(n, b, m)
 	if !ok {
-		return obs.Cost{IOs: int64(2 * n), RoundTrips: 2 * scan(n, m)}.Add(sorted(n, 5*rCap))
+		return route.ConsolidateCost(n, b, m).Add(sorted(n, 5*rCap))
 	}
 	c := obs.Cost{IOs: int64(4 * rCap), RoundTrips: scan(4*rCap, m)}
 	_, rmax, residue := looseRounds(n, plan.g)
+	window := m - (rmax+2)*b
 	for s := n; s != residue; s = halved(s, plan.g) {
 		r := s / plan.g
 		q, big := s/r, s%r
-		window := 2 * int64(plan.c0) // a window's read and write, per probe
+		probes := 2 * int64(plan.c0) // a window's read and write, per probe
 		c = c.Add(obs.Cost{
 			IOs:        int64((1+2*plan.c0)*s + halved(s, plan.g)),
-			RoundTrips: int64(r-big)*(2+window*scan(q, m-rmax*b)) + int64(big)*(2+window*scan(q+1, m-rmax*b)),
+			RoundTrips: int64(r-big)*(2+probes*scan(q, window)) + int64(big)*(2+probes*scan(q+1, window)),
 		})
+		for i := 0; s == n && i < r; i++ {
+			c.RoundTrips += route.CellsReads(n, i*n/r, (i+1)*n/r) - 1
+		}
 	}
 	return c.Add(sorted(residue, rCap))
 }

@@ -440,7 +440,7 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 			}},
 		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, _, err := CompactBlocksLoose(env, a, rCap)
+				out, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Marked, rCap)
 				return result{out, err}
 			}},
 		{"CompactBlocksLogStar", false, ErrLogStarOverflow, func(_, rCap int) int { return 4*rCap + extmem.CeilDiv(rCap, 4) },
@@ -553,8 +553,7 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 			return nil
 		}},
 		{"CompactBlocksLoose", false, func(env *extmem.Env, a extmem.Array) error {
-			cons, _ := route.Consolidate(env, a, keep)
-			_, _, _, err := CompactBlocksLoose(env, cons, cons.Len()/4)
+			_, _, _, err := CompactBlocksLoose(env, a, keep, a.Len()/4)
 			return err
 		}},
 		{"emsort.QuickSelect", true, func(env *extmem.Env, a extmem.Array) error {
@@ -601,28 +600,22 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 	}
 }
 
-// compactLoose is the public CompactLoose over a: Lemma 3's consolidation
-// of the kept elements, then Theorem 8's loose compaction of its cells.
-func compactLoose(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int, int64, error) {
-	cons, _ := route.Consolidate(env, a, keep)
-	return CompactBlocksLoose(env, cons, rCap)
-}
-
 // TestScanCallsOracle runs the three calls of the benchmark's scan_enc_file
 // that read the caller's array to sort it or compact it — Select,
 // Quantiles and loose compaction of the marked elements — against a
 // sort.Slice and filter reference at that geometry (8 192 blocks, B = 8,
-// M = 4 096: Select's tail and Quantiles' sort arm run columnsort) and
-// beside it: 2 048 blocks, where both sort with bitonic, Select after
-// narrowing three times; 4 155 blocks, where Select narrows once and sorts
-// the consolidated prefix; and 18 blocks at M = 12B, where loose compaction
-// has no rounds and sorts with columnsort. Every call must leave the
-// caller's array as it was and never write an address of it, and over the
-// rows each call must run both arms of obsort.Deterministic.
+// M = 4 096: Select's tail and Quantiles' sort arm run columnsort from the
+// caller's array) and beside it: 2 048 blocks, where both sort with
+// bitonic; 4 155 blocks, where Select narrows once and sorts the
+// consolidated prefix with columnsort, and 3 000, where it narrows three
+// times and sorts the prefix with bitonic; and 18 blocks at M = 12B, where
+// loose compaction has no rounds and sorts with columnsort. Every call must
+// leave the caller's array as it was and never write an address of it, and
+// over the rows each call must run both arms of obsort.Deterministic.
 func TestScanCallsOracle(t *testing.T) {
 	type arms struct{ columns, bitonic bool }
 	ran := map[string]*arms{"Select": {}, "Quantiles": {}, "CompactLoose": {}}
-	for _, g := range []struct{ nBlocks, b, m int }{{8192, 8, 4096}, {2048, 8, 4096}, {4155, 8, 4096}, {18, 4, 48}} {
+	for _, g := range []struct{ nBlocks, b, m int }{{8192, 8, 4096}, {2048, 8, 4096}, {4155, 8, 4096}, {3000, 8, 4096}, {18, 4, 48}} {
 		t.Run(fmt.Sprintf("n=%d,B=%d,M=%d", g.nBlocks, g.b, g.m), func(t *testing.T) {
 			r := rand.New(rand.NewPCG(uint64(g.nBlocks), 47))
 			slots := make([]extmem.Element, g.nBlocks*g.b)
@@ -673,7 +666,7 @@ func TestScanCallsOracle(t *testing.T) {
 					return nil
 				}},
 				{"CompactLoose", ErrLooseOverflow, func(env *extmem.Env, a extmem.Array) error {
-					out, _, _, err := compactLoose(env, a, extmem.Element.Marked, rCap)
+					out, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Marked, rCap)
 					if err != nil {
 						return err
 					}

@@ -12,13 +12,14 @@ import (
 
 // This file computes the q quantiles of an array (the paper's Theorem 17
 // problem) as the cheaper, by exact block I/Os, of two arms built from
-// primitives with exact predictors: sort a copy with Lemma 2's
-// deterministic sort (obsort.Deterministic) and read the ranks off in one
-// scan, or count N in one scan and run Select (Theorem 13) once per
-// rank. The choice is a function of (n, B, M, q) alone, ties go to the
-// sort. The Select arm is linear in n at fixed M/B and q, so it keeps the
-// theorem's O(N/B) once the sort's log² term outgrows q Selects; below
-// that, including at every benchmark call site, the sort is cheaper.
+// primitives with exact predictors, both after one scan that counts N: sort
+// the array into scratch with Lemma 2's deterministic sort
+// (obsort.DeterministicInto) and read the ranks off its last pass, or run
+// Select (Theorem 13) once per rank. The choice is a function of
+// (n, B, M, q) alone, ties go to the sort. The Select arm is linear in n at
+// fixed M/B and q, so it keeps the theorem's O(N/B) once the sort's log²
+// term outgrows q Selects; below that, including at every benchmark call
+// site, the sort is cheaper.
 
 // ErrQuantilesFailed reports q out of range or a declared Select failure;
 // the trace is a prefix of the success trace.
@@ -40,13 +41,8 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	// One scan counts N; the sort arm copies a into work as it goes.
-	var work extmem.Array
-	if !bySelect {
-		work = env.D.Alloc(n)
-	}
 	var total int64
-	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
 		for _, e := range chunk {
 			if e.Occupied() {
 				total++
@@ -61,7 +57,7 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 		ranks[i] = max(1, int64(math.Round(float64(i+1)*float64(total)/float64(q+1))))
 	}
 	if !bySelect {
-		return quantilesBySort(env, work, ranks)
+		return sortRanks(env, a, env.D.Alloc(n), ranks)
 	}
 	out := make([]extmem.Element, q)
 	for i, k := range ranks {
@@ -85,10 +81,11 @@ func QuantilesCost(nBlocks, b, m, q int) obs.Cost {
 
 // quantilesPlan prices both arms of Quantiles and returns the cheaper by
 // block I/Os, ties to the sort, and whether it is the Select arm: the count
-// scan and q Selects, against the copy, the sort and the rank scan.
+// scan and q Selects, against the count scan and sortRanks.
 func quantilesPlan(nBlocks, b, m, q int) (obs.Cost, bool) {
-	bySort := sortTailCost(nBlocks, b, m, true)
-	bySelect := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
+	count := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
+	bySort := count.Add(obsort.DeterministicVisitCost(nBlocks, b, m))
+	bySelect := count
 	sel := SelectCost(nBlocks, b, m)
 	for range q {
 		bySelect = bySelect.Add(sel)
@@ -99,15 +96,15 @@ func quantilesPlan(nBlocks, b, m, q int) (obs.Cost, bool) {
 	return bySort, false
 }
 
-// quantilesBySort sorts work in place with obsort.Deterministic and reads
-// the ranks off in one scan: the sort arm of Quantiles and the terminating
-// path of Select.
-func quantilesBySort(env *extmem.Env, work extmem.Array, ranks []int64) ([]extmem.Element, error) {
-	obsort.Deterministic(env, work, obsort.ByKey)
+// sortRanks sorts src into dst, which may be src itself, with
+// obsort.DeterministicInto and reads the elements of the given ascending
+// ranks off the sorted array as the sort hands it over: the sort arm of
+// Quantiles and the terminating path of Select. src is never written.
+func sortRanks(env *extmem.Env, src, dst extmem.Array, ranks []int64) ([]extmem.Element, error) {
 	out := make([]extmem.Element, len(ranks))
 	var idx int64
 	ri := 0
-	env.Scan(work, extmem.Array{}, env.ScanBatchN(1, work.Len()), func(_ int, chunk []extmem.Element) {
+	obsort.DeterministicInto(env, src, dst, obsort.ByKey, func(_ int, chunk []extmem.Element) {
 		for t := range chunk {
 			if !chunk[t].Occupied() {
 				continue
@@ -123,16 +120,4 @@ func quantilesBySort(env *extmem.Env, work extmem.Array, ranks []int64) ([]extme
 		return nil, fmt.Errorf("%w: resolved %d of %d ranks", ErrQuantilesFailed, ri, len(ranks))
 	}
 	return out, nil
-}
-
-// sortTailCost prices quantilesBySort on n blocks with the whole cache
-// free — obsort.DeterministicCost and the rank scan — plus, when copied,
-// the scan that first copies the caller's array into the work array.
-func sortTailCost(n, b, m int, copied bool) obs.Cost {
-	scan := obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m, 1)}
-	c := obsort.DeterministicCost(n, b, m).Add(scan)
-	if copied {
-		c = c.Add(scan).Add(scan)
-	}
-	return c
 }

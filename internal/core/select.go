@@ -104,15 +104,16 @@ func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m
 	defer env.D.Release(mark)
 	cur := a
 	for cur.Len()*a.B() > env.M/2 {
-		_, tail := selectCost(cur.Len(), a.B(), env.M, cur.Base() == a.Base())
+		_, tail := selectCost(cur.Len(), a.B(), env.M)
 		lv, ok := plan(cur.Len(), a.B(), env.M)
 		if tail || !ok {
-			// The terminating path: sort (a copy of the caller's array).
+			// The terminating path: sort cur — into scratch where it is the
+			// caller's array — and read rank k off the sort's last pass.
+			dst := cur
 			if cur.Base() == a.Base() {
-				cur = env.D.Alloc(a.Len())
-				copyArray(env, a, cur)
+				dst = env.D.Alloc(cur.Len())
 			}
-			out, err := quantilesBySort(env, cur, []int64{k})
+			out, err := sortRanks(env, cur, dst, []int64{k})
 			if err != nil {
 				return extmem.Element{}, fmt.Errorf("%w: rank %d out of range", ErrSelectFailed, k)
 			}
@@ -213,32 +214,37 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 // Select on nBlocks blocks of b elements with a cache of m, entered with the
 // whole cache free and batches bounded by the cache alone (no MaxBatch).
 func SelectCost(nBlocks, b, m int) obs.Cost {
-	c, _ := selectCost(nBlocks, b, m, true)
+	c, _ := selectCost(nBlocks, b, m)
 	return c
 }
 
-// selectCost prices Select from a level of n blocks (copied: the caller's
-// array, which the sort tail copies first) and reports whether the level
-// takes the sort tail — the copy, the sort and the rank scan, each with the
-// whole cache free. It does wherever selectPlan cannot narrow, and wherever
-// the tail is no dearer, in block I/Os and in round trips, than narrowing:
-// the level's sample scan and consolidating butterfly compaction, then
-// Select of the prefix left. A level that fits M/2 is one scan beside the
-// M/2-element buffer.
-func selectCost(n, b, m int, copied bool) (obs.Cost, bool) {
+// selectCost prices Select from a level of n blocks and reports whether the
+// level takes the sort tail, sortRanks with the whole cache free.
+func selectCost(n, b, m int) (obs.Cost, bool) {
+	return selectWalk(n, b, m, true, func(s int, _ bool) obs.Cost { return obsort.DeterministicVisitCost(s, b, m) })
+}
+
+// selectWalk prices Select from a level of n blocks — top: the caller's
+// array — with the sort tail at a level of s blocks priced tail(s, top),
+// and reports whether the level takes the tail. It does wherever
+// selectPlan cannot narrow, and wherever the tail is no dearer, in block
+// I/Os and in round trips, than narrowing: the level's sample scan and
+// consolidating butterfly compaction, then Select of the prefix left. A
+// level that fits M/2 is one scan beside the M/2-element buffer.
+func selectWalk(n, b, m int, top bool, tail func(s int, top bool) obs.Cost) (obs.Cost, bool) {
 	scan := obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}
 	if n*b <= m/2 {
 		return scan, false
 	}
-	tail := sortTailCost(n, b, m, copied)
+	sorted := tail(n, top)
 	lv, ok := selectPlan(n, b, m)
 	if !ok {
-		return tail, true
+		return sorted, true
 	}
-	rest, _ := selectCost(lv.next, b, m, false)
+	rest, _ := selectWalk(lv.next, b, m, false, tail)
 	narrow := scan.Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
-	if tail.IOs <= narrow.IOs && tail.RoundTrips <= narrow.RoundTrips {
-		return tail, true
+	if sorted.IOs <= narrow.IOs && sorted.RoundTrips <= narrow.RoundTrips {
+		return sorted, true
 	}
 	return narrow, false
 }

@@ -10,6 +10,7 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
+	"oblivext/internal/obsort"
 	"oblivext/internal/rng"
 	"oblivext/internal/route"
 	"oblivext/internal/trace"
@@ -202,11 +203,12 @@ func TestSelectCostMatchesPrediction(t *testing.T) {
 // TestSelectTailByDominance pins the rule by which a level takes the sort
 // tail: wherever it is no dearer than narrowing, in block I/Os and in round
 // trips. At the benchmark geometry (2^13 blocks, B = 8, M = 4096) the tail
-// — the copy, columnsort and the rank scan, 9 I/Os per block — beats
-// narrowing on both counts, 73 728 I/Os in 244 round trips against 80 893
-// in 343, and runs from the input in one allocation. At 2^12 blocks
-// neither dominates — the tail's 53 248 I/Os in 107 round trips against
-// narrowing's 39 509 in 177 — so Select narrows there.
+// — columnsort from the caller's array into scratch, whose last pass hands
+// its windows to the rank scan: 5 I/Os per block — beats narrowing on both
+// counts, 40 960 I/Os in 160 round trips against 80 893 in 343, and runs in
+// one allocation. At 3 000 blocks neither dominates — the tail's 41 768
+// I/Os in 82 round trips (bitonic, then the rank scan) against narrowing's
+// 27 579 in 116 — so Select narrows there.
 func TestSelectTailByDominance(t *testing.T) {
 	const b, m = 8, 4096
 	narrow := func(n int) obs.Cost {
@@ -214,7 +216,7 @@ func TestSelectTailByDominance(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d: selectPlan cannot narrow", n)
 		}
-		rest, _ := selectCost(lv.next, b, m, false)
+		rest, _ := selectCost(lv.next, b, m)
 		return obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}.
 			Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
 	}
@@ -223,10 +225,10 @@ func TestSelectTailByDominance(t *testing.T) {
 		tail, narrow obs.Cost
 		takesTail    bool
 	}{
-		{1 << 13, obs.Cost{IOs: 73728, RoundTrips: 244}, obs.Cost{IOs: 80893, RoundTrips: 343}, true},
-		{1 << 12, obs.Cost{IOs: 53248, RoundTrips: 107}, obs.Cost{IOs: 39509, RoundTrips: 177}, false},
+		{1 << 13, obs.Cost{IOs: 40960, RoundTrips: 160}, obs.Cost{IOs: 80893, RoundTrips: 343}, true},
+		{3000, obs.Cost{IOs: 41768, RoundTrips: 82}, obs.Cost{IOs: 27579, RoundTrips: 116}, false},
 	} {
-		if got := sortTailCost(row.n, b, m, true); got != row.tail {
+		if got := obsort.DeterministicVisitCost(row.n, b, m); got != row.tail {
 			t.Errorf("n=%d: sort tail %+v, want %+v", row.n, got, row.tail)
 		}
 		if got := narrow(row.n); got != row.narrow {
@@ -236,7 +238,7 @@ func TestSelectTailByDominance(t *testing.T) {
 		if row.takesTail {
 			want = row.tail
 		}
-		if got, tail := selectCost(row.n, b, m, true); got != want || tail != row.takesTail {
+		if got, tail := selectCost(row.n, b, m); got != want || tail != row.takesTail {
 			t.Errorf("n=%d: selectCost = %+v, sort tail %v; want %+v, %v", row.n, got, tail, want, row.takesTail)
 		}
 	}
@@ -301,9 +303,10 @@ func TestSelectNeverFailsOverSeededSweep(t *testing.T) {
 
 // Each declared failure, forced by a plan that is hostile at the first level
 // only: the error is ErrSelectFailed, the cache checkout is balanced, and
-// the trace is a prefix of the success trace.
+// the trace is a prefix of the success trace. At 3 000 blocks Select
+// narrows three times before its sort tail (TestSelectTailByDominance).
 func TestSelectDeclaredFailures(t *testing.T) {
-	const nBlocks, b, m = 1 << 10, 8, 4096
+	const nBlocks, b, m = 3000, 8, 4096
 	run := func(seed uint64, plan func(blocks, b, m int) (selectLevel, bool)) ([]trace.Op, error) {
 		env := newTestEnv(4*nBlocks, b, m, seed)
 		a := env.D.Alloc(nBlocks)

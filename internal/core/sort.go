@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
@@ -34,10 +35,11 @@ import (
 //  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
 //     and sorted. A bucket that does not distribute — its capacity fits
-//     half the cache, or its own Quantiles would sort it anyway
-//     (sortsDirectly) — is compacted straight into its slot of the level's
-//     result and sorted there, privately or with Lemma 2's deterministic
-//     sort: no copy in or out (sortInSlot). Only the remaining
+//     half the cache, or its own Quantiles, as priced when the rule was
+//     set, would sort it anyway (sortsDirectly) — is compacted straight
+//     into its slot of the level's result and sorted there, privately or
+//     with Lemma 2's deterministic sort: no copy in or out (sortInSlot).
+//     Only the remaining
 //     buckets recurse; each is compacted in place, sorted at the next level,
 //     that level's scratch released and its result copied down. A bucket's
 //     occupancy is private, so below the top every choice is made on its
@@ -314,12 +316,13 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 
 // sortInSlot sorts one bucket that does not distribute again where the
 // level's result keeps it: the dealt color array arr is compacted straight
-// into slot, as long as arr, and the slot's first capB blocks are sorted
-// in place — privately where they fit half the cache, with Lemma 2's
-// deterministic sort otherwise. It reports whether the bucket fit its
-// capacity.
+// into slot, as long as arr, its cells read a window at a time in one read,
+// and the slot's first capB blocks are sorted in place — privately where
+// they fit half the cache, with Lemma 2's deterministic sort otherwise. It
+// reports whether the bucket fit its capacity.
 func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB, m int) bool {
-	fits := route.CompactInto(env, slot, arr.Len(), arr.ReadRange, route.PredOccupied) <= capB
+	oneRead := func(int, int) int64 { return 1 }
+	fits := route.CompactInto(env, slot, arr.Len(), oneRead, arr.ReadRange, route.PredOccupied) <= capB
 	bucket := slot.Slice(0, capB)
 	if capB*bucket.B() <= m/2 {
 		sortPrivate(env, bucket, bucket, m)
@@ -336,10 +339,15 @@ func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB, m int) bool {
 // sorted privately, sorts with Lemma 2's deterministic sort (in its slot:
 // sortInSlot) instead of distributing: where the cache leaves no splitter
 // (q < 1), past the depth limit, and below the top wherever the level's own
-// Quantiles would take its sort arm — that sort alone orders the bucket, so
-// the rest of the level would be overhead. The top level always distributes
-// above SortFree, which leaves a splitter: it is the paper's Theorem 21. A
-// function of public geometry alone.
+// Quantiles(q) would take its sort arm as Quantiles was priced before its
+// sort handed the ranks over in its last pass — a copy of the array, the
+// sort and a rank scan, against a count scan and q Selects whose sort tail
+// copied the caller's array the same way. That sort alone orders the
+// bucket, so the rest of the level would be overhead. The rule is kept as
+// it was, so that no bucket of the randomized Sort moves; pricing the level
+// against distributing it is ROADMAP item 4. The top level always
+// distributes above SortFree, which leaves a splitter: it is the paper's
+// Theorem 21. A function of public geometry alone.
 func sortsDirectly(nBlocks, b, m, depth int) bool {
 	q := splitterCount(m / b)
 	if q < 1 || depth >= sortMaxDepth {
@@ -348,8 +356,16 @@ func sortsDirectly(nBlocks, b, m, depth int) bool {
 	if depth == 0 {
 		return false
 	}
-	_, bySelect := quantilesPlan(nBlocks, b, m, q)
-	return !bySelect
+	copied := func(s int, top bool) obs.Cost {
+		scan := obs.Cost{IOs: int64(s), RoundTrips: extmem.ScanRoundTrips(s, b, m, 1)}
+		c := obsort.DeterministicCost(s, b, m).Add(scan)
+		if top {
+			c = c.Add(scan).Add(scan)
+		}
+		return c
+	}
+	sel, _ := selectWalk(nBlocks, b, m, true, copied)
+	return int64(nBlocks)+int64(q)*sel.IOs >= copied(nBlocks, true).IOs
 }
 
 // splitterCount is §5's q = ⌊(M/B)^{1/4}⌋ for m = M/B blocks of cache, and

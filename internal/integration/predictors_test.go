@@ -103,6 +103,24 @@ func TestPredictorsExact(t *testing.T) {
 			func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				return measure(env, func() { obsort.Bitonic(env, a, obsort.ByKey) }), obsort.BitonicCost(g.n, g.b, g.free())
 			}},
+		{"obsort.DeterministicInto", func(g geometry) bool { return g.m >= 4*g.b && g.free() >= 2*g.b },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				// From a into scratch, the sorted blocks read through the
+				// visitor: the last pass's, or a scan after bitonic.
+				dst, seen := env.D.Alloc(g.n), 0
+				got := measure(env, func() {
+					obsort.DeterministicInto(env, a, dst, obsort.ByKey, func(lo int, chunk []extmem.Element) {
+						if lo != seen {
+							t.Fatalf("visited blocks from %d, want %d", lo, seen)
+						}
+						seen += len(chunk) / g.b
+					})
+				})
+				if seen != g.n {
+					t.Errorf("visited %d of %d blocks", seen, g.n)
+				}
+				return got, obsort.DeterministicVisitCost(g.n, g.b, g.free())
+			}},
 		{"obsort.Columnsort", func(g geometry) bool { _, _, err := obsort.ColumnGeometry(g.n, g.b, g.free()); return err == nil },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				// In place: no disk scratch, and the cache within M.
@@ -163,7 +181,7 @@ func TestPredictorsExact(t *testing.T) {
 				return rt
 			}
 			out := env.D.Alloc(g.n)
-			got := measure(env, func() { route.CompactInto(env, out, g.n, feed, route.PredOccupied) })
+			got := measure(env, func() { route.CompactInto(env, out, g.n, feedRT, feed, route.PredOccupied) })
 			return got, route.CompactIntoCost(g.n, g.n, g.b, g.free(), feedRT)
 		}},
 		{"route.ConsolidateCompact", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
@@ -196,8 +214,9 @@ func TestPredictorsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := core.QuantilesCost(g.n, g.b, g.m, quantilesQ)
-				// The sort arm's cost is the copy, the sort and the rank scan.
-				bySort := obsort.DeterministicCost(g.n, g.b, g.m).IOs+3*int64(g.n) == want.IOs
+				// The sort arm's cost is the count scan and the sort, whose
+				// last pass feeds the rank scan.
+				bySort := int64(g.n)+obsort.DeterministicVisitCost(g.n, g.b, g.m).IOs == want.IOs
 				quantilesArms[bySort] = true
 				return got, want
 			}},
@@ -213,7 +232,7 @@ func TestPredictorsExact(t *testing.T) {
 		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 			var repeats int64
 			var err error
-			got := measure(env, func() { _, _, repeats, err = core.CompactBlocksLoose(env, a, occupied) })
+			got := measure(env, func() { _, _, repeats, err = core.CompactBlocksLoose(env, a, extmem.Element.Marked, occupied) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,11 +247,20 @@ func TestPredictorsExact(t *testing.T) {
 	// cache held, a row whose buckets sort privately in their slots, and
 	// two rows at M = 512 where columnsort sorts 300 blocks: each bucket of
 	// 520 blocks, and the sample of 2 393; for loose compaction, a cache too
-	// small for its rounds, where it sorts the whole array with columnsort.
+	// small for its rounds, where it consolidates and sorts the whole array
+	// with columnsort, and the benchmark's scan_enc_file, where the
+	// consolidation feeds the first of five rounds. Select and Quantiles
+	// run at scan_enc_file's geometry too, where columnsort sorts the
+	// caller's array into scratch and its last pass feeds the rank scan;
+	// Select at 4 155 blocks, where it narrows once and sorts the
+	// consolidated prefix in place the same way; and Quantiles at 2 048,
+	// where the sort arm is bitonic and a scan.
 	more := map[string][]geometry{
 		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
 			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
-		"core.CompactBlocksLoose": {{18, 4, 48, 0}},
+		"core.CompactBlocksLoose": {{18, 4, 48, 0}, {8192, 8, 4096, 0}},
+		"core.Select":             {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
+		"core.Quantiles":          {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}},
 	}
 	defer func() {
 		if !quantilesArms[true] || !quantilesArms[false] {

@@ -15,9 +15,11 @@ import (
 // fixed permutations, so its trace is a function of (n, B, free) alone.
 //
 // Its eight steps run here as three read-once, write-once passes over the
-// array, in place. Column j is blocks [j·r/B, (j+1)·r/B), and slot k of
-// column j — r/s elements, whole blocks — stands for chunk j of column k of
-// the transposed matrix, so the transposes cost no pass and no scratch:
+// array, in place — or from a source: the first pass reads it and writes
+// the array, and no pass writes the source. Column j is blocks
+// [j·r/B, (j+1)·r/B), and slot k of column j — r/s elements, whole blocks —
+// stands for chunk j of column k of the transposed matrix, so the
+// transposes cost no pass and no scratch:
 //
 //   - A (steps 1–2): read column j, sort it, deal element t into slot
 //     t mod s, write the column back.
@@ -33,6 +35,9 @@ import (
 // That is 6 block I/Os per block in 6s+1 round trips: s reads and s writes
 // in each of A and B, s reads and s+1 writes in C. Only A sorts from
 // scratch: what B and C read is s sorted runs (the slots), which they merge.
+// C's windows come out in sorted order, so a caller that only reads the
+// result once can take them from C as they are merged instead of from the
+// array: C then writes nothing, 5 I/Os per block in 5s round trips.
 
 // ErrColumnGeometry reports an array Columnsort cannot sort in the cache
 // free at the call: no column count s meets the size limit and the block
@@ -76,10 +81,18 @@ func columnShape(nBlocks, b, free int) (r, s int, ok bool) {
 // Columnsort call entered with free elements of the cache not checked out,
 // for a geometry ColumnGeometry admits: three passes of 2 I/Os per block,
 // and 6s+1 round trips.
-func ColumnCost(nBlocks, b, free int) obs.Cost {
+func ColumnCost(nBlocks, b, free int) obs.Cost { return columnCost(nBlocks, b, free, false) }
+
+// columnCost is ColumnCost, or with visit the price of a sort whose last
+// pass hands its windows to a visitor: s reads and no write in C, 5 I/Os
+// per block in 5s round trips.
+func columnCost(nBlocks, b, free int, visit bool) obs.Cost {
 	_, s, ok := columnShape(nBlocks, b, free)
 	if !ok || nBlocks == 0 {
 		return obs.Cost{}
+	}
+	if visit {
+		return obs.Cost{IOs: 5 * int64(nBlocks), RoundTrips: 5 * int64(s)}
 	}
 	return obs.Cost{IOs: 6 * int64(nBlocks), RoundTrips: 6*int64(s) + 1}
 }
@@ -89,9 +102,18 @@ func ColumnCost(nBlocks, b, free int) obs.Cost {
 // address trace depends only on (len, B, free); it allocates no disk
 // scratch and checks out 2r elements of the cache. It panics with
 // ErrColumnGeometry where ColumnGeometry does.
-func Columnsort(env *extmem.Env, a extmem.Array, less Less) {
+func Columnsort(env *extmem.Env, a extmem.Array, less Less) { columnsort(env, a, a, less, nil) }
+
+// columnsort is Columnsort of src into a, as long as src and possibly src
+// itself: pass A reads src and writes a, and B and C run in a. Where visit
+// is not nil, C hands each final window to visit, in sorted order with the
+// index of its first block, instead of writing it, and a is left unsorted.
+func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo int, chunk []extmem.Element)) {
 	n := a.Len()
 	b := a.B()
+	if src.Len() != n {
+		panic(fmt.Sprintf("obsort: columnsort of %d blocks into %d", src.Len(), n))
+	}
 	free := env.M - env.Cache.Used()
 	r, s, err := ColumnGeometry(n, b, free)
 	if err != nil {
@@ -103,7 +125,7 @@ func Columnsort(env *extmem.Env, a extmem.Array, less Less) {
 	sp := env.Obs.Start("columnsort")
 	sp.SetAttrInt("blocks", int64(n))
 	sp.SetAttrInt("columns", int64(s))
-	sp.SetPredicted(ColumnCost(n, b, free))
+	sp.SetPredicted(columnCost(n, b, free, visit != nil))
 	defer env.Obs.End(sp)
 
 	rb, sb, per := r/b, r/(s*b), r/s // blocks per column, per slot; elements per slot
@@ -113,7 +135,7 @@ func Columnsort(env *extmem.Env, a extmem.Array, less Less) {
 
 	spa := env.Obs.Start("sort-deal")
 	for j := 0; j < s; j++ {
-		a.ReadRange(j*rb, (j+1)*rb, col)
+		src.ReadRange(j*rb, (j+1)*rb, col)
 		slices.SortFunc(col, cmp)
 		for t, e := range col {
 			aux[t%s*per+t/s] = e
@@ -140,18 +162,25 @@ func Columnsort(env *extmem.Env, a extmem.Array, less Less) {
 	// is merged into aux in front of it.
 	spc := env.Obs.Start("sort-merge")
 	half, hb := r/2, rb/2
+	emit := func(lo, hi int, win []extmem.Element) {
+		if visit != nil {
+			visit(lo, win)
+		} else {
+			a.WriteRange(lo, hi, win)
+		}
+	}
 	for m := 0; m < s; m++ {
 		a.ReadRange(m*rb, (m+1)*rb, col)
 		mergeRuns(col, per, aux[:half], less)
 		if m == 0 {
-			a.WriteRange(0, hb, col[:half])
+			emit(0, hb, col[:half])
 		} else {
 			mergeBehind(aux, col[:half], less)
-			a.WriteRange(m*rb-hb, m*rb+hb, aux)
+			emit(m*rb-hb, m*rb+hb, aux)
 		}
 		copy(aux[half:], col[half:])
 	}
-	a.WriteRange(n-hb, n, aux[half:])
+	emit(n-hb, n, aux[half:])
 	env.Obs.End(spc)
 	env.Cache.Free(buf)
 }

@@ -94,7 +94,7 @@ func TestDeterministicRule(t *testing.T) {
 		if c := DeterministicCost(r.n, b, m); c != want {
 			t.Errorf("n=%d: DeterministicCost %+v, want %s's %+v", r.n, c, r.engine, want)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { columnsDominate(r.n, b, m) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { columnsDominate(r.n, b, m, false) }); allocs != 0 {
 			t.Errorf("n=%d: choosing the engine allocates %.0f objects", r.n, allocs)
 		}
 		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 43)), r.n*b-5, "rand")
@@ -118,6 +118,52 @@ func TestDeterministicRule(t *testing.T) {
 	}
 }
 
+// TestDeterministicVisitRule pins the engine and the price of a sort whose
+// caller reads the result once, through a visitor, at the same geometries:
+// columnsort's last pass then writes nothing, 5 I/Os per block in 5s round
+// trips, while bitonic sorts and a scan reads the result back. At 8 192
+// blocks (Select's tail and Quantiles' sort arm on scan_enc_file) columnsort
+// dominates as before; at 1 024 and 2 048 it still does not. Each row sorts
+// from a source into scratch through DeterministicInto on a strict cache
+// and requires the named engine's span, sorted windows in order, and the
+// predicted cost.
+func TestDeterministicVisitRule(t *testing.T) {
+	const b, m = 8, 4096
+	for _, r := range []struct {
+		n      int
+		engine string
+		want   obs.Cost
+	}{
+		{8192, "columnsort", obs.Cost{IOs: 40960, RoundTrips: 160}},
+		{1024, "bitonic", obs.Cost{IOs: 7168, RoundTrips: 15}},
+		{2048, "bitonic", obs.Cost{IOs: 18432, RoundTrips: 37}},
+		{1989, "bitonic", obs.Cost{IOs: 18255, RoundTrips: 36}},
+	} {
+		if c := DeterministicVisitCost(r.n, b, m); c != r.want {
+			t.Errorf("n=%d: DeterministicVisitCost %+v, want %s's %+v", r.n, c, r.engine, r.want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { columnsDominate(r.n, b, m, true) }); allocs != 0 {
+			t.Errorf("n=%d: choosing the engine allocates %.0f objects", r.n, allocs)
+		}
+		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 44)), r.n*b-5, "rand")
+		var col *obs.Collector
+		into := func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)) {
+			col = env.EnableObs()
+			DeterministicInto(env, src, dst, less, visit)
+		}
+		_, st, _, elems := intoRun(t, into, r.n, b, m, 0, keys, true)
+		if roots := col.Roots(); len(roots) != 1 || roots[0].Name != r.engine {
+			t.Errorf("n=%d: spans %s, want one %s", r.n, obs.RenderTree(roots), r.engine)
+		}
+		if sorted := checkSortedPadded(t, elems); !sameMultiset(sorted, keys) {
+			t.Errorf("n=%d: multiset changed", r.n)
+		}
+		if got := st.Cost(); got != r.want {
+			t.Errorf("n=%d: measured %+v, DeterministicVisitCost %+v", r.n, got, r.want)
+		}
+	}
+}
+
 // TestDeterministicBitonicWithinTwoWindows: an array of at most two of
 // bitonic's windows (the largest power of two of blocks that fits the free
 // cache) always keeps bitonic, whose passes over it make at most 12 round
@@ -133,7 +179,7 @@ func TestDeterministicBitonicWithinTwoWindows(t *testing.T) {
 				w *= 2
 			}
 			for n := 1; n <= 2*w; n++ {
-				if columnsDominate(n, b, fb*b) {
+				if columnsDominate(n, b, fb*b, false) {
 					t.Fatalf("n=%d blocks of B=%d with %d blocks free: columnsort %+v dominates bitonic %+v within two windows of %d",
 						n, b, fb, ColumnCost(n, b, fb*b), BitonicCost(n, b, fb*b), w)
 				}
@@ -160,26 +206,36 @@ func columnsortNoScratch(t *testing.T) func(*extmem.Env, extmem.Array, Less) {
 // held + 2r, no disk scratch, and one trace for every input.
 func checkColumnRun(t *testing.T, n, b, m, held int, inputs [][]uint64) {
 	t.Helper()
+	run := func(in []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
+		return heldRun(t, columnsortNoScratch(t), n, b, m, held, in)
+	}
+	checkColumnRuns(t, "in place", run, ColumnCost(n, b, m-held), n, b, m, held, inputs)
+}
+
+// checkColumnRuns checks what run returns for each input as checkColumnRun
+// does, against the cost want.
+func checkColumnRuns(t *testing.T, mode string, run func([]uint64) (trace.Summary, obs.Counters, int, []extmem.Element), want obs.Cost, n, b, m, held int, inputs [][]uint64) {
+	t.Helper()
 	r, _, err := ColumnGeometry(n, b, m-held)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first trace.Summary
 	for i, in := range inputs {
-		sum, st, hw, elems := heldRun(t, columnsortNoScratch(t), n, b, m, held, in)
+		sum, st, hw, elems := run(in)
 		if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
-			t.Fatalf("n=%d b=%d held=%d input %d: multiset changed", n, b, held, i)
+			t.Fatalf("%s, n=%d b=%d held=%d input %d: multiset changed", mode, n, b, held, i)
 		}
 		if hw > held+2*r {
-			t.Fatalf("n=%d b=%d held=%d: cache high-water %d > held + 2r = %d", n, b, held, hw, held+2*r)
+			t.Fatalf("%s, n=%d b=%d held=%d: cache high-water %d > held + 2r = %d", mode, n, b, held, hw, held+2*r)
 		}
-		if want := ColumnCost(n, b, m-held); st.Cost() != want {
-			t.Fatalf("n=%d b=%d held=%d: measured %+v, predicted %+v", n, b, held, st.Cost(), want)
+		if st.Cost() != want {
+			t.Fatalf("%s, n=%d b=%d held=%d: measured %+v, predicted %+v", mode, n, b, held, st.Cost(), want)
 		}
 		if i == 0 {
 			first = sum
 		} else if !sum.Equal(first) {
-			t.Fatalf("n=%d b=%d held=%d: trace %v of input %d differs from %v", n, b, held, sum, i, first)
+			t.Fatalf("%s, n=%d b=%d held=%d: trace %v of input %d differs from %v", mode, n, b, held, sum, i, first)
 		}
 	}
 }
@@ -204,8 +260,11 @@ func TestColumnsortSortsObliviously(t *testing.T) {
 // FuzzColumnsort builds a random admissible matrix — s columns of r
 // elements for a fuzzed (s, B), the shortest r the size limit and the
 // block alignment allow or a multiple of it, with a fuzzed part of the
-// cache held — and sorts fuzzed keys and a constant on it: both must sort,
-// cost ColumnCost, stay within held + 2r and leave the same trace.
+// cache held — and sorts fuzzed keys and a constant on it, in place, from
+// a source array into another, and from a source with the last pass's
+// windows handed to a visitor: each must sort, stay within held + 2r, leave
+// one trace for both inputs and cost ColumnCost, or 5 I/Os per block in
+// 5s round trips with the visitor.
 func FuzzColumnsort(f *testing.F) {
 	f.Add(uint8(30), uint8(3), uint8(0), uint16(0), uint64(1)) // 32 columns of 2048: the benchmark's sort
 	f.Add(uint8(2), uint8(3), uint8(0), uint16(128), uint64(2))
@@ -222,7 +281,18 @@ func FuzzColumnsort(f *testing.F) {
 		held := int(heldRaw) % 1024
 		m := held + 2*r + int(heldRaw)%(2*b)
 		keys := genKeys(rand.New(rand.NewPCG(seed, 2)), n*b-int(seed%uint64(b+1)), "rand")
-		checkColumnRun(t, n, b, m, held, [][]uint64{keys, genKeys(nil, len(keys), "equal")})
+		inputs := [][]uint64{keys, genKeys(nil, len(keys), "equal")}
+		checkColumnRun(t, n, b, m, held, inputs)
+		for _, visit := range []bool{false, true} {
+			run := func(in []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
+				return intoRun(t, columnsort, n, b, m, held, in, visit)
+			}
+			want := obs.Cost{IOs: 6 * int64(n), RoundTrips: 6*int64(s) + 1}
+			if visit {
+				want = obs.Cost{IOs: 5 * int64(n), RoundTrips: 5 * int64(s)}
+			}
+			checkColumnRuns(t, fmt.Sprintf("from a source, visit %v", visit), run, want, n, b, m, held, inputs)
+		}
 	})
 }
 

@@ -104,8 +104,16 @@ func compare(less Less, x, y extmem.Element) int {
 // pass reads its n blocks and writes a padded scratch arena, and the last
 // pass writes only the first n blocks back (empty cells sort last, so
 // nothing is lost).
-func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
+func Bitonic(env *extmem.Env, a extmem.Array, less Less) { bitonic(env, a, a, less) }
+
+// bitonic is Bitonic of src into a, as long as src and possibly src
+// itself: the first pass reads src, and every pass writes a or the padded
+// arena, never src.
+func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
 	n := a.Len()
+	if src.Len() != n {
+		panic(fmt.Sprintf("obsort: bitonic sort of %d blocks into %d", src.Len(), n))
+	}
 	if n == 0 {
 		return
 	}
@@ -146,7 +154,7 @@ func Bitonic(env *extmem.Env, a extmem.Array, less Less) {
 	for lo := 0; lo < sc.np; lo += wb {
 		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
 		if k > 0 {
-			a.ReadRange(lo, lo+k, win[:k*b])
+			src.ReadRange(lo, lo+k, win[:k*b])
 		}
 		clear(win[k*b:])
 		desc := lo/wb&1 == 1

@@ -228,6 +228,47 @@ func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, 
 	return rec.Summarize(), env.D.Stats(), env.Cache.HighWater(), readAll(a)
 }
 
+// intoRun is heldRun for a sort from a source array into a second one:
+// sort, given src, dst and visit, runs on a strict cache of m with held
+// elements checked out. With visit the sorted elements are the ones the
+// sort hands over, which must come in order, a whole number of blocks at a
+// time; without it they are dst's. The source must come out as it went in.
+func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)),
+	n, b, m, held int, keys []uint64, visit bool) (trace.Summary, obs.Counters, int, []extmem.Element) {
+	t.Helper()
+	env := extmem.NewEnv(3*n, b, m, 3)
+	env.Cache = extmem.NewCache(m, true)
+	env.Cache.Acquire(held)
+	src, dst := env.D.Alloc(n), env.D.Alloc(n)
+	fillArray(env, src, keys)
+	before := readAll(src)
+	rec := trace.NewRecorder(0)
+	env.D.SetRecorder(rec)
+	env.D.ResetStats()
+	var seen []extmem.Element
+	var fn func(int, []extmem.Element)
+	if visit {
+		fn = func(lo int, chunk []extmem.Element) {
+			if lo*b != len(seen) || len(chunk)%b != 0 {
+				t.Fatalf("n=%d held=%d: visited %d elements from block %d after %d", n, held, len(chunk), lo, len(seen))
+			}
+			seen = append(seen, chunk...)
+		}
+	}
+	sort(env, src, dst, ByKey, fn)
+	sum, st := rec.Summarize(), env.D.Stats()
+	if used := env.Cache.Used(); used != held {
+		t.Fatalf("n=%d held=%d: %d elements checked out after the sort", n, held, used)
+	}
+	if !slices.Equal(readAll(src), before) {
+		t.Fatalf("n=%d held=%d: the sort wrote its source", n, held)
+	}
+	if !visit {
+		seen = readAll(dst)
+	}
+	return sum, st, env.Cache.HighWater(), seen
+}
+
 // TestBitonicRespectsHeldCache sorts with part of a strict cache held by
 // the caller: the window shrinks to what is free, so the high-water stays
 // within M and the cost is BitonicCost at the free cache. With less than two
@@ -285,9 +326,9 @@ func TestZigzagRespectsHeldCache(t *testing.T) {
 }
 
 // FuzzBitonic sorts two inputs of one (n, held) — fuzzed keys and a
-// constant — on a strict cache with held elements checked out: both must
-// sort, stay within M, cost BitonicCost at the free cache and leave the
-// same trace.
+// constant — on a strict cache with held elements checked out, in place and
+// from a source array into another: each must sort, stay within M, cost
+// BitonicCost at the free cache and leave one trace for both inputs.
 func FuzzBitonic(f *testing.F) {
 	const b, m = 8, 4096
 	f.Add(uint16(8191), uint16(0), uint64(1)) // n = 8192: the benchmark geometry
@@ -299,22 +340,30 @@ func FuzzBitonic(f *testing.F) {
 		n := int(nRaw)%8192 + 1
 		held := int(heldRaw) % (m - 2*b + 1)
 		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
-		var first trace.Summary
-		for i, in := range [][]uint64{keys, genKeys(nil, n*b, "equal")} {
-			sum, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, in)
-			if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
-				t.Fatalf("n=%d held=%d: multiset changed", n, held)
-			}
-			if hw > m {
-				t.Fatalf("n=%d held=%d: cache high-water %d > M=%d", n, held, hw, m)
-			}
-			if want := BitonicCost(n, b, m-held); st.Cost() != want {
-				t.Fatalf("n=%d held=%d: measured %+v, predicted %+v", n, held, st.Cost(), want)
-			}
-			if i == 0 {
-				first = sum
-			} else if !sum.Equal(first) {
-				t.Fatalf("n=%d held=%d: trace %v depends on the data, first input's %v", n, held, sum, first)
+		into := func(env *extmem.Env, src, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
+			bitonic(env, src, dst, less)
+		}
+		for _, fromSource := range []bool{false, true} {
+			var first trace.Summary
+			for i, in := range [][]uint64{keys, genKeys(nil, n*b, "equal")} {
+				sum, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, in)
+				if fromSource {
+					sum, st, hw, elems = intoRun(t, into, n, b, m, held, in, false)
+				}
+				if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
+					t.Fatalf("n=%d held=%d from a source %v: multiset changed", n, held, fromSource)
+				}
+				if hw > m {
+					t.Fatalf("n=%d held=%d from a source %v: cache high-water %d > M=%d", n, held, fromSource, hw, m)
+				}
+				if want := BitonicCost(n, b, m-held); st.Cost() != want {
+					t.Fatalf("n=%d held=%d from a source %v: measured %+v, predicted %+v", n, held, fromSource, st.Cost(), want)
+				}
+				if i == 0 {
+					first = sum
+				} else if !sum.Equal(first) {
+					t.Fatalf("n=%d held=%d from a source %v: trace %v depends on the data, first input's %v", n, held, fromSource, sum, first)
+				}
 			}
 		}
 	})

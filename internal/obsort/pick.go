@@ -92,11 +92,28 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 // engine's, is a function of (len, B, free), and DeterministicCost is its
 // exact price.
 func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
-	if columnsDominate(a.Len(), a.B(), env.M-env.Cache.Used()) {
-		Columnsort(env, a, less)
+	DeterministicInto(env, a, a, less, nil)
+}
+
+// DeterministicInto is Deterministic of src into dst, as long as src and
+// possibly src itself: the engine's first pass reads src, and no pass
+// writes it. Where visit is not nil, the caller reads the sorted array
+// once, through visit: its blocks in order, a run of whole blocks at a
+// time with the index of the first, as Env.Scan hands chunks to its fn.
+// Columnsort's last pass then hands visit its windows instead of writing
+// them, and dst is scratch; bitonic sorts dst and one scan reads it back.
+// The engine is the one columnsDominate picks at those prices, and
+// DeterministicVisitCost is the call's exact price.
+func DeterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, visit func(lo int, chunk []extmem.Element)) {
+	n := dst.Len()
+	if columnsDominate(n, dst.B(), env.M-env.Cache.Used(), visit != nil) {
+		columnsort(env, src, dst, less, visit)
 		return
 	}
-	Bitonic(env, a, less)
+	bitonic(env, src, dst, less)
+	if visit != nil {
+		env.Scan(dst, extmem.Array{}, env.ScanBatchN(1, n), visit)
+	}
 }
 
 // columnsDominate reports whether Deterministic sorts nBlocks blocks of
@@ -107,23 +124,48 @@ func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
 // B = 8, free = 4 096, columnsort takes 8 192 blocks (49 152 I/Os in 193
 // round trips against 114 688 in 224), and bitonic keeps 1 024 (6 144 I/Os
 // either way, 25 round trips against 12) and 2 048 (12 288 I/Os in 49
-// against 16 384 in 32: neither dominates).
-func columnsDominate(nBlocks, b, free int) bool {
+// against 16 384 in 32: neither dominates). With visit the prices are
+// DeterministicInto's with a visitor: columnsort's last pass reads and
+// does not write, and bitonic is followed by a scan.
+func columnsDominate(nBlocks, b, free int, visit bool) bool {
 	if _, _, ok := columnShape(nBlocks, b, free); !ok || nBlocks == 0 {
 		return false
 	}
-	c, bt := ColumnCost(nBlocks, b, free), BitonicCost(nBlocks, b, free)
+	c, bt := columnCost(nBlocks, b, free, visit), bitonicVisitCost(nBlocks, b, free, visit)
 	return c.IOs <= bt.IOs && c.RoundTrips <= bt.RoundTrips
 }
 
-// DeterministicCost predicts the exact block I/Os and vectored round trips
-// of one Deterministic call entered with free elements of the cache not
-// checked out: the price of the engine columnsDominate picks.
-func DeterministicCost(nBlocks, b, free int) obs.Cost {
-	if columnsDominate(nBlocks, b, free) {
-		return ColumnCost(nBlocks, b, free)
+// bitonicVisitCost is BitonicCost, and with visit the scan that reads the
+// sorted array back.
+func bitonicVisitCost(nBlocks, b, free int, visit bool) obs.Cost {
+	c := BitonicCost(nBlocks, b, free)
+	if visit {
+		c = c.Add(obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, free, 1)})
 	}
-	return BitonicCost(nBlocks, b, free)
+	return c
+}
+
+// DeterministicCost predicts the exact block I/Os and vectored round trips
+// of one Deterministic call — or DeterministicInto without a visitor —
+// entered with free elements of the cache not checked out: the price of the
+// engine columnsDominate picks.
+func DeterministicCost(nBlocks, b, free int) obs.Cost {
+	return deterministicCost(nBlocks, b, free, false)
+}
+
+// DeterministicVisitCost predicts DeterministicInto with a visitor, entered
+// with free elements of the cache not checked out: 5 I/Os per block in 5s
+// round trips where columnsort dominates at those prices, and otherwise
+// BitonicCost and one scan.
+func DeterministicVisitCost(nBlocks, b, free int) obs.Cost {
+	return deterministicCost(nBlocks, b, free, true)
+}
+
+func deterministicCost(nBlocks, b, free int, visit bool) obs.Cost {
+	if columnsDominate(nBlocks, b, free, visit) {
+		return columnCost(nBlocks, b, free, visit)
+	}
+	return bitonicVisitCost(nBlocks, b, free, visit)
 }
 
 // price is the quantity Pick minimises over a backend: round trips over

@@ -231,6 +231,22 @@ func (g RebuildGeometry) routed() (n int) {
 	return n
 }
 
+// feedRT is the round trips the rebuild's compaction feed takes for cells
+// [lo, hi): one read of each routed source the range overlaps.
+func (g RebuildGeometry) feedRT(lo, hi int) (rt int64) {
+	base := 0
+	for i, s := range g.Sources {
+		if g.collects(i) {
+			continue
+		}
+		if max(lo, base) < min(hi, base+s) {
+			rt++
+		}
+		base += s
+	}
+	return rt
+}
+
 // RebuildCost predicts the exact block I/Os and vectored round trips of one
 // rebuild, batches bounded by the cache alone, or -1 for both under a sorter
 // with no exact predictor: the live prefix — each collected source's read
@@ -244,22 +260,8 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 	if !ok {
 		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}
-	// The compaction's feed reads each routed source a chunk overlaps.
-	feedRT := func(lo, hi int) (rt int64) {
-		base := 0
-		for i, s := range g.Sources {
-			if g.collects(i) {
-				continue
-			}
-			if max(lo, base) < min(hi, base+s) {
-				rt++
-			}
-			base += s
-		}
-		return rt
-	}
 	c := obs.Cost{IOs: int64(g.Buffer), RoundTrips: extmem.ScanRoundTrips(g.Buffer, g.B, g.Free, 1)}.Add(sort)
-	c = c.Add(route.CompactIntoCost(g.routed(), g.routed(), g.B, g.Free, feedRT))
+	c = c.Add(route.CompactIntoCost(g.routed(), g.routed(), g.B, g.Free, g.feedRT))
 	for i := range g.Sources {
 		if g.collects(i) {
 			c = c.Add(g.collectCost(i))
@@ -405,7 +407,7 @@ func (o *ORAM) rebuildInto(target int, sources []source, g RebuildGeometry) erro
 			o.toFlight(dst[off:off+b], target)
 		}
 	}
-	routedCount := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), feed, route.PredOccupied)
+	routedCount := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), g.feedRT, feed, route.PredOccupied)
 	if routedCount > routedBound {
 		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", routedCount, target, routedBound))
 	}

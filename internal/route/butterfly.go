@@ -87,17 +87,17 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 // yields cells [lo, hi) into dst — every range once, in address order — as
 // the first pass loads them, so the cells of several arrays, or cells
 // converted on the way, are compacted without first being copied together.
-// fed is the number of blocks feed reads in all, for the span's prediction,
-// whose round trips are the feed's and go unpredicted. The passes after the
-// first run in a, in place.
-func CompactInto(env *extmem.Env, a extmem.Array, fed int, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
+// fed is the number of blocks feed reads in all, and feedRT(lo, hi) the
+// round trips it takes for cells [lo, hi): the span's prediction is
+// CompactIntoCost's. The passes after the first run in a, in place.
+func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi int) int64, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
 	if a.Len() == 0 {
 		return 0
 	}
 	sp := env.Obs.Start("butterfly-compact")
 	defer env.Obs.End(sp)
 	if sp != nil {
-		sp.SetPredicted(obs.Cost{IOs: planOf(a.Len(), a.B(), env.M-env.Cache.Used(), 0).cost(fed, 0).IOs, RoundTrips: -1})
+		sp.SetPredicted(CompactIntoCost(fed, a.Len(), a.B(), env.M-env.Cache.Used(), feedRT))
 	}
 	return compact(env, sp, a, feed, pred, 0)
 }
@@ -118,10 +118,10 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 	if sp != nil {
 		sp.SetPredicted(ConsolidateCompactCost(a.Len(), a.B(), env.M-env.Cache.Used()))
 	}
-	l := lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}
-	compact(env, sp, out, func(lo, hi int, dst []extmem.Element) { l.cells(a, lo, hi, dst) }, PredOccupied, 0)
-	env.Cache.Free(l.hold)
-	return out, l.kept
+	c := NewConsolidation(env, a, keep)
+	compact(env, sp, out, c.Cells, PredOccupied, 0)
+	c.Close(env)
+	return out, c.Kept()
 }
 
 // ConsolidateCompactFree is the least free cache, in elements, that

@@ -94,6 +94,49 @@ func (l *lag) emit(dst []extmem.Element, last bool) {
 	l.pending = copy(l.hold, l.hold[take:l.pending])
 }
 
+// Consolidation is Consolidate read as a feed, without the output array:
+// Cells fills a caller's buffer with output cells as they are decided, so a
+// pass that reads the consolidated cells once — the butterfly's first
+// (ConsolidateCompact), loose compaction's first round — reads src itself.
+// It keeps Lemma 3's 2B holding buffer checked out from NewConsolidation to
+// Close.
+type Consolidation struct {
+	src extmem.Array
+	l   lag
+}
+
+// NewConsolidation starts the consolidation of the elements of src that
+// keep selects.
+func NewConsolidation(env *extmem.Env, src extmem.Array, keep func(extmem.Element) bool) Consolidation {
+	return Consolidation{src: src, l: lag{keep: keep, hold: env.Cache.Buf(2 * src.B())}}
+}
+
+// Cells fills dst with output cells [lo, hi): every cell once, in order,
+// in ranges whose reads CellsReads counts. The blocks that decide them are
+// read into dst itself.
+func (c *Consolidation) Cells(lo, hi int, dst []extmem.Element) { c.l.cells(c.src, lo, hi, dst) }
+
+// Kept is the number of kept elements in the cells handed out so far.
+func (c *Consolidation) Kept() int64 { return c.l.kept }
+
+// Close checks the holding buffer back in.
+func (c *Consolidation) Close(env *extmem.Env) { env.Cache.Free(c.l.hold) }
+
+// CellsReads is the number of reads Cells makes for cells [lo, hi) of the
+// consolidation of n blocks: one for the blocks that decide them, (lo, hi]
+// within the array — none where that is empty, at cell n−1 alone — and one
+// more for block 0, on its own, ahead of a first range that is not all n.
+func CellsReads(n, lo, hi int) int64 {
+	var reads int64
+	if lo == 0 && hi < n {
+		reads++
+	}
+	if lo+1 < min(hi+1, n) || lo == 0 && hi == n {
+		reads++
+	}
+	return reads
+}
+
 // cells fills dst with output cells [lo, hi) of the consolidation of src,
 // for the butterfly's first pass, which asks for every cell once, in order.
 // The input blocks that decide them, (lo, hi], are read into dst itself,

@@ -72,7 +72,7 @@ func TestCompactIntoMatchesCopyThenCompact(t *testing.T) {
 			return rt
 		}
 		env.D.ResetStats()
-		gotCount := CompactInto(env, out, n1+n2, feed, PredOccupied)
+		gotCount := CompactInto(env, out, n1+n2, feedRT, feed, PredOccupied)
 		st := env.D.Stats()
 		if gotCount != wantCount || !slices.Equal(readElems(out), readElems(whole)) {
 			t.Fatalf("n=%d m=%d (%d+%d+%d): output differs from copy + CompactBlocksTight (count %d, want %d)",

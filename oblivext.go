@@ -40,7 +40,6 @@ import (
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
-	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -862,8 +861,9 @@ func (a *Array) Select(k int64) (Record, error) {
 
 // Quantiles returns the q quantile records (ranks round(i·N/(q+1))), the
 // problem of Theorem 17, by whichever costs fewer block I/Os at the array's
-// geometry: one oblivious sort of a copy, or q Selects (Theorem 13), linear
-// in N/B at fixed M/B and q.
+// geometry: one oblivious sort of the array into scratch that hands the
+// ranks over as its last pass reads, or q Selects (Theorem 13), linear in
+// N/B at fixed M/B and q.
 func (a *Array) Quantiles(q int) ([]Record, error) {
 	sp := a.c.env.Obs.Start("quantiles")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
@@ -923,8 +923,8 @@ func (a *Array) CompactTight(capacity int64) (*Array, error) {
 }
 
 // CompactLoose produces a new array of 5×capacity blocks holding the marked
-// records scattered among empties, in O(N/B) I/Os (Theorem 8). Order is
-// not preserved.
+// records scattered among empties, in O(N/B) I/Os (Lemma 3's consolidation
+// feeding Theorem 8's first round as it reads). Order is not preserved.
 func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	sp := a.c.env.Obs.Start("compact-loose")
 	n, b, m := a.arr.Len(), a.arr.B(), a.c.env.M
@@ -935,11 +935,10 @@ func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	sp.SetAttrInt("g", int64(g))
 	sp.SetAttrInt("rounds", int64(rounds))
 	// Exact but for the two I/Os every repeated probe saves (probe-repeats).
-	sp.SetPredicted(route.ConsolidateCost(n, b, m).Add(core.LooseCost(n, rCap, b, m)))
+	sp.SetPredicted(core.LooseCost(n, rCap, b, m))
 	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	cons, marked := route.Consolidate(a.c.env, a.arr, extmem.Element.Marked)
-	out, _, repeats, err := core.CompactBlocksLoose(a.c.env, cons, rCap)
+	out, marked, repeats, err := core.CompactBlocksLoose(a.c.env, a.arr, extmem.Element.Marked, rCap)
 	sp.SetAttrInt("probe-repeats", repeats)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,15 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"oblivext/internal/core"
+	"oblivext/internal/extmem"
+	"oblivext/internal/obs"
 	"oblivext/internal/oram"
+	"oblivext/internal/route"
 )
 
 func mkRecords(n int, seed uint64) []Record {
@@ -372,5 +377,65 @@ func TestPublicStatsAndCache(t *testing.T) {
 	}
 	if hw := c.CacheHighWater(); hw > 256 {
 		t.Fatalf("cache high water %d exceeds configured 256", hw)
+	}
+}
+
+// TestScanEncFileCallsPriced runs the benchmark's scan_enc_file calls —
+// Select of the median, Quantiles(8), Mark, CompactTight(n/3) and
+// CompactLoose(n/3) over 2^16 records, B = 8, M = 4 096 — on a MemStore
+// client: the block I/Os and round trips they measure are the sum of the
+// predictors' — SelectCost, QuantilesCost, Mark's read and write scans,
+// the butterfly that consolidates as it compacts, and LooseCost — less the
+// two I/Os each repeated probe of loose compaction saves: 209 244 I/Os in
+// 908 round trips before that, where the calls copied the array to sort it
+// and consolidated it into an array to compact it loosely (282 972 in
+// 1 124). The benchmark's tape repeats 196 probes, so the workload measures
+// 208 852 I/Os, 3.1868 a record.
+func TestScanEncFileCallsPriced(t *testing.T) {
+	const n, b, m = 1 << 16, 8, 4096
+	c, err := New(Config{BlockSize: b, CacheWords: m, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arr, err := c.Store(mkRecords(n, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableSpans()
+	c.ResetStats()
+	if _, err := arr.Select(n / 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.Quantiles(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.Mark(func(r Record) bool { return r.Key%4 == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.CompactTight(n / 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.CompactLoose(n / 3); err != nil {
+		t.Fatal(err)
+	}
+	blocks, rCap := n/b, extmem.CeilDiv(n/3, b)+1
+	scan := obs.Cost{IOs: int64(blocks), RoundTrips: extmem.ScanRoundTrips(blocks, b, m, 1)}
+	want := core.SelectCost(blocks, b, m).Add(core.QuantilesCost(blocks, b, m, 8)).Add(scan).Add(scan).
+		Add(route.ConsolidateCompactCost(blocks, b, m)).Add(core.LooseCost(blocks, rCap, b, m))
+	if want != (obs.Cost{IOs: 209244, RoundTrips: 908}) {
+		t.Errorf("the predictors sum to %+v, want 209 244 I/Os in 908 round trips", want)
+	}
+	var repeats int64
+	for _, sp := range c.Spans() {
+		for _, a := range sp.Attrs {
+			if a.Key == "probe-repeats" {
+				repeats, _ = strconv.ParseInt(a.Value, 10, 64)
+			}
+		}
+	}
+	st := c.Stats()
+	if got := (obs.Cost{IOs: st.Total() + 2*repeats, RoundTrips: st.RoundTrips}); got != want {
+		t.Errorf("measured %+v with 2·%d repeated probes added back, predicted %+v", got, repeats, want)
 	}
 }
