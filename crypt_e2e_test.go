@@ -55,12 +55,11 @@ func TestPublicEncryptedBackends(t *testing.T) {
 		}},
 		{"file", func(t *testing.T) Config {
 			return Config{BlockSize: 8, CacheWords: 512, Seed: 77, EncryptionKey: testKey(),
-				Path: filepath.Join(t.TempDir(), "enc.dat"), StartBlocks: 8192}
+				Path: filepath.Join(t.TempDir(), "enc.dat")}
 		}},
 		{"sharded-mixed", func(t *testing.T) Config {
 			return Config{BlockSize: 8, CacheWords: 512, Seed: 77, EncryptionKey: testKey(),
-				NumShards: 3, ShardPaths: []string{filepath.Join(t.TempDir(), "s0.dat"), "", ""},
-				StartBlocks: 8192}
+				NumShards: 3, ShardPaths: []string{filepath.Join(t.TempDir(), "s0.dat"), "", ""}}
 		}},
 		{"http", func(t *testing.T) Config {
 			_, ts := obstoreSealed(t, 4096, 8)

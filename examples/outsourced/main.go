@@ -33,7 +33,6 @@ func main() {
 		// re-encryption of old data from new data (the paper's semantic
 		// security assumption, implemented).
 		EncryptionKey: key,
-		StartBlocks:   8192,
 	})
 	if err != nil {
 		panic(err)

@@ -22,39 +22,78 @@ import (
 // buffer, whose first half is all the next round reads (Lemma 7: a region
 // holds at most half its cells of survivors w.h.p.). Rounds stop when fewer
 // than two regions remain; one deterministic sort compacts that residue
-// into the last R cells.
+// into the last R cells. A call's shape — probes, region size, every
+// round's length — is one LoosePlan, laid out before any I/O from
+// (n, R, B, M): CompactLooseWith runs it and LooseCost sums it.
 
 // ErrLooseOverflow reports more occupied cells than the declared capacity,
 // or Lemma 7's low-probability bad event: a region with more survivors than
 // the half that is kept. The trace is unchanged by the failure.
 var ErrLooseOverflow = errors.New("core: loose compaction overflow")
 
-// looseShape is the public shape of a call: every round probes each cell c0
-// times and halves balanced regions of at least g blocks.
-type looseShape struct{ c0, g int }
+// looseMaxRounds bounds a call's rounds: a round keeps at most three
+// quarters of its source (halved, with regions of g ≥ 2 blocks), and
+// (4/3)^152 > 2^63.
+const looseMaxRounds = 152
 
-// loosePlan returns the shape for an array of n blocks, or false where the
-// rounds cannot run: no region size fits the cache (no wide-block
-// assumption), or n holds fewer than two regions. C has 4R cells for at most
-// R items, so a probe fails with probability at most 1/4 whatever happened
-// before it, the survivors of an r-block region are dominated by
-// Bin(r, 4^-c0), and P[more than r/2 survive] <= exp(-r·KL(1/2 ‖ 4^-c0)).
-// All rounds together cut fewer than n regions, each of at least g blocks,
-// so g = ⌈(ln 2^40 + ln n) / KL⌉ bounds a call's failure by 2^-40. The plan
-// takes the smallest c0 whose g fills at most half the cache — a round costs
-// (1.5 + 2·c0) I/Os per block — leaving the rest to the probe window.
-func loosePlan(n, b, m int) (looseShape, bool) {
+// LoosePlan is the public shape of CompactBlocksLoose over n blocks with
+// capacity rCap, built from (n, rCap, B, M) alone: every round probes each
+// cell c0 times and halves balanced regions of at least g blocks. A plan
+// without rounds sorts instead. CompactLooseWith walks it and LooseCost
+// sums it.
+type LoosePlan struct {
+	n, rCap, b, m int
+	c0, g         int
+	rounds        int
+	lens          [looseMaxRounds + 1]int // lens[r]: the blocks round r reads; lens[rounds]: the residue
+	rmax          int                     // blocks of the longest region any round reads
+	window        int                     // cache elements beside the region buffer and the consolidation's 2B
+}
+
+// PlanLoose plans CompactBlocksLoose on n blocks of b elements with
+// capacity rCap and a cache of m. The rounds cannot run where no region
+// size fits the cache (no wide-block assumption), or where n holds fewer
+// than two regions. C has 4R cells for at most R items, so a probe fails
+// with probability at most 1/4 whatever happened before it, the survivors
+// of an r-block region are dominated by Bin(r, 4^-c0), and P[more than r/2
+// survive] <= exp(-r·KL(1/2 ‖ 4^-c0)). All rounds together cut fewer than
+// n regions, each of at least g blocks, so g = ⌈(ln 2^40 + ln n) / KL⌉
+// bounds a call's failure by 2^-40. The plan takes the smallest c0 whose g
+// fills at most half the cache — a round costs (1.5 + 2·c0) I/Os per
+// block — leaving the rest to the probe window.
+func PlanLoose(n, rCap, b, m int) LoosePlan {
 	const l = 40 * math.Ln2
+	p := LoosePlan{n: n, rCap: max(rCap, 1), b: b, m: m}
 	for c0 := 1; c0 <= 8; c0++ {
 		q := math.Pow(4, -float64(c0))
 		kl := -math.Ln2 - math.Log(q*(1-q))/2
-		g := int(math.Ceil((l + math.Log(float64(max(n, 2)))) / kl))
-		if g*b <= m/2 {
-			return looseShape{c0, g}, n/g >= 2
+		if g := int(math.Ceil((l + math.Log(float64(max(n, 2)))) / kl)); g*b <= m/2 {
+			if n/g >= 2 {
+				p.c0, p.g = c0, g
+			}
+			break
 		}
 	}
-	return looseShape{}, false
+	return p.withRounds()
 }
+
+// withRounds lays out the rounds the plan's region size g takes over its n
+// blocks — none where g is zero — and what they leave the probe window.
+func (p LoosePlan) withRounds() LoosePlan {
+	s := p.n
+	for ; p.g > 0 && s/p.g >= 2; s = halved(s, p.g) {
+		p.lens[p.rounds] = s
+		p.rmax = max(p.rmax, extmem.CeilDiv(s, s/p.g))
+		p.rounds++
+	}
+	p.lens[p.rounds] = s
+	p.window = p.m - (p.rmax+2)*p.b
+	return p
+}
+
+// Shape reports the plan's public constants — probes per cell, least
+// region size, rounds — all zero where it sorts instead.
+func (p LoosePlan) Shape() (c0, g, rounds int) { return p.c0, p.g, p.rounds }
 
 // halved returns the length a round leaves of s blocks: the rounded-up half
 // of each of its s/g balanced regions.
@@ -62,17 +101,6 @@ func halved(s, g int) int {
 	r := s / g
 	q, big := s/r, s%r
 	return (r-big)*((q+1)/2) + big*((q+2)/2)
-}
-
-// looseRounds replays the rounds over n blocks: their number, the longest
-// region any of them reads, and the residue they leave.
-func looseRounds(n, g int) (rounds, rmax, residue int) {
-	s := n
-	for ; s/g >= 2; s = halved(s, g) {
-		rounds++
-		rmax = max(rmax, extmem.CeilDiv(s, s/g))
-	}
-	return rounds, rmax, s
 }
 
 // CompactBlocksLoose compacts the elements of a that keep selects, packed
@@ -85,47 +113,44 @@ func looseRounds(n, g int) (rounds, rmax, residue int) {
 // number of kept elements, and the number of probes that repeated a slot
 // already fetched in their window — a function of the tape alone; each
 // saves the two I/Os by which the call undercuts LooseCost. It fails with
-// probability at most 2^-40 (see loosePlan).
+// probability at most 2^-40 (see PlanLoose).
 func CompactBlocksLoose(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int64, int64, error) {
-	rCap = max(rCap, 1)
-	if plan, ok := loosePlan(a.Len(), a.B(), env.M); ok {
-		return looseWith(env, a, keep, rCap, plan)
-	}
-	out, kept, err := looseBySort(env, a, keep, rCap)
-	return out, kept, 0, err
+	return CompactLooseWith(env, a, keep, PlanLoose(a.Len(), rCap, a.B(), env.M))
 }
 
-// looseWith is CompactBlocksLoose under a given shape with at least two
-// regions in a; tests force failures with hostile ones.
-func looseWith(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int, plan looseShape) (extmem.Array, int64, int64, error) {
+// CompactLooseWith is CompactBlocksLoose walking p, PlanLoose's plan for
+// a's geometry.
+func CompactLooseWith(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, p LoosePlan) (extmem.Array, int64, int64, error) {
+	if p.rounds == 0 {
+		out, kept, err := looseBySort(env, a, keep, p.rCap)
+		return out, kept, 0, err
+	}
 	b := a.B()
 	mark := env.D.Mark()
-	out := env.D.Alloc(5 * rCap)
-	c, tail := out.Slice(0, 4*rCap), out.Slice(4*rCap, 5*rCap)
+	out := env.D.Alloc(5 * p.rCap)
+	c, tail := out.Slice(0, 4*p.rCap), out.Slice(4*p.rCap, 5*p.rCap)
 	zeroArray(env, c)
 
-	_, rmax, _ := looseRounds(a.Len(), plan.g)
-	rbuf := env.Cache.Buf(rmax * b)
+	rbuf := env.Cache.Buf(p.rmax * b)
 	cons := route.NewConsolidation(env, a, keep)
-	p := newProber(env, env.ScanBatchN(1, rmax))
+	pr := newProber(env, env.ScanBatchN(1, p.rmax))
 	occ, overflowed := 0, 0
 	cur := a
-	for first := true; cur.Len()/plan.g >= 2; first = false {
-		s := cur.Len()
-		regions := s / plan.g
-		next := env.D.Alloc(halved(s, plan.g))
+	for r, s := range p.lens[:p.rounds] {
+		regions := s / p.g
+		next := env.D.Alloc(p.lens[r+1])
 		w := 0
 		for i := 0; i < regions; i++ {
 			lo, hi := i*s/regions, (i+1)*s/regions
 			cells := rbuf[:(hi-lo)*b]
-			if first {
+			if r == 0 {
 				cons.Cells(lo, hi, cells)
 				occ += packOccupied(cells, b)
 			} else {
 				cur.ReadRange(lo, hi, cells)
 			}
-			for j := 0; j < plan.c0; j++ {
-				p.probe(cells, c)
+			for range p.c0 {
+				pr.probe(cells, c)
 			}
 			half := (hi - lo + 1) / 2
 			if packOccupied(cells, b) > half {
@@ -136,8 +161,8 @@ func looseWith(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, 
 		}
 		cur = next
 	}
-	repeats := p.repeats
-	p.close()
+	repeats := pr.repeats
+	pr.close()
 	cons.Close(env)
 	env.Cache.Free(rbuf)
 
@@ -146,8 +171,8 @@ func looseWith(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, 
 	sortInto(env, cur, tail)
 	env.D.Release(mark + out.Len())
 	var err error
-	if occ > rCap {
-		err = fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, rCap)
+	if occ > p.rCap {
+		err = fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLooseOverflow, occ, p.rCap)
 	} else if overflowed > 0 {
 		err = fmt.Errorf("%w: %d regions with more survivors than the half kept", ErrLooseOverflow, overflowed)
 	}
@@ -256,50 +281,36 @@ func looseBySort(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool
 
 // LooseCost predicts CompactBlocksLoose on n blocks of b elements with a
 // cache of m, entered with the whole cache free and batches bounded by the
-// cache alone (no MaxBatch): zeroing C, (1.5 + 2·c0)·s block I/Os per round
-// over s blocks — the first round's reads being the consolidation's, one a
+// cache alone (no MaxBatch): PlanLoose's plan, summed.
+func LooseCost(n, rCap, b, m int) obs.Cost { return PlanLoose(n, rCap, b, m).Cost() }
+
+// Cost sums the plan: zeroing C, (1.5 + 2·c0)·s block I/Os per round over
+// s blocks — the first round's reads being the consolidation's, one a
 // region and block 0 on its own — and the sort of the residue into the
-// tail; or, where the rounds cannot run, the consolidation and its sort.
-// The probe window is what the cache leaves beside the region buffer and
-// the consolidation's 2B holding buffer. The block I/Os are before the two
-// saved by every repeated probe; the round trips do not depend on the
-// repeats.
-func LooseCost(n, rCap, b, m int) obs.Cost {
-	rCap = max(rCap, 1)
+// tail; or, without rounds, the consolidation and its sort. The block I/Os
+// are before the two saved by every repeated probe; the round trips do not
+// depend on the repeats.
+func (p LoosePlan) Cost() obs.Cost {
+	b, m := p.b, p.m
 	scan := func(c, free int) int64 { return extmem.ScanRoundTrips(c, b, free, 1) }
 	sorted := func(s, d int) obs.Cost { // sortInto
 		cp := min(s, d)
 		return obsort.DeterministicCost(s, b, m).Add(obs.Cost{IOs: int64(cp + d), RoundTrips: 2*scan(cp, m) + scan(d-cp, m)})
 	}
-	plan, ok := loosePlan(n, b, m)
-	if !ok {
-		return route.ConsolidateCost(n, b, m).Add(sorted(n, 5*rCap))
+	if p.rounds == 0 {
+		return route.ConsolidateCost(p.n, b, m).Add(sorted(p.n, 5*p.rCap))
 	}
-	c := obs.Cost{IOs: int64(4 * rCap), RoundTrips: scan(4*rCap, m)}
-	_, rmax, residue := looseRounds(n, plan.g)
-	window := m - (rmax+2)*b
-	for s := n; s != residue; s = halved(s, plan.g) {
-		r := s / plan.g
-		q, big := s/r, s%r
-		probes := 2 * int64(plan.c0) // a window's read and write, per probe
-		c = c.Add(obs.Cost{
-			IOs:        int64((1+2*plan.c0)*s + halved(s, plan.g)),
-			RoundTrips: int64(r-big)*(2+probes*scan(q, window)) + int64(big)*(2+probes*scan(q+1, window)),
-		})
-		for i := 0; s == n && i < r; i++ {
-			c.RoundTrips += route.CellsReads(n, i*n/r, (i+1)*n/r) - 1
+	c := obs.Cost{IOs: int64(4 * p.rCap), RoundTrips: scan(4*p.rCap, m)}
+	probes := 2 * int64(p.c0) // a window's read and write, per probe
+	for i, s := range p.lens[:p.rounds] {
+		c.IOs += int64((1+2*p.c0)*s + p.lens[i+1])
+		for j, r := 0, s/p.g; j < r; j++ {
+			lo, hi := j*s/r, (j+1)*s/r
+			c.RoundTrips += 2 + probes*scan(hi-lo, p.window)
+			if i == 0 {
+				c.RoundTrips += route.CellsReads(s, lo, hi) - 1
+			}
 		}
 	}
-	return c.Add(sorted(residue, rCap))
-}
-
-// LoosePlan reports the public constants of a call on n blocks — probes per
-// cell, least region size, rounds — all zero where it sorts instead.
-func LoosePlan(n, b, m int) (c0, g, rounds int) {
-	plan, ok := loosePlan(n, b, m)
-	if !ok {
-		return 0, 0, 0
-	}
-	rounds, _, _ = looseRounds(n, plan.g)
-	return plan.c0, plan.g, rounds
+	return c.Add(sorted(p.lens[p.rounds], p.rCap))
 }

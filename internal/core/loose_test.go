@@ -89,9 +89,9 @@ func TestLooseCompactOblivious(t *testing.T) {
 func TestLooseCompactLinearIO(t *testing.T) {
 	const b, m = 8, 512
 	for _, n := range []int{128, 512, 2048} {
-		plan, ok := loosePlan(n, b, m)
-		if !ok || plan.c0 != 3 {
-			t.Fatalf("n=%d: plan %+v, %v; want the rounds at c0 = 3", n, plan, ok)
+		plan := PlanLoose(n, n/4, b, m)
+		if plan.rounds == 0 || plan.c0 != 3 {
+			t.Fatalf("n=%d: c0 %d, %d rounds; want the rounds at c0 = 3", n, plan.c0, plan.rounds)
 		}
 		env := newTestEnv(8*n, b, m, 13)
 		a := env.D.Alloc(n)
@@ -198,8 +198,8 @@ func TestLoosePlan(t *testing.T) {
 		{40, 4, 256, 0, 0, 0},     // g = 23: one region
 		{0, 8, 4096, 0, 0, 0},
 	} {
-		if c0, g, rounds := LoosePlan(c.n, c.b, c.m); c0 != c.c0 || g != c.g || rounds != c.rounds {
-			t.Errorf("LoosePlan(%d, %d, %d) = c0 %d, g %d, %d rounds, want %d, %d, %d", c.n, c.b, c.m, c0, g, rounds, c.c0, c.g, c.rounds)
+		if c0, g, rounds := PlanLoose(c.n, 1, c.b, c.m).Shape(); c0 != c.c0 || g != c.g || rounds != c.rounds {
+			t.Errorf("PlanLoose(%d, 1, %d, %d) = c0 %d, g %d, %d rounds, want %d, %d, %d", c.n, c.b, c.m, c0, g, rounds, c.c0, c.g, c.rounds)
 		}
 	}
 }
@@ -275,17 +275,17 @@ func TestLooseNeverFailsOverSeededSweep(t *testing.T) {
 	}
 }
 
-// A hostile shape — no probes, two-block regions — keeps every occupied
+// A hostile plan — no probes, two-block regions — keeps every occupied
 // cell, so contiguous occupied cells overflow their regions: the failure is
 // declared, the cache balanced, and the trace that of a fault-free run.
 func TestLooseDeclaredFailures(t *testing.T) {
 	const n, rCap, b, m = 64, 16, 4, 256
-	hostile := looseShape{c0: 0, g: 2}
+	hostile := LoosePlan{n: n, rCap: rCap, b: b, m: m, g: 2}.withRounds()
 	run := func(occ []int, wantOcc int, wantErr error) trace.Summary {
 		return traceOf(t, 8*n, b, m, 9, func(env *extmem.Env) {
 			a := env.D.Alloc(n)
 			buildSparseCells(a, occ)
-			out, got, _, err := looseWith(env, a, extmem.Element.Occupied, rCap, hostile)
+			out, got, _, err := CompactLooseWith(env, a, extmem.Element.Occupied, hostile)
 			if !errors.Is(err, wantErr) {
 				t.Fatalf("%d occupied: err = %v, want %v", len(occ), err, wantErr)
 			}

@@ -173,7 +173,7 @@ func TestDifferentialOracle(t *testing.T) {
 						}
 						continue
 					}
-					_, bySelect := quantilesPlan(extmem.CeilDiv(len(c.slots), b), b, m, q)
+					bySelect := PlanQuantiles(extmem.CeilDiv(len(c.slots), b), b, m, q).bySelect
 					quantileArms[bySelect] = true
 					want := quantileRanks(total, q)
 					retryDeclared(t, ErrQuantilesFailed, func(seed uint64) error {

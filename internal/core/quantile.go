@@ -25,19 +25,55 @@ import (
 // the trace is a prefix of the success trace.
 var ErrQuantilesFailed = errors.New("core: quantile computation failed")
 
+// QuantilesPlan is the public shape of Quantiles over an array of given
+// geometry: its arm, chosen by exact block I/Os, ties to the sort — the
+// count scan and q Selects, against the count scan and sortRanks — the
+// Select plan every rank walks on the Select arm, and the price.
+type QuantilesPlan struct {
+	q        int
+	bySelect bool
+	sel      SelectPlan
+	cost     obs.Cost
+}
+
+// PlanQuantiles plans Quantiles on nBlocks blocks of b elements with a
+// cache of m and q quantiles, entered with the whole cache free and
+// batches bounded by the cache alone (no MaxBatch).
+func PlanQuantiles(nBlocks, b, m, q int) QuantilesPlan {
+	p := QuantilesPlan{q: q, sel: PlanSelect(nBlocks, b, m)}
+	count := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
+	bySort := count.Add(obsort.DeterministicVisitCost(nBlocks, b, m))
+	bySelect := count
+	for range q {
+		bySelect = bySelect.Add(p.sel.Cost())
+	}
+	if p.cost, p.bySelect = bySort, bySelect.IOs < bySort.IOs; p.bySelect {
+		p.cost = bySelect
+	}
+	return p
+}
+
+// Cost is the exact block I/Os and vectored round trips of the plan's
+// Quantiles.
+func (p QuantilesPlan) Cost() obs.Cost { return p.cost }
+
 // Quantiles returns the q elements of ranks round(i·N/(q+1)), i = 1..q,
 // among the occupied elements of a (the paper's q quantiles), without
 // modifying a. q must satisfy 8·q·B <= M.
 func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error) {
-	n := a.Len()
-	b := a.B()
+	return QuantilesWith(env, a, PlanQuantiles(a.Len(), a.B(), env.M, q))
+}
+
+// QuantilesWith is Quantiles walking p, PlanQuantiles' plan for a's
+// geometry.
+func QuantilesWith(env *extmem.Env, a extmem.Array, p QuantilesPlan) ([]extmem.Element, error) {
+	n, b, q := a.Len(), a.B(), p.q
 	if q < 1 {
 		return nil, fmt.Errorf("%w: q=%d", ErrQuantilesFailed, q)
 	}
 	if 8*q*b > env.M {
 		return nil, fmt.Errorf("%w: q=%d exceeds the private-memory budget (M=%d, B=%d)", ErrQuantilesFailed, q, env.M, b)
 	}
-	_, bySelect := quantilesPlan(n, b, env.M, q)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
@@ -56,12 +92,12 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 	for i := range ranks {
 		ranks[i] = max(1, int64(math.Round(float64(i+1)*float64(total)/float64(q+1))))
 	}
-	if !bySelect {
+	if !p.bySelect {
 		return sortRanks(env, a, env.D.Alloc(n), ranks)
 	}
 	out := make([]extmem.Element, q)
 	for i, k := range ranks {
-		e, err := Select(env, a, k)
+		e, err := SelectWith(env, a, k, p.sel)
 		if err != nil {
 			return nil, fmt.Errorf("%w: quantile %d: %w", ErrQuantilesFailed, i+1, err)
 		}
@@ -73,28 +109,8 @@ func Quantiles(env *extmem.Env, a extmem.Array, q int) ([]extmem.Element, error)
 // QuantilesCost predicts the exact block I/Os and vectored round trips of
 // Quantiles on nBlocks blocks of b elements with a cache of m and q
 // quantiles, entered with the whole cache free and batches bounded by the
-// cache alone (no MaxBatch).
-func QuantilesCost(nBlocks, b, m, q int) obs.Cost {
-	c, _ := quantilesPlan(nBlocks, b, m, q)
-	return c
-}
-
-// quantilesPlan prices both arms of Quantiles and returns the cheaper by
-// block I/Os, ties to the sort, and whether it is the Select arm: the count
-// scan and q Selects, against the count scan and sortRanks.
-func quantilesPlan(nBlocks, b, m, q int) (obs.Cost, bool) {
-	count := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
-	bySort := count.Add(obsort.DeterministicVisitCost(nBlocks, b, m))
-	bySelect := count
-	sel := SelectCost(nBlocks, b, m)
-	for range q {
-		bySelect = bySelect.Add(sel)
-	}
-	if bySelect.IOs < bySort.IOs {
-		return bySelect, true
-	}
-	return bySort, false
-}
+// cache alone (no MaxBatch): PlanQuantiles' price.
+func QuantilesCost(nBlocks, b, m, q int) obs.Cost { return PlanQuantiles(nBlocks, b, m, q).Cost() }
 
 // sortRanks sorts src into dst, which may be src itself, with
 // obsort.DeterministicInto and reads the elements of the given ascending

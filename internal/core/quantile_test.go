@@ -27,7 +27,7 @@ func quantileRanks(total int64, q int) []int64 {
 // given geometry.
 func wantArm(t *testing.T, nBlocks, b, m, q int, bySelect bool) {
 	t.Helper()
-	if _, got := quantilesPlan(nBlocks, b, m, q); got != bySelect {
+	if got := PlanQuantiles(nBlocks, b, m, q).bySelect; got != bySelect {
 		t.Fatalf("n=%d B=%d M=%d q=%d: Select arm %v, want %v", nBlocks, b, m, q, got, bySelect)
 	}
 }

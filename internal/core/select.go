@@ -17,11 +17,13 @@ import (
 // ranks bracket the target in a range [x, y], one consolidating tight
 // compaction moves the range into a prefix a fixed factor shorter, and
 // the same step narrows that prefix until it fits the cache, or until
-// sorting what is left is no dearer than narrowing it (selectCost). The paper's
-// rate N^{-1/2} and range bound N^{7/8} (which is N itself below N = 2^24)
-// state the asymptotics; selectPlan derives both from Chernoff bounds at the
-// actual (N, B, M). Selection is over the total order (Key, Pos) on occupied
-// elements: ties break by original position, so ranks are well defined.
+// sorting what is left is no dearer than narrowing it. The walk is one
+// SelectPlan, laid out before any I/O from (n, B, M): SelectWith runs it
+// and SelectCost reads its price. The paper's rate N^{-1/2} and range
+// bound N^{7/8} (which is N itself below N = 2^24) state the asymptotics;
+// selectPlan derives both from Chernoff bounds at the actual (N, B, M).
+// Selection is over the total order (Key, Pos) on occupied elements: ties
+// break by original position, so ranks are well defined.
 
 // ErrSelectFailed reports a rank out of range or one of a level's four
 // low-probability tails: sample overflow, either bracket end beyond the
@@ -59,9 +61,10 @@ func boundOf(e extmem.Element) bound { return bound{key: e.Key, pos: e.Pos} }
 
 // selectLevel is the public shape of one narrowing level.
 type selectLevel struct {
-	p     float64 // sampling probability of every cell slot
-	slack float64 // L in the bracket ranks k·p − √(2Lkp) and k·p + √(2Lkp) + L
-	next  int     // blocks of the prefix the bracketed range is compacted into
+	blocks int     // blocks of the level's array
+	p      float64 // sampling probability of every cell slot
+	slack  float64 // L in the bracket ranks k·p − √(2Lkp) and k·p + √(2Lkp) + L
+	next   int     // blocks of the prefix the bracketed range is compacted into
 }
 
 // selectPlan returns the level that narrows an array of the given public
@@ -87,38 +90,88 @@ func selectPlan(blocks, b, m int) (selectLevel, bool) {
 	nu := r * r
 	p := mu / float64(blocks*b)
 	next := extmem.CeilDiv(int(math.Ceil(nu/p))+1, b)
-	return selectLevel{p: p, slack: l, next: next}, 4*next <= 3*blocks
+	return selectLevel{blocks: blocks, p: p, slack: l, next: next}, 4*next <= 3*blocks
 }
+
+// selectMaxLevels bounds the levels a Select narrows through: each keeps
+// at most three quarters of the blocks before it (selectPlan), and
+// (4/3)^152 > 2^63.
+const selectMaxLevels = 152
+
+// SelectPlan is the public shape of a Select over an array of given
+// geometry, built from (n, B, M) alone: the levels it narrows through, how
+// the walk ends — Lemma 2's sort of the last prefix with the ranks read off
+// its last pass, or one scan of a prefix that fits M/2 — and its price.
+// SelectWith walks it and SelectCost reads its price.
+type SelectPlan struct {
+	levels [selectMaxLevels]selectLevel
+	narrow int  // levels[:narrow] run
+	tail   bool // the walk ends in the sort tail
+	cost   obs.Cost
+}
+
+// PlanSelect plans Select on nBlocks blocks of b elements with a cache of
+// m, entered with the whole cache free and batches bounded by the cache
+// alone (no MaxBatch).
+func PlanSelect(nBlocks, b, m int) SelectPlan {
+	return planSelect(nBlocks, b, m, func(s int, _ bool) obs.Cost { return obsort.DeterministicVisitCost(s, b, m) })
+}
+
+// planSelect lays out Select from the caller's array of n blocks with the
+// sort tail over s blocks priced tail(s, top), top: s is the caller's
+// array. The levels are found top-down, as far as selectPlan narrows and
+// the prefix does not fit M/2; the walk is decided bottom-up: a level takes
+// the sort tail wherever it is no dearer, in block I/Os and in round
+// trips, than narrowing — the level's sample scan and consolidating
+// butterfly compaction, then the walk from the prefix left — and wherever
+// selectPlan cannot narrow it. A prefix that fits M/2 is one scan beside
+// the M/2-element buffer.
+func planSelect(n, b, m int, tail func(s int, top bool) obs.Cost) SelectPlan {
+	var p SelectPlan
+	s := n
+	for s*b > m/2 {
+		lv, ok := selectPlan(s, b, m)
+		if !ok {
+			break
+		}
+		p.levels[p.narrow] = lv
+		p.narrow++
+		s = lv.next
+	}
+	p.tail = s*b > m/2
+	if p.cost = scanCost(s, b, m-m/2, 1); p.tail {
+		p.cost = tail(s, p.narrow == 0)
+	}
+	for i := p.narrow - 1; i >= 0; i-- {
+		s := p.levels[i].blocks
+		narrow := scanCost(s, b, m-m/2, 1).Add(route.ConsolidateCompactCost(s, b, m)).Add(p.cost)
+		if sorted := tail(s, i == 0); sorted.IOs <= narrow.IOs && sorted.RoundTrips <= narrow.RoundTrips {
+			p.narrow, p.tail, p.cost = i, true, sorted
+		} else {
+			p.cost = narrow
+		}
+	}
+	return p
+}
+
+// Cost is the exact block I/Os and vectored round trips of the plan's
+// Select.
+func (p SelectPlan) Cost() obs.Cost { return p.cost }
 
 // Select returns the k-th smallest of the N occupied elements of a, for
 // 1 <= k <= N, in O(n) I/Os, without modifying a. Every array length, batch
 // size and path choice is a function of (n, B, M), never of k or N, so the
 // trace is data-oblivious; l levels fail with probability at most 4·l·2^-40.
 func Select(env *extmem.Env, a extmem.Array, k int64) (extmem.Element, error) {
-	return selectWith(env, a, k, selectPlan)
+	return SelectWith(env, a, k, PlanSelect(a.Len(), a.B(), env.M))
 }
 
-// selectWith is Select under a given plan; tests force failures with hostile ones.
-func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m int) (selectLevel, bool)) (extmem.Element, error) {
+// SelectWith is Select walking p, PlanSelect's plan for a's geometry.
+func SelectWith(env *extmem.Env, a extmem.Array, k int64, p SelectPlan) (extmem.Element, error) {
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 	cur := a
-	for cur.Len()*a.B() > env.M/2 {
-		_, tail := selectCost(cur.Len(), a.B(), env.M)
-		lv, ok := plan(cur.Len(), a.B(), env.M)
-		if tail || !ok {
-			// The terminating path: sort cur — into scratch where it is the
-			// caller's array — and read rank k off the sort's last pass.
-			dst := cur
-			if cur.Base() == a.Base() {
-				dst = env.D.Alloc(cur.Len())
-			}
-			out, err := sortRanks(env, cur, dst, []int64{k})
-			if err != nil {
-				return extmem.Element{}, fmt.Errorf("%w: rank %d out of range", ErrSelectFailed, k)
-			}
-			return out[0], nil
-		}
+	for _, lv := range p.levels[:p.narrow] {
 		x, y, err := selectBracket(env, cur, k, lv)
 		if err != nil {
 			return extmem.Element{}, err
@@ -145,7 +198,20 @@ func selectWith(env *extmem.Env, a extmem.Array, k int64, plan func(blocks, b, m
 		}
 		cur, k = cons.Slice(0, lv.next), target
 	}
-	return selectInCache(env, cur, int(k))
+	if !p.tail {
+		return selectInCache(env, cur, int(k))
+	}
+	// The sort tail: sort cur — into scratch where it is the caller's
+	// array — and read rank k off the sort's last pass.
+	dst := cur
+	if p.narrow == 0 {
+		dst = env.D.Alloc(cur.Len())
+	}
+	out, err := sortRanks(env, cur, dst, []int64{k})
+	if err != nil {
+		return extmem.Element{}, fmt.Errorf("%w: rank %d out of range", ErrSelectFailed, k)
+	}
+	return out[0], nil
 }
 
 // selectBracket scans cur once, keeping each occupied element with
@@ -194,16 +260,8 @@ func selectBracket(env *extmem.Env, cur extmem.Array, k int64, lv selectLevel) (
 // selectInCache reads every occupied element of a, at most M/2 cells, into
 // private memory and picks the k-th there; the trace is a single scan.
 func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, error) {
-	all := env.Cache.Buf(env.M / 2)[:0]
+	all := gatherSorted(env, a, env.Cache.Buf(env.M/2))
 	defer env.Cache.Free(all)
-	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
-		for _, e := range chunk {
-			if e.Occupied() {
-				all = append(all, e)
-			}
-		}
-	})
-	obsort.InCache(all, obsort.ByKey)
 	if k < 1 || k > len(all) {
 		return extmem.Element{}, fmt.Errorf("%w: rank %d of %d", ErrSelectFailed, k, len(all))
 	}
@@ -211,40 +269,7 @@ func selectInCache(env *extmem.Env, a extmem.Array, k int) (extmem.Element, erro
 }
 
 // SelectCost predicts the exact block I/Os and vectored round trips of
-// Select on nBlocks blocks of b elements with a cache of m, entered with the
-// whole cache free and batches bounded by the cache alone (no MaxBatch).
-func SelectCost(nBlocks, b, m int) obs.Cost {
-	c, _ := selectCost(nBlocks, b, m)
-	return c
-}
-
-// selectCost prices Select from a level of n blocks and reports whether the
-// level takes the sort tail, sortRanks with the whole cache free.
-func selectCost(n, b, m int) (obs.Cost, bool) {
-	return selectWalk(n, b, m, true, func(s int, _ bool) obs.Cost { return obsort.DeterministicVisitCost(s, b, m) })
-}
-
-// selectWalk prices Select from a level of n blocks — top: the caller's
-// array — with the sort tail at a level of s blocks priced tail(s, top),
-// and reports whether the level takes the tail. It does wherever
-// selectPlan cannot narrow, and wherever the tail is no dearer, in block
-// I/Os and in round trips, than narrowing: the level's sample scan and
-// consolidating butterfly compaction, then Select of the prefix left. A
-// level that fits M/2 is one scan beside the M/2-element buffer.
-func selectWalk(n, b, m int, top bool, tail func(s int, top bool) obs.Cost) (obs.Cost, bool) {
-	scan := obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}
-	if n*b <= m/2 {
-		return scan, false
-	}
-	sorted := tail(n, top)
-	lv, ok := selectPlan(n, b, m)
-	if !ok {
-		return sorted, true
-	}
-	rest, _ := selectWalk(lv.next, b, m, false, tail)
-	narrow := scan.Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
-	if sorted.IOs <= narrow.IOs && sorted.RoundTrips <= narrow.RoundTrips {
-		return sorted, true
-	}
-	return narrow, false
-}
+// Select on nBlocks blocks of b elements with a cache of m, entered with
+// the whole cache free and batches bounded by the cache alone (no
+// MaxBatch): PlanSelect's price.
+func SelectCost(nBlocks, b, m int) obs.Cost { return PlanSelect(nBlocks, b, m).Cost() }

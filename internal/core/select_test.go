@@ -216,7 +216,7 @@ func TestSelectTailByDominance(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d: selectPlan cannot narrow", n)
 		}
-		rest, _ := selectCost(lv.next, b, m)
+		rest := SelectCost(lv.next, b, m)
 		return obs.Cost{IOs: int64(n), RoundTrips: extmem.ScanRoundTrips(n, b, m-m/2, 1)}.
 			Add(route.ConsolidateCompactCost(n, b, m)).Add(rest)
 	}
@@ -238,8 +238,8 @@ func TestSelectTailByDominance(t *testing.T) {
 		if row.takesTail {
 			want = row.tail
 		}
-		if got, tail := selectCost(row.n, b, m); got != want || tail != row.takesTail {
-			t.Errorf("n=%d: selectCost = %+v, sort tail %v; want %+v, %v", row.n, got, tail, want, row.takesTail)
+		if p := PlanSelect(row.n, b, m); p.Cost() != want || (p.tail && p.narrow == 0) != row.takesTail {
+			t.Errorf("n=%d: PlanSelect prices %+v, sort tail at the top %v; want %+v, %v", row.n, p.Cost(), p.tail && p.narrow == 0, want, row.takesTail)
 		}
 	}
 
@@ -301,13 +301,13 @@ func TestSelectNeverFailsOverSeededSweep(t *testing.T) {
 	}
 }
 
-// Each declared failure, forced by a plan that is hostile at the first level
-// only: the error is ErrSelectFailed, the cache checkout is balanced, and
-// the trace is a prefix of the success trace. At 3 000 blocks Select
-// narrows three times before its sort tail (TestSelectTailByDominance).
+// Each declared failure, forced by a plan edited at its first level only:
+// the error is ErrSelectFailed, the cache checkout is balanced, and the
+// trace is a prefix of the success trace. At 3 000 blocks Select narrows
+// three times before its sort tail (TestSelectTailByDominance).
 func TestSelectDeclaredFailures(t *testing.T) {
 	const nBlocks, b, m = 3000, 8, 4096
-	run := func(seed uint64, plan func(blocks, b, m int) (selectLevel, bool)) ([]trace.Op, error) {
+	run := func(seed uint64, p SelectPlan) ([]trace.Op, error) {
 		env := newTestEnv(4*nBlocks, b, m, seed)
 		a := env.D.Alloc(nBlocks)
 		keys := make([]uint64, nBlocks*b)
@@ -317,22 +317,22 @@ func TestSelectDeclaredFailures(t *testing.T) {
 		buildKeyArray(a, keys)
 		rec := trace.NewRecorder(1 << 20)
 		env.D.SetRecorder(rec)
-		_, err := selectWith(env, a, nBlocks*b/2, plan)
+		_, err := SelectWith(env, a, nBlocks*b/2, p)
 		if used := env.Cache.Used(); used != 0 {
 			t.Fatalf("%d words left checked out (err=%v)", used, err)
 		}
 		return rec.Ops(), err
 	}
-	hostile := func(spoil func(*selectLevel)) func(blocks, b, m int) (selectLevel, bool) {
-		return func(blocks, b, m int) (selectLevel, bool) {
-			lv, ok := selectPlan(blocks, b, m)
-			if blocks == nBlocks {
-				spoil(&lv)
-			}
-			return lv, ok
-		}
+	plan := PlanSelect(nBlocks, b, m)
+	if plan.narrow != 3 || !plan.tail {
+		t.Fatalf("the plan narrows %d times, sort tail %v; want 3 levels and the tail", plan.narrow, plan.tail)
 	}
-	success, err := run(1, selectPlan)
+	hostile := func(spoil func(*selectLevel)) SelectPlan {
+		p := plan
+		spoil(&p.levels[0])
+		return p
+	}
+	success, err := run(1, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 //     offset the tape draws, into a sample of ⌈n/B⌉ blocks; Lemma 2's
 //     deterministic sort (obsort.Deterministic) orders the sample and one
 //     scan reads the splitters off at ranks round(i·s/(q+1)) of its s
-//     occupied elements. A bucket then holds at
-//     most sortPlan's capE elements but for probability 2^-40, and the
-//     splitters carry position tie-breaks, so duplicate keys never skew it.
+//     occupied elements. A bucket then holds at most its plan's capE
+//     elements but for probability 2^-40, and the splitters carry position
+//     tie-breaks, so duplicate keys never skew it.
 //  2. A multi-way consolidation pass (§5) rewrites the array into
 //     monochromatic full-or-empty blocks.
 //  3. Shuffle-and-deal: a block-level Fisher–Yates shuffle (the "shuffle",
@@ -31,7 +31,7 @@ import (
 //     write; the quota is the least whose overflow tail (Lemma 18 /
 //     Corollary 19) is at most 2^-40, and the batch is §5's (M/B)^{3/4} or
 //     the larger one, up to M/(2B), with the fewest block I/Os among those
-//     no dearer in block I/Os or round trips (sortPlan).
+//     no dearer in block I/Os or round trips (sortPlan.plan).
 //  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
 //     and sorted. A bucket that does not distribute — its capacity fits
@@ -39,15 +39,16 @@ import (
 //     set, would sort it anyway (sortsDirectly) — is compacted straight
 //     into its slot of the level's result and sorted there, privately or
 //     with Lemma 2's deterministic sort: no copy in or out (sortInSlot).
-//     Only the remaining
-//     buckets recurse; each is compacted in place, sorted at the next level,
-//     that level's scratch released and its result copied down. A bucket's
-//     occupancy is private, so below the top every choice is made on its
-//     capacity.
+//     Only the remaining buckets recurse; each is compacted in place,
+//     sorted at the next level, that level's scratch released and its
+//     result copied down. A bucket's occupancy is private, so below the top
+//     every choice is made on its capacity, and every choice is laid out
+//     once, in a sortPlan, when the count scan has fixed the top's
+//     occupancy: the levels walk it and SortCost sums it.
 //  5. No repair pass. A level fails only by dropping elements — a deal
 //     batch over its quota, a bucket over its capacity, or a level below
 //     that did either — so a failure anywhere fails the whole Sort, each
-//     level's chance of it held to 2^-40 by sortPlan. The paper's failure
+//     level's chance of it held to 2^-40 by its plan. The paper's failure
 //     sweep re-sorts failed buckets from their own output, which cannot
 //     restore what was dropped; bucket oblivious sort (arXiv:2008.01765)
 //     likewise declares failure at a stated tail instead of repairing.
@@ -75,11 +76,6 @@ var ErrSortCache = errors.New("core: too little cache free for the sort")
 // directly (sortsDirectly).
 const sortMaxDepth = 12
 
-// dealQuotaSeam, nil outside tests, replaces the deal quota of a level at
-// the given depth: the in-package seam that forces Corollary 19's overflow,
-// an event chance would not produce in a test's lifetime.
-var dealQuotaSeam func(depth, quota int) int
-
 // Sort sorts the occupied elements of a in place by (Key, Pos): after it
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
@@ -88,19 +84,26 @@ var dealQuotaSeam func(depth, quota int) int
 // cache not checked out at the call: every level is sized from it, not from
 // M. Below SortFree it returns ErrSortCache with an empty trace.
 func Sort(env *extmem.Env, a extmem.Array) error {
-	n := a.Len()
+	n, b := a.Len(), a.B()
 	if n == 0 {
 		return nil
 	}
 	free := env.M - env.Cache.Used()
-	if need := SortFree(n, a.B()); free < need {
+	if need := SortFree(n, b); free < need {
 		return fmt.Errorf("%w: n=%d blocks of B=%d with %d elements of cache free, want %d",
-			ErrSortCache, n, a.B(), free, need)
+			ErrSortCache, n, b, free, need)
 	}
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
+	sample, occ, sOcc := countAndSample(env, a, samples(n, b, free))
+	p := planSort(n, b, free, occ)
+	return p.sort(env, a, sample, sOcc)
+}
 
-	res, ok := sortPadded(env, a, free, 0)
+// sort runs the plan on a, whose count scan drew sample, sOcc of its
+// elements occupied, and compacts the result back into a.
+func (p *sortPlan) sort(env *extmem.Env, a, sample extmem.Array, sOcc int64) error {
+	res, ok := p.level(env, a, 0, sample, sOcc)
 	if !ok {
 		return fmt.Errorf("%w: top-level pipeline failure", ErrSortFailed)
 	}
@@ -109,7 +112,7 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 	sp := env.Obs.Start("final-compact")
 	defer env.Obs.End(sp)
 	cons, _ := route.ConsolidateCompact(env, res, extmem.Element.Occupied)
-	env.Scan(cons, a, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+	env.Scan(cons, a, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
 		for t := range chunk {
 			chunk[t].Flags &^= extmem.FlagMarked
 			chunk[t].SetCellDest(0)
@@ -177,43 +180,23 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	return nil
 }
 
-// sortPadded sorts the occupied elements of a into a padded result array
-// (occupied ascending, empties interspersed region-wise). It returns the
-// result array and whether this level succeeded; on ok=false the contents
-// are garbage but the trace is unchanged. m is the cache free at Sort's
-// entry, which sizes every level. A level whose occupancy fits half of it
-// sorts privately; every other level distributes, and only those can fail.
-//
-// Only the top level's occupancy is public. Below it a bucket holds a
-// private number of elements, so every decision there — whether the bucket
-// distributes again, and the level's shape — takes the bucket's public
-// capacity, n·B; the level above calls this only for a bucket that
-// distributes.
-func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bool) {
-	n := a.Len()
-	b := a.B()
-
-	occ := int64(n * b)
-	var sample extmem.Array
-	if distributes(n, b, m, depth) {
-		sample = env.D.Alloc(extmem.CeilDiv(n, b))
-	}
-	cnt, sOcc := countAndSample(env, a, sample)
-	if depth == 0 {
-		occ = cnt
-	}
-	if occ <= int64(m/2) {
+// level sorts a, node d of the plan, into a padded result array (occupied
+// ascending, empties interspersed region-wise), its count scan having
+// drawn sample, sOcc of them occupied. It returns the result array and
+// whether this level succeeded; on ok=false the contents are garbage but
+// the trace is unchanged. Only a distributing level can fail.
+func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.Array, sOcc int64) (extmem.Array, bool) {
+	nd, n, m := &p.nodes[d], a.Len(), p.m
+	if nd.kind == kindPrivate {
 		return sortPrivate(env, a, env.D.Alloc(n), m), true
 	}
 
 	lvl := env.Obs.Start("randomized-level")
-	lvl.SetAttrInt("depth", int64(depth))
+	lvl.SetAttrInt("depth", int64(d))
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	pl := sortPlan(n, b, m, occ, sortTail, depth)
-	q := pl.q
-	ok := true
+	lv, q := nd.lv, nd.lv.q
 
 	// Step 1: splitters from the sorted sample.
 	spq := env.Obs.Start("sample-splitters")
@@ -252,16 +235,9 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	env.Obs.End(sps)
 
 	// Step 5: deal into per-color arrays with the plan's per-batch quota.
-	quota := pl.quota
-	if dealQuotaSeam != nil {
-		quota = dealQuotaSeam(depth, quota)
-	}
 	spd := env.Obs.Start("deal")
-	colorArrs, dealOK := deal(env, ap, q+1, pl.batch, quota)
+	colorArrs, ok := deal(env, ap, q+1, lv.batch, lv.quota)
 	env.Obs.End(spd)
-	if !dealOK {
-		ok = false
-	}
 
 	// Step 6: per bucket, compact and sort. A bucket as dealt is full
 	// blocks plus one partial flush block among empties, so Theorem 6's
@@ -270,10 +246,10 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	// paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
 	// that output, 5·capB, is as long as the deal's: see
 	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
-	// public length, so capB, and whether a bucket distributes again, is
-	// one figure for the level.
-	capB := min(pl.capB, colorArrs[0].Len())
-	if !distributes(capB, b, m, depth+1) {
+	// public length, so capB, and how a bucket sorts, is one figure for
+	// the level.
+	capB, sub := lv.capB, p.nodes[d+1].kind
+	if sub != kindDistributes {
 		// Bucket i is compacted straight into slot i of the level's result,
 		// blocks [i·capB, i·capB + len), and sorted in its first capB
 		// blocks; the next bucket's compaction overwrites the empties past
@@ -283,9 +259,8 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 		for i, arr := range colorArrs {
 			spb := env.Obs.Start("bucket")
 			spb.SetAttrInt("color", int64(i))
-			if !sortInSlot(env, arr, res.Slice(i*capB, i*capB+l), capB, m) {
-				ok = false // an unbalanced split: never drop the excess silently
-			}
+			// An unbalanced split fails the level: never drop the excess silently.
+			ok = sortInSlot(env, arr, res.Slice(i*capB, i*capB+l), capB, sub, m) && ok
 			env.Obs.End(spb)
 		}
 		return res.Slice(0, (q+1)*capB), ok
@@ -299,15 +274,13 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
 		spb.SetAttrInt("color", int64(i))
-		if route.CompactBlocksTight(env, arr, route.PredOccupied, 0) > capB {
-			ok = false // an unbalanced split: never drop the excess silently
-		}
+		ok = route.CompactBlocksTight(env, arr, route.PredOccupied, 0) <= capB && ok // never drop the excess silently
 		mark := env.D.Mark()
-		sorted, sok := sortPadded(env, arr.Slice(0, capB), m, depth+1)
+		bucket := arr.Slice(0, capB)
+		sample, _, sOcc := countAndSample(env, bucket, true)
+		sorted, sok := p.level(env, bucket, d+1, sample, sOcc)
 		env.D.Release(mark)
-		if !sok {
-			ok = false // a level below dropped elements: the failure is ours
-		}
+		ok = ok && sok // a level below dropped elements: the failure is ours
 		copyArray(env, sorted, env.D.Alloc(sorted.Len()))
 		env.Obs.End(spb)
 	}
@@ -317,14 +290,14 @@ func sortPadded(env *extmem.Env, a extmem.Array, m, depth int) (extmem.Array, bo
 // sortInSlot sorts one bucket that does not distribute again where the
 // level's result keeps it: the dealt color array arr is compacted straight
 // into slot, as long as arr, its cells read a window at a time in one read,
-// and the slot's first capB blocks are sorted in place — privately where
-// they fit half the cache, with Lemma 2's deterministic sort otherwise. It
-// reports whether the bucket fit its capacity.
-func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB, m int) bool {
+// and the slot's first capB blocks are sorted in place, the way the plan
+// says — privately, or with Lemma 2's deterministic sort. It reports
+// whether the bucket fit its capacity.
+func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind, m int) bool {
 	oneRead := func(int, int) int64 { return 1 }
 	fits := route.CompactInto(env, slot, arr.Len(), oneRead, arr.ReadRange, route.PredOccupied) <= capB
 	bucket := slot.Slice(0, capB)
-	if capB*bucket.B() <= m/2 {
+	if kind == kindPrivate {
 		sortPrivate(env, bucket, bucket, m)
 		return fits
 	}
@@ -335,26 +308,24 @@ func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB, m int) bool {
 	return fits
 }
 
-// sortsDirectly reports whether a level at depth over nBlocks blocks, not
-// sorted privately, sorts with Lemma 2's deterministic sort (in its slot:
-// sortInSlot) instead of distributing: where the cache leaves no splitter
-// (q < 1), past the depth limit, and below the top wherever the level's own
-// Quantiles(q) would take its sort arm as Quantiles was priced before its
-// sort handed the ranks over in its last pass — a copy of the array, the
-// sort and a rank scan, against a count scan and q Selects whose sort tail
-// copied the caller's array the same way. That sort alone orders the
-// bucket, so the rest of the level would be overhead. The rule is kept as
-// it was, so that no bucket of the randomized Sort moves; pricing the level
-// against distributing it is ROADMAP item 4. The top level always
-// distributes above SortFree, which leaves a splitter: it is the paper's
-// Theorem 21. A function of public geometry alone.
+// sortsDirectly reports whether a level below the top, at depth over
+// nBlocks blocks and not sorted privately, sorts with Lemma 2's
+// deterministic sort (in its slot: sortInSlot) instead of distributing:
+// where the cache leaves no splitter (q < 1), past the depth limit, and
+// wherever the level's own Quantiles(q) would take its sort arm as
+// Quantiles was priced before its sort handed the ranks over in its last
+// pass — a copy of the array, the sort and a rank scan, against a count
+// scan and q Selects whose sort tail copied the caller's array the same
+// way. That sort alone orders the bucket, so the rest of the level would
+// be overhead. The rule is kept as it was, so that no bucket of the
+// randomized Sort moves; pricing the level against distributing it is
+// ROADMAP item 4. The top level is never asked: it always distributes
+// above SortFree, which leaves a splitter, as the paper's Theorem 21 does
+// (sortPlan.plan). A function of public geometry alone.
 func sortsDirectly(nBlocks, b, m, depth int) bool {
 	q := splitterCount(m / b)
 	if q < 1 || depth >= sortMaxDepth {
 		return true
-	}
-	if depth == 0 {
-		return false
 	}
 	copied := func(s int, top bool) obs.Cost {
 		scan := obs.Cost{IOs: int64(s), RoundTrips: extmem.ScanRoundTrips(s, b, m, 1)}
@@ -364,7 +335,7 @@ func sortsDirectly(nBlocks, b, m, depth int) bool {
 		}
 		return c
 	}
-	sel, _ := selectWalk(nBlocks, b, m, true, copied)
+	sel := planSelect(nBlocks, b, m, copied).Cost()
 	return int64(nBlocks)+int64(q)*sel.IOs >= copied(nBlocks, true).IOs
 }
 
@@ -394,15 +365,17 @@ func root4(hi, lo uint64) uint64 {
 }
 
 // countAndSample counts a's occupied elements in one read pass and, where
-// sample has blocks, writes one element of every block of a into it, at an
-// offset the tape draws: sample slot i is input block i's, so the sample's
-// writes are sequential and every address the pass touches is public. It
-// returns the count and how many of the drawn elements are occupied.
-func countAndSample(env *extmem.Env, a, sample extmem.Array) (nOcc, sOcc int64) {
+// sampled, writes one element of every block of a, at an offset the tape
+// draws, into a sample of ⌈n/B⌉ blocks: sample slot i is input block i's,
+// so the sample's writes are sequential and every address the pass
+// touches is public. It returns the sample, the count and how many of the
+// drawn elements are occupied.
+func countAndSample(env *extmem.Env, a extmem.Array, sampled bool) (sample extmem.Array, nOcc, sOcc int64) {
 	n, b := a.Len(), a.B()
 	name, k := "count-occupied", env.ScanBatchN(1, n)
 	var wr *extmem.SeqWriter
-	if sample.Len() > 0 {
+	if sampled {
+		sample = env.D.Alloc(extmem.CeilDiv(n, b))
 		name, k = "sample", env.ScanBatchN(2, n)
 		wbuf := env.Cache.Buf(env.ScanBatchN(2, sample.Len()) * b)
 		defer env.Cache.Free(wbuf)
@@ -432,7 +405,7 @@ func countAndSample(env *extmem.Env, a, sample extmem.Array) (nOcc, sOcc int64) 
 	if wr != nil {
 		wr.Flush()
 	}
-	return nOcc, sOcc
+	return sample, nOcc, sOcc
 }
 
 // splittersOf reads the level's q splitters off the sorted sample in one
@@ -469,10 +442,20 @@ func splittersOf(env *extmem.Env, sample extmem.Array, sOcc int64, q int) []boun
 // there, and writes a tight result to out, of a's length, which may be a
 // itself; m elements of cache are free.
 func sortPrivate(env *extmem.Env, a, out extmem.Array, m int) extmem.Array {
-	n := a.Len()
-	all := env.Cache.Buf(m / 2)[:0] // the caller counted: at most m/2 occupied
-	k := env.ScanBatchN(1, n)
-	env.Scan(a, extmem.Array{}, k, func(_ int, chunk []extmem.Element) {
+	all := gatherSorted(env, a, env.Cache.Buf(m/2)) // the caller counted: at most m/2 occupied
+	rest := all
+	env.Scan(extmem.Array{}, out, env.ScanBatchN(1, out.Len()), func(_ int, chunk []extmem.Element) {
+		rest = rest[copy(chunk, rest):]
+	})
+	env.Cache.Free(all)
+	return out
+}
+
+// gatherSorted reads every occupied element of a into all, which must
+// hold them, in one scan, and sorts them there.
+func gatherSorted(env *extmem.Env, a extmem.Array, all []extmem.Element) []extmem.Element {
+	all = all[:0]
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, a.Len()), func(_ int, chunk []extmem.Element) {
 		for _, e := range chunk {
 			if e.Occupied() {
 				all = append(all, e)
@@ -480,12 +463,7 @@ func sortPrivate(env *extmem.Env, a, out extmem.Array, m int) extmem.Array {
 		}
 	})
 	obsort.InCache(all, obsort.ByKey)
-	rest := all
-	env.Scan(extmem.Array{}, out, k, func(_ int, chunk []extmem.Element) {
-		rest = rest[copy(chunk, rest):]
-	})
-	env.Cache.Free(all)
-	return out
+	return all
 }
 
 // shuffleBlocks applies the block-level Fisher–Yates shuffle of §5: the

@@ -99,7 +99,7 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 // empties after), every color's quota in one vectored write across the
 // color arrays, split only where the cache beside the batch cannot hold
 // it. A batch holding more than quota full blocks of one color is the
-// Corollary 19 overflow event, at most 2^-40 at sortPlan's quota
+// Corollary 19 overflow event, at most 2^-40 at the plan's quota
 // (dealTail): the excess is dropped and dealOK returns false, with the
 // trace unchanged.
 func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.Array, bool) {

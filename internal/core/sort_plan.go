@@ -9,11 +9,12 @@ import (
 	"oblivext/internal/route"
 )
 
-// This file sizes one distributing level of Theorem 21 from its two tails,
-// each held to ε = 2^-40: a bucket holding more than its capacity (the
-// splitters come from a sample), and a deal batch holding more than its
-// quota of one colour (Lemma 18 / Corollary 19). Both are declared
-// failures, visible to Bob, so each bound is a leakage bound too.
+// This file lays out Theorem 21's Sort as a plan, one node per depth, and
+// sizes each distributing level from its two tails, each held to
+// ε = 2^-40: a bucket holding more than its capacity (the splitters come
+// from a sample), and a deal batch holding more than its quota of one
+// colour (Lemma 18 / Corollary 19). Both are declared failures, visible to
+// Bob, so each bound is a leakage bound too.
 
 // sortTail is ln(1/ε) for ε = 2^-40, the bound on each of a level's tails.
 const sortTail = 40 * math.Ln2
@@ -28,41 +29,6 @@ type sortLevel struct {
 	apLen int // blocks of the consolidated array the shuffle and deal move
 }
 
-// sortPlan returns the shape of a distributing level at depth over nBlocks
-// blocks of b elements, at most occ of them occupied, with a cache of m
-// elements and each tail at most e^-l. The deal batch is priced, not fixed:
-// of the batches from §5's ⌊(M/B)^{3/4}⌋ (the paper's) up to M/(2B), the
-// level takes the one with the fewest block I/Os among those no dearer
-// than the paper's in block I/Os and in round trips, the paper's on a tie.
-// A larger batch lowers the quota relative to the batch, so the colour
-// arrays every bucket compacts get shorter, but it leaves less cache to
-// write the deal from, so it is not always cheaper. A function of public
-// geometry alone.
-func sortPlan(nBlocks, b, m int, occ int64, l float64, depth int) sortLevel {
-	paper := min(max(dealBatch(m/b), 1), m/b/2)
-	best := planAt(nBlocks, b, m, occ, l, paper)
-	// The batch moves only the deal and the buckets; every bucket sorts
-	// at the same capacity, which few batches change, so its price is
-	// kept from one batch to the next.
-	subCap, subCost := -1, obs.Cost{}
-	price := func(pl sortLevel) obs.Cost {
-		if subCap != pl.capB {
-			subCap = pl.capB
-			subCost, _ = bucketSortCost(pl.capB, b, m, depth+1)
-		}
-		return dealAndBucketsCost(pl, b, m, subCost)
-	}
-	bound := price(best)
-	least := bound.IOs
-	for batch := paper + 1; batch <= min(m/b/2, best.apLen); batch++ {
-		pl := planAt(nBlocks, b, m, occ, l, batch)
-		if c := price(pl); c.IOs < least && c.IOs <= bound.IOs && c.RoundTrips <= bound.RoundTrips {
-			best, least = pl, c.IOs
-		}
-	}
-	return best
-}
-
 // planAt is the level's shape with the deal batch fixed: q splitters, the
 // bucket capacity and the deal quota from their tails.
 func planAt(nBlocks, b, m int, occ int64, l float64, batch int) sortLevel {
@@ -75,70 +41,153 @@ func planAt(nBlocks, b, m int, occ int64, l float64, batch int) sortLevel {
 	return sortLevel{q: q, batch: batch, quota: quota, capE: capE, capB: min(capB, batches*quota), apLen: apLen}
 }
 
-// distributes reports whether sortPadded distributes a level at depth over
-// nBlocks blocks of b elements with m elements of cache free: one that
-// fits half the cache sorts privately, and one that sortsDirectly sorts
-// with Lemma 2's deterministic sort. A function of public geometry alone.
-func distributes(nBlocks, b, m, depth int) bool {
-	return nBlocks*b > m/2 && !sortsDirectly(nBlocks, b, m, depth)
+// sortNode is one depth of a Sort's plan: the top level, or the bucket of
+// the level above. Below the top every decision reads a bucket's public
+// capacity, which all buckets of a level share, so the levels at one depth
+// share one node and the tree is a chain.
+type sortNode struct {
+	kind   sortKind
+	lv     sortLevel // a distributing level's shape
+	resLen int       // blocks of the sorted result
+	cost   obs.Cost  // the price after the count scan, the nodes below included
+}
+
+// sortKind is how a node sorts: in the cache, where its occupancy fits
+// half of it; with Lemma 2's deterministic sort where it sortsDirectly, in
+// the slot of the level above; or by distributing, the top level always
+// above half the cache.
+type sortKind uint8
+
+const (
+	kindPrivate sortKind = iota
+	kindDirect
+	kindDistributes
+)
+
+// sortPlan is Theorem 21's Sort laid out from public geometry once the
+// count scan has fixed the top level's occupancy: node d is every level at
+// depth d, and node d+1 the buckets of a distributing node d. Sort walks
+// it and SortCost sums it.
+type sortPlan struct {
+	b, m  int
+	nodes [sortMaxDepth + 1]sortNode
+}
+
+// planSort plans a Sort of nBlocks blocks of b elements, occ of them
+// occupied, entered with m elements of cache free, each tail of each level
+// at most 2^-40.
+func planSort(nBlocks, b, m int, occ int64) sortPlan {
+	p := sortPlan{b: b, m: m}
+	p.plan(0, nBlocks, occ, sortTail)
+	return p
+}
+
+// samples reports whether the count scan of a level over nBlocks blocks
+// draws a sample: wherever the level may not fit half the cache. A bucket
+// that distributes always does.
+func samples(nBlocks, b, m int) bool { return nBlocks*b > m/2 }
+
+// countCost prices the count scan of a level over n blocks.
+func countCost(n, b, m int) obs.Cost {
+	if samples(n, b, m) {
+		return scanCost(n, b, m, 2).Add(scanCost(extmem.CeilDiv(n, b), b, m, 2))
+	}
+	return scanCost(n, b, m, 1)
+}
+
+// plan lays out node d over n blocks, at most occ of them occupied, with
+// each tail of a distributing level at most e^-l, and the nodes below it.
+// Its deal batch is priced, not fixed: of the batches from §5's
+// ⌊(M/B)^{3/4}⌋ (the paper's) up to M/(2B), the level takes the one with
+// the fewest block I/Os among those no dearer than the paper's in block
+// I/Os and in round trips, the paper's on a tie. A larger batch lowers the
+// quota relative to the batch, so the colour arrays every bucket compacts
+// get shorter, but it leaves less cache to write the deal from, so it is
+// not always cheaper.
+func (p *sortPlan) plan(d, n int, occ int64, l float64) {
+	b, m := p.b, p.m
+	nd := &p.nodes[d]
+	*nd = sortNode{resLen: n}
+	switch {
+	case occ <= int64(m/2):
+		private := scanCost(n, b, m-m/2, 1)
+		nd.kind, nd.cost = kindPrivate, private.Add(private)
+		return
+	case d > 0 && sortsDirectly(n, b, m, d):
+		nd.kind, nd.cost = kindDirect, obsort.DeterministicCost(n, b, m)
+		return
+	}
+
+	paper := min(max(dealBatch(m/b), 1), m/b/2)
+	lv := planAt(n, b, m, occ, l, paper)
+	// The batch moves only the deal and the buckets; every bucket sorts
+	// at the same capacity, which few batches change, so its price is
+	// kept from one batch to the next.
+	subCap, sub := -1, obs.Cost{}
+	price := func(at sortLevel) obs.Cost {
+		if subCap != at.capB {
+			subCap, sub = at.capB, p.bucket(d, at.capB)
+		}
+		return dealAndBucketsCost(at, b, m, sub)
+	}
+	bound := price(lv)
+	least := bound.IOs
+	for batch := paper + 1; batch <= min(m/b/2, lv.apLen); batch++ {
+		at := planAt(n, b, m, occ, l, batch)
+		if c := price(at); c.IOs < least && c.IOs <= bound.IOs && c.RoundTrips <= bound.RoundTrips {
+			lv, least = at, c.IOs
+		}
+	}
+	sortOne := p.bucket(d, lv.capB)
+	nd.kind, nd.lv, nd.resLen = kindDistributes, lv, (lv.q+1)*p.nodes[d+1].resLen
+
+	// The sample's sort and the splitter read-off, then colorize.
+	ns := extmem.CeilDiv(n, b)
+	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(scanCost(n, b, m, 1)).Add(scanCost(n, b, m, 1))
+	// Consolidation, beside its staging.
+	held := (lv.q + 1) * (2*b - 1)
+	c = c.Add(scanCost(n, b, m-held, 2)).Add(scanCost(lv.apLen, b, m-held, 2))
+	// The shuffle: a read and a write of a fixed count per window.
+	w := max(1, min(max(1, m/b-1)/2, lv.apLen-1))
+	for i0 := 0; i0 < lv.apLen-1; i0 += w {
+		moved := min(2*min(w, lv.apLen-1-i0), lv.apLen-i0)
+		c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 2})
+	}
+	nd.cost = c.Add(dealAndBucketsCost(lv, b, m, sortOne))
+}
+
+// bucket plans node d+1 for the buckets of capB blocks of node d and
+// returns what sorting one costs: in its slot, or, where it distributes,
+// its count scan, its level and the copy of its result down.
+func (p *sortPlan) bucket(d, capB int) obs.Cost {
+	p.plan(d+1, capB, int64(capB*p.b), sortTail)
+	sub := p.nodes[d+1]
+	if sub.kind != kindDistributes {
+		return sub.cost
+	}
+	copyDown := scanCost(sub.resLen, p.b, p.m, 1)
+	return countCost(capB, p.b, p.m).Add(sub.cost).Add(copyDown).Add(copyDown)
 }
 
 // SortCost predicts the exact block I/Os and vectored round trips of a Sort
 // that succeeds on nBlocks blocks of b elements, nOcc of them occupied,
 // entered with m elements of the cache free — all of M, or what a caller
-// leaves of it — and batches bounded by the cache alone (no MaxBatch).
-// Every level's shape is public geometry — the top level's from nOcc, every
-// level below from its bucket's capacity — and every pass moves a fixed
-// number of blocks, the shuffle included, so the price is exact. A failed
-// Sort stops before the final compaction: its trace is a prefix of this
-// one.
+// leaves of it — and batches bounded by the cache alone (no MaxBatch):
+// planSort's plan, then the final compaction. Every level's shape is
+// public geometry — the top level's from nOcc, every level below from its
+// bucket's capacity — and every pass moves a fixed number of blocks, the
+// shuffle included, so the price is exact. A failed Sort stops before the
+// final compaction: its trace is a prefix of this one.
 func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
-	if nBlocks == 0 {
-		return obs.Cost{}
-	}
-	c, resLen := sortLevelCost(nBlocks, b, m, int64(nOcc), 0)
-	c = c.Add(route.ConsolidateCompactCost(resLen, b, m))
+	top := planSort(nBlocks, b, m, int64(nOcc)).nodes[0]
+	c := countCost(nBlocks, b, m).Add(top.cost).Add(route.ConsolidateCompactCost(top.resLen, b, m))
 	// The final scan reads the compacted prefix and writes all of a.
-	read := min(nBlocks, resLen)
+	read := min(nBlocks, top.resLen)
 	return c.Add(obs.Cost{IOs: int64(read + nBlocks), RoundTrips: extmem.ScanRoundTrips(read, b, m, 1) + extmem.ScanRoundTrips(nBlocks, b, m, 1)})
 }
 
-// sortLevelCost prices sortPadded at the given depth with m elements of
-// cache free at Sort's entry, and returns the length of the result it
-// leaves.
-func sortLevelCost(n, b, m int, occ int64, depth int) (obs.Cost, int) {
-	scan := func(blocks, free, buffers int) obs.Cost { return scanCost(blocks, b, free, buffers) }
-	var c obs.Cost
-	ns := extmem.CeilDiv(n, b)
-	if distributes(n, b, m, depth) {
-		c = scan(n, m, 2).Add(scan(ns, m, 2))
-	} else if depth == 0 {
-		c = scan(n, m, 1)
-	}
-	if occ <= int64(m/2) {
-		private := scan(n, m-m/2, 1)
-		return c.Add(private).Add(private), n
-	}
-	pl := sortPlan(n, b, m, occ, sortTail, depth)
-	colours := pl.q + 1
-	// The sample's sort and the splitter read-off, then colorize.
-	c = c.Add(obsort.DeterministicCost(ns, b, m)).Add(scan(ns, m, 1)).Add(scan(n, m, 1)).Add(scan(n, m, 1))
-	// Consolidation, beside its staging.
-	held := colours * (2*b - 1)
-	c = c.Add(scan(n, m-held, 2)).Add(scan(pl.apLen, m-held, 2))
-	// The shuffle: a read and a write of a fixed count per window.
-	if w := max(1, min(max(1, m/b-1)/2, pl.apLen-1)); pl.apLen > 1 {
-		for i0 := 0; i0 < pl.apLen-1; i0 += w {
-			moved := min(2*min(w, pl.apLen-1-i0), pl.apLen-i0)
-			c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 2})
-		}
-	}
-	sortOne, resLen := bucketSortCost(pl.capB, b, m, depth+1)
-	return c.Add(dealAndBucketsCost(pl, b, m, sortOne)), colours * resLen
-}
-
 // dealAndBucketsCost prices the part of a level its deal batch moves, given
-// what sorting one bucket costs (bucketSortCost): the deal — a read per
+// what sorting one bucket costs (sortPlan.bucket): the deal — a read per
 // batch, then every colour's quota in one vectored write, split only where
 // the cache beside the batch cannot hold it — and per bucket the
 // compaction of its colour array and the sort.
@@ -158,24 +207,6 @@ func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
 	return c
 }
 
-// bucketSortCost prices sorting one compacted bucket of capB blocks at
-// depth and returns the length of its sorted result: where the bucket does
-// not distribute, it sorts in its slot (sortInSlot), privately or with
-// Lemma 2's deterministic sort, and the result is the slot's capB blocks;
-// where it does, a level down sorts it and its result is copied back.
-func bucketSortCost(capB, b, m, depth int) (obs.Cost, int) {
-	if !distributes(capB, b, m, depth) {
-		if capB*b <= m/2 {
-			private := scanCost(capB, b, m-m/2, 1)
-			return private.Add(private), capB
-		}
-		return obsort.DeterministicCost(capB, b, m), capB
-	}
-	c, n := sortLevelCost(capB, b, m, int64(capB*b), depth)
-	copyDown := scanCost(n, b, m, 1)
-	return c.Add(copyDown).Add(copyDown), n
-}
-
 // scanCost prices one side of a scan of n blocks of b elements whose chunks
 // ScanBatchN(buffers, n) sizes against free elements of the cache.
 func scanCost(n, b, free, buffers int) obs.Cost {
@@ -187,7 +218,11 @@ func scanCost(n, b, free, buffers int) obs.Cost {
 // elements, fails on its own: a bucket over its capacity or a deal batch
 // over its quota. Sized from sortTail, each term is at most 2^-40.
 func sortFailureBound(nBlocks, b, m int, occ int64) float64 {
-	pl := sortPlan(nBlocks, b, m, occ, sortTail, 0)
+	top := planSort(nBlocks, b, m, occ).nodes[0]
+	if top.kind != kindDistributes {
+		return 0
+	}
+	pl := top.lv
 	return math.Exp(bucketTail(pl.capE, nBlocks, b, pl.q, occ)) +
 		math.Exp(dealTail(pl.quota, pl.apLen, pl.batch, pl.capB, extmem.CeilDiv(pl.apLen, pl.batch)*(pl.q+1)))
 }

@@ -26,7 +26,7 @@ func TestSortPlanRows(t *testing.T) {
 		{1100, 64, 4096, sortLevel{q: 2, batch: 27, quota: 27, capE: 35288, capB: 552, apLen: 1107}},
 	} {
 		occ := int64(c.n * c.b)
-		if got := sortPlan(c.n, c.b, c.m, occ, sortTail, 0); got != c.want {
+		if got := planSort(c.n, c.b, c.m, occ).nodes[0].lv; got != c.want {
 			t.Errorf("(%d, %d, %d): plan %+v, want %+v", c.n, c.b, c.m, got, c.want)
 		}
 		if p := sortFailureBound(c.n, c.b, c.m, occ); p > 2*math.Exp(-sortTail) {
@@ -46,10 +46,10 @@ func TestSortPlanRows(t *testing.T) {
 }
 
 // TestDealBatchNoDearerThanPaper: over a grid of geometries whose top
-// level distributes, the deal batch sortPlan prices is never dearer than
+// level distributes, the deal batch planSort prices is never dearer than
 // §5's ⌊(M/B)^{3/4}⌋ in block I/Os or in round trips. The batch moves only
 // the deal and the buckets' compactions (dealAndBucketsCost, with each
-// bucket's sort, which TestPredictorsExact measures as part of SortCost);
+// bucket's sort, sortPlan.bucket's price, which TestPredictorsExact measures as part of SortCost);
 // everything else a level does is the same at every batch. The grid must
 // hold rows where a larger batch is cheaper and rows where the paper's
 // stays: M/(2B) is not always the better end.
@@ -60,13 +60,16 @@ func TestDealBatchNoDearerThanPaper(t *testing.T) {
 			m := mb * b
 			for _, n := range []int{mb, 3 * mb, 1000, 8192, 1 << 16} {
 				occ := int64(n * b)
-				if !distributes(n, b, m, 0) || occ <= int64(m/2) || n > 64*mb {
+				if n > 64*mb {
 					continue
 				}
-				pl := sortPlan(n, b, m, occ, sortTail, 0)
+				tree := planSort(n, b, m, occ)
+				if tree.nodes[0].kind != kindDistributes {
+					continue
+				}
+				pl := tree.nodes[0].lv
 				paper := planAt(n, b, m, occ, sortTail, min(max(dealBatch(mb), 1), mb/2))
-				subPl, _ := bucketSortCost(pl.capB, b, m, 1)
-				subPaper, _ := bucketSortCost(paper.capB, b, m, 1)
+				subPl, subPaper := tree.bucket(0, pl.capB), tree.bucket(0, paper.capB)
 				got, ref := dealAndBucketsCost(pl, b, m, subPl), dealAndBucketsCost(paper, b, m, subPaper)
 				if got.IOs > ref.IOs || got.RoundTrips > ref.RoundTrips {
 					t.Errorf("n=%d B=%d M=%d: batch %d costs %+v, the paper's %d %+v", n, b, m, pl.batch, got, paper.batch, ref)
@@ -97,7 +100,9 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 	const n, b, m, trials = 256, 8, 512, 400
 	occ := int64(n * b)
 	l := 4 * math.Ln2
-	pl := sortPlan(n, b, m, occ, l, 0)
+	tree := sortPlan{b: b, m: m}
+	tree.plan(0, n, occ, l)
+	pl := tree.nodes[0].lv
 	events := extmem.CeilDiv(pl.apLen, pl.batch) * (pl.q + 1)
 	r := rand.New(rand.NewPCG(21, 38))
 
@@ -109,8 +114,7 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 			keys[i] = r.Uint64()
 		}
 		buildKeyArray(a, keys)
-		sample := env.D.Alloc(extmem.CeilDiv(n, b))
-		_, sOcc := countAndSample(env, a, sample)
+		sample, _, sOcc := countAndSample(env, a, true)
 		obsort.Bitonic(env, sample, obsort.ByKey)
 		bounds := splittersOf(env, sample, sOcc, pl.q)
 		size := make([]int, pl.q+1)

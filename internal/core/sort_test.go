@@ -253,20 +253,11 @@ func TestSortTraceIndependentOfBucketSizes(t *testing.T) {
 
 // TestSortDealOverflowFailsTop: a level below the top whose deal overflows
 // has dropped blocks, so the top-level Sort must return ErrSortFailed,
-// never an array with elements missing. The seam shrinks the quota of the
-// first depth-1 level alone to one block per colour per batch, at a
+// never an array with elements missing. The plan is edited to shrink the
+// quota of every depth-1 level to one block per colour per batch, at a
 // geometry where depth 1 distributes.
 func TestSortDealOverflowFailsTop(t *testing.T) {
 	const nBlocks, b, m = 1100, 64, 4096
-	forced := 0
-	dealQuotaSeam = func(depth, quota int) int {
-		if depth == 1 && forced == 0 {
-			forced++
-			return 1
-		}
-		return quota
-	}
-	defer func() { dealQuotaSeam = nil }()
 	r := rand.New(rand.NewPCG(nBlocks, 38))
 	keys := make([]uint64, nBlocks*b)
 	for i := range keys {
@@ -275,10 +266,7 @@ func TestSortDealOverflowFailsTop(t *testing.T) {
 	env := newTestEnv(nBlocks, b, m, 38)
 	a := env.D.Alloc(nBlocks)
 	buildKeyArray(a, keys)
-	err := Sort(env, a)
-	if forced != 1 {
-		t.Fatal("no level at depth 1 dealt: the row no longer recurses")
-	}
+	err := sortOverflowingDeal(t, env, a)
 	if !errors.Is(err, ErrSortFailed) {
 		t.Fatalf("Sort returned %v with %d of %d keys, want ErrSortFailed", err, len(occupiedKeys(readElems(a))), len(keys))
 	}
@@ -288,11 +276,11 @@ func TestSortDealOverflowFailsTop(t *testing.T) {
 }
 
 // TestSortFailureTraceIndependentOfInput: a failed Sort's trace must not
-// reveal what failed or how much was dropped. The seam overflows the deal
-// of the first depth-1 level, as in TestSortDealOverflowFailsTop; over
-// inputs that spread their blocks over that level's buckets differently,
-// so that it drops different blocks, Sort returns ErrSortFailed with the
-// cache balanced and one trace under one tape.
+// reveal what failed or how much was dropped. The edited plan overflows
+// the deal of every depth-1 level, as in TestSortDealOverflowFailsTop;
+// over inputs that spread their blocks over those levels' buckets
+// differently, so that they drop different blocks, Sort returns
+// ErrSortFailed with the cache balanced and one trace under one tape.
 func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 	const nBlocks, b, m = 1100, 64, 4096
 	var first trace.Summary
@@ -305,15 +293,6 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 		{"duplicates", func(_ *rand.Rand, i int) uint64 { return uint64(i % 3) }},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			forced := 0
-			dealQuotaSeam = func(depth, quota int) int {
-				if depth == 1 && forced == 0 {
-					forced++
-					return 1
-				}
-				return quota
-			}
-			defer func() { dealQuotaSeam = nil }()
 			r := rand.New(rand.NewPCG(uint64(i), 39))
 			keys := make([]uint64, nBlocks*b)
 			for j := range keys {
@@ -323,14 +302,11 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 			sum := traceOf(t, nBlocks, b, m, 39, func(env *extmem.Env) {
 				a := env.D.Alloc(nBlocks)
 				buildKeyArray(a, keys)
-				err = Sort(env, a)
+				err = sortOverflowingDeal(t, env, a)
 				if used := env.Cache.Used(); used != 0 {
 					t.Errorf("%d words left checked out", used)
 				}
 			})
-			if forced != 1 {
-				t.Fatal("no level at depth 1 dealt: the row no longer recurses")
-			}
 			if !errors.Is(err, ErrSortFailed) {
 				t.Fatalf("Sort returned %v, want ErrSortFailed", err)
 			}
@@ -341,6 +317,26 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sortOverflowingDeal is Sort under its plan edited to force Corollary
+// 19's overflow, an event chance would not produce in a test's lifetime:
+// every depth-1 level deals one block per colour per batch, its bucket
+// capacity cut to the colour arrays that leaves. The buckets of those
+// levels must sort in their slots, which a shorter capacity leaves valid.
+func sortOverflowingDeal(t *testing.T, env *extmem.Env, a extmem.Array) error {
+	t.Helper()
+	n, b, free := a.Len(), a.B(), env.M-env.Cache.Used()
+	mark := env.D.Mark()
+	defer env.D.Release(mark)
+	sample, occ, sOcc := countAndSample(env, a, samples(n, b, free))
+	p := planSort(n, b, free, occ)
+	if p.nodes[1].kind != kindDistributes || p.nodes[2].kind == kindDistributes {
+		t.Fatalf("n=%d, B=%d, M=%d: depth 1 does not distribute, or its buckets do not sort in their slots", n, b, free)
+	}
+	lv := &p.nodes[1].lv
+	lv.quota, lv.capB = 1, min(lv.capB, extmem.CeilDiv(lv.apLen, lv.batch))
+	return p.sort(env, a, sample, sOcc)
 }
 
 // TestDirectLevelCost pins what a bucket costs when it sorts directly:
@@ -359,7 +355,7 @@ func TestDirectLevelCost(t *testing.T) {
 		n, b, m int
 		engine  string
 	}{{1989, 8, 4096, "bitonic"}, {300, 8, 512, "columnsort"}} {
-		if distributes(g.n, g.b, g.m, 1) || g.n*g.b <= g.m/2 {
+		if g.n*g.b <= g.m/2 || !sortsDirectly(g.n, g.b, g.m, 1) {
 			t.Fatalf("%+v: the bucket does not sort directly", g)
 		}
 		r := rand.New(rand.NewPCG(uint64(g.n), 9))
@@ -388,7 +384,7 @@ func TestDirectLevelCost(t *testing.T) {
 		col := env.EnableObs()
 		env.D.ResetStats()
 		mark := env.D.Mark()
-		ok := sortInSlot(env, arr, region.Slice(0, l), g.n, g.m)
+		ok := sortInSlot(env, arr, region.Slice(0, l), g.n, kindDirect, g.m)
 		got := env.D.Stats().Cost()
 		want := route.CompactCost(l, 0, g.b, g.m).Add(obsort.DeterministicCost(g.n, g.b, g.m))
 		if !ok || got != want {

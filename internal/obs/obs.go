@@ -3,10 +3,11 @@
 // auditor that compares each span's access-trace fingerprint against a
 // recorded golden one.
 //
-// The package is deliberately leaf-level (standard library only): extmem
-// threads a Collector through the Disk and Env, and every stratum above —
-// core passes, sorter engine rounds, ORAM accesses and rebuilds, emsort
-// runs — opens spans around its phases. A nil *Collector is the disabled
+// The package is deliberately near the leaves: it imports the standard
+// library and internal/trace, whose FNV-1a fold fingerprints share with the
+// Disk's trace recorder. extmem threads a Collector through the Disk and
+// Env, and every stratum above — core passes, sorter engine rounds, ORAM
+// accesses and rebuilds, emsort runs — opens spans around its phases. A nil *Collector is the disabled
 // state: every method is nil-receiver safe and free, so instrumented code
 // pays one pointer check when observability is off.
 //
@@ -18,6 +19,8 @@ package obs
 import (
 	"fmt"
 	"time"
+
+	"oblivext/internal/trace"
 )
 
 // Counters is the one definition of measured I/O: the Disk's counters, with
@@ -191,11 +194,6 @@ func (s *Span) Self() Counters {
 	return out
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // Collector accumulates a span tree. Zero overhead when nil; one counter
 // snapshot per span boundary and one hash fold per block access per open
 // span when enabled.
@@ -247,7 +245,7 @@ func (c *Collector) Start(name string) *Span {
 		Start:     time.Now(),
 		Predicted: Cost{-1, -1},
 		startIO:   c.snapshot(),
-		fpHash:    fnvOffset,
+		fpHash:    trace.FNVOffset,
 	}
 	if n := len(c.stack); n > 0 {
 		c.stack[n-1].Children = append(c.stack[n-1].Children, s)
@@ -284,18 +282,11 @@ func (c *Collector) Access(kind byte, addr int64) {
 		return
 	}
 	for _, s := range c.stack {
-		h := s.fpHash
-		h ^= uint64(kind)
-		h *= fnvPrime
-		if s.auditMode != AuditShape {
-			x := uint64(addr)
-			for i := 0; i < 8; i++ {
-				h ^= x & 0xff
-				h *= fnvPrime
-				x >>= 8
-			}
+		if s.auditMode == AuditShape {
+			s.fpHash = trace.FoldKind(s.fpHash, trace.Kind(kind))
+		} else {
+			s.fpHash = trace.Fold(s.fpHash, trace.Kind(kind), addr)
 		}
-		s.fpHash = h
 		s.fpLen++
 	}
 }

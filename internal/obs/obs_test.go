@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -98,6 +100,9 @@ func TestNilCollectorIsFree(t *testing.T) {
 	if col.Roots() != nil || col.Depth() != 0 || col.Auditor() != nil {
 		t.Fatal("nil collector leaked state")
 	}
+	if allocs := testing.AllocsPerRun(100, func() { col.Access('W', 42) }); allocs != 0 {
+		t.Fatalf("a block access with spans off allocates %.0f objects", allocs)
+	}
 }
 
 func TestFingerprintModes(t *testing.T) {
@@ -132,6 +137,16 @@ func TestFingerprintModes(t *testing.T) {
 	// Replaying the same sequence replays the same fingerprint.
 	if again := run(AuditExact, []int64{1, 2, 3}); again != a {
 		t.Fatal("exact fingerprint not reproducible")
+	}
+	// Both modes are FNV-1a: over each access's kind and its address's
+	// eight little-endian bytes, or over the kinds alone.
+	exact, shape := fnv.New64a(), fnv.New64a()
+	for _, addr := range []int64{1, 2, 3} {
+		exact.Write(binary.LittleEndian.AppendUint64([]byte{'R'}, uint64(addr)))
+		shape.Write([]byte{'R'})
+	}
+	if a.Hash != exact.Sum64() || sa.Hash != shape.Sum64() {
+		t.Fatalf("fingerprints %#x and %#x, FNV-1a %#x and %#x", a.Hash, sa.Hash, exact.Sum64(), shape.Sum64())
 	}
 }
 

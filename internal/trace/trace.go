@@ -30,10 +30,25 @@ type Op struct {
 // String renders the op as e.g. "R@42".
 func (o Op) String() string { return fmt.Sprintf("%c@%d", o.Kind, o.Addr) }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// FNVOffset is the FNV-1a offset basis: the hash of an empty trace.
+const FNVOffset = 14695981039346656037
+
+const fnvPrime = 1099511628211
+
+// FoldKind folds an access's kind alone into the running FNV-1a hash h.
+func FoldKind(h uint64, k Kind) uint64 { return (h ^ uint64(k)) * fnvPrime }
+
+// Fold folds one access into the running FNV-1a hash h: its kind, then its
+// address's eight bytes, least significant first.
+func Fold(h uint64, k Kind, addr int64) uint64 {
+	h = FoldKind(h, k)
+	x := uint64(addr)
+	for range 8 {
+		h = (h ^ x&0xff) * fnvPrime
+		x >>= 8
+	}
+	return h
+}
 
 // Recorder accumulates an access trace. The zero value records nothing and
 // is safe to use; call Enable (optionally with a retention cap) to start
@@ -57,7 +72,7 @@ func NewRecorder(keep int) *Recorder {
 // Enable starts recording, retaining up to keep ops verbatim.
 func (r *Recorder) Enable(keep int) {
 	r.enabled = true
-	r.hash = fnvOffset
+	r.hash = FNVOffset
 	r.n = 0
 	r.keep = keep
 	r.ops = nil
@@ -71,16 +86,7 @@ func (r *Recorder) Record(k Kind, addr int64) {
 	if r == nil || !r.enabled {
 		return
 	}
-	h := r.hash
-	h ^= uint64(k)
-	h *= fnvPrime
-	x := uint64(addr)
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	r.hash = h
+	r.hash = Fold(r.hash, k, addr)
 	r.n++
 	if len(r.ops) < r.keep {
 		r.ops = append(r.ops, Op{k, addr})

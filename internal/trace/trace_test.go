@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder(2)
@@ -94,5 +98,23 @@ func TestOpString(t *testing.T) {
 	}
 	if s := (Summary{Len: 3, Hash: 0xff}).String(); s == "" {
 		t.Fatal("empty summary string")
+	}
+}
+
+// The recorder's hash is FNV-1a over each access's kind byte and its
+// address's eight little-endian bytes, the fold obs fingerprints share.
+func TestHashIsFNV1a(t *testing.T) {
+	r := NewRecorder(0)
+	ref := fnv.New64a()
+	for i, addr := range []int64{0, 7, -1, 1 << 40} {
+		k := []Kind{Read, Write}[i%2]
+		r.Record(k, addr)
+		ref.Write(binary.LittleEndian.AppendUint64([]byte{byte(k)}, uint64(addr)))
+	}
+	if r.Hash() != ref.Sum64() {
+		t.Fatalf("recorder hash %#x, FNV-1a %#x", r.Hash(), ref.Sum64())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Record(Read, 9) }); allocs != 0 {
+		t.Fatalf("Record allocates %.0f objects with no ops retained", allocs)
 	}
 }

@@ -49,6 +49,10 @@ type Record struct {
 	Val uint64
 }
 
+// startBlocks is every store's initial capacity in blocks, split across
+// shards; every store grows on demand (a file store extends its file).
+const startBlocks = 1024
+
 // Config describes the external-memory geometry and backing store.
 type Config struct {
 	// BlockSize is B: elements per block. Must be a power of two. Default 8.
@@ -92,9 +96,6 @@ type Config struct {
 	// BlockSize + 2 elements on the backend, so a network server must be
 	// provisioned with that block size (obstore -b BlockSize+2).
 	EncryptionKey []byte
-	// StartBlocks is the initial store capacity in blocks; every store grows
-	// on demand (a file store extends its file). Default 1024.
-	StartBlocks int
 	// NumShards, when > 1, stripes the store across that many child
 	// backends (logical block a lives on shard a mod NumShards) and fans
 	// every vectored call out to the shards in parallel. The per-block
@@ -222,9 +223,6 @@ func New(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("oblivext: unknown Sorter %q (valid: %s, or empty for randomized)",
 			cfg.Sorter, strings.Join(obsort.EngineNames(), ", "))
 	}
-	if cfg.StartBlocks == 0 {
-		cfg.StartBlocks = 1024
-	}
 	if cfg.NumShards < 0 {
 		return nil, fmt.Errorf("oblivext: NumShards must be >= 0, got %d", cfg.NumShards)
 	}
@@ -329,7 +327,7 @@ func New(cfg Config) (*Client, error) {
 	// across its replicas.
 	c := &Client{sorter: cfg.Sorter}
 	shards, reps := max(cfg.NumShards, 1), max(cfg.Replicas, 1)
-	perShard := extmem.CeilDiv(cfg.StartBlocks, shards)
+	perShard := extmem.CeilDiv(startBlocks, shards)
 	var opened []extmem.BlockStore // every leaf so far, for the error paths
 	fail := func(err error) (*Client, error) {
 		for _, s := range opened {
@@ -847,12 +845,13 @@ func (c *Client) sortEngine(nBlocks int) string {
 // order ties) in O(N/B) I/Os without modifying or revealing anything about
 // the data (Theorem 13).
 func (a *Array) Select(k int64) (Record, error) {
+	plan := core.PlanSelect(a.arr.Len(), a.arr.B(), a.c.env.M)
 	sp := a.c.env.Obs.Start("select")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
-	sp.SetPredicted(core.SelectCost(a.arr.Len(), a.arr.B(), a.c.env.M))
+	sp.SetPredicted(plan.Cost())
 	sp.Audit(a.c.auditKey("select", a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	e, err := core.Select(a.c.env, a.arr, k)
+	e, err := core.SelectWith(a.c.env, a.arr, k, plan)
 	if err != nil {
 		return Record{}, err
 	}
@@ -865,13 +864,14 @@ func (a *Array) Select(k int64) (Record, error) {
 // ranks over as its last pass reads, or q Selects (Theorem 13), linear in
 // N/B at fixed M/B and q.
 func (a *Array) Quantiles(q int) ([]Record, error) {
+	plan := core.PlanQuantiles(a.arr.Len(), a.arr.B(), a.c.env.M, q)
 	sp := a.c.env.Obs.Start("quantiles")
 	sp.SetAttrInt("blocks", int64(a.arr.Len()))
 	sp.SetAttrInt("q", int64(q))
-	sp.SetPredicted(core.QuantilesCost(a.arr.Len(), a.arr.B(), a.c.env.M, q))
+	sp.SetPredicted(plan.Cost())
 	sp.Audit(a.c.auditKey(fmt.Sprintf("quantiles/q=%d", q), a.arr.Len(), a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	es, err := core.Quantiles(a.c.env, a.arr, q)
+	es, err := core.QuantilesWith(a.c.env, a.arr, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -926,19 +926,19 @@ func (a *Array) CompactTight(capacity int64) (*Array, error) {
 // records scattered among empties, in O(N/B) I/Os (Lemma 3's consolidation
 // feeding Theorem 8's first round as it reads). Order is not preserved.
 func (a *Array) CompactLoose(capacity int64) (*Array, error) {
+	n, b := a.arr.Len(), a.arr.B()
+	plan := core.PlanLoose(n, extmem.CeilDiv(int(capacity), b)+1, b, a.c.env.M)
 	sp := a.c.env.Obs.Start("compact-loose")
-	n, b, m := a.arr.Len(), a.arr.B(), a.c.env.M
-	rCap := extmem.CeilDiv(int(capacity), b) + 1
 	sp.SetAttrInt("blocks", int64(n))
-	c0, g, rounds := core.LoosePlan(n, b, m)
+	c0, g, rounds := plan.Shape()
 	sp.SetAttrInt("c0", int64(c0))
 	sp.SetAttrInt("g", int64(g))
 	sp.SetAttrInt("rounds", int64(rounds))
 	// Exact but for the two I/Os every repeated probe saves (probe-repeats).
-	sp.SetPredicted(core.LooseCost(n, rCap, b, m))
+	sp.SetPredicted(plan.Cost())
 	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
-	out, marked, repeats, err := core.CompactBlocksLoose(a.c.env, a.arr, extmem.Element.Marked, rCap)
+	out, marked, repeats, err := core.CompactLooseWith(a.c.env, a.arr, extmem.Element.Marked, plan)
 	sp.SetAttrInt("probe-repeats", repeats)
 	if err != nil {
 		return nil, err

@@ -160,7 +160,6 @@ func TestPublicFileBackedEncrypted(t *testing.T) {
 		BlockSize: 4, CacheWords: 128, Seed: 5,
 		Path:          filepath.Join(t.TempDir(), "store.dat"),
 		EncryptionKey: key,
-		StartBlocks:   4096,
 	})
 	if err != nil {
 		t.Fatal(err)
