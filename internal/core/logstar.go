@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/route"
@@ -80,25 +81,19 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	d4 := out.Slice(0, 4*rCap)
 	tail := out.Slice(4*rCap, outLen)
 
-	blk := env.Cache.Buf(b)
-	for i := range blk {
-		blk[i] = extmem.Element{}
-	}
-	for i := 0; i < out.Len(); i++ {
-		out.Write(i, blk)
-	}
+	zeroArray(env, out)
 
-	// Working copy (thinning empties source cells).
+	// Working copy (thinning empties source cells), counting the occupied
+	// blocks on the way.
 	work := env.D.Alloc(n)
 	occ := 0
-	for i := 0; i < n; i++ {
-		a.Read(i, blk)
-		if route.PredOccupied(blk) {
-			occ++
+	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+		for blk := range slices.Chunk(chunk, b) {
+			if route.PredOccupied(blk) {
+				occ++
+			}
 		}
-		work.Write(i, blk)
-	}
-	env.Cache.Free(blk)
+	})
 	var failed error
 	if occ > rCap {
 		failed = fmt.Errorf("%w: %d occupied cells exceed capacity %d", ErrLogStarOverflow, occ, rCap)
@@ -164,20 +159,18 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 	}
 
 	// Final deterministic compaction of the survivors into the tail.
-	blk = env.Cache.Buf(b)
-	for i := 0; i < cur.Len(); i++ {
-		cur.Read(i, blk)
-		occb := route.PredOccupied(blk)
-		for tt := range blk {
-			if occb {
-				blk[tt].Flags |= extmem.FlagMarked
-			} else {
-				blk[tt].Flags &^= extmem.FlagMarked
+	env.Scan(cur, cur, env.ScanBatchN(1, cur.Len()), func(_ int, chunk []extmem.Element) {
+		for blk := range slices.Chunk(chunk, b) {
+			occb := route.PredOccupied(blk)
+			for tt := range blk {
+				if occb {
+					blk[tt].Flags |= extmem.FlagMarked
+				} else {
+					blk[tt].Flags &^= extmem.FlagMarked
+				}
 			}
 		}
-		cur.Write(i, blk)
-	}
-	env.Cache.Free(blk)
+	})
 	fin, survivors, err := CompactMarkedTight(env, cur, tail.Len())
 	if err != nil && failed == nil {
 		failed = fmt.Errorf("%w: final compaction: %v", ErrLogStarOverflow, err)

@@ -128,3 +128,27 @@ func TestLogStarNearLinearIO(t *testing.T) {
 		t.Fatalf("log* compaction I/O per block grew from %.1f to %.1f", small, large)
 	}
 }
+
+// TestLogStarIOAtPinnedGeometry pins log* compaction's block I/Os and round
+// trips at n = 1 024, B = 8, M = 4 096, rCap = 256: zeroing the output,
+// copying the input into the working array while counting its occupied
+// blocks, and marking the survivors are one scan each, not a round trip a
+// block.
+func TestLogStarIOAtPinnedGeometry(t *testing.T) {
+	const n, b, m, rCap = 1024, 8, 4096, 256
+	env := newTestEnv(16*n, b, m, 9)
+	a := env.D.Alloc(n)
+	buildSparseCells(a, rand.New(rand.NewPCG(3, 9)).Perm(n)[:n/8])
+	env.D.ResetStats()
+	_, occ, _, err := CompactBlocksLogStar(env, a, rCap, LogStarParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if occ != n/8 {
+		t.Fatalf("occ = %d, want %d", occ, n/8)
+	}
+	st := env.D.Stats()
+	if st.Total() != 40272 || st.RoundTrips != 198 {
+		t.Fatalf("log* compaction: %d I/Os in %d round trips, want 40 272 in 198", st.Total(), st.RoundTrips)
+	}
+}
