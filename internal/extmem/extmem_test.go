@@ -597,46 +597,154 @@ func fileStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileStoreOneCallPerRun pins the batch splitting a gather pass relies
-// on: 256 blocks in 8 consecutive runs of 32 cost 8 system calls each way,
-// in the order given, and round-trip intact.
-func TestFileStoreOneCallPerRun(t *testing.T) {
-	const b, runs, per = 2, 8, 32
-	s, err := NewFileStore(filepath.Join(t.TempDir(), "blocks.dat"), 1024, b)
+// TestFileStoreRunsByLength pins how a batch is served: split, in the order
+// given, into maximal runs of consecutive addresses, a run of at least a
+// page costs one system call and a shorter one none where the file is
+// mapped (one where it is not). Both kinds round-trip, and an address a
+// batch names twice holds what the later run wrote, whichever arm served
+// each.
+func TestFileStoreRunsByLength(t *testing.T) {
+	const b = 10 // the sealed slot at B = 8: 320 bytes
+	slot := b * ElementBytes
+	long := CeilDiv(pageSize, slot) // the shortest run of at least a page
+	s, err := NewFileStore(filepath.Join(t.TempDir(), "blocks.dat"), 64*long, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Descending run bases: runs are served in the order given, not sorted.
 	var addrs []int
-	for r := range runs {
-		// Descending run bases: runs are split in the order given, not sorted.
-		for i := range per {
-			addrs = append(addrs, (runs-r)*100+i)
+	longRuns, shortRuns := 0, 0
+	for r := range 4 {
+		base := (8 - 2*r) * 4 * long
+		for i := range long + r {
+			addrs = append(addrs, base+i)
 		}
+		longRuns++
+		for i := range long - 1 - r {
+			addrs = append(addrs, base+2*long+i)
+		}
+		shortRuns++
+		addrs = append(addrs, base+3*long, base+3*long+2) // stride-2 single blocks
+		shortRuns += 2
 	}
-	in := make([]Element, len(addrs)*b)
-	for i := range in {
-		in[i] = Element{Key: uint64(i), Flags: FlagOccupied}
+	addrs = append(addrs, addrs[0]) // the first run's first block again, alone
+	shortRuns++
+	want := longRuns
+	if s.mem == nil {
+		want += shortRuns
 	}
+	in := mkElems(len(addrs)*b, 3)
 	if err := s.WriteBlocks(bg, addrs, in); err != nil {
 		t.Fatal(err)
 	}
-	if s.calls != runs {
-		t.Fatalf("write of %d blocks in %d runs issued %d calls", len(addrs), runs, s.calls)
+	if s.calls != want {
+		t.Fatalf("write of %d long and %d short runs issued %d calls, want %d", longRuns, shortRuns, s.calls, want)
 	}
 	out := make([]Element, len(in))
 	if err := s.ReadBlocks(bg, addrs, out); err != nil {
 		t.Fatal(err)
 	}
-	if s.calls != 2*runs {
-		t.Fatalf("read of %d blocks in %d runs issued %d calls", len(addrs), runs, s.calls-runs)
+	if s.calls != 2*want {
+		t.Fatalf("read of %d long and %d short runs issued %d calls, want %d", longRuns, shortRuns, s.calls-want, want)
 	}
-	if !slices.Equal(in, out) {
+	last := in[len(in)-b:]
+	if !slices.Equal(out[:b], last) {
+		t.Fatalf("block %d holds %+v, want the later write %+v", addrs[0], out[0], last[0])
+	}
+	if !slices.Equal(in[b:], out[b:]) {
 		t.Fatal("batch did not round-trip")
 	}
-	one := make([]Element, b)
-	if err := s.ReadBlocks(bg, []int{addrs[per]}, one); err != nil || one[0] != in[per*b] {
-		t.Fatalf("block %d holds %+v (err %v), want %+v", addrs[per], one[0], err, in[per*b])
+}
+
+// TestFileStoreFileImage pins the on-disk format against both arms and
+// growth: after writes through the mapping and through WriteAt, before and
+// after a GrowTo, the file holds exactly the slot-by-slot EncodeElements
+// image of what was written, zero bytes where nothing was.
+func TestFileStoreFileImage(t *testing.T) {
+	const b = 10
+	slot := b * ElementBytes
+	long := CeilDiv(pageSize, slot)
+	path := filepath.Join(t.TempDir(), "blocks.dat")
+	s, err := NewFileStore(path, 4*long, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var model []Element
+	tag := uint64(0)
+	write := func(addrs ...int) {
+		t.Helper()
+		tag++
+		src := mkElems(len(addrs)*b, tag)
+		if err := s.WriteBlocks(bg, addrs, src); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range addrs {
+			copy(model[a*b:(a+1)*b], src[i*b:(i+1)*b])
+		}
+	}
+	seq := func(lo, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = lo + i
+		}
+		return out
+	}
+	check := func() {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, len(model)*ElementBytes)
+		for a := range s.NumBlocks() {
+			EncodeElements(want[a*slot:(a+1)*slot], model[a*b:(a+1)*b])
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("file of %d bytes is not the %d-byte slot image", len(got), len(want))
+		}
+	}
+	model = make([]Element, s.NumBlocks()*b)
+	write(seq(long, long)...) // one WriteAt
+	write(0, 2, 4, 3*long)    // copies into the mapping
+	check()
+	if err := s.GrowTo(9 * long); err != nil {
+		t.Fatal(err)
+	}
+	model = append(model, make([]Element, 5*long*b)...)
+	check()
+	write(seq(6*long, long+1)...)       // one WriteAt into the grown range
+	write(4*long, 4*long+2, 9*long-1)   // copies into the grown range
+	write(append(seq(3*long, 3), 1)...) // a run across the old end, and an old slot
+	check()
+}
+
+// TestFileStoreFaultIsError truncates a mapped store's file from outside:
+// a one-block run, served through the mapping, then faults, and the call
+// returns an error instead of killing the process.
+func TestFileStoreFaultIsError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blocks.dat")
+	s, err := NewFileStore(path, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.mem == nil {
+		t.Skip("the file is not mapped on this system")
+	}
+	blk := mkElems(4, 1)
+	if err := s.WriteBlocks(bg, []int{40}, blk); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadBlocks(bg, []int{40}, blk); err == nil {
+		t.Fatal("read of a truncated mapping returned no error")
+	}
+	if err := s.WriteBlocks(bg, []int{40}, blk); err == nil {
+		t.Fatal("write into a truncated mapping returned no error")
 	}
 }
 

@@ -4,18 +4,33 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime/debug"
 )
+
+// pageSize is the length below which a run of consecutive slots is copied
+// through the mapping rather than moved with one system call.
+var pageSize = os.Getpagesize()
 
 // FileStore is a BlockStore backed by a real file, exercising the library on
 // an actual secondary-storage device. Each block occupies a fixed slot of
 // BlockSize()*ElementBytes bytes. The store holds whatever bytes it is
 // handed: encryption is not its concern — wrap it in a CryptStore to make
 // the file hold ciphertext only.
+//
+// A batch is split, in the order given, into maximal runs of consecutive
+// addresses. On Linux the file is also mapped MAP_SHARED, and a run shorter
+// than one page is an EncodeElements/DecodeElements copy into or out of the
+// mapping; a longer run, and every run where the file is not mapped, is one
+// ReadAt or WriteAt over its whole byte range. A gather pass's scattered
+// blocks then cost copies, not a system call each, while long runs skip the
+// page faults a fresh mapping takes one page at a time. Either way the file
+// holds the same slot-by-slot bytes.
 type FileStore struct {
 	f     *os.File
 	b     int
 	n     int
 	slot  int
+	mem   []byte // the file mapped MAP_SHARED; nil where it is not mapped
 	vwire []byte // scratch for transfers, grown on demand
 	calls int    // ReadAt/WriteAt calls issued, for the run-splitting test
 }
@@ -30,56 +45,89 @@ func NewFileStore(path string, n, b int) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot := b * ElementBytes
-	s := &FileStore{f: f, b: b, n: n, slot: slot}
-	// Truncate pre-sizes the file; the holes read back as zero bytes, which
-	// decode to zeroed elements.
-	if err := f.Truncate(int64(n) * int64(slot)); err != nil {
+	s := &FileStore{f: f, b: b, slot: b * ElementBytes}
+	if err := s.GrowTo(n); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// ReadBlocks implements BlockStore. The address list is split, in the order
-// given, into maximal runs of consecutive addresses, and each run is served
-// with one ReadAt covering its whole byte range — a gather batch of a few
-// long runs costs a few system calls, not one per block. Local I/O does not
-// block on a peer, so ctx is not consulted.
-func (s *FileStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
+// ReadBlocks implements BlockStore. Local I/O does not block on a peer, so
+// ctx is not consulted.
+func (s *FileStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) (err error) {
 	if err := s.check(addrs, len(dst)); err != nil {
 		return err
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer faultError(&err)
 	for i := 0; i < len(addrs); {
 		n := runLen(addrs[i:])
-		wire := s.vecWire(n)
-		s.calls++
-		if _, err := s.f.ReadAt(wire, int64(addrs[i])*int64(s.slot)); err != nil {
-			return err
+		off := int64(addrs[i]) * int64(s.slot)
+		d := dst[i*s.b : (i+n)*s.b]
+		if m := s.mapped(off, n); m != nil {
+			DecodeElements(d, m)
+		} else {
+			wire := s.vecWire(n)
+			s.calls++
+			if _, err := s.f.ReadAt(wire, off); err != nil {
+				return err
+			}
+			DecodeElements(d, wire)
 		}
-		DecodeElements(dst[i*s.b:(i+n)*s.b], wire)
 		i += n
 	}
 	return nil
 }
 
-// WriteBlocks implements BlockStore; each maximal consecutive run goes to
-// disk with one WriteAt.
-func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
+// WriteBlocks implements BlockStore.
+func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) (err error) {
 	if err := s.check(addrs, len(src)); err != nil {
 		return err
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer faultError(&err)
 	for i := 0; i < len(addrs); {
 		n := runLen(addrs[i:])
-		wire := s.vecWire(n)
-		EncodeElements(wire, src[i*s.b:(i+n)*s.b])
-		s.calls++
-		if _, err := s.f.WriteAt(wire, int64(addrs[i])*int64(s.slot)); err != nil {
-			return err
+		off := int64(addrs[i]) * int64(s.slot)
+		e := src[i*s.b : (i+n)*s.b]
+		if m := s.mapped(off, n); m != nil {
+			EncodeElements(m, e)
+		} else {
+			wire := s.vecWire(n)
+			EncodeElements(wire, e)
+			s.calls++
+			if _, err := s.f.WriteAt(wire, off); err != nil {
+				return err
+			}
 		}
 		i += n
 	}
 	return nil
+}
+
+// mapped returns the mapping's bytes for the n slots at byte offset off when
+// the file is mapped and they are shorter than a page, and nil otherwise.
+func (s *FileStore) mapped(off int64, n int) []byte {
+	if s.mem == nil || n*s.slot >= pageSize {
+		return nil
+	}
+	return s.mem[off : off+int64(n*s.slot)]
+}
+
+// faultError, deferred under debug.SetPanicOnFault(true), turns a fault on
+// the mapping — an I/O error, or the file truncated under the store — into
+// an error from the call instead of a crash. Any other panic goes on.
+func faultError(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if f, ok := r.(interface{ Addr() uintptr }); ok {
+		*err = fmt.Errorf("extmem: FileStore: fault at %#x in the file's mapping (an I/O error, or the file shortened under the store)", f.Addr())
+		return
+	}
+	panic(r)
 }
 
 // vecWire returns a scratch wire buffer for n slots, growing it on demand
@@ -92,16 +140,26 @@ func (s *FileStore) vecWire(n int) []byte {
 	return s.vwire[:n*s.slot]
 }
 
-// GrowTo implements Growable: the file is extended; the fresh slots read
-// back as zero bytes (zeroed elements).
+// GrowTo implements Growable: the file is extended, the new range reserved
+// on the device and the file mapped again at its new length (see mapFile).
+// The fresh slots read back as zero bytes (zeroed elements).
 func (s *FileStore) GrowTo(n int) error {
 	if n <= s.n {
 		return nil
 	}
-	if err := s.f.Truncate(int64(n) * int64(s.slot)); err != nil {
+	old, size := int64(s.n)*int64(s.slot), int64(n)*int64(s.slot)
+	if err := s.f.Truncate(size); err != nil {
 		return err
 	}
-	s.n = n
+	mem, err := mapFile(s.f, old, size)
+	if err != nil {
+		return err
+	}
+	if err := unmapFile(s.mem); err != nil {
+		unmapFile(mem)
+		return err
+	}
+	s.mem, s.n = mem, n
 	return nil
 }
 
@@ -112,7 +170,14 @@ func (s *FileStore) NumBlocks() int { return s.n }
 func (s *FileStore) BlockSize() int { return s.b }
 
 // Close implements BlockStore.
-func (s *FileStore) Close() error { return s.f.Close() }
+func (s *FileStore) Close() error {
+	err := unmapFile(s.mem)
+	s.mem = nil
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 func (s *FileStore) check(addrs []int, l int) error {
 	if l != len(addrs)*s.b {
