@@ -2,10 +2,12 @@ package obsort
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/trace"
 	"oblivext/internal/workload"
 )
 
@@ -160,6 +162,136 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	for _, eng := range engines {
 		if ran[eng.name] == 0 {
 			t.Errorf("%s sorted no case", eng.name)
+		}
+	}
+}
+
+// byKeyGeneric is ByKey through a distinct closure. The engines select their
+// inline kernels by ByKey's identity, so this order runs the generic ones:
+// the reference that TestByKeyArmMatchesGeneric holds the ByKey arm to.
+var byKeyGeneric Less = func(a, b extmem.Element) bool { return a.Less(b) }
+
+// armEntry is one deterministic entry point, uniformly typed: into sorts a
+// source into a second array, visit hands the sorted cells to a visitor.
+type armEntry struct {
+	name        string
+	sort        func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element))
+	into, visit bool
+}
+
+var armEntries = []armEntry{
+	{"Bitonic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
+		Bitonic(env, dst, less)
+	}, false, false},
+	{"Columnsort", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
+		Columnsort(env, dst, less)
+	}, false, false},
+	{"Deterministic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
+		Deterministic(env, dst, less)
+	}, false, false},
+	{"DeterministicInto", DeterministicInto, true, false},
+	{"DeterministicInto/visit", DeterministicInto, true, true},
+}
+
+// armFill lays n·b cells, cell i with Pos i, so that occupied cells are
+// totally ordered by ByKey even where keys repeat: "dup" occupies every cell
+// with keys from {0..3}; "half" occupies the first half of the cells, which
+// leaves half-empty and all-empty windows behind it; "scatter" occupies
+// about half of the cells, anywhere; "empty" none. Empty cells carry junk
+// keys and values: their content is not part of the sorted result.
+func armFill(kind string, n, b int, r *rand.Rand) []extmem.Element {
+	cells := make([]extmem.Element, n*b)
+	for i := range cells {
+		e := extmem.Element{Key: r.Uint64N(4), Val: r.Uint64(), Pos: uint64(i)}
+		switch kind {
+		case "dup":
+			e.Flags = extmem.FlagOccupied
+		case "half":
+			if i < len(cells)/2 {
+				e.Flags = extmem.FlagOccupied
+			}
+		case "scatter":
+			if r.IntN(2) == 0 {
+				e.Flags = extmem.FlagOccupied
+			}
+		}
+		cells[i] = e
+	}
+	return cells
+}
+
+// armRun sorts the cells with one entry point under less, on a strict cache
+// of m with held elements checked out, and returns the trace and the sorted
+// cells (the visited ones where the entry visits).
+func armRun(t *testing.T, e armEntry, n, b, m, held int, cells []extmem.Element, less Less) (trace.Summary, []extmem.Element) {
+	t.Helper()
+	env := extmem.NewEnv(3*n, b, m, 3)
+	env.Cache = extmem.NewCache(m, true)
+	env.Cache.Acquire(held)
+	src := env.D.Alloc(n)
+	for blk := 0; blk < n; blk++ {
+		src.Write(blk, cells[blk*b:(blk+1)*b])
+	}
+	dst := src
+	if e.into {
+		dst = env.D.Alloc(n)
+	}
+	rec := trace.NewRecorder(0)
+	env.D.SetRecorder(rec)
+	var seen []extmem.Element
+	var visit func(int, []extmem.Element)
+	if e.visit {
+		visit = func(_ int, chunk []extmem.Element) { seen = append(seen, chunk...) }
+	}
+	e.sort(env, src, dst, less, visit)
+	if used := env.Cache.Used(); used != held {
+		t.Fatalf("%s: %d elements checked out after the sort, %d held", e.name, used, held)
+	}
+	if !e.visit {
+		seen = readAll(dst)
+	}
+	return rec.Summarize(), seen
+}
+
+// TestByKeyArmMatchesGeneric runs each deterministic entry point on one
+// input under ByKey and under byKeyGeneric and requires the same trace and
+// the same occupied cells, element for element. The geometries give bitonic
+// two or more windows (odd ones sort descending), block counts that are not
+// powers of two (padded), a held cache, and columnsort both inside
+// Deterministic and called directly where ColumnGeometry admits the array.
+func TestByKeyArmMatchesGeneric(t *testing.T) {
+	geoms := []struct{ n, b, m, held int }{
+		{100, 8, 512, 0},
+		{100, 8, 512, 128},
+		{256, 4, 256, 0},
+		{1000, 8, 4096, 1024},
+		{2048, 8, 4096, 0},
+		{8192, 8, 4096, 0},
+	}
+	r := rand.New(rand.NewPCG(50, 1))
+	for _, g := range geoms {
+		_, _, colErr := ColumnGeometry(g.n, g.b, g.m-g.held)
+		for _, kind := range []string{"dup", "half", "scatter", "empty"} {
+			cells := armFill(kind, g.n, g.b, r)
+			for _, e := range armEntries {
+				if e.name == "Columnsort" && colErr != nil {
+					continue
+				}
+				name := fmt.Sprintf("n=%d,B=%d,M=%d,held=%d/%s/%s", g.n, g.b, g.m, g.held, kind, e.name)
+				wantTr, want := armRun(t, e, g.n, g.b, g.m, g.held, cells, byKeyGeneric)
+				gotTr, got := armRun(t, e, g.n, g.b, g.m, g.held, cells, ByKey)
+				if !gotTr.Equal(wantTr) {
+					t.Errorf("%s: trace %v under ByKey, %v under the generic arm", name, gotTr, wantTr)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d cells under ByKey, %d under the generic arm", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Occupied() != want[i].Occupied() || (want[i].Occupied() && got[i] != want[i]) {
+						t.Fatalf("%s: cell %d = %+v under ByKey, %+v under the generic arm", name, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }
