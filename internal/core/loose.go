@@ -255,11 +255,11 @@ func (p *prober) probe(cells []extmem.Element, dst extmem.Array) {
 }
 
 // sortInto sorts work occupied-first with obsort.Deterministic (the order
-// among the occupied is irrelevant here; Element.Less keeps the sort total)
-// and copies as much of it as fits into dst, zero-filling what is left of
-// dst.
+// among the occupied is irrelevant here; obsort.ByKey keeps the sort total
+// and takes the engines' inline kernels) and copies as much of it as fits
+// into dst, zero-filling what is left of dst.
 func sortInto(env *extmem.Env, work, dst extmem.Array) {
-	obsort.Deterministic(env, work, extmem.Element.Less)
+	obsort.Deterministic(env, work, obsort.ByKey)
 	cp := min(work.Len(), dst.Len())
 	copyArray(env, work.Slice(0, cp), dst.Slice(0, cp))
 	zeroArray(env, dst.Slice(cp, dst.Len()))

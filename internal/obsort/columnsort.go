@@ -3,7 +3,6 @@ package obsort
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
@@ -131,12 +130,12 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo i
 	rb, sb, per := r/b, r/(s*b), r/s // blocks per column, per slot; elements per slot
 	buf := env.Cache.Buf(2 * r)
 	col, aux := buf[:r], buf[r:]
-	cmp := func(x, y extmem.Element) int { return compare(less, x, y) }
+	ord := orderOf(less)
 
 	spa := env.Obs.Start("sort-deal")
 	for j := 0; j < s; j++ {
 		src.ReadRange(j*rb, (j+1)*rb, col)
-		slices.SortFunc(col, cmp)
+		ord.sort(col, false)
 		for t, e := range col {
 			aux[t%s*per+t/s] = e
 		}
@@ -153,7 +152,7 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo i
 			}
 		}
 		a.ReadMany(idx, col)
-		mergeRuns(col, per, aux, less)
+		ord.mergeRuns(col, per, aux)
 		a.WriteMany(idx, col)
 	}
 	env.Obs.End(spb)
@@ -171,11 +170,11 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo i
 	}
 	for m := 0; m < s; m++ {
 		a.ReadRange(m*rb, (m+1)*rb, col)
-		mergeRuns(col, per, aux[:half], less)
+		ord.mergeRuns(col, per, aux[:half])
 		if m == 0 {
 			emit(0, hb, col[:half])
 		} else {
-			mergeBehind(aux, col[:half], less)
+			ord.mergeBehind(aux, col[:half])
 			emit(m*rb-hb, m*rb+hb, aux)
 		}
 		copy(aux[half:], col[half:])
@@ -188,31 +187,19 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo i
 // mergeRuns sorts buf, sorted runs of per elements each, by merging
 // neighbouring runs bottom up, each merge through scratch of the shorter
 // run's length: at most len(buf)/2.
-func mergeRuns(buf []extmem.Element, per int, scratch []extmem.Element, less Less) {
+func (o order) mergeRuns(buf []extmem.Element, per int, scratch []extmem.Element) {
 	for w := per; w < len(buf); w *= 2 {
 		for lo := 0; lo+w < len(buf); lo += 2 * w {
 			run := buf[lo:min(lo+2*w, len(buf))]
 			if w <= len(run)-w {
 				x := scratch[:w]
 				copy(x, run[:w])
-				mergeBehind(run, x, less)
-				continue
+				o.mergeBehind(run, x)
+			} else {
+				y := scratch[:len(run)-w]
+				copy(y, run[w:])
+				o.mergeAhead(run, y)
 			}
-			// The second run is the shorter: merge from the back, the
-			// larger of the two heads to slot i+j+1, never below run[i].
-			y := scratch[:len(run)-w]
-			copy(y, run[w:])
-			i, j := w-1, len(y)-1
-			for i >= 0 && j >= 0 {
-				if less(y[j], run[i]) {
-					run[i+j+1] = run[i]
-					i--
-				} else {
-					run[i+j+1] = y[j]
-					j--
-				}
-			}
-			copy(run, y[:j+1])
 		}
 	}
 }
@@ -234,4 +221,22 @@ func mergeBehind(dst, y []extmem.Element, less Less) {
 		}
 	}
 	copy(dst[i+j:], y[j:])
+}
+
+// mergeAhead merges the sorted y into dst, whose first len(dst)−len(y)
+// elements are the other sorted input, x, from the back: the larger of the
+// two tails goes to slot i+j+1, never below x[i], and once x runs out the
+// rest of y is copied to the front.
+func mergeAhead(dst, y []extmem.Element, less Less) {
+	i, j := len(dst)-len(y)-1, len(y)-1
+	for i >= 0 && j >= 0 {
+		if less(y[j], dst[i]) {
+			dst[i+j+1] = dst[i]
+			i--
+		} else {
+			dst[i+j+1] = y[j]
+			j--
+		}
+	}
+	copy(dst, y[:j+1])
 }

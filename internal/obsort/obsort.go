@@ -18,6 +18,12 @@
 // Sorting here always has padded semantics: occupied elements ascend by
 // (Key, Pos) — or a caller-supplied order — and unoccupied cells sink to
 // the end, implementing the paper's "+infinity" empty cells.
+//
+// Under ByKey, Bitonic's and Columnsort's in-cache kernels (the window and
+// column sorts, the compare-exchange levels, the merges) compare inline
+// with extmem.Element.Less (order.go); any other order is sorted correctly,
+// with the same trace, but through a function call per comparison, at two
+// to three times the kernels' time (BenchmarkInCacheKernels).
 package obsort
 
 import (
@@ -31,10 +37,13 @@ import (
 
 // Less orders elements. Implementations must be strict weak orderings and
 // should sort unoccupied elements after occupied ones when used with padded
-// arrays.
+// arrays. ByKey itself takes the deterministic engines' inline kernels;
+// every other Less, a closure or method value that compares as ByKey does
+// included, takes the generic ones, which call it per comparison.
 type Less func(a, b extmem.Element) bool
 
-// ByKey is the default order: occupied before empty, then (Key, Pos).
+// ByKey is the default order: occupied before empty, then (Key, Pos). Pass
+// ByKey itself, not extmem.Element.Less, to take the inline kernels.
 func ByKey(a, b extmem.Element) bool { return a.Less(b) }
 
 // ByPos orders occupied elements by their Pos field (original position),
@@ -140,6 +149,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
 	sc := newSchedule(n, b, free)
 	wb := 1 << (sc.lc - sc.lb) // blocks per window, and per batch
 	win := env.Cache.Buf(wb * b)
+	ord := orderOf(less)
 	work := a
 	if sc.np != n && sc.np > wb {
 		work = env.D.Alloc(sc.np)
@@ -157,13 +167,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
 			src.ReadRange(lo, lo+k, win[:k*b])
 		}
 		clear(win[k*b:])
-		desc := lo/wb&1 == 1
-		slices.SortFunc(win, func(x, y extmem.Element) int {
-			if desc {
-				x, y = y, x
-			}
-			return compare(less, x, y)
-		})
+		ord.sort(win, lo/wb&1 == 1)
 		if sc.np > wb {
 			work.WriteRange(lo, lo+wb, win)
 		} else {
@@ -180,7 +184,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
 		if sc.stage > sc.top {
 			dst = a // the last pass writes the caller's array its n blocks
 		}
-		sc.run(p, work, dst, win, idx, less)
+		sc.run(p, work, dst, win, idx, ord)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -259,7 +263,7 @@ func (p gatherPass) local(j, lb int) int {
 // write to dst those of them it holds. A level of stage s ascends where
 // bit s of the element index is clear; that bit is a window bit, a
 // constant of the batch, or — in the last stage — clear everywhere.
-func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, less Less) {
+func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, ord order) {
 	gb := int(p.gather >> s.lb)
 	rest := (s.np - 1) &^ gb
 	for base := 0; ; {
@@ -278,7 +282,7 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 					desc = base>>(stage-s.lb)&1 == 1
 				}
 			}
-			exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc, less)
+			ord.exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc)
 			stage, bit = nextLevel(stage, bit)
 		}
 		if k, _ := slices.BinarySearch(idx, dst.Len()); k > 0 {
