@@ -266,7 +266,7 @@ func bucketMergeSplit(env *extmem.Env, w extmem.Array, g bucketGeom, i, j int, s
 	obuf := env.Cache.Buf(2 * z)
 	defer env.Cache.Free(obuf)
 	defer env.Cache.Free(rbuf)
-	idx := make([]int, 2*g.zb)
+	idx := env.D.IndexScratch(2 * g.zb)
 	for t := 0; t < g.zb; t++ {
 		idx[t] = i*g.zb + t
 		idx[g.zb+t] = j*g.zb + t
@@ -353,9 +353,12 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	// Splitters: sort a tape-chosen block sample privately (padding last)
 	// and take the k2−1 even quantiles of its cargo prefix. The bin phase
 	// shuffled the cells, so the sample is an unbiased view of the region.
+	// The splitters are checked out first, so that the sample, freed
+	// first, leaves the cache slab no hole.
+	spl := env.Cache.Buf(k2 - 1)
 	sb := g.sampleBlocks(f)
 	sbuf := env.Cache.Buf(sb * b)
-	sidx := make([]int, sb)
+	sidx := env.D.IndexScratch(sb)
 	for t := range sidx {
 		sidx[t] = lo*g.zb + env.Tape.IntN(f*g.zb)
 	}
@@ -372,7 +375,6 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 			nCargo++
 		}
 	}
-	spl := env.Cache.Buf(k2 - 1)
 	nSpl := 0
 	if nCargo > 0 {
 		for c := 1; c < k2; c++ {

@@ -7,6 +7,7 @@ import (
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
+	"oblivext/internal/rng"
 	"oblivext/internal/trace"
 )
 
@@ -426,5 +427,37 @@ func TestEngineNameValidation(t *testing.T) {
 	}
 	if ValidEngine("quicksort") {
 		t.Error("invalid name accepted")
+	}
+}
+
+// TestBucketSortAllocs pins a warm BucketSort's garbage at the benchmark
+// geometry (8 192 blocks, B = 8, M = 4 096) at 3 objects a call: the seed
+// pass's SeqWriter and the final compaction's routing lists. The
+// merge-splits' and the splitter samples' index lists are Disk scratch, as
+// Zigzag's, Bitonic's and Columnsort's are, and the splitters are checked
+// out below the sample, so freeing the sample leaves the cache slab no hole
+// for the tag scan's buffers to fall through to the heap (1 861 objects a
+// call with neither). Every call sorts the same input on a fresh tape of
+// one seed, so each one takes the same, successful path.
+func TestBucketSortAllocs(t *testing.T) {
+	const runs = 3
+	g := benchGeometry
+	env, a := bucketEnv(g.n, g.b, g.m, 9)
+	fillArray(env, a, genKeys(rand.New(rand.NewPCG(5, 8)), g.n*g.b, "rand"))
+	cells := readAll(a)
+	tapes := make([]*rng.Tape, runs+2) // the warm call, AllocsPerRun's own, and the runs
+	for i := range tapes {
+		tapes[i] = rng.NewTape(1, 1)
+	}
+	call := func() {
+		env.Tape, tapes = tapes[0], tapes[1:]
+		a.WriteRange(0, g.n, cells)
+		if err := BucketSort(env, a, ByKey); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // warm the cache slab and the disk's scratch
+	if got := testing.AllocsPerRun(runs, call); got != 3 {
+		t.Errorf("BucketSort of %d blocks: %v allocations per call, want 3", g.n, got)
 	}
 }
