@@ -436,9 +436,9 @@ func TestEngineNameValidation(t *testing.T) {
 // merge-splits' and the splitter samples' index lists are Disk scratch, as
 // Zigzag's, Bitonic's and Columnsort's are, and the splitters are checked
 // out below the sample, so freeing the sample leaves the cache slab no hole
-// for the tag scan's buffers to fall through to the heap (1 861 objects a
-// call with neither). Every call sorts the same input on a fresh tape of
-// one seed, so each one takes the same, successful path.
+// for the tag scan's buffers to fall through to the heap. Every call sorts
+// the same input on a fresh tape of one seed, so each one takes the same,
+// successful path.
 func TestBucketSortAllocs(t *testing.T) {
 	const runs = 3
 	g := benchGeometry
