@@ -3,6 +3,7 @@ package oblivext
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,6 +51,8 @@ func fuzzKey(seed uint64) []byte {
 	return key
 }
 
+// FuzzCompactTight drives both public compactions, CompactTight and
+// CompactLoose, on each of its two legs.
 func FuzzCompactTight(f *testing.F) {
 	f.Add(uint16(100), uint64(3), uint8(10), uint8(3))
 	f.Add(uint16(1), uint64(1), uint8(1), uint8(0))
@@ -65,77 +68,96 @@ func FuzzCompactTight(f *testing.F) {
 		pred := func(r Record) bool { return r.Key%mod == rem }
 		capacity := int64(n) // public: chosen from workload knowledge, not data
 
-		run := func(recs []Record, key []byte) (TraceSummary, []Record, error) {
-			c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 123, EncryptionKey: key})
-			if err != nil {
-				t.Fatal(err)
+		for _, loose := range []bool{false, true} {
+			run := func(recs []Record, key []byte) (TraceSummary, []Record, error) {
+				c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 123, EncryptionKey: key})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				arr, err := c.Store(recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.EnableTrace(0)
+				if _, err := arr.Mark(pred); err != nil {
+					t.Fatal(err)
+				}
+				compact := arr.CompactTight
+				if loose {
+					compact = arr.CompactLoose
+				}
+				out, err := compact(capacity)
+				if used := c.env.Cache.Used(); used != 0 {
+					t.Fatalf("loose=%v: %d cache elements still checked out", loose, used)
+				}
+				if err != nil {
+					return c.TraceSummary(), nil, err
+				}
+				if rCap := int(capacity+7)/8 + 1; loose && out.Blocks() != 5*rCap {
+					t.Fatalf("n=%d: loose output of %d blocks, want 5·%d", n, out.Blocks(), rCap)
+				}
+				got, err := out.Records()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c.TraceSummary(), got, nil
 			}
-			defer c.Close()
-			arr, err := c.Store(recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.EnableTrace(0)
-			if _, err := arr.Mark(pred); err != nil {
-				t.Fatal(err)
-			}
-			out, err := arr.CompactTight(capacity)
-			if err != nil {
-				return c.TraceSummary(), nil, err
-			}
-			got, err := out.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c.TraceSummary(), got, nil
-		}
 
-		recs := fuzzRecords(n, seed)
-		traceA, got, errA := run(recs, nil)
+			recs := fuzzRecords(n, seed)
+			traceA, got, errA := run(recs, nil)
 
-		if errA == nil {
-			var want []Record
-			for _, r := range recs {
-				if pred(r) {
-					want = append(want, r)
+			if errA == nil {
+				var want []Record
+				for _, r := range recs {
+					if pred(r) {
+						want = append(want, r)
+					}
+				}
+				if loose { // a loose compaction promises the multiset alone
+					slices.SortFunc(got, byKeyVal)
+					slices.SortFunc(want, byKeyVal)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("n=%d mod=%d rem=%d loose=%v: compacted %d records, want %d", n, mod, rem, loose, len(got), len(want))
+				}
+				for i := range want { // exact, and order-preserving when tight
+					if got[i] != want[i] {
+						t.Fatalf("loose=%v position %d: %+v, want %+v", loose, i, got[i], want[i])
+					}
+				}
+			} else if !errors.Is(errA, core.ErrCompactionFailed) {
+				t.Fatalf("loose=%v: unexpected error: %v", loose, errA)
+			}
+
+			// Degenerate same-size input: constant keys, so the marked count is
+			// all-or-nothing — about as different from recs as it gets. This
+			// leg runs with client-side encryption on, so trace equality also
+			// pins that sealing is invisible to the adversary's view.
+			constant := make([]Record, n)
+			for i := range constant {
+				constant[i] = Record{Key: 5, Val: uint64(i)}
+			}
+			traceB, _, errB := run(constant, fuzzKey(seed))
+			if errA == nil && errB == nil && traceA != traceB {
+				t.Fatalf("n=%d loose=%v: compaction trace depends on data or encryption: %+v vs %+v", n, loose, traceA, traceB)
+			}
+			if loose && (errA != nil || errB != nil) {
+				t.Fatalf("n=%d: loose compaction within capacity failed: %v, %v", n, errA, errB)
+			}
+			if errA != nil || errB != nil {
+				// A declared failure aborts early: its trace must be no longer
+				// than the completed run's.
+				if errA != nil && errB == nil && traceA.Len > traceB.Len {
+					t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceA, traceB)
+				}
+				if errB != nil && errA == nil && traceB.Len > traceA.Len {
+					t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceB, traceA)
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d mod=%d rem=%d: compacted %d records, want %d", n, mod, rem, len(got), len(want))
+			if traceA.Len == 0 {
+				t.Fatal("empty trace recorded")
 			}
-			for i := range want { // order-preserving and exact
-				if got[i] != want[i] {
-					t.Fatalf("position %d: %+v, want %+v", i, got[i], want[i])
-				}
-			}
-		} else if !errors.Is(errA, core.ErrCompactionFailed) {
-			t.Fatalf("unexpected error: %v", errA)
-		}
-
-		// Degenerate same-size input: constant keys, so the marked count is
-		// all-or-nothing — about as different from recs as it gets. This leg
-		// runs with client-side encryption on, so trace equality also pins
-		// that sealing is invisible to the adversary's view.
-		constant := make([]Record, n)
-		for i := range constant {
-			constant[i] = Record{Key: 5, Val: uint64(i)}
-		}
-		traceB, _, errB := run(constant, fuzzKey(seed))
-		if errA == nil && errB == nil && traceA != traceB {
-			t.Fatalf("n=%d: compaction trace depends on data or encryption: %+v vs %+v", n, traceA, traceB)
-		}
-		if errA != nil || errB != nil {
-			// A declared failure aborts early: its trace must be no longer
-			// than the completed run's.
-			if errA != nil && errB == nil && traceA.Len > traceB.Len {
-				t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceA, traceB)
-			}
-			if errB != nil && errA == nil && traceB.Len > traceA.Len {
-				t.Fatalf("failed run traced more than a completed one: %+v vs %+v", traceB, traceA)
-			}
-		}
-		if traceA.Len == 0 {
-			t.Fatal("empty trace recorded")
 		}
 	})
 }

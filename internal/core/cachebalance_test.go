@@ -86,6 +86,22 @@ func TestErrorPathsRestoreCacheCheckout(t *testing.T) {
 		})
 	}
 
+	// The public loose compaction: more marked cells than the capacity.
+	{
+		env := newTestEnv(6*blocks, b, m, 16)
+		a := env.D.Alloc(blocks)
+		elems := make([]extmem.Element, blocks*b)
+		for i := range elems {
+			elems[i] = extmem.Element{Key: uint64(i + 1), Pos: uint64(i),
+				Flags: extmem.FlagOccupied | extmem.FlagMarked}
+		}
+		writeElems(a, elems)
+		assertCacheBalanced(t, env, "CompactMarkedLoose(cap too small)", ErrCompactionFailed, func() error {
+			_, _, err := CompactMarkedLoose(env, a, 2)
+			return err
+		})
+	}
+
 	// Loose compaction: occupied cells exceeding the declared capacity.
 	{
 		env := newTestEnv(blocks, b, m, 15)

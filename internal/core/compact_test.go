@@ -1,32 +1,23 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
-	"oblivext/internal/route"
 )
 
-// butterflyLooseCost prices loose compaction by Lemma 3's consolidation
-// feeding Theorem 6's butterfly into the leading n blocks of the 5R-block
-// output, and a write-only scan zero-filling the blocks past n.
-func butterflyLooseCost(n, rCap, b, m int) obs.Cost {
-	fill := max(5*rCap-n, 0)
-	return route.ConsolidateCompactCost(n, b, m).Add(obs.Cost{IOs: int64(fill), RoundTrips: extmem.ScanRoundTrips(fill, b, m, 1)})
-}
-
 // TestLooseButterflyDominates is the record of why the public loose
-// compaction routes through the butterfly instead of running Theorem 8: at
-// every row — B ∈ {4, 8, 64}, M/B ∈ {16, 64, 512, 1 024}, n from 2^8 to
-// 2^20 blocks, powers of two and not, R/n ∈ {1/10, 1/5, 1/3} — the
-// butterfly and the fill cost no more block I/Os and no more round trips
-// than LooseCost. A row Theorem 8 wins needs a price rule, not a fixed arm.
+// compaction routes through the butterfly (CompactMarkedLoose) instead of
+// running Theorem 8 (CompactBlocksLoose): at every row — B ∈ {4, 8, 64},
+// M/B ∈ {16, 64, 512, 1 024}, n from 2^8 to 2^20 blocks, powers of two and
+// not, R/n ∈ {1/10, 1/5, 1/3} — the butterfly and the fill,
+// CompactLooseCost, cost no more block I/Os and no more round trips than
+// LooseCost. A row Theorem 8 wins needs a price rule, not a fixed arm.
 func TestLooseButterflyDominates(t *testing.T) {
 	// scan_enc_file's CompactLoose(n/3): 2^16 records, B = 8, M = 4 096.
 	rCap := extmem.CeilDiv(8192*8/3, 8) + 1
-	if t8, bf := LooseCost(8192, rCap, 8, 4096), butterflyLooseCost(8192, rCap, 8, 4096); t8 != (obs.Cost{IOs: 69980, RoundTrips: 404}) || bf != (obs.Cost{IOs: 38236, RoundTrips: 144}) {
+	if t8, bf := LooseCost(8192, rCap, 8, 4096), CompactLooseCost(8192, rCap, 8, 4096); t8 != (obs.Cost{IOs: 69980, RoundTrips: 404}) || bf != (obs.Cost{IOs: 38236, RoundTrips: 144}) {
 		t.Errorf("at the benchmark geometry Theorem 8 costs %+v and the butterfly with its fill %+v, want 69 980 I/Os in 404 round trips and 38 236 in 144", t8, bf)
 	}
 	var sizes []int
@@ -41,9 +32,9 @@ func TestLooseButterflyDominates(t *testing.T) {
 			for _, n := range sizes {
 				for _, den := range []int{10, 5, 3} {
 					rCap := max(n/den, 1)
-					t8, bf := LooseCost(n, rCap, b, mb*b), butterflyLooseCost(n, rCap, b, mb*b)
+					t8, bf := LooseCost(n, rCap, b, mb*b), CompactLooseCost(n, rCap, b, mb*b)
 					if bf.IOs > t8.IOs || bf.RoundTrips > t8.RoundTrips {
-						t.Errorf("%s: butterfly and fill %+v, Theorem 8 %+v", fmt.Sprintf("n=%d B=%d M/B=%d R=n/%d", n, b, mb, den), bf, t8)
+						t.Errorf("n=%d B=%d M/B=%d R=n/%d: butterfly and fill %+v, Theorem 8 %+v", n, b, mb, den, bf, t8)
 					}
 				}
 			}

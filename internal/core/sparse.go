@@ -58,39 +58,6 @@ func peelFitsCache(env *extmem.Env, m, rCap int) bool {
 	return m*cellWords(b)+rCap*(cellWords(b)-1)+2*b <= env.M
 }
 
-// CompactMarkedTight consolidates the marked elements of a (Lemma 3) and
-// tightly compacts the resulting full blocks into a fresh array of exactly
-// rCap blocks, preserving element order. It chooses Theorem 4's IBLT path
-// when the table fits in cache — the regime where Theorem 13's strictly
-// linear I/O bound is realized — and otherwise falls back to Theorem 6's
-// butterfly network, paying a log_{M/B}(n) factor but no ORAM overhead.
-func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
-	// Which path is a function of (rCap, B, M); the butterfly consolidates
-	// as it reads, the table needs the consolidated array.
-	peel := SparseTableFits(env, rCap)
-	consolidate := route.ConsolidateCompact
-	if peel {
-		consolidate = route.Consolidate
-	}
-	cons, marked := consolidate(env, a, extmem.Element.Marked)
-	need := extmem.CeilDiv(int(marked), env.B())
-	if marked > 0 && need > rCap {
-		return cons, marked, fmt.Errorf("%w: %d marked blocks exceed capacity %d", ErrCompactionFailed, need, rCap)
-	}
-	if peel {
-		out, _, err := CompactBlocksSparse(env, cons, rCap)
-		return out, marked, err
-	}
-	if cons.Len() < rCap {
-		// Pad: allocate the full capacity and copy the prefix; the scan
-		// zero-fills past the shorter source.
-		out := env.D.Alloc(rCap)
-		env.Scan(cons, out, env.ScanBatchN(1, rCap), nil)
-		return out, marked, nil
-	}
-	return cons.Slice(0, rCap), marked, nil
-}
-
 // CompactBlocksSparse compacts the occupied block-cells of a — at most rCap
 // of them — into a fresh array of exactly rCap blocks, occupied cells
 // first in their original element order (by the Pos field), empties after.

@@ -229,6 +229,30 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				return got, core.SortCost(g.n, g.b, g.free(), occupied*g.b)
 			}},
+		{"core.CompactMarkedLoose", func(g geometry) bool { return whole(g) && routes(g) },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
+				// Half the elements of an occupied block are marked; the
+				// capacity is the blocks they fill, and the 5R-block output
+				// runs past the n routed ones, which the fill zeroes.
+				rCap := extmem.CeilDiv(occupied, 2)
+				return compactLoose(t, env, a, rCap), core.CompactLooseCost(g.n, rCap, g.b, g.m)
+			}},
+		{"core.CompactMarkedLoose/no-fill", func(g geometry) bool { return whole(g) && routes(g) && g.n >= 5 },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				// Marks are left on every eighth block alone, so a capacity of
+				// n/5 holds them and the output is the first 5R ≤ n blocks of
+				// the routing, with nothing to fill.
+				buf := make([]extmem.Element, g.n*g.b)
+				a.ReadRange(0, g.n, buf)
+				for t := range buf {
+					if t/g.b%8 != 0 {
+						buf[t].Flags &^= extmem.FlagMarked
+					}
+				}
+				a.WriteRange(0, g.n, buf)
+				rCap := g.n / 5
+				return compactLoose(t, env, a, rCap), core.CompactLooseCost(g.n, rCap, g.b, g.m)
+			}},
 		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 			var repeats int64
 			var err error
@@ -249,7 +273,9 @@ func TestPredictorsExact(t *testing.T) {
 	// 520 blocks, and the sample of 2 393; for loose compaction, a cache too
 	// small for its rounds, where it consolidates and sorts the whole array
 	// with columnsort, and the benchmark's scan_enc_file, where the
-	// consolidation feeds the first of five rounds. Select and Quantiles
+	// consolidation feeds the first of five rounds; for the public loose
+	// compaction, scan_enc_file's geometry with the fill and without it.
+	// Select and Quantiles
 	// run at scan_enc_file's geometry too, where columnsort sorts the
 	// caller's array into scratch and its last pass feeds the rank scan;
 	// Select at 4 155 blocks, where it narrows once and sorts the
@@ -258,9 +284,11 @@ func TestPredictorsExact(t *testing.T) {
 	more := map[string][]geometry{
 		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
 			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
-		"core.CompactBlocksLoose": {{18, 4, 48, 0}, {8192, 8, 4096, 0}},
-		"core.Select":             {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
-		"core.Quantiles":          {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}},
+		"core.CompactBlocksLoose":         {{18, 4, 48, 0}, {8192, 8, 4096, 0}},
+		"core.CompactMarkedLoose":         {{8192, 8, 4096, 0}},
+		"core.CompactMarkedLoose/no-fill": {{8192, 8, 4096, 0}},
+		"core.Select":                     {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
+		"core.Quantiles":                  {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}},
 	}
 	defer func() {
 		if !quantilesArms[true] || !quantilesArms[false] {
@@ -301,6 +329,21 @@ func TestPredictorsExact(t *testing.T) {
 			t.Errorf("%s: no row of the grid supports it", c.name)
 		}
 	}
+}
+
+// compactLoose measures core.CompactMarkedLoose of a with capacity rCap and
+// checks that its output is 5·rCap blocks.
+func compactLoose(t *testing.T, env *extmem.Env, a extmem.Array, rCap int) obs.Cost {
+	var out extmem.Array
+	var err error
+	got := measure(env, func() { out, _, err = core.CompactMarkedLoose(env, a, rCap) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 5*rCap {
+		t.Fatalf("output of %d blocks, want 5·%d", out.Len(), rCap)
+	}
+	return got
 }
 
 // ranUnder reports whether a span named child ran below one named parent,

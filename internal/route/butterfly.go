@@ -105,13 +105,24 @@ func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi in
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
 // output, without the array between them: the kept elements of a, in order,
 // packed into the leading blocks of a fresh array of a.Len() blocks, and
-// their number. The butterfly's first pass takes its cells from Lemma 3's
-// holding buffer as that reads a, and writes them routed to the fresh
-// array; later passes run there in place. Kept elements must be occupied.
+// their number (ConsolidateCompactInto).
 func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool) (extmem.Array, int64) {
 	out := env.D.Alloc(a.Len())
+	return out, ConsolidateCompactInto(env, a, out, keep)
+}
+
+// ConsolidateCompactInto is ConsolidateCompact into out, a.Len() blocks the
+// caller holds — the leading blocks of a longer array, say — and returns
+// the number of kept elements. The butterfly's first pass takes its cells
+// from Lemma 3's holding buffer as that reads a, and writes them routed to
+// out; later passes run there in place. Every block of out is written, so
+// what it held before does not matter. Kept elements must be occupied.
+func ConsolidateCompactInto(env *extmem.Env, a, out extmem.Array, keep func(extmem.Element) bool) int64 {
+	if out.Len() != a.Len() {
+		panic(fmt.Sprintf("route: consolidating compaction of %d blocks into %d", a.Len(), out.Len()))
+	}
 	if a.Len() == 0 {
-		return out, 0
+		return 0
 	}
 	sp := env.Obs.Start("consolidate-compact")
 	defer env.Obs.End(sp)
@@ -121,7 +132,7 @@ func ConsolidateCompact(env *extmem.Env, a extmem.Array, keep func(extmem.Elemen
 	c := NewConsolidation(env, a, keep)
 	compact(env, sp, out, c.Cells, PredOccupied, 0)
 	c.Close(env)
-	return out, c.Kept()
+	return c.Kept()
 }
 
 // ConsolidateCompactFree is the least free cache, in elements, that
