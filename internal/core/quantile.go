@@ -12,12 +12,12 @@ import (
 
 // This file computes the q quantiles of an array (the paper's Theorem 17
 // problem) as the cheaper, by exact block I/Os, of two arms built from
-// primitives with exact predictors, both after one scan that counts N: sort
-// the array into scratch with Lemma 2's deterministic sort
-// (obsort.DeterministicInto) and read the ranks off its last pass, or run
-// Select (Theorem 13) once per rank. The choice is a function of
-// (n, B, M, q) alone, ties go to the sort. The Select arm is linear in n at
-// fixed M/B and q, so it keeps the theorem's O(N/B) once the sort's log²
+// primitives with exact predictors: sort the array into scratch with Lemma
+// 2's deterministic sort (obsort.DeterministicInto), counting N as its
+// first pass reads, and read the ranks off its last pass; or count N in one
+// scan and run Select (Theorem 13) once per rank. The choice is a function
+// of (n, B, M, q) alone, ties go to the sort. The Select arm is linear in n
+// at fixed M/B and q, so it keeps the theorem's O(N/B) once the sort's log²
 // term outgrows q Selects; below that, including at every benchmark call
 // site, the sort is cheaper.
 
@@ -26,8 +26,8 @@ import (
 var ErrQuantilesFailed = errors.New("core: quantile computation failed")
 
 // QuantilesPlan is the public shape of Quantiles over an array of given
-// geometry: its arm, chosen by exact block I/Os, ties to the sort — the
-// count scan and q Selects, against the count scan and sortRanks — the
+// geometry: its arm, chosen by exact block I/Os, ties to the sort — sortRanks
+// counting N in its first pass, against a count scan and q Selects — the
 // Select plan every rank walks on the Select arm, and the price.
 type QuantilesPlan struct {
 	q        int
@@ -41,9 +41,8 @@ type QuantilesPlan struct {
 // batches bounded by the cache alone (no MaxBatch).
 func PlanQuantiles(nBlocks, b, m, q int) QuantilesPlan {
 	p := QuantilesPlan{q: q, sel: PlanSelect(nBlocks, b, m)}
-	count := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
-	bySort := count.Add(obsort.DeterministicVisitCost(nBlocks, b, m))
-	bySelect := count
+	bySort := obsort.DeterministicVisitCost(nBlocks, b, m)
+	bySelect := obs.Cost{IOs: int64(nBlocks), RoundTrips: extmem.ScanRoundTrips(nBlocks, b, m, 1)}
 	for range q {
 		bySelect = bySelect.Add(p.sel.Cost())
 	}
@@ -78,23 +77,33 @@ func QuantilesWith(env *extmem.Env, a extmem.Array, p QuantilesPlan) ([]extmem.E
 	defer env.D.Release(mark)
 
 	var total int64
-	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
+	count := func(chunk []extmem.Element) {
 		for _, e := range chunk {
 			if e.Occupied() {
 				total++
 			}
 		}
-	})
+	}
+	ranks := make([]int64, q)
+	setRanks := func() {
+		for i := range ranks {
+			ranks[i] = max(1, int64(math.Round(float64(i+1)*float64(total)/float64(q+1))))
+		}
+	}
+	if !p.bySelect {
+		// The sort's first pass counts N, and the ranks follow from it
+		// before its last pass hands over the first element.
+		out, err := sortRanks(env, a, env.D.Alloc(n), ranks, count, setRanks)
+		if int64(q) > total {
+			return nil, fmt.Errorf("%w: q=%d > N=%d", ErrQuantilesFailed, q, total)
+		}
+		return out, err
+	}
+	env.Scan(a, extmem.Array{}, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) { count(chunk) })
 	if int64(q) > total {
 		return nil, fmt.Errorf("%w: q=%d > N=%d", ErrQuantilesFailed, q, total)
 	}
-	ranks := make([]int64, q)
-	for i := range ranks {
-		ranks[i] = max(1, int64(math.Round(float64(i+1)*float64(total)/float64(q+1))))
-	}
-	if !p.bySelect {
-		return sortRanks(env, a, env.D.Alloc(n), ranks)
-	}
+	setRanks()
 	out := make([]extmem.Element, q)
 	for i, k := range ranks {
 		e, err := SelectWith(env, a, k, p.sel)
@@ -116,11 +125,17 @@ func QuantilesCost(nBlocks, b, m, q int) obs.Cost { return PlanQuantiles(nBlocks
 // obsort.DeterministicInto and reads the elements of the given ascending
 // ranks off the sorted array as the sort hands it over: the sort arm of
 // Quantiles and the terminating path of Select. src is never written.
-func sortRanks(env *extmem.Env, src, dst extmem.Array, ranks []int64) ([]extmem.Element, error) {
+// first, when not nil, sees src as the sort's first pass reads it, and
+// setRanks, when not nil, sets ranks before the first element is read.
+func sortRanks(env *extmem.Env, src, dst extmem.Array, ranks []int64, first func(chunk []extmem.Element), setRanks func()) ([]extmem.Element, error) {
 	out := make([]extmem.Element, len(ranks))
 	var idx int64
 	ri := 0
-	obsort.DeterministicInto(env, src, dst, obsort.ByKey, func(_ int, chunk []extmem.Element) {
+	obsort.DeterministicInto(env, src, dst, obsort.ByKey, first, func(_ int, chunk []extmem.Element) {
+		if setRanks != nil {
+			setRanks()
+			setRanks = nil
+		}
 		for t := range chunk {
 			if !chunk[t].Occupied() {
 				continue

@@ -33,21 +33,23 @@ func wantArm(t *testing.T, nBlocks, b, m, q int, bySelect bool) {
 }
 
 // TestQuantilesSelectArm: an array that fits the cache is one count scan
-// and q in-cache Selects, three scans at q = 2 against the sort arm's four
-// (the count, bitonic's one windowed pass, the rank scan); at q = 3 the two
-// tie, and the sort keeps the tie.
+// and q in-cache Selects, two scans at q = 1 against the sort arm's three
+// (bitonic's one windowed pass, which counts N as it reads, and the rank
+// scan); at q = 2 the two tie, and the sort keeps the tie. (Before the sort
+// counted N in its first pass, the count scan was on both arms, and the
+// two tied at q = 3.)
 func TestQuantilesSelectArm(t *testing.T) {
-	wantArm(t, 8, 4, 512, 3, false)
-	wantArm(t, 8, 4, 512, 2, true)
+	wantArm(t, 8, 4, 512, 2, false)
+	wantArm(t, 8, 4, 512, 1, true)
 	env := newTestEnv(64, 4, 512, 3)
 	a := env.D.Alloc(8)
 	keys := []uint64{9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 12, 11}
 	sorted := buildKeyArray(a, keys)
-	got, err := Quantiles(env, a, 2)
+	got, err := Quantiles(env, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks := quantileRanks(int64(len(keys)), 2)
+	ranks := quantileRanks(int64(len(keys)), 1)
 	for i, e := range got {
 		if e.Key != sorted[ranks[i]-1] {
 			t.Fatalf("quantile %d: got %d want %d", i, e.Key, sorted[ranks[i]-1])
@@ -177,8 +179,10 @@ func TestQuantilesOblivious(t *testing.T) {
 // TestQuantilesLinearIO pins the Select arm's I/Os per block flat as n
 // quadruples at fixed M/B and q. Power-of-two block counts up to 2^14 sort
 // (the bitonic network needs no padding there), so the rows sit just above.
+// Since the sort counts N as it reads, it is the cheaper arm at q = 2 on
+// 2^11 + 1 blocks, so the rows take q = 1.
 func TestQuantilesLinearIO(t *testing.T) {
-	const b, m, q = 8, 4096, 2
+	const b, m, q = 8, 4096, 1
 	io := func(nBlocks int) float64 {
 		wantArm(t, nBlocks, b, m, q, true)
 		env := newTestEnv(2*nBlocks+64, b, m, 13)
@@ -204,19 +208,19 @@ func TestQuantilesLinearIO(t *testing.T) {
 // TestQuantilesArmAtBenchmarkCallSites pins the sort arm where the
 // benchmark calls Quantiles: q = 8 on scan_enc_file's array, and q = 4 in
 // the randomized Sort's levels of sort_mem. On scan_enc_file's 8 192 blocks
-// the sort is columnsort, cheaper than bitonic on both counts: 6 I/Os per
-// block, the count scan 1 and columnsort 5, its last pass handing its
-// windows to the rank scan instead of writing them.
+// the sort is columnsort, cheaper than bitonic on both counts: 5 I/Os per
+// block, its first pass counting N as it reads and its last handing its
+// windows to the rank scan instead of writing them (6, in 177 round trips,
+// while a scan counted N first).
 func TestQuantilesArmAtBenchmarkCallSites(t *testing.T) {
 	for _, g := range []struct{ nBlocks, b, m, q int }{
 		{8192, 8, 4096, 8}, {8192, 8, 4096, 4}, {1647, 8, 4096, 4}, {336, 8, 4096, 4},
 	} {
 		wantArm(t, g.nBlocks, g.b, g.m, g.q, false)
 	}
-	scan := obs.Cost{IOs: 8192, RoundTrips: extmem.ScanRoundTrips(8192, 8, 4096, 1)}
-	want := scan.Add(obs.Cost{IOs: 5 * 8192, RoundTrips: 5 * 32})
-	if c := QuantilesCost(8192, 8, 4096, 8); c != want || c != (obs.Cost{IOs: 49152, RoundTrips: 177}) {
-		t.Errorf("scan_enc_file's Quantiles costs %+v, want %+v: 6 I/Os per block", c, want)
+	want := obs.Cost{IOs: 5 * 8192, RoundTrips: 5 * 32}
+	if c := QuantilesCost(8192, 8, 4096, 8); c != want || c != (obs.Cost{IOs: 40960, RoundTrips: 160}) {
+		t.Errorf("scan_enc_file's Quantiles costs %+v, want %+v: 5 I/Os per block", c, want)
 	}
 }
 

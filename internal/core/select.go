@@ -207,7 +207,7 @@ func SelectWith(env *extmem.Env, a extmem.Array, k int64, p SelectPlan) (extmem.
 	if p.narrow == 0 {
 		dst = env.D.Alloc(cur.Len())
 	}
-	out, err := sortRanks(env, cur, dst, []int64{k})
+	out, err := sortRanks(env, cur, dst, []int64{k}, nil, nil)
 	if err != nil {
 		return extmem.Element{}, fmt.Errorf("%w: rank %d out of range", ErrSelectFailed, k)
 	}

@@ -109,7 +109,7 @@ func TestPredictorsExact(t *testing.T) {
 				// visitor: the last pass's, or a scan after bitonic.
 				dst, seen := env.D.Alloc(g.n), 0
 				got := measure(env, func() {
-					obsort.DeterministicInto(env, a, dst, obsort.ByKey, func(lo int, chunk []extmem.Element) {
+					obsort.DeterministicInto(env, a, dst, obsort.ByKey, nil, func(lo int, chunk []extmem.Element) {
 						if lo != seen {
 							t.Fatalf("visited blocks from %d, want %d", lo, seen)
 						}
@@ -214,9 +214,9 @@ func TestPredictorsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := core.QuantilesCost(g.n, g.b, g.m, quantilesQ)
-				// The sort arm's cost is the count scan and the sort, whose
-				// last pass feeds the rank scan.
-				bySort := int64(g.n)+obsort.DeterministicVisitCost(g.n, g.b, g.m).IOs == want.IOs
+				// The sort arm's cost is the sort's, whose first pass counts N
+				// and whose last feeds the rank scan.
+				bySort := obsort.DeterministicVisitCost(g.n, g.b, g.m).IOs == want.IOs
 				quantilesArms[bySort] = true
 				return got, want
 			}},

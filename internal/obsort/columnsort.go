@@ -101,13 +101,14 @@ func columnCost(nBlocks, b, free int, visit bool) obs.Cost {
 // address trace depends only on (len, B, free); it allocates no disk
 // scratch and checks out 2r elements of the cache. It panics with
 // ErrColumnGeometry where ColumnGeometry does.
-func Columnsort(env *extmem.Env, a extmem.Array, less Less) { columnsort(env, a, a, less, nil) }
+func Columnsort(env *extmem.Env, a extmem.Array, less Less) { columnsort(env, a, a, less, nil, nil) }
 
 // columnsort is Columnsort of src into a, as long as src and possibly src
-// itself: pass A reads src and writes a, and B and C run in a. Where visit
-// is not nil, C hands each final window to visit, in sorted order with the
-// index of its first block, instead of writing it, and a is left unsorted.
-func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo int, chunk []extmem.Element)) {
+// itself: pass A reads src, handing each column to first when it is not
+// nil, and writes a, and B and C run in a. Where visit is not nil, C hands
+// each final window to visit, in sorted order with the index of its first
+// block, instead of writing it, and a is left unsorted.
+func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
 	n := a.Len()
 	b := a.B()
 	if src.Len() != n {
@@ -135,6 +136,9 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, visit func(lo i
 	spa := env.Obs.Start("sort-deal")
 	for j := 0; j < s; j++ {
 		src.ReadRange(j*rb, (j+1)*rb, col)
+		if first != nil {
+			first(col)
+		}
 		ord.sort(col, false)
 		for t, e := range col {
 			aux[t%s*per+t/s] = e

@@ -124,9 +124,9 @@ func TestDeterministicRule(t *testing.T) {
 // trips, while bitonic sorts and a scan reads the result back. At 8 192
 // blocks (Select's tail and Quantiles' sort arm on scan_enc_file) columnsort
 // dominates as before; at 1 024 and 2 048 it still does not. Each row sorts
-// from a source into scratch through DeterministicInto on a strict cache
-// and requires the named engine's span, sorted windows in order, and the
-// predicted cost.
+// from a source into scratch through DeterministicInto on a strict cache,
+// its first pass handing the source to an observer, and requires the named
+// engine's span, sorted windows in order, and the predicted cost.
 func TestDeterministicVisitRule(t *testing.T) {
 	const b, m = 8, 4096
 	for _, r := range []struct {
@@ -147,9 +147,9 @@ func TestDeterministicVisitRule(t *testing.T) {
 		}
 		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 44)), r.n*b-5, "rand")
 		var col *obs.Collector
-		into := func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)) {
+		into := func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), visit func(int, []extmem.Element)) {
 			col = env.EnableObs()
-			DeterministicInto(env, src, dst, less, visit)
+			DeterministicInto(env, src, dst, less, first, visit)
 		}
 		_, st, _, elems := intoRun(t, into, r.n, b, m, 0, keys, true)
 		if roots := col.Roots(); len(roots) != 1 || roots[0].Name != r.engine {

@@ -113,12 +113,13 @@ func compare(less Less, x, y extmem.Element) int {
 // pass reads its n blocks and writes a padded scratch arena, and the last
 // pass writes only the first n blocks back (empty cells sort last, so
 // nothing is lost).
-func Bitonic(env *extmem.Env, a extmem.Array, less Less) { bitonic(env, a, a, less) }
+func Bitonic(env *extmem.Env, a extmem.Array, less Less) { bitonic(env, a, a, less, nil) }
 
 // bitonic is Bitonic of src into a, as long as src and possibly src
-// itself: the first pass reads src, and every pass writes a or the padded
-// arena, never src.
-func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
+// itself: the first pass reads src, handing each window's blocks to first
+// when it is not nil, and every pass writes a or the padded arena, never
+// src.
+func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk []extmem.Element)) {
 	n := a.Len()
 	if src.Len() != n {
 		panic(fmt.Sprintf("obsort: bitonic sort of %d blocks into %d", src.Len(), n))
@@ -165,6 +166,9 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less) {
 		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
 		if k > 0 {
 			src.ReadRange(lo, lo+k, win[:k*b])
+			if first != nil {
+				first(win[:k*b])
+			}
 		}
 		clear(win[k*b:])
 		ord.sort(win, lo/wb&1 == 1)

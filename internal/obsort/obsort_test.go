@@ -229,11 +229,13 @@ func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, 
 }
 
 // intoRun is heldRun for a sort from a source array into a second one:
-// sort, given src, dst and visit, runs on a strict cache of m with held
-// elements checked out. With visit the sorted elements are the ones the
-// sort hands over, which must come in order, a whole number of blocks at a
-// time; without it they are dst's. The source must come out as it went in.
-func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)),
+// sort, given src, dst, a first-pass observer and visit, runs on a strict
+// cache of m with held elements checked out. The observer must see the
+// source whole, in address order, before anything is visited. With visit
+// the sorted elements are the ones the sort hands over, which must come in
+// order, a whole number of blocks at a time; without it they are dst's.
+// The source must come out as it went in.
+func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), visit func(int, []extmem.Element)),
 	n, b, m, held int, keys []uint64, visit bool) (trace.Summary, obs.Counters, int, []extmem.Element) {
 	t.Helper()
 	env := extmem.NewEnv(3*n, b, m, 3)
@@ -245,18 +247,25 @@ func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, les
 	rec := trace.NewRecorder(0)
 	env.D.SetRecorder(rec)
 	env.D.ResetStats()
-	var seen []extmem.Element
+	var read, seen []extmem.Element
+	first := func(chunk []extmem.Element) { read = append(read, chunk...) }
 	var fn func(int, []extmem.Element)
 	if visit {
 		fn = func(lo int, chunk []extmem.Element) {
+			if len(read) != len(before) {
+				t.Fatalf("n=%d held=%d: visited before the first pass had read the source", n, held)
+			}
 			if lo*b != len(seen) || len(chunk)%b != 0 {
 				t.Fatalf("n=%d held=%d: visited %d elements from block %d after %d", n, held, len(chunk), lo, len(seen))
 			}
 			seen = append(seen, chunk...)
 		}
 	}
-	sort(env, src, dst, ByKey, fn)
+	sort(env, src, dst, ByKey, first, fn)
 	sum, st := rec.Summarize(), env.D.Stats()
+	if !slices.Equal(read, before) {
+		t.Fatalf("n=%d held=%d: the first pass handed over %d elements, not the source's %d in order", n, held, len(read), len(before))
+	}
 	if used := env.Cache.Used(); used != held {
 		t.Fatalf("n=%d held=%d: %d elements checked out after the sort", n, held, used)
 	}
@@ -340,8 +349,8 @@ func FuzzBitonic(f *testing.F) {
 		n := int(nRaw)%8192 + 1
 		held := int(heldRaw) % (m - 2*b + 1)
 		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
-		into := func(env *extmem.Env, src, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
-			bitonic(env, src, dst, less)
+		into := func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), _ func(int, []extmem.Element)) {
+			bitonic(env, src, dst, less, first)
 		}
 		for _, fromSource := range []bool{false, true} {
 			var first trace.Summary

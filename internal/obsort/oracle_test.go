@@ -189,8 +189,13 @@ var armEntries = []armEntry{
 	{"Deterministic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
 		Deterministic(env, dst, less)
 	}, false, false},
-	{"DeterministicInto", DeterministicInto, true, false},
-	{"DeterministicInto/visit", DeterministicInto, true, true},
+	{"DeterministicInto", deterministicInto, true, false},
+	{"DeterministicInto/visit", deterministicInto, true, true},
+}
+
+// deterministicInto is DeterministicInto without a first-pass observer.
+func deterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)) {
+	DeterministicInto(env, src, dst, less, nil, visit)
 }
 
 // armFill lays n·b cells, cell i with Pos i, so that occupied cells are

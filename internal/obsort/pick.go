@@ -92,25 +92,28 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 // engine's, is a function of (len, B, free), and DeterministicCost is its
 // exact price.
 func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
-	DeterministicInto(env, a, a, less, nil)
+	DeterministicInto(env, a, a, less, nil, nil)
 }
 
 // DeterministicInto is Deterministic of src into dst, as long as src and
 // possibly src itself: the engine's first pass reads src, and no pass
-// writes it. Where visit is not nil, the caller reads the sorted array
-// once, through visit: its blocks in order, a run of whole blocks at a
-// time with the index of the first, as Env.Scan hands chunks to its fn.
-// Columnsort's last pass then hands visit its windows instead of writing
-// them, and dst is scratch; bitonic sorts dst and one scan reads it back.
-// The engine is the one columnsDominate picks at those prices, and
-// DeterministicVisitCost is the call's exact price.
-func DeterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, visit func(lo int, chunk []extmem.Element)) {
+// writes it. Where first is not nil, that pass hands it every run of src's
+// blocks it reads, each once and in address order, before sorting them:
+// the caller learns what a scan of src would tell it without the scan.
+// Where visit is not nil, the caller reads the sorted array once, through
+// visit: its blocks in order, a run of whole blocks at a time with the
+// index of the first, as Env.Scan hands chunks to its fn. Columnsort's last
+// pass then hands visit its windows instead of writing them, and dst is
+// scratch; bitonic sorts dst and one scan reads it back. The engine is the
+// one columnsDominate picks at those prices, and DeterministicVisitCost is
+// the call's exact price; first costs nothing.
+func DeterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
 	n := dst.Len()
 	if columnsDominate(n, dst.B(), env.M-env.Cache.Used(), visit != nil) {
-		columnsort(env, src, dst, less, visit)
+		columnsort(env, src, dst, less, first, visit)
 		return
 	}
-	bitonic(env, src, dst, less)
+	bitonic(env, src, dst, less, first)
 	if visit != nil {
 		env.Scan(dst, extmem.Array{}, env.ScanBatchN(1, n), visit)
 	}

@@ -384,11 +384,12 @@ func TestPublicStatsAndCache(t *testing.T) {
 // client: the block I/Os and round trips they measure are exactly the sum
 // of the predictors' — SelectCost, QuantilesCost, Mark's read and write
 // scans, the butterfly that consolidates as it compacts, and
-// CompactLooseCost: 177 500 I/Os in 648 round trips, 2.7084 a record. Loose
-// compaction ran Theorem 8 before (LooseCost, less two I/Os a repeated
-// probe: 209 244 in 908 before the repeats), and before that the calls
-// copied the array to sort it and consolidated it into an array to compact
-// it loosely (282 972 in 1 124).
+// CompactLooseCost: 169 308 I/Os in 631 round trips, 2.5834 a record. They
+// were 177 500 in 648 while Quantiles counted N in a scan of its own, and
+// 209 244 in 908 (before two I/Os a repeated probe) while loose compaction
+// ran Theorem 8 (LooseCost); and 282 972 in 1 124 while the calls copied
+// the array to sort it and consolidated it into an array to compact it
+// loosely.
 func TestScanEncFileCallsPriced(t *testing.T) {
 	const n, b, m = 1 << 16, 8, 4096
 	c, err := New(Config{BlockSize: b, CacheWords: m, Seed: 3})
@@ -421,8 +422,8 @@ func TestScanEncFileCallsPriced(t *testing.T) {
 	scan := obs.Cost{IOs: int64(blocks), RoundTrips: extmem.ScanRoundTrips(blocks, b, m, 1)}
 	want := core.SelectCost(blocks, b, m).Add(core.QuantilesCost(blocks, b, m, 8)).Add(scan).Add(scan).
 		Add(route.ConsolidateCompactCost(blocks, b, m)).Add(core.CompactLooseCost(blocks, rCap, b, m))
-	if want != (obs.Cost{IOs: 177500, RoundTrips: 648}) {
-		t.Errorf("the predictors sum to %+v, want 177 500 I/Os in 648 round trips", want)
+	if want != (obs.Cost{IOs: 169308, RoundTrips: 631}) {
+		t.Errorf("the predictors sum to %+v, want 169 308 I/Os in 631 round trips", want)
 	}
 	st := c.Stats()
 	if got := (obs.Cost{IOs: st.Total(), RoundTrips: st.RoundTrips}); got != want {
