@@ -35,9 +35,7 @@ func wantArm(t *testing.T, nBlocks, b, m, q int, bySelect bool) {
 // TestQuantilesSelectArm: an array that fits the cache is one count scan
 // and q in-cache Selects, two scans at q = 1 against the sort arm's three
 // (bitonic's one windowed pass, which counts N as it reads, and the rank
-// scan); at q = 2 the two tie, and the sort keeps the tie. (Before the sort
-// counted N in its first pass, the count scan was on both arms, and the
-// two tied at q = 3.)
+// scan); at q = 2 the two tie, and the sort keeps the tie.
 func TestQuantilesSelectArm(t *testing.T) {
 	wantArm(t, 8, 4, 512, 2, false)
 	wantArm(t, 8, 4, 512, 1, true)

@@ -194,7 +194,8 @@ func TestButterflyIOMatchesPassCount(t *testing.T) {
 
 // ConsolidateCompact must leave, bit for bit, what Consolidate followed by
 // CompactBlocksTight leaves — the routing labels included — at the cost its
-// predictors state: the butterfly's passes and nothing else.
+// predictors state: the butterfly's passes and nothing else. It runs in its
+// Into form, into blocks inside a longer array that held junk.
 func TestConsolidateCompactMatchesThePair(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 12))
 	for _, cfg := range []struct{ n, b, m int }{
@@ -212,14 +213,26 @@ func TestConsolidateCompactMatchesThePair(t *testing.T) {
 			want, wantKept := Consolidate(pair, a, extmem.Element.Marked)
 			CompactBlocksTight(pair, want, PredOccupied, 0)
 
-			env := newEnv(3*cfg.n, cfg.b, cfg.m, 3)
+			// Into the middle of a longer array full of junk: every block of
+			// the output is written, and none past it.
+			env := newEnv(3*cfg.n+2, cfg.b, cfg.m, 3)
 			a = env.D.Alloc(cfg.n)
 			writeElems(a, in)
+			outer := env.D.Alloc(cfg.n + 2)
+			junk := make([]extmem.Element, (cfg.n+2)*cfg.b)
+			for t := range junk {
+				junk[t] = extmem.Element{Key: uint64(t), Flags: extmem.FlagOccupied}
+			}
+			writeElems(outer, junk)
+			got := outer.Slice(1, cfg.n+1)
 			env.D.ResetStats()
-			got, gotKept := ConsolidateCompact(env, a, extmem.Element.Marked)
+			gotKept := ConsolidateCompactInto(env, a, got, extmem.Element.Marked)
 			st := env.D.Stats()
 			if gotKept != wantKept || !slices.Equal(readElems(got), readElems(want)) {
 				t.Fatalf("n=%d b=%d m=%d kept=%d: output differs from Consolidate + CompactBlocksTight (kept %d, want %d)", cfg.n, cfg.b, cfg.m, kept, gotKept, wantKept)
+			}
+			if all := readElems(outer); !slices.Equal(all[:cfg.b], junk[:cfg.b]) || !slices.Equal(all[(cfg.n+1)*cfg.b:], junk[(cfg.n+1)*cfg.b:]) {
+				t.Fatalf("n=%d b=%d m=%d kept=%d: a block outside the output was written", cfg.n, cfg.b, cfg.m, kept)
 			}
 			if !slices.Equal(readElems(a), padTo(in, cfg.n*cfg.b)) {
 				t.Fatalf("n=%d b=%d m=%d kept=%d: input modified", cfg.n, cfg.b, cfg.m, kept)

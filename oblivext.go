@@ -928,7 +928,7 @@ func (a *Array) CompactTight(capacity int64) (*Array, error) {
 // zero-filled — fewer block I/Os and round trips than the paper's Theorem 8
 // at every geometry priced, and deterministic: the only declared failure is
 // more marked records than capacity. Callers may rely only on the marked
-// records being somewhere in the output, as of any loose compaction.
+// records being somewhere in the output, as with any loose compaction.
 func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	n, b := a.arr.Len(), a.arr.B()
 	rCap := extmem.CeilDiv(int(capacity), b) + 1
