@@ -101,19 +101,4 @@ func TestErrorPathsRestoreCacheCheckout(t *testing.T) {
 			return err
 		})
 	}
-
-	// Loose compaction: occupied cells exceeding the declared capacity.
-	{
-		env := newTestEnv(blocks, b, m, 15)
-		a := env.D.Alloc(blocks)
-		elems := make([]extmem.Element, blocks*b)
-		for i := range elems {
-			elems[i] = extmem.Element{Key: uint64(i + 1), Pos: uint64(i), Flags: extmem.FlagOccupied}
-		}
-		writeElems(a, elems)
-		assertCacheBalanced(t, env, "CompactBlocksLoose(cap too small)", ErrLooseOverflow, func() error {
-			_, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Occupied, 2)
-			return err
-		})
-	}
 }

@@ -16,9 +16,9 @@ import (
 // length. Tight compaction takes Theorem 4's table instead where the table
 // fits the cache. Loose compaction never does: its output of 5R blocks is
 // the butterfly's, which costs fewer block I/Os and fewer round trips than
-// Theorem 8 (CompactBlocksLoose, the paper's loose compaction, kept here as
-// its reference) at every geometry TestLooseButterflyDominates prices, and
-// is deterministic, so its only declared failure is over-capacity.
+// the paper's Theorem 8 at every geometry priced against it (the table in
+// docs/ARCHITECTURE.md, "Loose compaction"), and is deterministic, so its
+// only declared failure is over-capacity.
 
 // CompactMarkedTight consolidates the marked elements of a (Lemma 3) and
 // tightly compacts the resulting full blocks into a fresh array of exactly
@@ -55,12 +55,16 @@ func CompactMarkedLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 // compactMarked routes the consolidated marked elements of a into the
 // leading a.Len() blocks of a fresh array of max(a.Len(), length) blocks,
 // zero-fills the blocks past a.Len() with one write-only scan, and returns
-// the first length blocks and the number of marked elements.
+// the first length blocks and the number of marked elements. The blocks
+// past length go back to the Disk: the call leaves it exactly length blocks
+// higher.
 func compactMarked(env *extmem.Env, a extmem.Array, length int) (extmem.Array, int64) {
 	n := a.Len()
+	mark := env.D.Mark()
 	out := env.D.Alloc(max(n, length))
 	marked := route.ConsolidateCompactInto(env, a, out.Slice(0, n), extmem.Element.Marked)
 	zeroArray(env, out.Slice(n, out.Len()))
+	env.D.Release(mark + length)
 	return out.Slice(0, length), marked
 }
 

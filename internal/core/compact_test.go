@@ -4,40 +4,61 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
-	"oblivext/internal/obs"
 )
 
-// TestLooseButterflyDominates is the record of why the public loose
-// compaction routes through the butterfly (CompactMarkedLoose) instead of
-// running Theorem 8 (CompactBlocksLoose): at every row — B ∈ {4, 8, 64},
-// M/B ∈ {16, 64, 512, 1 024}, n from 2^8 to 2^20 blocks, powers of two and
-// not, R/n ∈ {1/10, 1/5, 1/3} — the butterfly and the fill,
-// CompactLooseCost, cost no more block I/Os and no more round trips than
-// LooseCost. A row Theorem 8 wins needs a price rule, not a fixed arm.
-func TestLooseButterflyDominates(t *testing.T) {
-	// scan_enc_file's CompactLoose(n/3): 2^16 records, B = 8, M = 4 096.
-	rCap := extmem.CeilDiv(8192*8/3, 8) + 1
-	if t8, bf := LooseCost(8192, rCap, 8, 4096), CompactLooseCost(8192, rCap, 8, 4096); t8 != (obs.Cost{IOs: 69980, RoundTrips: 404}) || bf != (obs.Cost{IOs: 38236, RoundTrips: 144}) {
-		t.Errorf("at the benchmark geometry Theorem 8 costs %+v and the butterfly with its fill %+v, want 69 980 I/Os in 404 round trips and 38 236 in 144", t8, bf)
-	}
-	var sizes []int
-	for e := 8; e <= 20; e++ {
-		sizes = append(sizes, 1<<e)
-		if e < 20 {
-			sizes = append(sizes, 1<<e+1, 3<<(e-1)+7)
+// looseBenchFill lays scan_enc_file's loose-compaction input into a: every
+// element occupied, those with Key%4 == 0 marked, as Mark(key%4==0) leaves
+// them. It returns the call's capacity, CompactLoose(N/3)'s in blocks.
+func looseBenchFill(a extmem.Array) int {
+	b := a.B()
+	elems := make([]extmem.Element, a.Len()*b)
+	for i := range elems {
+		elems[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
+		if i%4 == 0 {
+			elems[i].Flags |= extmem.FlagMarked
 		}
 	}
-	for _, b := range []int{4, 8, 64} {
-		for _, mb := range []int{16, 64, 512, 1024} {
-			for _, n := range sizes {
-				for _, den := range []int{10, 5, 3} {
-					rCap := max(n/den, 1)
-					t8, bf := LooseCost(n, rCap, b, mb*b), CompactLooseCost(n, rCap, b, mb*b)
-					if bf.IOs > t8.IOs || bf.RoundTrips > t8.RoundTrips {
-						t.Errorf("n=%d B=%d M/B=%d R=n/%d: butterfly and fill %+v, Theorem 8 %+v", n, b, mb, den, bf, t8)
-					}
-				}
-			}
+	a.WriteRange(0, a.Len(), elems)
+	return extmem.CeilDiv(a.Len()*b/3, b) + 1
+}
+
+// BenchmarkCompactLoose runs the public CompactLoose's call at the
+// benchmark's scan_enc_file geometry (2^13 blocks of 8, M = 4 096): the
+// consolidating butterfly into the leading blocks of the 5R-block output
+// and the zero-fill past them. It reports I/Os per block.
+func BenchmarkCompactLoose(b *testing.B) {
+	env := newTestEnv(1<<15, 8, 4096, 1)
+	a := env.D.Alloc(1 << 13)
+	rCap := looseBenchFill(a)
+	env.D.ResetStats()
+	b.ReportAllocs()
+	for b.Loop() {
+		mark := env.D.Mark()
+		if _, _, err := CompactMarkedLoose(env, a, rCap); err != nil {
+			b.Fatal(err)
 		}
+		env.D.Release(mark)
+	}
+	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
+}
+
+// TestCompactMarkedTightKeepsOnlyItsOutput: CompactMarkedTight's butterfly
+// arm routes into n blocks and returns the first rCap, giving the rest back,
+// so a call leaves the Disk rCap blocks higher. (TestPredictorsExact checks
+// the same of CompactMarkedLoose.)
+func TestCompactMarkedTightKeepsOnlyItsOutput(t *testing.T) {
+	env := newTestEnv(1<<15, 8, 4096, 1)
+	a := env.D.Alloc(1 << 13)
+	rCap := looseBenchFill(a) // a third of the elements; a quarter are marked
+	if SparseTableFits(env, rCap) {
+		t.Fatalf("Theorem 4's table for %d blocks fits M = %d; the test needs the butterfly arm", rCap, env.M)
+	}
+	mark := env.D.Mark()
+	out, _, err := CompactMarkedTight(env, a, rCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := env.D.Mark() - mark; grew != rCap || out.Len() != rCap {
+		t.Errorf("output of %d blocks, the Disk grew %d, want both %d", out.Len(), grew, rCap)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
 
@@ -70,9 +71,6 @@ func CompactBlocksLogStar(env *extmem.Env, a extmem.Array, rCap int, p LogStarPa
 		out, kept, err := looseBySort(env, a, extmem.Element.Occupied, rCap)
 		occ := int(extmem.CeilDiv64(kept, int64(b)))
 		// Reshape to the 4.25R contract: looseBySort returns 5R; slice.
-		if errors.Is(err, ErrLooseOverflow) {
-			err = fmt.Errorf("%w: %v", ErrLogStarOverflow, err)
-		}
 		return out.Slice(0, min(outLen, out.Len())), occ, 0, err
 	}
 
@@ -193,4 +191,79 @@ func thinningPass(env *extmem.Env, src, dst extmem.Array) {
 	p := newProber(env, w)
 	env.Scan(src, src, w, func(_ int, cells []extmem.Element) { p.probe(cells, dst) })
 	p.close()
+}
+
+// prober is Theorem 9's probe kernel. A probe draws a uniform slot of dst
+// for every cell of a buffer and moves the cell there if the cell is
+// occupied and the slot empty; the slots come from the tape, so the trace
+// is data-independent. It runs in windows of w cells: the window's slots
+// are drawn and fetched with one vectored read (distinct slots only — a
+// repeated one reuses the cached copy, preserving the scalar loop's
+// sequential move semantics), the moves happen privately, and the slots go
+// back with one vectored write.
+type prober struct {
+	env  *extmem.Env
+	w    int
+	dbuf []extmem.Element // the window's distinct slots
+	at   []int            // for each cell of the window, its slot's block in dbuf
+	idx  []int            // the distinct slots, in the order drawn
+	seen map[int]int      // slot -> its block in dbuf
+}
+
+func newProber(env *extmem.Env, w int) *prober {
+	return &prober{env: env, w: w, dbuf: env.Cache.Buf(w * env.B()),
+		at: make([]int, w), idx: make([]int, 0, w), seen: make(map[int]int, w)}
+}
+
+func (p *prober) close() { p.env.Cache.Free(p.dbuf) }
+
+// probe probes dst once for every b-element cell of cells, emptying the
+// cells that move.
+func (p *prober) probe(cells []extmem.Element, dst extmem.Array) {
+	b := dst.B()
+	for ; len(cells) > 0; cells = cells[min(p.w*b, len(cells)):] {
+		cnt := min(p.w, len(cells)/b)
+		p.idx = p.idx[:0]
+		clear(p.seen)
+		for t := 0; t < cnt; t++ {
+			j := p.env.Tape.IntN(dst.Len())
+			k, ok := p.seen[j]
+			if !ok {
+				k = len(p.idx)
+				p.seen[j] = k
+				p.idx = append(p.idx, j)
+			}
+			p.at[t] = k
+		}
+		dbuf := p.dbuf[:len(p.idx)*b]
+		dst.ReadMany(p.idx, dbuf)
+		for t := 0; t < cnt; t++ {
+			sblk, dblk := cells[t*b:(t+1)*b], dbuf[p.at[t]*b:(p.at[t]+1)*b]
+			if route.PredOccupied(sblk) && !route.PredOccupied(dblk) {
+				copy(dblk, sblk)
+				clear(sblk)
+			}
+		}
+		dst.WriteMany(p.idx, dbuf)
+	}
+}
+
+// looseBySort is the path for inputs below logStarN0: Lemma 3's
+// consolidation of the kept elements, then one deterministic sort of it
+// (occupied first; obsort.ByKey keeps the sort total and takes the
+// engines' inline kernels), copied into a fresh array of 5·rCap blocks and
+// zero-filled past the copy.
+func looseBySort(env *extmem.Env, a extmem.Array, keep func(extmem.Element) bool, rCap int) (extmem.Array, int64, error) {
+	mark := env.D.Mark()
+	out := env.D.Alloc(5 * rCap)
+	work, kept := route.Consolidate(env, a, keep)
+	obsort.Deterministic(env, work, obsort.ByKey)
+	cp := min(work.Len(), out.Len())
+	copyArray(env, work.Slice(0, cp), out.Slice(0, cp))
+	zeroArray(env, out.Slice(cp, out.Len()))
+	env.D.Release(mark + out.Len())
+	if occ := extmem.CeilDiv64(kept, int64(a.B())); occ > int64(rCap) {
+		return out, kept, fmt.Errorf("%w: %d occupied cells exceed declared capacity %d", ErrLogStarOverflow, occ, rCap)
+	}
+	return out, kept, nil
 }

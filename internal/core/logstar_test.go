@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oblivext/internal/extmem"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -150,5 +151,55 @@ func TestLogStarIOAtPinnedGeometry(t *testing.T) {
 	st := env.D.Stats()
 	if st.Total() != 40272 || st.RoundTrips != 198 {
 		t.Fatalf("log* compaction: %d I/Os in %d round trips, want 40 272 in 198", st.Total(), st.RoundTrips)
+	}
+}
+
+// TestThinningPassSurvivorRate measures Lemma 7's decay on Theorem 9's probe
+// kernel: each probe leaves at most ~1/4 of the occupied cells unmoved in
+// expectation (C is at least 3/4 empty), so survivors decay geometrically —
+// whether the cells sit in a cache buffer or are scanned through one by
+// thinningPass.
+func TestThinningPassSurvivorRate(t *testing.T) {
+	const n, rCap, b = 256, 64, 4
+	r := rand.New(rand.NewPCG(8, 8))
+	occupied := func(cells []extmem.Element) int {
+		occ := 0
+		for j := 0; j < len(cells); j += b {
+			if route.PredOccupied(cells[j : j+b]) {
+				occ++
+			}
+		}
+		return occ
+	}
+	for _, inCache := range []bool{true, false} {
+		env := newTestEnv(4096, b, 4*n*b, 21)
+		a := env.D.Alloc(n)
+		buildSparseCells(a, r.Perm(n)[:rCap])
+		c := env.D.Alloc(4 * rCap)
+		zeroArray(env, c)
+		cells := readElems(a)
+		p := newProber(env, 32)
+		counts := []int{occupied(cells)}
+		for pass := 0; pass < 4; pass++ {
+			if inCache {
+				p.probe(cells, c)
+			} else {
+				thinningPass(env, a, c)
+				cells = readElems(a)
+			}
+			counts = append(counts, occupied(cells))
+		}
+		p.close()
+		// After 4 probes the expectation is <= rCap/4^4 = 0.25 cells; allow
+		// generous slack, and nothing may be lost on the way.
+		if counts[0] != rCap || counts[4] > rCap/8 {
+			t.Fatalf("in cache %v: survivor counts %v decay too slowly", inCache, counts)
+		}
+		if moved := occupied(readElems(c)); moved+counts[4] != rCap {
+			t.Fatalf("in cache %v: %d cells in C and %d survivors of %d", inCache, moved, counts[4], rCap)
+		}
+		if env.Cache.Used() != 0 {
+			t.Fatalf("in cache %v: %d words left checked out", inCache, env.Cache.Used())
+		}
 	}
 }

@@ -336,9 +336,8 @@ func compactCorpus(b, m int) []compactCase {
 		return out
 	}
 	// 0 / 1 / 2 / 7 / 8, n·B < M at every geometry below but M = 12B (16),
-	// not a power of two (100), large enough for several halving rounds
-	// (300), and one that a cache of 12 blocks leaves loose compaction no
-	// rounds for, so that it sorts the whole array with columnsort (18).
+	// half again a cache of 12 blocks (18), not a power of two (100), and
+	// several routing windows at the small caches (300).
 	sizes := []int{1, 2, 7, 8, 16, 18, 100, 300}
 	// The largest array that fits the cache beside a block of slack and the
 	// first that does not; one butterfly window (two half-windows of 2^g
@@ -392,14 +391,11 @@ func (c compactCase) lay(env *extmem.Env) (extmem.Array, []extmem.Element) {
 	return a, ref
 }
 
-// TestCompactionDifferentialOracle runs the four compactions over one
-// shared corpus against a filter-and-compare reference: the items (in order
-// for the tight ones, as a multiset for the loose ones), the output-length
+// TestCompactionDifferentialOracle runs the compactions over one shared
+// corpus against a filter-and-compare reference: the items (in order for
+// the tight ones, as a multiset for the loose ones), the output-length
 // contract, a balanced cache and HighWater <= M — and, where the occupancy
-// exceeds the declared capacity, the declared failure. Loose compaction
-// must sort with columnsort somewhere over the corpus (at M = 12B); Theorem
-// 4's order restoration never does (obsort's
-// TestDeterministicBitonicWithinTwoWindows).
+// exceeds the declared capacity, the declared failure.
 func TestCompactionDifferentialOracle(t *testing.T) {
 	type result struct {
 		out extmem.Array
@@ -438,9 +434,9 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				out, _ := route.ConsolidateCompact(env, a, extmem.Element.Marked)
 				return result{out, nil}
 			}},
-		{"CompactBlocksLoose", false, ErrLooseOverflow, func(_, rCap int) int { return 5 * rCap },
+		{"CompactMarkedLoose", false, ErrCompactionFailed, func(_, rCap int) int { return 5 * rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Marked, rCap)
+				out, _, err := CompactMarkedLoose(env, a, rCap)
 				return result{out, err}
 			}},
 		{"CompactBlocksLogStar", false, ErrLogStarOverflow, func(_, rCap int) int { return 4*rCap + extmem.CeilDiv(rCap, 4) },
@@ -452,7 +448,6 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 	byPos := func(s []extmem.Element) {
 		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
 	}
-	looseColumns := false // whether loose compaction's sort ran columnsort
 	for _, g := range []struct{ b, m int }{{4, 48}, {4, 256}, {8, 1024}, {8, 4096}} {
 		for _, c := range compactCorpus(g.b, g.m) {
 			// rCap exactly the occupancy, rCap = 1, and the theorems' n/4.
@@ -466,12 +461,8 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 						check := func(seed uint64) error {
 							env := newTestEnv(64, g.b, g.m, seed)
 							a, ref := c.lay(env)
-							col := env.EnableObs()
 							env.Cache.ResetHighWater()
 							res := cp.run(env, a, rCap)
-							if cp.name == "CompactBlocksLoose" && ranUnder(col.Roots(), "", "columnsort") {
-								looseColumns = true
-							}
 							if used := env.Cache.Used(); used != 0 {
 								t.Fatalf("%d words left checked out", used)
 							}
@@ -515,9 +506,6 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 			}
 		}
 	}
-	if !looseColumns {
-		t.Error("CompactBlocksLoose never sorted with columnsort over the corpus")
-	}
 }
 
 // TestTraceInvariantAcrossWorkloads is the security property over the whole
@@ -551,10 +539,6 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 		{"route.ConsolidateCompact", false, func(env *extmem.Env, a extmem.Array) error {
 			route.ConsolidateCompact(env, a, keep)
 			return nil
-		}},
-		{"CompactBlocksLoose", false, func(env *extmem.Env, a extmem.Array) error {
-			_, _, _, err := CompactBlocksLoose(env, a, keep, a.Len()/4)
-			return err
 		}},
 		{"emsort.QuickSelect", true, func(env *extmem.Env, a extmem.Array) error {
 			_, err := emsort.QuickSelect(env, a, int64(a.Len()*a.B()/2))
@@ -608,13 +592,13 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 // caller's array) and beside it: 2 048 blocks, where both sort with
 // bitonic; 4 155 blocks, where Select narrows once and sorts the
 // consolidated prefix with columnsort, and 3 000, where it narrows three
-// times and sorts the prefix with bitonic; and 18 blocks at M = 12B, where
-// loose compaction has no rounds and sorts with columnsort. Every call must
-// leave the caller's array as it was and never write an address of it, and
-// over the rows each call must run both arms of obsort.Deterministic.
+// times and sorts the prefix with bitonic; and 18 blocks at M = 12B. Every
+// call must leave the caller's array as it was and never write an address
+// of it, and over the rows Select and Quantiles must each run both arms of
+// obsort.Deterministic.
 func TestScanCallsOracle(t *testing.T) {
 	type arms struct{ columns, bitonic bool }
-	ran := map[string]*arms{"Select": {}, "Quantiles": {}, "CompactLoose": {}}
+	ran := map[string]*arms{"Select": {}, "Quantiles": {}} // the callers of obsort.Deterministic
 	for _, g := range []struct{ nBlocks, b, m int }{{8192, 8, 4096}, {2048, 8, 4096}, {4155, 8, 4096}, {3000, 8, 4096}, {18, 4, 48}} {
 		t.Run(fmt.Sprintf("n=%d,B=%d,M=%d", g.nBlocks, g.b, g.m), func(t *testing.T) {
 			r := rand.New(rand.NewPCG(uint64(g.nBlocks), 47))
@@ -665,8 +649,8 @@ func TestScanCallsOracle(t *testing.T) {
 					}
 					return nil
 				}},
-				{"CompactLoose", ErrLooseOverflow, func(env *extmem.Env, a extmem.Array) error {
-					out, _, _, err := CompactBlocksLoose(env, a, extmem.Element.Marked, rCap)
+				{"CompactLoose", ErrCompactionFailed, func(env *extmem.Env, a extmem.Array) error {
+					out, _, err := CompactMarkedLoose(env, a, rCap)
 					if err != nil {
 						return err
 					}
@@ -699,8 +683,10 @@ func TestScanCallsOracle(t *testing.T) {
 					if err := c.run(env, a); err != nil {
 						return err
 					}
-					ran[c.name].columns = ran[c.name].columns || ranUnder(col.Roots(), "", "columnsort")
-					ran[c.name].bitonic = ran[c.name].bitonic || ranUnder(col.Roots(), "", "bitonic")
+					if a := ran[c.name]; a != nil {
+						a.columns = a.columns || ranUnder(col.Roots(), "", "columnsort")
+						a.bitonic = a.bitonic || ranUnder(col.Roots(), "", "bitonic")
+					}
 					for _, op := range rec.Ops() {
 						if op.Kind == trace.Write && op.Addr >= int64(a.Base()) && op.Addr < int64(a.Base()+a.Len()) {
 							t.Fatalf("%s wrote block %d of the caller's array", c.name, op.Addr-int64(a.Base()))

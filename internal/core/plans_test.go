@@ -11,14 +11,12 @@ import (
 // TestPredictorsPriceSeededRuns is a seeded property test over small
 // geometries — B ∈ {4, 8, 64}, M/B ∈ {16, 64, 512}, up to a few hundred
 // blocks, occupancy and ranks drawn at random — that runs Select,
-// Quantiles, loose compaction and Sort on a MemStore and requires the
-// measured block I/Os and round trips to equal the predictor: SelectCost,
-// QuantilesCost, SortCost, and LooseCost less two I/Os a repeated probe.
-// The span tree tells which arm a run took, and the sweep must reach each:
-// a Select that narrows and one that takes the sort tail, loose compaction
-// with rounds and without, and Sort levels that sort privately, that sort
-// their buckets directly and that recurse (B = 64, M = 4 096, as in
-// TestSortRecursionReachable).
+// Quantiles and Sort on a MemStore and requires the measured block I/Os
+// and round trips to equal the predictor: SelectCost, QuantilesCost and
+// SortCost. The span tree tells which arm a run took, and the sweep must
+// reach each: a Select that narrows and one that takes the sort tail, and
+// Sort levels that sort privately, that sort their buckets directly and
+// that recurse (B = 64, M = 4 096, as in TestSortRecursionReachable).
 func TestPredictorsPriceSeededRuns(t *testing.T) {
 	r := rand.New(rand.NewPCG(48, 5))
 	arms := map[string]int{}
@@ -61,22 +59,6 @@ func TestPredictorsPriceSeededRuns(t *testing.T) {
 			check("Quantiles", n, b, m, env.D.Stats().Cost(), QuantilesCost(n, b, m, q))
 		}
 
-		rCap := extmem.CeilDiv(int(occupied), b) + r.IntN(n/4+1)
-		env.D.ResetStats()
-		start := len(col.Roots())
-		mark := env.D.Mark()
-		_, kept, repeats, err := CompactBlocksLoose(env, a, extmem.Element.Occupied, rCap)
-		if err != nil || kept != occupied {
-			t.Fatalf("CompactBlocksLoose(cap %d) at n=%d, B=%d, M=%d: %d of %d kept, %v", rCap, n, b, m, kept, occupied, err)
-		}
-		check("CompactBlocksLoose", n, b, m, env.D.Stats().Cost().Add(obs.Cost{IOs: 2 * repeats}), LooseCost(n, rCap, b, m))
-		if ranUnder(col.Roots()[start:], "", "consolidate") {
-			arms["loose by sort"]++
-		} else {
-			arms["loose rounds"]++
-		}
-		env.D.Release(mark)
-
 		if m >= SortFree(n, b) {
 			env.D.ResetStats()
 			start := len(col.Roots())
@@ -106,7 +88,7 @@ func TestPredictorsPriceSeededRuns(t *testing.T) {
 	run(300, 64, 4096)
 	run(1100, 64, 4096)
 	t.Logf("arms reached: %v", arms)
-	for _, arm := range []string{"select narrows", "select sort tail", "loose rounds", "loose by sort", "sort private", "sort buckets direct", "sort recurses"} {
+	for _, arm := range []string{"select narrows", "select sort tail", "sort private", "sort buckets direct", "sort recurses"} {
 		if arms[arm] == 0 {
 			t.Errorf("no run reached %q: %v", arm, arms)
 		}
@@ -143,10 +125,10 @@ func TestAllocsAtBenchmarkGeometry(t *testing.T) {
 	}{
 		{"Select", 1, func() error { _, err := Select(env, a, int64(a.Len()*4)); return err }},
 		{"Quantiles", 2, func() error { _, err := Quantiles(env, a, 8); return err }},
-		{"CompactBlocksLoose", 7, func() error {
+		{"CompactMarkedLoose", 2, func() error {
 			mark := env.D.Mark()
 			defer env.D.Release(mark)
-			_, _, _, err := CompactBlocksLoose(env, loose, extmem.Element.Occupied, rCap)
+			_, _, err := CompactMarkedLoose(env, loose, rCap)
 			return err
 		}},
 		{"Sort", 25, func() error { return Sort(env, a) }},
@@ -161,12 +143,4 @@ func TestAllocsAtBenchmarkGeometry(t *testing.T) {
 			t.Errorf("%s allocates %.0f objects a call, want at most %.0f", c.name, allocs, c.max)
 		}
 	}
-}
-
-// looseBenchFill lays scan_enc_file's loose-compaction input into a — a
-// quarter of its blocks occupied — and returns the call's capacity.
-func looseBenchFill(a extmem.Array) int {
-	b := a.B()
-	buildSparseCells(a, placeCells("random", a.Len(), a.Len()/4, rand.New(rand.NewPCG(7, 7))))
-	return extmem.CeilDiv(a.Len()*b/3, b) + 1
 }

@@ -71,14 +71,13 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // columnsort's, priced the same way, on every row whose geometry
 // ColumnGeometry admits, and the randomized Sort's, priced at the free
 // cache too, wherever 16 blocks are free. Lemma 2's deterministic sort
-// (obsort.Deterministic) runs inside Select, Quantiles, Sort and loose
-// compaction; each must run its columnsort arm on some row, Sort both in a
-// direct bucket sort and in a sample sort, so that every caller's predictor
-// is measured on both arms. oram.RebuildCost is
-// not a row: a rebuild's geometry comes from the ORAM's level state, not
-// from (n, B, M), and oram's TestRebuildIOExact checks every rebuild span
-// of its oracle geometries against it. The ORAM's two prices are rows of
-// their own (oramRows).
+// (obsort.Deterministic) runs inside Select, Quantiles and Sort; each must
+// run its columnsort arm on some row, Sort both in a direct bucket sort and
+// in a sample sort, so that every caller's predictor is measured on both
+// arms. oram.RebuildCost is not a row: a rebuild's geometry comes from the
+// ORAM's level state, not from (n, B, M), and oram's TestRebuildIOExact
+// checks every rebuild span of its oracle geometries against it. The
+// ORAM's two prices are rows of their own (oramRows).
 func TestPredictorsExact(t *testing.T) {
 	t.Run("oram", oramRows)
 	const quantilesQ = 2
@@ -86,7 +85,7 @@ func TestPredictorsExact(t *testing.T) {
 	// Where each caller must run obsort.Deterministic's columnsort arm: under
 	// a span of the given name, or anywhere in the call for "".
 	columnsWanted := map[string][]string{
-		"core.Select": {""}, "core.Quantiles": {""}, "core.CompactBlocksLoose": {""},
+		"core.Select": {""}, "core.Quantiles": {""},
 		"core.Sort": {"direct-sort", "sample-splitters"},
 	}
 	columnsRan := map[string]bool{} // caller/parent
@@ -253,16 +252,6 @@ func TestPredictorsExact(t *testing.T) {
 				rCap := g.n / 5
 				return compactLoose(t, env, a, rCap), core.CompactLooseCost(g.n, rCap, g.b, g.m)
 			}},
-		{"core.CompactBlocksLoose", whole, func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
-			var repeats int64
-			var err error
-			got := measure(env, func() { _, _, repeats, err = core.CompactBlocksLoose(env, a, extmem.Element.Marked, occupied) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Every repeated probe saves the two I/Os the predictor counts.
-			return got.Add(obs.Cost{IOs: 2 * repeats}), core.LooseCost(g.n, occupied, g.b, g.m)
-		}},
 	}
 	// Rows beyond the grid that one primitive alone runs: for Sort, the
 	// benchmark's sort_mem (one distributing level, a direct sort per
@@ -270,11 +259,8 @@ func TestPredictorsExact(t *testing.T) {
 	// whose buckets distribute again, one of them with a quarter of the
 	// cache held, a row whose buckets sort privately in their slots, and
 	// two rows at M = 512 where columnsort sorts 300 blocks: each bucket of
-	// 520 blocks, and the sample of 2 393; for loose compaction, a cache too
-	// small for its rounds, where it consolidates and sorts the whole array
-	// with columnsort, and the benchmark's scan_enc_file, where the
-	// consolidation feeds the first of five rounds; for the public loose
-	// compaction, scan_enc_file's geometry with the fill and without it.
+	// 520 blocks, and the sample of 2 393; for loose compaction,
+	// scan_enc_file's geometry with the fill and without it.
 	// Select and Quantiles
 	// run at scan_enc_file's geometry too, where columnsort sorts the
 	// caller's array into scratch and its last pass feeds the rank scan;
@@ -284,7 +270,6 @@ func TestPredictorsExact(t *testing.T) {
 	more := map[string][]geometry{
 		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
 			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
-		"core.CompactBlocksLoose":         {{18, 4, 48, 0}, {8192, 8, 4096, 0}},
 		"core.CompactMarkedLoose":         {{8192, 8, 4096, 0}},
 		"core.CompactMarkedLoose/no-fill": {{8192, 8, 4096, 0}},
 		"core.Select":                     {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
@@ -332,16 +317,22 @@ func TestPredictorsExact(t *testing.T) {
 }
 
 // compactLoose measures core.CompactMarkedLoose of a with capacity rCap and
-// checks that its output is 5·rCap blocks.
+// checks that its output is 5·rCap blocks and that the call leaves the
+// Disk exactly that much higher: where 5·rCap < n, the routing's blocks
+// past the output go back.
 func compactLoose(t *testing.T, env *extmem.Env, a extmem.Array, rCap int) obs.Cost {
 	var out extmem.Array
 	var err error
+	mark := env.D.Mark()
 	got := measure(env, func() { out, _, err = core.CompactMarkedLoose(env, a, rCap) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 5*rCap {
 		t.Fatalf("output of %d blocks, want 5·%d", out.Len(), rCap)
+	}
+	if grew := env.D.Mark() - mark; grew != 5*rCap {
+		t.Fatalf("the Disk grew %d blocks, want the output's 5·%d", grew, rCap)
 	}
 	return got
 }

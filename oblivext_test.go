@@ -387,7 +387,7 @@ func TestPublicStatsAndCache(t *testing.T) {
 // CompactLooseCost: 169 308 I/Os in 631 round trips, 2.5834 a record. They
 // were 177 500 in 648 while Quantiles counted N in a scan of its own, and
 // 209 244 in 908 (before two I/Os a repeated probe) while loose compaction
-// ran Theorem 8 (LooseCost); and 282 972 in 1 124 while the calls copied
+// ran Theorem 8; and 282 972 in 1 124 while the calls copied
 // the array to sort it and consolidated it into an array to compact it
 // loosely.
 func TestScanEncFileCallsPriced(t *testing.T) {
