@@ -213,7 +213,7 @@ func TestSortWithBelowTwoBlocks(t *testing.T) {
 			env.D.SetRecorder(rec)
 			engine := Engine(name, nBlocks, b, m, m-held, "mem")
 			if held == m-2*b && engine != obsort.EngineBitonic && engine != obsort.EngineZigzag {
-				continue // floors of their own: TestSortDeclaresCacheFloor, TestBucketRespectsHeldCache
+				continue // floors of their own: TestSortDeclaresCacheFloor, TestSortWithDeclaresColumnGeometry
 			}
 			err := SortWith(env, a, engine)
 			if used := env.Cache.Used(); used != held {
@@ -229,59 +229,6 @@ func TestSortWithBelowTwoBlocks(t *testing.T) {
 				t.Fatalf("%s (%s) with %d free: %v", name, engine, m-held, err)
 			}
 			checkSorted(t, a, keys)
-		}
-	}
-}
-
-// TestBucketRespectsHeldCache: the bucket engine sizes its buckets from
-// the cache free at the call, not from M. At 100 blocks of B = 8, M = 512,
-// on a strict cache with part of it held, it sorts within M for exactly
-// obsort.BucketCost's block I/Os at the free cache while the free cache
-// holds a bucket layout; where it holds none — 112 and 16 elements free;
-// at 16 the engine sized from M used to panic in its closing butterfly —
-// SortWith returns ErrSortCache with an empty trace and the held cache
-// untouched.
-func TestBucketRespectsHeldCache(t *testing.T) {
-	const nBlocks, b, m = 100, 8, 512
-	r := rand.New(rand.NewPCG(59, 60))
-	for _, held := range []int{0, 128, 256, 400, m - 2*b} {
-		free := m - held
-		env := newTestEnv(40*nBlocks, b, m, 7)
-		env.Cache = extmem.NewCache(m, true)
-		env.Cache.Acquire(held)
-		a := env.D.Alloc(nBlocks)
-		keys := make([]uint64, nBlocks*b)
-		for i := range keys {
-			keys[i] = r.Uint64() % 1_000
-		}
-		buildKeyArray(a, keys)
-		rec := trace.NewRecorder(0)
-		env.D.SetRecorder(rec)
-		env.D.ResetStats()
-		err := SortWith(env, a, obsort.EngineBucket)
-		if used := env.Cache.Used(); used != held {
-			t.Fatalf("held %d: %d elements checked out after", held, used)
-		}
-		if !obsort.BucketSupported(nBlocks, b, free) {
-			if !errors.Is(err, ErrSortCache) || rec.Len() != 0 {
-				t.Errorf("%d free: err %v after %d accesses, want ErrSortCache before any", free, err, rec.Len())
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%d free: %v", free, err)
-		}
-		if got, want := env.D.Stats().Cost().IOs, obsort.BucketCost(nBlocks, b, free).IOs; got != want {
-			t.Errorf("%d free: %d block I/Os, BucketCost at the free cache %d", free, got, want)
-		}
-		if hw := env.Cache.HighWater(); hw > m {
-			t.Errorf("%d free: cache high-water %d > M = %d", free, hw, m)
-		}
-		checkSorted(t, a, keys)
-	}
-	for _, free := range []int{m, 384, 256} {
-		if !obsort.BucketSupported(nBlocks, b, free) {
-			t.Errorf("no bucket layout in %d elements free: the rows no longer sort", free)
 		}
 	}
 }

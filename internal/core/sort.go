@@ -68,8 +68,8 @@ import (
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
 // ErrSortCache reports an array an engine cannot sort in the cache free at
-// the call, declared before any I/O: below SortFree for Sort, below two
-// blocks for every engine, and where bucket sort has no layout (SortWith).
+// the call, declared before any I/O: below SortFree for Sort and below two
+// blocks for every engine (SortWith).
 var ErrSortCache = errors.New("core: too little cache free for the sort")
 
 // sortMaxDepth bounds the recursion as a safety net; deeper levels sort
@@ -146,11 +146,9 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 // resolved. Every engine fails with ErrSortCache before any I/O where fewer
 // than two blocks of cache are free at the call. Beyond that only
 // "randomized" can fail, with ErrSortFailed, or with ErrSortCache before
-// any I/O below SortFree; "columnsort", with obsort.ErrColumnGeometry
+// any I/O below SortFree; and "columnsort", with obsort.ErrColumnGeometry
 // before any I/O where the array does not fit its size limit in the free
-// cache; and "bucket", with ErrSortCache before any I/O where the free
-// cache holds no bucket layout (obsort.BucketSupported). Bucket retries its
-// declared overflows and falls back to zigzag. Any other name panics.
+// cache. Any other name panics.
 func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	if free := env.M - env.Cache.Used(); a.Len() > 0 && free < 2*a.B() {
 		return fmt.Errorf("%w: %s of n=%d blocks of B=%d needs %d elements of cache free, not %d",
@@ -166,12 +164,6 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 			return err
 		}
 		obsort.Columnsort(env, a, obsort.ByKey)
-	case obsort.EngineBucket:
-		if free := env.M - env.Cache.Used(); !obsort.BucketSupported(a.Len(), a.B(), free) {
-			return fmt.Errorf("%w: bucket of n=%d blocks of B=%d has no bucket layout in %d elements of cache free",
-				ErrSortCache, a.Len(), a.B(), free)
-		}
-		obsort.BucketSorter(env, a, obsort.ByKey)
 	case obsort.EngineZigzag:
 		obsort.Zigzag(env, a, obsort.ByKey)
 	default:

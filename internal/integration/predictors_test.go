@@ -143,7 +143,8 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				return got, obsort.ZigzagCost(g.n, g.b, g.free())
 			}},
-		{"obsort.BucketSort", func(g geometry) bool { return obsort.BucketSupported(g.n, g.b, g.free()) },
+		// BucketCost is zero where BucketSort falls back to Bitonic.
+		{"obsort.BucketSort", func(g geometry) bool { return obsort.BucketCost(g.n, g.b, g.free()).IOs > 0 },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 				// The predictor prices a clean run: a declared overflow leaves
 				// a as it was, and the next run draws fresh labels.

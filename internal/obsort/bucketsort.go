@@ -2,7 +2,6 @@ package obsort
 
 import (
 	"errors"
-	"fmt"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
@@ -37,13 +36,12 @@ import (
 //
 // Every address issued is a function of (len, B, M) and the tape, never the
 // data. Phase 2 failures depend on the tape alone; phase 3 failures also
-// depend on splitter sample quality (as do the randomized sort's deal
-// overflows) — both are declared publicly and abort before the input array
-// is touched, so a failed run's trace is a prefix of the success trace and
-// the input is unchanged. The total I/O volume is O((N/B)·log(N/M)) with
-// small constants, but each merge-split moves a full cache of blocks in 2
-// round trips, which is what makes the engine competitive on high-latency
-// backends at large N.
+// depend on how well the sampled splitters cut the keys. Both are declared
+// publicly and abort before the input array is touched, so a failed run's
+// trace is a prefix of the success trace and the input is unchanged. But
+// Bob sees a failure, and phase 3's rate depends on the data: on sorted or
+// reversed keys a run overflows far more often than on random ones, which
+// is why no sort engine name reaches this file.
 
 // ErrBucketOverflow reports a declared bucket-overflow failure: a bucket
 // exceeded its Z-cell capacity. The input array is unchanged; retrying
@@ -67,9 +65,8 @@ type bucketGeom struct {
 
 // bucketGeometry derives the public geometry from the m elements of cache
 // free at the call, reporting ok=false when they are too few for the
-// bucket layout (BucketSort then falls back to Bitonic, and core.SortWith
-// declines before any I/O). A merge-split holds two buckets in and two out
-// (4Z cells) plus slack.
+// bucket layout (BucketSort then falls back to Bitonic). A merge-split
+// holds two buckets in and two out (4Z cells) plus slack.
 func bucketGeometry(nBlocks, b, m int) (bucketGeom, bool) {
 	if nBlocks == 0 || (m-64)/(4*b) < 2 {
 		return bucketGeom{}, false
@@ -131,9 +128,12 @@ func (g bucketGeom) sampleBlocks(f int) int {
 // BucketSort sorts the occupied elements of a in place with padded
 // semantics (occupied ascend by less with scan-index tie-breaks, empties
 // sink). It may fail with ErrBucketOverflow — a declared, public failure
-// that leaves a unchanged. It is sized from the cache free at the call, not
-// from M; where that cannot support the geometry it falls back to the
-// deterministic Bitonic engine and never fails.
+// that leaves a unchanged, at a rate that depends on the keys' order. It is
+// sized from the cache free at the call, not from M; where that cannot
+// support the geometry it falls back to the deterministic Bitonic engine
+// and never fails. Nothing in the library calls it: it stays only for the
+// benchmark's obsort.bucket_ms probe (benchmark/layers.go), and goes when
+// that probe does.
 //
 // Side effects on success: the Color and CellDest scratch bits of every
 // element are cleared; Key, Pos, Val and the occupied/marked/failed flags
@@ -433,23 +433,6 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	return nil
 }
 
-// BucketSorter runs BucketSort to completion: a declared overflow retries
-// with the tape's next labels (three attempts), then falls back to the
-// deterministic Zigzag engine. The fallback keeps the engine total — exactly the Monte-Carlo-to-Las-Vegas conversion the
-// paper's Theorem 21 pipeline uses for its own failures.
-func BucketSorter(env *extmem.Env, a extmem.Array, less Less) {
-	for attempt := 0; attempt < 3; attempt++ {
-		err := BucketSort(env, a, less)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, ErrBucketOverflow) {
-			panic(fmt.Sprintf("obsort: bucket sort: %v", err))
-		}
-	}
-	Zigzag(env, a, less)
-}
-
 // BucketCost predicts a successful BucketSort run entered with m elements
 // of cache free. Every pass is geometry-addressed, so its block I/Os are a
 // function of (nBlocks, B, m) alone and exact; its round trips are an
@@ -489,12 +472,4 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 	// Finish: consolidating butterfly compaction, copy-back.
 	c = c.Add(route.ConsolidateCompactCost(wb, b, m))
 	return c.Add(obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * scan(nBlocks, 2)})
-}
-
-// BucketSupported reports whether the geometry, with m elements of cache
-// free, lets BucketSort run its own pipeline rather than falling back to
-// Bitonic.
-func BucketSupported(nBlocks, b, m int) bool {
-	_, ok := bucketGeometry(nBlocks, b, m)
-	return ok
 }

@@ -117,7 +117,7 @@ func TestBucketSortCorrectness(t *testing.T) {
 		{8, 8, 512}, {17, 8, 512}, {64, 8, 512}, {128, 8, 512},
 		{64, 4, 512}, {33, 2, 512},
 	} {
-		if !BucketSupported(cfg.n, cfg.b, cfg.m) {
+		if _, ok := bucketGeometry(cfg.n, cfg.b, cfg.m); !ok {
 			t.Fatalf("n=%d b=%d m=%d: geometry unexpectedly unsupported", cfg.n, cfg.b, cfg.m)
 		}
 		for _, kind := range []string{"rand", "sorted", "reverse", "dup", "equal"} {
@@ -155,16 +155,48 @@ func TestBucketSortDeepRecursion(t *testing.T) {
 	}
 }
 
-func TestBucketSortRespectsCacheBound(t *testing.T) {
-	env, a := bucketEnv(128, 8, 512, 9)
-	r := rand.New(rand.NewPCG(35, 35))
-	fillArray(env, a, genKeys(r, 128*8, "rand"))
-	env.Cache.ResetHighWater()
-	if err := BucketSort(env, a, ByKey); err != nil {
-		t.Fatal(err)
+// TestBucketSortRespectsHeldCache: BucketSort sizes its buckets from the
+// cache free at the call, not from M. At 100 blocks of B = 8, M = 512, on a
+// strict cache with part of it held, it sorts within M for exactly
+// BucketCost's block I/Os at the free cache while the free cache holds a
+// bucket layout; where it holds none — 112 and 16 elements free; at 16 the
+// engine sized from M used to panic in its closing butterfly — it falls
+// back to Bitonic, within M and with the held cache untouched.
+func TestBucketSortRespectsHeldCache(t *testing.T) {
+	const nBlocks, b, m = 100, 8, 512
+	r := rand.New(rand.NewPCG(59, 60))
+	for _, held := range []int{0, 128, 256, 400, m - 2*b} {
+		free := m - held
+		env, a := bucketEnv(nBlocks, b, m, 7)
+		env.Cache = extmem.NewCache(m, true)
+		env.Cache.Acquire(held)
+		keys := genKeys(r, nBlocks*b, "rand")
+		fillArray(env, a, keys)
+		env.D.ResetStats()
+		if err := BucketSort(env, a, ByKey); err != nil {
+			t.Fatalf("%d free: %v", free, err)
+		}
+		ios := env.D.Stats().Cost().IOs
+		if used := env.Cache.Used(); used != held {
+			t.Fatalf("held %d: %d elements checked out after", held, used)
+		}
+		if hw := env.Cache.HighWater(); hw > m {
+			t.Errorf("%d free: cache high-water %d > M = %d", free, hw, m)
+		}
+		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
+			t.Fatalf("%d free: multiset changed", free)
+		}
+		if _, ok := bucketGeometry(nBlocks, b, free); !ok {
+			continue
+		}
+		if want := BucketCost(nBlocks, b, free).IOs; ios != want {
+			t.Errorf("%d free: %d block I/Os, BucketCost at the free cache %d", free, ios, want)
+		}
 	}
-	if hw := env.Cache.HighWater(); hw > env.M {
-		t.Fatalf("bucket sort used %d private elements, budget %d", hw, env.M)
+	for _, free := range []int{m, 384, 256} {
+		if _, ok := bucketGeometry(nBlocks, b, free); !ok {
+			t.Errorf("no bucket layout in %d elements free: the rows no longer sort", free)
+		}
 	}
 }
 
@@ -196,7 +228,7 @@ func TestBucketSortTinyCacheFallsBack(t *testing.T) {
 	r := rand.New(rand.NewPCG(39, 39))
 	keys := genKeys(r, 16*8, "rand")
 	fillArray(env, a, keys)
-	if BucketSupported(16, 8, env.M) {
+	if _, ok := bucketGeometry(16, 8, env.M); ok {
 		t.Fatal("tiny geometry unexpectedly supported")
 	}
 	if err := BucketSort(env, a, ByKey); err != nil {
@@ -290,21 +322,6 @@ func TestBucketSortOverflowDeclared(t *testing.T) {
 	t.Fatal("no seed succeeded on both inputs")
 }
 
-func TestBucketSorterRetriesThenSorts(t *testing.T) {
-	// The adapter must always sort, even at the overflow-prone geometry.
-	const n, b, m = 64, 4, 96
-	for seed := uint64(1); seed <= 10; seed++ {
-		env, a := bucketEnv(n, b, m, seed)
-		r := rand.New(rand.NewPCG(seed, 77))
-		keys := genKeys(r, n*b, "rand")
-		fillArray(env, a, keys)
-		BucketSorter(env, a, ByKey)
-		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
-			t.Fatalf("seed %d: multiset changed", seed)
-		}
-	}
-}
-
 // TestPickPolicy pins the pick to the predictors rather than to engine
 // names: at every geometry the pick is the argmin of the exact predictors of
 // the engines the geometry supports (block I/Os over mem, round trips over
@@ -322,28 +339,19 @@ func TestPickPolicy(t *testing.T) {
 		return c.IOs
 	}
 	columns := func(n, b, free int) bool { _, _, err := ColumnGeometry(n, b, free); return err == nil }
-	// engines in tie order; run sorts with the engine and reports whether
-	// the run was the clean one its predictor prices.
+	// engines in tie order; run sorts with the engine.
 	engines := []struct {
 		name      string
 		cost      func(nBlocks, b, m, free int) obs.Cost
 		supported func(nBlocks, b, m, free int) bool
-		run       func(env *extmem.Env, a extmem.Array) bool
+		run       func(env *extmem.Env, a extmem.Array, less Less)
 	}{
 		{EngineBitonic, func(n, b, _, free int) obs.Cost { return BitonicCost(n, b, free) },
-			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b },
-			func(env *extmem.Env, a extmem.Array) bool { Bitonic(env, a, ByKey); return true }},
+			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b }, Bitonic},
 		{EngineColumnsort, func(n, b, _, free int) obs.Cost { return ColumnCost(n, b, free) },
-			func(n, b, _, free int) bool { return columns(n, b, free) },
-			func(env *extmem.Env, a extmem.Array) bool { Columnsort(env, a, ByKey); return true }},
+			func(n, b, _, free int) bool { return columns(n, b, free) }, Columnsort},
 		{EngineZigzag, func(n, b, _, free int) obs.Cost { return ZigzagCost(n, b, free) },
-			func(_, b, _, free int) bool { return free >= 2*b },
-			func(env *extmem.Env, a extmem.Array) bool { Zigzag(env, a, ByKey); return true }},
-		// A declared overflow retries on a fresh tape and costs more than
-		// one run; the predictor is exact for a clean run.
-		{EngineBucket, func(n, b, _, free int) obs.Cost { return BucketCost(n, b, free) },
-			func(n, b, _, free int) bool { return BucketSupported(n, b, free) },
-			func(env *extmem.Env, a extmem.Array) bool { return BucketSort(env, a, ByKey) == nil }},
+			func(_, b, _, free int) bool { return free >= 2*b }, Zigzag},
 	}
 	picked, backendSplits := map[string]bool{}, false
 	for _, g := range []struct{ n, b, m, held int }{
@@ -376,9 +384,7 @@ func TestPickPolicy(t *testing.T) {
 			a := env.D.Alloc(g.n)
 			fillArray(env, a, genKeys(rand.New(rand.NewPCG(43, 44)), g.n*g.b, "rand"))
 			env.D.ResetStats()
-			if !engines[wi].run(env, a) {
-				continue
-			}
+			engines[wi].run(env, a, ByKey)
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
 			}

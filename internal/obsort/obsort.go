@@ -10,10 +10,10 @@
 // O((N/B)·(1 + log²(N/B)/log(C/B))) with a fixed, data-independent address
 // trace.
 // It also provides Leighton's columnsort, fused into three passes for arrays
-// within its size limit (columnsort.go), the zigzag and bucket engines, and
-// Pick, the policy that chooses among the four from public geometry: the
-// strictly cheapest by its exact predictor, ties kept by bitonic, then
-// columnsort, then zigzag.
+// within its size limit (columnsort.go), the zigzag engine, and Pick, the
+// policy that chooses among the three from public geometry: the strictly
+// cheapest by its exact predictor, ties kept by bitonic, then columnsort,
+// then zigzag. BucketSort (bucketsort.go) is no engine: no name reaches it.
 //
 // Sorting here always has padded semantics: occupied elements ascend by
 // (Key, Pos) — or a caller-supplied order — and unoccupied cells sink to

@@ -13,14 +13,13 @@ const (
 	EngineAuto       = "auto"
 	EngineRandomized = "randomized"
 	EngineBitonic    = "bitonic"
-	EngineBucket     = "bucket"
 	EngineZigzag     = "zigzag"
 	EngineColumnsort = "columnsort"
 )
 
 // EngineNames lists the valid engine names in stable order.
 func EngineNames() []string {
-	return []string{EngineAuto, EngineRandomized, EngineBitonic, EngineColumnsort, EngineBucket, EngineZigzag}
+	return []string{EngineAuto, EngineRandomized, EngineBitonic, EngineColumnsort, EngineZigzag}
 }
 
 // ValidEngine reports whether name is a known engine name.
@@ -37,19 +36,18 @@ func ValidEngine(name string) bool {
 // elements against a cache of m elements, free of them not checked out by
 // the caller, over backend "mem" (local or in-process stores) or "net"
 // (HTTP backends, where round trips dominate).
-// It returns one of EngineBitonic, EngineColumnsort, EngineBucket or
-// EngineZigzag — the randomized sort is never picked: its exact predictor,
-// core.SortCost, is nowhere below the cheapest of bitonic, columnsort and
-// zigzag in block I/Os or in round trips (core's
-// TestRandomizedNeverCheapest, over the geometries Pick is tested on).
+// It returns one of EngineBitonic, EngineColumnsort or EngineZigzag — the
+// randomized sort is never picked: its exact predictor, core.SortCost, is
+// nowhere below the cheapest of bitonic, columnsort and zigzag in block
+// I/Os or in round trips (core's TestRandomizedNeverCheapest, over the
+// geometries Pick is tested on).
 //
 // The rule: take the engine whose exact predictor — block I/Os over mem,
 // vectored round trips over net — is strictly least among the engines the
-// geometry supports; on a tie the earliest of bitonic, columnsort, zigzag
-// and bucket keeps it. Every engine is priced at the free cache, which
-// sizes bitonic's window, columnsort's columns, zigzag's runs and bucket
-// sort's buckets. With fewer than two
-// blocks free no engine fits, Pick returns bitonic, and core.SortWith
+// geometry supports; on a tie the earliest of bitonic, columnsort and
+// zigzag keeps it. Every engine is priced at the free cache, which sizes
+// bitonic's window, columnsort's columns and zigzag's runs. With fewer than
+// two blocks free no engine fits, Pick returns bitonic, and core.SortWith
 // declines the sort before any I/O. Columnsort costs 6 I/Os per block
 // wherever ColumnGeometry admits the array and bitonic 2 per pass plus its
 // padding, so over mem columnsort wins where bitonic needs more than three
@@ -60,8 +58,7 @@ func ValidEngine(name string) bool {
 // each, so it wins elsewhere wherever more than a few blocks are free;
 // Zigzag wins where a pass would gather only a bit or two (M/B ≲ 16), and
 // it is the only engine for a block size that is not a power of two where
-// columnsort's alignment fails; BucketSort's 3-pass asymptotics need
-// log₂(N/M) to clear the bar first.
+// columnsort's alignment fails.
 func Pick(nBlocks, b, m, free int, backend string) string {
 	if nBlocks == 0 || free < 2*b {
 		return EngineBitonic
@@ -79,9 +76,6 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 		consider(EngineColumnsort, ColumnCost(nBlocks, b, free))
 	}
 	consider(EngineZigzag, ZigzagCost(nBlocks, b, free))
-	if BucketSupported(nBlocks, b, free) {
-		consider(EngineBucket, BucketCost(nBlocks, b, free))
-	}
 	return best
 }
 

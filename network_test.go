@@ -184,42 +184,47 @@ func sorterMemTrace(t *testing.T, engine string, recs []Record) TraceSummary {
 // TestSorterEnginesNetworkAdversaryView pins the obliviousness of every
 // sorter engine where it matters — over the wire, at the acceptance size
 // N = 2^12, which M = 1024 admits to columnsort (8 columns of 512): the
-// trace Bob himself journals is bit-identical across distinct
-// same-size inputs (bucket's overflow declarations included: at this seed
-// and geometry every attempt succeeds, and the success-path trace is
-// input-independent — the declared-failure prefix contract is pinned in the
-// obsort suite), identical to Alice's logical trace, and — for the concrete
-// engines — identical to the same workload's trace on the in-process
-// MemStore. "auto" is checked for input-independence only: its pick is a
-// public function of the backend kind, so the mem run may legitimately
-// resolve to a different engine than the net run.
+// trace Bob himself journals is bit-identical across distinct same-size
+// inputs — varied, constant, sorted and reversed keys — identical to
+// Alice's logical trace, and — for the concrete engines — identical to the
+// same workload's trace on the in-process MemStore. "auto" is checked for
+// input-independence only: its pick is a public function of the backend
+// kind, so the mem run may legitimately resolve to a different engine than
+// the net run.
 func TestSorterEnginesNetworkAdversaryView(t *testing.T) {
 	const n = 1 << 12
-	varied := mkRecords(n, 1)
-	constant := make([]Record, n)
-	for i := range constant {
-		constant[i] = Record{Key: 5, Val: uint64(i)}
+	names := []string{"varied", "constant", "sorted", "reversed"}
+	inputs := [][]Record{mkRecords(n, 1), make([]Record, n), make([]Record, n), make([]Record, n)}
+	for i := range n {
+		inputs[1][i] = Record{Key: 5, Val: uint64(i)}
+		inputs[2][i] = Record{Key: uint64(i), Val: uint64(i)}
+		inputs[3][i] = Record{Key: uint64(n - i), Val: uint64(i)}
 	}
-	for _, engine := range []string{"bitonic", "columnsort", "zigzag", "bucket", "auto"} {
+	for _, engine := range []string{"bitonic", "columnsort", "zigzag", "auto"} {
 		t.Run(engine, func(t *testing.T) {
-			clientA, serverA := sorterNetTrace(t, engine, varied)
-			clientB, serverB := sorterNetTrace(t, engine, constant)
-			if serverA.Len != serverB.Len || serverA.Hash != serverB.Hash {
-				t.Fatalf("server-side trace depends on data: %+v vs %+v", serverA, serverB)
-			}
-			if clientA.Len != serverA.Len || clientA.Hash != serverA.Hash {
-				t.Fatalf("server journal %+v != client logical trace %+v", serverA, clientA)
-			}
-			if serverA.Len == 0 {
-				t.Fatal("empty trace: the sort never touched the server")
-			}
-			if engine != "auto" {
-				mem := sorterMemTrace(t, engine, varied)
-				if mem.Len != serverA.Len || mem.Hash != serverA.Hash {
-					t.Fatalf("network trace %+v != MemStore logical trace %+v", serverA, mem)
+			var first netstore.ServerTrace
+			var mem TraceSummary
+			for i, recs := range inputs {
+				client, server := sorterNetTrace(t, engine, recs)
+				if i == 0 {
+					first = server
+				} else if server.Len != first.Len || server.Hash != first.Hash {
+					t.Fatalf("server-side trace depends on data: %+v on %s keys, %+v on %s", server, names[i], first, names[0])
 				}
-				if clientB != mem {
-					t.Fatalf("client traces diverge across backends: %+v vs %+v", clientB, mem)
+				if client.Len != server.Len || client.Hash != server.Hash {
+					t.Fatalf("%s: server journal %+v != client logical trace %+v", names[i], server, client)
+				}
+				if server.Len == 0 {
+					t.Fatal("empty trace: the sort never touched the server")
+				}
+				if engine == "auto" {
+					continue
+				}
+				if i == 0 {
+					mem = sorterMemTrace(t, engine, recs)
+				}
+				if client != mem {
+					t.Fatalf("%s: network trace %+v != MemStore logical trace %+v", names[i], client, mem)
 				}
 			}
 		})

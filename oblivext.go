@@ -64,24 +64,24 @@ type Config struct {
 	// Sorter selects the engine behind Array.Sort and the ORAM's level
 	// rebuilds, which an ORAM has only where its arm is the hierarchy (see
 	// NewORAM); on the scan arm it sorts nothing and rejects nothing but an
-	// unknown name or "columnsort": "randomized" (the paper's randomized sort), "bitonic",
-	// "columnsort", "zigzag", "bucket", or "auto". The two defaults differ: "" means
-	// "randomized" for Array.Sort and "auto" for the ORAM's rebuilds. Both
-	// resolve the name in one place, core.Engine, at each sort: "auto" picks
-	// from the sort's geometry (array size, B, M, the cache free at the
-	// call) and the backend kind — round-trip cost for Array.Sort over
-	// network stores, block volume otherwise and for every rebuild; the pick
-	// is a public function of the geometry, so traces stay data-independent.
+	// unknown name or "columnsort": "randomized" (the paper's randomized
+	// sort), "bitonic", "columnsort", "zigzag", or "auto". The two defaults
+	// differ: "" means "randomized" for Array.Sort and "auto" for the ORAM's
+	// rebuilds. Both resolve the name in one place, core.Engine, at each
+	// sort: "auto" picks from the sort's geometry (array size, B, M, the
+	// cache free at the call) and the backend kind — round-trip cost for
+	// Array.Sort over network stores, block volume otherwise and for every
+	// rebuild; the pick is a public function of the geometry, so traces stay
+	// data-independent.
 	// "randomized" needs 6·B elements of cache free for arrays of 3 blocks
 	// or more: below that, Array.Sort returns an error before any I/O and
 	// NewORAM rejects it for a hierarchy. Every engine needs 2·B elements
 	// of cache free, or Array.Sort returns an error before any I/O. Beyond
-	// that the deterministic engines never fail; "bucket"
-	// retries declared overflows on fresh randomness and falls back to
-	// zigzag. "columnsort" takes only arrays within its size limit: named
-	// for any other, Array.Sort returns an error before any I/O, and
-	// NewORAM rejects it ("auto" takes it wherever it fits and is
-	// cheapest). See docs/ARCHITECTURE.md, "Sorter engines".
+	// that the deterministic engines never fail. "columnsort" takes only
+	// arrays within its size limit: named for any other, Array.Sort returns
+	// an error before any I/O, and NewORAM rejects it ("auto" takes it
+	// wherever it fits and is cheapest). See docs/ARCHITECTURE.md, "Sorter
+	// engines".
 	Sorter string
 	// Path, when non-empty, backs the store with a real file at that path
 	// instead of memory.
@@ -800,13 +800,11 @@ func (a *Array) Records() ([]Record, error) {
 // trace, succeeding with high probability (a rare internal failure returns
 // an error with the array unchanged in distribution-visible ways but
 // possibly permuted). Every engine returns an error before any I/O when
-// fewer than two blocks of cache are free at the call. Beyond that the
-// deterministic engines (bitonic, zigzag) never return an error; bucket
-// declares and retries internal overflows on fresh randomness, falling back
-// to zigzag, so it never returns an error either. Columnsort returns one, naming the array's blocks, B and the free cache,
-// before any I/O on an array past its size limit (r ≥ 2(s−1)² with a
-// column and its deal buffer in the free cache); "auto" never picks it
-// there.
+// fewer than two blocks of cache are free at the call. Beyond that bitonic
+// and zigzag never return an error. Columnsort returns one, naming the
+// array's blocks, B and the free cache, before any I/O on an array past its
+// size limit (r ≥ 2(s−1)² with a column and its deal buffer in the free
+// cache); "auto" never picks it there.
 func (a *Array) Sort() error {
 	engine := a.c.sortEngine(a.arr.Len())
 	sp := a.c.env.Obs.Start("sort")

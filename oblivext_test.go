@@ -215,7 +215,7 @@ func TestPublicSortEngines(t *testing.T) {
 	for i := range equal {
 		equal[i] = Record{Key: 7, Val: uint64(i)}
 	}
-	for _, engine := range []string{"randomized", "bitonic", "zigzag", "bucket"} {
+	for _, engine := range []string{"randomized", "bitonic", "zigzag"} {
 		t.Run(engine, func(t *testing.T) {
 			var first TraceSummary
 			for i, recs := range [][]Record{spread, equal} {

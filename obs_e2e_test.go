@@ -259,7 +259,7 @@ func TestSpansDoNotPerturbTrace(t *testing.T) {
 // by a fresh same-seed enforce run matches every golden fingerprint —
 // oblivious executions replay their access traces exactly.
 func TestAuditCleanAllEngines(t *testing.T) {
-	for _, engine := range []string{"randomized", "bitonic", "zigzag", "bucket"} {
+	for _, engine := range []string{"randomized", "bitonic", "zigzag"} {
 		t.Run(engine, func(t *testing.T) {
 			cfg := Config{BlockSize: 8, CacheWords: 256, Seed: 21, Sorter: engine}
 			exercise := func(c *Client) {
@@ -381,7 +381,7 @@ func TestAuditDetectsPerturbedTrace(t *testing.T) {
 // TestClientChromeTrace: the client's exported trace is valid Chrome
 // trace-event JSON whose complete events mirror the span tree.
 func TestClientChromeTrace(t *testing.T) {
-	c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 2, Sorter: "bucket"})
+	c, err := New(Config{BlockSize: 8, CacheWords: 256, Seed: 2, Sorter: "randomized"})
 	if err != nil {
 		t.Fatal(err)
 	}
