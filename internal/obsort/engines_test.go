@@ -159,9 +159,9 @@ func TestBucketSortDeepRecursion(t *testing.T) {
 // cache free at the call, not from M. At 100 blocks of B = 8, M = 512, on a
 // strict cache with part of it held, it sorts within M for exactly
 // BucketCost's block I/Os at the free cache while the free cache holds a
-// bucket layout; where it holds none — 112 and 16 elements free; at 16 the
-// engine sized from M used to panic in its closing butterfly — it falls
-// back to Bitonic, within M and with the held cache untouched.
+// bucket layout; where it holds none — 112 and 16 elements free; at 16 a
+// sort sized from M would panic in its closing butterfly — it falls back
+// to Bitonic, within M and with the held cache untouched.
 func TestBucketSortRespectsHeldCache(t *testing.T) {
 	const nBlocks, b, m = 100, 8, 512
 	r := rand.New(rand.NewPCG(59, 60))
