@@ -22,12 +22,14 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"oblivext"
 	"oblivext/internal/extmem/netstore"
 	"oblivext/internal/obs"
+	"oblivext/internal/obsort"
 )
 
 // Options configures a Service.
@@ -97,6 +99,12 @@ type Service struct {
 func New(opts Options) (*Service, error) {
 	if opts.Base.Namespace != "" {
 		return nil, fmt.Errorf("kvservice: Base.Namespace %q must be empty (namespaces are per session)", opts.Base.Namespace)
+	}
+	// Every session is built from Base on its first request, so a name
+	// oblivext.New would refuse is refused here, at start-up, rather than
+	// as a 500 on every namespace.
+	if s := opts.Base.Sorter; s != "" && !obsort.ValidEngine(s) {
+		return nil, fmt.Errorf("kvservice: unknown Base.Sorter %q (valid: %s, or empty)", s, strings.Join(obsort.EngineNames(), ", "))
 	}
 	if opts.Slots == 0 {
 		opts.Slots = 64

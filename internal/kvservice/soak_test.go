@@ -17,6 +17,7 @@ import (
 	"oblivext"
 	"oblivext/internal/extmem"
 	"oblivext/internal/extmem/netstore"
+	"oblivext/internal/obsort"
 )
 
 // nsFleet spins up a k-server multi-tenant, h2c-capable obstore fleet — the
@@ -284,6 +285,26 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if st.Errors != 2 || rowErrs != st.Errors {
 		t.Errorf("Errors = %d (rows sum %d), want 2 == sum (bad slot + oversized value)", st.Errors, rowErrs)
+	}
+}
+
+// TestServiceRejectsUnknownSorter: New refuses a Base.Sorter that
+// oblivext.New would refuse, so a misconfigured oramkv exits at start-up
+// instead of answering 500 to every session's first request; every name
+// obsort.EngineNames lists, and the empty default, are accepted.
+func TestServiceRejectsUnknownSorter(t *testing.T) {
+	for _, name := range []string{"bucket", "quicksort"} {
+		if _, err := New(Options{Base: oblivext.Config{Sorter: name}}); err == nil || !strings.Contains(err.Error(), "unknown Base.Sorter") {
+			t.Errorf("Sorter %q: err = %v, want an unknown-sorter error", name, err)
+		}
+	}
+	for _, name := range append(obsort.EngineNames(), "") {
+		svc, err := New(Options{Base: oblivext.Config{Sorter: name}})
+		if err != nil {
+			t.Errorf("Sorter %q: %v", name, err)
+			continue
+		}
+		svc.Close()
 	}
 }
 
