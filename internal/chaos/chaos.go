@@ -307,20 +307,13 @@ func (s *Store) fault(ctx context.Context) error {
 	}
 }
 
-// ReadBlocks implements BlockStore.
-func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+// Transfer implements BlockStore: one interaction, so one scheduled event,
+// whichever parts it carries.
+func (s *Store) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
 	if err := s.fault(ctx); err != nil {
 		return err
 	}
-	return s.inner.ReadBlocks(ctx, addrs, dst)
-}
-
-// WriteBlocks implements BlockStore.
-func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	if err := s.fault(ctx); err != nil {
-		return err
-	}
-	return s.inner.WriteBlocks(ctx, addrs, src)
+	return s.inner.Transfer(ctx, wAddrs, src, rAddrs, dst)
 }
 
 // NumBlocks implements BlockStore.

@@ -28,7 +28,7 @@ func TestStoreScheduleWindows(t *testing.T) {
 	dst := make([]extmem.Element, 2)
 	wantFail := []bool{false, true, false, true, true, false}
 	for i, want := range wantFail {
-		err := s.ReadBlocks(bg, []int{0}, dst)
+		err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst)
 		if got := err != nil; got != want {
 			t.Errorf("interaction %d: failed=%v, want %v (err=%v)", i, got, want, err)
 		}
@@ -52,12 +52,12 @@ func TestStoreKillIsPermanent(t *testing.T) {
 		t.Fatalf("GrowTo before death should pass: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+		if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 			t.Fatalf("interaction %d should pass: %v", i, err)
 		}
 	}
 	for i := 2; i < 6; i++ {
-		if err := s.ReadBlocks(bg, []int{0}, dst); err == nil {
+		if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err == nil {
 			t.Fatalf("interaction %d should fail: the target is dead", i)
 		}
 	}
@@ -73,18 +73,18 @@ func TestStoreAddEventArmsLate(t *testing.T) {
 	s := NewStore(extmem.NewMemStore(8, 2), "bob", nil)
 	dst := make([]extmem.Element, 2)
 	for i := 0; i < 5; i++ {
-		if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+		if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 			t.Fatalf("setup interaction %d: %v", i, err)
 		}
 	}
 	s.AddEvent(Event{Target: "bob", At: s.Interactions("bob") + 1, Kind: Err503})
-	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 		t.Fatalf("interaction 5 predates the armed event: %v", err)
 	}
-	if err := s.ReadBlocks(bg, []int{0}, dst); err == nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err == nil {
 		t.Fatal("interaction 6 should hit the armed event")
 	}
-	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 		t.Fatalf("interaction 7 is past the window: %v", err)
 	}
 }
@@ -96,14 +96,14 @@ func TestStoreStallDelaysOnly(t *testing.T) {
 	})
 	src := []extmem.Element{{Key: 3, Flags: extmem.FlagOccupied}, {}}
 	start := time.Now()
-	if err := s.WriteBlocks(bg, []int{1}, src); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{1}, src); err != nil {
 		t.Fatalf("stalled write must still succeed: %v", err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Errorf("stalled write returned in %v, want >= 30ms", d)
 	}
 	dst := make([]extmem.Element, 2)
-	if err := s.ReadBlocks(bg, []int{1}, dst); err != nil || dst[0].Key != 3 {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{1}, dst); err != nil || dst[0].Key != 3 {
 		t.Errorf("read after stall: err=%v key=%d, want nil,3", err, dst[0].Key)
 	}
 }
@@ -112,7 +112,7 @@ func TestStoreStallDelaysOnly(t *testing.T) {
 func TestEmptyTargetMatchesAll(t *testing.T) {
 	s := NewStore(extmem.NewMemStore(8, 2), "anything", Schedule{{At: 0, Kind: Err500}})
 	dst := make([]extmem.Element, 2)
-	if err := s.ReadBlocks(bg, []int{0}, dst); err == nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err == nil {
 		t.Fatal("wildcard event should match any target label")
 	}
 }

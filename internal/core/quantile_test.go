@@ -209,15 +209,16 @@ func TestQuantilesLinearIO(t *testing.T) {
 // the sort is columnsort, cheaper than bitonic on both counts: 5 I/Os per
 // block, its first pass counting N as it reads and its last handing its
 // windows to the rank scan instead of writing them (6, in 177 round trips,
-// while a scan counted N first).
+// while a scan counted N first), in 3s+2 = 98 round trips (160 while each
+// read and each write was a round trip of its own).
 func TestQuantilesArmAtBenchmarkCallSites(t *testing.T) {
 	for _, g := range []struct{ nBlocks, b, m, q int }{
 		{8192, 8, 4096, 8}, {8192, 8, 4096, 4}, {1647, 8, 4096, 4}, {336, 8, 4096, 4},
 	} {
 		wantArm(t, g.nBlocks, g.b, g.m, g.q, false)
 	}
-	want := obs.Cost{IOs: 5 * 8192, RoundTrips: 5 * 32}
-	if c := QuantilesCost(8192, 8, 4096, 8); c != want || c != (obs.Cost{IOs: 40960, RoundTrips: 160}) {
+	want := obs.Cost{IOs: 5 * 8192, RoundTrips: 3*32 + 2}
+	if c := QuantilesCost(8192, 8, 4096, 8); c != want || c != (obs.Cost{IOs: 40960, RoundTrips: 98}) {
 		t.Errorf("scan_enc_file's Quantiles costs %+v, want %+v: 5 I/Os per block", c, want)
 	}
 }

@@ -101,7 +101,7 @@ func TestBlockStoreContract(t *testing.T) {
 			read := func(addrs ...int) []extmem.Element {
 				t.Helper()
 				dst := make([]extmem.Element, len(addrs)*b)
-				if err := s.ReadBlocks(bg, addrs, dst); err != nil {
+				if err := extmem.ReadBlocksCtx(bg, s, addrs, dst); err != nil {
 					t.Fatalf("read %v: %v", addrs, err)
 				}
 				return dst
@@ -118,7 +118,7 @@ func TestBlockStoreContract(t *testing.T) {
 			// Round trip: scattered write, permuted read, a batch of one;
 			// the store copies, so the caller may reuse its buffer.
 			src := blocks(10, 11, 12)
-			if err := s.WriteBlocks(bg, []int{5, 0, 7}, src); err != nil {
+			if err := extmem.WriteBlocksCtx(bg, s, []int{5, 0, 7}, src); err != nil {
 				t.Fatal(err)
 			}
 			clear(src)
@@ -129,7 +129,7 @@ func TestBlockStoreContract(t *testing.T) {
 			// A run of consecutive addresses, which a store may serve as
 			// one transfer (across a segment boundary, in the segmented
 			// MemStore).
-			if err := s.WriteBlocks(bg, []int{2, 3, 4}, blocks(13, 14, 15)); err != nil {
+			if err := extmem.WriteBlocksCtx(bg, s, []int{2, 3, 4}, blocks(13, 14, 15)); err != nil {
 				t.Fatal(err)
 			}
 			equal("run", read(2, 3, 4), blocks(13, 14, 15))
@@ -137,16 +137,51 @@ func TestBlockStoreContract(t *testing.T) {
 
 			// Duplicate addresses: the later slice wins a write, a read
 			// returns the block once per mention.
-			if err := s.WriteBlocks(bg, []int{2, 6, 2}, blocks(20, 21, 22)); err != nil {
+			if err := extmem.WriteBlocksCtx(bg, s, []int{2, 6, 2}, blocks(20, 21, 22)); err != nil {
 				t.Fatal(err)
 			}
 			equal("duplicate addresses", read(2, 6, 2), blocks(22, 21, 22))
 
+			// One Transfer, both parts: the writes land first, so a read of
+			// a block the call writes sees the write, and a read of another
+			// block sees what was there. Over a wire it is one request.
+			var sent int64
+			if im.wire != nil {
+				sent = im.wire()
+			}
+			both := make([]extmem.Element, 3*b)
+			if err := s.Transfer(bg, []int{3, 7}, blocks(50, 51), []int{7, 6, 3}, both); err != nil {
+				t.Fatal(err)
+			}
+			equal("two-part transfer", both, blocks(51, 21, 50))
+			if im.wire != nil && im.wire()-sent != 1 {
+				t.Errorf("a two-part transfer sent %d requests, want 1", im.wire()-sent)
+			}
+			equal("two-part transfer's writes", read(3, 7), blocks(50, 51))
+
+			// dst may alias src: the store consumes src before it fills dst.
+			buf := blocks(60, 61)
+			if err := s.Transfer(bg, []int{4, 5}, buf, []int{5, 2}, buf); err != nil {
+				t.Fatal(err)
+			}
+			equal("aliased transfer", buf, blocks(61, 22))
+			equal("aliased transfer's writes", read(4, 5), blocks(60, 61))
+
+			// A write-only and a read-only Transfer are the one-part calls.
+			if err := s.Transfer(bg, []int{6}, blocks(70), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			one := make([]extmem.Element, b)
+			if err := s.Transfer(bg, nil, nil, []int{6}, one); err != nil {
+				t.Fatal(err)
+			}
+			equal("write-only, then read-only transfer", one, blocks(70))
+
 			// A zero-length batch is a valid interaction that moves nothing.
-			if err := s.WriteBlocks(bg, nil, nil); err != nil {
+			if err := extmem.WriteBlocksCtx(bg, s, nil, nil); err != nil {
 				t.Errorf("empty write: %v", err)
 			}
-			if err := s.ReadBlocks(bg, nil, nil); err != nil {
+			if err := extmem.ReadBlocksCtx(bg, s, nil, nil); err != nil {
 				t.Errorf("empty read: %v", err)
 			}
 
@@ -159,9 +194,9 @@ func TestBlockStoreContract(t *testing.T) {
 			if im.wire != nil {
 				before = im.wire()
 			}
-			werr := s.WriteBlocks(ctx, []int{1}, blocks(40))
+			werr := extmem.WriteBlocksCtx(ctx, s, []int{1}, blocks(40))
 			dst := make([]extmem.Element, b)
-			rerr := s.ReadBlocks(ctx, []int{0}, dst)
+			rerr := extmem.ReadBlocksCtx(ctx, s, []int{0}, dst)
 			if im.wire != nil {
 				if werr == nil || rerr == nil {
 					t.Errorf("canceled ctx over a wire: write err %v, read err %v, want both non-nil", werr, rerr)
@@ -182,18 +217,24 @@ func TestBlockStoreContract(t *testing.T) {
 			// Malformed batches are errors, never panics. (Last, because a
 			// batch that fails on every replica legitimately leaves its
 			// addresses unreadable and the breakers open.)
-			if err := s.ReadBlocks(bg, []int{0, 1}, make([]extmem.Element, b)); err == nil {
+			if err := extmem.ReadBlocksCtx(bg, s, []int{0, 1}, make([]extmem.Element, b)); err == nil {
 				t.Error("short read buffer accepted")
 			}
-			if err := s.WriteBlocks(bg, []int{0}, blocks(1, 2)); err == nil {
+			if err := extmem.WriteBlocksCtx(bg, s, []int{0}, blocks(1, 2)); err == nil {
 				t.Error("long write buffer accepted")
 			}
+			if err := s.Transfer(bg, []int{4}, blocks(1), []int{5}, nil); err == nil {
+				t.Error("two-part transfer with a short read buffer accepted")
+			}
 			for _, addr := range []int{n, -1} {
-				if err := s.ReadBlocks(bg, []int{4, addr}, make([]extmem.Element, 2*b)); err == nil {
+				if err := extmem.ReadBlocksCtx(bg, s, []int{4, addr}, make([]extmem.Element, 2*b)); err == nil {
 					t.Errorf("read of block %d accepted", addr)
 				}
-				if err := s.WriteBlocks(bg, []int{4, addr}, blocks(30, 31)); err == nil {
+				if err := extmem.WriteBlocksCtx(bg, s, []int{4, addr}, blocks(30, 31)); err == nil {
 					t.Errorf("write of block %d accepted", addr)
+				}
+				if err := s.Transfer(bg, []int{4}, blocks(32), []int{addr}, make([]extmem.Element, b)); err == nil {
+					t.Errorf("two-part transfer reading block %d accepted", addr)
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -55,11 +56,11 @@ func benchCryptStore(b *testing.B, write bool) {
 				idx[i] = i
 			}
 			buf := mkElems(n*bs, 1)
-			call := s.ReadBlocks
+			call := func(ctx context.Context, addrs []int, buf []Element) error { return ReadBlocksCtx(ctx, s, addrs, buf) }
 			if write {
-				call = s.WriteBlocks
+				call = func(ctx context.Context, addrs []int, buf []Element) error { return WriteBlocksCtx(ctx, s, addrs, buf) }
 			}
-			if err := s.WriteBlocks(bg, idx, buf); err != nil {
+			if err := WriteBlocksCtx(bg, s, idx, buf); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(n * bs * ElementBytes))

@@ -26,8 +26,8 @@ func CryptChildBlockSize(b int) int { return b + CryptOverheadElements }
 // Geometry: the store presents blocks of B plaintext elements upward while
 // the child holds blocks of CryptChildBlockSize(B) elements (the sealed
 // wire image, zero-padded to whole elements). Addresses map one-to-one and
-// every vectored call maps to exactly one child call over the same address
-// list, so the decorator changes neither the access trace nor the
+// every Transfer maps to exactly one child Transfer over the same address
+// lists, so the decorator changes neither the access trace nor the
 // round-trip count — only the bytes Bob stores.
 //
 // Copies: a block crosses this layer as its one AEAD pass. On a
@@ -177,33 +177,28 @@ func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element)
 	return nil
 }
 
-// ReadBlocks implements BlockStore: the whole batch is fetched with a
-// single child call over the same address list (one interaction, identical
-// trace), then each block is opened individually.
-func (s *CryptStore) ReadBlocks(ctx context.Context, addrs []int, dst []Element) error {
-	if len(dst) != len(addrs)*s.b {
-		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
+// Transfer implements BlockStore: every block of the write part is sealed
+// under its own fresh nonce — vectoring batches the transfer, never the
+// envelope — into the first part of the child-geometry staging, the read
+// part lands in the rest, and the two travel as a single child call over
+// the same address lists (one interaction, identical trace); then each
+// block read is opened individually. src is sealed before the child call
+// and dst opened after it, so dst may alias src.
+func (s *CryptStore) Transfer(ctx context.Context, wAddrs []int, src []Element, rAddrs []int, dst []Element) error {
+	if len(src) != len(wAddrs)*s.b || len(dst) != len(rAddrs)*s.b {
+		return fmt.Errorf("extmem: buffer lengths %d and %d != %d and %d blocks of %d elements",
+			len(src), len(dst), len(wAddrs), len(rAddrs), s.b)
 	}
-	buf := s.childElems(len(addrs))
-	if err := s.child.ReadBlocks(ctx, addrs, buf); err != nil {
+	buf := s.childElems(len(wAddrs) + len(rAddrs))
+	wbuf, rbuf := buf[:len(wAddrs)*s.cb], buf[len(wAddrs)*s.cb:]
+	if err := s.forBlocks(true, wAddrs, src, wbuf); err != nil {
 		return err
 	}
-	return s.forBlocks(false, addrs, dst, buf)
-}
-
-// WriteBlocks implements BlockStore: every block is sealed under its own
-// fresh nonce — vectoring batches the transfer, never the envelope — then
-// the batch travels as a single child call over the same address list.
-func (s *CryptStore) WriteBlocks(ctx context.Context, addrs []int, src []Element) error {
-	if len(src) != len(addrs)*s.b {
-		return fmt.Errorf("extmem: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
-	}
-	buf := s.childElems(len(addrs))
-	if err := s.forBlocks(true, addrs, src, buf); err != nil {
+	s.bytesSealed.Add(int64(len(wAddrs) * s.wire))
+	if err := s.child.Transfer(ctx, wAddrs, wbuf, rAddrs, rbuf); err != nil {
 		return err
 	}
-	s.bytesSealed.Add(int64(len(addrs) * s.wire))
-	return s.child.WriteBlocks(ctx, addrs, buf)
+	return s.forBlocks(false, rAddrs, dst, rbuf)
 }
 
 // NumBlocks implements BlockStore: addresses map one-to-one to the child.

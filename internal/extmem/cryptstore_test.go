@@ -38,7 +38,7 @@ func newCryptMem(t testing.TB, nBlocks, b int) *CryptStore {
 func childSlot(t *testing.T, child BlockStore, addr int) []byte {
 	t.Helper()
 	raw := make([]Element, child.BlockSize())
-	if err := child.ReadBlocks(bg, []int{addr}, raw); err != nil {
+	if err := ReadBlocksCtx(bg, child, []int{addr}, raw); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, len(raw)*ElementBytes)
@@ -51,7 +51,7 @@ func setChildSlot(t *testing.T, child BlockStore, addr int, buf []byte) {
 	t.Helper()
 	raw := make([]Element, child.BlockSize())
 	DecodeElements(raw, buf)
-	if err := child.WriteBlocks(bg, []int{addr}, raw); err != nil {
+	if err := WriteBlocksCtx(bg, child, []int{addr}, raw); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,11 +76,11 @@ func cryptRoundTrip(t *testing.T) {
 	const b = 4
 	s := newCryptMem(t, 8, b)
 	in := mkElems(3*b, 5)
-	if err := s.WriteBlocks(bg, []int{1, 4, 6}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{1, 4, 6}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 3*b)
-	if err := s.ReadBlocks(bg, []int{6, 1, 4}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{6, 1, 4}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b; i++ {
@@ -91,7 +91,7 @@ func cryptRoundTrip(t *testing.T) {
 	// Never-written blocks read back zeroed, not as an authentication
 	// failure.
 	zero := make([]Element, b)
-	if err := s.ReadBlocks(bg, []int{0}, zero); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{0}, zero); err != nil {
 		t.Fatalf("never-written block: %v", err)
 	}
 	for i, e := range zero {
@@ -103,7 +103,7 @@ func cryptRoundTrip(t *testing.T) {
 	if err := s.GrowTo(16); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReadBlocks(bg, []int{15}, zero); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{15}, zero); err != nil {
 		t.Fatalf("grown block: %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	}
 	sentinel := []Element{{Key: 0xfeedfacecafebeef, Val: 0x0123456789abcdef, Pos: 42, Flags: FlagOccupied},
 		{Key: 1}, {Key: 2}, {Key: 3}}
-	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	plain := make([]byte, b*ElementBytes)
@@ -129,7 +129,7 @@ func TestCryptStoreChildSeesOnlyCiphertext(t *testing.T) {
 	if bytes.Contains(w1, plain[:ElementBytes]) {
 		t.Fatal("child store contains the plaintext element encoding")
 	}
-	if err := s.WriteBlocks(bg, []int{2}, sentinel); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{2}, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	if w2 := childSlot(t, child, 2); bytes.Equal(w1, w2) {
@@ -152,7 +152,7 @@ func cryptTamperTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := mkElems(b, 7)
-	if err := s.WriteBlocks(bg, []int{1}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{1}, in); err != nil {
 		t.Fatal(err)
 	}
 	wire := s.enc.WireSize(b * ElementBytes)
@@ -183,7 +183,7 @@ func cryptTamperTable(t *testing.T) {
 			for i := range out {
 				out[i] = Element{Key: 0x5e, Val: 0x5e, Pos: 0x5e, Flags: 0x5e}
 			}
-			err := s.ReadBlocks(bg, []int{1}, out)
+			err := ReadBlocksCtx(bg, s, []int{1}, out)
 			if err == nil || !strings.Contains(err.Error(), "authentication failed") {
 				t.Fatalf("%s byte %d bit %d flipped: read returned %v, want authentication failed",
 					regions[region].name, off, bit, err)
@@ -196,11 +196,11 @@ func cryptTamperTable(t *testing.T) {
 	}
 	// Corruption is contained (per-block envelopes): the rest of the store
 	// still serves, and so does the slot once the honest image is back.
-	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{0}, out); err != nil {
 		t.Fatalf("unrelated block after tamper: %v", err)
 	}
 	setChildSlot(t, child, 1, honest)
-	if err := s.ReadBlocks(bg, []int{1}, out); err != nil || !slices.Equal(out, in) {
+	if err := ReadBlocksCtx(bg, s, []int{1}, out); err != nil || !slices.Equal(out, in) {
 		t.Fatalf("honest image restored: err %v, got %+v", err, out)
 	}
 }
@@ -232,10 +232,10 @@ func TestPortableArm(t *testing.T) {
 		for _, s := range []BlockStore{sealed, file} {
 			in, out := mkElems(2*b, 9), make([]Element, 2*b)
 			hostLE = arm.write
-			err := s.WriteBlocks(bg, []int{3, 1}, in)
+			err := WriteBlocksCtx(bg, s, []int{3, 1}, in)
 			hostLE = arm.read
 			if err == nil {
-				err = s.ReadBlocks(bg, []int{3, 1}, out)
+				err = ReadBlocksCtx(bg, s, []int{3, 1}, out)
 			}
 			if err != nil || !slices.Equal(out, in) {
 				t.Fatalf("%T, %s: err %v, read %+v, wrote %+v", s, arm.name, err, out, in)
@@ -245,7 +245,8 @@ func TestPortableArm(t *testing.T) {
 }
 
 // TestCryptStoreZeroAllocs pins the sealed path's allocation budget: a warm
-// vectored read or write allocates nothing, whatever the batch.
+// read-only, write-only or two-part Transfer allocates nothing, whatever
+// the batch.
 func TestCryptStoreZeroAllocs(t *testing.T) {
 	const b, n = 8, 128
 	s := newCryptMem(t, n, b)
@@ -254,22 +255,23 @@ func TestCryptStoreZeroAllocs(t *testing.T) {
 		idx[i] = i
 	}
 	buf := mkElems(n*b, 4)
-	write := func() {
-		if err := s.WriteBlocks(bg, idx, buf); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"write", func() error { return WriteBlocksCtx(bg, s, idx, buf) }},
+		{"read", func() error { return ReadBlocksCtx(bg, s, idx, buf) }},
+		{"write and read", func() error { return s.Transfer(bg, idx, buf, idx, buf) }},
+	} {
+		call := func() {
+			if err := c.call(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	read := func() {
-		if err := s.ReadBlocks(bg, idx, buf); err != nil {
-			t.Fatal(err)
+		call() // warm: sizes the staging buffer
+		if a := testing.AllocsPerRun(10, call); a != 0 {
+			t.Errorf("%s of %d blocks: %v allocs, want 0", c.name, n, a)
 		}
-	}
-	write() // warm: sizes the staging buffer
-	if a := testing.AllocsPerRun(10, write); a != 0 {
-		t.Errorf("WriteBlocks of %d blocks: %v allocs, want 0", n, a)
-	}
-	if a := testing.AllocsPerRun(10, read); a != 0 {
-		t.Errorf("ReadBlocks of %d blocks: %v allocs, want 0", n, a)
 	}
 }
 
@@ -283,26 +285,26 @@ func TestCryptStoreRelocationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks(bg, []int{2, 5}, mkElems(2*b, 3)); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{2, 5}, mkElems(2*b, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Bob swaps the sealed images of blocks 2 and 5.
 	cb := CryptChildBlockSize(b)
 	b2, b5 := make([]Element, cb), make([]Element, cb)
-	if err := child.ReadBlocks(bg, []int{2}, b2); err != nil {
+	if err := ReadBlocksCtx(bg, child, []int{2}, b2); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.ReadBlocks(bg, []int{5}, b5); err != nil {
+	if err := ReadBlocksCtx(bg, child, []int{5}, b5); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.WriteBlocks(bg, []int{2}, b5); err != nil {
+	if err := WriteBlocksCtx(bg, child, []int{2}, b5); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.WriteBlocks(bg, []int{5}, b2); err != nil {
+	if err := WriteBlocksCtx(bg, child, []int{5}, b2); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, b)
-	if err := s.ReadBlocks(bg, []int{2}, out); err == nil || !strings.Contains(err.Error(), "authentication failed") {
+	if err := ReadBlocksCtx(bg, s, []int{2}, out); err == nil || !strings.Contains(err.Error(), "authentication failed") {
 		t.Fatalf("relocated block served: %v", err)
 	}
 }
@@ -346,18 +348,18 @@ func TestCryptStoreByteCounters(t *testing.T) {
 	const b = 4
 	s := newCryptMem(t, 8, b)
 	wire := int64(testEncryptor(t).WireSize(b * ElementBytes))
-	if err := s.WriteBlocks(bg, []int{0, 1, 2}, mkElems(3*b, 2)); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{0, 1, 2}, mkElems(3*b, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BytesSealed(); got != 3*wire {
 		t.Fatalf("BytesSealed = %d, want %d", got, 3*wire)
 	}
 	buf := make([]Element, 2*b)
-	if err := s.ReadBlocks(bg, []int{1, 2}, buf); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{1, 2}, buf); err != nil {
 		t.Fatal(err)
 	}
 	// A never-written block costs no crypto.
-	if err := s.ReadBlocks(bg, []int{7}, buf[:b]); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{7}, buf[:b]); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BytesOpened(); got != 2*wire {
@@ -384,7 +386,7 @@ func TestCryptStoreBatchTamperDetected(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	if err := s.WriteBlocks(bg, idx, mkElems(n*b, 3)); err != nil {
+	if err := WriteBlocksCtx(bg, s, idx, mkElems(n*b, 3)); err != nil {
 		t.Fatal(err)
 	}
 	nonces := map[string]bool{}
@@ -396,19 +398,19 @@ func TestCryptStoreBatchTamperDetected(t *testing.T) {
 	}
 	// Flip a ciphertext element of block 5 behind the decorator's back.
 	tampered := make([]Element, CryptChildBlockSize(b))
-	if err := child.ReadBlocks(bg, []int{5}, tampered); err != nil {
+	if err := ReadBlocksCtx(bg, child, []int{5}, tampered); err != nil {
 		t.Fatal(err)
 	}
 	tampered[1].Key ^= 1
-	if err := child.WriteBlocks(bg, []int{5}, tampered); err != nil {
+	if err := WriteBlocksCtx(bg, child, []int{5}, tampered); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, n*b)
-	if err := s.ReadBlocks(bg, idx, out); err == nil {
+	if err := ReadBlocksCtx(bg, s, idx, out); err == nil {
 		t.Fatal("vectored read of a tampered block succeeded")
 	}
 	intact := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	if err := s.ReadBlocks(bg, intact, out[:len(intact)*b]); err != nil {
+	if err := ReadBlocksCtx(bg, s, intact, out[:len(intact)*b]); err != nil {
 		t.Fatalf("intact blocks unreadable after tamper: %v", err)
 	}
 }

@@ -35,8 +35,9 @@ type Disk struct {
 	obs      *obs.Collector
 	top      int
 	topMax   int    // largest top any Alloc reached
-	maxBatch int    // blocks per vectored store call; 0 = unlimited, 1 = scalar
-	addrs    []int  // scratch for building vectored address lists
+	maxBatch int    // blocks per store interaction; 0 = unlimited, 1 = scalar
+	addrs    []int  // scratch for building address lists (an exchange's writes)
+	raddrs   []int  // an exchange's reads, as long as addrs
 	idx      []int  // caller-filled block-index scratch, as long as addrs
 	one      [1]int // address list of a one-block Read/Write
 }
@@ -49,11 +50,11 @@ func NewDisk(store BlockStore) *Disk {
 // B returns the block size in elements.
 func (d *Disk) B() int { return d.b }
 
-// SetMaxBatch caps how many blocks a single vectored store call may move:
-// 0 (the default) leaves batches bounded only by the caller's cache budget,
-// 1 degrades ReadMany/WriteMany to one round trip per block — the scalar
-// baseline. The per-block trace is identical for every setting; only the
-// round-trip grouping changes.
+// SetMaxBatch caps how many blocks a single store interaction may move,
+// both parts of an Exchange counted together: 0 (the default) leaves
+// batches bounded only by the caller's cache budget, 1 degrades every call
+// to one round trip per block — the scalar baseline. The per-block trace is
+// identical for every setting; only the round-trip grouping changes.
 func (d *Disk) SetMaxBatch(n int) {
 	if n < 0 {
 		panic("extmem: negative batch cap")
@@ -120,61 +121,64 @@ func (d *Disk) Write(addr int, src []Element) {
 	d.WriteMany(d.one[:], src)
 }
 
-// ReadMany copies blocks addrs[i] into dst[i*B:(i+1)*B], issuing vectored
-// store calls of at most MaxBatch blocks each. The recorded trace is the
-// identical per-block sequence the scalar loop would produce — batching
-// changes what the server must be told per interaction, never what it
-// learns — and Reads advances by len(addrs) while RoundTrips advances by
-// the number of store calls.
-func (d *Disk) ReadMany(addrs []int, dst []Element) {
-	if len(dst) != len(addrs)*d.b {
-		panic(fmt.Sprintf("extmem: vectored read buffer %d != %d blocks of %d", len(dst), len(addrs), d.b))
-	}
-	for lo := 0; lo < len(addrs); {
-		n := d.chunk(len(addrs) - lo)
-		if err := d.store.ReadBlocks(context.Background(), addrs[lo:lo+n], dst[lo*d.b:(lo+n)*d.b]); err != nil {
-			panic(fmt.Sprintf("extmem: vectored read: %v", err))
-		}
-		d.stats.Reads += int64(n)
-		d.stats.RoundTrips++
-		for _, a := range addrs[lo : lo+n] {
-			d.rec.Record(trace.Read, int64(a))
-			d.obs.Access('R', int64(a))
-		}
-		lo += n
-	}
-}
+// ReadMany copies blocks addrs[i] into dst[i*B:(i+1)*B]: an Exchange with
+// nothing to write.
+func (d *Disk) ReadMany(addrs []int, dst []Element) { d.Exchange(nil, nil, addrs, dst) }
 
-// WriteMany copies src[i*B:(i+1)*B] into blocks addrs[i]; the vectored dual
-// of ReadMany with the same trace and accounting guarantees.
-func (d *Disk) WriteMany(addrs []int, src []Element) {
-	if len(src) != len(addrs)*d.b {
-		panic(fmt.Sprintf("extmem: vectored write buffer %d != %d blocks of %d", len(src), len(addrs), d.b))
+// WriteMany copies src[i*B:(i+1)*B] into blocks addrs[i]: an Exchange with
+// nothing to read.
+func (d *Disk) WriteMany(addrs []int, src []Element) { d.Exchange(addrs, src, nil, nil) }
+
+// Exchange writes src[i*B:(i+1)*B] into blocks wAddrs[i], then reads blocks
+// rAddrs[j] into dst[j*B:(j+1)*B], in store interactions of at most
+// MaxBatch blocks each, both parts counted: with no cap, one interaction
+// for both. The recorded trace is the per-block sequence of WriteMany(wAddrs)
+// then ReadMany(rAddrs) — batching changes what the server must be told per
+// interaction, never what it learns — and Writes and Reads advance by the
+// parts' lengths while RoundTrips advances by the number of store calls:
+// one fewer than the two calls would make whenever both parts are non-empty
+// and the cap leaves room. dst may alias src: every write is handed to the
+// store before any read fills dst.
+func (d *Disk) Exchange(wAddrs []int, src []Element, rAddrs []int, dst []Element) {
+	if len(src) != len(wAddrs)*d.b || len(dst) != len(rAddrs)*d.b {
+		panic(fmt.Sprintf("extmem: exchange buffers %d and %d != %d and %d blocks of %d",
+			len(src), len(dst), len(wAddrs), len(rAddrs), d.b))
 	}
-	for lo := 0; lo < len(addrs); {
-		n := d.chunk(len(addrs) - lo)
-		if err := d.store.WriteBlocks(context.Background(), addrs[lo:lo+n], src[lo*d.b:(lo+n)*d.b]); err != nil {
-			panic(fmt.Sprintf("extmem: vectored write: %v", err))
+	for w, r := 0, 0; w < len(wAddrs) || r < len(rAddrs); {
+		nw := d.chunk(len(wAddrs) - w)
+		nr := len(rAddrs) - r
+		if d.maxBatch > 0 {
+			nr = min(nr, d.maxBatch-nw)
 		}
-		d.stats.Writes += int64(n)
+		wa, ra := wAddrs[w:w+nw], rAddrs[r:r+nr]
+		if err := d.store.Transfer(context.Background(), wa, src[w*d.b:(w+nw)*d.b], ra, dst[r*d.b:(r+nr)*d.b]); err != nil {
+			panic(fmt.Sprintf("extmem: transfer of %d writes and %d reads: %v", nw, nr, err))
+		}
+		d.stats.Writes += int64(nw)
+		d.stats.Reads += int64(nr)
 		d.stats.RoundTrips++
-		for _, a := range addrs[lo : lo+n] {
+		for _, a := range wa {
 			d.rec.Record(trace.Write, int64(a))
 			d.obs.Access('W', int64(a))
 		}
-		lo += n
+		for _, a := range ra {
+			d.rec.Record(trace.Read, int64(a))
+			d.obs.Access('R', int64(a))
+		}
+		w, r = w+nw, r+nr
 	}
 }
 
-// grow sizes the address and index scratch for batches of n blocks. Both
-// grow together, to a power of two of blocks, so a batch one block wider
-// than the scans before it — a 512-block gather after 511-block scans —
-// reuses what they grew, and a caller's index list is as long as any batch
-// the Disk has moved.
+// grow sizes the address and index scratch for batches of n blocks. All
+// three lists grow together, to a power of two of blocks, so a batch one
+// block wider than the scans before it — a 512-block gather after 511-block
+// scans — reuses what they grew, and a caller's index list is as long as
+// any batch the Disk has moved.
 func (d *Disk) grow(n int) {
-	if cap(d.addrs) < n {
+	if cap(d.idx) < n {
 		c := 1 << CeilLog2(n)
-		d.addrs, d.idx = make([]int, c), make([]int, c)
+		as := make([]int, 2*c)
+		d.addrs, d.raddrs, d.idx = as[:c:c], as[c:], make([]int, c)
 	}
 }
 
@@ -190,7 +194,11 @@ func (d *Disk) IndexScratch(n int) []int {
 // runAddrs fills the scratch address list with the run [base, base+n).
 func (d *Disk) runAddrs(base, n int) []int {
 	d.grow(n)
-	as := d.addrs[:n]
+	return fillRun(d.addrs[:n], base)
+}
+
+// fillRun sets as[i] = base+i and returns as.
+func fillRun(as []int, base int) []int {
 	for i := range as {
 		as[i] = base + i
 	}
@@ -331,11 +339,43 @@ func (a Array) WriteRange(lo, hi int, src []Element) {
 	a.d.WriteRun(a.base+lo, hi-lo, src)
 }
 
+// Exchange writes src over every block of a, then reads every block of
+// from, an array on the same disk, into dst: one Disk.Exchange, one round
+// trip for both. Either array may be empty. dst may alias src.
+func (a Array) Exchange(src []Element, from Array, dst []Element) {
+	a.sameDisk(from)
+	a.d.grow(max(a.n, from.n))
+	a.d.Exchange(fillRun(a.d.addrs[:a.n], a.base), src, fillRun(a.d.raddrs[:from.n], from.base), dst)
+}
+
+// ExchangeMany writes src[i*B:(i+1)*B] into blocks wIs[i] of a, then reads
+// blocks rIs[j] of from, an array on the same disk, into dst[j*B:(j+1)*B]:
+// one Disk.Exchange, one round trip for both. Either list may be empty.
+// dst may alias src.
+func (a Array) ExchangeMany(wIs []int, src []Element, from Array, rIs []int, dst []Element) {
+	a.sameDisk(from)
+	a.d.grow(max(len(wIs), len(rIs)))
+	a.d.Exchange(a.toAbs(wIs, a.d.addrs), src, from.toAbs(rIs, a.d.raddrs), dst)
+}
+
+// sameDisk panics unless from, when it holds blocks, is on a's disk.
+func (a Array) sameDisk(from Array) {
+	if from.n > 0 && from.d != a.d {
+		panic("extmem: exchange between arrays on different disks")
+	}
+}
+
 // absAddrs maps array-relative block indices to absolute disk addresses in
 // the disk's scratch list.
 func (a Array) absAddrs(is []int) []int {
 	a.d.grow(len(is))
-	as := a.d.addrs[:len(is)]
+	return a.toAbs(is, a.d.addrs)
+}
+
+// toAbs maps array-relative block indices to absolute disk addresses in
+// the front of as, which is long enough.
+func (a Array) toAbs(is []int, as []int) []int {
+	as = as[:len(is)]
 	for i, idx := range is {
 		if idx < 0 || idx >= a.n {
 			panic(fmt.Sprintf("extmem: array access index %d out of range [0,%d)", idx, a.n))

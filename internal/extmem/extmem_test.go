@@ -24,11 +24,11 @@ var bg = context.Background()
 func TestMemStoreRoundTrip(t *testing.T) {
 	s := NewMemStore(4, 3)
 	in := []Element{{Key: 1, Val: 2, Pos: 3, Flags: 4}, {Key: 5}, {Key: 6}}
-	if err := s.WriteBlocks(bg, []int{2}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{2}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 3)
-	if err := s.ReadBlocks(bg, []int{2}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{2}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -40,13 +40,13 @@ func TestMemStoreRoundTrip(t *testing.T) {
 
 func TestMemStoreErrors(t *testing.T) {
 	s := NewMemStore(2, 4)
-	if err := s.ReadBlocks(bg, []int{2}, make([]Element, 4)); err == nil {
+	if err := ReadBlocksCtx(bg, s, []int{2}, make([]Element, 4)); err == nil {
 		t.Error("expected out-of-range read error")
 	}
-	if err := s.ReadBlocks(bg, []int{-1}, make([]Element, 4)); err == nil {
+	if err := ReadBlocksCtx(bg, s, []int{-1}, make([]Element, 4)); err == nil {
 		t.Error("expected negative-address read error")
 	}
-	if err := s.WriteBlocks(bg, []int{0}, make([]Element, 3)); err == nil {
+	if err := WriteBlocksCtx(bg, s, []int{0}, make([]Element, 3)); err == nil {
 		t.Error("expected wrong-size write error")
 	}
 }
@@ -54,7 +54,7 @@ func TestMemStoreErrors(t *testing.T) {
 func TestMemStoreGrow(t *testing.T) {
 	s := NewMemStore(1, 2)
 	in := []Element{{Key: 7}, {Key: 8}}
-	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.GrowTo(10); err != nil {
@@ -64,7 +64,7 @@ func TestMemStoreGrow(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 10", s.NumBlocks())
 	}
 	out := make([]Element, 2)
-	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{0}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0].Key != 7 || out[1].Key != 8 {
@@ -103,14 +103,14 @@ func TestMemStoreSegments(t *testing.T) {
 			for i := range dst {
 				dst[i].Key = 99 // a read must overwrite the buffer, zeros included
 			}
-			if err := s.ReadBlocks(bg, addrs, dst); err != nil {
+			if err := ReadBlocksCtx(bg, s, addrs, dst); err != nil {
 				t.Fatalf("B=%d read %v: %v", b, addrs, err)
 			}
 			return dst
 		}
 		write := func(addrs []int, src []Element) {
 			t.Helper()
-			if err := s.WriteBlocks(bg, addrs, src); err != nil {
+			if err := WriteBlocksCtx(bg, s, addrs, src); err != nil {
 				t.Fatalf("B=%d write %v: %v", b, addrs, err)
 			}
 		}
@@ -157,24 +157,24 @@ func TestMemStoreSegments(t *testing.T) {
 		kept := read(lo)
 		for _, addr := range []int{2 * n, -1} {
 			want := fmt.Sprintf("block address %d out of range [0,%d)", addr, 2*n)
-			if err := s.ReadBlocks(bg, []int{lo, addr}, make([]Element, 2*b)); err == nil || !strings.Contains(err.Error(), want) {
+			if err := ReadBlocksCtx(bg, s, []int{lo, addr}, make([]Element, 2*b)); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("B=%d: read of block %d: %v, want %q", b, addr, err, want)
 			}
-			if err := s.WriteBlocks(bg, []int{lo, addr}, blocks(12, 13)); err == nil || !strings.Contains(err.Error(), want) {
+			if err := WriteBlocksCtx(bg, s, []int{lo, addr}, blocks(12, 13)); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("B=%d: write of block %d: %v, want %q", b, addr, err, want)
 			}
 		}
 		equal("a rejected write moves nothing", read(lo), kept)
 		want := fmt.Sprintf("buffer length %d != 2 blocks of %d elements", b, b)
-		if err := s.ReadBlocks(bg, []int{0, 1}, make([]Element, b)); err == nil || !strings.Contains(err.Error(), want) {
+		if err := ReadBlocksCtx(bg, s, []int{0, 1}, make([]Element, b)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("B=%d: short read buffer: %v, want %q", b, err, want)
 		}
 
 		// Reads and writes into allocated segments allocate nothing.
 		buf := make([]Element, len(run)*b)
 		if a := testing.AllocsPerRun(5, func() {
-			_ = s.ReadBlocks(bg, run, buf)
-			_ = s.WriteBlocks(bg, run, buf)
+			_ = ReadBlocksCtx(bg, s, run, buf)
+			_ = WriteBlocksCtx(bg, s, run, buf)
 		}); a != 0 {
 			t.Errorf("B=%d: %v allocations a read and write of written blocks, want 0", b, a)
 		}
@@ -183,7 +183,7 @@ func TestMemStoreSegments(t *testing.T) {
 		// nothing else: no copy, no zeroed capacity.
 		g := NewMemStore(1024, b)
 		write = func(addrs []int, src []Element) {
-			if err := g.WriteBlocks(bg, addrs, src); err != nil {
+			if err := WriteBlocksCtx(bg, g, addrs, src); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,7 +199,7 @@ func TestMemStoreSegments(t *testing.T) {
 			t.Errorf("B=%d: GrowTo(2^20) allocated %d bytes, want at most the %d-byte segment table", b, got, table)
 		}
 		dst := make([]Element, 3*b)
-		if err := g.ReadBlocks(bg, []int{0, 1023, 1<<20 - 1}, dst); err != nil {
+		if err := ReadBlocksCtx(bg, g, []int{0, 1023, 1<<20 - 1}, dst); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(dst, append(blocks(14, 15), make([]Element, b)...)) {
@@ -224,7 +224,7 @@ func TestMemStoreCloseRecycles(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = i
 		}
-		if err := old.WriteBlocks(bg, addrs, full); err != nil {
+		if err := WriteBlocksCtx(bg, old, addrs, full); err != nil {
 			t.Fatal(err)
 		}
 		if err := old.Close(); err != nil {
@@ -233,15 +233,15 @@ func TestMemStoreCloseRecycles(t *testing.T) {
 		if old.NumBlocks() != 0 {
 			t.Errorf("B=%d: a closed store has %d blocks, want 0", b, old.NumBlocks())
 		}
-		if err := old.ReadBlocks(bg, []int{0}, make([]Element, b)); err == nil {
+		if err := ReadBlocksCtx(bg, old, []int{0}, make([]Element, b)); err == nil {
 			t.Errorf("B=%d: read after Close accepted", b)
 		}
 		s := NewMemStore(per, b)
-		if err := s.WriteBlocks(bg, []int{1}, full[:b]); err != nil {
+		if err := WriteBlocksCtx(bg, s, []int{1}, full[:b]); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]Element, 2*b)
-		if err := s.ReadBlocks(bg, []int{0, 1}, got); err != nil {
+		if err := ReadBlocksCtx(bg, s, []int{0, 1}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, append(make([]Element, b), full[:b]...)) {
@@ -276,7 +276,7 @@ func TestMemStoreConcurrent(t *testing.T) {
 	for i := range want {
 		want[i] = Element{Key: 5, Flags: FlagOccupied}
 	}
-	if err := shared.WriteBlocks(bg, []int{per - 1, per}, append(want, want...)); err != nil {
+	if err := WriteBlocksCtx(bg, shared, []int{per - 1, per}, append(want, want...)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -286,7 +286,7 @@ func TestMemStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			dst := make([]Element, 2*b)
 			for range 50 {
-				if err := shared.ReadBlocks(bg, []int{per - 1, per}, dst); err != nil || !slices.Equal(dst, append(want, want...)) {
+				if err := ReadBlocksCtx(bg, shared, []int{per - 1, per}, dst); err != nil || !slices.Equal(dst, append(want, want...)) {
 					t.Errorf("shared read: err %v, keys %v", err, keysOf(dst, b))
 					return
 				}
@@ -301,15 +301,15 @@ func TestMemStoreConcurrent(t *testing.T) {
 			dst := make([]Element, 2*b)
 			for range 20 {
 				s := NewMemStore(per, b)
-				if err := s.WriteBlocks(bg, []int{1}, mine); err != nil {
+				if err := WriteBlocksCtx(bg, s, []int{1}, mine); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := s.ReadBlocks(bg, []int{0, 1}, dst); err != nil || !slices.Equal(dst, append(make([]Element, b), mine...)) {
+				if err := ReadBlocksCtx(bg, s, []int{0, 1}, dst); err != nil || !slices.Equal(dst, append(make([]Element, b), mine...)) {
 					t.Errorf("goroutine %d: err %v, keys %v", g, err, keysOf(dst, b))
 					return
 				}
-				if err := s.WriteBlocks(bg, []int{0}, mine); err != nil { // the next store must not see it
+				if err := WriteBlocksCtx(bg, s, []int{0}, mine); err != nil { // the next store must not see it
 					t.Error(err)
 					return
 				}
@@ -352,6 +352,66 @@ func TestDiskCountsAndTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangeIsWriteThenRead: an Exchange records exactly the per-block
+// trace of WriteMany then ReadMany, moves the same blocks and reads back
+// the same data, with dst aliasing src too, and takes one round trip fewer
+// wherever the batch cap leaves room for both parts in one interaction. A
+// cap limits the blocks of an interaction with both parts counted, so at a
+// cap of one block — the scalar baseline — the counts are equal, one round
+// trip a block, and at a cap of 4 the writes' last interaction carries the
+// reads.
+func TestExchangeIsWriteThenRead(t *testing.T) {
+	const b = 2
+	w, r := []int{3, 9, 4, 5, 6, 7}, []int{9, 0}
+	src := make([]Element, len(w)*b)
+	for i := range src {
+		src[i] = Element{Key: uint64(i/b + 1), Flags: FlagOccupied}
+	}
+	run := func(limit int, exchange, alias bool) (ops []trace.Op, st obsCounters, got []Element) {
+		d := NewDisk(NewMemStore(16, b))
+		d.SetMaxBatch(limit)
+		d.WriteMany([]int{0}, []Element{{Key: 99}, {Key: 99}})
+		rec := trace.NewRecorder(100)
+		d.SetRecorder(rec)
+		d.ResetStats()
+		in := slices.Clone(src)
+		dst := make([]Element, len(r)*b)
+		if alias {
+			dst = in[:len(r)*b]
+		}
+		if exchange {
+			d.Exchange(w, in, r, dst)
+		} else {
+			d.WriteMany(w, in)
+			d.ReadMany(r, dst)
+		}
+		return rec.Ops(), obsCounters{d.Stats().Reads, d.Stats().Writes, d.Stats().RoundTrips}, dst
+	}
+	for _, c := range []struct {
+		limit      int
+		pair, exch int64 // round trips of the two calls and of the Exchange
+	}{{0, 2, 1}, {1, 8, 8}, {4, 3, 2}} {
+		ops, st, got := run(c.limit, false, false)
+		if st != (obsCounters{2, 6, c.pair}) || !slices.Equal(keysOf(got, b), []uint64{2, 99}) {
+			t.Fatalf("cap %d: the two calls made %+v and read %v", c.limit, st, keysOf(got, b))
+		}
+		for _, alias := range []bool{false, true} {
+			xops, xst, xgot := run(c.limit, true, alias)
+			if !slices.Equal(xops, ops) {
+				t.Errorf("cap %d, alias %v: Exchange traced %v, the two calls %v", c.limit, alias, xops, ops)
+			}
+			if xst != (obsCounters{2, 6, c.exch}) || !slices.Equal(xgot, got) {
+				t.Errorf("cap %d, alias %v: Exchange made %+v and read %v, want %d round trips and %v",
+					c.limit, alias, xst, keysOf(xgot, b), c.exch, keysOf(got, b))
+			}
+		}
+	}
+}
+
+// obsCounters is the part of a Disk's counters TestExchangeIsWriteThenRead
+// compares.
+type obsCounters struct{ reads, writes, roundTrips int64 }
 
 func TestDiskAllocatorStackDiscipline(t *testing.T) {
 	d := NewDisk(NewMemStore(4, 2))
@@ -576,11 +636,11 @@ func fileStoreRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	in := []Element{{Key: 10}, {Key: 20, Flags: FlagOccupied}, {Key: 30}, {Key: 40}}
-	if err := s.WriteBlocks(bg, []int{5}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{5}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 4)
-	if err := s.ReadBlocks(bg, []int{5}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{5}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -589,7 +649,7 @@ func fileStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Unwritten blocks read back zeroed.
-	if err := s.ReadBlocks(bg, []int{0}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{0}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != (Element{}) {
@@ -635,14 +695,14 @@ func TestFileStoreRunsByLength(t *testing.T) {
 		want += shortRuns
 	}
 	in := mkElems(len(addrs)*b, 3)
-	if err := s.WriteBlocks(bg, addrs, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, addrs, in); err != nil {
 		t.Fatal(err)
 	}
 	if s.calls != want {
 		t.Fatalf("write of %d long and %d short runs issued %d calls, want %d", longRuns, shortRuns, s.calls, want)
 	}
 	out := make([]Element, len(in))
-	if err := s.ReadBlocks(bg, addrs, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, addrs, out); err != nil {
 		t.Fatal(err)
 	}
 	if s.calls != 2*want {
@@ -677,7 +737,7 @@ func TestFileStoreFileImage(t *testing.T) {
 		t.Helper()
 		tag++
 		src := mkElems(len(addrs)*b, tag)
-		if err := s.WriteBlocks(bg, addrs, src); err != nil {
+		if err := WriteBlocksCtx(bg, s, addrs, src); err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range addrs {
@@ -734,16 +794,16 @@ func TestFileStoreFaultIsError(t *testing.T) {
 		t.Skip("the file is not mapped on this system")
 	}
 	blk := mkElems(4, 1)
-	if err := s.WriteBlocks(bg, []int{40}, blk); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{40}, blk); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReadBlocks(bg, []int{40}, blk); err == nil {
+	if err := ReadBlocksCtx(bg, s, []int{40}, blk); err == nil {
 		t.Fatal("read of a truncated mapping returned no error")
 	}
-	if err := s.WriteBlocks(bg, []int{40}, blk); err == nil {
+	if err := WriteBlocksCtx(bg, s, []int{40}, blk); err == nil {
 		t.Fatal("write into a truncated mapping returned no error")
 	}
 }
@@ -768,11 +828,11 @@ func TestEncryptedFileStore(t *testing.T) {
 	}
 	defer s.Close()
 	in := []Element{{Key: 77, Flags: FlagOccupied}, {Key: 88}}
-	if err := s.WriteBlocks(bg, []int{1}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{1}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Element, 2)
-	if err := s.ReadBlocks(bg, []int{1}, out); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{1}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != in[0] || out[1] != in[1] {
@@ -807,11 +867,11 @@ func TestReEncryptionIndistinguishable(t *testing.T) {
 		}
 		return raw
 	}
-	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	w1 := read()
-	if err := s.WriteBlocks(bg, []int{0}, in); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{0}, in); err != nil {
 		t.Fatal(err)
 	}
 	w2 := read()

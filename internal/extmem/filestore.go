@@ -53,43 +53,21 @@ func NewFileStore(path string, n, b int) (*FileStore, error) {
 	return s, nil
 }
 
-// ReadBlocks implements BlockStore. Local I/O does not block on a peer, so
-// ctx is not consulted.
-func (s *FileStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) (err error) {
-	if err := s.check(addrs, len(dst)); err != nil {
+// Transfer implements BlockStore: the write part's runs, then the read
+// part's, with both parts checked before either is applied. Local I/O does
+// not block on a peer, so ctx is not consulted.
+func (s *FileStore) Transfer(_ context.Context, wAddrs []int, src []Element, rAddrs []int, dst []Element) (err error) {
+	if err := s.check(wAddrs, len(src)); err != nil {
+		return err
+	}
+	if err := s.check(rAddrs, len(dst)); err != nil {
 		return err
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer faultError(&err)
-	for i := 0; i < len(addrs); {
-		n := runLen(addrs[i:])
-		off := int64(addrs[i]) * int64(s.slot)
-		d := dst[i*s.b : (i+n)*s.b]
-		if m := s.mapped(off, n); m != nil {
-			DecodeElements(d, m)
-		} else {
-			wire := s.vecWire(n)
-			s.calls++
-			if _, err := s.f.ReadAt(wire, off); err != nil {
-				return err
-			}
-			DecodeElements(d, wire)
-		}
-		i += n
-	}
-	return nil
-}
-
-// WriteBlocks implements BlockStore.
-func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) (err error) {
-	if err := s.check(addrs, len(src)); err != nil {
-		return err
-	}
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer faultError(&err)
-	for i := 0; i < len(addrs); {
-		n := runLen(addrs[i:])
-		off := int64(addrs[i]) * int64(s.slot)
+	for i := 0; i < len(wAddrs); {
+		n := runLen(wAddrs[i:])
+		off := int64(wAddrs[i]) * int64(s.slot)
 		e := src[i*s.b : (i+n)*s.b]
 		if m := s.mapped(off, n); m != nil {
 			EncodeElements(m, e)
@@ -100,6 +78,22 @@ func (s *FileStore) WriteBlocks(_ context.Context, addrs []int, src []Element) (
 			if _, err := s.f.WriteAt(wire, off); err != nil {
 				return err
 			}
+		}
+		i += n
+	}
+	for i := 0; i < len(rAddrs); {
+		n := runLen(rAddrs[i:])
+		off := int64(rAddrs[i]) * int64(s.slot)
+		d := dst[i*s.b : (i+n)*s.b]
+		if m := s.mapped(off, n); m != nil {
+			DecodeElements(d, m)
+		} else {
+			wire := s.vecWire(n)
+			s.calls++
+			if _, err := s.f.ReadAt(wire, off); err != nil {
+				return err
+			}
+			DecodeElements(d, wire)
 		}
 		i += n
 	}

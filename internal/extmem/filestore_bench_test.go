@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -33,12 +34,12 @@ func BenchmarkFileStoreGather(b *testing.B) {
 					addrs[i] = shape.step * i
 				}
 				buf := mkElems(n*bs, 1)
-				if err := s.WriteBlocks(bg, addrs, buf); err != nil {
+				if err := WriteBlocksCtx(bg, s, addrs, buf); err != nil {
 					b.Fatal(err)
 				}
-				call := s.ReadBlocks
+				call := func(ctx context.Context, addrs []int, buf []Element) error { return ReadBlocksCtx(ctx, s, addrs, buf) }
 				if write {
-					call = s.WriteBlocks
+					call = func(ctx context.Context, addrs []int, buf []Element) error { return WriteBlocksCtx(ctx, s, addrs, buf) }
 				}
 				b.SetBytes(int64(n * bs * ElementBytes))
 				b.ReportAllocs()

@@ -256,15 +256,19 @@ func Dial(baseURL string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// ReadBlocks implements BlockStore: the whole batch travels as one request,
-// so the Disk's one-RoundTrip-per-call accounting matches what the wire
-// actually carries. A canceled ctx abandons the in-flight attempt and stops
-// retrying — the sharded fan-out cancels doomed siblings through this.
-func (c *Client) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
-	if len(dst) != len(addrs)*c.b {
-		return fmt.Errorf("netstore: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), c.b)
+// Transfer implements BlockStore: both parts travel as one request, so the
+// Disk's one-RoundTrip-per-call accounting matches what the wire actually
+// carries. The write part's elements are encoded straight into the request
+// frame before it is sent, and the read part is decoded into dst from the
+// response, so dst may alias src. A canceled ctx abandons the in-flight
+// attempt and stops retrying — the sharded fan-out cancels doomed siblings
+// through this.
+func (c *Client) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
+	if len(src) != len(wAddrs)*c.b || len(dst) != len(rAddrs)*c.b {
+		return fmt.Errorf("netstore: buffer lengths %d and %d != %d and %d blocks of %d elements",
+			len(src), len(dst), len(wAddrs), len(rAddrs), c.b)
 	}
-	resp, err := c.doIO(ctx, opRead, addrs, 0, nil, len(addrs)*c.blockBytes)
+	resp, err := c.doIO(ctx, wAddrs, src, rAddrs)
 	if err != nil {
 		return err
 	}
@@ -272,46 +276,34 @@ func (c *Client) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Eleme
 	return nil
 }
 
-// WriteBlocks implements BlockStore: one request per batch, like ReadBlocks.
-// The elements are encoded straight into the request body.
-func (c *Client) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	if len(src) != len(addrs)*c.b {
-		return fmt.Errorf("netstore: buffer length %d != %d blocks of %d elements", len(src), len(addrs), c.b)
-	}
-	_, err := c.doIO(ctx, opWrite, addrs, len(addrs)*c.blockBytes,
-		func(payload []byte) { extmem.EncodeElements(payload, src) }, 0)
-	return err
-}
-
 // MaxBatchBlocks returns how many blocks one request can carry under the
-// protocol's wire cap; callers driving this store (oblivext.New) cap the
-// Disk layer's vectored batches to it so a request can never be rejected
-// for size. Splitting a batch only regroups round trips — the per-block
+// protocol's wire cap, written or read; callers driving this store
+// (oblivext.New) cap the Disk layer's interactions, both parts counted, to
+// it so a request can never be rejected for size. Splitting a batch only regroups round trips — the per-block
 // trace is unchanged.
 func (c *Client) MaxBatchBlocks() int {
 	return (maxBatchWire - headerLen - MaxNamespaceLen) / (8 + c.blockBytes)
 }
 
 // doIO sends one data-plane request, replaying it on transient failures
-// (transport errors, timeouts, 5xx, short bodies) within the attempt budget.
+// (transport errors, timeouts, 5xx, short bodies) within the attempt budget,
+// and returns the blocks read, valid until the Client's next request.
 // Every attempt carries the same request id, so the server can recognize a
 // replay of a request whose response was lost and keep its journal free of
 // duplicates.
-func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int, fill func(payload []byte), respLen int) ([]byte, error) {
-	opName := "read"
-	if op == opWrite {
-		opName = "write"
-	}
+func (c *Client) doIO(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int) ([]byte, error) {
+	blocks := len(wAddrs) + len(rAddrs)
+	payloadLen, respLen := len(wAddrs)*c.blockBytes, len(rAddrs)*c.blockBytes
 	// Check the wire cap before materializing the body: rejection must not
 	// cost a giant allocation. MaxBatchBlocks budgets for the longest
 	// namespace.
-	if headerLen+len(c.ns)+8*len(addrs)+payloadLen > maxBatchWire {
-		return nil, fmt.Errorf("netstore: %s of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d)",
-			opName, len(addrs), maxBatchWire, c.MaxBatchBlocks(), c.b)
+	if headerLen+len(c.ns)+8*blocks+payloadLen > maxBatchWire {
+		return nil, fmt.Errorf("netstore: transfer of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d)",
+			blocks, maxBatchWire, c.MaxBatchBlocks(), c.b)
 	}
 	if err := ctx.Err(); err != nil {
 		// Already canceled: nothing goes on the wire, no request id is spent.
-		return nil, fmt.Errorf("netstore: %s of %d blocks: %w", opName, len(addrs), err)
+		return nil, fmt.Errorf("netstore: transfer of %d blocks: %w", blocks, err)
 	}
 	c.mu.Lock()
 	c.seq++
@@ -324,10 +316,8 @@ func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int,
 	}
 	body := c.body
 	var payload []byte
-	body.buf, payload = encodeRequest(body.buf, op, seq, c.ns, addrs, payloadLen)
-	if fill != nil {
-		fill(payload)
-	}
+	body.buf, payload = encodeRequest(body.buf, seq, c.ns, wAddrs, rAddrs, payloadLen)
+	extmem.EncodeElements(payload, src)
 	start := time.Now()
 	var data []byte
 	err := c.withRetry(ctx,
@@ -352,9 +342,9 @@ func (c *Client) doIO(ctx context.Context, op byte, addrs []int, payloadLen int,
 			return retryable, retryAfter, err
 		})
 	if err != nil {
-		return nil, fmt.Errorf("netstore: %s of %d blocks: %w", opName, len(addrs), err)
+		return nil, fmt.Errorf("netstore: transfer of %d blocks: %w", blocks, err)
 	}
-	c.account(len(addrs), time.Since(start))
+	c.account(blocks, time.Since(start))
 	return data, nil
 }
 

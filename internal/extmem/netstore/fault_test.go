@@ -119,8 +119,10 @@ func startFlaky(t *testing.T, blocks, b int, opts Options, plan func(call int) f
 	return srv, c, rt
 }
 
-// runWorkload performs a fixed mixed batch sequence and returns the data
-// read back, so faulty and clean runs can be compared op for op.
+// runWorkload performs a fixed batch sequence — a write, a request with
+// both parts (a write of block 1 and a read of blocks 2 and 1, one seeing
+// the other) and a read — and returns the data read back, so faulty and
+// clean runs can be compared op for op.
 func runWorkload(t *testing.T, c *Client) []extmem.Element {
 	t.Helper()
 	b := c.BlockSize()
@@ -128,14 +130,14 @@ func runWorkload(t *testing.T, c *Client) []extmem.Element {
 	for i := range src {
 		src[i] = extmem.Element{Key: uint64(i), Val: uint64(i * i), Flags: extmem.FlagOccupied}
 	}
-	if err := c.WriteBlocks(bg, []int{0, 2, 5}, src); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{0, 2, 5}, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBlocks(bg, []int{1}, src[:b]); err != nil {
+	dst := make([]extmem.Element, 6*b)
+	if err := c.Transfer(bg, []int{1}, src[:b], []int{2, 1}, dst[:2*b]); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]extmem.Element, 4*b)
-	if err := c.ReadBlocks(bg, []int{5, 1, 0, 2}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{5, 1, 0, 2}, dst[2*b:]); err != nil {
 		t.Fatal(err)
 	}
 	return dst
@@ -226,7 +228,7 @@ func TestFaultTraceUnchanged(t *testing.T) {
 func TestFaultRetryBudget(t *testing.T) {
 	_, c, rt := startFlaky(t, 8, 4, Options{MaxAttempts: 3, Backoff: time.Millisecond},
 		func(int) faultAction { return serve500 })
-	err := c.ReadBlocks(bg, []int{0}, make([]extmem.Element, 4))
+	err := extmem.ReadBlocksCtx(bg, c, []int{0}, make([]extmem.Element, 4))
 	if err == nil {
 		t.Fatal("exhausted retries did not error")
 	}
@@ -250,7 +252,7 @@ func TestFaultRetryBudget(t *testing.T) {
 func TestFaultPermanentErrorNoRetry(t *testing.T) {
 	_, c, rt := startFlaky(t, 8, 4, Options{Backoff: time.Millisecond},
 		func(int) faultAction { return pass })
-	if err := c.ReadBlocks(bg, []int{999}, make([]extmem.Element, 4)); err == nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{999}, make([]extmem.Element, 4)); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
 	if rt.callCount() != 1 {

@@ -2,6 +2,8 @@ package netstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -14,30 +16,44 @@ import (
 //   - readFrame, the server's read of a body into reused storage, returns a
 //     frame's bytes verbatim and accepts every frame decodeRequest does;
 //   - every frame encodeRequest can produce round-trips through
-//     decodeRequest bit-exactly (op, seq, namespace, addresses, payload) —
-//     the replay-dedup key (namespace, seq) in particular survives the trip,
-//     since a key that mutated in flight would suppress the wrong tenant's
-//     journal entries.
+//     decodeRequest bit-exactly (seq, namespace, both address lists,
+//     payload) — the replay-dedup key (namespace, seq) in particular
+//     survives the trip, since a key that mutated in flight would suppress
+//     the wrong tenant's journal entries.
 func FuzzFrameDecode(f *testing.F) {
-	// Seeds, on top of testdata/fuzz: a read on the default tenant (empty
-	// namespace), a namespaced write, and a few deliberate near-misses
-	// (truncations, bad magic, oversize namespace length).
-	seed1, _ := encodeRequest(nil, opRead, 7, "", []int{0, 3}, 0)
-	seed2, p := encodeRequest(nil, opWrite, 1<<40, "tenant-9", []int{5}, blockBytes)
+	// Seeds, on top of testdata/fuzz: a read-only request on the default
+	// tenant (empty namespace), a namespaced write-only one, one with both
+	// parts, and a few deliberate near-misses (truncations, bad magic,
+	// oversize namespace length, a count past the wire cap).
+	readOnly, _ := encodeRequest(nil, 7, "", nil, []int{0, 3}, 0)
+	writeOnly, p := encodeRequest(nil, 1<<40, "tenant-9", []int{5}, nil, blockBytes)
 	for i := range p {
 		p[i] = byte(i)
 	}
-	seed3, _ := encodeRequest(nil, opRead, 2, "a", []int{}, 0)
-	f.Add(seed1)
-	f.Add(seed2)
-	f.Add(seed3)
-	f.Add(seed2[:len(seed2)-3]) // truncated payload
-	f.Add([]byte("OBS3garbagegarbage"))
-	f.Add(append([]byte("OBS2\x01"), bytes.Repeat([]byte{0xff}, 30)...)) // nsLen 255
+	both, p := encodeRequest(nil, 3, "t", []int{2, 9}, []int{9, 4, 4}, 2*blockBytes)
+	for i := range p {
+		p[i] = byte(3 * i)
+	}
+	empty, _ := encodeRequest(nil, 2, "a", nil, nil, 0)
+	f.Add(readOnly)
+	f.Add(writeOnly)
+	f.Add(both)
+	f.Add(empty)
+	hdr := headerLen + 1                          // both's and empty's one-byte namespace
+	f.Add(writeOnly[:len(writeOnly)-3])           // truncated payload
+	f.Add(both[:hdr+2*8])                         // truncated between the parts
+	f.Add(both[:hdr+5*8])                         // truncated before the payload
+	for _, off := range []int{hdr - 8, hdr - 4} { // the write, then the read count past the wire cap
+		over := slices.Clone(empty)
+		binary.LittleEndian.PutUint32(over[off:], maxBatchWire/8)
+		f.Add(over)
+	}
+	f.Add([]byte("OBS4garbagegarbage"))
+	f.Add(append([]byte("OBS3"), bytes.Repeat([]byte{0xff}, 30)...)) // nsLen 255
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		op, seq, ns, addrs, payload, err := decodeRequest(body, blockBytes, nil)
+		q, err := decodeRequest(body, blockBytes, nil)
 		// The server's read path takes exactly the frame's bytes off
 		// the wire, its length declared or not, and refuses no frame
 		// decodeRequest accepts.
@@ -54,29 +70,22 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		// Accepted frames obey the protocol's own invariants.
-		if op != opRead && op != opWrite {
-			t.Fatalf("accepted unknown op %d", op)
+		if !ValidNamespace(q.ns) {
+			t.Fatalf("accepted invalid namespace %q", q.ns)
 		}
-		if !ValidNamespace(ns) {
-			t.Fatalf("accepted invalid namespace %q", ns)
+		if len(q.payload) != q.nw*blockBytes {
+			t.Fatalf("write payload %d bytes for %d blocks", len(q.payload), q.nw)
 		}
-		if op == opWrite && len(payload) != len(addrs)*blockBytes {
-			t.Fatalf("write payload %d bytes for %d blocks", len(payload), len(addrs))
-		}
-		for _, a := range addrs {
+		for _, a := range q.addrs {
 			if a < 0 {
 				t.Fatalf("negative address %d", a)
 			}
 		}
 		// Re-encoding an accepted frame reproduces it bit-exactly, so the
-		// (namespace, seq) replay key and the address list cannot drift
+		// (namespace, seq) replay key and the address lists cannot drift
 		// between what a client sent and what the journal records.
-		payloadLen := 0
-		if op == opWrite {
-			payloadLen = len(payload)
-		}
-		re, rp := encodeRequest(nil, op, seq, ns, addrs, payloadLen)
-		copy(rp, payload)
+		re, rp := encodeRequest(nil, q.seq, q.ns, q.wAddrs(), q.rAddrs(), len(q.payload))
+		copy(rp, q.payload)
 		if !bytes.Equal(re, body) {
 			t.Fatalf("round trip diverged:\n in  %x\n out %x", body, re)
 		}

@@ -59,23 +59,23 @@ func TestNamespaceIsolation(t *testing.T) {
 
 	// Each namespace is its own address space: a write in one is invisible
 	// in the others.
-	if err := ca.WriteBlocks(bg, []int{3}, blockOf(4, 7)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, ca, []int{3}, blockOf(4, 7)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]extmem.Element, 4)
-	if err := cb.ReadBlocks(bg, []int{3}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cb, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, 4)) {
 		t.Fatalf("bob sees alice's block: %+v", got)
 	}
-	if err := cd.ReadBlocks(bg, []int{3}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cd, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, 4)) {
 		t.Fatalf("default tenant sees alice's block: %+v", got)
 	}
-	if err := ca.ReadBlocks(bg, []int{3}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, ca, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 7)) {
@@ -147,7 +147,7 @@ func TestNamespaceReplayWindowScoped(t *testing.T) {
 	_, ts, journals := startNS(t, 8, 2)
 	post := func(ns string, seq uint64) (replay bool) {
 		t.Helper()
-		body, payload := encodeRequest(nil, opWrite, seq, ns, []int{1}, 2*extmem.ElementBytes)
+		body, payload := encodeRequest(nil, seq, ns, []int{1}, nil, 2*extmem.ElementBytes)
 		extmem.EncodeElements(payload, blockOf(2, seq))
 		resp, err := http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -185,10 +185,10 @@ func TestNamespaceGrowScoped(t *testing.T) {
 	}
 	// Bob's geometry is untouched — on his tenant, block 31 is still out of
 	// range.
-	if err := cb.ReadBlocks(bg, []int{31}, make([]extmem.Element, 4)); err == nil || !strings.Contains(err.Error(), "range") {
+	if err := extmem.ReadBlocksCtx(bg, cb, []int{31}, make([]extmem.Element, 4)); err == nil || !strings.Contains(err.Error(), "range") {
 		t.Fatalf("grow leaked into bob's namespace: %v", err)
 	}
-	if err := ca.WriteBlocks(bg, []int{31}, blockOf(4, 1)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, ca, []int{31}, blockOf(4, 1)); err != nil {
 		t.Fatalf("alice's grown region unusable: %v", err)
 	}
 }
@@ -212,9 +212,9 @@ func TestNamespaceRejection(t *testing.T) {
 	}
 	_ = c
 
-	// A malformed OBS2 frame (bad namespace bytes) is a 400.
-	body, _ := encodeRequest(nil, opRead, 1, "ok", []int{0}, 0)
-	body[14], body[15] = '/', '/' // corrupt the namespace in place
+	// A malformed frame (bad namespace bytes) is a 400.
+	body, _ := encodeRequest(nil, 1, "ok", nil, []int{0}, 0)
+	body[nsLenOff+1], body[nsLenOff+2] = '/', '/' // corrupt the namespace in place
 	resp, err := http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -281,21 +281,21 @@ func TestMultiplexedWire(t *testing.T) {
 	defer cb.Close()
 
 	for i := 0; i < 4; i++ {
-		if err := ca.WriteBlocks(bg, []int{i}, blockOf(4, uint64(i))); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, ca, []int{i}, blockOf(4, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := cb.WriteBlocks(bg, []int{i}, blockOf(4, uint64(100+i))); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, cb, []int{i}, blockOf(4, uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := make([]extmem.Element, 4)
-	if err := ca.ReadBlocks(bg, []int{2}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, ca, []int{2}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 2)) {
 		t.Fatalf("alice read back %+v over the multiplexed wire", got)
 	}
-	if err := cb.ReadBlocks(bg, []int{2}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cb, []int{2}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, blockOf(4, 102)) {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,11 +52,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// A batch of one.
-	if err := c.WriteBlocks(bg, []int{3}, blockOf(b, 42)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{3}, blockOf(b, 42)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]extmem.Element, b)
-	if err := c.ReadBlocks(bg, []int{3}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{3}, got); err != nil {
 		t.Fatal(err)
 	}
 	if want := blockOf(b, 42); !equalElems(got, want) {
@@ -67,11 +69,11 @@ func TestRoundTrip(t *testing.T) {
 	for i := range addrs {
 		src = append(src, blockOf(b, uint64(100+i))...)
 	}
-	if err := c.WriteBlocks(bg, addrs, src); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, addrs, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, len(addrs)*b)
-	if err := c.ReadBlocks(bg, addrs, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, addrs, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(dst[0*b:1*b], blockOf(b, 102)) { // block 7: the later slice won
@@ -82,7 +84,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// An unwritten block reads back zeroed.
-	if err := c.ReadBlocks(bg, []int{0}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{0}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, make([]extmem.Element, b)) {
@@ -98,7 +100,7 @@ func TestGrow(t *testing.T) {
 	if c.NumBlocks() != 32 {
 		t.Fatalf("NumBlocks = %d after grow", c.NumBlocks())
 	}
-	if err := c.WriteBlocks(bg, []int{31}, blockOf(4, 9)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{31}, blockOf(4, 9)); err != nil {
 		t.Fatalf("write to grown region: %v", err)
 	}
 	// Shrinking is a no-op, not an error.
@@ -114,10 +116,10 @@ func TestErrors(t *testing.T) {
 	_, ts, c := start(t, 8, 4, ServerOptions{})
 
 	dst := make([]extmem.Element, 4)
-	if err := c.ReadBlocks(bg, []int{99}, dst); err == nil || !strings.Contains(err.Error(), "range") {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{99}, dst); err == nil || !strings.Contains(err.Error(), "range") {
 		t.Fatalf("out-of-range read: %v", err)
 	}
-	if err := c.ReadBlocks(bg, []int{0}, make([]extmem.Element, 3)); err == nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{0}, make([]extmem.Element, 3)); err == nil {
 		t.Fatal("bad buffer length accepted")
 	}
 
@@ -133,7 +135,7 @@ func TestErrors(t *testing.T) {
 
 	// Block-size mismatch at dial time is refused by the caller's check;
 	// here the protocol-level mismatch: a write framed for the wrong B.
-	body, _ := encodeRequest(nil, opWrite, 1, "", []int{0}, 8) // payload too short for B=4
+	body, _ := encodeRequest(nil, 1, "", []int{0}, nil, 8) // payload too short for B=4
 	resp, err = http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -148,10 +150,10 @@ func TestJournalAndTraceEndpoint(t *testing.T) {
 	var journal bytes.Buffer
 	srv, ts, c := start(t, 8, 2, ServerOptions{TraceKeep: 16, Journal: &journal})
 
-	if err := c.WriteBlocks(bg, []int{2, 5}, make([]extmem.Element, 4)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{2, 5}, make([]extmem.Element, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReadBlocks(bg, []int{2}, make([]extmem.Element, 2)); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{2}, make([]extmem.Element, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +244,7 @@ func TestReplayedWriteDoesNotClobberNewerData(t *testing.T) {
 	// payload.
 	srv, ts, c := start(t, 4, 2, ServerOptions{})
 	mkWrite := func(seq uint64, blk []extmem.Element) []byte {
-		body, payload := encodeRequest(nil, opWrite, seq, "", []int{0}, 2*extmem.ElementBytes)
+		body, payload := encodeRequest(nil, seq, "", []int{0}, nil, 2*extmem.ElementBytes)
 		extmem.EncodeElements(payload, blk)
 		return body
 	}
@@ -263,7 +265,7 @@ func TestReplayedWriteDoesNotClobberNewerData(t *testing.T) {
 	post(mkWrite(101, newer)) // a newer write to the same block
 	post(stale)               // the old write's late duplicate
 	got := make([]extmem.Element, 2)
-	if err := c.ReadBlocks(bg, []int{0}, got); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{0}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(got, newer) {
@@ -283,6 +285,60 @@ func TestReplayedWriteDoesNotClobberNewerData(t *testing.T) {
 	}
 }
 
+// TestReplayedTransferRereadsWithoutRewriting: a request with both parts
+// whose response was lost is replayed. The server re-runs its read part —
+// which sees a newer write made in between — does not apply its write part
+// again, journals the pair once, W before R, and counts both parts of
+// every request it served in /metrics.
+func TestReplayedTransferRereadsWithoutRewriting(t *testing.T) {
+	var journal strings.Builder
+	srv, ts, c := start(t, 4, 2, ServerOptions{Journal: &journal})
+	post := func(body []byte) []extmem.Element {
+		t.Helper()
+		resp, err := http.Post(ts.URL+ioPath, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		out := make([]extmem.Element, len(raw)/extmem.ElementBytes)
+		extmem.DecodeElements(out, raw)
+		return out
+	}
+	old, newer, other := blockOf(2, 1), blockOf(2, 2), blockOf(2, 3)
+	if err := extmem.WriteBlocksCtx(bg, c, []int{3}, other); err != nil {
+		t.Fatal(err)
+	}
+	journal.Reset()
+	srv.ResetTrace()
+	pair, payload := encodeRequest(nil, 200, "", []int{0}, []int{0, 3}, 2*extmem.ElementBytes)
+	extmem.EncodeElements(payload, old)
+	write, payload := encodeRequest(nil, 201, "", []int{0}, nil, 2*extmem.ElementBytes)
+	extmem.EncodeElements(payload, newer)
+	if got := post(pair); !equalElems(got, append(slices.Clone(old), other...)) {
+		t.Fatalf("the pair read %+v, want its own write, then block 3", got)
+	}
+	post(write)
+	if got := post(pair); !equalElems(got, append(slices.Clone(newer), other...)) {
+		t.Fatalf("the pair's replay read %+v: it re-applied its write, or did not re-read", got)
+	}
+	got := make([]extmem.Element, 2)
+	if err := extmem.ReadBlocksCtx(bg, c, []int{0}, got); err != nil || !equalElems(got, newer) {
+		t.Fatalf("block 0 holds %+v (%v) after the replay, want the newer write", got, err)
+	}
+	if want := "W 0\nR 0\nR 3\nW 0\nR 0\n"; journal.String() != want {
+		t.Fatalf("journal %q, want %q: the pair once, the newer write, our read", journal.String(), want)
+	}
+	m := srv.MetricsSnapshot()
+	if m.Replays != 1 || m.WriteBlocks != 4 || m.ReadBlocks != 5 {
+		t.Fatalf("metrics count %d replays, %d blocks written and %d read; want 1, 4 (the replay's write part included) and 5",
+			m.Replays, m.WriteBlocks, m.ReadBlocks)
+	}
+}
+
 func TestTwoClientsJournalIndependently(t *testing.T) {
 	// Successive (or concurrent) client processes against one long-lived
 	// server must not collide in the replay-suppression window: request ids
@@ -291,7 +347,7 @@ func TestTwoClientsJournalIndependently(t *testing.T) {
 	srv, ts, c1 := start(t, 8, 2, ServerOptions{})
 	blk := make([]extmem.Element, 2)
 	for i := 0; i < 5; i++ {
-		if err := c1.WriteBlocks(bg, []int{i}, blk); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, c1, []int{i}, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +357,7 @@ func TestTwoClientsJournalIndependently(t *testing.T) {
 	}
 	defer c2.Close()
 	for i := 0; i < 5; i++ {
-		if err := c2.ReadBlocks(bg, []int{i}, blk); err != nil {
+		if err := extmem.ReadBlocksCtx(bg, c2, []int{i}, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,10 +442,10 @@ func TestTransportTuning(t *testing.T) {
 	defer c.Close()
 	buf := make([]extmem.Element, 4)
 	for i := 0; i < 50; i++ {
-		if err := c.WriteBlocks(bg, []int{i % 64}, buf); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, c, []int{i % 64}, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ReadBlocks(bg, []int{i % 64}, buf); err != nil {
+		if err := extmem.ReadBlocksCtx(bg, c, []int{i % 64}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,11 +485,11 @@ func TestBearerAuth(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 	in := blockOf(b, 9)
-	if err := c.WriteBlocks(bg, []int{3}, in); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{3}, in); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]extmem.Element, b)
-	if err := c.ReadBlocks(bg, []int{3}, out); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{3}, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {

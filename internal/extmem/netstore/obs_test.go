@@ -63,8 +63,8 @@ func TestMetricsAgreeWithClient(t *testing.T) {
 	if m.ReadBlocks+m.WriteBlocks != st.BlocksMoved {
 		t.Fatalf("server blocks %d+%d != client %d", m.ReadBlocks, m.WriteBlocks, st.BlocksMoved)
 	}
-	if m.ReadBlocks != 4 || m.WriteBlocks != 4 { // runWorkload: 3+1 written, 4 read
-		t.Fatalf("block split %d/%d, want 4/4", m.ReadBlocks, m.WriteBlocks)
+	if m.ReadBlocks != 6 || m.WriteBlocks != 4 { // runWorkload: 3+1 written, 2+4 read
+		t.Fatalf("block split %d/%d, want 6/4", m.ReadBlocks, m.WriteBlocks)
 	}
 	if m.Latency.Count() != m.Requests {
 		t.Fatalf("latency count %d != requests %d", m.Latency.Count(), m.Requests)

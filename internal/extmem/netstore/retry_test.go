@@ -54,7 +54,7 @@ func TestBackoffFullJitter(t *testing.T) {
 	c.jitter = seqJitter(0.5, 0.3, 0.99)
 
 	buf := make([]extmem.Element, c.BlockSize())
-	if err := c.WriteBlocks(bg, []int{0}, buf); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{0}, buf); err != nil {
 		t.Fatalf("write after retries: %v", err)
 	}
 	want := []time.Duration{
@@ -122,7 +122,7 @@ func TestDrainRetryAfter(t *testing.T) {
 
 	src := make([]extmem.Element, c.BlockSize())
 	src[0] = extmem.Element{Key: 7, Flags: extmem.FlagOccupied}
-	if err := c.WriteBlocks(bg, []int{3}, src); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{3}, src); err != nil {
 		t.Fatalf("write through drain: %v", err)
 	}
 	if len(clock.delays) != 1 || clock.delays[0] != drainFor {
@@ -136,7 +136,7 @@ func TestDrainRetryAfter(t *testing.T) {
 		t.Errorf("journal holds %d accesses, want 1 (the refused attempt must not be journaled)", sum.Len)
 	}
 	dst := make([]extmem.Element, c.BlockSize())
-	if err := c.ReadBlocks(bg, []int{3}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{3}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 7 {
@@ -228,7 +228,7 @@ func TestReadyzJournalFailureLatches(t *testing.T) {
 
 // writeVia performs one write batch directly against a handler.
 func writeVia(h http.Handler, addr int, src []extmem.Element) error {
-	body, payload := encodeRequest(nil, opWrite, uint64(1000+addr), "", []int{addr}, len(src)*extmem.ElementBytes)
+	body, payload := encodeRequest(nil, uint64(1000+addr), "", []int{addr}, nil, len(src)*extmem.ElementBytes)
 	extmem.EncodeElements(payload, src)
 	req, _ := http.NewRequest(http.MethodPost, ioPath, strings.NewReader(string(body)))
 	rec := newRecorder()
@@ -265,7 +265,7 @@ func TestCtxCancelStopsRetrying(t *testing.T) {
 	c.jitter = seqJitter(0.5)
 
 	buf := make([]extmem.Element, c.BlockSize())
-	err := c.ReadBlocks(ctx, []int{0}, buf)
+	err := extmem.ReadBlocksCtx(ctx, c, []int{0}, buf)
 	if err == nil {
 		t.Fatal("read should fail once its context is canceled")
 	}

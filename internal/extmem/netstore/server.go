@@ -360,10 +360,11 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The frame's storage is reused, and goes back only once a served
-	// request's response is written: a write's payload has been decoded
-	// into the tenant's scratch by then, and a read's response is encoded
-	// over the frame after its addresses are decoded. A rejected request's
-	// storage, whatever a forged header grew it to, goes to the GC.
+	// request's response is written: the write part's payload has been
+	// decoded into the tenant's scratch by then, and the read part's
+	// response is encoded over the frame after its addresses are decoded
+	// and its payload applied. A rejected request's storage, whatever a
+	// forged header grew it to, goes to the GC.
 	f := s.takeFrame()
 	body, err := readFrame(r.Body, r.ContentLength, s.blockBytes, f.buf)
 	f.buf = body
@@ -371,13 +372,13 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("read request: %v", err), http.StatusBadRequest)
 		return
 	}
-	op, seq, ns, addrs, payload, err := decodeRequest(body, s.blockBytes, f.addrs)
+	q, err := decodeRequest(body, s.blockBytes, f.addrs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	f.addrs = addrs
-	t, status, err := s.tenantFor(ns)
+	f.addrs = q.addrs
+	t, status, err := s.tenantFor(q.ns)
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -385,7 +386,7 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	// All shared state is touched inside serveIO's locks; the socket writes
 	// below happen after they are released, so one stalled client connection
 	// cannot wedge the whole server behind a mutex.
-	wire, replay, status, msg := s.serveIO(t, op, seq, addrs, payload, int64(len(body)), started, f.buf)
+	wire, replay, status, msg := s.serveIO(t, q, int64(len(body)), started, f.buf)
 	if status != http.StatusOK {
 		http.Error(w, msg, status)
 		return
@@ -393,19 +394,15 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	if replay {
 		w.Header().Set(replayHeader, "1")
 	}
-	if op == opRead {
-		f.buf = wire
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
-		w.Write(wire)
-	} else {
-		w.WriteHeader(http.StatusOK)
-	}
+	f.buf = wire
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
+	w.Write(wire)
 	s.idle.Store(f)
 }
 
 // frameBuf is one data-plane request's wire storage, reused across
-// requests: the frame lands in buf, its addresses in addrs, and a read's
+// requests: the frame lands in buf, its addresses in addrs, and the
 // response is encoded over buf.
 type frameBuf struct {
 	buf   []byte
@@ -446,7 +443,7 @@ func readFrame(r io.Reader, declared int64, blockBytes int, buf []byte) ([]byte,
 			return buf[:0], fmt.Errorf("netstore: request truncated at %d bytes (namespace of %d)", headerLen+n, nsLen)
 		}
 	}
-	_, _, want, err := frameLen(buf, blockBytes)
+	_, _, _, want, err := frameLen(buf, blockBytes)
 	if err != nil {
 		return buf[:0], err
 	}
@@ -480,54 +477,49 @@ func readFrame(r io.Reader, declared int64, blockBytes int, buf []byte) ([]byte,
 }
 
 // serveIO executes one decoded data-plane request under its tenant's mutex
-// and returns the read payload (reads only, encoded into out's storage),
-// whether the request was answered from the replay window, and an error
-// status + message. bodyBytes and started feed the telemetry counters.
-func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []byte, bodyBytes int64, started time.Time, out []byte) (wire []byte, replay bool, status int, msg string) {
+// — the write part, then the read part — and returns the blocks read
+// (encoded into out's storage), whether the request was answered from the
+// replay window, and an error status + message. bodyBytes and started feed
+// the telemetry counters.
+func (s *Server) serveIO(t *tenant, q request, bodyBytes int64, started time.Time, out []byte) (wire []byte, replay bool, status int, msg string) {
 	t.mu.Lock()
-	replay = t.isReplay(seq)
+	replay = t.isReplay(q.seq)
 
 	// Address validation is the client's responsibility gone wrong (400,
 	// permanent); anything the store itself then fails on is the server's
 	// problem (500, and the client's retry budget applies — a transient
 	// disk fault must not abort a Sort built to survive transient faults).
 	numBlocks := t.store.NumBlocks()
-	for _, a := range addrs {
+	for _, a := range q.addrs {
 		if a >= numBlocks {
 			t.mu.Unlock()
 			return nil, replay, http.StatusBadRequest,
 				fmt.Sprintf("netstore: block address %d out of range [0,%d)", a, numBlocks)
 		}
 	}
-	kind := trace.Read
-	if op == opWrite {
-		kind = trace.Write
+	wAddrs, rAddrs := q.wAddrs(), q.rAddrs()
+	elems := t.scratchElems(len(q.addrs), s.b)
+	welems, relems := elems[:len(wAddrs)*s.b], elems[len(wAddrs)*s.b:]
+	if replay {
+		// A replay's write part is acknowledged without touching the
+		// store: its first execution already landed, and re-applying a
+		// stale duplicate (e.g. one abandoned to a timeout, arriving after
+		// a *newer* write to the same blocks) would roll that newer data
+		// back. Its read part re-executes — the data is needed again and
+		// reads are pure.
+		wAddrs, welems = nil, nil
+	} else {
+		extmem.DecodeElements(welems, q.payload)
 	}
-	elems := t.scratchElems(len(addrs), s.b)
 	// The store runs under context.Background(), not the request's context:
 	// a decoded request executes and is journaled to completion even if the
 	// client hangs up, so the journal never holds half an interaction.
-	ctx := context.Background()
-	if op == opRead {
-		// Replayed reads re-execute — the data is needed again and reads
-		// are pure.
-		if err := t.store.ReadBlocks(ctx, addrs, elems); err != nil {
-			t.mu.Unlock()
-			return nil, replay, http.StatusInternalServerError, err.Error()
-		}
-	} else if !replay {
-		extmem.DecodeElements(elems, payload)
-		if err := t.store.WriteBlocks(ctx, addrs, elems); err != nil {
-			t.mu.Unlock()
-			return nil, replay, http.StatusInternalServerError, err.Error()
-		}
+	if err := t.store.Transfer(context.Background(), wAddrs, welems, rAddrs, relems); err != nil {
+		t.mu.Unlock()
+		return nil, replay, http.StatusInternalServerError, err.Error()
 	}
-	// else: a replayed write is acknowledged without touching the store.
-	// Its first execution already landed; re-applying a stale duplicate
-	// (e.g. one abandoned to a timeout, arriving after a *newer* write to
-	// the same blocks) would roll that newer data back.
 	if !replay {
-		if err := t.record(kind, addrs); err != nil {
+		if err := t.record(wAddrs, rAddrs); err != nil {
 			// The access executed but could not be journaled: fail the
 			// request WITHOUT marking the id as seen, so the client's
 			// replay gets journaled rather than suppressed as a phantom
@@ -540,22 +532,20 @@ func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []
 			s.mu.Unlock()
 			return nil, replay, http.StatusInternalServerError, fmt.Sprintf("journal: %v", err)
 		}
-		t.remember(seq)
+		t.remember(q.seq)
 	}
 	// Counters advance only for requests actually served.
 	t.requests++
 	if replay {
 		t.replays++
 	}
-	if op == opRead {
-		// The request's own reused buffer, not the tenant's scratch: the
-		// response outlives the lock (it is written to the socket after
-		// release). A read frame holds no payload, and its addresses are
-		// decoded already, so nothing still reads what this overwrites.
-		n := len(addrs) * s.blockBytes
-		wire = slices.Grow(out[:0], n)[:n]
-		extmem.EncodeElements(wire, elems)
-	}
+	// The request's own reused buffer, not the tenant's scratch: the
+	// response outlives the lock (it is written to the socket after
+	// release). The frame's addresses are decoded and its payload applied
+	// already, so nothing still reads what this overwrites.
+	n := len(rAddrs) * s.blockBytes
+	wire = slices.Grow(out[:0], n)[:n]
+	extmem.EncodeElements(wire, relems)
 	t.mu.Unlock()
 
 	s.mu.Lock()
@@ -564,12 +554,9 @@ func (s *Server) serveIO(t *tenant, op byte, seq uint64, addrs []int, payload []
 		s.replayTotal++
 	}
 	s.bytesIn += bodyBytes
-	if op == opRead {
-		s.readBlocks += int64(len(addrs))
-		s.bytesOut += int64(len(addrs)) * int64(s.blockBytes)
-	} else {
-		s.writeBlocks += int64(len(addrs))
-	}
+	s.readBlocks += int64(len(rAddrs))
+	s.bytesOut += int64(n)
+	s.writeBlocks += int64(q.nw)
 	s.hist.Observe(time.Since(started))
 	s.mu.Unlock()
 	return wire, replay, http.StatusOK, ""
@@ -593,22 +580,28 @@ func (t *tenant) remember(seq uint64) {
 	t.seen[seq] = struct{}{}
 }
 
-// record journals one batch's per-block accesses: the file write goes out
-// as a single buffer first, and the in-memory recorder advances only once
-// that write succeeded, so the two views cannot diverge mid-batch. The
-// caller holds t.mu.
-func (t *tenant) record(kind trace.Kind, addrs []int) error {
+// record journals one request's per-block accesses, its writes before its
+// reads: the file write goes out as a single buffer first, and the
+// in-memory recorder advances only once that write succeeded, so the two
+// views cannot diverge mid-request. The caller holds t.mu.
+func (t *tenant) record(wAddrs, rAddrs []int) error {
 	if t.journal != nil {
 		t.jbuf = t.jbuf[:0]
-		for _, a := range addrs {
-			t.jbuf = fmt.Appendf(t.jbuf, "%c %d\n", kind, a)
+		for _, a := range wAddrs {
+			t.jbuf = fmt.Appendf(t.jbuf, "%c %d\n", trace.Write, a)
+		}
+		for _, a := range rAddrs {
+			t.jbuf = fmt.Appendf(t.jbuf, "%c %d\n", trace.Read, a)
 		}
 		if _, err := t.journal.Write(t.jbuf); err != nil {
 			return err
 		}
 	}
-	for _, a := range addrs {
-		t.rec.Record(kind, int64(a))
+	for _, a := range wAddrs {
+		t.rec.Record(trace.Write, int64(a))
+	}
+	for _, a := range rAddrs {
+		t.rec.Record(trace.Read, int64(a))
 	}
 	return nil
 }

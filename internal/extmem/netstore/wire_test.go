@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,29 +28,26 @@ func allocBytes(runs int, f func()) float64 {
 
 // TestNetstoreAllocsFlat pins what one data-plane round trip allocates on
 // both ends of the wire together (the server runs in-process): the bytes
-// per ReadBlocks or WriteBlocks call may not grow with the batch beyond
-// net/http's copy buffer for a request body (up to 32 KiB) plus a few KiB,
-// and a call whose frame fits the transport's write buffer pays no copy
-// buffer at all. The frame, the server's copy of it and the read response
-// all live in reused buffers. The wire's counterpart to
+// per Transfer — read-only, write-only, or both parts — may not grow with
+// the batch beyond net/http's copy buffer for a request body (up to 32 KiB)
+// plus a few KiB, and a call whose frame fits the transport's write buffer
+// pays no copy buffer at all. The frame, the server's copy of it and the
+// response all live in reused buffers. The wire's counterpart to
 // TestCryptStoreZeroAllocs.
 func TestNetstoreAllocsFlat(t *testing.T) {
 	const b = 16
-	_, _, c := start(t, 1024, b, ServerOptions{})
-	perCall := func(blocks int, write bool) float64 {
-		addrs := make([]int, blocks)
-		for i := range addrs {
-			addrs[i] = i
+	_, _, c := start(t, 2048, b, ServerOptions{})
+	perCall := func(blocks int, w, r bool) float64 {
+		wAddrs, rAddrs := runOf(0, blocks), runOf(blocks, blocks)
+		if !w {
+			wAddrs = nil
 		}
-		elems := make([]extmem.Element, blocks*b)
+		if !r {
+			rAddrs = nil
+		}
+		src, dst := make([]extmem.Element, len(wAddrs)*b), make([]extmem.Element, len(rAddrs)*b)
 		call := func() {
-			var err error
-			if write {
-				err = c.WriteBlocks(bg, addrs, elems)
-			} else {
-				err = c.ReadBlocks(bg, addrs, elems)
-			}
-			if err != nil {
+			if err := c.Transfer(bg, wAddrs, src, rAddrs, dst); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -73,16 +71,16 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 	// when the body went through net/http's copy buffer. Not checked under
 	// the race detector.
 	const fitsCeiling = 12 << 10
-	if 128*(8+b*extmem.ElementBytes)+headerLen > writeBufferSize {
-		t.Fatal("a 128-block frame no longer fits the write buffer: the ceiling below does not apply")
+	if 128*(2*8+b*extmem.ElementBytes)+headerLen > writeBufferSize {
+		t.Fatal("a 128 + 128-block frame no longer fits the write buffer: the ceiling below does not apply")
 	}
 	for _, op := range []struct {
-		name  string
-		write bool
-	}{{"ReadBlocks", false}, {"WriteBlocks", true}} {
-		small, large := perCall(128, op.write), perCall(1024, op.write)
+		name string
+		w, r bool
+	}{{"read", false, true}, {"write", true, false}, {"write and read", true, true}} {
+		small, large := perCall(128, op.w, op.r), perCall(1024, op.w, op.r)
 		payload := (1024 - 128) * b * extmem.ElementBytes
-		t.Logf("%s: %.0f B/call at 128 blocks, %.0f at 1024 (%d more payload bytes)", op.name, small, large, payload)
+		t.Logf("%s: %.0f B/call at 128 blocks, %.0f at 1024 (%d more payload bytes each way)", op.name, small, large, payload)
 		if small > fitsCeiling && !raceEnabled {
 			t.Errorf("%s allocates %.0f B/call at 128 blocks, over the %d-byte ceiling for a frame that fits the write buffer",
 				op.name, small, fitsCeiling)
@@ -91,6 +89,49 @@ func TestNetstoreAllocsFlat(t *testing.T) {
 			t.Errorf("%s allocates %.0f B/call at 1024 blocks, %.0f at 128: %.0f more, over the %d-byte allowance",
 				op.name, large, small, large-small, slack)
 		}
+	}
+}
+
+// runOf returns the addresses [lo, lo+n).
+func runOf(lo, n int) []int {
+	as := make([]int, n)
+	for i := range as {
+		as[i] = lo + i
+	}
+	return as
+}
+
+// BenchmarkClientTransfer times one loopback round trip of a Client against
+// an in-process server at B = 8: a one-block read, a 128-block read, a
+// 128-block write, and 128 blocks written with 128 read in one request.
+// The gap between the one-block read and the 128-block ones is the
+// per-request fixed cost that sending a pass's write together with its
+// next read saves once per batch.
+func BenchmarkClientTransfer(b *testing.B) {
+	const bs = 8
+	srv := NewServer(extmem.NewMemStore(256, bs), ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c, err := Dial(ts.URL, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for _, r := range []struct {
+		name   string
+		nw, nr int
+	}{{"read=1", 0, 1}, {"read=128", 0, 128}, {"write=128", 128, 0}, {"write=128+read=128", 128, 128}} {
+		b.Run(r.name, func(b *testing.B) {
+			wAddrs, rAddrs := runOf(0, r.nw), runOf(128, r.nr)
+			src, dst := make([]extmem.Element, r.nw*bs), make([]extmem.Element, r.nr*bs)
+			b.SetBytes(int64((r.nw + r.nr) * bs * extmem.ElementBytes))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := c.Transfer(bg, wAddrs, src, rAddrs, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -109,7 +150,7 @@ func TestStaleAttemptKeepsItsFrame(t *testing.T) {
 	})
 	first := blockOf(b, 1)
 	// The first attempt is abandoned holding the frame; the retry lands.
-	if err := c.WriteBlocks(bg, []int{0}, first); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, c, []int{0}, first); err != nil {
 		t.Fatal(err)
 	}
 	stale := rt.heldBody(0)
@@ -126,7 +167,7 @@ func TestStaleAttemptKeepsItsFrame(t *testing.T) {
 		got <- append(head, rest...)
 	}()
 	<-started
-	err := c.WriteBlocks(bg, []int{1}, blockOf(b, 2))
+	err := extmem.WriteBlocksCtx(bg, c, []int{1}, blockOf(b, 2))
 	close(next)
 	frame := <-got
 	if err != nil {
@@ -140,7 +181,7 @@ func TestStaleAttemptKeepsItsFrame(t *testing.T) {
 		t.Fatalf("the stale attempt read a frame the next request overwrote:\n got  %x\n want …%x", frame, want)
 	}
 	dst := make([]extmem.Element, 2*b)
-	if err := c.ReadBlocks(bg, []int{0, 1}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, c, []int{0, 1}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !equalElems(dst[:b], first) || !equalElems(dst[b:], blockOf(b, 2)) {
@@ -168,8 +209,8 @@ func serveFrame(h http.Handler, body io.Reader, declared int64) (status int, all
 func TestServerFrameLength(t *testing.T) {
 	srv := NewServer(extmem.NewMemStore(8, 4), ServerOptions{})
 	h := srv.Handler()
-	read1, _ := encodeRequest(nil, opRead, 1, "", []int{0}, 0)
-	write1, _ := encodeRequest(nil, opWrite, 2, "", []int{0}, blockBytes)
+	read1, _ := encodeRequest(nil, 1, "", nil, []int{0}, 0)
+	write1, _ := encodeRequest(nil, 2, "", []int{0}, nil, blockBytes)
 	idleCap := func() int {
 		if f := srv.idle.Load(); f != nil {
 			return cap(f.buf)
@@ -202,9 +243,9 @@ func TestServerFrameLength(t *testing.T) {
 	// A write whose header announces the largest frame the cap allows; the
 	// client hangs up after 1 MiB.
 	count := (maxBatchWire - headerLen) / (8 + blockBytes)
-	huge, _ := encodeRequest(nil, opWrite, 3, "", nil, 0)
-	binary.LittleEndian.PutUint32(huge[headerLen-4:], uint32(count))
-	_, _, want, err := frameLen(huge, blockBytes)
+	huge, _ := encodeRequest(nil, 3, "", nil, nil, 0)
+	binary.LittleEndian.PutUint32(huge[headerLen-8:], uint32(count)) // the write count
+	_, _, _, want, err := frameLen(huge, blockBytes)
 	if err != nil || want <= maxBatchWire-(8+blockBytes) {
 		t.Fatalf("forged header announces %d bytes (%v), want just under the %d-byte cap", want, err, maxBatchWire)
 	}
@@ -237,12 +278,12 @@ func TestServerUnknownLength(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	write, payload := encodeRequest(nil, opWrite, 11, "", []int{3}, b*extmem.ElementBytes)
+	write, payload := encodeRequest(nil, 11, "", []int{3}, nil, b*extmem.ElementBytes)
 	extmem.EncodeElements(payload, blockOf(b, 7))
 	if resp := post(write); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunked write: %s", resp.Status)
 	}
-	read, _ := encodeRequest(nil, opRead, 12, "", []int{3}, 0)
+	read, _ := encodeRequest(nil, 12, "", nil, []int{3}, 0)
 	resp := post(read)
 	data, err := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK || err != nil || !bytes.Equal(data, payload) {

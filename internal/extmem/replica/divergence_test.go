@@ -34,21 +34,21 @@ func TestStaleAuthenticatedDivergence(t *testing.T) {
 		t.Helper()
 		src := make([]extmem.Element, b)
 		src[0] = extmem.Element{Key: key, Flags: extmem.FlagOccupied}
-		if err := s.WriteBlocks(bg, []int{addr}, src); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, s, []int{addr}, src); err != nil {
 			t.Fatal(err)
 		}
 	}
 	write(cs, 3, 1)
 	oldWire := make([]extmem.Element, cb)
-	if err := backend.ReadBlocks(bg, []int{3}, oldWire); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, backend, []int{3}, oldWire); err != nil {
 		t.Fatal(err)
 	}
 	write(cs, 3, 2)
-	if err := backend.WriteBlocks(bg, []int{3}, oldWire); err != nil { // Bob rolls the slot back
+	if err := extmem.WriteBlocksCtx(bg, backend, []int{3}, oldWire); err != nil { // Bob rolls the slot back
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, b)
-	if err := cs.ReadBlocks(bg, []int{3}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cs, []int{3}, dst); err != nil {
 		t.Fatalf("rollback to an old seal at the same address should AUTHENTICATE (the gap this test pins): %v", err)
 	}
 	if dst[0].Key != 1 {
@@ -76,7 +76,7 @@ func TestStaleAuthenticatedDivergence(t *testing.T) {
 	r0.set(false, false)
 	// r0 is back, holding stale-but-authenticated data. The next read must
 	// come from r1 and repair r0 in place.
-	if err := cs2.ReadBlocks(bg, []int{5}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cs2, []int{5}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 20 {
@@ -87,7 +87,7 @@ func TestStaleAuthenticatedDivergence(t *testing.T) {
 	}
 	// After repair, r0 alone must serve the current value: kill r1 and read.
 	r1.set(true, true)
-	if err := cs2.ReadBlocks(bg, []int{5}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, cs2, []int{5}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 20 {

@@ -263,18 +263,11 @@ func (s *Store) tierOf(i int) int {
 	}
 }
 
-// callRead performs one sub-read on replica i under its mutex.
-func (s *Store) callRead(ctx context.Context, i int, addrs []int, dst []extmem.Element) error {
+// call performs one child Transfer on replica i under its mutex.
+func (s *Store) call(ctx context.Context, i int, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
 	s.repMu[i].Lock()
 	defer s.repMu[i].Unlock()
-	return s.children[i].ReadBlocks(ctx, addrs, dst)
-}
-
-// callWrite is the write dual of callRead.
-func (s *Store) callWrite(ctx context.Context, i int, addrs []int, src []extmem.Element) error {
-	s.repMu[i].Lock()
-	defer s.repMu[i].Unlock()
-	return s.children[i].WriteBlocks(ctx, addrs, src)
+	return s.children[i].Transfer(ctx, wAddrs, src, rAddrs, dst)
 }
 
 // assignment is one failover round's routing decision: per participating
@@ -323,100 +316,183 @@ func (s *Store) assign(addrs, pos []int, excluded []bool) ([]assignment, error) 
 	return perRep, nil
 }
 
-// ReadBlocks implements BlockStore. Each address is served by the
-// healthiest replica holding current data for it; a failed sub-batch marks
-// the replica, excludes it for the rest of the interaction, and reroutes its
-// addresses to the next candidate (failover). After a successful read, any
-// live replica known dirty at the addresses just read is repaired in place
-// with the freshly-read blocks.
-func (s *Store) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
-	if len(dst) != len(addrs)*s.b {
-		return fmt.Errorf("replica: buffer length %d != %d blocks of %d elements", len(dst), len(addrs), s.b)
+// replicaCall is one child interaction of a round: replica rep's copy of
+// the write part, when it carries one, and the read group g it was
+// assigned, when it has one (-1 for none), whose blocks land in buf.
+type replicaCall struct {
+	rep   int
+	write bool
+	g     int
+	buf   []extmem.Element
+	err   error
+}
+
+// Transfer implements BlockStore. The write part fans out to every replica
+// whose breaker admits traffic; replicas skipped or failed are marked dirty
+// at the written addresses (a later read must not be served stale data
+// from them), and the write succeeds as long as at least one replica took
+// it. Each read address is served by the healthiest replica holding current
+// data for it, the write part counted; each replica gets its copy of the
+// write part and its share of the reads in one child interaction. A failed
+// call marks the replica, excludes it for the rest of the interaction, and
+// reroutes its reads to the next candidate (failover), read-only. After a
+// successful read, any live replica known dirty at the addresses just read
+// is repaired in place with the freshly-read blocks. Reads land in staging
+// whenever more than one child runs at once, so dst may alias src.
+func (s *Store) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
+	if len(src) != len(wAddrs)*s.b || len(dst) != len(rAddrs)*s.b {
+		return fmt.Errorf("replica: buffer lengths %d and %d != %d and %d blocks of %d elements",
+			len(src), len(dst), len(wAddrs), len(rAddrs), s.b)
 	}
 	s.mu.Lock()
 	s.ops++
-	s.mu.Unlock()
-	if len(addrs) == 0 {
-		return nil
+	var targets []bool // replicas the write part goes to; nil without one
+	if len(wAddrs) > 0 {
+		targets = make([]bool, s.r)
+		for i := 0; i < s.r; i++ {
+			if s.available(i) {
+				targets[i] = true
+				s.markProbing(i)
+			} else {
+				s.markDirty(i, wAddrs)
+			}
+		}
 	}
+	s.mu.Unlock()
 
-	pending := append([]int(nil), addrs...)
-	pos := make([]int, len(addrs))
+	pending, pos := rAddrs, make([]int, len(rAddrs))
 	for i := range pos {
 		pos[i] = i
 	}
 	excluded := make([]bool, s.r)
-	for len(pending) > 0 {
-		s.mu.Lock()
-		groups, err := s.assign(pending, pos, excluded)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-
-		errs := make([]error, len(groups))
-		if len(groups) == 1 {
-			g := groups[0]
-			buf := dst
-			scatter := false
-			if len(g.addrs) != len(addrs) {
-				buf = make([]extmem.Element, len(g.addrs)*s.b)
-				scatter = true
-			}
-			errs[0] = s.callRead(ctx, g.rep, g.addrs, buf)
-			if errs[0] == nil && scatter {
-				s.scatterInto(dst, buf, g.pos)
-			}
-		} else {
-			var wg sync.WaitGroup
-			bufs := make([][]extmem.Element, len(groups))
-			for gi := range groups {
-				wg.Add(1)
-				go func(gi int) {
-					defer wg.Done()
-					g := groups[gi]
-					bufs[gi] = make([]extmem.Element, len(g.addrs)*s.b)
-					errs[gi] = s.callRead(ctx, g.rep, g.addrs, bufs[gi])
-				}(gi)
-			}
-			wg.Wait()
-			for gi, g := range groups {
-				if errs[gi] == nil {
-					s.scatterInto(dst, bufs[gi], g.pos)
-				}
+	for len(pending) > 0 || targets != nil {
+		var groups []assignment
+		if len(pending) > 0 {
+			s.mu.Lock()
+			var err error
+			groups, err = s.assign(pending, pos, excluded)
+			s.mu.Unlock()
+			if err != nil {
+				return err
 			}
 		}
+		calls := s.round(ctx, targets, wAddrs, src, groups, len(rAddrs), dst)
 
-		// Fold outcomes in replica-index order (groups are built in
-		// first-use order, but health updates must not depend on goroutine
-		// scheduling — sort by replica index via a simple pass).
+		// Fold outcomes in replica-index order (calls are built that way):
+		// health updates must not depend on goroutine scheduling.
 		var nextPending, nextPos []int
+		okWrites := 0
+		var firstErr error
 		s.mu.Lock()
-		for i := 0; i < s.r; i++ {
-			for gi, g := range groups {
-				if g.rep != i {
-					continue
+		for _, c := range calls {
+			i := c.rep
+			s.stats[i].RoundTrips++
+			if c.write {
+				s.stats[i].BlocksMoved += int64(len(wAddrs))
+			}
+			if c.g >= 0 {
+				s.stats[i].BlocksMoved += int64(len(groups[c.g].addrs))
+			}
+			if c.err == nil {
+				s.noteSuccess(i)
+				if c.write {
+					// This replica now holds the newest data at wAddrs,
+					// whatever it missed before.
+					okWrites++
+					s.clearDirty(i, wAddrs)
 				}
-				s.stats[i].RoundTrips++
-				s.stats[i].BlocksMoved += int64(len(g.addrs))
-				if errs[gi] == nil {
-					s.noteSuccess(i)
-				} else {
-					s.noteFailure(i)
-					s.stats[i].Failovers++
-					s.logf("ops=%d replica=%d read failover (%d blocks)", s.ops, i, len(g.addrs))
-					excluded[i] = true
-					nextPending = append(nextPending, g.addrs...)
-					nextPos = append(nextPos, g.pos...)
+				continue
+			}
+			s.noteFailure(i)
+			if c.write {
+				s.markDirty(i, wAddrs)
+				s.logf("ops=%d replica=%d write failed (%d blocks dirty)", s.ops, i, len(s.dirty[i]))
+				if firstErr == nil {
+					firstErr = fmt.Errorf("replica %d: %w", i, c.err)
 				}
+			}
+			if c.g >= 0 {
+				g := groups[c.g]
+				s.stats[i].Failovers++
+				s.logf("ops=%d replica=%d read failover (%d blocks)", s.ops, i, len(g.addrs))
+				excluded[i] = true
+				nextPending = append(nextPending, g.addrs...)
+				nextPos = append(nextPos, g.pos...)
 			}
 		}
 		s.mu.Unlock()
+		if targets != nil && okWrites == 0 {
+			if firstErr == nil {
+				firstErr = errors.New("replica: no replica admitted the write")
+			}
+			return firstErr
+		}
+		targets = nil // failover rounds read only
 		pending, pos = nextPending, nextPos
 	}
 
-	s.repair(ctx, addrs, dst)
+	if len(rAddrs) > 0 {
+		s.repair(ctx, rAddrs, dst)
+	}
 	return nil
+}
+
+// round runs one round of a Transfer: a call per replica that is a write
+// target or was assigned a read group, concurrently when there are several,
+// and scatters every successful call's reads into dst (nr blocks). A lone
+// call that reads all nr blocks reads straight into dst; every other read
+// lands in its own buffer first, so no child fills dst while another still
+// reads src.
+func (s *Store) round(ctx context.Context, targets []bool, wAddrs []int, src []extmem.Element, groups []assignment, nr int, dst []extmem.Element) []replicaCall {
+	var calls []replicaCall
+	for i := 0; i < s.r; i++ {
+		c := replicaCall{rep: i, write: targets != nil && targets[i], g: -1}
+		for gi := range groups {
+			if groups[gi].rep == i {
+				c.g = gi
+			}
+		}
+		if c.write || c.g >= 0 {
+			calls = append(calls, c)
+		}
+	}
+	direct := len(calls) == 1 && calls[0].g >= 0 && len(groups[calls[0].g].addrs) == nr
+	run := func(c *replicaCall) {
+		var w []int
+		var wsrc []extmem.Element
+		if c.write {
+			w, wsrc = wAddrs, src
+		}
+		var r []int
+		if c.g >= 0 {
+			r = groups[c.g].addrs
+			if direct {
+				c.buf = dst
+			} else {
+				c.buf = make([]extmem.Element, len(r)*s.b)
+			}
+		}
+		c.err = s.call(ctx, c.rep, w, wsrc, r, c.buf)
+	}
+	if len(calls) == 1 {
+		run(&calls[0])
+	} else {
+		var wg sync.WaitGroup
+		for ci := range calls {
+			wg.Add(1)
+			go func(c *replicaCall) {
+				defer wg.Done()
+				run(c)
+			}(&calls[ci])
+		}
+		wg.Wait()
+	}
+	for _, c := range calls {
+		if c.err == nil && c.g >= 0 && !direct {
+			s.scatterInto(dst, c.buf, groups[c.g].pos)
+		}
+	}
+	return calls
 }
 
 // scatterInto copies sub-batch blocks back to their logical positions.
@@ -456,7 +532,7 @@ func (s *Store) repair(ctx context.Context, addrs []int, data []extmem.Element) 
 		for j, p := range rpos {
 			copy(buf[j*s.b:(j+1)*s.b], data[p*s.b:(p+1)*s.b])
 		}
-		err := s.callWrite(ctx, i, raddrs, buf)
+		err := s.call(ctx, i, raddrs, buf, nil, nil)
 
 		s.mu.Lock()
 		s.stats[i].RoundTrips++
@@ -471,79 +547,6 @@ func (s *Store) repair(ctx context.Context, addrs []int, data []extmem.Element) 
 		}
 		s.mu.Unlock()
 	}
-}
-
-// WriteBlocks implements BlockStore. The write fans out to every
-// replica whose breaker admits traffic; replicas skipped or failed are
-// marked dirty at the written addresses (a later read must not be served
-// stale data from them), and the write succeeds as long as at least one
-// replica took it.
-func (s *Store) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	if len(src) != len(addrs)*s.b {
-		return fmt.Errorf("replica: buffer length %d != %d blocks of %d elements", len(src), len(addrs), s.b)
-	}
-	s.mu.Lock()
-	s.ops++
-	targets := make([]bool, s.r)
-	for i := 0; i < s.r; i++ {
-		if s.available(i) {
-			targets[i] = true
-			s.markProbing(i)
-		} else {
-			s.markDirty(i, addrs)
-		}
-	}
-	s.mu.Unlock()
-	if len(addrs) == 0 {
-		return nil
-	}
-
-	errs := make([]error, s.r)
-	var wg sync.WaitGroup
-	for i := 0; i < s.r; i++ {
-		if !targets[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.callWrite(ctx, i, addrs, src)
-		}(i)
-	}
-	wg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	okCount := 0
-	var firstErr error
-	for i := 0; i < s.r; i++ {
-		if !targets[i] {
-			continue
-		}
-		s.stats[i].RoundTrips++
-		s.stats[i].BlocksMoved += int64(len(addrs))
-		if errs[i] == nil {
-			okCount++
-			s.noteSuccess(i)
-			// This replica now holds the newest data at addrs, whatever it
-			// missed before.
-			s.clearDirty(i, addrs)
-		} else {
-			s.noteFailure(i)
-			s.markDirty(i, addrs)
-			s.logf("ops=%d replica=%d write failed (%d blocks dirty)", s.ops, i, len(s.dirty[i]))
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %d: %w", i, errs[i])
-			}
-		}
-	}
-	if okCount == 0 {
-		if firstErr == nil {
-			firstErr = errors.New("replica: no replica admitted the write")
-		}
-		return firstErr
-	}
-	return nil
 }
 
 // NumBlocks implements BlockStore: the group's serving capacity is the best

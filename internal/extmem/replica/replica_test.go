@@ -37,29 +37,29 @@ func (f *flaky) set(failReads, failWrites bool) {
 	f.mu.Unlock()
 }
 
-func (f *flaky) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+// Transfer counts each part and refuses the call when a part it carries is
+// set to fail; a read part waits out readDelay first.
+func (f *flaky) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
+	w, r := len(wAddrs) > 0, len(rAddrs) > 0
 	f.mu.Lock()
-	f.reads++
-	fail, delay := f.failReads, f.readDelay
+	if w {
+		f.writes++
+	}
+	if r {
+		f.reads++
+	}
+	failW, failR, delay := w && f.failWrites, r && f.failReads, f.readDelay
 	f.mu.Unlock()
-	if delay > 0 {
+	if r && delay > 0 {
 		time.Sleep(delay)
 	}
-	if fail {
+	switch {
+	case failW:
+		return errors.New("flaky: write refused")
+	case failR:
 		return errors.New("flaky: read refused")
 	}
-	return f.MemStore.ReadBlocks(ctx, addrs, dst)
-}
-
-func (f *flaky) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	f.mu.Lock()
-	f.writes++
-	fail := f.failWrites
-	f.mu.Unlock()
-	if fail {
-		return errors.New("flaky: write refused")
-	}
-	return f.MemStore.WriteBlocks(ctx, addrs, src)
+	return f.MemStore.Transfer(ctx, wAddrs, src, rAddrs, dst)
 }
 
 func (f *flaky) counts() (reads, writes int) {
@@ -85,7 +85,7 @@ func TestWriteFansOutReadsPickOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks(bg, []int{0, 3}, append(block(4, 10), block(4, 11)...)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{0, 3}, append(block(4, 10), block(4, 11)...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range []*flaky{c0, c1, c2} {
@@ -94,7 +94,7 @@ func TestWriteFansOutReadsPickOne(t *testing.T) {
 		}
 	}
 	dst := make([]extmem.Element, 2*4)
-	if err := s.ReadBlocks(bg, []int{3, 0}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{3, 0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 11 || dst[4].Key != 10 {
@@ -117,12 +117,12 @@ func TestReadFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks(bg, []int{2}, block(4, 42)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{2}, block(4, 42)); err != nil {
 		t.Fatal(err)
 	}
 	c0.set(true, false)
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks(bg, []int{2}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{2}, dst); err != nil {
 		t.Fatalf("read should fail over, got: %v", err)
 	}
 	if dst[0].Key != 42 {
@@ -146,13 +146,13 @@ func TestAllReplicasFailedSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks(bg, []int{1}, block(4, 9)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{1}, block(4, 9)); err != nil {
 		t.Fatal(err)
 	}
 	c0.set(true, true)
 	c1.set(true, true)
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks(bg, []int{1}, dst); err == nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{1}, dst); err == nil {
 		t.Fatal("read with every replica failing should error")
 	}
 }
@@ -169,7 +169,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	}
 	c0.set(true, true)
 	for k := 0; k < 4; k++ {
-		if err := s.WriteBlocks(bg, []int{k}, block(4, uint64(k))); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, s, []int{k}, block(4, uint64(k))); err != nil {
 			t.Fatalf("write %d should succeed on the survivor: %v", k, err)
 		}
 	}
@@ -200,11 +200,11 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	}
 	c0.set(false, true)
 	// ops=1: c0 write fails -> breaker opens (threshold 1), addr 0 dirty.
-	if err := s.WriteBlocks(bg, []int{0}, block(4, 100)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{0}, block(4, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// ops=2: c0 skipped (open), addr 1 dirty too.
-	if err := s.WriteBlocks(bg, []int{1}, block(4, 101)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{1}, block(4, 101)); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.ReplicaStats(); st[0].State != "open" || st[0].Dirty != 2 {
@@ -213,7 +213,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	c0.set(false, false) // the replica comes back
 	// ops=3 >= openUntil: the write doubles as the half-open probe; success
 	// closes the breaker and addr 1 is now current on both replicas.
-	if err := s.WriteBlocks(bg, []int{1}, block(4, 201)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{1}, block(4, 201)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.ReplicaStats()
@@ -225,7 +225,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	}
 	// Reading addr 0 must avoid the dirty replica, then repair it.
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 100 {
@@ -238,7 +238,7 @@ func TestRecoveryProbeAndReadRepair(t *testing.T) {
 	// The repaired replica is preferred again (lowest index, closed) and
 	// must serve the repaired content.
 	r0Before, _ := c0.counts()
-	if err := s.ReadBlocks(bg, []int{0}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if r0After, _ := c0.counts(); r0After != r0Before+1 {
@@ -262,14 +262,14 @@ func TestSlowReplicaKeepsItsReads(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, a := range addrs {
-				if err := s.WriteBlocks(bg, []int{a}, block(4, uint64(70+a))); err != nil {
+				if err := extmem.WriteBlocksCtx(bg, s, []int{a}, block(4, uint64(70+a))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			c0.readDelay = 20 * time.Millisecond
 			dst := make([]extmem.Element, len(addrs)*4)
 			for round := 0; round < 3; round++ {
-				if err := s.ReadBlocks(bg, addrs, dst); err != nil {
+				if err := extmem.ReadBlocksCtx(bg, s, addrs, dst); err != nil {
 					t.Fatal(err)
 				}
 				for j, a := range addrs {
@@ -307,13 +307,13 @@ func driveWorkload(t *testing.T, schedule chaos.Schedule) (replicaEvents, chaosD
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
-		if err := s.WriteBlocks(bg, []int{k}, block(4, uint64(k))); err != nil {
+		if err := extmem.WriteBlocksCtx(bg, s, []int{k}, block(4, uint64(k))); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
 	dst := make([]extmem.Element, 4)
 	for k := 0; k < 10; k++ {
-		if err := s.ReadBlocks(bg, []int{k}, dst); err != nil {
+		if err := extmem.ReadBlocksCtx(bg, s, []int{k}, dst); err != nil {
 			t.Fatalf("read %d: %v", k, err)
 		}
 		if dst[0].Key != uint64(k) {
@@ -362,11 +362,11 @@ func TestOneBlockBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlocks(bg, []int{6}, block(4, 5)); err != nil {
+	if err := extmem.WriteBlocksCtx(bg, s, []int{6}, block(4, 5)); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]extmem.Element, 4)
-	if err := s.ReadBlocks(bg, []int{6}, dst); err != nil {
+	if err := extmem.ReadBlocksCtx(bg, s, []int{6}, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].Key != 5 {

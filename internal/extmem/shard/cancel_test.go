@@ -41,18 +41,11 @@ func (c *ctxChild) serve(ctx context.Context) error {
 	return nil
 }
 
-func (c *ctxChild) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
+func (c *ctxChild) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
 	if err := c.serve(ctx); err != nil {
 		return err
 	}
-	return c.MemStore.ReadBlocks(ctx, addrs, dst)
-}
-
-func (c *ctxChild) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	if err := c.serve(ctx); err != nil {
-		return err
-	}
-	return c.MemStore.WriteBlocks(ctx, addrs, src)
+	return c.MemStore.Transfer(ctx, wAddrs, src, rAddrs, dst)
 }
 
 // TestFanOutCancelsStallingSibling is the regression test for the doomed
@@ -72,7 +65,7 @@ func TestFanOutCancelsStallingSibling(t *testing.T) {
 	}
 	start := time.Now()
 	dst := make([]extmem.Element, 4*4)
-	err = s.ReadBlocks(bg, []int{0, 1, 2, 3}, dst) // two addrs per shard
+	err = extmem.ReadBlocksCtx(bg, s, []int{0, 1, 2, 3}, dst) // two addrs per shard
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fan-out with a failing shard should error")
@@ -97,7 +90,7 @@ func TestFanOutCancelsStallingSibling(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := make([]extmem.Element, 4*4)
-	if err := s2.WriteBlocks(bg, []int{0, 1, 2, 3}, src); err == nil {
+	if err := extmem.WriteBlocksCtx(bg, s2, []int{0, 1, 2, 3}, src); err == nil {
 		t.Fatal("write fan-out with a failing shard should error")
 	}
 	select {
@@ -120,7 +113,7 @@ func TestFanOutCallerContext(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		dst := make([]extmem.Element, 4*4)
-		done <- s.ReadBlocks(ctx, []int{0, 1, 2, 3}, dst)
+		done <- extmem.ReadBlocksCtx(ctx, s, []int{0, 1, 2, 3}, dst)
 	}()
 	cancel()
 	select {
@@ -150,7 +143,7 @@ func TestFanOutCancelsChaosStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = s.ReadBlocks(bg, []int{0, 1, 2, 3}, make([]extmem.Element, 4*4))
+	err = extmem.ReadBlocksCtx(bg, s, []int{0, 1, 2, 3}, make([]extmem.Element, 4*4))
 	if elapsed := time.Since(start); elapsed > stall/2 {
 		t.Errorf("fan-out took %v; shard 0's failure should have cancelled the %v stall", elapsed, stall)
 	}

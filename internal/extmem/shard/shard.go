@@ -25,8 +25,8 @@ import (
 )
 
 // Stats is one shard's cumulative view of the traffic it served: how many
-// sub-batches it was handed (each one store interaction) and how many blocks
-// they moved.
+// sub-batches it was handed (each one store interaction, both parts of a
+// Transfer together) and how many blocks they moved.
 type Stats struct {
 	RoundTrips  int64
 	BlocksMoved int64
@@ -45,10 +45,21 @@ type ShardedStore struct {
 	stats []Stats // per shard; written only between fan-out joins
 
 	// Per-call scratch, reused across fan-outs (single caller).
-	subAddrs [][]int            // per-shard local addresses
-	subPos   [][]int            // per-shard positions in the logical batch
-	subBuf   [][]extmem.Element // per-shard transfer staging
-	errs     []error            // per-shard error of this fan-out
+	w, r part    // the write and the read part, split by shard
+	errs []error // per-shard error of this fan-out
+}
+
+// part is one part of a Transfer split by shard: per shard, the local
+// addresses, their positions in the logical batch, and the staging its
+// blocks pass through.
+type part struct {
+	addrs [][]int
+	pos   [][]int
+	buf   [][]extmem.Element
+}
+
+func newPart(k int) part {
+	return part{make([][]int, k), make([][]int, k), make([][]extmem.Element, k)}
 }
 
 // New builds a sharded store over the given children, which must all share
@@ -66,14 +77,13 @@ func New(shards []extmem.BlockStore) (*ShardedStore, error) {
 	}
 	k := len(shards)
 	return &ShardedStore{
-		shards:   shards,
-		k:        k,
-		b:        b,
-		stats:    make([]Stats, k),
-		subAddrs: make([][]int, k),
-		subPos:   make([][]int, k),
-		subBuf:   make([][]extmem.Element, k),
-		errs:     make([]error, k),
+		shards: shards,
+		k:      k,
+		b:      b,
+		stats:  make([]Stats, k),
+		w:      newPart(k),
+		r:      newPart(k),
+		errs:   make([]error, k),
 	}, nil
 }
 
@@ -83,121 +93,64 @@ func (s *ShardedStore) NumShards() int { return s.k }
 // shardOf maps a logical address to its owning shard and local address.
 func (s *ShardedStore) shardOf(addr int) (shard, local int) { return addr % s.k, addr / s.k }
 
-// ReadBlocks implements BlockStore: the batch is split by residue class into
-// per-shard sub-batches fetched concurrently, then scattered back into dst
-// in logical order.
-func (s *ShardedStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
-	return s.fanOut(ctx, false, addrs, dst)
-}
-
-// WriteBlocks implements BlockStore: per-shard sub-batches are gathered from
-// src and dispatched concurrently.
-func (s *ShardedStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	return s.fanOut(ctx, true, addrs, src)
-}
-
-// transfer moves shard sh's sub-batch of the logical batch (n blocks in
-// data) in one child call, staging through the shard's scratch when the
-// sub-batch is a proper subset.
-func (s *ShardedStore) transfer(ctx context.Context, sh int, write bool, n int, data []extmem.Element) error {
-	child, sub := s.shards[sh], s.subAddrs[sh]
-	if len(sub) == n {
-		// The whole batch lives on one shard (split preserves order, so
-		// positions are 0..n-1): serve it from data with no staging copy.
-		if write {
-			return child.WriteBlocks(ctx, sub, data)
-		}
-		return child.ReadBlocks(ctx, sub, data)
+// Transfer implements BlockStore: both parts are split by residue class
+// into per-shard sub-batches, every shard's write part is gathered from
+// src before any shard starts, the shards run their parts concurrently,
+// each as one child Transfer, and each shard's reads are scattered back
+// into dst in logical order — so dst may alias src.
+//
+// With several participating shards the fan-out derives a cancelable child
+// context and cancels it as soon as any shard returns an error: the
+// interaction already cannot succeed, so the in-flight siblings — which
+// may be remote calls with generous retry budgets — are told to stop
+// rather than run to their full timeout, and a doomed interaction surfaces
+// its error at the speed of the failing shard, not of the slowest
+// surviving one. The reported error prefers the shard that actually failed
+// over siblings that merely observed the cancellation.
+func (s *ShardedStore) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
+	if len(src) != len(wAddrs)*s.b || len(dst) != len(rAddrs)*s.b {
+		return fmt.Errorf("shard: buffer lengths %d and %d != %d and %d blocks of %d elements",
+			len(src), len(dst), len(wAddrs), len(rAddrs), s.b)
 	}
-	buf := s.staging(sh)
-	if write {
-		for j, pos := range s.subPos[sh] {
-			copy(buf[j*s.b:(j+1)*s.b], data[pos*s.b:(pos+1)*s.b])
-		}
-		return child.WriteBlocks(ctx, sub, buf)
-	}
-	if err := child.ReadBlocks(ctx, sub, buf); err != nil {
+	if err := s.w.split(s, wAddrs); err != nil {
 		return err
 	}
-	for j, pos := range s.subPos[sh] {
-		copy(data[pos*s.b:(pos+1)*s.b], buf[j*s.b:(j+1)*s.b])
-	}
-	return nil
-}
-
-// split partitions the logical batch into per-shard (local address,
-// batch position) lists in the reused scratch. A negative address has no
-// owning shard; addresses past the end are the owning child's to reject.
-func (s *ShardedStore) split(addrs []int) error {
-	for sh := 0; sh < s.k; sh++ {
-		s.subAddrs[sh] = s.subAddrs[sh][:0]
-		s.subPos[sh] = s.subPos[sh][:0]
-	}
-	for pos, addr := range addrs {
-		if addr < 0 {
-			return fmt.Errorf("shard: block address %d out of range [0,%d)", addr, s.NumBlocks())
-		}
-		sh, local := s.shardOf(addr)
-		s.subAddrs[sh] = append(s.subAddrs[sh], local)
-		s.subPos[sh] = append(s.subPos[sh], pos)
-	}
-	return nil
-}
-
-// staging returns shard sh's transfer buffer sized for its current
-// sub-batch, growing the reusable scratch on demand.
-func (s *ShardedStore) staging(sh int) []extmem.Element {
-	need := len(s.subAddrs[sh]) * s.b
-	if cap(s.subBuf[sh]) < need {
-		s.subBuf[sh] = make([]extmem.Element, need)
-	}
-	return s.subBuf[sh][:need]
-}
-
-// fanOut splits one logical batch, runs every shard with a non-empty
-// sub-batch concurrently, joins, and counts each participant's sub-batch in
-// its per-shard stats.
-//
-// With several participants the fan-out derives a cancelable child context
-// and cancels it as soon as any shard returns an error: the interaction
-// already cannot succeed, so the in-flight siblings — which may be remote
-// calls with generous retry budgets — are told to stop rather than run to
-// their full timeout, and a doomed interaction surfaces its error at the
-// speed of the failing shard, not of the slowest surviving one. The
-// reported error prefers the shard that actually failed over siblings that
-// merely observed the cancellation.
-func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data []extmem.Element) error {
-	totalBlocks := len(addrs)
-	if len(data) != totalBlocks*s.b {
-		return fmt.Errorf("shard: buffer length %d != %d blocks of %d elements", len(data), totalBlocks, s.b)
-	}
-	if err := s.split(addrs); err != nil {
+	if err := s.r.split(s, rAddrs); err != nil {
 		return err
 	}
 	only := -1 // the single participating shard, or -1 if several
 	parts := 0
 	for sh := 0; sh < s.k; sh++ {
 		s.errs[sh] = nil
-		if len(s.subAddrs[sh]) > 0 {
+		if s.participates(sh) {
 			only = sh
 			parts++
 		}
 	}
 	if parts == 1 {
-		// One shard, nothing to overlap: skip the goroutine machinery (a
+		// The whole call lives on one shard (split preserves order, so
+		// positions are 0..n-1), nothing to overlap: serve it from the
+		// caller's buffers with no goroutine and no staging copy (a
 		// one-block access always lands here and allocates nothing).
-		s.errs[only] = s.transfer(ctx, only, write, totalBlocks, data)
-	} else if parts > 1 {
+		s.errs[only] = s.shards[only].Transfer(ctx, s.w.addrs[only], src, s.r.addrs[only], dst)
+	} else if parts > 0 {
+		for sh := 0; sh < s.k; sh++ {
+			s.w.gather(s, sh, src)
+		}
 		fanCtx, cancel := context.WithCancel(ctx)
 		var wg sync.WaitGroup
 		for sh := 0; sh < s.k; sh++ {
-			if len(s.subAddrs[sh]) == 0 {
+			if !s.participates(sh) {
 				continue
 			}
 			wg.Add(1)
 			go func(sh int) {
 				defer wg.Done()
-				if s.errs[sh] = s.transfer(fanCtx, sh, write, totalBlocks, data); s.errs[sh] != nil {
+				err := s.shards[sh].Transfer(fanCtx, s.w.addrs[sh], s.w.buf[sh], s.r.addrs[sh], s.r.staging(s, sh))
+				if err == nil {
+					s.r.scatter(s, sh, dst)
+				}
+				if s.errs[sh] = err; err != nil {
 					cancel()
 				}
 			}(sh)
@@ -208,11 +161,11 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 	var err error
 	canceled := false
 	for sh := 0; sh < s.k; sh++ {
-		if len(s.subAddrs[sh]) == 0 {
+		if !s.participates(sh) {
 			continue
 		}
 		s.stats[sh].RoundTrips++
-		s.stats[sh].BlocksMoved += int64(len(s.subAddrs[sh]))
+		s.stats[sh].BlocksMoved += int64(len(s.w.addrs[sh]) + len(s.r.addrs[sh]))
 		if e := s.errs[sh]; e != nil {
 			if errors.Is(e, context.Canceled) {
 				// A sibling canceled by the fan-out is a symptom, not the
@@ -226,6 +179,59 @@ func (s *ShardedStore) fanOut(ctx context.Context, write bool, addrs []int, data
 		}
 	}
 	return err
+}
+
+// participates reports whether shard sh has a part in the current call.
+func (s *ShardedStore) participates(sh int) bool {
+	return len(s.w.addrs[sh]) > 0 || len(s.r.addrs[sh]) > 0
+}
+
+// split partitions one part of the logical batch into per-shard (local
+// address, batch position) lists in the reused scratch. A negative address
+// has no owning shard; addresses past the end are the owning child's to
+// reject.
+func (p *part) split(s *ShardedStore, addrs []int) error {
+	for sh := 0; sh < s.k; sh++ {
+		p.addrs[sh] = p.addrs[sh][:0]
+		p.pos[sh] = p.pos[sh][:0]
+	}
+	for pos, addr := range addrs {
+		if addr < 0 {
+			return fmt.Errorf("shard: block address %d out of range [0,%d)", addr, s.NumBlocks())
+		}
+		sh, local := s.shardOf(addr)
+		p.addrs[sh] = append(p.addrs[sh], local)
+		p.pos[sh] = append(p.pos[sh], pos)
+	}
+	return nil
+}
+
+// staging returns shard sh's buffer for its current sub-batch of this
+// part, growing the reusable scratch on demand.
+func (p *part) staging(s *ShardedStore, sh int) []extmem.Element {
+	need := len(p.addrs[sh]) * s.b
+	if cap(p.buf[sh]) < need {
+		p.buf[sh] = make([]extmem.Element, need)
+	}
+	p.buf[sh] = p.buf[sh][:need]
+	return p.buf[sh]
+}
+
+// gather copies shard sh's blocks of this part out of data into its
+// staging.
+func (p *part) gather(s *ShardedStore, sh int, data []extmem.Element) {
+	buf := p.staging(s, sh)
+	for j, pos := range p.pos[sh] {
+		copy(buf[j*s.b:(j+1)*s.b], data[pos*s.b:(pos+1)*s.b])
+	}
+}
+
+// scatter copies shard sh's staged blocks of this part to their logical
+// positions in data.
+func (p *part) scatter(s *ShardedStore, sh int, data []extmem.Element) {
+	for j, pos := range p.pos[sh] {
+		copy(data[pos*s.b:(pos+1)*s.b], p.buf[sh][j*s.b:(j+1)*s.b])
+	}
 }
 
 // NumBlocks implements BlockStore: the length of the contiguous logical

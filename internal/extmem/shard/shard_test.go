@@ -53,18 +53,18 @@ func TestShardedMatchesFlat(t *testing.T) {
 					for t := range blk {
 						blk[t] = extmem.Element{Key: r.Uint64(), Val: uint64(step)}
 					}
-					if err := sharded.WriteBlocks(bg, []int{addr}, blk); err != nil {
+					if err := extmem.WriteBlocksCtx(bg, sharded, []int{addr}, blk); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.WriteBlocks(bg, []int{addr}, blk); err != nil {
+					if err := extmem.WriteBlocksCtx(bg, flat, []int{addr}, blk); err != nil {
 						t.Fatal(err)
 					}
 				case 1: // one-block read
 					addr := r.IntN(nBlocks)
-					if err := sharded.ReadBlocks(bg, []int{addr}, got); err != nil {
+					if err := extmem.ReadBlocksCtx(bg, sharded, []int{addr}, got); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.ReadBlocks(bg, []int{addr}, want); err != nil {
+					if err := extmem.ReadBlocksCtx(bg, flat, []int{addr}, want); err != nil {
 						t.Fatal(err)
 					}
 					for i := range got {
@@ -82,10 +82,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 							src[i*b+t] = extmem.Element{Key: r.Uint64(), Val: uint64(step*100 + i)}
 						}
 					}
-					if err := sharded.WriteBlocks(bg, addrs, src); err != nil {
+					if err := extmem.WriteBlocksCtx(bg, sharded, addrs, src); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.WriteBlocks(bg, addrs, src); err != nil {
+					if err := extmem.WriteBlocksCtx(bg, flat, addrs, src); err != nil {
 						t.Fatal(err)
 					}
 				case 3: // vectored read (duplicates allowed)
@@ -96,10 +96,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 					}
 					g := make([]extmem.Element, cnt*b)
 					w := make([]extmem.Element, cnt*b)
-					if err := sharded.ReadBlocks(bg, addrs, g); err != nil {
+					if err := extmem.ReadBlocksCtx(bg, sharded, addrs, g); err != nil {
 						t.Fatal(err)
 					}
-					if err := flat.ReadBlocks(bg, addrs, w); err != nil {
+					if err := extmem.ReadBlocksCtx(bg, flat, addrs, w); err != nil {
 						t.Fatal(err)
 					}
 					for i := range g {
@@ -149,20 +149,15 @@ type recStore struct {
 	calls []int
 }
 
-func (r *recStore) ReadBlocks(ctx context.Context, addrs []int, dst []extmem.Element) error {
-	r.calls = append(r.calls, len(addrs))
-	for _, a := range addrs {
-		r.ops = append(r.ops, trace.Op{Kind: trace.Read, Addr: int64(a)})
-	}
-	return r.BlockStore.ReadBlocks(ctx, addrs, dst)
-}
-
-func (r *recStore) WriteBlocks(ctx context.Context, addrs []int, src []extmem.Element) error {
-	r.calls = append(r.calls, len(addrs))
-	for _, a := range addrs {
+func (r *recStore) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element, rAddrs []int, dst []extmem.Element) error {
+	r.calls = append(r.calls, len(wAddrs)+len(rAddrs))
+	for _, a := range wAddrs {
 		r.ops = append(r.ops, trace.Op{Kind: trace.Write, Addr: int64(a)})
 	}
-	return r.BlockStore.WriteBlocks(ctx, addrs, src)
+	for _, a := range rAddrs {
+		r.ops = append(r.ops, trace.Op{Kind: trace.Read, Addr: int64(a)})
+	}
+	return r.BlockStore.Transfer(ctx, wAddrs, src, rAddrs, dst)
 }
 
 func (r *recStore) GrowTo(n int) error { return r.BlockStore.(extmem.Growable).GrowTo(n) }

@@ -7,14 +7,17 @@ import (
 )
 
 // BlockStore is Bob's storage: a flat array of fixed-size blocks addressed
-// by index. The paper's model gives Alice one primitive toward Bob — move a
-// batch of blocks at public addresses — and this interface is that
-// primitive: one call is one interaction with the store, one network round
-// trip when Bob is remote. A one-block access is a batch of one.
+// by index. The paper's model gives Alice one primitive toward Bob — move
+// blocks at public addresses — and Transfer is that primitive: one call is
+// one interaction with the store, one network round trip when Bob is
+// remote. It carries a batch of writes, then a batch of reads, so an
+// algorithm that writes one batch back and fetches the next pays one round
+// trip for both; a one-part call (only writes, only reads, a one-block
+// access included) is the same method with the other part empty.
 //
-// Implementations must copy data on both reads and writes; callers own
-// their buffers. They should detect contiguous address runs and serve them
-// with a single bulk transfer.
+// Implementations must copy data on both parts; callers own their buffers.
+// They should detect contiguous address runs and serve them with a single
+// bulk transfer.
 //
 // ctx affects only delivery, never semantics: a remote backend abandons the
 // in-flight request (and stops retrying) when ctx is canceled, a local store
@@ -25,14 +28,16 @@ import (
 // without that, a doomed fan-out runs every other request to its full
 // timeout before the error can surface.
 type BlockStore interface {
-	// ReadBlocks copies blocks addrs[i] into dst[i*B:(i+1)*B] for every i
-	// (len(dst) == len(addrs)*BlockSize()) in one interaction. Duplicate
-	// addresses are allowed.
-	ReadBlocks(ctx context.Context, addrs []int, dst []Element) error
-	// WriteBlocks copies src[i*B:(i+1)*B] into blocks addrs[i] for every i
-	// (len(src) == len(addrs)*BlockSize()) in one interaction. With
-	// duplicate addresses the later slice wins.
-	WriteBlocks(ctx context.Context, addrs []int, src []Element) error
+	// Transfer copies src[i*B:(i+1)*B] into block wAddrs[i] for every i,
+	// then block rAddrs[j] into dst[j*B:(j+1)*B] for every j, in one
+	// interaction (len(src) == len(wAddrs)*BlockSize(), len(dst) ==
+	// len(rAddrs)*BlockSize()). Either part may be empty. The reads see the
+	// writes: a block in both lists reads back what src put there. With
+	// duplicate write addresses the later slice wins; duplicate read
+	// addresses are allowed. dst may alias src: the store consumes all of
+	// src before it fills any of dst. A failed call may have applied some
+	// or all of its writes, and leaves dst unspecified.
+	Transfer(ctx context.Context, wAddrs []int, src []Element, rAddrs []int, dst []Element) error
 	// NumBlocks returns the store capacity in blocks.
 	NumBlocks() int
 	// BlockSize returns B, the number of elements per block.
@@ -41,15 +46,16 @@ type BlockStore interface {
 	Close() error
 }
 
-// ReadBlocksCtx is s.ReadBlocks(ctx, addrs, dst), kept as a function for
-// the benchmark's layer probes; in-tree code calls the method.
+// ReadBlocksCtx is a read-only Transfer: blocks addrs into dst in one
+// interaction.
 func ReadBlocksCtx(ctx context.Context, s BlockStore, addrs []int, dst []Element) error {
-	return s.ReadBlocks(ctx, addrs, dst)
+	return s.Transfer(ctx, nil, nil, addrs, dst)
 }
 
-// WriteBlocksCtx is s.WriteBlocks(ctx, addrs, src); see ReadBlocksCtx.
+// WriteBlocksCtx is a write-only Transfer: src into blocks addrs in one
+// interaction.
 func WriteBlocksCtx(ctx context.Context, s BlockStore, addrs []int, src []Element) error {
-	return s.WriteBlocks(ctx, addrs, src)
+	return s.Transfer(ctx, addrs, src, nil, nil)
 }
 
 // runLen returns the length of the maximal run of consecutive ascending
@@ -115,35 +121,30 @@ func (s *MemStore) segRun(addrs []int) (n, seg, off int) {
 	return n, seg, off * s.b
 }
 
-// ReadBlocks implements BlockStore; each consecutive run is a single copy
-// per segment it crosses.
-func (s *MemStore) ReadBlocks(_ context.Context, addrs []int, dst []Element) error {
-	if err := s.checkVec(addrs, len(dst)); err != nil {
-		return err
-	}
-	for i := 0; i < len(addrs); {
-		n, seg, off := s.segRun(addrs[i:])
-		out := dst[i*s.b : (i+n)*s.b]
-		d := s.segs[seg]
-		clear(out[copy(out, d[min(off, len(d)):]):])
-		i += n
-	}
-	return nil
-}
-
-// WriteBlocks implements BlockStore; each consecutive run is a single copy
+// Transfer implements BlockStore; each consecutive run is a single copy
 // per segment it crosses, and the first write into a segment commits it.
-func (s *MemStore) WriteBlocks(_ context.Context, addrs []int, src []Element) error {
-	if err := s.checkVec(addrs, len(src)); err != nil {
+// Both parts are checked before either is applied.
+func (s *MemStore) Transfer(_ context.Context, wAddrs []int, src []Element, rAddrs []int, dst []Element) error {
+	if err := s.checkVec(wAddrs, len(src)); err != nil {
 		return err
 	}
-	for i := 0; i < len(addrs); {
-		n, seg, off := s.segRun(addrs[i:])
+	if err := s.checkVec(rAddrs, len(dst)); err != nil {
+		return err
+	}
+	for i := 0; i < len(wAddrs); {
+		n, seg, off := s.segRun(wAddrs[i:])
 		d := s.segs[seg]
 		if off+n*s.b > len(d) {
 			d = s.commit(seg)
 		}
 		copy(d[off:], src[i*s.b:(i+n)*s.b])
+		i += n
+	}
+	for i := 0; i < len(rAddrs); {
+		n, seg, off := s.segRun(rAddrs[i:])
+		out := dst[i*s.b : (i+n)*s.b]
+		d := s.segs[seg]
+		clear(out[copy(out, d[min(off, len(d)):]):])
 		i += n
 	}
 	return nil

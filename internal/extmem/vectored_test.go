@@ -22,11 +22,11 @@ func TestMemStoreVectored(t *testing.T) {
 	data := mkElems(3*4, 1)
 
 	// Contiguous write + scattered read.
-	if err := s.WriteBlocks(bg, []int{5, 6, 7}, data); err != nil {
+	if err := WriteBlocksCtx(bg, s, []int{5, 6, 7}, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]Element, 3*4)
-	if err := s.ReadBlocks(bg, []int{7, 5, 6}, got); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{7, 5, 6}, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -36,7 +36,7 @@ func TestMemStoreVectored(t *testing.T) {
 	}
 
 	// Duplicate addresses on read are allowed.
-	if err := s.ReadBlocks(bg, []int{5, 5}, got[:8]); err != nil {
+	if err := ReadBlocksCtx(bg, s, []int{5, 5}, got[:8]); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != data[0] || got[4] != data[0] {
@@ -44,16 +44,16 @@ func TestMemStoreVectored(t *testing.T) {
 	}
 
 	// Geometry violations error out.
-	if err := s.ReadBlocks(bg, []int{0}, make([]Element, 3)); err == nil {
+	if err := ReadBlocksCtx(bg, s, []int{0}, make([]Element, 3)); err == nil {
 		t.Error("short buffer accepted")
 	}
-	if err := s.WriteBlocks(bg, []int{16}, make([]Element, 4)); err == nil {
+	if err := WriteBlocksCtx(bg, s, []int{16}, make([]Element, 4)); err == nil {
 		t.Error("out-of-range address accepted")
 	}
 }
 
 // TestFileStoreVectoredEncrypted round-trips a dataset through a CryptStore
-// over a file store with WriteBlocks/ReadBlocks and verifies both the
+// over a file store with write-only and read-only Transfers and verifies both the
 // contents and the fresh-nonce re-encryption of every block in the file.
 func TestFileStoreVectoredEncrypted(t *testing.T) {
 	key := make([]byte, 32)
@@ -78,13 +78,13 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 
 	data := mkElems(6*b, 9)
 	addrs := []int{2, 3, 4, 5, 6, 7}
-	if err := s.WriteBlocks(bg, addrs, data); err != nil {
+	if err := WriteBlocksCtx(bg, s, addrs, data); err != nil {
 		t.Fatal(err)
 	}
 
 	// Contents round-trip, contiguous and scattered.
 	got := make([]Element, 6*b)
-	if err := s.ReadBlocks(bg, addrs, got); err != nil {
+	if err := ReadBlocksCtx(bg, s, addrs, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -94,7 +94,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 	}
 	scattered := []int{7, 2, 5}
 	sg := make([]Element, 3*b)
-	if err := s.ReadBlocks(bg, scattered, sg); err != nil {
+	if err := ReadBlocksCtx(bg, s, scattered, sg); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b; i++ {
@@ -118,7 +118,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 	for _, a := range addrs {
 		before[a] = wireOf(a)
 	}
-	if err := s.WriteBlocks(bg, addrs, data); err != nil {
+	if err := WriteBlocksCtx(bg, s, addrs, data); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range addrs {
@@ -127,7 +127,7 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 		}
 	}
 	// And the rewritten store still decrypts to the same contents.
-	if err := s.ReadBlocks(bg, addrs, got); err != nil {
+	if err := ReadBlocksCtx(bg, s, addrs, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {

@@ -364,11 +364,11 @@ func oramRows(t *testing.T) {
 		scan    obs.Cost // an access
 		arm     string
 	}{
-		// The benchmark's kv_mix_http ORAM: 107 I/Os and 6.5 round trips an
+		// The benchmark's kv_mix_http ORAM: 107 I/Os and 6.4 round trips an
 		// access on the hierarchy, 64 and 2 on the scan.
-		{32, 8, 512, obs.Cost{IOs: 3424, RoundTrips: 208}, 32, obs.Cost{IOs: 64, RoundTrips: 2}, oram.ArmScan},
-		{1024, 8, 512, obs.Cost{IOs: 2269184, RoundTrips: 98511}, 1024, obs.Cost{IOs: 2048, RoundTrips: 34}, oram.ArmScan},
-		{4096, 8, 512, obs.Cost{IOs: 14950400, RoundTrips: 648712}, 4096, obs.Cost{IOs: 8192, RoundTrips: 132}, oram.ArmHierarchy},
+		{32, 8, 512, obs.Cost{IOs: 3424, RoundTrips: 205}, 32, obs.Cost{IOs: 64, RoundTrips: 2}, oram.ArmScan},
+		{1024, 8, 512, obs.Cost{IOs: 2269184, RoundTrips: 97458}, 1024, obs.Cost{IOs: 2048, RoundTrips: 34}, oram.ArmScan},
+		{4096, 8, 512, obs.Cost{IOs: 14950400, RoundTrips: 641875}, 4096, obs.Cost{IOs: 8192, RoundTrips: 132}, oram.ArmHierarchy},
 		{64, 8, 4096, obs.Cost{IOs: 5056, RoundTrips: 143}, 64, obs.Cost{IOs: 128, RoundTrips: 2}, oram.ArmHierarchy},
 	} {
 		t.Run(fmt.Sprintf("oram.AccessCost/n=%d/B=%d/M=%d", r.n, r.b, r.m), func(t *testing.T) {

@@ -31,12 +31,17 @@ import (
 //     the shift / sort / unshift triple; the two outer half columns are
 //     final as soon as they are sorted.
 //
-// That is 6 block I/Os per block in 6s+1 round trips: s reads and s writes
-// in each of A and B, s reads and s+1 writes in C. Only A sorts from
-// scratch: what B and C read is s sorted runs (the slots), which they merge.
-// C's windows come out in sorted order, so a caller that only reads the
-// result once can take them from C as they are merged instead of from the
-// array: C then writes nothing, 5 I/Os per block in 5s round trips.
+// That is 6 block I/Os per block: s reads and s writes in each of A and B,
+// s reads and s+1 writes in C. Each pass sends every write together with
+// the read of the pass's next batch, one round trip for both, so A and B
+// take s+1 round trips each and C s+2 (its last window and the last half
+// column are written apart): 3s+4 in all, where one call per read and per
+// write took 6s+1. A pass never shares a round trip with the next, so each
+// pass's span and price stay its own. Only A sorts from scratch: what B
+// and C read is s sorted runs (the slots), which they merge. C's windows
+// come out in sorted order, so a caller that only reads the result once
+// can take them from C as they are merged instead of from the array: C
+// then writes nothing, 5 I/Os per block in 3s+2 round trips.
 
 // ErrColumnGeometry reports an array Columnsort cannot sort in the cache
 // free at the call: no column count s meets the size limit and the block
@@ -79,21 +84,21 @@ func columnShape(nBlocks, b, free int) (r, s int, ok bool) {
 // ColumnCost predicts the exact block I/Os and vectored round trips of one
 // Columnsort call entered with free elements of the cache not checked out,
 // for a geometry ColumnGeometry admits: three passes of 2 I/Os per block,
-// and 6s+1 round trips.
+// and 3s+4 round trips.
 func ColumnCost(nBlocks, b, free int) obs.Cost { return columnCost(nBlocks, b, free, false) }
 
 // columnCost is ColumnCost, or with visit the price of a sort whose last
 // pass hands its windows to a visitor: s reads and no write in C, 5 I/Os
-// per block in 5s round trips.
+// per block in 3s+2 round trips.
 func columnCost(nBlocks, b, free int, visit bool) obs.Cost {
 	_, s, ok := columnShape(nBlocks, b, free)
 	if !ok || nBlocks == 0 {
 		return obs.Cost{}
 	}
 	if visit {
-		return obs.Cost{IOs: 5 * int64(nBlocks), RoundTrips: 5 * int64(s)}
+		return obs.Cost{IOs: 5 * int64(nBlocks), RoundTrips: 3*int64(s) + 2}
 	}
-	return obs.Cost{IOs: 6 * int64(nBlocks), RoundTrips: 6*int64(s) + 1}
+	return obs.Cost{IOs: 6 * int64(nBlocks), RoundTrips: 3*int64(s) + 4}
 }
 
 // Columnsort sorts the array in place with the fused three-pass columnsort
@@ -133,9 +138,12 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	col, aux := buf[:r], buf[r:]
 	ord := orderOf(less)
 
+	// Every pass sends each batch's write with the next batch's read, one
+	// interaction for both; a pass starts with a read of its own and ends
+	// with a write of its own.
 	spa := env.Obs.Start("sort-deal")
+	src.ReadRange(0, rb, col)
 	for j := 0; j < s; j++ {
-		src.ReadRange(j*rb, (j+1)*rb, col)
 		if first != nil {
 			first(col)
 		}
@@ -143,47 +151,65 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 		for t, e := range col {
 			aux[t%s*per+t/s] = e
 		}
-		a.WriteRange(j*rb, (j+1)*rb, aux)
+		next := src.Slice(min(j+1, s)*rb, min(j+2, s)*rb) // empty after the last column
+		a.Slice(j*rb, (j+1)*rb).Exchange(aux, next, col[:next.Len()*b])
 	}
 	env.Obs.End(spa)
 
 	spb := env.Obs.Start("sort-slots")
-	idx := env.D.IndexScratch(rb)
-	for k := 0; k < s; k++ {
+	idx := env.D.IndexScratch(2 * rb)
+	cur, next := idx[:rb], idx[rb:2*rb]
+	slot := func(k int, is []int) {
 		for j := 0; j < s; j++ {
 			for q := 0; q < sb; q++ {
-				idx[j*sb+q] = j*rb + k*sb + q
+				is[j*sb+q] = j*rb + k*sb + q
 			}
 		}
-		a.ReadMany(idx, col)
+	}
+	slot(0, cur)
+	a.ReadMany(cur, col)
+	for k := 0; k < s; k++ {
 		ord.mergeRuns(col, per, aux)
-		a.WriteMany(idx, col)
+		rd := next[:0]
+		if k+1 < s {
+			slot(k+1, next)
+			rd = next
+		}
+		// The slot goes back from col, and the next one lands in col: the
+		// store takes the write before it fills the read.
+		a.ExchangeMany(cur, col, a, rd, col[:len(rd)*b])
+		cur, next = next, cur
 	}
 	env.Obs.End(spb)
 
 	// aux[r/2:] carries the bottom half of the previous column; the window
-	// is merged into aux in front of it.
+	// is merged into aux in front of it. The window's write carries the
+	// next column's read into aux, and the two buffers trade places: the
+	// column just merged holds the carried half in its top half.
 	spc := env.Obs.Start("sort-merge")
 	half, hb := r/2, rb/2
-	emit := func(lo, hi int, win []extmem.Element) {
+	a.ReadRange(0, rb, col)
+	for m := 0; m < s; m++ {
+		ord.mergeRuns(col, per, aux[:half])
+		win, lo := col[:half], 0 // the first half column is final
+		if m > 0 {
+			ord.mergeBehind(aux, col[:half])
+			win, lo = aux, m*rb-hb
+		}
+		next := a.Slice(min(m+1, s)*rb, min(m+2, s)*rb)
+		out := a.Slice(lo, lo+len(win)/b)
 		if visit != nil {
 			visit(lo, win)
-		} else {
-			a.WriteRange(lo, hi, win)
+			out, win = a.Slice(0, 0), nil
 		}
+		out.Exchange(win, next, aux[:next.Len()*b])
+		col, aux = aux, col
 	}
-	for m := 0; m < s; m++ {
-		a.ReadRange(m*rb, (m+1)*rb, col)
-		ord.mergeRuns(col, per, aux[:half])
-		if m == 0 {
-			emit(0, hb, col[:half])
-		} else {
-			ord.mergeBehind(aux, col[:half])
-			emit(m*rb-hb, m*rb+hb, aux)
-		}
-		copy(aux[half:], col[half:])
+	if visit != nil {
+		visit(n-hb, aux[half:])
+	} else {
+		a.WriteRange(n-hb, n, aux[half:])
 	}
-	emit(n-hb, n, aux[half:])
 	env.Obs.End(spc)
 	env.Cache.Free(buf)
 }

@@ -21,14 +21,14 @@ func TestColumnGeometry(t *testing.T) {
 		cost             obs.Cost
 	}{
 		// The benchmark's sort: 0.75 I/Os per record against bitonic's 1.75.
-		{8192, 8, 4096, 2048, 32, obs.Cost{IOs: 49152, RoundTrips: 193}},
-		{1024, 8, 4096, 2048, 4, obs.Cost{IOs: 6144, RoundTrips: 25}},
+		{8192, 8, 4096, 2048, 32, obs.Cost{IOs: 49152, RoundTrips: 100}},
+		{1024, 8, 4096, 2048, 4, obs.Cost{IOs: 6144, RoundTrips: 16}},
 		// The ORAM's 64-block rebuild: bitonic's price exactly, in more
 		// round trips.
-		{64, 8, 384, 128, 4, obs.Cost{IOs: 384, RoundTrips: 25}},
+		{64, 8, 384, 128, 4, obs.Cost{IOs: 384, RoundTrips: 16}},
 		// A held cache narrows the column and widens the matrix.
-		{1024, 8, 2048, 1024, 8, obs.Cost{IOs: 6144, RoundTrips: 49}},
-		{20, 4, 1024, 40, 2, obs.Cost{IOs: 120, RoundTrips: 13}},
+		{1024, 8, 2048, 1024, 8, obs.Cost{IOs: 6144, RoundTrips: 28}},
+		{20, 4, 1024, 40, 2, obs.Cost{IOs: 120, RoundTrips: 10}},
 	} {
 		r, s, err := ColumnGeometry(g.n, g.b, g.free)
 		if err != nil || r != g.r || s != g.s {
@@ -74,15 +74,15 @@ func TestDeterministicRule(t *testing.T) {
 		bitonic, column obs.Cost
 	}{
 		// scan_enc_file's Quantiles(8): cheaper on both counts.
-		{8192, "columnsort", obs.Cost{IOs: 114688, RoundTrips: 224}, obs.Cost{IOs: 49152, RoundTrips: 193}},
+		{8192, "columnsort", obs.Cost{IOs: 114688, RoundTrips: 119}, obs.Cost{IOs: 49152, RoundTrips: 100}},
 		// sort_mem's sample: a tie on I/Os, and fewer round trips.
-		{1024, "bitonic", obs.Cost{IOs: 6144, RoundTrips: 12}, obs.Cost{IOs: 6144, RoundTrips: 25}},
+		{1024, "bitonic", obs.Cost{IOs: 6144, RoundTrips: 9}, obs.Cost{IOs: 6144, RoundTrips: 16}},
 		// Fewer I/Os, more round trips: neither dominates.
-		{2048, "bitonic", obs.Cost{IOs: 16384, RoundTrips: 32}, obs.Cost{IOs: 12288, RoundTrips: 49}},
+		{2048, "bitonic", obs.Cost{IOs: 16384, RoundTrips: 20}, obs.Cost{IOs: 12288, RoundTrips: 28}},
 		// A sort_mem bucket: no matrix fits.
-		{1989, "bitonic", obs.Cost{IOs: 16266, RoundTrips: 32}, obs.Cost{}},
+		{1989, "bitonic", obs.Cost{IOs: 16266, RoundTrips: 20}, obs.Cost{}},
 		// scan_enc_file's loose residue: one bitonic window.
-		{256, "bitonic", obs.Cost{IOs: 512, RoundTrips: 2}, obs.Cost{IOs: 1536, RoundTrips: 13}},
+		{256, "bitonic", obs.Cost{IOs: 512, RoundTrips: 2}, obs.Cost{IOs: 1536, RoundTrips: 10}},
 	} {
 		if bt, c := BitonicCost(r.n, b, m), ColumnCost(r.n, b, m); bt != r.bitonic || c != r.column {
 			t.Errorf("n=%d: bitonic %+v and columnsort %+v, want %+v and %+v", r.n, bt, c, r.bitonic, r.column)
@@ -120,8 +120,8 @@ func TestDeterministicRule(t *testing.T) {
 
 // TestDeterministicVisitRule pins the engine and the price of a sort whose
 // caller reads the result once, through a visitor, at the same geometries:
-// columnsort's last pass then writes nothing, 5 I/Os per block in 5s round
-// trips, while bitonic sorts and a scan reads the result back. At 8 192
+// columnsort's last pass then writes nothing, 5 I/Os per block in 3s+2
+// round trips, while bitonic sorts and a scan reads the result back. At 8 192
 // blocks (Select's tail and Quantiles' sort arm on scan_enc_file) columnsort
 // dominates as before; at 1 024 and 2 048 it still does not. Each row sorts
 // from a source into scratch through DeterministicInto on a strict cache,
@@ -134,10 +134,10 @@ func TestDeterministicVisitRule(t *testing.T) {
 		engine string
 		want   obs.Cost
 	}{
-		{8192, "columnsort", obs.Cost{IOs: 40960, RoundTrips: 160}},
-		{1024, "bitonic", obs.Cost{IOs: 7168, RoundTrips: 15}},
-		{2048, "bitonic", obs.Cost{IOs: 18432, RoundTrips: 37}},
-		{1989, "bitonic", obs.Cost{IOs: 18255, RoundTrips: 36}},
+		{8192, "columnsort", obs.Cost{IOs: 40960, RoundTrips: 98}},
+		{1024, "bitonic", obs.Cost{IOs: 7168, RoundTrips: 12}},
+		{2048, "bitonic", obs.Cost{IOs: 18432, RoundTrips: 25}},
+		{1989, "bitonic", obs.Cost{IOs: 18255, RoundTrips: 24}},
 	} {
 		if c := DeterministicVisitCost(r.n, b, m); c != r.want {
 			t.Errorf("n=%d: DeterministicVisitCost %+v, want %s's %+v", r.n, c, r.engine, r.want)
@@ -166,8 +166,8 @@ func TestDeterministicVisitRule(t *testing.T) {
 
 // TestDeterministicBitonicWithinTwoWindows: an array of at most two of
 // bitonic's windows (the largest power of two of blocks that fits the free
-// cache) always keeps bitonic, whose passes over it make at most 12 round
-// trips against columnsort's 6s+1 ≥ 13. That is why two of core's callers
+// cache) always keeps bitonic, whose passes over it make at most 9 round
+// trips against columnsort's 3s+4 ≥ 10. That is why two of core's callers
 // never take columnsort: loose compaction's residue, under 2g blocks with
 // g·B ≤ M/2, and Theorem 4's order restoration, whose rCap blocks are under
 // a sixteenth of a cache that holds the IBLT beside them.
@@ -264,7 +264,7 @@ func TestColumnsortSortsObliviously(t *testing.T) {
 // a source array into another, and from a source with the last pass's
 // windows handed to a visitor: each must sort, stay within held + 2r, leave
 // one trace for both inputs and cost ColumnCost, or 5 I/Os per block in
-// 5s round trips with the visitor.
+// 3s+2 round trips with the visitor.
 func FuzzColumnsort(f *testing.F) {
 	f.Add(uint8(30), uint8(3), uint8(0), uint16(0), uint64(1)) // 32 columns of 2048: the benchmark's sort
 	f.Add(uint8(2), uint8(3), uint8(0), uint16(128), uint64(2))
@@ -287,9 +287,9 @@ func FuzzColumnsort(f *testing.F) {
 			run := func(in []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
 				return intoRun(t, columnsort, n, b, m, held, in, visit)
 			}
-			want := obs.Cost{IOs: 6 * int64(n), RoundTrips: 6*int64(s) + 1}
+			want := obs.Cost{IOs: 6 * int64(n), RoundTrips: 3*int64(s) + 4}
 			if visit {
-				want = obs.Cost{IOs: 5 * int64(n), RoundTrips: 5 * int64(s)}
+				want = obs.Cost{IOs: 5 * int64(n), RoundTrips: 3*int64(s) + 2}
 			}
 			checkColumnRuns(t, fmt.Sprintf("from a source, visit %v", visit), run, want, n, b, m, held, inputs)
 		}
@@ -297,7 +297,7 @@ func FuzzColumnsort(f *testing.F) {
 }
 
 // BenchmarkColumnsort sorts the benchmark's geometry (N = 2^16, B = 8,
-// M = 4096): 6 I/Os per block in 193 round trips.
+// M = 4096): 6 I/Os per block in 100 round trips.
 func BenchmarkColumnsort(b *testing.B) {
 	g := benchGeometry
 	env := extmem.NewEnv(g.n, g.b, g.m, 1)

@@ -95,11 +95,11 @@ func compare(less Less, x, y extmem.Element) int {
 // most g = log₂(C/B) distinct address bits, the window C being the largest
 // power of two of blocks that fits free, and runs them on batches of the
 // 2^g blocks that differ only in those bits: one vectored read, every level
-// of the pass on the private window, one vectored write. The first pass
-// (every stage up to C, on contiguous windows) is a private sort of each
-// window; the rest are gather passes, so the sort makes about
-// log²₂(N/B) / 2g passes of 2 I/Os per block, each batch one round trip
-// each way.
+// of the pass on the private window, one vectored write, which carries the
+// next batch's read in the same round trip. The first pass (every stage up
+// to C, on contiguous windows) is a private sort of each window; the rest
+// are gather passes, so the sort makes about log²₂(N/B) / 2g passes of 2
+// I/Os per block, each pass one round trip per batch and one more.
 //
 // The window may be all of M: besides it the sort keeps only the batch's
 // block indices — public addresses, like the ORAM's probe addresses, which
@@ -160,27 +160,29 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	// windows and leaves window w ascending or descending by its parity, so
 	// a private sort stands in for those levels. Not an env.Scan: the window
 	// is the buffer the gather passes keep, sorted whole, padding included,
-	// past the array's end.
+	// past the array's end. Each window's write carries the next window's
+	// read, into the same buffer: the store takes the write first.
 	spw := env.Obs.Start("sort-windows")
+	held := func(lo int) extmem.Array { return src.Slice(min(lo, n), min(lo+wb, n)) } // window lo's blocks in src
+	cur := held(0)
+	cur.ReadRange(0, cur.Len(), win[:cur.Len()*b])
 	for lo := 0; lo < sc.np; lo += wb {
-		k := min(max(n-lo, 0), wb) // blocks of this window the array holds
-		if k > 0 {
-			src.ReadRange(lo, lo+k, win[:k*b])
-			if first != nil {
-				first(win[:k*b])
-			}
+		k := cur.Len()
+		if k > 0 && first != nil {
+			first(win[:k*b])
 		}
 		clear(win[k*b:])
 		ord.sort(win, lo/wb&1 == 1)
+		out, part := a, win[:k*b] // one window: the caller's array
 		if sc.np > wb {
-			work.WriteRange(lo, lo+wb, win)
-		} else {
-			a.WriteRange(lo, lo+k, win[:k*b])
+			out, part = work.Slice(lo, lo+wb), win
 		}
+		cur = held(lo + wb)
+		out.Exchange(part, cur, win[:cur.Len()*b])
 	}
 	env.Obs.End(spw)
 
-	idx := env.D.IndexScratch(wb)
+	idx := env.D.IndexScratch(2 * wb)
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
 		spp.SetAttrInt("levels", int64(p.levels))
@@ -188,7 +190,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 		if sc.stage > sc.top {
 			dst = a // the last pass writes the caller's array its n blocks
 		}
-		sc.run(p, work, dst, win, idx, ord)
+		sc.run(p, work, dst, win, idx[:wb], idx[wb:], ord)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -264,18 +266,23 @@ func (p gatherPass) local(j, lb int) int {
 // run executes one gather pass: for every assignment of the address bits
 // outside the gathered set, read from src the blocks that differ only
 // inside it (in ascending address order), apply the pass's levels, and
-// write to dst those of them it holds. A level of stage s ascends where
-// bit s of the element index is clear; that bit is a window bit, a
-// constant of the batch, or — in the last stage — clear everywhere.
-func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, idx []int, ord order) {
+// write to dst those of them it holds, together with the next batch's
+// read. A level of stage s ascends where bit s of the element index is
+// clear; that bit is a window bit, a constant of the batch, or — in the
+// last stage — clear everywhere. cur and next are the batches' block-index
+// lists, one window long each.
+func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, cur, next []int, ord order) {
 	gb := int(p.gather >> s.lb)
 	rest := (s.np - 1) &^ gb
-	for base := 0; ; {
-		for t, sub := 0, 0; t < len(idx); t++ {
-			idx[t] = base | sub
+	batch := func(base int, is []int) {
+		for t, sub := 0, 0; t < len(is); t++ {
+			is[t] = base | sub
 			sub = ((sub | ^gb) + 1) & gb
 		}
-		src.ReadMany(idx, win)
+	}
+	batch(0, cur)
+	src.ReadMany(cur, win)
+	for base := 0; ; {
 		stage, bit := p.stage, p.bit
 		for k := 0; k < p.levels; k++ {
 			dirBit, desc := 0, false
@@ -289,12 +296,18 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 			ord.exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc)
 			stage, bit = nextLevel(stage, bit)
 		}
-		if k, _ := slices.BinarySearch(idx, dst.Len()); k > 0 {
-			dst.WriteMany(idx[:k], win[:k*dst.B()])
+		k, _ := slices.BinarySearch(cur, dst.Len())
+		base = ((base | ^rest) + 1) & rest
+		rd := next[:0]
+		if base != 0 {
+			batch(base, next)
+			rd = next
 		}
-		if base = ((base | ^rest) + 1) & rest; base == 0 {
+		dst.ExchangeMany(cur[:k], win[:k*dst.B()], src, rd, win[:len(rd)*dst.B()])
+		if base == 0 {
 			return
 		}
+		cur, next = next, cur
 	}
 }
 
@@ -328,7 +341,10 @@ func bitonicPassCount(nBlocks, b, free int) int {
 // every pass moves each batch of C/B blocks of the padded length np in one
 // read and one write, less the padding blocks — and the all-padding
 // windows — that the first pass does not read and the last, whose batches
-// are always contiguous windows, does not write.
+// are always contiguous windows, does not write. Each pass takes one round
+// trip per batch, each write sharing it with the next batch's read, and
+// one more for its last write — which the last pass does not make where
+// its last window is all padding.
 func BitonicCost(nBlocks, b, free int) obs.Cost {
 	if nBlocks == 0 {
 		return obs.Cost{}
@@ -336,8 +352,13 @@ func BitonicCost(nBlocks, b, free int) obs.Cost {
 	sc := newSchedule(nBlocks, b, free)
 	wb := 1 << (sc.lc - sc.lb)
 	passes := int64(bitonicPassCount(nBlocks, b, free))
+	batches := int64(sc.np / wb)
+	rt := passes * (batches + 1)
+	if passes > 1 && int64(extmem.CeilDiv(nBlocks, wb)) < batches {
+		rt--
+	}
 	return obs.Cost{
 		IOs:        passes*int64(2*sc.np) - int64(2*(sc.np-nBlocks)),
-		RoundTrips: passes*int64(2*sc.np/wb) - int64(2*(sc.np/wb-extmem.CeilDiv(nBlocks, wb))),
+		RoundTrips: rt,
 	}
 }

@@ -51,8 +51,8 @@ func ValidEngine(name string) bool {
 // declines the sort before any I/O. Columnsort costs 6 I/Os per block
 // wherever ColumnGeometry admits the array and bitonic 2 per pass plus its
 // padding, so over mem columnsort wins where bitonic needs more than three
-// passes or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 193 round trips
-// against 224); at three passes over a power of two they tie and bitonic's
+// passes or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 100 round trips
+// against 119); at three passes over a power of two they tie and bitonic's
 // fewer batches keep the sort, as at the ORAM's 64-block rebuild with
 // M = 512. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
 // each, so it wins elsewhere wherever more than a few blocks are free;
@@ -118,10 +118,10 @@ func DeterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, first 
 // where ColumnGeometry admits the array and ColumnCost is no dearer than
 // BitonicCost both in block I/Os and in round trips. Neither price alone
 // decides, so no caller trades round trips for I/Os or the reverse: at
-// B = 8, free = 4 096, columnsort takes 8 192 blocks (49 152 I/Os in 193
-// round trips against 114 688 in 224), and bitonic keeps 1 024 (6 144 I/Os
-// either way, 25 round trips against 12) and 2 048 (12 288 I/Os in 49
-// against 16 384 in 32: neither dominates). With visit the prices are
+// B = 8, free = 4 096, columnsort takes 8 192 blocks (49 152 I/Os in 100
+// round trips against 114 688 in 119), and bitonic keeps 1 024 (6 144 I/Os
+// either way, 16 round trips against 9) and 2 048 (12 288 I/Os in 28
+// against 16 384 in 20: neither dominates). With visit the prices are
 // DeterministicInto's with a visitor: columnsort's last pass reads and
 // does not write, and bitonic is followed by a scan.
 func columnsDominate(nBlocks, b, free int, visit bool) bool {
@@ -151,9 +151,9 @@ func DeterministicCost(nBlocks, b, free int) obs.Cost {
 }
 
 // DeterministicVisitCost predicts DeterministicInto with a visitor, entered
-// with free elements of the cache not checked out: 5 I/Os per block in 5s
-// round trips where columnsort dominates at those prices, and otherwise
-// BitonicCost and one scan.
+// with free elements of the cache not checked out: 5 I/Os per block in
+// 3s+2 round trips where columnsort dominates at those prices, and
+// otherwise BitonicCost and one scan.
 func DeterministicVisitCost(nBlocks, b, free int) obs.Cost {
 	return deterministicCost(nBlocks, b, free, true)
 }

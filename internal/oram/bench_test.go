@@ -16,7 +16,7 @@ import (
 // entries in one private scan each — their bounds, 128 and 256 blocks, fit
 // the cache — sorts them and the buffer's once, and writes its table from
 // the cache too, from the first 256 of the 512 sorted entries (24 320 and
-// 163). The accesses that fill the buffer run off the clock, and the last
+// 160). The accesses that fill the buffer run off the clock, and the last
 // of them without its probe, so an iteration is the rebuild and nothing
 // else.
 func BenchmarkRebuild(b *testing.B) {

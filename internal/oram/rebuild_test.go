@@ -166,7 +166,7 @@ func TestRebuildGeometryAtHierarchyShape(t *testing.T) {
 		8: {Buffer: 128, CapE: 128, Kept: 128, Table: 4096, B: 8, M: 4096, Free: 3072, Sorter: "auto"},
 		9: {Sources: []int{4096, 8192}, Bounds: []int{128, 256}, Buffer: 128, CapE: 512, Kept: 256, Table: 8192, B: 8, M: 4096, Free: 3072, Sorter: "auto"},
 	}
-	cost := map[int]obs.Cost{8: {IOs: 4608, RoundTrips: 21}, 9: {IOs: 24320, RoundTrips: 163}}
+	cost := map[int]obs.Cost{8: {IOs: 4608, RoundTrips: 21}, 9: {IOs: 24320, RoundTrips: 160}}
 	for target, g := range want {
 		if c := oram.RebuildCost(g); c != cost[target] {
 			t.Errorf("rebuild of level %d: predicted %+v, want %+v", target, c, cost[target])
