@@ -394,10 +394,14 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request) {
 	if replay {
 		w.Header().Set(replayHeader, "1")
 	}
-	f.buf = wire
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
-	w.Write(wire)
+	if q.nw == len(q.addrs) {
+		w.WriteHeader(http.StatusOK) // nothing read: an empty body
+	} else {
+		f.buf = wire
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
+		w.Write(wire)
+	}
 	s.idle.Store(f)
 }
 

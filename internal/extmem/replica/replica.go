@@ -111,6 +111,8 @@ type Store struct {
 
 	failThresh int
 	cooldown   int64
+
+	calls []replicaCall // one round's child calls, reused (single caller)
 }
 
 // New builds a replicated store over the given children, which must all
@@ -317,12 +319,14 @@ func (s *Store) assign(addrs, pos []int, excluded []bool) ([]assignment, error) 
 }
 
 // replicaCall is one child interaction of a round: replica rep's copy of
-// the write part, when it carries one, and the read group g it was
+// the write part, when it carries one (write), and the read group g it was
 // assigned, when it has one (-1 for none), whose blocks land in buf.
 type replicaCall struct {
 	rep   int
 	write bool
 	g     int
+	w, r  []int
+	src   []extmem.Element
 	buf   []extmem.Element
 	err   error
 }
@@ -364,8 +368,11 @@ func (s *Store) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element
 	for i := range pos {
 		pos[i] = i
 	}
-	excluded := make([]bool, s.r)
-	for len(pending) > 0 || targets != nil {
+	var excluded []bool // replicas a failed call excluded from the reads
+	if len(rAddrs) > 0 {
+		excluded = make([]bool, s.r)
+	}
+	for first := true; len(pending) > 0 || targets != nil; first = false {
 		var groups []assignment
 		if len(pending) > 0 {
 			s.mu.Lock()
@@ -376,7 +383,7 @@ func (s *Store) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element
 				return err
 			}
 		}
-		calls := s.round(ctx, targets, wAddrs, src, groups, len(rAddrs), dst)
+		calls := s.round(ctx, targets, wAddrs, src, groups, first, dst)
 
 		// Fold outcomes in replica-index order (calls are built that way):
 		// health updates must not depend on goroutine scheduling.
@@ -439,50 +446,47 @@ func (s *Store) Transfer(ctx context.Context, wAddrs []int, src []extmem.Element
 
 // round runs one round of a Transfer: a call per replica that is a write
 // target or was assigned a read group, concurrently when there are several,
-// and scatters every successful call's reads into dst (nr blocks). A lone
-// call that reads all nr blocks reads straight into dst; every other read
-// lands in its own buffer first, so no child fills dst while another still
-// reads src.
-func (s *Store) round(ctx context.Context, targets []bool, wAddrs []int, src []extmem.Element, groups []assignment, nr int, dst []extmem.Element) []replicaCall {
-	var calls []replicaCall
+// and scatters every successful call's reads into dst. A lone call in the
+// first round, which holds every read in dst's order, reads straight into
+// dst; every other read lands in its own buffer first, so no child fills
+// dst while another still reads src, and a failover round's reads, in the
+// order their failed groups left them, reach their own positions. The
+// calls live in the Store's scratch until the next round.
+func (s *Store) round(ctx context.Context, targets []bool, wAddrs []int, src []extmem.Element, groups []assignment, first bool, dst []extmem.Element) []replicaCall {
+	calls := s.calls[:0]
 	for i := 0; i < s.r; i++ {
 		c := replicaCall{rep: i, write: targets != nil && targets[i], g: -1}
+		if c.write {
+			c.w, c.src = wAddrs, src
+		}
 		for gi := range groups {
 			if groups[gi].rep == i {
-				c.g = gi
+				c.g, c.r = gi, groups[gi].addrs
 			}
 		}
 		if c.write || c.g >= 0 {
 			calls = append(calls, c)
 		}
 	}
-	direct := len(calls) == 1 && calls[0].g >= 0 && len(groups[calls[0].g].addrs) == nr
-	run := func(c *replicaCall) {
-		var w []int
-		var wsrc []extmem.Element
-		if c.write {
-			w, wsrc = wAddrs, src
+	s.calls = calls
+	direct := first && len(calls) == 1
+	for ci := range calls {
+		if c := &calls[ci]; direct {
+			c.buf = dst
+		} else if len(c.r) > 0 {
+			c.buf = make([]extmem.Element, len(c.r)*s.b)
 		}
-		var r []int
-		if c.g >= 0 {
-			r = groups[c.g].addrs
-			if direct {
-				c.buf = dst
-			} else {
-				c.buf = make([]extmem.Element, len(r)*s.b)
-			}
-		}
-		c.err = s.call(ctx, c.rep, w, wsrc, r, c.buf)
 	}
 	if len(calls) == 1 {
-		run(&calls[0])
+		c := &calls[0]
+		c.err = s.call(ctx, c.rep, c.w, c.src, c.r, c.buf)
 	} else {
 		var wg sync.WaitGroup
 		for ci := range calls {
 			wg.Add(1)
 			go func(c *replicaCall) {
 				defer wg.Done()
-				run(c)
+				c.err = s.call(ctx, c.rep, c.w, c.src, c.r, c.buf)
 			}(&calls[ci])
 		}
 		wg.Wait()

@@ -108,6 +108,45 @@ func TestWriteFansOutReadsPickOne(t *testing.T) {
 	}
 }
 
+// TestFailoverKeepsReadOrder: when every group of a read fails, the
+// failover round gathers their addresses in the order the groups left them
+// and may route all of them to one replica; the blocks must still land at
+// their own positions in dst. Replica 0 misses a write of block 1, so a
+// read of blocks 0–3 splits into {0, 2, 3} on replica 0 and {1} on
+// replica 1; both fail, and replica 2 serves [0, 2, 3, 1] in one call.
+func TestFailoverKeepsReadOrder(t *testing.T) {
+	c0, c1, c2 := newFlaky(8, 4), newFlaky(8, 4), newFlaky(8, 4)
+	s, err := New([]extmem.BlockStore{c0, c1, c2}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []extmem.Element
+	for k := uint64(0); k < 4; k++ {
+		all = append(all, block(4, 10+k)...)
+	}
+	if err := extmem.WriteBlocksCtx(bg, s, []int{0, 1, 2, 3}, all); err != nil {
+		t.Fatal(err)
+	}
+	c0.set(false, true)
+	if err := extmem.WriteBlocksCtx(bg, s, []int{1}, block(4, 11)); err != nil {
+		t.Fatal(err)
+	}
+	c0.set(true, false)
+	c1.set(true, false)
+	dst := make([]extmem.Element, 4*4)
+	if err := extmem.ReadBlocksCtx(bg, s, []int{0, 1, 2, 3}, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if got := dst[4*i].Key; got != 10+uint64(i) {
+			t.Errorf("block %d read back key %d, want %d", i, got, 10+i)
+		}
+	}
+	if r2, _ := c2.counts(); r2 != 1 {
+		t.Errorf("replica 2 served %d reads, want the one failover call", r2)
+	}
+}
+
 // TestReadFailover pins failover: when the preferred replica fails a read,
 // the batch reroutes to the next one, the caller sees success, and the
 // failure is recorded against the right replica.

@@ -359,7 +359,7 @@ func TestPickPolicy(t *testing.T) {
 		{1616, 8, 512, 0}, {1616, 8, 512, 128}, {1 << 10, 8, 512, 0}, {1 << 12, 8, 4096, 0}, {1 << 13, 8, 4096, 0},
 		{1 << 13, 8, 4096, 2056}, {300, 4, 64, 0}, {300, 4, 64, 40}, {19, 6, 96, 0}, {130, 8, 32, 0},
 		{23, 8, 64, 0}, {362, 4, 32, 0}, {1 << 10, 8, 4096, 0}, {1 << 10, 8, 4096, 2048}, {16, 8, 512, 128},
-		{32, 8, 512, 128}, {64, 8, 512, 128}, {72, 6, 1024, 0}, {100, 8, 512, 384},
+		{32, 8, 512, 128}, {64, 8, 512, 128}, {72, 6, 1024, 0}, {100, 8, 512, 384}, {2366, 8, 4096, 0},
 	} {
 		free := g.m - g.held
 		backendSplits = backendSplits || Pick(g.n, g.b, g.m, free, "mem") != Pick(g.n, g.b, g.m, free, "net")
