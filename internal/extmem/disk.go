@@ -182,6 +182,17 @@ func (d *Disk) grow(n int) {
 	}
 }
 
+// ExchangeScratch returns the Disk's two address lists, n entries each, for
+// a caller that builds an Exchange's absolute write and read addresses
+// itself, as a gather pass does batch after batch without another list.
+// They are the lists ReadRun, WriteRun and the Array methods build their
+// addresses in, so they stay the caller's until its next call of one of
+// those.
+func (d *Disk) ExchangeScratch(n int) (w, r []int) {
+	d.grow(n)
+	return d.addrs[:n], d.raddrs[:n]
+}
+
 // IndexScratch returns a Disk-owned list of n array block indices for the
 // caller to fill and pass to Array.ReadMany and WriteMany, which build
 // their address lists in other scratch. It stays the caller's until the
@@ -348,16 +359,6 @@ func (a Array) Exchange(src []Element, from Array, dst []Element) {
 	a.d.Exchange(fillRun(a.d.addrs[:a.n], a.base), src, fillRun(a.d.raddrs[:from.n], from.base), dst)
 }
 
-// ExchangeMany writes src[i*B:(i+1)*B] into blocks wIs[i] of a, then reads
-// blocks rIs[j] of from, an array on the same disk, into dst[j*B:(j+1)*B]:
-// one Disk.Exchange, one round trip for both. Either list may be empty.
-// dst may alias src.
-func (a Array) ExchangeMany(wIs []int, src []Element, from Array, rIs []int, dst []Element) {
-	a.sameDisk(from)
-	a.d.grow(max(len(wIs), len(rIs)))
-	a.d.Exchange(a.toAbs(wIs, a.d.addrs), src, from.toAbs(rIs, a.d.raddrs), dst)
-}
-
 // sameDisk panics unless from, when it holds blocks, is on a's disk.
 func (a Array) sameDisk(from Array) {
 	if from.n > 0 && from.d != a.d {
@@ -369,13 +370,7 @@ func (a Array) sameDisk(from Array) {
 // the disk's scratch list.
 func (a Array) absAddrs(is []int) []int {
 	a.d.grow(len(is))
-	return a.toAbs(is, a.d.addrs)
-}
-
-// toAbs maps array-relative block indices to absolute disk addresses in
-// the front of as, which is long enough.
-func (a Array) toAbs(is []int, as []int) []int {
-	as = as[:len(is)]
+	as := a.d.addrs[:len(is)]
 	for i, idx := range is {
 		if idx < 0 || idx >= a.n {
 			panic(fmt.Sprintf("extmem: array access index %d out of range [0,%d)", idx, a.n))

@@ -279,8 +279,8 @@ func (c *Client) Transfer(ctx context.Context, wAddrs []int, src []extmem.Elemen
 // MaxBatchBlocks returns how many blocks one request can carry under the
 // protocol's wire cap, written or read; callers driving this store
 // (oblivext.New) cap the Disk layer's interactions, both parts counted, to
-// it so a request can never be rejected for size. Splitting a batch only regroups round trips — the per-block
-// trace is unchanged.
+// it so a request can never be rejected for size. Splitting a batch only
+// regroups round trips — the per-block trace is unchanged.
 func (c *Client) MaxBatchBlocks() int {
 	return (maxBatchWire - headerLen - MaxNamespaceLen) / (8 + c.blockBytes)
 }
@@ -298,12 +298,12 @@ func (c *Client) doIO(ctx context.Context, wAddrs []int, src []extmem.Element, r
 	// cost a giant allocation. MaxBatchBlocks budgets for the longest
 	// namespace.
 	if headerLen+len(c.ns)+8*blocks+payloadLen > maxBatchWire {
-		return nil, fmt.Errorf("netstore: transfer of %d blocks exceeds the %d-byte wire cap (%d blocks max at B=%d)",
-			blocks, maxBatchWire, c.MaxBatchBlocks(), c.b)
+		return nil, fmt.Errorf("netstore: transfer of %d writes and %d reads exceeds the %d-byte wire cap (%d blocks max at B=%d)",
+			len(wAddrs), len(rAddrs), maxBatchWire, c.MaxBatchBlocks(), c.b)
 	}
 	if err := ctx.Err(); err != nil {
 		// Already canceled: nothing goes on the wire, no request id is spent.
-		return nil, fmt.Errorf("netstore: transfer of %d blocks: %w", blocks, err)
+		return nil, fmt.Errorf("netstore: transfer of %d writes and %d reads: %w", len(wAddrs), len(rAddrs), err)
 	}
 	c.mu.Lock()
 	c.seq++
@@ -342,7 +342,7 @@ func (c *Client) doIO(ctx context.Context, wAddrs []int, src []extmem.Element, r
 			return retryable, retryAfter, err
 		})
 	if err != nil {
-		return nil, fmt.Errorf("netstore: transfer of %d blocks: %w", blocks, err)
+		return nil, fmt.Errorf("netstore: transfer of %d writes and %d reads: %w", len(wAddrs), len(rAddrs), err)
 	}
 	c.account(blocks, time.Since(start))
 	return data, nil

@@ -157,27 +157,26 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	env.Obs.End(spa)
 
 	spb := env.Obs.Start("sort-slots")
-	idx := env.D.IndexScratch(2 * rb)
-	cur, next := idx[:rb], idx[rb:2*rb]
-	slot := func(k int, is []int) {
+	d := a.Disk()
+	cur, next := d.ExchangeScratch(rb)
+	slot := func(k int, as []int) []int { // the addresses of slot k of every column
 		for j := 0; j < s; j++ {
 			for q := 0; q < sb; q++ {
-				is[j*sb+q] = j*rb + k*sb + q
+				as[j*sb+q] = a.Base() + j*rb + k*sb + q
 			}
 		}
+		return as
 	}
-	slot(0, cur)
-	a.ReadMany(cur, col)
+	d.ReadMany(slot(0, cur), col)
 	for k := 0; k < s; k++ {
 		ord.mergeRuns(col, per, aux)
 		rd := next[:0]
 		if k+1 < s {
-			slot(k+1, next)
-			rd = next
+			rd = slot(k+1, next)
 		}
 		// The slot goes back from col, and the next one lands in col: the
 		// store takes the write before it fills the read.
-		a.ExchangeMany(cur, col, a, rd, col[:len(rd)*b])
+		d.Exchange(cur, col, rd, col[:len(rd)*b])
 		cur, next = next, cur
 	}
 	env.Obs.End(spb)

@@ -182,7 +182,6 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	}
 	env.Obs.End(spw)
 
-	idx := env.D.IndexScratch(2 * wb)
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
 		spp.SetAttrInt("levels", int64(p.levels))
@@ -190,7 +189,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 		if sc.stage > sc.top {
 			dst = a // the last pass writes the caller's array its n blocks
 		}
-		sc.run(p, work, dst, win, idx[:wb], idx[wb:], ord)
+		sc.run(p, work, dst, win, ord)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -269,19 +268,21 @@ func (p gatherPass) local(j, lb int) int {
 // write to dst those of them it holds, together with the next batch's
 // read. A level of stage s ascends where bit s of the element index is
 // clear; that bit is a window bit, a constant of the batch, or — in the
-// last stage — clear everywhere. cur and next are the batches' block-index
-// lists, one window long each.
-func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, cur, next []int, ord order) {
+// last stage — clear everywhere. The batches' addresses are built in the
+// Disk's exchange scratch, a window long each way.
+func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, ord order) {
 	gb := int(p.gather >> s.lb)
 	rest := (s.np - 1) &^ gb
-	batch := func(base int, is []int) {
-		for t, sub := 0, 0; t < len(is); t++ {
-			is[t] = base | sub
+	b, d := dst.B(), dst.Disk()
+	w, r := d.ExchangeScratch(len(win) / b)
+	batch := func(x extmem.Array, base int, as []int) []int { // batch base's addresses in x
+		for t, sub := 0, 0; t < len(as); t++ {
+			as[t] = x.Base() + (base | sub)
 			sub = ((sub | ^gb) + 1) & gb
 		}
+		return as
 	}
-	batch(0, cur)
-	src.ReadMany(cur, win)
+	d.ReadMany(batch(src, 0, r), win)
 	for base := 0; ; {
 		stage, bit := p.stage, p.bit
 		for k := 0; k < p.levels; k++ {
@@ -296,18 +297,16 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 			ord.exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc)
 			stage, bit = nextLevel(stage, bit)
 		}
-		k, _ := slices.BinarySearch(cur, dst.Len())
+		k, _ := slices.BinarySearch(batch(dst, base, w), dst.Base()+dst.Len())
 		base = ((base | ^rest) + 1) & rest
-		rd := next[:0]
+		rd := r[:0]
 		if base != 0 {
-			batch(base, next)
-			rd = next
+			rd = batch(src, base, r)
 		}
-		dst.ExchangeMany(cur[:k], win[:k*dst.B()], src, rd, win[:len(rd)*dst.B()])
+		d.Exchange(w[:k], win[:k*b], rd, win[:len(rd)*b])
 		if base == 0 {
 			return
 		}
-		cur, next = next, cur
 	}
 }
 
