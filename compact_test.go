@@ -133,3 +133,74 @@ func TestCompactLooseOrderedInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallCacheDeclares runs every public operation at the smallest caches
+// New accepts, 4·B to 6·B, on arrays of a few blocks and more. Each call
+// gives a result or a declared error, never a panic; a declared error
+// comes before any I/O, with the trace empty, and every call leaves the
+// cache balanced.
+func TestSmallCacheDeclares(t *testing.T) {
+	for _, b := range []int{2, 8} {
+		for _, words := range []int{4 * b, 5 * b, 6 * b} {
+			for _, n := range []int{3, 200, 2000} {
+				t.Run(fmt.Sprintf("B=%d/M=%d/n=%d", b, words, n), func(t *testing.T) {
+					c, err := New(Config{BlockSize: b, CacheWords: words, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					recs := make([]Record, n)
+					for i := range recs {
+						recs[i] = Record{Key: uint64((i * 7919) % n), Val: uint64(i)}
+					}
+					arr, err := c.Store(recs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ops := []struct {
+						name string
+						run  func() error
+					}{
+						{"Sort", func() error { return arr.Sort() }},
+						{"Select", func() error { _, err := arr.Select(int64(n / 2)); return err }},
+						{"Quantiles", func() error { _, err := arr.Quantiles(3); return err }},
+						{"Mark", func() error { _, err := arr.Mark(func(r Record) bool { return r.Val%4 == 0 }); return err }},
+						{"CompactTight", func() error { _, err := arr.CompactTight(int64(n / 4)); return err }},
+						{"CompactLoose", func() error { _, err := arr.CompactLoose(int64(n / 4)); return err }},
+						{"NewORAM", func() error {
+							o, err := c.NewORAM(max(1, n/8))
+							if err != nil {
+								return err
+							}
+							if err := o.Write(0, make([]uint64, b)); err != nil {
+								t.Fatalf("ORAM write: %v", err)
+							}
+							_, err = o.Read(0)
+							return err
+						}},
+					}
+					for _, op := range ops {
+						c.EnableTrace(0)
+						err := func() (err error) {
+							defer func() {
+								if p := recover(); p != nil {
+									t.Fatalf("%s panicked: %v", op.name, p)
+								}
+							}()
+							return op.run()
+						}()
+						if used := c.env.Cache.Used(); used != 0 {
+							t.Errorf("%s: %d cache elements still checked out", op.name, used)
+						}
+						if err != nil {
+							if tr := c.TraceSummary(); tr.Len != 0 {
+								t.Errorf("%s declared %v after %d accesses, want none", op.name, err, tr.Len)
+							}
+							t.Logf("%s: %v", op.name, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

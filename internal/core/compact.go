@@ -16,9 +16,10 @@ import (
 // length. Tight compaction takes Theorem 4's table instead where the table
 // fits the cache. Loose compaction never does: its output of 5R blocks is
 // the butterfly's, which costs fewer block I/Os and fewer round trips than
-// the paper's Theorem 8 at every geometry priced against it (the table in
-// docs/ARCHITECTURE.md, "Loose compaction"), and is deterministic, so its
-// only declared failure is over-capacity.
+// the paper's Theorems 8 and 9 at every geometry priced against them (the
+// tables in docs/ARCHITECTURE.md, "Loose compaction"), and is
+// deterministic, so its only declared failures are over-capacity and, before
+// any I/O, a cache too small for the routing.
 
 // CompactMarkedTight consolidates the marked elements of a (Lemma 3) and
 // tightly compacts the resulting full blocks into a fresh array of exactly
@@ -29,8 +30,7 @@ import (
 // Which path is a function of (rCap, B, M).
 func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
 	if !SparseTableFits(env, rCap) {
-		out, marked := compactMarked(env, a, rCap)
-		return out, marked, overCapacity(marked, env.B(), rCap)
+		return compactMarked(env, a, rCap, rCap)
 	}
 	cons, marked := route.Consolidate(env, a, extmem.Element.Marked)
 	if err := overCapacity(marked, env.B(), rCap); err != nil {
@@ -46,26 +46,31 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 // round trips exactly. The marked elements land in order in the leading
 // blocks, but a loose compaction promises only that they are somewhere in
 // the output. It fails, with ErrCompactionFailed, only where more than
-// rCap blocks' worth are marked.
+// rCap blocks' worth are marked, or before any I/O where less cache is free
+// than route.ConsolidateCompactFree.
 func CompactMarkedLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
-	out, marked := compactMarked(env, a, 5*rCap)
-	return out, marked, overCapacity(marked, env.B(), rCap)
+	return compactMarked(env, a, 5*rCap, rCap)
 }
 
 // compactMarked routes the consolidated marked elements of a into the
 // leading a.Len() blocks of a fresh array of max(a.Len(), length) blocks,
 // zero-fills the blocks past a.Len() with one write-only scan, and returns
-// the first length blocks and the number of marked elements. The blocks
-// past length go back to the Disk: the call leaves it exactly length blocks
-// higher.
-func compactMarked(env *extmem.Env, a extmem.Array, length int) (extmem.Array, int64) {
+// the first length blocks, the number of marked elements and overCapacity's
+// verdict against rCap. The blocks past length go back to the Disk: the
+// call leaves it exactly length blocks higher. Below the routing's least
+// free cache it fails with ErrCompactionFailed before any I/O.
+func compactMarked(env *extmem.Env, a extmem.Array, length, rCap int) (extmem.Array, int64, error) {
 	n := a.Len()
+	if free, need := env.M-env.Cache.Used(), route.ConsolidateCompactFree(n, a.B()); free < need {
+		return extmem.Array{}, 0, fmt.Errorf("%w: the butterfly over n=%d blocks of B=%d needs %d elements of cache free, not %d",
+			ErrCompactionFailed, n, a.B(), need, free)
+	}
 	mark := env.D.Mark()
 	out := env.D.Alloc(max(n, length))
 	marked := route.ConsolidateCompactInto(env, a, out.Slice(0, n), extmem.Element.Marked)
 	zeroArray(env, out.Slice(n, out.Len()))
 	env.D.Release(mark + length)
-	return out.Slice(0, length), marked
+	return out.Slice(0, length), marked, overCapacity(marked, env.B(), rCap)
 }
 
 // overCapacity is the declared failure of a compaction whose marked

@@ -439,11 +439,6 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				out, _, err := CompactMarkedLoose(env, a, rCap)
 				return result{out, err}
 			}},
-		{"CompactBlocksLogStar", false, ErrLogStarOverflow, func(_, rCap int) int { return 4*rCap + extmem.CeilDiv(rCap, 4) },
-			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, _, err := CompactBlocksLogStar(env, a, rCap, LogStarParams{})
-				return result{out, err}
-			}},
 	}
 	byPos := func(s []extmem.Element) {
 		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
@@ -525,7 +520,6 @@ func TestTraceInvariantAcrossWorkloads(t *testing.T) {
 		{"Sort", false, Sort},
 		{"obsort.Bitonic", false, func(env *extmem.Env, a extmem.Array) error { obsort.Bitonic(env, a, obsort.ByKey); return nil }},
 		{"obsort.Zigzag", false, func(env *extmem.Env, a extmem.Array) error { obsort.Zigzag(env, a, obsort.ByKey); return nil }},
-		{"obsort.BucketSort", false, func(env *extmem.Env, a extmem.Array) error { return obsort.BucketSort(env, a, obsort.ByKey) }},
 		{"Select", false, func(env *extmem.Env, a extmem.Array) error {
 			_, err := Select(env, a, int64(a.Len()*a.B()/2))
 			return err

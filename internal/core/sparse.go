@@ -24,7 +24,9 @@ import (
 // ErrCompactionFailed reports that IBLT peeling did not recover every
 // occupied cell (probability bounded by Lemma 1) or that the occupied count
 // exceeded the declared capacity. The trace up to the failure is exactly
-// the success trace — Monte-Carlo semantics, no data-dependent retry.
+// the success trace — Monte-Carlo semantics, no data-dependent retry. It
+// also reports, before any I/O, a butterfly compaction entered with less
+// cache free than the routing needs.
 var ErrCompactionFailed = errors.New("core: sparse compaction failed")
 
 // Theorem 4's table geometry.

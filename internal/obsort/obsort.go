@@ -56,15 +56,6 @@ func ByPos(a, b extmem.Element) bool {
 	return a.Pos < b.Pos
 }
 
-// ByRawKey orders strictly by (Key, Pos) with no occupancy special-casing;
-// used when dummy records carry meaningful sort keys (ORAM rebuilds).
-func ByRawKey(a, b extmem.Element) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.Pos < b.Pos
-}
-
 // InCache sorts a private buffer. Computation inside Alice's cache is
 // invisible to the adversary, so no circuit is needed; this is the base
 // case every external algorithm bottoms out in.

@@ -14,11 +14,21 @@ import (
 )
 
 // The sorters' differential oracle: every engine this package owns,
-// BucketSort, and the one Pick names for the call (auto), under every
-// exported order, against a sort.SliceStable reference over the shared
-// corpus (workload.SortCorpus), at cache sizes from M/B = 4 to 512. The
-// sibling test in internal/core runs core.Sort, the auto engine through
-// core.SortWith, and emsort over the same corpus.
+// BucketSort, and the one Pick names for the call (auto), under ByKey,
+// ByPos and the test-only ByRawKey, against a sort.SliceStable reference
+// over the shared corpus (workload.SortCorpus), at cache sizes from M/B = 4
+// to 512. The sibling test in internal/core runs core.Sort, the auto engine
+// through core.SortWith, and emsort over the same corpus.
+
+// ByRawKey orders strictly by (Key, Pos) with no occupancy special-casing:
+// an order no library caller passes, kept to test the engines under an
+// order that does not put empties last.
+func ByRawKey(a, b extmem.Element) bool {
+	if a.Key != b.Key {
+		return a.Key < b.Key
+	}
+	return a.Pos < b.Pos
+}
 
 // oracleOrder is one order under test. ByRawKey has no empties-last rule,
 // so an engine's +infinity padding is not last under it; it is exercised

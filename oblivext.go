@@ -40,6 +40,7 @@ import (
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/oram"
+	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
 
@@ -932,7 +933,9 @@ func (a *Array) CompactLoose(capacity int64) (*Array, error) {
 	rCap := extmem.CeilDiv(int(capacity), b) + 1
 	sp := a.c.env.Obs.Start("compact-loose")
 	sp.SetAttrInt("blocks", int64(n))
-	sp.SetPredicted(core.CompactLooseCost(n, rCap, b, a.c.env.M))
+	if a.c.env.M-a.c.env.Cache.Used() >= route.ConsolidateCompactFree(n, b) { // else no routing runs: the call declares the cache short
+		sp.SetPredicted(core.CompactLooseCost(n, rCap, b, a.c.env.M))
+	}
 	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
 	defer a.c.env.Obs.End(sp)
 	out, marked, err := core.CompactMarkedLoose(a.c.env, a.arr, rCap)
