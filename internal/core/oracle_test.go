@@ -401,23 +401,30 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 		out extmem.Array
 		err error
 	}
+	loose := func(env *extmem.Env, a extmem.Array, rCap int) result {
+		out, _, err := CompactMarkedLoose(env, a, rCap)
+		return result{out, err}
+	}
 	compactors := []struct {
 		name     string
 		ordered  bool
 		declared error
 		outLen   func(n, rCap int) int
 		run      func(env *extmem.Env, a extmem.Array, rCap int) result
+		// free, where set, is the cache the call is entered with, the rest
+		// checked out around it; nil enters with all M free.
+		free func(m, b int) int
 	}{
 		{"CompactMarkedTight", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
 			func(env *extmem.Env, a extmem.Array, rCap int) result {
 				out, _, err := CompactMarkedTight(env, a, rCap)
 				return result{out, err}
-			}},
+			}, nil},
 		{"route.CompactBlocksTight", true, nil, func(n, _ int) int { return n },
 			func(env *extmem.Env, a extmem.Array, _ int) result {
 				route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 				return result{a, nil}
-			}},
+			}, nil},
 		// Entered with half the cache, less the block of slack, checked out
 		// by the caller: which arrays fit the cache, and how wide a routing
 		// window may be, depend on what is free, not on M.
@@ -428,17 +435,23 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 				route.CompactBlocksTight(env, a, route.PredOccupied, 0)
 				env.Cache.Release(held)
 				return result{a, nil}
-			}},
+			}, nil},
 		{"route.ConsolidateCompact", true, nil, func(n, _ int) int { return n },
 			func(env *extmem.Env, a extmem.Array, _ int) result {
 				out, _ := route.ConsolidateCompact(env, a, extmem.Element.Marked)
 				return result{out, nil}
-			}},
+			}, nil},
 		{"CompactMarkedLoose", false, ErrCompactionFailed, func(_, rCap int) int { return 5 * rCap },
-			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, err := CompactMarkedLoose(env, a, rCap)
-				return result{out, err}
-			}},
+			loose, nil},
+		// The routing's shape comes from the free cache, not from M: half of
+		// it, and a block of slack, is free here.
+		{"CompactMarkedLoose/half-cache-held", false, ErrCompactionFailed, func(_, rCap int) int { return 5 * rCap },
+			loose, func(m, b int) int { return m/2 + b }},
+		// Five blocks free, less than the butterfly's six from four blocks
+		// up: the declared failure, before any I/O, where the routing
+		// cannot run.
+		{"CompactMarkedLoose/5B-free", false, ErrCompactionFailed, func(_, rCap int) int { return 5 * rCap },
+			loose, func(_, b int) int { return 5 * b }},
 	}
 	byPos := func(s []extmem.Element) {
 		sort.Slice(s, func(i, j int) bool { return s[i].Pos < s[j].Pos })
@@ -453,11 +466,19 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 						continue // the in-place butterfly takes no capacity
 					}
 					t.Run(fmt.Sprintf("B=%d,M=%d/%s/%s/rCap=%d", g.b, g.m, c.name, cp.name, rCap), func(t *testing.T) {
+						held := 0
+						if cp.free != nil {
+							held = g.m - cp.free(g.m, g.b)
+						}
+						short := held > 0 && g.m-held < route.ConsolidateCompactFree(c.n, g.b)
 						check := func(seed uint64) error {
 							env := newTestEnv(64, g.b, g.m, seed)
 							a, ref := c.lay(env)
 							env.Cache.ResetHighWater()
+							env.D.ResetStats()
+							env.Cache.Acquire(held)
 							res := cp.run(env, a, rCap)
+							env.Cache.Release(held)
 							if used := env.Cache.Used(); used != 0 {
 								t.Fatalf("%d words left checked out", used)
 							}
@@ -465,6 +486,9 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 								t.Fatalf("used %d words of private memory, M=%d", hw, g.m)
 							}
 							if res.err != nil {
+								if st := env.D.Stats(); short && st.Reads+st.Writes != 0 {
+									t.Fatalf("short cache declared after %d reads and %d writes", st.Reads, st.Writes)
+								}
 								return res.err
 							}
 							if want := cp.outLen(c.n, rCap); res.out.Len() != want {
@@ -488,6 +512,14 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 								}
 							}
 							return nil
+						}
+						if short {
+							err := check(1)
+							if !errors.Is(err, cp.declared) {
+								t.Fatalf("%d words free, the routing needs %d: err = %v, want %v",
+									g.m-held, route.ConsolidateCompactFree(c.n, g.b), err, cp.declared)
+							}
+							return
 						}
 						if cp.declared != nil && len(c.occ) > rCap {
 							if err := check(1); !errors.Is(err, cp.declared) {
