@@ -208,3 +208,55 @@ func TestScanBatchNonStrictGrace(t *testing.T) {
 		t.Fatalf("healthy strict ScanBatch = %d", k)
 	}
 }
+
+// TestScanTracesPinned pins the per-block trace of each of Scan's four uses
+// over n = 11 blocks in chunks of k = 3 (not a multiple), of an overlapping
+// copy with dst two blocks below src, of a copy from a shorter source, and
+// of scans whose fn reads and writes blocks of its own between the chunk's
+// read and its write. The values are Scan's traces, not a model of them:
+// regrouping the blocks into other interactions leaves every row as it is,
+// and adding, dropping or reordering a single access breaks its row.
+func TestScanTracesPinned(t *testing.T) {
+	const b, k, n = 4, 3, 11
+	type pin struct {
+		len           int64
+		hash          uint64
+		reads, writes int64
+	}
+	for _, r := range []struct {
+		name string
+		run  func(env *Env, a, aux Array)
+		want pin
+	}{
+		{"read-only", func(env *Env, a, _ Array) { env.Scan(a.Slice(0, n), Array{}, k, nil) }, pin{11, 0x0b4ec77195e930e0, 11, 0}},
+		{"in-place", func(env *Env, a, _ Array) { env.Scan(a.Slice(0, n), a.Slice(0, n), k, nil) }, pin{22, 0x3ef628aa0d6a54b6, 11, 11}},
+		{"copy", func(env *Env, a, aux Array) { env.Scan(a.Slice(0, n), aux.Slice(0, n), k, nil) }, pin{22, 0x6574d07f8548126e, 11, 11}},
+		{"write-only", func(env *Env, a, _ Array) { env.Scan(Array{}, a.Slice(0, n), k, nil) }, pin{11, 0xd4a4cba464f836ad, 0, 11}},
+		{"copy-overlapping-down", func(env *Env, a, _ Array) { env.Scan(a.Slice(2, n+2), a.Slice(0, n), k, nil) }, pin{22, 0xef95679451ca99a8, 11, 11}},
+		{"copy-short-source", func(env *Env, a, aux Array) { env.Scan(a.Slice(0, 7), aux.Slice(0, n), k, nil) }, pin{18, 0x4c2c837d4fddb250, 7, 11}},
+		{"in-place-fn-io", func(env *Env, a, aux Array) {
+			blk := make([]Element, b)
+			env.Scan(a.Slice(0, n), a.Slice(0, n), k, func(lo int, _ []Element) {
+				aux.Read(lo, blk)
+				aux.Write(n+lo, blk)
+			})
+		}, pin{30, 0x6a4dd6d4a87f9a42, 15, 15}},
+		{"copy-fn-io", func(env *Env, a, aux Array) {
+			blk := make([]Element, b)
+			env.Scan(a.Slice(0, n), aux.Slice(0, n), k, func(lo int, _ []Element) { a.Read(n+lo%3, blk) })
+		}, pin{26, 0x3e24c7b7e962ad7a, 15, 11}},
+	} {
+		env := NewEnv(64, b, 16*b, 1)
+		a, aux := env.D.Alloc(2*n+2), env.D.Alloc(2*n+2)
+		a.WriteRange(0, a.Len(), mkElems(a.Len()*b, 3))
+		rec := trace.NewRecorder(0)
+		env.D.SetRecorder(rec)
+		env.D.ResetStats()
+		r.run(env, a, aux)
+		st := env.D.Stats()
+		if got := (pin{rec.Len(), rec.Hash(), st.Reads, st.Writes}); got != r.want {
+			t.Errorf("%s: trace len=%d hash=%#016x, %d reads, %d writes; pinned len=%d hash=%#016x, %d reads, %d writes",
+				r.name, got.len, got.hash, got.reads, got.writes, r.want.len, r.want.hash, r.want.reads, r.want.writes)
+		}
+	}
+}
