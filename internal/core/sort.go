@@ -281,13 +281,12 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 
 // sortInSlot sorts one bucket that does not distribute again where the
 // level's result keeps it: the dealt color array arr is compacted straight
-// into slot, as long as arr, its cells read a window at a time in one read,
-// and the slot's first capB blocks are sorted in place, the way the plan
-// says — privately, or with Lemma 2's deterministic sort. It reports
-// whether the bucket fit its capacity.
+// into slot, as long as arr, its cells read a window at a time
+// (route.CompactFrom), and the slot's first capB blocks are sorted in
+// place, the way the plan says — privately, or with Lemma 2's
+// deterministic sort. It reports whether the bucket fit its capacity.
 func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind, m int) bool {
-	oneRead := func(int, int) int64 { return 1 }
-	fits := route.CompactInto(env, slot, arr.Len(), oneRead, arr.ReadRange, route.PredOccupied) <= capB
+	fits := route.CompactFrom(env, slot, arr, route.PredOccupied) <= capB
 	bucket := slot.Slice(0, capB)
 	if kind == kindPrivate {
 		sortPrivate(env, bucket, bucket, m)
@@ -467,9 +466,9 @@ func gatherSorted(env *extmem.Env, a extmem.Array, all []extmem.Element) []extme
 // the tape up front, the distinct blocks they touch are fetched with one
 // vectored read, the swaps are replayed in order inside the cache, and the
 // final contents go back with one vectored write, padded with untouched
-// blocks to a fixed count per window. The permutation is identical to the
-// scalar loop's for the same tape, and the addresses revealed are a
-// deterministic function of the tape alone.
+// blocks to a fixed count per window, which carries the next window's read.
+// The permutation is identical to the scalar loop's for the same tape, and
+// the addresses revealed are a deterministic function of the tape alone.
 func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 	n := a.Len()
 	if n < 2 {
@@ -481,16 +480,18 @@ func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 	idx := make([]int, 0, 2*w)     // distinct touched blocks, first-touch order
 	slot := make(map[int]int, 2*w) // block index -> slot in buf
 	js := make([]int, w)
-	for i0 := 0; i0 < n-1; i0 += w {
+	touch := func(i int) {
+		if _, seen := slot[i]; !seen {
+			slot[i] = len(idx)
+			idx = append(idx, i)
+		}
+	}
+	// draw lays out the window of swaps from i0: its targets, from the
+	// tape, and the blocks it touches, in idx.
+	draw := func(i0 int) {
 		cnt := min(w, n-1-i0)
 		idx = idx[:0]
 		clear(slot)
-		touch := func(i int) {
-			if _, seen := slot[i]; !seen {
-				slot[i] = len(idx)
-				idx = append(idx, i)
-			}
-		}
 		for t := 0; t < cnt; t++ {
 			i := i0 + t
 			j := i + env.Tape.IntN(n-i)
@@ -505,8 +506,11 @@ func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 		for p := i0 + cnt; len(idx) < min(2*cnt, n-i0); p++ {
 			touch(p)
 		}
-		a.ReadMany(idx, buf[:len(idx)*b])
-		for t := 0; t < cnt; t++ {
+	}
+	draw(0)
+	a.ReadMany(idx, buf[:len(idx)*b])
+	for i0 := 0; i0 < n-1; i0 += w {
+		for t := 0; t < min(w, n-1-i0); t++ {
 			si, sj := slot[i0+t], slot[js[t]]
 			if si == sj {
 				continue
@@ -516,7 +520,19 @@ func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 				x[e], y[e] = y[e], x[e]
 			}
 		}
-		a.WriteMany(idx, buf[:len(idx)*b])
+		wa, ra := env.D.ExchangeScratch(2 * w)
+		wa, ra = wa[:len(idx)], ra[:0]
+		for i, j := range idx {
+			wa[i] = a.Base() + j
+		}
+		if i0+w < n-1 {
+			draw(i0 + w)
+			ra = ra[:len(idx)]
+			for i, j := range idx {
+				ra[i] = a.Base() + j
+			}
+		}
+		env.D.Exchange(wa, buf[:len(wa)*b], ra, buf[:len(ra)*b])
 	}
 	env.Cache.Free(buf)
 }

@@ -98,10 +98,10 @@ func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array
 // `quota` blocks are written to every color array (full blocks first,
 // empties after), every color's quota in one vectored write across the
 // color arrays, split only where the cache beside the batch cannot hold
-// it. A batch holding more than quota full blocks of one color is the
-// Corollary 19 overflow event, at most 2^-40 at the plan's quota
-// (dealTail): the excess is dropped and dealOK returns false, with the
-// trace unchanged.
+// it; a batch's last write carries the next batch's read. A batch holding
+// more than quota full blocks of one color is the Corollary 19 overflow
+// event, at most 2^-40 at the plan's quota (dealTail): the excess is
+// dropped and dealOK returns false, with the trace unchanged.
 func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.Array, bool) {
 	n := a.Len()
 	b := a.B()
@@ -115,7 +115,8 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	}
 
 	buf := env.Cache.Buf(batch * b)
-	k := env.ScanBatchN(1, colors*quota)
+	per := colors * quota
+	k := env.ScanBatchN(1, per)
 	wbuf := env.Cache.Buf(k * b)
 	ok := true
 	// The batch's blocks of each color, batch after batch in the same
@@ -125,11 +126,11 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 	for c := range perColor {
 		perColor[c] = backing[c*batch : c*batch : (c+1)*batch]
 	}
+	a.ReadRange(0, min(batch, n), buf[:min(batch, n)*b])
 	for g := 0; g < batches; g++ {
 		lo := g * batch
 		hi := min(lo+batch, n)
 		cnt := hi - lo
-		a.ReadRange(lo, hi, buf[:cnt*b])
 		// Index the batch's full blocks by color (private).
 		for c := range perColor {
 			perColor[c] = perColor[c][:0]
@@ -155,15 +156,23 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 					clear(blk)
 				}
 				idx[fill] = (c-1)*l + g*quota + s
-				if fill++; fill == k {
+				if fill++; fill == k && (c-1)*quota+s+1 < per {
 					all.WriteMany(idx, wbuf)
 					fill = 0
 				}
 			}
 		}
-		if fill > 0 {
-			all.WriteMany(idx[:fill], wbuf[:fill*b])
+		// The batch's last write, and the next batch's read.
+		next := min(hi+batch, n) - hi
+		wa, ra := env.D.ExchangeScratch(max(fill, next))
+		wa, ra = wa[:fill], ra[:next]
+		for i := range wa {
+			wa[i] = all.Base() + idx[i]
 		}
+		for i := range ra {
+			ra[i] = a.Base() + hi + i
+		}
+		env.D.Exchange(wa, wbuf[:fill*b], ra, buf[:next*b])
 	}
 	env.Cache.Free(wbuf)
 	env.Cache.Free(buf)

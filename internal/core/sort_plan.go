@@ -143,15 +143,17 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 
 	// The sample's sort and the splitter read-off, then colorize.
 	ns := extmem.CeilDiv(n, b)
-	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(scanCost(n, b, m, 1)).Add(scanCost(n, b, m, 1))
+	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(copyCost(n, b, m))
 	// Consolidation, beside its staging.
 	held := (lv.q + 1) * (2*b - 1)
 	c = c.Add(scanCost(n, b, m-held, 2)).Add(scanCost(lv.apLen, b, m-held, 2))
-	// The shuffle: a read and a write of a fixed count per window.
+	// The shuffle: a read and a write of a fixed count per window, each
+	// write carrying the next window's read.
 	w := max(1, min(max(1, m/b-1)/2, lv.apLen-1))
+	c.RoundTrips++
 	for i0 := 0; i0 < lv.apLen-1; i0 += w {
 		moved := min(2*min(w, lv.apLen-1-i0), lv.apLen-i0)
-		c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 2})
+		c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 1})
 	}
 	nd.cost = c.Add(dealAndBucketsCost(lv, b, m, sortOne))
 }
@@ -165,8 +167,7 @@ func (p *sortPlan) bucket(d, capB int) obs.Cost {
 	if sub.kind != kindDistributes {
 		return sub.cost
 	}
-	copyDown := scanCost(sub.resLen, p.b, p.m, 1)
-	return countCost(capB, p.b, p.m).Add(sub.cost).Add(copyDown).Add(copyDown)
+	return countCost(capB, p.b, p.m).Add(sub.cost).Add(copyCost(sub.resLen, p.b, p.m))
 }
 
 // SortCost predicts the exact block I/Os and vectored round trips of a Sort
@@ -183,14 +184,15 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 	c := countCost(nBlocks, b, m).Add(top.cost).Add(route.ConsolidateCompactCost(top.resLen, b, m))
 	// The final scan reads the compacted prefix and writes all of a.
 	read := min(nBlocks, top.resLen)
-	return c.Add(obs.Cost{IOs: int64(read + nBlocks), RoundTrips: extmem.ScanRoundTrips(read, b, m, 1) + extmem.ScanRoundTrips(nBlocks, b, m, 1)})
+	return c.Add(obs.Cost{IOs: int64(read + nBlocks), RoundTrips: extmem.TwoSidedScanRoundTrips(nBlocks, b, m, 1)})
 }
 
 // dealAndBucketsCost prices the part of a level its deal batch moves, given
 // what sorting one bucket costs (sortPlan.bucket): the deal — a read per
 // batch, then every colour's quota in one vectored write, split only where
-// the cache beside the batch cannot hold it — and per bucket the
-// compaction of its colour array and the sort.
+// the cache beside the batch cannot hold it, each batch's last write
+// carrying the next batch's read — and per bucket the compaction of its
+// colour array and the sort.
 func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
 	colours := pl.q + 1
 	batches := extmem.CeilDiv(pl.apLen, pl.batch)
@@ -198,13 +200,19 @@ func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
 	kw := min(max(1, (m-pl.batch*b)/b-1), per)
 	c := obs.Cost{
 		IOs:        int64(pl.apLen + batches*per),
-		RoundTrips: int64(batches + batches*extmem.CeilDiv(per, kw)),
+		RoundTrips: int64(1 + batches*extmem.CeilDiv(per, kw)),
 	}
 	bucket := route.CompactCost(batches*pl.quota, 0, b, m).Add(sortOne)
 	for range colours {
 		c = c.Add(bucket)
 	}
 	return c
+}
+
+// copyCost prices a two-sided scan of n blocks of b elements, a copy or in
+// place, in chunks of ScanBatchN(1, n) against free elements of the cache.
+func copyCost(n, b, free int) obs.Cost {
+	return obs.Cost{IOs: 2 * int64(n), RoundTrips: extmem.TwoSidedScanRoundTrips(n, b, free, 1)}
 }
 
 // scanCost prices one side of a scan of n blocks of b elements whose chunks

@@ -100,9 +100,10 @@ func TestSortRecursivePipeline(t *testing.T) {
 
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
-// M=4096): exactly SortCost's 325 349 block I/Os (39.72 a block) in 963
-// round trips (1 026 while each read and write of a deterministic sort's
-// passes was a round trip of its own) for every input, under one trace, and a Disk high water of
+// M=4096): exactly SortCost's 325 349 block I/Os (39.72 a block) in 651
+// round trips (963 while the scans, the routing groups, the deal and the
+// shuffle sent each write apart from the next read, 1 026 while the
+// deterministic sort's passes did too) for every input, under one trace, and a Disk high water of
 // exactly 67 076 blocks, the input's 8 192 included (70 528 while every
 // bucket was copied out, sorted and copied down, and dealt 5 005 blocks).
 // An in-memory store commits memory as the Sort first writes it, so the
@@ -111,8 +112,8 @@ func TestSortRecursivePipeline(t *testing.T) {
 func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
 	want := SortCost(nBlocks, b, m, nBlocks*b)
-	if want != (obs.Cost{IOs: 325349, RoundTrips: 963}) {
-		t.Fatalf("SortCost = %+v, want 325 349 I/Os in 963 round trips", want)
+	if want != (obs.Cost{IOs: 325349, RoundTrips: 651}) {
+		t.Fatalf("SortCost = %+v, want 325 349 I/Os in 651 round trips", want)
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary

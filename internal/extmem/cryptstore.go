@@ -68,7 +68,7 @@ type CryptStore struct {
 	plain []byte    // an encoded plaintext block
 	sbuf  []byte    // a sealed block padded to child geometry
 	args  sealArgs  // the AEAD call's nonce and associated data
-	celem []Element // child-geometry staging for vectored calls
+	celem []Element // child-geometry staging for vectored calls: a write half, a read half
 }
 
 // NewCryptStore wraps child with the encryption decorator, presenting
@@ -153,14 +153,18 @@ func (s *CryptStore) open(addr int, src []Element, dst []Element) error {
 	return nil
 }
 
-// childElems returns the child-geometry staging buffer for n blocks, grown
-// to a power of two of blocks so a batch one block wider than the last does
-// not regrow it.
-func (s *CryptStore) childElems(n int) []Element {
-	if cap(s.celem) < n*s.cb {
-		s.celem = make([]Element, (1<<CeilLog2(n))*s.cb)
+// staging returns the child-geometry staging of a transfer of nw writes
+// and nr reads: the write part in the first half of one buffer and the read
+// part in the second, both halves grown together to a power of two of
+// blocks, as the Disk's address lists are. A transfer that pairs a batch's
+// write with a read of the same size then fits what a one-sided batch of
+// that size grew, and one a block wider than the last does not regrow it.
+func (s *CryptStore) staging(nw, nr int) (w, r []Element) {
+	if c := max(nw, nr); len(s.celem) < 2*c*s.cb {
+		s.celem = make([]Element, 2*(1<<CeilLog2(c))*s.cb)
 	}
-	return s.celem[:n*s.cb]
+	half := len(s.celem) / 2
+	return s.celem[:nw*s.cb], s.celem[half : half+nr*s.cb]
 }
 
 // forBlocks seals (write) or opens (read) every block of a batch in order
@@ -179,8 +183,8 @@ func (s *CryptStore) forBlocks(write bool, addrs []int, plain, sealed []Element)
 
 // Transfer implements BlockStore: every block of the write part is sealed
 // under its own fresh nonce — vectoring batches the transfer, never the
-// envelope — into the first part of the child-geometry staging, the read
-// part lands in the rest, and the two travel as a single child call over
+// envelope — into the write half of the child-geometry staging, the read
+// part lands in the read half, and the two travel as a single child call over
 // the same address lists (one interaction, identical trace); then each
 // block read is opened individually. src is sealed before the child call
 // and dst opened after it, so dst may alias src.
@@ -189,8 +193,7 @@ func (s *CryptStore) Transfer(ctx context.Context, wAddrs []int, src []Element, 
 		return fmt.Errorf("extmem: buffer lengths %d and %d != %d and %d blocks of %d elements",
 			len(src), len(dst), len(wAddrs), len(rAddrs), s.b)
 	}
-	buf := s.childElems(len(wAddrs) + len(rAddrs))
-	wbuf, rbuf := buf[:len(wAddrs)*s.cb], buf[len(wAddrs)*s.cb:]
+	wbuf, rbuf := s.staging(len(wAddrs), len(rAddrs))
 	if err := s.forBlocks(true, wAddrs, src, wbuf); err != nil {
 		return err
 	}

@@ -275,6 +275,42 @@ func TestCryptStoreZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCryptStorePairedTransferFitsOneSidedWarmth pins the staging's halves:
+// once a write-only transfer of k blocks has sized it — an upload ahead of
+// the scans that follow — a transfer that writes k blocks and reads k more,
+// a paired scan's, allocates nothing, at k on either side of a power of two.
+// A staging sized by the two parts' sum would grow inside that call.
+func TestCryptStorePairedTransferFitsOneSidedWarmth(t *testing.T) {
+	const b = 8
+	for _, k := range []int{1, 3, 255, 256, 511} {
+		s := newCryptMem(t, 2*k, b)
+		w, r := make([]int, k), make([]int, k)
+		for i := range w {
+			w[i], r[i] = i, k+i
+		}
+		src, dst := mkElems(k*b, 4), make([]Element, k*b)
+		// Two k-block writes: the child's blocks are all written before the
+		// call measured.
+		for _, addrs := range [][]int{r, w} {
+			if err := WriteBlocksCtx(bg, s, addrs, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first paired call is the one measured: AllocsPerRun would
+		// warm it up first.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.Transfer(bg, w, src, r, dst)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := after.Mallocs - before.Mallocs; a != 0 {
+			t.Errorf("k=%d: %d allocs for k writes and k reads after a k-block write, want 0", k, a)
+		}
+	}
+}
+
 // TestCryptStoreRelocationDetected pins the address binding: a server that
 // transposes two validly sealed blocks must trigger an authentication
 // failure, not serve silently relocated data.

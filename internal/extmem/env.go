@@ -109,6 +109,16 @@ func ScanRoundTrips(n, b, free, buffers int) int64 {
 	return int64(CeilDiv(n, scanBatchOf(free, b, buffers)))
 }
 
+// TwoSidedScanRoundTrips is ScanRoundTrips for a scan that reads and writes
+// n blocks — in place, or a copy from a source with a block to read — whose
+// chunk writes each carry the next chunk's read: one more than one side.
+func TwoSidedScanRoundTrips(n, b, free, buffers int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return ScanRoundTrips(n, b, free, buffers) + 1
+}
+
 // ScanBatchN is ScanBatch clamped to the length of the region being
 // scanned, so short scans don't check out near-cache-sized buffers.
 func (e *Env) ScanBatchN(buffers, n int) int {

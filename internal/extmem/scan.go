@@ -17,12 +17,20 @@ package extmem
 // whole before it is written, so a copy may overlap as long as dst lies at
 // or below src. A nil fn moves the blocks untouched.
 //
+// A two-sided scan sends each chunk's write and the next chunk's read in
+// one interaction (Array.Exchange into the same buffer: the store takes the
+// write first), so the per-block trace is the chunk-by-chunk one while the
+// round trips are ⌈n/k⌉ on one side and ⌈n/k⌉+1 on two
+// (TwoSidedScanRoundTrips), where src has a block to read. src and dst are
+// then on one Disk.
+//
 // k is the caller's to choose — e.ScanBatchN(buffers, n) with its own
 // count of the chunk buffers the pass holds at once, taken before any of
-// them is checked out — because it fixes the pass's round trips: ⌈n/k⌉ per
-// side. Scan checks the one k-block buffer out of the cache and returns it
-// even when fn panics. fn runs on the calling goroutine and may issue I/O
-// of its own; the trace is then the interleaving the code spells out.
+// them is checked out — because it fixes the pass's round trips. Scan
+// checks the one k-block buffer out of the cache and returns it even when
+// fn panics. fn runs on the calling goroutine and may issue I/O of its own;
+// the trace is then the interleaving the code spells out: a chunk's read,
+// fn's I/O, the chunk's write.
 func (e *Env) Scan(src, dst Array, k int, fn func(lo int, chunk []Element)) {
 	n := src.n
 	if dst.d != nil {
@@ -37,20 +45,32 @@ func (e *Env) Scan(src, dst Array, k int, fn func(lo int, chunk []Element)) {
 	b := e.B()
 	buf := e.Cache.Buf(min(k, n) * b)
 	defer e.Cache.Free(buf)
+	got := 0 // elements of the chunk src filled
+	if rhi := min(k, n, src.n); rhi > 0 {
+		got = rhi * b
+		src.ReadRange(0, rhi, buf[:got])
+	}
 	for lo := 0; lo < n; lo += k {
 		hi := min(lo+k, n)
 		chunk := buf[:(hi-lo)*b]
-		got := 0
-		if rhi := min(hi, src.n); lo < rhi { // never, of the zero Array
-			got = (rhi - lo) * b
-			src.ReadRange(lo, rhi, chunk[:got])
-		}
 		clear(chunk[got:])
 		if fn != nil {
 			fn(lo, chunk)
 		}
+		// The next chunk is [hi, hi+k); src has [hi, rhi) of it.
+		rhi := min(hi+k, n, src.n)
+		if dst.d != nil && hi < rhi {
+			got = (rhi - hi) * b
+			dst.Slice(lo, hi).Exchange(chunk, src.Slice(hi, rhi), buf[:got])
+			continue
+		}
 		if dst.d != nil {
 			dst.WriteRange(lo, hi, chunk)
+		}
+		got = 0
+		if hi < rhi {
+			got = (rhi - hi) * b
+			src.ReadRange(hi, rhi, buf[:got])
 		}
 	}
 }

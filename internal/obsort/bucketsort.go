@@ -446,6 +446,7 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 	}
 	wb := g.k1 * g.zb
 	scan := func(blocks, buffers int) int64 { return extmem.ScanRoundTrips(blocks, b, m, buffers) }
+	both := func(blocks, buffers int) int64 { return extmem.TwoSidedScanRoundTrips(blocks, b, m, buffers) }
 	butterfly := func(levels, f int) obs.Cost { // levels of f/2 merge-splits of 4zb blocks
 		splits := int64(levels) * int64(f/2)
 		return obs.Cost{IOs: splits * int64(4*g.zb), RoundTrips: 2 * splits}
@@ -460,7 +461,7 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 		}
 		k2 := g.regionFanout(f)
 		r := obs.Cost{IOs: int64(g.sampleBlocks(f)), RoundTrips: 1}                    // splitter sample
-		r = r.Add(obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2 * scan(f*g.zb, 2)}) // range tagging
+		r = r.Add(obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: both(f*g.zb, 2)}) // range tagging
 		r = r.Add(butterfly(extmem.CeilLog2(k2), f))
 		sub := walk(f / k2)
 		for range k2 {
@@ -471,5 +472,5 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 	c = c.Add(walk(g.k1))
 	// Finish: consolidating butterfly compaction, copy-back.
 	c = c.Add(route.ConsolidateCompactCost(wb, b, m))
-	return c.Add(obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: 2 * scan(nBlocks, 2)})
+	return c.Add(obs.Cost{IOs: 2 * int64(nBlocks), RoundTrips: both(nBlocks, 2)})
 }

@@ -198,9 +198,10 @@ func (p plan) probeCost(live, free int) obs.Cost {
 
 // ScanCost is the exact price of one access on the scan arm of n blocks of
 // b words with free elements of the cache not checked out: one in-place
-// scan, each block read and written once, ⌈n/k⌉ round trips a side.
+// scan, each block read and written once, in ⌈n/k⌉+1 round trips, each
+// chunk's write carrying the next chunk's read.
 func ScanCost(n, b, free int) obs.Cost {
-	return obs.Cost{IOs: 2 * int64(n), RoundTrips: 2 * extmem.ScanRoundTrips(n, b, free, 1)}
+	return obs.Cost{IOs: 2 * int64(n), RoundTrips: extmem.TwoSidedScanRoundTrips(n, b, free, 1)}
 }
 
 // AccessCost is the hierarchy's exact price, under its "auto" rebuilds and

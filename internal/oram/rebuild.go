@@ -282,7 +282,7 @@ func (g RebuildGeometry) installCost() obs.Cost {
 // assignCost is the cost of the scan that stamps the kept prefix with its
 // slots in place, ahead of the expansion.
 func (g RebuildGeometry) assignCost() obs.Cost {
-	return obs.Cost{IOs: 2 * int64(g.Kept), RoundTrips: 2 * extmem.ScanRoundTrips(g.Kept, g.B, g.Free, 1)}
+	return obs.Cost{IOs: 2 * int64(g.Kept), RoundTrips: extmem.TwoSidedScanRoundTrips(g.Kept, g.B, g.Free, 1)}
 }
 
 // rebuildInto rebuilds the target level's bucket table from the given

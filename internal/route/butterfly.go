@@ -27,10 +27,13 @@ import (
 // stable move, one write — and otherwise each level group is one, reading
 // and writing every cell a window of up to half the free cache at a time.
 // The executors run the plan and the predictors sum it in closed form: 2n
-// I/Os and two round trips a window a pass, but for the pass that runs
-// first, whose loads are the feed's in a compaction (which labels the cells
-// as they stream in, a prefix count) and skip the windows past the source
-// in an expansion (whose last pass checks its caller's targets).
+// I/Os a pass, and a round trip a window and one for each of the first two
+// windows' loads, every later window's load travelling with the write of
+// the window two before it — but for the pass that runs first, whose loads
+// are the feed's in a compaction (which labels the cells as they stream
+// in, a prefix count), each its own where the feed reads by itself, and
+// skip the windows past the source in an expansion (whose last pass checks
+// its caller's targets).
 //
 // A cell here is one disk block. A cell's destination (its occupied-rank)
 // and its origin are carried inside the block's elements (CellDest/Aux flag
@@ -80,7 +83,7 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	if sp != nil {
 		sp.SetPredicted(CompactCost(a.Len(), levelsPerPass, a.B(), env.M-env.Cache.Used()))
 	}
-	return compact(env, sp, a, a.ReadRange, pred, levelsPerPass)
+	return compact(env, sp, a, &source{arr: a}, pred, levelsPerPass)
 }
 
 // CompactInto is CompactBlocksTight of cells that are not in a yet: feed
@@ -89,7 +92,8 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 // converted on the way, are compacted without first being copied together.
 // fed is the number of blocks feed reads in all, and feedRT(lo, hi) the
 // round trips it takes for cells [lo, hi): the span's prediction is
-// CompactIntoCost's. The passes after the first run in a, in place.
+// CompactIntoCost's. The first pass loads every window by itself, since
+// the feed does its own reads; the passes after it run in a, in place.
 func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi int) int64, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
 	if a.Len() == 0 {
 		return 0
@@ -99,7 +103,26 @@ func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi in
 	if sp != nil {
 		sp.SetPredicted(CompactIntoCost(fed, a.Len(), a.B(), env.M-env.Cache.Used(), feedRT))
 	}
-	return compact(env, sp, a, feed, pred, 0)
+	return compact(env, sp, a, &source{fill: feed}, pred, 0)
+}
+
+// CompactFrom is CompactInto of the cells of src, an array as long as a:
+// the first pass reads them a window at a time, each load past the first
+// two with the write before it, as CompactBlocksTight reads a, and the
+// passes after it run in a, in place. Its price is CompactCost's.
+func CompactFrom(env *extmem.Env, a, src extmem.Array, pred BlockPred) int {
+	if src.Len() != a.Len() {
+		panic(fmt.Sprintf("route: compaction of %d cells into %d", src.Len(), a.Len()))
+	}
+	if a.Len() == 0 {
+		return 0
+	}
+	sp := env.Obs.Start("butterfly-compact")
+	defer env.Obs.End(sp)
+	if sp != nil {
+		sp.SetPredicted(CompactCost(a.Len(), 0, a.B(), env.M-env.Cache.Used()))
+	}
+	return compact(env, sp, a, &source{arr: src}, pred, 0)
 }
 
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
@@ -129,10 +152,10 @@ func ConsolidateCompactInto(env *extmem.Env, a, out extmem.Array, keep func(extm
 	if sp != nil {
 		sp.SetPredicted(ConsolidateCompactCost(a.Len(), a.B(), env.M-env.Cache.Used()))
 	}
-	c := NewConsolidation(env, a, keep)
-	compact(env, sp, out, c.Cells, PredOccupied, 0)
-	c.Close(env)
-	return c.Kept()
+	src := source{arr: a, cons: lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}}
+	compact(env, sp, out, &src, PredOccupied, 0)
+	env.Cache.Free(src.cons.hold)
+	return src.cons.kept
 }
 
 // ConsolidateCompactFree is the least free cache, in elements, that
@@ -190,28 +213,76 @@ func (p plan) pass(k int) pass {
 	return pass{i0, gg, 1 << gg, hw, extmem.CeilDiv(p.n, hw)}
 }
 
-// cost sums the plan: every pass reads and writes all n cells, a load and a
-// write a window, but that the pass that runs first reads fed blocks, its
-// loads extra round trips more than one a window.
-func (p plan) cost(fed int, extra int64) obs.Cost {
+// cost sums the plan: every pass reads and writes all n cells, a write a
+// window and a load for each of the first two, the load of window t+2
+// travelling with window t's write — but that the pass that runs first
+// reads fed blocks and, where its feed reads by itself (paired false),
+// loads every window on its own, its loads extra round trips more than one
+// a window.
+func (p plan) cost(fed int, paired bool, extra int64) obs.Cost {
 	c := obs.Cost{IOs: int64(fed) + int64(p.n)*int64(2*p.passes()-1), RoundTrips: extra}
 	for k := range p.passes() {
-		c.RoundTrips += 2 * int64(p.pass(k).windows)
+		w := int64(p.pass(k).windows)
+		c.RoundTrips += w + min(w, 2)
+		if k == 0 && !paired {
+			c.RoundTrips += max(w-2, 0)
+		}
 	}
 	return c
 }
 
-// compact routes the cells that feed yields — cells [lo, hi) into dst, each
-// range asked for once, in address order — to a tight prefix of a, which
-// may be where they come from.
-func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
+// source is where a routing's first pass takes its cells [lo, hi): blocks
+// [lo, hi) of arr; or, where cons has a keep predicate, the consolidation
+// of arr's kept elements, decided by its blocks (lo, hi]; or, with fill,
+// whatever fill puts in dst, each range asked for once, in address order.
+// The first two read one run of arr for a window past the first, which the
+// pass can send with a write; fill reads by itself. The routing holds it by
+// pointer, so that the consolidation's state is its own.
+type source struct {
+	arr  extmem.Array
+	cons lag
+	fill func(lo, hi int, dst []extmem.Element)
+}
+
+// load fills dst with cells [lo, hi), reading them by itself.
+func (s *source) load(lo, hi int, dst []extmem.Element) {
+	switch {
+	case s.fill != nil:
+		s.fill(lo, hi, dst)
+	case s.cons.keep != nil:
+		s.cons.cells(s.arr, lo, hi, dst)
+	default:
+		s.arr.ReadRange(lo, hi, dst)
+	}
+}
+
+// span is the run [rlo, rhi) of arr that cells [lo, hi), lo > 0, are read
+// from.
+func (s *source) span(lo, hi int) (rlo, rhi int) {
+	if s.cons.keep != nil {
+		return lagSpan(s.arr.Len(), lo, hi)
+	}
+	return lo, hi
+}
+
+// settle turns the run span names, read into dst, into cells [lo, hi).
+func (s *source) settle(lo, hi int, dst []extmem.Element) {
+	if s.cons.keep != nil {
+		rlo, _ := s.span(lo, hi)
+		s.cons.settle(s.arr.Len(), s.arr.B(), lo, hi, rlo, dst)
+	}
+}
+
+// compact routes the cells src yields to a tight prefix of a, which may be
+// where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, pred BlockPred, levelsPerPass int) int {
 	n, b := a.Len(), a.B()
 	p := planOf(n, b, env.M-env.Cache.Used(), levelsPerPass)
 	sp.SetAttrInt("blocks", int64(n))
 	rank := 0
 	if p.whole {
 		buf := env.Cache.Buf(n * b)
-		feed(0, n, buf)
+		src.load(0, n, buf)
 		for j := 0; j < n; j++ {
 			if blk := buf[j*b : (j+1)*b]; pred(blk) {
 				label(blk, rank, j)
@@ -226,7 +297,7 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, feed func(lo, hi int
 	}
 	ws := newWindows(p.pass(0).hw)
 	for k := range p.passes() {
-		rank += routeGroupLeft(env, a, feed, pred, p.pass(k), ws)
+		rank += routeGroupLeft(env, a, src, pred, p.pass(k), ws)
 	}
 	return rank
 }
@@ -390,7 +461,9 @@ func newWindows(hw int) windows { return windows{make([]bool, 2*hw), make([]int,
 // no target lies past its cell, so a move never lands on a cell still to
 // move, and none lies more than w ≤ hw back, so it lands in this window or
 // the last. Once window t+1 has moved, window t is final and goes out of
-// its half in one write.
+// its half in one write, which carries window t+2's read into the half it
+// empties: the per-block trace is the one of a read and a write apart, in
+// windows+2 round trips a group of two windows or more.
 type group struct {
 	windows
 	k        classes
@@ -430,8 +503,11 @@ func (g *group) land(from, to int, collision string) {
 }
 
 // flush writes window t to a, clearing every slot no cell landed on and
-// handing each cell that did to visit, when it is not nil, with its address.
-func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j int)) {
+// handing each cell that did to visit, when it is not nil, with its
+// address. Where reads is not nil the write carries window t+2's load into
+// the half it empties, in one interaction: reads fills the Disk's read list
+// with the absolute addresses that window loads from and returns them.
+func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j int), reads func(t int, r []int) []int) {
 	addr, half := g.window(t)
 	for i, j := range addr {
 		if !g.live[half+i] {
@@ -440,7 +516,33 @@ func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j 
 			visit(g.cell(half+i), j)
 		}
 	}
-	a.WriteMany(addr, g.slots(half, len(addr)))
+	d := a.Disk()
+	wa, r := d.ExchangeScratch(g.hw)
+	wa = absolute(wa, a, addr)
+	var ra []int
+	if reads != nil {
+		ra = reads(t+2, r)
+	}
+	d.Exchange(wa, g.slots(half, len(wa)), ra, g.slots(half, len(ra)))
+}
+
+// absolute fills dst with the absolute addresses of cells addr of a and
+// returns them.
+func absolute(dst []int, a extmem.Array, addr []int) []int {
+	dst = dst[:len(addr)]
+	for i, j := range addr {
+		dst[i] = a.Base() + j
+	}
+	return dst
+}
+
+// pairing returns reads where a group flushing window t−1 has a window
+// t+1 to load with it, and nil otherwise.
+func pairing(reads func(t int, r []int) []int, t, windows int) func(t int, r []int) []int {
+	if reads == nil || t+1 >= windows {
+		return nil
+	}
+	return reads
 }
 
 // routeGroupLeft routes one group of levels [i0, i0+gg) of the compaction
@@ -450,20 +552,45 @@ func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j 
 // that class's cells back. The group sweeps every class at once, a window
 // at a time (see group).
 //
-// The first group (S = 1, one class) takes its cells from feed, one call a
+// The first group (S = 1, one class) takes its cells from src, one load a
 // window, labels each occupied one with its rank and its origin as it
 // arrives, and returns the number it saw; later groups read a and return 0.
-// Every group writes a.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst []extmem.Element), pred BlockPred, ps pass, ws windows) int {
+// Every group writes a. Each load past the first two travels with a write,
+// but a first group's whose src reads by itself.
+func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, pred BlockPred, ps pass, ws windows) int {
 	n, s, w, hw := a.Len(), 1<<ps.i0, ps.w, ps.hw
 	g := newGroup(env, n, s, hw, false, ws)
+	first := ps.i0 == 0
+	// reads fills r with what window t loads from: its cells of a, or in
+	// the first group the run of src's array that they are read from.
+	var reads func(t int, r []int) []int
+	if !first || src.fill == nil {
+		reads = func(t int, r []int) []int {
+			addr, _ := g.window(t)
+			if !first {
+				return absolute(r, a, addr)
+			}
+			rlo, rhi := src.span(t*hw, t*hw+len(addr))
+			r = r[:rhi-rlo]
+			for i := range r {
+				r[i] = src.arr.Base() + rlo + i
+			}
+			return r
+		}
+	}
 	rank := 0
 	for t := range ps.windows {
 		addr, half := g.window(t)
-		if ps.i0 == 0 {
-			feed(t*hw, t*hw+len(addr), g.slots(half, len(addr)))
-		} else {
-			a.ReadMany(addr, g.slots(half, len(addr)))
+		lo, slots := t*hw, g.slots(half, len(addr))
+		switch {
+		case t >= 2 && reads != nil: // loaded with window t−2's write
+			if first {
+				src.settle(lo, lo+len(addr), slots)
+			}
+		case first:
+			src.load(lo, lo+len(addr), slots)
+		default:
+			a.ReadMany(addr, slots)
 		}
 		for i, j := range addr {
 			blk := g.cell(half + i)
@@ -471,7 +598,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 			if !pred(blk) {
 				continue
 			}
-			if ps.i0 == 0 {
+			if first {
 				label(blk, rank, j)
 				rank++
 			}
@@ -482,10 +609,10 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 			g.land(half+i, (t*hw+i-dist%(s*w)/s)%(2*hw), "route: butterfly collision (Lemma 5 violated)")
 		}
 		if t > 0 {
-			g.flush(a, t-1, nil)
+			g.flush(a, t-1, nil, pairing(reads, t, ps.windows))
 		}
 	}
-	g.flush(a, ps.windows-1, nil)
+	g.flush(a, ps.windows-1, nil, nil)
 	env.Cache.Free(g.stash)
 	return rank
 }
@@ -495,12 +622,13 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, feed func(lo, hi int, dst [
 // distance to its target (its Aux bits) fits inside the group's modulus
 // S·2^gg and the group moves it by that distance's multiple of S. The top
 // group, the first to run, reads src, which may be a's own prefix held
-// elsewhere — only its cells, in one call a window, every cell past its end
+// elsewhere — only its cells, in one load a window, every cell past its end
 // empty — and stamps every cell's origin into its CellDest bits. The last
 // (S = 1) emits the cells in descending address order, checks that the
 // origins descend with them — which is the strictly-increasing-targets
 // precondition — and leaves the final position in CellDest, and the cell to
-// finish. Every group writes a.
+// finish. Every group writes a, each load past the first two travelling
+// with a write.
 func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pass, ws windows, finish func(blk []extmem.Element)) {
 	n, ns, s, w, hw := a.Len(), src.Len(), 1<<ps.i0, ps.w, ps.hw
 	top := s*w >= n
@@ -522,24 +650,38 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pa
 	if ps.i0 > 0 {
 		emit = nil
 	}
-	for t := range ps.windows {
-		addr, half := g.window(t)
+	// reads fills r with what window t loads from: its cells of a, or in
+	// the top group its cells below ns, of src, packed.
+	reads := func(t int, r []int) []int {
+		addr, _ := g.window(t)
 		if !top {
-			a.ReadMany(addr, g.slots(half, len(addr)))
-		} else {
-			// Read the window's cells below ns packed, then spread them to
+			return absolute(r, a, addr)
+		}
+		k := 0
+		for _, j := range addr {
+			if j < ns {
+				r[k] = src.Base() + j
+				k++
+			}
+		}
+		return r[:k]
+	}
+	for t := range ps.windows {
+		if t < 2 {
+			_, r := env.D.ExchangeScratch(hw)
+			ra := reads(t, r)
+			env.D.ReadMany(ra, g.slots(t%2*hw, len(ra)))
+		}
+		addr, half := g.window(t)
+		if top {
+			// The window's cells below ns arrived packed: spread them to
 			// their slots back to front, clearing the rest.
 			k := 0
 			for _, j := range addr {
 				if j < ns {
-					addr[k] = j
 					k++
 				}
 			}
-			if k > 0 {
-				src.ReadMany(addr[:k], g.slots(half, k))
-			}
-			addr, _ = g.window(t)
 			for i := len(addr) - 1; i >= 0; i-- {
 				if addr[i] >= ns {
 					clear(g.cell(half + i))
@@ -572,21 +714,22 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pa
 			g.land(half+i, (t*hw+i-dist/s)%(2*hw), "route: expansion collision")
 		}
 		if t > 0 {
-			g.flush(a, t-1, emit)
+			g.flush(a, t-1, emit, pairing(reads, t, ps.windows))
 		}
 	}
-	g.flush(a, ps.windows-1, emit)
+	g.flush(a, ps.windows-1, emit, nil)
 	env.Cache.Free(g.stash)
 }
 
 // CompactCost predicts CompactBlocksTight on n blocks of b elements entered
 // with m elements of cache free and batches bounded by the cache alone: a
-// read and a write of every cell a pass, a load and a write a window.
+// read and a write of every cell a pass, a write a window and a load for
+// each of a pass's first two (plan.cost).
 func CompactCost(n, levelsPerPass, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
 	}
-	return planOf(n, b, m, levelsPerPass).cost(n, 0)
+	return planOf(n, b, m, levelsPerPass).cost(n, true, 0)
 }
 
 // CompactIntoCost predicts CompactInto of n cells whose feed reads fed
@@ -601,7 +744,7 @@ func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
 	for lo := 0; lo < n; lo += hw {
 		extra += feedRT(lo, min(lo+hw, n)) - 1
 	}
-	return p.cost(fed, extra)
+	return p.cost(fed, false, extra)
 }
 
 // ConsolidateCompactCost predicts ConsolidateCompact on n blocks of b
@@ -609,7 +752,8 @@ func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
 // beside the 2B holding buffer, and nothing else. Its feed, lag.cells, reads
 // each window's inputs one block ahead of its cells: block 0 on its own
 // before a first window that is not the whole array, and nothing for a
-// window that is cell n−1 alone.
+// window that is cell n−1 alone, which costs a round trip less where that
+// window is one of the first two, loaded on their own.
 func ConsolidateCompactCost(n, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
@@ -619,16 +763,17 @@ func ConsolidateCompactCost(n, b, m int) obs.Cost {
 	if hw < n {
 		extra++
 	}
-	if n > 1 && (n-1)%hw == 0 {
+	if n > 1 && (n-1)%hw == 0 && (n-1)/hw < 2 {
 		extra--
 	}
-	return p.cost(n, extra)
+	return p.cost(n, true, extra)
 }
 
 // ExpandIntoCost predicts ExpandInto of ns cells into n entered with m
 // elements of cache free: the top group, which runs first, reads the ns
-// cells there are and loads only the windows that reach below ns; every
-// other pass is a compaction's.
+// cells there are and loads only the windows that reach below ns, which
+// saves a round trip for each of its first two windows that does not;
+// every other pass is a compaction's.
 func ExpandIntoCost(ns, n, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
@@ -637,12 +782,12 @@ func ExpandIntoCost(ns, n, b, m int) obs.Cost {
 	top := p.pass(p.passes() - 1)
 	k := classesOf(n, 1<<top.i0)
 	var extra int64
-	for lo := 0; lo < n; lo += top.hw {
+	for lo := 0; lo < min(n, 2*top.hw); lo += top.hw {
 		// Window [lo, lo+hw) counts from the far end; one whose cells all
 		// lie at or past ns is not loaded.
 		if k.lowest(max(n-lo-top.hw, 0), n-lo) >= ns {
 			extra--
 		}
 	}
-	return p.cost(ns, extra)
+	return p.cost(ns, true, extra)
 }

@@ -94,59 +94,15 @@ func (l *lag) emit(dst []extmem.Element, last bool) {
 	l.pending = copy(l.hold, l.hold[take:l.pending])
 }
 
-// Consolidation is Consolidate read as a feed, without the output array:
-// Cells fills a caller's buffer with output cells as they are decided, so a
-// pass that reads the consolidated cells once — the butterfly's first
-// (ConsolidateCompact), loose compaction's first round — reads src itself.
-// It keeps Lemma 3's 2B holding buffer checked out from NewConsolidation to
-// Close.
-type Consolidation struct {
-	src extmem.Array
-	l   lag
-}
-
-// NewConsolidation starts the consolidation of the elements of src that
-// keep selects.
-func NewConsolidation(env *extmem.Env, src extmem.Array, keep func(extmem.Element) bool) Consolidation {
-	return Consolidation{src: src, l: lag{keep: keep, hold: env.Cache.Buf(2 * src.B())}}
-}
-
-// Cells fills dst with output cells [lo, hi): every cell once, in order,
-// in ranges whose reads CellsReads counts. The blocks that decide them are
-// read into dst itself.
-func (c *Consolidation) Cells(lo, hi int, dst []extmem.Element) { c.l.cells(c.src, lo, hi, dst) }
-
-// Kept is the number of kept elements in the cells handed out so far.
-func (c *Consolidation) Kept() int64 { return c.l.kept }
-
-// Close checks the holding buffer back in.
-func (c *Consolidation) Close(env *extmem.Env) { env.Cache.Free(c.l.hold) }
-
-// CellsReads is the number of reads Cells makes for cells [lo, hi) of the
-// consolidation of n blocks: one for the blocks that decide them, (lo, hi]
-// within the array — none where that is empty, at cell n−1 alone — and one
-// more for block 0, on its own, ahead of a first range that is not all n.
-func CellsReads(n, lo, hi int) int64 {
-	var reads int64
-	if lo == 0 && hi < n {
-		reads++
-	}
-	if lo+1 < min(hi+1, n) || lo == 0 && hi == n {
-		reads++
-	}
-	return reads
-}
-
 // cells fills dst with output cells [lo, hi) of the consolidation of src,
 // for the butterfly's first pass, which asks for every cell once, in order.
-// The input blocks that decide them, (lo, hi], are read into dst itself,
-// each into the slot of the cell it decides and absorbed before that cell
-// overwrites it. Block 0 decides nothing: it comes along when dst holds
-// the whole array, and ahead of the first chunk, through the hold buffer's
-// upper half, otherwise.
+// The input blocks that decide them, (lo, hi] (span), are read into dst
+// itself and settled there. Block 0 decides nothing: it comes along when
+// dst holds the whole array, and ahead of the first chunk, through the hold
+// buffer's upper half, otherwise.
 func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
 	n, b := src.Len(), src.B()
-	rlo, rhi := lo+1, min(hi+1, n)
+	rlo, rhi := lagSpan(n, lo, hi)
 	if lo == 0 {
 		if hi == n {
 			rlo = 0
@@ -158,6 +114,18 @@ func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
 	if rlo < rhi {
 		src.ReadRange(rlo, rhi, dst[:(rhi-rlo)*b])
 	}
+	l.settle(n, b, lo, hi, rlo, dst)
+}
+
+// lagSpan is the input blocks [rlo, rhi) that decide cells [lo, hi), lo > 0,
+// of the consolidation of n blocks: none where the range is cell n−1 alone.
+func lagSpan(n, lo, hi int) (rlo, rhi int) { return min(lo+1, n), min(hi+1, n) }
+
+// settle turns input blocks [rlo, …) of n, read into dst, into output cells
+// [lo, hi) there: each block is absorbed before the cell it decides
+// overwrites its slot.
+func (l *lag) settle(n, b, lo, hi, rlo int, dst []extmem.Element) {
+	_, rhi := lagSpan(n, lo, hi)
 	next := rlo
 	for j := lo; j < hi; j++ {
 		for ; next <= j+1 && next < rhi; next++ {

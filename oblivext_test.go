@@ -421,11 +421,11 @@ func TestScanEncFileCallsPriced(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks, rCap := n/b, extmem.CeilDiv(n/3, b)+1
-	scan := obs.Cost{IOs: int64(blocks), RoundTrips: extmem.ScanRoundTrips(blocks, b, m, 1)}
-	want := core.SelectCost(blocks, b, m).Add(core.QuantilesCost(blocks, b, m, 8)).Add(scan).Add(scan).
+	mark := obs.Cost{IOs: 2 * int64(blocks), RoundTrips: extmem.TwoSidedScanRoundTrips(blocks, b, m, 1)}
+	want := core.SelectCost(blocks, b, m).Add(core.QuantilesCost(blocks, b, m, 8)).Add(mark).
 		Add(route.ConsolidateCompactCost(blocks, b, m)).Add(core.CompactLooseCost(blocks, rCap, b, m))
-	if want != (obs.Cost{IOs: 169308, RoundTrips: 507}) {
-		t.Errorf("the predictors sum to %+v, want 169 308 I/Os in 507 round trips", want)
+	if want != (obs.Cost{IOs: 169308, RoundTrips: 367}) {
+		t.Errorf("the predictors sum to %+v, want 169 308 I/Os in 367 round trips", want)
 	}
 	st := c.Stats()
 	if got := (obs.Cost{IOs: st.Total(), RoundTrips: st.RoundTrips}); got != want {
