@@ -460,7 +460,7 @@ func BucketCost(nBlocks, b, m int) obs.Cost {
 			return obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: 2}
 		}
 		k2 := g.regionFanout(f)
-		r := obs.Cost{IOs: int64(g.sampleBlocks(f)), RoundTrips: 1}                    // splitter sample
+		r := obs.Cost{IOs: int64(g.sampleBlocks(f)), RoundTrips: 1}                // splitter sample
 		r = r.Add(obs.Cost{IOs: int64(2 * f * g.zb), RoundTrips: both(f*g.zb, 2)}) // range tagging
 		r = r.Add(butterfly(extmem.CeilLog2(k2), f))
 		sub := walk(f / k2)
