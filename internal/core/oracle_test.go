@@ -401,6 +401,10 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 		out extmem.Array
 		err error
 	}
+	tight := func(env *extmem.Env, a extmem.Array, rCap int) result {
+		out, _, err := CompactMarkedTight(env, a, rCap)
+		return result{out, err}
+	}
 	loose := func(env *extmem.Env, a extmem.Array, rCap int) result {
 		out, _, err := CompactMarkedLoose(env, a, rCap)
 		return result{out, err}
@@ -416,10 +420,13 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 		free func(m, b int) int
 	}{
 		{"CompactMarkedTight", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
-			func(env *extmem.Env, a extmem.Array, rCap int) result {
-				out, _, err := CompactMarkedTight(env, a, rCap)
-				return result{out, err}
-			}, nil},
+			tight, nil},
+		// Tight compaction sizes Theorem 4's table, and with it the arm it
+		// takes, from the cache free at the call, not from M.
+		{"CompactMarkedTight/half-cache-held", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
+			tight, func(m, b int) int { return m/2 + b }},
+		{"CompactMarkedTight/5B-free", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
+			tight, func(_, b int) int { return 5 * b }},
 		{"route.CompactBlocksTight", true, nil, func(n, _ int) int { return n },
 			func(env *extmem.Env, a extmem.Array, _ int) result {
 				route.CompactBlocksTight(env, a, route.PredOccupied, 0)

@@ -147,15 +147,23 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 	// Consolidation, beside its staging.
 	held := (lv.q + 1) * (2*b - 1)
 	c = c.Add(scanCost(n, b, m-held, 2)).Add(scanCost(lv.apLen, b, m-held, 2))
-	// The shuffle: a read and a write of a fixed count per window, each
-	// write carrying the next window's read.
-	w := max(1, min(max(1, m/b-1)/2, lv.apLen-1))
-	c.RoundTrips++
-	for i0 := 0; i0 < lv.apLen-1; i0 += w {
-		moved := min(2*min(w, lv.apLen-1-i0), lv.apLen-i0)
+	nd.cost = c.Add(shuffleCost(lv.apLen, b, m)).Add(dealAndBucketsCost(lv, b, m, sortOne))
+}
+
+// shuffleCost prices shuffleBlocks of n blocks of b elements against m
+// elements of the cache free: a read and a write of a fixed count per
+// window, each write carrying the next window's read.
+func shuffleCost(n, b, m int) obs.Cost {
+	if n < 2 {
+		return obs.Cost{}
+	}
+	w := max(1, min(max(1, m/b-1)/2, n-1))
+	c := obs.Cost{RoundTrips: 1}
+	for i0 := 0; i0 < n-1; i0 += w {
+		moved := min(2*min(w, n-1-i0), n-i0)
 		c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 1})
 	}
-	nd.cost = c.Add(dealAndBucketsCost(lv, b, m, sortOne))
+	return c
 }
 
 // bucket plans node d+1 for the buckets of capB blocks of node d and
@@ -188,25 +196,26 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 }
 
 // dealAndBucketsCost prices the part of a level its deal batch moves, given
-// what sorting one bucket costs (sortPlan.bucket): the deal — a read per
-// batch, then every colour's quota in one vectored write, split only where
-// the cache beside the batch cannot hold it, each batch's last write
-// carrying the next batch's read — and per bucket the compaction of its
-// colour array and the sort.
+// what sorting one bucket costs (sortPlan.bucket): the deal (dealCost) and
+// per bucket the compaction of its colour array and the sort.
 func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
-	colours := pl.q + 1
-	batches := extmem.CeilDiv(pl.apLen, pl.batch)
-	per := colours * pl.quota
-	kw := min(max(1, (m-pl.batch*b)/b-1), per)
-	c := obs.Cost{
-		IOs:        int64(pl.apLen + batches*per),
-		RoundTrips: int64(1 + batches*extmem.CeilDiv(per, kw)),
-	}
-	bucket := route.CompactCost(batches*pl.quota, 0, b, m).Add(sortOne)
-	for range colours {
+	c := dealCost(pl, b, m)
+	bucket := route.CompactCost(extmem.CeilDiv(pl.apLen, pl.batch)*pl.quota, 0, b, m).Add(sortOne)
+	for range pl.q + 1 {
 		c = c.Add(bucket)
 	}
 	return c
+}
+
+// dealCost prices the deal of a level against m elements of the cache
+// free: a read per batch, then every colour's quota in one vectored write,
+// split only where the cache beside the batch cannot hold it, each
+// batch's last write carrying the next batch's read.
+func dealCost(pl sortLevel, b, m int) obs.Cost {
+	batches := extmem.CeilDiv(pl.apLen, pl.batch)
+	per := (pl.q + 1) * pl.quota
+	kw := min(max(1, (m-pl.batch*b)/b-1), per)
+	return obs.Cost{IOs: int64(pl.apLen + batches*per), RoundTrips: int64(1 + batches*extmem.CeilDiv(per, kw))}
 }
 
 // copyCost prices a two-sided scan of n blocks of b elements, a copy or in

@@ -21,13 +21,14 @@ import (
 // method; here such a table never arises, because CompactMarkedTight takes
 // Theorem 6's butterfly wherever the table would not fit.
 
-// ErrCompactionFailed reports that IBLT peeling did not recover every
-// occupied cell (probability bounded by Lemma 1) or that the occupied count
-// exceeded the declared capacity. The trace up to the failure is exactly
-// the success trace — Monte-Carlo semantics, no data-dependent retry. It
-// also reports, before any I/O, a butterfly compaction entered with less
-// cache free than the routing needs.
-var ErrCompactionFailed = errors.New("core: sparse compaction failed")
+// ErrCompactionFailed reports a declared compaction failure: marked or
+// occupied cells over the declared capacity, on either arm; on Theorem 4's
+// arm an IBLT peel that did not recover every occupied cell (probability
+// bounded by Lemma 1), its message saying "sparse"; and, before any I/O, a
+// butterfly compaction entered with less cache free than the routing
+// needs. The trace up to the failure is exactly the success trace —
+// Monte-Carlo semantics, no data-dependent retry.
+var ErrCompactionFailed = errors.New("core: compaction failed")
 
 // Theorem 4's table geometry.
 const (
@@ -46,7 +47,8 @@ func sparseTableCells(rCap int) int { return max(sparseTableFactor*rCap, sparseK
 func cellWords(b int) int { return 2 + extmem.ElementWords*b }
 
 // SparseTableFits reports whether Theorem 4's table for capacity rCap would
-// fit Alice's cache, i.e. whether CompactBlocksSparse accepts it.
+// fit the cache free at the call, i.e. whether CompactBlocksSparse accepts
+// it.
 func SparseTableFits(env *extmem.Env, rCap int) bool {
 	rCap = max(rCap, 1)
 	return peelFitsCache(env, sparseTableCells(rCap), rCap)
@@ -54,10 +56,11 @@ func SparseTableFits(env *extmem.Env, rCap int) bool {
 
 // peelFitsCache reports whether everything peelPrivate checks out at once —
 // the m table cells, the rCap recovered (key, block) pairs, and a scan
-// buffer of one block with ScanBatch's block of slack — fits in M.
+// buffer of one block with ScanBatch's block of slack — fits in the cache
+// not checked out.
 func peelFitsCache(env *extmem.Env, m, rCap int) bool {
 	b := env.B()
-	return m*cellWords(b)+rCap*(cellWords(b)-1)+2*b <= env.M
+	return m*cellWords(b)+rCap*(cellWords(b)-1)+2*b <= env.M-env.Cache.Used()
 }
 
 // CompactBlocksSparse compacts the occupied block-cells of a — at most rCap
@@ -80,8 +83,8 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int) (extmem.Arra
 	}
 	m := sparseTableCells(rCap)
 	if !peelFitsCache(env, m, rCap) {
-		panic(fmt.Sprintf("core: sparse compaction's table of m = %d cells for rCap = %d blocks does not fit the cache: M = %d, B = %d",
-			m, rCap, env.M, b))
+		panic(fmt.Sprintf("core: sparse compaction's table of m = %d cells for rCap = %d blocks does not fit the cache: %d of M = %d free, B = %d",
+			m, rCap, env.M-env.Cache.Used(), env.M, b))
 	}
 	seed := env.Tape.Uint64() // hash family seed: one draw, data-independent
 	hasher := rng.NewHasher(seed, sparseK, m)
@@ -175,7 +178,7 @@ func CompactBlocksSparse(env *extmem.Env, a extmem.Array, rCap int) (extmem.Arra
 
 	var err error
 	if recovered := peelPrivate(env, sums, hdrs, hasher, m, rCap, out); recovered != occCount || occCount > rCap {
-		err = fmt.Errorf("%w: recovered %d of %d occupied cells (capacity %d)",
+		err = fmt.Errorf("%w: sparse: recovered %d of %d occupied cells (capacity %d)",
 			ErrCompactionFailed, recovered, occCount, rCap)
 	}
 

@@ -160,6 +160,19 @@ func TestPredictorsExact(t *testing.T) {
 				got.RoundTrips, want.RoundTrips = -1, -1
 				return got, want
 			}},
+		// A two-sided scan: each chunk's write carries the next chunk's
+		// read.
+		{"extmem.Scan/in-place", func(geometry) bool { return true },
+			func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				got := measure(env, func() { env.Scan(a, a, env.ScanBatchN(1, g.n), nil) })
+				return got, obs.Cost{IOs: 2 * int64(g.n), RoundTrips: extmem.TwoSidedScanRoundTrips(g.n, g.b, g.free(), 1)}
+			}},
+		{"extmem.Scan/copy", func(geometry) bool { return true },
+			func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+				dst := env.D.Alloc(g.n)
+				got := measure(env, func() { env.Scan(a, dst, env.ScanBatchN(1, g.n), nil) })
+				return got, obs.Cost{IOs: 2 * int64(g.n), RoundTrips: extmem.TwoSidedScanRoundTrips(g.n, g.b, g.free(), 1)}
+			}},
 		{"route.CompactBlocksTight", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 			return measure(env, func() { route.CompactBlocksTight(env, a, route.PredOccupied, 0) }), route.CompactCost(g.n, 0, g.b, g.free())
 		}},
@@ -183,6 +196,10 @@ func TestPredictorsExact(t *testing.T) {
 			out := env.D.Alloc(g.n)
 			got := measure(env, func() { route.CompactInto(env, out, g.n, feedRT, feed, route.PredOccupied) })
 			return got, route.CompactIntoCost(g.n, g.n, g.b, g.free(), feedRT)
+		}},
+		{"route.CompactFrom", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
+			out := env.D.Alloc(g.n)
+			return measure(env, func() { route.CompactFrom(env, out, a, route.PredOccupied) }), route.CompactCost(g.n, 0, g.b, g.free())
 		}},
 		{"route.ConsolidateCompact", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 			return measure(env, func() { route.ConsolidateCompact(env, a, extmem.Element.Marked) }), route.ConsolidateCompactCost(g.n, g.b, g.free())
@@ -276,7 +293,13 @@ func TestPredictorsExact(t *testing.T) {
 		"core.Select":                     {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
 		"core.Quantiles":                  {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}},
 	}
+	priced := map[string]bool{}
 	defer func() {
+		for _, name := range []string{"colorize", "shuffle", "deal", "butterfly-compact", "consolidate-compact"} {
+			if !priced[name] {
+				t.Errorf("no %s span carried a price over the rows", name)
+			}
+		}
 		if !quantilesArms[true] || !quantilesArms[false] {
 			t.Errorf("core.Quantiles ran the sort arm %v and the Select arm %v over the grid; both must run", quantilesArms[true], quantilesArms[false])
 		}
@@ -302,6 +325,25 @@ func TestPredictorsExact(t *testing.T) {
 				col := env.EnableObs()
 				if got, want := c.run(t, env, a, occupied, g); got != want {
 					t.Errorf("measured %+v, predicted %+v", got, want)
+				}
+				// Every span that carries a price measures it, to the
+				// access and the round trip: the Sort's colorize, shuffle
+				// and deal among them. Bucket sort prices its buckets by a
+				// bound, not exactly.
+				if c.name != "obsort.BucketSort" {
+					walkSpans(col.Roots(), func(sp *obs.Span) {
+						got, want := sp.IO.Cost(), sp.Predicted
+						if want.IOs < 0 {
+							got.IOs = want.IOs
+						}
+						if want.RoundTrips < 0 {
+							got.RoundTrips = want.RoundTrips
+						}
+						if got != want {
+							t.Errorf("a %s span measured %+v, predicted %+v", sp.Name, sp.IO.Cost(), sp.Predicted)
+						}
+						priced[sp.Name] = priced[sp.Name] || want.IOs >= 0 && want.RoundTrips >= 0
+					})
 				}
 				for _, p := range columnsWanted[c.name] {
 					if ranUnder(col.Roots(), p, "columnsort") {
@@ -336,6 +378,14 @@ func compactLoose(t *testing.T, env *extmem.Env, a extmem.Array, rCap int) obs.C
 		t.Fatalf("the Disk grew %d blocks, want the output's 5·%d", grew, rCap)
 	}
 	return got
+}
+
+// walkSpans hands every span of the trees under spans to visit.
+func walkSpans(spans []*obs.Span, visit func(sp *obs.Span)) {
+	for _, sp := range spans {
+		visit(sp)
+		walkSpans(sp.Children, visit)
+	}
 }
 
 // ranUnder reports whether a span named child ran below one named parent,
