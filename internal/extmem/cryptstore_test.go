@@ -283,30 +283,37 @@ func TestCryptStoreZeroAllocs(t *testing.T) {
 func TestCryptStorePairedTransferFitsOneSidedWarmth(t *testing.T) {
 	const b = 8
 	for _, k := range []int{1, 3, 255, 256, 511} {
-		s := newCryptMem(t, 2*k, b)
 		w, r := make([]int, k), make([]int, k)
 		for i := range w {
 			w[i], r[i] = i, k+i
 		}
 		src, dst := mkElems(k*b, 4), make([]Element, k*b)
-		// Two k-block writes: the child's blocks are all written before the
-		// call measured.
-		for _, addrs := range [][]int{r, w} {
-			if err := WriteBlocksCtx(bg, s, addrs, src); err != nil {
+		// The first paired call of a store is the one measured, so each
+		// trial takes a fresh one: AllocsPerRun would warm it up first. The
+		// fewest of a few trials is taken, so that what the runtime or a
+		// collection allocates beside the call does not count.
+		least := uint64(1 << 62)
+		for range 5 {
+			s := newCryptMem(t, 2*k, b)
+			// Two k-block writes: the child's blocks are all written before
+			// the call measured.
+			for _, addrs := range [][]int{r, w} {
+				if err := WriteBlocksCtx(bg, s, addrs, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := s.Transfer(bg, w, src, r, dst)
+			runtime.ReadMemStats(&after)
+			if err != nil {
 				t.Fatal(err)
 			}
+			least = min(least, after.Mallocs-before.Mallocs)
 		}
-		// The first paired call is the one measured: AllocsPerRun would
-		// warm it up first.
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := s.Transfer(bg, w, src, r, dst)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a := after.Mallocs - before.Mallocs; a != 0 {
-			t.Errorf("k=%d: %d allocs for k writes and k reads after a k-block write, want 0", k, a)
+		if least != 0 {
+			t.Errorf("k=%d: %d allocs for k writes and k reads after a k-block write, want 0", k, least)
 		}
 	}
 }

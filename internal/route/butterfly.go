@@ -83,7 +83,7 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	if sp != nil {
 		sp.SetPredicted(CompactCost(a.Len(), levelsPerPass, a.B(), env.M-env.Cache.Used()))
 	}
-	return compact(env, sp, a, &source{arr: a}, pred, levelsPerPass)
+	return compact(env, sp, a, &source{arr: a}, nil, pred, levelsPerPass)
 }
 
 // CompactInto is CompactBlocksTight of cells that are not in a yet: feed
@@ -103,7 +103,7 @@ func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi in
 	if sp != nil {
 		sp.SetPredicted(CompactIntoCost(fed, a.Len(), a.B(), env.M-env.Cache.Used(), feedRT))
 	}
-	return compact(env, sp, a, &source{fill: feed}, pred, 0)
+	return compact(env, sp, a, &source{}, feed, pred, 0)
 }
 
 // CompactFrom is CompactInto of the cells of src, an array as long as a:
@@ -122,7 +122,7 @@ func CompactFrom(env *extmem.Env, a, src extmem.Array, pred BlockPred) int {
 	if sp != nil {
 		sp.SetPredicted(CompactCost(a.Len(), 0, a.B(), env.M-env.Cache.Used()))
 	}
-	return compact(env, sp, a, &source{arr: src}, pred, 0)
+	return compact(env, sp, a, &source{arr: src}, nil, pred, 0)
 }
 
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
@@ -153,7 +153,7 @@ func ConsolidateCompactInto(env *extmem.Env, a, out extmem.Array, keep func(extm
 		sp.SetPredicted(ConsolidateCompactCost(a.Len(), a.B(), env.M-env.Cache.Used()))
 	}
 	src := source{arr: a, cons: lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}}
-	compact(env, sp, out, &src, PredOccupied, 0)
+	compact(env, sp, out, &src, nil, PredOccupied, 0)
 	env.Cache.Free(src.cons.hold)
 	return src.cons.kept
 }
@@ -231,24 +231,25 @@ func (p plan) cost(fed int, paired bool, extra int64) obs.Cost {
 	return c
 }
 
-// source is where a routing's first pass takes its cells [lo, hi): blocks
-// [lo, hi) of arr; or, where cons has a keep predicate, the consolidation
-// of arr's kept elements, decided by its blocks (lo, hi]; or, with fill,
-// whatever fill puts in dst, each range asked for once, in address order.
-// The first two read one run of arr for a window past the first, which the
-// pass can send with a write; fill reads by itself. The routing holds it by
-// pointer, so that the consolidation's state is its own.
+// source is where a routing's first pass takes its cells [lo, hi), each
+// range asked for once, in address order: blocks [lo, hi) of arr; or,
+// where cons has a keep predicate, the consolidation of arr's kept
+// elements, decided by its blocks (lo, hi]. Either reads one run of arr for
+// a window past the first, which the pass can send with a write. The
+// routing holds it by pointer, so that the consolidation's state is its
+// own. A feed that reads by itself goes beside it, as its own argument:
+// held in the source, it would leave the stack with arr.
 type source struct {
 	arr  extmem.Array
 	cons lag
-	fill func(lo, hi int, dst []extmem.Element)
 }
 
-// load fills dst with cells [lo, hi), reading them by itself.
-func (s *source) load(lo, hi int, dst []extmem.Element) {
+// load fills dst with cells [lo, hi), reading them by itself: fill's, where
+// the routing has one, and the source's otherwise.
+func (s *source) load(fill func(lo, hi int, dst []extmem.Element), lo, hi int, dst []extmem.Element) {
 	switch {
-	case s.fill != nil:
-		s.fill(lo, hi, dst)
+	case fill != nil:
+		fill(lo, hi, dst)
 	case s.cons.keep != nil:
 		s.cons.cells(s.arr, lo, hi, dst)
 	default:
@@ -273,16 +274,16 @@ func (s *source) settle(lo, hi int, dst []extmem.Element) {
 	}
 }
 
-// compact routes the cells src yields to a tight prefix of a, which may be
-// where they come from.
-func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, pred BlockPred, levelsPerPass int) int {
+// compact routes the cells src yields, or fill where it is not nil, to a
+// tight prefix of a, which may be where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, fill func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
 	n, b := a.Len(), a.B()
 	p := planOf(n, b, env.M-env.Cache.Used(), levelsPerPass)
 	sp.SetAttrInt("blocks", int64(n))
 	rank := 0
 	if p.whole {
 		buf := env.Cache.Buf(n * b)
-		src.load(0, n, buf)
+		src.load(fill, 0, n, buf)
 		for j := 0; j < n; j++ {
 			if blk := buf[j*b : (j+1)*b]; pred(blk) {
 				label(blk, rank, j)
@@ -297,7 +298,7 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, pred Bl
 	}
 	ws := newWindows(p.pass(0).hw)
 	for k := range p.passes() {
-		rank += routeGroupLeft(env, a, src, pred, p.pass(k), ws)
+		rank += routeGroupLeft(env, a, src, fill, pred, p.pass(k), ws)
 	}
 	return rank
 }
@@ -552,19 +553,19 @@ func pairing(reads func(t int, r []int) []int, t, windows int) func(t int, r []i
 // that class's cells back. The group sweeps every class at once, a window
 // at a time (see group).
 //
-// The first group (S = 1, one class) takes its cells from src, one load a
-// window, labels each occupied one with its rank and its origin as it
-// arrives, and returns the number it saw; later groups read a and return 0.
-// Every group writes a. Each load past the first two travels with a write,
-// but a first group's whose src reads by itself.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, pred BlockPred, ps pass, ws windows) int {
+// The first group (S = 1, one class) takes its cells from src, or fill
+// where it is not nil, one load a window, labels each occupied one with its
+// rank and its origin as it arrives, and returns the number it saw; later
+// groups read a and return 0. Every group writes a. Each load past the
+// first two travels with a write, but a first group's under a fill.
+func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, fill func(lo, hi int, dst []extmem.Element), pred BlockPred, ps pass, ws windows) int {
 	n, s, w, hw := a.Len(), 1<<ps.i0, ps.w, ps.hw
 	g := newGroup(env, n, s, hw, false, ws)
 	first := ps.i0 == 0
 	// reads fills r with what window t loads from: its cells of a, or in
 	// the first group the run of src's array that they are read from.
 	var reads func(t int, r []int) []int
-	if !first || src.fill == nil {
+	if !first || fill == nil {
 		reads = func(t int, r []int) []int {
 			addr, _ := g.window(t)
 			if !first {
@@ -588,7 +589,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, pred BlockPred
 				src.settle(lo, lo+len(addr), slots)
 			}
 		case first:
-			src.load(lo, lo+len(addr), slots)
+			src.load(fill, lo, lo+len(addr), slots)
 		default:
 			a.ReadMany(addr, slots)
 		}
