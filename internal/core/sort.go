@@ -198,9 +198,7 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 
 	// Step 2: color by bucket = 1 + #splitters strictly below the element.
 	spc := env.Obs.Start("colorize")
-	if spc != nil {
-		spc.SetPredicted(copyCost(n, a.B(), m))
-	}
+	spc.SetPredicted(nd.colorize)
 	work := env.D.Alloc(n)
 	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
 		for t := range chunk {
@@ -226,17 +224,13 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 
 	// Step 4: shuffle (block-level Fisher–Yates from the tape).
 	sps := env.Obs.Start("shuffle")
-	if sps != nil {
-		sps.SetPredicted(shuffleCost(ap.Len(), a.B(), m))
-	}
+	sps.SetPredicted(nd.shuffle)
 	shuffleBlocks(env, ap)
 	env.Obs.End(sps)
 
 	// Step 5: deal into per-color arrays with the plan's per-batch quota.
 	spd := env.Obs.Start("deal")
-	if spd != nil {
-		spd.SetPredicted(dealCost(lv, a.B(), m))
-	}
+	spd.SetPredicted(nd.deal)
 	colorArrs, ok := deal(env, ap, q+1, lv.batch, lv.quota)
 	env.Obs.End(spd)
 

@@ -50,6 +50,9 @@ type sortNode struct {
 	lv     sortLevel // a distributing level's shape
 	resLen int       // blocks of the sorted result
 	cost   obs.Cost  // the price after the count scan, the nodes below included
+	// A distributing level's colorize, shuffle and deal, priced for their
+	// spans.
+	colorize, shuffle, deal obs.Cost
 }
 
 // sortKind is how a node sorts: in the cache, where its occupancy fits
@@ -143,11 +146,12 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 
 	// The sample's sort and the splitter read-off, then colorize.
 	ns := extmem.CeilDiv(n, b)
-	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(copyCost(n, b, m))
+	nd.colorize, nd.shuffle, nd.deal = copyCost(n, b, m), shuffleCost(lv.apLen, b, m), dealCost(lv, b, m)
+	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(nd.colorize)
 	// Consolidation, beside its staging.
 	held := (lv.q + 1) * (2*b - 1)
 	c = c.Add(scanCost(n, b, m-held, 2)).Add(scanCost(lv.apLen, b, m-held, 2))
-	nd.cost = c.Add(shuffleCost(lv.apLen, b, m)).Add(dealAndBucketsCost(lv, b, m, sortOne))
+	nd.cost = c.Add(nd.shuffle).Add(dealAndBucketsCost(lv, b, m, sortOne))
 }
 
 // shuffleCost prices shuffleBlocks of n blocks of b elements against m
