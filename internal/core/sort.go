@@ -30,8 +30,8 @@ import (
 //     per color, padding with empties, every color's quota in one vectored
 //     write; the quota is the least whose overflow tail (Lemma 18 /
 //     Corollary 19) is at most 2^-40, and the batch is §5's (M/B)^{3/4} or
-//     the larger one, up to M/(2B), with the fewest block I/Os among those
-//     no dearer in block I/Os or round trips (sortPlan.plan).
+//     the larger one, up to M/(2B), with the fewest block I/Os, fewer
+//     round trips breaking a tie (sortPlan.plan).
 //  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
 //     and sorted. A bucket that does not distribute — its capacity fits
@@ -285,11 +285,11 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 // sortInSlot sorts one bucket that does not distribute again where the
 // level's result keeps it: the dealt color array arr is compacted straight
 // into slot, as long as arr, its cells read a window at a time
-// (route.CompactFrom), and the slot's first capB blocks are sorted in
+// (route.CompactInto), and the slot's first capB blocks are sorted in
 // place, the way the plan says — privately, or with Lemma 2's
 // deterministic sort. It reports whether the bucket fit its capacity.
 func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind, m int) bool {
-	fits := route.CompactFrom(env, slot, arr, route.PredOccupied) <= capB
+	fits := route.CompactInto(env, slot, nil, route.PredOccupied, arr) <= capB
 	bucket := slot.Slice(0, capB)
 	if kind == kindPrivate {
 		sortPrivate(env, bucket, bucket, m)
@@ -523,19 +523,13 @@ func shuffleBlocks(env *extmem.Env, a extmem.Array) {
 				x[e], y[e] = y[e], x[e]
 			}
 		}
-		wa, ra := env.D.ExchangeScratch(2 * w)
-		wa, ra = wa[:len(idx)], ra[:0]
-		for i, j := range idx {
-			wa[i] = a.Base() + j
-		}
+		x := env.D.Batch(2 * w)
+		x.Write(a, idx)
 		if i0+w < n-1 {
 			draw(i0 + w)
-			ra = ra[:len(idx)]
-			for i, j := range idx {
-				ra[i] = a.Base() + j
-			}
+			x.Read(a, idx)
 		}
-		env.D.Exchange(wa, buf[:len(wa)*b], ra, buf[:len(ra)*b])
+		x.Do(buf, buf)
 	}
 	env.Cache.Free(buf)
 }

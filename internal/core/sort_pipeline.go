@@ -163,16 +163,11 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 			}
 		}
 		// The batch's last write, and the next batch's read.
-		next := min(hi+batch, n) - hi
-		wa, ra := env.D.ExchangeScratch(max(fill, next))
-		wa, ra = wa[:fill], ra[:next]
-		for i := range wa {
-			wa[i] = all.Base() + idx[i]
-		}
-		for i := range ra {
-			ra[i] = a.Base() + hi + i
-		}
-		env.D.Exchange(wa, wbuf[:fill*b], ra, buf[:next*b])
+		next := min(hi+batch, n)
+		x := env.D.Batch(max(fill, next-hi))
+		x.Write(all, idx[:fill])
+		x.ReadRange(a, hi, next)
+		x.Do(wbuf, buf)
 	}
 	env.Cache.Free(wbuf)
 	env.Cache.Free(buf)

@@ -102,11 +102,10 @@ func countCost(n, b, m int) obs.Cost {
 // each tail of a distributing level at most e^-l, and the nodes below it.
 // Its deal batch is priced, not fixed: of the batches from §5's
 // ⌊(M/B)^{3/4}⌋ (the paper's) up to M/(2B), the level takes the one with
-// the fewest block I/Os among those no dearer than the paper's in block
-// I/Os and in round trips, the paper's on a tie. A larger batch lowers the
-// quota relative to the batch, so the colour arrays every bucket compacts
-// get shorter, but it leaves less cache to write the deal from, so it is
-// not always cheaper.
+// the fewest block I/Os, fewer round trips breaking a tie and the smaller
+// batch one that remains. A larger batch lowers the quota relative to the
+// batch, so the colour arrays every bucket compacts get shorter, but it
+// leaves less cache to write the deal from, so it is not always cheaper.
 func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 	b, m := p.b, p.m
 	nd := &p.nodes[d]
@@ -133,12 +132,11 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 		}
 		return dealAndBucketsCost(at, b, m, sub)
 	}
-	bound := price(lv)
-	least := bound.IOs
+	least := price(lv)
 	for batch := paper + 1; batch <= min(m/b/2, lv.apLen); batch++ {
 		at := planAt(n, b, m, occ, l, batch)
-		if c := price(at); c.IOs < least && c.IOs <= bound.IOs && c.RoundTrips <= bound.RoundTrips {
-			lv, least = at, c.IOs
+		if c := price(at); c.IOs < least.IOs || c.IOs == least.IOs && c.RoundTrips < least.RoundTrips {
+			lv, least = at, c
 		}
 	}
 	sortOne := p.bucket(d, lv.capB)

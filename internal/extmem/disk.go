@@ -193,6 +193,67 @@ func (d *Disk) ExchangeScratch(n int) (w, r []int) {
 	return d.addrs[:n], d.raddrs[:n]
 }
 
+// Batch gathers one Exchange out of array blocks: the blocks to write, then
+// the blocks to read, each named by its array and its index there and
+// checked as Array.ReadMany checks it, on this Disk. It builds the absolute
+// addresses in the Disk's two address lists (ExchangeScratch), so a pass
+// that sends a write with the next read of other blocks needs no list of
+// its own; they stay the Batch's until the Disk's next call that builds
+// addresses.
+type Batch struct {
+	d    *Disk
+	w, r []int
+}
+
+// Batch starts an exchange of at most n blocks each way.
+func (d *Disk) Batch(n int) Batch {
+	w, r := d.ExchangeScratch(n)
+	return Batch{d, w[:0:n], r[:0:n]}
+}
+
+// Write adds blocks is of a to the blocks to write.
+func (x *Batch) Write(a Array, is []int) { x.w = x.add(x.w, a, is, 0, 0) }
+
+// Read adds blocks is of a to the blocks to read.
+func (x *Batch) Read(a Array, is []int) { x.r = x.add(x.r, a, is, 0, 0) }
+
+// ReadRange adds blocks [lo, hi) of a to the blocks to read.
+func (x *Batch) ReadRange(a Array, lo, hi int) {
+	if lo < 0 || hi < lo || hi > a.n {
+		panic(fmt.Sprintf("extmem: bad range read [%d,%d) of %d", lo, hi, a.n))
+	}
+	x.r = x.add(x.r, a, nil, lo, hi)
+}
+
+// add appends the addresses of blocks is of a, then of the run [lo, hi).
+func (x *Batch) add(as []int, a Array, is []int, lo, hi int) []int {
+	k := len(is) + hi - lo
+	if k > 0 && a.d != x.d {
+		panic("extmem: batch of blocks on different disks")
+	}
+	if len(as)+k > cap(as) {
+		panic(fmt.Sprintf("extmem: batch over its %d blocks", cap(as)))
+	}
+	for _, i := range is {
+		if i < 0 || i >= a.n {
+			panic(fmt.Sprintf("extmem: array access index %d out of range [0,%d)", i, a.n))
+		}
+		as = append(as, a.base+i)
+	}
+	for i := lo; i < hi; i++ {
+		as = append(as, a.base+i)
+	}
+	return as
+}
+
+// Do writes the leading blocks of src over the blocks to write, then reads
+// the blocks to read into the leading blocks of dst, in one Exchange. dst
+// may alias src.
+func (x *Batch) Do(src, dst []Element) {
+	b := x.d.b
+	x.d.Exchange(x.w, src[:len(x.w)*b], x.r, dst[:len(x.r)*b])
+}
+
 // IndexScratch returns a Disk-owned list of n array block indices for the
 // caller to fill and pass to Array.ReadMany and WriteMany, which build
 // their address lists in other scratch. It stays the caller's until the

@@ -409,6 +409,56 @@ func TestExchangeIsWriteThenRead(t *testing.T) {
 	}
 }
 
+// TestBatchChecksItsBlocks: a Batch is the Exchange of the absolute
+// addresses of the array blocks it names — writes first, in the order
+// added, then reads — in one round trip and no allocation once the Disk's
+// lists are grown; an index outside its array, a block of another disk or
+// more blocks than it was started with panic instead of reaching a
+// neighbouring array.
+func TestBatchChecksItsBlocks(t *testing.T) {
+	const b = 2
+	d := NewDisk(NewMemStore(16, b))
+	a, c := d.Alloc(4), d.Alloc(4)
+	rec := trace.NewRecorder(100)
+	d.SetRecorder(rec)
+	buf := make([]Element, 4*b)
+	x := d.Batch(3)
+	x.Write(c, []int{2, 0})
+	x.ReadRange(a, 1, 3)
+	x.Read(c, []int{3})
+	x.Do(buf, buf)
+	want := []trace.Op{{Kind: trace.Write, Addr: 6}, {Kind: trace.Write, Addr: 4}, {Kind: trace.Read, Addr: 1}, {Kind: trace.Read, Addr: 2}, {Kind: trace.Read, Addr: 7}}
+	if ops := rec.Ops(); !slices.Equal(ops, want) || d.Stats().RoundTrips != 1 {
+		t.Fatalf("traced %v in %d round trips, want %v in 1", ops, d.Stats().RoundTrips, want)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		x := d.Batch(3)
+		x.Write(a, []int{0, 1, 2})
+		x.ReadRange(c, 0, 3)
+		x.Do(buf, buf)
+	}); n != 0 {
+		t.Errorf("a warm batch allocated %v objects", n)
+	}
+	other := NewDisk(NewMemStore(16, b)).Alloc(4)
+	for name, add := range map[string]func(x *Batch){
+		"index past the array": func(x *Batch) { x.Write(a, []int{4}) },
+		"negative index":       func(x *Batch) { x.Read(a, []int{-1}) },
+		"range past the array": func(x *Batch) { x.ReadRange(a, 3, 5) },
+		"another disk":         func(x *Batch) { x.ReadRange(other, 0, 1) },
+		"over its blocks":      func(x *Batch) { x.ReadRange(a, 0, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			x := d.Batch(3)
+			add(&x)
+		}()
+	}
+}
+
 // obsCounters is the part of a Disk's counters TestExchangeIsWriteThenRead
 // compares.
 type obsCounters struct{ reads, writes, roundTrips int64 }

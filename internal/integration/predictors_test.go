@@ -177,29 +177,11 @@ func TestPredictorsExact(t *testing.T) {
 			return measure(env, func() { route.CompactBlocksTight(env, a, route.PredOccupied, 0) }), route.CompactCost(g.n, 0, g.b, g.free())
 		}},
 		{"route.CompactInto", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
-			// The cells come from a's two halves: one read of each a window
-			// overlaps.
-			parts := func(lo, hi int, visit func(plo, phi int)) {
-				for _, p := range [][2]int{{0, g.n / 2}, {g.n / 2, g.n}} {
-					if plo, phi := max(lo, p[0]), min(hi, p[1]); plo < phi {
-						visit(plo, phi)
-					}
-				}
-			}
-			feed := func(lo, hi int, dst []extmem.Element) {
-				parts(lo, hi, func(plo, phi int) { a.ReadRange(plo, phi, dst[(plo-lo)*g.b:(phi-lo)*g.b]) })
-			}
-			feedRT := func(lo, hi int) (rt int64) {
-				parts(lo, hi, func(int, int) { rt++ })
-				return rt
-			}
+			// The cells come from a's two halves, a window straddling them
+			// read in one interaction.
 			out := env.D.Alloc(g.n)
-			got := measure(env, func() { route.CompactInto(env, out, g.n, feedRT, feed, route.PredOccupied) })
-			return got, route.CompactIntoCost(g.n, g.n, g.b, g.free(), feedRT)
-		}},
-		{"route.CompactFrom", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
-			out := env.D.Alloc(g.n)
-			return measure(env, func() { route.CompactFrom(env, out, a, route.PredOccupied) }), route.CompactCost(g.n, 0, g.b, g.free())
+			got := measure(env, func() { route.CompactInto(env, out, nil, route.PredOccupied, a.Slice(0, g.n/2), a.Slice(g.n/2, g.n)) })
+			return got, route.CompactCost(g.n, 0, g.b, g.free())
 		}},
 		{"route.ConsolidateCompact", routes, func(_ *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
 			return measure(env, func() { route.ConsolidateCompact(env, a, extmem.Element.Marked) }), route.ConsolidateCompactCost(g.n, g.b, g.free())
@@ -417,8 +399,8 @@ func oramRows(t *testing.T) {
 		// The benchmark's kv_mix_http ORAM: 107 I/Os and 6.4 round trips an
 		// access on the hierarchy, 64 and 2 on the scan.
 		{32, 8, 512, obs.Cost{IOs: 3424, RoundTrips: 205}, 32, obs.Cost{IOs: 64, RoundTrips: 2}, oram.ArmScan},
-		{1024, 8, 512, obs.Cost{IOs: 2269184, RoundTrips: 62412}, 1024, obs.Cost{IOs: 2048, RoundTrips: 18}, oram.ArmScan},
-		{4096, 8, 512, obs.Cost{IOs: 14950400, RoundTrips: 405363}, 4096, obs.Cost{IOs: 8192, RoundTrips: 67}, oram.ArmHierarchy},
+		{1024, 8, 512, obs.Cost{IOs: 2269184, RoundTrips: 57073}, 1024, obs.Cost{IOs: 2048, RoundTrips: 18}, oram.ArmScan},
+		{4096, 8, 512, obs.Cost{IOs: 14950400, RoundTrips: 371191}, 4096, obs.Cost{IOs: 8192, RoundTrips: 67}, oram.ArmHierarchy},
 		{64, 8, 4096, obs.Cost{IOs: 5056, RoundTrips: 143}, 64, obs.Cost{IOs: 128, RoundTrips: 2}, oram.ArmHierarchy},
 	} {
 		t.Run(fmt.Sprintf("oram.AccessCost/n=%d/B=%d/M=%d", r.n, r.b, r.m), func(t *testing.T) {

@@ -231,22 +231,6 @@ func (g RebuildGeometry) routed() (n int) {
 	return n
 }
 
-// feedRT is the round trips the rebuild's compaction feed takes for cells
-// [lo, hi): one read of each routed source the range overlaps.
-func (g RebuildGeometry) feedRT(lo, hi int) (rt int64) {
-	base := 0
-	for i, s := range g.Sources {
-		if g.collects(i) {
-			continue
-		}
-		if max(lo, base) < min(hi, base+s) {
-			rt++
-		}
-		base += s
-	}
-	return rt
-}
-
 // RebuildCost predicts the exact block I/Os and vectored round trips of one
 // rebuild, batches bounded by the cache alone, or -1 for both under a sorter
 // with no exact predictor: the live prefix — each collected source's read
@@ -261,7 +245,7 @@ func RebuildCost(g RebuildGeometry) obs.Cost {
 		return obs.Cost{IOs: -1, RoundTrips: -1}
 	}
 	c := obs.Cost{IOs: int64(g.Buffer), RoundTrips: extmem.ScanRoundTrips(g.Buffer, g.B, g.Free, 1)}.Add(sort)
-	c = c.Add(route.CompactIntoCost(g.routed(), g.routed(), g.B, g.Free, g.feedRT))
+	c = c.Add(route.CompactCost(g.routed(), 0, g.B, g.Free))
 	for i := range g.Sources {
 		if g.collects(i) {
 			c = c.Add(g.collectCost(i))
@@ -327,13 +311,13 @@ func (o *ORAM) rebuildInto(target int, sources []source, g RebuildGeometry) erro
 
 	// The collected bounds and the buffer lie ahead of the routed region,
 	// whose live entries are bounded by routedBound.
-	var routed []source
+	var routed []extmem.Array
 	prefix, routedBound := g.Buffer, 0
 	for i, s := range sources {
 		if g.collects(i) {
 			prefix += s.bound
 		} else {
-			routed = append(routed, s)
+			routed = append(routed, s.arr)
 			routedBound += s.bound
 		}
 	}
@@ -393,21 +377,10 @@ func (o *ORAM) rebuildInto(target int, sources []source, g RebuildGeometry) erro
 			o.toFlight(chunk[off:off+b], target)
 		}
 	})
-	// The network's first pass asks for the cells of the routed sources a
-	// chunk at a time.
-	feed := func(lo, hi int, dst []extmem.Element) {
-		base := 0
-		for _, s := range routed {
-			if plo, phi := max(lo, base), min(hi, base+s.arr.Len()); plo < phi {
-				s.arr.ReadRange(plo-base, phi-base, dst[(plo-lo)*b:(phi-lo)*b])
-			}
-			base += s.arr.Len()
-		}
-		for off := 0; off < len(dst); off += b {
-			o.toFlight(dst[off:off+b], target)
-		}
-	}
-	routedCount := route.CompactInto(o.env, work.Slice(prefix, work.Len()), g.routed(), g.feedRT, feed, route.PredOccupied)
+	// The network's first pass reads the routed sources a window at a time,
+	// converting each entry as it arrives.
+	toFlight := func(blk []extmem.Element) { o.toFlight(blk, target) }
+	routedCount := route.CompactInto(o.env, work.Slice(prefix, work.Len()), toFlight, route.PredOccupied, routed...)
 	if routedCount > routedBound {
 		panic(fmt.Sprintf("oram: %d live entries in a rebuild of level %d, over the bound %d", routedCount, target, routedBound))
 	}

@@ -8,9 +8,9 @@ import (
 
 // TestRoutingAllocs pins what a warm routing allocates: its window
 // bookkeeping, the live marks and one address list, and nothing else,
-// at two routing groups and at four. The second address list a write
-// needs beside the next window's read is the Disk's (ExchangeScratch), and
-// neither the consolidation's state nor a caller's feed leaves the stack.
+// at two routing groups and at four. Both address lists a write needs
+// beside the next window's read are the Disk's (extmem.Batch), and neither
+// the consolidation's state nor a caller's runs leave the stack.
 func TestRoutingAllocs(t *testing.T) {
 	for _, g := range []struct{ n, m int }{{1 << 13, 4096}, {1 << 13, 512}} {
 		env, a := benchCells(g.n, g.m)
@@ -19,14 +19,13 @@ func TestRoutingAllocs(t *testing.T) {
 			call func()
 		}{
 			{"CompactBlocksTight", func() { CompactBlocksTight(env, a, PredOccupied, 0) }},
-			// A feed that reads by itself stays on its caller's stack.
+			// A conversion that captures values, as the ORAM rebuild's
+			// does, stays on its caller's stack too.
 			{"CompactInto", func() {
-				calls := 0
-				feed := func(lo, hi int, dst []extmem.Element) {
-					calls++
-					a.ReadRange(lo, hi, dst)
-				}
-				CompactInto(env, a, a.Len(), func(int, int) int64 { return 1 }, feed, PredOccupied)
+				bump := uint64(0)
+				conv := func(blk []extmem.Element) { blk[0].Val += bump }
+				half := a.Len() / 2
+				CompactInto(env, a, conv, PredOccupied, a.Slice(0, half), a.Slice(half, a.Len()))
 			}},
 			{"ConsolidateCompact", func() {
 				mark := env.D.Mark()

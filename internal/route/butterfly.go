@@ -29,11 +29,10 @@ import (
 // The executors run the plan and the predictors sum it in closed form: 2n
 // I/Os a pass, and a round trip a window and one for each of the first two
 // windows' loads, every later window's load travelling with the write of
-// the window two before it — but for the pass that runs first, whose loads
-// are the feed's in a compaction (which labels the cells as they stream
-// in, a prefix count), each its own where the feed reads by itself, and
-// skip the windows past the source in an expansion (whose last pass checks
-// its caller's targets).
+// the window two before it — the pass that runs first too, whose loads are
+// its source's in a compaction (which labels the cells as they stream in, a
+// prefix count), and skip the windows past the source in an expansion
+// (whose last pass checks its caller's targets).
 //
 // A cell here is one disk block. A cell's destination (its occupied-rank)
 // and its origin are carried inside the block's elements (CellDest/Aux flag
@@ -83,36 +82,24 @@ func CompactBlocksTight(env *extmem.Env, a extmem.Array, pred BlockPred, levelsP
 	if sp != nil {
 		sp.SetPredicted(CompactCost(a.Len(), levelsPerPass, a.B(), env.M-env.Cache.Used()))
 	}
-	return compact(env, sp, a, &source{arr: a}, nil, pred, levelsPerPass)
+	return compact(env, sp, a, &source{runs: []extmem.Array{a}}, pred, levelsPerPass)
 }
 
-// CompactInto is CompactBlocksTight of cells that are not in a yet: feed
-// yields cells [lo, hi) into dst — every range once, in address order — as
-// the first pass loads them, so the cells of several arrays, or cells
-// converted on the way, are compacted without first being copied together.
-// fed is the number of blocks feed reads in all, and feedRT(lo, hi) the
-// round trips it takes for cells [lo, hi): the span's prediction is
-// CompactIntoCost's. The first pass loads every window by itself, since
-// the feed does its own reads; the passes after it run in a, in place.
-func CompactInto(env *extmem.Env, a extmem.Array, fed int, feedRT func(lo, hi int) int64, feed func(lo, hi int, dst []extmem.Element), pred BlockPred) int {
-	if a.Len() == 0 {
-		return 0
+// CompactInto is CompactBlocksTight of cells that are not in a yet: the
+// blocks of runs, arrays on a's disk laid end to end as long as a, each
+// handed to conv, when it is not nil, as the first pass loads it — so the
+// cells of several arrays, or cells converted on the way, are compacted
+// without first being copied together. The first pass reads them a window
+// at a time, each load past the first two with the write before it, as
+// CompactBlocksTight reads a, and the passes after it run in a, in place.
+// Its price is CompactCost's.
+func CompactInto(env *extmem.Env, a extmem.Array, conv func(blk []extmem.Element), pred BlockPred, runs ...extmem.Array) int {
+	fed := 0
+	for _, r := range runs {
+		fed += r.Len()
 	}
-	sp := env.Obs.Start("butterfly-compact")
-	defer env.Obs.End(sp)
-	if sp != nil {
-		sp.SetPredicted(CompactIntoCost(fed, a.Len(), a.B(), env.M-env.Cache.Used(), feedRT))
-	}
-	return compact(env, sp, a, &source{}, feed, pred, 0)
-}
-
-// CompactFrom is CompactInto of the cells of src, an array as long as a:
-// the first pass reads them a window at a time, each load past the first
-// two with the write before it, as CompactBlocksTight reads a, and the
-// passes after it run in a, in place. Its price is CompactCost's.
-func CompactFrom(env *extmem.Env, a, src extmem.Array, pred BlockPred) int {
-	if src.Len() != a.Len() {
-		panic(fmt.Sprintf("route: compaction of %d cells into %d", src.Len(), a.Len()))
+	if fed != a.Len() {
+		panic(fmt.Sprintf("route: compaction of %d cells into %d", fed, a.Len()))
 	}
 	if a.Len() == 0 {
 		return 0
@@ -122,7 +109,7 @@ func CompactFrom(env *extmem.Env, a, src extmem.Array, pred BlockPred) int {
 	if sp != nil {
 		sp.SetPredicted(CompactCost(a.Len(), 0, a.B(), env.M-env.Cache.Used()))
 	}
-	return compact(env, sp, a, &source{arr: src}, nil, pred, 0)
+	return compact(env, sp, a, &source{runs: runs, conv: conv}, pred, 0)
 }
 
 // ConsolidateCompact is Consolidate followed by CompactBlocksTight on its
@@ -152,10 +139,10 @@ func ConsolidateCompactInto(env *extmem.Env, a, out extmem.Array, keep func(extm
 	if sp != nil {
 		sp.SetPredicted(ConsolidateCompactCost(a.Len(), a.B(), env.M-env.Cache.Used()))
 	}
-	src := source{arr: a, cons: lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}}
-	compact(env, sp, out, &src, nil, PredOccupied, 0)
-	env.Cache.Free(src.cons.hold)
-	return src.cons.kept
+	l := lag{keep: keep, hold: env.Cache.Buf(2 * a.B())}
+	compact(env, sp, out, &source{runs: []extmem.Array{a}, cons: &l}, PredOccupied, 0)
+	env.Cache.Free(l.hold)
+	return l.kept
 }
 
 // ConsolidateCompactFree is the least free cache, in elements, that
@@ -216,74 +203,85 @@ func (p plan) pass(k int) pass {
 // cost sums the plan: every pass reads and writes all n cells, a write a
 // window and a load for each of the first two, the load of window t+2
 // travelling with window t's write — but that the pass that runs first
-// reads fed blocks and, where its feed reads by itself (paired false),
-// loads every window on its own, its loads extra round trips more than one
-// a window.
-func (p plan) cost(fed int, paired bool, extra int64) obs.Cost {
+// reads fed blocks, in extra round trips more than that.
+func (p plan) cost(fed int, extra int64) obs.Cost {
 	c := obs.Cost{IOs: int64(fed) + int64(p.n)*int64(2*p.passes()-1), RoundTrips: extra}
 	for k := range p.passes() {
 		w := int64(p.pass(k).windows)
 		c.RoundTrips += w + min(w, 2)
-		if k == 0 && !paired {
-			c.RoundTrips += max(w-2, 0)
-		}
 	}
 	return c
 }
 
 // source is where a routing's first pass takes its cells [lo, hi), each
-// range asked for once, in address order: blocks [lo, hi) of arr; or,
-// where cons has a keep predicate, the consolidation of arr's kept
-// elements, decided by its blocks (lo, hi]. Either reads one run of arr for
-// a window past the first, which the pass can send with a write. The
-// routing holds it by pointer, so that the consolidation's state is its
-// own. A feed that reads by itself goes beside it, as its own argument:
-// held in the source, it would leave the stack with arr.
+// range asked for once, in address order: the blocks of runs laid end to
+// end, each handed to conv where it is not nil; or, where cons is not nil,
+// the consolidation of runs[0]'s kept elements, decided by its blocks
+// (lo, hi]. Either is read into the window's slots in one batch (reads),
+// which the pass can send with a write, and turned into cells there
+// (settle). The consolidation's holding buffer goes to the store with
+// every read of block 0: held by pointer, it leaves runs on the caller's
+// stack, where a field of the source would not.
 type source struct {
-	arr  extmem.Array
-	cons lag
+	runs []extmem.Array
+	cons *lag
+	conv func(blk []extmem.Element)
 }
 
-// load fills dst with cells [lo, hi), reading them by itself: fill's, where
-// the routing has one, and the source's otherwise.
-func (s *source) load(fill func(lo, hi int, dst []extmem.Element), lo, hi int, dst []extmem.Element) {
-	switch {
-	case fill != nil:
-		fill(lo, hi, dst)
-	case s.cons.keep != nil:
-		s.cons.cells(s.arr, lo, hi, dst)
-	default:
-		s.arr.ReadRange(lo, hi, dst)
+// reads adds to x the blocks that cells [lo, hi) are read from.
+func (s *source) reads(x *extmem.Batch, lo, hi int) {
+	if s.cons != nil {
+		rlo, rhi := lagSpan(s.runs[0].Len(), lo, hi)
+		x.ReadRange(s.runs[0], rlo, rhi)
+		return
+	}
+	base := 0
+	for _, r := range s.runs {
+		if plo, phi := max(lo, base), min(hi, base+r.Len()); plo < phi {
+			x.ReadRange(r, plo-base, phi-base)
+		}
+		base += r.Len()
 	}
 }
 
-// span is the run [rlo, rhi) of arr that cells [lo, hi), lo > 0, are read
-// from.
-func (s *source) span(lo, hi int) (rlo, rhi int) {
-	if s.cons.keep != nil {
-		return lagSpan(s.arr.Len(), lo, hi)
-	}
-	return lo, hi
-}
-
-// settle turns the run span names, read into dst, into cells [lo, hi).
+// settle turns the blocks reads named, read into dst, into cells [lo, hi).
 func (s *source) settle(lo, hi int, dst []extmem.Element) {
-	if s.cons.keep != nil {
-		rlo, _ := s.span(lo, hi)
-		s.cons.settle(s.arr.Len(), s.arr.B(), lo, hi, rlo, dst)
+	b := s.runs[0].B()
+	switch {
+	case s.cons != nil:
+		s.cons.settle(s.runs[0].Len(), b, lo, hi, dst)
+	case s.conv != nil:
+		for off := 0; off < len(dst); off += b {
+			s.conv(dst[off : off+b])
+		}
 	}
 }
 
-// compact routes the cells src yields, or fill where it is not nil, to a
-// tight prefix of a, which may be where they come from.
-func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, fill func(lo, hi int, dst []extmem.Element), pred BlockPred, levelsPerPass int) int {
+// load fills dst with cells [lo, hi) in an interaction of their own on d,
+// the runs' disk — named by the caller, so that no pointer read out of runs
+// leaves the routing and the runs stay on its caller's stack. Block 0 of a
+// consolidation decides no cell: it is read ahead of a first window short
+// of the whole array, into the holding buffer.
+func (s *source) load(d *extmem.Disk, lo, hi int, dst []extmem.Element) {
+	if r := s.runs[0]; s.cons != nil && lo == 0 && hi < r.Len() {
+		s.cons.lead(d, r)
+	}
+	x := d.Batch(hi - lo)
+	s.reads(&x, lo, hi)
+	x.Do(nil, dst)
+	s.settle(lo, hi, dst)
+}
+
+// compact routes the cells src yields to a tight prefix of a, which may be
+// where they come from.
+func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, pred BlockPred, levelsPerPass int) int {
 	n, b := a.Len(), a.B()
 	p := planOf(n, b, env.M-env.Cache.Used(), levelsPerPass)
 	sp.SetAttrInt("blocks", int64(n))
 	rank := 0
 	if p.whole {
 		buf := env.Cache.Buf(n * b)
-		src.load(fill, 0, n, buf)
+		src.load(a.Disk(), 0, n, buf)
 		for j := 0; j < n; j++ {
 			if blk := buf[j*b : (j+1)*b]; pred(blk) {
 				label(blk, rank, j)
@@ -298,7 +296,7 @@ func compact(env *extmem.Env, sp *obs.Span, a extmem.Array, src *source, fill fu
 	}
 	ws := newWindows(p.pass(0).hw)
 	for k := range p.passes() {
-		rank += routeGroupLeft(env, a, src, fill, pred, p.pass(k), ws)
+		rank += routeGroupLeft(env, a, src, pred, p.pass(k), ws)
 	}
 	return rank
 }
@@ -506,9 +504,9 @@ func (g *group) land(from, to int, collision string) {
 // flush writes window t to a, clearing every slot no cell landed on and
 // handing each cell that did to visit, when it is not nil, with its
 // address. Where reads is not nil the write carries window t+2's load into
-// the half it empties, in one interaction: reads fills the Disk's read list
-// with the absolute addresses that window loads from and returns them.
-func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j int), reads func(t int, r []int) []int) {
+// the half it empties, in one interaction: reads adds the blocks that
+// window loads to the batch.
+func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j int), reads func(x extmem.Batch, t int) extmem.Batch) {
 	addr, half := g.window(t)
 	for i, j := range addr {
 		if !g.live[half+i] {
@@ -517,29 +515,17 @@ func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j 
 			visit(g.cell(half+i), j)
 		}
 	}
-	d := a.Disk()
-	wa, r := d.ExchangeScratch(g.hw)
-	wa = absolute(wa, a, addr)
-	var ra []int
+	x := a.Disk().Batch(g.hw)
+	x.Write(a, addr)
 	if reads != nil {
-		ra = reads(t+2, r)
+		x = reads(x, t+2)
 	}
-	d.Exchange(wa, g.slots(half, len(wa)), ra, g.slots(half, len(ra)))
-}
-
-// absolute fills dst with the absolute addresses of cells addr of a and
-// returns them.
-func absolute(dst []int, a extmem.Array, addr []int) []int {
-	dst = dst[:len(addr)]
-	for i, j := range addr {
-		dst[i] = a.Base() + j
-	}
-	return dst
+	x.Do(g.slots(half, g.hw), g.slots(half, g.hw))
 }
 
 // pairing returns reads where a group flushing window t−1 has a window
 // t+1 to load with it, and nil otherwise.
-func pairing(reads func(t int, r []int) []int, t, windows int) func(t int, r []int) []int {
+func pairing(reads func(x extmem.Batch, t int) extmem.Batch, t, windows int) func(x extmem.Batch, t int) extmem.Batch {
 	if reads == nil || t+1 >= windows {
 		return nil
 	}
@@ -553,43 +539,37 @@ func pairing(reads func(t int, r []int) []int, t, windows int) func(t int, r []i
 // that class's cells back. The group sweeps every class at once, a window
 // at a time (see group).
 //
-// The first group (S = 1, one class) takes its cells from src, or fill
-// where it is not nil, one load a window, labels each occupied one with its
-// rank and its origin as it arrives, and returns the number it saw; later
-// groups read a and return 0. Every group writes a. Each load past the
-// first two travels with a write, but a first group's under a fill.
-func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, fill func(lo, hi int, dst []extmem.Element), pred BlockPred, ps pass, ws windows) int {
+// The first group (S = 1, one class) takes its cells from src, one load a
+// window, labels each occupied one with its rank and its origin as it
+// arrives, and returns the number it saw; later groups read a and return 0.
+// Every group writes a, each load past the first two travelling with a
+// write.
+func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, pred BlockPred, ps pass, ws windows) int {
 	n, s, w, hw := a.Len(), 1<<ps.i0, ps.w, ps.hw
 	g := newGroup(env, n, s, hw, false, ws)
 	first := ps.i0 == 0
-	// reads fills r with what window t loads from: its cells of a, or in
-	// the first group the run of src's array that they are read from.
-	var reads func(t int, r []int) []int
-	if !first || fill == nil {
-		reads = func(t int, r []int) []int {
-			addr, _ := g.window(t)
-			if !first {
-				return absolute(r, a, addr)
-			}
-			rlo, rhi := src.span(t*hw, t*hw+len(addr))
-			r = r[:rhi-rlo]
-			for i := range r {
-				r[i] = src.arr.Base() + rlo + i
-			}
-			return r
+	// reads adds what window t loads: its cells of a, or in the first group
+	// the blocks src reads them from.
+	reads := func(x extmem.Batch, t int) extmem.Batch {
+		addr, _ := g.window(t)
+		if first {
+			src.reads(&x, t*hw, t*hw+len(addr))
+		} else {
+			x.Read(a, addr)
 		}
+		return x
 	}
 	rank := 0
 	for t := range ps.windows {
 		addr, half := g.window(t)
 		lo, slots := t*hw, g.slots(half, len(addr))
 		switch {
-		case t >= 2 && reads != nil: // loaded with window t−2's write
+		case t >= 2: // loaded with window t−2's write
 			if first {
 				src.settle(lo, lo+len(addr), slots)
 			}
 		case first:
-			src.load(fill, lo, lo+len(addr), slots)
+			src.load(a.Disk(), lo, lo+len(addr), slots)
 		default:
 			a.ReadMany(addr, slots)
 		}
@@ -651,27 +631,28 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pa
 	if ps.i0 > 0 {
 		emit = nil
 	}
-	// reads fills r with what window t loads from: its cells of a, or in
-	// the top group its cells below ns, of src, packed.
-	reads := func(t int, r []int) []int {
+	// reads adds what window t loads: its cells of a, or in the top group
+	// its cells below ns, of src, packed.
+	reads := func(x extmem.Batch, t int) extmem.Batch {
 		addr, _ := g.window(t)
 		if !top {
-			return absolute(r, a, addr)
+			x.Read(a, addr)
+			return x
 		}
 		k := 0
 		for _, j := range addr {
 			if j < ns {
-				r[k] = src.Base() + j
+				addr[k] = j
 				k++
 			}
 		}
-		return r[:k]
+		x.Read(src, addr[:k])
+		return x
 	}
 	for t := range ps.windows {
 		if t < 2 {
-			_, r := env.D.ExchangeScratch(hw)
-			ra := reads(t, r)
-			env.D.ReadMany(ra, g.slots(t%2*hw, len(ra)))
+			x := reads(a.Disk().Batch(hw), t)
+			x.Do(nil, g.slots(t%2*hw, hw))
 		}
 		addr, half := g.window(t)
 		if top {
@@ -730,31 +711,16 @@ func CompactCost(n, levelsPerPass, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
 	}
-	return planOf(n, b, m, levelsPerPass).cost(n, true, 0)
-}
-
-// CompactIntoCost predicts CompactInto of n cells whose feed reads fed
-// blocks in all, in feedRT(lo, hi) round trips when asked for cells [lo, hi).
-func CompactIntoCost(fed, n, b, m int, feedRT func(lo, hi int) int64) obs.Cost {
-	if n == 0 {
-		return obs.Cost{}
-	}
-	p := planOf(n, b, m, 0)
-	hw := p.pass(0).hw
-	var extra int64
-	for lo := 0; lo < n; lo += hw {
-		extra += feedRT(lo, min(lo+hw, n)) - 1
-	}
-	return p.cost(fed, false, extra)
+	return planOf(n, b, m, levelsPerPass).cost(n, 0)
 }
 
 // ConsolidateCompactCost predicts ConsolidateCompact on n blocks of b
 // elements entered with m elements of cache free: the butterfly's passes
-// beside the 2B holding buffer, and nothing else. Its feed, lag.cells, reads
-// each window's inputs one block ahead of its cells: block 0 on its own
-// before a first window that is not the whole array, and nothing for a
-// window that is cell n−1 alone, which costs a round trip less where that
-// window is one of the first two, loaded on their own.
+// beside the 2B holding buffer, and nothing else. Its source reads each
+// window's inputs one block ahead of its cells (lagSpan): block 0 on its
+// own before a first window that is not the whole array (lag.lead), and
+// nothing for a window that is cell n−1 alone, which costs a round trip
+// less where that window is one of the first two, loaded on their own.
 func ConsolidateCompactCost(n, b, m int) obs.Cost {
 	if n == 0 {
 		return obs.Cost{}
@@ -767,7 +733,7 @@ func ConsolidateCompactCost(n, b, m int) obs.Cost {
 	if n > 1 && (n-1)%hw == 0 && (n-1)/hw < 2 {
 		extra--
 	}
-	return p.cost(n, true, extra)
+	return p.cost(n, extra)
 }
 
 // ExpandIntoCost predicts ExpandInto of ns cells into n entered with m
@@ -790,5 +756,5 @@ func ExpandIntoCost(ns, n, b, m int) obs.Cost {
 			extra--
 		}
 	}
-	return p.cost(ns, true, extra)
+	return p.cost(ns, extra)
 }

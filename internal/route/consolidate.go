@@ -94,38 +94,35 @@ func (l *lag) emit(dst []extmem.Element, last bool) {
 	l.pending = copy(l.hold, l.hold[take:l.pending])
 }
 
-// cells fills dst with output cells [lo, hi) of the consolidation of src,
-// for the butterfly's first pass, which asks for every cell once, in order.
-// The input blocks that decide them, (lo, hi] (span), are read into dst
-// itself and settled there. Block 0 decides nothing: it comes along when
-// dst holds the whole array, and ahead of the first chunk, through the hold
-// buffer's upper half, otherwise.
-func (l *lag) cells(src extmem.Array, lo, hi int, dst []extmem.Element) {
-	n, b := src.Len(), src.B()
-	rlo, rhi := lagSpan(n, lo, hi)
-	if lo == 0 {
-		if hi == n {
-			rlo = 0
-		} else {
-			src.Read(0, l.hold[b:])
-			l.absorb(l.hold[b:])
-		}
-	}
-	if rlo < rhi {
-		src.ReadRange(rlo, rhi, dst[:(rhi-rlo)*b])
-	}
-	l.settle(n, b, lo, hi, rlo, dst)
+// lead reads block 0 of src, which decides no output cell, into the upper
+// half of the holding buffer and absorbs it, ahead of a butterfly's first
+// window that does not hold the whole array (source.load); d is src's
+// disk.
+func (l *lag) lead(d *extmem.Disk, src extmem.Array) {
+	b := d.B()
+	x := d.Batch(1)
+	x.ReadRange(src, 0, 1)
+	x.Do(nil, l.hold[b:])
+	l.absorb(l.hold[b:])
 }
 
-// lagSpan is the input blocks [rlo, rhi) that decide cells [lo, hi), lo > 0,
-// of the consolidation of n blocks: none where the range is cell n−1 alone.
-func lagSpan(n, lo, hi int) (rlo, rhi int) { return min(lo+1, n), min(hi+1, n) }
+// lagSpan is the input blocks [rlo, rhi) read for output cells [lo, hi) of
+// the consolidation of n blocks: those that decide them, (lo, hi] within
+// the array — none where the range is cell n−1 alone — and block 0 too
+// where the range is all n cells; any other first range has had block 0
+// read ahead of it (lag.lead).
+func lagSpan(n, lo, hi int) (rlo, rhi int) {
+	if lo == 0 && hi == n {
+		return 0, n
+	}
+	return min(lo+1, n), min(hi+1, n)
+}
 
-// settle turns input blocks [rlo, …) of n, read into dst, into output cells
-// [lo, hi) there: each block is absorbed before the cell it decides
-// overwrites its slot.
-func (l *lag) settle(n, b, lo, hi, rlo int, dst []extmem.Element) {
-	_, rhi := lagSpan(n, lo, hi)
+// settle turns the input blocks lagSpan names for cells [lo, hi) of the
+// consolidation of n blocks, read into dst, into those cells there: each
+// block is absorbed before the cell it decides overwrites its slot.
+func (l *lag) settle(n, b, lo, hi int, dst []extmem.Element) {
+	rlo, rhi := lagSpan(n, lo, hi)
 	next := rlo
 	for j := lo; j < hi; j++ {
 		for ; next <= j+1 && next < rhi; next++ {

@@ -17,20 +17,21 @@ var intoGeometries = []struct{ n, m int }{
 }
 
 // CompactInto must leave, bit for bit, what CompactBlocksTight leaves on the
-// cells its feed yields copied together first, for the feed's reads, one
-// write of every cell, and the later passes.
+// cells of its runs copied together and converted first, for one read of
+// every cell, one write of every cell, and the later passes: CompactCost's
+// price, whatever runs the windows straddle.
 func TestCompactIntoMatchesCopyThenCompact(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 22))
 	const b = 4
 	for _, cfg := range intoGeometries {
-		// The cells are those of two arrays and then a private run, every
-		// one stamped on its way in.
+		// The cells are those of three arrays, every one stamped on its
+		// way in.
 		n1 := r.IntN(cfg.n + 1)
 		n2 := r.IntN(cfg.n - n1 + 1)
 		occ := occupiedSets(r, cfg.n, cfg.n/3)
-		stamp := func(dst []extmem.Element) {
-			for i := range dst {
-				dst[i].Val += 7
+		stamp := func(blk []extmem.Element) {
+			for i := range blk {
+				blk[i].Val += 7
 			}
 		}
 
@@ -45,40 +46,15 @@ func TestCompactIntoMatchesCopyThenCompact(t *testing.T) {
 		env := newEnv(2*cfg.n+8, b, cfg.m, 3)
 		all := env.D.Alloc(cfg.n)
 		buildCells(all, occ)
-		src1, src2 := all.Slice(0, n1), all.Slice(n1, n1+n2)
-		private := readElems(all.Slice(n1+n2, cfg.n))
 		out := env.D.Alloc(cfg.n)
-		parts := func(lo, hi int, visit func(src extmem.Array, base, plo, phi int)) {
-			for _, p := range []struct {
-				src  extmem.Array
-				base int
-			}{{src1, 0}, {src2, n1}} {
-				if plo, phi := max(lo, p.base), min(hi, p.base+p.src.Len()); plo < phi {
-					visit(p.src, p.base, plo, phi)
-				}
-			}
-		}
-		feed := func(lo, hi int, dst []extmem.Element) {
-			parts(lo, hi, func(src extmem.Array, base, plo, phi int) {
-				src.ReadRange(plo-base, phi-base, dst[(plo-lo)*b:(phi-lo)*b])
-			})
-			if plo := max(lo, n1+n2); plo < hi {
-				copy(dst[(plo-lo)*b:], private[(plo-n1-n2)*b:(hi-n1-n2)*b])
-			}
-			stamp(dst)
-		}
-		feedRT := func(lo, hi int) (rt int64) {
-			parts(lo, hi, func(extmem.Array, int, int, int) { rt++ })
-			return rt
-		}
 		env.D.ResetStats()
-		gotCount := CompactInto(env, out, n1+n2, feedRT, feed, PredOccupied)
+		gotCount := CompactInto(env, out, stamp, PredOccupied, all.Slice(0, n1), all.Slice(n1, n1+n2), all.Slice(n1+n2, cfg.n))
 		st := env.D.Stats()
 		if gotCount != wantCount || !slices.Equal(readElems(out), readElems(whole)) {
 			t.Fatalf("n=%d m=%d (%d+%d+%d): output differs from copy + CompactBlocksTight (count %d, want %d)",
 				cfg.n, cfg.m, n1, n2, cfg.n-n1-n2, gotCount, wantCount)
 		}
-		if want := CompactIntoCost(n1+n2, cfg.n, b, cfg.m, feedRT); st.Cost() != want {
+		if want := CompactCost(cfg.n, 0, b, cfg.m); st.Cost() != want {
 			t.Errorf("n=%d m=%d (%d+%d): measured %+v, predicted %+v", cfg.n, cfg.m, n1, n2, st.Cost(), want)
 		}
 		if hw, used := env.Cache.HighWater(), env.Cache.Used(); hw > cfg.m || used != 0 {

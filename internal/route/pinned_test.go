@@ -29,26 +29,11 @@ func TestRoutingTracesPinned(t *testing.T) {
 	ops := map[string]func(env *extmem.Env, a, other extmem.Array){
 		"compact": func(env *extmem.Env, a, _ extmem.Array) { CompactBlocksTight(env, a, PredOccupied, 0) },
 		"compact-into-range": func(env *extmem.Env, a, other extmem.Array) {
-			CompactInto(env, other, a.Len(), func(int, int) int64 { return 1 }, a.ReadRange, PredOccupied)
+			CompactInto(env, other, nil, PredOccupied, a)
 		},
 		"compact-into-parts": func(env *extmem.Env, a, other extmem.Array) {
 			half := a.Len() / 2
-			feed := func(lo, hi int, dst []extmem.Element) {
-				b := a.B()
-				if lo < half {
-					a.ReadRange(lo, min(hi, half), dst[:(min(hi, half)-lo)*b])
-				}
-				if hi > half {
-					from := max(lo, half)
-					other.ReadRange(from, hi, dst[(from-lo)*b:])
-				}
-			}
-			CompactInto(env, other, a.Len(), func(lo, hi int) int64 {
-				if lo < half && hi > half {
-					return 2
-				}
-				return 1
-			}, feed, PredOccupied)
+			CompactInto(env, other, nil, PredOccupied, a.Slice(0, half), other.Slice(half, a.Len()))
 		},
 		"consolidate-compact": func(env *extmem.Env, a, other extmem.Array) {
 			ConsolidateCompactInto(env, a, other, extmem.Element.Occupied)

@@ -72,8 +72,7 @@ func consolidateCompact(env *extmem.Env, a extmem.Array) {
 
 // Every routing span measures exactly what it predicts, round trips
 // included, on each arm of the dispatch — the whole array in the cache, two
-// routing groups, three — and under a held cache. CompactInto's round trips
-// are priced from its caller's feed's: one read a window here.
+// routing groups, three — and under a held cache.
 func TestSpansMeasureTheirPrediction(t *testing.T) {
 	const b = 4
 	ops := map[string]func(env *extmem.Env, a extmem.Array){
@@ -88,7 +87,7 @@ func TestSpansMeasureTheirPrediction(t *testing.T) {
 			ExpandInto(env, a.Slice(0, a.Len()/2), a, PredOccupied, nil)
 		},
 		"compact into": func(env *extmem.Env, a extmem.Array) {
-			CompactInto(env, env.D.Alloc(a.Len()), a.Len(), func(int, int) int64 { return 1 }, a.ReadRange, PredOccupied)
+			CompactInto(env, env.D.Alloc(a.Len()), nil, PredOccupied, a)
 		},
 		"consolidate": func(env *extmem.Env, a extmem.Array) {
 			Consolidate(env, a, extmem.Element.Occupied)
