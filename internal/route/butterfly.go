@@ -469,18 +469,23 @@ type group struct {
 	reversed bool
 	b, hw    int
 	stash    []extmem.Element
+	held     int // the window whose cells addr holds, or -1
 }
 
 func newGroup(env *extmem.Env, n, s, hw int, reversed bool, ws windows) group {
 	b := env.B()
-	return group{ws, classesOf(n, s), reversed, b, hw, env.Cache.Buf(2 * hw * b)}
+	return group{ws, classesOf(n, s), reversed, b, hw, env.Cache.Buf(2 * hw * b), -1}
 }
 
-// window returns window t's cells, in load order, and its half's first slot.
+// window returns window t's cells, in load order, and its half's first
+// slot. The cells of the window a flush loaded stay for the window's turn.
 func (g *group) window(t int) (addr []int, half int) {
 	p := t * g.hw
 	addr = g.addr[:min(g.hw, g.k.n-p)]
-	g.k.fill(p, addr, g.reversed)
+	if g.held != t {
+		g.k.fill(p, addr, g.reversed)
+		g.held = t
+	}
 	return addr, t % 2 * g.hw
 }
 
@@ -639,14 +644,11 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pa
 			x.Read(a, addr)
 			return x
 		}
-		k := 0
-		for _, j := range addr {
+		for i, j := range addr {
 			if j < ns {
-				addr[k] = j
-				k++
+				x.Read(src, addr[i:i+1])
 			}
 		}
-		x.Read(src, addr[:k])
 		return x
 	}
 	for t := range ps.windows {
