@@ -131,7 +131,7 @@ func TestAllocsAtBenchmarkGeometry(t *testing.T) {
 			_, _, err := CompactMarkedLoose(env, loose, rCap)
 			return err
 		}},
-		{"Sort", 25, func() error { return Sort(env, a) }},
+		{"Sort", 19, func() error { return Sort(env, a) }},
 	} {
 		allocs := testing.AllocsPerRun(2, func() {
 			if err := c.run(); err != nil {

@@ -22,16 +22,18 @@ import (
 //     occupied elements. A bucket then holds at most its plan's capE
 //     elements but for probability 2^-40, and the splitters carry position
 //     tie-breaks, so duplicate keys never skew it.
-//  2. A multi-way consolidation pass (§5) rewrites the array into
-//     monochromatic full-or-empty blocks.
-//  3. Shuffle-and-deal: a block-level Fisher–Yates shuffle (the "shuffle",
-//     whose swaps come from the tape, not the data) followed by batched
-//     dealing — read a batch of blocks, then write a fixed quota of blocks
-//     per color, padding with empties, every color's quota in one vectored
-//     write; the quota is the least whose overflow tail (Lemma 18 /
-//     Corollary 19) is at most 2^-40, and the batch is §5's (M/B)^{3/4} or
-//     the larger one, up to M/(2B), with the fewest block I/Os, fewer
-//     round trips breaking a tie (sortPlan.plan).
+//  2. One pass reads the input once: it colors every element by its
+//     bucket, consolidates the blocks into monochromatic full-or-empty
+//     ones (§5's multi-way consolidation, one output block per input
+//     block), and writes them through a block-level inside-out Fisher–Yates
+//     shuffle whose swaps come from the tape, not the data
+//     (consolidateShuffle).
+//  3. Deal: read a batch of the shuffled blocks, then write a fixed quota
+//     of blocks per color, padding with empties, every color's quota in
+//     one vectored write; the quota is the least whose overflow tail
+//     (Lemma 18 / Corollary 19) is at most 2^-40, and the batch is §5's
+//     (M/B)^{3/4} or the larger one, up to M/(2B), with the fewest block
+//     I/Os, fewer round trips breaking a tie (sortPlan.plan).
 //  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
 //     and sorted. A bucket that does not distribute — its capacity fits
@@ -57,7 +59,7 @@ import (
 // directly, so Sort is one distributing level and a deterministic sort per
 // bucket where it lands (bitonic: no columnsort matrix fits a bucket) — the
 // shape of bucket oblivious sort (arXiv:2008.01765). The deal reads 249
-// blocks a batch and writes 119 of each color: 325 349 block I/Os in 1 026
+// blocks a batch and writes 119 of each color: 292 549 block I/Os in 567
 // round trips, SortCost's figure. The top-level Sort finishes with a tight
 // order-preserving compaction (Theorem 6), so the array ends with all
 // occupied elements sorted in a tight prefix.
@@ -196,45 +198,20 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 	bounds := splittersOf(env, sample, sOcc, q)
 	env.Obs.End(spq)
 
-	// Step 2: color by bucket = 1 + #splitters strictly below the element.
-	spc := env.Obs.Start("colorize")
-	spc.SetPredicted(nd.colorize)
-	work := env.D.Alloc(n)
-	env.Scan(a, work, env.ScanBatchN(1, n), func(_ int, chunk []extmem.Element) {
-		for t := range chunk {
-			chunk[t].SetColor(0)
-			if !chunk[t].Occupied() {
-				continue
-			}
-			c := 1
-			for j := 0; j < q; j++ {
-				if bounds[j].lessElem(chunk[t]) {
-					c = j + 2
-				}
-			}
-			chunk[t].SetColor(c)
-		}
-	})
-	env.Obs.End(spc)
-
-	// Step 3: multi-way consolidation into monochromatic blocks.
-	spm := env.Obs.Start("consolidate-colors")
-	ap := consolidateColors(env, work, q+1)
+	// Step 2: color, consolidate into monochromatic blocks and shuffle them,
+	// in one pass.
+	spm := env.Obs.Start("consolidate-shuffle")
+	spm.SetPredicted(nd.consolidate)
+	ap := consolidateShuffle(env, a, bounds, lv)
 	env.Obs.End(spm)
 
-	// Step 4: shuffle (block-level Fisher–Yates from the tape).
-	sps := env.Obs.Start("shuffle")
-	sps.SetPredicted(nd.shuffle)
-	shuffleBlocks(env, ap)
-	env.Obs.End(sps)
-
-	// Step 5: deal into per-color arrays with the plan's per-batch quota.
+	// Step 3: deal into per-color arrays with the plan's per-batch quota.
 	spd := env.Obs.Start("deal")
 	spd.SetPredicted(nd.deal)
 	colorArrs, ok := deal(env, ap, q+1, lv.batch, lv.quota)
 	env.Obs.End(spd)
 
-	// Step 6: per bucket, compact and sort. A bucket as dealt is full
+	// Step 4: per bucket, compact and sort. A bucket as dealt is full
 	// blocks plus one partial flush block among empties, so Theorem 6's
 	// butterfly moves it, deterministically, into a prefix of capB blocks;
 	// a level below absorbs the partial block in its consolidation. (The
@@ -458,78 +435,4 @@ func gatherSorted(env *extmem.Env, a extmem.Array, all []extmem.Element) []extme
 	})
 	obsort.InCache(all, obsort.ByKey)
 	return all
-}
-
-// shuffleBlocks applies the block-level Fisher–Yates shuffle of §5: the
-// swap sequence comes entirely from the tape, so the adversary learns
-// nothing from watching it ("even though Bob can see us perform this
-// shuffle, the choices we make do not depend on data values").
-//
-// Swaps are processed in windows: the window's swap targets are drawn from
-// the tape up front, the distinct blocks they touch are fetched with one
-// vectored read, the swaps are replayed in order inside the cache, and the
-// final contents go back with one vectored write, padded with untouched
-// blocks to a fixed count per window, which carries the next window's read.
-// The permutation is identical to the scalar loop's for the same tape, and
-// the addresses revealed are a deterministic function of the tape alone.
-func shuffleBlocks(env *extmem.Env, a extmem.Array) {
-	n := a.Len()
-	if n < 2 {
-		return
-	}
-	b := a.B()
-	w := max(1, min(env.ScanBatch(1)/2, n-1)) // each swap touches at most 2 distinct blocks
-	buf := env.Cache.Buf(2 * w * b)
-	idx := make([]int, 0, 2*w)     // distinct touched blocks, first-touch order
-	slot := make(map[int]int, 2*w) // block index -> slot in buf
-	js := make([]int, w)
-	touch := func(i int) {
-		if _, seen := slot[i]; !seen {
-			slot[i] = len(idx)
-			idx = append(idx, i)
-		}
-	}
-	// draw lays out the window of swaps from i0: its targets, from the
-	// tape, and the blocks it touches, in idx.
-	draw := func(i0 int) {
-		cnt := min(w, n-1-i0)
-		idx = idx[:0]
-		clear(slot)
-		for t := 0; t < cnt; t++ {
-			i := i0 + t
-			j := i + env.Tape.IntN(n-i)
-			js[t] = j
-			touch(i)
-			touch(j)
-		}
-		// Every touched block lies at or after i0, so padding with the
-		// lowest untouched ones makes every window move exactly
-		// min(2·cnt, n−i0) blocks, whatever the tape drew: the pass's
-		// block I/Os are a function of n and w alone.
-		for p := i0 + cnt; len(idx) < min(2*cnt, n-i0); p++ {
-			touch(p)
-		}
-	}
-	draw(0)
-	a.ReadMany(idx, buf[:len(idx)*b])
-	for i0 := 0; i0 < n-1; i0 += w {
-		for t := 0; t < min(w, n-1-i0); t++ {
-			si, sj := slot[i0+t], slot[js[t]]
-			if si == sj {
-				continue
-			}
-			x, y := buf[si*b:(si+1)*b], buf[sj*b:(sj+1)*b]
-			for e := range x {
-				x[e], y[e] = y[e], x[e]
-			}
-		}
-		x := env.D.Batch(2 * w)
-		x.Write(a, idx)
-		if i0+w < n-1 {
-			draw(i0 + w)
-			x.Read(a, idx)
-		}
-		x.Do(buf, buf)
-	}
-	env.Cache.Free(buf)
 }

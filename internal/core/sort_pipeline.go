@@ -1,96 +1,177 @@
 package core
 
-import "oblivext/internal/extmem"
+import (
+	"slices"
 
-// consolidateColors is §5's (q+1)-way data consolidation: scan the array in
-// groups of `colors` blocks, keep per-color staging lists in the cache, and
-// emit exactly `colors` blocks per group — as many monochromatic full
-// blocks as available (up to the group quota), padded with empty blocks —
-// plus a fixed 2·colors-block flush of the partial remainders. Every block
-// of the output is monochromatic; all but the flush blocks are full. The
-// trace is a strict left-to-right read/write sequence.
-func consolidateColors(env *extmem.Env, a extmem.Array, colors int) extmem.Array {
-	n := a.Len()
-	b := a.B()
-	groups := extmem.CeilDiv(n, colors)
-	out := env.D.Alloc(groups*colors + 2*colors)
+	"oblivext/internal/extmem"
+)
 
-	// Staging: the held elements, in arrival order, in one buffer of
-	// colors·(2B−1), which they never exceed by the group accounting
-	// invariant (see package tests), plus the vectored chunk buffers sized
-	// from what cache remains. held[c] of them have color c.
-	stage := env.Cache.Buf(colors * (2*b - 1))
-	hold := stage[:0]
-	held := make([]int, colors+1) // 1-based colors
-	k := env.ScanBatchN(2, out.Len())
-	wbuf := env.Cache.Buf(k * b)
-	wr := extmem.NewSeqWriter(out, 0, wbuf)
+// consolidateShuffle is one distributing level's pass from its input a to
+// the shuffled consolidated array it returns, ap of lv.apLen blocks (§5).
+// It reads a once and colors every occupied element as it arrives: bucket
+// 1 + #splitters strictly below it.
+//
+// Consolidation: the occupied elements of each input block join a staging
+// buffer in the cache, and one output block takes the input block's place
+// — B elements of the first color holding B, or an empty block — then
+// 2·colors flush blocks take what remains, up to B elements of one color
+// each. Every output block is monochromatic, and all but the flush blocks
+// are full or empty. Between blocks the staging holds at most
+// colors·(B−1) elements: a block adds at most B, and then either a color
+// holds B and a full block leaves, or every color holds at most B−1. So it
+// holds at most B more while a block arrives, and what is left at the end
+// fills fewer than 2·colors blocks.
+//
+// Shuffle: the output blocks land through an inside-out Fisher–Yates —
+// output block i is swapped with block j = tape.IntN(i+1) of ap, j ≤ i —
+// so ap ends a uniform permutation of them, Corollary 19's assumption
+// (dealTail), and the tape draws only the j's. The pass runs in windows of
+// lv.win blocks: a window's input is read into its own slots and
+// consolidated there, its swaps are replayed in the cache against its
+// targets below it, read beforehand, and the window and those targets,
+// padded to exactly min(window, start) with the lowest untouched blocks,
+// go back in one exchange that carries the next window's input and
+// targets. Every count is a function of (n, B, free) and every address of
+// the tape.
+func consolidateShuffle(env *extmem.Env, a extmem.Array, bounds []bound, lv sortLevel) extmem.Array {
+	n, b, q := a.Len(), a.B(), len(bounds)
+	colors, l, w := q+1, lv.apLen, lv.win
+	ap := env.D.Alloc(l)
+	stage := env.Cache.Buf(colors*(b-1) + b)
+	buf := env.Cache.Buf(2 * w * b) // a window's targets, then the window
+	// The staged elements of color c are a queue through the stage's
+	// slots, head[c] to tail[c] by next, held[c] of them, and free chains
+	// the empty slots. A window's block s swaps with block loc[s] of buf;
+	// tgt lists its targets below it, which keys sorts as j·w+s. All of it
+	// is cut from one list.
+	scratch := make([]int, len(stage)+3*(colors+1)+3*w)
+	cut := func(n int) []int {
+		s := scratch[:n:n]
+		scratch = scratch[n:]
+		return s
+	}
+	next, head, tail, held := cut(len(stage)), cut(colors+1), cut(colors+1), cut(colors+1)
+	loc, keys, tgt := cut(w), cut(w)[:0], cut(w)[:0]
+	free := 0
+	for i := range next {
+		next[i] = i + 1
+	}
+	next[len(next)-1] = -1
+	for c := range head {
+		head[c], tail[c] = -1, -1
+	}
 
-	// take moves the first B held elements of color c, or all there are,
-	// into the next output block, empties after them, and closes the gaps
-	// they leave: each color leaves in the order it arrived.
-	take := func(c int) {
-		blk := wr.Next()
-		got, kept := 0, 0
-		for _, e := range hold {
-			if got < b && e.Color() == c {
-				blk[got] = e
-				got++
+	// draw lays out the window of cnt blocks from i0: nt = min(cnt, i0)
+	// targets below it, the distinct ones its draws hit in ascending
+	// order, then the lowest untouched ones.
+	nt := 0
+	draw := func(i0, cnt int) {
+		nt, keys, tgt = min(cnt, i0), keys[:0], tgt[:0]
+		for s := range cnt {
+			j := 0
+			if i := i0 + s; i > 0 {
+				j = env.Tape.IntN(i + 1)
+			}
+			if j >= i0 {
+				loc[s] = nt + j - i0
 			} else {
-				hold[kept] = e
-				kept++
+				keys = append(keys, j*w+s)
 			}
 		}
-		clear(blk[got:])
-		hold = hold[:kept]
-		held[c] -= got
-	}
-	emit := func(quota int) {
-		emitted := 0
-		for c := 1; c <= colors && emitted < quota; c++ {
-			for held[c] >= b && emitted < quota {
-				take(c)
-				emitted++
+		slices.Sort(keys)
+		for _, key := range keys {
+			if j := key / w; len(tgt) == 0 || tgt[len(tgt)-1] != j {
+				tgt = append(tgt, j)
 			}
+			loc[key%w] = len(tgt) - 1
 		}
-		for ; emitted < quota; emitted++ {
-			clear(wr.Next())
+		for p, k, hit := 0, 0, len(tgt); len(tgt) < nt; p++ {
+			if k < hit && tgt[k] == p {
+				k++
+			} else {
+				tgt = append(tgt, p)
+			}
 		}
 	}
 
-	// The input arrives a scan batch at a time; the group accounting runs
-	// after every colors-th block whatever the batch boundaries are.
-	env.Scan(a, extmem.Array{}, k, func(lo int, in []extmem.Element) {
-		for i := lo; i < lo+len(in)/b; i++ {
-			for _, e := range in[(i-lo)*b : (i-lo+1)*b] {
-				if e.Occupied() {
-					if len(hold) == cap(hold) {
-						panic("core: color consolidation holds more than colors·(2B−1) elements")
+	cnt := min(w, l)
+	draw(0, cnt)
+	a.ReadRange(0, min(cnt, n), buf[:min(cnt, n)*b])
+	for i0 := 0; i0 < l; {
+		win := buf[nt*b : (nt+cnt)*b]
+		for s := range cnt {
+			blk := win[s*b : (s+1)*b]
+			need := 1 // a flush block takes what a color has left
+			if i0+s < n {
+				need = b
+				for t := range blk {
+					if !blk[t].Occupied() {
+						continue
 					}
-					hold = append(hold, e)
-					held[e.Color()]++
+					if free < 0 {
+						panic("core: color consolidation holds more than colors·(B−1)+B elements")
+					}
+					c := 1
+					for j := range q {
+						if bounds[j].lessElem(blk[t]) {
+							c = j + 2
+						}
+					}
+					slot := free
+					free, next[slot] = next[slot], -1
+					stage[slot] = blk[t]
+					stage[slot].SetColor(c)
+					if tail[c] < 0 {
+						head[c] = slot
+					} else {
+						next[tail[c]] = slot
+					}
+					tail[c] = slot
+					held[c]++
 				}
 			}
-			if (i+1)%colors == 0 || i == n-1 {
-				emit(colors)
+			// The output block: the first B, or all, of the first color
+			// holding need, in the order they arrived, empties after.
+			c := 1
+			for c <= colors && held[c] < need {
+				c++
+			}
+			got := 0
+			for ; c <= colors && got < b && head[c] >= 0; got++ {
+				slot := head[c]
+				blk[got] = stage[slot]
+				head[c], next[slot], free = next[slot], free, slot
+			}
+			clear(blk[got:])
+			if c <= colors {
+				held[c] -= got
+				if head[c] < 0 {
+					tail[c] = -1
+				}
 			}
 		}
-	})
-	// Flush: partial blocks, padded to exactly 2·colors outputs.
-	flushed := 0
-	for c := 1; c <= colors; c++ {
-		for held[c] > 0 && flushed < 2*colors {
-			take(c)
-			flushed++
+		for s := range cnt {
+			if i, j := nt+s, loc[s]; i != j {
+				x, y := buf[i*b:(i+1)*b], buf[j*b:(j+1)*b]
+				for e := range x {
+					x[e], y[e] = y[e], x[e]
+				}
+			}
 		}
+		x := env.D.Batch(2 * w)
+		x.Write(ap, tgt)
+		x.WriteRange(ap, i0, i0+cnt)
+		if i0 += cnt; i0 < l {
+			cnt = min(w, l-i0)
+			draw(i0, cnt)
+			x.Read(ap, tgt)
+			x.ReadRange(a, min(i0, n), min(i0+cnt, n))
+		}
+		x.Do(buf, buf)
 	}
-	for ; flushed < 2*colors; flushed++ {
-		clear(wr.Next())
-	}
-	wr.Flush()
-	env.Cache.Free(wbuf)
+	env.Cache.Free(buf)
 	env.Cache.Free(stage)
-	return out
+	return ap
 }
 
 // deal distributes the shuffled monochromatic blocks into one array per

@@ -26,19 +26,22 @@ type sortLevel struct {
 	quota int // blocks the deal writes per colour per batch
 	capE  int // elements a bucket may hold
 	capB  int // blocks a bucket may fill: ⌈capE/B⌉, at most a colour array's length
-	apLen int // blocks of the consolidated array the shuffle and deal move
+	apLen int // blocks of the consolidated array the deal moves: n and 2(q+1) flush blocks
+	win   int // blocks of a window of consolidateShuffle: half the cache its staging leaves, less a block
 }
 
 // planAt is the level's shape with the deal batch fixed: q splitters, the
 // bucket capacity and the deal quota from their tails.
 func planAt(nBlocks, b, m int, occ int64, l float64, batch int) sortLevel {
 	q := splitterCount(m / b)
-	apLen := extmem.CeilDiv(nBlocks, q+1)*(q+1) + 2*(q+1)
+	apLen := nBlocks + 2*(q+1)
 	batches := extmem.CeilDiv(apLen, batch)
 	capE := bucketCap(nBlocks, b, q, occ, l)
 	capB := extmem.CeilDiv(capE, b)
 	quota := dealQuota(apLen, batch, capB, batches*(q+1), l)
-	return sortLevel{q: q, batch: batch, quota: quota, capE: capE, capB: min(capB, batches*quota), apLen: apLen}
+	staged := (q+1)*(b-1) + b
+	win := min(max(1, (m-staged)/(2*b)-1), apLen)
+	return sortLevel{q: q, batch: batch, quota: quota, capE: capE, capB: min(capB, batches*quota), apLen: apLen, win: win}
 }
 
 // sortNode is one depth of a Sort's plan: the top level, or the bucket of
@@ -50,9 +53,9 @@ type sortNode struct {
 	lv     sortLevel // a distributing level's shape
 	resLen int       // blocks of the sorted result
 	cost   obs.Cost  // the price after the count scan, the nodes below included
-	// A distributing level's colorize, shuffle and deal, priced for their
+	// A distributing level's consolidateShuffle and deal, priced for their
 	// spans.
-	colorize, shuffle, deal obs.Cost
+	consolidate, deal obs.Cost
 }
 
 // sortKind is how a node sorts: in the cache, where its occupancy fits
@@ -142,30 +145,21 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 	sortOne := p.bucket(d, lv.capB)
 	nd.kind, nd.lv, nd.resLen = kindDistributes, lv, (lv.q+1)*p.nodes[d+1].resLen
 
-	// The sample's sort and the splitter read-off, then colorize.
+	// The sample's sort and the splitter read-off, then the pass to the
+	// shuffled consolidated array.
 	ns := extmem.CeilDiv(n, b)
-	nd.colorize, nd.shuffle, nd.deal = copyCost(n, b, m), shuffleCost(lv.apLen, b, m), dealCost(lv, b, m)
-	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(nd.colorize)
-	// Consolidation, beside its staging.
-	held := (lv.q + 1) * (2*b - 1)
-	c = c.Add(scanCost(n, b, m-held, 2)).Add(scanCost(lv.apLen, b, m-held, 2))
-	nd.cost = c.Add(nd.shuffle).Add(dealAndBucketsCost(lv, b, m, sortOne))
+	nd.consolidate, nd.deal = consolidateShuffleCost(n, lv), dealCost(lv, b, m)
+	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(nd.consolidate)
+	nd.cost = c.Add(dealAndBucketsCost(lv, b, m, sortOne))
 }
 
-// shuffleCost prices shuffleBlocks of n blocks of b elements against m
-// elements of the cache free: a read and a write of a fixed count per
-// window, each write carrying the next window's read.
-func shuffleCost(n, b, m int) obs.Cost {
-	if n < 2 {
-		return obs.Cost{}
-	}
-	w := max(1, min(max(1, m/b-1)/2, n-1))
-	c := obs.Cost{RoundTrips: 1}
-	for i0 := 0; i0 < n-1; i0 += w {
-		moved := min(2*min(w, n-1-i0), n-i0)
-		c = c.Add(obs.Cost{IOs: 2 * int64(moved), RoundTrips: 1})
-	}
-	return c
+// consolidateShuffleCost prices consolidateShuffle of a level over n
+// blocks: the input read and the apLen output blocks written once, and
+// every window after the first reading and writing as many targets as it
+// has blocks; a read, then one exchange a window.
+func consolidateShuffleCost(n int, lv sortLevel) obs.Cost {
+	targets := lv.apLen - lv.win
+	return obs.Cost{IOs: int64(n + lv.apLen + 2*targets), RoundTrips: int64(1 + extmem.CeilDiv(lv.apLen, lv.win))}
 }
 
 // bucket plans node d+1 for the buckets of capB blocks of node d and
@@ -187,8 +181,8 @@ func (p *sortPlan) bucket(d, capB int) obs.Cost {
 // planSort's plan, then the final compaction. Every level's shape is
 // public geometry — the top level's from nOcc, every level below from its
 // bucket's capacity — and every pass moves a fixed number of blocks, the
-// shuffle included, so the price is exact. A failed Sort stops before the
-// final compaction: its trace is a prefix of this one.
+// shuffle's padded windows included, so the price is exact. A failed Sort
+// stops before the final compaction: its trace is a prefix of this one.
 func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 	top := planSort(nBlocks, b, m, int64(nOcc)).nodes[0]
 	c := countCost(nBlocks, b, m).Add(top.cost).Add(route.ConsolidateCompactCost(top.resLen, b, m))

@@ -22,9 +22,9 @@ func TestSortPlanRows(t *testing.T) {
 		n, b, m int
 		want    sortLevel
 	}{
-		{8192, 8, 4096, sortLevel{q: 4, batch: 249, quota: 119, capE: 15912, capB: 1989, apLen: 8205}},
-		{128, 8, 512, sortLevel{q: 2, batch: 27, quota: 27, capE: 937, capB: 118, apLen: 135}},
-		{1100, 64, 4096, sortLevel{q: 2, batch: 27, quota: 27, capE: 35288, capB: 552, apLen: 1107}},
+		{8192, 8, 4096, sortLevel{q: 4, batch: 249, quota: 119, capE: 15912, capB: 1989, apLen: 8202, win: 252}},
+		{128, 8, 512, sortLevel{q: 2, batch: 27, quota: 27, capE: 937, capB: 118, apLen: 134, win: 29}},
+		{1100, 64, 4096, sortLevel{q: 2, batch: 27, quota: 27, capE: 35288, capB: 552, apLen: 1106, win: 29}},
 	} {
 		occ := int64(c.n * c.b)
 		if got := planSort(c.n, c.b, c.m, occ).nodes[0].lv; got != c.want {
@@ -100,8 +100,8 @@ func TestDealBatchNoDearerThanPaper(t *testing.T) {
 // level's own code at a loosened target, ε = 2^-4, where the plan's
 // capacity and quota are small enough for overflows to be counted: the
 // sample scan, its sort and the splitter read-off against the bucket
-// capacity, and the shuffle and deal, with every colour owning its full
-// capacity, against the quota. Each observed rate must stay under its
+// capacity, and the pass that colours, consolidates and shuffles, then the
+// deal, with every colour owning its full capacity, against the quota. Each observed rate must stay under its
 // stated bound; at the mean instead of the plan's figure both overflow
 // often, so the harness can see an overflow at all.
 func TestSortTailsMonteCarlo(t *testing.T) {
@@ -137,21 +137,27 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 		}
 		return slices.Max(size) > capE
 	}
+	// The level's input, colour-sorted: colour c+1 owns the capB blocks
+	// keyed from c·capB, as far as the n blocks reach, by the splitters
+	// below, and consolidateShuffle colours and shuffles them.
+	splitters := make([]bound, pl.q)
+	for j := range splitters {
+		splitters[j] = bound{key: uint64((j+1)*pl.capB - 1), pos: math.MaxUint64}
+	}
 	dealOver := func(quota int, seed uint64) bool {
 		env := newTestEnv(8*n, b, m, seed)
-		ap := env.D.Alloc(pl.apLen)
+		a := env.D.Alloc(n)
 		blk := make([]extmem.Element, b)
-		for i := 0; i < pl.apLen; i++ {
+		for i := range n {
 			clear(blk)
-			if c := i / pl.capB; c <= pl.q {
+			if i/pl.capB <= pl.q {
 				for j := range blk {
 					blk[j] = extmem.Element{Key: uint64(i), Pos: uint64(i*b + j), Flags: extmem.FlagOccupied}
-					blk[j].SetColor(c + 1)
 				}
 			}
-			ap.Write(i, blk)
+			a.Write(i, blk)
 		}
-		shuffleBlocks(env, ap)
+		ap := consolidateShuffle(env, a, splitters, pl)
 		_, ok := deal(env, ap, pl.q+1, pl.batch, quota)
 		return !ok
 	}

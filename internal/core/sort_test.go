@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
+	"oblivext/internal/rng"
 	"oblivext/internal/route"
 	"oblivext/internal/trace"
 )
@@ -100,20 +102,23 @@ func TestSortRecursivePipeline(t *testing.T) {
 
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
-// M=4096): exactly SortCost's 325 349 block I/Os (39.72 a block) in 651
-// round trips (963 while the scans, the routing groups, the deal and the
-// shuffle sent each write apart from the next read, 1 026 while the
-// deterministic sort's passes did too) for every input, under one trace, and a Disk high water of
-// exactly 67 076 blocks, the input's 8 192 included (70 528 while every
-// bucket was copied out, sorted and copied down, and dealt 5 005 blocks).
+// M=4096): exactly SortCost's 292 549 block I/Os (35.71 a block) in 567
+// round trips (325 349 in 651 while colorize, consolidation and shuffle
+// were three passes; 963 round trips while the scans, the routing groups,
+// the deal and the shuffle sent each write apart from the next read, 1 026
+// while the deterministic sort's passes did too) for every input, under
+// one trace, and a Disk high water of exactly 58 881 blocks, the input's
+// 8 192 included (67 076 while the level colored its input into a copy;
+// 70 528 while every bucket was copied out, sorted and copied down, and
+// dealt 5 005 blocks).
 // An in-memory store commits memory as the Sort first writes it, so the
 // high water sets, to within a segment, what sort_mem allocates: more
 // scratch fails here.
 func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
 	want := SortCost(nBlocks, b, m, nBlocks*b)
-	if want != (obs.Cost{IOs: 325349, RoundTrips: 651}) {
-		t.Fatalf("SortCost = %+v, want 325 349 I/Os in 651 round trips", want)
+	if want != (obs.Cost{IOs: 292549, RoundTrips: 567}) {
+		t.Fatalf("SortCost = %+v, want 292 549 I/Os in 567 round trips", want)
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary
@@ -147,8 +152,8 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 		if hw := env.Cache.HighWater(); hw > m {
 			t.Errorf("%s keys: %d private elements > M=%d", kind, hw, m)
 		}
-		if hw := env.D.HighWater(); hw != 67076 {
-			t.Errorf("%s keys: disk high-water %d blocks, want 67 076 (8.188·n)", kind, hw)
+		if hw := env.D.HighWater(); hw != 58881 {
+			t.Errorf("%s keys: disk high-water %d blocks, want 58 881 (7.188·n)", kind, hw)
 		}
 		if sum := rec.Summarize(); i == 0 {
 			first = sum
@@ -498,11 +503,14 @@ func BenchmarkSortCost(b *testing.B) {
 }
 
 // TestSortAllocs: one randomized Sort at the benchmark's sort_mem geometry
-// allocates a few dozen heap objects, a level's bookkeeping, and none per
-// block or per element: the color consolidation stages its elements in
-// one buffer checked out of the cache and the deal indexes a batch in
-// storage it reuses (3 640 objects a Sort while the consolidation's
-// per-color slices grew and were cut from the front).
+// allocates 19 heap objects, a level's bookkeeping, and none per block or
+// per element: the color consolidation stages its elements in one buffer
+// checked out of the cache, its shuffle lays out every window in one list
+// it reuses, and the deal indexes a batch in storage it reuses. The bound
+// is the count itself, so one more object a Sort fails here (25 while
+// colorize, consolidation and shuffle were three passes, the shuffle with
+// a map; 3 640 while the consolidation's per-color slices grew and were
+// cut from the front).
 func TestSortAllocs(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
 	env := newTestEnv(nBlocks, b, m, 1)
@@ -518,8 +526,8 @@ func TestSortAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 48 {
-		t.Errorf("a Sort allocates %.0f objects, want at most 48", allocs)
+	if allocs > 19 {
+		t.Errorf("a Sort allocates %.0f objects, want at most 19", allocs)
 	}
 }
 
@@ -619,28 +627,43 @@ func TestSortCacheBound(t *testing.T) {
 	}
 }
 
+// TestConsolidateColorsStructure: the pass from a level's input to its
+// shuffled consolidated array colours every element by the splitters and
+// keeps every one of them, in n + 2·colors blocks, each monochromatic and
+// each full or empty but for fewer than 2·colors flush blocks.
 func TestConsolidateColorsStructure(t *testing.T) {
-	env := newTestEnv(1024, 4, 256, 15)
-	a := env.D.Alloc(32)
+	const n, b, colors = 32, 4, 4
+	env := newTestEnv(1024, b, 256, 15)
+	a := env.D.Alloc(n)
 	r := rand.New(rand.NewPCG(6, 6))
-	elems := make([]extmem.Element, 128)
+	elems := make([]extmem.Element, n*b)
 	counts := map[int]int{}
 	for i := range elems {
-		c := 1 + r.IntN(4)
-		elems[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
-		elems[i].SetColor(c)
+		if r.IntN(5) == 0 {
+			continue
+		}
+		c := 1 + r.IntN(colors)
+		elems[i] = extmem.Element{Key: uint64((c-1)*1000 + i), Pos: uint64(i), Flags: extmem.FlagOccupied}
 		counts[c]++
 	}
 	writeElems(a, elems)
-	out := consolidateColors(env, a, 4)
+	splitters := []bound{{key: 999, pos: math.MaxUint64}, {key: 1999, pos: math.MaxUint64}, {key: 2999, pos: math.MaxUint64}}
+	out := consolidateShuffle(env, a, splitters, sortLevel{q: colors - 1, apLen: n + 2*colors, win: 3})
+	if out.Len() != n+2*colors {
+		t.Fatalf("%d blocks out, want %d", out.Len(), n+2*colors)
+	}
 	gotCounts := map[int]int{}
-	buf := make([]extmem.Element, 4)
+	partial := 0
+	buf := make([]extmem.Element, b)
 	for i := 0; i < out.Len(); i++ {
 		out.Read(i, buf)
-		blockColor := -1
+		blockColor, occ := -1, 0
 		for _, e := range buf {
 			if !e.Occupied() {
 				continue
+			}
+			if want := 1 + int(e.Key)/1000; e.Color() != want {
+				t.Fatalf("block %d: key %d colored %d, want %d", i, e.Key, e.Color(), want)
 			}
 			if blockColor == -1 {
 				blockColor = e.Color()
@@ -649,11 +672,182 @@ func TestConsolidateColorsStructure(t *testing.T) {
 				t.Fatalf("block %d not monochromatic", i)
 			}
 			gotCounts[e.Color()]++
+			occ++
 		}
+		if occ > 0 && occ < b {
+			partial++
+		}
+	}
+	if partial >= 2*colors {
+		t.Fatalf("%d partial blocks, want fewer than %d", partial, 2*colors)
 	}
 	for c, want := range counts {
 		if gotCounts[c] != want {
 			t.Fatalf("color %d: %d elements out, want %d", c, gotCounts[c], want)
+		}
+	}
+}
+
+// consolidateShuffleRef is consolidateShuffle as two scalar loops over a's
+// cells: the consolidation block by block, a FIFO queue per colour, then
+// the inside-out Fisher–Yates, output block i ≥ 1 swapped with block
+// j = tape.IntN(i+1). It returns the blocks and the draws, js[i] = j.
+func consolidateShuffleRef(cells []extmem.Element, b int, bounds []bound, tape *rng.Tape) ([][]extmem.Element, []int) {
+	colors, n := len(bounds)+1, len(cells)/b
+	queue := make([][]extmem.Element, colors+1)
+	out := make([][]extmem.Element, n+2*colors)
+	for i := range out {
+		need := 1
+		if i < n {
+			need = b
+			for _, e := range cells[i*b : (i+1)*b] {
+				if e.Occupied() {
+					c := 1
+					for j, bd := range bounds {
+						if bd.lessElem(e) {
+							c = j + 2
+						}
+					}
+					e.SetColor(c)
+					queue[c] = append(queue[c], e)
+				}
+			}
+		}
+		out[i] = make([]extmem.Element, b)
+		for c := 1; c <= colors; c++ {
+			if len(queue[c]) >= need {
+				k := copy(out[i], queue[c])
+				queue[c] = queue[c][k:]
+				break
+			}
+		}
+	}
+	js := make([]int, len(out))
+	for i := 1; i < len(out); i++ {
+		js[i] = tape.IntN(i + 1)
+		out[i], out[js[i]] = out[js[i]], out[i]
+	}
+	return out, js
+}
+
+// TestConsolidateShuffleMatchesScalar: the one pass from a level's input to
+// its shuffled consolidated array leaves, block for block, what the scalar
+// consolidation and then the scalar inside-out Fisher–Yates leave on the
+// same tape, at its predicted price. The rows: a small window over an
+// output whose length is no multiple of it, where draws of one window hit
+// one target below it twice and a block inside it; the top level of a
+// Sort at (300, 8, 512); and the level below the top at
+// TestSortRecursionReachable's geometry, B = 64, over a bucket of 552
+// blocks.
+func TestConsolidateShuffleMatchesScalar(t *testing.T) {
+	below := planSort(1100, 64, 4096, 1100*64)
+	for _, row := range []struct {
+		name    string
+		n, b, m int
+		lv      sortLevel
+	}{
+		{"collisions", 37, 4, 256, sortLevel{q: 2, apLen: 37 + 6, win: 5}},
+		{"top", 300, 8, 512, planSort(300, 8, 512, 300*8).nodes[0].lv},
+		{"below-top", below.nodes[0].lv.capB, 64, 4096, below.nodes[1].lv},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			n, b, lv := row.n, row.b, row.lv
+			if lv.apLen%lv.win == 0 || lv.apLen != n+2*(lv.q+1) {
+				t.Fatalf("%+v over %d blocks: want an output of n + 2(q+1) blocks, no multiple of the window", lv, n)
+			}
+			r := rand.New(rand.NewPCG(uint64(n), 56))
+			cells := make([]extmem.Element, n*b)
+			keys := make([]uint64, 0, len(cells))
+			for i := range cells {
+				if r.IntN(7) > 0 {
+					cells[i] = extmem.Element{Key: r.Uint64() % 1000, Pos: uint64(i), Flags: extmem.FlagOccupied}
+					keys = append(keys, cells[i].Key)
+				}
+			}
+			slices.Sort(keys)
+			bounds := make([]bound, lv.q)
+			for j := range bounds {
+				bounds[j] = bound{key: keys[(j+1)*len(keys)/(lv.q+1)], pos: uint64(j * 7)}
+			}
+			env, ref := newTestEnv(4*n, b, row.m, 56), newTestEnv(0, b, row.m, 56)
+			a := env.D.Alloc(n)
+			writeElems(a, cells)
+			env.D.ResetStats()
+			ap := consolidateShuffle(env, a, bounds, lv)
+			if got, want := env.D.Stats().Cost(), consolidateShuffleCost(n, lv); got != want {
+				t.Errorf("measured %+v, predicted %+v", got, want)
+			}
+			if hw := env.Cache.HighWater(); hw > row.m {
+				t.Errorf("cache high-water %d > M = %d", hw, row.m)
+			}
+			wantBlocks, js := consolidateShuffleRef(cells, b, bounds, ref.Tape)
+			got := readElems(ap)
+			for i, blk := range wantBlocks {
+				for k, e := range blk {
+					if got[i*b+k] != e {
+						t.Fatalf("block %d, cell %d = %+v, the scalar reference's %+v", i, k, got[i*b+k], e)
+					}
+				}
+			}
+			if row.name != "collisions" {
+				return
+			}
+			twice, inside := false, false
+			for i0 := lv.win; i0 < lv.apLen; i0 += lv.win {
+				seen := map[int]bool{}
+				for i := i0; i < min(i0+lv.win, lv.apLen); i++ {
+					twice = twice || js[i] < i0 && seen[js[i]]
+					inside = inside || js[i] >= i0 && js[i] < i
+					seen[js[i]] = true
+				}
+			}
+			if !twice || !inside {
+				t.Errorf("no window drew one target below it twice (%v) or a block inside it (%v)", twice, inside)
+			}
+		})
+	}
+}
+
+// TestConsolidateShuffleUniform: a block's final position in the shuffled
+// consolidated array is uniform. Ten full blocks, each of one colour, so
+// that consolidation leaves each in its own place, go through the pass in
+// windows of 3 into 14 blocks, 20 000 times from one tape; each block's
+// count per position is tested by Pearson's χ² with 13 degrees of freedom
+// against 41.2, the Wilson–Hilferty value at 10^-4 (Bonferroni over the ten
+// blocks: a false alarm at most 10^-3 over the test).
+func TestConsolidateShuffleUniform(t *testing.T) {
+	const n, b, trials = 10, 2, 20000
+	lv := sortLevel{q: 1, apLen: n + 4, win: 3}
+	env := newTestEnv(n+lv.apLen, b, 64, 57)
+	a := env.D.Alloc(n)
+	cells := make([]extmem.Element, n*b)
+	for i := range cells {
+		cells[i] = extmem.Element{Key: uint64(i / b), Pos: uint64(i), Flags: extmem.FlagOccupied}
+	}
+	writeElems(a, cells)
+	bounds := []bound{{key: n / 2, pos: 0}}
+	count := make([][]int, n)
+	for i := range count {
+		count[i] = make([]int, lv.apLen)
+	}
+	for range trials {
+		mark := env.D.Mark()
+		for pos, e := range readElems(consolidateShuffle(env, a, bounds, lv)) {
+			if e.Occupied() && e.Pos%b == 0 {
+				count[e.Key][pos/b]++
+			}
+		}
+		env.D.Release(mark)
+	}
+	const crit = 41.2
+	expect := float64(trials) / float64(lv.apLen)
+	for blk, row := range count {
+		chi := 0.0
+		for _, o := range row {
+			chi += (float64(o) - expect) * (float64(o) - expect) / expect
+		}
+		if chi > crit {
+			t.Errorf("block %d: χ² = %.1f > %.1f over its positions %v", blk, chi, crit, row)
 		}
 	}
 }

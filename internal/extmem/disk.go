@@ -217,6 +217,14 @@ func (x *Batch) Write(a Array, is []int) { x.w = x.add(x.w, a, is, 0, 0) }
 // Read adds blocks is of a to the blocks to read.
 func (x *Batch) Read(a Array, is []int) { x.r = x.add(x.r, a, is, 0, 0) }
 
+// WriteRange adds blocks [lo, hi) of a to the blocks to write.
+func (x *Batch) WriteRange(a Array, lo, hi int) {
+	if lo < 0 || hi < lo || hi > a.n {
+		panic(fmt.Sprintf("extmem: bad range write [%d,%d) of %d", lo, hi, a.n))
+	}
+	x.w = x.add(x.w, a, nil, lo, hi)
+}
+
 // ReadRange adds blocks [lo, hi) of a to the blocks to read.
 func (x *Batch) ReadRange(a Array, lo, hi int) {
 	if lo < 0 || hi < lo || hi > a.n {

@@ -424,10 +424,11 @@ func TestBatchChecksItsBlocks(t *testing.T) {
 	buf := make([]Element, 4*b)
 	x := d.Batch(3)
 	x.Write(c, []int{2, 0})
+	x.WriteRange(c, 1, 2)
 	x.ReadRange(a, 1, 3)
 	x.Read(c, []int{3})
 	x.Do(buf, buf)
-	want := []trace.Op{{Kind: trace.Write, Addr: 6}, {Kind: trace.Write, Addr: 4}, {Kind: trace.Read, Addr: 1}, {Kind: trace.Read, Addr: 2}, {Kind: trace.Read, Addr: 7}}
+	want := []trace.Op{{Kind: trace.Write, Addr: 6}, {Kind: trace.Write, Addr: 4}, {Kind: trace.Write, Addr: 5}, {Kind: trace.Read, Addr: 1}, {Kind: trace.Read, Addr: 2}, {Kind: trace.Read, Addr: 7}}
 	if ops := rec.Ops(); !slices.Equal(ops, want) || d.Stats().RoundTrips != 1 {
 		t.Fatalf("traced %v in %d round trips, want %v in 1", ops, d.Stats().RoundTrips, want)
 	}
@@ -444,6 +445,7 @@ func TestBatchChecksItsBlocks(t *testing.T) {
 		"index past the array": func(x *Batch) { x.Write(a, []int{4}) },
 		"negative index":       func(x *Batch) { x.Read(a, []int{-1}) },
 		"range past the array": func(x *Batch) { x.ReadRange(a, 3, 5) },
+		"write past the array": func(x *Batch) { x.WriteRange(a, 3, 5) },
 		"another disk":         func(x *Batch) { x.ReadRange(other, 0, 1) },
 		"over its blocks":      func(x *Batch) { x.ReadRange(a, 0, 4) },
 	} {

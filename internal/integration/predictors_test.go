@@ -277,7 +277,7 @@ func TestPredictorsExact(t *testing.T) {
 	}
 	priced := map[string]bool{}
 	defer func() {
-		for _, name := range []string{"colorize", "shuffle", "deal", "butterfly-compact", "consolidate-compact"} {
+		for _, name := range []string{"consolidate-shuffle", "deal", "butterfly-compact", "consolidate-compact"} {
 			if !priced[name] {
 				t.Errorf("no %s span carried a price over the rows", name)
 			}
@@ -309,7 +309,7 @@ func TestPredictorsExact(t *testing.T) {
 					t.Errorf("measured %+v, predicted %+v", got, want)
 				}
 				// Every span that carries a price measures it, to the
-				// access and the round trip: the Sort's colorize, shuffle
+				// access and the round trip: the Sort's consolidate-shuffle
 				// and deal among them. Bucket sort prices its buckets by a
 				// bound, not exactly.
 				if c.name != "obsort.BucketSort" {
