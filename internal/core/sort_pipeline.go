@@ -159,12 +159,12 @@ func consolidateShuffle(env *extmem.Env, a extmem.Array, bounds []bound, lv sort
 			}
 		}
 		x := env.D.Batch(2 * w)
-		x.Write(ap, tgt)
+		x.Write(ap, tgt...)
 		x.WriteRange(ap, i0, i0+cnt)
 		if i0 += cnt; i0 < l {
 			cnt = min(w, l-i0)
 			draw(i0, cnt)
-			x.Read(ap, tgt)
+			x.Read(ap, tgt...)
 			x.ReadRange(a, min(i0, n), min(i0+cnt, n))
 		}
 		x.Do(buf, buf)
@@ -223,12 +223,16 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 				perColor[c] = append(perColor[c], i)
 			}
 		}
-		idx := env.D.IndexScratch(k)
+		// Color c's quota goes to blocks [c0, c0+quota) of all, batch g's
+		// run of out[c-1], written from wbuf k blocks at a time.
+		next := min(hi+batch, n)
+		x := env.D.Batch(max(k, next-hi))
 		fill := 0
 		for c := 1; c <= colors; c++ {
 			if len(perColor[c]) > quota {
 				ok = false // Corollary 19 overflow; excess blocks dropped
 			}
+			c0, run := (c-1)*l+g*quota, 0
 			for s := 0; s < quota; s++ {
 				blk := wbuf[fill*b : (fill+1)*b]
 				if s < len(perColor[c]) {
@@ -236,17 +240,16 @@ func deal(env *extmem.Env, a extmem.Array, colors, batch, quota int) ([]extmem.A
 				} else {
 					clear(blk)
 				}
-				idx[fill] = (c-1)*l + g*quota + s
 				if fill++; fill == k && (c-1)*quota+s+1 < per {
-					all.WriteMany(idx, wbuf)
-					fill = 0
+					x.WriteRange(all, c0+run, c0+s+1)
+					x.Do(wbuf, nil)
+					x = env.D.Batch(max(k, next-hi))
+					fill, run = 0, s+1
 				}
 			}
+			x.WriteRange(all, c0+run, c0+quota)
 		}
 		// The batch's last write, and the next batch's read.
-		next := min(hi+batch, n)
-		x := env.D.Batch(max(fill, next-hi))
-		x.Write(all, idx[:fill])
 		x.ReadRange(a, hi, next)
 		x.Do(wbuf, buf)
 	}

@@ -360,14 +360,15 @@ func TestCryptStoreTraceAndRoundTripNeutral(t *testing.T) {
 	const b = 4
 	workload := func(store BlockStore) (trace.Summary, obs.Counters) {
 		d := NewDisk(store)
+		a := d.Alloc(16)
 		rec := trace.NewRecorder(0)
 		d.SetRecorder(rec)
 		buf := make([]Element, 3*b)
 		d.WriteMany([]int{2, 5, 7}, mkElems(3*b, 1))
 		d.ReadMany([]int{7, 2, 5}, buf)
-		d.Write(3, buf[:b])
-		d.Read(3, buf[:b])
-		d.ReadRun(2, 3, buf)
+		a.Write(3, buf[:b])
+		a.Read(3, buf[:b])
+		a.ReadRange(2, 5, buf)
 		return rec.Summarize(), d.Stats()
 	}
 	plainSum, plainStats := workload(NewMemStore(16, b))
@@ -459,10 +460,11 @@ func TestCryptStoreBatchTamperDetected(t *testing.T) {
 }
 
 // TestWiderBatchReusesScratch pins the growth rule of the sealed file path's
-// per-batch scratch — the Disk's address and index lists, the CryptStore's
+// per-batch scratch — the Disk's two address lists, the CryptStore's
 // staging and the FileStore's wire buffer — at a power of two of blocks: a
-// 512-block batch, a cache-wide bitonic gather at B = 8, M = 4096, after the
-// 511-block batches a scan of that cache makes, allocates nothing.
+// 512-block batch, a cache-wide bitonic gather at B = 8, M = 4096, built
+// block by block after the 511-block batches a scan of that cache makes,
+// allocates nothing, and reads back what it wrote.
 func TestWiderBatchReusesScratch(t *testing.T) {
 	const b = 8
 	fs, err := NewFileStore(filepath.Join(t.TempDir(), "blocks"), 1024, CryptChildBlockSize(b))
@@ -475,22 +477,33 @@ func TestWiderBatchReusesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDisk(cs)
-	buf := mkElems(512*b, 5)
-	d.WriteRun(0, 511, buf[:511*b])
-	d.ReadRun(0, 511, buf[:511*b])
+	a := d.Alloc(1024)
+	want := mkElems(512*b, 5)
+	buf := slices.Clone(want)
+	a.WriteRange(0, 511, buf[:511*b])
+	a.ReadRange(0, 511, buf[:511*b])
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	idx := d.IndexScratch(512)
-	for i := range idx {
-		idx[i] = 2 * i
+	x := d.Batch(512)
+	for i := 0; i < 512; i++ {
+		x.Write(a, 2*i)
 	}
-	d.WriteMany(idx, buf)
-	d.ReadMany(idx, buf)
-	d.WriteRun(512, 512, buf)
-	d.ReadRun(512, 512, buf)
+	x.Do(buf, nil)
+	clear(buf)
+	x = d.Batch(512)
+	for i := 0; i < 512; i++ {
+		x.Read(a, 2*i)
+	}
+	x.Do(nil, buf)
+	a.WriteRange(512, 1024, buf)
+	clear(buf)
+	a.ReadRange(512, 1024, buf)
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("512-block batches after 511-block ones: %d allocations, want 0", n)
+	}
+	if !slices.Equal(buf, want) {
+		t.Error("the sealed 512-block batches read back other data than they wrote")
 	}
 }

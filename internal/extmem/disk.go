@@ -34,12 +34,10 @@ type Disk struct {
 	rec      *trace.Recorder
 	obs      *obs.Collector
 	top      int
-	topMax   int    // largest top any Alloc reached
-	maxBatch int    // blocks per store interaction; 0 = unlimited, 1 = scalar
-	addrs    []int  // scratch for building address lists (an exchange's writes)
-	raddrs   []int  // an exchange's reads, as long as addrs
-	idx      []int  // caller-filled block-index scratch, as long as addrs
-	one      [1]int // address list of a one-block Read/Write
+	topMax   int   // largest top any Alloc reached
+	maxBatch int   // blocks per store interaction; 0 = unlimited, 1 = scalar
+	addrs    []int // a Batch's write addresses
+	raddrs   []int // a Batch's read addresses, as long as addrs
 }
 
 // NewDisk wraps a block store. The allocator starts at block 0.
@@ -107,29 +105,17 @@ func (d *Disk) SetObs(c *obs.Collector) { d.obs = c }
 // Obs returns the attached span collector, if any.
 func (d *Disk) Obs() *obs.Collector { return d.obs }
 
-// Read copies block addr into dst and logs the access (one round trip): a
-// batch of one, issued through the Disk-owned address scratch so the
-// algorithms' one-block accesses allocate nothing.
-func (d *Disk) Read(addr int, dst []Element) {
-	d.one[0] = addr
-	d.ReadMany(d.one[:], dst)
-}
+// ReadMany copies blocks addrs[i], absolute addresses, into
+// dst[i*B:(i+1)*B]. The algorithms name blocks through Batch, which checks
+// each against its array; ReadMany and WriteMany remain for the benchmark
+// module's layer probes, which time the Disk itself.
+func (d *Disk) ReadMany(addrs []int, dst []Element) { d.exchange(nil, nil, addrs, dst) }
 
-// Write copies src into block addr and logs the access (one round trip).
-func (d *Disk) Write(addr int, src []Element) {
-	d.one[0] = addr
-	d.WriteMany(d.one[:], src)
-}
+// WriteMany copies src[i*B:(i+1)*B] into blocks addrs[i], absolute
+// addresses; see ReadMany.
+func (d *Disk) WriteMany(addrs []int, src []Element) { d.exchange(addrs, src, nil, nil) }
 
-// ReadMany copies blocks addrs[i] into dst[i*B:(i+1)*B]: an Exchange with
-// nothing to write.
-func (d *Disk) ReadMany(addrs []int, dst []Element) { d.Exchange(nil, nil, addrs, dst) }
-
-// WriteMany copies src[i*B:(i+1)*B] into blocks addrs[i]: an Exchange with
-// nothing to read.
-func (d *Disk) WriteMany(addrs []int, src []Element) { d.Exchange(addrs, src, nil, nil) }
-
-// Exchange writes src[i*B:(i+1)*B] into blocks wAddrs[i], then reads blocks
+// exchange writes src[i*B:(i+1)*B] into blocks wAddrs[i], then reads blocks
 // rAddrs[j] into dst[j*B:(j+1)*B], in store interactions of at most
 // MaxBatch blocks each, both parts counted: with no cap, one interaction
 // for both. The recorded trace is the per-block sequence of WriteMany(wAddrs)
@@ -139,7 +125,7 @@ func (d *Disk) WriteMany(addrs []int, src []Element) { d.Exchange(addrs, src, ni
 // one fewer than the two calls would make whenever both parts are non-empty
 // and the cap leaves room. dst may alias src: every write is handed to the
 // store before any read fills dst.
-func (d *Disk) Exchange(wAddrs []int, src []Element, rAddrs []int, dst []Element) {
+func (d *Disk) exchange(wAddrs []int, src []Element, rAddrs []int, dst []Element) {
 	if len(src) != len(wAddrs)*d.b || len(dst) != len(rAddrs)*d.b {
 		panic(fmt.Sprintf("extmem: exchange buffers %d and %d != %d and %d blocks of %d",
 			len(src), len(dst), len(wAddrs), len(rAddrs), d.b))
@@ -169,53 +155,36 @@ func (d *Disk) Exchange(wAddrs []int, src []Element, rAddrs []int, dst []Element
 	}
 }
 
-// grow sizes the address and index scratch for batches of n blocks. All
-// three lists grow together, to a power of two of blocks, so a batch one
-// block wider than the scans before it — a 512-block gather after 511-block
-// scans — reuses what they grew, and a caller's index list is as long as
-// any batch the Disk has moved.
-func (d *Disk) grow(n int) {
-	if cap(d.idx) < n {
-		c := 1 << CeilLog2(n)
-		as := make([]int, 2*c)
-		d.addrs, d.raddrs, d.idx = as[:c:c], as[c:], make([]int, c)
-	}
-}
-
-// ExchangeScratch returns the Disk's two address lists, n entries each, for
-// a caller that builds an Exchange's absolute write and read addresses
-// itself, as a gather pass does batch after batch without another list.
-// They are the lists ReadRun, WriteRun and the Array methods build their
-// addresses in, so they stay the caller's until its next call of one of
-// those.
-func (d *Disk) ExchangeScratch(n int) (w, r []int) {
-	d.grow(n)
-	return d.addrs[:n], d.raddrs[:n]
-}
-
-// Batch gathers one Exchange out of array blocks: the blocks to write, then
-// the blocks to read, each named by its array and its index there and
-// checked as Array.ReadMany checks it, on this Disk. It builds the absolute
-// addresses in the Disk's two address lists (ExchangeScratch), so a pass
-// that sends a write with the next read of other blocks needs no list of
-// its own; they stay the Batch's until the Disk's next call that builds
-// addresses.
+// Batch gathers one exchange out of array blocks: the blocks to write, then
+// the blocks to read, each named by its array and its index there, checked
+// against that array and this Disk. It is the one place an array block
+// becomes an absolute address: every Array transfer is a Batch, and a pass
+// that sends a write with the next read of other blocks builds its own.
+// The addresses go in the Disk's two address lists, so a Batch allocates
+// nothing once they have grown; they stay its until the Disk's next Batch.
 type Batch struct {
 	d    *Disk
 	w, r []int
 }
 
-// Batch starts an exchange of at most n blocks each way.
+// Batch starts an exchange of at most n blocks each way. Both address
+// lists grow together, to a power of two of blocks, so a batch one block
+// wider than those before it — a 512-block gather after 511-block scans —
+// reuses what they grew.
 func (d *Disk) Batch(n int) Batch {
-	w, r := d.ExchangeScratch(n)
-	return Batch{d, w[:0:n], r[:0:n]}
+	if cap(d.addrs) < n {
+		c := 1 << CeilLog2(n)
+		as := make([]int, 2*c)
+		d.addrs, d.raddrs = as[:c:c], as[c:]
+	}
+	return Batch{d, d.addrs[:0:n], d.raddrs[:0:n]}
 }
 
 // Write adds blocks is of a to the blocks to write.
-func (x *Batch) Write(a Array, is []int) { x.w = x.add(x.w, a, is, 0, 0) }
+func (x *Batch) Write(a Array, is ...int) { x.w = x.add(x.w, a, is, 0, 0) }
 
 // Read adds blocks is of a to the blocks to read.
-func (x *Batch) Read(a Array, is []int) { x.r = x.add(x.r, a, is, 0, 0) }
+func (x *Batch) Read(a Array, is ...int) { x.r = x.add(x.r, a, is, 0, 0) }
 
 // WriteRange adds blocks [lo, hi) of a to the blocks to write.
 func (x *Batch) WriteRange(a Array, lo, hi int) {
@@ -255,45 +224,15 @@ func (x *Batch) add(as []int, a Array, is []int, lo, hi int) []int {
 }
 
 // Do writes the leading blocks of src over the blocks to write, then reads
-// the blocks to read into the leading blocks of dst, in one Exchange. dst
+// the blocks to read into the leading blocks of dst, in one exchange. dst
 // may alias src.
 func (x *Batch) Do(src, dst []Element) {
 	b := x.d.b
-	x.d.Exchange(x.w, src[:len(x.w)*b], x.r, dst[:len(x.r)*b])
+	x.d.exchange(x.w, src[:len(x.w)*b], x.r, dst[:len(x.r)*b])
 }
 
-// IndexScratch returns a Disk-owned list of n array block indices for the
-// caller to fill and pass to Array.ReadMany and WriteMany, which build
-// their address lists in other scratch. It stays the caller's until the
-// next IndexScratch call.
-func (d *Disk) IndexScratch(n int) []int {
-	d.grow(n)
-	return d.idx[:n]
-}
-
-// runAddrs fills the scratch address list with the run [base, base+n).
-func (d *Disk) runAddrs(base, n int) []int {
-	d.grow(n)
-	return fillRun(d.addrs[:n], base)
-}
-
-// fillRun sets as[i] = base+i and returns as.
-func fillRun(as []int, base int) []int {
-	for i := range as {
-		as[i] = base + i
-	}
-	return as
-}
-
-// ReadRun reads the contiguous blocks [base, base+n) into dst.
-func (d *Disk) ReadRun(base, n int, dst []Element) {
-	d.ReadMany(d.runAddrs(base, n), dst)
-}
-
-// WriteRun writes dst into the contiguous blocks [base, base+n).
-func (d *Disk) WriteRun(base, n int, src []Element) {
-	d.WriteMany(d.runAddrs(base, n), src)
-}
+// do is Do with src and dst exactly as long as the blocks they carry.
+func (x *Batch) do(src, dst []Element) { x.d.exchange(x.w, src, x.r, dst) }
 
 // Alloc reserves n fresh blocks and returns them as an Array. Allocation is
 // a client-side bookkeeping operation (no I/O, no trace): the request
@@ -376,77 +315,57 @@ func (a Array) Disk() *Disk { return a.d }
 
 // Read copies block i of the array into dst.
 func (a Array) Read(i int, dst []Element) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("extmem: array read index %d out of range [0,%d)", i, a.n))
-	}
-	a.d.Read(a.base+i, dst)
+	x := a.d.Batch(1)
+	x.Read(a, i)
+	x.do(nil, dst)
 }
 
 // Write copies src into block i of the array.
 func (a Array) Write(i int, src []Element) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("extmem: array write index %d out of range [0,%d)", i, a.n))
-	}
-	a.d.Write(a.base+i, src)
+	x := a.d.Batch(1)
+	x.Write(a, i)
+	x.do(src, nil)
 }
 
-// ReadMany copies blocks is[i] of the array into dst[i*B:(i+1)*B] through
-// the disk's vectored path.
+// ReadMany copies blocks is[i] of the array into dst[i*B:(i+1)*B] in one
+// exchange.
 func (a Array) ReadMany(is []int, dst []Element) {
-	a.d.ReadMany(a.absAddrs(is), dst)
+	x := a.d.Batch(len(is))
+	x.Read(a, is...)
+	x.do(nil, dst)
 }
 
-// WriteMany copies src[i*B:(i+1)*B] into blocks is[i] of the array through
-// the disk's vectored path.
+// WriteMany copies src[i*B:(i+1)*B] into blocks is[i] of the array in one
+// exchange.
 func (a Array) WriteMany(is []int, src []Element) {
-	a.d.WriteMany(a.absAddrs(is), src)
+	x := a.d.Batch(len(is))
+	x.Write(a, is...)
+	x.do(src, nil)
 }
 
 // ReadRange reads the contiguous blocks [lo, hi) of the array into dst
 // (len(dst) == (hi-lo)*B).
 func (a Array) ReadRange(lo, hi int, dst []Element) {
-	if lo < 0 || hi < lo || hi > a.n {
-		panic(fmt.Sprintf("extmem: bad range read [%d,%d) of %d", lo, hi, a.n))
-	}
-	a.d.ReadRun(a.base+lo, hi-lo, dst)
+	x := a.d.Batch(max(hi-lo, 0))
+	x.ReadRange(a, lo, hi)
+	x.do(nil, dst)
 }
 
 // WriteRange writes src into the contiguous blocks [lo, hi) of the array.
 func (a Array) WriteRange(lo, hi int, src []Element) {
-	if lo < 0 || hi < lo || hi > a.n {
-		panic(fmt.Sprintf("extmem: bad range write [%d,%d) of %d", lo, hi, a.n))
-	}
-	a.d.WriteRun(a.base+lo, hi-lo, src)
+	x := a.d.Batch(max(hi-lo, 0))
+	x.WriteRange(a, lo, hi)
+	x.do(src, nil)
 }
 
 // Exchange writes src over every block of a, then reads every block of
-// from, an array on the same disk, into dst: one Disk.Exchange, one round
-// trip for both. Either array may be empty. dst may alias src.
+// from, an array on the same disk, into dst: one exchange, one round trip
+// for both. Either array may be empty. dst may alias src.
 func (a Array) Exchange(src []Element, from Array, dst []Element) {
-	a.sameDisk(from)
-	a.d.grow(max(a.n, from.n))
-	a.d.Exchange(fillRun(a.d.addrs[:a.n], a.base), src, fillRun(a.d.raddrs[:from.n], from.base), dst)
-}
-
-// sameDisk panics unless from, when it holds blocks, is on a's disk.
-func (a Array) sameDisk(from Array) {
-	if from.n > 0 && from.d != a.d {
-		panic("extmem: exchange between arrays on different disks")
-	}
-}
-
-// absAddrs maps array-relative block indices to absolute disk addresses in
-// the disk's scratch list.
-func (a Array) absAddrs(is []int) []int {
-	a.d.grow(len(is))
-	as := a.d.addrs[:len(is)]
-	for i, idx := range is {
-		if idx < 0 || idx >= a.n {
-			panic(fmt.Sprintf("extmem: array access index %d out of range [0,%d)", idx, a.n))
-		}
-		as[i] = a.base + idx
-	}
-	return as
+	x := a.d.Batch(max(a.n, from.n))
+	x.WriteRange(a, 0, a.n)
+	x.ReadRange(from, 0, from.n)
+	x.do(src, dst)
 }
 
 // Slice returns the subarray [lo, hi).

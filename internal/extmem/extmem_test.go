@@ -331,12 +331,13 @@ func keysOf(es []Element, b int) []uint64 {
 
 func TestDiskCountsAndTrace(t *testing.T) {
 	d := NewDisk(NewMemStore(8, 2))
+	a := d.Alloc(8)
 	rec := trace.NewRecorder(100)
 	d.SetRecorder(rec)
 	buf := make([]Element, 2)
-	d.Write(3, buf)
-	d.Read(3, buf)
-	d.Read(5, buf)
+	a.Write(3, buf)
+	a.Read(3, buf)
+	a.Read(5, buf)
 	st := d.Stats()
 	if st.Reads != 2 || st.Writes != 1 {
 		t.Fatalf("stats = %+v, want 2 reads 1 write", st)
@@ -353,7 +354,7 @@ func TestDiskCountsAndTrace(t *testing.T) {
 	}
 }
 
-// TestExchangeIsWriteThenRead: an Exchange records exactly the per-block
+// TestExchangeIsWriteThenRead: an exchange records exactly the per-block
 // trace of WriteMany then ReadMany, moves the same blocks and reads back
 // the same data, with dst aliasing src too, and takes one round trip fewer
 // wherever the batch cap leaves room for both parts in one interaction. A
@@ -381,7 +382,7 @@ func TestExchangeIsWriteThenRead(t *testing.T) {
 			dst = in[:len(r)*b]
 		}
 		if exchange {
-			d.Exchange(w, in, r, dst)
+			d.exchange(w, in, r, dst)
 		} else {
 			d.WriteMany(w, in)
 			d.ReadMany(r, dst)
@@ -390,7 +391,7 @@ func TestExchangeIsWriteThenRead(t *testing.T) {
 	}
 	for _, c := range []struct {
 		limit      int
-		pair, exch int64 // round trips of the two calls and of the Exchange
+		pair, exch int64 // round trips of the two calls and of the exchange
 	}{{0, 2, 1}, {1, 8, 8}, {4, 3, 2}} {
 		ops, st, got := run(c.limit, false, false)
 		if st != (obsCounters{2, 6, c.pair}) || !slices.Equal(keysOf(got, b), []uint64{2, 99}) {
@@ -399,22 +400,23 @@ func TestExchangeIsWriteThenRead(t *testing.T) {
 		for _, alias := range []bool{false, true} {
 			xops, xst, xgot := run(c.limit, true, alias)
 			if !slices.Equal(xops, ops) {
-				t.Errorf("cap %d, alias %v: Exchange traced %v, the two calls %v", c.limit, alias, xops, ops)
+				t.Errorf("cap %d, alias %v: exchange traced %v, the two calls %v", c.limit, alias, xops, ops)
 			}
 			if xst != (obsCounters{2, 6, c.exch}) || !slices.Equal(xgot, got) {
-				t.Errorf("cap %d, alias %v: Exchange made %+v and read %v, want %d round trips and %v",
+				t.Errorf("cap %d, alias %v: exchange made %+v and read %v, want %d round trips and %v",
 					c.limit, alias, xst, keysOf(xgot, b), c.exch, keysOf(got, b))
 			}
 		}
 	}
 }
 
-// TestBatchChecksItsBlocks: a Batch is the Exchange of the absolute
+// TestBatchChecksItsBlocks: a Batch is the exchange of the absolute
 // addresses of the array blocks it names — writes first, in the order
 // added, then reads — in one round trip and no allocation once the Disk's
-// lists are grown; an index outside its array, a block of another disk or
-// more blocks than it was started with panic instead of reaching a
-// neighbouring array.
+// lists are grown, whether it names its blocks by list, one at a time or
+// by range; an index outside its array, a block of another disk or more
+// blocks than it was started with panic instead of reaching a neighbouring
+// array, in the shapes the passes build too.
 func TestBatchChecksItsBlocks(t *testing.T) {
 	const b = 2
 	d := NewDisk(NewMemStore(16, b))
@@ -423,31 +425,51 @@ func TestBatchChecksItsBlocks(t *testing.T) {
 	d.SetRecorder(rec)
 	buf := make([]Element, 4*b)
 	x := d.Batch(3)
-	x.Write(c, []int{2, 0})
+	x.Write(c, 2)
+	x.Write(c, 0)
 	x.WriteRange(c, 1, 2)
 	x.ReadRange(a, 1, 3)
-	x.Read(c, []int{3})
+	x.Read(c, []int{3}...)
 	x.Do(buf, buf)
 	want := []trace.Op{{Kind: trace.Write, Addr: 6}, {Kind: trace.Write, Addr: 4}, {Kind: trace.Write, Addr: 5}, {Kind: trace.Read, Addr: 1}, {Kind: trace.Read, Addr: 2}, {Kind: trace.Read, Addr: 7}}
 	if ops := rec.Ops(); !slices.Equal(ops, want) || d.Stats().RoundTrips != 1 {
 		t.Fatalf("traced %v in %d round trips, want %v in 1", ops, d.Stats().RoundTrips, want)
 	}
-	if n := testing.AllocsPerRun(3, func() {
+	byList := testing.AllocsPerRun(3, func() {
 		x := d.Batch(3)
-		x.Write(a, []int{0, 1, 2})
+		x.Write(a, []int{0, 1, 2}...)
 		x.ReadRange(c, 0, 3)
 		x.Do(buf, buf)
-	}); n != 0 {
-		t.Errorf("a warm batch allocated %v objects", n)
+	})
+	byBlock := testing.AllocsPerRun(3, func() {
+		x := d.Batch(3)
+		for i := 0; i < 3; i++ {
+			x.Write(a, i)
+			x.Read(c, 2-i)
+		}
+		x.Do(buf, buf)
+	})
+	if byList != 0 || byBlock != 0 {
+		t.Errorf("a warm batch allocated %v objects built by list, %v block by block", byList, byBlock)
 	}
+	// Shapes of the passes' batches: columnsort's slot k of column j is
+	// blocks [j·rb+k·sb, j·rb+(k+1)·sb) of its array, here two columns of
+	// two one-block slots; bitonic's gather reads block base|sub of its
+	// source; the ORAM's probe writes back by index into its level tables.
+	const rb, sb = 2, 1
+	src, tables := a, c
 	other := NewDisk(NewMemStore(16, b)).Alloc(4)
 	for name, add := range map[string]func(x *Batch){
-		"index past the array": func(x *Batch) { x.Write(a, []int{4}) },
-		"negative index":       func(x *Batch) { x.Read(a, []int{-1}) },
-		"range past the array": func(x *Batch) { x.ReadRange(a, 3, 5) },
-		"write past the array": func(x *Batch) { x.WriteRange(a, 3, 5) },
-		"another disk":         func(x *Batch) { x.ReadRange(other, 0, 1) },
-		"over its blocks":      func(x *Batch) { x.ReadRange(a, 0, 4) },
+		"index past the array":       func(x *Batch) { x.Write(a, 4) },
+		"negative index":             func(x *Batch) { x.Read(a, -1) },
+		"one of a list past":         func(x *Batch) { x.Read(a, 0, 4) },
+		"range past the array":       func(x *Batch) { x.ReadRange(a, 3, 5) },
+		"write past the array":       func(x *Batch) { x.WriteRange(a, 3, 5) },
+		"another disk":               func(x *Batch) { x.ReadRange(other, 0, 1) },
+		"over its blocks":            func(x *Batch) { x.ReadRange(a, 0, 4) },
+		"slot run past the column":   func(x *Batch) { x.WriteRange(a, 1*rb+2*sb, 1*rb+3*sb) },
+		"gather index past src":      func(x *Batch) { x.Read(src, src.Len()) },
+		"probe index past the table": func(x *Batch) { x.Write(tables, tables.Len()) },
 	} {
 		func() {
 			defer func() {

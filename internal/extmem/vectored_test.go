@@ -144,14 +144,15 @@ func TestFileStoreVectoredEncrypted(t *testing.T) {
 func TestDiskVectoredTraceAndStats(t *testing.T) {
 	scalar := func() *trace.Recorder {
 		d := NewDisk(NewMemStore(16, 4))
+		arr := d.Alloc(16)
 		rec := trace.NewRecorder(64)
 		d.SetRecorder(rec)
 		buf := make([]Element, 4)
 		for _, a := range []int{3, 1, 4, 1, 5} {
-			d.Read(a, buf)
+			arr.Read(a, buf)
 		}
 		for _, a := range []int{2, 6} {
-			d.Write(a, buf)
+			arr.Write(a, buf)
 		}
 		return rec
 	}()

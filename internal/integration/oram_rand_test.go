@@ -387,7 +387,7 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 			if int64(len(ops)) != rec.Len() {
 				t.Fatalf("%s/%s: recorder overflow (%d kept of %d)", be.name, st.name, len(ops), rec.Len())
 			}
-			ranges := o.LevelRanges()
+			ranges := o.LevelTables()
 			beta := int64(o.BucketSize())
 			const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 			h := uint64(fnvOffset)
@@ -401,8 +401,8 @@ func TestORAMAccessSequenceShapeInvariance(t *testing.T) {
 			for _, op := range ops {
 				lvl, slot := int64(-1), op.Addr
 				for li, r := range ranges {
-					if op.Addr >= int64(r[0]) && op.Addr < int64(r[1]) {
-						lvl, slot = int64(li), (op.Addr-int64(r[0]))%beta
+					if op.Addr >= int64(r.Base()) && op.Addr < int64(r.Base()+r.Len()) {
+						lvl, slot = int64(li), (op.Addr-int64(r.Base()))%beta
 						break
 					}
 				}

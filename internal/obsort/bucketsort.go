@@ -266,12 +266,10 @@ func bucketMergeSplit(env *extmem.Env, w extmem.Array, g bucketGeom, i, j int, s
 	obuf := env.Cache.Buf(2 * z)
 	defer env.Cache.Free(obuf)
 	defer env.Cache.Free(rbuf)
-	idx := env.D.IndexScratch(2 * g.zb)
-	for t := 0; t < g.zb; t++ {
-		idx[t] = i*g.zb + t
-		idx[g.zb+t] = j*g.zb + t
-	}
-	w.ReadMany(idx, rbuf)
+	x := env.D.Batch(2 * g.zb)
+	x.ReadRange(w, i*g.zb, (i+1)*g.zb)
+	x.ReadRange(w, j*g.zb, (j+1)*g.zb)
+	x.Do(nil, rbuf)
 
 	pad := extmem.Element{}
 	pad.SetColor(padColor)
@@ -301,7 +299,10 @@ func bucketMergeSplit(env *extmem.Env, w extmem.Array, g bucketGeom, i, j int, s
 	for t := n1; t < 2*z; t++ {
 		obuf[t] = pad
 	}
-	w.WriteMany(idx, obuf)
+	x = env.D.Batch(2 * g.zb)
+	x.WriteRange(w, i*g.zb, (i+1)*g.zb)
+	x.WriteRange(w, j*g.zb, (j+1)*g.zb)
+	x.Do(obuf, nil)
 	return nil
 }
 
@@ -358,11 +359,11 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 	spl := env.Cache.Buf(k2 - 1)
 	sb := g.sampleBlocks(f)
 	sbuf := env.Cache.Buf(sb * b)
-	sidx := env.D.IndexScratch(sb)
-	for t := range sidx {
-		sidx[t] = lo*g.zb + env.Tape.IntN(f*g.zb)
+	x := env.D.Batch(sb)
+	for t := 0; t < sb; t++ {
+		x.Read(w, lo*g.zb+env.Tape.IntN(f*g.zb))
 	}
-	w.ReadMany(sidx, sbuf)
+	x.Do(nil, sbuf)
 	InCache(sbuf, func(x, y extmem.Element) bool {
 		if xp, yp := x.Color() == padColor, y.Color() == padColor; xp || yp {
 			return !xp && yp

@@ -157,27 +157,23 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	env.Obs.End(spa)
 
 	spb := env.Obs.Start("sort-slots")
-	d := a.Disk()
-	cur, next := d.ExchangeScratch(rb)
-	slot := func(k int, as []int) []int { // the addresses of slot k of every column
-		for j := 0; j < s; j++ {
-			for q := 0; q < sb; q++ {
-				as[j*sb+q] = a.Base() + j*rb + k*sb + q
-			}
-		}
-		return as
+	x := a.Disk().Batch(rb)
+	for j := 0; j < s; j++ {
+		x.ReadRange(a, j*rb, j*rb+sb)
 	}
-	d.ReadMany(slot(0, cur), col)
+	x.Do(nil, col)
 	for k := 0; k < s; k++ {
 		ord.mergeRuns(col, per, aux)
-		rd := next[:0]
-		if k+1 < s {
-			rd = slot(k+1, next)
+		// Slot k of every column goes back from col, and slot k+1 lands in
+		// col: the store takes the write before it fills the read.
+		x = a.Disk().Batch(rb)
+		for j := 0; j < s; j++ {
+			x.WriteRange(a, j*rb+k*sb, j*rb+(k+1)*sb)
+			if k+1 < s {
+				x.ReadRange(a, j*rb+(k+1)*sb, j*rb+(k+2)*sb)
+			}
 		}
-		// The slot goes back from col, and the next one lands in col: the
-		// store takes the write before it fills the read.
-		d.Exchange(cur, col, rd, col[:len(rd)*b])
-		cur, next = next, cur
+		x.Do(col, col)
 	}
 	env.Obs.End(spb)
 

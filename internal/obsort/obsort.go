@@ -259,21 +259,21 @@ func (p gatherPass) local(j, lb int) int {
 // write to dst those of them it holds, together with the next batch's
 // read. A level of stage s ascends where bit s of the element index is
 // clear; that bit is a window bit, a constant of the batch, or — in the
-// last stage — clear everywhere. The batches' addresses are built in the
-// Disk's exchange scratch, a window long each way.
+// last stage — clear everywhere. Each exchange is a Batch, a window long
+// each way.
 func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, ord order) {
 	gb := int(p.gather >> s.lb)
 	rest := (s.np - 1) &^ gb
-	b, d := dst.B(), dst.Disk()
-	w, r := d.ExchangeScratch(len(win) / b)
-	batch := func(x extmem.Array, base int, as []int) []int { // batch base's addresses in x
-		for t, sub := 0, 0; t < len(as); t++ {
-			as[t] = x.Base() + (base | sub)
+	wb, d := len(win)/dst.B(), dst.Disk()
+	read := func(x *extmem.Batch, base int) { // batch base's blocks of src
+		for t, sub := 0, 0; t < wb; t++ {
+			x.Read(src, base|sub)
 			sub = ((sub | ^gb) + 1) & gb
 		}
-		return as
 	}
-	d.ReadMany(batch(src, 0, r), win)
+	x := d.Batch(wb)
+	read(&x, 0)
+	x.Do(nil, win)
 	for base := 0; ; {
 		stage, bit := p.stage, p.bit
 		for k := 0; k < p.levels; k++ {
@@ -288,13 +288,17 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 			ord.exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc)
 			stage, bit = nextLevel(stage, bit)
 		}
-		k, _ := slices.BinarySearch(batch(dst, base, w), dst.Base()+dst.Len())
-		base = ((base | ^rest) + 1) & rest
-		rd := r[:0]
-		if base != 0 {
-			rd = batch(src, base, r)
+		// The batch's blocks ascend, so those inside dst are a prefix.
+		x = d.Batch(wb)
+		for t, sub := 0, 0; t < wb && base|sub < dst.Len(); t++ {
+			x.Write(dst, base|sub)
+			sub = ((sub | ^gb) + 1) & gb
 		}
-		d.Exchange(w[:k], win[:k*b], rd, win[:len(rd)*b])
+		base = ((base | ^rest) + 1) & rest
+		if base != 0 {
+			read(&x, base)
+		}
+		x.Do(win, win)
 		if base == 0 {
 			return
 		}

@@ -52,9 +52,6 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	runLen := func(r int) int { return min(cb, n-r*cb) }
 
 	buf := env.Cache.Buf(2 * cb * b)
-	// The merge-splits' index list is Disk scratch, grown before round 0's
-	// range reads so that none of them outgrows it.
-	idx := env.D.IndexScratch(2 * cb)
 
 	// Round 0: sort each run privately — one vectored read and one vectored
 	// write per run.
@@ -78,15 +75,16 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	spm.SetAttrInt("merge-splits", int64(zigzagMergeSplits(n, b, free)))
 	ForEachComparator(k, func(i, j int) {
 		li, lj := runLen(i), runLen(j)
-		for t := 0; t < li; t++ {
-			idx[t] = i*cb + t
-		}
-		for t := 0; t < lj; t++ {
-			idx[li+t] = j*cb + t
-		}
-		a.ReadMany(idx[:li+lj], buf[:(li+lj)*b])
-		InCache(buf[:(li+lj)*b], less)
-		a.WriteMany(idx[:li+lj], buf[:(li+lj)*b])
+		pair := buf[:(li+lj)*b]
+		x := env.D.Batch(li + lj)
+		x.ReadRange(a, i*cb, i*cb+li)
+		x.ReadRange(a, j*cb, j*cb+lj)
+		x.Do(nil, pair)
+		InCache(pair, less)
+		x = env.D.Batch(li + lj)
+		x.WriteRange(a, i*cb, i*cb+li)
+		x.WriteRange(a, j*cb, j*cb+lj)
+		x.Do(pair, nil)
 	})
 	env.Obs.End(spm)
 

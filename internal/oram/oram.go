@@ -271,6 +271,7 @@ type ORAM struct {
 	flat    extmem.Array // the scan arm's n blocks; the zero Array on the hierarchy
 	sorter  string       // engine name, "auto" resolved per rebuild
 	levels  []level
+	tables  extmem.Array     // every level's table, back to back
 	buf     []extmem.Element // private top buffer, bufCap entry blocks
 	bufLen  int
 	t       int64 // accesses since creation
@@ -278,11 +279,12 @@ type ORAM struct {
 	seed    uint64
 	failed  bool
 	rebuild RebuildStats
-	addrs   []int // probe address scratch (addresses are public, not cache-accounted)
+	probed  []int // the probe's blocks, indices in tables, for its write-back (public, not cache-accounted)
 }
 
 type level struct {
 	table  extmem.Array // buckets * beta entry blocks
+	at     int          // the table's first block in the ORAM's tables
 	epoch  uint64
 	live   bool
 	bucket int // number of buckets = capacity in entries
@@ -353,12 +355,16 @@ func (o *ORAM) build(bucketSize int) (*ORAM, error) {
 		return nil, fmt.Errorf("oram: largest table, 2^%d buckets of %d, exceeds 2^24 blocks", o.lmax, o.beta)
 	}
 	o.buf = env.Cache.Buf(o.bufCap * o.b)
+	mark := env.D.Mark()
 	for l := o.l0 + 1; l <= o.lmax; l++ {
+		at := env.D.Mark() - mark
 		o.levels = append(o.levels, level{
 			table:  env.D.Alloc(o.table(l)),
+			at:     at,
 			bucket: 1 << l,
 		})
 	}
+	o.tables = env.D.Since(mark)
 	// Initial build: load all n zeroed entries into the top level.
 	if err := o.initialBuild(); err != nil {
 		env.Cache.Free(o.buf)
@@ -381,13 +387,12 @@ func (o *ORAM) Arm() string {
 // Rebuilds returns rebuild statistics.
 func (o *ORAM) Rebuilds() RebuildStats { return o.rebuild }
 
-// LevelRanges returns the absolute block-address range [base, base+len) of
-// each level's table, smallest level first — a diagnostic for tests that
-// check the structural shape of the probe trace.
-func (o *ORAM) LevelRanges() [][2]int {
-	out := make([][2]int, len(o.levels))
+// LevelTables returns each level's table, smallest level first — a
+// diagnostic for tests that check the structural shape of the probe trace.
+func (o *ORAM) LevelTables() []extmem.Array {
+	out := make([]extmem.Array, len(o.levels))
 	for i, lv := range o.levels {
-		out[i] = [2]int{lv.table.Base(), lv.table.Base() + lv.table.Len()}
+		out[i] = lv.table
 	}
 	return out
 }
@@ -537,13 +542,11 @@ func (o *ORAM) probe(i int, newData []uint64) ([]uint64, error) {
 	// checkout well-formed with no live levels.
 	wcap := max(min(free/o.b-1, o.beta*live), 1)
 	buf := o.env.Cache.Buf(wcap * o.b)
-	o.addrs = o.addrs[:0]
-	held := 0 // probed blocks buffered for the grouped write-back
+	o.probed = o.probed[:0] // probed blocks buffered for the grouped write-back
 	flush := func() {
-		if held > 0 {
-			o.env.D.WriteMany(o.addrs[:held], buf[:held*o.b])
-			o.addrs = o.addrs[:0]
-			held = 0
+		if len(o.probed) > 0 {
+			o.tables.WriteMany(o.probed, buf[:len(o.probed)*o.b])
+			o.probed = o.probed[:0]
 		}
 	}
 	for l := o.l0 + 1; l <= o.lmax; l++ {
@@ -557,20 +560,21 @@ func (o *ORAM) probe(i int, newData []uint64) ([]uint64, error) {
 		} else {
 			bkt = o.bucketOf(lv, l, 1<<40|o.ts)
 		}
-		base := lv.table.Base() + bkt*o.beta
+		first := bkt * o.beta
 		for s := 0; s < o.beta; {
 			c := o.beta - s
 			if c > wcap {
 				c = wcap // cache too small for a whole bucket: chunk it
 			}
-			if held+c > wcap {
+			if len(o.probed)+c > wcap {
 				flush() // make room; only undersized caches ever hit this
 			}
+			held := len(o.probed)
 			for j := 0; j < c; j++ {
-				o.addrs = append(o.addrs, base+s+j)
+				o.probed = append(o.probed, lv.at+first+s+j)
 			}
 			chunk := buf[held*o.b : (held+c)*o.b]
-			o.env.D.ReadMany(o.addrs[held:held+c], chunk)
+			lv.table.ReadRange(first+s, first+s+c, chunk)
 			if i >= 0 && !found {
 				for j := 0; j < c; j++ {
 					blk := chunk[j*o.b : (j+1)*o.b]
@@ -588,7 +592,6 @@ func (o *ORAM) probe(i int, newData []uint64) ([]uint64, error) {
 					}
 				}
 			}
-			held += c
 			s += c
 		}
 	}

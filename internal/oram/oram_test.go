@@ -318,12 +318,12 @@ func TestDummyIndistinguishable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ranges := o.LevelRanges()
+		ranges := o.LevelTables()
 		var out []string
 		for _, op := range rec.Ops() {
 			lvl := -1
 			for li, r := range ranges {
-				if op.Addr >= int64(r[0]) && op.Addr < int64(r[1]) {
+				if op.Addr >= int64(r.Base()) && op.Addr < int64(r.Base()+r.Len()) {
 					lvl = li
 					break
 				}
@@ -451,9 +451,9 @@ func TestAccessReadThenGroupedWriteBack(t *testing.T) {
 // levelBase returns the table base address of the level containing addr.
 func levelBase(t *testing.T, o *ORAM, addr int64) int64 {
 	t.Helper()
-	for _, r := range o.LevelRanges() {
-		if addr >= int64(r[0]) && addr < int64(r[1]) {
-			return int64(r[0])
+	for _, r := range o.LevelTables() {
+		if addr >= int64(r.Base()) && addr < int64(r.Base()+r.Len()) {
+			return int64(r.Base())
 		}
 	}
 	t.Fatalf("probe address %d outside every level table", addr)
@@ -489,7 +489,7 @@ func TestAccessSequenceIndistinguishability(t *testing.T) {
 				t.Fatalf("%s step %d: %v", name, step, err)
 			}
 		}
-		ranges := o.LevelRanges()
+		ranges := o.LevelTables()
 		beta := int64(o.BucketSize())
 		const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 		h := uint64(fnvOffset)
@@ -507,9 +507,9 @@ func TestAccessSequenceIndistinguishability(t *testing.T) {
 		for _, opr := range ops {
 			lvl, slot := int64(-1), opr.Addr
 			for li, r := range ranges {
-				if opr.Addr >= int64(r[0]) && opr.Addr < int64(r[1]) {
+				if opr.Addr >= int64(r.Base()) && opr.Addr < int64(r.Base()+r.Len()) {
 					// Erase exactly the bucket index; keep level and slot.
-					lvl, slot = int64(li), (opr.Addr-int64(r[0]))%beta
+					lvl, slot = int64(li), (opr.Addr-int64(r.Base()))%beta
 					break
 				}
 			}

@@ -521,7 +521,7 @@ func (g *group) flush(a extmem.Array, t int, visit func(blk []extmem.Element, j 
 		}
 	}
 	x := a.Disk().Batch(g.hw)
-	x.Write(a, addr)
+	x.Write(a, addr...)
 	if reads != nil {
 		x = reads(x, t+2)
 	}
@@ -560,7 +560,7 @@ func routeGroupLeft(env *extmem.Env, a extmem.Array, src *source, pred BlockPred
 		if first {
 			src.reads(&x, t*hw, t*hw+len(addr))
 		} else {
-			x.Read(a, addr)
+			x.Read(a, addr...)
 		}
 		return x
 	}
@@ -641,12 +641,12 @@ func routeGroupRight(env *extmem.Env, src, a extmem.Array, pred BlockPred, ps pa
 	reads := func(x extmem.Batch, t int) extmem.Batch {
 		addr, _ := g.window(t)
 		if !top {
-			x.Read(a, addr)
+			x.Read(a, addr...)
 			return x
 		}
-		for i, j := range addr {
+		for _, j := range addr {
 			if j < ns {
-				x.Read(src, addr[i:i+1])
+				x.Read(src, j)
 			}
 		}
 		return x
