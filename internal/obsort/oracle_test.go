@@ -212,6 +212,9 @@ var armEntries = []armEntry{
 	{"Bitonic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
 		Bitonic(env, dst, less)
 	}, false, false},
+	{"BitonicInto", func(env *extmem.Env, src, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
+		bitonic(env, src, dst, less, nil)
+	}, true, false},
 	{"Columnsort", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
 		Columnsort(env, dst, less)
 	}, false, false},
@@ -288,25 +291,42 @@ func armRun(t *testing.T, e armEntry, n, b, m, held int, cells []extmem.Element,
 }
 
 // TestByKeyArmMatchesGeneric runs each deterministic entry point on one
-// input under ByKey and under byKeyGeneric and requires the same trace and
-// the same occupied cells, element for element. The geometries give bitonic
-// two or more windows (odd ones sort descending), block counts that are not
-// powers of two (padded), a held cache, and columnsort both inside
-// Deterministic and called directly where ColumnGeometry admits the array.
+// input under ByKey and under byKeyGeneric and requires the same trace, the
+// same occupied cells, element for element, and the cells a reference
+// stable sort gives. The geometries give bitonic two or more windows, block
+// counts that are not powers of two, a held cache, columnsort both inside
+// Deterministic and called directly where ColumnGeometry admits the array,
+// and bitonic from a source into a second array (BitonicInto). The second
+// table is block counts one past and short of a power of two, the
+// randomized Sort's 1 989-block bucket among them, at B = 1, 4 and 8 with a
+// quarter of a 64-block cache held: a window of 32 blocks, so the small
+// counts sort in one window and the large ones take gather passes.
 func TestByKeyArmMatchesGeneric(t *testing.T) {
-	geoms := []struct{ n, b, m, held int }{
-		{100, 8, 512, 0},
-		{100, 8, 512, 128},
-		{256, 4, 256, 0},
-		{1000, 8, 4096, 1024},
-		{2048, 8, 4096, 0},
-		{8192, 8, 4096, 0},
+	type geom struct {
+		n, b, m, held int
+		kinds         []string
+	}
+	all := []string{"dup", "half", "scatter", "empty"}
+	geoms := []geom{
+		{100, 8, 512, 0, all},
+		{100, 8, 512, 128, all},
+		{256, 4, 256, 0, all},
+		{1000, 8, 4096, 1024, all},
+		{2048, 8, 4096, 0, all},
+		{8192, 8, 4096, 0, all},
+	}
+	for _, n := range []int{1, 3, 5, 7, 513, 1025, 1989, 2049} {
+		for _, b := range []int{1, 4, 8} {
+			geoms = append(geoms, geom{n, b, 64 * b, 16 * b, []string{"half", "scatter"}})
+		}
 	}
 	r := rand.New(rand.NewPCG(50, 1))
 	for _, g := range geoms {
 		_, _, colErr := ColumnGeometry(g.n, g.b, g.m-g.held)
-		for _, kind := range []string{"dup", "half", "scatter", "empty"} {
+		for _, kind := range g.kinds {
 			cells := armFill(kind, g.n, g.b, r)
+			ref := slices.Clone(cells)
+			sort.SliceStable(ref, func(i, j int) bool { return ByKey(ref[i], ref[j]) })
 			for _, e := range armEntries {
 				if e.name == "Columnsort" && colErr != nil {
 					continue
@@ -325,6 +345,7 @@ func TestByKeyArmMatchesGeneric(t *testing.T) {
 						t.Fatalf("%s: cell %d = %+v under ByKey, %+v under the generic arm", name, i, got[i], want[i])
 					}
 				}
+				checkAgainstReference(t, name, got, ref)
 			}
 		}
 	}
