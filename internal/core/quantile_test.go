@@ -146,11 +146,11 @@ func TestQuantilesOblivious(t *testing.T) {
 		first, second    []uint64
 	}{
 		{"sort/uniform-vs-constant", 512, 8, 256, 3, uniform, constant},
-		{"select/uniform-vs-constant", 520, 8, 4096, 1, uniform, constant},
+		{"select/uniform-vs-constant", 1032, 8, 4096, 1, uniform, constant},
 		// The same length, full against nearly empty: the occupied count
 		// must not pick the arm.
 		{"sort/full-vs-12-records", 8192, 4, 32, 1, keys(8192*4, func(i int) uint64 { return uint64(i * 7 % 1000) }), twelve},
-		{"select/full-vs-12-records", 520, 8, 4096, 1, uniform, twelve},
+		{"select/full-vs-12-records", 1032, 8, 4096, 1, uniform, twelve},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			wantArm(t, c.nBlocks, c.b, c.m, c.q, strings.HasPrefix(c.name, "select/"))

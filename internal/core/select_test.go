@@ -206,11 +206,12 @@ func TestSelectCostMatchesPrediction(t *testing.T) {
 // — columnsort from the caller's array into scratch, whose last pass hands
 // its windows to the rank scan: 5 I/Os per block — beats narrowing on both
 // counts, 40 960 I/Os in 98 round trips against 80 893 in 229, and runs in
-// one allocation. At 3 000 blocks neither dominates — the tail's 41 768
-// I/Os in 50 round trips (bitonic, then the rank scan) against narrowing's
-// 27 579 in 84 — so Select narrows there. (Narrowing took 343 and 116
-// round trips while its routing groups sent each write apart from the next
-// read; neither row's decision moved.)
+// one allocation. At 3 000 blocks neither dominates — the tail's 33 000
+// I/Os in 45 round trips (bitonic over the 3 000 blocks, then the rank
+// scan; 41 768 in 50 while bitonic padded them to 4 096) against
+// narrowing's 27 579 in 84 — so Select narrows there. (Narrowing took 343
+// and 116 round trips while its routing groups sent each write apart from
+// the next read; neither row's decision moved.)
 func TestSelectTailByDominance(t *testing.T) {
 	const b, m = 8, 4096
 	narrow := func(n int) obs.Cost {
@@ -228,7 +229,7 @@ func TestSelectTailByDominance(t *testing.T) {
 		takesTail    bool
 	}{
 		{1 << 13, obs.Cost{IOs: 40960, RoundTrips: 98}, obs.Cost{IOs: 80893, RoundTrips: 229}, true},
-		{3000, obs.Cost{IOs: 41768, RoundTrips: 50}, obs.Cost{IOs: 27579, RoundTrips: 84}, false},
+		{3000, obs.Cost{IOs: 33000, RoundTrips: 45}, obs.Cost{IOs: 27579, RoundTrips: 84}, false},
 	} {
 		if got := obsort.DeterministicVisitCost(row.n, b, m); got != row.tail {
 			t.Errorf("n=%d: sort tail %+v, want %+v", row.n, got, row.tail)

@@ -289,8 +289,10 @@ func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind
 // scan and q Selects whose sort tail copied the caller's array the same
 // way. That sort alone orders the bucket, so the rest of the level would
 // be overhead. The rule is kept as it was, so that no bucket of the
-// randomized Sort moves; pricing the level against distributing it is
-// ROADMAP item 4. The top level is never asked: it always distributes
+// randomized Sort moves: its deterministic sort is priced as it was when
+// the rule was set, bitonic over the padded power of two
+// (paddedDeterministicCost). Pricing the level against distributing it is
+// ROADMAP item 6. The top level is never asked: it always distributes
 // above SortFree, which leaves a splitter, as the paper's Theorem 21 does
 // (sortPlan.plan). A function of public geometry alone.
 func sortsDirectly(nBlocks, b, m, depth int) bool {
@@ -300,7 +302,7 @@ func sortsDirectly(nBlocks, b, m, depth int) bool {
 	}
 	copied := func(s int, top bool) obs.Cost {
 		scan := obs.Cost{IOs: int64(s), RoundTrips: extmem.ScanRoundTrips(s, b, m, 1)}
-		c := obsort.DeterministicCost(s, b, m).Add(scan)
+		c := paddedDeterministicCost(s, b, m).Add(scan)
 		if top {
 			c = c.Add(scan).Add(scan)
 		}
@@ -308,6 +310,37 @@ func sortsDirectly(nBlocks, b, m, depth int) bool {
 	}
 	sel := planSelect(nBlocks, b, m, copied).Cost()
 	return int64(nBlocks)+int64(q)*sel.IOs >= copied(nBlocks, true).IOs
+}
+
+// paddedDeterministicCost is obsort.DeterministicCost as it was when
+// sortsDirectly's rule was set, its only input: bitonic then ran over n
+// blocks padded to np, a power of two, every pass moving np blocks each
+// way but the padding the first pass did not read and the last did not
+// write, each pass one round trip per window of the padded array and one
+// more, less one where the last pass's last window was all padding; and
+// columnsort took the array where it was no dearer on both counts. The
+// network's pass count and window are unchanged, so bitonic's price today
+// (2n I/Os a pass) gives them.
+func paddedDeterministicCost(n, b, m int) obs.Cost {
+	bt := obsort.BitonicCost(n, b, m)
+	if n == 0 {
+		return bt
+	}
+	passes := bt.IOs / int64(2*n)
+	np := 1 << extmem.CeilLog2(n)
+	wb := min(max(1<<extmem.FloorLog2(m)/b, 2), np)
+	padded := obs.Cost{
+		IOs:        passes*int64(2*np) - int64(2*(np-n)),
+		RoundTrips: passes * int64(np/wb+1),
+	}
+	if passes > 1 && extmem.CeilDiv(n, wb) < np/wb {
+		padded.RoundTrips--
+	}
+	// ColumnCost is zero where no matrix fits.
+	if c := obsort.ColumnCost(n, b, m); c.IOs > 0 && c.IOs <= padded.IOs && c.RoundTrips <= padded.RoundTrips {
+		return c
+	}
+	return padded
 }
 
 // splitterCount is §5's q = ⌊(M/B)^{1/4}⌋ for m = M/B blocks of cache, and

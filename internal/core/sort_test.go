@@ -102,9 +102,10 @@ func TestSortRecursivePipeline(t *testing.T) {
 
 // TestSortIOsAtBenchmarkGeometry pins Theorem 21's constant and footprint
 // where the benchmark's sort_mem workload measures them (N=2^16, B=8,
-// M=4096): exactly SortCost's 292 549 block I/Os (35.71 a block) in 567
-// round trips (325 349 in 651 while colorize, consolidation and shuffle
-// were three passes; 963 round trips while the scans, the routing groups,
+// M=4096): exactly SortCost's 290 779 block I/Os (35.50 a block) in 567
+// round trips (292 549 while bitonic padded each 1 989-block bucket to
+// 2 048; 325 349 in 651 while colorize, consolidation and shuffle were
+// three passes; 963 round trips while the scans, the routing groups,
 // the deal and the shuffle sent each write apart from the next read, 1 026
 // while the deterministic sort's passes did too) for every input, under
 // one trace, and a Disk high water of exactly 58 881 blocks, the input's
@@ -117,8 +118,8 @@ func TestSortRecursivePipeline(t *testing.T) {
 func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	const nBlocks, b, m = 1 << 13, 8, 4096
 	want := SortCost(nBlocks, b, m, nBlocks*b)
-	if want != (obs.Cost{IOs: 292549, RoundTrips: 567}) {
-		t.Fatalf("SortCost = %+v, want 292 549 I/Os in 567 round trips", want)
+	if want != (obs.Cost{IOs: 290779, RoundTrips: 567}) {
+		t.Fatalf("SortCost = %+v, want 290 779 I/Os in 567 round trips", want)
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	var first trace.Summary

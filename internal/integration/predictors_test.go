@@ -265,15 +265,17 @@ func TestPredictorsExact(t *testing.T) {
 	// run at scan_enc_file's geometry too, where columnsort sorts the
 	// caller's array into scratch and its last pass feeds the rank scan;
 	// Select at 4 155 blocks, where it narrows once and sorts the
-	// consolidated prefix in place the same way; and Quantiles at 2 048,
-	// where the sort arm is bitonic and a scan.
+	// consolidated prefix in place the same way; Quantiles at 2 048,
+	// where the sort arm is bitonic and a scan, and at 8 335, where it
+	// takes the Select arm (the grid's 4 097 took it while bitonic padded
+	// to 8 192 blocks).
 	more := map[string][]geometry{
 		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
 			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
 		"core.CompactMarkedLoose":         {{8192, 8, 4096, 0}},
 		"core.CompactMarkedLoose/no-fill": {{8192, 8, 4096, 0}},
 		"core.Select":                     {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
-		"core.Quantiles":                  {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}},
+		"core.Quantiles":                  {{8192, 8, 4096, 0}, {2048, 8, 4096, 0}, {8335, 8, 4096, 0}},
 	}
 	priced := map[string]bool{}
 	defer func() {

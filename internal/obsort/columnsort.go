@@ -147,7 +147,7 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 		if first != nil {
 			first(col)
 		}
-		ord.sort(col, false)
+		ord.sort(col)
 		for t, e := range col {
 			aux[t%s*per+t/s] = e
 		}

@@ -78,38 +78,40 @@ func compare(less Less, x, y extmem.Element) int {
 // bitonic network. The address trace depends only on (len, B, free), free
 // being the elements of the cache not checked out when the call starts.
 //
-// The network's levels — stage s = 1..log₂ N merges runs of 2^s elements
-// with one compare-exchange level per stride bit s−1..0 — are packed into
-// passes by the address bits they touch. A level whose stride is below B
-// stays inside a block; any other joins two blocks that differ in one bit
-// of the block address. A pass takes as many consecutive levels as touch at
-// most g = log₂(C/B) distinct address bits, the window C being the largest
-// power of two of blocks that fits free, and runs them on batches of the
-// 2^g blocks that differ only in those bits: one vectored read, every level
-// of the pass on the private window, one vectored write, which carries the
-// next batch's read in the same round trip. The first pass (every stage up
-// to C, on contiguous windows) is a private sort of each window; the rest
-// are gather passes, so the sort makes about log²₂(N/B) / 2g passes of 2
-// I/Os per block, each pass one round trip per batch and one more.
+// The network is the all-ascending ("flip") form: stage s = 1..⌈log₂ N⌉
+// merges runs of 2^s elements, opening with a flip level that pairs
+// element i with i ⊕ (2^s − 1) and going on with one level per stride bit
+// s−2..0, and every comparator puts the minimum at the lower index. The
+// cells past the array act as +∞ that no comparator moves, so the network
+// runs over the array's n blocks alone: no padding is stored, read or
+// written, and every pass costs 2n I/Os.
 //
-// The window may be all of M: besides it the sort keeps only the batch's
-// block indices — public addresses, like the ORAM's probe addresses, which
-// need no private memory — and O(1) loop counters. Sizing it by the free
-// cache keeps the trace oblivious: every buffer a caller holds is checked
-// out at a size fixed by public geometry, so free is public too.
+// A level whose pairs lie inside a block needs no address bit; any other
+// joins two blocks whose addresses differ by a fixed vector: a unit vector,
+// or for a flip level the low block bits all set. A pass takes as many
+// consecutive levels as span at most g = log₂(C/B) dimensions over GF(2),
+// the window C being the largest power of two of blocks that fits free,
+// and runs them on the cosets of that span: one vectored read of the
+// coset's blocks below n, every level of the pass on the private window,
+// one vectored write, which carries the next coset's read in the same round
+// trip. A coset whose least block is past the array is skipped. The first
+// pass (every stage up to C, on contiguous windows) is a private sort of
+// each window; the rest are gather passes, so the sort makes about
+// log²₂(N/B) / 2g passes of 2 I/Os per block.
+//
+// The window may be all of M: besides it the sort keeps only the pass's
+// basis — at most 64 block addresses, in a fixed array — and O(1) loop
+// counters. Sizing it by the free cache keeps the trace oblivious: every
+// buffer a caller holds is checked out at a size fixed by public geometry,
+// so free is public too.
 //
 // Requirements: B a power of two, M ≥ 4B and at least two blocks free; with
-// fewer free, Bitonic panics naming both. An array whose block count n is
-// not a power of two is sorted as if padded with empty cells: the first
-// pass reads its n blocks and writes a padded scratch arena, and the last
-// pass writes only the first n blocks back (empty cells sort last, so
-// nothing is lost).
+// fewer free, Bitonic panics naming both. It allocates no disk scratch.
 func Bitonic(env *extmem.Env, a extmem.Array, less Less) { bitonic(env, a, a, less, nil) }
 
 // bitonic is Bitonic of src into a, as long as src and possibly src
 // itself: the first pass reads src, handing each window's blocks to first
-// when it is not nil, and every pass writes a or the padded arena, never
-// src.
+// when it is not nil, and writes a; every later pass works in a.
 func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk []extmem.Element)) {
 	n := a.Len()
 	if src.Len() != n {
@@ -135,39 +137,29 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	sp.SetAttrInt("passes", int64(bitonicPassCount(n, b, free)))
 	sp.SetPredicted(BitonicCost(n, b, free))
 	defer env.Obs.End(sp)
-	mark := env.D.Mark()
-	defer env.D.Release(mark)
 
 	sc := newSchedule(n, b, free)
 	wb := 1 << (sc.lc - sc.lb) // blocks per window, and per batch
 	win := env.Cache.Buf(wb * b)
 	ord := orderOf(less)
-	work := a
-	if sc.np != n && sc.np > wb {
-		work = env.D.Alloc(sc.np)
-	}
 
 	// First pass: every stage up to the window size acts within aligned
-	// windows and leaves window w ascending or descending by its parity, so
-	// a private sort stands in for those levels. Not an env.Scan: the window
-	// is the buffer the gather passes keep, sorted whole, padding included,
-	// past the array's end. Each window's write carries the next window's
-	// read, into the same buffer: the store takes the write first.
+	// windows and leaves each ascending, so a private sort of the blocks a
+	// window holds stands in for those levels. Not an env.Scan: the window
+	// is the buffer the gather passes keep. Each window's write carries the
+	// next window's read, into the same buffer: the store takes the write
+	// first.
 	spw := env.Obs.Start("sort-windows")
 	held := func(lo int) extmem.Array { return src.Slice(min(lo, n), min(lo+wb, n)) } // window lo's blocks in src
 	cur := held(0)
 	cur.ReadRange(0, cur.Len(), win[:cur.Len()*b])
-	for lo := 0; lo < sc.np; lo += wb {
-		k := cur.Len()
-		if k > 0 && first != nil {
-			first(win[:k*b])
+	for lo := 0; lo < n; lo += wb {
+		part := win[:cur.Len()*b]
+		if first != nil {
+			first(part)
 		}
-		clear(win[k*b:])
-		ord.sort(win, lo/wb&1 == 1)
-		out, part := a, win[:k*b] // one window: the caller's array
-		if sc.np > wb {
-			out, part = work.Slice(lo, lo+wb), win
-		}
+		ord.sort(part)
+		out := a.Slice(lo, lo+cur.Len())
 		cur = held(lo + wb)
 		out.Exchange(part, cur, win[:cur.Len()*b])
 	}
@@ -176,11 +168,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
 		spp.SetAttrInt("levels", int64(p.levels))
-		dst := work
-		if sc.stage > sc.top {
-			dst = a // the last pass writes the caller's array its n blocks
-		}
-		sc.run(p, work, dst, win, ord)
+		sc.run(p, a, win, ord)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -188,7 +176,8 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 
 // gatherPass is one pass after the first: `levels` consecutive network
 // levels starting at (stage, bit), and gather, the mask of element-index
-// bits at or above log₂ B in which the blocks of one batch differ.
+// bits at or above log₂ B that are the pivots of the span its cosets are
+// taken over (span).
 type gatherPass struct {
 	stage, bit, levels int
 	gather             uint64
@@ -197,24 +186,31 @@ type gatherPass struct {
 // schedule is the public geometry of one Bitonic call and a cursor over its
 // gather passes; the sort and its predictors walk the same one.
 type schedule struct {
-	np          int // padded block count, a power of two
-	lb, lc, top int // log₂ of B, of the window, and of the element count
+	n           int // blocks
+	lb, lc, top int // log₂ of B, of the window, and of the padded element count
 	stage, bit  int // the next level no pass has taken yet
 }
 
 // newSchedule sizes the window to the largest power of two of blocks that
 // fits free elements of cache, but at least two blocks, so a pass gathers a
-// bit, and at most the padded array.
+// dimension, and at most the array rounded up to a power of two.
 func newSchedule(nBlocks, b, free int) schedule {
 	lnp, lb := extmem.CeilLog2(nBlocks), extmem.FloorLog2(b)
 	lc := min(max(extmem.FloorLog2(free), lb+1), lnp+lb)
-	return schedule{np: 1 << lnp, lb: lb, lc: lc, top: lnp + lb, stage: lc + 1, bit: lc}
+	return schedule{n: nBlocks, lb: lb, lc: lc, top: lnp + lb, stage: lc + 1, bit: lc}
 }
 
-// next packs the next pass greedily: levels join while the stride bits at
-// or above log₂ B they touch stay within log₂(C/B) distinct address bits. A
-// short set is padded with the lowest unused address bits, which keeps the
-// batch's blocks in as few consecutive runs as the schedule allows.
+// next packs the next pass greedily: levels join while the block-address
+// vectors they pair across span at most g = log₂(C/B) dimensions over
+// GF(2). A level of stride bit j pairs across a vector whose highest bit
+// is j − log₂ B: the unit vector, or for a stage's flip level the low bits
+// all set. Consecutive levels' vectors span exactly as many dimensions as
+// they have distinct highest bits — a flip and the levels after it up to
+// the unit vector of the flip's highest bit sum to that unit vector — so
+// the span is counted by those bits, and they are its pivots. A short span
+// is padded with the unit vectors of the lowest bits that are no pivot,
+// which keeps a coset's blocks in as few consecutive runs as the schedule
+// allows.
 func (s *schedule) next() (p gatherPass, ok bool) {
 	if s.stage > s.top {
 		return p, false
@@ -253,52 +249,120 @@ func (p gatherPass) local(j, lb int) int {
 	return lb + bits.OnesCount64(p.gather&(1<<j-1))
 }
 
-// run executes one gather pass: for every assignment of the address bits
-// outside the gathered set, read from src the blocks that differ only
-// inside it (in ascending address order), apply the pass's levels, and
-// write to dst those of them it holds, together with the next batch's
-// read. A level of stage s ascends where bit s of the element index is
-// clear; that bit is a window bit, a constant of the batch, or — in the
-// last stage — clear everywhere. Each exchange is a Batch, a window long
-// each way.
-func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element, ord order) {
-	gb := int(p.gather >> s.lb)
-	rest := (s.np - 1) &^ gb
-	wb, d := len(win)/dst.B(), dst.Disk()
-	read := func(x *extmem.Batch, base int) { // batch base's blocks of src
-		for t, sub := 0, 0; t < wb; t++ {
-			x.Read(src, base|sub)
-			sub = ((sub | ^gb) + 1) & gb
+// echelon is a span of block-address vectors in reduced echelon form:
+// basis[q], for every bit q of pivots, is the one vector of the span whose
+// highest bit is q and that is clear at every other pivot.
+type echelon struct {
+	pivots uint64
+	basis  [64]int
+}
+
+// reduce returns v less its part in the span: 0 where the span holds v,
+// otherwise a vector clear at every pivot.
+func (e *echelon) reduce(v int) int {
+	for ps := e.pivots & uint64(v); ps != 0; ps &= ps - 1 {
+		v ^= e.basis[bits.TrailingZeros64(ps)]
+	}
+	return v
+}
+
+// add puts v into the span, keeping the basis reduced.
+func (e *echelon) add(v int) {
+	if v = e.reduce(v); v == 0 {
+		return
+	}
+	t := bits.Len(uint(v)) - 1
+	for ps := e.pivots; ps != 0; ps &= ps - 1 {
+		if q := bits.TrailingZeros64(ps); e.basis[q]>>t&1 == 1 {
+			e.basis[q] ^= v
 		}
 	}
+	e.basis[t] = v
+	e.pivots |= 1 << t
+}
+
+// span returns the span a pass's cosets are taken over: its levels'
+// block-address vectors and the unit vectors of the padding bits. Its
+// pivots are the gathered bits; span panics otherwise.
+func (s *schedule) span(p gatherPass) (e echelon) {
+	stage, bit := p.stage, p.bit
+	for range p.levels {
+		switch {
+		case bit == stage-1: // the flip level: every block bit below stage − log₂ B
+			e.add(1<<max(stage-s.lb, 0) - 1)
+		case bit >= s.lb:
+			e.add(1 << (bit - s.lb))
+		}
+		stage, bit = nextLevel(stage, bit)
+	}
+	gather := p.gather >> s.lb
+	for ps := gather &^ e.pivots; ps != 0; ps &= ps - 1 {
+		e.add(1 << bits.TrailingZeros64(ps))
+	}
+	if e.pivots != gather {
+		panic(fmt.Sprintf("obsort: pass from stage %d spans pivots %#x, not the gathered %#x", p.stage, e.pivots, gather))
+	}
+	return e
+}
+
+// run executes one gather pass in a. A coset of the pass's span has its
+// least block at the base clear at every pivot, and its blocks are base ⊕
+// Σ t_k·basis[k-th pivot] for window slots t = 0..C/B−1, ascending with t:
+// a level that pairs blocks across a unit vector pairs slots across one
+// bit, a flip level across all slot bits below its pivot, the lower slot
+// always the lower block. The blocks below n are a prefix of the window,
+// and the bases ascend, so the cosets with a block below n are a prefix
+// too: the pass reads each such coset's blocks below n, applies its levels
+// to them with the cells past them as +∞, and writes them back with the
+// next coset's read. Each exchange is a Batch, a window long each way.
+func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element, ord order) {
+	b, d := a.B(), a.Disk()
+	wb := len(win) / b
+	e := s.span(p)
+	// step[c] is the XOR of the c+1 lowest basis vectors: slot t+1's block
+	// is slot t's XOR step[trailing zeros of t+1].
+	var step [64]int
+	for ps, acc, c := e.pivots, 0, 0; ps != 0; ps, c = ps&(ps-1), c+1 {
+		acc ^= e.basis[bits.TrailingZeros64(ps)]
+		step[c] = acc
+	}
+	rest := (1<<(s.top-s.lb) - 1) &^ int(e.pivots)
+	add := func(x *extmem.Batch, write bool, base int) int { // coset base's blocks below n
+		k := 0
+		for blk := base; k < wb && blk < s.n; k++ {
+			if write {
+				x.Write(a, blk)
+			} else {
+				x.Read(a, blk)
+			}
+			blk ^= step[bits.TrailingZeros(uint(k+1))]
+		}
+		return k
+	}
 	x := d.Batch(wb)
-	read(&x, 0)
+	k := add(&x, false, 0)
 	x.Do(nil, win)
 	for base := 0; ; {
+		w := win[:k*b]
 		stage, bit := p.stage, p.bit
-		for k := 0; k < p.levels; k++ {
-			dirBit, desc := 0, false
-			if stage < s.top {
-				if p.gather>>stage&1 == 1 {
-					dirBit = 1 << p.local(stage, s.lb)
-				} else {
-					desc = base>>(stage-s.lb)&1 == 1
-				}
+		for range p.levels {
+			if bit == stage-1 {
+				ord.flipLevel(w, 1<<p.local(bit, s.lb))
+			} else {
+				ord.exchangeLevel(w, 1<<p.local(bit, s.lb))
 			}
-			ord.exchangeLevel(win, 1<<p.local(bit, s.lb), dirBit, desc)
 			stage, bit = nextLevel(stage, bit)
 		}
-		// The batch's blocks ascend, so those inside dst are a prefix.
 		x = d.Batch(wb)
-		for t, sub := 0, 0; t < wb && base|sub < dst.Len(); t++ {
-			x.Write(dst, base|sub)
-			sub = ((sub | ^gb) + 1) & gb
+		add(&x, true, base)
+		if base = ((base | ^rest) + 1) & rest; base >= s.n {
+			base = 0
 		}
-		base = ((base | ^rest) + 1) & rest
+		k = 0
 		if base != 0 {
-			read(&x, base)
+			k = add(&x, false, base)
 		}
-		x.Do(win, win)
+		x.Do(w, win)
 		if base == 0 {
 			return
 		}
@@ -306,14 +370,28 @@ func (s *schedule) run(p gatherPass, src, dst extmem.Array, win []extmem.Element
 }
 
 // exchangeLevel applies one network level to a private window: elements
-// stride apart compare-exchange, ascending where the window index has
-// dirBit clear (everywhere when dirBit is 0), the whole level reversed when
-// desc.
-func exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool, less Less) {
+// stride apart compare-exchange, the lesser to the lower index. A pair
+// whose upper cell is past the window is left alone: that cell is +∞.
+func exchangeLevel(win []extmem.Element, stride int, less Less) {
 	for g := 0; g < len(win); g += 2 * stride {
-		for li := g; li < g+stride; li++ {
-			if asc := (li&dirBit == 0) != desc; asc == less(win[li+stride], win[li]) {
+		for li := g; li < min(g+stride, len(win)-stride); li++ {
+			if less(win[li+stride], win[li]) {
 				win[li], win[li+stride] = win[li+stride], win[li]
+			}
+		}
+	}
+}
+
+// flipLevel applies a stage's first level to a private window: in every
+// group of 2·half elements, element j and element 2·half−1−j
+// compare-exchange, the lesser to the lower index. A pair whose upper cell
+// is past the window is left alone: that cell is +∞.
+func flipLevel(win []extmem.Element, half int, less Less) {
+	for g := 0; g < len(win); g += 2 * half {
+		hi := min(g+2*half, len(win)) - 1
+		for lo := 2*(g+half) - 1 - hi; lo < hi; lo, hi = lo+1, hi-1 {
+			if less(win[hi], win[lo]) {
+				win[lo], win[hi] = win[hi], win[lo]
 			}
 		}
 	}
@@ -332,27 +410,40 @@ func bitonicPassCount(nBlocks, b, free int) int {
 
 // BitonicCost predicts the exact block I/Os and vectored round trips of one
 // Bitonic call entered with free elements of the cache not checked out:
-// every pass moves each batch of C/B blocks of the padded length np in one
-// read and one write, less the padding blocks — and the all-padding
-// windows — that the first pass does not read and the last, whose batches
-// are always contiguous windows, does not write. Each pass takes one round
-// trip per batch, each write sharing it with the next batch's read, and
-// one more for its last write — which the last pass does not make where
-// its last window is all padding.
+// every pass reads and writes each of the n blocks once. The first pass
+// takes one round trip per window of C/B blocks and one more; a gather pass
+// one per coset whose least block is below n and one more, each write
+// sharing its round trip with the next read. The cosets are counted from
+// the pass's pivots in O(log n) steps (cosetsBelow), so the price of a sort
+// of 2^32 blocks takes microseconds.
 func BitonicCost(nBlocks, b, free int) obs.Cost {
 	if nBlocks == 0 {
 		return obs.Cost{}
 	}
 	sc := newSchedule(nBlocks, b, free)
-	wb := 1 << (sc.lc - sc.lb)
-	passes := int64(bitonicPassCount(nBlocks, b, free))
-	batches := int64(sc.np / wb)
-	rt := passes * (batches + 1)
-	if passes > 1 && int64(extmem.CeilDiv(nBlocks, wb)) < batches {
-		rt--
+	passes := int64(1)
+	rt := int64(extmem.CeilDiv(nBlocks, 1<<(sc.lc-sc.lb))) + 1
+	for p, ok := sc.next(); ok; p, ok = sc.next() {
+		passes++
+		rt += int64(cosetsBelow(nBlocks, p.gather>>sc.lb)) + 1
 	}
-	return obs.Cost{
-		IOs:        passes*int64(2*sc.np) - int64(2*(sc.np-nBlocks)),
-		RoundTrips: rt,
+	return obs.Cost{IOs: 2 * passes * int64(nBlocks), RoundTrips: rt}
+}
+
+// cosetsBelow counts the blocks x < n clear at every pivot, the least
+// blocks of the cosets a pass reads: for each set bit i of n, those that
+// agree with n above i and clear bit i, free at the bits below i that are
+// no pivot — until n itself sets a pivot, past which none agrees with it.
+func cosetsBelow(n int, pivots uint64) int {
+	c := 0
+	for i := bits.Len(uint(n)) - 1; i >= 0; i-- {
+		if n>>i&1 == 0 {
+			continue
+		}
+		c += 1 << (i - bits.OnesCount64(pivots&(1<<i-1)))
+		if pivots>>i&1 == 1 {
+			break
+		}
 	}
+	return c
 }

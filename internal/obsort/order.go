@@ -33,29 +33,30 @@ func orderOf(less Less) order {
 	return order{less, reflect.ValueOf(less).Pointer() == reflect.ValueOf(ByKey).Pointer()}
 }
 
-// sort sorts buf ascending, or descending where desc.
-func (o order) sort(buf []extmem.Element, desc bool) {
+// sort sorts buf ascending.
+func (o order) sort(buf []extmem.Element) {
 	if !o.byKey {
-		slices.SortFunc(buf, func(x, y extmem.Element) int {
-			if desc {
-				x, y = y, x
-			}
-			return compare(o.less, x, y)
-		})
+		slices.SortFunc(buf, func(x, y extmem.Element) int { return compare(o.less, x, y) })
 		return
 	}
 	introsortByKey(buf, 2*bits.Len(uint(len(buf))))
-	if desc {
-		slices.Reverse(buf)
-	}
 }
 
 // exchangeLevel is exchangeLevel under o.
-func (o order) exchangeLevel(win []extmem.Element, stride, dirBit int, desc bool) {
+func (o order) exchangeLevel(win []extmem.Element, stride int) {
 	if o.byKey {
-		exchangeLevelByKey(win, stride, dirBit, desc)
+		exchangeLevelByKey(win, stride)
 	} else {
-		exchangeLevel(win, stride, dirBit, desc, o.less)
+		exchangeLevel(win, stride, o.less)
+	}
+}
+
+// flipLevel is flipLevel under o.
+func (o order) flipLevel(win []extmem.Element, half int) {
+	if o.byKey {
+		flipLevelByKey(win, half)
+	} else {
+		flipLevel(win, half, o.less)
 	}
 }
 
@@ -174,11 +175,23 @@ func siftDownByKey(a []extmem.Element, root int) {
 }
 
 // exchangeLevelByKey is exchangeLevel under ByKey.
-func exchangeLevelByKey(win []extmem.Element, stride, dirBit int, desc bool) {
+func exchangeLevelByKey(win []extmem.Element, stride int) {
 	for g := 0; g < len(win); g += 2 * stride {
-		for li := g; li < g+stride; li++ {
-			if asc := (li&dirBit == 0) != desc; asc == win[li+stride].Less(win[li]) {
+		for li := g; li < min(g+stride, len(win)-stride); li++ {
+			if win[li+stride].Less(win[li]) {
 				win[li], win[li+stride] = win[li+stride], win[li]
+			}
+		}
+	}
+}
+
+// flipLevelByKey is flipLevel under ByKey.
+func flipLevelByKey(win []extmem.Element, half int) {
+	for g := 0; g < len(win); g += 2 * half {
+		hi := min(g+2*half, len(win)) - 1
+		for lo := 2*(g+half) - 1 - hi; lo < hi; lo, hi = lo+1, hi-1 {
+			if win[hi].Less(win[lo]) {
+				win[lo], win[hi] = win[hi], win[lo]
 			}
 		}
 	}

@@ -107,8 +107,9 @@ func TestByKeyArmAllocs(t *testing.T) {
 // BenchmarkInCacheKernels times the in-cache kernels of the deterministic
 // engines at the benchmark's window, C = 2 048 elements, on the ByKey arm
 // and on the generic arm (ByKey through a closure): bitonic's window sort
-// of a random window, the 11 compare-exchange levels that merge a bitonic
-// window, and one 1 024 + 1 024 merge of columnsort. Each iteration first copies the 64 KiB input into
+// of a random window, the 11 compare-exchange levels (a flip level, then
+// ten at halving strides) that merge two ascending halves, and one
+// 1 024 + 1 024 merge of columnsort. Each iteration first copies the 64 KiB input into
 // place, a few µs of every figure.
 func BenchmarkInCacheKernels(b *testing.B) {
 	const c = 2048
@@ -118,18 +119,17 @@ func BenchmarkInCacheKernels(b *testing.B) {
 	for _, h := range [][]extmem.Element{halves[:c/2], halves[c/2:]} {
 		slices.SortFunc(h, func(x, y extmem.Element) int { return compare(ByKey, x, y) })
 	}
-	bitonic := slices.Clone(halves) // ascending then descending, what a merging level reads
-	slices.Reverse(bitonic[c/2:])
 	win, scratch := make([]extmem.Element, c), make([]extmem.Element, c/2)
 	kernels := []struct {
 		name string
 		in   []extmem.Element
 		run  func(order)
 	}{
-		{"window-sort", random, func(o order) { o.sort(win, false) }},
-		{"exchange-levels", bitonic, func(o order) {
-			for stride := c / 2; stride > 0; stride /= 2 {
-				o.exchangeLevel(win, stride, 0, false)
+		{"window-sort", random, func(o order) { o.sort(win) }},
+		{"exchange-levels", halves, func(o order) {
+			o.flipLevel(win, c/2)
+			for stride := c / 4; stride > 0; stride /= 2 {
+				o.exchangeLevel(win, stride)
 			}
 		}},
 		{"merge", halves, func(o order) { o.mergeRuns(win, c/2, scratch) }},

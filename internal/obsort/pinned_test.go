@@ -66,19 +66,20 @@ func TestEngineTracesPinned(t *testing.T) {
 		{"columnsort-visitor", 64, 8, 512, 128, pinnedTrace{320, 0x60f5e6f59f3b3125, 192, 128}},
 		{"columnsort", 20, 4, 1024, 0, pinnedTrace{120, 0x84396260d352dd6f, 60, 60}},
 		{"columnsort-first", 20, 4, 1024, 0, pinnedTrace{120, 0x1e59c4953898710f, 60, 60}},
-		// Bitonic: 16 windows of 512 blocks, then two, three padded to
-		// four, four, and four padded ones.
-		{"bitonic", 8192, 8, 4096, 0, pinnedTrace{114688, 0x18ca5431e7c65725, 57344, 57344}},
-		{"bitonic", 1024, 8, 4096, 0, pinnedTrace{6144, 0xe160f4eb2a0f3425, 3072, 3072}},
-		{"bitonic", 1536, 8, 4096, 0, pinnedTrace{15360, 0xcf6649138efe5fa5, 7680, 7680}},
-		{"bitonic", 2048, 8, 4096, 0, pinnedTrace{16384, 0x207c3795566e56a5, 8192, 8192}},
-		{"bitonic", 1989, 8, 4096, 0, pinnedTrace{16266, 0x3f8965981c9072f4, 8133, 8133}},
-		// Held caches: windows of 32 blocks of 4 (four padded, two), of
-		// 32 blocks of 8 (64 padded), and of 4 blocks of 8 (two padded).
-		{"bitonic", 100, 4, 256, 64, pinnedTrace{968, 0x8bd26c65e5aab4ad, 484, 484}},
-		{"bitonic", 64, 4, 256, 64, pinnedTrace{384, 0x92d16040ee7ffee5, 192, 192}},
-		{"bitonic", 1616, 8, 512, 128, pinnedTrace{48288, 0x8d66a2c95f3129c5, 24144, 24144}},
-		{"bitonic", 5, 8, 64, 16, pinnedTrace{42, 0x514e242b19ef9c86, 21, 21}},
+		// Bitonic: 16 windows of 512 blocks, then two, three, four, and
+		// four short of their last 59 blocks.
+		{"bitonic", 8192, 8, 4096, 0, pinnedTrace{114688, 0x671c700a934e0325, 57344, 57344}},
+		{"bitonic", 1024, 8, 4096, 0, pinnedTrace{6144, 0xfdbd9b734adf3425, 3072, 3072}},
+		{"bitonic", 1536, 8, 4096, 0, pinnedTrace{12288, 0x64d149516aced0a5, 6144, 6144}},
+		{"bitonic", 2048, 8, 4096, 0, pinnedTrace{16384, 0x1412046e9a389aa5, 8192, 8192}},
+		{"bitonic", 1989, 8, 4096, 0, pinnedTrace{15912, 0xbbdfc1a7d8cdc899, 7956, 7956}},
+		// Held caches: windows of 32 blocks of 4 (four, the last short;
+		// two), of 32 blocks of 8 (51, the last short), and of 4 blocks
+		// of 8 (two, the last short).
+		{"bitonic", 100, 4, 256, 64, pinnedTrace{800, 0xb246f6e6e99455a9, 400, 400}},
+		{"bitonic", 64, 4, 256, 64, pinnedTrace{384, 0x9a340e860e0c0ee5, 192, 192}},
+		{"bitonic", 1616, 8, 512, 128, pinnedTrace{38784, 0xed60b0d5e1ba9e35, 19392, 19392}},
+		{"bitonic", 5, 8, 64, 16, pinnedTrace{30, 0x2ac9c9bee1e9feea, 15, 15}},
 	} {
 		name := fmt.Sprintf("%s/n=%d,b=%d,m=%d,held=%d", r.engine, r.n, r.b, r.m, r.held)
 		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 53)), r.n*r.b-3, "rand")

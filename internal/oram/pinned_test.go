@@ -23,7 +23,7 @@ func TestORAMTracesPinned(t *testing.T) {
 		want pin
 	}{
 		{ArmScan, pin{32, 0x004086a13b77f053, 16, 16}},
-		{ArmHierarchy, pin{9664, 0x862cf37310937275, 4416, 5248}},
+		{ArmHierarchy, pin{9664, 0x983f94323c9eb775, 4416, 5248}},
 	} {
 		env, o := newArm(t, r.arm, 7)
 		rec := trace.NewRecorder(0)

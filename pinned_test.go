@@ -23,7 +23,7 @@ func TestPublicCallTracesPinned(t *testing.T) {
 		run  func(a *Array) error
 		want pin
 	}{
-		{"sort", func(a *Array) error { return a.Sort() }, pin{292549, 0x1246c878ac853bbf, 144649, 147900}},
+		{"sort", func(a *Array) error { return a.Sort() }, pin{290779, 0x23ed2c6ee259c102, 143764, 147015}},
 		{"select", func(a *Array) error { _, err := a.Select(n / 2); return err }, pin{40960, 0x2d10808702ed6d25, 24576, 16384}},
 		{"quantiles", func(a *Array) error { _, err := a.Quantiles(8); return err }, pin{40960, 0x2d10808702ed6d25, 24576, 16384}},
 		{"mark", func(a *Array) error { _, err := a.Mark(marked); return err }, pin{16384, 0x641ef9ef1d1782a5, 8192, 8192}},

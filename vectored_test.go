@@ -104,12 +104,12 @@ func TestScalarVectoredTraceInvariance(t *testing.T) {
 		run   func(t *testing.T, arr *Array)
 	}
 	ops := []op{
-		{"Sort", 0, want{TraceSummary{20802, 13903000004408360977}, 10142, 10660, 633}, func(t *testing.T, arr *Array) {
+		{"Sort", 0, want{TraceSummary{18492, 13548347946821775380}, 8987, 9505, 612}, func(t *testing.T, arr *Array) {
 			if err := arr.Sort(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Select", 0, want{TraceSummary{3560, 14520825451764468181}, 1780, 1780, 72}, func(t *testing.T, arr *Array) {
+		{"Select", 0, want{TraceSummary{3500, 6074367508607816127}, 1750, 1750, 72}, func(t *testing.T, arr *Array) {
 			if _, err := arr.Select(n / 2); err != nil {
 				t.Fatal(err)
 			}
