@@ -59,8 +59,9 @@ import (
 // directly, so Sort is one distributing level and a deterministic sort per
 // bucket where it lands (bitonic: no columnsort matrix fits a bucket) — the
 // shape of bucket oblivious sort (arXiv:2008.01765). The deal reads 249
-// blocks a batch and writes 119 of each color: 292 549 block I/Os in 567
-// round trips, SortCost's figure. The top-level Sort finishes with a tight
+// blocks a batch and writes 119 of each color: 290 779 block I/Os in 567
+// round trips, SortCost's figure (292 549 while bitonic padded each
+// 1 989-block bucket to 2 048). The top-level Sort finishes with a tight
 // order-preserving compaction (Theorem 6), so the array ends with all
 // occupied elements sorted in a tight prefix.
 

@@ -7,8 +7,8 @@ import "oblivext/internal/extmem"
 // order from A" as the canonical data-oblivious access pattern; this
 // network is that circuit, and Zigzag runs it at run granularity. All
 // comparators point ascending, so indices beyond n act as virtual +infinity
-// pads and can simply be skipped — unlike bitonic, no physical padding is
-// needed.
+// pads and can simply be skipped, as bitonic's all-ascending form skips the
+// blocks past its array.
 
 // ForEachComparator enumerates the comparator pairs (i, j), i < j, of
 // Batcher's odd-even merge sorting network on n wires, in execution order.

@@ -3,12 +3,13 @@
 //
 // It realizes Lemma 2 of the paper (the deterministic oblivious sort of
 // Goodrich–Mitzenmacher used as a subroutine throughout) as an external
-// bitonic sort that packs the network's levels into passes by the block
-// address bits they touch, log₂(C/B) bits to a pass for a cache window of C
-// elements — the largest power of two of blocks the cache has free when the
-// sort starts, all of M when the caller holds nothing — so the I/O cost is
-// O((N/B)·(1 + log²(N/B)/log(C/B))) with a fixed, data-independent address
-// trace.
+// bitonic sort in the network's all-ascending form, run over the array's n
+// blocks with no padding stored, that packs the levels into passes by the
+// block-address vectors they pair across, log₂(C/B) dimensions to a pass
+// for a cache window of C elements — the largest power of two of blocks the
+// cache has free when the sort starts, all of M when the caller holds
+// nothing — so the I/O cost is 2n per pass, O((N/B)·(1 + log²(N/B)/log(C/B)))
+// in all, with a fixed, data-independent address trace.
 // It also provides Leighton's columnsort, fused into three passes for arrays
 // within its size limit (columnsort.go), the zigzag engine, and Pick, the
 // policy that chooses among the three from public geometry: the strictly
@@ -374,7 +375,8 @@ func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element, ord o
 // whose upper cell is past the window is left alone: that cell is +∞.
 func exchangeLevel(win []extmem.Element, stride int, less Less) {
 	for g := 0; g < len(win); g += 2 * stride {
-		for li := g; li < min(g+stride, len(win)-stride); li++ {
+		end := min(g+stride, len(win)-stride)
+		for li := g; li < end; li++ {
 			if less(win[li+stride], win[li]) {
 				win[li], win[li+stride] = win[li+stride], win[li]
 			}

@@ -1,10 +1,12 @@
 package obsort
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
@@ -334,19 +336,31 @@ func TestZigzagRespectsHeldCache(t *testing.T) {
 	heldRun(t, Zigzag, n, b, m, m-2*b+1, keys)
 }
 
-// FuzzBitonic sorts two inputs of one (n, held) — fuzzed keys and a
+// FuzzBitonic sorts two inputs of one (n, B, M, held) — fuzzed keys and a
 // constant — on a strict cache with held elements checked out, in place and
 // from a source array into another: each must sort, stay within M, cost
-// BitonicCost at the free cache and leave one trace for both inputs.
+// BitonicCost at the free cache and leave one trace for both inputs. B runs
+// over 1, 2, 4, 8 and 16 and M from 4B to 1 024B, so the window runs from
+// two blocks (2B ≤ free < 4B) to all of the array; n is at most 8 192
+// blocks and at most 256 caches.
 func FuzzBitonic(f *testing.F) {
-	const b, m = 8, 4096
-	f.Add(uint16(8191), uint16(0), uint64(1)) // n = 8192: the benchmark geometry
-	f.Add(uint16(8191), uint16(m/2+b), uint64(2))
-	f.Add(uint16(1615), uint16(128), uint64(3))
-	f.Add(uint16(0), uint16(m-2*b), uint64(4))
-	f.Add(uint16(512), uint16(1000), uint64(5))
-	f.Fuzz(func(t *testing.T, nRaw, heldRaw uint16, seed uint64) {
-		n := int(nRaw)%8192 + 1
+	bs := []int{1, 2, 4, 8, 16}
+	// B = bs[bRaw%5], M = 4B + mRaw%(1 020B+1): (3, 4 064) is B = 8,
+	// M = 4 096, the benchmark's cache; (3, 480) is M = 512, the ORAM's.
+	f.Add(uint16(8191), uint16(0), uint8(3), uint16(4064), uint64(1)) // n = 8192: the benchmark geometry
+	f.Add(uint16(8191), uint16(4096/2+8), uint8(3), uint16(4064), uint64(2))
+	f.Add(uint16(1615), uint16(128), uint8(3), uint16(4064), uint64(3))
+	f.Add(uint16(0), uint16(4096-16), uint8(3), uint16(4064), uint64(4))
+	f.Add(uint16(512), uint16(1000), uint8(3), uint16(4064), uint64(5))
+	f.Add(uint16(1988), uint16(0), uint8(3), uint16(4064), uint64(6))  // a sort_mem bucket
+	f.Add(uint16(1615), uint16(0), uint8(3), uint16(480), uint64(7))   // the ORAM's largest rebuild
+	f.Add(uint16(299), uint16(4), uint8(1), uint16(0), uint64(8))      // B = 2, M = 8, 4 held: two-block windows
+	f.Add(uint16(1024), uint16(3), uint8(0), uint16(60), uint64(9))    // B = 1
+	f.Add(uint16(700), uint16(40), uint8(4), uint16(1000), uint64(10)) // B = 16
+	f.Fuzz(func(t *testing.T, nRaw, heldRaw uint16, bRaw uint8, mRaw uint16, seed uint64) {
+		b := bs[int(bRaw)%len(bs)]
+		m := 4*b + int(mRaw)%(1020*b+1)
+		n := int(nRaw)%min(8192, 256*m/b) + 1
 		held := int(heldRaw) % (m - 2*b + 1)
 		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
 		into := func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), _ func(int, []extmem.Element)) {
@@ -360,22 +374,171 @@ func FuzzBitonic(f *testing.F) {
 					sum, st, hw, elems = intoRun(t, into, n, b, m, held, in, false)
 				}
 				if got := checkSortedPadded(t, elems); !sameMultiset(got, in) {
-					t.Fatalf("n=%d held=%d from a source %v: multiset changed", n, held, fromSource)
+					t.Fatalf("n=%d B=%d M=%d held=%d from a source %v: multiset changed", n, b, m, held, fromSource)
 				}
 				if hw > m {
-					t.Fatalf("n=%d held=%d from a source %v: cache high-water %d > M=%d", n, held, fromSource, hw, m)
+					t.Fatalf("n=%d B=%d M=%d held=%d from a source %v: cache high-water %d > M", n, b, m, held, fromSource, hw)
 				}
 				if want := BitonicCost(n, b, m-held); st.Cost() != want {
-					t.Fatalf("n=%d held=%d from a source %v: measured %+v, predicted %+v", n, held, fromSource, st.Cost(), want)
+					t.Fatalf("n=%d B=%d M=%d held=%d from a source %v: measured %+v, predicted %+v", n, b, m, held, fromSource, st.Cost(), want)
 				}
 				if i == 0 {
 					first = sum
 				} else if !sum.Equal(first) {
-					t.Fatalf("n=%d held=%d from a source %v: trace %v depends on the data, first input's %v", n, held, fromSource, sum, first)
+					t.Fatalf("n=%d B=%d M=%d held=%d from a source %v: trace %v depends on the data, first input's %v", n, b, m, held, fromSource, sum, first)
 				}
 			}
 		}
 	})
+}
+
+// TestBitonicStaysInItsArray: an in-place Bitonic reads and writes no block
+// outside its array and allocates no disk scratch — the Disk's high-water
+// is the array's end — at lengths short of a power of two, at powers of
+// two, with the cache free and held, and with windows of two blocks. A
+// block allocated before the array shows an address below it.
+func TestBitonicStaysInItsArray(t *testing.T) {
+	for _, g := range []struct{ n, b, m, held int }{
+		{1989, 8, 4096, 0}, {1616, 8, 512, 128}, {1536, 8, 4096, 0}, {1024, 8, 4096, 0},
+		{5, 8, 64, 16}, {100, 4, 256, 64}, {2049, 1, 64, 16}, {300, 2, 8, 4},
+	} {
+		env := extmem.NewEnv(2*g.n+1, g.b, g.m, 3)
+		env.Cache = extmem.NewCache(g.m, true)
+		env.Cache.Acquire(g.held)
+		env.D.Alloc(1)
+		a := env.D.Alloc(g.n)
+		keys := genKeys(rand.New(rand.NewPCG(uint64(g.n), 58)), g.n*g.b-3, "rand")
+		fillArray(env, a, keys)
+		ios := 2 * bitonicPassCount(g.n, g.b, g.m-g.held) * g.n
+		rec := trace.NewRecorder(ios + 1)
+		env.D.SetRecorder(rec)
+		Bitonic(env, a, ByKey)
+		name := fmt.Sprintf("n=%d,B=%d,M=%d,held=%d", g.n, g.b, g.m, g.held)
+		if got := len(rec.Ops()); got != ios {
+			t.Errorf("%s: %d block I/Os, want %d", name, got, ios)
+		}
+		for _, op := range rec.Ops() {
+			if op.Addr < int64(a.Base()) || op.Addr >= int64(a.Base()+g.n) {
+				t.Fatalf("%s: %v outside the array's blocks [%d, %d)", name, op, a.Base(), a.Base()+g.n)
+			}
+		}
+		if hw := env.D.HighWater(); hw != a.Base()+g.n {
+			t.Errorf("%s: Disk high-water %d blocks, want the array's end %d", name, hw, a.Base()+g.n)
+		}
+		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
+			t.Errorf("%s: multiset changed", name)
+		}
+	}
+}
+
+// paddedBitonicCost is the price Bitonic had while it ran the network over
+// n blocks padded to np, a power of two: every pass moved np blocks each
+// way, less the padding the first pass did not read and the last did not
+// write, in one round trip per window of the padded array and one more,
+// less one where the last pass's last window was all padding. The pass
+// count and the window are the same as the all-ascending network's.
+func paddedBitonicCost(n, b, free int) obs.Cost {
+	sc := newSchedule(n, b, free)
+	np, wb := 1<<(sc.top-sc.lb), 1<<(sc.lc-sc.lb)
+	passes := int64(bitonicPassCount(n, b, free))
+	c := obs.Cost{IOs: passes*int64(2*np) - int64(2*(np-n)), RoundTrips: passes * int64(np/wb+1)}
+	if passes > 1 && extmem.CeilDiv(n, wb) < np/wb {
+		c.RoundTrips--
+	}
+	return c
+}
+
+// TestBitonicCostNoDearerThanPadded holds BitonicCost to the padded
+// network's price: over B ∈ {1, 4, 8}, windows from two blocks to 512 and
+// every n up to 3 000 blocks it is nowhere dearer in block I/Os or in round
+// trips, and at powers of two it is the same. The rows pin the figures at
+// sort_mem's bucket, the ORAM's largest rebuild, an array 5 000 blocks long
+// and the benchmark's sort.
+func TestBitonicCostNoDearerThanPadded(t *testing.T) {
+	for _, b := range []int{1, 4, 8} {
+		for _, free := range []int{2 * b, 3 * b, 64, 512, 2040, 4096} {
+			for n := 1; n <= 3000; n++ {
+				got, was := BitonicCost(n, b, free), paddedBitonicCost(n, b, free)
+				if got.IOs > was.IOs || got.RoundTrips > was.RoundTrips || (n&(n-1) == 0 && got != was) {
+					t.Fatalf("n=%d B=%d free=%d: %+v, padded %+v", n, b, free, got, was)
+				}
+			}
+		}
+	}
+	for _, r := range []struct {
+		n, b, free int
+		was, now   obs.Cost
+	}{
+		{1989, 8, 4096, obs.Cost{IOs: 16266, RoundTrips: 20}, obs.Cost{IOs: 15912, RoundTrips: 20}},
+		{1616, 8, 512, obs.Cost{IOs: 36000, RoundTrips: 296}, obs.Cost{IOs: 29088, RoundTrips: 269}},
+		{5000, 8, 4096, obs.Cost{IOs: 108304, RoundTrips: 118}, obs.Cost{IOs: 70000, RoundTrips: 91}},
+		{8192, 8, 4096, obs.Cost{IOs: 114688, RoundTrips: 119}, obs.Cost{IOs: 114688, RoundTrips: 119}},
+	} {
+		if was, now := paddedBitonicCost(r.n, r.b, r.free), BitonicCost(r.n, r.b, r.free); was != r.was || now != r.now {
+			t.Errorf("n=%d B=%d free=%d: %+v, padded %+v; want %+v, padded %+v", r.n, r.b, r.free, now, was, r.now, r.was)
+		}
+	}
+}
+
+// TestBitonicCostAtScale: the predictor counts a pass's cosets from its
+// pivots, not by a loop over the blocks, so a sort of 2^32 blocks is priced
+// in microseconds, with the whole cache free and with two-block windows
+// (about 500 passes).
+func TestBitonicCostAtScale(t *testing.T) {
+	const n, calls = 1 << 32, 20
+	for _, free := range []int{4096, 16} {
+		start := time.Now()
+		var c obs.Cost
+		for range calls {
+			c = BitonicCost(n, 8, free)
+		}
+		if per := time.Since(start) / calls; per > time.Millisecond {
+			t.Errorf("free=%d: BitonicCost of 2^32 blocks took %v a call", free, per)
+		}
+		if want := 2 * int64(bitonicPassCount(n, 8, free)) * n; c.IOs != want {
+			t.Errorf("free=%d: %d I/Os, want %d", free, c.IOs, want)
+		}
+	}
+}
+
+// TestZigzagProbe counts the cells of a grid — B ∈ {2, 4, 8}, windows of
+// 2, 3, 4, 8, 16 and 64 blocks free, n = 1..512 blocks — where ZigzagCost
+// beats BitonicCost, in block I/Os and in round trips, and where it beat
+// the padded network's price. Zigzag now wins only in I/Os, and only where
+// the cache leaves bitonic a window of two blocks (free < 4B): its runs of
+// one block merge-split along Batcher's odd-even merge network, which has
+// fewer comparators than the bitonic one, each gathered pass closing over a
+// single level. Against the padded price it also won in round trips. The
+// grid is kept small: ZigzagCost enumerates the network's comparators.
+func TestZigzagProbe(t *testing.T) {
+	var cells, ios, rts, paddedIOs, paddedRTs int
+	for _, b := range []int{2, 4, 8} {
+		for _, fb := range []int{2, 3, 4, 8, 16, 64} {
+			for n := 1; n <= 512; n++ {
+				z, bt, was := ZigzagCost(n, b, fb*b), BitonicCost(n, b, fb*b), paddedBitonicCost(n, b, fb*b)
+				cells++
+				if z.IOs < bt.IOs {
+					ios++
+					if fb >= 4 {
+						t.Errorf("n=%d B=%d, %d blocks free: zigzag %+v beats bitonic %+v in I/Os past a two-block window", n, b, fb, z, bt)
+					}
+				}
+				if z.RoundTrips < bt.RoundTrips {
+					rts++
+				}
+				if z.IOs < was.IOs {
+					paddedIOs++
+				}
+				if z.RoundTrips < was.RoundTrips {
+					paddedRTs++
+				}
+			}
+		}
+	}
+	if cells != 9216 || ios != 3048 || rts != 0 || paddedIOs != 3351 || paddedRTs != 606 {
+		t.Errorf("zigzag wins on %d of %d cells in I/Os and %d in round trips (against the padded price %d and %d); want 3 048 of 9 216 and 0 (3 351 and 606)",
+			ios, cells, rts, paddedIOs, paddedRTs)
+	}
 }
 
 // benchGeometry is the benchmark's sort: N = 2^16 records in blocks of 8
@@ -515,22 +678,30 @@ func TestZigzagAllocCeiling(t *testing.T) {
 	}
 }
 
-// BenchmarkBitonic is the deterministic sort at the benchmark geometry.
+// BenchmarkBitonic is the deterministic sort at the benchmark geometry and
+// at sort_mem's bucket, 1 989 blocks, which Theorem 21 sorts five times a
+// Sort: 8 I/Os per block in four passes, where the padded network's were
+// 8.18.
 func BenchmarkBitonic(b *testing.B) {
-	g := benchGeometry
-	env := extmem.NewEnv(g.n, g.b, g.m, 1)
-	a := env.D.Alloc(g.n)
-	keys := genKeys(rand.New(rand.NewPCG(7, 8)), g.n*g.b, "rand")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fillArray(env, a, keys)
-		env.D.ResetStats()
-		b.StartTimer()
-		Bitonic(env, a, ByKey)
+	for _, n := range []int{benchGeometry.n, 1989} {
+		g := benchGeometry
+		g.n = n
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			env := extmem.NewEnv(g.n, g.b, g.m, 1)
+			a := env.D.Alloc(g.n)
+			keys := genKeys(rand.New(rand.NewPCG(7, 8)), g.n*g.b, "rand")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fillArray(env, a, keys)
+				env.D.ResetStats()
+				b.StartTimer()
+				Bitonic(env, a, ByKey)
+			}
+			b.ReportMetric(float64(env.D.Stats().Total())/float64(g.n), "ios/block")
+			b.ReportMetric(float64(bitonicPassCount(g.n, g.b, g.m)), "passes")
+		})
 	}
-	b.ReportMetric(float64(env.D.Stats().Total())/float64(g.n), "ios/block")
-	b.ReportMetric(float64(bitonicPassCount(g.n, g.b, g.m)), "passes")
 }
 
 func TestInCacheStability(t *testing.T) {

@@ -177,7 +177,8 @@ func siftDownByKey(a []extmem.Element, root int) {
 // exchangeLevelByKey is exchangeLevel under ByKey.
 func exchangeLevelByKey(win []extmem.Element, stride int) {
 	for g := 0; g < len(win); g += 2 * stride {
-		for li := g; li < min(g+stride, len(win)-stride); li++ {
+		end := min(g+stride, len(win)-stride)
+		for li := g; li < end; li++ {
 			if win[li+stride].Less(win[li]) {
 				win[li], win[li+stride] = win[li+stride], win[li]
 			}

@@ -49,16 +49,16 @@ func ValidEngine(name string) bool {
 // bitonic's window, columnsort's columns and zigzag's runs. With fewer than
 // two blocks free no engine fits, Pick returns bitonic, and core.SortWith
 // declines the sort before any I/O. Columnsort costs 6 I/Os per block
-// wherever ColumnGeometry admits the array and bitonic 2 per pass plus its
-// padding, so over mem columnsort wins where bitonic needs more than three
-// passes or pads (6 against 14 at N = 2^16, B = 8, M = 4096, in 100 round trips
-// against 119); at three passes over a power of two they tie and bitonic's
-// fewer batches keep the sort, as at the ORAM's 64-block rebuild with
-// M = 512. Bitonic's packed passes close over ⌊log₂(free/B)⌋ address bits
-// each, so it wins elsewhere wherever more than a few blocks are free;
-// Zigzag wins where a pass would gather only a bit or two (M/B ≲ 16), and
-// it is the only engine for a block size that is not a power of two where
-// columnsort's alignment fails.
+// wherever ColumnGeometry admits the array and bitonic 2 per pass, so over
+// mem columnsort wins where bitonic needs more than three passes (6 against
+// 14 at N = 2^16, B = 8, M = 4096, in 100 round trips against 119); at
+// three passes they tie and bitonic's fewer batches keep the sort, as at
+// the ORAM's 64-block rebuild with M = 512. Bitonic's packed passes close
+// over ⌊log₂(free/B)⌋ dimensions each, so it wins elsewhere wherever more
+// than a few blocks are free. Over TestZigzagProbe's grid zigzag wins only
+// in block I/Os and only where bitonic's window is two blocks (free < 4B),
+// and it is the only engine for a block size that is not a power of two
+// where columnsort's alignment fails.
 func Pick(nBlocks, b, m, free int, backend string) string {
 	if nBlocks == 0 || free < 2*b {
 		return EngineBitonic

@@ -20,13 +20,14 @@ import (
 // the external cost is O((N/B)·(1 + log² K)) block I/Os in exactly 2 round
 // trips per merge-split — one vectored read, one vectored write, each
 // moving half the free cache. Bitonic's packed passes close over
-// ⌊log₂(free/B)⌋ address bits each, at the same free cache, and beat this
-// wherever more than a few blocks are free; Zigzag wins when few are (a
-// Bitonic pass then gathers one or two bits).
+// ⌊log₂(free/B)⌋ dimensions each, at the same free cache, and beat this
+// wherever more than a few blocks are free; Zigzag wins in block I/Os where
+// bitonic's window is two blocks (a pass then closes over a single level,
+// and Batcher's odd-even network has fewer comparators: TestZigzagProbe).
 //
 // Unlike Bitonic, Zigzag does not require the block size to be a power of
-// two, and it needs no scratch arena: runs past the end of the array are
-// virtual +infinity pads, skipped by ForEachComparator.
+// two. Like it, it needs no scratch arena: runs past the end of the array
+// are virtual +infinity pads, skipped by ForEachComparator.
 
 // Zigzag sorts the array with deterministic data-oblivious merge-split
 // rounds, its runs sized from the cache free at the call: it needs two
