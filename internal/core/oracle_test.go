@@ -58,7 +58,7 @@ func oracleCorpus() []oracleCase {
 		{"interior-empties", gen(2000, random, func(i int) bool { return i%3 == 1 || (i >= 640 && i < 960) })},
 		{"sorted-descending", gen(3000, func(i int) uint64 { return uint64(3000 - i) }, nil)},
 		// 300 blocks: at M = 512 Select's tail sorts with columnsort, 6 I/Os
-		// a block against bitonic's padded 15.7.
+		// a block against bitonic's 10 (15.7 while it padded to 512 blocks).
 		{"columnsort-tail", gen(2400, random, nil)},
 		// Large enough that M=4096 narrows through several levels.
 		{"large-random", gen(20000, random, nil)},

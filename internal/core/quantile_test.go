@@ -175,8 +175,8 @@ func TestQuantilesOblivious(t *testing.T) {
 }
 
 // TestQuantilesLinearIO pins the Select arm's I/Os per block flat as n
-// quadruples at fixed M/B and q. Power-of-two block counts up to 2^14 sort
-// (the bitonic network needs no padding there), so the rows sit just above.
+// quadruples at fixed M/B and q. Power-of-two block counts up to 2^14 sort,
+// so the rows sit just above them, where the Select arm is the cheaper.
 // Since the sort counts N as it reads, it is the cheaper arm at q = 2 on
 // 2^11 + 1 blocks, so the rows take q = 1.
 func TestQuantilesLinearIO(t *testing.T) {

@@ -314,11 +314,11 @@ func sortsDirectly(nBlocks, b, m, depth int) bool {
 }
 
 // paddedDeterministicCost is obsort.DeterministicCost as it was when
-// sortsDirectly's rule was set, its only input: bitonic then ran over n
-// blocks padded to np, a power of two, every pass moving np blocks each
-// way but the padding the first pass did not read and the last did not
-// write, each pass one round trip per window of the padded array and one
-// more, less one where the last pass's last window was all padding; and
+// sortsDirectly's rule was set, the one price the rule reads. Bitonic then
+// ran over n blocks padded to np, a power of two: every pass moved np
+// blocks each way but the padding the first pass did not read and the last
+// did not write, in one round trip per window of the padded array and one
+// more, less one where the last pass's last window was all padding. And
 // columnsort took the array where it was no dearer on both counts. The
 // network's pass count and window are unchanged, so bitonic's price today
 // (2n I/Os a pass) gives them.
@@ -329,7 +329,7 @@ func paddedDeterministicCost(n, b, m int) obs.Cost {
 	}
 	passes := bt.IOs / int64(2*n)
 	np := 1 << extmem.CeilLog2(n)
-	wb := min(max(1<<extmem.FloorLog2(m)/b, 2), np)
+	wb := min(max((1<<extmem.FloorLog2(m))/b, 2), np)
 	padded := obs.Cost{
 		IOs:        passes*int64(2*np) - int64(2*(np-n)),
 		RoundTrips: passes * int64(np/wb+1),

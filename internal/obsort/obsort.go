@@ -101,8 +101,8 @@ func compare(less Less, x, y extmem.Element) int {
 // log²₂(N/B) / 2g passes of 2 I/Os per block.
 //
 // The window may be all of M: besides it the sort keeps only the pass's
-// basis — at most 64 block addresses, in a fixed array — and O(1) loop
-// counters. Sizing it by the free cache keeps the trace oblivious: every
+// basis and its prefix sums — block addresses, at most 64 each, in fixed
+// arrays — and O(1) loop counters. Sizing it by the free cache keeps the trace oblivious: every
 // buffer a caller holds is checked out at a size fixed by public geometry,
 // so free is public too.
 //
@@ -188,7 +188,7 @@ type gatherPass struct {
 // gather passes; the sort and its predictors walk the same one.
 type schedule struct {
 	n           int // blocks
-	lb, lc, top int // log₂ of B, of the window, and of the padded element count
+	lb, lc, top int // log₂ of B, of the window, and of the element count rounded up to a power of two
 	stage, bit  int // the next level no pass has taken yet
 }
 

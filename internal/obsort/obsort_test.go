@@ -342,7 +342,7 @@ func TestZigzagRespectsHeldCache(t *testing.T) {
 // BitonicCost at the free cache and leave one trace for both inputs. B runs
 // over 1, 2, 4, 8 and 16 and M from 4B to 1 024B, so the window runs from
 // two blocks (2B ≤ free < 4B) to all of the array; n is at most 8 192
-// blocks and at most 256 caches.
+// blocks and at most 256·M/B.
 func FuzzBitonic(f *testing.F) {
 	bs := []int{1, 2, 4, 8, 16}
 	// B = bs[bRaw%5], M = 4B + mRaw%(1 020B+1): (3, 4 064) is B = 8,
