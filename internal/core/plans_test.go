@@ -15,8 +15,7 @@ import (
 // and round trips to equal the predictor: SelectCost, QuantilesCost and
 // SortCost. The span tree tells which arm a run took, and the sweep must
 // reach each: a Select that narrows and one that takes the sort tail, and
-// Sort levels that sort privately, that sort their buckets directly and
-// that recurse (B = 64, M = 4 096, as in TestSortRecursionReachable).
+// Sorts that sort privately and that sort their buckets directly.
 func TestPredictorsPriceSeededRuns(t *testing.T) {
 	r := rand.New(rand.NewPCG(48, 5))
 	arms := map[string]int{}
@@ -67,13 +66,10 @@ func TestPredictorsPriceSeededRuns(t *testing.T) {
 			}
 			check("Sort", n, b, m, env.D.Stats().Cost(), SortCost(n, b, m, int(occupied)))
 			spans := col.Roots()[start:]
-			switch {
-			case !ranUnder(spans, "", "randomized-level"):
-				arms["sort private"]++
-			case deeperLevels(spans) > 0:
-				arms["sort recurses"]++
-			default:
+			if ranUnder(spans, "", "randomized-level") {
 				arms["sort buckets direct"]++
+			} else {
+				arms["sort private"]++
 			}
 		}
 	}
@@ -88,7 +84,7 @@ func TestPredictorsPriceSeededRuns(t *testing.T) {
 	run(300, 64, 4096)
 	run(1100, 64, 4096)
 	t.Logf("arms reached: %v", arms)
-	for _, arm := range []string{"select narrows", "select sort tail", "sort private", "sort buckets direct", "sort recurses"} {
+	for _, arm := range []string{"select narrows", "select sort tail", "sort private", "sort buckets direct"} {
 		if arms[arm] == 0 {
 			t.Errorf("no run reached %q: %v", arm, arms)
 		}

@@ -6,13 +6,13 @@ import (
 	"math/bits"
 
 	"oblivext/internal/extmem"
-	"oblivext/internal/obs"
 	"oblivext/internal/obsort"
 	"oblivext/internal/route"
 )
 
 // This file implements §5 / Theorem 21: randomized data-oblivious sorting
-// with O((N/B)·log_{M/B}(N/B)) I/Os. One level of the recursion:
+// by one distributing level, then Lemma 2's deterministic sort of each
+// bucket where it lands:
 //
 //  1. q = (M/B)^{1/4} splitters split the input into q+1 buckets. The scan
 //     that counts the input also copies one element of every block, at an
@@ -36,38 +36,35 @@ import (
 //     I/Os, fewer round trips breaking a tie (sortPlan.plan).
 //  4. Each color array is compacted to its first capB = ⌈capE/B⌉ blocks
 //     (Theorem 6's butterfly: the dealt blocks are already full-or-empty)
-//     and sorted. A bucket that does not distribute — its capacity fits
-//     half the cache, or its own Quantiles, as priced when the rule was
-//     set, would sort it anyway (sortsDirectly) — is compacted straight
-//     into its slot of the level's result and sorted there, privately or
-//     with Lemma 2's deterministic sort: no copy in or out (sortInSlot).
-//     Only the remaining buckets recurse; each is compacted in place,
-//     sorted at the next level, that level's scratch released and its
-//     result copied down. A bucket's occupancy is private, so below the top
-//     every choice is made on its capacity, and every choice is laid out
-//     once, in a sortPlan, when the count scan has fixed the top's
-//     occupancy: the levels walk it and SortCost sums it.
-//  5. No repair pass. A level fails only by dropping elements — a deal
-//     batch over its quota, a bucket over its capacity, or a level below
-//     that did either — so a failure anywhere fails the whole Sort, each
-//     level's chance of it held to 2^-40 by its plan. The paper's failure
+//     straight into its bucket's slot of the result, and sorted there,
+//     privately where its capacity fits half the cache, else with Lemma
+//     2's deterministic sort: no copy in or out (sortInSlot). The paper
+//     distributes each bucket again, down to the cache, for its
+//     log_{M/B} bound; priced exactly, that one more level is dearer than
+//     the deterministic sort at every geometry TestSortRecursionNeverPays
+//     probes below 2^31 blocks, so no bucket distributes. A bucket's
+//     occupancy is private, so its sort is chosen on its capacity, laid
+//     out once, in a sortPlan, when the count scan has fixed the input's
+//     occupancy: the level walks it and SortCost sums it.
+//  5. No repair pass. The level fails only by dropping elements — a deal
+//     batch over its quota or a bucket over its capacity — so either fails
+//     the whole Sort, each held to 2^-40 by the plan. The paper's failure
 //     sweep re-sorts failed buckets from their own output, which cannot
 //     restore what was dropped; bucket oblivious sort (arXiv:2008.01765)
 //     likewise declares failure at a stated tail instead of repairing.
 //
-// At the benchmark geometry (N = 2^16, B = 8, M = 4 096) every bucket sorts
-// directly, so Sort is one distributing level and a deterministic sort per
-// bucket where it lands (bitonic: no columnsort matrix fits a bucket) — the
-// shape of bucket oblivious sort (arXiv:2008.01765). The deal reads 249
-// blocks a batch and writes 119 of each color: 290 779 block I/Os in 567
-// round trips, SortCost's figure (292 549 while bitonic padded each
-// 1 989-block bucket to 2 048). The top-level Sort finishes with a tight
-// order-preserving compaction (Theorem 6), so the array ends with all
-// occupied elements sorted in a tight prefix.
+// At the benchmark geometry (N = 2^16, B = 8, M = 4 096) Sort is one
+// distributing level and a bitonic sort per bucket where it lands (no
+// columnsort matrix fits a bucket) — the shape of bucket oblivious sort
+// (arXiv:2008.01765). The deal reads 249 blocks a batch and writes 119 of
+// each color: 290 779 block I/Os in 567 round trips, SortCost's figure
+// (292 549 while bitonic padded each 1 989-block bucket to 2 048). The
+// Sort finishes with a tight order-preserving compaction (Theorem 6), so
+// the array ends with all occupied elements sorted in a tight prefix.
 
-// ErrSortFailed reports a declared failure: at some level a bucket over its
-// capacity or a deal batch over its quota, each at most 2^-40 a level
-// (sortFailureBound). The trace is a prefix of the success trace.
+// ErrSortFailed reports a declared failure: a bucket over its capacity or
+// a deal batch over its quota, each at most 2^-40 (sortFailureBound). The
+// trace is a prefix of the success trace.
 var ErrSortFailed = errors.New("core: oblivious sort failed")
 
 // ErrSortCache reports an array an engine cannot sort in the cache free at
@@ -75,16 +72,12 @@ var ErrSortFailed = errors.New("core: oblivious sort failed")
 // blocks for every engine (SortWith).
 var ErrSortCache = errors.New("core: too little cache free for the sort")
 
-// sortMaxDepth bounds the recursion as a safety net; deeper levels sort
-// directly (sortsDirectly).
-const sortMaxDepth = 12
-
 // Sort sorts the occupied elements of a in place by (Key, Pos): after it
 // returns, the occupied elements form a tight sorted prefix and all other
 // cells are empty. Occupied elements must have distinct (Key, Pos) pairs
 // (give each element its original index as Pos). The trace depends only on
 // (len, B, free, N_occupied) and the tape, free being the elements of the
-// cache not checked out at the call: every level is sized from it, not from
+// cache not checked out at the call: the level is sized from it, not from
 // M. Below SortFree it returns ErrSortCache with an empty trace.
 func Sort(env *extmem.Env, a extmem.Array) error {
 	n, b := a.Len(), a.B()
@@ -106,9 +99,9 @@ func Sort(env *extmem.Env, a extmem.Array) error {
 // sort runs the plan on a, whose count scan drew sample, sOcc of its
 // elements occupied, and compacts the result back into a.
 func (p *sortPlan) sort(env *extmem.Env, a, sample extmem.Array, sOcc int64) error {
-	res, ok := p.level(env, a, 0, sample, sOcc)
+	res, ok := p.level(env, a, sample, sOcc)
 	if !ok {
-		return fmt.Errorf("%w: top-level pipeline failure", ErrSortFailed)
+		return fmt.Errorf("%w: a deal batch or a bucket overflowed", ErrSortFailed)
 	}
 
 	// Tight order-preserving compaction (Theorem 6) back into a.
@@ -175,23 +168,22 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 	return nil
 }
 
-// level sorts a, node d of the plan, into a padded result array (occupied
-// ascending, empties interspersed region-wise), its count scan having
-// drawn sample, sOcc of them occupied. It returns the result array and
-// whether this level succeeded; on ok=false the contents are garbage but
-// the trace is unchanged. Only a distributing level can fail.
-func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.Array, sOcc int64) (extmem.Array, bool) {
-	nd, n, m := &p.nodes[d], a.Len(), p.m
-	if nd.kind == kindPrivate {
+// level sorts a into a padded result array (occupied ascending, empties
+// interspersed region-wise), its count scan having drawn sample, sOcc of
+// them occupied. It returns the result array and whether the level
+// succeeded; on ok=false the contents are garbage but the trace is
+// unchanged. Only a distributing level can fail.
+func (p *sortPlan) level(env *extmem.Env, a, sample extmem.Array, sOcc int64) (extmem.Array, bool) {
+	n, m := a.Len(), p.m
+	if p.kind == kindPrivate {
 		return sortPrivate(env, a, env.D.Alloc(n), m), true
 	}
 
 	lvl := env.Obs.Start("randomized-level")
-	lvl.SetAttrInt("depth", int64(d))
 	lvl.SetAttrInt("blocks", int64(n))
 	defer env.Obs.End(lvl)
 
-	lv, q := nd.lv, nd.lv.q
+	lv, q := p.lv, p.lv.q
 
 	// Step 1: splitters from the sorted sample.
 	spq := env.Obs.Start("sample-splitters")
@@ -202,70 +194,44 @@ func (p *sortPlan) level(env *extmem.Env, a extmem.Array, d int, sample extmem.A
 	// Step 2: color, consolidate into monochromatic blocks and shuffle them,
 	// in one pass.
 	spm := env.Obs.Start("consolidate-shuffle")
-	spm.SetPredicted(nd.consolidate)
+	spm.SetPredicted(p.consolidate)
 	ap := consolidateShuffle(env, a, bounds, lv)
 	env.Obs.End(spm)
 
 	// Step 3: deal into per-color arrays with the plan's per-batch quota.
 	spd := env.Obs.Start("deal")
-	spd.SetPredicted(nd.deal)
+	spd.SetPredicted(p.deal)
 	colorArrs, ok := deal(env, ap, q+1, lv.batch, lv.quota)
 	env.Obs.End(spd)
 
 	// Step 4: per bucket, compact and sort. A bucket as dealt is full
 	// blocks plus one partial flush block among empties, so Theorem 6's
-	// butterfly moves it, deterministically, into a prefix of capB blocks;
-	// a level below absorbs the partial block in its consolidation. (The
-	// paper compacts a bucket loosely, Theorem 8; with q+1 <= 5 buckets
-	// that output, 5·capB, is as long as the deal's: see
-	// docs/ARCHITECTURE.md, Sorter engines.) Every color array has the same
-	// public length, so capB, and how a bucket sorts, is one figure for
-	// the level.
-	capB, sub := lv.capB, p.nodes[d+1].kind
-	if sub != kindDistributes {
-		// Bucket i is compacted straight into slot i of the level's result,
-		// blocks [i·capB, i·capB + len), and sorted in its first capB
-		// blocks; the next bucket's compaction overwrites the empties past
-		// them. The result is the q+1 slots end to end.
-		l := colorArrs[0].Len()
-		res := env.D.Alloc(q*capB + l)
-		for i, arr := range colorArrs {
-			spb := env.Obs.Start("bucket")
-			spb.SetAttrInt("color", int64(i))
-			// An unbalanced split fails the level: never drop the excess silently.
-			ok = sortInSlot(env, arr, res.Slice(i*capB, i*capB+l), capB, sub, m) && ok
-			env.Obs.End(spb)
-		}
-		return res.Slice(0, (q+1)*capB), ok
-	}
-	// Buckets that distribute again: compact each in place, sort it a level
-	// down, and copy that level's result down to where its scratch began,
-	// once everything it allocated is released, so the level's result is
-	// the span the q+1 copies fill and a level holds O(n) blocks at any
-	// time.
-	resMark := env.D.Mark()
+	// butterfly moves it, deterministically, into a prefix of capB blocks.
+	// (The paper compacts a bucket loosely, Theorem 8; with q+1 <= 5
+	// buckets that output, 5·capB, is as long as the deal's: see
+	// docs/ARCHITECTURE.md, Sorter engines.) Bucket i is compacted
+	// straight into slot i of the result, blocks [i·capB, i·capB + len),
+	// and sorted in its first capB blocks; the next bucket's compaction
+	// overwrites the empties past them. The result is the q+1 slots end to
+	// end.
+	capB, l := lv.capB, colorArrs[0].Len()
+	res := env.D.Alloc(q*capB + l)
 	for i, arr := range colorArrs {
 		spb := env.Obs.Start("bucket")
 		spb.SetAttrInt("color", int64(i))
-		ok = route.CompactBlocksTight(env, arr, route.PredOccupied, 0) <= capB && ok // never drop the excess silently
-		mark := env.D.Mark()
-		bucket := arr.Slice(0, capB)
-		sample, _, sOcc := countAndSample(env, bucket, true)
-		sorted, sok := p.level(env, bucket, d+1, sample, sOcc)
-		env.D.Release(mark)
-		ok = ok && sok // a level below dropped elements: the failure is ours
-		copyArray(env, sorted, env.D.Alloc(sorted.Len()))
+		// An unbalanced split fails the level: never drop the excess silently.
+		ok = sortInSlot(env, arr, res.Slice(i*capB, i*capB+l), capB, p.sub, m) && ok
 		env.Obs.End(spb)
 	}
-	return env.D.Since(resMark), ok
+	return res.Slice(0, (q+1)*capB), ok
 }
 
-// sortInSlot sorts one bucket that does not distribute again where the
-// level's result keeps it: the dealt color array arr is compacted straight
-// into slot, as long as arr, its cells read a window at a time
-// (route.CompactInto), and the slot's first capB blocks are sorted in
-// place, the way the plan says — privately, or with Lemma 2's
-// deterministic sort. It reports whether the bucket fit its capacity.
+// sortInSlot sorts one bucket where the level's result keeps it: the dealt
+// color array arr is compacted straight into slot, as long as arr, its
+// cells read a window at a time (route.CompactInto), and the slot's first
+// capB blocks are sorted in place, the way the plan says — privately, or
+// with Lemma 2's deterministic sort. It reports whether the bucket fit its
+// capacity.
 func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind, m int) bool {
 	fits := route.CompactInto(env, slot, nil, route.PredOccupied, arr) <= capB
 	bucket := slot.Slice(0, capB)
@@ -278,70 +244,6 @@ func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind
 	obsort.Deterministic(env, bucket, obsort.ByKey)
 	env.Obs.End(sp)
 	return fits
-}
-
-// sortsDirectly reports whether a level below the top, at depth over
-// nBlocks blocks and not sorted privately, sorts with Lemma 2's
-// deterministic sort (in its slot: sortInSlot) instead of distributing:
-// where the cache leaves no splitter (q < 1), past the depth limit, and
-// wherever the level's own Quantiles(q) would take its sort arm as
-// Quantiles was priced before its sort handed the ranks over in its last
-// pass — a copy of the array, the sort and a rank scan, against a count
-// scan and q Selects whose sort tail copied the caller's array the same
-// way. That sort alone orders the bucket, so the rest of the level would
-// be overhead. The rule is kept as it was, so that no bucket of the
-// randomized Sort moves: its deterministic sort is priced as it was when
-// the rule was set, bitonic over the padded power of two
-// (paddedDeterministicCost). Pricing the level against distributing it is
-// ROADMAP item 6. The top level is never asked: it always distributes
-// above SortFree, which leaves a splitter, as the paper's Theorem 21 does
-// (sortPlan.plan). A function of public geometry alone.
-func sortsDirectly(nBlocks, b, m, depth int) bool {
-	q := splitterCount(m / b)
-	if q < 1 || depth >= sortMaxDepth {
-		return true
-	}
-	copied := func(s int, top bool) obs.Cost {
-		scan := obs.Cost{IOs: int64(s), RoundTrips: extmem.ScanRoundTrips(s, b, m, 1)}
-		c := paddedDeterministicCost(s, b, m).Add(scan)
-		if top {
-			c = c.Add(scan).Add(scan)
-		}
-		return c
-	}
-	sel := planSelect(nBlocks, b, m, copied).Cost()
-	return int64(nBlocks)+int64(q)*sel.IOs >= copied(nBlocks, true).IOs
-}
-
-// paddedDeterministicCost is obsort.DeterministicCost as it was when
-// sortsDirectly's rule was set, the one price the rule reads. Bitonic then
-// ran over n blocks padded to np, a power of two: every pass moved np
-// blocks each way but the padding the first pass did not read and the last
-// did not write, in one round trip per window of the padded array and one
-// more, less one where the last pass's last window was all padding. And
-// columnsort took the array where it was no dearer on both counts. The
-// network's pass count and window are unchanged, so bitonic's price today
-// (2n I/Os a pass) gives them.
-func paddedDeterministicCost(n, b, m int) obs.Cost {
-	bt := obsort.BitonicCost(n, b, m)
-	if n == 0 {
-		return bt
-	}
-	passes := bt.IOs / int64(2*n)
-	np := 1 << extmem.CeilLog2(n)
-	wb := min(max((1<<extmem.FloorLog2(m))/b, 2), np)
-	padded := obs.Cost{
-		IOs:        passes*int64(2*np) - int64(2*(np-n)),
-		RoundTrips: passes * int64(np/wb+1),
-	}
-	if passes > 1 && extmem.CeilDiv(n, wb) < np/wb {
-		padded.RoundTrips--
-	}
-	// ColumnCost is zero where no matrix fits.
-	if c := obsort.ColumnCost(n, b, m); c.IOs > 0 && c.IOs <= padded.IOs && c.RoundTrips <= padded.RoundTrips {
-		return c
-	}
-	return padded
 }
 
 // splitterCount is §5's q = ⌊(M/B)^{1/4}⌋ for m = M/B blocks of cache, and

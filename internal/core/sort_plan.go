@@ -9,12 +9,12 @@ import (
 	"oblivext/internal/route"
 )
 
-// This file lays out Theorem 21's Sort as a plan, one node per depth, and
-// sizes each distributing level from its two tails, each held to
-// ε = 2^-40: a bucket holding more than its capacity (the splitters come
-// from a sample), and a deal batch holding more than its quota of one
-// colour (Lemma 18 / Corollary 19). Both are declared failures, visible to
-// Bob, so each bound is a leakage bound too.
+// This file lays out Theorem 21's Sort as a plan — one distributing level,
+// then a sort of each bucket where it lands — and sizes the level from its
+// two tails, each held to ε = 2^-40: a bucket holding more than its
+// capacity (the splitters come from a sample), and a deal batch holding
+// more than its quota of one colour (Lemma 18 / Corollary 19). Both are
+// declared failures, visible to Bob, so each bound is a leakage bound too.
 
 // sortTail is ln(1/ε) for ε = 2^-40, the bound on each of a level's tails.
 const sortTail = 40 * math.Ln2
@@ -44,24 +44,9 @@ func planAt(nBlocks, b, m int, occ int64, l float64, batch int) sortLevel {
 	return sortLevel{q: q, batch: batch, quota: quota, capE: capE, capB: min(capB, batches*quota), apLen: apLen, win: win}
 }
 
-// sortNode is one depth of a Sort's plan: the top level, or the bucket of
-// the level above. Below the top every decision reads a bucket's public
-// capacity, which all buckets of a level share, so the levels at one depth
-// share one node and the tree is a chain.
-type sortNode struct {
-	kind   sortKind
-	lv     sortLevel // a distributing level's shape
-	resLen int       // blocks of the sorted result
-	cost   obs.Cost  // the price after the count scan, the nodes below included
-	// A distributing level's consolidateShuffle and deal, priced for their
-	// spans.
-	consolidate, deal obs.Cost
-}
-
-// sortKind is how a node sorts: in the cache, where its occupancy fits
-// half of it; with Lemma 2's deterministic sort where it sortsDirectly, in
-// the slot of the level above; or by distributing, the top level always
-// above half the cache.
+// sortKind is how an array sorts: in the cache, where its occupancy fits
+// half of it; with Lemma 2's deterministic sort, a bucket in its slot; or
+// by distributing, the top level above half the cache.
 type sortKind uint8
 
 const (
@@ -71,29 +56,36 @@ const (
 )
 
 // sortPlan is Theorem 21's Sort laid out from public geometry once the
-// count scan has fixed the top level's occupancy: node d is every level at
-// depth d, and node d+1 the buckets of a distributing node d. Sort walks
-// it and SortCost sums it.
+// count scan has fixed its occupancy: the top level, and how each of its
+// buckets sorts. A bucket's occupancy is private, so that choice reads its
+// capacity, which every bucket shares. Sort walks the plan and SortCost
+// sums it.
 type sortPlan struct {
-	b, m  int
-	nodes [sortMaxDepth + 1]sortNode
+	b, m   int
+	kind   sortKind  // the top's: private or distributing
+	lv     sortLevel // a distributing top's shape
+	sub    sortKind  // its buckets': private or direct
+	resLen int       // blocks of the sorted result
+	cost   obs.Cost  // the price after the count scan, the buckets' sorts included
+	// A distributing level's consolidateShuffle and deal, priced for their
+	// spans.
+	consolidate, deal obs.Cost
 }
 
 // planSort plans a Sort of nBlocks blocks of b elements, occ of them
-// occupied, entered with m elements of cache free, each tail of each level
+// occupied, entered with m elements of cache free, each tail of its level
 // at most 2^-40.
 func planSort(nBlocks, b, m int, occ int64) sortPlan {
 	p := sortPlan{b: b, m: m}
-	p.plan(0, nBlocks, occ, sortTail)
+	p.plan(nBlocks, occ, sortTail)
 	return p
 }
 
-// samples reports whether the count scan of a level over nBlocks blocks
-// draws a sample: wherever the level may not fit half the cache. A bucket
-// that distributes always does.
+// samples reports whether the count scan of a Sort over nBlocks blocks
+// draws a sample: wherever the array may not fit half the cache.
 func samples(nBlocks, b, m int) bool { return nBlocks*b > m/2 }
 
-// countCost prices the count scan of a level over n blocks.
+// countCost prices the count scan of a Sort over n blocks.
 func countCost(n, b, m int) obs.Cost {
 	if samples(n, b, m) {
 		return scanCost(n, b, m, 2).Add(scanCost(extmem.CeilDiv(n, b), b, m, 2))
@@ -101,25 +93,19 @@ func countCost(n, b, m int) obs.Cost {
 	return scanCost(n, b, m, 1)
 }
 
-// plan lays out node d over n blocks, at most occ of them occupied, with
-// each tail of a distributing level at most e^-l, and the nodes below it.
+// plan lays out the top over n blocks, at most occ of them occupied, with
+// each tail of a distributing level at most e^-l, and its buckets' sorts.
 // Its deal batch is priced, not fixed: of the batches from §5's
 // ⌊(M/B)^{3/4}⌋ (the paper's) up to M/(2B), the level takes the one with
 // the fewest block I/Os, fewer round trips breaking a tie and the smaller
 // batch one that remains. A larger batch lowers the quota relative to the
 // batch, so the colour arrays every bucket compacts get shorter, but it
 // leaves less cache to write the deal from, so it is not always cheaper.
-func (p *sortPlan) plan(d, n int, occ int64, l float64) {
+func (p *sortPlan) plan(n int, occ int64, l float64) {
 	b, m := p.b, p.m
-	nd := &p.nodes[d]
-	*nd = sortNode{resLen: n}
-	switch {
-	case occ <= int64(m/2):
-		private := scanCost(n, b, m-m/2, 1)
-		nd.kind, nd.cost = kindPrivate, private.Add(private)
-		return
-	case d > 0 && sortsDirectly(n, b, m, d):
-		nd.kind, nd.cost = kindDirect, obsort.DeterministicCost(n, b, m)
+	p.resLen = n
+	if occ <= int64(m/2) {
+		p.kind, p.cost = kindPrivate, privateCost(n, b, m)
 		return
 	}
 
@@ -128,12 +114,13 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 	// The batch moves only the deal and the buckets; every bucket sorts
 	// at the same capacity, which few batches change, so its price is
 	// kept from one batch to the next.
-	subCap, sub := -1, obs.Cost{}
+	subCap, sortOne := -1, obs.Cost{}
 	price := func(at sortLevel) obs.Cost {
 		if subCap != at.capB {
-			subCap, sub = at.capB, p.bucket(d, at.capB)
+			subCap = at.capB
+			_, sortOne = bucketSort(at.capB, b, m)
 		}
-		return dealAndBucketsCost(at, b, m, sub)
+		return dealAndBucketsCost(at, b, m, sortOne)
 	}
 	least := price(lv)
 	for batch := paper + 1; batch <= min(m/b/2, lv.apLen); batch++ {
@@ -142,15 +129,15 @@ func (p *sortPlan) plan(d, n int, occ int64, l float64) {
 			lv, least = at, c
 		}
 	}
-	sortOne := p.bucket(d, lv.capB)
-	nd.kind, nd.lv, nd.resLen = kindDistributes, lv, (lv.q+1)*p.nodes[d+1].resLen
+	p.kind, p.lv, p.resLen = kindDistributes, lv, (lv.q+1)*lv.capB
+	p.sub, _ = bucketSort(lv.capB, b, m)
 
 	// The sample's sort and the splitter read-off, then the pass to the
 	// shuffled consolidated array.
 	ns := extmem.CeilDiv(n, b)
-	nd.consolidate, nd.deal = consolidateShuffleCost(n, lv), dealCost(lv, b, m)
-	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(nd.consolidate)
-	nd.cost = c.Add(dealAndBucketsCost(lv, b, m, sortOne))
+	p.consolidate, p.deal = consolidateShuffleCost(n, lv), dealCost(lv, b, m)
+	c := obsort.DeterministicCost(ns, b, m).Add(scanCost(ns, b, m, 1)).Add(p.consolidate)
+	p.cost = c.Add(least)
 }
 
 // consolidateShuffleCost prices consolidateShuffle of a level over n
@@ -162,29 +149,36 @@ func consolidateShuffleCost(n int, lv sortLevel) obs.Cost {
 	return obs.Cost{IOs: int64(n + lv.apLen + 2*targets), RoundTrips: int64(1 + extmem.CeilDiv(lv.apLen, lv.win))}
 }
 
-// bucket plans node d+1 for the buckets of capB blocks of node d and
-// returns what sorting one costs: in its slot, or, where it distributes,
-// its count scan, its level and the copy of its result down.
-func (p *sortPlan) bucket(d, capB int) obs.Cost {
-	p.plan(d+1, capB, int64(capB*p.b), sortTail)
-	sub := p.nodes[d+1]
-	if sub.kind != kindDistributes {
-		return sub.cost
+// bucketSort returns how a bucket of capB blocks sorts in its slot, and
+// what that costs: privately where it fits half the cache, else with
+// Lemma 2's deterministic sort. The paper's alternative, distributing the
+// bucket again, is no cheaper in block I/Os at any geometry
+// TestSortRecursionNeverPays probes below 2^31 blocks.
+func bucketSort(capB, b, m int) (sortKind, obs.Cost) {
+	if capB*b <= m/2 {
+		return kindPrivate, privateCost(capB, b, m)
 	}
-	return countCost(capB, p.b, p.m).Add(sub.cost).Add(copyCost(sub.resLen, p.b, p.m))
+	return kindDirect, obsort.DeterministicCost(capB, b, m)
+}
+
+// privateCost prices sortPrivate of n blocks: a read into half the cache,
+// then a write of the result.
+func privateCost(n, b, m int) obs.Cost {
+	c := scanCost(n, b, m-m/2, 1)
+	return c.Add(c)
 }
 
 // SortCost predicts the exact block I/Os and vectored round trips of a Sort
 // that succeeds on nBlocks blocks of b elements, nOcc of them occupied,
 // entered with m elements of the cache free — all of M, or what a caller
 // leaves of it — and batches bounded by the cache alone (no MaxBatch):
-// planSort's plan, then the final compaction. Every level's shape is
-// public geometry — the top level's from nOcc, every level below from its
-// bucket's capacity — and every pass moves a fixed number of blocks, the
-// shuffle's padded windows included, so the price is exact. A failed Sort
-// stops before the final compaction: its trace is a prefix of this one.
+// planSort's plan, then the final compaction. The level's shape is public
+// geometry — from nOcc, and each bucket's sort from its capacity — and
+// every pass moves a fixed number of blocks, the shuffle's padded windows
+// included, so the price is exact. A failed Sort stops before the final
+// compaction: its trace is a prefix of this one.
 func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
-	top := planSort(nBlocks, b, m, int64(nOcc)).nodes[0]
+	top := planSort(nBlocks, b, m, int64(nOcc))
 	c := countCost(nBlocks, b, m).Add(top.cost).Add(route.ConsolidateCompactCost(top.resLen, b, m))
 	// The final scan reads the compacted prefix and writes all of a.
 	read := min(nBlocks, top.resLen)
@@ -192,7 +186,7 @@ func SortCost(nBlocks, b, m, nOcc int) obs.Cost {
 }
 
 // dealAndBucketsCost prices the part of a level its deal batch moves, given
-// what sorting one bucket costs (sortPlan.bucket): the deal (dealCost) and
+// what sorting one bucket costs (bucketSort): the deal (dealCost) and
 // per bucket the compaction of its colour array and the sort.
 func dealAndBucketsCost(pl sortLevel, b, m int, sortOne obs.Cost) obs.Cost {
 	c := dealCost(pl, b, m)
@@ -214,12 +208,6 @@ func dealCost(pl sortLevel, b, m int) obs.Cost {
 	return obs.Cost{IOs: int64(pl.apLen + batches*per), RoundTrips: int64(1 + batches*extmem.CeilDiv(per, kw))}
 }
 
-// copyCost prices a two-sided scan of n blocks of b elements, a copy or in
-// place, in chunks of ScanBatchN(1, n) against free elements of the cache.
-func copyCost(n, b, free int) obs.Cost {
-	return obs.Cost{IOs: 2 * int64(n), RoundTrips: extmem.TwoSidedScanRoundTrips(n, b, free, 1)}
-}
-
 // scanCost prices one side of a scan of n blocks of b elements whose chunks
 // ScanBatchN(buffers, n) sizes against free elements of the cache.
 func scanCost(n, b, free, buffers int) obs.Cost {
@@ -231,7 +219,7 @@ func scanCost(n, b, free, buffers int) obs.Cost {
 // elements, fails on its own: a bucket over its capacity or a deal batch
 // over its quota. Sized from sortTail, each term is at most 2^-40.
 func sortFailureBound(nBlocks, b, m int, occ int64) float64 {
-	top := planSort(nBlocks, b, m, occ).nodes[0]
+	top := planSort(nBlocks, b, m, occ)
 	if top.kind != kindDistributes {
 		return 0
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestSortPlanRows pins a distributing level's shape where the benchmark
 // measures it — sort_mem at full size (N = 2^16, B = 8, M = 4 096) and at
-// -quick (N = 2^10, M = 512) — and at a recursing B = 64 row: the deal
+// -quick (N = 2^10, M = 512) — and at a B = 64 row: the deal
 // batch its price picks (249, 27 and 27 blocks, against the paper's 107, 22
 // and 22), the bucket capacity and the deal quota the two 2^-40 tails give
 // at that batch, and the level's stated failure bound, at most 2·2^-40.
@@ -27,7 +27,7 @@ func TestSortPlanRows(t *testing.T) {
 		{1100, 64, 4096, sortLevel{q: 2, batch: 27, quota: 27, capE: 35288, capB: 552, apLen: 1106, win: 29}},
 	} {
 		occ := int64(c.n * c.b)
-		if got := planSort(c.n, c.b, c.m, occ).nodes[0].lv; got != c.want {
+		if got := planSort(c.n, c.b, c.m, occ).lv; got != c.want {
 			t.Errorf("(%d, %d, %d): plan %+v, want %+v", c.n, c.b, c.m, got, c.want)
 		}
 		if p := sortFailureBound(c.n, c.b, c.m, occ); p > 2*math.Exp(-sortTail) {
@@ -51,7 +51,7 @@ func TestSortPlanRows(t *testing.T) {
 // §5's ⌊(M/B)^{3/4}⌋ in block I/Os, and no batch from there up to M/(2B)
 // takes fewer block I/Os, nor as few in fewer round trips. The batch moves
 // only the deal and the buckets' compactions (dealAndBucketsCost, with each
-// bucket's sort, sortPlan.bucket's price, which TestPredictorsExact
+// bucket's sort, bucketSort's price, which TestPredictorsExact
 // measures as part of SortCost); everything else a level does is the same
 // at every batch. The grid must hold rows where a larger batch is cheaper
 // and rows where the paper's stays: M/(2B) is not always the better end.
@@ -66,12 +66,15 @@ func TestDealBatchNoDearerThanPaper(t *testing.T) {
 					continue
 				}
 				tree := planSort(n, b, m, occ)
-				if tree.nodes[0].kind != kindDistributes {
+				if tree.kind != kindDistributes {
 					continue
 				}
-				pl := tree.nodes[0].lv
+				pl := tree.lv
 				paper := planAt(n, b, m, occ, sortTail, min(max(dealBatch(mb), 1), mb/2))
-				price := func(at sortLevel) obs.Cost { return dealAndBucketsCost(at, b, m, tree.bucket(0, at.capB)) }
+				price := func(at sortLevel) obs.Cost {
+					_, sortOne := bucketSort(at.capB, b, m)
+					return dealAndBucketsCost(at, b, m, sortOne)
+				}
 				got, ref := price(pl), price(paper)
 				if got.IOs > ref.IOs {
 					t.Errorf("n=%d B=%d M=%d: batch %d costs %+v, the paper's %d %+v", n, b, m, pl.batch, got, paper.batch, ref)
@@ -109,8 +112,8 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 	occ := int64(n * b)
 	l := 4 * math.Ln2
 	tree := sortPlan{b: b, m: m}
-	tree.plan(0, n, occ, l)
-	pl := tree.nodes[0].lv
+	tree.plan(n, occ, l)
+	pl := tree.lv
 	events := extmem.CeilDiv(pl.apLen, pl.batch) * (pl.q + 1)
 	r := rand.New(rand.NewPCG(21, 38))
 
@@ -195,63 +198,56 @@ func TestSortTailsMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestSortsDirectlyGrid pins which levels below the top sort with Lemma 2's
-// deterministic sort instead of distributing, over B ∈ {4, 8, 16, 64}, M/B
-// from 16 to 1 024 and every n up to 2^15 blocks: per (B, M/B), the number
-// of direct levels and an FNV-1a hash of the decision at every n, at depth
-// 1, and at depth 2 the same decision every 16th n. The decisions are
-// irregular in n — 55 runs at B = 64, M/B = 512 — so a count alone would
-// miss a moved boundary. Two rows moved when columnsort's and bitonic's
-// passes began to send each write with the next batch's read: the engine
-// Select's plan takes at some smaller size moved with the round trips, the
-// distributing price fell below the direct one, and six levels at each
-// stopped sorting directly (B = 16, M/B = 512: n = 17 660–17 662 and
-// 17 703–17 705, 30 515 → 30 509; B = 64, M/B = 64: n = 582–585, 668 and
-// 669, 4 455 → 4 449).
-func TestSortsDirectlyGrid(t *testing.T) {
-	type pin struct {
-		direct int
-		hash   uint64
+// TestSortRecursionNeverPays: the paper's Theorem 21 distributes every
+// bucket again, down to the cache, where Sort sorts it with Lemma 2's
+// deterministic sort (bucketSort). One more level on a bucket of capB
+// blocks costs its count scan, planSort's price of a level over it (its
+// own buckets sorted directly), and the copy of that level's result down
+// to where its scratch began, 2·resLen I/Os. Over B ∈ {2, 8, 64, 512},
+// M/B ∈ {16, 512, 4 096} and Sorts of 2^8 to 2^30 blocks, every other
+// power, one more level on the top's bucket is never cheaper in block I/Os
+// than obsort.DeterministicCost. The boundary row shows where it does pay:
+// at B = 64, M = 2^21 and 2^31 blocks, one more level on the
+// 153 513 635-block bucket costs 6 253 511 968 I/Os against the
+// deterministic sort's 6 447 572 670. Below that the paper's recursion
+// would only add I/Os.
+func TestSortRecursionNeverPays(t *testing.T) {
+	oneMore := func(capB, b, m int) (more, direct int64) {
+		sub := planSort(capB, b, m, int64(capB*b))
+		if sub.kind != kindDistributes {
+			t.Fatalf("a level over %d blocks of B=%d, M=%d does not distribute", capB, b, m)
+		}
+		more = countCost(capB, b, m).IOs + sub.cost.IOs + 2*int64(sub.resLen)
+		return more, obsort.DeterministicCost(capB, b, m).IOs
 	}
-	all := pin{32768, 0xaaa4542bbbca325}
-	want := map[[2]int]pin{
-		{4, 16}: {32760, 0x771b45398727f69d}, {4, 32}: {32752, 0x36accccd0dde0b15},
-		{4, 64}: {32736, 0xe901f3492135f705}, {4, 128}: {32704, 0x3722daa82cc55ae5},
-		{4, 256}: all, {4, 512}: all, {4, 1024}: all,
-		{8, 16}: {32760, 0x771b45398727f69d}, {8, 32}: {32752, 0x36accccd0dde0b15},
-		{8, 64}: {32736, 0xe901f3492135f705}, {8, 128}: {32704, 0x3722daa82cc55ae5},
-		{8, 256}: all, {8, 512}: all, {8, 1024}: all,
-		{16, 16}: {32760, 0x771b45398727f69d}, {16, 32}: {32752, 0x36accccd0dde0b15},
-		{16, 64}: {32736, 0xe901f3492135f705}, {16, 128}: {32704, 0x3722daa82cc55ae5},
-		{16, 256}: all, {16, 512}: {30509, 0x886746dddab3052a}, {16, 1024}: {32222, 0x224009fe0f2e4d7f},
-		{64, 16}: {32760, 0x771b45398727f69d}, {64, 32}: {32752, 0x36accccd0dde0b15},
-		{64, 64}: {4449, 0xe32ae2df868108ce}, {64, 128}: {8742, 0xf85cf867790fce0f},
-		{64, 256}: {23740, 0xc2889a1b817770f1}, {64, 512}: {22496, 0xd81315feef31f167},
-		{64, 1024}: {29667, 0xe199e2fc3b59e552},
-	}
-	for _, b := range []int{4, 8, 16, 64} {
-		for mb := 16; mb <= 1024; mb *= 2 {
-			got := pin{hash: 14695981039346656037}
-			for n := 1; n <= 1<<15; n++ {
-				d := sortsDirectly(n, b, mb*b, 1)
-				if d {
-					got.direct++
+	checked := 0
+	for _, b := range []int{2, 8, 64, 512} {
+		for _, mb := range []int{16, 512, 4096} {
+			m := mb * b
+			for lg := 8; lg <= 30; lg += 2 {
+				n := 1 << lg
+				top := planSort(n, b, m, int64(n)*int64(b))
+				if top.kind != kindDistributes || top.sub != kindDirect {
+					continue
 				}
-				got.hash = (got.hash ^ uint64(boolByte(d))) * 1099511628211
-				if n%16 == 0 && sortsDirectly(n, b, mb*b, 2) != d {
-					t.Errorf("B=%d, M/B=%d, n=%d: depth 2 decides %v, depth 1 %v", b, mb, n, !d, d)
+				checked++
+				if more, direct := oneMore(top.lv.capB, b, m); more < direct {
+					t.Errorf("B=%d, M/B=%d, n=2^%d: one more level on the %d-block bucket costs %d I/Os, the deterministic sort %d",
+						b, mb, lg, top.lv.capB, more, direct)
 				}
-			}
-			if w := want[[2]int{b, mb}]; got != w {
-				t.Errorf("B=%d, M/B=%d: %d direct levels, hash %#x; want %d, %#x", b, mb, got.direct, got.hash, w.direct, w.hash)
 			}
 		}
 	}
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
+	t.Logf("%d points checked", checked)
+	if checked < 100 {
+		t.Errorf("only %d points have buckets that sort directly", checked)
 	}
-	return 0
+
+	const b, m, n = 64, 1 << 21, 1 << 31
+	capB := planSort(n, b, m, int64(n)*b).lv.capB
+	more, direct := oneMore(capB, b, m)
+	if capB != 153513635 || more != 6253511968 || direct != 6447572670 {
+		t.Errorf("B=%d, M=%d, n=2^31: one more level on the %d-block bucket costs %d I/Os, the deterministic sort %d; want 153 513 635 blocks, 6 253 511 968 and 6 447 572 670",
+			b, m, capB, more, direct)
+	}
 }

@@ -164,20 +164,27 @@ func TestSortIOsAtBenchmarkGeometry(t *testing.T) {
 	}
 }
 
-// TestSortRecursionReachable keeps Theorem 21's recursion under test. At
-// B = 64, M = 4 096 the top level's bucket capacities (552 and 1 405 blocks
-// at these sizes) are lengths where Quantiles takes its Select arm, so the
-// level below the top distributes again; at the benchmark geometry (B = 8)
-// every bucket sorts directly. Each row sorts random keys and duplicate
-// keys, checks both against a sort.SliceStable reference, and requires the
-// two traces equal.
-func TestSortRecursionReachable(t *testing.T) {
+// TestSortOneLevel: Sort distributes once and sorts every bucket where it
+// lands, also where the rule it replaced distributed a bucket again. At
+// B = 64, M = 4 096 the top level's bucket capacities (552 and 1 405
+// blocks at these sizes) are lengths that rule sent to another level;
+// there the Sort now costs exactly 65 205 I/Os in 995 round trips and
+// 205 590 in 2 877 (129 183 in 2 099 and 356 460 in 5 345 while its
+// buckets distributed again). The benchmark geometry (B = 8), 290 779 in
+// 567, never recursed. Each row sorts random keys and duplicate keys,
+// measures both at the row's cost, checks both against a sort.SliceStable
+// reference, and requires the two traces equal and one randomized level
+// in the span tree.
+func TestSortOneLevel(t *testing.T) {
 	const m = 4096
 	for _, row := range []struct {
 		nBlocks, b int
-		recurses   bool
-	}{{1100, 64, true}, {3300, 64, true}, {1 << 13, 8, false}} {
+		cost       obs.Cost
+	}{{1100, 64, obs.Cost{IOs: 65205, RoundTrips: 995}}, {3300, 64, obs.Cost{IOs: 205590, RoundTrips: 2877}}, {1 << 13, 8, obs.Cost{IOs: 290779, RoundTrips: 567}}} {
 		nBlocks, b := row.nBlocks, row.b
+		if c := SortCost(nBlocks, b, m, nBlocks*b); c != row.cost {
+			t.Errorf("n=%d B=%d: SortCost %+v, want %+v", nBlocks, b, c, row.cost)
+		}
 		var first trace.Summary
 		for i, kind := range []string{"rand", "dup"} {
 			r := rand.New(rand.NewPCG(uint64(nBlocks), 35))
@@ -195,8 +202,12 @@ func TestSortRecursionReachable(t *testing.T) {
 			env.D.SetRecorder(rec)
 			a := env.D.Alloc(nBlocks)
 			writeElems(a, elems)
+			env.D.ResetStats()
 			if err := Sort(env, a); err != nil {
 				t.Fatalf("n=%d B=%d %s: %v", nBlocks, b, kind, err)
+			}
+			if got := env.D.Stats().Cost(); got != row.cost {
+				t.Errorf("n=%d B=%d %s: measured %+v, want %+v", nBlocks, b, kind, got, row.cost)
 			}
 			sum := rec.Summarize()
 			ref := slices.Clone(elems)
@@ -206,8 +217,8 @@ func TestSortRecursionReachable(t *testing.T) {
 					t.Fatalf("n=%d B=%d %s: cell %d = %+v, reference %+v", nBlocks, b, kind, j, e, ref[j])
 				}
 			}
-			if deeper := deeperLevels(col.Roots()); row.recurses != (deeper > 0) {
-				t.Errorf("n=%d B=%d %s: %d randomized levels at depth 1, want recursion %v", nBlocks, b, kind, deeper, row.recurses)
+			if lv := levels(col.Roots()); lv != 1 {
+				t.Errorf("n=%d B=%d %s: %d randomized levels ran, want 1", nBlocks, b, kind, lv)
 			}
 			if i == 0 {
 				first = sum
@@ -259,11 +270,10 @@ func TestSortTraceIndependentOfBucketSizes(t *testing.T) {
 	}
 }
 
-// TestSortDealOverflowFailsTop: a level below the top whose deal overflows
-// has dropped blocks, so the top-level Sort must return ErrSortFailed,
-// never an array with elements missing. The plan is edited to shrink the
-// quota of every depth-1 level to one block per colour per batch, at a
-// geometry where depth 1 distributes.
+// TestSortDealOverflowFailsTop: a level whose deal overflows has dropped
+// blocks, so Sort must return ErrSortFailed, never an array with elements
+// missing. The plan is edited to shrink the level's quota to one block per
+// colour per batch.
 func TestSortDealOverflowFailsTop(t *testing.T) {
 	const nBlocks, b, m = 1100, 64, 4096
 	r := rand.New(rand.NewPCG(nBlocks, 38))
@@ -285,10 +295,10 @@ func TestSortDealOverflowFailsTop(t *testing.T) {
 
 // TestSortFailureTraceIndependentOfInput: a failed Sort's trace must not
 // reveal what failed or how much was dropped. The edited plan overflows
-// the deal of every depth-1 level, as in TestSortDealOverflowFailsTop;
-// over inputs that spread their blocks over those levels' buckets
-// differently, so that they drop different blocks, Sort returns
-// ErrSortFailed with the cache balanced and one trace under one tape.
+// the level's deal, as in TestSortDealOverflowFailsTop; over inputs that
+// spread their blocks over its buckets differently, so that they drop
+// different blocks, Sort returns ErrSortFailed with the cache balanced and
+// one trace under one tape.
 func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 	const nBlocks, b, m = 1100, 64, 4096
 	var first trace.Summary
@@ -329,9 +339,9 @@ func TestSortFailureTraceIndependentOfInput(t *testing.T) {
 
 // sortOverflowingDeal is Sort under its plan edited to force Corollary
 // 19's overflow, an event chance would not produce in a test's lifetime:
-// every depth-1 level deals one block per colour per batch, its bucket
-// capacity cut to the colour arrays that leaves. The buckets of those
-// levels must sort in their slots, which a shorter capacity leaves valid.
+// the level deals one block per colour per batch, its bucket capacity cut
+// to the colour arrays that leaves. The buckets must sort in their slots,
+// which a shorter capacity leaves valid.
 func sortOverflowingDeal(t *testing.T, env *extmem.Env, a extmem.Array) error {
 	t.Helper()
 	n, b, free := a.Len(), a.B(), env.M-env.Cache.Used()
@@ -339,10 +349,10 @@ func sortOverflowingDeal(t *testing.T, env *extmem.Env, a extmem.Array) error {
 	defer env.D.Release(mark)
 	sample, occ, sOcc := countAndSample(env, a, samples(n, b, free))
 	p := planSort(n, b, free, occ)
-	if p.nodes[1].kind != kindDistributes || p.nodes[2].kind == kindDistributes {
-		t.Fatalf("n=%d, B=%d, M=%d: depth 1 does not distribute, or its buckets do not sort in their slots", n, b, free)
+	if p.kind != kindDistributes {
+		t.Fatalf("n=%d, B=%d, M=%d: the level does not distribute", n, b, free)
 	}
-	lv := &p.nodes[1].lv
+	lv := &p.lv
 	lv.quota, lv.capB = 1, min(lv.capB, extmem.CeilDiv(lv.apLen, lv.batch))
 	return p.sort(env, a, sample, sOcc)
 }
@@ -363,7 +373,7 @@ func TestDirectLevelCost(t *testing.T) {
 		n, b, m int
 		engine  string
 	}{{1989, 8, 4096, "bitonic"}, {300, 8, 512, "columnsort"}} {
-		if g.n*g.b <= g.m/2 || !sortsDirectly(g.n, g.b, g.m, 1) {
+		if g.n*g.b <= g.m/2 {
 			t.Fatalf("%+v: the bucket does not sort directly", g)
 		}
 		r := rand.New(rand.NewPCG(uint64(g.n), 9))
@@ -455,15 +465,14 @@ func ranUnder(spans []*obs.Span, parent, child string) bool {
 	return false
 }
 
-// deeperLevels counts, in a span tree, the randomized levels that ran at
-// depth 1.
-func deeperLevels(spans []*obs.Span) int {
+// levels counts, in a span tree, the randomized levels that ran.
+func levels(spans []*obs.Span) int {
 	n := 0
 	for _, s := range spans {
-		if s.Name == "randomized-level" && slices.Contains(s.Attrs, obs.Attr{Key: "depth", Value: "1"}) {
+		if s.Name == "randomized-level" {
 			n++
 		}
-		n += deeperLevels(s.Children)
+		n += levels(s.Children)
 	}
 	return n
 }
@@ -529,33 +538,6 @@ func TestSortAllocs(t *testing.T) {
 	})
 	if allocs > 19 {
 		t.Errorf("a Sort allocates %.0f objects, want at most 19", allocs)
-	}
-}
-
-// TestCopyDownOverlapping: the bucket results are copied onto the scratch
-// the recursion just released, so source and destination overlap; copyArray
-// copies forward in whole batches and must still deliver every block,
-// across several batches.
-func TestCopyDownOverlapping(t *testing.T) {
-	const n, b, m, shift = 200, 4, 128, 3 // scan batch = m/b - 1 = 31 blocks
-	env := newTestEnv(n+shift, b, m, 23)
-	all := env.D.Alloc(n + shift)
-	src, dst := all.Slice(shift, n+shift), all.Slice(0, n)
-	want := make([]extmem.Element, n*b)
-	for i := range want {
-		if i%5 != 0 {
-			want[i] = extmem.Element{Key: uint64(i), Pos: uint64(i), Flags: extmem.FlagOccupied}
-		}
-	}
-	writeElems(src, want)
-	if k := env.ScanBatchN(1, n); k >= n || k <= shift {
-		t.Fatalf("scan batch %d: want several batches, each longer than the overlap shift", k)
-	}
-	copyArray(env, src, dst)
-	for i, e := range readElems(dst) {
-		if e != want[i] {
-			t.Fatalf("element %d = %+v, want %+v", i, e, want[i])
-		}
 	}
 }
 
@@ -737,19 +719,17 @@ func consolidateShuffleRef(cells []extmem.Element, b int, bounds []bound, tape *
 // same tape, at its predicted price. The rows: a small window over an
 // output whose length is no multiple of it, where draws of one window hit
 // one target below it twice and a block inside it; the top level of a
-// Sort at (300, 8, 512); and the level below the top at
-// TestSortRecursionReachable's geometry, B = 64, over a bucket of 552
-// blocks.
+// Sort at (300, 8, 512); and the top level of a Sort at B = 64 over 552
+// blocks, a bucket's length in TestSortOneLevel.
 func TestConsolidateShuffleMatchesScalar(t *testing.T) {
-	below := planSort(1100, 64, 4096, 1100*64)
 	for _, row := range []struct {
 		name    string
 		n, b, m int
 		lv      sortLevel
 	}{
 		{"collisions", 37, 4, 256, sortLevel{q: 2, apLen: 37 + 6, win: 5}},
-		{"top", 300, 8, 512, planSort(300, 8, 512, 300*8).nodes[0].lv},
-		{"below-top", below.nodes[0].lv.capB, 64, 4096, below.nodes[1].lv},
+		{"top", 300, 8, 512, planSort(300, 8, 512, 300*8).lv},
+		{"top-b64", 552, 64, 4096, planSort(552, 64, 4096, 552*64).lv},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			n, b, lv := row.n, row.b, row.lv
