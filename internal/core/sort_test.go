@@ -427,6 +427,73 @@ func TestDirectLevelCost(t *testing.T) {
 	}
 }
 
+// TestPrivateLevelCost is TestDirectLevelCost's other arm: a bucket that
+// fits half the cache sorts privately in its slot, for exactly the
+// compaction of its dealt color array and privateCost, and bucketSort
+// chooses that arm exactly when capB·B ≤ M/2. The first row's bucket fills
+// half the cache to the element, so one block more sorts directly.
+func TestPrivateLevelCost(t *testing.T) {
+	for _, g := range []struct{ n, b, m int }{{32, 8, 512}, {100, 4, 1024}} {
+		for _, n := range []int{g.n, g.n + 1} {
+			kind, c := bucketSort(n, g.b, g.m)
+			if private := n*g.b <= g.m/2; private != (kind == kindPrivate) {
+				t.Errorf("%+v: bucketSort(%d) chose kind %d, want private=%v", g, n, kind, private)
+			}
+			if kind == kindPrivate && c != privateCost(n, g.b, g.m) {
+				t.Errorf("%+v: bucketSort(%d) prices %+v, want privateCost %+v", g, n, c, privateCost(n, g.b, g.m))
+			}
+		}
+
+		r := rand.New(rand.NewPCG(uint64(g.n), 11))
+		keys := make([]uint64, g.n*g.b-3)
+		for i := range keys {
+			keys[i] = r.Uint64()
+		}
+		l := g.n + g.n/4
+		env := newTestEnv(3*l, g.b, g.m, 9)
+		arr := env.D.Alloc(l)
+		cells := make([]extmem.Element, l*g.b)
+		for i, j := 0, 0; i < l && j < len(keys); i++ {
+			if i%5 == 4 {
+				continue
+			}
+			for t := i * g.b; t < (i+1)*g.b && j < len(keys); t++ {
+				cells[t] = extmem.Element{Key: keys[j], Pos: uint64(j), Flags: extmem.FlagOccupied}
+				j++
+			}
+		}
+		writeElems(arr, cells)
+		region := env.D.Alloc(l + 1)
+		sentinel := make([]extmem.Element, g.b)
+		sentinel[0] = extmem.Element{Key: 7, Flags: extmem.FlagOccupied}
+		region.Write(l, sentinel)
+		env.D.ResetStats()
+		mark := env.D.Mark()
+		ok := sortInSlot(env, arr, region.Slice(0, l), g.n, kindPrivate, g.m)
+		got := env.D.Stats().Cost()
+		want := route.CompactCost(l, 0, g.b, g.m).Add(privateCost(g.n, g.b, g.m))
+		if !ok || got != want {
+			t.Errorf("%+v: ok=%v, measured %+v, want compaction + private sort = %+v", g, ok, got, want)
+		}
+		if env.D.Mark() != mark {
+			t.Errorf("%+v: the bucket left %d blocks allocated", g, env.D.Mark()-mark)
+		}
+		if env.Cache.Used() != 0 {
+			t.Errorf("%+v: the bucket left %d cache elements in use", g, env.Cache.Used())
+		}
+		slices.Sort(keys)
+		if occ := occupiedKeys(readElems(region.Slice(0, g.n))); !equalU64(occ, keys) {
+			t.Errorf("%+v: the slot's first %d blocks are not the sorted bucket", g, g.n)
+		}
+		if occ := occupiedKeys(readElems(region.Slice(g.n, l))); len(occ) != 0 {
+			t.Errorf("%+v: %d elements past the bucket's capacity", g, len(occ))
+		}
+		if occ := occupiedKeys(readElems(region.Slice(l, l+1))); !equalU64(occ, []uint64{7}) {
+			t.Errorf("%+v: the block past the slot was overwritten", g)
+		}
+	}
+}
+
 // TestSplitterCountAndDealBatchExact: §5's q = ⌊(M/B)^{1/4}⌋ and deal batch
 // ⌊(M/B)^{3/4}⌋ are exact integer roots for every M/B up to 2^20, including
 // the named rows where a float Pow lands one short.
