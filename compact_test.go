@@ -51,86 +51,150 @@ func byKeyVal(x, y Record) int {
 	return cmp.Or(cmp.Compare(x.Key, y.Key), cmp.Compare(x.Val, y.Val))
 }
 
-// TestCompactLooseOrderedInputs runs the public CompactLoose(n/3) at the
-// benchmark's geometry — 2^16 records, B = 8, M = 4 096 — on ordered
-// inputs, marking none, n/3, and exactly the capacity's rCap·B records (the
-// smallest), in the clear and sealed. Every completed run makes one and the
-// same trace, returns 5·rCap blocks holding exactly the marked records,
-// and leaves the cache balanced. One record over the capacity is a
-// declared ErrCompactionFailed whose trace is no longer than a completed
-// run's.
-func TestCompactLooseOrderedInputs(t *testing.T) {
+// compactions are the two public compactions, each with the output's
+// length in blocks at a capacity of rCap blocks and whether it keeps the
+// marked records in their original order.
+var compactions = []struct {
+	name    string
+	run     func(a *Array, capacity int64) (*Array, error)
+	blocks  func(rCap int) int
+	ordered bool
+}{
+	{"tight", (*Array).CompactTight, func(rCap int) int { return rCap }, true},
+	{"loose", (*Array).CompactLoose, func(rCap int) int { return 5 * rCap }, false},
+}
+
+// compactOnce stores recs on a fresh client of blocks of b records with the
+// given seed and key, marks the records of marked, and traces the
+// compaction's call of the given capacity alone. A completed call must
+// return rCap blocks (5·rCap loose) holding exactly the marked records, in
+// their original order where the compaction keeps it, and every call must
+// leave the cache balanced.
+func compactOnce(t *testing.T, compact int, recs, marked []Record, b int, capacity int64, seed uint64, key []byte) (TraceSummary, error) {
+	t.Helper()
+	cp := compactions[compact]
+	c, err := New(Config{BlockSize: b, CacheWords: 4096, Seed: seed, EncryptionKey: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arr, err := c.Store(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := make([]bool, len(recs))
+	for _, r := range marked {
+		sel[r.Val] = true
+	}
+	if got, err := arr.Mark(func(r Record) bool { return sel[r.Val] }); err != nil || got != int64(len(marked)) {
+		t.Fatalf("marked %d (%v), want %d", got, err, len(marked))
+	}
+	c.EnableTrace(0)
+	out, err := cp.run(arr, capacity)
+	if used := c.env.Cache.Used(); used != 0 {
+		t.Errorf("%d cache elements still checked out", used)
+	}
+	if err != nil {
+		return c.TraceSummary(), err
+	}
+	rCap := int(capacity+int64(b)-1)/b + 1
+	if out.Blocks() != cp.blocks(rCap) || out.Len() != int64(len(marked)) {
+		t.Fatalf("%d blocks holding %d records, want %d holding %d", out.Blocks(), out.Len(), cp.blocks(rCap), len(marked))
+	}
+	got, err := out.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byVal := func(x, y Record) int { return cmp.Compare(x.Val, y.Val) }
+	if !cp.ordered {
+		slices.SortFunc(got, byVal)
+	}
+	if !slices.Equal(got, slices.SortedFunc(slices.Values(marked), byVal)) {
+		t.Fatalf("the output's records are not the %d marked in their original order", len(marked))
+	}
+	return c.TraceSummary(), nil
+}
+
+// TestCompactOrderedInputs runs both public compactions, CompactTight and
+// CompactLoose, at the benchmark's geometry — 2^16 records, B = 8,
+// M = 4 096, capacity n/3 — on ordered inputs, marking none, n/3, and
+// exactly the capacity's rCap·B records (the smallest), in the clear and
+// sealed. Every completed run of a compaction makes one and the same trace
+// and returns its output (compactOnce's checks). One record over the
+// capacity is a declared ErrCompactionFailed whose trace is no longer than
+// a completed run's.
+func TestCompactOrderedInputs(t *testing.T) {
 	const n, b = 1 << 16, 8
 	const capacity = n / 3
 	rCap := (capacity+b-1)/b + 1
-	run := func(recs []Record, marked []Record, key []byte) (TraceSummary, error) {
-		c, err := New(Config{BlockSize: b, CacheWords: 4096, Seed: 5, EncryptionKey: key})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		arr, err := c.Store(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel := make([]bool, n)
-		for _, r := range marked {
-			sel[r.Val] = true
-		}
-		if got, err := arr.Mark(func(r Record) bool { return sel[r.Val] }); err != nil || got != int64(len(marked)) {
-			t.Fatalf("marked %d (%v), want %d", got, err, len(marked))
-		}
-		c.EnableTrace(0)
-		out, err := arr.CompactLoose(capacity)
-		if used := c.env.Cache.Used(); used != 0 {
-			t.Errorf("%d cache elements still checked out", used)
-		}
-		if err != nil {
-			return c.TraceSummary(), err
-		}
-		if out.Blocks() != 5*rCap || out.Len() != int64(len(marked)) {
-			t.Fatalf("%d blocks holding %d records, want %d holding %d", out.Blocks(), out.Len(), 5*rCap, len(marked))
-		}
-		got, err := out.Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-		slices.SortFunc(got, byKeyVal)
-		if !slices.Equal(got, marked) {
-			t.Fatalf("the output's records are not the %d marked", len(marked))
-		}
-		return c.TraceSummary(), nil
-	}
-	var want TraceSummary
 	names, inputs := orderedInputs(n)
-	for i, recs := range inputs {
-		name := names[i]
-		for _, k := range []int{0, n / 3, rCap * b, rCap*b + 1} {
-			for _, sealed := range []bool{false, true} {
-				var key []byte
-				if sealed {
-					key = fuzzKey(uint64(k))
+	for ci, cp := range compactions {
+		var want TraceSummary
+		for i, recs := range inputs {
+			for _, k := range []int{0, n / 3, rCap * b, rCap*b + 1} {
+				for _, sealed := range []bool{false, true} {
+					var key []byte
+					if sealed {
+						key = fuzzKey(uint64(k))
+					}
+					t.Run(fmt.Sprintf("%s/%s/marked=%d/sealed=%v", cp.name, names[i], k, sealed), func(t *testing.T) {
+						tr, err := compactOnce(t, ci, recs, smallest(recs, k), b, capacity, 5, key)
+						switch {
+						case k > rCap*b:
+							if !errors.Is(err, core.ErrCompactionFailed) {
+								t.Fatalf("%d marked over a capacity of %d blocks: %v, want ErrCompactionFailed", k, rCap, err)
+							}
+							if want.Len > 0 && tr.Len > want.Len {
+								t.Fatalf("the failed run traced %d accesses, a completed one %d", tr.Len, want.Len)
+							}
+						case err != nil:
+							t.Fatal(err)
+						case want.Len == 0:
+							want = tr
+						case tr != want:
+							t.Fatalf("trace %+v, want %+v", tr, want)
+						}
+					})
 				}
-				t.Run(fmt.Sprintf("%s/marked=%d/sealed=%v", name, k, sealed), func(t *testing.T) {
-					tr, err := run(recs, smallest(recs, k), key)
+			}
+		}
+	}
+}
+
+// TestCompactSmallCapacity runs both public compactions at a capacity of
+// three blocks (capacity 16 records, B = 8, M = 4 096) over 32 blocks of
+// random keys, marking one, two and three full blocks' worth of records,
+// on 200 seeds. Every run must complete, and the runs on one seed must make
+// one trace: a compaction whose declared failures came more often the more
+// records were marked — as Theorem 4's IBLT peel did here, on 7 and 32 of
+// the 200 seeds with two and three blocks marked — would leak the marked
+// count.
+func TestCompactSmallCapacity(t *testing.T) {
+	const n, b, capacity, seeds = 256, 8, 16, 200
+	_, inputs := orderedInputs(n)
+	recs := inputs[0]
+	for ci, cp := range compactions {
+		t.Run(cp.name, func(t *testing.T) {
+			failed := 0
+			for seed := uint64(1); seed <= seeds; seed++ {
+				var want TraceSummary
+				for blocks := 1; blocks <= 3; blocks++ {
+					tr, err := compactOnce(t, ci, recs, smallest(recs, blocks*b), b, capacity, seed, nil)
 					switch {
-					case k > rCap*b:
-						if !errors.Is(err, core.ErrCompactionFailed) {
-							t.Fatalf("%d marked over a capacity of %d blocks: %v, want ErrCompactionFailed", k, rCap, err)
-						}
-						if want.Len > 0 && tr.Len > want.Len {
-							t.Fatalf("the failed run traced %d accesses, a completed one %d", tr.Len, want.Len)
-						}
 					case err != nil:
-						t.Fatal(err)
+						failed++
+						t.Errorf("seed %d, %d blocks marked: %v", seed, blocks, err)
 					case want.Len == 0:
 						want = tr
 					case tr != want:
-						t.Fatalf("trace %+v, want %+v", tr, want)
+						t.Errorf("seed %d, %d blocks marked: trace %+v, want %+v", seed, blocks, tr, want)
 					}
-				})
+				}
 			}
-		}
+			if failed > 0 {
+				t.Errorf("%d of %d runs declared a failure under capacity", failed, 3*seeds)
+			}
+		})
 	}
 }
 

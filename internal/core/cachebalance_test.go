@@ -80,7 +80,7 @@ func TestErrorPathsRestoreCacheCheckout(t *testing.T) {
 				Flags: extmem.FlagOccupied | extmem.FlagMarked}
 		}
 		writeElems(a, elems)
-		assertCacheBalanced(t, env, "CompactMarkedTight(cap too small)", nil, func() error {
+		assertCacheBalanced(t, env, "CompactMarkedTight(cap too small)", ErrCompactionFailed, func() error {
 			_, _, err := CompactMarkedTight(env, a, 2)
 			return err
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"oblivext/internal/extmem"
@@ -13,31 +14,28 @@ import (
 // consolidated cells through Theorem 6's butterfly as the consolidation
 // reads (route.ConsolidateCompactInto), straight into the leading blocks of
 // their output; one write-only scan zero-fills the output past the input's
-// length. Tight compaction takes Theorem 4's table instead where the table
-// fits the cache. Loose compaction never does: its output of 5R blocks is
-// the butterfly's, which costs fewer block I/Os and fewer round trips than
-// the paper's Theorems 8 and 9 at every geometry priced against them (the
-// tables in docs/ARCHITECTURE.md, "Loose compaction"), and is
-// deterministic, so its only declared failures are over-capacity and, before
-// any I/O, a cache too small for the routing.
+// length. They differ only in that length: rCap blocks for tight
+// compaction, 5·rCap for loose. The butterfly costs fewer block I/Os and
+// fewer round trips than the paper's Theorem 4 (an IBLT peeled privately)
+// and Theorems 8 and 9 at every geometry priced against them (the tables
+// in docs/ARCHITECTURE.md), and is deterministic, so its only declared
+// failures are over-capacity and, before any I/O, a cache too small for
+// the routing.
 
-// CompactMarkedTight consolidates the marked elements of a (Lemma 3) and
-// tightly compacts the resulting full blocks into a fresh array of exactly
-// rCap blocks, preserving element order. It chooses Theorem 4's IBLT path
-// when the table fits in cache — the regime where Theorem 13's strictly
-// linear I/O bound is realized — and otherwise falls back to Theorem 6's
-// butterfly network, paying a log_{M/B}(n) factor but no ORAM overhead.
-// Which path is a function of (rCap, B, M).
+// ErrCompactionFailed reports a declared compaction failure: more marked
+// elements than the declared capacity holds, returned after the whole
+// trace of a completed call, or, before any I/O, a compaction entered with
+// less cache free than the routing needs.
+var ErrCompactionFailed = errors.New("core: compaction failed")
+
+// CompactMarkedTight is tight compaction as the public API runs it: the
+// marked elements of a, at most rCap blocks of them, in order in a fresh
+// array of exactly rCap blocks, empties after them, in CompactTightCost's
+// block I/Os and round trips exactly. It fails, with ErrCompactionFailed,
+// only where more than rCap blocks' worth are marked, or before any I/O
+// where less cache is free than route.ConsolidateCompactFree.
 func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
-	if !SparseTableFits(env, rCap) {
-		return compactMarked(env, a, rCap, rCap)
-	}
-	cons, marked := route.Consolidate(env, a, extmem.Element.Marked)
-	if err := overCapacity(marked, env.B(), rCap); err != nil {
-		return cons, marked, err
-	}
-	out, _, err := CompactBlocksSparse(env, cons, rCap)
-	return out, marked, err
+	return compactMarked(env, a, rCap, rCap)
 }
 
 // CompactMarkedLoose is loose compaction as the public API runs it: the
@@ -45,9 +43,7 @@ func CompactMarkedTight(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array
 // 5·rCap blocks, the rest of it empty, in CompactLooseCost's block I/Os and
 // round trips exactly. The marked elements land in order in the leading
 // blocks, but a loose compaction promises only that they are somewhere in
-// the output. It fails, with ErrCompactionFailed, only where more than
-// rCap blocks' worth are marked, or before any I/O where less cache is free
-// than route.ConsolidateCompactFree.
+// the output. It fails as CompactMarkedTight does.
 func CompactMarkedLoose(env *extmem.Env, a extmem.Array, rCap int) (extmem.Array, int64, error) {
 	return compactMarked(env, a, 5*rCap, rCap)
 }
@@ -82,12 +78,19 @@ func overCapacity(marked int64, b, rCap int) error {
 	return nil
 }
 
-// CompactLooseCost predicts CompactMarkedLoose on n blocks of b elements
+// CompactTightCost predicts CompactMarkedTight on n blocks of b elements
 // with capacity rCap, entered with m elements of the cache free and batches
-// bounded by the cache alone (no MaxBatch): the consolidating butterfly
-// over the n blocks, and the write scan that zero-fills the 5·rCap − n
-// blocks past them, where there are any.
-func CompactLooseCost(n, rCap, b, m int) obs.Cost {
-	fill := max(5*rCap-n, 0)
+// bounded by the cache alone (no MaxBatch).
+func CompactTightCost(n, rCap, b, m int) obs.Cost { return compactCost(n, rCap, b, m) }
+
+// CompactLooseCost predicts CompactMarkedLoose as CompactTightCost predicts
+// CompactMarkedTight.
+func CompactLooseCost(n, rCap, b, m int) obs.Cost { return compactCost(n, 5*rCap, b, m) }
+
+// compactCost predicts compactMarked with an output of length blocks: the
+// consolidating butterfly over the n blocks, and the write scan that
+// zero-fills the length − n blocks past them, where there are any.
+func compactCost(n, length, b, m int) obs.Cost {
+	fill := max(length-n, 0)
 	return route.ConsolidateCompactCost(n, b, m).Add(obs.Cost{IOs: int64(fill), RoundTrips: extmem.ScanRoundTrips(fill, b, m, 1)})
 }

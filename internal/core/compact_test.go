@@ -42,17 +42,14 @@ func BenchmarkCompactLoose(b *testing.B) {
 	b.ReportMetric(float64(env.D.Stats().Total())/float64(b.N)/float64(a.Len()), "ios/block")
 }
 
-// TestCompactMarkedTightKeepsOnlyItsOutput: CompactMarkedTight's butterfly
-// arm routes into n blocks and returns the first rCap, giving the rest back,
-// so a call leaves the Disk rCap blocks higher. (TestPredictorsExact checks
-// the same of CompactMarkedLoose.)
+// TestCompactMarkedTightKeepsOnlyItsOutput: CompactMarkedTight routes into
+// n blocks and returns the first rCap, giving the rest back, so a call
+// leaves the Disk rCap blocks higher. (TestPredictorsExact checks the same
+// of CompactMarkedLoose.)
 func TestCompactMarkedTightKeepsOnlyItsOutput(t *testing.T) {
 	env := newTestEnv(1<<15, 8, 4096, 1)
 	a := env.D.Alloc(1 << 13)
 	rCap := looseBenchFill(a) // a third of the elements; a quarter are marked
-	if SparseTableFits(env, rCap) {
-		t.Fatalf("Theorem 4's table for %d blocks fits M = %d; the test needs the butterfly arm", rCap, env.M)
-	}
 	mark := env.D.Mark()
 	out, _, err := CompactMarkedTight(env, a, rCap)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package core implements the paper's algorithms: tight order-preserving
-// compaction via an invertible Bloom lookup table (Theorem 4), loose
-// compaction (Lemma 3's consolidation routed by Theorem 6's butterfly into
-// 5R blocks, which undercuts the paper's Theorems 8 and 9 at every geometry
-// priced, so neither is built), selection (Theorems 12 and 13), quantiles
+// compaction into R blocks and loose compaction into 5R (both Lemma 3's
+// consolidation routed by Theorem 6's butterfly, which undercuts the
+// paper's Theorem 4 and its Theorems 8 and 9 at every geometry priced, so
+// none of them is built), selection (Theorems 12 and 13), quantiles
 // (Theorem 17's problem, by a sort or q selections), and the randomized
 // I/O-optimal data-oblivious sort (Theorem 21, §5). The two building blocks
 // they share with the sorter engines — data-oblivious consolidation (Lemma

@@ -422,8 +422,7 @@ func TestCompactionDifferentialOracle(t *testing.T) {
 	}{
 		{"CompactMarkedTight", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
 			tight, nil},
-		// Tight compaction sizes Theorem 4's table, and with it the arm it
-		// takes, from the cache free at the call, not from M.
+		// The routing's shape comes from the free cache, not from M.
 		{"CompactMarkedTight/half-cache-held", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },
 			tight, func(m, b int) int { return m/2 + b }},
 		{"CompactMarkedTight/5B-free", true, ErrCompactionFailed, func(_, rCap int) int { return rCap },

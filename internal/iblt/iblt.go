@@ -3,7 +3,10 @@
 // key sum, and a value sum under k hash functions. Insertions and deletions
 // touch exactly the k cells determined by the key — a property the paper
 // exploits for data-oblivious compaction, because the touched locations are
-// independent of the value and of how many items the table holds.
+// independent of the value and of how many items the table holds. The
+// library's compactions do not use it: Theorem 6's butterfly undercuts
+// Theorem 4's table at every geometry priced (docs/ARCHITECTURE.md, "Why
+// not the paper's Theorem 4").
 //
 // Values are fixed-width vectors of 64-bit words (width 1 for plain
 // key-value pairs, width 4·B for whole blocks in the external-memory

@@ -65,7 +65,7 @@ func measure(env *extmem.Env, run func()) obs.Cost {
 // trips the Disk measured must be the predictor's, to the access. A row
 // runs on the array fillCells writes, with held elements of the cache
 // checked out; the predictors that assume the whole cache free (Select,
-// Quantiles, loose compaction) run where nothing is held, bitonic's,
+// Quantiles, the compactions) run where nothing is held, bitonic's,
 // zigzag's and bucket sort's, priced at the free cache, run on every row
 // whose free cache they fit,
 // columnsort's, priced the same way, on every row whose geometry
@@ -228,13 +228,20 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				return got, core.SortCost(g.n, g.b, g.free(), occupied*g.b)
 			}},
-		{"core.CompactMarkedLoose", func(g geometry) bool { return whole(g) && routes(g) },
+		{"core.CompactMarkedTight", func(g geometry) bool { return whole(g) && routes(g) },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
 				// Half the elements of an occupied block are marked; the
-				// capacity is the blocks they fill, and the 5R-block output
-				// runs past the n routed ones, which the fill zeroes.
+				// capacity is the blocks they fill, an output shorter than
+				// the n routed blocks, with nothing to fill.
 				rCap := extmem.CeilDiv(occupied, 2)
-				return compactLoose(t, env, a, rCap), core.CompactLooseCost(g.n, rCap, g.b, g.m)
+				return compact(t, env, a, rCap, rCap, core.CompactMarkedTight), core.CompactTightCost(g.n, rCap, g.b, g.m)
+			}},
+		{"core.CompactMarkedLoose", func(g geometry) bool { return whole(g) && routes(g) },
+			func(t *testing.T, env *extmem.Env, a extmem.Array, occupied int, g geometry) (obs.Cost, obs.Cost) {
+				// The same capacity; the 5R-block output runs past the n
+				// routed blocks, which the fill zeroes.
+				rCap := extmem.CeilDiv(occupied, 2)
+				return compact(t, env, a, rCap, 5*rCap, core.CompactMarkedLoose), core.CompactLooseCost(g.n, rCap, g.b, g.m)
 			}},
 		{"core.CompactMarkedLoose/no-fill", func(g geometry) bool { return whole(g) && routes(g) && g.n >= 5 },
 			func(t *testing.T, env *extmem.Env, a extmem.Array, _ int, g geometry) (obs.Cost, obs.Cost) {
@@ -250,7 +257,7 @@ func TestPredictorsExact(t *testing.T) {
 				}
 				a.WriteRange(0, g.n, buf)
 				rCap := g.n / 5
-				return compactLoose(t, env, a, rCap), core.CompactLooseCost(g.n, rCap, g.b, g.m)
+				return compact(t, env, a, rCap, 5*rCap, core.CompactMarkedLoose), core.CompactLooseCost(g.n, rCap, g.b, g.m)
 			}},
 	}
 	// Rows beyond the grid that one primitive alone runs: for Sort, the
@@ -259,8 +266,8 @@ func TestPredictorsExact(t *testing.T) {
 	// whose buckets distribute again, one of them with a quarter of the
 	// cache held, a row whose buckets sort privately in their slots, and
 	// two rows at M = 512 where columnsort sorts 300 blocks: each bucket of
-	// 520 blocks, and the sample of 2 393; for loose compaction,
-	// scan_enc_file's geometry with the fill and without it.
+	// 520 blocks, and the sample of 2 393; for the compactions,
+	// scan_enc_file's geometry, loose with the fill and without it.
 	// Select and Quantiles
 	// run at scan_enc_file's geometry too, where columnsort sorts the
 	// caller's array into scratch and its last pass feeds the rank scan;
@@ -272,6 +279,7 @@ func TestPredictorsExact(t *testing.T) {
 	more := map[string][]geometry{
 		"core.Sort": {{8192, 8, 4096, 0}, {1100, 64, 4096, 0}, {520, 8, 512, 0}, {2393, 8, 512, 0},
 			{8192, 8, 4096, 2056}, {3300, 64, 4096, 0}, {1100, 64, 4096, 1024}, {600, 8, 4096, 0}},
+		"core.CompactMarkedTight":         {{8192, 8, 4096, 0}},
 		"core.CompactMarkedLoose":         {{8192, 8, 4096, 0}},
 		"core.CompactMarkedLoose/no-fill": {{8192, 8, 4096, 0}},
 		"core.Select":                     {{8192, 8, 4096, 0}, {4155, 8, 4096, 0}},
@@ -343,23 +351,24 @@ func TestPredictorsExact(t *testing.T) {
 	}
 }
 
-// compactLoose measures core.CompactMarkedLoose of a with capacity rCap and
-// checks that its output is 5·rCap blocks and that the call leaves the
-// Disk exactly that much higher: where 5·rCap < n, the routing's blocks
-// past the output go back.
-func compactLoose(t *testing.T, env *extmem.Env, a extmem.Array, rCap int) obs.Cost {
+// compact measures a compaction of a with capacity rCap and checks that
+// its output is length blocks and that the call leaves the Disk exactly
+// that much higher: where length < n, the routing's blocks past the output
+// go back.
+func compact(t *testing.T, env *extmem.Env, a extmem.Array, rCap, length int,
+	run func(*extmem.Env, extmem.Array, int) (extmem.Array, int64, error)) obs.Cost {
 	var out extmem.Array
 	var err error
 	mark := env.D.Mark()
-	got := measure(env, func() { out, _, err = core.CompactMarkedLoose(env, a, rCap) })
+	got := measure(env, func() { out, _, err = run(env, a, rCap) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 5*rCap {
-		t.Fatalf("output of %d blocks, want 5·%d", out.Len(), rCap)
+	if out.Len() != length {
+		t.Fatalf("output of %d blocks, want %d", out.Len(), length)
 	}
-	if grew := env.D.Mark() - mark; grew != 5*rCap {
-		t.Fatalf("the Disk grew %d blocks, want the output's 5·%d", grew, rCap)
+	if grew := env.D.Mark() - mark; grew != length {
+		t.Fatalf("the Disk grew %d blocks, want the output's %d", grew, length)
 	}
 	return got
 }

@@ -174,10 +174,7 @@ func TestDeterministicVisitRule(t *testing.T) {
 // TestDeterministicBitonicWithinTwoWindows: an array of at most two of
 // bitonic's windows (the largest power of two of blocks that fits the free
 // cache) always keeps bitonic, whose passes over it make at most 9 round
-// trips against columnsort's 3s+4 ≥ 10. That is why two of core's callers
-// never take columnsort: loose compaction's residue, under 2g blocks with
-// g·B ≤ M/2, and Theorem 4's order restoration, whose rCap blocks are under
-// a sixteenth of a cache that holds the IBLT beside them.
+// trips against columnsort's 3s+4 ≥ 10.
 func TestDeterministicBitonicWithinTwoWindows(t *testing.T) {
 	for _, b := range []int{1, 2, 4, 8, 64} {
 		for fb := 2; fb <= 300; fb++ {

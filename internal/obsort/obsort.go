@@ -48,7 +48,8 @@ type Less func(a, b extmem.Element) bool
 func ByKey(a, b extmem.Element) bool { return a.Less(b) }
 
 // ByPos orders occupied elements by their Pos field (original position),
-// with empties last — the order-restoration sort of Theorem 4.
+// with empties last. No library code sorts by it; the tests use it as an
+// order the generic kernels take.
 func ByPos(a, b extmem.Element) bool {
 	ao, bo := a.Occupied(), b.Occupied()
 	if ao != bo {

@@ -29,6 +29,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -903,42 +904,45 @@ func (a *Array) Mark(pred func(Record) bool) (int64, error) {
 	return marked, nil
 }
 
-// CompactTight produces a new array holding exactly the records marked by
-// the last Mark call, in their original order, using tight order-preserving
-// compaction (Lemma 3 + Theorem 4/6). capacity bounds the marked count; it
-// is public (the server sees the output size), so choose it from workload
+// CompactTight produces a new array of capacity/B + 1 blocks holding
+// exactly the records marked by the last Mark call, in their original
+// order, empties after them: Lemma 3's consolidation feeding Theorem 6's
+// butterfly as it reads (Lemma 3 + Theorem 6), in core.CompactTightCost's
+// block I/Os and round trips exactly. It is deterministic: the only
+// declared failure is more marked records than capacity. capacity is
+// public (the server sees the output size), so choose it from workload
 // knowledge, not the data.
 func (a *Array) CompactTight(capacity int64) (*Array, error) {
-	sp := a.c.env.Obs.Start("compact-tight")
-	sp.SetAttrInt("blocks", int64(a.arr.Len()))
-	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-tight/cap=%d", capacity), a.arr.Len(), a.arr.Base()))
-	defer a.c.env.Obs.End(sp)
-	rCap := extmem.CeilDiv(int(capacity), a.c.env.B()) + 1
-	out, marked, err := core.CompactMarkedTight(a.c.env, a.arr, rCap)
-	if err != nil {
-		return nil, err
-	}
-	return &Array{c: a.c, arr: out, n: marked}, nil
+	return a.compact("compact-tight", capacity, core.CompactMarkedTight, core.CompactTightCost)
 }
 
-// CompactLoose produces a new array of 5×capacity blocks holding the marked
-// records among empties: Lemma 3's consolidation feeding Theorem 6's
-// butterfly as it reads, routed into the leading blocks, and the rest
-// zero-filled — fewer block I/Os and round trips than the paper's Theorem 8
-// at every geometry priced, and deterministic: the only declared failure is
-// more marked records than capacity. Callers may rely only on the marked
-// records being somewhere in the output, as with any loose compaction.
+// CompactLoose produces a new array of 5×(capacity/B + 1) blocks holding
+// the marked records among empties: the routing CompactTight runs, into the
+// leading blocks, and the rest zero-filled — fewer block I/Os and round
+// trips than the paper's Theorem 8 at every geometry priced, and
+// deterministic: the only declared failure is more marked records than
+// capacity. Callers may rely only on the marked records being somewhere in
+// the output, as with any loose compaction.
 func (a *Array) CompactLoose(capacity int64) (*Array, error) {
+	return a.compact("compact-loose", capacity, core.CompactMarkedLoose, core.CompactLooseCost)
+}
+
+// compact runs one of the two compactions under a span of the given name,
+// priced by its predictor wherever the routing can run.
+func (a *Array) compact(name string, capacity int64,
+	run func(*extmem.Env, extmem.Array, int) (extmem.Array, int64, error),
+	cost func(n, rCap, b, m int) obs.Cost) (*Array, error) {
+	env := a.c.env
 	n, b := a.arr.Len(), a.arr.B()
 	rCap := extmem.CeilDiv(int(capacity), b) + 1
-	sp := a.c.env.Obs.Start("compact-loose")
+	sp := env.Obs.Start(name)
 	sp.SetAttrInt("blocks", int64(n))
-	if a.c.env.M-a.c.env.Cache.Used() >= route.ConsolidateCompactFree(n, b) { // else no routing runs: the call declares the cache short
-		sp.SetPredicted(core.CompactLooseCost(n, rCap, b, a.c.env.M))
+	if env.M-env.Cache.Used() >= route.ConsolidateCompactFree(n, b) { // else no routing runs: the call declares the cache short
+		sp.SetPredicted(cost(n, rCap, b, env.M))
 	}
-	sp.Audit(a.c.auditKey(fmt.Sprintf("compact-loose/cap=%d", capacity), n, a.arr.Base()))
-	defer a.c.env.Obs.End(sp)
-	out, marked, err := core.CompactMarkedLoose(a.c.env, a.arr, rCap)
+	sp.Audit(a.c.auditKey(name+"/cap="+strconv.FormatInt(capacity, 10), n, a.arr.Base()))
+	defer env.Obs.End(sp)
+	out, marked, err := run(env, a.arr, rCap)
 	if err != nil {
 		return nil, err
 	}

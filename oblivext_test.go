@@ -11,7 +11,6 @@ import (
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
 	"oblivext/internal/oram"
-	"oblivext/internal/route"
 )
 
 func mkRecords(n int, seed uint64) []Record {
@@ -383,15 +382,15 @@ func TestPublicStatsAndCache(t *testing.T) {
 // CompactLoose(n/3) over 2^16 records, B = 8, M = 4 096 — on a MemStore
 // client: the block I/Os and round trips they measure are exactly the sum
 // of the predictors' — SelectCost, QuantilesCost, Mark's read and write
-// scans, the butterfly that consolidates as it compacts, and
-// CompactLooseCost: 169 308 I/Os in 507 round trips, 2.5834 a record. They
-// were 169 308 in 631 while each block I/O call of a deterministic sort was
-// its own round trip (Select's and Quantiles' columnsort 160 each, now 98),
-// 177 500 in 648 while Quantiles counted N in a scan of its own, and
-// 209 244 in 908 (before two I/Os a repeated probe) while loose compaction
-// ran Theorem 8; and 282 972 in 1 124 while the calls copied
-// the array to sort it and consolidated it into an array to compact it
-// loosely.
+// scans, CompactTightCost and CompactLooseCost: 169 308 I/Os in 367 round
+// trips, 2.5834 a record. They were 169 308 in 507 before the scans and
+// routings sent each write with the next read, 169 308 in 631 while each
+// block I/O call of a deterministic sort was its own round trip (Select's
+// and Quantiles' columnsort 160 each, now 98), 177 500 in 648 while
+// Quantiles counted N in a scan of its own, and 209 244 in 908 (before two
+// I/Os a repeated probe) while loose compaction ran Theorem 8; and
+// 282 972 in 1 124 while the calls copied the array to sort it and
+// consolidated it into an array to compact it loosely.
 func TestScanEncFileCallsPriced(t *testing.T) {
 	const n, b, m = 1 << 16, 8, 4096
 	c, err := New(Config{BlockSize: b, CacheWords: m, Seed: 3})
@@ -423,7 +422,7 @@ func TestScanEncFileCallsPriced(t *testing.T) {
 	blocks, rCap := n/b, extmem.CeilDiv(n/3, b)+1
 	mark := obs.Cost{IOs: 2 * int64(blocks), RoundTrips: extmem.TwoSidedScanRoundTrips(blocks, b, m, 1)}
 	want := core.SelectCost(blocks, b, m).Add(core.QuantilesCost(blocks, b, m, 8)).Add(mark).
-		Add(route.ConsolidateCompactCost(blocks, b, m)).Add(core.CompactLooseCost(blocks, rCap, b, m))
+		Add(core.CompactTightCost(blocks, rCap, b, m)).Add(core.CompactLooseCost(blocks, rCap, b, m))
 	if want != (obs.Cost{IOs: 169308, RoundTrips: 367}) {
 		t.Errorf("the predictors sum to %+v, want 169 308 I/Os in 367 round trips", want)
 	}

@@ -192,38 +192,46 @@ func TestSorterDefaults(t *testing.T) {
 	}
 }
 
-// TestCompactLooseSpanPrediction: the public compact-loose span predicts
-// exactly what it measures, and carries no attribute of Theorem 8's plan
-// (the public call does not run it).
-func TestCompactLooseSpanPrediction(t *testing.T) {
-	c, err := New(Config{BlockSize: 8, CacheWords: 4096, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	arr, err := c.Store(mkRecords(1<<13, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	marked, err := arr.Mark(func(r Record) bool { return r.Key%4 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableSpans()
-	if _, err := arr.CompactLoose(marked); err != nil {
-		t.Fatal(err)
-	}
-	sp := c.Spans()[0]
-	if sp.Name != "compact-loose" {
-		t.Fatalf("span %q, want compact-loose", sp.Name)
-	}
-	for _, a := range sp.Attrs {
-		if a.Key != "blocks" {
-			t.Errorf("attribute %s=%s, want blocks alone", a.Key, a.Value)
-		}
-	}
-	if got := sp.IO.Cost(); got != sp.Predicted || got.IOs == 0 {
-		t.Errorf("measured %+v, predicted %+v", got, sp.Predicted)
+// TestCompactSpanPrediction: the public compact-tight and compact-loose
+// spans each predict exactly what they measure, and carry the block count
+// alone.
+func TestCompactSpanPrediction(t *testing.T) {
+	for _, name := range []string{"compact-tight", "compact-loose"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Config{BlockSize: 8, CacheWords: 4096, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			arr, err := c.Store(mkRecords(1<<13, 9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			marked, err := arr.Mark(func(r Record) bool { return r.Key%4 == 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.EnableSpans()
+			compact := arr.CompactTight
+			if name == "compact-loose" {
+				compact = arr.CompactLoose
+			}
+			if _, err := compact(marked); err != nil {
+				t.Fatal(err)
+			}
+			sp := c.Spans()[0]
+			if sp.Name != name {
+				t.Fatalf("span %q, want %s", sp.Name, name)
+			}
+			for _, a := range sp.Attrs {
+				if a.Key != "blocks" {
+					t.Errorf("attribute %s=%s, want blocks alone", a.Key, a.Value)
+				}
+			}
+			if got := sp.IO.Cost(); got != sp.Predicted || got.IOs == 0 {
+				t.Errorf("measured %+v, predicted %+v", got, sp.Predicted)
+			}
+		})
 	}
 }
 
