@@ -211,23 +211,24 @@ func TestDifferentialOracle(t *testing.T) {
 // in internal/obsort: the randomized Sort (Theorem 21), the auto engine as
 // SortWith runs it (resolved by Engine at the call), and the non-oblivious
 // emsort baseline over the same shared corpus, against the same
-// sort.SliceStable reference. Sort and SortWith order by (Key, Pos) only;
-// emsort takes every padded order. A row may set its own block size and
+// sort.SliceStable reference under Element.Less. The emsort/pos-keys row
+// keys every cell by its Pos, its index in the case: the same cells,
+// occupied ones already in order. A row may set its own block size and
 // check part of the cache out before the sort, under a strict cache.
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
 	sorters := []struct {
-		name string
-		minM int // smallest M the sorter's own passes accept
-		less obsort.Less
-		sort func(env *extmem.Env, a extmem.Array) error
+		name    string
+		minM    int  // smallest M the sorter's own passes accept
+		posKeys bool // key every cell by its Pos before the sort
+		sort    func(env *extmem.Env, a extmem.Array) error
 	}{
-		{"randomized/ByKey", 16 * b, obsort.ByKey, Sort},
-		{"auto/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error {
+		{"randomized/ByKey", 16 * b, false, Sort},
+		{"auto/ByKey", 4 * b, false, func(env *extmem.Env, a extmem.Array) error {
 			return SortWith(env, a, Engine(obsort.EngineAuto, a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem"))
 		}},
-		{"emsort/ByKey", 4 * b, obsort.ByKey, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
-		{"emsort/ByPos", 4 * b, obsort.ByPos, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByPos); return nil }},
+		{"emsort/ByKey", 4 * b, false, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
+		{"emsort/pos-keys", 4 * b, true, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
 	}
 	type row struct {
 		name   string
@@ -283,9 +284,16 @@ func TestSorterDifferentialOracle(t *testing.T) {
 						}
 						col := env.EnableObs()
 						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), bs))
-						writeElems(a, c.Slots)
+						slots := c.Slots
+						if s.posKeys {
+							slots = slices.Clone(slots)
+							for i := range slots {
+								slots[i].Key = slots[i].Pos
+							}
+						}
+						writeElems(a, slots)
 						ref := readElems(a)
-						sort.SliceStable(ref, func(i, j int) bool { return s.less(ref[i], ref[j]) })
+						sort.SliceStable(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
 						env.Cache.ResetHighWater()
 						if err := s.sort(env, a); err != nil {
 							return err

@@ -131,7 +131,7 @@ func sortRanks(env *extmem.Env, src, dst extmem.Array, ranks []int64, first func
 	out := make([]extmem.Element, len(ranks))
 	var idx int64
 	ri := 0
-	obsort.DeterministicInto(env, src, dst, obsort.ByKey, first, func(_ int, chunk []extmem.Element) {
+	obsort.DeterministicInto(env, src, dst, first, func(_ int, chunk []extmem.Element) {
 		if setRanks != nil {
 			setRanks()
 			setRanks = nil

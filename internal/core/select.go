@@ -244,7 +244,7 @@ func selectBracket(env *extmem.Env, cur extmem.Array, k int64, lv selectLevel) (
 	if sampled > int64(cap(sample)) {
 		return x, y, fmt.Errorf("%w: sample size %d exceeds %d", ErrSelectFailed, sampled, cap(sample))
 	}
-	obsort.InCache(sample, obsort.ByKey)
+	obsort.InCache(sample)
 	mu := float64(k) * lv.p
 	dev := math.Sqrt(2 * lv.slack * mu)
 	x, y = bound{neg: true}, bound{pos2: true}

@@ -138,9 +138,9 @@ func Engine(name string, nBlocks, b, m, free int, backend string) string {
 	return name
 }
 
-// SortWith sorts a by obsort.ByKey with the named engine, which Engine has
-// resolved. Every engine fails with ErrSortCache before any I/O where fewer
-// than two blocks of cache are free at the call. Beyond that only
+// SortWith sorts a by extmem.Element.Less with the named engine, which
+// Engine has resolved. Every engine fails with ErrSortCache before any I/O
+// where fewer than two blocks of cache are free at the call. Beyond that only
 // "randomized" can fail, with ErrSortFailed, or with ErrSortCache before
 // any I/O below SortFree; and "columnsort", with obsort.ErrColumnGeometry
 // before any I/O where the array does not fit its size limit in the free
@@ -159,7 +159,7 @@ func SortWith(env *extmem.Env, a extmem.Array, engine string) error {
 		if _, _, err := obsort.ColumnGeometry(a.Len(), a.B(), env.M-env.Cache.Used()); err != nil {
 			return err
 		}
-		obsort.Columnsort(env, a, obsort.ByKey)
+		obsort.Columnsort(env, a)
 	case obsort.EngineZigzag:
 		obsort.Zigzag(env, a, obsort.ByKey)
 	default:
@@ -187,7 +187,7 @@ func (p *sortPlan) level(env *extmem.Env, a, sample extmem.Array, sOcc int64) (e
 
 	// Step 1: splitters from the sorted sample.
 	spq := env.Obs.Start("sample-splitters")
-	obsort.Deterministic(env, sample, obsort.ByKey)
+	obsort.Deterministic(env, sample)
 	bounds := splittersOf(env, sample, sOcc, q)
 	env.Obs.End(spq)
 
@@ -241,7 +241,7 @@ func sortInSlot(env *extmem.Env, arr, slot extmem.Array, capB int, kind sortKind
 	}
 	sp := env.Obs.Start("direct-sort")
 	sp.SetAttrInt("blocks", int64(capB))
-	obsort.Deterministic(env, bucket, obsort.ByKey)
+	obsort.Deterministic(env, bucket)
 	env.Obs.End(sp)
 	return fits
 }
@@ -369,6 +369,6 @@ func gatherSorted(env *extmem.Env, a extmem.Array, all []extmem.Element) []extme
 			}
 		}
 	})
-	obsort.InCache(all, obsort.ByKey)
+	obsort.InCache(all)
 	return all
 }

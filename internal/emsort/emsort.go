@@ -17,8 +17,10 @@ import (
 
 // MergeSort sorts the array with run formation followed by (M/B−1)-way
 // merge passes: the I/O-optimal Θ((N/B)·log_{M/B}(N/B)) non-oblivious sort.
-// Padded semantics: unoccupied cells sort last under less.
-func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
+// Padded semantics: unoccupied cells sort last under Element.Less.
+// Its Order argument is inert; it goes with the benchmark's call site
+// (benchmark/layers.go) in ROADMAP item 1(a)'s benchmark change.
+func MergeSort(env *extmem.Env, a extmem.Array, _ obsort.Order) {
 	n := a.Len()
 	if n == 0 {
 		return
@@ -39,7 +41,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 	// sort, and one vectored write.
 	spr := env.Obs.Start("run-formation")
 	spr.SetPredicted(obs.Cost{IOs: 2 * int64(n), RoundTrips: -1})
-	env.Scan(a, a, runBlocks, func(_ int, run []extmem.Element) { obsort.InCache(run, less) })
+	env.Scan(a, a, runBlocks, func(_ int, run []extmem.Element) { obsort.InCache(run) })
 	env.Obs.End(spr)
 
 	fan := m - 1
@@ -50,7 +52,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 		spm := env.Obs.Start("merge-pass")
 		spm.SetAttrInt("pass", int64(pass))
 		spm.SetAttrInt("run-blocks", int64(runLen))
-		mergePass(env, src, dst, runLen, fan, less)
+		mergePass(env, src, dst, runLen, fan)
 		env.Obs.End(spm)
 		src, dst = dst, src
 		runLen *= fan
@@ -66,7 +68,7 @@ func MergeSort(env *extmem.Env, a extmem.Array, less obsort.Less) {
 
 // mergePass merges consecutive groups of fan runs of runLen blocks from src
 // into dst.
-func mergePass(env *extmem.Env, src, dst extmem.Array, runLen, fan int, less obsort.Less) {
+func mergePass(env *extmem.Env, src, dst extmem.Array, runLen, fan int) {
 	n := src.Len()
 	b := src.B()
 	bufs := env.Cache.Buf(fan * b)
@@ -113,7 +115,7 @@ func mergePass(env *extmem.Env, src, dst extmem.Array, runLen, fan int, less obs
 				if curs[i].pos >= curs[i].lim {
 					continue
 				}
-				if best < 0 || less(bufs[i*b+curs[i].pos], bufs[best*b+curs[best].pos]) {
+				if best < 0 || bufs[i*b+curs[i].pos].Less(bufs[best*b+curs[best].pos]) {
 					best = i
 				}
 			}
@@ -228,7 +230,7 @@ func QuickSelect(env *extmem.Env, a extmem.Array, k int64) (extmem.Element, erro
 					got++
 				}
 			}
-			obsort.InCache(all[:got], obsort.ByKey)
+			obsort.InCache(all[:got])
 			e := all[rank-1]
 			env.Cache.Free(all)
 			return e, nil

@@ -108,7 +108,7 @@ func TestPredictorsExact(t *testing.T) {
 				// visitor: the last pass's, or a scan after bitonic.
 				dst, seen := env.D.Alloc(g.n), 0
 				got := measure(env, func() {
-					obsort.DeterministicInto(env, a, dst, obsort.ByKey, nil, func(lo int, chunk []extmem.Element) {
+					obsort.DeterministicInto(env, a, dst, nil, func(lo int, chunk []extmem.Element) {
 						if lo != seen {
 							t.Fatalf("visited blocks from %d, want %d", lo, seen)
 						}
@@ -125,7 +125,7 @@ func TestPredictorsExact(t *testing.T) {
 				// In place: no disk scratch, and the cache within M.
 				mark, dhw := env.D.Mark(), env.D.HighWater()
 				env.Cache.ResetHighWater()
-				got := measure(env, func() { obsort.Columnsort(env, a, obsort.ByKey) })
+				got := measure(env, func() { obsort.Columnsort(env, a) })
 				if env.D.Mark() != mark || env.D.HighWater() != dhw {
 					t.Errorf("disk mark %d → %d, high-water %d → %d: columnsort allocated scratch", mark, env.D.Mark(), dhw, env.D.HighWater())
 				}

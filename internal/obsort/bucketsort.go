@@ -1,7 +1,9 @@
 package obsort
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/obs"
@@ -126,9 +128,10 @@ func (g bucketGeom) sampleBlocks(f int) int {
 }
 
 // BucketSort sorts the occupied elements of a in place with padded
-// semantics (occupied ascend by less with scan-index tie-breaks, empties
-// sink). It may fail with ErrBucketOverflow — a declared, public failure
-// that leaves a unchanged, at a rate that depends on the keys' order. It is
+// semantics (occupied ascend by Element.Less with scan-index tie-breaks,
+// empties sink). It may fail with ErrBucketOverflow — a declared, public
+// failure that leaves a unchanged, at a rate that depends on the keys'
+// order. It is
 // sized from the cache free at the call, not from M; where that cannot
 // support the geometry it falls back to the deterministic Bitonic engine
 // and never fails. Nothing in the library calls it: it stays only for the
@@ -138,7 +141,9 @@ func (g bucketGeom) sampleBlocks(f int) int {
 // Side effects on success: the Color and CellDest scratch bits of every
 // element are cleared; Key, Pos, Val and the occupied/marked/failed flags
 // are preserved.
-func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
+// Its Order argument is inert; it goes with the benchmark's call site
+// (benchmark/layers.go) in ROADMAP item 1(a)'s benchmark change.
+func BucketSort(env *extmem.Env, a extmem.Array, _ Order) error {
 	n := a.Len()
 	if n == 0 {
 		return nil
@@ -147,7 +152,7 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	free := env.M - env.Cache.Used()
 	g, ok := bucketGeometry(n, b, free)
 	if !ok {
-		Bitonic(env, a, less)
+		bitonic(env, a, a, nil)
 		return nil
 	}
 	sp := env.Obs.Start("bucket")
@@ -156,22 +161,6 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	defer env.Obs.End(sp)
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
-
-	// ltCargo is the total order used for splitters, range indices and leaf
-	// sorts: occupied first, then less, then the unique scan index — total
-	// even when every key is equal, so splitters never skew a range.
-	ltCargo := func(x, y extmem.Element) bool {
-		if xo, yo := x.Occupied(), y.Occupied(); xo != yo {
-			return xo
-		}
-		if less(x, y) {
-			return true
-		}
-		if less(y, x) {
-			return false
-		}
-		return x.CellDest() < y.CellDest()
-	}
 
 	w := env.D.Alloc(g.k1 * g.zb)
 	sps := env.Obs.Start("seed")
@@ -187,7 +176,7 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 		return err
 	}
 	spr := env.Obs.Start("split-regions")
-	err = bucketSplitRegion(env, w, g, 0, g.k1, ltCargo)
+	err = bucketSplitRegion(env, w, g, 0, g.k1)
 	env.Obs.End(spr)
 	if err != nil {
 		return err
@@ -332,18 +321,13 @@ func bucketBinPhase(env *extmem.Env, w extmem.Array, g bucketGeom) error {
 // [lo, lo+f) of buckets to sub-regions until a region fits in half the
 // cache, then sorts it privately. The recursion structure, sample sizes
 // and every address depend only on the geometry and the tape.
-func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int, ltCargo Less) error {
+func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int) error {
 	b := g.b
 	if f <= g.fLeaf {
 		buf := env.Cache.Buf(f * g.z)
 		defer env.Cache.Free(buf)
 		w.ReadRange(lo*g.zb, (lo+f)*g.zb, buf)
-		InCache(buf, func(x, y extmem.Element) bool {
-			if xp, yp := x.Color() == padColor, y.Color() == padColor; xp || yp {
-				return !xp && yp
-			}
-			return ltCargo(x, y)
-		})
+		slices.SortStableFunc(buf, padLast)
 		w.WriteRange(lo*g.zb, (lo+f)*g.zb, buf)
 		return nil
 	}
@@ -364,12 +348,7 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 		x.Read(w, lo*g.zb+env.Tape.IntN(f*g.zb))
 	}
 	x.Do(nil, sbuf)
-	InCache(sbuf, func(x, y extmem.Element) bool {
-		if xp, yp := x.Color() == padColor, y.Color() == padColor; xp || yp {
-			return !xp && yp
-		}
-		return ltCargo(x, y)
-	})
+	slices.SortStableFunc(sbuf, padLast)
 	nCargo := 0
 	for _, e := range sbuf {
 		if e.Color() != padColor {
@@ -397,7 +376,7 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 			}
 			bin := 0
 			for s := 0; s < nSpl; s++ {
-				if ltCargo(spl[s], chunk[t]) {
+				if cmpCargo(spl[s], chunk[t]) < 0 {
 					bin = s + 1
 				}
 			}
@@ -427,11 +406,36 @@ func bucketSplitRegion(env *extmem.Env, w extmem.Array, g bucketGeom, lo, f int,
 
 	fp := f / k2
 	for c := 0; c < k2; c++ {
-		if err := bucketSplitRegion(env, w, g, lo+c*fp, fp, ltCargo); err != nil {
+		if err := bucketSplitRegion(env, w, g, lo+c*fp, fp); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cmpCargo is the total order of the splitters, the range indices and the
+// leaf sorts: Element.Less, then the unique scan index — total even when
+// every key is equal, so splitters never skew a range.
+func cmpCargo(x, y extmem.Element) int {
+	if c := cmpLess(x, y); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.CellDest(), y.CellDest())
+}
+
+// padLast is cmpCargo with the padding cells after the cargo: the order
+// of the sample and leaf sorts.
+func padLast(x, y extmem.Element) int {
+	xp, yp := x.Color() == padColor, y.Color() == padColor
+	switch {
+	case xp && yp:
+		return 0
+	case xp:
+		return 1
+	case yp:
+		return -1
+	}
+	return cmpCargo(x, y)
 }
 
 // BucketCost predicts a successful BucketSort run entered with m elements

@@ -106,14 +106,14 @@ func columnCost(nBlocks, b, free int, visit bool) obs.Cost {
 // address trace depends only on (len, B, free); it allocates no disk
 // scratch and checks out 2r elements of the cache. It panics with
 // ErrColumnGeometry where ColumnGeometry does.
-func Columnsort(env *extmem.Env, a extmem.Array, less Less) { columnsort(env, a, a, less, nil, nil) }
+func Columnsort(env *extmem.Env, a extmem.Array) { columnsort(env, a, a, nil, nil) }
 
 // columnsort is Columnsort of src into a, as long as src and possibly src
 // itself: pass A reads src, handing each column to first when it is not
 // nil, and writes a, and B and C run in a. Where visit is not nil, C hands
 // each final window to visit, in sorted order with the index of its first
 // block, instead of writing it, and a is left unsorted.
-func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
+func columnsort(env *extmem.Env, src, a extmem.Array, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
 	n := a.Len()
 	b := a.B()
 	if src.Len() != n {
@@ -136,7 +136,6 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	rb, sb, per := r/b, r/(s*b), r/s // blocks per column, per slot; elements per slot
 	buf := env.Cache.Buf(2 * r)
 	col, aux := buf[:r], buf[r:]
-	ord := orderOf(less)
 
 	// Every pass sends each batch's write with the next batch's read, one
 	// interaction for both; a pass starts with a read of its own and ends
@@ -147,7 +146,7 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 		if first != nil {
 			first(col)
 		}
-		ord.sort(col)
+		sortCells(col)
 		for t, e := range col {
 			aux[t%s*per+t/s] = e
 		}
@@ -163,7 +162,7 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	}
 	x.Do(nil, col)
 	for k := 0; k < s; k++ {
-		ord.mergeRuns(col, per, aux)
+		mergeRuns(col, per, aux)
 		// Slot k of every column goes back from col, and slot k+1 lands in
 		// col: the store takes the write before it fills the read.
 		x = a.Disk().Batch(rb)
@@ -185,10 +184,10 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	half, hb := r/2, rb/2
 	a.ReadRange(0, rb, col)
 	for m := 0; m < s; m++ {
-		ord.mergeRuns(col, per, aux[:half])
+		mergeRuns(col, per, aux[:half])
 		win, lo := col[:half], 0 // the first half column is final
 		if m > 0 {
-			ord.mergeBehind(aux, col[:half])
+			mergeBehind(aux, col[:half])
 			win, lo = aux, m*rb-hb
 		}
 		next := a.Slice(min(m+1, s)*rb, min(m+2, s)*rb)
@@ -207,61 +206,4 @@ func columnsort(env *extmem.Env, src, a extmem.Array, less Less, first func(chun
 	}
 	env.Obs.End(spc)
 	env.Cache.Free(buf)
-}
-
-// mergeRuns sorts buf, sorted runs of per elements each, by merging
-// neighbouring runs bottom up, each merge through scratch of the shorter
-// run's length: at most len(buf)/2.
-func (o order) mergeRuns(buf []extmem.Element, per int, scratch []extmem.Element) {
-	for w := per; w < len(buf); w *= 2 {
-		for lo := 0; lo+w < len(buf); lo += 2 * w {
-			run := buf[lo:min(lo+2*w, len(buf))]
-			if w <= len(run)-w {
-				x := scratch[:w]
-				copy(x, run[:w])
-				o.mergeBehind(run, x)
-			} else {
-				y := scratch[:len(run)-w]
-				copy(y, run[w:])
-				o.mergeAhead(run, y)
-			}
-		}
-	}
-}
-
-// mergeBehind merges the sorted y into dst, whose last len(dst)−len(y)
-// elements are the other sorted input, x. Output slot i+j is written only
-// once x[i], at len(y)+i, has been read, so the merge needs no second
-// buffer, and once y runs out the rest of x is already in place.
-func mergeBehind(dst, y []extmem.Element, less Less) {
-	x := dst[len(y):]
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		if less(y[j], x[i]) {
-			dst[i+j] = y[j]
-			j++
-		} else {
-			dst[i+j] = x[i]
-			i++
-		}
-	}
-	copy(dst[i+j:], y[j:])
-}
-
-// mergeAhead merges the sorted y into dst, whose first len(dst)−len(y)
-// elements are the other sorted input, x, from the back: the larger of the
-// two tails goes to slot i+j+1, never below x[i], and once x runs out the
-// rest of y is copied to the front.
-func mergeAhead(dst, y []extmem.Element, less Less) {
-	i, j := len(dst)-len(y)-1, len(y)-1
-	for i >= 0 && j >= 0 {
-		if less(y[j], dst[i]) {
-			dst[i+j+1] = dst[i]
-			i--
-		} else {
-			dst[i+j+1] = y[j]
-			j--
-		}
-	}
-	copy(dst, y[:j+1])
 }

@@ -108,7 +108,7 @@ func TestDeterministicRule(t *testing.T) {
 		fillArray(env, a, keys)
 		col := env.EnableObs()
 		env.D.ResetStats()
-		Deterministic(env, a, ByKey)
+		Deterministic(env, a)
 		got := env.D.Stats().Cost()
 		if roots := col.Roots(); len(roots) != 1 || roots[0].Name != r.engine {
 			t.Errorf("n=%d: spans %s, want one %s", r.n, obs.RenderTree(roots), r.engine)
@@ -154,9 +154,9 @@ func TestDeterministicVisitRule(t *testing.T) {
 		}
 		keys := genKeys(rand.New(rand.NewPCG(uint64(r.n), 44)), r.n*b-5, "rand")
 		var col *obs.Collector
-		into := func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), visit func(int, []extmem.Element)) {
+		into := func(env *extmem.Env, src, dst extmem.Array, first func([]extmem.Element), visit func(int, []extmem.Element)) {
 			col = env.EnableObs()
-			DeterministicInto(env, src, dst, less, first, visit)
+			DeterministicInto(env, src, dst, first, visit)
 		}
 		_, st, _, elems := intoRun(t, into, r.n, b, m, 0, keys, true)
 		if roots := col.Roots(); len(roots) != 1 || roots[0].Name != r.engine {
@@ -194,10 +194,10 @@ func TestDeterministicBitonicWithinTwoWindows(t *testing.T) {
 
 // columnsortNoScratch runs Columnsort and fails the test if the Disk's
 // high-water moved: the engine sorts in place.
-func columnsortNoScratch(t *testing.T) func(*extmem.Env, extmem.Array, Less) {
-	return func(env *extmem.Env, a extmem.Array, less Less) {
+func columnsortNoScratch(t *testing.T) func(*extmem.Env, extmem.Array) {
+	return func(env *extmem.Env, a extmem.Array) {
 		hw := env.D.HighWater()
-		Columnsort(env, a, less)
+		Columnsort(env, a)
 		if got := env.D.HighWater(); got != hw {
 			t.Fatalf("columnsort grew the disk from %d to %d blocks", hw, got)
 		}
@@ -313,7 +313,7 @@ func BenchmarkColumnsort(b *testing.B) {
 		fillArray(env, a, keys)
 		env.D.ResetStats()
 		b.StartTimer()
-		Columnsort(env, a, ByKey)
+		Columnsort(env, a)
 	}
 	b.ReportMetric(float64(env.D.Stats().Total())/float64(g.n), "ios/block")
 	b.ReportMetric(float64(env.D.Stats().RoundTrips), "round-trips")

@@ -344,14 +344,14 @@ func TestPickPolicy(t *testing.T) {
 		name      string
 		cost      func(nBlocks, b, m, free int) obs.Cost
 		supported func(nBlocks, b, m, free int) bool
-		run       func(env *extmem.Env, a extmem.Array, less Less)
+		run       func(env *extmem.Env, a extmem.Array)
 	}{
 		{EngineBitonic, func(n, b, _, free int) obs.Cost { return BitonicCost(n, b, free) },
-			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b }, Bitonic},
+			func(_, b, m, free int) bool { return b&(b-1) == 0 && m >= 4*b && free >= 2*b }, bitonicSort},
 		{EngineColumnsort, func(n, b, _, free int) obs.Cost { return ColumnCost(n, b, free) },
 			func(n, b, _, free int) bool { return columns(n, b, free) }, Columnsort},
 		{EngineZigzag, func(n, b, _, free int) obs.Cost { return ZigzagCost(n, b, free) },
-			func(_, b, _, free int) bool { return free >= 2*b }, Zigzag},
+			func(_, b, _, free int) bool { return free >= 2*b }, zigzagSort},
 	}
 	picked, backendSplits := map[string]bool{}, false
 	for _, g := range []struct{ n, b, m, held int }{
@@ -384,7 +384,7 @@ func TestPickPolicy(t *testing.T) {
 			a := env.D.Alloc(g.n)
 			fillArray(env, a, genKeys(rand.New(rand.NewPCG(43, 44)), g.n*g.b, "rand"))
 			env.D.ResetStats()
-			engines[wi].run(env, a, ByKey)
+			engines[wi].run(env, a)
 			if measured := metric(env.D.Stats().Cost(), backend); measured != least {
 				t.Errorf("Pick(%d, %d, %d, %d, %s) = %s: measured cost %d, predicted %d", g.n, g.b, g.m, free, backend, got, measured, least)
 			}

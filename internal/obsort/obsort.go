@@ -16,15 +16,10 @@
 // cheapest by its exact predictor, ties kept by bitonic, then columnsort,
 // then zigzag. BucketSort (bucketsort.go) is no engine: no name reaches it.
 //
-// Sorting here always has padded semantics: occupied elements ascend by
-// (Key, Pos) — or a caller-supplied order — and unoccupied cells sink to
-// the end, implementing the paper's "+infinity" empty cells.
-//
-// Under ByKey, Bitonic's and Columnsort's in-cache kernels (the window and
-// column sorts, the compare-exchange levels, the merges) compare inline
-// with extmem.Element.Less (order.go); any other order is sorted correctly,
-// with the same trace, but through a function call per comparison, at two
-// to three times the kernels' time (BenchmarkInCacheKernels).
+// Sorting here always has one order, extmem.Element.Less: occupied
+// elements ascend by (Key, Pos) and unoccupied cells sink to the end,
+// implementing the paper's "+infinity" empty cells. Every in-cache kernel
+// (kernels.go) compares with it inline.
 package obsort
 
 import (
@@ -36,41 +31,27 @@ import (
 	"oblivext/internal/obs"
 )
 
-// Less orders elements. Implementations must be strict weak orderings and
-// should sort unoccupied elements after occupied ones when used with padded
-// arrays. ByKey itself takes the deterministic engines' inline kernels;
-// every other Less, a closure or method value that compares as ByKey does
-// included, takes the generic ones, which call it per comparison.
-type Less func(a, b extmem.Element) bool
+// Order names the order an engine sorts by, and ByKey is its one value:
+// Element.Less, occupied before empty, then (Key, Pos). Bitonic, Zigzag,
+// BucketSort and emsort.MergeSort take it as an inert argument only
+// because the benchmark's layer probe passes it to them.
+type Order struct{}
 
-// ByKey is the default order: occupied before empty, then (Key, Pos). Pass
-// ByKey itself, not extmem.Element.Less, to take the inline kernels.
-func ByKey(a, b extmem.Element) bool { return a.Less(b) }
+// ByKey is the one Order.
+var ByKey Order
 
-// ByPos orders occupied elements by their Pos field (original position),
-// with empties last. No library code sorts by it; the tests use it as an
-// order the generic kernels take.
-func ByPos(a, b extmem.Element) bool {
-	ao, bo := a.Occupied(), b.Occupied()
-	if ao != bo {
-		return ao
-	}
-	return a.Pos < b.Pos
-}
+// InCache sorts a private buffer by Element.Less, stably. Computation
+// inside Alice's cache is invisible to the adversary, so no circuit is
+// needed; this is the base case every external algorithm bottoms out in.
+func InCache(buf []extmem.Element) { slices.SortStableFunc(buf, cmpLess) }
 
-// InCache sorts a private buffer. Computation inside Alice's cache is
-// invisible to the adversary, so no circuit is needed; this is the base
-// case every external algorithm bottoms out in.
-func InCache(buf []extmem.Element, less Less) {
-	slices.SortStableFunc(buf, func(x, y extmem.Element) int { return compare(less, x, y) })
-}
-
-// compare is less as the three-way comparison the slices package sorts by.
-func compare(less Less, x, y extmem.Element) int {
+// cmpLess is Element.Less as the three-way comparison the slices package
+// sorts by.
+func cmpLess(x, y extmem.Element) int {
 	switch {
-	case less(x, y):
+	case x.Less(y):
 		return -1
-	case less(y, x):
+	case y.Less(x):
 		return 1
 	}
 	return 0
@@ -109,12 +90,14 @@ func compare(less Less, x, y extmem.Element) int {
 //
 // Requirements: B a power of two, M ≥ 4B and at least two blocks free; with
 // fewer free, Bitonic panics naming both. It allocates no disk scratch.
-func Bitonic(env *extmem.Env, a extmem.Array, less Less) { bitonic(env, a, a, less, nil) }
+// Its Order argument is inert; it goes with the benchmark's call site
+// (benchmark/layers.go) in ROADMAP item 1(a)'s benchmark change.
+func Bitonic(env *extmem.Env, a extmem.Array, _ Order) { bitonic(env, a, a, nil) }
 
 // bitonic is Bitonic of src into a, as long as src and possibly src
 // itself: the first pass reads src, handing each window's blocks to first
 // when it is not nil, and writes a; every later pass works in a.
-func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk []extmem.Element)) {
+func bitonic(env *extmem.Env, src, a extmem.Array, first func(chunk []extmem.Element)) {
 	n := a.Len()
 	if src.Len() != n {
 		panic(fmt.Sprintf("obsort: bitonic sort of %d blocks into %d", src.Len(), n))
@@ -143,7 +126,6 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	sc := newSchedule(n, b, free)
 	wb := 1 << (sc.lc - sc.lb) // blocks per window, and per batch
 	win := env.Cache.Buf(wb * b)
-	ord := orderOf(less)
 
 	// First pass: every stage up to the window size acts within aligned
 	// windows and leaves each ascending, so a private sort of the blocks a
@@ -160,7 +142,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 		if first != nil {
 			first(part)
 		}
-		ord.sort(part)
+		sortCells(part)
 		out := a.Slice(lo, lo+cur.Len())
 		cur = held(lo + wb)
 		out.Exchange(part, cur, win[:cur.Len()*b])
@@ -170,7 +152,7 @@ func bitonic(env *extmem.Env, src, a extmem.Array, less Less, first func(chunk [
 	for p, ok := sc.next(); ok; p, ok = sc.next() {
 		spp := env.Obs.Start("gather-pass")
 		spp.SetAttrInt("levels", int64(p.levels))
-		sc.run(p, a, win, ord)
+		sc.run(p, a, win)
 		env.Obs.End(spp)
 	}
 	env.Cache.Free(win)
@@ -317,7 +299,7 @@ func (s *schedule) span(p gatherPass) (e echelon) {
 // too: the pass reads each such coset's blocks below n, applies its levels
 // to them with the cells past them as +∞, and writes them back with the
 // next coset's read. Each exchange is a Batch, a window long each way.
-func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element, ord order) {
+func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element) {
 	b, d := a.B(), a.Disk()
 	wb := len(win) / b
 	e := s.span(p)
@@ -349,9 +331,9 @@ func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element, ord o
 		stage, bit := p.stage, p.bit
 		for range p.levels {
 			if bit == stage-1 {
-				ord.flipLevel(w, 1<<p.local(bit, s.lb))
+				flipLevel(w, 1<<p.local(bit, s.lb))
 			} else {
-				ord.exchangeLevel(w, 1<<p.local(bit, s.lb))
+				exchangeLevel(w, 1<<p.local(bit, s.lb))
 			}
 			stage, bit = nextLevel(stage, bit)
 		}
@@ -367,35 +349,6 @@ func (s *schedule) run(p gatherPass, a extmem.Array, win []extmem.Element, ord o
 		x.Do(w, win)
 		if base == 0 {
 			return
-		}
-	}
-}
-
-// exchangeLevel applies one network level to a private window: elements
-// stride apart compare-exchange, the lesser to the lower index. A pair
-// whose upper cell is past the window is left alone: that cell is +∞.
-func exchangeLevel(win []extmem.Element, stride int, less Less) {
-	for g := 0; g < len(win); g += 2 * stride {
-		end := min(g+stride, len(win)-stride)
-		for li := g; li < end; li++ {
-			if less(win[li+stride], win[li]) {
-				win[li], win[li+stride] = win[li+stride], win[li]
-			}
-		}
-	}
-}
-
-// flipLevel applies a stage's first level to a private window: in every
-// group of 2·half elements, element j and element 2·half−1−j
-// compare-exchange, the lesser to the lower index. A pair whose upper cell
-// is past the window is left alone: that cell is +∞.
-func flipLevel(win []extmem.Element, half int, less Less) {
-	for g := 0; g < len(win); g += 2 * half {
-		hi := min(g+2*half, len(win)) - 1
-		for lo := 2*(g+half) - 1 - hi; lo < hi; lo, hi = lo+1, hi-1 {
-			if less(win[hi], win[lo]) {
-				win[lo], win[hi] = win[hi], win[lo]
-			}
 		}
 	}
 }

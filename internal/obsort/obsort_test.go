@@ -32,6 +32,12 @@ func fillArray(env *extmem.Env, a extmem.Array, keys []uint64) {
 	}
 }
 
+// bitonicSort and zigzagSort are Bitonic and Zigzag with the shape of
+// every other engine: no Order argument.
+func bitonicSort(env *extmem.Env, a extmem.Array) { Bitonic(env, a, ByKey) }
+
+func zigzagSort(env *extmem.Env, a extmem.Array) { Zigzag(env, a, ByKey) }
+
 // readAll returns all elements of the array in order.
 func readAll(a extmem.Array) []extmem.Element {
 	b := a.B()
@@ -162,29 +168,6 @@ func TestBitonicOblivious(t *testing.T) {
 	}
 }
 
-func TestBitonicSortsByPos(t *testing.T) {
-	env := extmem.NewEnv(32, 4, 32, 3)
-	a := env.D.Alloc(4)
-	// Occupied elements with positions in reverse order.
-	b := a.B()
-	buf := make([]extmem.Element, b)
-	pos := uint64(16)
-	for blk := 0; blk < 4; blk++ {
-		for tt := 0; tt < b; tt++ {
-			pos--
-			buf[tt] = extmem.Element{Key: 5, Pos: pos, Flags: extmem.FlagOccupied}
-		}
-		a.Write(blk, buf)
-	}
-	Bitonic(env, a, ByPos)
-	elems := readAll(a)
-	for i, e := range elems {
-		if e.Pos != uint64(i) {
-			t.Fatalf("pos order broken at %d: %d", i, e.Pos)
-		}
-	}
-}
-
 func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
 	// Block counts that are not powers of two skip the padding they would
 	// read in the first pass and write in the last; M/B runs from 4 to 512.
@@ -213,7 +196,7 @@ func TestBitonicPassCountMatchesMeasuredIO(t *testing.T) {
 // cache of m with held elements checked out first, and returns the trace,
 // the counters, the cache high-water and the result. It fails the test if
 // the sort leaves the cache unbalanced.
-func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
+func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array), n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters, int, []extmem.Element) {
 	t.Helper()
 	env := extmem.NewEnv(2*n, b, m, 3)
 	env.Cache = extmem.NewCache(m, true)
@@ -223,7 +206,7 @@ func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, 
 	rec := trace.NewRecorder(0)
 	env.D.SetRecorder(rec)
 	env.D.ResetStats()
-	sort(env, a, ByKey)
+	sort(env, a)
 	if used := env.Cache.Used(); used != held {
 		t.Fatalf("n=%d held=%d: %d elements checked out after the sort", n, held, used)
 	}
@@ -237,7 +220,7 @@ func heldRun(t *testing.T, sort func(*extmem.Env, extmem.Array, Less), n, b, m, 
 // the sorted elements are the ones the sort hands over, which must come in
 // order, a whole number of blocks at a time; without it they are dst's.
 // The source must come out as it went in.
-func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), visit func(int, []extmem.Element)),
+func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, first func([]extmem.Element), visit func(int, []extmem.Element)),
 	n, b, m, held int, keys []uint64, visit bool) (trace.Summary, obs.Counters, int, []extmem.Element) {
 	t.Helper()
 	env := extmem.NewEnv(3*n, b, m, 3)
@@ -263,7 +246,7 @@ func intoRun(t *testing.T, sort func(env *extmem.Env, src, dst extmem.Array, les
 			seen = append(seen, chunk...)
 		}
 	}
-	sort(env, src, dst, ByKey, first, fn)
+	sort(env, src, dst, first, fn)
 	sum, st := rec.Summarize(), env.D.Stats()
 	if !slices.Equal(read, before) {
 		t.Fatalf("n=%d held=%d: the first pass handed over %d elements, not the source's %d in order", n, held, len(read), len(before))
@@ -288,7 +271,7 @@ func TestBitonicRespectsHeldCache(t *testing.T) {
 	const n, b, m = 1024, 8, 4096
 	keys := genKeys(rand.New(rand.NewPCG(4, 4)), n*b, "rand")
 	for _, held := range []int{0, m / 4, m/2 + b, 3 * m / 4, m - 2*b} {
-		_, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, keys)
+		_, st, hw, elems := heldRun(t, bitonicSort, n, b, m, held, keys)
 		if got := checkSortedPadded(t, elems); !sameMultiset(got, keys) {
 			t.Errorf("held=%d: multiset changed", held)
 		}
@@ -305,7 +288,7 @@ func TestBitonicRespectsHeldCache(t *testing.T) {
 			t.Errorf("with 2B-1 free: panic %q, want one naming the 16 elements needed and the 15 free", msg)
 		}
 	}()
-	heldRun(t, Bitonic, n, b, m, m-2*b+1, keys)
+	heldRun(t, bitonicSort, n, b, m, m-2*b+1, keys)
 }
 
 // TestZigzagRespectsHeldCache is TestBitonicRespectsHeldCache for Zigzag:
@@ -316,7 +299,7 @@ func TestZigzagRespectsHeldCache(t *testing.T) {
 	const n, b, m = 100, 8, 512
 	keys := genKeys(rand.New(rand.NewPCG(5, 5)), n*b, "rand")
 	for _, held := range []int{0, m / 4, 3 * m / 4, m - 4*b, m - 2*b} {
-		_, st, hw, elems := heldRun(t, Zigzag, n, b, m, held, keys)
+		_, st, hw, elems := heldRun(t, zigzagSort, n, b, m, held, keys)
 		if got := checkSortedPadded(t, elems); !sameMultiset(got, keys) {
 			t.Errorf("held=%d: multiset changed", held)
 		}
@@ -333,7 +316,7 @@ func TestZigzagRespectsHeldCache(t *testing.T) {
 			t.Errorf("with 2B-1 free: panic %q, want one naming the 16 elements needed and the 15 free", msg)
 		}
 	}()
-	heldRun(t, Zigzag, n, b, m, m-2*b+1, keys)
+	heldRun(t, zigzagSort, n, b, m, m-2*b+1, keys)
 }
 
 // FuzzBitonic sorts two inputs of one (n, B, M, held) — fuzzed keys and a
@@ -363,13 +346,13 @@ func FuzzBitonic(f *testing.F) {
 		n := int(nRaw)%min(8192, 256*m/b) + 1
 		held := int(heldRaw) % (m - 2*b + 1)
 		keys := genKeys(rand.New(rand.NewPCG(seed, 1)), n*b, "rand")
-		into := func(env *extmem.Env, src, dst extmem.Array, less Less, first func([]extmem.Element), _ func(int, []extmem.Element)) {
-			bitonic(env, src, dst, less, first)
+		into := func(env *extmem.Env, src, dst extmem.Array, first func([]extmem.Element), _ func(int, []extmem.Element)) {
+			bitonic(env, src, dst, first)
 		}
 		for _, fromSource := range []bool{false, true} {
 			var first trace.Summary
 			for i, in := range [][]uint64{keys, genKeys(nil, n*b, "equal")} {
-				sum, st, hw, elems := heldRun(t, Bitonic, n, b, m, held, in)
+				sum, st, hw, elems := heldRun(t, bitonicSort, n, b, m, held, in)
 				if fromSource {
 					sum, st, hw, elems = intoRun(t, into, n, b, m, held, in, false)
 				}
@@ -574,8 +557,8 @@ func TestBitonicPackedPasses(t *testing.T) {
 
 // TestBitonicTraceProperties checks, at the benchmark and the ORAM
 // geometries, what the packed schedule must not have cost: the trace is a
-// function of (n, B, M) alone — the same across inputs, orders and with
-// the blocks sealed — and every vectored call moves one batch of M/B blocks (the whole
+// function of (n, B, M) alone — the same across inputs, sorted ones
+// among them, and with the blocks sealed — and every vectored call moves one batch of M/B blocks (the whole
 // cache is free) or, where the padding is skipped, the part of one the
 // array holds.
 func TestBitonicTraceProperties(t *testing.T) {
@@ -585,7 +568,7 @@ func TestBitonicTraceProperties(t *testing.T) {
 			st    obs.Counters
 			elems []extmem.Element
 		}
-		run := func(kind string, less Less, sealed bool) outcome {
+		run := func(kind string, sealed bool) outcome {
 			env := extmem.NewEnv(2*g.n, g.b, g.m, 3)
 			if sealed {
 				enc, err := extmem.NewEncryptor(make([]byte, 32))
@@ -603,13 +586,13 @@ func TestBitonicTraceProperties(t *testing.T) {
 			rec := trace.NewRecorder(0)
 			env.D.SetRecorder(rec)
 			env.D.ResetStats()
-			Bitonic(env, a, less)
+			Bitonic(env, a, ByKey)
 			if hw := env.Cache.HighWater(); hw > g.m {
 				t.Fatalf("n=%d: used %d words of private memory, M=%d", g.n, hw, g.m)
 			}
 			return outcome{rec.Summarize(), env.D.Stats(), readAll(a)}
 		}
-		base := run("rand", ByKey, false)
+		base := run("rand", false)
 		checkSortedPadded(t, base.elems)
 		if want := BitonicCost(g.n, g.b, g.m); base.st.Cost() != want {
 			t.Errorf("n=%d: measured %+v, predicted %+v", g.n, base.st.Cost(), want)
@@ -624,14 +607,13 @@ func TestBitonicTraceProperties(t *testing.T) {
 		for _, v := range []struct {
 			name   string
 			kind   string
-			less   Less
 			sealed bool
 		}{
-			{"another input", "dup", ByKey, false},
-			{"ByRawKey", "rand", ByRawKey, false},
-			{"sealed", "rand", ByKey, true},
+			{"another input", "dup", false},
+			{"sorted input", "sorted", false},
+			{"sealed", "rand", true},
 		} {
-			got := run(v.kind, v.less, v.sealed)
+			got := run(v.kind, v.sealed)
 			if !got.trace.Equal(base.trace) {
 				t.Errorf("n=%d, %s: trace %v differs from %v", g.n, v.name, got.trace, base.trace)
 			}
@@ -704,14 +686,16 @@ func BenchmarkBitonic(b *testing.B) {
 	}
 }
 
+// TestInCacheStability: cells equal under Element.Less, the same (Key,
+// Pos) with different Vals, keep their input order.
 func TestInCacheStability(t *testing.T) {
 	buf := []extmem.Element{
-		{Key: 2, Val: 1, Flags: extmem.FlagOccupied},
-		{Key: 1, Val: 1, Flags: extmem.FlagOccupied},
-		{Key: 2, Val: 2, Flags: extmem.FlagOccupied},
-		{Key: 1, Val: 2, Flags: extmem.FlagOccupied},
+		{Key: 2, Pos: 3, Val: 1, Flags: extmem.FlagOccupied},
+		{Key: 1, Pos: 3, Val: 1, Flags: extmem.FlagOccupied},
+		{Key: 2, Pos: 3, Val: 2, Flags: extmem.FlagOccupied},
+		{Key: 1, Pos: 3, Val: 2, Flags: extmem.FlagOccupied},
 	}
-	InCache(buf, func(a, b extmem.Element) bool { return a.Key < b.Key })
+	InCache(buf)
 	if buf[0].Val != 1 || buf[1].Val != 2 || buf[2].Val != 1 || buf[3].Val != 2 {
 		t.Fatalf("InCache not stable: %+v", buf)
 	}

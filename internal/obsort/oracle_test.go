@@ -14,65 +14,38 @@ import (
 )
 
 // The sorters' differential oracle: every engine this package owns,
-// BucketSort, and the one Pick names for the call (auto), under ByKey,
-// ByPos and the test-only ByRawKey, against a sort.SliceStable reference
-// over the shared corpus (workload.SortCorpus), at cache sizes from M/B = 4
-// to 512. The sibling test in internal/core runs core.Sort, the auto engine
-// through core.SortWith, and emsort over the same corpus.
+// BucketSort, and the one Pick names for the call (auto), against a
+// sort.SliceStable reference under Element.Less over the shared corpus
+// (workload.SortCorpus), at cache sizes from M/B = 4 to 512, on the
+// corpus's cells and on the same cells keyed by their Pos (pos-keys), which
+// puts the occupied ones in order. The sibling test in internal/core runs
+// core.Sort, the auto engine through core.SortWith, and emsort over the
+// same corpus.
 
-// ByRawKey orders strictly by (Key, Pos) with no occupancy special-casing:
-// an order no library caller passes, kept to test the engines under an
-// order that does not put empties last.
-func ByRawKey(a, b extmem.Element) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.Pos < b.Pos
-}
+// oracleInputs are the inputs each case is sorted as: its cells, and the
+// same cells with every Key replaced by the cell's Pos.
+var oracleInputs = []struct {
+	name    string
+	posKeys bool
+}{{"ByKey", false}, {"pos-keys", true}}
 
-// oracleOrder is one order under test. ByRawKey has no empties-last rule,
-// so an engine's +infinity padding is not last under it; it is exercised
-// only where no engine pads — a fully occupied power-of-two block count.
-type oracleOrder struct {
-	name   string
-	less   Less
-	padded bool
-}
-
-// oracleOrders are the orders under test.
-var oracleOrders = []oracleOrder{
-	{"ByKey", ByKey, true},
-	{"ByPos", ByPos, true},
-	{"ByRawKey", ByRawKey, false},
-}
-
-// layCase writes the case into a fresh array and returns every cell of the
-// array (the slots plus the empty fill of the last block) in reference
-// order under less.
-func layCase(env *extmem.Env, c workload.SortCase, b int, less Less) (extmem.Array, []extmem.Element) {
+// layCase writes the case into a fresh array, every cell keyed by its Pos
+// where posKeys is set, and returns every cell of the array (the slots
+// plus the empty fill of the last block) in reference order.
+func layCase(env *extmem.Env, c workload.SortCase, b int, posKeys bool) (extmem.Array, []extmem.Element) {
 	a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
 	cells := make([]extmem.Element, a.Len()*b)
 	copy(cells, c.Slots)
+	if posKeys {
+		for i := range cells {
+			cells[i].Key = cells[i].Pos
+		}
+	}
 	for blk := 0; blk < a.Len(); blk++ {
 		a.Write(blk, cells[blk*b:(blk+1)*b])
 	}
-	sort.SliceStable(cells, func(i, j int) bool { return less(cells[i], cells[j]) })
+	sort.SliceStable(cells, func(i, j int) bool { return cells[i].Less(cells[j]) })
 	return a, cells
-}
-
-// unpadded reports whether no engine pads the case: every cell occupied and
-// the block count a power of two.
-func unpadded(c workload.SortCase, b int) bool {
-	n := len(c.Slots)
-	if n == 0 || n%b != 0 || (n/b)&(n/b-1) != 0 {
-		return false
-	}
-	for _, e := range c.Slots {
-		if !e.Occupied() {
-			return false
-		}
-	}
-	return true
 }
 
 // checkAgainstReference compares a sorted array with the reference cell by
@@ -95,55 +68,55 @@ func checkAgainstReference(t *testing.T, name string, got, ref []extmem.Element)
 
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
-	byName := map[string]func(*extmem.Env, extmem.Array, Less){
-		EngineBitonic:    Bitonic,
+	byName := map[string]func(*extmem.Env, extmem.Array){
+		EngineBitonic:    bitonicSort,
 		EngineColumnsort: Columnsort,
-		EngineZigzag:     Zigzag,
+		EngineZigzag:     zigzagSort,
 	}
 	// auto runs the engine Pick names with the cache free at the call and
 	// the "mem" price, as core.Engine resolves it for an ORAM rebuild.
-	auto := func(env *extmem.Env, a extmem.Array, less Less) {
+	auto := func(env *extmem.Env, a extmem.Array) {
 		name := Pick(a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem")
 		run, ok := byName[name]
 		if !ok {
 			panic(fmt.Sprintf("Pick named %q, not an engine of this package", name))
 		}
-		run(env, a, less)
+		run(env, a)
 	}
 	// Columnsort takes only the arrays ColumnGeometry admits; every other
 	// engine takes any array.
 	always := func(int, int) bool { return true }
 	columns := func(n, m int) bool { _, _, err := ColumnGeometry(n, b, m); return err == nil }
 	// total lifts an engine that never fails to the signature BucketSort has.
-	total := func(sort func(*extmem.Env, extmem.Array, Less)) func(*extmem.Env, extmem.Array, Less) error {
-		return func(env *extmem.Env, a extmem.Array, less Less) error { sort(env, a, less); return nil }
+	total := func(sort func(*extmem.Env, extmem.Array)) func(*extmem.Env, extmem.Array) error {
+		return func(env *extmem.Env, a extmem.Array) error { sort(env, a); return nil }
 	}
 	type engine struct {
 		name   string
-		sort   func(*extmem.Env, extmem.Array, Less) error
+		sort   func(*extmem.Env, extmem.Array) error
 		admits func(nBlocks, m int) bool
 	}
 	// BucketSort is no engine name, but the benchmark's layer probe runs
 	// it; the only failure it may return is a declared overflow, which
 	// leaves the array as it was.
 	engines := []engine{
-		{EngineBitonic, total(Bitonic), always},
+		{EngineBitonic, total(bitonicSort), always},
 		{EngineColumnsort, total(Columnsort), columns},
-		{EngineZigzag, total(Zigzag), always},
-		{"BucketSort", BucketSort, always},
+		{EngineZigzag, total(zigzagSort), always},
+		{"BucketSort", func(env *extmem.Env, a extmem.Array) error { return BucketSort(env, a, ByKey) }, always},
 		{EngineAuto, total(auto), always},
 	}
 	ran := map[string]int{} // cases each engine sorted
-	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, ord oracleOrder) {
+	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, posKeys bool) {
 		for _, c := range corpus {
-			if (!ord.padded && !unpadded(c, b)) || !eng.admits(extmem.CeilDiv(len(c.Slots), b), m) {
+			if !eng.admits(extmem.CeilDiv(len(c.Slots), b), m) {
 				continue
 			}
 			env := extmem.NewEnv(64, b, m, 7)
-			a, ref := layCase(env, c, b, ord.less)
+			a, ref := layCase(env, c, b, posKeys)
 			in := readAll(a)
 			env.Cache.ResetHighWater()
-			err := eng.sort(env, a, ord.less)
+			err := eng.sort(env, a)
 			if used := env.Cache.Used(); used != 0 {
 				t.Fatalf("%s: %d words left checked out", c.Name, used)
 			}
@@ -166,9 +139,9 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	corpus := workload.SortCorpus(b)
 	for _, m := range []int{4 * b, 16 * b, 64 * b, 512 * b} {
 		for _, eng := range engines {
-			for _, ord := range oracleOrders {
-				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, ord.name), func(t *testing.T) {
-					run(t, corpus, m, eng, ord)
+			for _, in := range oracleInputs {
+				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, in.name), func(t *testing.T) {
+					run(t, corpus, m, eng, in.posKeys)
 				})
 			}
 		}
@@ -181,9 +154,9 @@ func TestSorterDifferentialOracle(t *testing.T) {
 			if eng.name != EngineAuto && eng.name != EngineColumnsort {
 				continue
 			}
-			for _, ord := range oracleOrders {
-				t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, eng.name, ord.name), func(t *testing.T) {
-					run(t, at, g.m, eng, ord)
+			for _, in := range oracleInputs {
+				t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, eng.name, in.name), func(t *testing.T) {
+					run(t, at, g.m, eng, in.posKeys)
 				})
 			}
 		}
@@ -195,48 +168,44 @@ func TestSorterDifferentialOracle(t *testing.T) {
 	}
 }
 
-// byKeyGeneric is ByKey through a distinct closure. The engines select their
-// inline kernels by ByKey's identity, so this order runs the generic ones:
-// the reference that TestByKeyArmMatchesGeneric holds the ByKey arm to.
-var byKeyGeneric Less = func(a, b extmem.Element) bool { return a.Less(b) }
-
-// armEntry is one deterministic entry point, uniformly typed: into sorts a
-// source into a second array, visit hands the sorted cells to a visitor.
-type armEntry struct {
+// entryPoint is one deterministic entry point, uniformly typed: into sorts
+// a source into a second array, visit hands the sorted cells to a visitor.
+type entryPoint struct {
 	name        string
-	sort        func(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element))
+	sort        func(env *extmem.Env, src, dst extmem.Array, visit func(int, []extmem.Element))
 	into, visit bool
 }
 
-var armEntries = []armEntry{
-	{"Bitonic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
-		Bitonic(env, dst, less)
+var entryPoints = []entryPoint{
+	{"Bitonic", func(env *extmem.Env, _, dst extmem.Array, _ func(int, []extmem.Element)) {
+		Bitonic(env, dst, ByKey)
 	}, false, false},
-	{"BitonicInto", func(env *extmem.Env, src, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
-		bitonic(env, src, dst, less, nil)
+	{"BitonicInto", func(env *extmem.Env, src, dst extmem.Array, _ func(int, []extmem.Element)) {
+		bitonic(env, src, dst, nil)
 	}, true, false},
-	{"Columnsort", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
-		Columnsort(env, dst, less)
+	{"Columnsort", func(env *extmem.Env, _, dst extmem.Array, _ func(int, []extmem.Element)) {
+		Columnsort(env, dst)
 	}, false, false},
-	{"Deterministic", func(env *extmem.Env, _, dst extmem.Array, less Less, _ func(int, []extmem.Element)) {
-		Deterministic(env, dst, less)
+	{"Deterministic", func(env *extmem.Env, _, dst extmem.Array, _ func(int, []extmem.Element)) {
+		Deterministic(env, dst)
 	}, false, false},
 	{"DeterministicInto", deterministicInto, true, false},
 	{"DeterministicInto/visit", deterministicInto, true, true},
 }
 
 // deterministicInto is DeterministicInto without a first-pass observer.
-func deterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, visit func(int, []extmem.Element)) {
-	DeterministicInto(env, src, dst, less, nil, visit)
+func deterministicInto(env *extmem.Env, src, dst extmem.Array, visit func(int, []extmem.Element)) {
+	DeterministicInto(env, src, dst, nil, visit)
 }
 
-// armFill lays n·b cells, cell i with Pos i, so that occupied cells are
-// totally ordered by ByKey even where keys repeat: "dup" occupies every cell
-// with keys from {0..3}; "half" occupies the first half of the cells, which
-// leaves half-empty and all-empty windows behind it; "scatter" occupies
-// about half of the cells, anywhere; "empty" none. Empty cells carry junk
-// keys and values: their content is not part of the sorted result.
-func armFill(kind string, n, b int, r *rand.Rand) []extmem.Element {
+// entryFill lays n·b cells, cell i with Pos i, so that occupied cells are
+// totally ordered by Element.Less even where keys repeat: "dup" occupies
+// every cell with keys from {0..3}; "half" occupies the first half of the
+// cells, which leaves half-empty and all-empty windows behind it;
+// "scatter" occupies about half of the cells, anywhere; "empty" none.
+// Empty cells carry junk keys and values: their content is not part of the
+// sorted result.
+func entryFill(kind string, n, b int, r *rand.Rand) []extmem.Element {
 	cells := make([]extmem.Element, n*b)
 	for i := range cells {
 		e := extmem.Element{Key: r.Uint64N(4), Val: r.Uint64(), Pos: uint64(i)}
@@ -257,10 +226,10 @@ func armFill(kind string, n, b int, r *rand.Rand) []extmem.Element {
 	return cells
 }
 
-// armRun sorts the cells with one entry point under less, on a strict cache
-// of m with held elements checked out, and returns the trace and the sorted
+// entryRun sorts the cells with one entry point on a strict cache of m
+// with held elements checked out, and returns the trace and the sorted
 // cells (the visited ones where the entry visits).
-func armRun(t *testing.T, e armEntry, n, b, m, held int, cells []extmem.Element, less Less) (trace.Summary, []extmem.Element) {
+func entryRun(t *testing.T, e entryPoint, n, b, m, held int, cells []extmem.Element) (trace.Summary, []extmem.Element) {
 	t.Helper()
 	env := extmem.NewEnv(3*n, b, m, 3)
 	env.Cache = extmem.NewCache(m, true)
@@ -280,7 +249,7 @@ func armRun(t *testing.T, e armEntry, n, b, m, held int, cells []extmem.Element,
 	if e.visit {
 		visit = func(_ int, chunk []extmem.Element) { seen = append(seen, chunk...) }
 	}
-	e.sort(env, src, dst, less, visit)
+	e.sort(env, src, dst, visit)
 	if used := env.Cache.Used(); used != held {
 		t.Fatalf("%s: %d elements checked out after the sort, %d held", e.name, used, held)
 	}
@@ -290,18 +259,19 @@ func armRun(t *testing.T, e armEntry, n, b, m, held int, cells []extmem.Element,
 	return rec.Summarize(), seen
 }
 
-// TestByKeyArmMatchesGeneric runs each deterministic entry point on one
-// input under ByKey and under byKeyGeneric and requires the same trace, the
-// same occupied cells, element for element, and the cells a reference
-// stable sort gives. The geometries give bitonic two or more windows, block
-// counts that are not powers of two, a held cache, columnsort both inside
-// Deterministic and called directly where ColumnGeometry admits the array,
-// and bitonic from a source into a second array (BitonicInto). The second
-// table is block counts one past and short of a power of two, the
-// randomized Sort's 1 989-block bucket among them, at B = 1, 4 and 8 with a
-// quarter of a 64-block cache held: a window of 32 blocks, so the small
-// counts sort in one window and the large ones take gather passes.
-func TestByKeyArmMatchesGeneric(t *testing.T) {
+// TestEntryPointsMatchReference runs each deterministic entry point on
+// every input kind of a geometry and requires the occupied cells a
+// reference stable sort gives, element for element, and at each geometry
+// one trace for every input kind. The geometries give bitonic two or more
+// windows, block counts that are not powers of two, a held cache,
+// columnsort both inside Deterministic and called directly where
+// ColumnGeometry admits the array, and bitonic from a source into a second
+// array (BitonicInto). The second table is block counts one past and short
+// of a power of two, the randomized Sort's 1 989-block bucket among them,
+// at B = 1, 4 and 8 with a quarter of a 64-block cache held: a window of
+// 32 blocks, so the small counts sort in one window and the large ones
+// take gather passes.
+func TestEntryPointsMatchReference(t *testing.T) {
 	type geom struct {
 		n, b, m, held int
 		kinds         []string
@@ -323,29 +293,30 @@ func TestByKeyArmMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewPCG(50, 1))
 	for _, g := range geoms {
 		_, _, colErr := ColumnGeometry(g.n, g.b, g.m-g.held)
+		traces := map[string]trace.Summary{} // each entry point's trace on the geometry's first kind
 		for _, kind := range g.kinds {
-			cells := armFill(kind, g.n, g.b, r)
+			cells := entryFill(kind, g.n, g.b, r)
 			ref := slices.Clone(cells)
-			sort.SliceStable(ref, func(i, j int) bool { return ByKey(ref[i], ref[j]) })
-			for _, e := range armEntries {
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
+			for _, e := range entryPoints {
 				if e.name == "Columnsort" && colErr != nil {
 					continue
 				}
 				name := fmt.Sprintf("n=%d,B=%d,M=%d,held=%d/%s/%s", g.n, g.b, g.m, g.held, kind, e.name)
-				wantTr, want := armRun(t, e, g.n, g.b, g.m, g.held, cells, byKeyGeneric)
-				gotTr, got := armRun(t, e, g.n, g.b, g.m, g.held, cells, ByKey)
-				if !gotTr.Equal(wantTr) {
-					t.Errorf("%s: trace %v under ByKey, %v under the generic arm", name, gotTr, wantTr)
+				tr, got := entryRun(t, e, g.n, g.b, g.m, g.held, cells)
+				if first, ok := traces[e.name]; !ok {
+					traces[e.name] = tr
+				} else if !tr.Equal(first) {
+					t.Errorf("%s: trace %v, %v on %s", name, tr, first, g.kinds[0])
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d cells under ByKey, %d under the generic arm", name, len(got), len(want))
+				if len(got) != len(ref) {
+					t.Fatalf("%s: %d cells, reference %d", name, len(got), len(ref))
 				}
-				for i := range want {
-					if got[i].Occupied() != want[i].Occupied() || (want[i].Occupied() && got[i] != want[i]) {
-						t.Fatalf("%s: cell %d = %+v under ByKey, %+v under the generic arm", name, i, got[i], want[i])
+				for i := range ref {
+					if got[i].Occupied() != ref[i].Occupied() || (ref[i].Occupied() && got[i] != ref[i]) {
+						t.Fatalf("%s: cell %d = %+v, reference %+v", name, i, got[i], ref[i])
 					}
 				}
-				checkAgainstReference(t, name, got, ref)
 			}
 		}
 	}

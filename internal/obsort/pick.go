@@ -79,14 +79,14 @@ func Pick(nBlocks, b, m, free int, backend string) string {
 	return best
 }
 
-// Deterministic sorts a in place by less with Lemma 2's deterministic sort,
-// the one every algorithm that needs it as a subroutine calls: Columnsort
-// where columnsDominate holds at the cache free at the call, Bitonic
-// everywhere else, with Bitonic's requirements. Its trace, like either
-// engine's, is a function of (len, B, free), and DeterministicCost is its
-// exact price.
-func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
-	DeterministicInto(env, a, a, less, nil, nil)
+// Deterministic sorts a in place by Element.Less with Lemma 2's
+// deterministic sort, the one every algorithm that needs it as a
+// subroutine calls: Columnsort where columnsDominate holds at the cache
+// free at the call, Bitonic everywhere else, with Bitonic's requirements.
+// Its trace, like either engine's, is a function of (len, B, free), and
+// DeterministicCost is its exact price.
+func Deterministic(env *extmem.Env, a extmem.Array) {
+	DeterministicInto(env, a, a, nil, nil)
 }
 
 // DeterministicInto is Deterministic of src into dst, as long as src and
@@ -101,13 +101,13 @@ func Deterministic(env *extmem.Env, a extmem.Array, less Less) {
 // scratch; bitonic sorts dst and one scan reads it back. The engine is the
 // one columnsDominate picks at those prices, and DeterministicVisitCost is
 // the call's exact price; first costs nothing.
-func DeterministicInto(env *extmem.Env, src, dst extmem.Array, less Less, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
+func DeterministicInto(env *extmem.Env, src, dst extmem.Array, first func(chunk []extmem.Element), visit func(lo int, chunk []extmem.Element)) {
 	n := dst.Len()
 	if columnsDominate(n, dst.B(), env.M-env.Cache.Used(), visit != nil) {
-		columnsort(env, src, dst, less, first, visit)
+		columnsort(env, src, dst, first, visit)
 		return
 	}
-	bitonic(env, src, dst, less, first)
+	bitonic(env, src, dst, first)
 	if visit != nil {
 		env.Scan(dst, extmem.Array{}, env.ScanBatchN(1, n), visit)
 	}

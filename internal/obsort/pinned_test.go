@@ -38,7 +38,7 @@ func TestEngineTracesPinned(t *testing.T) {
 			return sum, st
 		}
 	}
-	inPlace := func(sort func(*extmem.Env, extmem.Array, Less)) func(n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters) {
+	inPlace := func(sort func(*extmem.Env, extmem.Array)) func(n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters) {
 		return func(n, b, m, held int, keys []uint64) (trace.Summary, obs.Counters) {
 			sum, st, _, _ := heldRun(t, sort, n, b, m, held, keys)
 			return sum, st
@@ -48,7 +48,7 @@ func TestEngineTracesPinned(t *testing.T) {
 		"columnsort":         inPlace(Columnsort),
 		"columnsort-first":   into(false),
 		"columnsort-visitor": into(true),
-		"bitonic":            inPlace(Bitonic),
+		"bitonic":            inPlace(bitonicSort),
 	}
 	for _, r := range []struct {
 		engine        string

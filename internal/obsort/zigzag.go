@@ -33,7 +33,9 @@ import (
 // rounds, its runs sized from the cache free at the call: it needs two
 // blocks of it, and panics with fewer. The address trace depends only on
 // (len, B, free).
-func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
+// Its Order argument is inert; it goes with the benchmark's call site
+// (benchmark/layers.go) in ROADMAP item 1(a)'s benchmark change.
+func Zigzag(env *extmem.Env, a extmem.Array, _ Order) {
 	n := a.Len()
 	if n == 0 {
 		return
@@ -62,7 +64,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	for r := 0; r < k; r++ {
 		lo, l := r*cb, runLen(r)
 		a.ReadRange(lo, lo+l, buf[:l*b])
-		InCache(buf[:l*b], less)
+		InCache(buf[:l*b])
 		a.WriteRange(lo, lo+l, buf[:l*b])
 	}
 	env.Obs.End(sp0)
@@ -81,7 +83,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 		x.ReadRange(a, i*cb, i*cb+li)
 		x.ReadRange(a, j*cb, j*cb+lj)
 		x.Do(nil, pair)
-		InCache(pair, less)
+		InCache(pair)
 		x = env.D.Batch(li + lj)
 		x.WriteRange(a, i*cb, i*cb+li)
 		x.WriteRange(a, j*cb, j*cb+lj)
