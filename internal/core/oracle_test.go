@@ -213,22 +213,25 @@ func TestDifferentialOracle(t *testing.T) {
 // emsort baseline over the same shared corpus, against the same
 // sort.SliceStable reference under Element.Less. The emsort/pos-keys row
 // keys every cell by its Pos, its index in the case: the same cells,
-// occupied ones already in order. A row may set its own block size and
-// check part of the cache out before the sort, under a strict cache.
+// occupied ones already in order. The emsort/reversed-keys row keys every
+// cell by the complement of its Pos: occupied ones in reverse order. A row
+// may set its own block size and check part of the cache out before the
+// sort, under a strict cache.
 func TestSorterDifferentialOracle(t *testing.T) {
 	const b = 8
 	sorters := []struct {
-		name    string
-		minM    int  // smallest M the sorter's own passes accept
-		posKeys bool // key every cell by its Pos before the sort
-		sort    func(env *extmem.Env, a extmem.Array) error
+		name  string
+		minM  int                     // smallest M the sorter's own passes accept
+		rekey func(pos uint64) uint64 // if not nil, key every cell by rekey(Pos) before the sort
+		sort  func(env *extmem.Env, a extmem.Array) error
 	}{
-		{"randomized/ByKey", 16 * b, false, Sort},
-		{"auto/ByKey", 4 * b, false, func(env *extmem.Env, a extmem.Array) error {
+		{"randomized/ByKey", 16 * b, nil, Sort},
+		{"auto/ByKey", 4 * b, nil, func(env *extmem.Env, a extmem.Array) error {
 			return SortWith(env, a, Engine(obsort.EngineAuto, a.Len(), a.B(), env.M, env.M-env.Cache.Used(), "mem"))
 		}},
-		{"emsort/ByKey", 4 * b, false, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
-		{"emsort/pos-keys", 4 * b, true, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
+		{"emsort/ByKey", 4 * b, nil, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
+		{"emsort/pos-keys", 4 * b, func(pos uint64) uint64 { return pos }, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
+		{"emsort/reversed-keys", 4 * b, func(pos uint64) uint64 { return ^pos }, func(env *extmem.Env, a extmem.Array) error { emsort.MergeSort(env, a, obsort.ByKey); return nil }},
 	}
 	type row struct {
 		name   string
@@ -285,10 +288,10 @@ func TestSorterDifferentialOracle(t *testing.T) {
 						col := env.EnableObs()
 						a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), bs))
 						slots := c.Slots
-						if s.posKeys {
+						if s.rekey != nil {
 							slots = slices.Clone(slots)
 							for i := range slots {
-								slots[i].Key = slots[i].Pos
+								slots[i].Key = s.rekey(slots[i].Pos)
 							}
 						}
 						writeElems(a, slots)

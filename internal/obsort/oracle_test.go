@@ -17,28 +17,34 @@ import (
 // BucketSort, and the one Pick names for the call (auto), against a
 // sort.SliceStable reference under Element.Less over the shared corpus
 // (workload.SortCorpus), at cache sizes from M/B = 4 to 512, on the
-// corpus's cells and on the same cells keyed by their Pos (pos-keys), which
-// puts the occupied ones in order. The sibling test in internal/core runs
-// core.Sort, the auto engine through core.SortWith, and emsort over the
-// same corpus.
+// corpus's cells, on the same cells keyed by their Pos (pos-keys), which
+// puts the occupied ones in order, and on the same cells keyed by the
+// complement of their Pos (reversed-keys), which puts them in reverse
+// order. The sibling test in internal/core runs core.Sort, the auto engine
+// through core.SortWith, and emsort over the same corpus.
 
-// oracleInputs are the inputs each case is sorted as: its cells, and the
-// same cells with every Key replaced by the cell's Pos.
+// oracleInputs are the inputs each case is sorted as: its cells as the
+// corpus keys them (rekey nil), or with every Key replaced by rekey of the
+// cell's Pos.
 var oracleInputs = []struct {
-	name    string
-	posKeys bool
-}{{"ByKey", false}, {"pos-keys", true}}
+	name  string
+	rekey func(pos uint64) uint64
+}{
+	{"ByKey", nil},
+	{"pos-keys", func(pos uint64) uint64 { return pos }},
+	{"reversed-keys", func(pos uint64) uint64 { return ^pos }},
+}
 
-// layCase writes the case into a fresh array, every cell keyed by its Pos
-// where posKeys is set, and returns every cell of the array (the slots
-// plus the empty fill of the last block) in reference order.
-func layCase(env *extmem.Env, c workload.SortCase, b int, posKeys bool) (extmem.Array, []extmem.Element) {
+// layCase writes the case into a fresh array, every cell keyed by rekey of
+// its Pos where rekey is not nil, and returns every cell of the array (the
+// slots plus the empty fill of the last block) in reference order.
+func layCase(env *extmem.Env, c workload.SortCase, b int, rekey func(uint64) uint64) (extmem.Array, []extmem.Element) {
 	a := env.D.Alloc(extmem.CeilDiv(len(c.Slots), b))
 	cells := make([]extmem.Element, a.Len()*b)
 	copy(cells, c.Slots)
-	if posKeys {
+	if rekey != nil {
 		for i := range cells {
-			cells[i].Key = cells[i].Pos
+			cells[i].Key = rekey(cells[i].Pos)
 		}
 	}
 	for blk := 0; blk < a.Len(); blk++ {
@@ -107,13 +113,13 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		{EngineAuto, total(auto), always},
 	}
 	ran := map[string]int{} // cases each engine sorted
-	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, posKeys bool) {
+	run := func(t *testing.T, corpus []workload.SortCase, m int, eng engine, rekey func(uint64) uint64) {
 		for _, c := range corpus {
 			if !eng.admits(extmem.CeilDiv(len(c.Slots), b), m) {
 				continue
 			}
 			env := extmem.NewEnv(64, b, m, 7)
-			a, ref := layCase(env, c, b, posKeys)
+			a, ref := layCase(env, c, b, rekey)
 			in := readAll(a)
 			env.Cache.ResetHighWater()
 			err := eng.sort(env, a)
@@ -141,7 +147,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 		for _, eng := range engines {
 			for _, in := range oracleInputs {
 				t.Run(fmt.Sprintf("M=%d/%s/%s", m, eng.name, in.name), func(t *testing.T) {
-					run(t, corpus, m, eng, in.posKeys)
+					run(t, corpus, m, eng, in.rekey)
 				})
 			}
 		}
@@ -156,7 +162,7 @@ func TestSorterDifferentialOracle(t *testing.T) {
 			}
 			for _, in := range oracleInputs {
 				t.Run(fmt.Sprintf("n=%d,M=%d/%s/%s", g.n, g.m, eng.name, in.name), func(t *testing.T) {
-					run(t, at, g.m, eng, in.posKeys)
+					run(t, at, g.m, eng, in.rekey)
 				})
 			}
 		}
